@@ -14,7 +14,9 @@ test:
 # "current" label via cmd/benchjson (best of -count runs per benchmark,
 # which filters noisy-neighbour interference on shared machines).
 # Re-run on a baseline checkout with BENCH_LABEL=baseline to fill in the
-# before/after speedup table.
+# before/after speedup table. BenchmarkForestScore (RF-50 × 27 features,
+# one fused call per 512-row chunk; ns/row and allocs/op) is the tree
+# scoring layer's number in that set.
 # It then runs the batch-vs-streaming engine benchmarks (see
 # internal/core/stream_bench_test.go), whose peak-B custom metric — the
 # live-heap high-water mark of a test-mode run — lands in BENCH_PR4.json.
@@ -63,7 +65,8 @@ vet:
 # equivalence gate — chunk pump and decoder buffer pool, refcounted
 # pcap mappings under concurrent chunk release, flow assemblers, span
 # tracer, benchsuite worker pool, the mlkit/linalg row-parallel
-# kernels, and the resident daemon: pipeline lifecycle, hot swap under
+# kernels, one forest's flat node arrays scored from eight goroutines
+# through ScoringReplica, and the resident daemon: pipeline lifecycle, hot swap under
 # live ingest, live sources including mmap+lazy watch ingest with
 # rotation under load, the HTTP control surface, and the lumend binary
 # end to end) under the race detector. The online-learning paths ride along: the core suite's
@@ -124,17 +127,22 @@ drift-smoke:
 	echo "drift-smoke: OK ($$(grep -c . $$tmp/alerts.jsonl) alerts, $$(grep 'lumen_drift_events_total{' $$tmp/metrics.prom | head -1))"; \
 	rm -rf $$tmp
 
-# fuzz-smoke gives each differential decoder fuzz target (lazy
-# PacketView vs eager Decode; see internal/netpkt/view_fuzz_test.go) a
-# short budget on top of its checked-in corpus. Go runs one -fuzz
-# pattern per invocation, so each target gets its own line.
+# fuzz-smoke gives each fuzz target a short budget on top of its seed
+# corpus: the differential decoder targets (lazy PacketView vs eager
+# Decode; see internal/netpkt/view_fuzz_test.go) and the model loader
+# that POST /swap reaches (error, or a model that scores without
+# panicking; see internal/mlkit/persist_fuzz_test.go). Go runs one -fuzz
+# pattern per invocation, so each target gets its own line. The model
+# target caps minimization: shrinking one multi-kilobyte JSON envelope
+# would otherwise eat the whole budget.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzViewEthernet -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
 	$(GO) test -fuzz=FuzzViewDot11 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
+	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/mlkit/
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
-# the documentation lint, and a short differential-fuzz pass over the
-# decoder fast path.
+# the documentation lint, and a short fuzz pass over the decoder fast
+# path and the model loader.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

@@ -252,10 +252,7 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 		UnitIdx: append([]int(nil), fr.UnitIdx...),
 	}
 	if len(X) > 0 {
-		res.Pred = st.Clf.Predict(X)
-		if pc, ok := st.Clf.(mlkit.ProbClassifier); ok {
-			res.Scores = pc.Proba(X)
-		}
+		res.Pred, res.Scores = mlkit.PredictProba(st.Clf, X)
 	}
 	ctx.result = res
 	if ctx.stream != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -206,5 +207,62 @@ func TestDaemonHTTP(t *testing.T) {
 				t.Fatalf("pipeline %s emitted alert for %q", name, a.Pipeline)
 			}
 		}
+	}
+}
+
+// TestSwapMalformedModelRefused: a model file is outside input. Envelopes
+// whose trees would make the scoring goroutine panic (child index out of
+// range, leaf without a distribution) or spin forever (a cycle) must be
+// refused at load, and the pipeline must keep serving on the generation
+// it had.
+func TestSwapMalformedModelRefused(t *testing.T) {
+	ds := testDS(t)
+	rows := chunkRowsFor(len(ds.Packets), 20)
+	d := New(Config{Metrics: obs.NewMetrics()})
+	gate := newGate(dataset.NewSliceSource(ds))
+	var alerts bytes.Buffer
+	p, err := d.Start(PipeConfig{
+		Name:   "gated",
+		Engine: trainedEngine(t, ds),
+		Source: gate,
+		Stream: core.StreamConfig{ChunkRows: rows},
+		Alerts: &alerts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	gate.allow(2)
+	waitFor(t, 5*time.Second, "2 chunks", func() bool { return p.Status().Chunks >= 2 })
+
+	const leaf = `{"f":-1,"t":0,"l":0,"r":0,"p":[1,0]}`
+	for name, nodes := range map[string]string{
+		"cycle":              `{"f":0,"t":0.5,"l":0,"r":1},` + leaf,
+		"child out of range": `{"f":0,"t":0.5,"l":1,"r":9},` + leaf,
+		"leaf without p":     `{"f":0,"t":0.5,"l":1,"r":2},` + leaf + `,{"f":-1,"t":0,"l":0,"r":0}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		model := fmt.Sprintf(`{"version":1,"type":"random_forest","data":{"classes":2,"trees":[{"classes":2,"nodes":[%s]}]}}`, nodes)
+		if err := os.WriteFile(path, []byte(model), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, body := httpPost(t, srv.URL+"/pipelines/gated/swap?model="+path+"&shadow=1&auto=true")
+		if code != http.StatusConflict || !bytes.Contains(body, []byte("UnmarshalModel")) {
+			t.Fatalf("%s: swap = %d %s, want 409 naming the load failure", name, code, body)
+		}
+		if st := p.Status(); st.State != "running" || st.ModelGeneration != 1 || st.Shadowing {
+			t.Fatalf("%s: status after refused swap = %+v, want running on generation 1, no shadow", name, st)
+		}
+	}
+
+	// Still scoring.
+	gate.allow(2)
+	waitFor(t, 5*time.Second, "2 more chunks", func() bool { return p.Status().Chunks >= 4 })
+	if err := p.Drain(); err != nil {
+		t.Fatalf("drain after refused swaps: %v", err)
+	}
+	if st := p.Status(); st.ModelGeneration != 1 || st.Verdicts == 0 {
+		t.Fatalf("final status = %+v, want verdicts from generation 1", st)
 	}
 }

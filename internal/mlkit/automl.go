@@ -78,20 +78,22 @@ func (a *AutoML) Fit(X [][]float64, y []int) error {
 	return a.best.Fit(X, y) // refit winner on the full training set
 }
 
+// PredictProba delegates to the winning model (hard labels stand in for
+// scores when it has none).
+func (a *AutoML) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaHard(a.best, X)
+}
+
 // Predict delegates to the winning model.
-func (a *AutoML) Predict(X [][]float64) []int { return a.best.Predict(X) }
+func (a *AutoML) Predict(X [][]float64) []int {
+	pred, _ := a.PredictProba(X)
+	return pred
+}
 
 // Proba delegates when the winner supports it, else returns hard labels.
 func (a *AutoML) Proba(X [][]float64) []float64 {
-	if p, ok := a.best.(ProbClassifier); ok {
-		return p.Proba(X)
-	}
-	pred := a.best.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	_, proba := a.PredictProba(X)
+	return proba
 }
 
 // BestName reports the label of the winning candidate after Fit.

@@ -22,15 +22,7 @@ func (g *GaussianNB) Fit(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	g.classes = 0
-	for _, label := range y {
-		if label+1 > g.classes {
-			g.classes = label + 1
-		}
-	}
-	if g.classes < 2 {
-		g.classes = 2
-	}
+	g.classes = classCount(y)
 	counts := make([]float64, g.classes)
 	g.means = make([][]float64, g.classes)
 	g.vars = make([][]float64, g.classes)

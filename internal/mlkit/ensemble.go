@@ -22,16 +22,23 @@ func (v *VotingEnsemble) Fit(X [][]float64, y []int) error {
 	return nil
 }
 
-// Predict returns the majority (or soft-vote) decision per row.
-func (v *VotingEnsemble) Predict(X [][]float64) []int {
-	p := v.Proba(X)
-	out := make([]int, len(p))
-	for i, s := range p {
+// PredictProba polls the members once: proba is the mean member score
+// (see Proba) and pred is 1 where it exceeds one half.
+func (v *VotingEnsemble) PredictProba(X [][]float64) ([]int, []float64) {
+	proba := v.Proba(X)
+	pred := make([]int, len(proba))
+	for i, s := range proba {
 		if s > 0.5 {
-			out[i] = 1
+			pred[i] = 1
 		}
 	}
-	return out
+	return pred, proba
+}
+
+// Predict returns the majority (or soft-vote) decision per row.
+func (v *VotingEnsemble) Predict(X [][]float64) []int {
+	pred, _ := v.PredictProba(X)
+	return pred
 }
 
 // Proba returns the mean member score: soft-vote probability when all

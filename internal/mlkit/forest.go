@@ -1,6 +1,7 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -20,8 +21,10 @@ type RandomForest struct {
 	// Seed drives bootstrap sampling and per-tree seeds.
 	Seed int64
 
+	// trees and classes are what persistence writes; flat is what scores.
 	trees   []*DecisionTree
 	classes int
+	flat    flatTrees
 }
 
 func (f *RandomForest) nTrees() int {
@@ -36,15 +39,6 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	d, err := checkXY(X, y)
 	if err != nil {
 		return err
-	}
-	f.classes = 0
-	for _, label := range y {
-		if label+1 > f.classes {
-			f.classes = label + 1
-		}
-	}
-	if f.classes < 2 {
-		f.classes = 2
 	}
 	maxFeat := f.MaxFeatures
 	if maxFeat == 0 {
@@ -100,54 +94,76 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 		return err
 	default:
 	}
-	return nil
+	f.classes = classCount(y)
+	f.flat, err = flattenTrees(f.trees)
+	return err
+}
+
+// flattenTrees concatenates fitted trees into one scoring layout, in
+// tree order. Its class count is the largest any tree saw; a tree whose
+// bootstrap missed the highest labels has its leaf distributions
+// zero-padded to it. (Classes no tree saw would only ever add zeros, so
+// leaving them out changes neither the arg-max nor the class-1 mean.)
+func flattenTrees(trees []*DecisionTree) (flatTrees, error) {
+	out := flatTrees{roots: make([]int32, 0, len(trees))}
+	nNodes, nLeaves := 0, 0
+	for _, t := range trees {
+		if t.flat.classes > out.classes {
+			out.classes = t.flat.classes
+		}
+		nNodes += len(t.flat.nodes)
+		nLeaves += len(t.flat.leaves) / t.flat.classes
+	}
+	classes := out.classes
+	if nNodes > math.MaxInt32 || nLeaves > math.MaxInt32/classes {
+		return flatTrees{}, fmt.Errorf("mlkit: random forest of %d nodes × %d classes exceeds the 32-bit node index", nNodes, classes)
+	}
+	nLeaves *= classes
+	out.nodes = make([]flatNode, 0, nNodes)
+	out.leaves = make([]float64, 0, nLeaves)
+	for _, t := range trees {
+		base := int32(len(out.nodes))
+		out.roots = append(out.roots, base)
+		for _, n := range t.flat.nodes {
+			if n.feature < 0 {
+				leaf := t.flat.leaves[n.right:][:t.flat.classes]
+				n.right = int32(len(out.leaves))
+				out.leaves = append(out.leaves, leaf...)
+				for j := len(leaf); j < classes; j++ {
+					out.leaves = append(out.leaves, 0)
+				}
+			} else {
+				n.right += base
+			}
+			out.nodes = append(out.nodes, n)
+		}
+	}
+	return out, nil
+}
+
+// PredictProba scores every row against every tree once and returns the
+// class with the highest mean leaf probability plus the positive-class
+// (label 1) mean.
+func (f *RandomForest) PredictProba(X [][]float64) ([]int, []float64) {
+	pred, proba := f.flat.predictProba(X)
+	if f.classes == 0 {
+		// Never fitted: there is no class to name, so — as ArgMax of an
+		// empty distribution — every row predicts -1.
+		for i := range pred {
+			pred[i] = -1
+		}
+	}
+	return pred, proba
 }
 
 // Predict returns the class with the highest mean leaf probability.
 func (f *RandomForest) Predict(X [][]float64) []int {
-	probs := f.classProba(X)
-	out := make([]int, len(X))
-	for i, p := range probs {
-		out[i] = ArgMax(p)
-	}
-	return out
+	pred, _ := f.PredictProba(X)
+	return pred
 }
 
 // Proba returns the positive-class mean probability per row.
 func (f *RandomForest) Proba(X [][]float64) []float64 {
-	probs := f.classProba(X)
-	out := make([]float64, len(X))
-	for i, p := range probs {
-		if len(p) > 1 {
-			out[i] = p[1]
-		}
-	}
-	return out
-}
-
-func (f *RandomForest) classProba(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i := range out {
-		out[i] = make([]float64, f.classes)
-	}
-	if len(f.trees) == 0 {
-		return out
-	}
-	for _, tree := range f.trees {
-		tp := tree.ClassProba(X)
-		for i, p := range tp {
-			for j := range p {
-				if j < f.classes {
-					out[i][j] += p[j]
-				}
-			}
-		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for i := range out {
-		for j := range out[i] {
-			out[i][j] *= inv
-		}
-	}
-	return out
+	_, proba := f.PredictProba(X)
+	return proba
 }

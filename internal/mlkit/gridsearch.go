@@ -96,20 +96,22 @@ func expandGrid(grid map[string][]float64) []map[string]float64 {
 	return out
 }
 
+// PredictProba delegates to the winning model (hard labels stand in for
+// scores when it has none).
+func (g *GridSearch) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaHard(g.best, X)
+}
+
 // Predict delegates to the winning model.
-func (g *GridSearch) Predict(X [][]float64) []int { return g.best.Predict(X) }
+func (g *GridSearch) Predict(X [][]float64) []int {
+	pred, _ := g.PredictProba(X)
+	return pred
+}
 
 // Proba delegates when supported.
 func (g *GridSearch) Proba(X [][]float64) []float64 {
-	if p, ok := g.best.(ProbClassifier); ok {
-		return p.Proba(X)
-	}
-	pred := g.best.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	_, proba := g.PredictProba(X)
+	return proba
 }
 
 // BestParams returns the winning assignment after Fit.

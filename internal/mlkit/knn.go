@@ -54,15 +54,7 @@ func (k *KNN) Fit(X [][]float64, y []int) error {
 	k.x = X
 	k.y = y
 	k.flat = linalg.FromRows(X)
-	k.classes = 0
-	for _, label := range y {
-		if label+1 > k.classes {
-			k.classes = label + 1
-		}
-	}
-	if k.classes < 2 {
-		k.classes = 2
-	}
+	k.classes = classCount(y)
 	return nil
 }
 
@@ -330,24 +322,29 @@ func (k *KNN) votes(X [][]float64) *linalg.Dense {
 	return out
 }
 
+// PredictProba scans the neighbours once and returns the majority class
+// and the neighbour fraction of class 1 per row.
+func (k *KNN) PredictProba(X [][]float64) ([]int, []float64) {
+	v := k.votes(X)
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
+	for i := range pred {
+		pred[i] = ArgMax(v.Row(i))
+		if v.Cols > 1 {
+			proba[i] = v.At(i, 1)
+		}
+	}
+	return pred, proba
+}
+
 // Predict returns the majority class among neighbours per row.
 func (k *KNN) Predict(X [][]float64) []int {
-	v := k.votes(X)
-	out := make([]int, len(X))
-	for i := range out {
-		out[i] = ArgMax(v.Row(i))
-	}
-	return out
+	pred, _ := k.PredictProba(X)
+	return pred
 }
 
 // Proba returns the neighbour fraction of class 1 per row.
 func (k *KNN) Proba(X [][]float64) []float64 {
-	v := k.votes(X)
-	out := make([]float64, len(X))
-	if v.Cols > 1 {
-		for i := range out {
-			out[i] = v.At(i, 1)
-		}
-	}
-	return out
+	_, proba := k.PredictProba(X)
+	return proba
 }

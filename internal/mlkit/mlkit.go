@@ -37,6 +37,47 @@ type ProbClassifier interface {
 	Proba(X [][]float64) []float64
 }
 
+// FusedClassifier is a Classifier whose labels and class-1 scores come out
+// of one pass over X. Models implement it when Predict and Proba would
+// otherwise repeat the same expensive work (a forest walk, a network
+// forward pass, a neighbour scan, a detector score); on those models
+// Predict and Proba are projections of PredictProba. Callers go through
+// the package-level PredictProba rather than asserting this interface.
+type FusedClassifier interface {
+	Classifier
+	// PredictProba returns Predict(X) and Proba(X) from a single pass.
+	PredictProba(X [][]float64) (pred []int, proba []float64)
+}
+
+// PredictProba scores X once when c is a FusedClassifier and otherwise
+// falls back to Predict followed by Proba. proba is nil when the model
+// exposes no scores (it is not a ProbClassifier, or it is a SwapHandle
+// around one that is not).
+func PredictProba(c Classifier, X [][]float64) (pred []int, proba []float64) {
+	if fc, ok := c.(FusedClassifier); ok {
+		return fc.PredictProba(X)
+	}
+	pred = c.Predict(X)
+	if pc, ok := c.(ProbClassifier); ok {
+		proba = pc.Proba(X)
+	}
+	return pred, proba
+}
+
+// predictProbaHard is PredictProba for the delegating wrappers (Pipeline,
+// GridSearch, AutoML, ReservoirRetrainer), which always report scores:
+// when the wrapped model has none, its hard 0/1 labels stand in.
+func predictProbaHard(c Classifier, X [][]float64) ([]int, []float64) {
+	pred, proba := PredictProba(c, X)
+	if proba == nil {
+		proba = make([]float64, len(pred))
+		for i, v := range pred {
+			proba[i] = float64(v)
+		}
+	}
+	return pred, proba
+}
+
 // Detector is an unsupervised anomaly detector. Fit learns a model of
 // "normal" data; Score returns a value per row where higher means more
 // anomalous.
@@ -84,35 +125,39 @@ func (t *Thresholded) Fit(X [][]float64, y []int) error {
 	return nil
 }
 
-// Predict classifies rows whose anomaly score exceeds the threshold as 1.
-func (t *Thresholded) Predict(X [][]float64) []int {
+// PredictProba scores X with the detector once. Rows whose anomaly score
+// exceeds the threshold predict 1; proba maps the score monotonically
+// into [0,1] via score/(score+threshold), which preserves AUC ordering.
+func (t *Thresholded) PredictProba(X [][]float64) ([]int, []float64) {
 	scores := t.Detector.Score(X)
-	out := make([]int, len(scores))
+	pred := make([]int, len(scores))
+	proba := make([]float64, len(scores))
 	for i, s := range scores {
 		if s > t.Threshold {
-			out[i] = 1
+			pred[i] = 1
 		}
-	}
-	return out
-}
-
-// Proba maps scores monotonically into [0,1] via score/(score+threshold),
-// which preserves AUC ordering.
-func (t *Thresholded) Proba(X [][]float64) []float64 {
-	scores := t.Detector.Score(X)
-	out := make([]float64, len(scores))
-	for i, s := range scores {
 		if s < 0 {
 			s = 0
 		}
 		d := s + t.Threshold
 		if d <= 0 {
-			out[i] = 0
 			continue
 		}
-		out[i] = s / d
+		proba[i] = s / d
 	}
-	return out
+	return pred, proba
+}
+
+// Predict classifies rows whose anomaly score exceeds the threshold as 1.
+func (t *Thresholded) Predict(X [][]float64) []int {
+	pred, _ := t.PredictProba(X)
+	return pred
+}
+
+// Proba returns the squashed anomaly score per row (see PredictProba).
+func (t *Thresholded) Proba(X [][]float64) []float64 {
+	_, proba := t.PredictProba(X)
+	return proba
 }
 
 // ErrNoData is returned by Fit when the training matrix is empty.
@@ -120,6 +165,17 @@ var ErrNoData = errors.New("mlkit: empty training set")
 
 // ErrDimMismatch is returned when feature dimensions are inconsistent.
 var ErrDimMismatch = errors.New("mlkit: feature dimension mismatch")
+
+// classCount returns the number of classes labels y span, at least two.
+func classCount(y []int) int {
+	classes := 2
+	for _, label := range y {
+		if label+1 > classes {
+			classes = label + 1
+		}
+	}
+	return classes
+}
 
 func checkXY(X [][]float64, y []int) (d int, err error) {
 	if len(X) == 0 {

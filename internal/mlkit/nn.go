@@ -586,30 +586,35 @@ func (c *MLPClassifier) Fit(X [][]float64, y []int) error {
 	return c.net.FitTargets(X, T)
 }
 
-// Predict thresholds the output unit; a never-fitted classifier
-// predicts all-benign.
-func (c *MLPClassifier) Predict(X [][]float64) []int {
+// PredictProba runs one forward pass: proba is the raw output unit per
+// row and pred thresholds it. A never-fitted classifier predicts
+// all-benign with zero scores.
+func (c *MLPClassifier) PredictProba(X [][]float64) ([]int, []float64) {
+	pred := make([]int, len(X))
 	if c.net == nil {
-		return make([]int, len(X))
+		return pred, make([]float64, len(X))
 	}
 	thr := c.Threshold
 	if thr == 0 {
 		thr = 0.5
 	}
-	p := c.net.Predict01(X)
-	out := make([]int, len(p))
-	for i, v := range p {
+	proba := c.net.Predict01(X)
+	for i, v := range proba {
 		if v > thr {
-			out[i] = 1
+			pred[i] = 1
 		}
 	}
-	return out
+	return pred, proba
 }
 
-// Proba returns the raw output unit per row; all-zero before any fit.
+// Predict thresholds the output unit.
+func (c *MLPClassifier) Predict(X [][]float64) []int {
+	pred, _ := c.PredictProba(X)
+	return pred
+}
+
+// Proba returns the raw output unit per row.
 func (c *MLPClassifier) Proba(X [][]float64) []float64 {
-	if c.net == nil {
-		return make([]float64, len(X))
-	}
-	return c.net.Predict01(X)
+	_, proba := c.PredictProba(X)
+	return proba
 }

@@ -455,30 +455,28 @@ func (r *ReservoirRetrainer) Fit(X [][]float64, y []int) error {
 	return nil
 }
 
+// PredictProba delegates to the wrapped model (hard labels stand in for
+// scores when it has none); all-benign with zero scores before the first
+// retrain.
+func (r *ReservoirRetrainer) PredictProba(X [][]float64) ([]int, []float64) {
+	if !r.fitted {
+		return make([]int, len(X)), make([]float64, len(X))
+	}
+	return predictProbaHard(r.Model, X)
+}
+
 // Predict delegates to the wrapped model, or returns all-benign before
 // the first retrain.
 func (r *ReservoirRetrainer) Predict(X [][]float64) []int {
-	if !r.fitted {
-		return make([]int, len(X))
-	}
-	return r.Model.Predict(X)
+	pred, _ := r.PredictProba(X)
+	return pred
 }
 
 // Proba delegates when the wrapped model reports probabilities, falling
 // back to 0/1 from Predict; all-zero before the first retrain.
 func (r *ReservoirRetrainer) Proba(X [][]float64) []float64 {
-	if !r.fitted {
-		return make([]float64, len(X))
-	}
-	if pc, ok := r.Model.(ProbClassifier); ok {
-		return pc.Proba(X)
-	}
-	pred := r.Model.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	_, proba := r.PredictProba(X)
+	return proba
 }
 
 // --- capability probes ----------------------------------------------------

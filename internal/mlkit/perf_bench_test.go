@@ -179,3 +179,34 @@ func BenchmarkLinearPredict(b *testing.B) {
 		_ = s.Proba(X)
 	}
 }
+
+// benchForest fits the forest shape the representative packet pipeline
+// scores with (A05: RF-50 over 27 fields) and returns it with one
+// 512-row chunk, the daemon's default chunk size.
+func benchForest(tb testing.TB) (*RandomForest, [][]float64) {
+	tb.Helper()
+	X := benchMatrix(4096, 27, 13)
+	y := make([]int, len(X))
+	for i, row := range X {
+		if row[0]+row[5]*row[9] > 0.9 {
+			y[i] = 1
+		}
+	}
+	f := &RandomForest{NTrees: 50, Seed: 1}
+	if err := f.Fit(X, y); err != nil {
+		tb.Fatal(err)
+	}
+	return f, benchMatrix(512, 27, 14)
+}
+
+// BenchmarkForestScore is the tree-scoring layer's own number: one fused
+// predict+score call per 512-row chunk.
+func BenchmarkForestScore(b *testing.B) {
+	f, X := benchForest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.PredictProba(X)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(X)), "ns/row")
+}

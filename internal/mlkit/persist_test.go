@@ -1,6 +1,8 @@
 package mlkit
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -111,5 +113,84 @@ func TestPersistRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := UnmarshalModel([]byte("not json")); err == nil {
 		t.Error("garbage should fail")
+	}
+}
+
+// TestUnmarshalRejectsMalformedModels: a model file is outside input
+// (lumend loads whatever POST /swap names). Each envelope here used to
+// load and then panic — or, for the cycle, spin forever — on the scoring
+// goroutine; every one must now be refused at load.
+func TestUnmarshalRejectsMalformedModels(t *testing.T) {
+	const leaf = `{"f":-1,"t":0,"l":0,"r":0,"p":[0.5,0.5]}`
+	tree := func(classes int, nodes string) string {
+		return fmt.Sprintf(`{"classes":%d,"nodes":[%s]}`, classes, nodes)
+	}
+	envelope := func(typ, data string) string {
+		return fmt.Sprintf(`{"version":1,"type":%q,"data":%s}`, typ, data)
+	}
+	good := tree(2, `{"f":0,"t":0.5,"l":1,"r":2},`+leaf+`,`+leaf)
+	if _, err := UnmarshalModel([]byte(envelope("decision_tree", good))); err != nil {
+		t.Fatalf("the well-formed tree the cases below are derived from does not load: %v", err)
+	}
+
+	trees := map[string]string{
+		"right child out of range": tree(2, `{"f":0,"t":0.5,"l":1,"r":7},`+leaf+`,`+leaf),
+		"left child negative":      tree(2, `{"f":0,"t":0.5,"l":-1,"r":2},`+leaf+`,`+leaf),
+		"cycle back to the root":   tree(2, `{"f":0,"t":0.5,"l":0,"r":1},`+leaf),
+		"cycle between two nodes":  tree(2, `{"f":0,"t":0.5,"l":1,"r":2},{"f":1,"t":0.5,"l":0,"r":2},`+leaf),
+		"subtree shared":           tree(2, `{"f":0,"t":0.5,"l":1,"r":1},`+leaf),
+		"feature below -1":         tree(2, `{"f":-2,"t":0.5,"l":1,"r":2},`+leaf+`,`+leaf),
+		"leaf without p":           tree(2, `{"f":0,"t":0.5,"l":1,"r":2},{"f":-1,"t":0,"l":0,"r":0},`+leaf),
+		"leaf with too few values": tree(3, `{"f":-1,"t":0,"l":0,"r":0,"p":[0.5,0.5]}`),
+		"leaf with too many":       tree(2, `{"f":-1,"t":0,"l":0,"r":0,"p":[0.2,0.3,0.5]}`),
+		"classes below two":        tree(1, `{"f":-1,"t":0,"l":0,"r":0,"p":[1]}`),
+		"no nodes":                 tree(2, ``),
+		"unreachable node":         tree(2, leaf+`,`+leaf),
+	}
+	for name, data := range trees {
+		if _, err := UnmarshalModel([]byte(envelope("decision_tree", data))); err == nil {
+			t.Errorf("decision_tree, %s: loaded without error", name)
+		}
+		forest := fmt.Sprintf(`{"classes":2,"trees":[%s,%s]}`, good, data)
+		if _, err := UnmarshalModel([]byte(envelope("random_forest", forest))); err == nil {
+			t.Errorf("random_forest with such a tree, %s: loaded without error", name)
+		}
+	}
+
+	forests := map[string]string{
+		"zero trees":                   `{"classes":2,"trees":[]}`,
+		"classes below two":            fmt.Sprintf(`{"classes":1,"trees":[%s]}`, good),
+		"tree wider than the forest":   fmt.Sprintf(`{"classes":2,"trees":[%s]}`, tree(3, `{"f":-1,"t":0,"l":0,"r":0,"p":[0.2,0.3,0.5]}`)),
+		"trees is not a list of trees": `{"classes":2,"trees":[7]}`,
+	}
+	for name, data := range forests {
+		if _, err := UnmarshalModel([]byte(envelope("random_forest", data))); err == nil {
+			t.Errorf("random_forest, %s: loaded without error", name)
+		}
+	}
+
+	nbs := map[string]string{
+		"classes below two":  `{"classes":0,"priors":[],"means":[],"vars":[],"presence":[]}`,
+		"priors too short":   `{"classes":2,"priors":[-0.7],"means":[[0],[1]],"vars":[[1],[1]],"presence":[true,true]}`,
+		"presence too short": `{"classes":2,"priors":[-0.7,-0.7],"means":[[0],[1]],"vars":[[1],[1]],"presence":[true]}`,
+		"ragged means":       `{"classes":2,"priors":[-0.7,-0.7],"means":[[0,0],[1]],"vars":[[1,1],[1,1]],"presence":[true,true]}`,
+		"vars narrower":      `{"classes":2,"priors":[-0.7,-0.7],"means":[[0,0],[1,1]],"vars":[[1],[1]],"presence":[true,true]}`,
+	}
+	for name, data := range nbs {
+		if _, err := UnmarshalModel([]byte(envelope("gaussian_nb", data))); err == nil {
+			t.Errorf("gaussian_nb, %s: loaded without error", name)
+		}
+	}
+}
+
+// TestLoadModelRejectsMalformedFile: the file entry point fails the same way.
+func TestLoadModelRejectsMalformedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cyclic.json")
+	cyclic := `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"t":0.5,"l":0,"r":0}]}}`
+	if err := os.WriteFile(path, []byte(cyclic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(path); err == nil {
+		t.Fatal("LoadModel accepted a tree whose root is its own child")
 	}
 }

@@ -26,23 +26,22 @@ func (p *Pipeline) Fit(X [][]float64, y []int) error {
 	return p.Model.Fit(cur, y)
 }
 
+// PredictProba applies the fitted transformers once, then scores with the
+// model (hard labels stand in for scores when it has none).
+func (p *Pipeline) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaHard(p.Model, p.transform(X))
+}
+
 // Predict applies the fitted transformers then the model.
 func (p *Pipeline) Predict(X [][]float64) []int {
-	return p.Model.Predict(p.transform(X))
+	pred, _ := p.PredictProba(X)
+	return pred
 }
 
 // Proba applies the transformers and delegates when supported.
 func (p *Pipeline) Proba(X [][]float64) []float64 {
-	cur := p.transform(X)
-	if pc, ok := p.Model.(ProbClassifier); ok {
-		return pc.Proba(cur)
-	}
-	pred := p.Model.Predict(cur)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	_, proba := p.PredictProba(X)
+	return proba
 }
 
 func (p *Pipeline) transform(X [][]float64) [][]float64 {

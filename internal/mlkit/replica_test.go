@@ -111,3 +111,39 @@ func TestScoringReplicaPureModelsShared(t *testing.T) {
 		}
 	}
 }
+
+// TestScoringReplicaForestSharedAcrossGoroutines: every shard lane gets
+// the same forest back from ScoringReplica, so its flat node and leaf
+// arrays are read by all lanes at once. Run under -race this proves the
+// kernel only reads them; the outputs must equal the serial call's.
+func TestScoringReplicaForestSharedAcrossGoroutines(t *testing.T) {
+	X, y := replicaData()
+	f := &RandomForest{NTrees: 20, Seed: 3}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	wantPred, wantProba := f.PredictProba(X)
+	const lanes = 8
+	preds := make([][]int, lanes)
+	probas := make([][]float64, lanes)
+	var wg sync.WaitGroup
+	for k := 0; k < lanes; k++ {
+		rep := ScoringReplica(f)
+		if rep != Classifier(f) {
+			t.Fatal("a forest has no inference scratch and should be shared, not copied")
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for pass := 0; pass < 5; pass++ {
+				preds[k], probas[k] = PredictProba(rep, X)
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k := 0; k < lanes; k++ {
+		if !reflect.DeepEqual(preds[k], wantPred) || !reflect.DeepEqual(probas[k], wantProba) {
+			t.Errorf("lane %d diverges from the serial call", k)
+		}
+	}
+}

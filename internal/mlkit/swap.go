@@ -12,8 +12,8 @@ import (
 // drift. One instance covers one shadow phase; Promote and Rollback
 // return the final tally and reset it.
 type SwapStats struct {
-	// Chunks counts the Predict calls (one per streamed chunk) observed
-	// while the shadow was attached.
+	// Chunks counts the PredictProba (or Predict) calls, one per streamed
+	// chunk, observed while the shadow was attached.
 	Chunks int
 	// Rows counts the scored feature rows.
 	Rows int
@@ -21,7 +21,7 @@ type SwapStats struct {
 	// different classes.
 	Disagree int
 	// ScoreRows counts the rows with comparable class-1 scores (both
-	// models implement ProbClassifier); AbsScoreSum is the accumulated
+	// models expose scores); AbsScoreSum is the accumulated
 	// |active - shadow| over them.
 	ScoreRows   int
 	AbsScoreSum float64
@@ -57,11 +57,18 @@ func (s SwapStats) String() string {
 // and the pipeline keeps scoring through the handle while the model
 // behind it is retargeted:
 //
-//	StartShadow(next)  attach a candidate; every Predict now also scores
-//	                   it and accumulates divergence, while verdicts keep
-//	                   coming from the active model only
+//	StartShadow(next)  attach a candidate; every PredictProba now also
+//	                   scores it and accumulates divergence, while
+//	                   verdicts keep coming from the active model only
 //	Promote()          the candidate becomes active (generation += 1)
 //	Rollback()         the candidate is discarded (generation unchanged)
+//
+// The handle is a FusedClassifier: the train op's one PredictProba call
+// per chunk scores the active model once (mlkit.PredictProba, so a fused
+// model walks its rows once) and an attached shadow once, and both the
+// prediction and the score divergence come out of those two passes.
+// Predict is a projection of it and feeds SwapStats the same way; Proba
+// scores the active model alone and never touches SwapStats.
 //
 // All methods are mutex-guarded, so control-plane calls may come from a
 // different goroutine than the scoring path. For exactly-one-model-per-
@@ -89,44 +96,49 @@ func (h *SwapHandle) Fit(X [][]float64, y []int) error {
 	return h.active.Fit(X, y)
 }
 
-// Predict scores X with the active model. While a shadow is attached it
-// also scores X with the candidate and folds the divergence into the
-// handle's SwapStats — the returned verdicts always come from the active
-// model alone.
-func (h *SwapHandle) Predict(X [][]float64) []int {
+// PredictProba scores X with the active model. While a shadow is
+// attached it also scores X with the candidate, once, and folds the
+// divergence into the handle's SwapStats — the returned verdicts and
+// scores always come from the active model alone. proba is nil when the
+// active model exposes no scores.
+func (h *SwapHandle) PredictProba(X [][]float64) (pred []int, proba []float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	preds := h.active.Predict(X)
-	if h.shadow == nil || len(X) == 0 {
-		if h.shadow != nil {
-			h.stats.Chunks++
-		}
-		return preds
+	pred, proba = PredictProba(h.active, X)
+	if h.shadow == nil {
+		return pred, proba
 	}
-	sp := h.shadow.Predict(X)
 	h.stats.Chunks++
-	h.stats.Rows += len(preds)
-	for i := range preds {
-		if i < len(sp) && preds[i] != sp[i] {
+	if len(X) == 0 {
+		return pred, proba
+	}
+	sp, sb := PredictProba(h.shadow, X)
+	h.stats.Rows += len(pred)
+	for i := range pred {
+		if i < len(sp) && pred[i] != sp[i] {
 			h.stats.Disagree++
 		}
 	}
-	pa, okA := h.active.(ProbClassifier)
-	pb, okB := h.shadow.(ProbClassifier)
-	if okA && okB {
-		sa, sb := pa.Proba(X), pb.Proba(X)
-		for i := range sa {
+	if proba != nil && sb != nil {
+		for i := range proba {
 			if i < len(sb) {
 				h.stats.ScoreRows++
-				h.stats.AbsScoreSum += math.Abs(sa[i] - sb[i])
+				h.stats.AbsScoreSum += math.Abs(proba[i] - sb[i])
 			}
 		}
 	}
-	return preds
+	return pred, proba
+}
+
+// Predict is PredictProba without the scores; a shadowed call counts
+// toward SwapStats exactly as a PredictProba call does.
+func (h *SwapHandle) Predict(X [][]float64) []int {
+	pred, _ := h.PredictProba(X)
+	return pred
 }
 
 // Proba returns the active model's class-1 scores, or nil when the
-// active model exposes none.
+// active model exposes none. It never scores the shadow.
 func (h *SwapHandle) Proba(X [][]float64) []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

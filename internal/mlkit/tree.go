@@ -15,18 +15,30 @@ type DecisionTree struct {
 	// Seed drives feature subsampling when MaxFeatures < d.
 	Seed int64
 
-	nodes   []treeNode
-	classes int
-	rng     *RNG
+	flat flatTrees
+	rng  *RNG
 }
 
-type treeNode struct {
-	feature   int // -1 for leaf
+// flatNode is one node of a flattened tree. Nodes are stored in preorder,
+// so an internal node's left child is implicit at id+1 and only the right
+// child is recorded. A leaf has feature -1 and keeps, in right, the offset
+// of its class distribution in flatTrees.leaves.
+type flatNode struct {
 	threshold float64
-	left      int32
+	feature   int32
 	right     int32
-	// proba holds the class distribution at a leaf.
-	proba []float64
+}
+
+// flatTrees is the scoring layout shared by DecisionTree (one root) and
+// RandomForest (one root per tree): every node of every tree in one
+// pointer-free array, every leaf distribution in one flat slice with a
+// stride of classes. It is immutable once built, so scoring replicas
+// share it.
+type flatTrees struct {
+	nodes   []flatNode
+	leaves  []float64
+	roots   []int32
+	classes int
 }
 
 // Fit grows the tree on X, y.
@@ -35,17 +47,8 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	t.classes = 0
-	for _, label := range y {
-		if label+1 > t.classes {
-			t.classes = label + 1
-		}
-	}
-	if t.classes < 2 {
-		t.classes = 2
-	}
+	t.flat = flatTrees{classes: classCount(y), roots: []int32{0}}
 	t.rng = NewRNG(t.Seed)
-	t.nodes = t.nodes[:0]
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
@@ -68,14 +71,16 @@ func (t *DecisionTree) minLeaf() int {
 	return t.MinSamplesLeaf
 }
 
-// grow recursively builds the subtree over rows idx and returns its node id.
+// grow recursively builds the subtree over rows idx and returns its node
+// id. A node is appended before its subtrees and the left subtree is grown
+// first, which is the preorder flatNode relies on.
 func (t *DecisionTree) grow(X [][]float64, y []int, idx []int, depth, d int) int32 {
-	counts := make([]float64, t.classes)
+	counts := make([]float64, t.flat.classes)
 	for _, i := range idx {
 		counts[y[i]]++
 	}
-	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, treeNode{feature: -1})
+	id := int32(len(t.flat.nodes))
+	t.flat.nodes = append(t.flat.nodes, flatNode{feature: -1})
 
 	pure := false
 	for _, c := range counts {
@@ -107,23 +112,22 @@ func (t *DecisionTree) grow(X [][]float64, y []int, idx []int, depth, d int) int
 		t.makeLeaf(id, counts, len(idx))
 		return id
 	}
-	l := t.grow(X, y, left, depth+1, d)
+	t.grow(X, y, left, depth+1, d)
 	r := t.grow(X, y, right, depth+1, d)
-	t.nodes[id].feature = feat
-	t.nodes[id].threshold = thr
-	t.nodes[id].left = l
-	t.nodes[id].right = r
+	t.flat.nodes[id] = flatNode{threshold: thr, feature: int32(feat), right: r}
 	return id
 }
 
+// makeLeaf appends the class distribution counts/n and points node id at it.
 func (t *DecisionTree) makeLeaf(id int32, counts []float64, n int) {
-	proba := make([]float64, len(counts))
-	if n > 0 {
-		for j, c := range counts {
-			proba[j] = c / float64(n)
+	t.flat.nodes[id].right = int32(len(t.flat.leaves))
+	for _, c := range counts {
+		p := 0.0
+		if n > 0 {
+			p = c / float64(n)
 		}
+		t.flat.leaves = append(t.flat.leaves, p)
 	}
-	t.nodes[id].proba = proba
 }
 
 // bestSplit scans candidate features for the Gini-optimal threshold.
@@ -132,7 +136,7 @@ func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int, d int) (feat
 	bestGain := 0.0
 	n := float64(len(idx))
 
-	parentCounts := make([]float64, t.classes)
+	parentCounts := make([]float64, t.flat.classes)
 	for _, i := range idx {
 		parentCounts[y[i]]++
 	}
@@ -143,8 +147,8 @@ func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int, d int) (feat
 		y int
 	}
 	vals := make([]sv, len(idx))
-	leftCounts := make([]float64, t.classes)
-	rightCounts := make([]float64, t.classes)
+	leftCounts := make([]float64, t.flat.classes)
+	rightCounts := make([]float64, t.flat.classes)
 
 	for _, f := range feats {
 		for k, i := range idx {
@@ -198,67 +202,82 @@ func giniFromCounts(counts []float64, n float64) float64 {
 	return g
 }
 
+// PredictProba walks each row to its leaf once and returns both the
+// majority class and the positive-class (label 1) leaf fraction. An
+// unfitted tree predicts all-benign with zero scores.
+func (t *DecisionTree) PredictProba(X [][]float64) ([]int, []float64) {
+	return t.flat.predictProba(X)
+}
+
 // Predict returns the majority class at each row's leaf.
 func (t *DecisionTree) Predict(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, row := range X {
-		p := t.leafProba(row)
-		out[i] = ArgMax(p)
-	}
-	return out
+	pred, _ := t.PredictProba(X)
+	return pred
 }
 
 // Proba returns the positive-class (label 1) leaf fraction per row.
 func (t *DecisionTree) Proba(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, row := range X {
-		p := t.leafProba(row)
-		if len(p) > 1 {
-			out[i] = p[1]
-		}
-	}
-	return out
+	_, proba := t.PredictProba(X)
+	return proba
 }
 
-// ClassProba returns the full class distribution at each row's leaf.
-func (t *DecisionTree) ClassProba(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		out[i] = t.leafProba(row)
+// predictProba is the one scoring kernel of the tree family. It sums leaf
+// distributions into one len(X)×classes accumulator tree by tree, in tree
+// order, then scales by 1/len(roots): a row's class sums see the same
+// float additions in the same order whatever the node layout, so results
+// do not depend on it (x+0 and x*1 are exact, which covers padded classes
+// and the single tree). pred is the first arg-max class, proba the
+// class-1 mean; with no trees both are all zeros.
+func (f *flatTrees) predictProba(X [][]float64) ([]int, []float64) {
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
+	if len(f.roots) == 0 {
+		return pred, proba
 	}
-	return out
-}
-
-func (t *DecisionTree) leafProba(row []float64) []float64 {
-	if len(t.nodes) == 0 {
-		return []float64{1, 0}
-	}
-	id := int32(0)
-	for {
-		n := &t.nodes[id]
-		if n.feature < 0 {
-			return n.proba
+	nodes, k := f.nodes, f.classes
+	acc := make([]float64, len(X)*k)
+	for _, root := range f.roots {
+		for i, row := range X {
+			id := root
+			n := &nodes[id]
+			for n.feature >= 0 {
+				if row[n.feature] <= n.threshold {
+					id++
+				} else {
+					id = n.right
+				}
+				n = &nodes[id]
+			}
+			leaf := f.leaves[n.right:][:k]
+			for j := range leaf {
+				acc[i*k+j] += leaf[j]
+			}
 		}
-		if row[n.feature] <= n.threshold {
-			id = n.left
-		} else {
-			id = n.right
-		}
 	}
+	inv := 1 / float64(len(f.roots))
+	for i := range pred {
+		a := acc[i*k:][:k]
+		for j := range a {
+			a[j] *= inv
+		}
+		pred[i] = ArgMax(a)
+		proba[i] = a[1]
+	}
+	return pred, proba
 }
 
 // Depth reports the maximum depth of the fitted tree (root = 0).
 func (t *DecisionTree) Depth() int {
-	if len(t.nodes) == 0 {
+	if len(t.flat.nodes) == 0 {
 		return 0
 	}
 	var walk func(id int32) int
 	walk = func(id int32) int {
-		n := &t.nodes[id]
+		n := &t.flat.nodes[id]
 		if n.feature < 0 {
 			return 0
 		}
-		l, r := walk(n.left), walk(n.right)
+		l, r := walk(id+1), walk(n.right)
 		if l > r {
 			return l + 1
 		}
@@ -268,4 +287,4 @@ func (t *DecisionTree) Depth() int {
 }
 
 // NodeCount reports the number of nodes in the fitted tree.
-func (t *DecisionTree) NodeCount() int { return len(t.nodes) }
+func (t *DecisionTree) NodeCount() int { return len(t.flat.nodes) }
