@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke
+.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke loc
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,12 @@ test:
 # (BenchmarkShardSink*: the same sink-bound pass at 1/2/4/8 flow-hash
 # lanes) into BENCH_PR6.json. Shard throughput scales with cores; on a
 # single-core host the expected ratio is ~1x (see DESIGN.md).
-# The decode fast-path set (BenchmarkDecode*: eager full-stack vs lazy
-# views per depth; BenchmarkSourceStage*: the chunked source stage
-# across {eager,lazy}×{buffered,mmap}) lands in BENCH_PR8.json.
-# The watch-ingest fast-path set (BenchmarkDirSource*: the daemon's
-# rotated-capture source stage, buffered vs mmap+lazy — the acceptance
-# bar is mmap ≥ 2× buffered — plus BenchmarkShardSinkLazy*: lazy view
-# chunks flowing through the flow-sharded sink) lands in BENCH_PR10.json.
+# The decode set (BenchmarkDecode*: netpkt.Decode's full eager stack vs
+# lazy views per depth; BenchmarkSourceStage*: the chunked view source
+# stage over a buffered stream and an mmap'ed file) lands in
+# BENCH_PR8.json, and the watch-ingest source stage
+# (BenchmarkDirSourceMmap: the daemon's rotated-capture watch) in
+# BENCH_PR10.json.
 BENCH_LABEL ?= current
 bench:
 	$(GO) test -bench=. -benchtime=300ms -count=3 -run='^$$' ./internal/mlkit/... \
@@ -46,8 +45,7 @@ bench:
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR6.json
 	$(GO) test -bench='BenchmarkDecode|BenchmarkSourceStage' -benchtime=300ms -count=3 -run='^$$' ./internal/dataset/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR8.json
-	( $(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ && \
-	  $(GO) test -bench=BenchmarkShardSinkLazy -benchtime=5x -count=3 -run='^$$' ./internal/core/ ) \
+	$(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR10.json
 
 # bench-paper runs the paper table/figure reproduction benchmarks once each.
@@ -60,15 +58,17 @@ vet:
 # race runs the concurrency-sensitive packages (engine/cache singleflight,
 # streaming engine + staged pipeline + flow-sharded sink lanes — the
 # core suite sweeps every dataset × chunk size × execution shape
-# including multi-shard, and the fast-path equivalence sweep runs lazy
-# view chunks through those shard lanes, so this is the shard
+# including multi-shard, over in-memory and capture sources, and lanes
+# read the routed chunks' views concurrently, so this is the shard
 # equivalence gate — chunk pump and decoder buffer pool, refcounted
 # pcap mappings under concurrent chunk release, flow assemblers, span
 # tracer, benchsuite worker pool, the mlkit/linalg row-parallel
 # kernels, one forest's flat node arrays scored from eight goroutines
 # through ScoringReplica, and the resident daemon: pipeline lifecycle, hot swap under
 # live ingest, live sources including mmap+lazy watch ingest with
-# rotation under load, the HTTP control surface, and the lumend binary
+# rotation under load and the framed feed's pooled buffers refilled
+# while the staged pipeline holds earlier chunks, panic isolation
+# between two pipelines, the HTTP control surface, and the lumend binary
 # end to end) under the race detector. The online-learning paths ride along: the core suite's
 # prequential equivalence tests sweep test-then-train streams across
 # chunk sizes and execution shapes, the daemon suite exercises the
@@ -129,10 +129,13 @@ drift-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget on top of its seed
 # corpus: the differential decoder targets (lazy PacketView vs eager
-# Decode; see internal/netpkt/view_fuzz_test.go) and the model loader
-# that POST /swap reaches (error, or a model that scores without
-# panicking; see internal/mlkit/persist_fuzz_test.go). Go runs one -fuzz
-# pattern per invocation, so each target gets its own line. The model
+# Decode; see internal/netpkt/view_fuzz_test.go), the model loader that
+# POST /swap reaches (error, or a model that scores without panicking;
+# see internal/mlkit/persist_fuzz_test.go) and the feed frame parser
+# every producer connection reaches (error, or exactly the packet bytes
+# a length prefix within [8, MaxFrameBytes] announced; see
+# internal/daemon/feed_test.go). Go runs one -fuzz pattern per
+# invocation, so each target gets its own line. The model
 # target caps minimization: shrinking one multi-kilobyte JSON envelope
 # would otherwise eat the whole budget.
 FUZZTIME ?= 5s
@@ -140,9 +143,18 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzViewEthernet -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
 	$(GO) test -fuzz=FuzzViewDot11 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
 	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/mlkit/
+	$(GO) test -fuzz=FuzzFeedFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
+
+# loc prints the non-test Go line count of every package under
+# internal/ and cmd/ (sub-packages counted with their parent) — the
+# measure a deletion PR records before and after (ROADMAP item 5).
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
-# the documentation lint, and a short fuzz pass over the decoder fast
-# path and the model loader.
+# the documentation lint, and a short fuzz pass over the packet decoder,
+# the model loader and the feed frame parser.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

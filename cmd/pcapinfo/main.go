@@ -70,7 +70,6 @@ func pump(path string, hint netpkt.DecodeHint) (*dataset.Pump, *dataset.PcapSour
 	p := dataset.StartPump(src, dataset.PumpConfig{
 		MaxRows: chunkRows,
 		Depth:   2,
-		Recycle: true,
 	})
 	return p, src, func() { src.Close(); f.Close() }, nil
 }

@@ -76,7 +76,7 @@ func TestOpsRegistryCoverage(t *testing.T) {
 
 func TestFieldExtractValues(t *testing.T) {
 	ds := smallDS(t, "F1")
-	fr, err := opFieldExtract(nil, []Value{Packets{DS: ds}}, params{
+	fr, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{
 		"fields": []any{"ts", "len", "src_ip", "dst_port", "tcp_syn"},
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestFieldExtractValues(t *testing.T) {
 
 func TestFieldExtractUnknownField(t *testing.T) {
 	ds := smallDS(t, "F1")
-	_, err := opFieldExtract(nil, []Value{Packets{DS: ds}}, params{"fields": []any{"bogus"}})
+	_, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{"fields": []any{"bogus"}})
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want unknown-field error, got %v", err)
 	}
@@ -419,7 +419,7 @@ func TestDeadValueElimination(t *testing.T) {
 
 func TestKitsuneFeaturesShape(t *testing.T) {
 	ds := smallDS(t, "P1")
-	out, err := opKitsuneFeatures(nil, []Value{Packets{DS: ds}}, params{})
+	out, err := opKitsuneFeatures(nil, []Value{newPackets(ds)}, params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestKitsuneFeaturesShape(t *testing.T) {
 
 func TestKitsuneFeaturesWorkOn80211(t *testing.T) {
 	ds := smallDS(t, "P2")
-	out, err := opKitsuneFeatures(nil, []Value{Packets{DS: ds}}, params{})
+	out, err := opKitsuneFeatures(nil, []Value{newPackets(ds)}, params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestKitsuneFeaturesWorkOn80211(t *testing.T) {
 func TestNPrintOpVariants(t *testing.T) {
 	ds := smallDS(t, "P0")
 	for _, v := range []string{"all", "tcp_udp_ipv4", "tcp_udp_ipv4_payload", "tcp_icmp_ipv4"} {
-		out, err := opNPrint(nil, []Value{Packets{DS: ds}}, params{"variant": v})
+		out, err := opNPrint(nil, []Value{newPackets(ds)}, params{"variant": v})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -463,7 +463,7 @@ func TestNPrintOpVariants(t *testing.T) {
 			t.Fatalf("%s: row mismatch", v)
 		}
 	}
-	if _, err := opNPrint(nil, []Value{Packets{DS: ds}}, params{"variant": "bogus"}); err == nil {
+	if _, err := opNPrint(nil, []Value{newPackets(ds)}, params{"variant": "bogus"}); err == nil {
 		t.Fatal("want error for unknown variant")
 	}
 }

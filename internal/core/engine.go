@@ -299,7 +299,7 @@ func (e *Engine) run(ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 	if err := e.Check(); err != nil {
 		return nil, err
 	}
-	env := map[string]Value{InputName: Packets{DS: ds}}
+	env := map[string]Value{InputName: newPackets(ds)}
 	last := e.lastUses()
 	e.Profile = e.Profile[:0]
 	var result *EvalResult

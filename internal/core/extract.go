@@ -47,7 +47,7 @@ func ExtractFlowFeatures(ds *dataset.Labeled, gran dataset.Granularity, feats []
 // ExtractPacketFields extracts the named per-packet fields (numeric
 // fields only make it into X; string fields are skipped).
 func ExtractPacketFields(ds *dataset.Labeled, fields []string) (*FeatureSet, error) {
-	fv, err := opFieldExtract(nil, []Value{Packets{DS: ds}}, params{"fields": fields})
+	fv, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{"fields": fields})
 	if err != nil {
 		return nil, err
 	}

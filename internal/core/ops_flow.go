@@ -145,7 +145,7 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 // flowLabel derives a flow's ground truth: malicious if any member packet
 // is (datasets label whole flows, so members agree by construction), with
 // the attack name taken from the first malicious packet. Unlabeled
-// sources (pcap captures, view-path runs) yield benign.
+// sources (pcap captures, live feeds) yield benign.
 func flowLabel(ds *dataset.Labeled, idx []int) (int, string) {
 	for _, pi := range idx {
 		if pi < len(ds.Labels) && ds.Labels[pi] != 0 {
@@ -159,8 +159,8 @@ func flowLabel(ds *dataset.Labeled, idx []int) (int, string) {
 }
 
 // computeFlowVector builds every catalogue feature for flow i. Per-packet
-// fields are read through Flows.summary so the same code serves decoded
-// packets and the view path's retained summaries.
+// fields are read through Flows.summary so the same code serves a batch
+// run's decoded packets and a streaming run's retained summaries.
 func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float64 {
 	out := make(map[string]float64, len(flowFeatureNames))
 	if len(idx) == 0 {

@@ -88,12 +88,7 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	if v, ok := ctx.carry(); ok {
 		car, _ = v.(feCarry)
 	}
-	if pk.Views != nil {
-		car = fieldExtractViews(pk.Views, numeric, strs, car)
-	} else {
-		car = fieldExtractPackets(ds.Packets, numeric, strs, car)
-	}
-	ctx.setCarry(car)
+	ctx.setCarry(fieldExtractViews(pk.Views, numeric, strs, car))
 	// Preserve the requested order.
 	for _, f := range fields {
 		if col, ok := numeric[f]; ok {
@@ -105,168 +100,13 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	return fr, nil
 }
 
-// fieldExtractPackets fills the requested columns from eagerly decoded
-// packets — the classic row-major loop.
-func fieldExtractPackets(pkts []*netpkt.Packet, numeric map[string][]float64, strs map[string][]string, car feCarry) feCarry {
-	prevTs, seen := car.prevTs, car.seen
-	for i, pkt := range pkts {
-		t := pktTime(pkt.Ts)
-		for f := range numeric {
-			var v float64
-			switch f {
-			case "ts":
-				v = t
-			case "iat":
-				if seen {
-					v = t - prevTs
-				}
-			case "len":
-				v = float64(pkt.WireLen())
-			case "payload_len":
-				v = float64(len(pkt.Payload))
-			case "ttl":
-				if pkt.IPv4 != nil {
-					v = float64(pkt.IPv4.TTL)
-				}
-			case "ip_id":
-				if pkt.IPv4 != nil {
-					v = float64(pkt.IPv4.ID)
-				}
-			case "ip_tos":
-				if pkt.IPv4 != nil {
-					v = float64(pkt.IPv4.TOS)
-				}
-			case "proto":
-				v = float64(pkt.Protocol())
-			case "src_port":
-				v = float64(pkt.SrcPort())
-			case "dst_port":
-				v = float64(pkt.DstPort())
-			case "tcp_flags":
-				if pkt.TCP != nil {
-					v = float64(pkt.TCP.Flags)
-				}
-			case "tcp_syn":
-				v = flagVal(pkt, netpkt.FlagSYN)
-			case "tcp_ack":
-				v = flagVal(pkt, netpkt.FlagACK)
-			case "tcp_fin":
-				v = flagVal(pkt, netpkt.FlagFIN)
-			case "tcp_rst":
-				v = flagVal(pkt, netpkt.FlagRST)
-			case "tcp_psh":
-				v = flagVal(pkt, netpkt.FlagPSH)
-			case "tcp_urg":
-				v = flagVal(pkt, netpkt.FlagURG)
-			case "tcp_window":
-				if pkt.TCP != nil {
-					v = float64(pkt.TCP.Window)
-				}
-			case "udp_len":
-				if pkt.UDP != nil {
-					v = float64(pkt.UDP.Length)
-				}
-			case "icmp_type":
-				if pkt.ICMP != nil {
-					v = float64(pkt.ICMP.Type)
-				}
-			case "icmp_code":
-				if pkt.ICMP != nil {
-					v = float64(pkt.ICMP.Code)
-				}
-			case "is_arp":
-				v = b2f(pkt.ARP != nil)
-			case "is_tcp":
-				v = b2f(pkt.TCP != nil)
-			case "is_udp":
-				v = b2f(pkt.UDP != nil)
-			case "is_icmp":
-				v = b2f(pkt.ICMP != nil)
-			case "dns_qr":
-				if pkt.DNS != nil && pkt.DNS.QR {
-					v = 1
-				}
-			case "dns_qd":
-				if pkt.DNS != nil {
-					v = float64(pkt.DNS.QDCount)
-				}
-			case "is_http":
-				v = b2f(pkt.HTTP != nil)
-			case "http_is_req":
-				if pkt.HTTP != nil && pkt.HTTP.IsRequest {
-					v = 1
-				}
-			case "http_status":
-				if pkt.HTTP != nil {
-					v = float64(pkt.HTTP.Status)
-				}
-			case "http_path_len":
-				if pkt.HTTP != nil {
-					v = float64(len(pkt.HTTP.Path))
-				}
-			case "http_body_len":
-				if pkt.HTTP != nil && pkt.HTTP.ContentLength > 0 {
-					v = float64(pkt.HTTP.ContentLength)
-				}
-			case "is_mqtt":
-				v = b2f(pkt.MQTT != nil)
-			case "mqtt_type":
-				if pkt.MQTT != nil {
-					v = float64(pkt.MQTT.Type)
-				}
-			case "mqtt_qos":
-				if pkt.MQTT != nil {
-					v = float64(pkt.MQTT.QoS)
-				}
-			case "mqtt_topic_len":
-				if pkt.MQTT != nil {
-					v = float64(len(pkt.MQTT.Topic))
-				}
-			}
-			numeric[f][i] = v
-		}
-		for f := range strs {
-			var v string
-			switch f {
-			case "src_ip":
-				if a := pkt.SrcIP(); a.IsValid() {
-					v = a.String()
-				} else if pkt.Dot11 != nil {
-					v = pkt.Dot11.Addr2.String() // MAC stands in on 802.11
-				}
-			case "dst_ip":
-				if a := pkt.DstIP(); a.IsValid() {
-					v = a.String()
-				} else if pkt.Dot11 != nil {
-					v = pkt.Dot11.Addr1.String()
-				}
-			case "src_mac":
-				if pkt.Eth != nil {
-					v = pkt.Eth.Src.String()
-				} else if pkt.Dot11 != nil {
-					v = pkt.Dot11.Addr2.String()
-				}
-			case "dst_mac":
-				if pkt.Eth != nil {
-					v = pkt.Eth.Dst.String()
-				} else if pkt.Dot11 != nil {
-					v = pkt.Dot11.Addr1.String()
-				}
-			}
-			strs[f][i] = v
-		}
-		prevTs, seen = t, true
-	}
-	return feCarry{prevTs: prevTs, seen: seen}
-}
-
-// fieldExtractViews fills the requested columns from lazy views, one
-// column pass per field with the field switch hoisted out of the inner
-// loop. Only the layers a field actually needs are decoded: metadata
-// fields (ts/iat/len) trigger nothing, header fields run the one-pass
-// L2-L4 decode on first touch, app fields force the app parse only on
-// port-gated packets. Output is bit-identical to the eager loop, and the
-// carry advances on every packet exactly as the eager loop's does.
+// fieldExtractViews fills the requested columns from the packet views,
+// one column pass per field with the field switch hoisted out of the
+// inner loop. Only the layers a field actually needs are decoded:
+// metadata fields (ts/iat/len) trigger nothing, header fields run the
+// one-pass L2-L4 decode on first touch, app fields force the app parse
+// only on port-gated packets. The returned carry has advanced past every
+// packet whether or not iat was requested.
 func fieldExtractViews(views []netpkt.PacketView, numeric map[string][]float64, strs map[string][]string, car feCarry) feCarry {
 	n := len(views)
 	for f, col := range numeric {
@@ -501,13 +341,6 @@ func fillFlagCol(views []netpkt.PacketView, col []float64, f uint8) {
 	}
 }
 
-func flagVal(p *netpkt.Packet, f uint8) float64 {
-	if p.TCP != nil && p.TCP.HasFlag(f) {
-		return 1
-	}
-	return 0
-}
-
 func b2f(b bool) float64 {
 	if b {
 		return 1
@@ -518,7 +351,7 @@ func b2f(b bool) float64 {
 // newPacketFrame builds an empty frame of n packet rows with unit
 // metadata and labels copied from the dataset. base offsets UnitIdx so
 // chunked runs attribute rows to global packet indices (0 on batch runs).
-// n is passed explicitly because view-mode chunks leave ds.Packets empty.
+// n is passed explicitly because streamed chunks leave ds.Packets empty.
 func newPacketFrame(n int, ds *dataset.Labeled, base int) *Frame {
 	fr := NewFrame(n)
 	fr.Unit = UnitPacket
@@ -561,19 +394,10 @@ func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
 	// One scratch row reused across packets: FillRow renders into it, the
 	// scatter loop transposes into the column slices.
 	row := make([]float64, w)
-	if pk.Views != nil {
-		for i := range pk.Views {
-			cfg.FillRow(row, features.ShapeOfView(&pk.Views[i]))
-			for j, b := range row {
-				cols[j][i] = b
-			}
-		}
-	} else {
-		for i, pkt := range ds.Packets {
-			cfg.FillRow(row, features.ShapeOf(pkt))
-			for j, b := range row {
-				cols[j][i] = b
-			}
+	for i := range pk.Views {
+		cfg.FillRow(row, features.ShapeOf(&pk.Views[i]))
+		for j, b := range row {
+			cols[j][i] = b
 		}
 	}
 	for j := range cols {
@@ -599,8 +423,7 @@ type kitsuneCarry struct {
 }
 
 // fold ingests one packet — reduced to its timestamp, wire size, payload
-// length and grouping keys — and writes row i of every column. Shared by
-// the eager and view loops so both paths are structurally identical.
+// length and grouping keys — and writes row i of every column.
 func (car *kitsuneCarry) fold(lambdas []float64, cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey string) {
 	perLambda, lastSeen := car.perLambda, car.lastSeen
 	for li, lam := range lambdas {
@@ -691,19 +514,11 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 		}
 		ctx.setCarry(car)
 	}
-	if pk.Views != nil {
-		for i := range pk.Views {
-			vw := &pk.Views[i]
-			srcKey, chanKey, sockKey := kitsuneKeysView(vw)
-			car.fold(lambdas, cols, i, pktTime(vw.Ts), float64(vw.WireLen()),
-				float64(vw.PayloadLen()), srcKey, chanKey, sockKey)
-		}
-	} else {
-		for i, pkt := range ds.Packets {
-			srcKey, chanKey, sockKey := kitsuneKeys(pkt)
-			car.fold(lambdas, cols, i, pktTime(pkt.Ts), float64(pkt.WireLen()),
-				float64(len(pkt.Payload)), srcKey, chanKey, sockKey)
-		}
+	for i := range pk.Views {
+		vw := &pk.Views[i]
+		srcKey, chanKey, sockKey := kitsuneKeys(vw)
+		car.fold(lambdas, cols, i, pktTime(vw.Ts), float64(vw.WireLen()),
+			float64(vw.PayloadLen()), srcKey, chanKey, sockKey)
 	}
 	names := []string{"srcw", "srcmean", "srcstd", "chw", "chmean", "chstd", "skw", "skmean", "skstd", "jitmean", "jitstd", "mag", "cov"}
 	for li, lam := range lambdas {
@@ -716,32 +531,7 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 
 // kitsuneKeys derives grouping keys, falling back to MACs on 802.11
 // (Kitsune is the one algorithm the paper can run on AWID3).
-func kitsuneKeys(p *netpkt.Packet) (src, channel, socket string) {
-	if a := p.SrcIP(); a.IsValid() {
-		src = a.String()
-		channel = src + ">" + p.DstIP().String()
-		if ft, ok := p.Tuple(); ok {
-			socket = ft.String()
-		} else {
-			socket = channel
-		}
-		return src, channel, socket
-	}
-	if p.Dot11 != nil {
-		src = p.Dot11.Addr2.String()
-		channel = src + ">" + p.Dot11.Addr1.String()
-		return src, channel, channel
-	}
-	if p.Eth != nil {
-		src = p.Eth.Src.String()
-		channel = src + ">" + p.Eth.Dst.String()
-		return src, channel, channel
-	}
-	return "?", "?", "?"
-}
-
-// kitsuneKeysView is kitsuneKeys over a lazy view.
-func kitsuneKeysView(v *netpkt.PacketView) (src, channel, socket string) {
+func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket string) {
 	if a := v.SrcIP(); a.IsValid() {
 		src = a.String()
 		channel = src + ">" + v.DstIP().String()
@@ -774,7 +564,6 @@ type dot11Carry struct {
 
 // dot11Fill bundles the output columns and rate trackers of one
 // dot11_features evaluation; fold writes row i from one 802.11 header.
-// Shared by the eager and view loops.
 type dot11Fill struct {
 	subtype, mgmt, retry, duration, rate, deauthRate, plen []float64
 	perTx, perTxDeauth                                     map[string]*features.IncStat
@@ -828,21 +617,10 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 		plen:  make([]float64, n),
 		perTx: car.perTx, perTxDeauth: car.perTxDeauth, lam: lam,
 	}
-	if pk.Views != nil {
-		for i := range pk.Views {
-			vw := &pk.Views[i]
-			d, ok := vw.Dot11()
-			if !ok {
-				continue
-			}
+	for i := range pk.Views {
+		vw := &pk.Views[i]
+		if d, ok := vw.Dot11(); ok {
 			fill.fold(i, d, pktTime(vw.Ts), float64(vw.PayloadLen()))
-		}
-	} else {
-		for i, pkt := range ds.Packets {
-			if pkt.Dot11 == nil {
-				continue
-			}
-			fill.fold(i, pkt.Dot11, pktTime(pkt.Ts), float64(len(pkt.Payload)))
 		}
 	}
 	fr.AddF("subtype", fill.subtype)

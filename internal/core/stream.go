@@ -5,6 +5,7 @@ import (
 
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
+	"lumen/internal/netpkt"
 	"lumen/internal/obs"
 )
 
@@ -185,14 +186,6 @@ type streamPlan struct {
 	// op reads: their per-chunk frames are retained and concatenated at
 	// flush. Streamed values consumed only by streamed ops are never kept.
 	accum map[string]bool
-	// needPackets: some deferred op (or flow sink) reads the full packet
-	// set at flush, so it must be available as one dataset. flowOnly
-	// refines it: the packets are needed solely by flow sinks, which
-	// consume PacketSummary values — that case can still ride the lazy
-	// view fast path, with summaries accumulated per chunk instead of
-	// decoded packets.
-	needPackets bool
-	flowOnly    bool
 }
 
 // planStream classifies every op: an op streams iff its class allows it
@@ -218,8 +211,6 @@ func (e *Engine) planStream(mode Mode, online bool) *streamPlan {
 		}
 		if op.Func == "flow_assemble" && allStreamed {
 			pl.flowSink[i] = true
-			pl.needPackets = true // Flows retain the full dataset for labels
-			pl.flowOnly = true
 			continue
 		}
 		if allStreamed && streamable(op.Func, mode, online) {
@@ -286,10 +277,7 @@ func (e *Engine) planStream(mode Mode, online bool) *streamPlan {
 			continue
 		}
 		for _, in := range op.Input {
-			if in == InputName {
-				pl.needPackets = true
-				pl.flowOnly = false // a deferred op reads decoded packets
-			} else if streamedVal[in] {
+			if in != InputName && streamedVal[in] {
 				pl.accum[in] = true
 			}
 		}
@@ -308,11 +296,14 @@ type flowSinkState struct {
 	cons []*flow.Connection
 }
 
-// labeledSource is implemented by sources backed by a materialized
-// dataset (SliceSource, GenSource); RunStream uses it to satisfy barrier
-// ops without re-accumulating every chunk.
-type labeledSource interface {
-	Labeled() *dataset.Labeled
+// add feeds packet gi's summary to the sink's assembler, keeping the
+// flows it evicts.
+func (s *flowSinkState) add(gi int, sum netpkt.PacketSummary) {
+	if s.uni != nil {
+		s.unis = append(s.unis, s.uni.AddSummary(gi, sum)...)
+	} else {
+		s.cons = append(s.cons, s.conn.AddSummary(gi, sum)...)
+	}
 }
 
 // RunStream executes the pipeline over a chunked packet source in
@@ -328,14 +319,13 @@ type labeledSource interface {
 //
 // Memory: peak state is the in-flight chunks (one sequentially,
 // O(PipelineDepth + Workers) pipelined) plus whatever the plan must
-// retain — accumulated feature frames for deferred ops, and the full
-// packet set when a barrier op (or flow assembly, whose output carries
-// packet labels) needs it. A fully streamed test pass holds O(chunk).
-// Sources backed by a materialized dataset satisfy the full-packet case
-// zero-copy; for PcapSource the packets are accumulated, making
-// barrier-bound pipelines O(trace) there. When nothing outlives its
-// chunk and the source recycles (PcapSource), packet buffers are pooled
-// so the steady state allocates almost nothing per chunk.
+// retain — accumulated feature frames for deferred ops, and one
+// PacketSummary plus label per packet when the plan assembles flows
+// (value copies; flow features read them at flush). Packets themselves
+// never outlive their chunk: every finished chunk is recycled to its
+// source and its backing reference released, so a fully streamed test
+// pass holds O(chunk) and the steady state allocates almost nothing per
+// chunk.
 //
 // RunStream bypasses the shared Cache: chunk results are keyed by
 // stream position and fold state, which the content-addressed cache
@@ -359,12 +349,12 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 		// hook's exactly-one-model-per-chunk contract holds.
 		cfg.Shards = 1
 	}
-	r.enableViews(src, &cfg)
+	r.predecode(src, cfg.shards())
 	if cfg.pipelined() {
 		return r.runPipelined(src, cfg)
 	}
-	e.LastStream = StreamStats{Workers: 1}
-	rec := r.recycler(src)
+	e.LastStream = StreamStats{Workers: 1, LazyViews: true}
+	rec, _ := src.(dataset.Recycler)
 	for {
 		ck, ok := src.Next(cfg.ChunkRows, cfg.ChunkBytes)
 		if !ok {

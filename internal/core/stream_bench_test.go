@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -330,54 +328,3 @@ func BenchmarkShardSink2(b *testing.B) { benchShard(b, 2) }
 func BenchmarkShardSink4(b *testing.B) { benchShard(b, 4) }
 
 func BenchmarkShardSink8(b *testing.B) { benchShard(b, 8) }
-
-// benchShardLazy times the same sink-bound pass over an mmap-backed
-// pcap source in view mode: lazy chunks partition across the lanes on
-// PacketView.Tuple() and flow assembly consumes value-copied packet
-// summaries. lazy-views pins that the fast path actually engaged (1)
-// and shards-effective that no lane demotion happened.
-func benchShardLazy(b *testing.B, shards int) {
-	shardBenchSetup(b)
-	raw := captureBytes(b, streamBenchFix.ds2)
-	path := filepath.Join(b.TempDir(), "bench.pcap")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	src, err := dataset.NewPcapSource("bench.pcap", f, dataset.Packet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-	cfg := StreamConfig{ChunkRows: 1024, PipelineDepth: 4, Workers: 2, Shards: shards}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := shardBenchFix.eng.RunStream(src, ModeTest, cfg); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := src.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.StopTimer()
-	ls := shardBenchFix.eng.LastStream
-	b.ReportMetric(float64(ls.Shards), "shards-effective")
-	lazy := 0.0
-	if ls.LazyViews {
-		lazy = 1
-	}
-	b.ReportMetric(lazy, "lazy-views")
-}
-
-// BenchmarkShardSinkLazy* pair with BenchmarkShardSink*: the same lane
-// counts with lazy view chunks flowing through the sharded sink
-// (BENCH_PR10.json).
-func BenchmarkShardSinkLazy4(b *testing.B) { benchShardLazy(b, 4) }
-
-func BenchmarkShardSinkLazy8(b *testing.B) { benchShardLazy(b, 8) }

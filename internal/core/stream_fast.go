@@ -1,14 +1,13 @@
 package core
 
-// stream_fast.go is the plan-time side of the zero-copy decode fast
-// path. Before a RunStream pass pulls its first chunk, viewHint walks
-// the planned ops and derives the decode depth the pipeline will
-// actually touch; if every consumer of the raw chunk is view-aware, the
-// source (when it implements dataset.ViewSource — PcapSource) is
-// switched to emitting lazy netpkt.PacketView chunks predecoded exactly
-// that deep. Ops then fill Frame columns straight from the views, and
-// layers no field needs are never parsed at all. See DESIGN.md "Decode
-// fast path".
+// stream_fast.go is the plan-time side of lazy decoding. Every source
+// emits netpkt.PacketView chunks, whose layers decode on first touch;
+// before a RunStream pass pulls its first chunk, viewHint walks the
+// planned ops and derives the decode depth the pipeline will actually
+// touch, and sources that implement dataset.ViewSource apply it as they
+// cut chunks — on the source goroutine, overlapping downstream compute.
+// Layers no op needs are never parsed at all. See DESIGN.md "Packet
+// representation".
 
 import (
 	"strings"
@@ -17,18 +16,11 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// viewHint decides whether the planned stream can run on lazy
-// PacketView chunks and, if so, how deep the source should predecode
-// them. The fast path requires every reader of the raw chunk to be a
-// streamed, view-aware packet op or a flow sink (which consumes
-// PacketSummary values the run retains for flush); anything else — a
-// deferred op needing the full decoded packet set, or an op without a
-// columnar implementation — keeps the classic eager *Packet chunks.
-func (e *Engine) viewHint(pl *streamPlan) (netpkt.DecodeHint, bool) {
+// viewHint derives how deep the planned stream looks into its packets:
+// the union over every reader of the raw chunk. It is an optimization
+// only — a reader the switch does not know still decodes on demand.
+func (e *Engine) viewHint(pl *streamPlan) netpkt.DecodeHint {
 	var hint netpkt.DecodeHint
-	if pl.needPackets && !pl.flowOnly {
-		return hint, false
-	}
 	for i, op := range e.P.Ops {
 		readsInput := false
 		for _, in := range op.Input {
@@ -44,11 +36,6 @@ func (e *Engine) viewHint(pl *streamPlan) (netpkt.DecodeHint, bool) {
 			// five-tuple needs the L2-L4 headers.
 			hint.Headers = true
 			continue
-		}
-		if !pl.streamed[i] {
-			// planStream sets needPackets for deferred readers of the
-			// input, so this is unreachable; keep the guard defensive.
-			return netpkt.DecodeHint{}, false
 		}
 		switch op.Func {
 		case "field_extract":
@@ -71,50 +58,32 @@ func (e *Engine) viewHint(pl *streamPlan) (netpkt.DecodeHint, bool) {
 			}
 		case "nprint", "kitsune_features", "dot11_features":
 			hint.Headers = true
-		default:
-			// No view-aware implementation: the op expects *Packet.
-			return netpkt.DecodeHint{}, false
 		}
 	}
-	return hint, true
+	return hint
 }
 
-// enableViews switches the source onto lazy view chunks when the plan
-// permits it, recording the decision on the pass. It must run before the
-// first chunk is pulled. Hooked runs stay eager unless the hook declares
-// itself view-aware (StreamHooks.AcceptViews) — the classic ChunkUpdate
-// callback contract exposes the chunk's decoded Packets. Sharded lazy
-// runs keep their lanes: the router partitions on PacketView.Tuple, and
-// forcing the header predecode onto the source goroutine makes the
-// router's tuple reads and the lanes' summary reads side-effect-free
-// (PacketView lazily mutates itself through read accessors otherwise).
-func (r *streamExec) enableViews(src dataset.Source, cfg *StreamConfig) {
+// predecode hands the plan's decode hint to sources that can apply it
+// while cutting chunks. It must run before the first chunk is pulled.
+// Sharded runs force the header pass: the router reads every packet's
+// five-tuple to pick its lane anyway (which is also what makes the
+// lanes' later header reads side-effect-free), so it may as well happen
+// on the source goroutine.
+func (r *streamExec) predecode(src dataset.Source, shards int) {
 	vs, ok := src.(dataset.ViewSource)
 	if !ok {
 		return
 	}
-	if cfg.Hooks.active() && !cfg.Hooks.AcceptViews {
-		vs.ConfigureViews(false, netpkt.DecodeHint{})
-		return
-	}
-	hint, ok := r.e.viewHint(r.pl)
-	if !ok {
-		vs.ConfigureViews(false, netpkt.DecodeHint{})
-		return
-	}
-	if cfg.shards() > 1 {
+	hint := r.e.viewHint(r.pl)
+	if shards > 1 {
 		hint.Headers = true
 	}
-	if !vs.ConfigureViews(true, hint) {
-		vs.ConfigureViews(false, netpkt.DecodeHint{})
-		return
-	}
-	r.lazyViews = true
+	vs.ConfigureViews(true, hint)
 }
 
-// countDecode feeds the decode counters for one absorbed view chunk:
-// every view-path packet, and the subset whose header decode never ran
-// (the plan needed nothing beyond record metadata).
+// countDecode feeds the decode counters for one absorbed chunk: every
+// packet, and the subset whose header decode never ran (the plan needed
+// nothing beyond record metadata).
 func (r *streamExec) countDecode(views []netpkt.PacketView) {
 	if r.e.Metrics == nil || len(views) == 0 {
 		return
@@ -126,9 +95,9 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 		}
 	}
 	r.e.Metrics.Counter("lumen_decode_packets_total",
-		"Packets delivered as lazy views through the decode fast path of streaming runs.").Add(uint64(len(views)))
+		"Packets delivered to streaming runs (every source emits lazy views).").Add(uint64(len(views)))
 	if skips > 0 {
 		r.e.Metrics.Counter("lumen_decode_lazy_skips_total",
-			"View-path packets whose L2-L4 header decode was never needed and so never ran.").Add(uint64(skips))
+			"Packets whose L2-L4 header decode was never needed and so never ran.").Add(uint64(skips))
 	}
 }

@@ -10,26 +10,6 @@ import (
 	"lumen/internal/pcap"
 )
 
-// eagerSource hides the wrapped source's ConfigureViews so the run
-// decodes every packet eagerly — the comparison baseline for the
-// zero-copy fast path. Recycling stays active to keep the runs
-// otherwise identical.
-type eagerSource struct {
-	inner *dataset.PcapSource
-}
-
-func (s *eagerSource) Meta() dataset.SourceMeta { return s.inner.Meta() }
-
-func (s *eagerSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
-	return s.inner.Next(maxRows, maxBytes)
-}
-
-func (s *eagerSource) Reset() error { return s.inner.Reset() }
-
-func (s *eagerSource) Err() error { return s.inner.Err() }
-
-func (s *eagerSource) Recycle(ck dataset.Chunk) { s.inner.Recycle(ck) }
-
 // captureBytes serializes a dataset to an in-memory pcap.
 func captureBytes(t testing.TB, ds *dataset.Labeled) []byte {
 	t.Helper()
@@ -68,7 +48,7 @@ func appFieldPipeline() *Pipeline {
 }
 
 // metaFieldPipeline reads only packet metadata (ts/len/iat), the depth
-// at which the fast path skips header decoding entirely.
+// at which header decoding is skipped entirely.
 func metaFieldPipeline() *Pipeline {
 	return &Pipeline{
 		Name:        "stream-field-meta",
@@ -82,12 +62,66 @@ func metaFieldPipeline() *Pipeline {
 	}
 }
 
-// TestStreamFastPathEquivalence is the acceptance sweep for the
-// zero-copy decode fast path: for every packet-op class, at every
-// decode depth the planner can choose, a test pass over a pcap source
-// with lazy views enabled must be bit-identical to the same pass
-// decoding eagerly — sequential and pipelined.
-func TestStreamFastPathEquivalence(t *testing.T) {
+// unlabeled returns the batch result a capture read-back of the same
+// trace must reproduce: identical verdicts, with the ground truth a pcap
+// file cannot carry zeroed.
+func unlabeled(res *EvalResult) *EvalResult {
+	out := *res
+	out.Truth = make([]int, len(res.Truth))
+	out.Attacks = make([]string, len(res.Attacks))
+	return &out
+}
+
+// pcapShapes are the execution shapes the capture-source sweeps cover.
+var pcapShapes = []StreamConfig{
+	{ChunkRows: 64},
+	{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
+	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 2},
+	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
+	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 8},
+}
+
+// sweepPcapShapes trains p on ds, then streams the dataset's capture
+// bytes through a PcapSource in every execution shape; each pass must
+// reproduce the batch verdicts bit for bit and keep its requested lanes.
+func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string) {
+	t.Helper()
+	raw := captureBytes(t, ds)
+	eng := NewEngine(p)
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := eng.Test(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := unlabeled(batch)
+	for _, cfg := range pcapShapes {
+		label := fmt.Sprintf("depth %d, workers %d, shards %d", cfg.PipelineDepth, cfg.Workers, cfg.Shards)
+		src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.RunStream(src, ModeTest, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if cfg.Shards > 1 && eng.LastStream.Shards != cfg.Shards {
+			t.Fatalf("run (%s) folded the sink to %d shards", label, eng.LastStream.Shards)
+		}
+		requireEqualResults(t, want, got, name+" "+label)
+	}
+}
+
+// TestStreamPcapSourceEquivalence is the acceptance sweep for capture
+// ingest: for every packet-op class, at every decode depth the planner
+// can hint, a test pass over a pcap source must be bit-identical to the
+// batch run over the materialized dataset — sequential, pipelined and
+// sharded. (The per-field oracle in ops_packet_oracle_test.go pins what
+// the ops read from a view; this pins that chunking, predecode and the
+// execution shape change none of it.)
+func TestStreamPcapSourceEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
 		p    *Pipeline
@@ -101,13 +135,6 @@ func TestStreamFastPathEquivalence(t *testing.T) {
 		{"autoencoder-scores", scorePipeline(), "P3"},
 		{"dot11", dot11Pipeline(), "P2"},
 	}
-	shapes := []StreamConfig{
-		{ChunkRows: 64},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 2},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 8},
-	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,110 +142,27 @@ func TestStreamFastPathEquivalence(t *testing.T) {
 			if !ok {
 				t.Fatalf("no dataset %s", tc.ds)
 			}
-			ds := spec.Generate(0.05)
-			raw := captureBytes(t, ds)
-			eng := NewEngine(tc.p)
-			eng.Seed = 7
-			if err := eng.Train(ds); err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range shapes {
-				label := fmt.Sprintf("depth %d, workers %d, shards %d", cfg.PipelineDepth, cfg.Workers, cfg.Shards)
-				es, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := eng.RunStream(&eagerSource{inner: es}, ModeTest, cfg)
-				if err != nil {
-					t.Fatalf("eager (%s): %v", label, err)
-				}
-				if eng.LastStream.LazyViews {
-					t.Fatalf("eager run (%s) took the fast path", label)
-				}
-
-				ls, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.RunStream(ls, ModeTest, cfg)
-				if err != nil {
-					t.Fatalf("lazy (%s): %v", label, err)
-				}
-				if !eng.LastStream.LazyViews {
-					t.Fatalf("lazy run (%s) did not take the fast path", label)
-				}
-				if cfg.Shards > 1 && eng.LastStream.Shards != cfg.Shards {
-					t.Fatalf("lazy run (%s) folded the sink to %d shards", label, eng.LastStream.Shards)
-				}
-				requireEqualResults(t, want, got, tc.name+" "+label)
-			}
+			sweepPcapShapes(t, tc.p, spec.Generate(0.05), tc.name)
 		})
 	}
 }
 
-// TestStreamFastPathFlowOnly: a pipeline whose only packet reader is a
-// flow sink rides the lazy view path — assemblers are fed per-packet
-// summaries built from the views, the summaries are retained, and the
-// flush-time feature pass reads them instead of decoded packets. The
-// result must be bit-identical to the eager run.
-func TestStreamFastPathFlowOnly(t *testing.T) {
+// TestStreamPcapSourceFlowOnly: a pipeline whose only packet reader is a
+// flow sink feeds its assemblers per-packet summaries built from the
+// views, retains them, and the flush-time feature pass reads them
+// instead of decoded packets — bit-identical to the batch driver over
+// the materialized packets.
+func TestStreamPcapSourceFlowOnly(t *testing.T) {
 	spec, ok := dataset.Get("P0")
 	if !ok {
 		t.Fatal("no dataset P0")
 	}
-	ds := spec.Generate(0.05)
-	raw := captureBytes(t, ds)
-	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
-	eng := NewEngine(p)
-	eng.Seed = 7
-	if err := eng.Train(ds); err != nil {
-		t.Fatal(err)
-	}
-	shapes := []StreamConfig{
-		{ChunkRows: 64},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 2},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
-		{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 8},
-	}
-	for _, cfg := range shapes {
-		label := fmt.Sprintf("depth %d, workers %d, shards %d", cfg.PipelineDepth, cfg.Workers, cfg.Shards)
-		es, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.RunStream(&eagerSource{inner: es}, ModeTest, cfg)
-		if err != nil {
-			t.Fatalf("eager (%s): %v", label, err)
-		}
-		if eng.LastStream.LazyViews {
-			t.Fatalf("eager run (%s) took the fast path", label)
-		}
-
-		ls, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.RunStream(ls, ModeTest, cfg)
-		if err != nil {
-			t.Fatalf("lazy (%s): %v", label, err)
-		}
-		if !eng.LastStream.LazyViews {
-			t.Fatalf("flow-only lazy run (%s) did not take the fast path", label)
-		}
-		if cfg.Shards > 1 && eng.LastStream.Shards != cfg.Shards {
-			t.Fatalf("flow-only lazy run (%s) folded the sink to %d shards", label, eng.LastStream.Shards)
-		}
-		requireEqualResults(t, want, got, "flow-only "+label)
-	}
+	sweepPcapShapes(t, flowPipeline("decision_tree", map[string]any{"max_depth": 6}), spec.Generate(0.05), "flow-only")
 }
 
-// TestStreamFastPathShardedLanes: the shard router partitions lazy
-// chunks on PacketView.Tuple(), so a sharded request keeps its lanes
-// under view mode instead of folding back to one — and the predecode
-// hint forces header decoding on the source goroutine so the lanes
-// read the views concurrently without mutating them.
-func TestStreamFastPathShardedLanes(t *testing.T) {
+// TestStreamHooksReceiveViews: a hooked pass hands every packet of the
+// stream to the callback as a view.
+func TestStreamHooksReceiveViews(t *testing.T) {
 	spec, _ := dataset.Get("P0")
 	ds := spec.Generate(0.05)
 	raw := captureBytes(t, ds)
@@ -232,42 +176,12 @@ func TestStreamFastPathShardedLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunStream(src, ModeTest, StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.LastStream.LazyViews {
-		t.Fatal("fast path should engage")
-	}
-	if eng.LastStream.Shards != 4 {
-		t.Fatalf("Shards = %d, want 4: lazy views must flow through the sharded sink", eng.LastStream.Shards)
-	}
-}
-
-// TestStreamFastPathHooksAcceptViews: a hook that declares itself
-// view-aware (StreamHooks.AcceptViews) keeps the fast path engaged and
-// receives lazy views in ChunkUpdate.Views with Packets nil.
-func TestStreamFastPathHooksAcceptViews(t *testing.T) {
-	spec, _ := dataset.Get("P0")
-	ds := spec.Generate(0.05)
-	raw := captureBytes(t, ds)
-	p := fieldPipeline()
-	eng := NewEngine(p)
-	eng.Seed = 7
-	if err := eng.Train(ds); err != nil {
-		t.Fatal(err)
-	}
-	src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nviews, npkts int
+	var nviews int
 	cfg := StreamConfig{
 		ChunkRows: 64,
 		Hooks: &StreamHooks{
-			AcceptViews: true,
 			AfterChunk: func(up ChunkUpdate) error {
 				nviews += len(up.Views)
-				npkts += len(up.Packets)
 				return nil
 			},
 		},
@@ -275,50 +189,15 @@ func TestStreamFastPathHooksAcceptViews(t *testing.T) {
 	if _, err := eng.RunStream(src, ModeTest, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.LastStream.LazyViews {
-		t.Fatal("view-aware hooks must keep the fast path engaged")
-	}
-	if npkts != 0 {
-		t.Fatalf("hook saw %d eager packets on the view path", npkts)
-	}
 	if nviews != len(ds.Packets) {
 		t.Fatalf("hook saw %d views, want %d", nviews, len(ds.Packets))
 	}
 }
 
-// TestStreamFastPathDisabledByHooks: chunk hooks observe decoded
-// packets (ChunkUpdate.Packets), so an engine with hooks must stay on
-// the eager path.
-func TestStreamFastPathDisabledByHooks(t *testing.T) {
-	spec, _ := dataset.Get("P0")
-	ds := spec.Generate(0.05)
-	raw := captureBytes(t, ds)
-	p := fieldPipeline()
-	eng := NewEngine(p)
-	eng.Seed = 7
-	if err := eng.Train(ds); err != nil {
-		t.Fatal(err)
-	}
-	src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := StreamConfig{
-		ChunkRows: 64,
-		Hooks:     &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil }},
-	}
-	if _, err := eng.RunStream(src, ModeTest, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if eng.LastStream.LazyViews {
-		t.Fatal("hooks must force the eager path")
-	}
-}
-
-// TestStreamLazyViewsAllocs pins the allocation budget of the zero-copy
-// columnar path: a steady-state test pass over a pooled pcap source
-// must stay within 2 allocations per packet (the eager path pays 5+
-// just materializing layer structs).
+// TestStreamLazyViewsAllocs pins the allocation budget of the columnar
+// view path: a steady-state test pass over a pooled pcap source must
+// stay within 2 allocations per packet (materializing layer structs
+// alone would cost 5+).
 func TestStreamLazyViewsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; allocation thresholds do not hold")
@@ -355,9 +234,6 @@ func TestStreamLazyViewsAllocs(t *testing.T) {
 		}
 	}
 	pass() // warm the pools
-	if !eng.LastStream.LazyViews {
-		t.Fatal("fast path should engage")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	perRun := testing.AllocsPerRun(3, pass)
 	perPkt := perRun / float64(len(ds.Packets))

@@ -17,17 +17,12 @@ type ChunkUpdate struct {
 	Seq int
 	// Base is the global index of the chunk's first packet.
 	Base int
-	// Packets are the chunk's packets. They are valid only for the
-	// duration of the callback: recycling sources reclaim the underlying
-	// buffers afterwards, so callbacks must not retain the slice or
-	// anything aliasing the packets' Data/Payload.
-	Packets []*netpkt.Packet
-	// Views are the chunk's lazy packet views when the pass rides the
-	// zero-copy decode fast path under a view-aware hook
-	// (StreamHooks.AcceptViews); Packets is nil then. The same lifetime
-	// rules apply — and more strictly: view bytes may alias a memory
-	// mapping that unmaps once the chunk is released, so copy anything
-	// (e.g. a PacketSummary) that must outlive the callback.
+	// Views are the chunk's packets. They are valid only for the duration
+	// of the callback: afterwards the chunk is recycled and released, and
+	// the view bytes may alias a pooled buffer that is reused or a memory
+	// mapping that unmaps. Callbacks must not retain the slice or anything
+	// aliasing a view's Data; copy what must outlive the callback (e.g. a
+	// PacketSummary).
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
 	// produced for this chunk, in op order. Empty on training passes, on
@@ -71,12 +66,6 @@ type StreamHooks struct {
 	// consumer can maintain a retraining reservoir without re-deriving
 	// the feature pipeline.
 	WantFeatures bool
-	// AcceptViews declares the AfterChunk callback view-aware: when the
-	// plan qualifies for the zero-copy decode fast path, the pass takes
-	// it and ChunkUpdate carries Views instead of Packets. Hooks without
-	// it pin the pass to eager decoding, preserving the classic
-	// Packets-only callback contract.
-	AcceptViews bool
 }
 
 // active reports whether any callback is set.
@@ -92,7 +81,6 @@ func (r *streamExec) afterChunk(job *chunkJob) error {
 	up := ChunkUpdate{
 		Seq:     job.nc.Seq,
 		Base:    job.nc.Base,
-		Packets: job.nc.Packets,
 		Views:   job.nc.Views,
 		Results: job.results,
 		Drift:   job.drift,

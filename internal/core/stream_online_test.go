@@ -146,8 +146,13 @@ func TestOnlineScalersStream(t *testing.T) {
 			}
 		}
 	}
-	if len(on.accum) != 0 || on.needPackets {
-		t.Errorf("online train plan retains state: accum=%v needPackets=%v", on.accum, on.needPackets)
+	if len(on.accum) != 0 {
+		t.Errorf("online train plan retains state: accum=%v", on.accum)
+	}
+	for i, sink := range on.flowSink {
+		if sink {
+			t.Errorf("online train plan retains packet summaries for flow sink op %d", i)
+		}
 	}
 }
 

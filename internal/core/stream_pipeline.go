@@ -40,9 +40,10 @@ type StreamStats struct {
 	// HWMBytes is the live-heap high-water mark sampled at chunk
 	// boundaries (the lumen_stream_hwm_bytes gauge).
 	HWMBytes uint64
-	// LazyViews reports that the pass ran on the zero-copy decode fast
-	// path: the source emitted lazy PacketView chunks and the packet ops
-	// filled frame columns straight from them.
+	// LazyViews is vestigial and always true: every source emits lazy
+	// PacketView chunks and the packet ops fill frame columns straight
+	// from them. It survives because the benchmark harness asserts it;
+	// dropping it belongs to a benchmark PR.
 	LazyViews bool
 	// DriftEvents counts the detections raised by drift_detect ops over
 	// the whole pass.
@@ -74,14 +75,12 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 		// overhead, so run the sink unsharded.
 		shards = 1
 	}
-	recycle := r.recycler(src) != nil
-	e.LastStream = StreamStats{Pipelined: true, Depth: depth, Workers: workers, Shards: shards}
+	e.LastStream = StreamStats{Pipelined: true, Depth: depth, Workers: workers, Shards: shards, LazyViews: true}
 
 	pump := dataset.StartPump(src, dataset.PumpConfig{
 		MaxRows:  cfg.ChunkRows,
 		MaxBytes: cfg.ChunkBytes,
 		Depth:    depth,
-		Recycle:  recycle,
 	})
 
 	// Stage spans render on their own tracks, next to the caller's:

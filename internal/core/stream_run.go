@@ -34,9 +34,6 @@ type streamExec struct {
 	// hooks are the pass's per-chunk callbacks (nil when unhooked); absorb
 	// invokes them on the ordered sink goroutine.
 	hooks *StreamHooks
-	// lazyViews records that enableViews switched the source onto the
-	// zero-copy PacketView fast path for this pass.
-	lazyViews bool
 	// trainFrame is the name of the train op's feature-frame input,
 	// resolved once so hooks with WantFeatures can find it per chunk.
 	trainFrame string
@@ -47,17 +44,16 @@ type streamExec struct {
 	results []*EvalResult
 	hwm     uint64
 
-	// accDS accumulates the full packet set when the plan needs it and
-	// the source cannot hand over a materialized dataset.
-	accDS *dataset.Labeled
-	// accSums accumulates per-packet summaries on the lazy view path of
-	// flow-only plans, so flow features can read member-packet fields at
-	// flush without a decoded packet set. Fed by feedSinks on the ordered
-	// goroutine.
-	accSums    []netpkt.PacketSummary
-	lsrc       labeledSource
-	hasLabeled bool
-	nChunks    int
+	// flowDS and accSums are what plans with flow sinks retain of the
+	// packet stream for the flush-time feature pass, as value copies that
+	// outlive every chunk: the stream's metadata with its per-packet
+	// labels, and each packet's summary (so flow features can read
+	// member-packet fields without a decoded packet set). flowDS is nil
+	// without flow sinks; both are fed in stream order, on the ordered
+	// goroutine (feedSinks, or the shard router).
+	flowDS  *dataset.Labeled
+	accSums []netpkt.PacketSummary
+	nChunks int
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
@@ -90,9 +86,8 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, online bool) (*stre
 			r.trainFrame = op.Input[1]
 		}
 	}
-	r.lsrc, r.hasLabeled = src.(labeledSource)
-	if r.pl.needPackets && !r.hasLabeled {
-		r.accDS = &dataset.Labeled{
+	if len(r.sinks) > 0 {
+		r.flowDS = &dataset.Labeled{
 			Name:        r.meta.Name,
 			Granularity: r.meta.Granularity,
 			Link:        r.meta.Link,
@@ -124,28 +119,6 @@ func newFlowSinkStates(e *Engine, pl *streamPlan) (map[int]*flowSinkState, error
 		sinks[i] = s
 	}
 	return sinks, nil
-}
-
-// recycler returns the source's Recycler when finished chunks may safely
-// be handed back for buffer reuse: nothing retained across chunks may
-// alias the chunk's packets. Accumulated frames are copies, but the full
-// packet set (needPackets) and any accumulated packet-kind value alias
-// the chunk directly, so either disables recycling. The one needPackets
-// shape that recycles anyway is a flow-only plan on the lazy view path:
-// it retains PacketSummary value copies, never the views themselves, so
-// the chunk owns nothing that outlives its release. Call only after
-// enableViews settled the pass's decode mode.
-func (r *streamExec) recycler(src dataset.Source) dataset.Recycler {
-	if r.pl.needPackets && !(r.pl.flowOnly && r.lazyViews) {
-		return nil
-	}
-	for i, op := range r.e.P.Ops {
-		if r.pl.streamed[i] && r.pl.accum[op.Output] && opRegistry[op.Func].sig.out == KindPackets {
-			return nil
-		}
-	}
-	rec, _ := src.(dataset.Recycler)
-	return rec
 }
 
 // chunkJob is the unit of work flowing through a stream run: one chunk,
@@ -202,7 +175,6 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 		Granularity: r.meta.Granularity,
 		Link:        r.meta.Link,
 		Devices:     r.meta.Devices,
-		Packets:     nc.Packets,
 		Labels:      nc.Labels,
 		Attacks:     nc.Attacks,
 	}
@@ -251,40 +223,29 @@ func putChunkJob(j *chunkJob) {
 	chunkJobPool.Put(j)
 }
 
+// retainForFlush appends the value copies a plan with flow sinks keeps
+// of one chunk (see flowDS): its labels and one summary per packet. Only
+// the goroutine that owns stream order may call it.
+func (r *streamExec) retainForFlush(nc *dataset.NumberedChunk) {
+	r.flowDS.Labels = append(r.flowDS.Labels, nc.Labels...)
+	r.flowDS.Attacks = append(r.flowDS.Attacks, nc.Attacks...)
+	for i := range nc.Views {
+		r.accSums = append(r.accSums, nc.Views[i].Summary())
+	}
+}
+
 // feedSinks pushes the job's packets through every incremental flow
-// assembler. Only the goroutine that owns stream order may call it. On
-// the lazy view path each packet's summary is built once, feeds every
-// sink, and is retained for the flush-time feature pass (accSums).
+// assembler, as the summaries retainForFlush just built. Only the
+// goroutine that owns stream order may call it.
 func (r *streamExec) feedSinks(job *chunkJob) {
 	if len(r.sinks) == 0 {
 		return
 	}
-	if len(job.nc.Views) > 0 {
-		for j := range job.nc.Views {
-			sum := job.nc.Views[j].Summary()
-			gi := job.nc.Base + j
-			for _, s := range r.sinks {
-				if s.uni != nil {
-					s.unis = append(s.unis, s.uni.AddSummary(gi, sum)...)
-				} else {
-					s.cons = append(s.cons, s.conn.AddSummary(gi, sum)...)
-				}
-			}
-			r.accSums = append(r.accSums, sum)
-		}
-		return
-	}
-	for i := range r.e.P.Ops {
-		s, ok := r.sinks[i]
-		if !ok {
-			continue
-		}
-		for j, p := range job.nc.Packets {
-			if s.uni != nil {
-				s.unis = append(s.unis, s.uni.Add(job.nc.Base+j, p)...)
-			} else {
-				s.cons = append(s.cons, s.conn.Add(job.nc.Base+j, p)...)
-			}
+	r.retainForFlush(&job.nc)
+	for j, sum := range r.accSums[len(r.accSums)-job.nc.Len():] {
+		gi := job.nc.Base + j
+		for _, s := range r.sinks {
+			s.add(gi, sum)
 		}
 	}
 }
@@ -339,21 +300,12 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 }
 
 // absorb folds one finished job into the run, in stream order: profile
-// stats, evaluation results, accumulated frames for deferred ops, and
-// the full packet set when the plan needs it. It returns the job's error
-// (the stream must abort on it, exactly like sequential execution).
+// stats, evaluation results and accumulated frames for deferred ops. It
+// returns the job's error (the stream must abort on it, exactly like
+// sequential execution).
 func (r *streamExec) absorb(job *chunkJob) error {
 	if job.err != nil {
 		return job.err
-	}
-	if r.accDS != nil {
-		r.accDS.Packets = append(r.accDS.Packets, job.nc.Packets...)
-		if job.nc.Labels != nil {
-			r.accDS.Labels = append(r.accDS.Labels, job.nc.Labels...)
-		}
-		if job.nc.Attacks != nil {
-			r.accDS.Attacks = append(r.accDS.Attacks, job.nc.Attacks...)
-		}
 	}
 	for i := range job.stats {
 		r.prof[i].Wall += job.stats[i].Wall
@@ -399,14 +351,6 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		e.Metrics.Gauge("lumen_stream_hwm_bytes",
 			"Live-heap high-water mark observed at chunk boundaries of the most recent streaming run.").Set(float64(r.hwm))
 	}
-	var fullDS *dataset.Labeled
-	if r.pl.needPackets {
-		if r.hasLabeled {
-			fullDS = r.lsrc.Labeled()
-		} else {
-			fullDS = r.accDS
-		}
-	}
 
 	// Flush: run deferred ops in op order with batch semantics over the
 	// concatenated accumulations.
@@ -431,7 +375,9 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			return v, nil
 		}
 		if name == InputName {
-			return Packets{DS: fullDS}, nil
+			// Every registered reader of the packet input streams or is a
+			// flow sink, so nothing keeps packets for the flush.
+			return nil, fmt.Errorf("the packet stream is not retained for deferred ops")
 		}
 		return nil, fmt.Errorf("value %q was freed or never set", name)
 	}
@@ -442,7 +388,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		st := OpStats{Func: op.Func, Output: op.Output}
 		start := time.Now()
 		if s, ok := r.sinks[i]; ok {
-			fenv[op.Output] = r.finishFlows(i, s, fullDS)
+			fenv[op.Output] = r.finishFlows(i, s)
 			r.prof[i].Wall += time.Since(start)
 			continue
 		}
@@ -477,7 +423,6 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	e.Profile = append(e.Profile[:0], r.prof...)
 	e.LastStream.Chunks = r.nChunks
 	e.LastStream.HWMBytes = r.hwm
-	e.LastStream.LazyViews = r.lazyViews
 	if r.mode == ModeTrain {
 		if r.sc.online {
 			// Reservoir-wrapped batch models have only been accumulating

@@ -166,18 +166,15 @@ func (r *streamExec) startShards(shards, queue int, pump *dataset.Pump, done cha
 }
 
 // route handles one in-order job on the router: cross-flow ordered ops,
-// packet→lane hashing, row partitioning and dispatch. On the lazy view
-// path of flow-only plans the router also accumulates each packet's
-// summary (in stream order — the lanes feed themselves, so feedSinks
-// never runs here) for the flush-time flow-feature pass. Every job —
-// even failed or post-abort ones — is forwarded to the merger, which
-// owns release.
+// packet→lane hashing, row partitioning and dispatch. On plans with flow
+// sinks the router also retains each packet's label and summary (in
+// stream order — the lanes feed themselves, so feedSinks never runs
+// here) for the flush-time flow-feature pass. Every job — even failed or
+// post-abort ones — is forwarded to the merger, which owns release.
 func (s *shardRun) route(j *chunkJob) {
 	if j.err == nil && !s.aborted.Load() {
-		if len(s.r.sinks) > 0 && len(j.nc.Views) > 0 {
-			for vi := range j.nc.Views {
-				s.r.accSums = append(s.r.accSums, j.nc.Views[vi].Summary())
-			}
+		if len(s.r.sinks) > 0 {
+			s.r.retainForFlush(&j.nc)
 		}
 		if s.r.pl.nOrdered > s.r.pl.nLane {
 			var cs *obs.Span
@@ -289,11 +286,11 @@ func (ln *shardLane) run(s *shardRun) {
 }
 
 // process does lane k's share of one job: feed its packets to its flow
-// assemblers, score its rows through its model replica. Lazy chunks feed
-// the assemblers PacketSummary values built from the views — safe
-// concurrently because headers were predecoded on the source goroutine
-// (enableViews forces the hint for sharded lazy runs) and each view
-// element belongs to exactly one lane.
+// assemblers, score its rows through its model replica. The assemblers
+// take PacketSummary values built from the views — safe concurrently
+// because the router's ShardIDs pass already decoded every view's
+// headers (on the source goroutine, for sources that take the predecode
+// hint) and each view element belongs to exactly one lane.
 func (ln *shardLane) process(s *shardRun, j *chunkJob) {
 	if s.aborted.Load() {
 		return
@@ -303,37 +300,14 @@ func (ln *shardLane) process(s *shardRun, j *chunkJob) {
 			ln.packets++
 		}
 	}
-	if j.nc.Views != nil {
-		if len(ln.sinks) > 0 {
-			for pi := range j.nc.Views {
-				if int(j.shardIDs[pi]) != ln.k {
-					continue
-				}
-				sum := j.nc.Views[pi].Summary()
-				for _, fs := range ln.sinks {
-					if fs.uni != nil {
-						fs.unis = append(fs.unis, fs.uni.AddSummary(j.nc.Base+pi, sum)...)
-					} else {
-						fs.cons = append(fs.cons, fs.conn.AddSummary(j.nc.Base+pi, sum)...)
-					}
-				}
-			}
-		}
-	} else {
-		for i := range s.r.e.P.Ops {
-			fs, ok := ln.sinks[i]
-			if !ok {
+	if len(ln.sinks) > 0 {
+		for pi := range j.nc.Views {
+			if int(j.shardIDs[pi]) != ln.k {
 				continue
 			}
-			for pi, p := range j.nc.Packets {
-				if int(j.shardIDs[pi]) != ln.k {
-					continue
-				}
-				if fs.uni != nil {
-					fs.unis = append(fs.unis, fs.uni.Add(j.nc.Base+pi, p)...)
-				} else {
-					fs.cons = append(fs.cons, fs.conn.Add(j.nc.Base+pi, p)...)
-				}
+			sum := j.nc.Views[pi].Summary()
+			for _, fs := range ln.sinks {
+				fs.add(j.nc.Base+pi, sum)
 			}
 		}
 	}
@@ -487,8 +461,8 @@ func (s *shardRun) close() error {
 // finishFlows assembles the final Flows value of sink op i at flush,
 // merging the per-lane partitions (sharded runs) with the direct sink
 // (unsharded runs) back into canonical order.
-func (r *streamExec) finishFlows(i int, s *flowSinkState, fullDS *dataset.Labeled) *Flows {
-	out := &Flows{DS: fullDS, Granularity: s.gran, Sums: r.accSums}
+func (r *streamExec) finishFlows(i int, s *flowSinkState) *Flows {
+	out := &Flows{DS: r.flowDS, Granularity: s.gran, Sums: r.accSums}
 	if s.uni != nil {
 		parts := [][]*flow.Uniflow{append(s.unis, s.uni.Flush()...)}
 		for _, ln := range r.lanes {

@@ -339,10 +339,6 @@ func (s *emptyTailSource) Reset() error {
 	return s.inner.Reset()
 }
 
-// Labeled keeps the zero-copy full-dataset path available, like the
-// wrapped SliceSource.
-func (s *emptyTailSource) Labeled() *dataset.Labeled { return s.inner.Labeled() }
-
 // TestStreamEmptyFinalChunk: an empty trailing chunk must not perturb the
 // result — streamed ops see a typed zero-row frame and merge to nothing.
 func TestStreamEmptyFinalChunk(t *testing.T) {

@@ -54,31 +54,28 @@ func (k Kind) String() string {
 // Value is anything an operation can produce or consume.
 type Value interface{ Kind() Kind }
 
-// Packets wraps a labelled dataset as a pipeline input. On the lazy
-// decode fast path Views carries the chunk's packets as zero-copy
-// PacketViews instead of DS.Packets (which is then empty); DS still
-// supplies labels, attacks and stream metadata. Ops that support the
-// columnar path check Views first; everything else sees the classic
-// eager representation.
+// Packets is the pipeline's packet input: Views are the packets every
+// packet op reads (lazy zero-copy netpkt.PacketViews over the raw frame
+// bytes), DS supplies labels, attacks and stream metadata. On streaming
+// runs both describe one chunk and DS.Packets is empty; on batch runs DS
+// is the whole materialized dataset, which flow assembly's batch driver
+// reads directly.
 type Packets struct {
-	DS *dataset.Labeled
-	// Views is non-nil only on view-mode streaming chunks.
+	DS    *dataset.Labeled
 	Views []netpkt.PacketView
+}
+
+// newPackets wraps a materialized dataset for a batch run, building the
+// views over its packets' wire bytes once for every op that reads them.
+func newPackets(ds *dataset.Labeled) Packets {
+	return Packets{DS: ds, Views: ds.AppendViews(nil, 0, len(ds.Packets), netpkt.DecodeHint{})}
 }
 
 // Kind implements Value.
 func (Packets) Kind() Kind { return KindPackets }
 
-// Len returns the packet count in either representation.
-func (p Packets) Len() int {
-	if p.Views != nil {
-		return len(p.Views)
-	}
-	if p.DS == nil {
-		return 0
-	}
-	return len(p.DS.Packets)
-}
+// Len returns the packet count.
+func (p Packets) Len() int { return len(p.Views) }
 
 // Flows is the output of flow assembly: either uniflows or connections,
 // with the source dataset retained for label and attack attribution.
@@ -88,9 +85,9 @@ type Flows struct {
 	Unis        []*flow.Uniflow    // set when Granularity == UniflowG
 	Conns       []*flow.Connection // set when Granularity == ConnectionG
 	// Sums, when non-nil, carries per-packet summaries indexed like
-	// DS.Packets would be; set by streaming runs on the lazy view fast
-	// path, where the decoded packet set is never materialized. Feature
-	// computation reads per-packet fields through summary().
+	// DS.Packets would be; set by streaming runs, where the decoded
+	// packet set is never materialized. Feature computation reads
+	// per-packet fields through summary().
 	Sums []netpkt.PacketSummary
 }
 

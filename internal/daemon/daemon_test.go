@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,7 +199,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 		Name:    "full",
 		Engine:  trainedEngine(t, ds),
 		Source:  NewReplaySource(dataset.NewSliceSource(ds), 0),
-		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
+		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
 		Alerts:  &alerts,
 		ConnLog: &connlog,
 	})
@@ -212,6 +213,11 @@ func TestRunToCompletionConnLog(t *testing.T) {
 	st := p.Status()
 	if st.State != "stopped" {
 		t.Fatalf("state = %s, want stopped", st.State)
+	}
+	// The daemon's chunk hook folds the four requested lanes to one; the
+	// status must say so rather than hide it.
+	if want := (StreamShape{Pipelined: true, Depth: 2, Workers: 2, Shards: 1, RequestedShards: 4}); st.Stream == nil || *st.Stream != want {
+		t.Fatalf("status stream shape = %+v, want %+v", st.Stream, want)
 	}
 	if !bytes.Equal(connlog.Bytes(), wantLog.Bytes()) {
 		t.Fatalf("conn-log differs from batch driver: %d vs %d bytes", connlog.Len(), wantLog.Len())
@@ -230,6 +236,90 @@ func TestRunToCompletionConnLog(t *testing.T) {
 	}
 	if int64(len(got)) != st.Verdicts || st.Packets != int64(len(ds.Packets)) {
 		t.Fatalf("status counters %+v disagree with %d alerts / %d packets", st, len(got), len(ds.Packets))
+	}
+}
+
+// TestPanickingPipelineFailsAlone: a model that loads cleanly can still
+// fault at scoring time — a forest splitting on feature 1000 indexes past
+// this pipeline's six-column rows. Swapped into one of two pipelines of a
+// daemon, it must fail that pipeline only: state failed, the panic and
+// the pipeline's name in its status, its alert sink flushed — while the
+// neighbour keeps producing verdicts and drains cleanly.
+func TestPanickingPipelineFailsAlone(t *testing.T) {
+	ds := testDS(t)
+	rows := chunkRowsFor(len(ds.Packets), 20)
+	d := New(Config{Metrics: obs.NewMetrics()})
+	var alerts bytes.Buffer
+	start := func(name string, alerts *bytes.Buffer) (*Pipe, *gateSource) {
+		gate := newGate(dataset.NewSliceSource(ds))
+		cfg := PipeConfig{Name: name, Engine: trainedEngine(t, ds), Source: gate, Stream: core.StreamConfig{ChunkRows: rows}}
+		if alerts != nil {
+			cfg.Alerts = alerts
+		}
+		p, err := d.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, gate
+	}
+	poisoned, pgate := start("poisoned", &alerts)
+	neighbour, ngate := start("neighbour", nil)
+	pgate.allow(2)
+	ngate.allow(2)
+	waitFor(t, 5*time.Second, "both pipelines to score 2 chunks", func() bool {
+		return poisoned.Status().Chunks >= 2 && neighbour.Status().Chunks >= 2
+	})
+
+	const leaf = `{"f":-1,"t":0,"l":0,"r":0,"p":[1,0]}`
+	clf, err := mlkit.UnmarshalModel([]byte(`{"version":1,"type":"random_forest","data":{"classes":2,"trees":[{"classes":2,"nodes":[{"f":1000,"t":0.5,"l":1,"r":2},` + leaf + `,` + leaf + `]}]}}`))
+	if err != nil {
+		t.Fatalf("the poisoned forest is well-formed and must load: %v", err)
+	}
+	swapped := make(chan error, 1)
+	go func() { swapped <- poisoned.Swap(clf, SwapOptions{}) }()
+	// The swap attaches at a chunk boundary: feed chunks until it has.
+	for attached := false; !attached; {
+		pgate.allow(1)
+		select {
+		case err := <-swapped:
+			if err != nil {
+				t.Fatalf("swap: %v", err)
+			}
+			attached = true
+		case <-time.After(50 * time.Millisecond):
+			// That chunk was absorbed before the request was queued.
+		}
+	}
+	// The next chunk is shadow-scored by the forest and panics.
+	pgate.allow(1)
+	select {
+	case <-poisoned.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("poisoned pipeline never stopped")
+	}
+	st := poisoned.Status()
+	if st.State != "failed" {
+		t.Fatalf("poisoned pipeline state = %s, want failed", st.State)
+	}
+	for _, want := range []string{`"poisoned"`, "panicked", "mlkit.", "index out of range [1000]"} {
+		if !strings.Contains(st.Error, want) {
+			t.Errorf("status error %q does not mention %q", st.Error, want)
+		}
+	}
+	if got := int64(len(parseAlerts(t, alerts.Bytes()))); got != st.Alerts || got == 0 {
+		t.Fatalf("alert sink holds %d lines, status counts %d: finalize must still flush", got, st.Alerts)
+	}
+
+	before := neighbour.Status().Verdicts
+	ngate.allow(3)
+	waitFor(t, 5*time.Second, "the neighbour to keep scoring", func() bool {
+		return neighbour.Status().Chunks >= 5
+	})
+	if err := neighbour.Drain(); err != nil {
+		t.Fatalf("neighbour drain: %v", err)
+	}
+	if st := neighbour.Status(); st.State != "stopped" || st.Verdicts <= before {
+		t.Fatalf("neighbour status = %+v, want stopped with verdicts past %d", st, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"lumen/internal/dataset"
 	"lumen/internal/netpkt"
+	"lumen/internal/pcap"
 )
 
 // MaxFrameBytes caps one framed-feed payload (timestamp + packet bytes).
@@ -32,11 +34,20 @@ const MaxFrameBytes = 1 << 22
 //	bytes  packet   // raw link-layer packet bytes (length - 8 of them)
 //
 // WriteFrame emits this format.
+//
+// Nothing is decoded on the way in: a reader goroutine per producer
+// copies each frame's packet bytes into a pooled buffer and queues them,
+// and Next cuts chunks of lazy views over those buffers. Each chunk's
+// Ref owns its view slice and frame buffers and hands both back to the
+// pool on release — the feed's buffer lifetime rides Chunk.Ref rather
+// than dataset.Recycler, so the source's capability set stays what a
+// live feed is: no rewind, no hint, no labels.
 type FeedSource struct {
-	name string
-	link netpkt.LinkType
-	ln   net.Listener
-	pkts chan *netpkt.Packet
+	name   string
+	link   netpkt.LinkType
+	ln     net.Listener
+	frames chan feedFrame
+	pool   *pcap.BufferPool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -49,26 +60,34 @@ type FeedSource struct {
 	emitted bool
 }
 
-// NewFeedSource starts accepting producers on ln, decoding their frames
-// as link-layer packets of the given link type. buffer bounds how many
-// decoded packets may queue ahead of the pipeline (0 means 1024).
+// feedFrame is one queued packet: its timestamp and its bytes, the
+// latter in a buffer drawn from the source's pool.
+type feedFrame struct {
+	ts   time.Time
+	data []byte
+}
+
+// NewFeedSource starts accepting producers on ln, whose frames carry
+// link-layer packets of the given link type. buffer bounds how many
+// packets may queue ahead of the pipeline (0 means 1024).
 func NewFeedSource(name string, ln net.Listener, link netpkt.LinkType, buffer int) *FeedSource {
 	if buffer <= 0 {
 		buffer = 1024
 	}
 	s := &FeedSource{
-		name:  name,
-		link:  link,
-		ln:    ln,
-		pkts:  make(chan *netpkt.Packet, buffer),
-		stop:  make(chan struct{}),
-		conns: map[net.Conn]struct{}{},
+		name:   name,
+		link:   link,
+		ln:     ln,
+		frames: make(chan feedFrame, buffer),
+		pool:   pcap.NewBufferPool(),
+		stop:   make(chan struct{}),
+		conns:  map[net.Conn]struct{}{},
 	}
 	s.readers.Add(1)
 	go s.accept()
 	go func() {
 		s.readers.Wait()
-		close(s.pkts)
+		close(s.frames)
 	}()
 	return s
 }
@@ -97,7 +116,60 @@ func (s *FeedSource) accept() {
 	}
 }
 
-// read decodes frames from one producer until it disconnects or drain.
+// frameReader parses the feed wire format off one byte stream. hdr is
+// its scratch for the length prefix and timestamp, kept on the reader so
+// parsing a frame allocates nothing but (on a pool miss) the packet
+// buffer.
+type frameReader struct {
+	r    io.Reader
+	pool *pcap.BufferPool
+	hdr  [12]byte
+}
+
+// next reads one frame: its timestamp and its packet bytes, the latter
+// in a buffer drawn from the pool (hand it back with PutData). The
+// length prefix is validated before anything is sized by it, so a lying
+// prefix never allocates past MaxFrameBytes. io.EOF comes back bare only
+// when the stream ended on a frame boundary; every other failure names
+// the part of the frame it hit.
+func (f *frameReader) next() (ts time.Time, data []byte, err error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:4]); err != nil {
+		if err != io.EOF {
+			err = fmt.Errorf("frame header: %w", err)
+		}
+		return time.Time{}, nil, err
+	}
+	n := binary.BigEndian.Uint32(f.hdr[:4])
+	if n < 8 || n > MaxFrameBytes {
+		return time.Time{}, nil, fmt.Errorf("frame length %d out of range [8, %d]", n, MaxFrameBytes)
+	}
+	if err := f.body(f.hdr[4:]); err != nil {
+		return time.Time{}, nil, err
+	}
+	data = f.pool.GetData(int(n) - 8)
+	if err := f.body(data); err != nil {
+		f.pool.PutData(data)
+		return time.Time{}, nil, err
+	}
+	return time.Unix(0, int64(binary.BigEndian.Uint64(f.hdr[4:]))).UTC(), data, nil
+}
+
+// body fills b with the next bytes of a frame whose prefix was already
+// read: running out of stream here is a cut frame, never a clean end.
+func (f *frameReader) body(b []byte) error {
+	_, err := io.ReadFull(f.r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("frame body: %w", err)
+	}
+	return nil
+}
+
+// read queues one producer's frames until it disconnects or drain. The
+// connection is read through a buffer so the three short reads a frame
+// takes do not each cost a system call.
 func (s *FeedSource) read(c net.Conn) {
 	defer s.readers.Done()
 	defer func() {
@@ -106,28 +178,17 @@ func (s *FeedSource) read(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	var hdr [4]byte
+	fr := &frameReader{r: bufio.NewReaderSize(c, 1<<16), pool: s.pool}
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			if !errors.Is(err, io.EOF) && !isClosed(err) {
-				s.setErr(fmt.Errorf("daemon: feed %q: frame header: %w", s.name, err))
+		ts, data, err := fr.next()
+		if err != nil {
+			if err != io.EOF && !isClosed(err) {
+				s.setErr(fmt.Errorf("daemon: feed %q: %w", s.name, err))
 			}
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n < 8 || n > MaxFrameBytes {
-			s.setErr(fmt.Errorf("daemon: feed %q: frame length %d out of range [8, %d]", s.name, n, MaxFrameBytes))
-			return
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			s.setErr(fmt.Errorf("daemon: feed %q: frame body: %w", s.name, err))
-			return
-		}
-		ts := time.Unix(0, int64(binary.BigEndian.Uint64(buf[:8]))).UTC()
-		pkt := netpkt.Decode(buf[8:], s.link, ts)
 		select {
-		case s.pkts <- pkt:
+		case s.frames <- feedFrame{ts, data}:
 		case <-s.stop:
 			return
 		}
@@ -160,7 +221,7 @@ func (s *FeedSource) Meta() dataset.SourceMeta {
 // bounds. The stream ends after Drain, once the queued packets are
 // consumed.
 func (s *FeedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
-	first, ok := <-s.pkts
+	first, ok := <-s.frames
 	if !ok {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -170,32 +231,56 @@ func (s *FeedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 		}
 		return dataset.Chunk{}, false
 	}
-	batch := []*netpkt.Packet{first}
-	bytes := first.WireLen()
-	for (maxRows <= 0 || len(batch) < maxRows) && (maxBytes <= 0 || bytes < maxBytes) {
+	ref := &feedRef{pool: s.pool, views: s.pool.GetViews()}
+	bytes := ref.add(first, s.link)
+	for (maxRows <= 0 || len(ref.views) < maxRows) && (maxBytes <= 0 || bytes < maxBytes) {
 		select {
-		case p, more := <-s.pkts:
+		case f, more := <-s.frames:
 			if !more {
 				goto done
 			}
-			batch = append(batch, p)
-			bytes += p.WireLen()
+			bytes += ref.add(f, s.link)
 		default:
 			goto done
 		}
 	}
 done:
+	n := len(ref.views)
 	s.mu.Lock()
 	ck := dataset.Chunk{
 		Base:    s.base,
-		Packets: batch,
-		Labels:  make([]int, len(batch)),
-		Attacks: make([]string, len(batch)),
+		Views:   ref.views,
+		Labels:  make([]int, n),
+		Attacks: make([]string, n),
+		Ref:     ref,
 	}
-	s.base += len(batch)
+	s.base += n
 	s.emitted = true
 	s.mu.Unlock()
 	return ck, true
+}
+
+// feedRef is a feed chunk's Chunk.Ref: it owns the chunk's view slice
+// and, through the views' Data, its frame buffers.
+type feedRef struct {
+	pool  *pcap.BufferPool
+	views []netpkt.PacketView
+}
+
+// add appends a view over one queued frame and returns its wire length.
+func (r *feedRef) add(f feedFrame, link netpkt.LinkType) int {
+	r.views = append(r.views, netpkt.PacketView{})
+	r.views[len(r.views)-1].Reset(f.data, link, f.ts)
+	return len(f.data)
+}
+
+// Release implements dataset.ChunkRef: the chunk's final owner is done
+// with its packets, so the frame buffers and the view slice go back to
+// the pool for the reader goroutines and the next chunk to reuse.
+func (r *feedRef) Release() error {
+	r.pool.PutOwnedViews(r.views)
+	r.views = nil
+	return nil
 }
 
 // Reset implements dataset.Source; live feeds cannot rewind.

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,6 +136,23 @@ type SwapReport struct {
 	ScoreMAD     float64 `json:"score_mad"`
 }
 
+// StreamShape is the execution shape of a pipeline's current pass: what
+// the engine actually ran (core.StreamStats) next to what was asked for,
+// so the config rewrites that survive — a daemon pipeline's chunk hook,
+// or online learning, folds a requested shard count to one lane — are
+// visible instead of silent.
+type StreamShape struct {
+	// Pipelined is false for the sequential loop, true for the staged
+	// pipeline; Depth, Workers and Shards are its effective shape.
+	Pipelined bool `json:"pipelined"`
+	Depth     int  `json:"depth"`
+	Workers   int  `json:"workers"`
+	Shards    int  `json:"shards"`
+	// RequestedShards is PipeConfig.Stream.Shards as configured; it
+	// differs from Shards when the request was demoted.
+	RequestedShards int `json:"requested_shards"`
+}
+
 // PipeStatus is a pipeline's observable state, as served by /pipelines.
 type PipeStatus struct {
 	Name  string `json:"name"`
@@ -148,6 +168,9 @@ type PipeStatus struct {
 	// DecodeMode reports how the source reads and decodes ("mmap+lazy",
 	// "buffered", "idle", ...), for sources that expose it.
 	DecodeMode string `json:"decode_mode,omitempty"`
+	// Stream is the current pass's requested and effective execution
+	// shape, present once the pass has absorbed its first chunk.
+	Stream *StreamShape `json:"stream,omitempty"`
 	// ModelGeneration is the active model's generation (1 = initial).
 	ModelGeneration int `json:"model_generation"`
 	// Shadowing reports an in-progress hot swap, with its live divergence.
@@ -210,6 +233,7 @@ type Pipe struct {
 	stopReq       bool
 	reloadPending bool
 	lastSwap      *SwapReport
+	shape         *StreamShape
 
 	// Scoring-goroutine-only state (touched exclusively from afterChunk
 	// and the run loop; never locked).
@@ -276,10 +300,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 		state:         StateRunning,
 		retrain:       cfg.Retrain,
 	}
-	// AcceptViews lets watch/replay sources that serve lazy view chunks
-	// keep the zero-copy decode fast path: afterChunk feeds the conn-log
-	// assembler per-packet summaries built from the views.
-	p.stream.Hooks = &core.StreamHooks{AfterChunk: p.afterChunk, AcceptViews: true}
+	p.stream.Hooks = &core.StreamHooks{AfterChunk: p.afterChunk}
 	if cfg.Retrain.Enabled {
 		p.stream.Hooks.WantFeatures = true
 		p.res = newRetrainRes(cfg.Retrain.cap(), cfg.Retrain.Seed)
@@ -322,27 +343,7 @@ func (p *Pipe) Done() <-chan struct{} { return p.done }
 func (p *Pipe) run() {
 	defer close(p.done)
 	for {
-		p.passes.Add(1)
-		p.mPasses.Inc()
-		p.streamedRows = 0
-		if p.tracer != nil {
-			p.span = p.tracer.Start("pipeline:"+p.name, p.tid)
-		}
-		p.eng.Span = p.span
-		res, err := p.eng.RunStream(p.src, core.ModeTest, p.stream)
-		p.eng.Span = nil
-		if err == nil && res != nil {
-			err = p.writeTail(res)
-		}
-		if err == nil {
-			err = p.flushAlerts()
-		}
-		if p.span != nil {
-			p.span.Set("chunks", p.eng.LastStream.Chunks)
-			p.span.Set("pass", p.passes.Load())
-			p.span.End()
-			p.span = nil
-		}
+		err := p.pass()
 		p.mu.Lock()
 		if err != nil {
 			p.runErr = err
@@ -369,6 +370,66 @@ func (p *Pipe) run() {
 		break
 	}
 	p.finalize()
+}
+
+// pass runs one RunStream pass to its flushed end. A panic on this
+// goroutine — in an op, in model scoring (a swapped-in model that loads
+// cleanly can still index past the pipeline's feature row), in the
+// chunk hook — comes back as the pass's error, so one tenant's fault
+// fails that pipeline (state failed, conn-log and alert sink still
+// finalized) instead of killing every pipeline in the process. The
+// staged pipeline's source, worker and shard-lane goroutines are not
+// covered; see OPERATIONS.md.
+func (p *Pipe) pass() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("daemon: pipeline %q panicked in %s: %v", p.name, panicSite(), r)
+		}
+		p.eng.Span = nil
+		if p.span != nil {
+			p.span.Set("chunks", p.eng.LastStream.Chunks)
+			p.span.Set("pass", p.passes.Load())
+			p.span.End()
+			p.span = nil
+		}
+	}()
+	p.passes.Add(1)
+	p.mPasses.Inc()
+	p.streamedRows = 0
+	if p.tracer != nil {
+		p.span = p.tracer.Start("pipeline:"+p.name, p.tid)
+	}
+	p.eng.Span = p.span
+	res, err := p.eng.RunStream(p.src, core.ModeTest, p.stream)
+	if err == nil && res != nil {
+		err = p.writeTail(res)
+	}
+	if err == nil {
+		err = p.flushAlerts()
+	}
+	return err
+}
+
+// panicSite names the function that raised the panic being recovered:
+// the first frame below the runtime's own panic machinery. Call it from
+// the deferred function that called recover, while the panicking frames
+// are still on the stack.
+func panicSite() string {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
+	panicking := false
+	for {
+		f, more := frames.Next()
+		switch {
+		case f.Function == "runtime.gopanic":
+			panicking = true
+		case panicking && !strings.HasPrefix(f.Function, "runtime."):
+			return fmt.Sprintf("%s (%s:%d)", f.Function, filepath.Base(f.File), f.Line)
+		}
+		if !more {
+			return "unknown function"
+		}
+	}
 }
 
 // setStateLocked records the state transition; callers hold p.mu.
@@ -438,28 +499,28 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	if err := p.flushAlerts(); err != nil {
 		return err
 	}
-	npkts := len(up.Packets)
-	if up.Views != nil {
-		npkts = len(up.Views)
-	}
+	npkts := len(up.Views)
 	if p.conn != nil {
-		if up.Views != nil {
-			// Lazy fast path: feed value-copied summaries — the view bytes
-			// may alias a mapping that unmaps once the chunk is released.
-			for i := range up.Views {
-				if evicted := p.conn.AddSummary(p.pktIdx+i, up.Views[i].Summary()); len(evicted) > 0 {
-					p.connDone = append(p.connDone, evicted...)
-				}
-			}
-		} else {
-			for i, pkt := range up.Packets {
-				if evicted := p.conn.Add(p.pktIdx+i, pkt); len(evicted) > 0 {
-					p.connDone = append(p.connDone, evicted...)
-				}
+		// Feed value-copied summaries — the view bytes may alias a mapping
+		// that unmaps, or a pooled buffer that is reused, once the chunk is
+		// released.
+		for i := range up.Views {
+			if evicted := p.conn.AddSummary(p.pktIdx+i, up.Views[i].Summary()); len(evicted) > 0 {
+				p.connDone = append(p.connDone, evicted...)
 			}
 		}
 	}
 	p.pktIdx += npkts
+	if up.Seq == 0 {
+		// The engine settled the pass's shape before pulling this chunk, and
+		// hooked passes absorb on this goroutine, so LastStream is ours to
+		// read here.
+		ls := p.eng.LastStream
+		shape := &StreamShape{Pipelined: ls.Pipelined, Depth: ls.Depth, Workers: ls.Workers, Shards: ls.Shards, RequestedShards: p.stream.Shards}
+		p.mu.Lock()
+		p.shape = shape
+		p.mu.Unlock()
+	}
 	p.chunks.Add(1)
 	p.packets.Add(int64(npkts))
 	p.mChunks.Inc()
@@ -772,6 +833,7 @@ func (p *Pipe) Status() PipeStatus {
 		Name:     p.name,
 		State:    p.state.String(),
 		LastSwap: p.lastSwap,
+		Stream:   p.shape,
 	}
 	if p.runErr != nil {
 		st.Error = p.runErr.Error()

@@ -29,15 +29,9 @@ type ReplaySource struct {
 
 // NewReplaySource wraps inner. speed is the replay rate as a multiple of
 // capture time: 1 replays at wire speed, 2 at double speed, 0 disables
-// pacing and replays as fast as the pipeline pulls. If inner exposes the
-// full dataset (a Labeled method, like dataset.SliceSource), the
-// returned source forwards it so barrier ops avoid re-accumulation.
-func NewReplaySource(inner dataset.Source, speed float64) dataset.Source {
-	r := &ReplaySource{inner: inner, speed: speed, stop: make(chan struct{})}
-	if l, ok := inner.(interface{ Labeled() *dataset.Labeled }); ok {
-		return &replayLabeled{ReplaySource: r, l: l}
-	}
-	return r
+// pacing and replays as fast as the pipeline pulls.
+func NewReplaySource(inner dataset.Source, speed float64) *ReplaySource {
+	return &ReplaySource{inner: inner, speed: speed, stop: make(chan struct{})}
 }
 
 // NewPacedSource wraps inner with a fixed per-chunk delay, ignoring
@@ -47,30 +41,16 @@ func NewReplaySource(inner dataset.Source, speed float64) dataset.Source {
 // always have upcoming chunk boundaries to land on, regardless of how
 // the synthetic capture stamps its packets. Drain interrupts the delay
 // like it interrupts replay pacing.
-func NewPacedSource(inner dataset.Source, delay time.Duration) dataset.Source {
-	r := &ReplaySource{inner: inner, delay: delay, stop: make(chan struct{})}
-	if l, ok := inner.(interface{ Labeled() *dataset.Labeled }); ok {
-		return &replayLabeled{ReplaySource: r, l: l}
-	}
-	return r
+func NewPacedSource(inner dataset.Source, delay time.Duration) *ReplaySource {
+	return &ReplaySource{inner: inner, delay: delay, stop: make(chan struct{})}
 }
-
-// replayLabeled adds the Labeled passthrough for inner sources that
-// expose their full dataset.
-type replayLabeled struct {
-	*ReplaySource
-	l interface{ Labeled() *dataset.Labeled }
-}
-
-// Labeled exposes the inner source's materialized dataset.
-func (r *replayLabeled) Labeled() *dataset.Labeled { return r.l.Labeled() }
 
 // Meta implements dataset.Source.
 func (s *ReplaySource) Meta() dataset.SourceMeta { return s.inner.Meta() }
 
 // ConfigureViews implements dataset.ViewSource by forwarding to the
-// inner source, so a replayed capture rides the zero-copy decode fast
-// path exactly like direct ingest. Inner sources without view support
+// inner source, so a replayed capture predecodes on its reading
+// goroutine exactly like direct ingest. Inner sources that take no hint
 // refuse the request.
 func (s *ReplaySource) ConfigureViews(on bool, hint netpkt.DecodeHint) bool {
 	if vs, ok := s.inner.(dataset.ViewSource); ok {
@@ -106,12 +86,7 @@ func (s *ReplaySource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	s.emitted = true
 	wait := s.delay
 	if s.speed > 0 && ck.Len() > 0 {
-		var first time.Time
-		if len(ck.Packets) > 0 {
-			first = ck.Packets[0].Ts
-		} else {
-			first = ck.Views[0].Ts
-		}
+		first := ck.Views[0].Ts
 		if !s.started {
 			s.started = true
 			s.wall0 = time.Now()
@@ -171,7 +146,7 @@ func (s *ReplaySource) Drain() {
 }
 
 // Recycle forwards chunk recycling to the inner source when it pools
-// chunk buffers (dataset.PcapSource).
+// chunk buffers (dataset.PcapSource, dataset.SliceSource).
 func (s *ReplaySource) Recycle(ck dataset.Chunk) {
 	if rec, ok := s.inner.(dataset.Recycler); ok {
 		rec.Recycle(ck)

@@ -4,6 +4,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -55,8 +56,8 @@ func TestReplaySourcePassthrough(t *testing.T) {
 			if ck.Base != base {
 				t.Fatalf("pass %d: chunk base %d, want %d", pass, ck.Base, base)
 			}
-			base += len(ck.Packets)
-			total += len(ck.Packets)
+			base += ck.Len()
+			total += ck.Len()
 		}
 		if total != 10 {
 			t.Fatalf("pass %d: replayed %d packets, want 10", pass, total)
@@ -119,8 +120,8 @@ func TestReplaySourceEmptyContract(t *testing.T) {
 	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(5, time.Second)), 0)
 	drainOf(t, src).Drain()
 	ck, ok := src.Next(0, 0)
-	if !ok || len(ck.Packets) != 0 {
-		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, len(ck.Packets))
+	if !ok || ck.Len() != 0 {
+		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, ck.Len())
 	}
 	if _, ok := src.Next(0, 0); ok {
 		t.Fatal("stream must end after the empty chunk")
@@ -144,13 +145,15 @@ func feedPair(t *testing.T) (*FeedSource, net.Conn) {
 }
 
 // TestFeedSource pushes framed packets over a unix socket and verifies
-// the source re-emits them as chunks with rebased indices and preserved
-// timestamps.
+// the source re-emits them as chunks with rebased indices, whose views
+// materialize to the packets that were sent.
 func TestFeedSource(t *testing.T) {
 	ds := testDS(t)
 	n := 50
 	src, c := feedPair(t)
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		for _, p := range ds.Packets[:n] {
 			data, err := p.Serialize()
 			if err != nil {
@@ -174,15 +177,18 @@ func TestFeedSource(t *testing.T) {
 		if ck.Base != base {
 			t.Fatalf("chunk base %d, want %d", ck.Base, base)
 		}
-		if len(ck.Labels) != len(ck.Packets) || len(ck.Attacks) != len(ck.Packets) {
+		if len(ck.Labels) != ck.Len() || len(ck.Attacks) != ck.Len() {
 			t.Fatal("feed chunks must carry zeroed labels")
 		}
-		base += len(ck.Packets)
-		pkts = append(pkts, ck.Packets...)
+		base += ck.Len()
+		for i := range ck.Views {
+			pkts = append(pkts, ck.Views[i].Materialize())
+		}
 	}
+	<-sent // Serialize rewrote the packets' Data; read them only afterwards
 	for i, p := range pkts {
-		if !p.Ts.Equal(ds.Packets[i].Ts) {
-			t.Fatalf("packet %d timestamp %v, want %v", i, p.Ts, ds.Packets[i].Ts)
+		if !reflect.DeepEqual(p, ds.Packets[i]) {
+			t.Fatalf("packet %d arrived as %+v, want %+v", i, p, ds.Packets[i])
 		}
 	}
 	src.Drain()
@@ -209,8 +215,8 @@ func TestFeedSourceEmptyContract(t *testing.T) {
 	c.Close()
 	src.Drain()
 	ck, ok := src.Next(0, 0)
-	if !ok || len(ck.Packets) != 0 {
-		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, len(ck.Packets))
+	if !ok || ck.Len() != 0 {
+		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, ck.Len())
 	}
 	if _, ok := src.Next(0, 0); ok {
 		t.Fatal("stream must end after the empty chunk")
@@ -273,13 +279,13 @@ func TestDirSource(t *testing.T) {
 			if ck.Base != base {
 				t.Fatalf("chunk base %d, want %d (rebasing across files broken)", ck.Base, base)
 			}
-			base += len(ck.Packets)
-			count += len(ck.Packets)
+			base += ck.Len()
+			count += ck.Len()
 		}
 	}
 	pull(60)
-	if got := src.DecodeMode(); got != "buffered" {
-		t.Fatalf("eager watch DecodeMode = %q, want buffered", got)
+	if got := src.DecodeMode(); got != "mmap+lazy" {
+		t.Fatalf("watch DecodeMode = %q, want mmap+lazy", got)
 	}
 	// A capture rotated in after the watch started is picked up too.
 	writePcap(t, filepath.Join(dir, "trace-002.pcap"), ds.Link, ds.Packets[60:80])
@@ -299,7 +305,7 @@ func TestDirSource(t *testing.T) {
 }
 
 // TestDirSourceViewsRotationUnderLoad pins the refcounted-mapping
-// contract of view-mode watch ingest: chunks cut from a mapped capture
+// contract of watch ingest: chunks cut from a mapped capture
 // stay valid while the file is deleted out from under the watch AND the
 // per-file reader is closed, and the mapping unmaps only when the last
 // in-flight chunk releases its reference.
@@ -310,9 +316,7 @@ func TestDirSourceViewsRotationUnderLoad(t *testing.T) {
 	writePcap(t, path, ds.Link, ds.Packets[:40])
 	n0 := pcap.OpenMappings()
 	src := NewDirSource("watch", dir, "*.pcap", dataset.Packet, ds.Link, 5*time.Millisecond)
-	if !src.ConfigureViews(true, netpkt.DecodeHint{Headers: true}) {
-		t.Fatal("watch must honour the view request")
-	}
+	src.ConfigureViews(true, netpkt.DecodeHint{Headers: true})
 	if got := src.DecodeMode(); got != "idle" {
 		t.Fatalf("DecodeMode before ingest = %q, want idle", got)
 	}
@@ -323,11 +327,8 @@ func TestDirSourceViewsRotationUnderLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream ended at %d of 40 packets (err %v)", count, src.Err())
 		}
-		if len(ck.Packets) != 0 {
-			t.Fatal("view-mode watch must emit views, not packets")
-		}
 		if ck.Len() > 0 && ck.Ref == nil {
-			t.Fatal("view chunks must carry a mapping reference")
+			t.Fatal("watch chunks must carry a mapping reference")
 		}
 		count += ck.Len()
 		live = append(live, ck)

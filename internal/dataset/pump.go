@@ -6,10 +6,10 @@ import (
 )
 
 // Recycler is implemented by sources whose chunks can be handed back for
-// buffer reuse once the consumer is completely done with them (no packet,
-// Data or Payload reference retained). PcapSource implements it; the
-// zero-copy view sources (SliceSource, GenSource) do not, since their
-// chunks alias the materialized dataset.
+// buffer reuse once the consumer is completely done with them (no view,
+// and nothing aliasing a view's Data, retained). PcapSource pools view
+// slices and buffered record bytes; SliceSource and GenSource pool view
+// slices only, since their bytes belong to the materialized dataset.
 type Recycler interface {
 	Recycle(Chunk)
 }
@@ -31,10 +31,6 @@ type PumpConfig struct {
 	// Depth is the channel buffer: how many decoded chunks may sit
 	// between the source goroutine and the consumer (minimum 1).
 	Depth int
-	// Recycle hands consumed chunks back to the source for buffer reuse
-	// when the source implements Recycler. Enable only when the consumer
-	// retains nothing from a chunk after calling Done on it.
-	Recycle bool
 }
 
 // PumpStats summarizes a pump's activity so far.
@@ -54,15 +50,15 @@ type PumpStats struct {
 // a Source and hands them to the consumer through a bounded channel, so
 // decode overlaps with downstream work while peak memory stays
 // O(Depth × chunk). Create one with StartPump, range over C, and call
-// Done on each chunk when finished with it (Done drives both the
-// in-flight byte accounting and, when enabled, buffer recycling).
+// Done on each chunk when finished with it (Done drives the in-flight
+// byte accounting, buffer recycling and backing-resource release).
 type Pump struct {
 	// C delivers chunks in stream order and is closed at end of stream
 	// (or after Stop).
 	C <-chan NumberedChunk
 
 	src      Source
-	rec      Recycler // nil when recycling is off
+	rec      Recycler // nil when the source pools nothing
 	quit     chan struct{}
 	stopped  atomic.Bool
 	chunks   atomic.Int64
@@ -80,9 +76,7 @@ func StartPump(src Source, cfg PumpConfig) *Pump {
 	}
 	ch := make(chan NumberedChunk, depth)
 	p := &Pump{C: ch, src: src, quit: make(chan struct{})}
-	if cfg.Recycle {
-		p.rec, _ = src.(Recycler)
-	}
+	p.rec, _ = src.(Recycler)
 	go func() {
 		defer close(ch)
 		seq := 0
@@ -94,9 +88,13 @@ func StartPump(src Source, cfg PumpConfig) *Pump {
 			p.chunks.Add(1)
 			p.addInFlight(int64(ck.WireBytes()))
 			start := time.Now()
+			nc := NumberedChunk{Seq: seq, Chunk: ck}
 			select {
-			case ch <- NumberedChunk{Seq: seq, Chunk: ck}:
+			case ch <- nc:
 			case <-p.quit:
+				// Never delivered, so no consumer will: release it here, or
+				// its mapping reference (or pooled buffers) would leak.
+				p.Done(nc)
 				return
 			}
 			p.stallNS.Add(time.Since(start).Nanoseconds())
@@ -118,12 +116,12 @@ func (p *Pump) addInFlight(d int64) {
 }
 
 // Done releases one delivered chunk: its bytes leave the in-flight
-// account, its buffers return to the source's pool when recycling is on,
-// and its backing-resource reference (Chunk.Ref) is released — for
-// mmap-backed chunks from a rotated-capture watch this is what finally
-// lets the file's mapping unmap. Call it exactly once per chunk received
-// from C, from any goroutine, only when nothing references the chunk's
-// packets anymore.
+// account, its buffers return to the source's pool (when the source is
+// a Recycler), and its backing-resource reference (Chunk.Ref) is
+// released — for mmap-backed chunks from a rotated-capture watch this is
+// what finally lets the file's mapping unmap. Call it exactly once per
+// chunk received from C, from any goroutine, only when nothing
+// references the chunk's packets anymore.
 func (p *Pump) Done(ck NumberedChunk) {
 	p.addInFlight(-int64(ck.WireBytes()))
 	if p.rec != nil {

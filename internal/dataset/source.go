@@ -1,6 +1,9 @@
 package dataset
 
-import "lumen/internal/netpkt"
+import (
+	"lumen/internal/netpkt"
+	"lumen/internal/pcap"
+)
 
 // Chunk is one bounded window of a packet stream: a contiguous run of
 // time-ordered packets with their labels, plus the global index of the
@@ -8,26 +11,25 @@ import "lumen/internal/netpkt"
 // indices (flow assembly, unit attribution) while only ever seeing one
 // chunk at a time.
 type Chunk struct {
-	// Base is the global index of Packets[0] in the full stream.
-	Base    int
-	Packets []*netpkt.Packet
-	// Views is the lazy columnar alternative to Packets: zero-copy
-	// PacketViews that decode layers on first touch. A chunk carries
-	// either Packets or Views, never both (both nil for an empty chunk).
-	// Views are only emitted by sources whose consumer opted in via
-	// ViewSource.ConfigureViews; they stay valid until the chunk is
-	// recycled (or the source closed, for mmap-backed sources).
+	// Base is the global index of Views[0] in the full stream.
+	Base int
+	// Views are the chunk's packets: zero-copy PacketViews over the raw
+	// frame bytes that decode layers on first touch (nil for an empty
+	// chunk). They stay valid until the chunk is recycled and its Ref
+	// released — the bytes may alias a file mapping, a pooled buffer or a
+	// materialized dataset — so copy anything (a PacketSummary, a
+	// Materialize'd packet over copied bytes) that must outlive that.
 	Views []netpkt.PacketView
-	// Labels and Attacks align with Packets/Views; nil when the source
-	// carries no ground truth (live captures).
+	// Labels and Attacks align with Views; nil when the source carries no
+	// ground truth (live captures).
 	Labels  []int
 	Attacks []string
 	// Ref, when non-nil, is a reference the chunk holds on the resource
-	// backing its packet bytes — a refcounted file mapping
-	// (pcap.Mapping) for zero-copy chunks that must outlive their
-	// reader, as rotated-capture watches emit. The chunk's final owner
-	// releases it exactly once, after Recycle, via ReleaseRef; the
-	// backing resource stays alive until the last in-flight chunk does.
+	// backing its packet bytes: a refcounted file mapping (pcap.Mapping)
+	// for rotated-capture watches, whose chunks must outlive their reader,
+	// or the pooled buffers of a live feed. The chunk's final owner
+	// releases it exactly once, after Recycle, via ReleaseRef; the backing
+	// resource stays alive until the last in-flight chunk does.
 	Ref ChunkRef
 }
 
@@ -46,22 +48,14 @@ func (c Chunk) ReleaseRef() {
 	}
 }
 
-// Len returns the packet count of the chunk in either representation.
-func (c Chunk) Len() int {
-	if c.Views != nil {
-		return len(c.Views)
-	}
-	return len(c.Packets)
-}
+// Len returns the packet count of the chunk.
+func (c Chunk) Len() int { return len(c.Views) }
 
 // WireBytes sums the on-wire sizes of the chunk's packets.
 func (c Chunk) WireBytes() int {
 	n := 0
 	for i := range c.Views {
 		n += c.Views[i].WireLen()
-	}
-	for _, p := range c.Packets {
-		n += p.WireLen()
 	}
 	return n
 }
@@ -92,39 +86,70 @@ type Source interface {
 	Reset() error
 }
 
-// ViewSource is implemented by sources that can emit chunks of lazy
-// PacketViews instead of eagerly decoded Packets (PcapSource). The
-// consumer — whose plan knows how deep it will look — opts in with
-// ConfigureViews before streaming; hint is the decode depth to apply on
-// the source goroutine. The return reports whether the source honours
-// the request (a source may refuse, e.g. for link types it cannot view).
-// Calling with on=false restores eager chunks.
+// ViewSource is implemented by sources that can predecode their views on
+// the producing goroutine (PcapSource, SliceSource). The consumer — whose
+// plan knows how deep it will look — calls ConfigureViews before
+// streaming; hint is the decode depth to apply as chunks are cut, so the
+// work overlaps with downstream compute and sharded lanes find headers
+// already parsed. The on parameter is vestigial: every source emits
+// views unconditionally, so it is ignored (it survives only because the
+// benchmark harness implements this interface; dropping it belongs to a
+// benchmark PR). The return reports whether the hint was taken.
 type ViewSource interface {
 	ConfigureViews(on bool, hint netpkt.DecodeHint) bool
 }
 
-// SliceSource streams an in-memory dataset as zero-copy chunk views.
-// It exists so batch-materialized datasets (the synthetic corpora) run
-// through the same chunked execution path as genuinely streaming sources.
+// AppendViews appends views over packets [lo, hi) of the dataset to dst,
+// each predecoded to hint's depth. A view reads the packet's wire bytes
+// (Data) — the engine's only packet representation — so every packet of
+// a Labeled must carry them; generated datasets and capture read-backs
+// do, and decoding those bytes reproduces the packet exactly.
+func (l *Labeled) AppendViews(dst []netpkt.PacketView, lo, hi int, hint netpkt.DecodeHint) []netpkt.PacketView {
+	for _, p := range l.Packets[lo:hi] {
+		dst = append(dst, netpkt.PacketView{})
+		v := &dst[len(dst)-1]
+		v.Reset(p.Data, l.Link, p.Ts)
+		v.Predecode(hint)
+	}
+	return dst
+}
+
+// SliceSource streams an in-memory dataset as chunks of views over its
+// packets' wire bytes. It exists so batch-materialized datasets (the
+// synthetic corpora) run through the same chunked execution path as
+// genuinely streaming sources. Streaming stays O(chunk): view slices
+// come from a buffer pool and return to it through Recycle.
 type SliceSource struct {
 	ds      *Labeled
+	pool    *pcap.BufferPool
+	hint    netpkt.DecodeHint
 	pos     int
 	emitted bool
 }
 
 // NewSliceSource wraps a materialized dataset.
-func NewSliceSource(ds *Labeled) *SliceSource { return &SliceSource{ds: ds} }
-
-// Labeled exposes the underlying dataset, letting consumers that need
-// the full packet set (barrier ops) avoid re-accumulating it.
-func (s *SliceSource) Labeled() *Labeled { return s.ds }
+func NewSliceSource(ds *Labeled) *SliceSource {
+	return &SliceSource{ds: ds, pool: pcap.NewBufferPool()}
+}
 
 // Meta implements Source.
 func (s *SliceSource) Meta() SourceMeta {
 	return SourceMeta{Name: s.ds.Name, Granularity: s.ds.Granularity, Link: s.ds.Link, Devices: s.ds.Devices}
 }
 
-// Next implements Source: chunks are subslice views, no copying.
+// ConfigureViews implements ViewSource: Next predecodes to hint's depth.
+func (s *SliceSource) ConfigureViews(_ bool, hint netpkt.DecodeHint) bool {
+	s.hint = hint
+	return true
+}
+
+// Recycle implements Recycler: the chunk's view slice returns to the
+// pool (the packet bytes belong to the dataset and are never pooled).
+// Safe to call concurrently with Next.
+func (s *SliceSource) Recycle(ck Chunk) { s.pool.PutViews(ck.Views) }
+
+// Next implements Source: labels are subslices of the dataset's, views
+// are built over the packets' bytes without copying them.
 func (s *SliceSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	n := len(s.ds.Packets)
 	if s.pos >= n {
@@ -153,7 +178,7 @@ func (s *SliceSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 			end = s.pos + 1
 		}
 	}
-	c := Chunk{Base: s.pos, Packets: s.ds.Packets[s.pos:end]}
+	c := Chunk{Base: s.pos, Views: s.ds.AppendViews(s.pool.GetViews(), s.pos, end, s.hint)}
 	if s.ds.Labels != nil {
 		c.Labels = s.ds.Labels[s.pos:end]
 	}
@@ -195,9 +220,6 @@ func (g *GenSource) materialize() *SliceSource {
 	return g.inner
 }
 
-// Labeled exposes the generated dataset (generating it on first call).
-func (g *GenSource) Labeled() *Labeled { return g.materialize().Labeled() }
-
 // Meta implements Source.
 func (g *GenSource) Meta() SourceMeta { return g.materialize().Meta() }
 
@@ -205,6 +227,14 @@ func (g *GenSource) Meta() SourceMeta { return g.materialize().Meta() }
 func (g *GenSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	return g.materialize().Next(maxRows, maxBytes)
 }
+
+// ConfigureViews implements ViewSource by forwarding to the slice source.
+func (g *GenSource) ConfigureViews(on bool, hint netpkt.DecodeHint) bool {
+	return g.materialize().ConfigureViews(on, hint)
+}
+
+// Recycle implements Recycler by forwarding to the slice source.
+func (g *GenSource) Recycle(ck Chunk) { g.materialize().Recycle(ck) }
 
 // Reset implements Source; the generated trace is kept.
 func (g *GenSource) Reset() error {

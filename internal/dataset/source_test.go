@@ -31,7 +31,7 @@ func drain(t *testing.T, src Source, maxRows, maxBytes int) []Chunk {
 		if ck.Base != next {
 			t.Fatalf("chunk base %d, want %d", ck.Base, next)
 		}
-		next += len(ck.Packets)
+		next += ck.Len()
 		out = append(out, ck)
 		if len(out) > 1<<20 {
 			t.Fatal("source never terminates")
@@ -46,18 +46,19 @@ func TestSliceSourceChunksCoverDataset(t *testing.T) {
 	chunks := drain(t, src, 64, 0)
 	total := 0
 	for _, ck := range chunks {
-		if len(ck.Packets) > 64 {
-			t.Fatalf("chunk of %d packets exceeds row bound", len(ck.Packets))
+		if ck.Len() > 64 {
+			t.Fatalf("chunk of %d packets exceeds row bound", ck.Len())
 		}
-		for j, p := range ck.Packets {
-			if p != ds.Packets[ck.Base+j] {
-				t.Fatalf("packet %d+%d is not a view of the dataset", ck.Base, j)
+		for j := range ck.Views {
+			v, p := &ck.Views[j], ds.Packets[ck.Base+j]
+			if &v.Data[0] != &p.Data[0] || !reflect.DeepEqual(v.Materialize(), p) {
+				t.Fatalf("packet %d+%d is not a zero-copy view of the dataset's", ck.Base, j)
 			}
 			if ck.Labels[j] != ds.Labels[ck.Base+j] || ck.Attacks[j] != ds.Attacks[ck.Base+j] {
 				t.Fatalf("labels misaligned at %d+%d", ck.Base, j)
 			}
 		}
-		total += len(ck.Packets)
+		total += ck.Len()
 	}
 	if total != len(ds.Packets) {
 		t.Fatalf("chunks cover %d packets, dataset has %d", total, len(ds.Packets))
@@ -70,7 +71,7 @@ func TestSliceSourceChunksCoverDataset(t *testing.T) {
 func TestSliceSourceUnboundedIsOneChunk(t *testing.T) {
 	ds := genF1(t)
 	chunks := drain(t, NewSliceSource(ds), 0, 0)
-	if len(chunks) != 1 || len(chunks[0].Packets) != len(ds.Packets) {
+	if len(chunks) != 1 || chunks[0].Len() != len(ds.Packets) {
 		t.Fatalf("unbounded pull gave %d chunks", len(chunks))
 	}
 }
@@ -78,7 +79,7 @@ func TestSliceSourceUnboundedIsOneChunk(t *testing.T) {
 func TestSliceSourceEmptyDatasetEmitsOneChunk(t *testing.T) {
 	src := NewSliceSource(&Labeled{Name: "empty"})
 	chunks := drain(t, src, 64, 0)
-	if len(chunks) != 1 || len(chunks[0].Packets) != 0 {
+	if len(chunks) != 1 || chunks[0].Len() != 0 {
 		t.Fatalf("empty dataset: got %d chunks, want exactly one empty chunk", len(chunks))
 	}
 }
@@ -110,10 +111,6 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 	spec, _ := Get("F1")
 	src := NewGenSource(spec, 0.05)
 	want := spec.Generate(0.05)
-	got := src.Labeled()
-	if len(got.Packets) != len(want.Packets) {
-		t.Fatalf("GenSource has %d packets, Generate %d", len(got.Packets), len(want.Packets))
-	}
 	meta := src.Meta()
 	if meta.Name != want.Name || meta.Granularity != want.Granularity || meta.Link != want.Link {
 		t.Fatalf("meta %+v does not match dataset", meta)
@@ -121,7 +118,7 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 	chunks := drain(t, src, 128, 0)
 	total := 0
 	for _, ck := range chunks {
-		total += len(ck.Packets)
+		total += ck.Len()
 	}
 	if total != len(want.Packets) {
 		t.Fatalf("chunks cover %d packets, want %d", total, len(want.Packets))
@@ -167,16 +164,18 @@ func TestPcapSourceMatchesReadAll(t *testing.T) {
 	}
 	var got []*netpkt.Packet
 	for _, ck := range chunks {
-		if len(ck.Labels) != len(ck.Packets) || len(ck.Attacks) != len(ck.Packets) {
+		if len(ck.Labels) != ck.Len() || len(ck.Attacks) != ck.Len() {
 			t.Fatal("pcap chunks must carry zero-filled labels")
 		}
-		got = append(got, ck.Packets...)
+		for i := range ck.Views {
+			got = append(got, ck.Views[i].Materialize())
+		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("chunked read got %d packets, ReadAll %d", len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].Ts.Equal(want[i].Ts) || got[i].WireLen() != want[i].WireLen() {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("packet %d differs between chunked and batch read", i)
 		}
 	}
@@ -208,7 +207,7 @@ func TestPcapSourceEmptyCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := drain(t, src, 64, 0)
-	if len(chunks) != 1 || len(chunks[0].Packets) != 0 {
+	if len(chunks) != 1 || chunks[0].Len() != 0 {
 		t.Fatalf("empty capture: got %d chunks, want one empty chunk", len(chunks))
 	}
 	if src.Err() != nil {

@@ -9,12 +9,28 @@ import (
 	"lumen/internal/pcap"
 )
 
-// TestLazyViewsMatchEagerAcrossRegistry replays the first chunk of every
-// registered dataset through both PcapSource decode modes: materialized
-// lazy views must be identical to the eagerly decoded packets on each
-// dataset's real traffic mix (every link type, protocol blend and attack
-// shape the generators produce).
-func TestLazyViewsMatchEagerAcrossRegistry(t *testing.T) {
+// TestGeneratedPacketsAreTheirWireBytes pins the property the engine's
+// single packet representation rests on: a view over a generated
+// packet's wire bytes (how SliceSource and batch runs read datasets) sees
+// exactly the packet the generator built — Decode(p.Data, link, p.Ts)
+// deep-equals p for every packet of every registered dataset.
+func TestGeneratedPacketsAreTheirWireBytes(t *testing.T) {
+	for _, spec := range Registry() {
+		ds := spec.Generate(1)
+		for i, p := range ds.Packets {
+			if got := netpkt.Decode(p.Data, ds.Link, p.Ts); !reflect.DeepEqual(got, p) {
+				t.Fatalf("%s packet %d: decode of its wire bytes differs:\ndecoded:   %+v\ngenerated: %+v", spec.ID, i, got, p)
+			}
+		}
+	}
+}
+
+// TestViewsMatchReadAllAcrossRegistry replays the first chunk of every
+// registered dataset through PcapSource: its materialized views must be
+// identical to the packets pcap.Reader.ReadAll eagerly decodes from the
+// same bytes, on each dataset's real traffic mix (every link type,
+// protocol blend and attack shape the generators produce).
+func TestViewsMatchReadAllAcrossRegistry(t *testing.T) {
 	const rows = 200
 	for _, spec := range Registry() {
 		spec := spec
@@ -42,13 +58,13 @@ func TestLazyViewsMatchEagerAcrossRegistry(t *testing.T) {
 			}
 			raw := buf.Bytes()
 
-			eager, err := NewPcapSource(spec.ID, bytes.NewReader(raw), spec.Granularity)
+			rd, err := pcap.NewReader(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eck, ok := eager.Next(rows, 0)
-			if !ok || eager.Err() != nil {
-				t.Fatalf("eager chunk: ok=%v err=%v", ok, eager.Err())
+			want, err := rd.ReadAll()
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			lazy, err := NewPcapSource(spec.ID, bytes.NewReader(raw), spec.Granularity)
@@ -63,16 +79,13 @@ func TestLazyViewsMatchEagerAcrossRegistry(t *testing.T) {
 			if !ok || lazy.Err() != nil {
 				t.Fatalf("lazy chunk: ok=%v err=%v", ok, lazy.Err())
 			}
-			if lck.Views == nil || lck.Packets != nil {
-				t.Fatalf("lazy chunk shape: views=%d packets=%d", len(lck.Views), len(lck.Packets))
-			}
-			if len(lck.Views) != len(eck.Packets) {
-				t.Fatalf("lazy chunk has %d views, eager %d packets", len(lck.Views), len(eck.Packets))
+			if len(lck.Views) != len(want) {
+				t.Fatalf("chunk has %d views, ReadAll %d packets", len(lck.Views), len(want))
 			}
 			for i := range lck.Views {
 				got := lck.Views[i].Materialize()
-				if !reflect.DeepEqual(got, eck.Packets[i]) {
-					t.Fatalf("packet %d differs:\nview:  %+v\neager: %+v", i, got, eck.Packets[i])
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("packet %d differs:\nview:  %+v\neager: %+v", i, got, want[i])
 				}
 			}
 		})

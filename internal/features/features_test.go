@@ -153,6 +153,14 @@ func TestEntropyOfMaximal(t *testing.T) {
 	}
 }
 
+// viewOf wraps a packet's wire bytes (empty for unserialized packets) in
+// the view nprint renders from.
+func viewOf(p *netpkt.Packet) *netpkt.PacketView {
+	var v netpkt.PacketView
+	v.Reset(p.Data, p.Link, p.Ts)
+	return &v
+}
+
 func buildTCPPacket(t *testing.T) *netpkt.Packet {
 	t.Helper()
 	p := &netpkt.Packet{
@@ -182,7 +190,7 @@ func TestNPrintWidths(t *testing.T) {
 
 func TestNPrintVectorLengthAndValues(t *testing.T) {
 	p := buildTCPPacket(t)
-	v := NPrintTCPUDPIPv4.Vector(p)
+	v := NPrintTCPUDPIPv4.Vector(viewOf(p))
 	if len(v) != NPrintTCPUDPIPv4.Width() {
 		t.Fatalf("vector length %d != width %d", len(v), NPrintTCPUDPIPv4.Width())
 	}
@@ -215,7 +223,7 @@ func TestNPrintVectorLengthAndValues(t *testing.T) {
 func TestNPrintPayloadSection(t *testing.T) {
 	p := buildTCPPacket(t)
 	cfg := NPrintConfig{Payload: 2}
-	v := cfg.Vector(p)
+	v := cfg.Vector(viewOf(p))
 	if len(v) != 16 {
 		t.Fatalf("len = %d, want 16", len(v))
 	}
@@ -243,7 +251,7 @@ func TestNPrintConsistentWidthAcrossPacketsProperty(t *testing.T) {
 	}
 	for _, cfg := range cfgs {
 		for i, p := range pkts {
-			if got := len(cfg.Vector(p)); got != cfg.Width() {
+			if got := len(cfg.Vector(viewOf(p))); got != cfg.Width() {
 				t.Errorf("cfg %+v packet %d: len=%d want %d", cfg, i, got, cfg.Width())
 			}
 		}

@@ -43,8 +43,7 @@ func (c NPrintConfig) Width() int {
 
 // Shape is the minimal description of a packet that nprint rendering
 // needs: the raw frame, which headers are present, and the payload
-// length. It is derivable from either an eagerly decoded Packet or a
-// lazy PacketView, so both representations share one fill path.
+// length.
 type Shape struct {
 	Raw        []byte
 	Link       netpkt.LinkType
@@ -55,19 +54,9 @@ type Shape struct {
 	PayloadLen int
 }
 
-// ShapeOf derives the Shape of an eagerly decoded packet.
-func ShapeOf(p *netpkt.Packet) Shape {
-	return Shape{
-		Raw: p.Data, Link: p.Link,
-		HasIPv4: p.IPv4 != nil, HasTCP: p.TCP != nil,
-		HasUDP: p.UDP != nil, HasICMP: p.ICMP != nil,
-		PayloadLen: len(p.Payload),
-	}
-}
-
-// ShapeOfView derives the Shape of a lazy view, forcing only its header
+// ShapeOf derives the Shape of a packet view, forcing only its header
 // pass (nprint reads raw header bytes, never the app layers).
-func ShapeOfView(v *netpkt.PacketView) Shape {
+func ShapeOf(v *netpkt.PacketView) Shape {
 	_, ip4 := v.IPv4()
 	_, tcp := v.TCP()
 	_, udp := v.UDP()
@@ -81,9 +70,9 @@ func ShapeOfView(v *netpkt.PacketView) Shape {
 
 // Vector renders one packet to its nprint bit vector: 1/0 for present
 // header bits, -1 for bits of absent sections.
-func (c NPrintConfig) Vector(p *netpkt.Packet) []float64 {
+func (c NPrintConfig) Vector(v *netpkt.PacketView) []float64 {
 	out := make([]float64, c.Width())
-	c.FillRow(out, ShapeOf(p))
+	c.FillRow(out, ShapeOf(v))
 	return out
 }
 

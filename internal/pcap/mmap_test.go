@@ -225,9 +225,9 @@ func TestMmapPartialTrailerIsEOF(t *testing.T) {
 	}
 }
 
-// TestReadViewsMatchesReadChunk: materialized views must equal the
-// eagerly decoded packets, in both reader modes, at every decode hint.
-func TestReadViewsMatchesReadChunk(t *testing.T) {
+// TestReadViewsMatchReadAll: materialized views must equal the eagerly
+// decoded packets, in both reader modes, at every decode hint.
+func TestReadViewsMatchReadAll(t *testing.T) {
 	raw := sampleCapture(t, 9)
 	er, _ := NewReader(bytes.NewReader(raw))
 	want, err := er.ReadAll()
@@ -306,7 +306,7 @@ func TestMmapViewsAliasMapping(t *testing.T) {
 }
 
 // TestViewsRecordPoolRoundTrip: buffered ReadViews draws record buffers
-// from the attached pool and PutViews/PutData recycle them.
+// from the attached pool and PutOwnedViews recycles them.
 func TestViewsRecordPoolRoundTrip(t *testing.T) {
 	raw := sampleCapture(t, 8)
 	r, err := NewReader(bytes.NewReader(raw))
@@ -323,10 +323,7 @@ func TestViewsRecordPoolRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range views {
-			pool.PutData(views[i].Data)
-		}
-		pool.PutViews(views)
+		pool.PutOwnedViews(views)
 	}
 	gets, reuses := pool.Stats()
 	if gets == 0 || reuses == 0 {

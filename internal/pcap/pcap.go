@@ -18,19 +18,18 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// BufferPool recycles packet data buffers and chunk packet slices across
-// reads, cutting the two per-packet/per-chunk allocations of the decode
-// hot loop (the record copy in Reader.Next and the slice growth in
-// ReadChunk). It is safe for concurrent use: a streaming consumer may
-// return finished chunks from one goroutine while the decoder pulls
+// BufferPool recycles packet data buffers and chunk view slices across
+// reads, cutting the per-packet record copy (Reader.Next in buffered
+// mode, one frame per feed packet) and the per-chunk slice growth of
+// ReadViews. It is safe for concurrent use: a streaming consumer may
+// return finished chunks from one goroutine while the producer pulls
 // buffers from another.
 //
-// Returning a buffer whose packet is still referenced anywhere corrupts
-// that packet, so only the owner of the full chunk lifecycle (e.g.
+// Returning a buffer that a live view still references corrupts that
+// view, so only the owner of the full chunk lifecycle (e.g.
 // dataset.PcapSource.Recycle) should call the Put methods.
 type BufferPool struct {
 	data  sync.Pool // *[]byte, capacity varies
-	pkts  sync.Pool // *[]*netpkt.Packet
 	views sync.Pool // *[]netpkt.PacketView
 
 	gets   atomic.Uint64
@@ -40,9 +39,9 @@ type BufferPool struct {
 // NewBufferPool returns an empty pool.
 func NewBufferPool() *BufferPool { return &BufferPool{} }
 
-// getData returns a zeroed-length buffer with capacity >= n, reusing a
-// pooled one when it is large enough.
-func (p *BufferPool) getData(n int) []byte {
+// GetData returns a length-n buffer, reusing a pooled one when it is
+// large enough. The contents are unspecified.
+func (p *BufferPool) GetData(n int) []byte {
 	p.gets.Add(1)
 	if b, ok := p.data.Get().(*[]byte); ok && b != nil {
 		if cap(*b) >= n {
@@ -64,30 +63,8 @@ func (p *BufferPool) PutData(b []byte) {
 	p.data.Put(&b)
 }
 
-// getPkts returns an empty packet slice, reusing a pooled backing array.
-func (p *BufferPool) getPkts() []*netpkt.Packet {
-	if s, ok := p.pkts.Get().(*[]*netpkt.Packet); ok && s != nil {
-		return (*s)[:0]
-	}
-	return nil
-}
-
-// PutPkts returns a chunk's packet slice to the pool. The pointers are
-// cleared so pooled backing arrays do not pin dead packets.
-func (p *BufferPool) PutPkts(s []*netpkt.Packet) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = nil
-	}
-	s = s[:0]
-	p.pkts.Put(&s)
-}
-
-// getViews returns an empty view slice, reusing a pooled backing array.
-func (p *BufferPool) getViews() []netpkt.PacketView {
+// GetViews returns an empty view slice, reusing a pooled backing array.
+func (p *BufferPool) GetViews() []netpkt.PacketView {
 	if s, ok := p.views.Get().(*[]netpkt.PacketView); ok && s != nil {
 		return (*s)[:0]
 	}
@@ -104,6 +81,17 @@ func (p *BufferPool) PutViews(s []netpkt.PacketView) {
 	clear(s)
 	s = s[:0]
 	p.views.Put(&s)
+}
+
+// PutOwnedViews returns a chunk whose views own their bytes — buffered
+// pcap records, feed frames — to the pool: each view's Data buffer, then
+// the slice. Views over borrowed bytes (a mapping, a dataset) take
+// PutViews alone.
+func (p *BufferPool) PutOwnedViews(s []netpkt.PacketView) {
+	for i := range s {
+		p.PutData(s[i].Data)
+	}
+	p.PutViews(s)
 }
 
 // Stats reports how many data buffers were requested and how many of
@@ -198,8 +186,8 @@ type Reader struct {
 	pos int
 }
 
-// SetBufferPool makes Next draw record data buffers (and ReadChunk its
-// packet slices) from p instead of allocating fresh ones. The caller is
+// SetBufferPool makes Next draw record data buffers (and ReadViews its
+// view slices) from p instead of allocating fresh ones. The caller is
 // then responsible for returning buffers of finished packets via the
 // pool's Put methods; nil disables pooling (the default).
 func (r *Reader) SetBufferPool(p *BufferPool) { r.pool = p }
@@ -328,7 +316,7 @@ func (r *Reader) Next() (ts time.Time, data []byte, origLen int, err error) {
 		r.pos = start + int(incl)
 	} else {
 		if r.pool != nil {
-			data = r.pool.getData(int(incl))
+			data = r.pool.GetData(int(incl))
 		} else {
 			data = make([]byte, int(incl))
 		}
@@ -367,53 +355,20 @@ func (r *Reader) ReadAll() ([]*netpkt.Packet, error) {
 	}
 }
 
-// ReadChunk decodes up to maxRows packets (or up to maxBytes of wire
-// bytes, whichever bound is hit first; each bound is ignored when <= 0)
-// without holding the rest of the capture in memory. It always makes
-// progress: at least one packet is returned unless the stream is at EOF,
-// in which case it returns (nil, io.EOF).
-func (r *Reader) ReadChunk(maxRows, maxBytes int) ([]*netpkt.Packet, error) {
-	var out []*netpkt.Packet
-	if r.pool != nil {
-		out = r.pool.getPkts()
-	}
-	bytes := 0
-	for maxRows <= 0 || len(out) < maxRows {
-		p, err := r.NextPacket()
-		if errors.Is(err, io.EOF) {
-			if len(out) == 0 {
-				if r.pool != nil {
-					r.pool.PutPkts(out)
-				}
-				return nil, io.EOF
-			}
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, p)
-		bytes += p.WireLen()
-		if maxBytes > 0 && bytes >= maxBytes {
-			break
-		}
-	}
-	return out, nil
-}
-
-// ReadViews is the lazy counterpart of ReadChunk: it reads up to maxRows
-// records (or maxBytes wire bytes; each bound ignored when <= 0) into
-// PacketViews instead of eagerly decoded Packets, applying hint on each
-// so the requested decode depth happens here, on the reading goroutine.
-// In zero-copy mode the views alias the mapped file; in buffered mode
-// they own pooled (or fresh) record buffers. Like ReadChunk it always
-// makes progress and returns (nil, io.EOF) at end of stream. The view
+// ReadViews reads up to maxRows records (or maxBytes wire bytes; each
+// bound ignored when <= 0) into PacketViews without holding the rest of
+// the capture in memory, applying hint on each so the requested decode
+// depth happens here, on the reading goroutine. In zero-copy mode the
+// views alias the mapped file; in buffered mode they own pooled (or
+// fresh) record buffers. It always makes progress: at least one record
+// is returned unless the stream is at EOF, in which case it returns
+// (nil, io.EOF). The view
 // slice comes from the attached BufferPool when present — hand it back
 // with PutViews (plus PutData per record in buffered mode) when done.
 func (r *Reader) ReadViews(maxRows, maxBytes int, hint netpkt.DecodeHint) ([]netpkt.PacketView, error) {
 	var out []netpkt.PacketView
 	if r.pool != nil {
-		out = r.pool.getViews()
+		out = r.pool.GetViews()
 	}
 	bytes := 0
 	for maxRows <= 0 || len(out) < maxRows {

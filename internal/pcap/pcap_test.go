@@ -184,36 +184,36 @@ func sampleCapture(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-func TestReadChunkRowBound(t *testing.T) {
+func TestReadViewsRowBound(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(sampleCapture(t, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int
 	for {
-		pkts, err := r.ReadChunk(4, 0)
+		views, err := r.ReadViews(4, 0, netpkt.DecodeHint{})
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pkts) > 4 || len(pkts) == 0 {
-			t.Fatalf("chunk of %d packets violates bound", len(pkts))
+		if len(views) > 4 || len(views) == 0 {
+			t.Fatalf("chunk of %d packets violates bound", len(views))
 		}
-		for j, p := range pkts {
-			if p.TCP.SrcPort != uint16(1000+total+j) {
+		for j := range views {
+			if tcp, ok := views[j].TCP(); !ok || tcp.SrcPort != uint16(1000+total+j) {
 				t.Fatalf("packet %d out of order", total+j)
 			}
 		}
-		total += len(pkts)
+		total += len(views)
 	}
 	if total != 10 {
 		t.Fatalf("chunks cover %d packets, want 10", total)
 	}
 }
 
-func TestReadChunkByteBoundMakesProgress(t *testing.T) {
+func TestReadViewsByteBoundMakesProgress(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(sampleCapture(t, 5)))
 	if err != nil {
 		t.Fatal(err)
@@ -221,20 +221,20 @@ func TestReadChunkByteBoundMakesProgress(t *testing.T) {
 	// A 1-byte bound is below any packet size; each chunk must still
 	// return exactly one packet rather than stalling or erroring.
 	for i := 0; i < 5; i++ {
-		pkts, err := r.ReadChunk(0, 1)
+		views, err := r.ReadViews(0, 1, netpkt.DecodeHint{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pkts) != 1 {
-			t.Fatalf("chunk %d has %d packets, want 1", i, len(pkts))
+		if len(views) != 1 {
+			t.Fatalf("chunk %d has %d packets, want 1", i, len(views))
 		}
 	}
-	if _, err := r.ReadChunk(0, 1); !errors.Is(err, io.EOF) {
+	if _, err := r.ReadViews(0, 1, netpkt.DecodeHint{}); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF at end of capture, got %v", err)
 	}
 }
 
-func TestReadChunkUnboundedEqualsReadAll(t *testing.T) {
+func TestReadViewsUnboundedEqualsReadAll(t *testing.T) {
 	raw := sampleCapture(t, 7)
 	r1, _ := NewReader(bytes.NewReader(raw))
 	want, err := r1.ReadAll()
@@ -242,7 +242,7 @@ func TestReadChunkUnboundedEqualsReadAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := NewReader(bytes.NewReader(raw))
-	got, err := r2.ReadChunk(0, 0)
+	got, err := r2.ReadViews(0, 0, netpkt.DecodeHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
