@@ -32,7 +32,9 @@ test:
 # stage over a buffered stream and an mmap'ed file) lands in
 # BENCH_PR8.json, and the watch-ingest source stage
 # (BenchmarkDirSourceMmap: the daemon's rotated-capture watch) in
-# BENCH_PR10.json.
+# BENCH_PR10.json. The alert layer's own number (BenchmarkAlertEncode: a
+# 512-row chunk result with scores and attacks, encoded and written to
+# io.Discard; ns/alert, B/alert, allocs/alert) lands in BENCH_PR15.json.
 BENCH_LABEL ?= current
 bench:
 	$(GO) test -bench=. -benchtime=300ms -count=3 -run='^$$' ./internal/mlkit/... \
@@ -47,6 +49,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR8.json
 	$(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR10.json
+	$(GO) test -bench=BenchmarkAlertEncode -benchtime=2000x -count=3 -run='^$$' ./internal/daemon/ \
+		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR15.json
 
 # bench-paper runs the paper table/figure reproduction benchmarks once each.
 bench-paper:
@@ -65,7 +69,9 @@ vet:
 # tracer, benchsuite worker pool, the mlkit/linalg row-parallel
 # kernels, one forest's flat node arrays scored from eight goroutines
 # through ScoringReplica, and the resident daemon: pipeline lifecycle, hot swap under
-# live ingest, live sources including mmap+lazy watch ingest with
+# live ingest, the alert encoder against encoding/json (differential
+# sweep) and its whole-line writes into healthy and failing sinks, live
+# sources including mmap+lazy watch ingest with
 # rotation under load and the framed feed's pooled buffers refilled
 # while the staged pipeline holds earlier chunks, panic isolation
 # between two pipelines, the HTTP control surface, and the lumend binary
@@ -131,10 +137,12 @@ drift-smoke:
 # corpus: the differential decoder targets (lazy PacketView vs eager
 # Decode; see internal/netpkt/view_fuzz_test.go), the model loader that
 # POST /swap reaches (error, or a model that scores without panicking;
-# see internal/mlkit/persist_fuzz_test.go) and the feed frame parser
+# see internal/mlkit/persist_fuzz_test.go), the feed frame parser
 # every producer connection reaches (error, or exactly the packet bytes
 # a length prefix within [8, MaxFrameBytes] announced; see
-# internal/daemon/feed_test.go). Go runs one -fuzz pattern per
+# internal/daemon/feed_test.go) and the alert line encoder (byte-equal
+# to json.Marshal of the same Alert for any name, attack, score bits and
+# integers; see internal/daemon/alert_test.go). Go runs one -fuzz pattern per
 # invocation, so each target gets its own line. The model
 # target caps minimization: shrinking one multi-kilobyte JSON envelope
 # would otherwise eat the whole budget.
@@ -144,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzViewDot11 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
 	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/mlkit/
 	$(GO) test -fuzz=FuzzFeedFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
+	$(GO) test -fuzz=FuzzAlertLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 
 # loc prints the non-test Go line count of every package under
 # internal/ and cmd/ (sub-packages counted with their parent) — the
@@ -155,6 +164,6 @@ loc:
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
 # the documentation lint, and a short fuzz pass over the packet decoder,
-# the model loader and the feed frame parser.
+# the model loader, the feed frame parser and the alert line encoder.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

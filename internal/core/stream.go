@@ -379,7 +379,6 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 		// Release the chunk's backing-resource reference (mmap-backed
 		// rotated captures) after recycling, mirroring Pump.Done.
 		job.nc.ReleaseRef()
-		putChunkJob(job)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +427,25 @@ func mergeResults(parts []*EvalResult) *EvalResult {
 	case 1:
 		return parts[0]
 	}
-	out := &EvalResult{Unit: parts[0].Unit}
+	// Size each column once: appending from nil over thousands of chunk
+	// results doubles its way through several times the final size in
+	// garbage. A column empty in every part stays nil.
+	var nPred, nTruth, nAttacks, nScores, nIdx int
+	for _, p := range parts {
+		nPred += len(p.Pred)
+		nTruth += len(p.Truth)
+		nAttacks += len(p.Attacks)
+		nScores += len(p.Scores)
+		nIdx += len(p.UnitIdx)
+	}
+	out := &EvalResult{
+		Unit:    parts[0].Unit,
+		Pred:    withCap[int](nPred),
+		Truth:   withCap[int](nTruth),
+		Attacks: withCap[string](nAttacks),
+		Scores:  withCap[float64](nScores),
+		UnitIdx: withCap[int](nIdx),
+	}
 	for _, p := range parts {
 		out.Pred = append(out.Pred, p.Pred...)
 		out.Truth = append(out.Truth, p.Truth...)
@@ -437,6 +454,14 @@ func mergeResults(parts []*EvalResult) *EvalResult {
 		out.UnitIdx = append(out.UnitIdx, p.UnitIdx...)
 	}
 	return out
+}
+
+// withCap returns an empty slice with room for n elements, nil for n = 0.
+func withCap[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // concatFrames concatenates per-chunk frames into one batch-shaped frame.

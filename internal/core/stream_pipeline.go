@@ -135,7 +135,6 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				case jobs <- job:
 				case <-done:
 					pump.Done(job.nc)
-					putChunkJob(job)
 					return
 				}
 			}
@@ -197,7 +196,6 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				}
 			}
 			pump.Done(j.nc)
-			putChunkJob(j)
 		}
 	}
 	// Jobs whose predecessors never arrived (workers unwound early).
@@ -205,7 +203,6 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 	// both sink modes.
 	for _, j := range pending {
 		pump.Done(j.nc)
-		putChunkJob(j)
 	}
 	if sh != nil {
 		firstErr = sh.close()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lumen/internal/dataset"
@@ -123,8 +122,7 @@ func newFlowSinkStates(e *Engine, pl *streamPlan) (map[int]*flowSinkState, error
 
 // chunkJob is the unit of work flowing through a stream run: one chunk,
 // its per-chunk dataset view and value environment, and everything its
-// ops produced. Jobs are pooled; newJob / putChunkJob bound steady-state
-// allocations per chunk.
+// ops produced.
 type chunkJob struct {
 	nc  dataset.NumberedChunk
 	cds *dataset.Labeled
@@ -156,71 +154,28 @@ type chunkJob struct {
 	demoted   bool
 }
 
-var chunkJobPool = sync.Pool{New: func() any { return new(chunkJob) }}
-
-// chunkJobGets / chunkJobPuts balance-check the job pool: every job
-// taken by newJob must come back through putChunkJob on every exit path
-// (including early pipeline unwinds), or pooled jobs leak.
-var chunkJobGets, chunkJobPuts atomic.Int64
-
-// newJob readies a pooled job for one chunk.
+// newJob builds the job for one chunk. Nothing is reused across chunks:
+// a job is a handful of small objects, and op outputs of packet kind may
+// retain cds beyond the job's lifetime.
 func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
-	chunkJobGets.Add(1)
-	j := chunkJobPool.Get().(*chunkJob)
-	j.nc = nc
-	// cds is allocated fresh: op outputs of packet kind may retain it
-	// beyond the job's lifetime.
-	j.cds = &dataset.Labeled{
-		Name:        r.meta.Name,
-		Granularity: r.meta.Granularity,
-		Link:        r.meta.Link,
-		Devices:     r.meta.Devices,
-		Labels:      nc.Labels,
-		Attacks:     nc.Attacks,
-	}
-	if j.env == nil {
-		j.env = make(map[string]Value, len(r.e.P.Ops)+1)
-	} else {
-		clear(j.env)
+	j := &chunkJob{
+		nc: nc,
+		cds: &dataset.Labeled{
+			Name:        r.meta.Name,
+			Granularity: r.meta.Granularity,
+			Link:        r.meta.Link,
+			Devices:     r.meta.Devices,
+			Labels:      nc.Labels,
+			Attacks:     nc.Attacks,
+		},
+		env:   make(map[string]Value, len(r.e.P.Ops)+1),
+		stats: make([]OpStats, len(r.e.P.Ops)),
 	}
 	j.env[InputName] = Packets{DS: j.cds, Views: nc.Views}
-	if cap(j.stats) < len(r.e.P.Ops) {
-		j.stats = make([]OpStats, len(r.e.P.Ops))
-	} else {
-		j.stats = j.stats[:len(r.e.P.Ops)]
-		clear(j.stats)
-	}
-	j.results = j.results[:0]
-	j.drift = j.drift[:0]
-	j.err = nil
-	if j.wsc.carry == nil {
-		j.wsc.carry = map[string]any{}
-	} else {
-		clear(j.wsc.carry)
-	}
+	j.wsc.carry = map[string]any{}
 	j.wsc.base = nc.Base
 	j.wsc.online = r.sc.online
 	return j
-}
-
-// putChunkJob returns a job to the pool once nothing references it.
-func putChunkJob(j *chunkJob) {
-	chunkJobPuts.Add(1)
-	j.nc = dataset.NumberedChunk{}
-	j.cds = nil
-	clear(j.env)
-	for i := range j.results {
-		j.results[i] = nil
-	}
-	j.shardIDs = j.shardIDs[:0]
-	j.laneFrame = nil
-	for i := range j.laneRows {
-		j.laneRows[i] = j.laneRows[i][:0]
-	}
-	clear(j.laneRes)
-	j.laneRes = j.laneRes[:0]
-	j.routed, j.demoted = false, false
-	chunkJobPool.Put(j)
 }
 
 // retainForFlush appends the value copies a plan with flow sinks keeps

@@ -381,7 +381,6 @@ func (s *shardRun) mergerLoop() {
 			}
 		}
 		s.pump.Done(j.nc)
-		putChunkJob(j)
 	}
 }
 

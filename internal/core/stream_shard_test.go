@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,15 +83,47 @@ func (s *slowEOFSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 
 func (s *slowEOFSource) Reset() error { return s.inner.Reset() }
 
-// TestStreamErrorUnwindPoolBalance is the chunk-job pool regression
-// test: when an error unwinds the pipeline mid-stream with several
-// workers in flight, every job taken from the pool must go back — the
-// worker shutdown path used to release the chunk but leak the job.
-// Repeated runs make the racy worker-side unwind branch (a select
-// between a ready send and the closed done channel) all but certain to
-// be taken at least once; the balance must hold no matter which exit
-// each worker used.
-func TestStreamErrorUnwindPoolBalance(t *testing.T) {
+// trackedSource gives every chunk it hands out a counted backing
+// reference and counts the recycles, so a run can be held to the release
+// contract: each delivered chunk is recycled once and its reference
+// released once, however the run ended.
+type trackedSource struct {
+	inner                       *dataset.SliceSource
+	emitted, recycled, released atomic.Int64
+}
+
+type trackedRef struct{ n *atomic.Int64 }
+
+func (r trackedRef) Release() error { r.n.Add(1); return nil }
+
+func (s *trackedSource) Meta() dataset.SourceMeta { return s.inner.Meta() }
+
+func (s *trackedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
+	ck, ok := s.inner.Next(maxRows, maxBytes)
+	if ok {
+		s.emitted.Add(1)
+		ck.Ref = trackedRef{&s.released}
+	}
+	return ck, ok
+}
+
+func (s *trackedSource) Reset() error { return s.inner.Reset() }
+
+func (s *trackedSource) Recycle(ck dataset.Chunk) {
+	s.recycled.Add(1)
+	s.inner.Recycle(ck)
+}
+
+// TestStreamErrorUnwindReleasesChunks is the unwind regression test:
+// when an error stops the pipeline mid-stream with several workers in
+// flight, every chunk the source handed out must still be recycled and
+// have its backing reference released, exactly once — a chunk stranded
+// on a worker's shutdown path pins a mapped capture for the life of the
+// process. Repeated runs make the racy worker-side unwind branch (a
+// select between a ready send and the closed done channel) all but
+// certain to be taken at least once; the balance must hold no matter
+// which exit each worker used.
+func TestStreamErrorUnwindReleasesChunks(t *testing.T) {
 	spec, ok := dataset.Get("P0")
 	if !ok {
 		t.Fatal("no dataset P0")
@@ -98,24 +131,25 @@ func TestStreamErrorUnwindPoolBalance(t *testing.T) {
 	ds := spec.Generate(0.05)
 	p := badFilterPipeline()
 	for _, shape := range []StreamConfig{
+		{ChunkRows: 16},
 		{ChunkRows: 16, PipelineDepth: 4, Workers: 4},
 		{ChunkRows: 16, PipelineDepth: 4, Workers: 4, Shards: 2},
 	} {
-		gets0, puts0 := chunkJobGets.Load(), chunkJobPuts.Load()
 		for i := 0; i < 10; i++ {
+			src := &trackedSource{inner: dataset.NewSliceSource(ds)}
 			eng := NewEngine(p)
 			eng.Seed = 7
-			if err := eng.TrainStream(ds, shape); err == nil {
+			if _, err := eng.RunStream(src, ModeTrain, shape); err == nil {
 				t.Fatal("run with the bad filter should have failed")
 			}
-		}
-		gets, puts := chunkJobGets.Load()-gets0, chunkJobPuts.Load()-puts0
-		if gets == 0 {
-			t.Fatal("no chunk jobs were taken from the pool")
-		}
-		if gets != puts {
-			t.Errorf("chunk-job pool leak (workers %d, shards %d): %d gets vs %d puts",
-				shape.Workers, shape.Shards, gets, puts)
+			emitted, recycled, released := src.emitted.Load(), src.recycled.Load(), src.released.Load()
+			if emitted == 0 {
+				t.Fatal("the source handed out no chunk")
+			}
+			if recycled != emitted || released != emitted {
+				t.Fatalf("depth %d, workers %d, shards %d, run %d: %d chunks handed out, %d recycled, %d released",
+					shape.PipelineDepth, shape.Workers, shape.Shards, i, emitted, recycled, released)
+			}
 		}
 	}
 }

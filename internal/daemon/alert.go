@@ -1,11 +1,23 @@
 package daemon
 
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+	"time"
+	"unicode/utf8"
+
+	"lumen/internal/core"
+)
+
 // Alert is one JSONL line on a pipeline's alert sink: the verdict for a
 // single scored unit (packet, flow, or group). Lines are newline-
 // delimited JSON objects, one per unit, written in scoring order. The
 // field-by-field schema is documented for operators in OPERATIONS.md.
 type Alert struct {
-	// TS is the wall-clock emission time (RFC 3339, UTC, ns precision).
+	// TS is the wall-clock emission time of the line's batch (RFC 3339,
+	// UTC, ns precision): one clock read per chunk's verdicts, or per
+	// flush tail, so the lines of a batch share it.
 	TS string `json:"ts"`
 	// Pipeline is the emitting pipeline's registry name.
 	Pipeline string `json:"pipeline"`
@@ -34,4 +46,101 @@ type Alert struct {
 	// increments on every promoted hot swap, so alerts remain
 	// attributable across swaps.
 	ModelGen int `json:"model_gen"`
+}
+
+// alertFlushBytes bounds the pipe's alert buffer: encoded lines past it
+// are written out mid-range, so a flush tail of any length reuses the
+// same few pages instead of growing one slice to hold it.
+const alertFlushBytes = 64 << 10
+
+// The append encoder below writes what json.Marshal(Alert) would, byte
+// for byte (same key order, same omitempty rules, encoding/json's float
+// and string formats), without reflection or allocation. A line is a
+// per-batch constant prefix — every field up to the "index" key — plus
+// the row's own fields; TestAlertLineMatchesEncodingJSON and
+// FuzzAlertLine hold it to the oracle.
+
+// appendAlertPrefix appends the part of an alert line that is constant
+// over one writeRange batch. name is the pipeline name already encoded
+// as a JSON string.
+func appendAlertPrefix(dst []byte, ts time.Time, name []byte, seq int, phase, unit string) []byte {
+	dst = append(dst, `{"ts":"`...)
+	dst = ts.UTC().AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, `","pipeline":`...)
+	dst = append(dst, name...)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, `,"phase":`...)
+	dst = appendJSONString(dst, phase)
+	dst = append(dst, `,"unit":`...)
+	dst = appendJSONString(dst, unit)
+	return append(dst, `,"index":`...)
+}
+
+// appendAlertRow appends prefix and row i of res as one newline-
+// terminated alert line. A NaN or ±Inf score has no JSON encoding: the
+// line is written without the score key, as when the model exposes
+// none, and nonFinite reports it.
+func appendAlertRow(dst, prefix []byte, res *core.EvalResult, i, pred, gen int) (out []byte, nonFinite bool) {
+	index, truth := -1, 0
+	if i < len(res.UnitIdx) {
+		index = res.UnitIdx[i]
+	}
+	if i < len(res.Truth) {
+		truth = res.Truth[i]
+	}
+	dst = append(dst, prefix...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, `,"pred":`...)
+	dst = strconv.AppendInt(dst, int64(pred), 10)
+	if i < len(res.Scores) {
+		if s := res.Scores[i]; math.IsNaN(s) || math.IsInf(s, 0) {
+			nonFinite = true
+		} else {
+			dst = append(dst, `,"score":`...)
+			dst = appendJSONFloat(dst, s)
+		}
+	}
+	dst = append(dst, `,"truth":`...)
+	dst = strconv.AppendInt(dst, int64(truth), 10)
+	if i < len(res.Attacks) && res.Attacks[i] != "" {
+		dst = append(dst, `,"attack":`...)
+		dst = appendJSONString(dst, res.Attacks[i])
+	}
+	dst = append(dst, `,"model_gen":`...)
+	dst = strconv.AppendInt(dst, int64(gen), 10)
+	return append(dst, "}\n"...), nonFinite
+}
+
+// appendJSONFloat appends a finite f in encoding/json's float64 format:
+// ES6 number-to-string — shortest round-trip digits, exponent form only
+// below 1e-6 or from 1e21, a negative exponent without its zero padding.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s as encoding/json writes a string (HTML-safe
+// escaping on). Printable ASCII without `"`, `\`, `<`, `>`, `&` — every
+// name this daemon generates — is copied between quotes; anything else
+// takes the rare detour through json.Marshal itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }

@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -217,8 +215,15 @@ type Pipe struct {
 	src    dataset.Source
 	stream core.StreamConfig
 
-	alertw        *bufio.Writer
-	enc           *json.Encoder
+	// The alert sink (nil disables it): alertBuf holds encoded whole lines
+	// not yet handed to alertw; alertPrefix is the current batch's constant
+	// line prefix and nameJSON the pipeline name as a JSON string. All
+	// three are reused across batches, so steady-state encoding allocates
+	// nothing.
+	alertw        io.Writer
+	nameJSON      []byte
+	alertPrefix   []byte
+	alertBuf      []byte
 	anomaliesOnly bool
 	connw         io.Writer
 	conn          *flow.ConnAssembler
@@ -259,7 +264,7 @@ type Pipe struct {
 	reloads  atomic.Int64
 
 	mChunks, mPackets, mVerdicts, mAlerts *obs.Counter
-	mPasses, mReloads, mDrift             *obs.Counter
+	mPasses, mReloads, mDrift, mNonFinite *obs.Counter
 	mState, mGen, mShadowing, mMaps       *obs.Gauge
 }
 
@@ -306,8 +311,12 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 		p.res = newRetrainRes(cfg.Retrain.cap(), cfg.Retrain.Seed)
 	}
 	if cfg.Alerts != nil {
-		p.alertw = bufio.NewWriter(cfg.Alerts)
-		p.enc = json.NewEncoder(p.alertw)
+		p.alertw = cfg.Alerts
+		p.nameJSON = appendJSONString(nil, p.name)
+		// Sized once for the flush threshold plus the line that crosses it:
+		// the buffer never grows on the scoring path.
+		p.alertBuf = make([]byte, 0, alertFlushBytes+1024)
+		p.alertPrefix = make([]byte, 0, 128+len(p.nameJSON))
 	}
 	if cfg.ConnLog != nil {
 		p.connw = cfg.ConnLog
@@ -321,6 +330,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	p.mAlerts = m.Counter("lumen_daemon_alerts_total", "Alert lines written, per pipeline.", lbl...)
 	p.mPasses = m.Counter("lumen_daemon_passes_total", "RunStream passes, per pipeline.", lbl...)
 	p.mReloads = m.Counter("lumen_daemon_reloads_total", "Completed reloads, per pipeline.", lbl...)
+	p.mNonFinite = m.Counter("lumen_daemon_alert_nonfinite_scores_total", "Alert lines written without a score because it was NaN or ±Inf, per pipeline.", lbl...)
 	p.mDrift = m.Counter("lumen_drift_events_total", "Drift-detector events observed, per pipeline.", lbl...)
 	p.mState = m.Gauge("lumen_daemon_pipeline_state", "Lifecycle state (0 running, 1 draining, 2 stopped, 3 failed).", lbl...)
 	p.mGen = m.Gauge("lumen_daemon_model_generation", "Active model generation, per pipeline.", lbl...)
@@ -554,16 +564,19 @@ func resRows(res *core.EvalResult) int {
 }
 
 // writeRange emits alert lines for rows [from, to) of res and counts
-// them as verdicts.
+// them as verdicts. The batch shares one timestamp, read here; its lines
+// reach the sink in whole-line writes — whenever the buffer passes
+// alertFlushBytes, and otherwise at the caller's flushAlerts.
 func (p *Pipe) writeRange(res *core.EvalResult, from, to, seq, gen int, phase string) error {
 	p.verdicts.Add(int64(to - from))
 	p.mVerdicts.Add(uint64(to - from))
-	if p.enc == nil {
+	if p.alertw == nil {
 		return nil
 	}
-	unit := res.Unit.String()
-	wrote := 0
-	for i := from; i < to; i++ {
+	p.alertPrefix = appendAlertPrefix(p.alertPrefix[:0], time.Now(), p.nameJSON, seq, phase, res.Unit.String())
+	wrote, nonFinite := 0, 0
+	var err error
+	for i := from; i < to && err == nil; i++ {
 		pred := 0
 		if i < len(res.Pred) {
 			pred = res.Pred[i]
@@ -571,45 +584,32 @@ func (p *Pipe) writeRange(res *core.EvalResult, from, to, seq, gen int, phase st
 		if p.anomaliesOnly && pred != 1 {
 			continue
 		}
-		a := Alert{
-			TS:       time.Now().UTC().Format(time.RFC3339Nano),
-			Pipeline: p.name,
-			Seq:      seq,
-			Phase:    phase,
-			Unit:     unit,
-			Index:    -1,
-			Pred:     pred,
-			ModelGen: gen,
-		}
-		if i < len(res.UnitIdx) {
-			a.Index = res.UnitIdx[i]
-		}
-		if i < len(res.Truth) {
-			a.Truth = res.Truth[i]
-		}
-		if i < len(res.Attacks) {
-			a.Attack = res.Attacks[i]
-		}
-		if i < len(res.Scores) {
-			s := res.Scores[i]
-			a.Score = &s
-		}
-		if err := p.enc.Encode(a); err != nil {
-			return fmt.Errorf("daemon: alert sink %q: %w", p.name, err)
+		var bad bool
+		p.alertBuf, bad = appendAlertRow(p.alertBuf, p.alertPrefix, res, i, pred, gen)
+		if bad {
+			nonFinite++
 		}
 		wrote++
+		if len(p.alertBuf) >= alertFlushBytes {
+			err = p.flushAlerts()
+		}
 	}
+	// Counted on the failing path too: earlier flushes of this batch
+	// already reached the sink.
 	p.alerts.Add(int64(wrote))
 	p.mAlerts.Add(uint64(wrote))
-	return nil
+	p.mNonFinite.Add(uint64(nonFinite))
+	return err
 }
 
-// flushAlerts pushes buffered alert lines to the underlying writer.
+// flushAlerts hands the buffered alert lines to the sink in one Write.
 func (p *Pipe) flushAlerts() error {
-	if p.alertw == nil {
+	if len(p.alertBuf) == 0 {
 		return nil
 	}
-	if err := p.alertw.Flush(); err != nil {
+	_, err := p.alertw.Write(p.alertBuf)
+	p.alertBuf = p.alertBuf[:0]
+	if err != nil {
 		return fmt.Errorf("daemon: alert sink %q: %w", p.name, err)
 	}
 	return nil

@@ -290,6 +290,12 @@ func TestDirSource(t *testing.T) {
 	// A capture rotated in after the watch started is picked up too.
 	writePcap(t, filepath.Join(dir, "trace-002.pcap"), ds.Link, ds.Packets[60:80])
 	pull(80)
+	// Between two listings an idle poll walks nothing: no directory read,
+	// no allocation, however many captures were consumed.
+	src.closeCurrent()
+	if n := testing.AllocsPerRun(10, func() { src.scan() }); !raceEnabled && n != 0 {
+		t.Fatalf("an idle scan between listings allocates %v objects", n)
+	}
 	src.Drain()
 	for {
 		if _, ok := src.Next(16, 0); !ok {

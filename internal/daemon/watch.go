@@ -51,11 +51,19 @@ type DirSource struct {
 	base    int
 	emitted bool
 	hint    netpkt.DecodeHint
+	listed  time.Time   // when scan last listed the directory
+	tick    *time.Timer // the idle wait, re-armed per poll
 
 	mu   sync.Mutex
 	err  error
 	mode string
 }
+
+// minListInterval is the shortest time between two listings of the
+// watched directory: a faster poll re-checks the captures it already
+// knows at its own rate, without walking the whole directory (every
+// capture ever rotated in) each time.
+const minListInterval = 50 * time.Millisecond
 
 // NewDirSource watches dir for files matching glob (e.g. "*.pcap"),
 // polling every poll interval (0 means 500ms). gran and link describe
@@ -139,9 +147,15 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 			}
 			continue
 		}
+		if s.tick == nil {
+			s.tick = time.NewTimer(s.poll)
+		} else {
+			s.tick.Reset(s.poll) // fired and received below: safe to re-arm
+		}
 		select {
-		case <-time.After(s.poll):
+		case <-s.tick.C:
 		case <-s.stop:
+			s.tick.Stop()
 			return s.endStream()
 		}
 	}
@@ -151,12 +165,17 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 // previous scan. Discovery is incremental: paths already queued or
 // consumed (known) are skipped, and only genuinely new matches trigger a
 // re-sort of the small waiting list — the glob result itself is never
-// re-sorted or re-stat'd wholesale every tick.
+// re-sorted or re-stat'd wholesale every tick, and the directory is
+// listed at most once per minListInterval.
 func (s *DirSource) scan() string {
-	matches, err := filepath.Glob(filepath.Join(s.dir, s.glob))
-	if err != nil {
-		s.setErr(fmt.Errorf("daemon: watch %q: %w", s.name, err))
-		return ""
+	var matches []string
+	if now := time.Now(); now.Sub(s.listed) >= minListInterval {
+		s.listed = now
+		var err error
+		if matches, err = filepath.Glob(filepath.Join(s.dir, s.glob)); err != nil {
+			s.setErr(fmt.Errorf("daemon: watch %q: %w", s.name, err))
+			return ""
+		}
 	}
 	grew := false
 	for _, path := range matches {

@@ -385,6 +385,11 @@ func (r *Reader) ReadViews(maxRows, maxBytes int, hint netpkt.DecodeHint) ([]net
 		if err != nil {
 			return out, err
 		}
+		if cap(out) == 0 && maxRows > 0 {
+			// A fresh slice (no pool, or a pool miss) is sized for the
+			// chunk at once instead of doubling its way there.
+			out = make([]netpkt.PacketView, 0, min(maxRows, 1024))
+		}
 		out = append(out, netpkt.PacketView{})
 		v := &out[len(out)-1]
 		v.Reset(data, r.link, ts)
