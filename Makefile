@@ -23,10 +23,7 @@ test:
 # Finally it runs the sequential-vs-pipelined streaming benchmarks
 # (BenchmarkPipeline*: CPU-bound and IO-bound source, 1 and N workers;
 # peak-B heap high-water mark plus inflight-B pump buffering) into
-# BENCH_PR5.json, and the flow-sharded sink scaling set
-# (BenchmarkShardSink*: the same sink-bound pass at 1/2/4/8 flow-hash
-# lanes) into BENCH_PR6.json. Shard throughput scales with cores; on a
-# single-core host the expected ratio is ~1x (see DESIGN.md).
+# BENCH_PR5.json.
 # The decode set (BenchmarkDecode*: netpkt.Decode's full eager stack vs
 # lazy views per depth; BenchmarkSourceStage*: the chunked view source
 # stage over a buffered stream and an mmap'ed file) lands in
@@ -43,8 +40,6 @@ bench:
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR4.json
 	$(GO) test -bench=BenchmarkPipeline -benchtime=5x -count=3 -run='^$$' ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR5.json
-	$(GO) test -bench=BenchmarkShard -benchtime=5x -count=3 -run='^$$' ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR6.json
 	$(GO) test -bench='BenchmarkDecode|BenchmarkSourceStage' -benchtime=300ms -count=3 -run='^$$' ./internal/dataset/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR8.json
 	$(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ \
@@ -60,15 +55,14 @@ vet:
 	$(GO) vet ./...
 
 # race runs the concurrency-sensitive packages (engine/cache singleflight,
-# streaming engine + staged pipeline + flow-sharded sink lanes — the
-# core suite sweeps every dataset × chunk size × execution shape
-# including multi-shard, over in-memory and capture sources, and lanes
-# read the routed chunks' views concurrently, so this is the shard
-# equivalence gate — chunk pump and decoder buffer pool, refcounted
+# streaming engine: the core suite sweeps every dataset × chunk size ×
+# execution shape — inline, staged, staged with worker fan-out — over
+# in-memory and capture sources, so this is the stream equivalence gate;
+# chunk pump and decoder buffer pool, refcounted
 # pcap mappings under concurrent chunk release, flow assemblers, span
 # tracer, benchsuite worker pool, the mlkit/linalg row-parallel
-# kernels, one forest's flat node arrays scored from eight goroutines
-# through ScoringReplica, and the resident daemon: pipeline lifecycle, hot swap under
+# kernels, one forest's flat node arrays scored from eight goroutines,
+# and the resident daemon: pipeline lifecycle, hot swap under
 # live ingest, the alert encoder against encoding/json (differential
 # sweep) and its whole-line writes into healthy and failing sinks, live
 # sources including mmap+lazy watch ingest with
@@ -142,7 +136,9 @@ drift-smoke:
 # a length prefix within [8, MaxFrameBytes] announced; see
 # internal/daemon/feed_test.go) and the alert line encoder (byte-equal
 # to json.Marshal of the same Alert for any name, attack, score bits and
-# integers; see internal/daemon/alert_test.go). Go runs one -fuzz pattern per
+# integers; see internal/daemon/alert_test.go), and the pcap reader
+# (buffered and mmap read paths fail closed and agree record for record;
+# see internal/pcap/fuzz_test.go). Go runs one -fuzz pattern per
 # invocation, so each target gets its own line. The model
 # target caps minimization: shrinking one multi-kilobyte JSON envelope
 # would otherwise eat the whole budget.
@@ -153,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/mlkit/
 	$(GO) test -fuzz=FuzzFeedFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzAlertLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
+	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
 
 # loc prints the non-test Go line count of every package under
 # internal/ and cmd/ (sub-packages counted with their parent) — the
@@ -164,6 +161,7 @@ loc:
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
 # the documentation lint, and a short fuzz pass over the packet decoder,
-# the model loader, the feed frame parser and the alert line encoder.
+# the model loader, the feed frame parser, the alert line encoder and the
+# pcap reader.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

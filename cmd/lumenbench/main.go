@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -59,9 +60,8 @@ func main() {
 		stream      = flag.Bool("stream", false, "execute pipelines with the chunked streaming engine instead of batch runs")
 		chunkRows   = flag.Int("chunk-rows", 0, "packets per streamed chunk with -stream (0 = whole trace in one chunk)")
 		chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per streamed chunk with -stream (0 = no byte bound; combines with -chunk-rows, first bound wins)")
-		pipeDepth   = flag.Int("pipeline-depth", 0, "decoded chunks in flight with -stream (>0 runs the staged source/ops/sink pipeline; 0 = sequential chunk loop)")
-		streamWrk   = flag.Int("stream-workers", 0, "goroutines for order-free row-local ops with -stream (>1 implies the staged pipeline; 0 or 1 = single worker)")
-		streamShard = flag.Int("shards", 0, "flow-hash lanes for the stateful sink stage with -stream (>1 implies the staged pipeline; 0 or 1 = unsharded sink)")
+		pipeDepth   = flag.Int("pipeline-depth", 0, "decoded chunks in flight with -stream (>0 runs the staged source/ops/sink loop; 0 = inline chunk loop)")
+		streamWrk   = flag.Int("stream-workers", 0, "goroutines for order-free row-local ops with -stream (>1 implies the staged loop; 0 or 1 = one worker)")
 		profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
 		profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
@@ -74,6 +74,10 @@ func main() {
 		preqWindow  = flag.Int("preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
 	)
 	flag.Parse()
+	if err := checkStreamFlags(flag.Visit, *stream); err != nil {
+		fmt.Fprintln(os.Stderr, "lumenbench:", err)
+		os.Exit(1)
+	}
 
 	if *preqOut != "" {
 		// -scale defaults differ between modes: the figure suite trims to
@@ -114,7 +118,6 @@ func main() {
 		ChunkBytes:    *chunkBytes,
 		PipelineDepth: *pipeDepth,
 		StreamWorkers: *streamWrk,
-		StreamShards:  *streamShard,
 		AlgIDs:        splitIDs(*algs),
 		DatasetIDs:    splitIDs(*datasets),
 	}
@@ -132,6 +135,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lumenbench:", err)
 		os.Exit(1)
 	}
+}
+
+// streamOnlyFlags only shape the chunked streaming engine.
+var streamOnlyFlags = []string{"chunk-rows", "chunk-bytes", "pipeline-depth", "stream-workers"}
+
+// checkStreamFlags rejects a stream-shaping flag set without -stream,
+// where it would otherwise be dropped silently: batch runs never read
+// it. visit is flag.Visit (or a test FlagSet's).
+func checkStreamFlags(visit func(func(*flag.Flag)), stream bool) error {
+	if stream {
+		return nil
+	}
+	var err error
+	visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(streamOnlyFlags, f.Name) {
+			err = fmt.Errorf("-%s only applies with -stream", f.Name)
+		}
+	})
+	return err
 }
 
 // validFigs lists every -fig value run accepts.

@@ -126,7 +126,7 @@ func parseFlags(args []string, onErr flag.ErrorHandling) options {
 	fs.IntVar(&o.chunkRows, "chunk-rows", 512, "max packets per stream chunk")
 	fs.IntVar(&o.chunkBytes, "chunk-bytes", 0, "max bytes per stream chunk (0 = unbounded)")
 	fs.IntVar(&o.depth, "depth", 0, "stream pipeline prefetch depth (0 = sequential)")
-	fs.IntVar(&o.workers, "workers", 0, "stream feature-stage workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "stream feature-stage workers (0 or 1 = one worker; >1 implies the staged loop)")
 	fs.StringVar(&o.alerts, "alerts", "-", "JSONL alert sink: file path, - for stdout, empty to disable")
 	fs.BoolVar(&o.anomaliesOnly, "anomalies-only", false, "only write alert lines for units predicted anomalous")
 	fs.StringVar(&o.connlog, "connlog", "", "write a Zeek-style conn-log TSV to this file at drain")

@@ -68,12 +68,10 @@ type Manifest struct {
 	Stream       bool     `json:"stream,omitempty"`
 	ChunkRows    int      `json:"chunk_rows,omitempty"`
 	ChunkBytes   int      `json:"chunk_bytes,omitempty"`
-	// PipelineDepth, StreamWorkers and StreamShards record the
-	// staged-pipeline shape of streamed runs (0 when the sequential chunk
-	// loop ran / the sink was unsharded).
+	// PipelineDepth and StreamWorkers record the staged-loop shape of
+	// streamed runs (0 when the inline chunk loop ran).
 	PipelineDepth int    `json:"pipeline_depth,omitempty"`
 	StreamWorkers int    `json:"stream_workers,omitempty"`
-	StreamShards  int    `json:"stream_shards,omitempty"`
 	GoVersion     string `json:"go_version"`
 	MaxProcs      int    `json:"max_procs"`
 }

@@ -64,9 +64,6 @@ type Config struct {
 	// StreamWorkers, when > 1 with Stream, fans the order-free row-local
 	// ops of each streamed chunk across this many goroutines.
 	StreamWorkers int
-	// StreamShards, when > 1 with Stream, splits each engine's stateful
-	// sink stage into this many flow-hash lanes (see core.StreamConfig).
-	StreamShards int
 	// Tracer, when non-nil, records a span tree for the whole suite: a
 	// root "suite" span, one batch span per RunSameDataset/RunCrossDataset
 	// call, one run span per (alg, train, test) on the executing worker's
@@ -198,7 +195,6 @@ func (s *Suite) manifest() *Manifest {
 		ChunkBytes:    s.cfg.ChunkBytes,
 		PipelineDepth: s.cfg.PipelineDepth,
 		StreamWorkers: s.cfg.StreamWorkers,
-		StreamShards:  s.cfg.StreamShards,
 		GoVersion:     runtime.Version(),
 		MaxProcs:      runtime.GOMAXPROCS(0),
 	}
@@ -319,7 +315,6 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 		ChunkBytes:    s.cfg.ChunkBytes,
 		PipelineDepth: s.cfg.PipelineDepth,
 		Workers:       s.cfg.StreamWorkers,
-		Shards:        s.cfg.StreamShards,
 	}
 	if span != nil {
 		eng.Span = span.Child("train")

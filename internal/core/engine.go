@@ -384,16 +384,8 @@ func (e *Engine) runOp(def *opDef, ctx *opCtx, op OpSpec, in []Value, st *OpStat
 }
 
 // finishOp closes the op's span and records its metrics. Both sinks are
-// individually optional; with neither attached this does nothing. The two
-// halves are split out so the sharded sink can close per-lane spans while
-// emitting exactly one metrics sample per logical op execution.
+// individually optional; with neither attached this does nothing.
 func (e *Engine) finishOp(sp *obs.Span, st *OpStats, err error) {
-	finishOpSpan(sp, st, err)
-	e.opMetrics(st)
-}
-
-// finishOpSpan closes the op's tracing span (nil-safe).
-func finishOpSpan(sp *obs.Span, st *OpStats, err error) {
 	if sp != nil {
 		sp.Set("rows_out", st.OutRows)
 		sp.Set("cached", st.Cached)
@@ -402,11 +394,6 @@ func finishOpSpan(sp *obs.Span, st *OpStats, err error) {
 		}
 		sp.End()
 	}
-}
-
-// opMetrics records one op execution in the engine's metrics registry
-// (no-op when metrics are off).
-func (e *Engine) opMetrics(st *OpStats) {
 	if e.Metrics == nil {
 		return
 	}

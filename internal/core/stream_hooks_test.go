@@ -10,13 +10,11 @@ import (
 	"lumen/internal/mlkit"
 )
 
-// hookShapes are the execution shapes the hook contract covers; sharded
-// configs are included to verify the demotion to a single sink.
+// hookShapes are the execution shapes the hook contract covers.
 var hookShapes = []StreamConfig{
 	{ChunkRows: 64},
 	{ChunkRows: 64, PipelineDepth: 2},
 	{ChunkRows: 64, PipelineDepth: 4, Workers: 4},
-	{ChunkRows: 64, Shards: 4},
 }
 
 // TestAfterChunkHook verifies the per-chunk lifecycle hook across
@@ -71,9 +69,6 @@ func TestAfterChunkHook(t *testing.T) {
 			if preds[i] != want.Pred[i] {
 				t.Fatalf("shape %d: per-chunk pred %d = %d, batch %d", si, i, preds[i], want.Pred[i])
 			}
-		}
-		if shape.Shards > 1 && eng.LastStream.Pipelined && eng.LastStream.Shards != 1 {
-			t.Errorf("shape %d: hooks must demote shards to 1, got %d", si, eng.LastStream.Shards)
 		}
 	}
 }

@@ -85,9 +85,8 @@ func TestOnlineTrainChunkInvariantNoScaler(t *testing.T) {
 
 // TestOnlinePrequentialShapeEquivalence: at a fixed chunk size, an online
 // pass (streaming scalers, partial-fit train, prequential test, drift
-// monitor) must produce identical results under every execution shape —
-// sequential, pipelined, worker fan-out, and a sharded request (which
-// online demotes to one sink).
+// monitor) must produce identical results under every execution shape:
+// inline, staged, staged with worker fan-out.
 func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 	ds := onlineDS(t)
 	p := onlinePipeline("linear_svm")
@@ -110,10 +109,10 @@ func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 				want, wantDrift = got, eng.LastStream.DriftEvents
 				continue
 			}
-			requireEqualResults(t, want, got, fmt.Sprintf("chunk %d workers %d shards %d", rows, shape.Workers, shape.Shards))
+			requireEqualResults(t, want, got, fmt.Sprintf("chunk %d workers %d", rows, shape.Workers))
 			if eng.LastStream.DriftEvents != wantDrift {
-				t.Errorf("chunk %d workers %d shards %d: %d drift events, want %d",
-					rows, shape.Workers, shape.Shards, eng.LastStream.DriftEvents, wantDrift)
+				t.Errorf("chunk %d workers %d: %d drift events, want %d",
+					rows, shape.Workers, eng.LastStream.DriftEvents, wantDrift)
 			}
 		}
 	}
@@ -247,38 +246,29 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 	}
 }
 
-// TestShardMetricsSingleCount is the double-count regression test: a
-// sharded sink splits the train op across K lanes, but lumen_ops_total
-// must still count one execution per chunk, exactly like the unsharded
-// sink.
-func TestShardMetricsSingleCount(t *testing.T) {
+// TestOpMetricsOnePerChunk: whichever loop feeds the sink, and however
+// many workers the staged one fans out to, lumen_ops_total counts the
+// train op exactly once per chunk.
+func TestOpMetricsOnePerChunk(t *testing.T) {
 	ds := onlineDS(t)
-	p := fieldPipeline()
-	counts := map[int]uint64{}
-	chunks := map[int]int{}
-	for _, shards := range []int{1, 4} {
-		eng := NewEngine(p)
-		eng.Seed = 7
-		if err := eng.TrainStream(ds, StreamConfig{ChunkRows: 64}); err != nil {
-			t.Fatal(err)
-		}
+	eng := NewEngine(fieldPipeline())
+	eng.Seed = 7
+	if err := eng.TrainStream(ds, StreamConfig{ChunkRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range streamExecShapes {
+		cfg.ChunkRows = 64
 		met := obs.NewMetrics()
 		eng.Metrics = met
-		cfg := StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: shards}
 		if _, err := eng.TestStream(ds, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 && eng.LastStream.Shards != shards {
-			t.Fatalf("sharded sink did not engage (got %d lanes)", eng.LastStream.Shards)
-		}
-		counts[shards] = met.Counter("lumen_ops_total",
+		n := met.Counter("lumen_ops_total",
 			"Pipeline operations executed (including cache-served ones).",
 			"op", "train").Value()
-		chunks[shards] = eng.LastStream.Chunks
-	}
-	for shards, n := range counts {
-		if want := uint64(chunks[shards]); n != want {
-			t.Errorf("shards=%d: lumen_ops_total{op=train} = %d, want %d (one per chunk)", shards, n, want)
+		if want := uint64(eng.LastStream.Chunks); n != want {
+			t.Errorf("depth %d, workers %d: lumen_ops_total{op=train} = %d, want %d (one per chunk)",
+				cfg.PipelineDepth, cfg.Workers, n, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,18 +16,20 @@ import (
 type StreamStats struct {
 	// Chunks is the number of chunks pulled from the source.
 	Chunks int
-	// Pipelined reports whether the staged pipeline ran (false: the
-	// sequential loop). Depth, Workers and Shards are its effective
-	// shape; Shards is 1 when the sink ran unsharded (including plans
-	// with nothing flow-partitionable, where a requested shard count is
-	// ignored).
+	// Pipelined reports whether the staged loop ran (false: the inline
+	// loop). Depth and Workers are its shape, which is always the shape
+	// the StreamConfig asked for (after its documented defaults).
 	Pipelined bool
 	Depth     int
 	Workers   int
-	Shards    int
+	// Shards is vestigial: the sink is never partitioned, so it reads 0
+	// on inline runs and 1 on staged ones. Like LazyViews it survives
+	// because the benchmark harness compares it; dropping it belongs to
+	// a benchmark PR.
+	Shards int
 	// PeakInFlightBytes is the high-water mark of wire bytes decoded but
 	// not yet released by the sink — the pipeline's actual buffering,
-	// bounded by O(Depth + Workers) chunks. Zero on sequential runs.
+	// bounded by O(Depth + Workers) chunks. Zero on inline runs.
 	PeakInFlightBytes int64
 	// SourceStallNS / OpsStallNS / SinkStallNS are the cumulative times
 	// each stage spent blocked on its neighbours: the source handing
@@ -50,32 +51,26 @@ type StreamStats struct {
 	DriftEvents int
 }
 
-// runPipelined executes one RunStream pass as a staged, bounded-channel
+// runPipelined feeds the sink through a staged, bounded-channel
 // pipeline:
 //
 //	source (goroutine)      decode chunks from the dataset.Source (Pump)
 //	   │  chan, cap = depth
 //	ops (N worker goroutines)  order-free row-local ops per chunk
 //	   │  chan, cap = depth + workers
-//	sink (this goroutine)   reorder by sequence, then carry-state ops,
-//	                        model scoring, flow sinks, accumulation
+//	sink (this goroutine)   reorder by sequence, then sinkChunk: flow
+//	                        sinks, carry-state ops, model scoring,
+//	                        accumulation, hooks
 //
 // Chunks fan out to the workers and are recombined in stream order by
-// the sink's reorder buffer, so results are bit-identical to the
-// sequential loop (and to batch). Both channels are depth-bounded and
-// the reorder buffer cannot exceed the in-flight chunk count, so peak
-// memory stays O((depth + workers) × chunk).
+// the sink's reorder buffer, so results are bit-identical to the inline
+// loop (and to batch). Both channels are depth-bounded and the reorder
+// buffer cannot exceed the in-flight chunk count, so peak memory stays
+// O((depth + workers) × chunk).
 func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
 	e := r.e
 	depth, workers := cfg.depth(), cfg.workers()
-	shards := cfg.shards()
-	if shards > 1 && r.pl.nLane == 0 && len(r.sinks) == 0 {
-		// Nothing in this plan partitions by flow: no flow sinks and no
-		// lane-eligible scoring op. Sharding would only add hand-off
-		// overhead, so run the sink unsharded.
-		shards = 1
-	}
-	e.LastStream = StreamStats{Pipelined: true, Depth: depth, Workers: workers, Shards: shards, LazyViews: true}
+	e.LastStream = StreamStats{Pipelined: true, Depth: depth, Workers: workers, Shards: 1, LazyViews: true}
 
 	pump := dataset.StartPump(src, dataset.PumpConfig{
 		MaxRows:  cfg.ChunkRows,
@@ -88,7 +83,6 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 	// stays on the caller's track (it is the caller's goroutine).
 	var srcSpan, sinkSpan *obs.Span
 	wSpans := make([]*obs.Span, workers)
-	laneTID := 0
 	if e.Span != nil {
 		t := e.Span.TID()
 		srcSpan = e.Span.ChildOn("stage:source", t+1)
@@ -96,15 +90,10 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 			wSpans[w] = e.Span.ChildOn("stage:ops", t+2+w)
 		}
 		sinkSpan = e.Span.Child("stage:sink")
-		laneTID = t + 2 + workers
 	}
 
 	jobs := make(chan *chunkJob, depth+workers)
 	done := make(chan struct{}) // closed by the sink on first error
-	var sh *shardRun
-	if shards > 1 {
-		sh = r.startShards(shards, depth+workers, pump, done, sinkSpan, laneTID)
-	}
 	var opsStallNS atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -121,16 +110,9 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				}
 				opsStallNS.Add(time.Since(t0).Nanoseconds())
 				job := r.newJob(nc)
-				var cs *obs.Span
-				if stage != nil {
-					cs = stage.Child("chunk")
-					cs.Set("base", nc.Base)
-					cs.Set("rows", nc.Len())
-				}
+				cs := chunkSpan(stage, &nc)
 				r.runOps(job, r.pl.worker, &job.wsc, cs)
-				if cs != nil {
-					cs.End()
-				}
+				cs.End()
 				select {
 				case jobs <- job:
 				case <-done:
@@ -177,35 +159,24 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				gDecoded.Set(float64(len(pump.C)))
 				gProcessed.Set(float64(len(jobs)))
 			}
-			if sh != nil {
-				// Sharded sink: the router hands every in-order job to
-				// the lanes and merger, which own error unwind and
-				// release.
-				sh.route(j)
+			if firstErr != nil {
+				pump.Done(j.nc)
 				continue
 			}
-			if firstErr == nil {
-				if err := r.sinkChunk(j, sinkSpan); err != nil {
-					// First in-order failure: identical to where the
-					// sequential loop would have stopped. Unwind the
-					// upstream stages; the loop keeps draining so no
-					// worker stays blocked on a full jobs channel.
-					firstErr = err
-					pump.Stop()
-					close(done)
-				}
+			if err := r.sinkChunk(j, r.pl.ordered, sinkSpan, pump.Done); err != nil {
+				// First in-order failure: identical to where the inline
+				// loop would have stopped. Unwind the upstream stages; the
+				// loop keeps draining so no worker stays blocked on a full
+				// jobs channel.
+				firstErr = err
+				pump.Stop()
+				close(done)
 			}
-			pump.Done(j.nc)
 		}
 	}
 	// Jobs whose predecessors never arrived (workers unwound early).
-	// They were never routed to any lane, so direct release is safe in
-	// both sink modes.
 	for _, j := range pending {
 		pump.Done(j.nc)
-	}
-	if sh != nil {
-		firstErr = sh.close()
 	}
 	// On an error unwind some workers may have exited through the done
 	// branch with chunks still queued; release them so the pump's source
@@ -235,15 +206,6 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "source").Set(float64(ps.StallNS) / 1e9)
 		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "ops").Set(float64(opsStallNS.Load()) / 1e9)
 		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "sink").Set(float64(sinkStallNS) / 1e9)
-		if sh != nil {
-			e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "merge").Set(float64(sh.mergeStallNS) / 1e9)
-			for _, ln := range sh.lanes {
-				lbl := strconv.Itoa(ln.k)
-				e.Metrics.Gauge("lumen_shard_packets", "Packets routed to each flow-hash shard lane of the most recent streaming run.", "shard", lbl).Set(float64(ln.packets))
-				e.Metrics.Gauge("lumen_shard_rows", "Feature rows scored by each flow-hash shard lane of the most recent streaming run.", "shard", lbl).Set(float64(ln.rows))
-				e.Metrics.Gauge("lumen_shard_stall_seconds", "Cumulative seconds each shard lane of the most recent streaming run spent waiting for routed chunks.", "shard", lbl).Set(float64(ln.stallNS) / 1e9)
-			}
-		}
 	}
 
 	// Both unwind paths can carry an error: the sink hitting an op error
@@ -263,24 +225,4 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 		return nil, srcErr
 	}
 	return r.finish()
-}
-
-// sinkChunk runs one in-order job through the sink stage: flow sinks,
-// the ordered streamed ops (with the shared cross-chunk carry), then
-// absorption into the run.
-func (r *streamExec) sinkChunk(j *chunkJob, stage *obs.Span) error {
-	if j.err == nil && (r.pl.nOrdered > 0 || len(r.sinks) > 0) {
-		var cs *obs.Span
-		if stage != nil {
-			cs = stage.Child("chunk")
-			cs.Set("base", j.nc.Base)
-			cs.Set("rows", j.nc.Len())
-		}
-		r.feedSinks(j)
-		r.runOps(j, r.pl.ordered, r.sc, cs)
-		if cs != nil {
-			cs.End()
-		}
-	}
-	return r.absorb(j)
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"lumen/internal/dataset"
@@ -13,25 +13,22 @@ import (
 )
 
 // streamExec is the state of one RunStream execution, shared between the
-// sequential loop and the staged pipeline. The per-chunk work lives in
-// chunkJob so that the pipeline can fan it out to workers; everything on
-// streamExec itself is only ever touched by one goroutine at a time (the
-// sequential loop, or the sink stage absorbing jobs in stream order).
+// inline loop and the staged loop. The per-chunk work lives in chunkJob
+// so that the staged loop can fan it out to workers; everything on
+// streamExec itself is only ever touched by the one goroutine that owns
+// stream order (the caller's: it runs the inline loop and the staged
+// loop's sink).
 type streamExec struct {
 	e    *Engine
 	mode Mode
 	pl   *streamPlan
 	meta dataset.SourceMeta
 	// sc carries cross-chunk fold state for the ordered ops; only the
-	// goroutine that runs them (sequential loop / sink stage) touches it.
+	// goroutine that owns stream order touches it.
 	sc    *streamCtx
 	sinks map[int]*flowSinkState
-	// lanes holds the per-shard sink partitions of a sharded pipelined
-	// run (nil otherwise); finish() merges their flow logs back into the
-	// canonical order.
-	lanes []*shardLane
 	// hooks are the pass's per-chunk callbacks (nil when unhooked); absorb
-	// invokes them on the ordered sink goroutine.
+	// invokes them on the goroutine that owns stream order.
 	hooks *StreamHooks
 	// trainFrame is the name of the train op's feature-frame input,
 	// resolved once so hooks with WantFeatures can find it per chunk.
@@ -48,8 +45,7 @@ type streamExec struct {
 	// outlive every chunk: the stream's metadata with its per-packet
 	// labels, and each packet's summary (so flow features can read
 	// member-packet fields without a decoded packet set). flowDS is nil
-	// without flow sinks; both are fed in stream order, on the ordered
-	// goroutine (feedSinks, or the shard router).
+	// without flow sinks; both are fed in stream order by feedSinks.
 	flowDS  *dataset.Labeled
 	accSums []netpkt.PacketSummary
 	nChunks int
@@ -57,25 +53,37 @@ type streamExec struct {
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
 // profile and accumulators of one RunStream pass.
-func newStreamExec(e *Engine, src dataset.Source, mode Mode, online bool) (*streamExec, error) {
+func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (*streamExec, error) {
 	if err := e.Check(); err != nil {
 		return nil, err
 	}
 	r := &streamExec{
 		e:       e,
 		mode:    mode,
-		pl:      e.planStream(mode, online),
+		pl:      e.planStream(mode, cfg.Online),
 		meta:    src.Meta(),
-		sc:      &streamCtx{carry: map[string]any{}, online: online},
+		sc:      &streamCtx{carry: map[string]any{}, online: cfg.Online},
 		sinks:   map[int]*flowSinkState{},
+		hooks:   cfg.Hooks,
 		accum:   map[string][]*Frame{},
 		lastVal: map[string]Value{},
 	}
-	sinks, err := newFlowSinkStates(e, r.pl)
-	if err != nil {
-		return nil, err
+	for i, op := range e.P.Ops {
+		if !r.pl.flowSink[i] {
+			continue
+		}
+		opts, gran, err := flowParams(params(op.Params))
+		if err != nil {
+			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
+		}
+		s := &flowSinkState{gran: gran}
+		if gran == dataset.UniflowG {
+			s.uni = flow.NewUniflowAssembler(opts)
+		} else {
+			s.conn = flow.NewConnAssembler(opts)
+		}
+		r.sinks[i] = s
 	}
-	r.sinks = sinks
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
 		r.prof[i] = OpStats{Func: op.Func, Output: op.Output}
@@ -94,30 +102,6 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, online bool) (*stre
 		}
 	}
 	return r, nil
-}
-
-// newFlowSinkStates builds one incremental assembler per flow-sink op.
-// Sharded runs call it once per lane, so each lane assembles its own
-// flow partition with an independent assembler.
-func newFlowSinkStates(e *Engine, pl *streamPlan) (map[int]*flowSinkState, error) {
-	sinks := map[int]*flowSinkState{}
-	for i, op := range e.P.Ops {
-		if !pl.flowSink[i] {
-			continue
-		}
-		opts, gran, err := flowParams(params(op.Params))
-		if err != nil {
-			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
-		}
-		s := &flowSinkState{gran: gran}
-		if gran == dataset.UniflowG {
-			s.uni = flow.NewUniflowAssembler(opts)
-		} else {
-			s.conn = flow.NewConnAssembler(opts)
-		}
-		sinks[i] = s
-	}
-	return sinks, nil
 }
 
 // chunkJob is the unit of work flowing through a stream run: one chunk,
@@ -139,19 +123,6 @@ type chunkJob struct {
 	// (field_extract without iat) still save it; writing into a
 	// discardable job-local carry keeps them race-free.
 	wsc streamCtx
-
-	// Shard-routing state, used only by sharded pipelined runs: the lane
-	// of every packet, the scoring frame and its per-lane row partition,
-	// each lane's output, and the barrier the merger waits on before
-	// stitching. routed marks jobs dispatched to the lanes; demoted marks
-	// jobs whose scoring ran on the router instead.
-	shardIDs  []uint8
-	laneFrame *Frame
-	laneRows  [][]int
-	laneRes   []laneResult
-	laneDone  sync.WaitGroup
-	routed    bool
-	demoted   bool
 }
 
 // newJob builds the job for one chunk. Nothing is reused across chunks:
@@ -178,31 +149,56 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	return j
 }
 
-// retainForFlush appends the value copies a plan with flow sinks keeps
-// of one chunk (see flowDS): its labels and one summary per packet. Only
-// the goroutine that owns stream order may call it.
-func (r *streamExec) retainForFlush(nc *dataset.NumberedChunk) {
-	r.flowDS.Labels = append(r.flowDS.Labels, nc.Labels...)
-	r.flowDS.Attacks = append(r.flowDS.Attacks, nc.Attacks...)
-	for i := range nc.Views {
-		r.accSums = append(r.accSums, nc.Views[i].Summary())
-	}
-}
-
-// feedSinks pushes the job's packets through every incremental flow
-// assembler, as the summaries retainForFlush just built. Only the
-// goroutine that owns stream order may call it.
+// feedSinks retains what a plan with flow sinks keeps of one chunk (see
+// flowDS) — its labels and one summary per packet — and pushes those
+// summaries through every incremental flow assembler.
 func (r *streamExec) feedSinks(job *chunkJob) {
 	if len(r.sinks) == 0 {
 		return
 	}
-	r.retainForFlush(&job.nc)
-	for j, sum := range r.accSums[len(r.accSums)-job.nc.Len():] {
-		gi := job.nc.Base + j
+	nc := &job.nc
+	r.flowDS.Labels = append(r.flowDS.Labels, nc.Labels...)
+	r.flowDS.Attacks = append(r.flowDS.Attacks, nc.Attacks...)
+	for i := range nc.Views {
+		sum := nc.Views[i].Summary()
+		r.accSums = append(r.accSums, sum)
 		for _, s := range r.sinks {
-			s.add(gi, sum)
+			s.add(nc.Base+i, sum)
 		}
 	}
+}
+
+// sinkChunk is the ordered sink's per-chunk body, the one function both
+// loops feed in stream order: flow sinks, the picked streamed ops over
+// the shared cross-chunk carry (every streamed op inline; the ordered
+// ones staged, where the workers already ran the rest), absorption into
+// the run, then release of the chunk to its source. It returns the
+// job's error, on which the stream must abort.
+func (r *streamExec) sinkChunk(job *chunkJob, pick []bool, stage *obs.Span, release func(dataset.NumberedChunk)) error {
+	if job.err == nil {
+		var cs *obs.Span
+		if stage != nil && (len(r.sinks) > 0 || slices.Contains(pick, true)) {
+			cs = chunkSpan(stage, &job.nc)
+		}
+		r.feedSinks(job)
+		r.runOps(job, pick, r.sc, cs)
+		cs.End()
+	}
+	err := r.absorb(job)
+	release(job.nc)
+	return err
+}
+
+// chunkSpan opens the span of one chunk's work under a stage span (nil
+// when tracing is off).
+func chunkSpan(stage *obs.Span, nc *dataset.NumberedChunk) *obs.Span {
+	if stage == nil {
+		return nil
+	}
+	cs := stage.Child("chunk")
+	cs.Set("base", nc.Base)
+	cs.Set("rows", nc.Len())
+	return cs
 }
 
 // runOps executes the picked ops over the job's environment, recording
@@ -256,8 +252,7 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 
 // absorb folds one finished job into the run, in stream order: profile
 // stats, evaluation results and accumulated frames for deferred ops. It
-// returns the job's error (the stream must abort on it, exactly like
-// sequential execution).
+// returns the job's error.
 func (r *streamExec) absorb(job *chunkJob) error {
 	if job.err != nil {
 		return job.err
@@ -343,7 +338,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		st := OpStats{Func: op.Func, Output: op.Output}
 		start := time.Now()
 		if s, ok := r.sinks[i]; ok {
-			fenv[op.Output] = r.finishFlows(i, s)
+			fenv[op.Output] = r.finishFlows(s)
 			r.prof[i].Wall += time.Since(start)
 			continue
 		}
@@ -397,4 +392,19 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		e.trained = true
 	}
 	return mergeResults(r.results), nil
+}
+
+// finishFlows assembles the final Flows value of a flow-sink op at flush:
+// the flows evicted mid-stream plus the assembler's remainder, in the
+// canonical (first-packet time, tuple) order batch assembly produces.
+func (r *streamExec) finishFlows(s *flowSinkState) *Flows {
+	out := &Flows{DS: r.flowDS, Granularity: s.gran, Sums: r.accSums}
+	if s.uni != nil {
+		out.Unis = append(s.unis, s.uni.Flush()...)
+		flow.SortUniflows(out.Unis)
+	} else {
+		out.Conns = append(s.cons, s.conn.Flush()...)
+		flow.SortConnections(out.Conns)
+	}
+	return out
 }

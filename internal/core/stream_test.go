@@ -13,18 +13,13 @@ import (
 var streamChunkSizes = []int{64, 1024, 0}
 
 // streamExecShapes are the execution shapes every equivalence case runs
-// under: the sequential loop, single-worker pipelining (decode overlaps
-// ops), parallel worker fan-out with ordered recombination, and
-// flow-sharded sinks at several lane counts (alone and combined with
-// worker fan-out).
+// under: the inline loop, the staged loop with one worker (decode
+// overlaps ops), and the staged loop with parallel worker fan-out and
+// ordered recombination.
 var streamExecShapes = []StreamConfig{
 	{},
 	{PipelineDepth: 2},
 	{PipelineDepth: 4, Workers: 4},
-	{Shards: 2},
-	{PipelineDepth: 2, Workers: 2, Shards: 2},
-	{PipelineDepth: 4, Workers: 4, Shards: 4},
-	{PipelineDepth: 4, Workers: 4, Shards: 8},
 }
 
 func flowPipeline(model string, extra map[string]any) *Pipeline {
@@ -161,7 +156,7 @@ func streamRun(t *testing.T, p *Pipeline, ds *dataset.Labeled, chunk int) *EvalR
 	for _, shape := range streamExecShapes {
 		cfg := shape
 		cfg.ChunkRows = chunk
-		label := fmt.Sprintf("chunk %d, depth %d, workers %d, shards %d", chunk, cfg.PipelineDepth, cfg.Workers, cfg.Shards)
+		label := fmt.Sprintf("chunk %d, depth %d, workers %d", chunk, cfg.PipelineDepth, cfg.Workers)
 		eng := NewEngine(p)
 		eng.Seed = 7
 		if err := eng.TrainStream(ds, cfg); err != nil {

@@ -199,7 +199,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 		Name:    "full",
 		Engine:  trainedEngine(t, ds),
 		Source:  NewReplaySource(dataset.NewSliceSource(ds), 0),
-		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2, Shards: 4},
+		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
 		Alerts:  &alerts,
 		ConnLog: &connlog,
 	})
@@ -214,9 +214,8 @@ func TestRunToCompletionConnLog(t *testing.T) {
 	if st.State != "stopped" {
 		t.Fatalf("state = %s, want stopped", st.State)
 	}
-	// The daemon's chunk hook folds the four requested lanes to one; the
-	// status must say so rather than hide it.
-	if want := (StreamShape{Pipelined: true, Depth: 2, Workers: 2, Shards: 1, RequestedShards: 4}); st.Stream == nil || *st.Stream != want {
+	// A hooked pass runs at the shape it was configured with.
+	if want := (StreamShape{Pipelined: true, Depth: 2, Workers: 2}); st.Stream == nil || *st.Stream != want {
 		t.Fatalf("status stream shape = %+v, want %+v", st.Stream, want)
 	}
 	if !bytes.Equal(connlog.Bytes(), wantLog.Bytes()) {

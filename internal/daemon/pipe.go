@@ -134,21 +134,15 @@ type SwapReport struct {
 	ScoreMAD     float64 `json:"score_mad"`
 }
 
-// StreamShape is the execution shape of a pipeline's current pass: what
-// the engine actually ran (core.StreamStats) next to what was asked for,
-// so the config rewrites that survive — a daemon pipeline's chunk hook,
-// or online learning, folds a requested shard count to one lane — are
-// visible instead of silent.
+// StreamShape is the execution shape of a pipeline's current pass, as
+// the engine reports it (core.StreamStats). It is always the shape
+// PipeConfig.Stream asked for: the engine never rewrites a request.
 type StreamShape struct {
-	// Pipelined is false for the sequential loop, true for the staged
-	// pipeline; Depth, Workers and Shards are its effective shape.
+	// Pipelined is false for the inline loop, true for the staged loop;
+	// Depth and Workers are the staged loop's shape.
 	Pipelined bool `json:"pipelined"`
 	Depth     int  `json:"depth"`
 	Workers   int  `json:"workers"`
-	Shards    int  `json:"shards"`
-	// RequestedShards is PipeConfig.Stream.Shards as configured; it
-	// differs from Shards when the request was demoted.
-	RequestedShards int `json:"requested_shards"`
 }
 
 // PipeStatus is a pipeline's observable state, as served by /pipelines.
@@ -388,8 +382,8 @@ func (p *Pipe) run() {
 // chunk hook — comes back as the pass's error, so one tenant's fault
 // fails that pipeline (state failed, conn-log and alert sink still
 // finalized) instead of killing every pipeline in the process. The
-// staged pipeline's source, worker and shard-lane goroutines are not
-// covered; see OPERATIONS.md.
+// staged loop's source and worker goroutines are not covered; see
+// OPERATIONS.md.
 func (p *Pipe) pass() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -526,7 +520,7 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		// hooked passes absorb on this goroutine, so LastStream is ours to
 		// read here.
 		ls := p.eng.LastStream
-		shape := &StreamShape{Pipelined: ls.Pipelined, Depth: ls.Depth, Workers: ls.Workers, Shards: ls.Shards, RequestedShards: p.stream.Shards}
+		shape := &StreamShape{Pipelined: ls.Pipelined, Depth: ls.Depth, Workers: ls.Workers}
 		p.mu.Lock()
 		p.shape = shape
 		p.mu.Unlock()

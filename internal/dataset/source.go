@@ -90,11 +90,11 @@ type Source interface {
 // the producing goroutine (PcapSource, SliceSource). The consumer — whose
 // plan knows how deep it will look — calls ConfigureViews before
 // streaming; hint is the decode depth to apply as chunks are cut, so the
-// work overlaps with downstream compute and sharded lanes find headers
-// already parsed. The on parameter is vestigial: every source emits
-// views unconditionally, so it is ignored (it survives only because the
-// benchmark harness implements this interface; dropping it belongs to a
-// benchmark PR). The return reports whether the hint was taken.
+// work overlaps with downstream compute. The on parameter is vestigial:
+// every source emits views unconditionally, so it is ignored (it
+// survives only because the benchmark harness implements this
+// interface; dropping it belongs to a benchmark PR). The return reports
+// whether the hint was taken.
 type ViewSource interface {
 	ConfigureViews(on bool, hint netpkt.DecodeHint) bool
 }

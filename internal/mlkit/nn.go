@@ -482,30 +482,6 @@ func (m *MLP) FitTargets(X, T [][]float64) error {
 	return nil
 }
 
-// scoreReplica returns an MLP that shares the fitted weights and biases
-// (read-only at inference) but owns fresh activation and gradient
-// scratch, so replicas may run VisitOutputs / Predict01 concurrently
-// with each other and with the original. Outputs are bit-identical to
-// the original's: the forward pass depends only on the shared
-// parameters. Replicas are for scoring only — training one would update
-// weights the other replicas read.
-func (m *MLP) scoreReplica() *MLP {
-	cp := *m
-	cp.acts = make([]*linalg.Dense, len(m.acts))
-	for i := range cp.acts {
-		cp.acts[i] = &linalg.Dense{}
-	}
-	cp.deltas = make([]*linalg.Dense, len(m.deltas))
-	for i := range cp.deltas {
-		cp.deltas[i] = &linalg.Dense{}
-	}
-	cp.gradW, cp.gradB = nil, nil
-	cp.velW, cp.velB = nil, nil
-	cp.tgt = &linalg.Dense{}
-	cp.rowSq = nil
-	return &cp
-}
-
 // VisitOutputs streams X through the network in minibatches and calls
 // visit with each row index and its final-layer outputs. The output
 // slice is scratch, only valid inside the call. Batch predict/score

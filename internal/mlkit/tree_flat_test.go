@@ -1,7 +1,9 @@
 package mlkit
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -268,5 +270,35 @@ func TestForestScoreAllocations(t *testing.T) {
 	f, X := benchForest(t)
 	if n := testing.AllocsPerRun(10, func() { f.PredictProba(X) }); n > 3 {
 		t.Errorf("RF-50 over a 512-row chunk allocates %.0f times per call, want at most 3", n)
+	}
+}
+
+// TestForestSharedAcrossGoroutines: a fitted forest has no inference
+// scratch, so one instance may be scored from many goroutines at once.
+// Run under -race this proves the kernel only reads the flat node and
+// leaf arrays; the outputs must equal the serial call's.
+func TestForestSharedAcrossGoroutines(t *testing.T) {
+	X, y := blobs(120, 3, 1.0, 7)
+	f := &RandomForest{NTrees: 20, Seed: 3}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	wantPred, wantProba := f.PredictProba(X)
+	const readers = 8
+	preds := make([][]int, readers)
+	probas := make([][]float64, readers)
+	var wg sync.WaitGroup
+	for k := 0; k < readers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for pass := 0; pass < 5; pass++ {
+				preds[k], probas[k] = f.PredictProba(X)
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k := 0; k < readers; k++ {
+		assertBitIdentical(t, fmt.Sprintf("reader %d", k), preds[k], wantPred, probas[k], wantProba)
 	}
 }

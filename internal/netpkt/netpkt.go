@@ -293,38 +293,6 @@ func (f FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%d", f.SrcIP, f.SrcPort, f.DstIP, f.DstPort, f.Proto)
 }
 
-// FNV-1a constants (hash/fnv is not used directly so the fold can run
-// over the tuple fields without materializing a byte slice).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// ShardHash returns a stable 64-bit FNV-1a hash of the canonical
-// (direction-normalized) form of the tuple, so both directions of a
-// connection — and therefore every packet of a flow — hash identically.
-// The hash folds the 16-byte address forms (IPv4 mapped into IPv6), the
-// ports and the protocol, is independent of process, run and map
-// iteration order, and is meant for partitioning flows across shard
-// lanes (shard = ShardHash() % K).
-func (f FiveTuple) ShardHash() uint64 {
-	c := f.Canonical()
-	h := fnvOffset64
-	src, dst := c.SrcIP.As16(), c.DstIP.As16()
-	for _, b := range src {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	for _, b := range dst {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	h = (h ^ uint64(c.SrcPort>>8)) * fnvPrime64
-	h = (h ^ uint64(c.SrcPort&0xff)) * fnvPrime64
-	h = (h ^ uint64(c.DstPort>>8)) * fnvPrime64
-	h = (h ^ uint64(c.DstPort&0xff)) * fnvPrime64
-	h = (h ^ uint64(c.Proto)) * fnvPrime64
-	return h
-}
-
 // Tuple extracts the packet's five-tuple; ok is false for packets without
 // a network layer (e.g. 802.11 management frames, ARP).
 func (p *Packet) Tuple() (f FiveTuple, ok bool) {

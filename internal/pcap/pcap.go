@@ -161,6 +161,13 @@ const (
 // DefaultSnapLen is the snapshot length written to file headers.
 const DefaultSnapLen = 65535
 
+// maxSnapLen is the largest record the reader accepts whatever snapshot
+// length the file header claims (libpcap's MAXIMUM_SNAPLEN). Without it
+// a hostile header pair (snaplen and record length both near 2^32) makes
+// the buffered reader allocate gigabytes before it notices the stream is
+// short.
+const maxSnapLen = 262144
+
 // ErrBadMagic is returned when the stream does not start with a pcap
 // global header.
 var ErrBadMagic = errors.New("pcap: bad magic number")
@@ -297,10 +304,10 @@ func (r *Reader) Next() (ts time.Time, data []byte, origLen int, err error) {
 	incl := r.order.Uint32(hdr[8:12])
 	orig := r.order.Uint32(hdr[12:16])
 	// A record cannot legitimately exceed the capture's snapshot length
-	// (or the format ceiling when the header says 0): such a length is a
-	// corrupt or malicious record header, and trusting it would mis-frame
-	// every later record.
-	limit := r.snapLen
+	// (the default when the header says 0, never past maxSnapLen): such a
+	// length is a corrupt or malicious record header, and trusting it
+	// would mis-frame every later record.
+	limit := min(r.snapLen, maxSnapLen)
 	if limit == 0 {
 		limit = DefaultSnapLen
 	}
