@@ -79,7 +79,8 @@ race:
 
 # docs-lint enforces the documentation floor (see doclint_test.go):
 # package comments everywhere under internal/ and cmd/, doc comments on
-# every exported symbol of internal/obs and internal/core.
+# every exported symbol of internal/obs and internal/core, and DESIGN.md's
+# op table equal to what `lumen -list-ops` prints.
 docs-lint:
 	$(GO) test -run TestDocLint .
 
@@ -138,7 +139,10 @@ drift-smoke:
 # to json.Marshal of the same Alert for any name, attack, score bits and
 # integers; see internal/daemon/alert_test.go), and the pcap reader
 # (buffered and mmap read paths fail closed and agree record for record;
-# see internal/pcap/fuzz_test.go). Go runs one -fuzz pattern per
+# see internal/pcap/fuzz_test.go), and the pipeline template parser
+# (error, or a pipeline that plans without panicking in both modes with
+# Online off and on; see internal/algorithms/plan_test.go, which seeds it
+# with the built-in templates). Go runs one -fuzz pattern per
 # invocation, so each target gets its own line. The model
 # target caps minimization: shrinking one multi-kilobyte JSON envelope
 # would otherwise eat the whole budget.
@@ -150,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFeedFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzAlertLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
+	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=$(FUZZTIME) -run='^$$' ./internal/algorithms/
 
 # loc prints the non-test Go line count of every package under
 # internal/ and cmd/ (sub-packages counted with their parent) — the
@@ -161,7 +166,7 @@ loc:
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
 # the documentation lint, and a short fuzz pass over the packet decoder,
-# the model loader, the feed frame parser, the alert line encoder and the
-# pcap reader.
+# the model loader, the feed frame parser, the alert line encoder, the
+# pcap reader and the pipeline template parser.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

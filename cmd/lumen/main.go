@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		listOps     = flag.Bool("list-ops", false, "list framework operations and exit")
+		listOps     = flag.Bool("list-ops", false, "print the op table (signature, stream class per mode, traits, doc) and exit")
 		listAlgs    = flag.Bool("list-algs", false, "list ported algorithms and exit")
 		algID       = flag.String("alg", "", "built-in algorithm ID (A00-A15, AM01-AM03)")
 		pipelineF   = flag.String("pipeline", "", "pipeline template JSON file")
@@ -49,8 +49,9 @@ func main() {
 	flag.Parse()
 
 	if *listOps {
-		for _, name := range core.Ops() {
-			fmt.Printf("%-22s %s\n", name, core.OpDoc(name))
+		if err := core.WriteOpTable(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "lumen:", err)
+			os.Exit(1)
 		}
 		return
 	}

@@ -1,6 +1,7 @@
 package lumen
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lumen/internal/core"
 )
 
 // TestDocLint enforces the repo's documentation floor with go/ast:
@@ -27,6 +30,29 @@ func TestDocLint(t *testing.T) {
 	}
 	for _, dir := range []string{"internal/obs", "internal/core", "internal/daemon"} {
 		checkExportedDocs(t, dir)
+	}
+}
+
+// TestDocLintOpTable pins DESIGN.md's op table to the registrations it
+// is generated from, so the doc cannot drift from what the planner does.
+// `make docs-lint` runs it (its -run pattern is a prefix of this name).
+func TestDocLintOpTable(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- optable:begin -->\n```\n", "```\n<!-- optable:end -->"
+	_, rest, ok := bytes.Cut(doc, []byte(begin))
+	block, _, ok2 := bytes.Cut(rest, []byte(end))
+	if !ok || !ok2 {
+		t.Fatalf("DESIGN.md has no %q ... %q block", begin, end)
+	}
+	var want bytes.Buffer
+	if err := core.WriteOpTable(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(block, want.Bytes()) {
+		t.Errorf("DESIGN.md's op table is stale: replace the block with the output of `go run ./cmd/lumen -list-ops`")
 	}
 }
 

@@ -1,0 +1,93 @@
+package algorithms
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"lumen/internal/core"
+)
+
+// builtins returns every built-in algorithm: A00–A15 and AM01–AM03.
+func builtins() []Algorithm { return append(All(), Modified()...) }
+
+// TestGoldenStreamPlans pins the streaming plan of every built-in
+// pipeline in both modes with Online off and on: per op whether it
+// streams, is a flow sink, runs on the worker or the ordered stage, plus
+// the accumulated values and the decode hint. The golden was recorded
+// before the op traits replaced core's name-keyed tables; a diff means a
+// pipeline now executes differently. On a mismatch the test writes what
+// it computed to the system temp directory: copy it over the golden only
+// when the plan change is intended.
+func TestGoldenStreamPlans(t *testing.T) {
+	var got bytes.Buffer
+	for _, a := range builtins() {
+		for _, mode := range []core.Mode{core.ModeTrain, core.ModeTest} {
+			modeName := "train"
+			if mode == core.ModeTest {
+				modeName = "test"
+			}
+			for _, online := range []bool{false, true} {
+				pl, err := core.NewEngine(a.Pipeline).StreamPlan(mode, online)
+				if err != nil {
+					t.Fatalf("%s: %v", a.ID, err)
+				}
+				accum := make([]string, 0, len(pl.Accum))
+				for name := range pl.Accum {
+					accum = append(accum, name)
+				}
+				sort.Strings(accum)
+				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v\n",
+					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum)
+				for i, op := range a.Pipeline.Ops {
+					fmt.Fprintf(&got, "  %2d %-20s -> %-14s streamed=%-5v flowSink=%-5v worker=%-5v ordered=%v\n",
+						i, op.Func, op.Output, pl.Streamed[i], pl.FlowSink[i], pl.Worker[i], pl.Ordered[i])
+				}
+			}
+		}
+	}
+	const golden = "testdata/stream_plans.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		actual := filepath.Join(os.TempDir(), "stream_plans.golden")
+		if err := os.WriteFile(actual, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("stream plans differ from %s; computed plans written to %s", golden, actual)
+	}
+}
+
+// FuzzParsePipeline feeds arbitrary bytes to the template parser: it
+// must return an error or a pipeline that plans (stream split and decode
+// hint) without panicking in both modes with Online off and on, which
+// walks hostile params through every op's ordered and decode traits.
+// Fuzzed pipelines are never executed: model params such as a tree
+// count are unbounded.
+func FuzzParsePipeline(f *testing.F) {
+	for _, a := range builtins() {
+		data, err := core.MarshalPipeline(a.Pipeline)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := core.ParsePipeline(data)
+		if err != nil {
+			return
+		}
+		for _, mode := range []core.Mode{core.ModeTrain, core.ModeTest} {
+			for _, online := range []bool{false, true} {
+				if _, err := core.NewEngine(p).StreamPlan(mode, online); err != nil {
+					t.Fatalf("parsed pipeline fails to plan: %v", err)
+				}
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,8 +69,60 @@ func TestOpsRegistryCoverage(t *testing.T) {
 		t.Fatalf("only %d ops registered; the framework should offer a rich op set", len(ops))
 	}
 	for _, name := range ops {
-		if OpDoc(name) == "" {
+		if opRegistry[name].doc == "" {
 			t.Errorf("op %q has no doc", name)
+		}
+	}
+}
+
+// TestOpRegistryComplete pins that the op table is the whole truth: no
+// op lacks a stream class (register refuses one), every reader of the
+// packet input says how deep it decodes, only stateless ops are
+// cacheable, and every field field_extract knows has a decode need that
+// is exactly what filling its column touches.
+func TestOpRegistryComplete(t *testing.T) {
+	for name, def := range opRegistry {
+		tr := def.traits
+		if tr.class == classUnset {
+			t.Errorf("op %s declares no stream class", name)
+		}
+		if reads := slices.Contains(def.sig.in, KindPackets); reads != (tr.decode != nil) {
+			t.Errorf("op %s: reads packets = %v but declares a decode trait = %v", name, reads, tr.decode != nil)
+		}
+		if tr.online && tr.class != classFitted {
+			t.Errorf("op %s folds online but is not a fitted op", name)
+		}
+		if tr.cacheable && (tr.class == classFitted || tr.online) {
+			t.Errorf("op %s is cacheable but carries fitted state", name)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("register accepted an op with no stream class")
+			}
+		}()
+		register("classless", "", opSig{}, opTraits{}, nil)
+	}()
+
+	packetFields := allPacketFields()
+	if len(packetFieldIndex) != len(packetFields) {
+		t.Errorf("%d field names index to %d entries: a name is listed twice", len(packetFields), len(packetFieldIndex))
+	}
+	ds := smallDS(t, "F1")
+	for _, f := range packetFields {
+		pf := packetFieldIndex[f]
+		pk := newPackets(ds)
+		if _, err := opFieldExtract(nil, []Value{pk}, params{"fields": []any{f}}); err != nil {
+			t.Fatalf("field %s: %v", f, err)
+		}
+		var hdrs, apps bool
+		for i := range pk.Views {
+			hdrs = hdrs || pk.Views[i].HeadersDecoded()
+			apps = apps || pk.Views[i].AppDecoded()
+		}
+		if hdrs != pf.need.Headers || apps && pf.need.Apps == 0 {
+			t.Errorf("field %s declares need %+v but filling it decoded headers=%v apps=%v", f, pf.need, hdrs, apps)
 		}
 	}
 }

@@ -205,54 +205,53 @@ func NewEngine(p *Pipeline) *Engine {
 // SetCache attaches a shared cache for stateless op results (see Cache).
 func (e *Engine) SetCache(c *Cache) { e.cache = c }
 
-// cacheableOps lists the stateless, mode-independent operations whose
-// results a shared Cache may serve.
-var cacheableOps = map[string]bool{
-	"field_extract": true, "nprint": true, "kitsune_features": true,
-	"dot11_features": true, "flow_assemble": true, "flow_features": true,
-	"group_by": true, "time_slice": true, "apply_aggregates": true,
-	"broadcast_aggregates": true, "select": true, "filter": true,
-	"concat_cols": true, "log_scale": true, "derive": true, "head": true,
-}
-
 // Check statically validates the pipeline: known ops, defined inputs,
 // kind-correct connections, single final train op — the "execution engine
 // verifies the file's syntax (e.g. type checks)" step of the paper.
 func (e *Engine) Check() error {
+	_, err := e.check()
+	return err
+}
+
+// check is Check returning each op's registered definition, which a
+// pass resolves here once instead of per op invocation.
+func (e *Engine) check() ([]*opDef, error) {
 	if len(e.P.Ops) == 0 {
-		return fmt.Errorf("core: pipeline %q has no ops", e.P.Name)
+		return nil, fmt.Errorf("core: pipeline %q has no ops", e.P.Name)
 	}
 	if _, err := e.P.Granular(); err != nil {
-		return err
+		return nil, err
 	}
+	defs := make([]*opDef, len(e.P.Ops))
 	kinds := map[string]Kind{InputName: KindPackets}
 	trainSeen := false
 	for i, op := range e.P.Ops {
 		def, ok := opRegistry[op.Func]
 		if !ok {
-			return fmt.Errorf("core: op %d: unknown func %q (available: %v)", i, op.Func, Ops())
+			return nil, fmt.Errorf("core: op %d: unknown func %q (available: %v)", i, op.Func, Ops())
 		}
+		defs[i] = def
 		if err := checkInputs(def, op, kinds, i); err != nil {
-			return err
+			return nil, err
 		}
 		if op.Output == "" {
-			return fmt.Errorf("core: op %d (%s): missing output name", i, op.Func)
+			return nil, fmt.Errorf("core: op %d (%s): missing output name", i, op.Func)
 		}
 		if _, dup := kinds[op.Output]; dup {
-			return fmt.Errorf("core: op %d (%s): output %q already defined", i, op.Func, op.Output)
+			return nil, fmt.Errorf("core: op %d (%s): output %q already defined", i, op.Func, op.Output)
 		}
 		kinds[op.Output] = def.sig.out
 		if op.Func == "train" {
 			if trainSeen {
-				return fmt.Errorf("core: op %d: multiple train ops are not supported", i)
+				return nil, fmt.Errorf("core: op %d: multiple train ops are not supported", i)
 			}
 			trainSeen = true
 		}
 	}
 	if !trainSeen {
-		return fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
+		return nil, fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
 	}
-	return nil
+	return defs, nil
 }
 
 func checkInputs(def *opDef, op OpSpec, kinds map[string]Kind, i int) error {
@@ -296,7 +295,8 @@ func (e *Engine) lastUses() map[string]int {
 
 // run executes the pipeline over ds in the given mode.
 func (e *Engine) run(ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
-	if err := e.Check(); err != nil {
+	defs, err := e.check()
+	if err != nil {
 		return nil, err
 	}
 	env := map[string]Value{InputName: newPackets(ds)}
@@ -304,59 +304,14 @@ func (e *Engine) run(ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 	e.Profile = e.Profile[:0]
 	var result *EvalResult
 	for i, op := range e.P.Ops {
-		def := opRegistry[op.Func]
-		in := make([]Value, len(op.Input))
-		for j, name := range op.Input {
-			v, ok := env[name]
-			if !ok {
-				return nil, fmt.Errorf("core: op %d (%s): value %q was freed or never set", i, op.Func, name)
-			}
-			in[j] = v
-		}
-		// Serve stateless ops through the shared cache when attached:
-		// a hit returns immediately, a miss racing another engine's
-		// computation blocks on its result, and only one engine per key
-		// actually runs the op (singleflight).
-		ctx := &opCtx{mode: mode, outName: op.Output, state: e.state, seed: e.Seed, metrics: e.Metrics}
-		// The explicit nil guard (not just nil-safe methods) keeps the
-		// disabled path allocation-free: the name concatenation below
-		// would allocate even if Child were a no-op.
-		if e.Span != nil {
-			ctx.span = e.Span.Child("op:" + op.Func)
-			ctx.span.Set("output", op.Output)
-		}
-		st := OpStats{Func: op.Func, Output: op.Output}
-		var key string
-		useCache := false
-		if e.cache != nil && cacheableOps[op.Func] {
-			key, useCache = cacheKey(op, in)
-		}
-		var out Value
-		var err error
-		start := time.Now()
-		if useCache {
-			var computed bool
-			out, err, computed = e.cache.getOrCompute(key, func() (Value, error) {
-				return e.runOp(def, ctx, op, in, &st)
-			})
-			st.Cached = !computed
-		} else {
-			out, err = e.runOp(def, ctx, op, in, &st)
-		}
-		// For cache hits and dedup-waits Wall is lookup/wait time, not
-		// compute time — what this engine actually spent.
-		st.Wall = time.Since(start)
-		if err == nil {
-			st.OutRows = outRows(out)
-		}
-		e.finishOp(ctx.span, &st, err)
+		out, st, res, err := e.invoke(i, defs[i], env, opCtx{mode: mode}, e.Span, e.cache)
 		if err != nil {
-			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
+			return nil, err
 		}
 		env[op.Output] = out
 		e.Profile = append(e.Profile, st)
-		if ctx.result != nil {
-			result = ctx.result
+		if res != nil {
+			result = res
 		}
 		// Free values no later op reads.
 		for name, lu := range last {
@@ -368,19 +323,79 @@ func (e *Engine) run(ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 	return result, nil
 }
 
+// invoke is the one place an op runs, on batch, chunked and flush passes
+// alike: it resolves op i's inputs from env, opens the op's span under
+// parent, runs it, records its stats, closes the span and the metrics,
+// and wraps a failure with the op's position. ctx arrives holding what
+// the pass fixes (mode, stream context, drift slot). A non-nil cache
+// serves cacheable ops: a hit returns at once, a miss racing another
+// engine's computation waits for its result (singleflight).
+func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, parent *obs.Span, cache *Cache) (Value, OpStats, *EvalResult, error) {
+	op := e.P.Ops[i]
+	st := OpStats{Func: op.Func, Output: op.Output}
+	in := make([]Value, len(op.Input))
+	for j, name := range op.Input {
+		v, ok := env[name]
+		if !ok {
+			return nil, st, nil, fmt.Errorf("core: op %d (%s): value %q was freed or never set", i, op.Func, name)
+		}
+		in[j] = v
+	}
+	ctx.outName, ctx.state, ctx.seed, ctx.metrics = op.Output, e.state, e.Seed, e.Metrics
+	// The explicit nil guard (not just nil-safe methods) keeps the
+	// disabled path allocation-free: the name concatenation below
+	// would allocate even if Child were a no-op.
+	if parent != nil {
+		ctx.span = parent.Child("op:" + op.Func)
+		ctx.span.Set("output", op.Output)
+	}
+	var key string
+	useCache := false
+	if cache != nil && def.traits.cacheable {
+		key, useCache = cacheKey(op, in)
+	}
+	var out Value
+	var err error
+	start := time.Now()
+	if useCache {
+		// allocs is declared in this branch so that the closure capturing
+		// it costs the uncached (streaming) path nothing.
+		var allocs uint64
+		var computed bool
+		out, err, computed = cache.getOrCompute(key, func() (v Value, err error) {
+			v, allocs, err = e.runOp(def, &ctx, op, in)
+			return v, err
+		})
+		st.Allocs, st.Cached = allocs, !computed
+	} else {
+		out, st.Allocs, err = e.runOp(def, &ctx, op, in)
+	}
+	// For cache hits and dedup-waits Wall is lookup/wait time, not
+	// compute time — what this engine actually spent.
+	st.Wall = time.Since(start)
+	if err == nil {
+		st.OutRows = outRows(out)
+	}
+	e.finishOp(ctx.span, &st, err)
+	if err != nil {
+		return nil, st, nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
+	}
+	return out, st, ctx.result, nil
+}
+
 // runOp executes one op, sampling the allocation counter around it when
 // profiling is enabled. With profiling off this performs no memory-stat
 // reads at all.
-func (e *Engine) runOp(def *opDef, ctx *opCtx, op OpSpec, in []Value, st *OpStats) (Value, error) {
-	var before uint64
+func (e *Engine) runOp(def *opDef, ctx *opCtx, op OpSpec, in []Value) (Value, uint64, error) {
+	var before, allocs uint64
 	if e.Profiling {
 		before = heapAllocBytes()
 	}
 	out, err := def.run(ctx, in, params(op.Params))
 	if e.Profiling {
-		st.Allocs = heapAllocBytes() - before
+		allocs = heapAllocBytes() - before
 	}
-	return out, err
+	return out, allocs, err
 }
 
 // finishOp closes the op's span and records its metrics. Both sinks are

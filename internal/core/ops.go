@@ -2,7 +2,12 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
+	"text/tabwriter"
+
+	"lumen/internal/netpkt"
 )
 
 // OpFunc executes one operation. ctx gives access to fitted state for
@@ -17,11 +22,63 @@ type opSig struct {
 	variadicIn bool
 }
 
+// streamClass is how an op behaves on a chunked (RunStream) pass.
+type streamClass uint8
+
+const (
+	classUnset streamClass = iota
+	// classRowLocal ops stream in both modes: each output row depends
+	// only on its input row, plus fold state an ordered op carries across
+	// chunks in opCtx.carry.
+	classRowLocal
+	// classFitted ops fit global state in ModeTrain (a barrier) and apply
+	// it row-locally in ModeTest, where they stream.
+	classFitted
+	// classFlowSink ops are fed packet by packet during the chunk loop;
+	// their output materializes at flush.
+	classFlowSink
+	// classBarrier ops need the whole trace and always run at flush.
+	classBarrier
+)
+
+// opTraits is everything the engine knows about an op beyond its type
+// signature, declared once where the op is registered: the stream
+// planner, the decode hint, the batch cache gate, -list-ops and the
+// generated docs all read it from here.
+type opTraits struct {
+	class streamClass
+	// online marks a classFitted op that also streams in ModeTrain when
+	// StreamConfig.Online is set, folding partial-fit carry state.
+	online bool
+	// ordered reports whether the op, given its params, carries fold
+	// state across chunks and so must see them in stream order (nil:
+	// never). An op streaming through its online fold is ordered too.
+	ordered func(params) bool
+	// decode is how deep the op looks into the packets it reads; every
+	// reader of KindPackets declares one.
+	decode func(params) netpkt.DecodeHint
+	// cacheable marks a stateless, mode-independent op whose batch
+	// results a shared Cache may serve.
+	cacheable bool
+}
+
+// always is the ordered trait of ops whose fold state never depends on
+// their params.
+func always(params) bool { return true }
+
+// headers is the decode trait of ops that read L2-L4 headers only.
+func headers(params) netpkt.DecodeHint { return netpkt.DecodeHint{Headers: true} }
+
+// streams reports whether the op can run per chunk in the given mode.
+func (t opTraits) streams(mode Mode, online bool) bool {
+	return t.class == classRowLocal || t.class == classFitted && (mode == ModeTest || online && t.online)
+}
+
 type opDef struct {
-	name string
-	sig  opSig
-	run  OpFunc
-	doc  string
+	sig    opSig
+	traits opTraits
+	run    OpFunc
+	doc    string
 }
 
 // opRegistry holds every operation the framework defines. Operations are
@@ -30,11 +87,16 @@ type opDef struct {
 // pipelines of all 16 ported algorithms.
 var opRegistry = map[string]*opDef{}
 
-func register(name, doc string, sig opSig, run OpFunc) {
+// register adds an op to the registry. An op must say how it streams:
+// there is no default class to fall into by omission.
+func register(name, doc string, sig opSig, traits opTraits, run OpFunc) {
 	if _, dup := opRegistry[name]; dup {
 		panic("core: duplicate op " + name)
 	}
-	opRegistry[name] = &opDef{name: name, sig: sig, run: run, doc: doc}
+	if traits.class == classUnset {
+		panic("core: op " + name + " declares no stream class")
+	}
+	opRegistry[name] = &opDef{sig: sig, traits: traits, run: run, doc: doc}
 }
 
 // Ops returns the registered operation names, sorted.
@@ -47,12 +109,56 @@ func Ops() []string {
 	return out
 }
 
-// OpDoc returns the one-line description of an operation.
-func OpDoc(name string) string {
-	if d, ok := opRegistry[name]; ok {
-		return d.doc
+// WriteOpTable prints what the registrations declare, one op per line:
+// signature, how it runs on a streaming pass in each mode ("online":
+// barrier unless StreamConfig.Online), ordered and decode traits ("by
+// params" when they depend on the op's params), cacheable, doc; then
+// field_extract's fields by decode depth. `lumen -list-ops` prints it
+// and DESIGN.md embeds it.
+func WriteOpTable(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "OP\tSIGNATURE\tTRAIN\tTEST\tORDERED\tDECODE\tCACHEABLE\tDOC")
+	for _, name := range Ops() {
+		def := opRegistry[name]
+		t := def.traits
+		sig := fmt.Sprint(def.sig.in)
+		if def.sig.variadicIn {
+			sig += "..."
+		}
+		ordered, decode := "no", "-"
+		if t.ordered != nil {
+			ordered = "by params"
+			if t.ordered(nil) {
+				ordered = "yes"
+			}
+		}
+		if t.decode != nil {
+			decode = "by params"
+			if h := t.decode(nil); h.Any() {
+				decode = h.String()
+			}
+		}
+		fmt.Fprintf(tw, "%s\t%s → %v\t%s\t%s\t%s\t%s\t%v\t%s\n", name, sig, def.sig.out,
+			t.runs(ModeTrain), t.runs(ModeTest), ordered, decode, t.cacheable, def.doc)
 	}
-	return ""
+	fmt.Fprintln(tw, "\nfield_extract fields by decode depth:")
+	for _, g := range packetFieldGroups {
+		fmt.Fprintf(tw, "  %s\t%s\n", g.need, strings.Join(g.names, " "))
+	}
+	return tw.Flush()
+}
+
+// runs names how an op of these traits executes on a streaming pass.
+func (t opTraits) runs(mode Mode) string {
+	switch {
+	case t.class == classFlowSink:
+		return "sink"
+	case t.streams(mode, false):
+		return "stream"
+	case t.streams(mode, true):
+		return "online"
+	}
+	return "barrier"
 }
 
 // params wraps the JSON parameter object of one op with typed accessors

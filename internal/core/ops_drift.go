@@ -7,9 +7,9 @@ import (
 )
 
 func init() {
-	register("drift_detect",
-		"monitor the trained model's per-chunk score stream with a Page-Hinkley test and raise drift events on distribution shift (streaming test runs; a pass-through otherwise)",
-		opSig{in: []Kind{KindTrained}, out: KindTrained}, opDriftDetect)
+	register("drift_detect", "monitor the trained model's per-chunk score stream with a Page-Hinkley test and raise drift events on distribution shift (streaming test runs; a pass-through otherwise)",
+		opSig{in: []Kind{KindTrained}, out: KindTrained},
+		opTraits{class: classRowLocal, ordered: always}, opDriftDetect)
 }
 
 // opDriftDetect folds the train op's per-chunk scores (predictions when

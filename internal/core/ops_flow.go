@@ -14,12 +14,12 @@ import (
 )
 
 func init() {
-	register("flow_assemble",
-		"group packets into uniflows or bidirectional connections (Zeek-style, idle-timeout split)",
-		opSig{in: []Kind{KindPackets}, out: KindFlows}, opFlowAssemble)
-	register("flow_features",
-		"compute per-flow features (sizes, inter-arrivals, flags, states, services, first-N stats)",
-		opSig{in: []Kind{KindFlows}, out: KindFrame}, opFlowFeatures)
+	register("flow_assemble", "group packets into uniflows or bidirectional connections (Zeek-style, idle-timeout split)",
+		opSig{in: []Kind{KindPackets}, out: KindFlows},
+		opTraits{class: classFlowSink, decode: headers, cacheable: true}, opFlowAssemble)
+	register("flow_features", "compute per-flow features (sizes, inter-arrivals, flags, states, services, first-N stats)",
+		opSig{in: []Kind{KindFlows}, out: KindFrame},
+		opTraits{class: classBarrier, cacheable: true}, opFlowFeatures)
 }
 
 // flowParams decodes flow_assemble's parameters; shared between the

@@ -11,39 +11,39 @@ import (
 )
 
 func init() {
-	register("group_by",
-		"partition frame rows by one or more key columns",
-		opSig{in: []Kind{KindFrame}, out: KindGrouped}, opGroupBy)
-	register("time_slice",
-		"refine groups (or whole frame) into fixed time windows using the ts column",
-		opSig{in: []Kind{KindGrouped}, out: KindGrouped}, opTimeSlice)
-	register("apply_aggregates",
-		"compute aggregate functions per group -> one row per group (mean/std/median/min/max/sum/count/rate/entropy/distinct)",
-		opSig{in: []Kind{KindGrouped}, out: KindFrame}, opApplyAggregates)
-	register("broadcast_aggregates",
-		"compute aggregates per group and attach them to every member row (per-packet classification with group context)",
-		opSig{in: []Kind{KindGrouped}, out: KindFrame}, opBroadcastAggregates)
-	register("select",
-		"project a frame onto named columns",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opSelect)
-	register("filter",
-		"keep rows satisfying col <op> value (==, !=, >, <, >=, <=)",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opFilter)
-	register("concat_cols",
-		"concatenate the columns of equal-length frames",
-		opSig{in: []Kind{KindFrame, KindFrame}, out: KindFrame, variadicIn: true}, opConcatCols)
-	register("drop_const",
-		"drop numeric columns with zero variance on the training data",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opDropConst)
-	register("normalize",
-		"scale numeric columns (zscore or minmax); fitted on training data, reused at test time",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opNormalize)
-	register("drop_correlated",
-		"drop numeric columns highly correlated with an earlier one; fitted on training data",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opDropCorrelated)
-	register("sample",
-		"deterministically subsample rows (frac or n)",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opSample)
+	register("group_by", "partition frame rows by one or more key columns",
+		opSig{in: []Kind{KindFrame}, out: KindGrouped},
+		opTraits{class: classBarrier, cacheable: true}, opGroupBy)
+	register("time_slice", "refine groups (or whole frame) into fixed time windows using the ts column",
+		opSig{in: []Kind{KindGrouped}, out: KindGrouped},
+		opTraits{class: classBarrier, cacheable: true}, opTimeSlice)
+	register("apply_aggregates", "compute aggregate functions per group -> one row per group (mean/std/median/min/max/sum/count/rate/entropy/distinct)",
+		opSig{in: []Kind{KindGrouped}, out: KindFrame},
+		opTraits{class: classBarrier, cacheable: true}, opApplyAggregates)
+	register("broadcast_aggregates", "compute aggregates per group and attach them to every member row (per-packet classification with group context)",
+		opSig{in: []Kind{KindGrouped}, out: KindFrame},
+		opTraits{class: classBarrier, cacheable: true}, opBroadcastAggregates)
+	register("select", "project a frame onto named columns",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classRowLocal, cacheable: true}, opSelect)
+	register("filter", "keep rows satisfying col <op> value (==, !=, >, <, >=, <=)",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classRowLocal, cacheable: true}, opFilter)
+	register("concat_cols", "concatenate the columns of equal-length frames",
+		opSig{in: []Kind{KindFrame, KindFrame}, out: KindFrame, variadicIn: true},
+		opTraits{class: classRowLocal, cacheable: true}, opConcatCols)
+	register("drop_const", "drop numeric columns with zero variance on the training data",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted}, opDropConst)
+	register("normalize", "scale numeric columns (zscore or minmax); fitted on training data, reused at test time",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted, online: true}, opNormalize)
+	register("drop_correlated", "drop numeric columns highly correlated with an earlier one; fitted on training data",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted}, opDropCorrelated)
+	register("sample", "deterministically subsample rows (frac or n)",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classBarrier}, opSample)
 }
 
 func opGroupBy(_ *opCtx, in []Value, p params) (Value, error) {

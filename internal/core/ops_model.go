@@ -7,12 +7,12 @@ import (
 )
 
 func init() {
-	register("model",
-		"construct an (unfitted) model spec: random_forest, decision_tree, gaussian_nb, knn, linear_svm, mlp, voting ensembles, automl, kitnet, autoencoder, ocsvm, nystrom_ocsvm, nystrom_gmm, gmm",
-		opSig{in: nil, out: KindModel}, opModel)
-	register("train",
-		"fit the model on the frame's features and labels (training runs); predict with the fitted model (test runs)",
-		opSig{in: []Kind{KindModel, KindFrame}, out: KindTrained}, opTrain)
+	register("model", "construct an (unfitted) model spec: random_forest, decision_tree, gaussian_nb, knn, linear_svm, mlp, voting ensembles, automl, kitnet, autoencoder, ocsvm, nystrom_ocsvm, nystrom_gmm, gmm",
+		opSig{in: nil, out: KindModel},
+		opTraits{class: classRowLocal}, opModel)
+	register("train", "fit the model on the frame's features and labels (training runs); predict with the fitted model (test runs)",
+		opSig{in: []Kind{KindModel, KindFrame}, out: KindTrained},
+		opTraits{class: classFitted, online: true, ordered: always}, opTrain)
 }
 
 func opModel(_ *opCtx, _ []Value, p params) (Value, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lumen/internal/dataset"
@@ -10,36 +11,76 @@ import (
 )
 
 func init() {
-	register("field_extract",
-		"extract per-packet header fields into a frame (single pass, all requested fields at once)",
-		opSig{in: []Kind{KindPackets}, out: KindFrame}, opFieldExtract)
-	register("nprint",
-		"render packets to the nprint bit-level representation (variants: all, tcp_udp_ipv4, tcp_udp_ipv4_payload, tcp_icmp_ipv4)",
-		opSig{in: []Kind{KindPackets}, out: KindFrame}, opNPrint)
-	register("kitsune_features",
-		"damped incremental statistics per packet over src, channel and socket groupings (Kitsune/AfterImage)",
-		opSig{in: []Kind{KindPackets}, out: KindFrame}, opKitsuneFeatures)
-	register("dot11_features",
-		"802.11 frame features: subtype mix, retry, duration, per-transmitter rates",
-		opSig{in: []Kind{KindPackets}, out: KindFrame}, opDot11Features)
+	register("field_extract", "extract per-packet header fields into a frame (single pass, all requested fields at once)",
+		opSig{in: []Kind{KindPackets}, out: KindFrame},
+		opTraits{class: classRowLocal, ordered: fieldsOrdered, decode: fieldsDecode, cacheable: true}, opFieldExtract)
+	register("nprint", "render packets to the nprint bit-level representation (variants: all, tcp_udp_ipv4, tcp_udp_ipv4_payload, tcp_icmp_ipv4)",
+		opSig{in: []Kind{KindPackets}, out: KindFrame},
+		opTraits{class: classRowLocal, decode: headers, cacheable: true}, opNPrint)
+	register("kitsune_features", "damped incremental statistics per packet over src, channel and socket groupings (Kitsune/AfterImage)",
+		opSig{in: []Kind{KindPackets}, out: KindFrame},
+		opTraits{class: classRowLocal, ordered: always, decode: headers, cacheable: true}, opKitsuneFeatures)
+	register("dot11_features", "802.11 frame features: subtype mix, retry, duration, per-transmitter rates",
+		opSig{in: []Kind{KindPackets}, out: KindFrame},
+		opTraits{class: classRowLocal, ordered: always, decode: headers, cacheable: true}, opDot11Features)
 }
 
-// packetFields is the catalogue of per-packet fields field_extract knows.
+// fieldGroup is the fields that share one decode need and column type.
+type fieldGroup struct {
+	need  netpkt.DecodeHint
+	str   bool // string-valued columns
+	names []string
+}
+
+// packetFieldGroups is the catalogue of per-packet fields field_extract
+// knows, grouped by how deep filling a field's column looks into the
+// packet. It is the one per-field table: the op's known-field check, its
+// column types and its decode trait all read the index built from it.
 // All requested fields are produced in one pass over the packets (the
 // shared-extraction optimization the paper highlights for size+time).
-var packetFields = []string{
-	"ts", "iat", "len", "payload_len", "ttl", "ip_id", "ip_tos", "proto",
-	"src_port", "dst_port", "tcp_flags", "tcp_syn", "tcp_ack", "tcp_fin",
-	"tcp_rst", "tcp_psh", "tcp_urg", "tcp_window", "udp_len", "icmp_type",
-	"icmp_code", "is_arp", "is_tcp", "is_udp", "is_icmp", "dns_qr", "dns_qd",
-	"is_http", "http_is_req", "http_status", "http_path_len", "http_body_len",
-	"is_mqtt", "mqtt_type", "mqtt_qos", "mqtt_topic_len",
-	"src_ip", "dst_ip", "src_mac", "dst_mac",
+var packetFieldGroups = []fieldGroup{
+	// Record metadata: needs no decoding at all.
+	{names: []string{"ts", "iat", "len"}},
+	{need: netpkt.DecodeHint{Headers: true}, names: []string{
+		"payload_len", "ttl", "ip_id", "ip_tos", "proto",
+		"src_port", "dst_port", "tcp_flags", "tcp_syn", "tcp_ack", "tcp_fin",
+		"tcp_rst", "tcp_psh", "tcp_urg", "tcp_window", "udp_len", "icmp_type",
+		"icmp_code", "is_arp", "is_tcp", "is_udp", "is_icmp"}},
+	{need: netpkt.DecodeHint{Headers: true, Apps: netpkt.AppDNS}, names: []string{"dns_qr", "dns_qd"}},
+	{need: netpkt.DecodeHint{Headers: true, Apps: netpkt.AppHTTP}, names: []string{
+		"is_http", "http_is_req", "http_status", "http_path_len", "http_body_len"}},
+	{need: netpkt.DecodeHint{Headers: true, Apps: netpkt.AppMQTT}, names: []string{
+		"is_mqtt", "mqtt_type", "mqtt_qos", "mqtt_topic_len"}},
+	{need: netpkt.DecodeHint{Headers: true}, str: true, names: []string{
+		"src_ip", "dst_ip", "src_mac", "dst_mac"}},
 }
 
-// PacketFields returns the supported field names (for documentation and
-// template validation).
-func PacketFields() []string { return append([]string(nil), packetFields...) }
+// packetFieldIndex resolves a field name to its group.
+var packetFieldIndex = func() map[string]fieldGroup {
+	index := map[string]fieldGroup{}
+	for _, g := range packetFieldGroups {
+		for _, f := range g.names {
+			index[f] = g
+		}
+	}
+	return index
+}()
+
+// fieldsDecode is field_extract's decode trait: the union of what its
+// requested fields need. Unknown fields add nothing; the op rejects them.
+func fieldsDecode(p params) netpkt.DecodeHint {
+	var hint netpkt.DecodeHint
+	for _, f := range p.strList("fields") {
+		hint = hint.Union(packetFieldIndex[f].need)
+	}
+	return hint
+}
+
+// fieldsOrdered is field_extract's ordered trait: only iat (the previous
+// packet's timestamp) folds across chunks.
+func fieldsOrdered(p params) bool {
+	return slices.Contains(p.strList("fields"), "iat")
+}
 
 // feCarry is field_extract's cross-chunk fold state: the previous
 // packet's timestamp, so iat stays exact across a chunk boundary.
@@ -61,29 +102,20 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("field_extract: no fields requested")
 	}
-	known := map[string]bool{}
-	for _, f := range packetFields {
-		known[f] = true
-	}
-	for _, f := range fields {
-		if !known[f] {
-			return nil, fmt.Errorf("field_extract: unknown field %q", f)
-		}
-	}
-	ds := pk.DS
 	n := pk.Len()
-	fr := newPacketFrame(n, ds, ctx.streamBase())
-
 	numeric := map[string][]float64{}
 	strs := map[string][]string{}
 	for _, f := range fields {
-		switch f {
-		case "src_ip", "dst_ip", "src_mac", "dst_mac":
+		switch g, known := packetFieldIndex[f]; {
+		case !known:
+			return nil, fmt.Errorf("field_extract: unknown field %q", f)
+		case g.str:
 			strs[f] = make([]string, n)
 		default:
 			numeric[f] = make([]float64, n)
 		}
 	}
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase())
 	var car feCarry
 	if v, ok := ctx.carry(); ok {
 		car, _ = v.(feCarry)

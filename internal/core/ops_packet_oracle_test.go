@@ -286,6 +286,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 		return c
 	}
 
+	packetFields := allPacketFields()
 	fields := make([]any, len(packetFields))
 	for i, f := range packetFields {
 		fields[i] = f
@@ -375,4 +376,14 @@ func TestPacketOpsMatchMaterializedOracle(t *testing.T) {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) { checkPacketOps(t, datasetFrames(spec.Generate(0.05), 200)) })
 	}
+}
+
+// allPacketFields lists every field field_extract knows, in catalogue
+// order.
+func allPacketFields() []string {
+	var names []string
+	for _, g := range packetFieldGroups {
+		names = append(names, g.names...)
+	}
+	return names
 }

@@ -9,27 +9,27 @@ import (
 )
 
 func init() {
-	register("onehot",
-		"expand a categorical column into 0/1 indicator columns (vocabulary fixed at training time)",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opOneHot)
-	register("derive",
-		"append a derived column: ratio, product, diff, log1p or abs of existing columns",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opDerive)
-	register("clip",
-		"winsorize numeric columns to a quantile range fitted on training data",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opClip)
-	register("log_scale",
-		"replace numeric columns with log1p(|x|)*sign(x), compressing heavy-tailed features",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opLogScale)
-	register("balance",
-		"rebalance class sizes by downsampling the majority class (training runs only; test frames pass through)",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opBalance)
-	register("pca_transform",
-		"project numeric columns onto principal components fitted on training data",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opPCATransform)
-	register("head",
-		"keep only the first n rows",
-		opSig{in: []Kind{KindFrame}, out: KindFrame}, opHead)
+	register("onehot", "expand a categorical column into 0/1 indicator columns (vocabulary fixed at training time)",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted}, opOneHot)
+	register("derive", "append a derived column: ratio, product, diff, log1p or abs of existing columns",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classRowLocal, cacheable: true}, opDerive)
+	register("clip", "winsorize numeric columns to a quantile range fitted on training data",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted, online: true}, opClip)
+	register("log_scale", "replace numeric columns with log1p(|x|)*sign(x), compressing heavy-tailed features",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classRowLocal, cacheable: true}, opLogScale)
+	register("balance", "rebalance class sizes by downsampling the majority class (training runs only; test frames pass through)",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted}, opBalance)
+	register("pca_transform", "project numeric columns onto principal components fitted on training data",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classFitted}, opPCATransform)
+	register("head", "keep only the first n rows",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classBarrier, cacheable: true}, opHead)
 }
 
 func opOneHot(ctx *opCtx, in []Value, p params) (Value, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
@@ -33,10 +34,11 @@ type StreamConfig struct {
 	Workers int
 	// Hooks are optional per-chunk lifecycle callbacks (see StreamHooks).
 	Hooks *StreamHooks
-	// Online enables in-stream learning. In ModeTrain the train op and
-	// the online-capable scalers (normalize, clip) stream chunk-by-chunk
-	// through partial-fit carry state instead of deferring to the flush
-	// barrier, so fitting runs in bounded memory over one pass. In
+	// Online enables in-stream learning. In ModeTrain the fitted ops
+	// registered as online (the train op and the scalers: TRAIN column
+	// "online" in `lumen -list-ops`) stream chunk-by-chunk through
+	// partial-fit carry state instead of deferring to the flush barrier,
+	// so fitting runs in bounded memory over one pass. In
 	// ModeTest the train op evaluates prequentially (test-then-train):
 	// each chunk is scored by the model as fitted before the chunk
 	// arrived, then absorbed as labelled training data when the model
@@ -65,155 +67,119 @@ func (c StreamConfig) workers() int {
 	return 1
 }
 
-// streamableAlways lists ops that are row-local in both modes: each output
-// row depends only on its input row (plus, for the packet feature ops,
-// fold state that opCtx.carry threads across chunks), so running them
-// chunk-by-chunk is bit-identical to batch.
-var streamableAlways = map[string]bool{
-	"field_extract": true, "nprint": true, "kitsune_features": true,
-	"dot11_features": true, "select": true, "filter": true,
-	"concat_cols": true, "derive": true, "log_scale": true, "model": true,
-	"drift_detect": true,
-}
-
-// streamableTest lists ops that fit global state in ModeTrain (a barrier)
-// but apply it row-locally in ModeTest, where they stream. balance is a
-// test-mode pass-through; train predicts per row with the fitted model.
-var streamableTest = map[string]bool{
-	"normalize": true, "clip": true, "pca_transform": true, "onehot": true,
-	"drop_const": true, "drop_correlated": true, "balance": true, "train": true,
-}
-
-// streamableOnlineTrain lists the ops that additionally stream in
-// ModeTrain when StreamConfig.Online is set: the train op partial-fits
-// its model chunk-by-chunk, and the scalers fold Welford/P² carry state
-// instead of fitting behind the barrier.
-var streamableOnlineTrain = map[string]bool{
-	"normalize": true, "clip": true, "train": true,
-}
-
-// streamable reports whether fn can run per chunk in the given mode.
-// Unknown ops default to barrier: correctness over memory.
-func streamable(fn string, mode Mode, online bool) bool {
-	if streamableAlways[fn] {
-		return true
-	}
-	if mode == ModeTest && streamableTest[fn] {
-		return true
-	}
-	return online && mode == ModeTrain && streamableOnlineTrain[fn]
-}
-
-// orderedOnly reports whether a streamed op must see chunks in stream
-// order and therefore cannot fan out to parallel chunk workers:
-//   - kitsune_features / dot11_features fold damped statistics across
-//     chunks (opCtx.carry), so chunk N's output depends on chunks < N;
-//   - field_extract does the same for its iat column (previous packet
-//     timestamp) — without iat it is order-free;
-//   - train in test mode scores through the fitted classifier, whose
-//     inference path may reuse internal scratch buffers (e.g. MLP batch
-//     activations), so concurrent calls on one model are unsafe;
-//   - drift_detect folds a Page-Hinkley statistic over the score stream;
-//   - in online train mode, normalize and clip fold streaming-scaler
-//     carry state (Welford moments, P² quantile markers) across chunks.
-func orderedOnly(op OpSpec, mode Mode, online bool) bool {
-	switch op.Func {
-	case "kitsune_features", "dot11_features", "train", "drift_detect":
-		return true
-	case "normalize", "clip":
-		return online && mode == ModeTrain
-	case "field_extract":
-		for _, f := range params(op.Params).strList("fields") {
-			if f == "iat" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// streamPlan is the static split of a pipeline into its streamed prefix
-// and deferred (barrier) suffix, computed before any packet is read.
-type streamPlan struct {
-	// streamed[i]: op i runs once per chunk.
-	streamed []bool
-	// flowSink[i]: op i is a flow_assemble fed packet-by-packet during the
-	// chunk loop; its Flows output materializes at flush.
-	flowSink []bool
-	// worker[i]: op i is streamed, order-free and fed only by other
+// StreamPlan is the static split of a pipeline into its streamed prefix
+// and deferred (barrier) suffix, derived from the op table before any
+// packet is read. The per-op slices are indexed like Pipeline.Ops.
+type StreamPlan struct {
+	// Streamed[i]: op i runs once per chunk.
+	Streamed []bool
+	// FlowSink[i]: op i is fed packet-by-packet during the chunk loop; its
+	// Flows output materializes at flush.
+	FlowSink []bool
+	// Worker[i]: op i is streamed, order-free and fed only by other
 	// order-free streamed values, so pipelined runs may execute it on
-	// parallel chunk workers. ordered[i] marks the remaining streamed
+	// parallel chunk workers. Ordered[i] marks the remaining streamed
 	// ops, which the sink stage runs in stream order.
-	worker  []bool
-	ordered []bool
-	// accum holds the names of streamed frame outputs that some deferred
+	Worker  []bool
+	Ordered []bool
+	// Accum holds the names of streamed frame outputs that some deferred
 	// op reads: their per-chunk frames are retained and concatenated at
 	// flush. Streamed values consumed only by streamed ops are never kept.
-	accum map[string]bool
+	Accum map[string]bool
+	// Decode is how deep the pass looks into its packets: the union of
+	// the decode traits of every reader of the raw chunk. An optimization
+	// only: accessors still decode on demand.
+	Decode netpkt.DecodeHint
+	// Barrier names the first op that runs only at flush; nil when the
+	// whole plan streams.
+	Barrier *PlanBarrier
+	// defs[i] is op i's registered definition, resolved once for the pass.
+	defs []*opDef
 }
 
-// planStream classifies every op: an op streams iff its class allows it
+// PlanBarrier is the first op of a plan that runs only at flush, and why:
+// nothing behind it, verdicts included, appears before the source drains.
+type PlanBarrier struct {
+	Index  int    `json:"index"`
+	Func   string `json:"func"`
+	Output string `json:"output"`
+	// Reason is derived from the op's stream class: "whole-trace op",
+	// "fits global state in train mode", or "input `x` is produced behind
+	// a barrier".
+	Reason string `json:"reason"`
+}
+
+// StreamPlan type-checks the pipeline and returns the plan a RunStream
+// pass in the given mode executes. It classifies every op from its
+// registered traits: an op streams iff its class allows it in this mode
 // and every input is itself streamed (a value produced behind a barrier
 // only exists at flush).
-func (e *Engine) planStream(mode Mode, online bool) *streamPlan {
-	pl := &streamPlan{
-		streamed: make([]bool, len(e.P.Ops)),
-		flowSink: make([]bool, len(e.P.Ops)),
-		worker:   make([]bool, len(e.P.Ops)),
-		ordered:  make([]bool, len(e.P.Ops)),
-		accum:    map[string]bool{},
+func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
+	defs, err := e.check()
+	if err != nil {
+		return nil, err
 	}
+	pl := &StreamPlan{
+		Streamed: make([]bool, len(e.P.Ops)),
+		FlowSink: make([]bool, len(e.P.Ops)),
+		Worker:   make([]bool, len(e.P.Ops)),
+		Ordered:  make([]bool, len(e.P.Ops)),
+		Accum:    map[string]bool{},
+		defs:     defs,
+	}
+	// A streamed op fans out to the parallel worker stage only if it is
+	// order-free and everything it reads is produced on the same worker
+	// (or is the chunk itself); anything downstream of an ordered op is
+	// ordered too.
 	streamedVal := map[string]bool{InputName: true}
-	for i, op := range e.P.Ops {
-		allStreamed := true
-		for _, in := range op.Input {
-			if !streamedVal[in] {
-				allStreamed = false
-			}
-		}
-		if op.Func == "flow_assemble" && allStreamed {
-			pl.flowSink[i] = true
-			continue
-		}
-		if allStreamed && streamable(op.Func, mode, online) {
-			pl.streamed[i] = true
-			streamedVal[op.Output] = true
-		}
-	}
-	// Split streamed ops into the parallelizable worker stage and the
-	// order-preserving sink stage. An op can only fan out if everything
-	// it reads is produced on the same worker (or is the chunk itself);
-	// anything downstream of an ordered op is ordered too.
 	workerVal := map[string]bool{InputName: true}
 	for i, op := range e.P.Ops {
-		if !pl.streamed[i] {
+		t := defs[i].traits
+		if t.decode != nil && slices.Contains(op.Input, InputName) {
+			pl.Decode = pl.Decode.Union(t.decode(params(op.Params)))
+		}
+		behind := firstMissing(streamedVal, op.Input)
+		var reason string
+		switch {
+		case t.class == classBarrier:
+			reason = "whole-trace op"
+		case behind != "":
+			reason = "input `" + behind + "` is produced behind a barrier"
+		case t.class == classFlowSink:
+			pl.FlowSink[i] = true
 			continue
-		}
-		free := !orderedOnly(op, mode, online)
-		for _, in := range op.Input {
-			if !workerVal[in] {
-				free = false
-			}
-		}
-		if free {
-			pl.worker[i] = true
-			workerVal[op.Output] = true
-		} else {
-			pl.ordered[i] = true
-		}
-	}
-	// Deferred ops pull their streamed inputs from the accumulator.
-	for i, op := range e.P.Ops {
-		if pl.streamed[i] || pl.flowSink[i] {
+		case t.streams(mode, online):
+			pl.Streamed[i] = true
+			streamedVal[op.Output] = true
+			ordered := t.class == classFitted && mode == ModeTrain || t.ordered != nil && t.ordered(params(op.Params))
+			pl.Worker[i] = !ordered && firstMissing(workerVal, op.Input) == ""
+			pl.Ordered[i] = !pl.Worker[i]
+			workerVal[op.Output] = pl.Worker[i]
 			continue
+		default:
+			reason = "fits global state in train mode"
 		}
+		if pl.Barrier == nil {
+			pl.Barrier = &PlanBarrier{Index: i, Func: op.Func, Output: op.Output, Reason: reason}
+		}
+		// Deferred ops pull their streamed inputs from the accumulator.
 		for _, in := range op.Input {
 			if in != InputName && streamedVal[in] {
-				pl.accum[in] = true
+				pl.Accum[in] = true
 			}
 		}
 	}
-	return pl
+	return pl, nil
+}
+
+// firstMissing returns the first name not in set, "" when all are.
+func firstMissing(set map[string]bool, names []string) string {
+	for _, n := range names {
+		if !set[n] {
+			return n
+		}
+	}
+	return ""
 }
 
 // flowSinkState is one flow_assemble op being fed incrementally: the
@@ -268,7 +234,11 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 	if err != nil {
 		return nil, err
 	}
-	r.predecode(src)
+	// Sources that can decode while cutting chunks get the plan's depth
+	// before the first chunk is pulled; layers no op needs never parse.
+	if vs, ok := src.(dataset.ViewSource); ok {
+		vs.ConfigureViews(true, r.pl.Decode)
+	}
 	if cfg.pipelined() {
 		return r.runPipelined(src, cfg)
 	}
@@ -294,7 +264,7 @@ func (r *streamExec) runInline(src dataset.Source, cfg StreamConfig) (*EvalResul
 			break
 		}
 		job := r.newJob(dataset.NumberedChunk{Seq: r.nChunks, Chunk: ck})
-		if err := r.sinkChunk(job, r.pl.streamed, r.e.Span, release); err != nil {
+		if err := r.sinkChunk(job, r.pl.Streamed, r.e.Span, release); err != nil {
 			return nil, err
 		}
 	}

@@ -125,33 +125,27 @@ func TestOnlineScalersStream(t *testing.T) {
 	p := onlinePipeline("linear_svm")
 	eng := NewEngine(p)
 	eng.Seed = 7
-	if err := eng.Check(); err != nil {
+	off, err := eng.StreamPlan(ModeTrain, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	off := eng.planStream(ModeTrain, false)
-	on := eng.planStream(ModeTrain, true)
+	on, err := eng.StreamPlan(ModeTrain, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, op := range p.Ops {
-		if op.Func == "model" {
-			continue
-		}
-		if !on.streamed[i] {
+		if !on.Streamed[i] {
 			t.Errorf("online train: op %s not streamed", op.Func)
 		}
-	}
-	for _, fn := range []string{"normalize", "clip", "train"} {
-		for i, op := range p.Ops {
-			if op.Func == fn && off.streamed[i] {
-				t.Errorf("offline train: op %s unexpectedly streamed", fn)
-			}
+		if fn := op.Func; (fn == "normalize" || fn == "clip" || fn == "train") && off.Streamed[i] {
+			t.Errorf("offline train: op %s unexpectedly streamed", fn)
 		}
 	}
-	if len(on.accum) != 0 {
-		t.Errorf("online train plan retains state: accum=%v", on.accum)
+	if len(on.Accum) != 0 || on.Barrier != nil {
+		t.Errorf("online train plan retains state: accum=%v barrier=%+v", on.Accum, on.Barrier)
 	}
-	for i, sink := range on.flowSink {
-		if sink {
-			t.Errorf("online train plan retains packet summaries for flow sink op %d", i)
-		}
+	if off.Barrier == nil || off.Barrier.Reason != "fits global state in train mode" {
+		t.Errorf("offline train plan barrier = %+v, want a fitted op", off.Barrier)
 	}
 }
 

@@ -111,7 +111,7 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				opsStallNS.Add(time.Since(t0).Nanoseconds())
 				job := r.newJob(nc)
 				cs := chunkSpan(stage, &nc)
-				r.runOps(job, r.pl.worker, &job.wsc, cs)
+				r.runOps(job, r.pl.Worker, &job.wsc, cs)
 				cs.End()
 				select {
 				case jobs <- job:
@@ -163,7 +163,7 @@ func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalRe
 				pump.Done(j.nc)
 				continue
 			}
-			if err := r.sinkChunk(j, r.pl.ordered, sinkSpan, pump.Done); err != nil {
+			if err := r.sinkChunk(j, r.pl.Ordered, sinkSpan, pump.Done); err != nil {
 				// First in-order failure: identical to where the inline
 				// loop would have stopped. Unwind the upstream stages; the
 				// loop keeps draining so no worker stays blocked on a full

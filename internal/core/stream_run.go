@@ -21,7 +21,7 @@ import (
 type streamExec struct {
 	e    *Engine
 	mode Mode
-	pl   *streamPlan
+	pl   *StreamPlan
 	meta dataset.SourceMeta
 	// sc carries cross-chunk fold state for the ordered ops; only the
 	// goroutine that owns stream order touches it.
@@ -35,8 +35,11 @@ type streamExec struct {
 	trainFrame string
 	prof       []OpStats
 
+	// accum holds the per-chunk frames deferred ops read; fenv is the
+	// flush pass's environment, which absorb seeds with the latest of
+	// every other streamed value they read.
 	accum   map[string][]*Frame
-	lastVal map[string]Value
+	fenv    map[string]Value
 	results []*EvalResult
 	hwm     uint64
 
@@ -54,22 +57,23 @@ type streamExec struct {
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
 // profile and accumulators of one RunStream pass.
 func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (*streamExec, error) {
-	if err := e.Check(); err != nil {
+	pl, err := e.StreamPlan(mode, cfg.Online)
+	if err != nil {
 		return nil, err
 	}
 	r := &streamExec{
-		e:       e,
-		mode:    mode,
-		pl:      e.planStream(mode, cfg.Online),
-		meta:    src.Meta(),
-		sc:      &streamCtx{carry: map[string]any{}, online: cfg.Online},
-		sinks:   map[int]*flowSinkState{},
-		hooks:   cfg.Hooks,
-		accum:   map[string][]*Frame{},
-		lastVal: map[string]Value{},
+		e:     e,
+		mode:  mode,
+		pl:    pl,
+		meta:  src.Meta(),
+		sc:    &streamCtx{carry: map[string]any{}, online: cfg.Online},
+		sinks: map[int]*flowSinkState{},
+		hooks: cfg.Hooks,
+		accum: map[string][]*Frame{},
+		fenv:  map[string]Value{},
 	}
 	for i, op := range e.P.Ops {
-		if !r.pl.flowSink[i] {
+		if !r.pl.FlowSink[i] {
 			continue
 		}
 		opts, gran, err := flowParams(params(op.Params))
@@ -87,8 +91,6 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
 		r.prof[i] = OpStats{Func: op.Func, Output: op.Output}
-	}
-	for _, op := range e.P.Ops {
 		if op.Func == "train" && len(op.Input) == 2 {
 			r.trainFrame = op.Input[1]
 		}
@@ -210,42 +212,21 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 	if job.err != nil {
 		return
 	}
-	e := r.e
 	sc.base = job.nc.Base
-	for i, op := range e.P.Ops {
+	for i, op := range r.e.P.Ops {
 		if !pick[i] {
 			continue
 		}
-		in := make([]Value, len(op.Input))
-		for j, name := range op.Input {
-			v, ok := job.env[name]
-			if !ok {
-				job.err = fmt.Errorf("core: op %d (%s): value %q was freed or never set", i, op.Func, name)
-				return
-			}
-			in[j] = v
-		}
-		ctx := &opCtx{mode: r.mode, outName: op.Output, state: e.state, seed: e.Seed, metrics: e.Metrics, stream: sc, drift: &job.drift}
-		if chunkSpan != nil {
-			ctx.span = chunkSpan.Child("op:" + op.Func)
-			ctx.span.Set("output", op.Output)
-		}
-		st := OpStats{Func: op.Func, Output: op.Output}
-		start := time.Now()
-		out, err := e.runOp(opRegistry[op.Func], ctx, op, in, &st)
-		st.Wall = time.Since(start)
-		if err == nil {
-			st.OutRows = outRows(out)
-		}
-		e.finishOp(ctx.span, &st, err)
+		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift}
+		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, nil)
 		if err != nil {
-			job.err = fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
+			job.err = err
 			return
 		}
 		job.stats[i] = st
 		job.env[op.Output] = out
-		if ctx.result != nil {
-			job.results = append(job.results, ctx.result)
+		if res != nil {
+			job.results = append(job.results, res)
 		}
 	}
 }
@@ -267,15 +248,13 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		job.drift[i].Seq = job.nc.Seq
 	}
 	r.e.LastStream.DriftEvents += len(job.drift)
-	for name := range r.pl.accum {
-		v, ok := job.env[name]
-		if !ok {
-			continue
-		}
-		if fr, isFrame := v.(*Frame); isFrame {
-			r.accum[name] = append(r.accum[name], fr)
-		} else {
-			r.lastVal[name] = v
+	for name := range r.pl.Accum {
+		switch v := job.env[name].(type) {
+		case *Frame:
+			r.accum[name] = append(r.accum[name], v)
+		case nil:
+		default:
+			r.fenv[name] = v
 		}
 	}
 	r.nChunks++
@@ -293,6 +272,27 @@ func (r *streamExec) absorb(job *chunkJob) error {
 	return r.afterChunk(job)
 }
 
+// countDecode feeds the decode counters for one absorbed chunk: every
+// packet, and the subset whose header decode never ran (the plan needed
+// nothing beyond record metadata).
+func (r *streamExec) countDecode(views []netpkt.PacketView) {
+	if r.e.Metrics == nil || len(views) == 0 {
+		return
+	}
+	skips := 0
+	for i := range views {
+		if !views[i].HeadersDecoded() {
+			skips++
+		}
+	}
+	r.e.Metrics.Counter("lumen_decode_packets_total",
+		"Packets delivered to streaming runs (every source emits lazy views).").Add(uint64(len(views)))
+	if skips > 0 {
+		r.e.Metrics.Counter("lumen_decode_lazy_skips_total",
+			"Packets whose L2-L4 header decode was never needed and so never ran.").Add(uint64(skips))
+	}
+}
+
 // finish runs the deferred (barrier) suffix with batch semantics over
 // the accumulated state and assembles the final result.
 func (r *streamExec) finish() (*EvalResult, error) {
@@ -302,72 +302,37 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			"Live-heap high-water mark observed at chunk boundaries of the most recent streaming run.").Set(float64(r.hwm))
 	}
 
-	// Flush: run deferred ops in op order with batch semantics over the
-	// concatenated accumulations.
-	fenv := map[string]Value{}
-	concatenated := map[string]*Frame{}
-	resolve := func(name string) (Value, error) {
-		if v, ok := fenv[name]; ok {
-			return v, nil
-		}
-		if fr, ok := concatenated[name]; ok {
-			return fr, nil
-		}
-		if parts, ok := r.accum[name]; ok {
-			fr, err := concatFrames(parts)
-			if err != nil {
-				return nil, err
-			}
-			concatenated[name] = fr
-			return fr, nil
-		}
-		if v, ok := r.lastVal[name]; ok {
-			return v, nil
-		}
-		if name == InputName {
-			// Every registered reader of the packet input streams or is a
-			// flow sink, so nothing keeps packets for the flush.
-			return nil, fmt.Errorf("the packet stream is not retained for deferred ops")
-		}
-		return nil, fmt.Errorf("value %q was freed or never set", name)
-	}
+	// Flush: run deferred ops in op order with batch semantics, each
+	// accumulation concatenated when its first reader runs.
+	fenv := r.fenv
 	for i, op := range e.P.Ops {
-		if r.pl.streamed[i] {
+		if r.pl.Streamed[i] {
 			continue
 		}
-		st := OpStats{Func: op.Func, Output: op.Output}
 		start := time.Now()
 		if s, ok := r.sinks[i]; ok {
 			fenv[op.Output] = r.finishFlows(s)
 			r.prof[i].Wall += time.Since(start)
 			continue
 		}
-		in := make([]Value, len(op.Input))
-		for j, name := range op.Input {
-			v, err := resolve(name)
-			if err != nil {
-				return nil, fmt.Errorf("core: op %d (%s): %w", i, op.Func, err)
+		for _, name := range op.Input {
+			if parts, ok := r.accum[name]; ok && fenv[name] == nil {
+				fr, err := concatFrames(parts)
+				if err != nil {
+					return nil, fmt.Errorf("core: op %d (%s): %w", i, op.Func, err)
+				}
+				fenv[name] = fr
 			}
-			in[j] = v
 		}
-		ctx := &opCtx{mode: r.mode, outName: op.Output, state: e.state, seed: e.Seed, metrics: e.Metrics}
-		if e.Span != nil {
-			ctx.span = e.Span.Child("op:" + op.Func)
-			ctx.span.Set("output", op.Output)
-		}
-		out, err := e.runOp(opRegistry[op.Func], ctx, op, in, &st)
-		st.Wall = time.Since(start)
-		if err == nil {
-			st.OutRows = outRows(out)
-		}
-		e.finishOp(ctx.span, &st, err)
+		out, st, res, err := e.invoke(i, r.pl.defs[i], fenv, opCtx{mode: r.mode}, e.Span, nil)
 		if err != nil {
-			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
+			return nil, err
 		}
 		fenv[op.Output] = out
-		r.prof[i].Wall, r.prof[i].Allocs, r.prof[i].OutRows = st.Wall, st.Allocs, st.OutRows
-		if ctx.result != nil {
-			r.results = append(r.results, ctx.result)
+		// The op's profile includes concatenating its inputs.
+		r.prof[i].Wall, r.prof[i].Allocs, r.prof[i].OutRows = time.Since(start), st.Allocs, st.OutRows
+		if res != nil {
+			r.results = append(r.results, res)
 		}
 	}
 	e.Profile = append(e.Profile[:0], r.prof...)

@@ -48,7 +48,7 @@ func httpPost(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestDaemonHTTP drives two concurrent pipelines end-to-end over the
+// TestDaemonHTTP drives concurrent pipelines end-to-end over the
 // operational HTTP surface: status listing, a hot swap from a persisted
 // model file, drain, /metrics, /trace, and the error paths.
 func TestDaemonHTTP(t *testing.T) {
@@ -86,6 +86,29 @@ func TestDaemonHTTP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A flow pipeline answers only at drain; its status must say where
+	// the plan stops streaming and why.
+	flows := core.NewEngine(&core.Pipeline{
+		Name:        "daemon-conn-dt",
+		Granularity: "connection",
+		Ops: []core.OpSpec{
+			{Func: "flow_assemble", Input: []string{core.InputName}, Output: "conns"},
+			{Func: "flow_features", Input: []string{"conns"}, Output: "F"},
+			{Func: "model", Output: "m", Params: map[string]any{"model_type": "decision_tree", "max_depth": 4}},
+			{Func: "train", Input: []string{"m", "F"}, Output: "fit"},
+		},
+	})
+	if err := flows.TrainStream(ds, core.StreamConfig{ChunkRows: 256}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Start(PipeConfig{
+		Name:   "flows",
+		Engine: flows,
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Stream: core.StreamConfig{ChunkRows: rows},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
@@ -100,8 +123,20 @@ func TestDaemonHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &listed); err != nil {
 		t.Fatal(err)
 	}
-	if len(listed) != 2 || listed[0].Name != "free" || listed[1].Name != "gated" {
-		t.Fatalf("/pipelines listed %+v", listed)
+	for i, want := range []struct {
+		name    string
+		barrier *core.PlanBarrier
+	}{
+		{"flows", &core.PlanBarrier{Index: 1, Func: "flow_features", Output: "F", Reason: "whole-trace op"}},
+		{"free", nil},
+		{"gated", nil},
+	} {
+		if len(listed) != 3 || listed[i].Name != want.name {
+			t.Fatalf("/pipelines listed %+v", listed)
+		}
+		if got := listed[i].Barrier; (got == nil) != (want.barrier == nil) || got != nil && *got != *want.barrier {
+			t.Errorf("/pipelines %s: barrier = %+v, want %+v", want.name, got, want.barrier)
+		}
 	}
 
 	// Swap over HTTP: queue the request (it blocks until a chunk
@@ -162,7 +197,7 @@ func TestDaemonHTTP(t *testing.T) {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
-		"lumen_daemon_pipelines 2",
+		"lumen_daemon_pipelines 3",
 		`lumen_daemon_model_generation{pipeline="gated"} 2`,
 		`lumen_daemon_swaps_total{outcome="promoted",pipeline="gated"} 1`,
 		`lumen_daemon_chunks_total{pipeline="free"}`,

@@ -163,6 +163,11 @@ type PipeStatus struct {
 	// Stream is the current pass's requested and effective execution
 	// shape, present once the pass has absorbed its first chunk.
 	Stream *StreamShape `json:"stream,omitempty"`
+	// Barrier names the first op of the pass's plan that runs only at
+	// flush, and why (see core.PlanBarrier): everything behind it,
+	// verdicts included, waits for drain. Omitted when the whole plan
+	// streams.
+	Barrier *core.PlanBarrier `json:"barrier,omitempty"`
 	// ModelGeneration is the active model's generation (1 = initial).
 	ModelGeneration int `json:"model_generation"`
 	// Shadowing reports an in-progress hot swap, with its live divergence.
@@ -208,6 +213,9 @@ type Pipe struct {
 	handle *mlkit.SwapHandle
 	src    dataset.Source
 	stream core.StreamConfig
+	// barrier is the plan's first flush-time op (nil: all ops stream);
+	// the plan is fixed by the pipeline and the stream config.
+	barrier *core.PlanBarrier
 
 	// The alert sink (nil disables it): alertBuf holds encoded whole lines
 	// not yet handed to alertw; alertPrefix is the current batch's constant
@@ -277,6 +285,10 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	if !ok {
 		return nil, fmt.Errorf("daemon: pipeline %q has no trained model; train or install one first", cfg.Name)
 	}
+	plan, err := cfg.Engine.StreamPlan(core.ModeTest, cfg.Stream.Online)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: pipeline %q: %w", cfg.Name, err)
+	}
 	handle, isHandle := clf.(*mlkit.SwapHandle)
 	if !isHandle {
 		handle = mlkit.NewSwapHandle(clf)
@@ -293,6 +305,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 		handle:        handle,
 		src:           cfg.Source,
 		stream:        cfg.Stream,
+		barrier:       plan.Barrier,
 		anomaliesOnly: cfg.AnomaliesOnly,
 		ctrl:          make(chan ctrlMsg, 16),
 		done:          make(chan struct{}),
@@ -828,6 +841,7 @@ func (p *Pipe) Status() PipeStatus {
 		State:    p.state.String(),
 		LastSwap: p.lastSwap,
 		Stream:   p.shape,
+		Barrier:  p.barrier,
 	}
 	if p.runErr != nil {
 		st.Error = p.runErr.Error()

@@ -54,6 +54,29 @@ type DecodeHint struct {
 // Any reports whether the hint requests any decoding at all.
 func (h DecodeHint) Any() bool { return h.Headers || h.Apps != 0 }
 
+// String names the depth: "metadata" (nothing parsed), "headers",
+// "headers+dns", ...
+func (h DecodeHint) String() string {
+	s := "metadata"
+	if h.Headers {
+		s = "headers"
+	}
+	for _, app := range []struct {
+		mask AppMask
+		name string
+	}{{AppDNS, "dns"}, {AppHTTP, "http"}, {AppMQTT, "mqtt"}} {
+		if h.Apps&app.mask != 0 {
+			s += "+" + app.name
+		}
+	}
+	return s
+}
+
+// Union returns the hint that covers both h and o.
+func (h DecodeHint) Union(o DecodeHint) DecodeHint {
+	return DecodeHint{Headers: h.Headers || o.Headers, Apps: h.Apps | o.Apps}
+}
+
 // PacketView is one packet decoded lazily over its raw bytes. The zero
 // value is invalid; initialize with Reset. Data is borrowed, not owned:
 // a view into an mmap'ed capture is valid only until the mapping is
