@@ -142,8 +142,11 @@ drift-smoke:
 # see internal/pcap/fuzz_test.go), and the pipeline template parser
 # (error, or a pipeline that plans without panicking in both modes with
 # Online off and on; see internal/algorithms/plan_test.go, which seeds it
-# with the built-in templates). Go runs one -fuzz pattern per
-# invocation, so each target gets its own line. The model
+# with the built-in templates and with A06 under decay-rate lists its
+# type-check must refuse), and kitsune_features' grouping keys (for any
+# two frames, struct keys equal exactly when the string keys they
+# replaced are; see internal/core/ops_kitsune_test.go). Go runs one
+# -fuzz pattern per invocation, so each target gets its own line. The model
 # target caps minimization: shrinking one multi-kilobyte JSON envelope
 # would otherwise eat the whole budget.
 FUZZTIME ?= 5s
@@ -155,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzAlertLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=$(FUZZTIME) -run='^$$' ./internal/algorithms/
+	$(GO) test -fuzz=FuzzKitsuneKeyEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core/
 
 # loc prints the non-test Go line count of every package under
 # internal/ and cmd/ (sub-packages counted with their parent) — the
@@ -167,6 +171,7 @@ loc:
 # check is the CI gate: static analysis, race-clean concurrency paths,
 # the documentation lint, and a short fuzz pass over the packet decoder,
 # the model loader, the feed frame parser, the alert line encoder, the
-# pcap reader and the pipeline template parser.
+# pcap reader, the pipeline template parser and the Kitsune grouping
+# keys.
 check: vet race docs-lint fuzz-smoke
 	$(GO) build ./...

@@ -68,7 +68,8 @@ func TestGoldenStreamPlans(t *testing.T) {
 // hint) without panicking in both modes with Online off and on, which
 // walks hostile params through every op's ordered and decode traits.
 // Fuzzed pipelines are never executed: model params such as a tree
-// count are unbounded.
+// count are unbounded. The seeds are the built-in templates plus A06
+// under decay-rate lists the type-check accepts and refuses.
 func FuzzParsePipeline(f *testing.F) {
 	for _, a := range builtins() {
 		data, err := core.MarshalPipeline(a.Pipeline)
@@ -76,6 +77,15 @@ func FuzzParsePipeline(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	a06, _ := Get("A06")
+	for _, lambdas := range []string{`[0.5, 0]`, `[]`, `[0.1, -1]`, `[0.1, "fast"]`, `0.1`} {
+		data, err := core.MarshalPipeline(a06.Pipeline)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The first op is kitsune_features, marshalled with null params.
+		f.Add(bytes.Replace(data, []byte(`"params": null`), []byte(`"params": {"lambdas": `+lambdas+`}`), 1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := core.ParsePipeline(data)

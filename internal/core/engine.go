@@ -234,6 +234,11 @@ func (e *Engine) check() ([]*opDef, error) {
 		if err := checkInputs(def, op, kinds, i); err != nil {
 			return nil, err
 		}
+		if def.traits.check != nil {
+			if err := def.traits.check(params(op.Params)); err != nil {
+				return nil, fmt.Errorf("core: op %d: %w", i, err)
+			}
+		}
 		if op.Output == "" {
 			return nil, fmt.Errorf("core: op %d (%s): missing output name", i, op.Func)
 		}

@@ -60,6 +60,9 @@ type opTraits struct {
 	// cacheable marks a stateless, mode-independent op whose batch
 	// results a shared Cache may serve.
 	cacheable bool
+	// check validates the op's params when the pipeline is type-checked
+	// (nil: any params pass; the op may still refuse them when it runs).
+	check func(params) error
 }
 
 // always is the ordered trait of ops whose fold state never depends on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -19,7 +20,7 @@ func init() {
 		opTraits{class: classRowLocal, decode: headers, cacheable: true}, opNPrint)
 	register("kitsune_features", "damped incremental statistics per packet over src, channel and socket groupings (Kitsune/AfterImage)",
 		opSig{in: []Kind{KindPackets}, out: KindFrame},
-		opTraits{class: classRowLocal, ordered: always, decode: headers, cacheable: true}, opKitsuneFeatures)
+		opTraits{class: classRowLocal, ordered: always, decode: headers, cacheable: true, check: checkKitsuneParams}, opKitsuneFeatures)
 	register("dot11_features", "802.11 frame features: subtype mix, retry, duration, per-transmitter rates",
 		opSig{in: []Kind{KindPackets}, out: KindFrame},
 		opTraits{class: classRowLocal, ordered: always, decode: headers, cacheable: true}, opDot11Features)
@@ -438,75 +439,222 @@ func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
 	return fr, nil
 }
 
-// kitsuneStreams bundles the damped statistics of one grouping key.
-type kitsuneStreams struct {
-	src, chanl, sock *features.IncStat
-	jitter           *features.IncStat
-	two              *features.IncStat2D
+// kitsuneStats names the 13 statistics kitsune_features emits per decay
+// rate, in column order: weight, mean and std of packet size per source,
+// channel and socket, the source's inter-arrival jitter, and the
+// channel's size × payload magnitude and covariance.
+var kitsuneStats = [...]string{"srcw", "srcmean", "srcstd", "chw", "chmean", "chstd", "skw", "skmean", "skstd", "jitmean", "jitstd", "mag", "cov"}
+
+// kitsuneLambdas reads the op's decay rates: a non-empty list of finite,
+// non-negative numbers (0 turns damping off), 1, 0.1 and 0.01 when unset.
+func kitsuneLambdas(p params) ([]float64, error) {
+	raw := p["lambdas"]
+	if raw == nil {
+		return []float64{1, 0.1, 0.01}, nil
+	}
+	list, ok := raw.([]any)
+	if !ok || len(list) == 0 {
+		return nil, fmt.Errorf("kitsune_features: lambdas must be a non-empty list of decay rates, got %v", raw)
+	}
+	lambdas := make([]float64, len(list))
+	for i, l := range list {
+		switch v := l.(type) {
+		case float64:
+			lambdas[i] = v
+		case int:
+			lambdas[i] = float64(v)
+		default:
+			return nil, fmt.Errorf("kitsune_features: lambdas[%d] is %v, want a number", i, l)
+		}
+		if !(lambdas[i] >= 0) || math.IsInf(lambdas[i], 1) {
+			return nil, fmt.Errorf("kitsune_features: lambdas[%d] is %v, want a finite decay rate >= 0", i, l)
+		}
+	}
+	return lambdas, nil
 }
 
-// kitsuneCarry is the op's cross-chunk fold state: every incremental
-// statistic is keyed by grouping and decay rate, and damped stats are
-// strictly sequential, so chunked execution must resume from the same
-// maps batch execution would have at that packet.
+// checkKitsuneParams is the op's type-check: a template with unusable
+// decay rates is refused when it is parsed, not at its first packet.
+func checkKitsuneParams(p params) error {
+	_, err := kitsuneLambdas(p)
+	return err
+}
+
+// keyKind says which addresses a kitsuneKey was built from. Keys of
+// different kinds never compare equal, whatever their bytes.
+type keyKind uint8
+
+const (
+	keyNone  keyKind = iota // no address layer decoded: one shared stream
+	keyIP                   // IP endpoints (ARP's sender and target included)
+	keyMAC                  // 802.11 or Ethernet MACs, on frames without IP
+	keyTuple                // a full five-tuple (socket grouping only)
+)
+
+// kitsuneKey identifies one stream of a grouping by the packet's address
+// bytes. A source key fills the source address only, a channel key both
+// addresses, a socket key the whole tuple when the packet has one and
+// the channel key otherwise.
+type kitsuneKey struct {
+	tuple    netpkt.FiveTuple
+	src, dst netpkt.MAC
+	kind     keyKind
+}
+
+// kitsuneKeys derives the grouping keys, falling back to MACs on 802.11
+// (Kitsune is the one algorithm the paper can run on AWID3).
+func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket kitsuneKey) {
+	if a := v.SrcIP(); a.IsValid() {
+		src = kitsuneKey{kind: keyIP, tuple: netpkt.FiveTuple{SrcIP: a}}
+		channel = kitsuneKey{kind: keyIP, tuple: netpkt.FiveTuple{SrcIP: a, DstIP: v.DstIP()}}
+		if ft, ok := v.Tuple(); ok {
+			return src, channel, kitsuneKey{kind: keyTuple, tuple: ft}
+		}
+		return src, channel, channel
+	}
+	var from, to netpkt.MAC
+	if d, ok := v.Dot11(); ok {
+		from, to = d.Addr2, d.Addr1
+	} else if e, ok := v.Eth(); ok {
+		from, to = e.Src, e.Dst
+	} else {
+		return src, channel, socket
+	}
+	src = kitsuneKey{kind: keyMAC, src: from}
+	channel = kitsuneKey{kind: keyMAC, src: from, dst: to}
+	return src, channel, channel
+}
+
+// srcStat is one source at one decay rate: its packet sizes, and the
+// inter-arrival times of the channels its packets travel on.
+type srcStat struct{ size, jitter features.IncStat }
+
+// chanEntry is one channel: when it last carried a packet (what jitter
+// is measured from) and its size × payload statistic at every decay
+// rate, whose A side doubles as the channel's size statistic.
+type chanEntry struct {
+	last float64
+	two  []features.IncStat2D
+}
+
+// kitsuneSweepEvery is how many folded packets pass between two sweeps
+// for faded streams.
+const kitsuneSweepEvery = 1 << 14
+
+// kitsuneCarry is the op's fold state: one map per grouping, whose value
+// holds the stream's statistics at every decay rate contiguously, so a
+// packet costs three probes and allocates only for a stream it is the
+// first packet of. Damped statistics are strictly sequential: chunked
+// execution resumes from the state batch execution would have at that
+// packet, and sweeps are clocked by packets folded, never by chunks.
 type kitsuneCarry struct {
-	perLambda []map[string]*kitsuneStreams
-	lastSeen  []map[string]float64
+	lambdas []float64
+	names   []string // column names, kitsuneStats per decay rate
+	// horizon is the idle time after which a stream's history has faded
+	// below 2^-64 at every decay rate; +Inf when one of them is 0.
+	horizon float64
+	folded  int
+	srcs    map[kitsuneKey][]srcStat
+	chans   map[kitsuneKey]*chanEntry
+	socks   map[kitsuneKey][]features.IncStat
+}
+
+func newKitsuneCarry(lambdas []float64) *kitsuneCarry {
+	car := &kitsuneCarry{
+		lambdas: lambdas,
+		horizon: 64 / slices.Min(lambdas),
+		srcs:    map[kitsuneKey][]srcStat{},
+		chans:   map[kitsuneKey]*chanEntry{},
+		socks:   map[kitsuneKey][]features.IncStat{},
+	}
+	for _, lam := range lambdas {
+		for _, nm := range kitsuneStats {
+			car.names = append(car.names, fmt.Sprintf("k_%g_%s", lam, nm))
+		}
+	}
+	return car
 }
 
 // fold ingests one packet — reduced to its timestamp, wire size, payload
 // length and grouping keys — and writes row i of every column.
-func (car *kitsuneCarry) fold(lambdas []float64, cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey string) {
-	perLambda, lastSeen := car.perLambda, car.lastSeen
-	for li, lam := range lambdas {
-		st := perLambda[li][srcKey]
-		if st == nil {
-			st = &kitsuneStreams{
-				src:    features.NewIncStat(lam),
-				chanl:  features.NewIncStat(lam),
-				sock:   features.NewIncStat(lam),
-				jitter: features.NewIncStat(lam),
-				two:    features.NewIncStat2D(lam),
-			}
-			perLambda[li][srcKey] = st
+func (car *kitsuneCarry) fold(cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey kitsuneKey) {
+	src, ok := car.srcs[srcKey]
+	if !ok {
+		src = make([]srcStat, len(car.lambdas))
+		for li, lam := range car.lambdas {
+			src[li] = srcStat{size: features.IncStat{Lambda: lam}, jitter: features.IncStat{Lambda: lam}}
 		}
-		// Jitter: inter-arrival within the channel.
-		if last, ok := lastSeen[li][chanKey]; ok {
-			st.jitter.Insert(t-last, t)
-		}
-		lastSeen[li][chanKey] = t
-		st.src.Insert(size, t)
-		// Channel/socket stats live in dedicated stream objects keyed
-		// by their own keys; reuse the map with prefixed keys.
-		cst := perLambda[li]["c|"+chanKey]
-		if cst == nil {
-			cst = &kitsuneStreams{src: features.NewIncStat(lam), two: features.NewIncStat2D(lam)}
-			perLambda[li]["c|"+chanKey] = cst
-		}
-		cst.src.Insert(size, t)
-		cst.two.Insert(size, payLen, t)
-		sst := perLambda[li]["s|"+sockKey]
-		if sst == nil {
-			sst = &kitsuneStreams{src: features.NewIncStat(lam)}
-			perLambda[li]["s|"+sockKey] = sst
-		}
-		sst.src.Insert(size, t)
-
-		base := li * 13
-		cols[base+0][i] = st.src.Weight()
-		cols[base+1][i] = st.src.Mean()
-		cols[base+2][i] = st.src.Std()
-		cols[base+3][i] = cst.src.Weight()
-		cols[base+4][i] = cst.src.Mean()
-		cols[base+5][i] = cst.src.Std()
-		cols[base+6][i] = sst.src.Weight()
-		cols[base+7][i] = sst.src.Mean()
-		cols[base+8][i] = sst.src.Std()
-		cols[base+9][i] = st.jitter.Mean()
-		cols[base+10][i] = st.jitter.Std()
-		cols[base+11][i] = cst.two.Magnitude()
-		cols[base+12][i] = cst.two.Cov()
+		car.srcs[srcKey] = src
 	}
+	sock, ok := car.socks[sockKey]
+	if !ok {
+		sock = make([]features.IncStat, len(car.lambdas))
+		for li, lam := range car.lambdas {
+			sock[li].Lambda = lam
+		}
+		car.socks[sockKey] = sock
+	}
+	ch, known := car.chans[chanKey]
+	if !known {
+		ch = &chanEntry{two: make([]features.IncStat2D, len(car.lambdas))}
+		for li, lam := range car.lambdas {
+			ch.two[li] = *features.NewIncStat2D(lam)
+		}
+		car.chans[chanKey] = ch
+	}
+	gap := t - ch.last
+	ch.last = t
+	for li := range car.lambdas {
+		s, c, k := &src[li], &ch.two[li], &sock[li]
+		// Jitter: inter-arrival within the channel.
+		if known {
+			s.jitter.Insert(gap, t)
+		}
+		s.size.Insert(size, t)
+		c.Insert(size, payLen, t)
+		k.Insert(size, t)
+
+		col := cols[li*len(kitsuneStats):]
+		col[0][i] = s.size.Weight()
+		col[1][i] = s.size.Mean()
+		col[2][i] = s.size.Std()
+		col[3][i] = c.A.Weight()
+		col[4][i] = c.A.Mean()
+		col[5][i] = c.A.Std()
+		col[6][i] = k.Weight()
+		col[7][i] = k.Mean()
+		col[8][i] = k.Std()
+		col[9][i] = s.jitter.Mean()
+		col[10][i] = s.jitter.Std()
+		col[11][i] = c.Magnitude()
+		col[12][i] = c.Cov()
+	}
+	car.folded++
+}
+
+// sweep drops every stream idle at time now for longer than the horizon:
+// its next packet would meet history faded below 2^-64, so it starts
+// afresh instead. It returns how many streams went.
+func (car *kitsuneCarry) sweep(now float64) (evicted int) {
+	for k, st := range car.srcs {
+		if now-st[0].size.LastTs() > car.horizon {
+			delete(car.srcs, k)
+			evicted++
+		}
+	}
+	for k, ch := range car.chans {
+		if now-ch.two[0].A.LastTs() > car.horizon {
+			delete(car.chans, k)
+			evicted++
+		}
+	}
+	for k, st := range car.socks {
+		if now-st[0].LastTs() > car.horizon {
+			delete(car.socks, k)
+			evicted++
+		}
+	}
+	return evicted
 }
 
 // kitsune groupings: per-source stream, per-channel (src->dst) stream and
@@ -516,89 +664,65 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	lambdas := []float64{1, 0.1, 0.01}
-	if ls := p.anyList("lambdas"); ls != nil {
-		lambdas = lambdas[:0]
-		for _, l := range ls {
-			if f, ok := l.(float64); ok {
-				lambdas = append(lambdas, f)
-			}
-		}
-	}
-	ds := pk.DS
-	n := pk.Len()
-	fr := newPacketFrame(n, ds, ctx.streamBase())
-	nFeat := len(lambdas) * 13
-	cols := make([][]float64, nFeat)
-	for j := range cols {
-		cols[j] = make([]float64, n)
-	}
 	prev, _ := ctx.carry()
 	car, ok := prev.(*kitsuneCarry)
 	if !ok {
-		car = &kitsuneCarry{
-			perLambda: make([]map[string]*kitsuneStreams, len(lambdas)),
-			lastSeen:  make([]map[string]float64, len(lambdas)),
+		lambdas, err := kitsuneLambdas(p)
+		if err != nil {
+			return nil, err
 		}
-		for li := range lambdas {
-			car.perLambda[li] = map[string]*kitsuneStreams{}
-			car.lastSeen[li] = map[string]float64{}
-		}
+		car = newKitsuneCarry(lambdas)
 		ctx.setCarry(car)
 	}
+	n := pk.Len()
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase())
+	// One block backs every column; each is capped so an append to one
+	// cannot run into the next.
+	block := make([]float64, len(car.names)*n)
+	cols := make([][]float64, len(car.names))
+	for j := range cols {
+		cols[j] = block[j*n : (j+1)*n : (j+1)*n]
+	}
+	evicted := 0
 	for i := range pk.Views {
 		vw := &pk.Views[i]
 		srcKey, chanKey, sockKey := kitsuneKeys(vw)
-		car.fold(lambdas, cols, i, pktTime(vw.Ts), float64(vw.WireLen()),
-			float64(vw.PayloadLen()), srcKey, chanKey, sockKey)
-	}
-	names := []string{"srcw", "srcmean", "srcstd", "chw", "chmean", "chstd", "skw", "skmean", "skstd", "jitmean", "jitstd", "mag", "cov"}
-	for li, lam := range lambdas {
-		for k, nm := range names {
-			fr.AddF(fmt.Sprintf("k_%g_%s", lam, nm), cols[li*13+k])
+		t := pktTime(vw.Ts)
+		car.fold(cols, i, t, float64(vw.WireLen()), float64(vw.PayloadLen()), srcKey, chanKey, sockKey)
+		if car.folded%kitsuneSweepEvery == 0 {
+			evicted += car.sweep(t)
 		}
+	}
+	fr.Cols = make([]Column, 0, len(cols))
+	for j, name := range car.names {
+		fr.AddF(name, cols[j])
+	}
+	if ctx != nil {
+		ctx.metrics.Gauge("lumen_kitsune_streams",
+			"Source, channel and socket streams kitsune_features holds statistics for.").
+			Set(float64(len(car.srcs) + len(car.chans) + len(car.socks)))
+		ctx.metrics.Counter("lumen_kitsune_streams_evicted_total",
+			"Streams kitsune_features dropped after their history faded below 2^-64 at every decay rate.").
+			Add(uint64(evicted))
 	}
 	return fr, nil
 }
 
-// kitsuneKeys derives grouping keys, falling back to MACs on 802.11
-// (Kitsune is the one algorithm the paper can run on AWID3).
-func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket string) {
-	if a := v.SrcIP(); a.IsValid() {
-		src = a.String()
-		channel = src + ">" + v.DstIP().String()
-		if ft, ok := v.Tuple(); ok {
-			socket = ft.String()
-		} else {
-			socket = channel
-		}
-		return src, channel, socket
-	}
-	if d, ok := v.Dot11(); ok {
-		src = d.Addr2.String()
-		channel = src + ">" + d.Addr1.String()
-		return src, channel, channel
-	}
-	if e, ok := v.Eth(); ok {
-		src = e.Src.String()
-		channel = src + ">" + e.Dst.String()
-		return src, channel, channel
-	}
-	return "?", "?", "?"
-}
+// dot11Tx is one transmitter's damped frame rate and its rate of
+// deauthentication and disassociation frames.
+type dot11Tx struct{ all, deauth features.IncStat }
 
-// dot11Carry keeps the per-transmitter damped rate trackers alive
-// across chunks so streamed execution matches batch execution.
+// dot11Carry keeps the per-transmitter rate trackers alive across chunks
+// so streamed execution matches batch execution.
 type dot11Carry struct {
-	perTx       map[string]*features.IncStat
-	perTxDeauth map[string]*features.IncStat
+	perTx map[netpkt.MAC]*dot11Tx
 }
 
 // dot11Fill bundles the output columns and rate trackers of one
 // dot11_features evaluation; fold writes row i from one 802.11 header.
 type dot11Fill struct {
 	subtype, mgmt, retry, duration, rate, deauthRate, plen []float64
-	perTx, perTxDeauth                                     map[string]*features.IncStat
+	perTx                                                  map[netpkt.MAC]*dot11Tx
 	lam                                                    float64
 }
 
@@ -608,23 +732,17 @@ func (f *dot11Fill) fold(i int, d *netpkt.Dot11, t, payLen float64) {
 	f.retry[i] = b2f(d.Retry)
 	f.duration[i] = float64(d.Duration)
 	f.plen[i] = payLen
-	key := d.Addr2.String()
-	st := f.perTx[key]
-	if st == nil {
-		st = features.NewIncStat(f.lam)
-		f.perTx[key] = st
+	tx := f.perTx[d.Addr2]
+	if tx == nil {
+		tx = &dot11Tx{all: features.IncStat{Lambda: f.lam}, deauth: features.IncStat{Lambda: f.lam}}
+		f.perTx[d.Addr2] = tx
 	}
-	st.Insert(1, t)
-	f.rate[i] = st.Weight()
-	dst := f.perTxDeauth[key]
-	if dst == nil {
-		dst = features.NewIncStat(f.lam)
-		f.perTxDeauth[key] = dst
-	}
+	tx.all.Insert(1, t)
+	f.rate[i] = tx.all.Weight()
 	if d.Subtype == netpkt.Dot11Deauth || d.Subtype == netpkt.Dot11Disassoc {
-		dst.Insert(1, t)
+		tx.deauth.Insert(1, t)
 	}
-	f.deauthRate[i] = dst.Weight()
+	f.deauthRate[i] = tx.deauth.Weight()
 }
 
 func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
@@ -639,7 +757,7 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 	prev, _ := ctx.carry()
 	car, ok := prev.(*dot11Carry)
 	if !ok {
-		car = &dot11Carry{perTx: map[string]*features.IncStat{}, perTxDeauth: map[string]*features.IncStat{}}
+		car = &dot11Carry{perTx: map[netpkt.MAC]*dot11Tx{}}
 		ctx.setCarry(car)
 	}
 	fill := &dot11Fill{
@@ -647,7 +765,7 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 		retry: make([]float64, n), duration: make([]float64, n),
 		rate: make([]float64, n), deauthRate: make([]float64, n),
 		plen:  make([]float64, n),
-		perTx: car.perTx, perTxDeauth: car.perTxDeauth, lam: lam,
+		perTx: car.perTx, lam: lam,
 	}
 	for i := range pk.Views {
 		vw := &pk.Views[i]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -29,7 +30,7 @@ type oracleFrame struct {
 // protocolCorpus covers both link types, both IP versions, all L4
 // protocols, every app protocol, TCP options, fragments and non-IP
 // frames — each at every truncation, one millisecond apart.
-func protocolCorpus(t *testing.T) []oracleFrame {
+func protocolCorpus(t testing.TB) []oracleFrame {
 	t.Helper()
 	ip4 := func(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
 	eth := func() *netpkt.Ethernet {
@@ -269,6 +270,107 @@ func oracleKitsuneKeys(p *netpkt.Packet) (src, channel, socket string) {
 	return "?", "?", "?"
 }
 
+// oracleKitsuneStreams and oracleKitsuneFold are kitsune_features as it
+// was before its keys became structs: one string-keyed map per decay
+// rate holding heap statistics under "", "c|" and "s|" prefixes, plus a
+// last-seen map per rate. Kept as the reference the op's columns must
+// match bit for bit.
+type oracleKitsuneStreams struct {
+	src, jitter *features.IncStat
+	two         *features.IncStat2D
+}
+
+type oracleKitsuneFold struct {
+	perLambda []map[string]*oracleKitsuneStreams
+	lastSeen  []map[string]float64
+}
+
+func newOracleKitsuneFold(lambdas []float64) *oracleKitsuneFold {
+	o := &oracleKitsuneFold{}
+	for range lambdas {
+		o.perLambda = append(o.perLambda, map[string]*oracleKitsuneStreams{})
+		o.lastSeen = append(o.lastSeen, map[string]float64{})
+	}
+	return o
+}
+
+func (o *oracleKitsuneFold) fold(lambdas []float64, cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey string) {
+	for li, lam := range lambdas {
+		get := func(key string) *oracleKitsuneStreams {
+			st := o.perLambda[li][key]
+			if st == nil {
+				st = &oracleKitsuneStreams{src: features.NewIncStat(lam), jitter: features.NewIncStat(lam), two: features.NewIncStat2D(lam)}
+				o.perLambda[li][key] = st
+			}
+			return st
+		}
+		st := get(srcKey)
+		if last, ok := o.lastSeen[li][chanKey]; ok {
+			st.jitter.Insert(t-last, t)
+		}
+		o.lastSeen[li][chanKey] = t
+		st.src.Insert(size, t)
+		cst := get("c|" + chanKey)
+		cst.src.Insert(size, t)
+		cst.two.Insert(size, payLen, t)
+		sst := get("s|" + sockKey)
+		sst.src.Insert(size, t)
+
+		base := li * 13
+		cols[base+0][i] = st.src.Weight()
+		cols[base+1][i] = st.src.Mean()
+		cols[base+2][i] = st.src.Std()
+		cols[base+3][i] = cst.src.Weight()
+		cols[base+4][i] = cst.src.Mean()
+		cols[base+5][i] = cst.src.Std()
+		cols[base+6][i] = sst.src.Weight()
+		cols[base+7][i] = sst.src.Mean()
+		cols[base+8][i] = sst.src.Std()
+		cols[base+9][i] = st.jitter.Mean()
+		cols[base+10][i] = st.jitter.Std()
+		cols[base+11][i] = cst.two.Magnitude()
+		cols[base+12][i] = cst.two.Cov()
+	}
+}
+
+// oracleKitsuneColumns folds the materialized packets through the string-
+// keyed reference.
+func oracleKitsuneColumns(pkts []*netpkt.Packet, lambdas []float64) [][]float64 {
+	cols := make([][]float64, 13*len(lambdas))
+	for j := range cols {
+		cols[j] = make([]float64, len(pkts))
+	}
+	o := newOracleKitsuneFold(lambdas)
+	for i, p := range pkts {
+		src, ch, sock := oracleKitsuneKeys(p)
+		o.fold(lambdas, cols, i, pktTime(p.Ts), float64(len(p.Data)), float64(len(p.Payload)), src, ch, sock)
+	}
+	return cols
+}
+
+// keyPairing checks that struct keys and the oracle's string keys
+// partition packets identically within one grouping: equal structs if
+// and only if equal strings.
+type keyPairing struct {
+	byKey map[kitsuneKey]string
+	byStr map[string]kitsuneKey
+}
+
+func newKeyPairing() *keyPairing {
+	return &keyPairing{byKey: map[kitsuneKey]string{}, byStr: map[string]kitsuneKey{}}
+}
+
+func (kp *keyPairing) add(t testing.TB, grouping string, i int, k kitsuneKey, s string) {
+	t.Helper()
+	if prev, ok := kp.byKey[k]; ok && prev != s {
+		t.Fatalf("kitsune %s key, packet %d: struct key %+v stands for both %q and %q", grouping, i, k, prev, s)
+	}
+	if prev, ok := kp.byStr[s]; ok && prev != k {
+		t.Fatalf("kitsune %s key, packet %d: %q splits into struct keys %+v and %+v", grouping, i, s, prev, k)
+	}
+	kp.byKey[k], kp.byStr[s] = s, k
+}
+
 // checkPacketOps holds every packet op to the oracle over one frame set.
 func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	t.Helper()
@@ -331,11 +433,30 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	}
 
 	keyViews := viewsOf(frames)
+	srcs, chans, socks := newKeyPairing(), newKeyPairing(), newKeyPairing()
 	for i, p := range pkts {
 		gs, gc, gk := kitsuneKeys(&keyViews[i])
 		ws, wc, wk := oracleKitsuneKeys(p)
-		if gs != ws || gc != wc || gk != wk {
-			t.Fatalf("kitsune keys, packet %d: view (%s, %s, %s), materialized (%s, %s, %s)", i, gs, gc, gk, ws, wc, wk)
+		srcs.add(t, "source", i, gs, ws)
+		chans.add(t, "channel", i, gc, wc)
+		socks.add(t, "socket", i, gk, wk)
+	}
+	for _, lambdas := range [][]float64{{1, 0.1, 0.01}, {5, 3, 1, 0.1, 0.01}, {0.5, 0}} {
+		list := make([]any, len(lambdas))
+		for i, l := range lambdas {
+			list[i] = l
+		}
+		kf, err := opKitsuneFeatures(nil, input(), params{"lambdas": list})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, want := range oracleKitsuneColumns(pkts, lambdas) {
+			got := kf.(*Frame).Cols[j]
+			for i := range want {
+				if math.Float64bits(got.F[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("kitsune_features %v, column %s, packet %d: %v, string-keyed reference %v", lambdas, got.Name, i, got.F[i], want[i])
+				}
+			}
 		}
 	}
 
@@ -348,7 +469,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	want := &dot11Fill{
 		subtype: make([]float64, n), mgmt: make([]float64, n), retry: make([]float64, n),
 		duration: make([]float64, n), rate: make([]float64, n), deauthRate: make([]float64, n), plen: make([]float64, n),
-		perTx: map[string]*features.IncStat{}, perTxDeauth: map[string]*features.IncStat{}, lam: lam,
+		perTx: map[netpkt.MAC]*dot11Tx{}, lam: lam,
 	}
 	for i, p := range pkts {
 		if p.Dot11 != nil {
@@ -366,10 +487,10 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 }
 
 // TestPacketOpsMatchMaterializedOracle: every field_extract field, the
-// four nprint variants, the Kitsune grouping keys and dot11_features,
-// computed from views, equal the values read off the materialized
-// packets — on the protocol corpus and on the first 200 packets of every
-// registered dataset.
+// four nprint variants, the Kitsune grouping keys and feature columns and
+// dot11_features, computed from views, equal the values read off the
+// materialized packets — on the protocol corpus and on the first 200
+// packets of every registered dataset.
 func TestPacketOpsMatchMaterializedOracle(t *testing.T) {
 	t.Run("protocol-corpus", func(t *testing.T) { checkPacketOps(t, protocolCorpus(t)) })
 	for _, spec := range dataset.Registry() {

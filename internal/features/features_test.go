@@ -52,9 +52,9 @@ func TestIncStatDampingForgetsHistory(t *testing.T) {
 func TestIncStatDampedWeightHalves(t *testing.T) {
 	s := NewIncStat(1)
 	s.Insert(5, 0)
-	s.decay(1) // exactly one half-life
-	if w := s.Weight(); math.Abs(w-0.5) > 1e-9 {
-		t.Errorf("weight after one half-life = %v, want 0.5", w)
+	s.Insert(5, 1) // exactly one half-life later: the first insert counts half
+	if w := s.Weight(); math.Abs(w-1.5) > 1e-9 {
+		t.Errorf("weight one half-life on = %v, want 0.5 + 1", w)
 	}
 }
 

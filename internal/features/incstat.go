@@ -26,28 +26,46 @@ func NewIncStat(lambda float64) *IncStat { return &IncStat{Lambda: lambda} }
 
 // Insert adds value v observed at time ts (seconds).
 func (s *IncStat) Insert(v, ts float64) {
-	s.decay(ts)
-	s.w++
-	s.ls += v
-	s.ss += v * v
+	s.add(v, decayFactor(s.Lambda, s.elapse(ts)))
 }
 
-// decay ages the sufficient statistics to time ts.
-func (s *IncStat) decay(ts float64) {
+// LastTs is the latest observation time: the instant the next insert's
+// decay is measured from (0 before any insert).
+func (s *IncStat) LastTs() float64 { return s.lastTs }
+
+// elapse advances the statistic's clock to ts and returns how long its
+// history has to fade over: 0 on the first insert and whenever ts does
+// not move the clock forward.
+func (s *IncStat) elapse(ts float64) (dt float64) {
 	if !s.seen {
 		s.seen = true
 		s.lastTs = ts
-		return
-	}
-	if s.Lambda > 0 && ts > s.lastTs {
-		f := math.Exp2(-s.Lambda * (ts - s.lastTs))
-		s.w *= f
-		s.ls *= f
-		s.ss *= f
+		return 0
 	}
 	if ts > s.lastTs {
+		dt = ts - s.lastTs
 		s.lastTs = ts
 	}
+	return dt
+}
+
+// decayFactor is what history fades by over dt seconds at rate lambda;
+// exactly 1 with damping off or no time elapsed.
+func decayFactor(lambda, dt float64) float64 {
+	if lambda > 0 && dt > 0 {
+		return math.Exp2(-lambda * dt)
+	}
+	return 1
+}
+
+// add fades the sufficient statistics by f, then counts v.
+func (s *IncStat) add(v, f float64) {
+	s.w *= f
+	s.ls *= f
+	s.ss *= f
+	s.w++
+	s.ls += v
+	s.ss += v * v
 }
 
 // Weight returns the damped observation count.
@@ -79,35 +97,32 @@ func (s *IncStat) Std() float64 { return math.Sqrt(s.Var()) }
 
 // IncStat2D tracks the damped covariance between two co-observed streams
 // (Kitsune's 2D "socket" statistics), plus the joint magnitude and radius
-// features derived from the pair of 1D statistics.
+// features derived from the pair of 1D statistics. A and B are held by
+// value, so a 2D statistic is one pointer-free block; they are for
+// reading: Insert drives both, which keeps the three clocks equal and
+// lets one decay factor serve all of them.
 type IncStat2D struct {
-	A, B *IncStat
+	A, B IncStat
 
-	sr     float64 // damped sum of residual products
-	w      float64 // damped joint count
-	lastTs float64
-	seen   bool
+	sr float64 // damped sum of residual products
+	w  float64 // damped joint count
 }
 
 // NewIncStat2D builds a 2D statistic over two damped 1D streams sharing
 // the decay rate lambda.
 func NewIncStat2D(lambda float64) *IncStat2D {
-	return &IncStat2D{A: NewIncStat(lambda), B: NewIncStat(lambda)}
+	return &IncStat2D{A: IncStat{Lambda: lambda}, B: IncStat{Lambda: lambda}}
 }
 
 // Insert adds the co-observed pair (va, vb) at time ts.
 func (s *IncStat2D) Insert(va, vb, ts float64) {
-	if s.seen && s.A.Lambda > 0 && ts > s.lastTs {
-		f := math.Exp2(-s.A.Lambda * (ts - s.lastTs))
-		s.sr *= f
-		s.w *= f
-	}
-	if !s.seen || ts > s.lastTs {
-		s.lastTs = ts
-	}
-	s.seen = true
-	s.A.Insert(va, ts)
-	s.B.Insert(vb, ts)
+	dt := s.A.elapse(ts)
+	s.B.elapse(ts)
+	f := decayFactor(s.A.Lambda, dt)
+	s.sr *= f
+	s.w *= f
+	s.A.add(va, f)
+	s.B.add(vb, f)
 	s.sr += (va - s.A.Mean()) * (vb - s.B.Mean())
 	s.w++
 }

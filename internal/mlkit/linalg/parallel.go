@@ -55,17 +55,17 @@ func ParallelRows(n int, fn func(lo, hi int)) {
 	}
 	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	// The caller takes the first range itself; only the others cost a
+	// goroutine.
+	for lo := chunk; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}()
 	}
+	fn(0, chunk)
 	wg.Wait()
 }
 

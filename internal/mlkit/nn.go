@@ -210,6 +210,16 @@ func (m *MLP) Init() {
 	m.tgt = &linalg.Dense{}
 }
 
+// paramCount is the number of weights and biases of an initialized
+// network.
+func (m *MLP) paramCount() int {
+	n := 0
+	for l, w := range m.weights {
+		n += len(w.Data) + len(m.biases[l])
+	}
+	return n
+}
+
 // forwardBatch runs the n rows already loaded into m.acts[0] through the
 // network: one GEMM + bias + activation per layer, row-parallel.
 func (m *MLP) forwardBatch(n int) {

@@ -176,45 +176,16 @@ func (k *KitNET) PartialFit(X [][]float64) error {
 	if _, err := checkXY(X, nil); err != nil {
 		return err
 	}
-	if k.clusters == nil {
-		k.clusters = clusterFeatures(X, k.maxAE())
+	if k.flat == nil {
 		k.norm = &MinMaxScaler{}
 		if err := k.norm.Fit(X); err != nil {
 			return err
 		}
-		lr := k.LR
-		if lr == 0 {
-			lr = 0.1
-		}
-		k.ensemble = make([]*Autoencoder, len(k.clusters))
-		for c, feats := range k.clusters {
-			b := len(feats) * 3 / 4
-			if b < 1 {
-				b = 1
-			}
-			k.ensemble[c] = &Autoencoder{Hidden: []int{b}, LR: lr, Seed: k.Seed + int64(c)}
-		}
-		ob := len(k.clusters) * 3 / 4
-		if ob < 1 {
-			ob = 1
-		}
-		k.output = &Autoencoder{Hidden: []int{ob}, LR: lr, Seed: k.Seed + 7919}
+		k.buildEnsemble(X)
 	} else if err := k.norm.PartialFit(X); err != nil {
 		return err
 	}
-	Xs := k.norm.Transform(X)
-	sub := make([]float64, 0, k.maxAE())
-	tail := make([]float64, len(k.clusters))
-	for _, row := range Xs {
-		for c, feats := range k.clusters {
-			sub = sub[:0]
-			for _, f := range feats {
-				sub = append(sub, row[f])
-			}
-			tail[c] = clamp01(k.ensemble[c].TrainOne(sub))
-		}
-		k.output.TrainOne(tail)
-	}
+	k.trainRows(X)
 	return nil
 }
 

@@ -121,6 +121,15 @@ func BenchmarkKitNETFit(b *testing.B) {
 	}
 }
 
+func BenchmarkKitNETScore(b *testing.B) {
+	k, X := benchKitNET(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = k.Score(X)
+	}
+}
+
 func BenchmarkGMMScore(b *testing.B) {
 	X := benchMatrix(4096, 16, 7)
 	g := &GMM{K: 4, Seed: 1, MaxIter: 10}

@@ -106,22 +106,26 @@ func (s *MinMaxScaler) Transform(X [][]float64) [][]float64 {
 	for i, row := range X {
 		r := make([]float64, len(row))
 		for j, v := range row {
-			span := s.Max[j] - s.Min[j]
-			if span <= 0 {
-				r[j] = 0
-				continue
-			}
-			x := (v - s.Min[j]) / span
-			if x < 0 {
-				x = 0
-			} else if x > 1 {
-				x = 1
-			}
-			r[j] = x
+			r[j] = s.scale(j, v)
 		}
 		out[i] = r
 	}
 	return out
+}
+
+// scale maps one value of feature j into [0,1].
+func (s *MinMaxScaler) scale(j int, v float64) float64 {
+	span := s.Max[j] - s.Min[j]
+	if span <= 0 {
+		return 0
+	}
+	x := (v - s.Min[j]) / span
+	if x < 0 {
+		x = 0
+	} else if x > 1 {
+		x = 1
+	}
+	return x
 }
 
 // CorrelationFilter drops features that are highly correlated with an
