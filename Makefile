@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke loc
+.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke config-check loc
 
 build:
 	$(GO) build ./...
@@ -79,21 +79,22 @@ race:
 
 # docs-lint enforces the documentation floor (see doclint_test.go):
 # package comments everywhere under internal/ and cmd/, doc comments on
-# every exported symbol of internal/obs and internal/core, and DESIGN.md's
-# op table equal to what `lumen -list-ops` prints.
+# every exported symbol of internal/obs and internal/core, DESIGN.md's
+# op table equal to what `lumen -list-ops` prints, and OPERATIONS.md's
+# lumend key table equal to what the config structs' tags and comments
+# render.
 docs-lint:
 	$(GO) test -run TestDocLint .
 
-# daemon-smoke boots lumend on a small replayed capture, then asserts
-# that at least one JSONL alert line was written and that every pipeline
-# reported a clean stop. This is the cheap end-to-end gate for the
-# resident daemon path (see OPERATIONS.md).
+# daemon-smoke boots lumend on examples/daemon-hot-swap/lumend.json (a
+# small replayed capture), then asserts that at least one JSONL alert
+# line was written and that every pipeline reported a clean stop. This is
+# the cheap end-to-end gate for the resident daemon path (see
+# OPERATIONS.md). The file names its sinks relatively, so the binary runs
+# from a scratch directory.
 daemon-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/lumend -pipeline examples/daemon-hot-swap/pipeline.json \
-		-train F1 -train-scale 0.05 -replay-dataset F1 -replay-scale 0.05 \
-		-chunk-rows 64 -listen "" \
-		-alerts $$tmp/alerts.jsonl -connlog $$tmp/conn.log >$$tmp/out.txt 2>&1 \
+	@tmp=$$(mktemp -d) && $(GO) build -o $$tmp/lumend ./cmd/lumend && \
+	(cd $$tmp && ./lumend -config $(CURDIR)/examples/daemon-hot-swap/lumend.json -listen "" >out.txt 2>&1) \
 		|| { echo "daemon-smoke: lumend failed"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
 	head -1 $$tmp/alerts.jsonl | grep -q '"pipeline"' \
 		|| { echo "daemon-smoke: no alert line"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
@@ -102,22 +103,19 @@ daemon-smoke:
 	echo "daemon-smoke: OK ($$(wc -l < $$tmp/alerts.jsonl) alerts, conn-log $$(wc -l < $$tmp/conn.log) lines)"; \
 	rm -rf $$tmp
 
-# drift-smoke is the end-to-end gate for the online-learning loop: it
-# trains the drift-retrain example pipeline on Mirai traffic (P1), then
-# replays a P1-then-P4 drifting stream — mid-replay the traffic turns
-# into ARP MitM, a distribution the model has never seen — with
-# drift-triggered retraining enabled. The two-sided Page-Hinkley monitor
-# fires on the score collapse, the daemon refits on fresh post-drift
-# rows in the background, and the candidate must pass the shadow gate
-# into an auto-promoted generation before drain.
+# drift-smoke is the end-to-end gate for the online-learning loop
+# (examples/drift-retrain/lumend.json): it trains the drift-retrain
+# example pipeline on Mirai traffic (P1), then replays a P1-then-P4
+# drifting stream — mid-replay the traffic turns into ARP MitM, a
+# distribution the model has never seen — with drift-triggered
+# retraining enabled. The two-sided Page-Hinkley monitor fires on the
+# score collapse, the daemon refits on fresh post-drift rows in the
+# background, and the candidate must pass the shadow gate into an
+# auto-promoted generation before drain.
 drift-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/lumend -pipeline examples/drift-retrain/pipeline.json \
-		-train P1 -train-scale 0.5 -replay-dataset P1,P4 -replay-scale 1.0 \
-		-chunk-rows 64 -replay-delay 15ms -listen "" \
-		-retrain -retrain-fresh -retrain-min-rows 128 -retrain-cooldown 4 \
-		-shadow-chunks 2 -max-disagree 1 \
-		-alerts $$tmp/alerts.jsonl -metrics-out $$tmp/metrics.prom >$$tmp/out.txt 2>&1 \
+	@tmp=$$(mktemp -d) && $(GO) build -o $$tmp/lumend ./cmd/lumend && \
+	(cd $$tmp && ./lumend -config $(CURDIR)/examples/drift-retrain/lumend.json -listen "" \
+		-metrics-out metrics.prom >out.txt 2>&1) \
 		|| { echo "drift-smoke: lumend failed"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
 	grep -q ' stopped: ' $$tmp/out.txt \
 		|| { echo "drift-smoke: no clean shutdown"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
@@ -128,27 +126,26 @@ drift-smoke:
 	echo "drift-smoke: OK ($$(grep -c . $$tmp/alerts.jsonl) alerts, $$(grep 'lumen_drift_events_total{' $$tmp/metrics.prom | head -1))"; \
 	rm -rf $$tmp
 
+# config-check type-checks every example daemon file without starting
+# anything: `lumend -check` prints each pipeline's stream plan.
+config-check:
+	@tmp=$$(mktemp -d) && $(GO) build -o $$tmp/lumend ./cmd/lumend && \
+	for f in examples/*/lumend.json; do \
+		$$tmp/lumend -config $$f -check || { echo "config-check: $$f failed"; rm -rf $$tmp; exit 1; }; \
+	done; rm -rf $$tmp
+
 # fuzz-smoke gives each fuzz target a short budget on top of its seed
-# corpus: the differential decoder targets (lazy PacketView vs eager
-# Decode; see internal/netpkt/view_fuzz_test.go), the model loader that
-# POST /swap reaches (error, or a model that scores without panicking;
-# see internal/mlkit/persist_fuzz_test.go), the feed frame parser
-# every producer connection reaches (error, or exactly the packet bytes
-# a length prefix within [8, MaxFrameBytes] announced; see
-# internal/daemon/feed_test.go) and the alert line encoder (byte-equal
-# to json.Marshal of the same Alert for any name, attack, score bits and
-# integers; see internal/daemon/alert_test.go), and the pcap reader
-# (buffered and mmap read paths fail closed and agree record for record;
-# see internal/pcap/fuzz_test.go), and the pipeline template parser
-# (error, or a pipeline that plans without panicking in both modes with
-# Online off and on; see internal/algorithms/plan_test.go, which seeds it
-# with the built-in templates and with A06 under decay-rate lists its
-# type-check must refuse), and kitsune_features' grouping keys (for any
-# two frames, struct keys equal exactly when the string keys they
-# replaced are; see internal/core/ops_kitsune_test.go). Go runs one
-# -fuzz pattern per invocation, so each target gets its own line. The model
-# target caps minimization: shrinking one multi-kilobyte JSON envelope
-# would otherwise eat the whole budget.
+# corpus. Go runs one -fuzz pattern per invocation, so each target gets
+# its own line; what each one holds:
+#   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == eager Decode (netpkt/view_fuzz_test.go)
+#   FuzzUnmarshalModel   error, or a model that scores without panicking (mlkit/persist_fuzz_test.go);
+#                        minimization capped: shrinking a multi-kilobyte envelope would eat the budget
+#   FuzzFeedFrame        error, or exactly the bytes a length prefix in [8, MaxFrameBytes] announced (daemon/feed_test.go)
+#   FuzzAlertLine        the append encoder == json.Marshal of the same Alert (daemon/alert_test.go)
+#   FuzzDaemonConfig     error, or a config whose every pipeline plans as `lumend -check` does (daemon/config_test.go)
+#   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
+#   FuzzParsePipeline    error, or a template that plans in both modes, Online off and on (algorithms/plan_test.go)
+#   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzViewEthernet -fuzztime=$(FUZZTIME) -run='^$$' ./internal/netpkt/
@@ -156,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/mlkit/
 	$(GO) test -fuzz=FuzzFeedFrame -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzAlertLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
+	$(GO) test -fuzz=FuzzDaemonConfig -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=$(FUZZTIME) -run='^$$' ./internal/algorithms/
 	$(GO) test -fuzz=FuzzKitsuneKeyEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core/
@@ -169,9 +167,7 @@ loc:
 	done
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
-# the documentation lint, and a short fuzz pass over the packet decoder,
-# the model loader, the feed frame parser, the alert line encoder, the
-# pcap reader, the pipeline template parser and the Kitsune grouping
-# keys.
-check: vet race docs-lint fuzz-smoke
+# the documentation lint, the example daemon files, and a short fuzz
+# pass over every byte-facing parser (listed at fuzz-smoke).
+check: vet race docs-lint config-check fuzz-smoke
 	$(GO) build ./...

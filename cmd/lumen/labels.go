@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"lumen/internal/dataset"
-	"lumen/internal/pcap"
 )
 
 // LoadLabeledPcap reads a capture plus its label CSV (columns:
@@ -16,27 +15,11 @@ import (
 // labelPath is empty every packet is labelled benign (useful for running
 // a fitted detector over an unlabelled capture).
 func LoadLabeledPcap(pcapPath, labelPath string) (*dataset.Labeled, error) {
-	f, err := os.Open(pcapPath)
+	ds, err := dataset.LoadPcap(pcapPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r, err := pcap.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	ds := &dataset.Labeled{
-		Name:        pcapPath,
-		Granularity: dataset.Packet,
-		Link:        r.LinkType(),
-		Packets:     pkts,
-		Labels:      make([]int, len(pkts)),
-		Attacks:     make([]string, len(pkts)),
-	}
+	pkts := ds.Packets
 	if labelPath == "" {
 		return ds, nil
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"lumen/internal/dataset"
 	"lumen/internal/pcap"
+	"lumen/internal/report"
 )
 
 // writeFixture generates a small dataset and writes the pcap + label CSV
@@ -116,5 +119,18 @@ func TestLoadLabeledPcapBadRows(t *testing.T) {
 	}
 	if _, err := LoadLabeledPcap(pcapPath, bad2); err == nil {
 		t.Error("non-numeric label should error")
+	}
+}
+
+// TestREADMEFlagTable pins README.md's "lumen flags" table to the flag
+// set: paste what the failure prints between the markers.
+func TestREADMEFlagTable(t *testing.T) {
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := report.FlagTable("lumen", flag.CommandLine)
+	if !bytes.Contains(doc, []byte(want)) {
+		t.Errorf("README.md's lumen flag table is stale; it should read:\n%s", want)
 	}
 }

@@ -27,25 +27,28 @@ import (
 	"lumen/internal/report"
 )
 
+// The command line (README.md "lumen flags" is pinned to it by
+// TestREADMEFlagTable).
+var (
+	listOps     = flag.Bool("list-ops", false, "print the op table (signature, stream class per mode, traits, doc) and exit")
+	listAlgs    = flag.Bool("list-algs", false, "list ported algorithms and exit")
+	algID       = flag.String("alg", "", "built-in algorithm ID (A00-A15, AM01-AM03)")
+	pipelineF   = flag.String("pipeline", "", "pipeline template JSON file")
+	trainID     = flag.String("train", "", "training dataset ID (F0-F9, P0-P4)")
+	testID      = flag.String("test", "", "test dataset ID (defaults to -train with a split)")
+	trainPcap   = flag.String("train-pcap", "", "training pcap file (with -train-labels)")
+	trainLabels = flag.String("train-labels", "", "training label CSV (index,label,attack)")
+	testPcap    = flag.String("test-pcap", "", "test pcap file (with -test-labels)")
+	testLabels  = flag.String("test-labels", "", "test label CSV")
+	scale       = flag.Float64("scale", 1.0, "dataset scale for registry datasets")
+	seed        = flag.Int64("seed", 7, "random seed")
+	profile     = flag.Bool("profile", false, "print per-operation time/alloc profile")
+	saveModel   = flag.String("save-model", "", "write the fitted model as JSON (tree-family and naive Bayes)")
+	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev); also prints per-model loss sparklines")
+	metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file after the run")
+)
+
 func main() {
-	var (
-		listOps     = flag.Bool("list-ops", false, "print the op table (signature, stream class per mode, traits, doc) and exit")
-		listAlgs    = flag.Bool("list-algs", false, "list ported algorithms and exit")
-		algID       = flag.String("alg", "", "built-in algorithm ID (A00-A15, AM01-AM03)")
-		pipelineF   = flag.String("pipeline", "", "pipeline template JSON file")
-		trainID     = flag.String("train", "", "training dataset ID (F0-F9, P0-P4)")
-		testID      = flag.String("test", "", "test dataset ID (defaults to -train with a split)")
-		trainPcap   = flag.String("train-pcap", "", "training pcap file (with -train-labels)")
-		trainLabels = flag.String("train-labels", "", "training label CSV (index,label,attack)")
-		testPcap    = flag.String("test-pcap", "", "test pcap file (with -test-labels)")
-		testLabels  = flag.String("test-labels", "", "test label CSV")
-		scale       = flag.Float64("scale", 1.0, "dataset scale for registry datasets")
-		seed        = flag.Int64("seed", 7, "random seed")
-		profile     = flag.Bool("profile", false, "print per-operation time/alloc profile")
-		saveModel   = flag.String("save-model", "", "write the fitted model as JSON (tree-family and naive Bayes)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev); also prints per-model loss sparklines")
-		metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file after the run")
-	)
 	flag.Parse()
 
 	if *listOps {

@@ -46,33 +46,36 @@ type options struct {
 	metricsAddr string // serve Prometheus metrics on this address
 }
 
+// The command line (README.md "lumenbench flags" is pinned to it by
+// TestREADMEFlagTable).
+var (
+	scale       = flag.Float64("scale", 0.6, "dataset scale factor (1.0 = full synthetic size)")
+	seed        = flag.Int64("seed", 7, "random seed")
+	fig         = flag.String("fig", "all", "which output: "+strings.Join(validFigs, ", "))
+	algs        = flag.String("algs", "", "comma-separated algorithm IDs (default: all 16)")
+	datasets    = flag.String("datasets", "", "comma-separated dataset IDs (default: all 15)")
+	out         = flag.String("out", "", "directory to write results.json and CSV figures")
+	workers     = flag.Int("workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
+	noCache     = flag.Bool("nocache", false, "disable the shared intermediate-result cache")
+	cacheEnt    = flag.Int("cache-entries", 0, "bound the shared cache to N entries with LRU eviction (0 = unbounded)")
+	stream      = flag.Bool("stream", false, "execute pipelines with the chunked streaming engine instead of batch runs")
+	chunkRows   = flag.Int("chunk-rows", 0, "packets per streamed chunk with -stream (0 = whole trace in one chunk)")
+	chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per streamed chunk with -stream (0 = no byte bound; combines with -chunk-rows, first bound wins)")
+	pipeDepth   = flag.Int("pipeline-depth", 0, "decoded chunks in flight with -stream (>0 runs the staged source/ops/sink loop; 0 = inline chunk loop)")
+	streamWrk   = flag.Int("stream-workers", 0, "goroutines for order-free row-local ops with -stream (>1 implies the staged loop; 0 or 1 = one worker)")
+	profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
+	profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
+	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
+	traceJSONL  = flag.String("trace-jsonl", "", "write the trace as flat per-span JSONL records to this file")
+	metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file when the run finishes")
+	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics at http://ADDR/metrics while the suite runs (e.g. localhost:9090)")
+	preqOut     = flag.String("prequential", "", "run the drifting-traffic prequential benchmark (static vs online vs drift-triggered retrain) and write the report JSON to this file instead of the figure suite")
+	preqPhases  = flag.String("preq-phases", "", "comma-separated phase dataset IDs for -prequential (default P1,P4)")
+	preqModel   = flag.String("preq-model", "", "model_type for -prequential; must partial-fit natively (default mlp)")
+	preqWindow  = flag.Int("preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
+)
+
 func main() {
-	var (
-		scale       = flag.Float64("scale", 0.6, "dataset scale factor (1.0 = full synthetic size)")
-		seed        = flag.Int64("seed", 7, "random seed")
-		fig         = flag.String("fig", "all", "which output: "+strings.Join(validFigs, ", "))
-		algs        = flag.String("algs", "", "comma-separated algorithm IDs (default: all 16)")
-		datasets    = flag.String("datasets", "", "comma-separated dataset IDs (default: all 15)")
-		out         = flag.String("out", "", "directory to write results.json and CSV figures")
-		workers     = flag.Int("workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
-		noCache     = flag.Bool("nocache", false, "disable the shared intermediate-result cache")
-		cacheEnt    = flag.Int("cache-entries", 0, "bound the shared cache to N entries with LRU eviction (0 = unbounded)")
-		stream      = flag.Bool("stream", false, "execute pipelines with the chunked streaming engine instead of batch runs")
-		chunkRows   = flag.Int("chunk-rows", 0, "packets per streamed chunk with -stream (0 = whole trace in one chunk)")
-		chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per streamed chunk with -stream (0 = no byte bound; combines with -chunk-rows, first bound wins)")
-		pipeDepth   = flag.Int("pipeline-depth", 0, "decoded chunks in flight with -stream (>0 runs the staged source/ops/sink loop; 0 = inline chunk loop)")
-		streamWrk   = flag.Int("stream-workers", 0, "goroutines for order-free row-local ops with -stream (>1 implies the staged loop; 0 or 1 = one worker)")
-		profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
-		profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the trace as flat per-span JSONL records to this file")
-		metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file when the run finishes")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics at http://ADDR/metrics while the suite runs (e.g. localhost:9090)")
-		preqOut     = flag.String("prequential", "", "run the drifting-traffic prequential benchmark (static vs online vs drift-triggered retrain) and write the report JSON to this file instead of the figure suite")
-		preqPhases  = flag.String("preq-phases", "", "comma-separated phase dataset IDs for -prequential (default P1,P4)")
-		preqModel   = flag.String("preq-model", "", "model_type for -prequential; must partial-fit natively (default mlp)")
-		preqWindow  = flag.Int("preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
-	)
 	flag.Parse()
 	if err := checkStreamFlags(flag.Visit, *stream); err != nil {
 		fmt.Fprintln(os.Stderr, "lumenbench:", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"lumen/internal/benchsuite"
+	"lumen/internal/report"
 )
 
 func TestRunStaticFigures(t *testing.T) {
@@ -250,5 +252,18 @@ func TestStreamFlagsNeedStream(t *testing.T) {
 		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad+" ")):
 			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.bad)
 		}
+	}
+}
+
+// TestREADMEFlagTable pins README.md's "lumenbench flags" table to the
+// flag set: paste what the failure prints between the markers.
+func TestREADMEFlagTable(t *testing.T) {
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := report.FlagTable("lumenbench", flag.CommandLine)
+	if !bytes.Contains(doc, []byte(want)) {
+		t.Errorf("README.md's lumenbench flag table is stale; it should read:\n%s", want)
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,6 +21,31 @@ import (
 	"lumen/internal/mlkit"
 	"lumen/internal/netpkt"
 	"lumen/internal/pcap"
+	"lumen/internal/report"
+)
+
+// obj is a JSON object under construction.
+type obj = map[string]any
+
+// writeConfig writes a lumend config declaring the given pipeline
+// entries and returns its path.
+func writeConfig(t *testing.T, pipelines ...obj) string {
+	t.Helper()
+	data, err := json.Marshal(obj{"pipelines": pipelines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lumend.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// replayF1 and trainF1 are the fixture trace as config objects.
+var (
+	replayF1 = obj{"replay": obj{"dataset": "F1", "scale": 0.05}}
+	trainF1  = obj{"dataset": "F1", "scale": 0.05}
 )
 
 // testPipelineJSON writes the fixture pipeline template to a temp file:
@@ -80,43 +108,114 @@ func trainModelFile(t *testing.T, plPath string, ds *dataset.Labeled) string {
 	return path
 }
 
-// defaults parses an empty command line, yielding the flag defaults.
-func defaults() options { return parseFlags(nil, flag.ContinueOnError) }
-
+// TestValidation: every malformed or inconsistent file is refused by
+// -check, i.e. before anything is trained, opened or started.
 func TestValidation(t *testing.T) {
+	tpl := testPipelineJSON(t)
+	entry := func(over obj) obj {
+		e := obj{"template": tpl, "train": trainF1, "source": replayF1}
+		for k, v := range over {
+			if v == nil {
+				delete(e, k)
+			} else {
+				e[k] = v
+			}
+		}
+		return e
+	}
 	cases := []struct {
-		name string
-		mut  func(*options)
-		want string
+		name      string
+		pipelines []obj
+		want      string
 	}{
-		{"no pipeline", func(o *options) {}, "-pipeline is required"},
-		{"no ingest", func(o *options) { o.pipeline = "p.json" }, "exactly one ingest"},
-		{"two ingests", func(o *options) {
-			o.pipeline, o.replay, o.watch = "p.json", "a.pcap", "dir"
-		}, "exactly one ingest"},
-		{"no model", func(o *options) { o.pipeline, o.replay = "p.json", "a.pcap" }, "exactly one model source"},
-		{"model and train", func(o *options) {
-			o.pipeline, o.replay, o.model, o.train = "p.json", "a.pcap", "m.json", "F1"
-		}, "exactly one model source"},
-		{"zero pipes", func(o *options) {
-			o.pipeline, o.replay, o.train, o.pipes = "p.json", "a.pcap", "F1", 0
-		}, "-pipes"},
-		{"replicated feed", func(o *options) {
-			o.pipeline, o.listenFeed, o.train, o.pipes = "p.json", ":0", "F1", 2
-		}, "replay ingest"},
-		{"bad link", func(o *options) {
-			o.pipeline, o.replay, o.train, o.link = "p.json", "a.pcap", "F1", "token-ring"
-		}, "unknown -link"},
+		{"no pipeline", nil, "no pipelines"},
+		{"unknown key", []obj{entry(obj{"chunk_rows": 64})}, `unknown field "chunk_rows"`},
+		{"unknown nested key", []obj{entry(obj{"stream": obj{"shards": 2}})}, `unknown field "shards"`},
+		{"no template", []obj{entry(obj{"template": nil})}, "template is required"},
+		{"missing template", []obj{entry(obj{"template": "nowhere.json"})}, "nowhere.json"},
+		{"no ingest", []obj{entry(obj{"source": nil})}, "exactly one source"},
+		{"two ingests", []obj{entry(obj{"source": obj{"replay": replayF1["replay"], "watch": obj{"dir": "spool"}}})}, "exactly one source"},
+		{"pcap and dataset", []obj{entry(obj{"source": obj{"replay": obj{"pcap": "a.pcap", "dataset": "F1"}}})}, "exactly one of pcap and dataset"},
+		{"speed and delay", []obj{entry(obj{"source": obj{"replay": obj{"dataset": "F1", "speed": 1, "delay_ms": 5}}})}, "mutually exclusive"},
+		{"no model", []obj{entry(obj{"train": nil})}, "exactly one model source"},
+		{"model and train", []obj{entry(obj{"model": "m.json"})}, "exactly one model source"},
+		{"bad link", []obj{entry(obj{"source": obj{"link": "token-ring", "feed": ":0"}})}, "unknown link"},
+		{"duplicate name", []obj{entry(nil), entry(nil)}, "already taken"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := defaults()
-			tc.mut(&o)
-			err := o.validate()
+			var out bytes.Buffer
+			err := run(options{config: writeConfig(t, tc.pipelines...), check: true}, &out, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("validate() = %v, want error containing %q", err, tc.want)
+				t.Fatalf("run -check = %v, want error containing %q", err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("a refused file still printed plans:\n%s", out.String())
 			}
 		})
+	}
+}
+
+// TestCommandLine pins the flag surface: five process-level flags, and
+// every per-pipeline flag of the old CLI fails as unknown.
+func TestCommandLine(t *testing.T) {
+	parse := func(args ...string) error {
+		var o options
+		fs := flags(&o)
+		fs.Init("lumend", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs.Parse(args)
+	}
+	n := 0
+	flags(new(options)).VisitAll(func(*flag.Flag) { n++ })
+	if n > 5 {
+		t.Fatalf("lumend declares %d flags, want at most 5", n)
+	}
+	if err := parse("-config", "f.json", "-check", "-listen", "", "-trace-out", "t", "-metrics-out", "m"); err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []string{"pipeline", "pipes", "seed", "replay", "replay-dataset", "replay-scale", "speed",
+		"replay-delay", "listen-feed", "watch", "watch-glob", "watch-poll", "link", "model", "train", "train-scale",
+		"chunk-rows", "chunk-bytes", "depth", "workers", "alerts", "anomalies-only", "connlog", "swap-model",
+		"swap-after-chunks", "shadow-chunks", "max-disagree", "swap-auto", "retrain", "retrain-reservoir",
+		"retrain-min-rows", "retrain-cooldown", "retrain-fresh"} {
+		if err := parse("-" + old + "=1"); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("-%s: %v, want an unknown-flag error", old, err)
+		}
+	}
+}
+
+// TestREADMEFlagTable pins README.md's "lumend flags" table to the flag
+// set: paste what the failure prints between the markers.
+func TestREADMEFlagTable(t *testing.T) {
+	doc, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := report.FlagTable("lumend", flags(new(options)))
+	if !bytes.Contains(doc, []byte(want)) {
+		t.Errorf("README.md's lumend flag table is stale; it should read:\n%s", want)
+	}
+}
+
+// TestCheckPrintsPlans: -check names each pipeline's plan and the reason
+// a flow pipeline answers only at drain, and starts nothing.
+func TestCheckPrintsPlans(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(options{config: "../../examples/multi-tenant/lumend.json", check: true}, &out, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`pipeline "packets" ok: packet units, decode headers; every op streams`,
+		`pipeline "A14-zeek" ok: connection units`,
+		"behind op 1 flow_features: whole-trace op",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-check output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "running") {
+		t.Errorf("-check started a pipeline:\n%s", out.String())
 	}
 }
 
@@ -129,15 +228,13 @@ func TestRunReplayDataset(t *testing.T) {
 	connlog := filepath.Join(dir, "conn.log")
 	metrics := filepath.Join(dir, "metrics.prom")
 	trace := filepath.Join(dir, "trace.json")
-	o := parseFlags([]string{
-		"-pipeline", testPipelineJSON(t),
-		"-train", "F1", "-train-scale", "0.05",
-		"-replay-dataset", "F1", "-replay-scale", "0.05",
-		"-chunk-rows", "32",
-		"-alerts", alerts, "-connlog", connlog,
-		"-metrics-out", metrics, "-trace-out", trace,
-		"-listen", "",
-	}, flag.ContinueOnError)
+	o := options{
+		config: writeConfig(t, obj{
+			"template": testPipelineJSON(t), "train": trainF1, "source": replayF1,
+			"stream": obj{"chunk_rows": 32}, "alerts": alerts, "connlog": connlog,
+		}),
+		metricsOut: metrics, traceOut: trace,
+	}
 	var out bytes.Buffer
 	if err := run(o, &out, make(chan os.Signal)); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -178,32 +275,91 @@ func TestRunReplayDataset(t *testing.T) {
 	}
 }
 
-// TestRunReplicas runs two replicated pipelines over one replay and
-// checks the per-replica naming and sink suffixing.
-func TestRunReplicas(t *testing.T) {
+// TestRunHeterogeneousPipelines boots what the flags never could: two
+// different templates (packet tree, connection forest), each on its own
+// source (a synthetic dataset, a capture file), each with its own sinks.
+func TestRunHeterogeneousPipelines(t *testing.T) {
 	dir := t.TempDir()
-	alerts := filepath.Join(dir, "alerts.jsonl")
-	o := parseFlags([]string{
-		"-pipeline", testPipelineJSON(t),
-		"-train", "F1", "-train-scale", "0.05",
-		"-replay-dataset", "F1", "-replay-scale", "0.05",
-		"-chunk-rows", "64", "-pipes", "2",
-		"-alerts", alerts, "-listen", "",
-	}, flag.ContinueOnError)
+	ds := testDS(t)
+	writePcapInto(t, dir, "capture.pcap", ds.Link, ds.Packets)
+	pktAlerts, flowAlerts := filepath.Join(dir, "packets.jsonl"), filepath.Join(dir, "flows.jsonl")
+	flowConn := filepath.Join(dir, "flows-conn.log")
+	// A relative template would resolve against the config file's
+	// directory (a temp dir here), so name the repo's file absolutely.
+	a14, err := filepath.Abs("../../examples/multi-tenant/a14-zeek.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := options{config: writeConfig(t,
+		obj{"template": testPipelineJSON(t), "train": trainF1, "source": replayF1,
+			"stream": obj{"chunk_rows": 64}, "alerts": pktAlerts},
+		obj{"name": "flows", "template": a14, "train": trainF1,
+			"source": obj{"replay": obj{"pcap": filepath.Join(dir, "capture.pcap")}},
+			"alerts": flowAlerts, "connlog": flowConn},
+	)}
 	var out bytes.Buffer
 	if err := run(o, &out, make(chan os.Signal)); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	for _, name := range []string{"lumend-test-0", "lumend-test-1"} {
+	for _, name := range []string{"lumend-test", "flows"} {
 		if !strings.Contains(out.String(), `pipeline "`+name+`" stopped`) {
-			t.Fatalf("replica %s did not stop cleanly:\n%s", name, out.String())
+			t.Fatalf("pipeline %s did not stop cleanly:\n%s", name, out.String())
 		}
 	}
-	for _, suffix := range []string{".0", ".1"} {
-		st, err := os.Stat(alerts + suffix)
-		if err != nil || st.Size() == 0 {
-			t.Fatalf("replica alert sink %s empty or missing (err %v)", alerts+suffix, err)
+	for path, want := range map[string]string{pktAlerts: `"unit":"packet"`, flowAlerts: `"unit":"flow"`, flowConn: "#fields"} {
+		data, err := os.ReadFile(path)
+		if err != nil || !bytes.Contains(data, []byte(want)) {
+			t.Fatalf("sink %s lacks %q (err %v)", path, want, err)
 		}
+	}
+}
+
+// TestBootFailureStartsNothing: a failure anywhere in the boot — a later
+// pipeline that cannot be built, an HTTP address already taken — returns
+// the error with no pipeline started and nothing left behind: the feed's
+// socket is closed again and no goroutine survives.
+func TestBootFailureStartsNothing(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	tpl := testPipelineJSON(t)
+	for _, tc := range []struct {
+		name, listen string
+		second       obj
+		want         string
+	}{
+		{"http address taken", taken.Addr().String(),
+			obj{"name": "second", "template": tpl, "train": trainF1, "source": replayF1, "alerts": ""}, "address already in use"},
+		{"pipeline k cannot be built", "",
+			obj{"name": "second", "template": tpl, "model": "no-such-model.json", "source": replayF1}, "no-such-model.json"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sock := filepath.Join(dir, "feed.sock")
+			before := runtime.NumGoroutine()
+			o := options{listen: tc.listen, config: writeConfig(t,
+				obj{"template": tpl, "train": trainF1, "source": obj{"feed": "unix:" + sock},
+					"alerts": filepath.Join(dir, "alerts.jsonl")},
+				tc.second)}
+			var out bytes.Buffer
+			err := run(o, &out, make(chan os.Signal))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run = %v, want error containing %q", err, tc.want)
+			}
+			if strings.Contains(out.String(), "running") {
+				t.Fatalf("a pipeline was started:\n%s", out.String())
+			}
+			if _, err := os.Stat(sock); !os.IsNotExist(err) {
+				t.Fatalf("the feed socket outlived the failed boot (stat err %v)", err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before the boot, %d after it failed", before, runtime.NumGoroutine())
+				}
+			}
+		})
 	}
 }
 
@@ -266,15 +422,12 @@ func TestRunScriptedSwapOnWatch(t *testing.T) {
 	writePcapInto(t, watchDir, "trace-000.pcap", ds.Link, ds.Packets[:100])
 
 	alerts := filepath.Join(t.TempDir(), "alerts.jsonl")
-	o := parseFlags([]string{
-		"-pipeline", plPath,
-		"-model", model,
-		"-watch", watchDir, "-watch-poll", "10ms",
-		"-chunk-rows", "8",
-		"-swap-model", model, "-swap-after-chunks", "2",
-		"-shadow-chunks", "2", "-max-disagree", "0",
-		"-alerts", alerts, "-listen", "",
-	}, flag.ContinueOnError)
+	o := options{config: writeConfig(t, obj{
+		"template": plPath, "model": model,
+		"source": obj{"watch": obj{"dir": watchDir, "poll_ms": 10}},
+		"stream": obj{"chunk_rows": 8}, "alerts": alerts,
+		"swap": obj{"model": model, "shadow_chunks": 2, "max_disagree": 0},
+	})}
 	out := &syncBuf{}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
@@ -311,19 +464,5 @@ func TestRunScriptedSwapOnWatch(t *testing.T) {
 	}
 	if !strings.Contains(got, `pipeline "lumend-test" stopped`) {
 		t.Fatalf("no clean shutdown line in output:\n%s", got)
-	}
-}
-
-// TestLoadPcapErrors covers the replay loader's failure modes.
-func TestLoadPcapErrors(t *testing.T) {
-	if _, err := loadPcap(filepath.Join(t.TempDir(), "missing.pcap")); err == nil {
-		t.Fatal("missing file must error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.pcap")
-	if err := os.WriteFile(bad, []byte("not a pcap"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadPcap(bad); err == nil {
-		t.Fatal("bad magic must error")
 	}
 }

@@ -2,15 +2,18 @@ package lumen
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"lumen/internal/core"
+	"lumen/internal/daemon"
 )
 
 // TestDocLint enforces the repo's documentation floor with go/ast:
@@ -53,6 +56,92 @@ func TestDocLintOpTable(t *testing.T) {
 	}
 	if !bytes.Equal(block, want.Bytes()) {
 		t.Errorf("DESIGN.md's op table is stale: replace the block with the output of `go run ./cmd/lumen -list-ops`")
+	}
+}
+
+// TestDocLintConfigKeys pins OPERATIONS.md's lumend key reference to the
+// structs the config file decodes into: the table is rendered from their
+// json tags (by reflection) and field comments (by go/ast), so a key
+// without a comment, a renamed tag or an edited row all fail here. On a
+// mismatch the rendered table is written to $TMPDIR/lumend_keys.md: paste
+// it between the markers.
+func TestDocLintConfigKeys(t *testing.T) {
+	docs := map[string]string{} // "Type.Field" -> comment
+	for _, dir := range []string{"internal/daemon", "internal/core"} {
+		_, files := parseDir(t, dir)
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, _ := n.(*ast.TypeSpec)
+				if ts == nil {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							docs[ts.Name.Name+"."+name.Name] = strings.Join(strings.Fields(fld.Doc.Text()), " ")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var table strings.Builder
+	table.WriteString("| Key | Type | Meaning |\n|---|---|---|\n")
+	var walk func(rt reflect.Type, prefix string)
+	walk = func(rt reflect.Type, prefix string) {
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			ft, kind := f.Type, ""
+			for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+				if ft.Kind() == reflect.Slice {
+					kind = "list of "
+				}
+				ft = ft.Elem()
+			}
+			switch {
+			case key == "-":
+				continue
+			case f.Anonymous && key == "":
+				walk(ft, prefix) // embedded: its keys are this object's
+				continue
+			case key == "":
+				t.Errorf("%s.%s is reachable from the config file but has no json tag", rt.Name(), f.Name)
+				continue
+			}
+			doc, ok := strings.CutPrefix(docs[rt.Name()+"."+f.Name], f.Name+" ")
+			if !ok {
+				t.Errorf("%s.%s (key %q) needs a field comment starting with its name", rt.Name(), f.Name, prefix+key)
+			}
+			doc = strings.TrimPrefix(doc, "is ")
+			switch ft.Kind() {
+			case reflect.Struct:
+				fmt.Fprintf(&table, "| `%s%s` | %sobject | %s |\n", prefix, key, kind, doc)
+				if kind == "" {
+					walk(ft, prefix+key+".")
+				} else {
+					walk(ft, "") // keys below are relative to one list entry
+				}
+			case reflect.String, reflect.Bool:
+				fmt.Fprintf(&table, "| `%s%s` | %s%s | %s |\n", prefix, key, kind, ft.Kind(), doc)
+			default:
+				fmt.Fprintf(&table, "| `%s%s` | %snumber | %s |\n", prefix, key, kind, doc)
+			}
+		}
+	}
+	walk(reflect.TypeOf(daemon.FileConfig{}), "")
+	want := "<!-- lumend-keys:begin -->\n" + table.String() + "<!-- lumend-keys:end -->"
+	doc, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(doc, []byte(want)) {
+		path := filepath.Join(os.TempDir(), "lumend_keys.md")
+		if err := os.WriteFile(path, []byte(want+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("OPERATIONS.md's lumend key table is stale: replace the lumend-keys block with %s", path)
 	}
 }
 

@@ -7,11 +7,13 @@
 //
 //	go run ./examples/daemon-hot-swap
 //
-// The same flow is available from the command line — see OPERATIONS.md
-// for the lumend walkthrough:
+// The same flow is available from the command line: lumend.json beside
+// this file boots the pipeline on a replayed capture, and a `"swap":
+// {"model": "candidate.json"}` object in its entry (or POST
+// /pipelines/hot-swap-demo/swap) starts the swap — see OPERATIONS.md for
+// the lumend walkthrough:
 //
-//	lumend -pipeline examples/daemon-hot-swap/pipeline.json -train F1 \
-//	       -replay-dataset F1 -swap-model candidate.json
+//	lumend -config examples/daemon-hot-swap/lumend.json
 package main
 
 import (
@@ -89,7 +91,7 @@ func main() {
 	p, err := d.Start(daemon.PipeConfig{
 		Name:    "edge",
 		Engine:  active,
-		Source:  daemon.NewReplaySource(dataset.NewSliceSource(live), speed),
+		Source:  daemon.NewReplaySource(dataset.NewSliceSource(live), speed, 0),
 		Stream:  core.StreamConfig{ChunkRows: 16},
 		Alerts:  alerts,
 		ConnLog: connlog,

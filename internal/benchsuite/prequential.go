@@ -228,7 +228,7 @@ func runRetrainArm(c PrequentialConfig, newEng func() (*core.Engine, error), str
 	p, err := d.Start(daemon.PipeConfig{
 		Name:   "prequential",
 		Engine: eng,
-		Source: daemon.NewPacedSource(dataset.NewSliceSource(stream), c.RetrainPacing),
+		Source: daemon.NewReplaySource(dataset.NewSliceSource(stream), 0, c.RetrainPacing),
 		Stream: core.StreamConfig{ChunkRows: c.WindowRows},
 		Alerts: &alerts,
 		Retrain: daemon.RetrainConfig{

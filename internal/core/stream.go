@@ -19,21 +19,21 @@ import (
 // RunStream never rewrites the config.
 type StreamConfig struct {
 	// ChunkRows caps the packets per chunk (0 = no row bound).
-	ChunkRows int
+	ChunkRows int `json:"chunk_rows"`
 	// ChunkBytes caps the wire bytes per chunk (0 = no byte bound).
-	ChunkBytes int
+	ChunkBytes int `json:"chunk_bytes"`
 	// PipelineDepth bounds how many decoded chunks may queue between the
 	// source goroutine and the op workers (0 = the inline loop, unless
 	// Workers asks for parallelism, in which case the default
 	// depth of 2 applies). Peak memory grows with it: the pipeline holds
 	// O(PipelineDepth + Workers) chunks in flight.
-	PipelineDepth int
+	PipelineDepth int `json:"depth"`
 	// Workers is the number of parallel op-stage workers (0 or 1 = one
 	// worker). Only order-free row-local ops fan out; carry-state ops and
 	// model scoring always run in stream order in the sink stage.
-	Workers int
+	Workers int `json:"workers"`
 	// Hooks are optional per-chunk lifecycle callbacks (see StreamHooks).
-	Hooks *StreamHooks
+	Hooks *StreamHooks `json:"-"`
 	// Online enables in-stream learning. In ModeTrain the fitted ops
 	// registered as online (the train op and the scalers: TRAIN column
 	// "online" in `lumen -list-ops`) stream chunk-by-chunk through
@@ -43,7 +43,7 @@ type StreamConfig struct {
 	// each chunk is scored by the model as fitted before the chunk
 	// arrived, then absorbed as labelled training data when the model
 	// supports mlkit.PartialFitter.
-	Online bool
+	Online bool `json:"-"`
 }
 
 // pipelined reports whether the config selects the staged loop.

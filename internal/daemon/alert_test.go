@@ -345,7 +345,7 @@ func TestAlertWritesAreWholeLines(t *testing.T) {
 	fp, err := d.Start(PipeConfig{
 		Name:   "x",
 		Engine: trainedEngine(t, ds),
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream: core.StreamConfig{ChunkRows: 64},
 		Alerts: bad,
 	})

@@ -198,7 +198,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 	p, err := d.Start(PipeConfig{
 		Name:    "full",
 		Engine:  trainedEngine(t, ds),
-		Source:  NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source:  NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
 		Alerts:  &alerts,
 		ConnLog: &connlog,
@@ -584,7 +584,7 @@ func TestDrainWithStalledSink(t *testing.T) {
 	p, err := d.Start(PipeConfig{
 		Name:   "stalled",
 		Engine: trainedEngine(t, ds),
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream: core.StreamConfig{ChunkRows: 64},
 		Alerts: sink,
 	})
@@ -638,7 +638,7 @@ func TestDoubleStopIdempotent(t *testing.T) {
 	p, err := d.Start(PipeConfig{
 		Name:   "stop",
 		Engine: trainedEngine(t, ds),
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream: core.StreamConfig{ChunkRows: 128},
 	})
 	if err != nil {
@@ -681,7 +681,7 @@ func TestDoubleStopIdempotent(t *testing.T) {
 func TestStartValidation(t *testing.T) {
 	ds := testDS(t)
 	d := New(Config{})
-	src := NewReplaySource(dataset.NewSliceSource(ds), 0)
+	src := NewReplaySource(dataset.NewSliceSource(ds), 0, 0)
 	if _, err := d.Start(PipeConfig{Engine: trainedEngine(t, ds), Source: src}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -700,7 +700,7 @@ func TestStartValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Start(PipeConfig{Name: "dup", Engine: trainedEngine(t, ds), Source: NewReplaySource(dataset.NewSliceSource(ds), 0)}); err == nil {
+	if _, err := d.Start(PipeConfig{Name: "dup", Engine: trainedEngine(t, ds), Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0)}); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 	if err := p.Drain(); err != nil {

@@ -80,7 +80,7 @@ func TestDaemonHTTP(t *testing.T) {
 	if _, err := d.Start(PipeConfig{
 		Name:   "free",
 		Engine: trainedEngine(t, ds),
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream: core.StreamConfig{ChunkRows: rows},
 		Alerts: &alertsB,
 	}); err != nil {
@@ -104,7 +104,7 @@ func TestDaemonHTTP(t *testing.T) {
 	if _, err := d.Start(PipeConfig{
 		Name:   "flows",
 		Engine: flows,
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0),
+		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
 		Stream: core.StreamConfig{ChunkRows: rows},
 	}); err != nil {
 		t.Fatal(err)

@@ -107,15 +107,15 @@ type PipeConfig struct {
 type SwapOptions struct {
 	// ShadowChunks is the number of chunks to shadow-score before the
 	// auto decision (default 8 when AutoDecide is set).
-	ShadowChunks int
+	ShadowChunks int `json:"shadow_chunks"`
 	// AutoDecide promotes automatically once ShadowChunks chunks were
 	// shadow-scored and the disagreement fraction is at most MaxDisagree,
 	// and rolls back otherwise. When false the swap shadows until an
 	// explicit Promote or Rollback call.
-	AutoDecide bool
+	AutoDecide bool `json:"-"`
 	// MaxDisagree is the largest tolerated disagreement fraction for an
 	// automatic promote (0 demands bit-identical verdicts).
-	MaxDisagree float64
+	MaxDisagree float64 `json:"max_disagree"`
 }
 
 // SwapReport is the terminal record of one hot-swap attempt.

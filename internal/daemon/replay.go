@@ -27,22 +27,14 @@ type ReplaySource struct {
 	pkt0    time.Time
 }
 
-// NewReplaySource wraps inner. speed is the replay rate as a multiple of
-// capture time: 1 replays at wire speed, 2 at double speed, 0 disables
-// pacing and replays as fast as the pipeline pulls.
-func NewReplaySource(inner dataset.Source, speed float64) *ReplaySource {
-	return &ReplaySource{inner: inner, speed: speed, stop: make(chan struct{})}
-}
-
-// NewPacedSource wraps inner with a fixed per-chunk delay, ignoring
-// capture timestamps. Where NewReplaySource recreates the capture's own
-// timeline, a paced source spaces chunks evenly — the shape drift
-// benchmarks and smokes need so background retrains and shadow windows
-// always have upcoming chunk boundaries to land on, regardless of how
-// the synthetic capture stamps its packets. Drain interrupts the delay
-// like it interrupts replay pacing.
-func NewPacedSource(inner dataset.Source, delay time.Duration) *ReplaySource {
-	return &ReplaySource{inner: inner, delay: delay, stop: make(chan struct{})}
+// NewReplaySource wraps inner. speed recreates the capture's own
+// timeline at a multiple of capture time (1 is wire speed); delay instead
+// spaces chunks evenly, ignoring capture timestamps, so that background
+// retrains and shadow windows always have chunk boundaries to land on
+// however a synthetic capture stamps its packets. With both zero the
+// replay runs as fast as the pipeline pulls; speed wins over delay.
+func NewReplaySource(inner dataset.Source, speed float64, delay time.Duration) *ReplaySource {
+	return &ReplaySource{inner: inner, speed: speed, delay: delay, stop: make(chan struct{})}
 }
 
 // Meta implements dataset.Source.

@@ -17,27 +17,27 @@ import (
 type RetrainConfig struct {
 	// Enabled turns the subsystem on. Pipelines without a drift_detect op
 	// never trigger, but still fill the reservoir.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// ReservoirCap bounds the retraining reservoir; 0 means 4096.
-	ReservoirCap int
+	ReservoirCap int `json:"reservoir"`
 	// MinRows is the smallest reservoir fill that permits a retrain; 0
 	// means 256.
-	MinRows int
+	MinRows int `json:"min_rows"`
 	// CooldownChunks is the minimum number of chunks between retrain
 	// triggers; 0 means 32.
-	CooldownChunks int
+	CooldownChunks int `json:"cooldown_chunks"`
 	// Seed drives reservoir sampling.
-	Seed int64
-	// FreshData, when set, flushes the reservoir at each accepted drift
-	// trigger and defers the refit until MinRows fresh rows have
-	// accumulated, so the candidate learns the post-drift regime instead
-	// of a mixture dominated by pre-drift traffic. Without it the refit
-	// runs immediately on the uniform all-history reservoir.
-	FreshData bool
+	Seed int64 `json:"-"`
+	// FreshData flushes the reservoir at each accepted drift trigger and
+	// defers the refit until MinRows fresh rows have accumulated, so the
+	// candidate learns the post-drift regime instead of a mixture
+	// dominated by pre-drift traffic. Without it the refit runs
+	// immediately on the uniform all-history reservoir.
+	FreshData bool `json:"fresh"`
 	// Swap configures the shadow-divergence gate the retrained candidate
 	// must pass. Zero value means shadow until an operator decides; set
 	// AutoDecide for closed-loop promotion.
-	Swap SwapOptions
+	Swap SwapOptions `json:"-"`
 }
 
 func (c RetrainConfig) cap() int {

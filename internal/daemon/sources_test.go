@@ -45,7 +45,7 @@ func drainOf(t *testing.T, src dataset.Source) Drainer {
 // unchanged and resets for another pass.
 func TestReplaySourcePassthrough(t *testing.T) {
 	ds := tinyTrace(10, time.Second)
-	src := NewReplaySource(dataset.NewSliceSource(ds), 0)
+	src := NewReplaySource(dataset.NewSliceSource(ds), 0, 0)
 	for pass := 0; pass < 2; pass++ {
 		total, base := 0, 0
 		for {
@@ -75,7 +75,7 @@ func TestReplaySourcePassthrough(t *testing.T) {
 // short instead of waiting out the capture timeline.
 func TestReplaySourceDrainInterruptsPacing(t *testing.T) {
 	// 1h between packets at speed 1 — Next would sleep an hour.
-	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(3, time.Hour)), 1)
+	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(3, time.Hour)), 1, 0)
 	if _, ok := src.Next(1, 0); !ok {
 		t.Fatal("first chunk missing")
 	}
@@ -117,7 +117,7 @@ func TestReplaySourceDrainInterruptsPacing(t *testing.T) {
 // TestReplaySourceEmptyContract: a drained-before-first-chunk replay
 // still emits the one empty chunk the Source contract requires.
 func TestReplaySourceEmptyContract(t *testing.T) {
-	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(5, time.Second)), 0)
+	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(5, time.Second)), 0, 0)
 	drainOf(t, src).Drain()
 	ck, ok := src.Next(0, 0)
 	if !ok || ck.Len() != 0 {

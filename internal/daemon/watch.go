@@ -65,13 +65,16 @@ type DirSource struct {
 // capture ever rotated in) each time.
 const minListInterval = 50 * time.Millisecond
 
-// NewDirSource watches dir for files matching glob (e.g. "*.pcap"),
-// polling every poll interval (0 means 500ms). gran and link describe
+// NewDirSource watches dir for files matching glob (empty means
+// "*.pcap"), polling every poll interval (0 means 500ms). gran and link describe
 // the captures; link is advisory (each file's own pcap header governs
 // decoding).
 func NewDirSource(name, dir, glob string, gran dataset.Granularity, link netpkt.LinkType, poll time.Duration) *DirSource {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
+	}
+	if glob == "" {
+		glob = "*.pcap"
 	}
 	return &DirSource{
 		name:  name,

@@ -194,3 +194,29 @@ func (p *PcapSource) Reset() error {
 	p.base, p.emitted, p.done, p.err = 0, false, false, nil
 	return nil
 }
+
+// LoadPcap reads a whole capture into an unlabeled packet dataset named
+// after its path: every packet benign, no attack names.
+func LoadPcap(path string) (*Labeled, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := pcap.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	pkts, err := r.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return &Labeled{
+		Name:        path,
+		Granularity: Packet,
+		Link:        r.LinkType(),
+		Packets:     pkts,
+		Labels:      make([]int, len(pkts)),
+		Attacks:     make([]string, len(pkts)),
+	}, nil
+}

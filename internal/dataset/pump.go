@@ -8,8 +8,8 @@ import (
 // Recycler is implemented by sources whose chunks can be handed back for
 // buffer reuse once the consumer is completely done with them (no view,
 // and nothing aliasing a view's Data, retained). PcapSource pools view
-// slices and buffered record bytes; SliceSource and GenSource pool view
-// slices only, since their bytes belong to the materialized dataset.
+// slices and buffered record bytes; SliceSource pools view slices only,
+// since its bytes belong to the materialized dataset.
 type Recycler interface {
 	Recycle(Chunk)
 }

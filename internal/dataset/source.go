@@ -195,51 +195,3 @@ func (s *SliceSource) Reset() error {
 	s.pos, s.emitted = 0, false
 	return nil
 }
-
-// GenSource is a generator-backed source: it defers dataset synthesis to
-// the first pull, so building a pipeline over a registered dataset costs
-// nothing until packets are actually consumed. (The simulator itself
-// still materializes the trace internally to sort it into time order;
-// the deferral bounds when that happens, not its peak. PcapSource is the
-// genuinely O(chunk) path.)
-type GenSource struct {
-	spec  Spec
-	scale float64
-	inner *SliceSource
-}
-
-// NewGenSource wraps a registered dataset spec at the given scale.
-func NewGenSource(spec Spec, scale float64) *GenSource {
-	return &GenSource{spec: spec, scale: scale}
-}
-
-func (g *GenSource) materialize() *SliceSource {
-	if g.inner == nil {
-		g.inner = NewSliceSource(g.spec.Generate(g.scale))
-	}
-	return g.inner
-}
-
-// Meta implements Source.
-func (g *GenSource) Meta() SourceMeta { return g.materialize().Meta() }
-
-// Next implements Source, generating the dataset on the first pull.
-func (g *GenSource) Next(maxRows, maxBytes int) (Chunk, bool) {
-	return g.materialize().Next(maxRows, maxBytes)
-}
-
-// ConfigureViews implements ViewSource by forwarding to the slice source.
-func (g *GenSource) ConfigureViews(on bool, hint netpkt.DecodeHint) bool {
-	return g.materialize().ConfigureViews(on, hint)
-}
-
-// Recycle implements Recycler by forwarding to the slice source.
-func (g *GenSource) Recycle(ck Chunk) { g.materialize().Recycle(ck) }
-
-// Reset implements Source; the generated trace is kept.
-func (g *GenSource) Reset() error {
-	if g.inner == nil {
-		return nil
-	}
-	return g.inner.Reset()
-}

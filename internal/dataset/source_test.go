@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -107,24 +109,6 @@ func TestSliceSourceReset(t *testing.T) {
 	}
 }
 
-func TestGenSourceMatchesGenerate(t *testing.T) {
-	spec, _ := Get("F1")
-	src := NewGenSource(spec, 0.05)
-	want := spec.Generate(0.05)
-	meta := src.Meta()
-	if meta.Name != want.Name || meta.Granularity != want.Granularity || meta.Link != want.Link {
-		t.Fatalf("meta %+v does not match dataset", meta)
-	}
-	chunks := drain(t, src, 128, 0)
-	total := 0
-	for _, ck := range chunks {
-		total += ck.Len()
-	}
-	if total != len(want.Packets) {
-		t.Fatalf("chunks cover %d packets, want %d", total, len(want.Packets))
-	}
-}
-
 // TestPcapSourceMatchesReadAll round-trips a generated trace through an
 // in-memory pcap file and checks the chunked reader yields the same
 // packets as the batch decode.
@@ -212,5 +196,19 @@ func TestPcapSourceEmptyCapture(t *testing.T) {
 	}
 	if src.Err() != nil {
 		t.Fatal(src.Err())
+	}
+}
+
+// TestLoadPcapErrors covers the whole-capture loader's failure modes.
+func TestLoadPcapErrors(t *testing.T) {
+	if _, err := LoadPcap(filepath.Join(t.TempDir(), "missing.pcap")); err == nil {
+		t.Fatal("missing file must error")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.pcap")
+	if err := os.WriteFile(bad, []byte("not a pcap"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPcap(bad); err == nil {
+		t.Fatal("bad magic must error")
 	}
 }

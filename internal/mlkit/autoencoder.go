@@ -73,18 +73,6 @@ func (a *Autoencoder) Score(X [][]float64) []float64 {
 	return out
 }
 
-// ScoreOne returns the reconstruction RMSE of a single row.
-func (a *Autoencoder) ScoreOne(row []float64) float64 {
-	acts := a.net.Forward(row)
-	rec := acts[len(acts)-1]
-	var s float64
-	for j := range row {
-		e := row[j] - rec[j]
-		s += e * e
-	}
-	return math.Sqrt(s / float64(len(row)))
-}
-
 // ensureNet lazily builds the network for streaming training entry
 // points that may run before Fit.
 func (a *Autoencoder) ensureNet(d int) {

@@ -59,12 +59,6 @@ func (m *Dense) RowViews() [][]float64 {
 	return out
 }
 
-// RowRange returns the sub-matrix of rows [lo, hi) as a view sharing
-// the backing array.
-func (m *Dense) RowRange(lo, hi int) *Dense {
-	return &Dense{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

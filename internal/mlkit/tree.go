@@ -285,6 +285,3 @@ func (t *DecisionTree) Depth() int {
 	}
 	return walk(0)
 }
-
-// NodeCount reports the number of nodes in the fitted tree.
-func (t *DecisionTree) NodeCount() int { return len(t.flat.nodes) }
