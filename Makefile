@@ -145,6 +145,7 @@ config-check:
 #   FuzzDaemonConfig     error, or a config whose every pipeline plans as `lumend -check` does (daemon/config_test.go)
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
 #   FuzzParsePipeline    error, or a template that plans in both modes, Online off and on (algorithms/plan_test.go)
+#   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/oracle_test.go)
 #   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -156,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDaemonConfig -fuzztime=$(FUZZTIME) -run='^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=$(FUZZTIME) -run='^$$' ./internal/algorithms/
+	$(GO) test -fuzz=FuzzConnLogLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/flow/
 	$(GO) test -fuzz=FuzzKitsuneKeyEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core/
 
 # loc prints the non-test Go line count of every package under

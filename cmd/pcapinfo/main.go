@@ -89,7 +89,8 @@ func runConnlog(path string) error {
 	var conns []*flow.Connection
 	for nc := range p.C {
 		for j := range nc.Views {
-			conns = append(conns, asm.AddSummary(nc.Base+j, nc.Views[j].Summary())...)
+			sum := nc.Views[j].Summary()
+			conns = append(conns, asm.Feed(nc.Base+j, &sum)...)
 		}
 		p.Done(nc)
 	}

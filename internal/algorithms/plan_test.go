@@ -68,8 +68,9 @@ func TestGoldenStreamPlans(t *testing.T) {
 // hint) without panicking in both modes with Online off and on, which
 // walks hostile params through every op's ordered and decode traits.
 // Fuzzed pipelines are never executed: model params such as a tree
-// count are unbounded. The seeds are the built-in templates plus A06
-// under decay-rate lists the type-check accepts and refuses.
+// count are unbounded. The seeds are the built-in templates, A06 under
+// decay-rate lists the type-check accepts and refuses, and a connection
+// pipeline under flow params it refuses.
 func FuzzParsePipeline(f *testing.F) {
 	for _, a := range builtins() {
 		data, err := core.MarshalPipeline(a.Pipeline)
@@ -86,6 +87,24 @@ func FuzzParsePipeline(f *testing.F) {
 		}
 		// The first op is kitsune_features, marshalled with null params.
 		f.Add(bytes.Replace(data, []byte(`"params": null`), []byte(`"params": {"lambdas": `+lambdas+`}`), 1))
+	}
+	for _, bad := range [][2]map[string]any{
+		{{"granularity": "connection"}, {"features": []string{"duration", "durration"}}},
+		{{"granularity": "connection"}, {"features": []string{"duration", "pps", "duration"}}},
+		{{"granularity": "connection"}, {"first_n": -1}},
+		{{"granularity": "connection"}, {"first_n": 0}},
+		{{"granularity": "uniflow", "idle_timeout": -30}, nil},
+	} {
+		p := connFeaturePipeline("bad-flow-params", nil, "", "decision_tree", nil)
+		p.Ops[0].Params, p.Ops[1].Params = bad[0], bad[1]
+		data, err := core.MarshalPipeline(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := core.ParsePipeline(data); err == nil {
+			f.Fatalf("template with flow params %v %v parses", bad[0], bad[1])
+		}
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := core.ParsePipeline(data)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,19 +17,35 @@ import (
 func init() {
 	register("flow_assemble", "group packets into uniflows or bidirectional connections (Zeek-style, idle-timeout split)",
 		opSig{in: []Kind{KindPackets}, out: KindFlows},
-		opTraits{class: classFlowSink, decode: headers, cacheable: true}, opFlowAssemble)
+		opTraits{class: classFlowSink, decode: headers, cacheable: true, check: checkFlowParams}, opFlowAssemble)
 	register("flow_features", "compute per-flow features (sizes, inter-arrivals, flags, states, services, first-N stats)",
 		opSig{in: []Kind{KindFlows}, out: KindFrame},
-		opTraits{class: classBarrier, cacheable: true}, opFlowFeatures)
+		opTraits{class: classBarrier, cacheable: true, check: checkFlowFeatureParams}, opFlowFeatures)
+}
+
+// checkFlowParams and checkFlowFeatureParams are the two ops' type-checks:
+// a template with unusable flow params is refused when it is parsed, not
+// when the barrier runs at the end of the stream.
+func checkFlowParams(p params) error {
+	_, _, err := flowParams(p)
+	return err
+}
+
+func checkFlowFeatureParams(p params) error {
+	_, _, err := flowFeatureParams(p)
+	return err
 }
 
 // flowParams decodes flow_assemble's parameters; shared between the
-// batch op and the streaming flow sink so both split flows identically.
+// batch op, the streaming flow sink and the op's type-check so all three
+// split flows identically and refuse the same templates.
 func flowParams(p params) (flow.Options, dataset.Granularity, error) {
 	opts := flow.Options{}
-	if to := p.f64("idle_timeout", 0); to > 0 {
-		opts.IdleTimeout = time.Duration(to * float64(time.Second))
+	to := p.f64("idle_timeout", 0) * float64(time.Second)
+	if !(to >= 0 && to < math.MaxInt64) {
+		return opts, 0, fmt.Errorf("flow_assemble: idle_timeout is %v, want a number of seconds >= 0 (0: the 64 s default)", p["idle_timeout"])
 	}
+	opts.IdleTimeout = time.Duration(to)
 	switch g := p.str("granularity", "connection"); g {
 	case "uniflow":
 		return opts, dataset.UniflowG, nil
@@ -57,42 +74,130 @@ func opFlowAssemble(_ *opCtx, in []Value, p params) (Value, error) {
 	return out, nil
 }
 
-// flowFeatureNames is the per-flow feature catalogue.
-var flowFeatureNames = []string{
-	"duration", "pkt_count", "byte_count", "payload_bytes",
-	"mean_len", "std_len", "min_len", "max_len",
-	"mean_iat", "std_iat", "pps", "bps",
-	"syn_count", "ack_count", "fin_count", "rst_count", "psh_count", "urg_count",
-	"flag_change_rate",
-	"src_port", "dst_port", "proto", "dst_port_wellknown",
-	"orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts", "byte_ratio",
-	"state_s0", "state_sf", "state_rej", "state_rst", "state_oth",
-	"svc_http", "svc_tls", "svc_dns", "svc_telnet", "svc_ssh", "svc_mqtt", "svc_ntp", "svc_other",
-	"first_n_mean_len", "first_n_std_len", "first_n_mean_iat", "first_n_std_iat",
+// The per-flow feature catalogue: a feature's constant is its index in a
+// flowVec and in flowFeatureNames.
+const (
+	fDuration = iota
+	fPktCount
+	fByteCount
+	fPayloadBytes
+	fMeanLen
+	fStdLen
+	fMinLen
+	fMaxLen
+	fMeanIAT
+	fStdIAT
+	fPPS
+	fBPS
+	fSynCount
+	fAckCount
+	fFinCount
+	fRstCount
+	fPshCount
+	fUrgCount
+	fFlagChangeRate
+	fSrcPort
+	fDstPort
+	fProto
+	fDstPortWellknown
+	fOrigBytes
+	fRespBytes
+	fOrigPkts
+	fRespPkts
+	fByteRatio
+	fStateS0
+	fStateSF
+	fStateREJ
+	fStateRST
+	fStateOTH
+	fSvcHTTP
+	fSvcTLS
+	fSvcDNS
+	fSvcTelnet
+	fSvcSSH
+	fSvcMQTT
+	fSvcNTP
+	fSvcOther
+	fFirstNMeanLen
+	fFirstNStdLen
+	fFirstNMeanIAT
+	fFirstNStdIAT
+	numFlowFeatures
+)
+
+// flowFeatureNames is the catalogue in column order.
+var flowFeatureNames = [numFlowFeatures]string{
+	fDuration: "duration", fPktCount: "pkt_count", fByteCount: "byte_count", fPayloadBytes: "payload_bytes",
+	fMeanLen: "mean_len", fStdLen: "std_len", fMinLen: "min_len", fMaxLen: "max_len",
+	fMeanIAT: "mean_iat", fStdIAT: "std_iat", fPPS: "pps", fBPS: "bps",
+	fSynCount: "syn_count", fAckCount: "ack_count", fFinCount: "fin_count", fRstCount: "rst_count", fPshCount: "psh_count", fUrgCount: "urg_count",
+	fFlagChangeRate: "flag_change_rate",
+	fSrcPort:        "src_port", fDstPort: "dst_port", fProto: "proto", fDstPortWellknown: "dst_port_wellknown",
+	fOrigBytes: "orig_bytes", fRespBytes: "resp_bytes", fOrigPkts: "orig_pkts", fRespPkts: "resp_pkts", fByteRatio: "byte_ratio",
+	fStateS0: "state_s0", fStateSF: "state_sf", fStateREJ: "state_rej", fStateRST: "state_rst", fStateOTH: "state_oth",
+	fSvcHTTP: "svc_http", fSvcTLS: "svc_tls", fSvcDNS: "svc_dns", fSvcTelnet: "svc_telnet", fSvcSSH: "svc_ssh", fSvcMQTT: "svc_mqtt", fSvcNTP: "svc_ntp", fSvcOther: "svc_other",
+	fFirstNMeanLen: "first_n_mean_len", fFirstNStdLen: "first_n_std_len", fFirstNMeanIAT: "first_n_mean_iat", fFirstNStdIAT: "first_n_std_iat",
 }
 
 // FlowFeatures returns the supported per-flow feature names.
-func FlowFeatures() []string { return append([]string(nil), flowFeatureNames...) }
+func FlowFeatures() []string { return append([]string(nil), flowFeatureNames[:]...) }
+
+// flowVec holds one flow's value of every catalogue feature.
+type flowVec [numFlowFeatures]float64
+
+// flowScratch is one worker's reusable state for computeFlowVector.
+type flowScratch struct {
+	vec        flowVec
+	lens, iats []float64
+	idx        []int // a connection's merged member indices
+}
+
+// members returns flow i's packet indices in time order: a uniflow's own
+// list, a connection's two directions merged into the scratch.
+func (sc *flowScratch) members(fl *Flows, i int) []int {
+	if fl.Granularity == dataset.UniflowG {
+		return fl.PacketIdx(i)
+	}
+	sc.idx = fl.Conns[i].AppendPackets(sc.idx[:0])
+	return sc.idx
+}
+
+// flowFeatureParams decodes flow_features' parameters: the catalogue
+// indices of the requested columns, in order (all of them when unset),
+// and first_n. Unknown and repeated names and a first_n below 1 are
+// refused; it is the op's type-check and what the op itself runs on.
+func flowFeatureParams(p params) (sel []int, firstN int, err error) {
+	want := p.strList("features")
+	if len(want) == 0 {
+		want = flowFeatureNames[:]
+	}
+	sel = make([]int, len(want))
+	var seen [numFlowFeatures]bool
+	for k, name := range want {
+		fi := slices.Index(flowFeatureNames[:], name)
+		if fi < 0 {
+			return nil, 0, fmt.Errorf("flow_features: unknown feature %q", name)
+		}
+		if seen[fi] {
+			return nil, 0, fmt.Errorf("flow_features: feature %q listed twice", name)
+		}
+		seen[fi], sel[k] = true, fi
+	}
+	if firstN = p.i("first_n", 100); firstN < 1 {
+		return nil, 0, fmt.Errorf("flow_features: first_n is %d, want at least 1", firstN)
+	}
+	return sel, firstN, nil
+}
 
 func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 	fl, ok := in[0].(*Flows)
 	if !ok {
 		return nil, fmt.Errorf("flow_features: expected flows, got %v", in[0].Kind())
 	}
-	want := p.strList("features")
-	if len(want) == 0 {
-		want = flowFeatureNames
+	sel, firstN, err := flowFeatureParams(p)
+	if err != nil {
+		return nil, err
 	}
-	known := map[string]bool{}
-	for _, f := range flowFeatureNames {
-		known[f] = true
-	}
-	for _, f := range want {
-		if !known[f] {
-			return nil, fmt.Errorf("flow_features: unknown feature %q", f)
-		}
-	}
-	firstN := p.i("first_n", 100)
 
 	n := fl.Len()
 	fr := NewFrame(n)
@@ -100,13 +205,12 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 	fr.UnitIdx = make([]int, n)
 	fr.Labels = make([]int, n)
 	fr.Attacks = make([]string, n)
-	cols := map[string][]float64{}
-	for _, f := range want {
-		cols[f] = make([]float64, n)
+	cols := make([][]float64, len(sel))
+	for k := range cols {
+		cols[k] = make([]float64, n)
 	}
 	// Per-flow vectors are independent: compute them on a worker pool
 	// (the map-reduce parallelism the paper gets from Ray).
-	ds := fl.DS
 	workers := runtime.GOMAXPROCS(0)
 	if n < 256 || workers < 2 {
 		workers = 1
@@ -124,50 +228,37 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			var sc flowScratch
 			for i := lo; i < hi; i++ {
 				fr.UnitIdx[i] = i
-				idx := fl.PacketIdx(i)
-				fr.Labels[i], fr.Attacks[i] = flowLabel(ds, idx)
-				fv := computeFlowVector(fl, i, idx, firstN)
-				for name, col := range cols {
-					col[i] = fv[name]
+				idx := sc.members(fl, i)
+				fr.Labels[i], fr.Attacks[i] = fl.label(idx)
+				computeFlowVector(&sc, fl, i, idx, firstN)
+				for k, fi := range sel {
+					cols[k][i] = sc.vec[fi]
 				}
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	for _, f := range want {
-		fr.AddF(f, cols[f])
+	for k, fi := range sel {
+		fr.AddF(flowFeatureNames[fi], cols[k])
 	}
 	return fr, nil
 }
 
-// flowLabel derives a flow's ground truth: malicious if any member packet
-// is (datasets label whole flows, so members agree by construction), with
-// the attack name taken from the first malicious packet. Unlabeled
-// sources (pcap captures, live feeds) yield benign.
-func flowLabel(ds *dataset.Labeled, idx []int) (int, string) {
-	for _, pi := range idx {
-		if pi < len(ds.Labels) && ds.Labels[pi] != 0 {
-			if pi < len(ds.Attacks) {
-				return 1, ds.Attacks[pi]
-			}
-			return 1, ""
-		}
-	}
-	return 0, ""
-}
-
-// computeFlowVector builds every catalogue feature for flow i. Per-packet
-// fields are read through Flows.summary so the same code serves a batch
-// run's decoded packets and a streaming run's retained summaries.
-func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float64 {
-	out := make(map[string]float64, len(flowFeatureNames))
+// computeFlowVector writes every catalogue feature of flow i, whose
+// member packets are idx, into sc.vec (all zero for a flow without
+// packets). Per-packet fields are read through Flows.summary so the same
+// code serves a batch run's decoded packets and a streaming run's
+// retained stats. With warm scratch it allocates nothing.
+func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int) {
+	out := &sc.vec
+	*out = flowVec{}
 	if len(idx) == 0 {
-		return out
+		return
 	}
-	lens := make([]float64, 0, len(idx))
-	iats := make([]float64, 0, len(idx))
+	lens, iats := sc.lens[:0], sc.iats[:0]
 	var prevT float64
 	var payload float64
 	var flags [6]float64
@@ -178,16 +269,16 @@ func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float
 	for k, pi := range idx {
 		s := fl.summary(pi)
 		last = s
-		t := float64(s.Ts.UnixNano()) / 1e9
-		l := float64(s.Wire)
+		t := float64(s.ts) / 1e9
+		l := float64(s.wire)
 		lens = append(lens, l)
 		if k > 0 {
 			iats = append(iats, t-prevT)
 		}
 		prevT = t
-		payload += float64(s.PayloadLen)
-		if s.HasTCP {
-			fs := s.TCPFlags
+		payload += float64(s.payload)
+		if s.hasTCP {
+			fs := s.flags
 			for b := 0; b < 6; b++ {
 				if fs&(1<<uint(b)) != 0 {
 					flags[b]++
@@ -199,17 +290,18 @@ func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float
 			prevFlags = fs
 		}
 	}
-	dur := float64(last.Ts.Sub(first.Ts)) / float64(time.Second)
-	out["duration"] = dur
-	out["pkt_count"] = float64(len(idx))
+	sc.lens, sc.iats = lens, iats
+	dur := float64(last.ts-first.ts) / float64(time.Second)
+	out[fDuration] = dur
+	out[fPktCount] = float64(len(idx))
 	var bytes float64
 	for _, l := range lens {
 		bytes += l
 	}
-	out["byte_count"] = bytes
-	out["payload_bytes"] = payload
-	out["mean_len"] = mlkit.Mean(lens)
-	out["std_len"] = math.Sqrt(mlkit.Variance(lens))
+	out[fByteCount] = bytes
+	out[fPayloadBytes] = payload
+	out[fMeanLen] = mlkit.Mean(lens)
+	out[fStdLen] = math.Sqrt(mlkit.Variance(lens))
 	mn, mx := lens[0], lens[0]
 	for _, l := range lens {
 		if l < mn {
@@ -219,22 +311,22 @@ func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float
 			mx = l
 		}
 	}
-	out["min_len"] = mn
-	out["max_len"] = mx
-	out["mean_iat"] = mlkit.Mean(iats)
-	out["std_iat"] = math.Sqrt(mlkit.Variance(iats))
+	out[fMinLen] = mn
+	out[fMaxLen] = mx
+	out[fMeanIAT] = mlkit.Mean(iats)
+	out[fStdIAT] = math.Sqrt(mlkit.Variance(iats))
 	if dur > 0 {
-		out["pps"] = float64(len(idx)) / dur
-		out["bps"] = bytes / dur
+		out[fPPS] = float64(len(idx)) / dur
+		out[fBPS] = bytes / dur
 	}
-	out["syn_count"] = flags[1]
-	out["ack_count"] = flags[4]
-	out["fin_count"] = flags[0]
-	out["rst_count"] = flags[2]
-	out["psh_count"] = flags[3]
-	out["urg_count"] = flags[5]
+	out[fSynCount] = flags[1]
+	out[fAckCount] = flags[4]
+	out[fFinCount] = flags[0]
+	out[fRstCount] = flags[2]
+	out[fPshCount] = flags[3]
+	out[fUrgCount] = flags[5]
 	if len(idx) > 1 {
-		out["flag_change_rate"] = float64(flagChanges) / float64(len(idx)-1)
+		out[fFlagChangeRate] = float64(flagChanges) / float64(len(idx)-1)
 	}
 
 	var tuple netpkt.FiveTuple
@@ -243,51 +335,51 @@ func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float
 	} else {
 		c := fl.Conns[i]
 		tuple = c.Tuple
-		out["orig_bytes"] = float64(c.OrigBytes)
-		out["resp_bytes"] = float64(c.RespBytes)
-		out["orig_pkts"] = float64(len(c.OrigIdx))
-		out["resp_pkts"] = float64(len(c.RespIdx))
+		out[fOrigBytes] = float64(c.OrigBytes)
+		out[fRespBytes] = float64(c.RespBytes)
+		out[fOrigPkts] = float64(len(c.OrigIdx))
+		out[fRespPkts] = float64(len(c.RespIdx))
 		if c.RespBytes > 0 {
-			out["byte_ratio"] = float64(c.OrigBytes) / float64(c.RespBytes)
+			out[fByteRatio] = float64(c.OrigBytes) / float64(c.RespBytes)
 		} else {
-			out["byte_ratio"] = float64(c.OrigBytes)
+			out[fByteRatio] = float64(c.OrigBytes)
 		}
 		switch c.State {
 		case flow.StateS0:
-			out["state_s0"] = 1
+			out[fStateS0] = 1
 		case flow.StateSF:
-			out["state_sf"] = 1
+			out[fStateSF] = 1
 		case flow.StateREJ:
-			out["state_rej"] = 1
+			out[fStateREJ] = 1
 		case flow.StateRSTO, flow.StateRSTR:
-			out["state_rst"] = 1
+			out[fStateRST] = 1
 		default:
-			out["state_oth"] = 1
+			out[fStateOTH] = 1
 		}
 	}
-	out["src_port"] = float64(tuple.SrcPort)
-	out["dst_port"] = float64(tuple.DstPort)
-	out["proto"] = float64(tuple.Proto)
+	out[fSrcPort] = float64(tuple.SrcPort)
+	out[fDstPort] = float64(tuple.DstPort)
+	out[fProto] = float64(tuple.Proto)
 	if tuple.DstPort < 1024 {
-		out["dst_port_wellknown"] = 1
+		out[fDstPortWellknown] = 1
 	}
 	switch tuple.DstPort {
 	case 80, 8080:
-		out["svc_http"] = 1
+		out[fSvcHTTP] = 1
 	case 443, 8443:
-		out["svc_tls"] = 1
+		out[fSvcTLS] = 1
 	case 53:
-		out["svc_dns"] = 1
+		out[fSvcDNS] = 1
 	case 23, 2323:
-		out["svc_telnet"] = 1
+		out[fSvcTelnet] = 1
 	case 22:
-		out["svc_ssh"] = 1
+		out[fSvcSSH] = 1
 	case 1883, 8883:
-		out["svc_mqtt"] = 1
+		out[fSvcMQTT] = 1
 	case 123:
-		out["svc_ntp"] = 1
+		out[fSvcNTP] = 1
 	default:
-		out["svc_other"] = 1
+		out[fSvcOther] = 1
 	}
 
 	// First-N-packet statistics (the OCSVM A07 feature design: lengths
@@ -297,16 +389,15 @@ func computeFlowVector(fl *Flows, i int, idx []int, firstN int) map[string]float
 		limit = len(lens)
 	}
 	fl1 := lens[:limit]
-	out["first_n_mean_len"] = mlkit.Mean(fl1)
-	out["first_n_std_len"] = math.Sqrt(mlkit.Variance(fl1))
+	out[fFirstNMeanLen] = mlkit.Mean(fl1)
+	out[fFirstNStdLen] = math.Sqrt(mlkit.Variance(fl1))
 	li := limit - 1
 	if li > len(iats) {
 		li = len(iats)
 	}
 	if li > 0 {
 		fi := iats[:li]
-		out["first_n_mean_iat"] = mlkit.Mean(fi)
-		out["first_n_std_iat"] = math.Sqrt(mlkit.Variance(fi))
+		out[fFirstNMeanIAT] = mlkit.Mean(fi)
+		out[fFirstNStdIAT] = math.Sqrt(mlkit.Variance(fi))
 	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
 	"lumen/internal/netpkt"
+	"lumen/internal/obs"
 )
 
 // StreamConfig bounds the chunks a RunStream pass pulls from its source
@@ -186,21 +187,41 @@ func firstMissing(set map[string]bool, names []string) string {
 // assembler plus every flow completed so far (evicted mid-stream once
 // idle, exactly as the batch path would have split them).
 type flowSinkState struct {
+	op   int // index of the flow_assemble op
 	gran dataset.Granularity
 	uni  *flow.UniflowAssembler
 	conn *flow.ConnAssembler
 	unis []*flow.Uniflow
 	cons []*flow.Connection
+	// open and evicted are the sink's lumen_flow_open and
+	// lumen_flow_evicted_total series (nil with metrics off); reported
+	// is how many evicted flows the counter has been told of.
+	open     *obs.Gauge
+	evicted  *obs.Counter
+	reported int
 }
 
 // add feeds packet gi's summary to the sink's assembler, keeping the
 // flows it evicts.
-func (s *flowSinkState) add(gi int, sum netpkt.PacketSummary) {
+func (s *flowSinkState) add(gi int, sum *netpkt.PacketSummary) {
 	if s.uni != nil {
-		s.unis = append(s.unis, s.uni.AddSummary(gi, sum)...)
+		s.unis = append(s.unis, s.uni.Feed(gi, sum)...)
 	} else {
-		s.cons = append(s.cons, s.conn.AddSummary(gi, sum)...)
+		s.cons = append(s.cons, s.conn.Feed(gi, sum)...)
 	}
+}
+
+// report publishes the sink's open-flow count and the flows it has
+// evicted since the previous report.
+func (s *flowSinkState) report() {
+	if s.uni != nil {
+		s.open.Set(float64(s.uni.Open()))
+	} else {
+		s.open.Set(float64(s.conn.Open()))
+	}
+	done := len(s.unis) + len(s.cons)
+	s.evicted.Add(uint64(done - s.reported))
+	s.reported = done
 }
 
 // RunStream executes the pipeline over a chunked packet source in
@@ -218,9 +239,10 @@ func (s *flowSinkState) add(gi int, sum netpkt.PacketSummary) {
 //
 // Memory: peak state is the in-flight chunks (one inline,
 // O(PipelineDepth + Workers) staged) plus whatever the plan must
-// retain — accumulated feature frames for deferred ops, and one
-// PacketSummary plus label per packet when the plan assembles flows
-// (value copies; flow features read them at flush). Packets themselves
+// retain — accumulated feature frames for deferred ops, and, when the
+// plan assembles flows, one 24-byte pktStat plus label per packet (all
+// flow features read of it at flush) and every flow assembled so far.
+// Packets themselves
 // never outlive their chunk: every finished chunk is recycled to its
 // source and its backing reference released, so a fully streamed test
 // pass holds O(chunk) and the steady state allocates almost nothing per

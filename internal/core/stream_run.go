@@ -26,7 +26,7 @@ type streamExec struct {
 	// sc carries cross-chunk fold state for the ordered ops; only the
 	// goroutine that owns stream order touches it.
 	sc    *streamCtx
-	sinks map[int]*flowSinkState
+	sinks []*flowSinkState
 	// hooks are the pass's per-chunk callbacks (nil when unhooked); absorb
 	// invokes them on the goroutine that owns stream order.
 	hooks *StreamHooks
@@ -43,14 +43,12 @@ type streamExec struct {
 	results []*EvalResult
 	hwm     uint64
 
-	// flowDS and accSums are what plans with flow sinks retain of the
-	// packet stream for the flush-time feature pass, as value copies that
-	// outlive every chunk: the stream's metadata with its per-packet
-	// labels, and each packet's summary (so flow features can read
-	// member-packet fields without a decoded packet set). flowDS is nil
-	// without flow sinks; both are fed in stream order by feedSinks.
-	flowDS  *dataset.Labeled
-	accSums []netpkt.PacketSummary
+	// stats is what plans with flow sinks retain of the packet stream for
+	// the flush-time feature pass, as value copies that outlive every
+	// chunk: one pktStat per packet, label included, so flow features can
+	// read member-packet fields without a decoded packet set. Nil without
+	// flow sinks; fed in stream order by feedSinks.
+	stats   *pktStats
 	nChunks int
 }
 
@@ -67,7 +65,6 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		pl:    pl,
 		meta:  src.Meta(),
 		sc:    &streamCtx{carry: map[string]any{}, online: cfg.Online},
-		sinks: map[int]*flowSinkState{},
 		hooks: cfg.Hooks,
 		accum: map[string][]*Frame{},
 		fenv:  map[string]Value{},
@@ -80,13 +77,19 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		if err != nil {
 			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
 		}
-		s := &flowSinkState{gran: gran}
+		s := &flowSinkState{
+			op: i, gran: gran,
+			open: e.Metrics.Gauge("lumen_flow_open",
+				"Flows a streaming run's flow_assemble sink holds open, as of its most recent chunk.", "output", op.Output),
+			evicted: e.Metrics.Counter("lumen_flow_evicted_total",
+				"Flows a streaming run's flow_assemble sink closed mid-stream, idle past the timeout.", "output", op.Output),
+		}
 		if gran == dataset.UniflowG {
 			s.uni = flow.NewUniflowAssembler(opts)
 		} else {
 			s.conn = flow.NewConnAssembler(opts)
 		}
-		r.sinks[i] = s
+		r.sinks = append(r.sinks, s)
 	}
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
@@ -96,12 +99,7 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		}
 	}
 	if len(r.sinks) > 0 {
-		r.flowDS = &dataset.Labeled{
-			Name:        r.meta.Name,
-			Granularity: r.meta.Granularity,
-			Link:        r.meta.Link,
-			Devices:     r.meta.Devices,
-		}
+		r.stats = &pktStats{}
 	}
 	return r, nil
 }
@@ -151,22 +149,31 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	return j
 }
 
-// feedSinks retains what a plan with flow sinks keeps of one chunk (see
-// flowDS) — its labels and one summary per packet — and pushes those
-// summaries through every incremental flow assembler.
+// feedSinks retains what a plan with flow sinks keeps of one chunk — one
+// stat per packet (see stats) — and pushes the packets' summaries through
+// every incremental flow assembler.
 func (r *streamExec) feedSinks(job *chunkJob) {
 	if len(r.sinks) == 0 {
 		return
 	}
 	nc := &job.nc
-	r.flowDS.Labels = append(r.flowDS.Labels, nc.Labels...)
-	r.flowDS.Attacks = append(r.flowDS.Attacks, nc.Attacks...)
 	for i := range nc.Views {
 		sum := nc.Views[i].Summary()
-		r.accSums = append(r.accSums, sum)
-		for _, s := range r.sinks {
-			s.add(nc.Base+i, sum)
+		st := statOf(&sum)
+		if i < len(nc.Labels) && nc.Labels[i] != 0 {
+			name := ""
+			if i < len(nc.Attacks) {
+				name = nc.Attacks[i]
+			}
+			st.attack = r.stats.attackID(name)
 		}
+		r.stats.add(st)
+		for _, s := range r.sinks {
+			s.add(nc.Base+i, &sum)
+		}
+	}
+	for _, s := range r.sinks {
+		s.report()
 	}
 }
 
@@ -310,8 +317,8 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			continue
 		}
 		start := time.Now()
-		if s, ok := r.sinks[i]; ok {
-			fenv[op.Output] = r.finishFlows(s)
+		if k := slices.IndexFunc(r.sinks, func(s *flowSinkState) bool { return s.op == i }); k >= 0 {
+			fenv[op.Output] = r.finishFlows(r.sinks[k])
 			r.prof[i].Wall += time.Since(start)
 			continue
 		}
@@ -363,7 +370,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 // the flows evicted mid-stream plus the assembler's remainder, in the
 // canonical (first-packet time, tuple) order batch assembly produces.
 func (r *streamExec) finishFlows(s *flowSinkState) *Flows {
-	out := &Flows{DS: r.flowDS, Granularity: s.gran, Sums: r.accSums}
+	out := &Flows{Granularity: s.gran, stats: r.stats}
 	if s.uni != nil {
 		out.Unis = append(s.unis, s.uni.Flush()...)
 		flow.SortUniflows(out.Unis)

@@ -78,26 +78,103 @@ func (Packets) Kind() Kind { return KindPackets }
 func (p Packets) Len() int { return len(p.Views) }
 
 // Flows is the output of flow assembly: either uniflows or connections,
-// with the source dataset retained for label and attack attribution.
+// plus what flow features read of the member packets. A batch run keeps
+// the source dataset (DS) for that; a streaming run, where the packet set
+// is never materialized, retains one pktStat per packet (stats) instead
+// and leaves DS nil.
 type Flows struct {
 	DS          *dataset.Labeled
 	Granularity dataset.Granularity
 	Unis        []*flow.Uniflow    // set when Granularity == UniflowG
 	Conns       []*flow.Connection // set when Granularity == ConnectionG
-	// Sums, when non-nil, carries per-packet summaries indexed like
-	// DS.Packets would be; set by streaming runs, where the decoded
-	// packet set is never materialized. Feature computation reads
-	// per-packet fields through summary().
-	Sums []netpkt.PacketSummary
+	stats       *pktStats
 }
 
-// summary returns the flow-assembly fields of member packet pi from
-// whichever representation the value carries.
-func (f *Flows) summary(pi int) netpkt.PacketSummary {
-	if f.Sums != nil {
-		return f.Sums[pi]
+// pktStat is everything flow_features reads of one member packet. It is
+// 24 bytes and holds no pointer, so what a flow pipeline retains per
+// packet until its barrier runs is never scanned by the collector.
+type pktStat struct {
+	ts            int64 // UnixNano
+	wire, payload int32
+	// attack is 0 for a benign packet; for a malicious one, 1 + the
+	// index of its attack name in the owning pktStats.
+	attack uint32
+	flags  uint8 // TCP flag bits, when hasTCP
+	hasTCP bool
+}
+
+// statOf projects a packet summary to its stat (benign).
+func statOf(s *netpkt.PacketSummary) pktStat {
+	return pktStat{ts: s.Ts.UnixNano(), wire: int32(s.Wire), payload: int32(s.PayloadLen), flags: s.TCPFlags, hasTCP: s.HasTCP}
+}
+
+// pktStats is an append-only sequence of stats stored in fixed-size
+// blocks: growing it never copies or re-zeroes what is already held, as
+// doubling one slice would. Attack names are interned in attacks.
+type pktStats struct {
+	blocks  []*[statBlock]pktStat
+	n       int
+	attacks []string
+}
+
+const statBlock = 4096
+
+func (s *pktStats) add(st pktStat) {
+	if s.n == len(s.blocks)*statBlock {
+		s.blocks = append(s.blocks, new([statBlock]pktStat))
 	}
-	return f.DS.Packets[pi].Summary()
+	s.blocks[s.n/statBlock][s.n%statBlock] = st
+	s.n++
+}
+
+func (s *pktStats) at(i int) pktStat { return s.blocks[i/statBlock][i%statBlock] }
+
+// attackID interns a malicious packet's attack name (possibly empty) as
+// a pktStat.attack value. Traces name a handful of attacks, in runs.
+func (s *pktStats) attackID(name string) uint32 {
+	for k := len(s.attacks) - 1; k >= 0; k-- {
+		if s.attacks[k] == name {
+			return uint32(k + 1)
+		}
+	}
+	s.attacks = append(s.attacks, name)
+	return uint32(len(s.attacks))
+}
+
+// summary returns the stat of member packet pi from whichever
+// representation the value carries.
+func (f *Flows) summary(pi int) pktStat {
+	if f.stats != nil {
+		return f.stats.at(pi)
+	}
+	s := f.DS.Packets[pi].Summary()
+	return statOf(&s)
+}
+
+// label derives the ground truth of a flow whose member packets are idx:
+// malicious if any member is (datasets label whole flows, so members
+// agree by construction), with the attack name taken from the first
+// malicious packet. Unlabeled sources (pcap captures, live feeds) yield
+// benign.
+func (f *Flows) label(idx []int) (int, string) {
+	if f.stats != nil {
+		for _, pi := range idx {
+			if a := f.stats.at(pi).attack; a != 0 {
+				return 1, f.stats.attacks[a-1]
+			}
+		}
+		return 0, ""
+	}
+	ds := f.DS
+	for _, pi := range idx {
+		if pi < len(ds.Labels) && ds.Labels[pi] != 0 {
+			if pi < len(ds.Attacks) {
+				return 1, ds.Attacks[pi]
+			}
+			return 1, ""
+		}
+	}
+	return 0, ""
 }
 
 // Kind implements Value.

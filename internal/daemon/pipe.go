@@ -522,9 +522,8 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		// that unmaps, or a pooled buffer that is reused, once the chunk is
 		// released.
 		for i := range up.Views {
-			if evicted := p.conn.AddSummary(p.pktIdx+i, up.Views[i].Summary()); len(evicted) > 0 {
-				p.connDone = append(p.connDone, evicted...)
-			}
+			sum := up.Views[i].Summary()
+			p.connDone = append(p.connDone, p.conn.Feed(p.pktIdx+i, &sum)...)
 		}
 	}
 	p.pktIdx += npkts

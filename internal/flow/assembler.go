@@ -1,46 +1,60 @@
 package flow
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"lumen/internal/netpkt"
 )
 
 // UniflowAssembler groups a time-ordered packet stream into uniflows
-// incrementally. Feed packets with Add — which returns flows evicted
-// mid-stream once they have sat idle past the timeout — and call Flush at
-// end of stream for the remainder. Eviction only changes *when* a flow is
-// emitted, never its contents: a swept flow's next same-tuple packet (if
-// any) arrives after a gap already exceeding the idle timeout, so batch
-// assembly would have split there too. Driving the assembler over a whole
-// capture therefore yields exactly the flows of Uniflows, and a chunked
-// caller that offsets packet indices gets bit-identical output.
+// incrementally. Feed packets with Feed (or Add) — which returns flows
+// evicted mid-stream once they have sat idle past the timeout — and call
+// Flush at end of stream for the remainder. Eviction only changes *when*
+// a flow is emitted, never its contents: a swept flow's next same-tuple
+// packet (if any) arrives after a gap already exceeding the idle timeout,
+// so batch assembly would have split there too. Driving the assembler
+// over a whole capture therefore yields exactly the flows of Uniflows,
+// and a chunked caller that offsets packet indices gets bit-identical
+// output.
+//
+// The active flows are threaded on an intrusive list in order of their
+// last packet (every packet moves its flow to the back), so the idle
+// sweep pops heads until one is fresh: on a time-ordered stream that is
+// exactly the set a scan of the whole table finds, at O(evicted).
 type UniflowAssembler struct {
 	idle      time.Duration
 	active    map[netpkt.FiveTuple]*Uniflow
+	root      Uniflow // list sentinel: root.next is the stalest flow
 	lastSweep time.Time
 	started   bool
 }
 
 // NewUniflowAssembler returns an empty assembler with the given options.
 func NewUniflowAssembler(opts Options) *UniflowAssembler {
-	return &UniflowAssembler{idle: opts.idle(), active: make(map[netpkt.FiveTuple]*Uniflow)}
+	a := &UniflowAssembler{idle: opts.idle(), active: make(map[netpkt.FiveTuple]*Uniflow)}
+	a.root.prev, a.root.next = &a.root, &a.root
+	return a
 }
 
-// Add ingests packet i (its index in the caller's stream, recorded in
-// PacketIdx) and returns any flows evicted because they have been idle
-// past the timeout, ordered by first-packet time then tuple. Packets
-// without a five-tuple advance the idle sweep but join no flow. Packets
-// must arrive in non-decreasing time order.
+// Open returns how many flows the assembler currently holds open.
+func (a *UniflowAssembler) Open() int { return len(a.active) }
+
+// Add is Feed over an eagerly decoded packet.
 func (a *UniflowAssembler) Add(i int, p *netpkt.Packet) []*Uniflow {
-	return a.AddSummary(i, p.Summary())
+	s := p.Summary()
+	return a.Feed(i, &s)
 }
 
-// AddSummary is Add over a packet summary — the form lazy packet views
-// (and any other non-*Packet representation) feed the assembler in.
-// Identical semantics: assembly only ever reads the summary fields.
-func (a *UniflowAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Uniflow {
+// Feed ingests packet i (its index in the caller's stream, recorded in
+// PacketIdx) from its summary — the form lazy packet views and any other
+// representation feed the assembler in; s is only read during the call.
+// It returns any flows evicted because they have been idle past the
+// timeout, ordered by first-packet time then tuple. Packets without a
+// five-tuple advance the idle sweep but join no flow. Packets must
+// arrive in non-decreasing time order.
+func (a *UniflowAssembler) Feed(i int, s *netpkt.PacketSummary) []*Uniflow {
 	var out []*Uniflow
 	if !a.started {
 		a.started = true
@@ -52,15 +66,23 @@ func (a *UniflowAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Uniflow 
 	if !s.HasTuple {
 		return out
 	}
-	ft := s.Tuple
-	f := a.active[ft]
+	f := a.active[s.Tuple]
 	if f != nil && s.Ts.Sub(f.Last) > a.idle {
+		f.unlink()
 		out = append(out, f)
 		f = nil
 	}
 	if f == nil {
-		f = &Uniflow{Tuple: ft, First: s.Ts}
-		a.active[ft] = f
+		f = &Uniflow{Tuple: s.Tuple, First: s.Ts}
+		f.PacketIdx = f.idx0[:0]
+		a.active[s.Tuple] = f
+	}
+	if a.root.prev != f {
+		if f.next != nil {
+			f.prev.next, f.next.prev = f.next, f.prev
+		}
+		back := a.root.prev
+		back.next, f.prev, f.next, a.root.prev = f, back, &a.root, f
 	}
 	f.PacketIdx = append(f.PacketIdx, i)
 	f.Last = s.Ts
@@ -69,15 +91,20 @@ func (a *UniflowAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Uniflow 
 	return out
 }
 
+// unlink takes an emitted flow off the assembler's list.
+func (f *Uniflow) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
 // sweep evicts every active flow idle past the timeout. Evicted flows are
 // removed from the active set, so Flush cannot emit them again.
 func (a *UniflowAssembler) sweep(now time.Time) []*Uniflow {
 	var out []*Uniflow
-	for ft, f := range a.active {
-		if now.Sub(f.Last) > a.idle {
-			out = append(out, f)
-			delete(a.active, ft)
-		}
+	for f := a.root.next; f != &a.root && now.Sub(f.Last) > a.idle; f = a.root.next {
+		f.unlink()
+		delete(a.active, f.Tuple)
+		out = append(out, f)
 	}
 	SortUniflows(out)
 	return out
@@ -87,10 +114,11 @@ func (a *UniflowAssembler) sweep(now time.Time) []*Uniflow {
 // assembler for reuse.
 func (a *UniflowAssembler) Flush() []*Uniflow {
 	out := make([]*Uniflow, 0, len(a.active))
-	for ft, f := range a.active {
+	for f := a.root.next; f != &a.root; f = a.root.next {
+		f.unlink()
 		out = append(out, f)
-		delete(a.active, ft)
 	}
+	clear(a.active)
 	SortUniflows(out)
 	a.started = false
 	return out
@@ -101,26 +129,39 @@ func (a *UniflowAssembler) Flush() []*Uniflow {
 // evicting idle connections mid-stream with their conn state finalized.
 type ConnAssembler struct {
 	idle      time.Duration
-	active    map[netpkt.FiveTuple]*Connection
+	active    map[netpkt.FiveTuple]*Connection // by canonical tuple
+	root      Connection                       // list sentinel, as in UniflowAssembler
 	lastSweep time.Time
 	started   bool
 }
 
 // NewConnAssembler returns an empty assembler with the given options.
 func NewConnAssembler(opts Options) *ConnAssembler {
-	return &ConnAssembler{idle: opts.idle(), active: make(map[netpkt.FiveTuple]*Connection)}
+	a := &ConnAssembler{idle: opts.idle(), active: make(map[netpkt.FiveTuple]*Connection)}
+	a.root.prev, a.root.next = &a.root, &a.root
+	return a
 }
 
-// Add ingests packet i and returns any connections evicted because they
-// have been idle past the timeout, finalized (conn state assigned) and
-// ordered by first-packet time then tuple.
+// Open returns how many connections the assembler currently holds open.
+func (a *ConnAssembler) Open() int { return len(a.active) }
+
+// Add is Feed over an eagerly decoded packet.
 func (a *ConnAssembler) Add(i int, p *netpkt.Packet) []*Connection {
-	return a.AddSummary(i, p.Summary())
+	s := p.Summary()
+	return a.Feed(i, &s)
 }
 
-// AddSummary is Add over a packet summary (see
-// UniflowAssembler.AddSummary); identical semantics.
+// AddSummary is Feed over a summary passed by value: the form the
+// benchmark harness's isolated assembler layer calls.
 func (a *ConnAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Connection {
+	return a.Feed(i, &s)
+}
+
+// Feed ingests packet i from its summary (see UniflowAssembler.Feed) and
+// returns any connections evicted because they have been idle past the
+// timeout, finalized (conn state assigned) and ordered by first-packet
+// time then tuple.
+func (a *ConnAssembler) Feed(i int, s *netpkt.PacketSummary) []*Connection {
 	var out []*Connection
 	if !a.started {
 		a.started = true
@@ -132,32 +173,44 @@ func (a *ConnAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Connection 
 	if !s.HasTuple {
 		return out
 	}
-	ft := s.Tuple
-	key := ft.Canonical()
+	key := s.Tuple.Canonical()
 	c := a.active[key]
 	if c != nil && s.Ts.Sub(c.Last) > a.idle {
+		c.unlink()
 		c.finalize()
 		out = append(out, c)
 		c = nil
 	}
 	if c == nil {
-		c = &Connection{Tuple: ft, First: s.Ts} // first packet defines originator
+		c = &Connection{Tuple: s.Tuple, First: s.Ts} // first packet defines originator
 		a.active[key] = c
 	}
-	c.add(i, s, ft)
+	if a.root.prev != c {
+		if c.next != nil {
+			c.prev.next, c.next.prev = c.next, c.prev
+		}
+		back := a.root.prev
+		back.next, c.prev, c.next, a.root.prev = c, back, &a.root, c
+	}
+	c.add(i, s)
 	return out
+}
+
+// unlink takes an emitted connection off the assembler's list.
+func (c *Connection) unlink() {
+	c.prev.next, c.next.prev = c.next, c.prev
+	c.prev, c.next = nil, nil
 }
 
 // sweep evicts and finalizes every active connection idle past the
 // timeout, removing it from the active set so Flush cannot double-emit.
 func (a *ConnAssembler) sweep(now time.Time) []*Connection {
 	var out []*Connection
-	for key, c := range a.active {
-		if now.Sub(c.Last) > a.idle {
-			c.finalize()
-			out = append(out, c)
-			delete(a.active, key)
-		}
+	for c := a.root.next; c != &a.root && now.Sub(c.Last) > a.idle; c = a.root.next {
+		c.unlink()
+		delete(a.active, c.Tuple.Canonical())
+		c.finalize()
+		out = append(out, c)
 	}
 	SortConnections(out)
 	return out
@@ -167,26 +220,32 @@ func (a *ConnAssembler) sweep(now time.Time) []*Connection {
 // stream) and resets the assembler for reuse.
 func (a *ConnAssembler) Flush() []*Connection {
 	out := make([]*Connection, 0, len(a.active))
-	for key, c := range a.active {
+	for c := a.root.next; c != &a.root; c = a.root.next {
+		c.unlink()
 		c.finalize()
 		out = append(out, c)
-		delete(a.active, key)
 	}
+	clear(a.active)
 	SortConnections(out)
 	a.started = false
 	return out
 }
 
-// add folds one packet summary into the connection. ft is the packet's
-// oriented five-tuple; direction is derived by comparing it to the
-// originator's.
-func (c *Connection) add(i int, s netpkt.PacketSummary, ft netpkt.FiveTuple) {
-	fromOrig := ft == c.Tuple
+// add folds one packet summary into the connection; direction is derived
+// by comparing the packet's oriented five-tuple to the originator's.
+func (c *Connection) add(i int, s *netpkt.PacketSummary) {
+	fromOrig := s.Tuple == c.Tuple
 	if fromOrig {
+		if c.OrigIdx == nil {
+			c.OrigIdx = c.idx0[:0:connInlineIdx]
+		}
 		c.OrigIdx = append(c.OrigIdx, i)
 		c.OrigBytes += s.Wire
 		c.OrigPayload += s.PayloadLen
 	} else {
+		if c.RespIdx == nil {
+			c.RespIdx = c.idx0[connInlineIdx:connInlineIdx]
+		}
 		c.RespIdx = append(c.RespIdx, i)
 		c.RespBytes += s.Wire
 		c.RespPayload += s.PayloadLen
@@ -212,22 +271,23 @@ func (c *Connection) add(i int, s netpkt.PacketSummary, ft netpkt.FiveTuple) {
 }
 
 // SortUniflows orders flows by first-packet time, then tuple — the
-// canonical output order of batch assembly.
+// canonical output order of batch assembly. The tuple is only rendered
+// for flows that start at the same instant.
 func SortUniflows(us []*Uniflow) {
-	sort.Slice(us, func(a, b int) bool {
-		if !us[a].First.Equal(us[b].First) {
-			return us[a].First.Before(us[b].First)
+	slices.SortFunc(us, func(a, b *Uniflow) int {
+		if c := a.First.Compare(b.First); c != 0 {
+			return c
 		}
-		return us[a].Tuple.String() < us[b].Tuple.String()
+		return strings.Compare(a.Tuple.String(), b.Tuple.String())
 	})
 }
 
 // SortConnections orders connections by first-packet time, then tuple.
 func SortConnections(cs []*Connection) {
-	sort.Slice(cs, func(a, b int) bool {
-		if !cs[a].First.Equal(cs[b].First) {
-			return cs[a].First.Before(cs[b].First)
+	slices.SortFunc(cs, func(a, b *Connection) int {
+		if c := a.First.Compare(b.First); c != 0 {
+			return c
 		}
-		return cs[a].Tuple.String() < cs[b].Tuple.String()
+		return strings.Compare(a.Tuple.String(), b.Tuple.String())
 	})
 }

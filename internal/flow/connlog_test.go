@@ -33,9 +33,10 @@ func TestWriteConnLog(t *testing.T) {
 }
 
 func TestProtoString(t *testing.T) {
-	if protoString(netpkt.ProtoTCP) != "tcp" || protoString(netpkt.ProtoUDP) != "udp" ||
-		protoString(netpkt.ProtoICMP) != "icmp" || protoString(42) != "proto-42" {
-		t.Error("protoString mapping wrong")
+	for p, want := range map[uint8]string{netpkt.ProtoTCP: "tcp", netpkt.ProtoUDP: "udp", netpkt.ProtoICMP: "icmp", 42: "proto-42"} {
+		if got := string(appendProto(nil, p)); got != want {
+			t.Errorf("proto %d renders %q, want %q", p, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@
 package flow
 
 import (
-	"sort"
 	"time"
 
 	"lumen/internal/netpkt"
@@ -24,6 +23,12 @@ type Uniflow struct {
 	Last      time.Time
 	Bytes     int
 	Payload   int // application payload bytes
+
+	// prev and next thread the flow on its assembler's idle list while it
+	// is open (nil once emitted); idx0 is PacketIdx's first backing
+	// array, so a short flow is one allocation.
+	prev, next *Uniflow
+	idx0       [4]int
 }
 
 // Duration returns Last-First.
@@ -62,18 +67,40 @@ type Connection struct {
 
 	sawSYN, sawSYNACK, sawOrigFIN, sawRespFIN bool
 	sawOrigRST, sawRespRST                    bool
+
+	// prev and next thread the connection on its assembler's idle list
+	// while it is open (nil once emitted); idx0 is the first backing
+	// array of OrigIdx (front half) and RespIdx (back half), so a short
+	// connection is one allocation.
+	prev, next *Connection
+	idx0       [2 * connInlineIdx]int
 }
+
+// connInlineIdx is how many packet indices per direction a connection
+// holds before its index lists move to their own allocations.
+const connInlineIdx = 4
 
 // Duration returns Last-First.
 func (c *Connection) Duration() time.Duration { return c.Last.Sub(c.First) }
 
 // Packets returns all packet indices of the connection in time order.
 func (c *Connection) Packets() []int {
-	out := make([]int, 0, len(c.OrigIdx)+len(c.RespIdx))
-	out = append(out, c.OrigIdx...)
-	out = append(out, c.RespIdx...)
-	sort.Ints(out)
-	return out
+	return c.AppendPackets(make([]int, 0, len(c.OrigIdx)+len(c.RespIdx)))
+}
+
+// AppendPackets appends all packet indices of the connection, in time
+// order, to dst: a linear merge of the two per-direction lists, each of
+// which is already ascending.
+func (c *Connection) AppendPackets(dst []int) []int {
+	o, r := c.OrigIdx, c.RespIdx
+	for len(o) > 0 && len(r) > 0 {
+		if o[0] < r[0] {
+			dst, o = append(dst, o[0]), o[1:]
+		} else {
+			dst, r = append(dst, r[0]), r[1:]
+		}
+	}
+	return append(append(dst, o...), r...)
 }
 
 // Options configures assembly.

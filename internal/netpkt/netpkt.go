@@ -268,24 +268,10 @@ func (f FiveTuple) Reverse() FiveTuple {
 // lexicographically smaller endpoint first), identifying a bidirectional
 // connection.
 func (f FiveTuple) Canonical() FiveTuple {
-	a := endpointKey{f.SrcIP, f.SrcPort}
-	b := endpointKey{f.DstIP, f.DstPort}
-	if b.less(a) {
+	if c := f.DstIP.Compare(f.SrcIP); c < 0 || c == 0 && f.DstPort < f.SrcPort {
 		return f.Reverse()
 	}
 	return f
-}
-
-type endpointKey struct {
-	ip   netip.Addr
-	port uint16
-}
-
-func (a endpointKey) less(b endpointKey) bool {
-	if c := a.ip.Compare(b.ip); c != 0 {
-		return c < 0
-	}
-	return a.port < b.port
 }
 
 // String renders the tuple as "src:sport->dst:dport/proto".
