@@ -27,8 +27,9 @@ test:
 # The decode set (BenchmarkDecode*: netpkt.Decode's full eager stack vs
 # lazy views per depth; BenchmarkSourceStage*: the chunked view source
 # stage over a buffered stream and an mmap'ed file) lands in
-# BENCH_PR8.json, and the watch-ingest source stage
-# (BenchmarkDirSourceMmap: the daemon's rotated-capture watch) in
+# BENCH_PR8.json, and the live ingest source stages
+# (BenchmarkDirSourceMmap: the daemon's rotated-capture watch;
+# BenchmarkFeedIngest: producer → framed feed → Next → ReleaseRef) in
 # BENCH_PR10.json. The alert layer's own number (BenchmarkAlertEncode: a
 # 512-row chunk result with scores and attacks, encoded and written to
 # io.Discard; ns/alert, B/alert, allocs/alert) lands in BENCH_PR15.json.
@@ -42,7 +43,7 @@ bench:
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR5.json
 	$(GO) test -bench='BenchmarkDecode|BenchmarkSourceStage' -benchtime=300ms -count=3 -run='^$$' ./internal/dataset/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR8.json
-	$(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ \
+	$(GO) test -bench='BenchmarkDirSource|BenchmarkFeedIngest' -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR10.json
 	$(GO) test -bench=BenchmarkAlertEncode -benchtime=2000x -count=3 -run='^$$' ./internal/daemon/ \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR15.json
@@ -66,7 +67,7 @@ vet:
 # live ingest, the alert encoder against encoding/json (differential
 # sweep) and its whole-line writes into healthy and failing sinks, live
 # sources including mmap+lazy watch ingest with
-# rotation under load and the framed feed's pooled buffers refilled
+# rotation under load and the framed feed's refcounted slabs refilled
 # while the staged pipeline holds earlier chunks, panic isolation
 # between two pipelines, the HTTP control surface, and the lumend binary
 # end to end) under the race detector. The online-learning paths ride along: the core suite's
@@ -140,7 +141,8 @@ config-check:
 #   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == eager Decode (netpkt/view_fuzz_test.go)
 #   FuzzUnmarshalModel   error, or a model that scores without panicking (mlkit/persist_fuzz_test.go);
 #                        minimization capped: shrinking a multi-kilobyte envelope would eat the budget
-#   FuzzFeedFrame        error, or exactly the bytes a length prefix in [8, MaxFrameBytes] announced (daemon/feed_test.go)
+#   FuzzFeedFrame        the in-place slab framer: error, or exactly the bytes a length prefix in [8, MaxFrameBytes] announced, clean end
+#                        only on a frame boundary, and frame for frame what the per-frame reader it replaced returns (daemon/feed_test.go)
 #   FuzzAlertLine        the append encoder == json.Marshal of the same Alert (daemon/alert_test.go)
 #   FuzzDaemonConfig     error, or a config whose every pipeline plans as `lumend -check` does (daemon/config_test.go)
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)

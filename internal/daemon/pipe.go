@@ -160,6 +160,10 @@ type PipeStatus struct {
 	// DecodeMode reports how the source reads and decodes ("mmap+lazy",
 	// "buffered", "idle", ...), for sources that expose it.
 	DecodeMode string `json:"decode_mode,omitempty"`
+	// FeedConnErrors counts the producer connections a feed source closed
+	// on a fault, by reason (see FeedSource.ConnErrors); omitted while
+	// there were none.
+	FeedConnErrors map[string]int64 `json:"feed_conn_errors,omitempty"`
 	// Stream is the current pass's requested and effective execution
 	// shape, present once the pass has absorbed its first chunk.
 	Stream *StreamShape `json:"stream,omitempty"`
@@ -345,6 +349,9 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	p.mMaps = m.Gauge("lumen_mmap_open_mappings", "Process-wide live pcap memory mappings (refcounted; drops to baseline when every in-flight chunk is released).")
 	p.mState.Set(float64(StateRunning))
 	p.mGen.Set(float64(handle.Generation()))
+	if fs, ok := cfg.Source.(*FeedSource); ok {
+		fs.bindMetrics(m, p.name)
+	}
 	return p, nil
 }
 
@@ -854,6 +861,9 @@ func (p *Pipe) Status() PipeStatus {
 	st.Reloads = p.reloads.Load()
 	if dm, ok := p.src.(interface{ DecodeMode() string }); ok {
 		st.DecodeMode = dm.DecodeMode()
+	}
+	if fs, ok := p.src.(*FeedSource); ok {
+		st.FeedConnErrors = fs.ConnErrors()
 	}
 	st.ModelGeneration = p.handle.Generation()
 	st.Shadowing = p.handle.Shadowing()

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 
 	"lumen/internal/dataset"
 	"lumen/internal/netpkt"
+	"lumen/internal/obs"
 	"lumen/internal/pcap"
 )
 
@@ -223,15 +226,75 @@ func TestFeedSourceEmptyContract(t *testing.T) {
 	}
 }
 
-// TestFeedSourceBadFrame: a length prefix outside the protocol bounds is
-// recorded as a feed error and the producer is cut off.
+// TestFeedSourceBadFrame: a length prefix outside the protocol bounds,
+// or a stream that ends inside a frame, costs the producer its
+// connection and is counted by reason — and costs nobody else anything:
+// the frame it completed first still arrives, a second producer is
+// served, and the source reports no error.
 func TestFeedSourceBadFrame(t *testing.T) {
-	src, c := feedPair(t)
-	if _, err := c.Write([]byte{0, 0, 0, 3}); err != nil { // length 3 < 8
+	var good bytes.Buffer
+	if err := WriteFrame(&good, time.Unix(1700000000, 0), []byte("whole")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "protocol error", func() bool { return src.Err() != nil })
-	src.Drain()
+	for _, tc := range []struct {
+		reason string
+		bad    []byte
+		hangUp bool // the producer ends the stream itself
+	}{
+		{"length", []byte{0, 0, 0, 3}, false}, // length 3 < 8
+		{"length", []byte{0, 0x40, 0, 1}, false},
+		{"truncated", good.Bytes()[:2], true},
+		{"truncated", good.Bytes()[:good.Len()-1], true},
+	} {
+		src, c := feedPair(t)
+		m := obs.NewMetrics()
+		src.bindMetrics(m, "p")
+		if _, err := c.Write(append(good.Bytes(), tc.bad...)); err != nil {
+			t.Fatal(err)
+		}
+		if tc.hangUp {
+			c.Close()
+		}
+		waitFor(t, 5*time.Second, tc.reason+" fault", func() bool { return src.ConnErrors()[tc.reason] == 1 })
+		if got := m.Counter("lumen_feed_conn_errors_total", "", "pipeline", "p", "reason", tc.reason).Value(); got != 1 {
+			t.Fatalf("%s: lumen_feed_conn_errors_total reads %d, want 1", tc.reason, got)
+		}
+		if !tc.hangUp { // the source hung up on the producer
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("%s: the faulty producer's connection is still open (read: %v)", tc.reason, err)
+			}
+			c.Close()
+		}
+		healthy := dialFeed(t, src)
+		for i := 0; i < 3; i++ {
+			if err := WriteFrame(healthy, time.Unix(1700000001, 0), []byte("after")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		healthy.Close()
+		var got []string
+		for len(got) < 4 {
+			ck, ok := src.Next(16, 0)
+			if !ok {
+				t.Fatalf("%s: stream ended after %q", tc.reason, got)
+			}
+			for i := range ck.Views {
+				got = append(got, string(ck.Views[i].Data))
+			}
+			ck.ReleaseRef()
+		}
+		if want := []string{"whole", "after", "after", "after"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: delivered %q, want %q", tc.reason, got, want)
+		}
+		src.Drain()
+		if err := src.Err(); err != nil {
+			t.Fatalf("%s: one producer's fault became the source's error: %v", tc.reason, err)
+		}
+		if faults := src.ConnErrors(); len(faults) != 1 {
+			t.Fatalf("%s: connection faults %v, want the one", tc.reason, faults)
+		}
+	}
 }
 
 // writePcap writes pkts as a pcap file.

@@ -27,7 +27,7 @@ type Chunk struct {
 	// Ref, when non-nil, is a reference the chunk holds on the resource
 	// backing its packet bytes: a refcounted file mapping (pcap.Mapping)
 	// for rotated-capture watches, whose chunks must outlive their reader,
-	// or the pooled buffers of a live feed. The chunk's final owner
+	// or the refcounted read slabs of a live feed. The chunk's final owner
 	// releases it exactly once, after Recycle, via ReleaseRef; the backing
 	// resource stays alive until the last in-flight chunk does.
 	Ref ChunkRef

@@ -20,10 +20,9 @@ import (
 
 // BufferPool recycles packet data buffers and chunk view slices across
 // reads, cutting the per-packet record copy (Reader.Next in buffered
-// mode, one frame per feed packet) and the per-chunk slice growth of
-// ReadViews. It is safe for concurrent use: a streaming consumer may
-// return finished chunks from one goroutine while the producer pulls
-// buffers from another.
+// mode) and the per-chunk slice growth of ReadViews. It is safe for
+// concurrent use: a streaming consumer may return finished chunks from
+// one goroutine while the producer pulls buffers from another.
 //
 // Returning a buffer that a live view still references corrupts that
 // view, so only the owner of the full chunk lifecycle (e.g.
@@ -84,7 +83,7 @@ func (p *BufferPool) PutViews(s []netpkt.PacketView) {
 }
 
 // PutOwnedViews returns a chunk whose views own their bytes — buffered
-// pcap records, feed frames — to the pool: each view's Data buffer, then
+// pcap records — to the pool: each view's Data buffer, then
 // the slice. Views over borrowed bytes (a mapping, a dataset) take
 // PutViews alone.
 func (p *BufferPool) PutOwnedViews(s []netpkt.PacketView) {
