@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke config-check loc
+.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke config-check loc pairs
 
 build:
 	$(GO) build ./...
@@ -169,6 +169,35 @@ loc:
 	@for d in internal/* cmd/*; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
+
+# pairs measures the working tree against a base revision on one
+# end-to-end workload, the way a change that claims a gain is judged:
+#   make pairs W=flow_conn_file N=10 BASE=HEAD~1 [SEED=7]
+# It builds bench/cmd/lumenperf twice into a temp dir outside bench/ (the
+# base from `git archive $(BASE)`, which touches no repository state; the
+# change from the working tree), runs N pairs alternating which side goes
+# first, never two at once, and hands the two streams of result lines to
+# `benchjson -pairs`, which prints per end-to-end metric both medians,
+# both quartile ranges, the pairs won and the BENCHMARK.json bound.
+W ?= flow_conn_file
+N ?= 10
+BASE ?= HEAD
+SEED ?= 1
+pairs:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir $$tmp/src $$tmp/out && \
+	git archive $(BASE) | tar -x -C $$tmp/src && \
+	(cd $$tmp/src && $(GO) build -o $$tmp/perf_base ./bench/cmd/lumenperf) && \
+	$(GO) build -o $$tmp/perf_change ./bench/cmd/lumenperf && \
+	echo "pairs: $(W), seed $(SEED), base $$(git rev-parse --short $(BASE)) against the working tree" && \
+	for i in $$(seq 1 $(N)); do \
+		order="base change"; [ $$((i % 2)) = 0 ] && order="change base"; \
+		for side in $$order; do \
+			$$tmp/perf_$$side -dir $$tmp/out -workload $(W) -seed $(SEED) -trace 0 > $$tmp/run.txt 2>&1 \
+				|| { echo "pairs: $$side failed in pair $$i"; tail -5 $$tmp/run.txt; exit 1; }; \
+			tail -1 $$tmp/run.txt >> $$tmp/$$side.jsonl; \
+		done; \
+	done && \
+	$(GO) run ./cmd/benchjson -pairs -spec BENCHMARK.json -base $$tmp/base.jsonl -change $$tmp/change.jsonl
 
 # check is the CI gate: static analysis, race-clean concurrency paths,
 # the documentation lint, the example daemon files, and a short fuzz

@@ -9,6 +9,12 @@
 // hold a before/after pair; when both a baseline and a current run are
 // present, a speedup table (baseline ns/op ÷ current ns/op per shared
 // benchmark) is recomputed on every merge.
+//
+// With -pairs it instead judges an end-to-end comparison (`make pairs`):
+// -base and -change name files holding one bench/cmd/lumenperf result
+// line per run, run as alternating pairs, and -spec names BENCHMARK.json;
+// it prints, per end-to-end metric, both medians and quartile ranges, the
+// pairs the change won, the metric's bound and a verdict.
 package main
 
 import (
@@ -132,7 +138,18 @@ func parse(r *bufio.Scanner) (*Run, error) {
 func main() {
 	label := flag.String("label", "current", "label for this run (e.g. baseline, current)")
 	out := flag.String("out", "BENCH_PR3.json", "output JSON file; existing runs with other labels are kept")
+	pairs := flag.Bool("pairs", false, "compare two files of lumenperf result lines run as alternating pairs, instead of merging `go test -bench` output")
+	spec := flag.String("spec", "BENCHMARK.json", "with -pairs: the benchmark declaration naming the end-to-end metrics and their bounds")
+	base := flag.String("base", "", "with -pairs: one result line per run of the base revision")
+	change := flag.String("change", "", "with -pairs: one result line per run of the change, in the same order")
 	flag.Parse()
+	if *pairs {
+		if err := runPairs(*spec, *base, *change); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	run, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {

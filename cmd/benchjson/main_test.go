@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,70 @@ func TestParseNoMetrics(t *testing.T) {
 func TestParseRejectsEmptyInput(t *testing.T) {
 	if _, err := parse(bufio.NewScanner(strings.NewReader("PASS\n"))); err == nil {
 		t.Error("no benchmark lines should be an error")
+	}
+}
+
+// pairLine is a canned lumenperf result line.
+func pairLine(pps, heap float64, failed int) string {
+	return fmt.Sprintf(`{"correct":true,"attempted":1000,"failed":%d,"metrics":{"pps":{"value":%g,"unit":"packets/s"},"peak_heap_mb":{"value":%g,"unit":"MB"}}}`+"\n", failed, pps, heap)
+}
+
+// TestPairsReport: on canned result lines the report pairs run i with
+// run i, counts ties for neither side, and applies the gain rule (nine
+// tenths of the pairs and more than the base's quartile distance) and
+// the bound.
+func TestPairsReport(t *testing.T) {
+	var spec benchSpec
+	if err := json.Unmarshal([]byte(`{"end_to_end":[
+		{"name":"pps","unit":"packets/s","better":"higher","bound":0.25},
+		{"name":"peak_heap_mb","unit":"MB","better":"lower","bound":0.15}]}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	var base, change strings.Builder
+	for i := 0; i < 10; i++ {
+		// pps: the change wins nine pairs and ties the tenth, medians far
+		// apart. Heap: the change is 20 % worse in every pair.
+		base.WriteString(pairLine(100+float64(i), 10, 0))
+		if i == 9 {
+			change.WriteString(pairLine(109, 12, 1))
+		} else {
+			change.WriteString(pairLine(150+float64(i), 12, 0))
+		}
+	}
+	b, err := readResults(strings.NewReader(base.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := readResults(strings.NewReader(change.String() + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := pairsReport(&out, spec, b, c); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("report has %d lines, want a summary, a header and two metrics:\n%s", len(lines), out.String())
+	}
+	if want := "10 pairs; failed share: base 0, change 0.0001"; lines[0] != want {
+		t.Errorf("summary = %q, want %q", lines[0], want)
+	}
+	for i, want := range [][]string{
+		{"pps", "higher", "104.5 [102.25, 106.75]", "153.5 [151.25, 155.75]", "1.469", "9/10", "0.25", "gain"},
+		{"peak_heap_mb", "lower", "10 [10, 10]", "12 [12, 12]", "1.200", "0/10", "0.15", "past bound"},
+	} {
+		for _, field := range want {
+			if !strings.Contains(lines[2+i], field) {
+				t.Errorf("row %q lacks %q", lines[2+i], field)
+			}
+		}
+	}
+
+	if err := pairsReport(&out, spec, b, c[:9]); err == nil {
+		t.Error("an unpaired run should be an error")
+	}
+	if _, err := readResults(strings.NewReader("lumenperf: killed\n")); err == nil {
+		t.Error("a line that is no result should be an error")
 	}
 }

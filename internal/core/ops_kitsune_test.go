@@ -19,6 +19,12 @@ import (
 // state — and returns the concatenated columns.
 func kitsuneRun(t testing.TB, frames []oracleFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
 	t.Helper()
+	return chunkedRun(t, opKitsuneFeatures, frames, chunk, p, m)
+}
+
+// chunkedRun is kitsuneRun for any carry-state packet op.
+func chunkedRun(t testing.TB, op func(*opCtx, []Value, params) (Value, error), frames []oracleFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
+	t.Helper()
 	ctx := &opCtx{outName: "feats", metrics: m, stream: &streamCtx{carry: map[string]any{}}}
 	if chunk <= 0 {
 		chunk = len(frames)
@@ -27,7 +33,7 @@ func kitsuneRun(t testing.TB, frames []oracleFrame, chunk int, p params, m *obs.
 	for lo := 0; lo < len(frames); lo += chunk {
 		hi := min(lo+chunk, len(frames))
 		ctx.stream.base = lo
-		out, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: viewsOf(frames[lo:hi])}}, p)
+		out, err := op(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: viewsOf(frames[lo:hi])}}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +127,7 @@ func churnFrames(t testing.TB, first, n int) []oracleFrame {
 // chunk size; and a source returning after its stream was dropped starts
 // afresh, where the never-evicting reference still carries its history.
 func TestKitsuneEvictionBoundsState(t *testing.T) {
-	const n = 3 * kitsuneSweepEvery
+	const n = 3 * streamSweepEvery
 	frames := churnFrames(t, 0, n)
 	// The very first source comes back at the end, long evicted.
 	frames[n-1].raw = frames[0].raw
@@ -171,7 +177,7 @@ func TestKitsuneLiveHeapFlat(t *testing.T) {
 	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
 	p := params{"lambdas": []any{1.0}}
 	heapAfter := func(from, periods int) uint64 {
-		for lo := from * kitsuneSweepEvery; lo < (from+periods)*kitsuneSweepEvery; lo += 512 {
+		for lo := from * streamSweepEvery; lo < (from+periods)*streamSweepEvery; lo += 512 {
 			views := viewsOf(churnFrames(t, lo, 512))
 			if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: views}}, p); err != nil {
 				t.Fatal(err)
@@ -185,7 +191,7 @@ func TestKitsuneLiveHeapFlat(t *testing.T) {
 	early := heapAfter(0, 2)
 	late := heapAfter(2, 4)
 	if late > early+4<<20 {
-		t.Errorf("live heap grew from %d to %d bytes over %d packets of new sources", early, late, 4*kitsuneSweepEvery)
+		t.Errorf("live heap grew from %d to %d bytes over %d packets of new sources", early, late, 4*streamSweepEvery)
 	}
 }
 

@@ -537,9 +537,9 @@ type chanEntry struct {
 	two  []features.IncStat2D
 }
 
-// kitsuneSweepEvery is how many folded packets pass between two sweeps
-// for faded streams.
-const kitsuneSweepEvery = 1 << 14
+// streamSweepEvery is how many folded packets pass between two sweeps
+// for faded streams, in kitsune_features and dot11_features alike.
+const streamSweepEvery = 1 << 14
 
 // kitsuneCarry is the op's fold state: one map per grouping, whose value
 // holds the stream's statistics at every decay rate contiguously, so a
@@ -689,7 +689,7 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 		srcKey, chanKey, sockKey := kitsuneKeys(vw)
 		t := pktTime(vw.Ts)
 		car.fold(cols, i, t, float64(vw.WireLen()), float64(vw.PayloadLen()), srcKey, chanKey, sockKey)
-		if car.folded%kitsuneSweepEvery == 0 {
+		if car.folded%streamSweepEvery == 0 {
 			evicted += car.sweep(t)
 		}
 	}
@@ -713,9 +713,28 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 type dot11Tx struct{ all, deauth features.IncStat }
 
 // dot11Carry keeps the per-transmitter rate trackers alive across chunks
-// so streamed execution matches batch execution.
+// so streamed execution matches batch execution, and bounds them the way
+// kitsuneCarry bounds its streams: every streamSweepEvery frames folded
+// (never per chunk, so the columns do not depend on chunk size) the
+// transmitters idle past the horizon go.
 type dot11Carry struct {
 	perTx map[netpkt.MAC]*dot11Tx
+	// horizon is the idle time after which a transmitter's rates have
+	// faded below 2^-64; +Inf with damping off.
+	horizon float64
+	folded  int
+}
+
+// sweep drops every transmitter idle at time now for longer than the
+// horizon; one that returns starts afresh. It returns how many went.
+func (car *dot11Carry) sweep(now float64) (evicted int) {
+	for mac, tx := range car.perTx {
+		if now-tx.all.LastTs() > car.horizon {
+			delete(car.perTx, mac)
+			evicted++
+		}
+	}
+	return evicted
 }
 
 // dot11Fill bundles the output columns and rate trackers of one
@@ -757,7 +776,10 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 	prev, _ := ctx.carry()
 	car, ok := prev.(*dot11Carry)
 	if !ok {
-		car = &dot11Carry{perTx: map[netpkt.MAC]*dot11Tx{}}
+		car = &dot11Carry{perTx: map[netpkt.MAC]*dot11Tx{}, horizon: math.Inf(1)}
+		if lam > 0 {
+			car.horizon = 64 / lam
+		}
 		ctx.setCarry(car)
 	}
 	fill := &dot11Fill{
@@ -767,11 +789,24 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 		plen:  make([]float64, n),
 		perTx: car.perTx, lam: lam,
 	}
+	evicted := 0
 	for i := range pk.Views {
 		vw := &pk.Views[i]
 		if d, ok := vw.Dot11(); ok {
-			fill.fold(i, d, pktTime(vw.Ts), float64(vw.PayloadLen()))
+			t := pktTime(vw.Ts)
+			fill.fold(i, d, t, float64(vw.PayloadLen()))
+			if car.folded++; car.folded%streamSweepEvery == 0 {
+				evicted += car.sweep(t)
+			}
 		}
+	}
+	if ctx != nil {
+		ctx.metrics.Gauge("lumen_dot11_streams",
+			"Transmitters dot11_features holds frame rates for.").
+			Set(float64(len(car.perTx)))
+		ctx.metrics.Counter("lumen_dot11_streams_evicted_total",
+			"Transmitters dot11_features dropped after their rates faded below 2^-64.").
+			Add(uint64(evicted))
 	}
 	fr.AddF("subtype", fill.subtype)
 	fr.AddF("is_mgmt", fill.mgmt)

@@ -77,6 +77,10 @@ type StreamPlan struct {
 	// FlowSink[i]: op i is fed packet-by-packet during the chunk loop; its
 	// Flows output materializes at flush.
 	FlowSink []bool
+	// ConnSink is the index of the first flow sink that assembles
+	// connections, -1 when the plan assembles none: the sink whose
+	// connections a hooked pass hands to StreamHooks.ConnsClosed.
+	ConnSink int
 	// Worker[i]: op i is streamed, order-free and fed only by other
 	// order-free streamed values, so pipelined runs may execute it on
 	// parallel chunk workers. Ordered[i] marks the remaining streamed
@@ -126,6 +130,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		Worker:   make([]bool, len(e.P.Ops)),
 		Ordered:  make([]bool, len(e.P.Ops)),
 		Accum:    map[string]bool{},
+		ConnSink: -1,
 		defs:     defs,
 	}
 	// A streamed op fans out to the parallel worker stage only if it is
@@ -148,6 +153,10 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 			reason = "input `" + behind + "` is produced behind a barrier"
 		case t.class == classFlowSink:
 			pl.FlowSink[i] = true
+			// check() has already accepted the params.
+			if _, gran, _ := flowParams(params(op.Params)); pl.ConnSink < 0 && gran == dataset.ConnectionG {
+				pl.ConnSink = i
+			}
 			continue
 		case t.streams(mode, online):
 			pl.Streamed[i] = true
@@ -242,11 +251,19 @@ func (s *flowSinkState) report() {
 // retain — accumulated feature frames for deferred ops, and, when the
 // plan assembles flows, one 24-byte pktStat plus label per packet (all
 // flow features read of it at flush) and every flow assembled so far.
-// Packets themselves
-// never outlive their chunk: every finished chunk is recycled to its
-// source and its backing reference released, so a fully streamed test
-// pass holds O(chunk) and the steady state allocates almost nothing per
-// chunk.
+// Packets themselves never outlive their chunk: every finished chunk is
+// recycled to its source and its backing reference released. Verdict
+// rows outlive theirs only on an unhooked pass, which keeps every
+// chunk's EvalResult (about 48 B a row) to merge into the result it
+// returns. A pass with StreamHooks.AfterChunk set hands each chunk's
+// rows to the callback and keeps none, so a fully streamed hooked test
+// pass holds O(chunk) however long it runs, and the steady state
+// allocates almost nothing per chunk.
+//
+// The result: an unhooked pass returns every row, bit-identical to
+// batch. A hooked pass returns only the rows no callback was handed,
+// the flush tail of the deferred ops, nil when the plan streams fully
+// (see StreamHooks for the contract).
 //
 // RunStream bypasses the shared Cache: chunk results are keyed by
 // stream position and fold state, which the content-addressed cache
@@ -308,7 +325,9 @@ func (e *Engine) TrainStream(ds *dataset.Labeled, cfg StreamConfig) error {
 // TestStream runs the fitted pipeline over the dataset chunk-by-chunk and
 // returns predictions identical to Test. On fully streamable pipelines
 // the model scores each chunk as it arrives, so peak memory tracks the
-// chunk size, not the trace size.
+// chunk size, not the trace size. With cfg.Hooks.AfterChunk set it
+// returns what RunStream does, the tail no callback saw, which is nil
+// when every row streamed.
 func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult, error) {
 	if !e.trained {
 		return nil, fmt.Errorf("core: Test before Train on pipeline %q", e.P.Name)
@@ -317,7 +336,7 @@ func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult,
 	if err != nil {
 		return nil, err
 	}
-	if res == nil {
+	if res == nil && !cfg.Hooks.active() {
 		return nil, fmt.Errorf("core: pipeline %q produced no predictions", e.P.Name)
 	}
 	return res, nil

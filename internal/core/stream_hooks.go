@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"lumen/internal/flow"
 	"lumen/internal/netpkt"
 )
 
@@ -25,10 +26,12 @@ type ChunkUpdate struct {
 	// PacketSummary).
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
-	// produced for this chunk, in op order. Empty on training passes, on
+	// produced for this chunk, in op order, and they are the callback's to
+	// keep: the pass retains no reference, and RunStream does not return
+	// these rows again (see StreamHooks). Empty on training passes, on
 	// chunks with no scored rows, and on pipelines whose scoring is
 	// deferred to the flush pass (flow granularities, barrier suffixes) —
-	// those verdicts appear only in RunStream's final merged result.
+	// those verdicts are the tail RunStream returns.
 	Results []*EvalResult
 	// Drift holds the drift_detect events raised during this chunk, in
 	// detection order. The slice is pooled with the chunk job: copy it to
@@ -54,10 +57,28 @@ type ChunkUpdate struct {
 // is ever mid-score while the callback runs. A non-nil error aborts the
 // stream exactly like a failing op. Hooks hold at every stream shape
 // (inline, staged, staged with workers), bit-identically.
+//
+// Rows belong to whoever was handed them. A pass with AfterChunk set
+// keeps no verdict row it has given to the callback, so what it retains
+// is what is open, not what has passed; RunStream then returns only the
+// rows no callback saw, the flush tail of the deferred ops (nil when the
+// plan streams fully). The rows of every ChunkUpdate.Results in stream
+// order, followed by the returned tail, are the unhooked pass's result
+// bit for bit, at every shape.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.
 	AfterChunk func(ChunkUpdate) error
+	// ConnsClosed receives the connections the plan's connection sink
+	// (StreamPlan.ConnSink) has closed, for a consumer that logs them: the
+	// pass's own assembly, so nobody assembles the stream a second time.
+	// It runs on the goroutine that owns stream order. Today it is called
+	// once per pass, at flush, with every connection of the pass merged
+	// and in batch order (flow.SortConnections), before the deferred ops
+	// read them; a pass that fails never calls it. The connections are
+	// shared with those ops: read, do not modify. Never called when the
+	// plan has no connection sink. A non-nil error aborts the pass.
+	ConnsClosed func([]*flow.Connection) error
 	// WantFeatures requests the train op's per-chunk input features (and
 	// labels when the frame carries them) on every ChunkUpdate, so a
 	// consumer can maintain a retraining reservoir without re-deriving
@@ -65,7 +86,8 @@ type StreamHooks struct {
 	WantFeatures bool
 }
 
-// active reports whether any callback is set.
+// active reports whether the per-chunk callback is set: the pass hands
+// its streamed rows out instead of keeping them.
 func (h *StreamHooks) active() bool {
 	return h != nil && h.AfterChunk != nil
 }

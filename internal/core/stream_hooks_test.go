@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"lumen/internal/dataset"
+	"lumen/internal/flow"
 	"lumen/internal/mlkit"
 )
 
@@ -17,10 +24,41 @@ var hookShapes = []StreamConfig{
 	{ChunkRows: 64, PipelineDepth: 4, Workers: 4},
 }
 
+// testStreamHooked runs TestStream with an AfterChunk hook and states the
+// hook contract's left-hand side: joined is the rows of every
+// ChunkUpdate in stream order followed by the tail the pass returned,
+// which must equal the unhooked result bit for bit. each (optional) sees
+// every update after its rows were taken; cfg.Hooks may preset the other
+// hook fields.
+func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) (joined, tail *EvalResult) {
+	t.Helper()
+	hooks := StreamHooks{}
+	if cfg.Hooks != nil {
+		hooks = *cfg.Hooks
+	}
+	var parts []*EvalResult
+	hooks.AfterChunk = func(up ChunkUpdate) error {
+		parts = append(parts, up.Results...)
+		if each != nil {
+			return each(up)
+		}
+		return nil
+	}
+	cfg.Hooks = &hooks
+	tail, err := eng.TestStream(ds, cfg)
+	if err != nil {
+		t.Fatalf("hooked pass (depth %d, workers %d): %v", cfg.PipelineDepth, cfg.Workers, err)
+	}
+	if tail != nil {
+		parts = append(parts, tail)
+	}
+	return mergeResults(parts), tail
+}
+
 // TestAfterChunkHook verifies the per-chunk lifecycle hook across
-// execution shapes: one call per chunk in stream order, per-chunk verdict
-// rows that concatenate to exactly the unhooked result, and unchanged
-// final output.
+// execution shapes: one call per chunk in stream order, and per-chunk
+// verdict rows that, with the returned tail (nil here: the plan streams
+// fully), concatenate to exactly the unhooked result.
 func TestAfterChunkHook(t *testing.T) {
 	spec, _ := dataset.Get("F1")
 	ds := spec.Generate(0.05)
@@ -36,21 +74,14 @@ func TestAfterChunkHook(t *testing.T) {
 	}
 	for si, shape := range hookShapes {
 		var seqs []int
-		var preds []int
-		rows := 0
-		shape.Hooks = &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+		got, tail := testStreamHooked(t, eng, ds, shape, func(up ChunkUpdate) error {
 			seqs = append(seqs, up.Seq)
-			for _, res := range up.Results {
-				preds = append(preds, res.Pred...)
-				rows += len(res.Truth)
-			}
 			return nil
-		}}
-		got, err := eng.TestStream(ds, shape)
-		if err != nil {
-			t.Fatalf("shape %d: %v", si, err)
-		}
+		})
 		requireEqualResults(t, want, got, fmt.Sprintf("hooked shape %d", si))
+		if tail != nil {
+			t.Errorf("shape %d: a fully streamed hooked pass returned %d rows the hook had already been handed", si, len(tail.Pred))
+		}
 		if len(seqs) == 0 {
 			t.Fatalf("shape %d: hook never ran", si)
 		}
@@ -62,13 +93,160 @@ func TestAfterChunkHook(t *testing.T) {
 		if len(seqs) != eng.LastStream.Chunks {
 			t.Errorf("shape %d: hook ran %d times for %d chunks", si, len(seqs), eng.LastStream.Chunks)
 		}
-		if len(preds) != len(want.Pred) || rows != len(want.Truth) {
-			t.Errorf("shape %d: per-chunk verdicts cover %d preds / %d rows, want %d", si, len(preds), rows, len(want.Pred))
+	}
+}
+
+// loopSource replays its dataset laps times over: a long stream that
+// costs no memory beyond the one dataset.
+type loopSource struct {
+	*dataset.SliceSource
+	laps int
+}
+
+func (l *loopSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
+	for {
+		ck, ok := l.SliceSource.Next(maxRows, maxBytes)
+		if ok && ck.Len() > 0 {
+			return ck, true
 		}
-		for i := range preds {
-			if preds[i] != want.Pred[i] {
-				t.Fatalf("shape %d: per-chunk pred %d = %d, batch %d", si, i, preds[i], want.Pred[i])
-			}
+		if l.laps--; l.laps <= 0 {
+			return ck, ok
+		}
+		l.SliceSource.Reset()
+	}
+}
+
+// TestHookedPassMemoryIsFlat: a hooked pass keeps no row it has handed
+// to the hook, so its heap high-water mark over 8N packets of a replay
+// sits within a fixed margin of the mark over N, whereas the unhooked
+// pass, which owes its caller every row, grows with the stream and still
+// returns the full result.
+func TestHookedPassMemoryIsFlat(t *testing.T) {
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.3)
+	eng := NewEngine(fieldPipeline())
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	// A tight collector keeps garbage waiting for its cycle out of the
+	// high-water mark, which samples the heap at chunk boundaries.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	const (
+		lapsN  = 25
+		margin = 1 << 20
+	)
+	n := lapsN * len(ds.Packets)
+	// digest folds verdict rows into a running hash, so the hooked passes
+	// can be compared with the unhooked result without keeping a row.
+	digest := func(h hash.Hash, res *EvalResult) {
+		for i := range res.Pred {
+			fmt.Fprintln(h, res.Pred[i], res.Truth[i], res.UnitIdx[i], res.Attacks[i])
+		}
+	}
+	rows, handed := 0, fnv.New64a()
+	hooked := StreamConfig{ChunkRows: 256, Hooks: &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+		for _, res := range up.Results {
+			rows += len(res.Pred)
+			digest(handed, res)
+		}
+		return nil
+	}}}
+	hwm := func(laps int, cfg StreamConfig) (uint64, *EvalResult) {
+		runtime.GC()
+		res, err := eng.RunStream(&loopSource{dataset.NewSliceSource(ds), laps}, ModeTest, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.LastStream.HWMBytes, res
+	}
+	short, _ := hwm(lapsN, hooked)
+	handed.Reset()
+	long, tail := hwm(8*lapsN, hooked)
+	if tail != nil || rows != 9*n {
+		t.Fatalf("hooked passes handed out %d rows (want %d) and returned a tail of %v", rows, 9*n, tail)
+	}
+	if long > short+margin {
+		t.Errorf("hooked pass peaked at %d B over %d packets and %d B over %d: it retains rows it handed out", short, n, long, 8*n)
+	}
+	plain, full := hwm(8*lapsN, StreamConfig{ChunkRows: 256})
+	returned := fnv.New64a()
+	digest(returned, full)
+	if len(full.Pred) != rows-n || !bytes.Equal(returned.Sum(nil), handed.Sum(nil)) {
+		t.Fatalf("unhooked pass returned %d rows that differ from the %d the hook was handed over the same stream", len(full.Pred), rows-n)
+	}
+	if plain < long+margin {
+		t.Errorf("unhooked pass peaked at %d B, hooked at %d B, over %d packets: the test no longer tells them apart", plain, long, 8*n)
+	}
+	t.Logf("N = %d packets: hooked %d B (N) / %d B (8N), unhooked %d B (8N)", n, short, long, plain)
+}
+
+// TestConnsClosedHook: a pass whose plan has a connection sink hands the
+// sink's own connections to ConnsClosed, once, as batch assembly under
+// the op's options yields them (their log is the judge), at every shape;
+// a plan that assembles no connections never calls it, and its error
+// aborts the pass.
+func TestConnsClosedHook(t *testing.T) {
+	spec, _ := dataset.Get("F1")
+	ds := spec.Generate(0.05)
+	connLog := func(conns []*flow.Connection) string {
+		var b bytes.Buffer
+		if err := flow.WriteConnLog(&b, conns); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
+	p.Ops[0].Params["idle_timeout"] = 0.05
+	want := connLog(flow.Connections(ds.Packets, flow.Options{IdleTimeout: 50 * time.Millisecond}))
+	if want == connLog(flow.Connections(ds.Packets, flow.Options{})) {
+		t.Fatal("fixture: a 50 ms idle timeout splits no connection of this trace")
+	}
+	eng := NewEngine(p)
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := eng.StreamPlan(ModeTest, false); err != nil || pl.ConnSink != 0 {
+		t.Fatalf("plan's connection sink = %d (%v), want op 0", pl.ConnSink, err)
+	}
+	boom := errors.New("log full")
+	for si, shape := range hookShapes {
+		var got []string
+		shape.ChunkRows = 16
+		shape.Hooks = &StreamHooks{ConnsClosed: func(conns []*flow.Connection) error {
+			got = append(got, connLog(conns))
+			return nil
+		}}
+		if _, err := eng.TestStream(ds, shape); err != nil {
+			t.Fatalf("shape %d: %v", si, err)
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("shape %d: %d hand-offs, the first equal to the batch log: %v", si, len(got), len(got) > 0 && got[0] == want)
+		}
+		shape.Hooks = &StreamHooks{ConnsClosed: func([]*flow.Connection) error { return boom }}
+		if _, err := eng.TestStream(ds, shape); !errors.Is(err, boom) {
+			t.Fatalf("shape %d: want the hook's error, got %v", si, err)
+		}
+	}
+
+	uni := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
+	uni.Granularity, uni.Ops[0].Params["granularity"] = "uniflow", "uniflow"
+	for _, p := range []*Pipeline{uni, fieldPipeline()} {
+		eng := NewEngine(p)
+		eng.Seed = 7
+		if err := eng.Train(ds); err != nil {
+			t.Fatal(err)
+		}
+		if pl, err := eng.StreamPlan(ModeTest, false); err != nil || pl.ConnSink != -1 {
+			t.Fatalf("%s: plan's connection sink = %d (%v), want none", p.Name, pl.ConnSink, err)
+		}
+		hooks := &StreamHooks{ConnsClosed: func([]*flow.Connection) error {
+			t.Errorf("%s assembles no connections, yet ConnsClosed ran", p.Name)
+			return nil
+		}}
+		if _, err := eng.TestStream(ds, StreamConfig{ChunkRows: 64, Hooks: hooks}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -125,26 +303,23 @@ func TestAfterChunkHookModelSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	const swapAt = 3
-	var got []int
-	boundary := 0 // verdict rows scored before the swap took effect
-	hooks := &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+	rows, boundary := 0, 0 // boundary: verdict rows scored before the swap took effect
+	joined, _ := testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4, Workers: 4}, func(up ChunkUpdate) error {
 		for _, res := range up.Results {
-			got = append(got, res.Pred...)
+			rows += len(res.Pred)
 		}
 		if up.Seq < swapAt {
-			boundary = len(got)
+			boundary = rows
 		}
 		if up.Seq == swapAt-1 {
 			return eng.ReplaceModel(inv)
 		}
 		return nil
-	}}
-	if _, err := eng.TestStream(ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4, Workers: 4, Hooks: hooks}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if err := eng.ReplaceModel(old); err != nil { // restore
 		t.Fatal(err)
 	}
+	got := joined.Pred
 	if len(got) != len(want.Pred) {
 		t.Fatalf("swap run produced %d preds, want %d", len(got), len(want.Pred))
 	}

@@ -198,20 +198,14 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 	}
 	var events []DriftEvent
 	sawFeatures := false
-	hooks := &StreamHooks{
-		WantFeatures: true,
-		AfterChunk: func(up ChunkUpdate) error {
-			events = append(events, up.Drift...)
-			if len(up.Features) > 0 && len(up.Features) == len(up.Labels) {
-				sawFeatures = true
-			}
-			return nil
-		},
-	}
-	res, err := eng.TestStream(ds, StreamConfig{ChunkRows: 64, Hooks: hooks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := StreamConfig{ChunkRows: 64, Hooks: &StreamHooks{WantFeatures: true}}
+	res, _ := testStreamHooked(t, eng, ds, cfg, func(up ChunkUpdate) error {
+		events = append(events, up.Drift...)
+		if len(up.Features) > 0 && len(up.Features) == len(up.Labels) {
+			sawFeatures = true
+		}
+		return nil
+	})
 	if len(res.Pred) != len(ds.Packets) {
 		t.Fatalf("got %d predictions for %d packets", len(res.Pred), len(ds.Packets))
 	}

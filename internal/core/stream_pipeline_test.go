@@ -546,30 +546,30 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 	ds := spec.Generate(0.05)
 	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
 	want := batchRun(t, p, ds)
-	variants := []struct {
-		name  string
-		apply func(*StreamConfig)
-	}{
-		{"plain", func(*StreamConfig) {}},
-		{"hooked", func(c *StreamConfig) {
-			c.Hooks = &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil }}
-		}},
-		{"online", func(c *StreamConfig) { c.Online = true }},
-	}
 	for _, shape := range streamExecShapes {
-		for _, v := range variants {
+		for _, v := range []string{"plain", "hooked", "online"} {
 			cfg := shape
 			cfg.ChunkRows = 16 // tiny chunks: nearly every flow spans several
-			v.apply(&cfg)
-			label := fmt.Sprintf("%s, depth %d, workers %d", v.name, shape.PipelineDepth, shape.Workers)
+			cfg.Online = v == "online"
+			if v == "hooked" {
+				cfg.Hooks = &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil }}
+			}
+			label := fmt.Sprintf("%s, depth %d, workers %d", v, shape.PipelineDepth, shape.Workers)
 			eng := NewEngine(p)
 			eng.Seed = 7
 			if err := eng.TrainStream(ds, cfg); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			got, err := eng.TestStream(ds, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			var got *EvalResult
+			if v == "hooked" {
+				// Every verdict of a flow pipeline is deferred, so the
+				// hook rows are empty and the tail is the whole result.
+				got, _ = testStreamHooked(t, eng, ds, cfg, nil)
+			} else {
+				var err error
+				if got, err = eng.TestStream(ds, cfg); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 			}
 			ls := eng.LastStream
 			if ls.Pipelined != (shape.PipelineDepth > 0) || ls.Depth != shape.PipelineDepth || ls.Workers != max(shape.Workers, 1) {

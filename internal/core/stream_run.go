@@ -37,7 +37,9 @@ type streamExec struct {
 
 	// accum holds the per-chunk frames deferred ops read; fenv is the
 	// flush pass's environment, which absorb seeds with the latest of
-	// every other streamed value they read.
+	// every other streamed value they read. results are the rows the pass
+	// returns: every chunk's on an unhooked pass, only the flush pass's
+	// on a hooked one (the AfterChunk callback was handed the rest).
 	accum   map[string][]*Frame
 	fenv    map[string]Value
 	results []*EvalResult
@@ -239,8 +241,9 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 }
 
 // absorb folds one finished job into the run, in stream order: profile
-// stats, evaluation results and accumulated frames for deferred ops. It
-// returns the job's error.
+// stats, accumulated frames for deferred ops, and the chunk's evaluation
+// results, which go to the AfterChunk callback when there is one and are
+// kept for the returned result otherwise. It returns the job's error.
 func (r *streamExec) absorb(job *chunkJob) error {
 	if job.err != nil {
 		return job.err
@@ -250,7 +253,9 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		r.prof[i].Allocs += job.stats[i].Allocs
 		r.prof[i].OutRows += job.stats[i].OutRows
 	}
-	r.results = append(r.results, job.results...)
+	if !r.hooks.active() {
+		r.results = append(r.results, job.results...)
+	}
 	for i := range job.drift {
 		job.drift[i].Seq = job.nc.Seq
 	}
@@ -301,7 +306,8 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 }
 
 // finish runs the deferred (barrier) suffix with batch semantics over
-// the accumulated state and assembles the final result.
+// the accumulated state and assembles the result the pass returns: every
+// row on an unhooked pass, the flush pass's rows on a hooked one.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	if e.Metrics != nil {
@@ -318,8 +324,14 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		}
 		start := time.Now()
 		if k := slices.IndexFunc(r.sinks, func(s *flowSinkState) bool { return s.op == i }); k >= 0 {
-			fenv[op.Output] = r.finishFlows(r.sinks[k])
+			fl := r.finishFlows(r.sinks[k])
+			fenv[op.Output] = fl
 			r.prof[i].Wall += time.Since(start)
+			if i == r.pl.ConnSink && r.hooks != nil && r.hooks.ConnsClosed != nil {
+				if err := r.hooks.ConnsClosed(fl.Conns); err != nil {
+					return nil, fmt.Errorf("core: conns-closed hook: %w", err)
+				}
+			}
 			continue
 		}
 		for _, name := range op.Input {

@@ -27,14 +27,14 @@ func alertPipe(name string, w io.Writer, anomaliesOnly bool) *Pipe {
 // oracleLines is the alert path as encoding/json writes it — the Alert
 // struct through json.Marshal, one line per row — with the stamp each
 // emitted line carries (ts is the one value the encoder owns) and the
-// non-finite rule applied. got must hold exactly the lines of rows
-// [from, to) that pass the anomalies-only filter.
-func oracleLines(t testing.TB, got []byte, name string, res *core.EvalResult, from, to, seq, gen int, phase string, anomaliesOnly bool) []byte {
+// non-finite rule applied. got must hold exactly the lines of res's n
+// rows that pass the anomalies-only filter.
+func oracleLines(t testing.TB, got []byte, name string, res *core.EvalResult, n, seq, gen int, phase string, anomaliesOnly bool) []byte {
 	t.Helper()
 	lines := bytes.SplitAfter(got, []byte("\n"))
 	var want []byte
 	var prev time.Time
-	for i := from; i < to; i++ {
+	for i := 0; i < n; i++ {
 		a := Alert{Pipeline: name, Seq: seq, Phase: phase, Unit: res.Unit.String(), Index: -1, ModelGen: gen}
 		if i < len(res.Pred) {
 			a.Pred = res.Pred[i]
@@ -139,14 +139,14 @@ func TestAlertLineMatchesEncodingJSON(t *testing.T) {
 				res.Unit = ph.unit
 				var sink bytes.Buffer
 				p := alertPipe(name, &sink, anomaliesOnly)
-				from, gen := mask%3, mask+1
-				if err := p.writeRange(&res, from, n, ph.seq, gen, ph.phase); err != nil {
+				gen := mask + 1
+				if err := p.writeRows(&res, ph.seq, gen, ph.phase); err != nil {
 					t.Fatal(err)
 				}
 				if err := p.flushAlerts(); err != nil {
 					t.Fatal(err)
 				}
-				want := oracleLines(t, sink.Bytes(), name, &res, from, n, ph.seq, gen, ph.phase, anomaliesOnly)
+				want := oracleLines(t, sink.Bytes(), name, &res, n, ph.seq, gen, ph.phase, anomaliesOnly)
 				if !bytes.Equal(sink.Bytes(), want) {
 					t.Fatalf("mask %04b name %q phase %s anomaliesOnly %v: encoder and encoding/json differ\n%s", mask, name, ph.phase, anomaliesOnly, firstDiff(sink.Bytes(), want))
 				}
@@ -192,13 +192,13 @@ func FuzzAlertLine(f *testing.F) {
 		}
 		var sink bytes.Buffer
 		p := alertPipe(name, &sink, false)
-		if err := p.writeRange(&res, 0, 1, seq, gen, phase); err != nil {
+		if err := p.writeRows(&res, seq, gen, phase); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.flushAlerts(); err != nil {
 			t.Fatal(err)
 		}
-		if want := oracleLines(t, sink.Bytes(), name, &res, 0, 1, seq, gen, phase, false); !bytes.Equal(sink.Bytes(), want) {
+		if want := oracleLines(t, sink.Bytes(), name, &res, 1, seq, gen, phase, false); !bytes.Equal(sink.Bytes(), want) {
 			t.Fatalf("encoder and encoding/json differ\n got: %swant: %s", sink.Bytes(), want)
 		}
 	})
@@ -213,7 +213,7 @@ func TestNonFiniteScoreOmitsKey(t *testing.T) {
 	p := alertPipe("nf", &sink, false)
 	p.mNonFinite = m.Counter("lumen_daemon_alert_nonfinite_scores_total", "", "pipeline", "nf")
 	res := &core.EvalResult{Pred: []int{1, 1, 0, 1}, Scores: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)}}
-	if err := p.writeRange(res, 0, 4, 0, 1, "stream"); err != nil {
+	if err := p.writeRows(res, 0, 1, "stream"); err != nil {
 		t.Fatalf("a non-finite score must not fail the pass: %v", err)
 	}
 	if err := p.flushAlerts(); err != nil {
@@ -260,7 +260,7 @@ func TestAlertEncodeAllocs(t *testing.T) {
 	res := benchResult(512)
 	p := alertPipe("allocs", io.Discard, false)
 	chunk := func() {
-		if err := p.writeRange(res, 0, 512, 9, 1, "stream"); err != nil {
+		if err := p.writeRows(res, 9, 1, "stream"); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.flushAlerts(); err != nil {
@@ -308,20 +308,20 @@ func TestAlertWritesAreWholeLines(t *testing.T) {
 	sink := &lineSink{t: t}
 	p := alertPipe("lines", sink, false)
 	// Stream phase: a chunk's rows, then the chunk-end flush.
-	if err := p.writeRange(res, 0, rows, 0, 1, "stream"); err != nil {
+	if err := p.writeRows(res, 0, 1, "stream"); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.flushAlerts(); err != nil {
 		t.Fatal(err)
 	}
-	// Flush phase: the deferred tail past the streamed rows.
-	if err := p.writeRange(res, 100, rows, -1, 1, "flush"); err != nil {
+	// Flush phase: a deferred tail.
+	if err := p.writeRows(res, -1, 1, "flush"); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.flushAlerts(); err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*rows - 100; sink.lines != want || p.alerts.Load() != int64(want) {
+	if want := 2 * rows; sink.lines != want || p.alerts.Load() != int64(want) {
 		t.Fatalf("sink saw %d lines, pipe counted %d, want %d", sink.lines, p.alerts.Load(), want)
 	}
 	if sink.writes < 10 || sink.maxWrite > alertFlushBytes+maxLine || cap(p.alertBuf) > 2*alertFlushBytes {
@@ -333,7 +333,7 @@ func TestAlertWritesAreWholeLines(t *testing.T) {
 	// earlier writes of the same range delivered stay counted.
 	mid := &lineSink{t: t, failAt: 3}
 	mp := alertPipe("mid", mid, false)
-	err := mp.writeRange(res, 0, rows, 0, 1, "stream")
+	err := mp.writeRows(res, 0, 1, "stream")
 	if err == nil || mid.writes != 3 || mid.lines == 0 || mp.alerts.Load() < int64(mid.lines) || mp.alerts.Load() >= rows {
 		t.Fatalf("err %v after %d writes: sink holds %d lines, pipe counted %d of %d rows", err, mid.writes, mid.lines, mp.alerts.Load(), rows)
 	}
@@ -373,7 +373,7 @@ func BenchmarkAlertEncode(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.writeRange(res, 0, rows, i, 1, "stream"); err != nil {
+		if err := p.writeRows(res, i, 1, "stream"); err != nil {
 			b.Fatal(err)
 		}
 		if err := p.flushAlerts(); err != nil {

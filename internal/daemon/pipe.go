@@ -91,13 +91,16 @@ type PipeConfig struct {
 	// (pred 0), keeping only anomalies. Verdict counters still count
 	// every scored unit.
 	AnomaliesOnly bool
-	// ConnLog receives a Zeek-style TSV connection log, written once at
-	// drain. The log is bit-identical to flow.Connections over the same
-	// trace: evictions accumulate during streaming and one global sort
-	// runs at the end.
+	// ConnLog receives a Zeek-style TSV connection log, one section
+	// (header and rows) per pass, written when the pass ends: at drain,
+	// unless a reload ended a pass earlier. A pipeline that assembles
+	// connections itself (its plan has a connection-granularity
+	// flow_assemble sink) logs exactly those, the connections it scored,
+	// under that op's idle_timeout; any other pipeline gets an assembler
+	// of the daemon's own with the default options. Either way a section
+	// is bit-identical to flow.WriteConnLog over flow.Connections of the
+	// packets the pass ingested. No connection spans two passes.
 	ConnLog io.Writer
-	// FlowOpts configures the conn-log assembler (idle timeout).
-	FlowOpts flow.Options
 	// Retrain enables drift-triggered background retraining with hot swap
 	// (see RetrainConfig).
 	Retrain RetrainConfig
@@ -172,6 +175,11 @@ type PipeStatus struct {
 	// verdicts included, waits for drain. Omitted when the whole plan
 	// streams.
 	Barrier *core.PlanBarrier `json:"barrier,omitempty"`
+	// ConnLog says which assembler writes the conn-log: "flow_sink", the
+	// plan's own connection sink, or "assembler", one the daemon runs
+	// beside a plan that assembles no connections. Omitted without a
+	// conn-log.
+	ConnLog string `json:"conn_log,omitempty"`
 	// ModelGeneration is the active model's generation (1 = initial).
 	ModelGeneration int `json:"model_generation"`
 	// Shadowing reports an in-progress hot swap, with its live divergence.
@@ -231,8 +239,16 @@ type Pipe struct {
 	alertPrefix   []byte
 	alertBuf      []byte
 	anomaliesOnly bool
-	connw         io.Writer
-	conn          *flow.ConnAssembler
+	// The conn-log (connw nil disables it) is written from the plan's
+	// connection sink when it has one, through the ConnsClosed hook, and
+	// then conn stays nil. Otherwise conn is the daemon's own assembler,
+	// fed in afterChunk on the scoring goroutine: connDone holds the
+	// connections it has evicted in the current pass and pktIdx is the
+	// index its next packet gets, which keeps counting across passes.
+	connw    io.Writer
+	conn     *flow.ConnAssembler
+	connDone []*flow.Connection
+	pktIdx   int
 
 	ctrl chan ctrlMsg
 	done chan struct{}
@@ -248,11 +264,8 @@ type Pipe struct {
 
 	// Scoring-goroutine-only state (touched exclusively from afterChunk
 	// and the run loop; never locked).
-	streamedRows int
-	pktIdx       int
-	connDone     []*flow.Connection
-	swapOpts     SwapOptions
-	span         *obs.Span
+	swapOpts SwapOptions
+	span     *obs.Span
 	// Retrain state: the reservoir and cooldown marker live on the
 	// scoring goroutine; retrainBusy is the single-flight latch shared
 	// with the background fit goroutine.
@@ -331,7 +344,11 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	}
 	if cfg.ConnLog != nil {
 		p.connw = cfg.ConnLog
-		p.conn = flow.NewConnAssembler(cfg.FlowOpts)
+		if plan.ConnSink >= 0 {
+			p.stream.Hooks.ConnsClosed = p.writeConnLog
+		} else {
+			p.conn = flow.NewConnAssembler(flow.Options{})
+		}
 	}
 	lbl := []string{"pipeline", p.name}
 	m := d.metrics
@@ -400,14 +417,17 @@ func (p *Pipe) run() {
 // goroutine — in an op, in model scoring (a swapped-in model that loads
 // cleanly can still index past the pipeline's feature row), in the
 // chunk hook — comes back as the pass's error, so one tenant's fault
-// fails that pipeline (state failed, conn-log and alert sink still
-// finalized) instead of killing every pipeline in the process. The
-// staged loop's source and worker goroutines are not covered; see
-// OPERATIONS.md.
+// fails that pipeline (state failed, alert sink flushed, the daemon's
+// own conn-log assembler still logged) instead of killing every pipeline
+// in the process. The staged loop's source and worker goroutines are not
+// covered; see OPERATIONS.md.
 func (p *Pipe) pass() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("daemon: pipeline %q panicked in %s: %v", p.name, panicSite(), r)
+		}
+		if cerr := p.closeOwnConns(); err == nil {
+			err = cerr
 		}
 		p.eng.Span = nil
 		if p.span != nil {
@@ -419,14 +439,16 @@ func (p *Pipe) pass() (err error) {
 	}()
 	p.passes.Add(1)
 	p.mPasses.Inc()
-	p.streamedRows = 0
 	if p.tracer != nil {
 		p.span = p.tracer.Start("pipeline:"+p.name, p.tid)
 	}
 	p.eng.Span = p.span
-	res, err := p.eng.RunStream(p.src, core.ModeTest, p.stream)
-	if err == nil && res != nil {
-		err = p.writeTail(res)
+	// The pass is hooked, so what comes back is the tail no chunk
+	// callback was handed: the flush-time verdicts of deferred ops (flow
+	// granularities, barrier suffixes), nil when the plan streams fully.
+	tail, err := p.eng.RunStream(p.src, core.ModeTest, p.stream)
+	if err == nil && tail != nil {
+		err = p.writeRows(tail, -1, p.handle.Generation(), "flush")
 	}
 	if err == nil {
 		err = p.flushAlerts()
@@ -462,20 +484,37 @@ func (p *Pipe) setStateLocked(s State) {
 	p.mState.Set(float64(s))
 }
 
-// finalize writes the conn-log, flushes sinks, and fails any control
-// requests still queued. It runs exactly once, just before done closes.
-func (p *Pipe) finalize() {
-	if p.conn != nil && p.connw != nil {
-		// Mirror flow.Connections exactly: accumulated evictions plus the
-		// final flush, then one global sort — this is what makes a drained
-		// conn-log bit-identical to the batch driver over the same trace.
-		conns := append(p.connDone, p.conn.Flush()...)
-		flow.SortConnections(conns)
-		if err := flow.WriteConnLog(p.connw, conns); err != nil {
-			p.recordErr(fmt.Errorf("daemon: conn-log %q: %w", p.name, err))
-		}
-		p.connDone = nil
+// closeOwnConns ends the pass on the daemon's own conn-log assembler (a
+// no-op for a pipeline that logs from its flow sink): every connection
+// still open is closed here, so the next pass's packets, which start
+// over at the source's first timestamp, join none of this pass's, and
+// the pass's section is written. It mirrors flow.Connections exactly
+// (accumulated evictions plus the final flush, then one sort), which is
+// what makes a section bit-identical to the batch driver over the same
+// packets.
+func (p *Pipe) closeOwnConns() error {
+	if p.conn == nil {
+		return nil
 	}
+	conns := append(p.connDone, p.conn.Flush()...)
+	p.connDone = nil
+	flow.SortConnections(conns)
+	return p.writeConnLog(conns)
+}
+
+// writeConnLog writes one pass's conn-log section: conns is every
+// connection of the pass, in batch order. It is the pass's ConnsClosed
+// hook when the plan has a connection sink.
+func (p *Pipe) writeConnLog(conns []*flow.Connection) error {
+	if err := flow.WriteConnLog(p.connw, conns); err != nil {
+		return fmt.Errorf("daemon: conn-log %q: %w", p.name, err)
+	}
+	return nil
+}
+
+// finalize flushes sinks and fails any control requests still queued. It
+// runs exactly once, just before done closes.
+func (p *Pipe) finalize() {
 	if err := p.flushAlerts(); err != nil {
 		p.recordErr(err)
 	}
@@ -505,21 +544,18 @@ func (p *Pipe) recordErr(err error) {
 // afterChunk is the core.StreamHooks.AfterChunk callback — the heart of
 // the pipeline. It runs once per chunk, in stream order, on the scoring
 // goroutine, with the chunk's verdicts final. In order: emit alerts,
-// fold packets into the conn-log assembler, bump counters, apply queued
+// fold packets into the daemon's own conn-log assembler (only when the
+// plan assembles no connections itself), bump counters, apply queued
 // control messages, and advance any in-progress swap. Because control
 // messages are applied after this chunk's verdicts were written, every
 // chunk is attributable to exactly one model generation.
 func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	gen := p.handle.Generation()
-	rows := 0
 	for _, res := range up.Results {
-		n := resRows(res)
-		if err := p.writeRange(res, 0, n, up.Seq, gen, "stream"); err != nil {
+		if err := p.writeRows(res, up.Seq, gen, "stream"); err != nil {
 			return err
 		}
-		rows += n
 	}
-	p.streamedRows += rows
 	if err := p.flushAlerts(); err != nil {
 		return err
 	}
@@ -532,8 +568,8 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 			sum := up.Views[i].Summary()
 			p.connDone = append(p.connDone, p.conn.Feed(p.pktIdx+i, &sum)...)
 		}
+		p.pktIdx += npkts
 	}
-	p.pktIdx += npkts
 	if up.Seq == 0 {
 		// The engine settled the pass's shape before pulling this chunk, and
 		// hooked passes absorb on this goroutine, so LastStream is ours to
@@ -555,41 +591,21 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	return nil
 }
 
-// writeTail emits the verdicts that only materialize when the stream
-// flushes (deferred ops: flow-granularity pipelines, barrier suffixes).
-// RunStream merges them after the streamed rows, so the tail is
-// everything past the streamed-row counter.
-func (p *Pipe) writeTail(res *core.EvalResult) error {
-	n := resRows(res)
-	if p.streamedRows >= n {
-		return nil
-	}
-	return p.writeRange(res, p.streamedRows, n, -1, p.handle.Generation(), "flush")
-}
-
-// resRows is the verdict row count of one result.
-func resRows(res *core.EvalResult) int {
-	n := len(res.Pred)
-	if len(res.Truth) > n {
-		n = len(res.Truth)
-	}
-	return n
-}
-
-// writeRange emits alert lines for rows [from, to) of res and counts
-// them as verdicts. The batch shares one timestamp, read here; its lines
+// writeRows emits an alert line for every row of res and counts the
+// rows as verdicts. The batch shares one timestamp, read here; its lines
 // reach the sink in whole-line writes — whenever the buffer passes
 // alertFlushBytes, and otherwise at the caller's flushAlerts.
-func (p *Pipe) writeRange(res *core.EvalResult, from, to, seq, gen int, phase string) error {
-	p.verdicts.Add(int64(to - from))
-	p.mVerdicts.Add(uint64(to - from))
+func (p *Pipe) writeRows(res *core.EvalResult, seq, gen int, phase string) error {
+	n := max(len(res.Pred), len(res.Truth))
+	p.verdicts.Add(int64(n))
+	p.mVerdicts.Add(uint64(n))
 	if p.alertw == nil {
 		return nil
 	}
 	p.alertPrefix = appendAlertPrefix(p.alertPrefix[:0], time.Now(), p.nameJSON, seq, phase, res.Unit.String())
 	wrote, nonFinite := 0, 0
 	var err error
-	for i := from; i < to && err == nil; i++ {
+	for i := 0; i < n && err == nil; i++ {
 		pred := 0
 		if i < len(res.Pred) {
 			pred = res.Pred[i]
@@ -848,6 +864,12 @@ func (p *Pipe) Status() PipeStatus {
 		LastSwap: p.lastSwap,
 		Stream:   p.shape,
 		Barrier:  p.barrier,
+	}
+	switch {
+	case p.conn != nil:
+		st.ConnLog = "assembler"
+	case p.connw != nil:
+		st.ConnLog = "flow_sink"
 	}
 	if p.runErr != nil {
 		st.Error = p.runErr.Error()
