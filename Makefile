@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke check daemon-smoke drift-smoke config-check loc pairs
+.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke faults check daemon-smoke drift-smoke config-check loc pairs
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ test:
 # It then runs the batch-vs-streaming engine benchmarks (see
 # internal/core/stream_bench_test.go), whose peak-B custom metric — the
 # live-heap high-water mark of a test-mode run — lands in BENCH_PR4.json.
-# Finally it runs the sequential-vs-pipelined streaming benchmarks
-# (BenchmarkPipeline*: CPU-bound and IO-bound source, 1 and N workers;
+# Finally it runs the depth-0-vs-staged streaming benchmarks
+# (BenchmarkPipeline*: CPU-bound and IO-bound source, depth 0 and 4;
 # peak-B heap high-water mark plus inflight-B pump buffering) into
 # BENCH_PR5.json.
 # The decode set (BenchmarkDecode*: netpkt.Decode's full eager stack vs
@@ -57,8 +57,8 @@ vet:
 
 # race runs the concurrency-sensitive packages (engine/cache singleflight,
 # streaming engine: the core suite sweeps every dataset × chunk size ×
-# execution shape — inline, staged, staged with worker fan-out — over
-# in-memory and capture sources, so this is the stream equivalence gate;
+# stream depth — 0, 2 and 4 — over in-memory and capture sources, so
+# this is the stream equivalence gate;
 # chunk pump and decoder buffer pool, refcounted
 # pcap mappings under concurrent chunk release, flow assemblers, span
 # tracer, benchsuite worker pool, the mlkit/linalg row-parallel
@@ -72,7 +72,7 @@ vet:
 # between two pipelines, the HTTP control surface, and the lumend binary
 # end to end) under the race detector. The online-learning paths ride along: the core suite's
 # prequential equivalence tests sweep test-then-train streams across
-# chunk sizes and execution shapes, the daemon suite exercises the
+# chunk sizes and depths, the daemon suite exercises the
 # drift-triggered background retrain racing live scoring, and the
 # benchsuite suite runs the three-arm drifting prequential benchmark.
 race:
@@ -199,8 +199,17 @@ pairs:
 	done && \
 	$(GO) run ./cmd/benchjson -pairs -spec BENCHMARK.json -base $$tmp/base.jsonl -change $$tmp/change.jsonl
 
+# faults runs the fault-injection tests under the race detector: a panic
+# on each stream stage (the pump's source goroutine, the ops stage at
+# every depth, the sink), the unwind that releases every chunk and stops
+# every stage goroutine on any failure, and a daemon tenant that panics
+# mid-pass failing alone while its neighbour keeps serving.
+faults:
+	$(GO) test -race -run 'Panic|Unwind|FailsAlone' ./internal/core/ ./internal/daemon/ ./internal/dataset/
+
 # check is the CI gate: static analysis, race-clean concurrency paths,
-# the documentation lint, the example daemon files, and a short fuzz
-# pass over every byte-facing parser (listed at fuzz-smoke).
-check: vet race docs-lint config-check fuzz-smoke
+# the documentation lint, the example daemon files, a short fuzz pass
+# over every byte-facing parser (listed at fuzz-smoke), and the fault
+# injection tests.
+check: vet race docs-lint config-check fuzz-smoke faults
 	$(GO) build ./...

@@ -61,8 +61,7 @@ var (
 	stream      = flag.Bool("stream", false, "execute pipelines with the chunked streaming engine instead of batch runs")
 	chunkRows   = flag.Int("chunk-rows", 0, "packets per streamed chunk with -stream (0 = whole trace in one chunk)")
 	chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per streamed chunk with -stream (0 = no byte bound; combines with -chunk-rows, first bound wins)")
-	pipeDepth   = flag.Int("pipeline-depth", 0, "decoded chunks in flight with -stream (>0 runs the staged source/ops/sink loop; 0 = inline chunk loop)")
-	streamWrk   = flag.Int("stream-workers", 0, "goroutines for order-free row-local ops with -stream (>1 implies the staged loop; 0 or 1 = one worker)")
+	pipeDepth   = flag.Int("pipeline-depth", 0, "chunks queued at each stage hand-off with -stream (>0 runs source and ops goroutines ahead of the sink; 0 = one goroutine)")
 	profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
 	profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
 	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
@@ -120,7 +119,6 @@ func main() {
 		ChunkRows:     *chunkRows,
 		ChunkBytes:    *chunkBytes,
 		PipelineDepth: *pipeDepth,
-		StreamWorkers: *streamWrk,
 		AlgIDs:        splitIDs(*algs),
 		DatasetIDs:    splitIDs(*datasets),
 	}
@@ -141,7 +139,7 @@ func main() {
 }
 
 // streamOnlyFlags only shape the chunked streaming engine.
-var streamOnlyFlags = []string{"chunk-rows", "chunk-bytes", "pipeline-depth", "stream-workers"}
+var streamOnlyFlags = []string{"chunk-rows", "chunk-bytes", "pipeline-depth"}
 
 // checkStreamFlags rejects a stream-shaping flag set without -stream,
 // where it would otherwise be dropped silently: batch runs never read

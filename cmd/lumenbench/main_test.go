@@ -230,11 +230,10 @@ func TestStreamFlagsNeedStream(t *testing.T) {
 		{[]string{}, ""},
 		{[]string{"-workers", "2"}, ""},
 		{[]string{"-stream"}, ""},
-		{[]string{"-stream", "-chunk-rows", "64", "-chunk-bytes", "4096", "-pipeline-depth", "2", "-stream-workers", "2"}, ""},
+		{[]string{"-stream", "-chunk-rows", "64", "-chunk-bytes", "4096", "-pipeline-depth", "2"}, ""},
 		{[]string{"-chunk-rows", "64"}, "-chunk-rows"},
 		{[]string{"-chunk-bytes", "4096"}, "-chunk-bytes"},
 		{[]string{"-pipeline-depth", "2"}, "-pipeline-depth"},
-		{[]string{"-stream-workers", "0"}, "-stream-workers"},
 		{[]string{"-stream=false", "-workers", "2", "-pipeline-depth", "2"}, "-pipeline-depth"},
 	} {
 		fs := flag.NewFlagSet("lumenbench", flag.ContinueOnError)

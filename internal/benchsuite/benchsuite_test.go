@@ -454,7 +454,7 @@ func TestStreamedSuiteMatchesBatch(t *testing.T) {
 	// shape (plus the chunk byte bound) in the manifest.
 	piped, err := New(Config{
 		Scale: 0.3, Seed: 1, Stream: true, ChunkRows: 64,
-		ChunkBytes: 1 << 20, PipelineDepth: 2, StreamWorkers: 2,
+		ChunkBytes: 1 << 20, PipelineDepth: 2,
 		AlgIDs:     []string{"A13", "A14"},
 		DatasetIDs: []string{"F1"},
 	})
@@ -474,7 +474,7 @@ func TestStreamedSuiteMatchesBatch(t *testing.T) {
 		}
 	}
 	pm := piped.Store.Meta.Manifest
-	if pm == nil || pm.ChunkBytes != 1<<20 || pm.PipelineDepth != 2 || pm.StreamWorkers != 2 {
+	if pm == nil || pm.ChunkBytes != 1<<20 || pm.PipelineDepth != 2 {
 		t.Errorf("manifest does not record pipeline config: %+v", pm)
 	}
 }

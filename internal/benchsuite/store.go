@@ -68,10 +68,9 @@ type Manifest struct {
 	Stream       bool     `json:"stream,omitempty"`
 	ChunkRows    int      `json:"chunk_rows,omitempty"`
 	ChunkBytes   int      `json:"chunk_bytes,omitempty"`
-	// PipelineDepth and StreamWorkers record the staged-loop shape of
-	// streamed runs (0 when the inline chunk loop ran).
+	// PipelineDepth records the stream depth of streamed runs (0 when
+	// every chunk ran on the caller's goroutine).
 	PipelineDepth int    `json:"pipeline_depth,omitempty"`
-	StreamWorkers int    `json:"stream_workers,omitempty"`
 	GoVersion     string `json:"go_version"`
 	MaxProcs      int    `json:"max_procs"`
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// pass as a staged bounded-channel pipeline with this many decoded
 	// chunks in flight (see core.StreamConfig).
 	PipelineDepth int
-	// StreamWorkers, when > 1 with Stream, fans the order-free row-local
-	// ops of each streamed chunk across this many goroutines.
-	StreamWorkers int
 	// Tracer, when non-nil, records a span tree for the whole suite: a
 	// root "suite" span, one batch span per RunSameDataset/RunCrossDataset
 	// call, one run span per (alg, train, test) on the executing worker's
@@ -194,7 +191,6 @@ func (s *Suite) manifest() *Manifest {
 		ChunkRows:     s.cfg.ChunkRows,
 		ChunkBytes:    s.cfg.ChunkBytes,
 		PipelineDepth: s.cfg.PipelineDepth,
-		StreamWorkers: s.cfg.StreamWorkers,
 		GoVersion:     runtime.Version(),
 		MaxProcs:      runtime.GOMAXPROCS(0),
 	}
@@ -314,7 +310,6 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 		ChunkRows:     s.cfg.ChunkRows,
 		ChunkBytes:    s.cfg.ChunkBytes,
 		PipelineDepth: s.cfg.PipelineDepth,
-		Workers:       s.cfg.StreamWorkers,
 	}
 	if span != nil {
 		eng.Span = span.Child("train")

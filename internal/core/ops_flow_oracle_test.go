@@ -195,7 +195,7 @@ func flowFeaturePipeline(gran string, featParams map[string]any) *Pipeline {
 }
 
 // streamedFlowFrame runs p over ds chunk rows at a time through the
-// inline stream loop (flow sink, retained stats, flush-time barrier) and
+// stream loop at depth 0 (flow sink, retained stats, flush-time barrier) and
 // returns the flows and the feature frame the flush pass produced.
 func streamedFlowFrame(t testing.TB, p *Pipeline, ds *dataset.Labeled, chunk int, m *obs.Metrics) (*Flows, *Frame) {
 	t.Helper()
@@ -207,7 +207,7 @@ func streamedFlowFrame(t testing.TB, p *Pipeline, ds *dataset.Labeled, chunk int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.runInline(src, cfg); err != nil {
+	if _, err := r.run(src, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return r.fenv["flows"].(*Flows), r.fenv["X"].(*Frame)

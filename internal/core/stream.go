@@ -11,28 +11,27 @@ import (
 )
 
 // StreamConfig bounds the chunks a RunStream pass pulls from its source
-// and shapes its execution. Zero chunk bounds mean unbounded: with both
-// zero the whole trace arrives as one chunk and streaming degenerates to
-// batch execution. Zero pipeline fields select the inline loop on the
-// caller's goroutine; PipelineDepth > 0 or Workers > 1 selects the staged
-// loop (see runPipelined). Both feed the same ordered sink and produce
-// bit-identical results, and the shape asked for is the shape that runs:
-// RunStream never rewrites the config.
+// and sets its depth. Zero chunk bounds mean unbounded: with both zero
+// the whole trace arrives as one chunk and streaming degenerates to batch
+// execution. Every depth runs the same loop (see streamExec.run) and
+// produces bit-identical results, and the depth asked for is the depth
+// that runs: RunStream never rewrites the config.
 type StreamConfig struct {
 	// ChunkRows caps the packets per chunk (0 = no row bound).
 	ChunkRows int `json:"chunk_rows"`
 	// ChunkBytes caps the wire bytes per chunk (0 = no byte bound).
 	ChunkBytes int `json:"chunk_bytes"`
-	// PipelineDepth bounds how many decoded chunks may queue between the
-	// source goroutine and the op workers (0 = the inline loop, unless
-	// Workers asks for parallelism, in which case the default
-	// depth of 2 applies). Peak memory grows with it: the pipeline holds
-	// O(PipelineDepth + Workers) chunks in flight.
+	// PipelineDepth is how many chunks may queue ahead of each of the
+	// ops and sink stages. At 0 the caller's goroutine cuts, prepares and
+	// sinks every chunk in turn; at d > 0 a source goroutine and an ops
+	// goroutine run ahead of the sink, and the pass holds O(d) chunks in
+	// flight.
 	PipelineDepth int `json:"depth"`
-	// Workers is the number of parallel op-stage workers (0 or 1 = one
-	// worker). Only order-free row-local ops fan out; carry-state ops and
-	// model scoring always run in stream order in the sink stage.
-	Workers int `json:"workers"`
+	// Workers is vestigial: the ops stage is one goroutine, so 0 and 1
+	// both mean one and RunStream refuses anything above 1. It survives,
+	// like StreamStats.LazyViews and Shards, because the benchmark
+	// harness sets it; dropping it belongs to a benchmark PR.
+	Workers int `json:"-"`
 	// Hooks are optional per-chunk lifecycle callbacks (see StreamHooks).
 	Hooks *StreamHooks `json:"-"`
 	// Online enables in-stream learning. In ModeTrain the fitted ops
@@ -45,27 +44,6 @@ type StreamConfig struct {
 	// arrived, then absorbed as labelled training data when the model
 	// supports mlkit.PartialFitter.
 	Online bool `json:"-"`
-}
-
-// pipelined reports whether the config selects the staged loop.
-func (c StreamConfig) pipelined() bool {
-	return c.PipelineDepth > 0 || c.Workers > 1
-}
-
-// depth returns the effective source-queue depth of a pipelined run.
-func (c StreamConfig) depth() int {
-	if c.PipelineDepth > 0 {
-		return c.PipelineDepth
-	}
-	return 2
-}
-
-// workers returns the effective op-stage worker count.
-func (c StreamConfig) workers() int {
-	if c.Workers > 1 {
-		return c.Workers
-	}
-	return 1
 }
 
 // StreamPlan is the static split of a pipeline into its streamed prefix
@@ -82,9 +60,9 @@ type StreamPlan struct {
 	// connections a hooked pass hands to StreamHooks.ConnsClosed.
 	ConnSink int
 	// Worker[i]: op i is streamed, order-free and fed only by other
-	// order-free streamed values, so pipelined runs may execute it on
-	// parallel chunk workers. Ordered[i] marks the remaining streamed
-	// ops, which the sink stage runs in stream order.
+	// order-free streamed values, so it runs in a chunk's ops stage,
+	// ahead of the sink, over a job-local carry. Ordered[i] marks the
+	// remaining streamed ops, which the sink stage runs in stream order.
 	Worker  []bool
 	Ordered []bool
 	// Accum holds the names of streamed frame outputs that some deferred
@@ -133,10 +111,9 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		ConnSink: -1,
 		defs:     defs,
 	}
-	// A streamed op fans out to the parallel worker stage only if it is
-	// order-free and everything it reads is produced on the same worker
-	// (or is the chunk itself); anything downstream of an ordered op is
-	// ordered too.
+	// A streamed op runs in the ops stage only if it is order-free and
+	// everything it reads is produced in that stage (or is the chunk
+	// itself); anything downstream of an ordered op is ordered too.
 	streamedVal := map[string]bool{InputName: true}
 	workerVal := map[string]bool{InputName: true}
 	for i, op := range e.P.Ops {
@@ -240,14 +217,16 @@ func (s *flowSinkState) report() {
 // with exact batch semantics — the result is bit-identical to run() on
 // the materialized dataset, at every chunk size.
 //
-// One ordered sink (sinkChunk) consumes chunks in stream order and is
-// fed one of two ways: inline, on the caller's goroutine, or staged
-// (cfg.PipelineDepth or cfg.Workers set), behind a source goroutine and
-// op workers over bounded channels; see runPipelined. Hooked and Online
-// passes run at whichever shape was asked for.
+// One loop (streamExec.run) feeds one ordered sink (sinkChunk) in stream
+// order, at whatever cfg.PipelineDepth was asked for: on the caller's
+// goroutine at depth 0, behind a source goroutine and an ops goroutine
+// over bounded channels at depth > 0. Hooked and Online passes run at
+// every depth. cfg.Workers above 1 is refused. A pass that fails, panics
+// included, releases every chunk it was handed, leaves no goroutine
+// behind, and drains its source when the source has a Drain method.
 //
-// Memory: peak state is the in-flight chunks (one inline,
-// O(PipelineDepth + Workers) staged) plus whatever the plan must
+// Memory: peak state is the in-flight chunks (one at depth 0, O(depth)
+// staged) plus whatever the plan must
 // retain — accumulated feature frames for deferred ops, and, when the
 // plan assembles flows, one 24-byte pktStat plus label per packet (all
 // flow features read of it at flush) and every flow assembled so far.
@@ -269,6 +248,9 @@ func (s *flowSinkState) report() {
 // stream position and fold state, which the content-addressed cache
 // cannot express.
 func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*EvalResult, error) {
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("core: StreamConfig.Workers = %d: the ops stage is one goroutine, so only 0 or 1 is accepted", cfg.Workers)
+	}
 	r, err := newStreamExec(e, src, mode, cfg)
 	if err != nil {
 		return nil, err
@@ -278,41 +260,7 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 	if vs, ok := src.(dataset.ViewSource); ok {
 		vs.ConfigureViews(true, r.pl.Decode)
 	}
-	if cfg.pipelined() {
-		return r.runPipelined(src, cfg)
-	}
-	return r.runInline(src, cfg)
-}
-
-// runInline feeds the sink on the caller's goroutine: pull a chunk, run
-// every streamed op on it, absorb it, hand it back to the source.
-func (r *streamExec) runInline(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
-	r.e.LastStream = StreamStats{Workers: 1, LazyViews: true}
-	rec, _ := src.(dataset.Recycler)
-	release := func(nc dataset.NumberedChunk) {
-		if rec != nil {
-			rec.Recycle(nc.Chunk)
-		}
-		// The chunk's backing-resource reference (mmap-backed rotated
-		// captures) goes after recycling, mirroring Pump.Done.
-		nc.ReleaseRef()
-	}
-	for {
-		ck, ok := src.Next(cfg.ChunkRows, cfg.ChunkBytes)
-		if !ok {
-			break
-		}
-		job := r.newJob(dataset.NumberedChunk{Seq: r.nChunks, Chunk: ck})
-		if err := r.sinkChunk(job, r.pl.Streamed, r.e.Span, release); err != nil {
-			return nil, err
-		}
-	}
-	if errSrc, ok := src.(interface{ Err() error }); ok {
-		if err := errSrc.Err(); err != nil {
-			return nil, fmt.Errorf("core: packet source: %w", err)
-		}
-	}
-	return r.finish()
+	return r.run(src, cfg)
 }
 
 // TrainStream fits the pipeline by streaming the dataset in bounded

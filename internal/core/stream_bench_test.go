@@ -167,8 +167,7 @@ func heapObjectsBytes() uint64 {
 // and reports wall time plus two memory metrics: peak-B, the sampled
 // high-water mark of heap object bytes above the pre-run baseline, and
 // inflight-B, the pump's peak of decoded-but-unreleased wire bytes (zero
-// for the sequential loop, which holds exactly one chunk by
-// construction). measurePeak's aggressive-GC harness is deliberately not
+// at depth 0, which holds exactly one chunk by construction). measurePeak's aggressive-GC harness is deliberately not
 // used here: forcing a collection every few hundred kilobytes serializes
 // the stages and masks the pipeline's latency-hiding win.
 func benchPipeline(b *testing.B, cfg StreamConfig, delay time.Duration) {
@@ -223,14 +222,12 @@ func benchPipeline(b *testing.B, cfg StreamConfig, delay time.Duration) {
 	b.ReportMetric(float64(streamBenchFix.eng2.LastStream.PeakInFlightBytes), "inflight-B")
 }
 
-// BenchmarkPipeline* compares the sequential streaming loop against the
-// staged pipeline on the same trace, chunk size, and pipeline — the
-// PR's headline numbers (BENCH_PR5.json). nprint is the worker-heavy
-// shape: the wide per-packet bitmap extract fans out across op workers
-// while scoring stays ordered in the sink. Worker fan-out only pays on
-// multi-core hosts (GOMAXPROCS > 1); on one core the CPU-bound variants
-// pin "no slower than sequential" while the IO-bound pair below shows
-// the latency-hiding win.
+// BenchmarkPipeline* compares depth 0 against a staged pass on the same
+// trace, chunk size, and pipeline (BENCH_PR5.json). nprint is the
+// ops-heavy shape: the wide per-packet bitmap extract runs in the ops
+// stage while scoring stays ordered in the sink, so on a multi-core host
+// the two overlap; on one core the CPU-bound pair pins "no slower than
+// depth 0" while the IO-bound pair below shows the latency-hiding win.
 func BenchmarkPipelineSequential(b *testing.B) {
 	benchPipeline(b, StreamConfig{ChunkRows: 256}, 0)
 }
@@ -239,14 +236,10 @@ func BenchmarkPipelineDepth4(b *testing.B) {
 	benchPipeline(b, StreamConfig{ChunkRows: 256, PipelineDepth: 4}, 0)
 }
 
-func BenchmarkPipelineDepth4Workers4(b *testing.B) {
-	benchPipeline(b, StreamConfig{ChunkRows: 256, PipelineDepth: 4, Workers: 4}, 0)
-}
-
 // benchSourceLatency simulates an I/O-bound packet source — a capture
 // decoded from disk or a capped NIC ring — where each chunk pull blocks.
-// This is where the staged pipeline wins even on a single core: the
-// source goroutine waits on I/O while the op and sink stages compute, so
+// This is where the staged pass wins even on a single core: the
+// source goroutine waits on I/O while the ops and sink stages compute, so
 // per-chunk latency is hidden instead of added to the critical path.
 const benchSourceLatency = 500 * time.Microsecond
 

@@ -72,10 +72,10 @@ func unlabeled(res *EvalResult) *EvalResult {
 	return &out
 }
 
-// pcapShapes are the execution shapes the capture-source sweeps cover.
+// pcapShapes are the depths the capture-source sweeps cover.
 var pcapShapes = []StreamConfig{
 	{ChunkRows: 64},
-	{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
+	{ChunkRows: 64, PipelineDepth: 2},
 }
 
 // sweepPcapShapes trains p on ds, then streams the dataset's capture
@@ -95,7 +95,7 @@ func sweepPcapShapes(t *testing.T, p *Pipeline, ds *dataset.Labeled, name string
 	}
 	want := unlabeled(batch)
 	for _, cfg := range pcapShapes {
-		label := fmt.Sprintf("depth %d, workers %d", cfg.PipelineDepth, cfg.Workers)
+		label := fmt.Sprintf("depth %d", cfg.PipelineDepth)
 		src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
 		if err != nil {
 			t.Fatal(err)

@@ -55,8 +55,8 @@ type ChunkUpdate struct {
 // Engine.ReplaceModel or an mlkit.SwapHandle) with the guarantee that
 // every chunk is scored by exactly one model configuration and no chunk
 // is ever mid-score while the callback runs. A non-nil error aborts the
-// stream exactly like a failing op. Hooks hold at every stream shape
-// (inline, staged, staged with workers), bit-identically.
+// stream exactly like a failing op. Hooks hold at every stream depth,
+// bit-identically.
 //
 // Rows belong to whoever was handed them. A pass with AfterChunk set
 // keeps no verdict row it has given to the callback, so what it retains
@@ -64,7 +64,7 @@ type ChunkUpdate struct {
 // rows no callback saw, the flush tail of the deferred ops (nil when the
 // plan streams fully). The rows of every ChunkUpdate.Results in stream
 // order, followed by the returned tail, are the unhooked pass's result
-// bit for bit, at every shape.
+// bit for bit, at every depth.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.

@@ -17,11 +17,11 @@ import (
 	"lumen/internal/mlkit"
 )
 
-// hookShapes are the execution shapes the hook contract covers.
+// hookShapes are the depths the hook contract covers.
 var hookShapes = []StreamConfig{
 	{ChunkRows: 64},
 	{ChunkRows: 64, PipelineDepth: 2},
-	{ChunkRows: 64, PipelineDepth: 4, Workers: 4},
+	{ChunkRows: 64, PipelineDepth: 4},
 }
 
 // testStreamHooked runs TestStream with an AfterChunk hook and states the
@@ -47,7 +47,7 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	cfg.Hooks = &hooks
 	tail, err := eng.TestStream(ds, cfg)
 	if err != nil {
-		t.Fatalf("hooked pass (depth %d, workers %d): %v", cfg.PipelineDepth, cfg.Workers, err)
+		t.Fatalf("hooked pass (depth %d): %v", cfg.PipelineDepth, err)
 	}
 	if tail != nil {
 		parts = append(parts, tail)
@@ -55,8 +55,8 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	return mergeResults(parts), tail
 }
 
-// TestAfterChunkHook verifies the per-chunk lifecycle hook across
-// execution shapes: one call per chunk in stream order, and per-chunk
+// TestAfterChunkHook verifies the per-chunk lifecycle hook at every
+// depth: one call per chunk in stream order, and per-chunk
 // verdict rows that, with the returned tail (nil here: the plan streams
 // fully), concatenate to exactly the unhooked result.
 func TestAfterChunkHook(t *testing.T) {
@@ -129,8 +129,11 @@ func TestHookedPassMemoryIsFlat(t *testing.T) {
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
 	}
-	// A tight collector keeps garbage waiting for its cycle out of the
-	// high-water mark, which samples the heap at chunk boundaries.
+	// The high-water mark samples the heap at chunk boundaries, garbage not
+	// yet collected included. The hooked passes collect after every chunk,
+	// so each sample is what they retain plus one chunk's garbage however
+	// far a CPU-starved collector would otherwise fall behind; a tight
+	// collector keeps the unhooked pass's mark to what it retains as well.
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	const (
 		lapsN  = 25
@@ -150,6 +153,7 @@ func TestHookedPassMemoryIsFlat(t *testing.T) {
 			rows += len(res.Pred)
 			digest(handed, res)
 		}
+		runtime.GC()
 		return nil
 	}}}
 	hwm := func(laps int, cfg StreamConfig) (uint64, *EvalResult) {
@@ -252,7 +256,7 @@ func TestConnsClosedHook(t *testing.T) {
 }
 
 // TestAfterChunkHookError pins the abort path: a failing hook stops the
-// stream like a failing op would, in every execution shape.
+// stream like a failing op would, at every depth.
 func TestAfterChunkHookError(t *testing.T) {
 	spec, _ := dataset.Get("F1")
 	ds := spec.Generate(0.05)
@@ -304,7 +308,7 @@ func TestAfterChunkHookModelSwap(t *testing.T) {
 	}
 	const swapAt = 3
 	rows, boundary := 0, 0 // boundary: verdict rows scored before the swap took effect
-	joined, _ := testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4, Workers: 4}, func(up ChunkUpdate) error {
+	joined, _ := testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4}, func(up ChunkUpdate) error {
 		for _, res := range up.Results {
 			rows += len(res.Pred)
 		}

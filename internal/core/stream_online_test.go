@@ -85,8 +85,7 @@ func TestOnlineTrainChunkInvariantNoScaler(t *testing.T) {
 
 // TestOnlinePrequentialShapeEquivalence: at a fixed chunk size, an online
 // pass (streaming scalers, partial-fit train, prequential test, drift
-// monitor) must produce identical results under every execution shape:
-// inline, staged, staged with worker fan-out.
+// monitor) must produce identical results at every depth.
 func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 	ds := onlineDS(t)
 	p := onlinePipeline("linear_svm")
@@ -109,10 +108,10 @@ func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 				want, wantDrift = got, eng.LastStream.DriftEvents
 				continue
 			}
-			requireEqualResults(t, want, got, fmt.Sprintf("chunk %d workers %d", rows, shape.Workers))
+			requireEqualResults(t, want, got, fmt.Sprintf("chunk %d depth %d", rows, shape.PipelineDepth))
 			if eng.LastStream.DriftEvents != wantDrift {
-				t.Errorf("chunk %d workers %d: %d drift events, want %d",
-					rows, shape.Workers, eng.LastStream.DriftEvents, wantDrift)
+				t.Errorf("chunk %d depth %d: %d drift events, want %d",
+					rows, shape.PipelineDepth, eng.LastStream.DriftEvents, wantDrift)
 			}
 		}
 	}
@@ -234,8 +233,7 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 	}
 }
 
-// TestOpMetricsOnePerChunk: whichever loop feeds the sink, and however
-// many workers the staged one fans out to, lumen_ops_total counts the
+// TestOpMetricsOnePerChunk: at every depth lumen_ops_total counts the
 // train op exactly once per chunk.
 func TestOpMetricsOnePerChunk(t *testing.T) {
 	ds := onlineDS(t)
@@ -255,8 +253,8 @@ func TestOpMetricsOnePerChunk(t *testing.T) {
 			"Pipeline operations executed (including cache-served ones).",
 			"op", "train").Value()
 		if want := uint64(eng.LastStream.Chunks); n != want {
-			t.Errorf("depth %d, workers %d: lumen_ops_total{op=train} = %d, want %d (one per chunk)",
-				cfg.PipelineDepth, cfg.Workers, n, want)
+			t.Errorf("depth %d: lumen_ops_total{op=train} = %d, want %d (one per chunk)",
+				cfg.PipelineDepth, n, want)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lumen/internal/dataset"
@@ -16,25 +14,26 @@ import (
 type StreamStats struct {
 	// Chunks is the number of chunks pulled from the source.
 	Chunks int
-	// Pipelined reports whether the staged loop ran (false: the inline
-	// loop). Depth and Workers are its shape, which is always the shape
-	// the StreamConfig asked for (after its documented defaults).
+	// Pipelined reports a depth above 0 (source and ops goroutines ran
+	// ahead of the sink); Depth is that depth, always the one the
+	// StreamConfig asked for.
 	Pipelined bool
 	Depth     int
-	Workers   int
-	// Shards is vestigial: the sink is never partitioned, so it reads 0
-	// on inline runs and 1 on staged ones. Like LazyViews it survives
-	// because the benchmark harness compares it; dropping it belongs to
-	// a benchmark PR.
-	Shards int
+	// Workers and Shards are vestigial: the ops stage is one goroutine,
+	// so Workers always reads 1, and the sink is never partitioned, so
+	// Shards reads 0 at depth 0 and 1 staged. Like LazyViews they survive
+	// because the benchmark harness compares them; dropping them belongs
+	// to a benchmark PR.
+	Workers int
+	Shards  int
 	// PeakInFlightBytes is the high-water mark of wire bytes decoded but
-	// not yet released by the sink — the pipeline's actual buffering,
-	// bounded by O(Depth + Workers) chunks. Zero on inline runs.
+	// not yet released by the sink — the pass's actual buffering, bounded
+	// by O(Depth) chunks. Zero at depth 0.
 	PeakInFlightBytes int64
 	// SourceStallNS / OpsStallNS / SinkStallNS are the cumulative times
 	// each stage spent blocked on its neighbours: the source handing
-	// chunks to a full queue, the op workers waiting for decode, and the
-	// sink waiting for the next processed chunk.
+	// chunks to a full queue, the ops goroutine waiting for the source,
+	// and the sink waiting for the next prepared chunk. Zero at depth 0.
 	SourceStallNS int64
 	OpsStallNS    int64
 	SinkStallNS   int64
@@ -51,178 +50,167 @@ type StreamStats struct {
 	DriftEvents int
 }
 
-// runPipelined feeds the sink through a staged, bounded-channel
-// pipeline:
+// run feeds the ordered sink. Every chunk takes the same three steps in
+// stream order: the source cuts it, prepare builds its job and runs the
+// plan's Worker ops, and sinkChunk runs the Ordered ops. At depth 0 the
+// three run in turn on the caller's goroutine. At depth d > 0 the first
+// two run ahead of the sink:
 //
-//	source (goroutine)      decode chunks from the dataset.Source (Pump)
-//	   │  chan, cap = depth
-//	ops (N worker goroutines)  order-free row-local ops per chunk
-//	   │  chan, cap = depth + workers
-//	sink (this goroutine)   reorder by sequence, then sinkChunk: flow
-//	                        sinks, carry-state ops, model scoring,
-//	                        accumulation, hooks
+//	source (Pump goroutine)    src.Next
+//	   │  chan NumberedChunk, cap = d
+//	ops (one goroutine)        prepare: newJob, Worker ops
+//	   │  chan *chunkJob, cap = d
+//	sink (caller's goroutine)  sinkChunk: flow sinks, Ordered ops,
+//	                           absorb, hooks
 //
-// Chunks fan out to the workers and are recombined in stream order by
-// the sink's reorder buffer, so results are bit-identical to the inline
-// loop (and to batch). Both channels are depth-bounded and the reorder
-// buffer cannot exceed the in-flight chunk count, so peak memory stays
-// O((depth + workers) × chunk).
-func (r *streamExec) runPipelined(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
-	e := r.e
-	depth, workers := cfg.depth(), cfg.workers()
-	e.LastStream = StreamStats{Pipelined: true, Depth: depth, Workers: workers, Shards: 1, LazyViews: true}
+// Chunks never leave stream order, so every depth is bit-identical to
+// batch, and a staged pass holds at most 2d + 3 chunks in flight. One
+// deferred unwind covers every exit of the loop — an op or hook error, a
+// source error, a panic on the sink — so no stage goroutine outlives the
+// pass and every chunk is released exactly once.
+func (r *streamExec) run(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
+	e, depth := r.e, max(cfg.PipelineDepth, 0)
+	e.LastStream = StreamStats{Pipelined: depth > 0, Depth: depth, Workers: 1, Shards: min(depth, 1), LazyViews: true}
 
-	pump := dataset.StartPump(src, dataset.PumpConfig{
-		MaxRows:  cfg.ChunkRows,
-		MaxBytes: cfg.ChunkBytes,
-		Depth:    depth,
-	})
-
-	// Stage spans render on their own tracks, next to the caller's:
-	// caller track + 1 is the source, + 2 + w each op worker; the sink
-	// stays on the caller's track (it is the caller's goroutine).
-	var srcSpan, sinkSpan *obs.Span
-	wSpans := make([]*obs.Span, workers)
-	if e.Span != nil {
-		t := e.Span.TID()
-		srcSpan = e.Span.ChildOn("stage:source", t+1)
-		for w := range wSpans {
-			wSpans[w] = e.Span.ChildOn("stage:ops", t+2+w)
+	next := func() *chunkJob {
+		ck, ok := src.Next(cfg.ChunkRows, cfg.ChunkBytes)
+		if !ok {
+			return nil
 		}
-		sinkSpan = e.Span.Child("stage:sink")
+		// Every earlier chunk has been absorbed: nChunks is this one's Seq.
+		return r.prepare(dataset.NumberedChunk{Seq: r.nChunks, Chunk: ck}, e.Span)
 	}
-
-	jobs := make(chan *chunkJob, depth+workers)
-	done := make(chan struct{}) // closed by the sink on first error
-	var opsStallNS atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stage *obs.Span) {
-			defer wg.Done()
+	rec, _ := src.(dataset.Recycler)
+	release := func(nc dataset.NumberedChunk) {
+		if rec != nil {
+			rec.Recycle(nc.Chunk)
+		}
+		// The backing-resource reference goes after recycling, as in
+		// Pump.Done.
+		nc.ReleaseRef()
+	}
+	srcErr := func() error {
+		if es, ok := src.(interface{ Err() error }); ok {
+			return es.Err()
+		}
+		return nil
+	}
+	sinkSpan, stop := e.Span, func() {}
+	if depth > 0 {
+		pump := dataset.StartPump(src, dataset.PumpConfig{MaxRows: cfg.ChunkRows, MaxBytes: cfg.ChunkBytes, Depth: depth})
+		jobs := make(chan *chunkJob, depth)
+		done := make(chan struct{}) // closed by stop: the ops goroutine hands nothing more on
+		// Stage spans render on their own tracks: the caller's + 1 is the
+		// source, + 2 the ops goroutine; the sink stays on the caller's.
+		var srcSpan, opsSpan *obs.Span
+		if sp := e.Span; sp != nil {
+			srcSpan, opsSpan, sinkSpan = sp.ChildOn("stage:source", sp.TID()+1), sp.ChildOn("stage:ops", sp.TID()+2), sp.Child("stage:sink")
+		}
+		var gDecoded, gProcessed *obs.Gauge
+		if m := e.Metrics; m != nil {
+			const help = "Chunks queued between pipeline stages of the most recent streaming run."
+			gDecoded = m.Gauge("lumen_stage_queue_depth", help, "queue", "decoded")
+			gProcessed = m.Gauge("lumen_stage_queue_depth", help, "queue", "processed")
+		}
+		// opsStallNS is written by the ops goroutine only, and read once
+		// jobs has closed.
+		var opsStallNS, sinkStallNS int64
+		go func() {
+			defer close(jobs)
 			for {
 				t0 := time.Now()
 				nc, ok := <-pump.C
 				if !ok {
-					// The final blocked receive only observed the close —
-					// no chunk was delayed, so it is not stall time.
+					// Observing the close is not a stalled hand-off.
 					return
 				}
-				opsStallNS.Add(time.Since(t0).Nanoseconds())
-				job := r.newJob(nc)
-				cs := chunkSpan(stage, &nc)
-				r.runOps(job, r.pl.Worker, &job.wsc, cs)
-				cs.End()
+				opsStallNS += time.Since(t0).Nanoseconds()
+				// prepare turns an op's panic into the job's error: nothing
+				// raised here escapes this goroutine.
+				job := r.prepare(nc, opsSpan)
 				select {
 				case jobs <- job:
 				case <-done:
-					pump.Done(job.nc)
+					pump.Done(nc)
 					return
 				}
 			}
-		}(wSpans[w])
-	}
-	go func() {
-		wg.Wait()
-		close(jobs)
-	}()
-
-	// Queue-depth gauges are sampled once per absorbed chunk.
-	var gDecoded, gProcessed *obs.Gauge
-	if e.Metrics != nil {
-		const help = "Chunks queued between pipeline stages of the most recent streaming run."
-		gDecoded = e.Metrics.Gauge("lumen_stage_queue_depth", help, "queue", "decoded")
-		gProcessed = e.Metrics.Gauge("lumen_stage_queue_depth", help, "queue", "processed")
-	}
-
-	var firstErr error
-	var sinkStallNS int64
-	pending := map[int]*chunkJob{}
-	next := 0
-	for {
-		t0 := time.Now()
-		job, ok := <-jobs
-		if !ok {
-			// Observing the close is not a stalled chunk hand-off.
-			break
-		}
-		sinkStallNS += time.Since(t0).Nanoseconds()
-		pending[job.nc.Seq] = job
-		for {
-			j, ready := pending[next]
-			if !ready {
-				break
+		}()
+		next = func() *chunkJob {
+			t0 := time.Now()
+			job, ok := <-jobs
+			if !ok {
+				return nil
 			}
-			delete(pending, next)
-			next++
+			sinkStallNS += time.Since(t0).Nanoseconds()
 			if gDecoded != nil {
 				gDecoded.Set(float64(len(pump.C)))
 				gProcessed.Set(float64(len(jobs)))
 			}
-			if firstErr != nil {
-				pump.Done(j.nc)
-				continue
+			return job
+		}
+		release, srcErr = pump.Done, pump.Err
+		// The staged unwind: the pump stops cutting, the ops goroutine stops
+		// handing jobs on, and every chunk still queued in either channel is
+		// released. Both goroutines have finished once both channels have
+		// closed, and the stages' stats are final.
+		stop = func() {
+			pump.Stop()
+			close(done)
+			for job := range jobs {
+				pump.Done(job.nc)
 			}
-			if err := r.sinkChunk(j, r.pl.Ordered, sinkSpan, pump.Done); err != nil {
-				// First in-order failure: identical to where the inline
-				// loop would have stopped. Unwind the upstream stages; the
-				// loop keeps draining so no worker stays blocked on a full
-				// jobs channel.
-				firstErr = err
-				pump.Stop()
-				close(done)
+			for nc := range pump.C {
+				pump.Done(nc)
+			}
+			ps := pump.Stats()
+			if e.Span != nil {
+				srcSpan.Set("chunks", ps.Chunks)
+				srcSpan.Set("stall_ns", ps.StallNS)
+				srcSpan.Set("peak_inflight_bytes", ps.PeakInFlightBytes)
+				srcSpan.End()
+				opsSpan.End()
+				sinkSpan.Set("stall_ns", sinkStallNS)
+				sinkSpan.End()
+			}
+			ls := &e.LastStream
+			ls.PeakInFlightBytes, ls.SourceStallNS, ls.OpsStallNS, ls.SinkStallNS = ps.PeakInFlightBytes, ps.StallNS, opsStallNS, sinkStallNS
+			if e.Metrics != nil {
+				const help = "Cumulative seconds each pipeline stage of the most recent streaming run spent blocked on its neighbours."
+				e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "source").Set(float64(ps.StallNS) / 1e9)
+				e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "ops").Set(float64(opsStallNS) / 1e9)
+				e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "sink").Set(float64(sinkStallNS) / 1e9)
 			}
 		}
-	}
-	// Jobs whose predecessors never arrived (workers unwound early).
-	for _, j := range pending {
-		pump.Done(j.nc)
-	}
-	// On an error unwind some workers may have exited through the done
-	// branch with chunks still queued; release them so the pump's source
-	// goroutine can finish (and close pump.C, which Err() requires).
-	for nc := range pump.C {
-		pump.Done(nc)
 	}
 
-	ps := pump.Stats()
-	if e.Span != nil {
-		srcSpan.Set("chunks", ps.Chunks)
-		srcSpan.Set("stall_ns", ps.StallNS)
-		srcSpan.Set("peak_inflight_bytes", ps.PeakInFlightBytes)
-		srcSpan.End()
-		for _, s := range wSpans {
-			s.End()
+	err := func() error {
+		clean := false
+		defer func() {
+			// A failed pass reads no further: a source that can be drained
+			// (every lumend source can) is, so a Next blocked waiting for
+			// data that may never come (an idle capture directory or
+			// feed) returns and the unwind does not wait on it.
+			if d, ok := src.(interface{ Drain() }); ok && !clean {
+				d.Drain()
+			}
+			stop()
+		}()
+		for job := next(); job != nil; job = next() {
+			if err := r.sinkChunk(job, sinkSpan, release); err != nil {
+				return err
+			}
 		}
-		sinkSpan.Set("stall_ns", sinkStallNS)
-		sinkSpan.End()
+		clean = true
+		return nil
+	}()
+	// The sink's first failure and the source's own can both be in play:
+	// report both.
+	if se := srcErr(); se != nil {
+		err = errors.Join(err, fmt.Errorf("core: packet source: %w", se))
 	}
-	e.LastStream.PeakInFlightBytes = ps.PeakInFlightBytes
-	e.LastStream.SourceStallNS = ps.StallNS
-	e.LastStream.OpsStallNS = opsStallNS.Load()
-	e.LastStream.SinkStallNS = sinkStallNS
-	if e.Metrics != nil {
-		const help = "Cumulative seconds each pipeline stage of the most recent streaming run spent blocked on its neighbours."
-		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "source").Set(float64(ps.StallNS) / 1e9)
-		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "ops").Set(float64(opsStallNS.Load()) / 1e9)
-		e.Metrics.Gauge("lumen_stage_stall_seconds", help, "stage", "sink").Set(float64(sinkStallNS) / 1e9)
-	}
-
-	// Both unwind paths can carry an error: the sink hitting an op error
-	// in order, and the pump's source failing concurrently. Surfacing only
-	// the sink's used to silently drop a decode failure.
-	srcErr := pump.Err()
-	if srcErr != nil {
-		srcErr = fmt.Errorf("core: packet source: %w", srcErr)
-	}
-	if firstErr != nil {
-		if srcErr != nil {
-			return nil, errors.Join(firstErr, srcErr)
-		}
-		return nil, firstErr
-	}
-	if srcErr != nil {
-		return nil, srcErr
+	if err != nil {
+		return nil, err
 	}
 	return r.finish()
 }

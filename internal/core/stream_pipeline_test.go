@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -51,12 +52,13 @@ func maxChunkWire(ds *dataset.Labeled, chunk int) int {
 	return maxW
 }
 
-// TestStreamPipelineBackpressure is the issue's stress test: a slow
-// source (decode-bound) and a slow sink (ordered-op-bound kitsune fold)
-// both exercise backpressure on the bounded channels. The run must stay
-// bit-identical to sequential streaming, record stall time on the
-// starved side, and keep in-flight bytes bounded by O((depth + workers)
-// × chunk) — not trace size.
+// TestStreamPipelineBackpressure: a slow source (decode-bound) and a slow
+// sink (ordered-op-bound kitsune fold) both exercise backpressure on the
+// bounded channels. The run must stay bit-identical to depth 0, record
+// stall time on the starved side, and keep in-flight bytes within the
+// O(depth × chunk) bound: 2·depth + 3 chunks (depth queued on each
+// channel, one each in the source, ops and sink stages), never the
+// trace.
 func TestStreamPipelineBackpressure(t *testing.T) {
 	spec, ok := dataset.Get("P1")
 	if !ok {
@@ -92,7 +94,7 @@ func TestStreamPipelineBackpressure(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 2, Workers: 2}
+			cfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 2}
 			eng := NewEngine(p)
 			eng.Seed = 7
 			if err := eng.TrainStream(ds, StreamConfig{ChunkRows: chunk}); err != nil {
@@ -115,12 +117,12 @@ func TestStreamPipelineBackpressure(t *testing.T) {
 			if st.PeakInFlightBytes <= 0 {
 				t.Error("PeakInFlightBytes not tracked")
 			}
-			bound := int64(3*(cfg.PipelineDepth+cfg.Workers)+4) * int64(maxChunkWire(ds, chunk))
+			bound := int64(2*cfg.PipelineDepth+3) * int64(maxChunkWire(ds, chunk))
 			if st.PeakInFlightBytes > bound {
 				t.Errorf("in-flight bytes %d exceed O(depth×chunk) bound %d", st.PeakInFlightBytes, bound)
 			}
 			if tc.delay > 0 && st.OpsStallNS == 0 {
-				t.Error("slow source starved the op workers but OpsStallNS is zero")
+				t.Error("slow source starved the ops goroutine but OpsStallNS is zero")
 			}
 			if tc.delay == 0 && st.SourceStallNS == 0 {
 				t.Error("slow sink should have stalled the source but SourceStallNS is zero")
@@ -129,10 +131,10 @@ func TestStreamPipelineBackpressure(t *testing.T) {
 	}
 }
 
-// TestStreamPipelineErrorEquivalence pins the failure contract: the
-// pipeline reports the same error as the sequential loop — the first
-// failing op in stream order, identically wrapped — regardless of which
-// worker hit it first.
+// TestStreamPipelineErrorEquivalence pins the failure contract: a staged
+// pass reports the same error as depth 0 — the first failing op in
+// stream order, identically wrapped — however far ahead the ops stage
+// had run.
 func TestStreamPipelineErrorEquivalence(t *testing.T) {
 	spec, ok := dataset.Get("P0")
 	if !ok {
@@ -143,27 +145,25 @@ func TestStreamPipelineErrorEquivalence(t *testing.T) {
 	seq := NewEngine(p)
 	seqErr := seq.TrainStream(ds, StreamConfig{ChunkRows: 64})
 	if seqErr == nil {
-		t.Fatal("sequential run should have failed")
+		t.Fatal("depth-0 run should have failed")
 	}
-	for _, shape := range []StreamConfig{
-		{ChunkRows: 64, PipelineDepth: 2},
-		{ChunkRows: 64, PipelineDepth: 4, Workers: 4},
-	} {
+	for _, shape := range streamExecShapes[1:] {
+		shape.ChunkRows = 64
 		pe := NewEngine(p)
 		pipErr := pe.TrainStream(ds, shape)
 		if pipErr == nil {
-			t.Fatalf("pipelined run (depth %d, workers %d) should have failed", shape.PipelineDepth, shape.Workers)
+			t.Fatalf("depth %d run should have failed", shape.PipelineDepth)
 		}
 		if seqErr.Error() != pipErr.Error() {
-			t.Errorf("error mismatch (depth %d, workers %d):\nsequential: %v\npipelined:  %v",
-				shape.PipelineDepth, shape.Workers, seqErr, pipErr)
+			t.Errorf("error mismatch (depth %d):\ndepth 0: %v\nstaged:  %v", shape.PipelineDepth, seqErr, pipErr)
 		}
 	}
 }
 
 // badFilterPipeline fails on the first chunk: the filter references a
-// column field_extract never produced. filter is row-local, so the error
-// surfaces in the op-worker stage and travels to the sink with its job.
+// column field_extract never produced. filter is row-local and order-free,
+// so the error surfaces in the ops stage and travels to the sink with its
+// job.
 func badFilterPipeline() *Pipeline {
 	return &Pipeline{
 		Name:        "stream-bad-filter",
@@ -263,40 +263,164 @@ func (s *trackedSource) Recycle(ck dataset.Chunk) {
 	s.inner.Recycle(ck)
 }
 
+// registerPanicOp registers test_panic for the duration of the test: an
+// order-free row-local op that passes its frame through until the chunk
+// starting at packet 64, where it panics.
+func registerPanicOp(t *testing.T) {
+	t.Helper()
+	register("test_panic", "panics at a fixed chunk (tests only)",
+		opSig{in: []Kind{KindFrame}, out: KindFrame},
+		opTraits{class: classRowLocal},
+		func(ctx *opCtx, in []Value, _ params) (Value, error) {
+			if ctx.stream != nil && ctx.stream.base == 64 {
+				panic("test_panic at packet 64")
+			}
+			return in[0], nil
+		})
+	t.Cleanup(func() { delete(opRegistry, "test_panic") })
+}
+
+// panicPipeline is badFilterPipeline with test_panic in the filter's
+// place: the ops stage panics instead of failing.
+func panicPipeline() *Pipeline {
+	p := badFilterPipeline()
+	p.Name = "stream-panic"
+	p.Ops[1] = OpSpec{Func: "test_panic", Input: []string{"X"}, Output: "Xf"}
+	return p
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base: a stage goroutine still running after RunStream returned is a
+// leak.
+func waitGoroutines(t *testing.T, base int, label string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after the pass, %d before", label, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStreamErrorUnwindReleasesChunks is the unwind regression test:
-// when an error stops the pipeline mid-stream with several workers in
-// flight, every chunk the source handed out must still be recycled and
-// have its backing reference released, exactly once — a chunk stranded
-// on a worker's shutdown path pins a mapped capture for the life of the
-// process. Repeated runs make the racy worker-side unwind branch (a
-// select between a ready send and the closed done channel) all but
-// certain to be taken at least once; the balance must hold no matter
-// which exit each worker used.
+// when an op error or an op's panic stops a pass mid-stream, every chunk
+// the source handed out must still be recycled and have its backing
+// reference released, exactly once — a stranded chunk pins a mapped
+// capture for the life of the process — and no stage goroutine may
+// outlive the pass. A panicking order-free op fails the pass with the
+// same error at every depth, worded like an op error. Repeated runs make
+// the racy unwind branches (the ops goroutine's select between a ready
+// send and the closed done channel) all but certain to be taken.
 func TestStreamErrorUnwindReleasesChunks(t *testing.T) {
 	spec, ok := dataset.Get("P0")
 	if !ok {
 		t.Fatal("no dataset P0")
 	}
 	ds := spec.Generate(0.05)
-	p := badFilterPipeline()
-	for _, shape := range streamExecShapes {
-		shape.ChunkRows = 16
-		for i := 0; i < 10; i++ {
-			src := &trackedSource{inner: dataset.NewSliceSource(ds)}
-			eng := NewEngine(p)
-			eng.Seed = 7
-			if _, err := eng.RunStream(src, ModeTrain, shape); err == nil {
-				t.Fatal("run with the bad filter should have failed")
-			}
-			emitted, recycled, released := src.emitted.Load(), src.recycled.Load(), src.released.Load()
-			if emitted == 0 {
-				t.Fatal("the source handed out no chunk")
-			}
-			if recycled != emitted || released != emitted {
-				t.Fatalf("depth %d, workers %d, run %d: %d chunks handed out, %d recycled, %d released",
-					shape.PipelineDepth, shape.Workers, i, emitted, recycled, released)
+	registerPanicOp(t)
+	base := runtime.NumGoroutine()
+	for _, p := range []*Pipeline{badFilterPipeline(), panicPipeline()} {
+		var first error
+		for _, shape := range streamExecShapes {
+			shape.ChunkRows = 16
+			for i := 0; i < 10; i++ {
+				label := fmt.Sprintf("%s, depth %d, run %d", p.Name, shape.PipelineDepth, i)
+				src := &trackedSource{inner: dataset.NewSliceSource(ds)}
+				eng := NewEngine(p)
+				eng.Seed = 7
+				_, err := eng.RunStream(src, ModeTrain, shape)
+				if err == nil {
+					t.Fatalf("%s: the pass should have failed", label)
+				}
+				if first == nil {
+					first = err
+				} else if err.Error() != first.Error() {
+					t.Fatalf("%s: error %q, at depth 0 %q", label, err, first)
+				}
+				emitted, recycled, released := src.emitted.Load(), src.recycled.Load(), src.released.Load()
+				if emitted == 0 {
+					t.Fatalf("%s: the source handed out no chunk", label)
+				}
+				if recycled != emitted || released != emitted {
+					t.Fatalf("%s: %d chunks handed out, %d recycled, %d released", label, emitted, recycled, released)
+				}
+				waitGoroutines(t, base, label)
 			}
 		}
+		if p.Name == "stream-panic" && first.Error() != "core: op 1 (test_panic -> Xf): panic: test_panic at packet 64" {
+			t.Errorf("a panicking op failed the pass with %q", first)
+		}
+	}
+}
+
+// panicSource panics in Next once it has handed out n chunks.
+type panicSource struct {
+	trackedSource
+	n int
+}
+
+func (s *panicSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
+	if s.emitted.Load() == int64(s.n) {
+		panic("capture reader exploded")
+	}
+	return s.trackedSource.Next(maxRows, maxBytes)
+}
+
+// TestStreamPanicUnwinds covers the two panics that do not start in an
+// order-free op. A panicking source on the pump goroutine ends a staged
+// pass with a packet-source error instead of killing the process; at
+// depth 0 it reaches the caller as a panic, as everything raised on the
+// caller's goroutine does. A panic in the sink (here the AfterChunk hook)
+// reaches the caller at every depth, after the unwind: every chunk
+// released once, no stage goroutine left.
+func TestStreamPanicUnwinds(t *testing.T) {
+	spec, ok := dataset.Get("P0")
+	if !ok {
+		t.Fatal("no dataset P0")
+	}
+	ds := spec.Generate(0.05)
+	base := runtime.NumGoroutine()
+	balanced := func(src *trackedSource, label string) {
+		t.Helper()
+		emitted, recycled, released := src.emitted.Load(), src.recycled.Load(), src.released.Load()
+		if emitted == 0 || recycled != emitted || released != emitted {
+			t.Fatalf("%s: %d chunks handed out, %d recycled, %d released", label, emitted, recycled, released)
+		}
+		waitGoroutines(t, base, label)
+	}
+	// recovered runs the pass and returns what it panicked with, if anything.
+	recovered := func(src dataset.Source, cfg StreamConfig) (v any, err error) {
+		defer func() { v = recover() }()
+		eng := NewEngine(fieldPipeline())
+		eng.Seed = 7
+		_, err = eng.RunStream(src, ModeTrain, cfg)
+		return nil, err
+	}
+	for _, shape := range streamExecShapes {
+		shape.ChunkRows = 16
+		label := fmt.Sprintf("source panic, depth %d", shape.PipelineDepth)
+		src := &panicSource{trackedSource{inner: dataset.NewSliceSource(ds)}, 3}
+		v, err := recovered(src, shape)
+		switch {
+		case shape.PipelineDepth == 0 && v == nil:
+			t.Fatalf("%s: the panic did not reach the caller (err %v)", label, err)
+		case shape.PipelineDepth > 0 && (v != nil || err == nil || !strings.Contains(err.Error(), "core: packet source: source panicked: capture reader exploded")):
+			t.Fatalf("%s: panicked with %v, failed with %v", label, v, err)
+		}
+		balanced(&src.trackedSource, label)
+
+		label = fmt.Sprintf("sink panic, depth %d", shape.PipelineDepth)
+		tracked := &trackedSource{inner: dataset.NewSliceSource(ds)}
+		shape.Hooks = &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+			if up.Seq == 2 {
+				panic("alert sink exploded")
+			}
+			return nil
+		}}
+		if v, err := recovered(tracked, shape); v != "alert sink exploded" {
+			t.Fatalf("%s: panicked with %v, failed with %v", label, v, err)
+		}
+		balanced(tracked, label)
 	}
 }
 
@@ -321,7 +445,7 @@ func TestStreamStallExcludesShutdown(t *testing.T) {
 	src := &slowEOFSource{inner: dataset.NewSliceSource(ds), delay: delay}
 	// One chunk holds the whole trace, so after it clears the stages the
 	// only thing left to wait for is the delayed close.
-	cfg := StreamConfig{ChunkRows: len(ds.Packets), PipelineDepth: 2, Workers: 2}
+	cfg := StreamConfig{ChunkRows: len(ds.Packets), PipelineDepth: 2}
 	if _, err := eng.RunStream(src, ModeTest, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +480,10 @@ func TestStreamSinkAndSourceErrorsBothSurface(t *testing.T) {
 			t.Fatal("run should have failed")
 		}
 		if !strings.Contains(err.Error(), "no_such_column") {
-			t.Errorf("sink op error missing (workers %d): %v", shape.Workers, err)
+			t.Errorf("sink op error missing (depth %d): %v", shape.PipelineDepth, err)
 		}
 		if !errors.Is(err, errTruncated) || !strings.Contains(err.Error(), "packet source") {
-			t.Errorf("source error missing (workers %d): %v", shape.Workers, err)
+			t.Errorf("source error missing (depth %d): %v", shape.PipelineDepth, err)
 		}
 	}
 
@@ -368,7 +492,7 @@ func TestStreamSinkAndSourceErrorsBothSurface(t *testing.T) {
 	src := &failingSource{inner: dataset.NewSliceSource(ds), failAt: 2}
 	eng := NewEngine(fieldPipeline())
 	eng.Seed = 7
-	_, err := eng.RunStream(src, ModeTrain, StreamConfig{ChunkRows: 16, PipelineDepth: 2, Workers: 2})
+	_, err := eng.RunStream(src, ModeTrain, StreamConfig{ChunkRows: 16, PipelineDepth: 2})
 	if !errors.Is(err, errTruncated) {
 		t.Errorf("source-only failure not surfaced: %v", err)
 	}
@@ -382,7 +506,7 @@ func TestStreamPipelinedEmptyDataset(t *testing.T) {
 	be := NewEngine(p)
 	_, berr := be.run(ds, ModeTrain)
 	se := NewEngine(p)
-	serr := se.TrainStream(ds, StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2})
+	serr := se.TrainStream(ds, StreamConfig{ChunkRows: 64, PipelineDepth: 2})
 	if (berr == nil) != (serr == nil) {
 		t.Fatalf("batch err %v vs pipelined err %v", berr, serr)
 	}
@@ -453,7 +577,7 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 	// warmed pool even with several chunks in flight.
 	chunk := len(decoded)/40 + 1
 
-	// No iat: the whole test pass fans out to workers and retains nothing,
+	// No iat: the whole test pass runs in the ops stage and retains nothing,
 	// which is exactly the recycling-eligible shape.
 	p := &Pipeline{
 		Name:        "stream-pool",
@@ -501,7 +625,7 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 	}
 
 	seqCfg := StreamConfig{ChunkRows: chunk}
-	pipeCfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 2, Workers: 2}
+	pipeCfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 2}
 
 	pooledB, pooledRes, ps := run(seqCfg, false)
 	freshB, freshRes, _ := run(seqCfg, true)
@@ -529,9 +653,9 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 }
 
 // TestStreamShapeIsWhatWasAsked: RunStream never rewrites its config. A
-// plain, a hooked and an online pass each run at exactly the shape that
+// plain, a hooked and an online pass each run at exactly the depth that
 // was requested, and flows whose packets straddle many chunk boundaries
-// assemble as in batch whichever loop feeds the sink (the EvalResult of
+// assemble as in batch at every depth (the EvalResult of
 // a connection-granularity pipeline is a function of the assembled conn
 // log, so bit-equality pins the log itself).
 func TestStreamShapeIsWhatWasAsked(t *testing.T) {
@@ -554,7 +678,7 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 			if v == "hooked" {
 				cfg.Hooks = &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil }}
 			}
-			label := fmt.Sprintf("%s, depth %d, workers %d", v, shape.PipelineDepth, shape.Workers)
+			label := fmt.Sprintf("%s, depth %d", v, shape.PipelineDepth)
 			eng := NewEngine(p)
 			eng.Seed = 7
 			if err := eng.TrainStream(ds, cfg); err != nil {
@@ -572,12 +696,32 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 				}
 			}
 			ls := eng.LastStream
-			if ls.Pipelined != (shape.PipelineDepth > 0) || ls.Depth != shape.PipelineDepth || ls.Workers != max(shape.Workers, 1) {
-				t.Errorf("%s: ran pipelined=%v depth=%d workers=%d", label, ls.Pipelined, ls.Depth, ls.Workers)
+			if ls.Pipelined != (shape.PipelineDepth > 0) || ls.Depth != shape.PipelineDepth {
+				t.Errorf("%s: ran pipelined=%v depth=%d", label, ls.Pipelined, ls.Depth)
 			}
 			if !cfg.Online {
 				requireEqualResults(t, want, got, label)
 			}
+		}
+	}
+}
+
+// TestStreamRefusesWorkers: the ops stage is one goroutine, so a config
+// asking for more fails before any chunk is cut, naming the field; 0 and
+// 1 both mean one.
+func TestStreamRefusesWorkers(t *testing.T) {
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.05)
+	for _, w := range []int{0, 1, 2} {
+		src := &trackedSource{inner: dataset.NewSliceSource(ds)}
+		_, err := NewEngine(fieldPipeline()).RunStream(src, ModeTrain, StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: w})
+		switch {
+		case w <= 1 && err != nil:
+			t.Errorf("Workers %d: %v", w, err)
+		case w > 1 && (err == nil || !strings.Contains(err.Error(), "StreamConfig.Workers")):
+			t.Errorf("Workers %d: error %v, want one naming StreamConfig.Workers", w, err)
+		case w > 1 && src.emitted.Load() != 0:
+			t.Errorf("Workers %d: refused after cutting %d chunks", w, src.emitted.Load())
 		}
 	}
 }

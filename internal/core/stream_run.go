@@ -12,12 +12,11 @@ import (
 	"lumen/internal/obs"
 )
 
-// streamExec is the state of one RunStream execution, shared between the
-// inline loop and the staged loop. The per-chunk work lives in chunkJob
-// so that the staged loop can fan it out to workers; everything on
+// streamExec is the state of one RunStream execution. The per-chunk work
+// lives in chunkJob so that a staged pass can prepare a chunk on the ops
+// goroutine while the sink absorbs an earlier one; everything on
 // streamExec itself is only ever touched by the one goroutine that owns
-// stream order (the caller's: it runs the inline loop and the staged
-// loop's sink).
+// stream order (the caller's: it runs the sink at every depth).
 type streamExec struct {
 	e    *Engine
 	mode Mode
@@ -120,10 +119,13 @@ type chunkJob struct {
 	// absorb time, once the chunk's order in the stream is settled).
 	drift []DriftEvent
 	err   error
-	// wsc is the job-local stream context used on parallel workers. Ops
-	// that fan out never depend on cross-chunk fold state, but some
-	// (field_extract without iat) still save it; writing into a
-	// discardable job-local carry keeps them race-free.
+	// op is the index of the op runOps is running, which names the op
+	// when it panics in prepare.
+	op int
+	// wsc is the job-local stream context the Worker ops run over. They
+	// never depend on cross-chunk fold state, but some (field_extract
+	// without iat) still save it; writing into a discardable job-local
+	// carry keeps them race-free on the ops goroutine.
 	wsc streamCtx
 }
 
@@ -179,25 +181,46 @@ func (r *streamExec) feedSinks(job *chunkJob) {
 	}
 }
 
-// sinkChunk is the ordered sink's per-chunk body, the one function both
-// loops feed in stream order: flow sinks, the picked streamed ops over
-// the shared cross-chunk carry (every streamed op inline; the ordered
-// ones staged, where the workers already ran the rest), absorption into
-// the run, then release of the chunk to its source. It returns the
-// job's error, on which the stream must abort.
-func (r *streamExec) sinkChunk(job *chunkJob, pick []bool, stage *obs.Span, release func(dataset.NumberedChunk)) error {
+// prepare is a chunk's ops stage, on the caller's goroutine at depth 0
+// and on the ops goroutine staged: it builds the job and runs the plan's
+// Worker ops over the job-local carry. A panic in one of those ops
+// becomes the job's error, worded like the op's own errors, so it fails
+// the pass the same way at every depth and never escapes a goroutine
+// nobody could recover it on.
+func (r *streamExec) prepare(nc dataset.NumberedChunk, stage *obs.Span) (job *chunkJob) {
+	job = r.newJob(nc)
+	var cs *obs.Span
+	if stage != nil && slices.Contains(r.pl.Worker, true) {
+		cs = chunkSpan(stage, &nc)
+	}
+	defer cs.End()
+	defer func() {
+		if v := recover(); v != nil {
+			op := r.e.P.Ops[job.op]
+			job.err = fmt.Errorf("core: op %d (%s -> %s): panic: %v", job.op, op.Func, op.Output, v)
+		}
+	}()
+	r.runOps(job, r.pl.Worker, &job.wsc, cs)
+	return job
+}
+
+// sinkChunk is the ordered sink's per-chunk body, run in stream order on
+// the caller's goroutine at every depth: flow sinks, the Ordered ops over
+// the shared cross-chunk carry, absorption into the run, then release of
+// the chunk to its source, which also happens when the sink panics. It
+// returns the job's error, on which the stream must abort.
+func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(dataset.NumberedChunk)) error {
+	defer release(job.nc)
 	if job.err == nil {
 		var cs *obs.Span
-		if stage != nil && (len(r.sinks) > 0 || slices.Contains(pick, true)) {
+		if stage != nil && (len(r.sinks) > 0 || slices.Contains(r.pl.Ordered, true)) {
 			cs = chunkSpan(stage, &job.nc)
 		}
 		r.feedSinks(job)
-		r.runOps(job, pick, r.sc, cs)
+		r.runOps(job, r.pl.Ordered, r.sc, cs)
 		cs.End()
 	}
-	err := r.absorb(job)
-	release(job.nc)
-	return err
+	return r.absorb(job)
 }
 
 // chunkSpan opens the span of one chunk's work under a stage span (nil
@@ -215,8 +238,8 @@ func chunkSpan(stage *obs.Span, nc *dataset.NumberedChunk) *obs.Span {
 // runOps executes the picked ops over the job's environment, recording
 // per-op stats and any evaluation results on the job. A failing op stores
 // its wrapped error in job.err and stops the job. sc supplies the chunk
-// base and cross-chunk carry: the shared ordered context, or the job's
-// own when running on a parallel worker.
+// base and cross-chunk carry: the shared ordered context in the sink, the
+// job's own in prepare.
 func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan *obs.Span) {
 	if job.err != nil {
 		return
@@ -226,6 +249,7 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 		if !pick[i] {
 			continue
 		}
+		job.op = i
 		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift}
 		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, nil)
 		if err != nil {

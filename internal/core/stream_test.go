@@ -12,14 +12,13 @@ import (
 // large chunks, and whole-trace-as-one-chunk.
 var streamChunkSizes = []int{64, 1024, 0}
 
-// streamExecShapes are the execution shapes every equivalence case runs
-// under: the inline loop, the staged loop with one worker (decode
-// overlaps ops), and the staged loop with parallel worker fan-out and
-// ordered recombination.
+// streamExecShapes are the depths every equivalence case runs at: 0
+// (cut, prepare and sink in turn on the caller's goroutine) and two
+// staged depths (source and ops goroutines ahead of the sink).
 var streamExecShapes = []StreamConfig{
 	{},
 	{PipelineDepth: 2},
-	{PipelineDepth: 4, Workers: 4},
+	{PipelineDepth: 4},
 }
 
 func flowPipeline(model string, extra map[string]any) *Pipeline {
@@ -147,8 +146,8 @@ func batchRun(t *testing.T, p *Pipeline, ds *dataset.Labeled) *EvalResult {
 }
 
 // streamRun trains and tests p over ds with the chunked engine, once per
-// execution shape. All shapes must agree bit-for-bit; the sequential
-// result is returned (callers compare it against batch, which pins every
+// depth. All depths must agree bit-for-bit; the depth-0 result is
+// returned (callers compare it against batch, which pins every
 // shape transitively).
 func streamRun(t *testing.T, p *Pipeline, ds *dataset.Labeled, chunk int) *EvalResult {
 	t.Helper()
@@ -156,7 +155,7 @@ func streamRun(t *testing.T, p *Pipeline, ds *dataset.Labeled, chunk int) *EvalR
 	for _, shape := range streamExecShapes {
 		cfg := shape
 		cfg.ChunkRows = chunk
-		label := fmt.Sprintf("chunk %d, depth %d, workers %d", chunk, cfg.PipelineDepth, cfg.Workers)
+		label := fmt.Sprintf("chunk %d, depth %d", chunk, cfg.PipelineDepth)
 		eng := NewEngine(p)
 		eng.Seed = 7
 		if err := eng.TrainStream(ds, cfg); err != nil {
@@ -169,13 +168,13 @@ func streamRun(t *testing.T, p *Pipeline, ds *dataset.Labeled, chunk int) *EvalR
 		if len(eng.Profile) != len(p.Ops) {
 			t.Fatalf("stream profile has %d entries, want %d", len(eng.Profile), len(p.Ops))
 		}
-		if got, want := eng.LastStream.Pipelined, shape.pipelined(); got != want {
+		if got, want := eng.LastStream.Pipelined, shape.PipelineDepth > 0; got != want {
 			t.Fatalf("LastStream.Pipelined = %v, want %v (%s)", got, want, label)
 		}
 		if seq == nil {
 			seq = res
 		} else {
-			requireEqualResults(t, seq, res, label+" vs sequential")
+			requireEqualResults(t, seq, res, label+" vs depth 0")
 		}
 	}
 	return seq
@@ -358,7 +357,7 @@ func TestStreamEmptyFinalChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEqualResults(t, want, got, fmt.Sprintf("empty-final-chunk depth=%d workers=%d", cfg.PipelineDepth, cfg.Workers))
+		requireEqualResults(t, want, got, fmt.Sprintf("empty-final-chunk depth=%d", cfg.PipelineDepth))
 	}
 }
 
@@ -398,7 +397,7 @@ func TestStreamByteBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEqualResults(t, want, got, fmt.Sprintf("byte-bound depth=%d workers=%d", cfg.PipelineDepth, cfg.Workers))
+		requireEqualResults(t, want, got, fmt.Sprintf("byte-bound depth=%d", cfg.PipelineDepth))
 	}
 }
 

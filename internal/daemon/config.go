@@ -40,7 +40,7 @@ type PipelineSpec struct {
 	Train *DatasetSpec `json:"train"`
 	// Source is the ingest: exactly one of replay, watch and feed.
 	Source SourceSpec `json:"source"`
-	// Stream bounds chunking and picks the execution shape; chunk_rows defaults to 512 here.
+	// Stream bounds chunking and sets the stream depth; chunk_rows defaults to 512 here.
 	Stream core.StreamConfig `json:"stream"`
 	// Alerts is the JSONL verdict sink: a file, - for stdout (the default), or empty for none.
 	Alerts string `json:"alerts"`

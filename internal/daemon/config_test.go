@@ -47,7 +47,7 @@ func TestConfigKeysReachPipeConfig(t *testing.T) {
 	doc := fmt.Sprintf(`{"pipelines": [
 	  {"name": "a", "template": "tpl.json", "seed": 11, "train": {"dataset": "F1", "scale": 0.05},
 	   "source": {"replay": {"dataset": "F1,F1", "scale": 0.05, "speed": 2}},
-	   "stream": {"chunk_rows": 64, "chunk_bytes": 4096, "depth": 3, "workers": 2},
+	   "stream": {"chunk_rows": 64, "chunk_bytes": 4096, "depth": 3},
 	   "alerts": %[1]q, "anomalies_only": true, "connlog": %[2]q,
 	   "swap": {"model": %[3]q, "shadow_chunks": 3, "max_disagree": 0.25},
 	   "retrain": {"reservoir": 100, "min_rows": 10, "cooldown_chunks": 5, "fresh": true}},
@@ -96,8 +96,8 @@ func TestConfigKeysReachPipeConfig(t *testing.T) {
 		{"source.link on a watch (-link)", b.Source.Meta().Link, netpkt.LinkDot11},
 		{"source.feed (-listen-feed)", d.Source.Meta().Name, "feed:" + filepath.Join(dir, "feed.sock")},
 		{"source.link on a feed (-link)", d.Source.Meta().Link, netpkt.LinkDot11},
-		{"stream.* (-chunk-rows, -chunk-bytes, -depth, -workers)", a.Stream,
-			core.StreamConfig{ChunkRows: 64, ChunkBytes: 4096, PipelineDepth: 3, Workers: 2}},
+		{"stream.* (-chunk-rows, -chunk-bytes, -depth)", a.Stream,
+			core.StreamConfig{ChunkRows: 64, ChunkBytes: 4096, PipelineDepth: 3}},
 		{"alerts (-alerts)", file(a.Alerts), "a.jsonl"},
 		{"alerts: empty disables", b.Alerts, nil},
 		{"anomalies_only (-anomalies-only)", a.AnomaliesOnly, true},
@@ -134,6 +134,23 @@ func exampleConfigs(t testing.TB) []string {
 	return paths
 }
 
+// workersConfig sets stream.workers, a key the file does not declare:
+// the engine's ops stage is one goroutine.
+const workersConfig = `{"pipelines":[{"template":"pipeline.json","model":"m.json","source":{"replay":{"dataset":"F1"}},"stream":{"depth":2,"workers":2}}]}`
+
+// TestConfigRejectsStreamWorkers: stream.workers fails as an unknown
+// field, like any key the file does not declare, before anything is
+// loaded.
+func TestConfigRejectsStreamWorkers(t *testing.T) {
+	_, err := ParseConfig([]byte(workersConfig), "../../examples/daemon-hot-swap")
+	if err == nil || !strings.Contains(err.Error(), `unknown field "workers"`) {
+		t.Fatalf("ParseConfig = %v, want an unknown-field error naming workers", err)
+	}
+	if _, err := ParseConfig([]byte(strings.Replace(workersConfig, `,"workers":2`, "", 1)), "../../examples/daemon-hot-swap"); err != nil {
+		t.Fatalf("the same file without workers: %v", err)
+	}
+}
+
 // FuzzDaemonConfig: arbitrary bytes are either refused or yield a config
 // whose every pipeline plans the way `lumend -check` does, without a
 // panic. Nothing is built, so no socket, directory or sink is opened;
@@ -149,6 +166,7 @@ func FuzzDaemonConfig(f *testing.F) {
 	}
 	f.Add([]byte(`{"pipelines":[{"template":"pipeline.json","model":"m.json","source":{"link":"dot11","feed":"unix:/tmp/x"},"swap":{"model":"c.json"}}]}`), "daemon-hot-swap")
 	f.Add([]byte(`{"pipelines":[{"template":"pipeline.json","model":"m.json","source":{"watch":{"dir":"spool","poll_ms":1e3}},"retrain":{}}]}`), "drift-retrain")
+	f.Add([]byte(workersConfig), "daemon-hot-swap")
 	root, err := filepath.Abs("../../examples")
 	if err != nil {
 		f.Fatal(err)

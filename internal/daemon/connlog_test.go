@@ -14,11 +14,11 @@ import (
 	"lumen/internal/obs"
 )
 
-// connShapes are the execution shapes the conn-log contract covers.
+// connShapes are the depths the conn-log contract covers.
 var connShapes = []core.StreamConfig{
 	{},
 	{PipelineDepth: 2},
-	{PipelineDepth: 4, Workers: 4},
+	{PipelineDepth: 4},
 }
 
 // zeekPipeline is A14 (Zeek conn.log features + RF-50): a pipeline whose

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"lumen/internal/flow"
 	"lumen/internal/mlkit"
 	"lumen/internal/obs"
+	"lumen/internal/pcap"
 )
 
 // testDS generates the shared fixture trace.
@@ -199,7 +203,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 		Name:    "full",
 		Engine:  trainedEngine(t, ds),
 		Source:  NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
-		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
+		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2},
 		Alerts:  &alerts,
 		ConnLog: &connlog,
 	})
@@ -215,7 +219,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 		t.Fatalf("state = %s, want stopped", st.State)
 	}
 	// A hooked pass runs at the shape it was configured with.
-	if want := (StreamShape{Pipelined: true, Depth: 2, Workers: 2}); st.Stream == nil || *st.Stream != want {
+	if want := (StreamShape{Pipelined: true, Depth: 2}); st.Stream == nil || *st.Stream != want {
 		t.Fatalf("status stream shape = %+v, want %+v", st.Stream, want)
 	}
 	if !bytes.Equal(connlog.Bytes(), wantLog.Bytes()) {
@@ -240,18 +244,38 @@ func TestRunToCompletionConnLog(t *testing.T) {
 
 // TestPanickingPipelineFailsAlone: a model that loads cleanly can still
 // fault at scoring time — a forest splitting on feature 1000 indexes past
-// this pipeline's six-column rows. Swapped into one of two pipelines of a
-// daemon, it must fail that pipeline only: state failed, the panic and
-// the pipeline's name in its status, its alert sink flushed — while the
-// neighbour keeps producing verdicts and drains cleanly.
+// this pipeline's six-column rows. Swapped into one of two staged
+// pipelines of a daemon, it must fail that pipeline only: state failed,
+// the panic and the pipeline's name in its status, its alert sink
+// flushed — while the neighbour keeps producing verdicts and drains
+// cleanly. The poisoned pipeline reads a memory-mapped capture, and the
+// panic strikes with chunks queued behind the scoring goroutine: once
+// both pipelines are done the engine's stage goroutines are gone and
+// every chunk's mapping reference is released, so the goroutine count
+// and pcap.OpenMappings return to their baselines.
 func TestPanickingPipelineFailsAlone(t *testing.T) {
 	ds := testDS(t)
 	rows := chunkRowsFor(len(ds.Packets), 20)
+	goroutines, mappings := runtime.NumGoroutine(), pcap.OpenMappings()
+	capture := filepath.Join(t.TempDir(), "poisoned.pcap")
+	writePcap(t, capture, ds.Link, ds.Packets)
+	f, err := os.Open(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mapped, err := dataset.NewPcapSource("poisoned.pcap", f, dataset.Packet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped.EnableChunkRefs() {
+		t.Log("no mmap on this platform: the mapping baseline holds trivially")
+	}
 	d := New(Config{Metrics: obs.NewMetrics()})
 	var alerts bytes.Buffer
-	start := func(name string, alerts *bytes.Buffer) (*Pipe, *gateSource) {
-		gate := newGate(dataset.NewSliceSource(ds))
-		cfg := PipeConfig{Name: name, Engine: trainedEngine(t, ds), Source: gate, Stream: core.StreamConfig{ChunkRows: rows}}
+	start := func(name string, src dataset.Source, alerts *bytes.Buffer) (*Pipe, *gateSource) {
+		gate := newGate(src)
+		cfg := PipeConfig{Name: name, Engine: trainedEngine(t, ds), Source: gate, Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: 2}}
 		if alerts != nil {
 			cfg.Alerts = alerts
 		}
@@ -261,8 +285,8 @@ func TestPanickingPipelineFailsAlone(t *testing.T) {
 		}
 		return p, gate
 	}
-	poisoned, pgate := start("poisoned", &alerts)
-	neighbour, ngate := start("neighbour", nil)
+	poisoned, pgate := start("poisoned", mapped, &alerts)
+	neighbour, ngate := start("neighbour", dataset.NewSliceSource(ds), nil)
 	pgate.allow(2)
 	ngate.allow(2)
 	waitFor(t, 5*time.Second, "both pipelines to score 2 chunks", func() bool {
@@ -289,8 +313,9 @@ func TestPanickingPipelineFailsAlone(t *testing.T) {
 			// That chunk was absorbed before the request was queued.
 		}
 	}
-	// The next chunk is shadow-scored by the forest and panics.
-	pgate.allow(1)
+	// The next chunk is shadow-scored by the forest and panics, with two
+	// more cut behind it.
+	pgate.allow(3)
 	select {
 	case <-poisoned.Done():
 	case <-time.After(10 * time.Second):
@@ -320,6 +345,16 @@ func TestPanickingPipelineFailsAlone(t *testing.T) {
 	if st := neighbour.Status(); st.State != "stopped" || st.Verdicts <= before {
 		t.Fatalf("neighbour status = %+v, want stopped with verdicts past %d", st, before)
 	}
+
+	if err := mapped.Close(); err != nil { // the source's own reference
+		t.Fatal(err)
+	}
+	if got := pcap.OpenMappings(); got != mappings {
+		t.Errorf("live mappings = %d after both pipelines ended, want the baseline %d", got, mappings)
+	}
+	waitFor(t, 5*time.Second, "the goroutine count to return to its baseline", func() bool {
+		return runtime.NumGoroutine() <= goroutines
+	})
 }
 
 // TestDrainMidStreamConnLog drains a gated pipeline partway through the
@@ -394,7 +429,7 @@ func TestHotSwapUnderLiveIngest(t *testing.T) {
 		Name:   "swap",
 		Engine: trainedEngine(t, ds),
 		Source: gate,
-		Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: 2, Workers: 2},
+		Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: 2},
 		Alerts: &alerts,
 	})
 	if err != nil {

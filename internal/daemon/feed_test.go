@@ -104,11 +104,11 @@ func TestFeedStagedMatchesSequential(t *testing.T) {
 		t.Fatal("sequential feed verdicts differ from the batch run")
 	}
 	for _, cfg := range []core.StreamConfig{
+		{ChunkRows: 64, PipelineDepth: 2},
 		{ChunkRows: 64, PipelineDepth: 4},
-		{ChunkRows: 64, PipelineDepth: 4, Workers: 2},
 	} {
 		if got := run(cfg); !reflect.DeepEqual(seq, got) {
-			t.Fatalf("staged feed (depth %d, workers %d) differs from the sequential run", cfg.PipelineDepth, cfg.Workers)
+			t.Fatalf("staged feed (depth %d) differs from the depth-0 run", cfg.PipelineDepth)
 		}
 	}
 }
@@ -116,14 +116,15 @@ func TestFeedStagedMatchesSequential(t *testing.T) {
 // TestFeedSharedLabelsStayZero: every feed chunk carries sub-slices of
 // the same two source-owned Labels/Attacks slices, so nothing downstream
 // may write to them. After the runs TestFeedStagedMatchesSequential makes
-// (sequential and staged with workers) they must still be all zero.
+// (depth 0 and staged) they must still be all zero.
 func TestFeedSharedLabelsStayZero(t *testing.T) {
 	ds := testDS(t)
 	frames := encodeFrames(t, ds)
 	eng := trainedEngine(t, ds)
 	for _, cfg := range []core.StreamConfig{
 		{ChunkRows: 64},
-		{ChunkRows: 64, PipelineDepth: 4, Workers: 2},
+		{ChunkRows: 64, PipelineDepth: 2},
+		{ChunkRows: 64, PipelineDepth: 4},
 	} {
 		src := pushFeed(t, ds, frames, len(ds.Packets), 256)
 		if _, err := eng.RunStream(src, core.ModeTest, cfg); err != nil {

@@ -141,11 +141,10 @@ type SwapReport struct {
 // the engine reports it (core.StreamStats). It is always the shape
 // PipeConfig.Stream asked for: the engine never rewrites a request.
 type StreamShape struct {
-	// Pipelined is false for the inline loop, true for the staged loop;
-	// Depth and Workers are the staged loop's shape.
+	// Pipelined is true when Depth > 0: a source and an ops goroutine run
+	// ahead of the scoring goroutine, Depth chunks queued at each hand-off.
 	Pipelined bool `json:"pipelined"`
 	Depth     int  `json:"depth"`
-	Workers   int  `json:"workers"`
 }
 
 // PipeStatus is a pipeline's observable state, as served by /pipelines.
@@ -414,13 +413,15 @@ func (p *Pipe) run() {
 }
 
 // pass runs one RunStream pass to its flushed end. A panic on this
-// goroutine — in an op, in model scoring (a swapped-in model that loads
-// cleanly can still index past the pipeline's feature row), in the
+// goroutine — in an ordered op, in model scoring (a swapped-in model that
+// loads cleanly can still index past the pipeline's feature row), in the
 // chunk hook — comes back as the pass's error, so one tenant's fault
 // fails that pipeline (state failed, alert sink flushed, the daemon's
 // own conn-log assembler still logged) instead of killing every pipeline
-// in the process. The staged loop's source and worker goroutines are not
-// covered; see OPERATIONS.md.
+// in the process. The engine has already unwound by then: its stage
+// goroutines are gone and every chunk is released. A panic on a staged
+// pass's source or ops goroutine never reaches here; the engine turns it
+// into the pass's error.
 func (p *Pipe) pass() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -575,7 +576,7 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		// hooked passes absorb on this goroutine, so LastStream is ours to
 		// read here.
 		ls := p.eng.LastStream
-		shape := &StreamShape{Pipelined: ls.Pipelined, Depth: ls.Depth, Workers: ls.Workers}
+		shape := &StreamShape{Pipelined: ls.Pipelined, Depth: ls.Depth}
 		p.mu.Lock()
 		p.shape = shape
 		p.mu.Unlock()

@@ -77,7 +77,7 @@ func TestWatchIngestEquivalence(t *testing.T) {
 		Name:    "watch",
 		Engine:  trainedEngine(t, ds),
 		Source:  NewDirSource("watch", dir, "*.pcap", dataset.Packet, ds.Link, 5*time.Millisecond),
-		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2, Workers: 2},
+		Stream:  core.StreamConfig{ChunkRows: 64, PipelineDepth: 2},
 		Alerts:  &alerts,
 		ConnLog: &connlog,
 	})

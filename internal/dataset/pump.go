@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -15,9 +16,8 @@ type Recycler interface {
 }
 
 // NumberedChunk is a chunk with its position in the stream, as emitted by
-// a Pump. Seq starts at 0 and increments by one per chunk, so consumers
-// that fan chunks out to parallel workers can recombine results in stream
-// order.
+// a Pump. Seq starts at 0 and increments by one per chunk: the chunk's
+// sequence number in everything a consumer reports about it.
 type NumberedChunk struct {
 	Seq int
 	Chunk
@@ -65,6 +65,9 @@ type Pump struct {
 	inFlight atomic.Int64
 	peak     atomic.Int64
 	stallNS  atomic.Int64
+	// panicked is what the source goroutine recovered from a panicking
+	// Next (nil: none); written before C closes.
+	panicked error
 }
 
 // StartPump launches the source goroutine. The source must not be used
@@ -79,6 +82,14 @@ func StartPump(src Source, cfg PumpConfig) *Pump {
 	p.rec, _ = src.(Recycler)
 	go func() {
 		defer close(ch)
+		// A panicking source ends the stream with an error instead of
+		// taking down the process: nobody could recover it on this
+		// goroutine.
+		defer func() {
+			if v := recover(); v != nil {
+				p.panicked = fmt.Errorf("source panicked: %v", v)
+			}
+		}()
 		seq := 0
 		for {
 			ck, ok := src.Next(cfg.MaxRows, cfg.MaxBytes)
@@ -139,9 +150,13 @@ func (p *Pump) Stop() {
 	}
 }
 
-// Err reports the error that ended the stream, if the source exposes one
-// (PcapSource does). Valid once C has closed.
+// Err reports the error that ended the stream: a panic in the source's
+// Next, or the source's own error if it exposes one (PcapSource does).
+// Valid once C has closed.
 func (p *Pump) Err() error {
+	if p.panicked != nil {
+		return p.panicked
+	}
 	if es, ok := p.src.(interface{ Err() error }); ok {
 		return es.Err()
 	}

@@ -40,3 +40,36 @@ func TestPumpStopReleasesUndeliveredChunk(t *testing.T) {
 		t.Fatalf("source cut %d chunks, %d were released", emitted, released)
 	}
 }
+
+// panicSource hands out n chunks, then panics in Next.
+type panicSource struct {
+	refSource
+	n int64
+}
+
+func (s *panicSource) Next(maxRows, maxBytes int) (Chunk, bool) {
+	if s.emitted.Load() == s.n {
+		panic("reader exploded")
+	}
+	return s.refSource.Next(maxRows, maxBytes)
+}
+
+// TestPumpSourcePanicEndsStream: a source that panics on the pump's
+// goroutine, where no caller could recover it, ends the stream instead of
+// the process: C closes after the chunks already cut, and Err reports the
+// panic.
+func TestPumpSourcePanicEndsStream(t *testing.T) {
+	src := &panicSource{refSource{ref: &countedRef{}}, 3}
+	p := StartPump(src, PumpConfig{Depth: 2})
+	got := 0
+	for nc := range p.C {
+		got++
+		p.Done(nc)
+	}
+	if got != 3 || src.ref.released.Load() != 3 {
+		t.Fatalf("delivered %d chunks and released %d before the panic, want 3 and 3", got, src.ref.released.Load())
+	}
+	if err := p.Err(); err == nil || err.Error() != "source panicked: reader exploded" {
+		t.Fatalf("Err() = %v, want the recovered panic", err)
+	}
+}
