@@ -59,6 +59,22 @@ func TestDocLintOpTable(t *testing.T) {
 	}
 }
 
+// designMaxBytes is DESIGN.md's size ceiling, a ratchet: a change that
+// adds to the document pays for it by trimming elsewhere. Lower it when a
+// rewrite shrinks the document; never raise it.
+const designMaxBytes = 72732
+
+// TestDocLintDesignSize holds DESIGN.md to designMaxBytes.
+func TestDocLintDesignSize(t *testing.T) {
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fi.Size(); n > designMaxBytes {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte ceiling by %d: trim what the change made stale", n, designMaxBytes, n-designMaxBytes)
+	}
+}
+
 // TestDocLintConfigKeys pins OPERATIONS.md's lumend key reference to the
 // structs the config file decodes into: the table is rendered from their
 // json tags (by reflection) and field comments (by go/ast), so a key

@@ -102,6 +102,20 @@ type opCtx struct {
 	// drift collects DriftEvents raised by drift_detect ops during this
 	// chunk (nil on batch runs and outside the streamed op loop).
 	drift *[]DriftEvent
+	// scratch is the chunk job's buffer source (nil on batch and flush
+	// runs); ops reach it through arena.
+	scratch *jobScratch
+}
+
+// arena is where an op gets the chunk-lifetime buffers of its output
+// (frame columns, feature matrices, unit indices): the chunk's arena on a
+// recycling pass, nil otherwise, and a nil arena serves with make. Only
+// what is dead once the chunk's hook returns may come from it.
+func (c *opCtx) arena() *chunkArena {
+	if c == nil {
+		return nil
+	}
+	return c.scratch.arena()
 }
 
 func (c *opCtx) setState(v any) { c.state[c.outName] = v }
@@ -119,7 +133,8 @@ type streamCtx struct {
 	// in ModeTrain and evaluates prequentially in ModeTest.
 	online bool
 	// lastResult carries the train op's per-chunk EvalResult to a
-	// downstream drift_detect op within the same chunk.
+	// downstream drift_detect op within the same chunk; the sink clears it
+	// at chunk end, since the rows may live in the chunk's arena.
 	lastResult *EvalResult
 }
 

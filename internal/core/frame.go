@@ -112,27 +112,46 @@ func (f *Frame) Names() []string {
 // a single backing allocation regardless of row count, in the form the
 // linalg kernels consume directly. Categorical columns are skipped.
 func (f *Frame) FlatMatrix() *linalg.Dense {
-	var numeric []*Column
-	for i := range f.Cols {
-		if f.Cols[i].IsNumeric() {
-			numeric = append(numeric, &f.Cols[i])
-		}
-	}
-	m := linalg.NewDense(f.N, len(numeric))
-	for j, c := range numeric {
-		src := c.F
-		for r, v := range src {
-			m.Data[r*m.Cols+j] = v
-		}
-	}
-	return m
+	data, k := f.rowMajor(nil)
+	return &linalg.Dense{Rows: f.N, Cols: k, Data: data}
 }
 
 // Matrix renders the numeric columns as row-major feature vectors, the
-// form mlkit models consume. It is a compatibility view over FlatMatrix:
-// the returned rows share one flat backing array.
-func (f *Frame) Matrix() [][]float64 {
-	return f.FlatMatrix().RowViews()
+// form mlkit models consume: the returned rows share one flat backing
+// array, FlatMatrix's layout.
+func (f *Frame) Matrix() [][]float64 { return f.matrix(nil) }
+
+// matrix is Matrix with the backing array and row headers drawn from a.
+func (f *Frame) matrix(a *chunkArena) [][]float64 {
+	data, k := f.rowMajor(a)
+	rows := a.rows(f.N)
+	for r := range rows {
+		rows[r] = data[r*k : (r+1)*k : (r+1)*k]
+	}
+	return rows
+}
+
+// rowMajor copies the k numeric columns into one f.N × k row-major array
+// drawn from a.
+func (f *Frame) rowMajor(a *chunkArena) (data []float64, k int) {
+	for i := range f.Cols {
+		if f.Cols[i].IsNumeric() {
+			k++
+		}
+	}
+	data = a.floats(f.N * k)
+	j := 0
+	for i := range f.Cols {
+		c := &f.Cols[i]
+		if !c.IsNumeric() {
+			continue
+		}
+		for r, v := range c.F {
+			data[r*k+j] = v
+		}
+		j++
+	}
+	return data, k
 }
 
 // Select returns a new frame with only the named columns (sharing column

@@ -217,8 +217,10 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	X := fr.Matrix()
 	if ctx.mode == ModeTrain {
+		// Fitted models may keep the rows they were fit on: X never comes
+		// from the chunk's arena here.
+		X := fr.Matrix()
 		if fr.Labels == nil {
 			return nil, fmt.Errorf("train: frame has no labels")
 		}
@@ -245,11 +247,14 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("train: model not fitted (test before train)")
 	}
+	// Scoring keeps nothing of X, and the verdict metadata aliases the
+	// frame's: on a recycling pass both live until the chunk's hook returns.
+	X := fr.matrix(ctx.arena())
 	res := &EvalResult{
 		Unit:    fr.Unit,
-		Truth:   append([]int(nil), fr.Labels...),
-		Attacks: append([]string(nil), fr.Attacks...),
-		UnitIdx: append([]int(nil), fr.UnitIdx...),
+		Truth:   shareRows(fr.Labels),
+		Attacks: shareRows(fr.Attacks),
+		UnitIdx: shareRows(fr.UnitIdx),
 	}
 	if len(X) > 0 {
 		res.Pred, res.Scores = mlkit.PredictProba(st.Clf, X)

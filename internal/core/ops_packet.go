@@ -103,266 +103,262 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("field_extract: no fields requested")
 	}
-	n := pk.Len()
-	numeric := map[string][]float64{}
-	strs := map[string][]string{}
 	for _, f := range fields {
-		switch g, known := packetFieldIndex[f]; {
-		case !known:
+		if _, known := packetFieldIndex[f]; !known {
 			return nil, fmt.Errorf("field_extract: unknown field %q", f)
-		case g.str:
-			strs[f] = make([]string, n)
-		default:
-			numeric[f] = make([]float64, n)
 		}
 	}
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase())
+	n := pk.Len()
+	a := ctx.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
 	var car feCarry
 	if v, ok := ctx.carry(); ok {
 		car, _ = v.(feCarry)
 	}
-	ctx.setCarry(fieldExtractViews(pk.Views, numeric, strs, car))
-	// Preserve the requested order.
+	// One column pass per field, in the requested order, with the field
+	// switch hoisted out of the inner loop.
 	for _, f := range fields {
-		if col, ok := numeric[f]; ok {
-			fr.AddF(f, col)
+		if packetFieldIndex[f].str {
+			col := make([]string, n)
+			fillStringField(pk.Views, f, col)
+			fr.AddS(f, col)
 		} else {
-			fr.AddS(f, strs[f])
-		}
-	}
-	return fr, nil
-}
-
-// fieldExtractViews fills the requested columns from the packet views,
-// one column pass per field with the field switch hoisted out of the
-// inner loop. Only the layers a field actually needs are decoded:
-// metadata fields (ts/iat/len) trigger nothing, header fields run the
-// one-pass L2-L4 decode on first touch, app fields force the app parse
-// only on port-gated packets. The returned carry has advanced past every
-// packet whether or not iat was requested.
-func fieldExtractViews(views []netpkt.PacketView, numeric map[string][]float64, strs map[string][]string, car feCarry) feCarry {
-	n := len(views)
-	for f, col := range numeric {
-		switch f {
-		case "ts":
-			for i := range views {
-				col[i] = pktTime(views[i].Ts)
-			}
-		case "iat":
-			prev, seen := car.prevTs, car.seen
-			for i := range views {
-				t := pktTime(views[i].Ts)
-				if seen {
-					col[i] = t - prev
-				}
-				prev, seen = t, true
-			}
-		case "len":
-			for i := range views {
-				col[i] = float64(views[i].WireLen())
-			}
-		case "payload_len":
-			for i := range views {
-				col[i] = float64(views[i].PayloadLen())
-			}
-		case "ttl":
-			for i := range views {
-				if ip, ok := views[i].IPv4(); ok {
-					col[i] = float64(ip.TTL)
-				}
-			}
-		case "ip_id":
-			for i := range views {
-				if ip, ok := views[i].IPv4(); ok {
-					col[i] = float64(ip.ID)
-				}
-			}
-		case "ip_tos":
-			for i := range views {
-				if ip, ok := views[i].IPv4(); ok {
-					col[i] = float64(ip.TOS)
-				}
-			}
-		case "proto":
-			for i := range views {
-				col[i] = float64(views[i].Protocol())
-			}
-		case "src_port":
-			for i := range views {
-				col[i] = float64(views[i].SrcPort())
-			}
-		case "dst_port":
-			for i := range views {
-				col[i] = float64(views[i].DstPort())
-			}
-		case "tcp_flags":
-			for i := range views {
-				if t, ok := views[i].TCP(); ok {
-					col[i] = float64(t.Flags)
-				}
-			}
-		case "tcp_syn":
-			fillFlagCol(views, col, netpkt.FlagSYN)
-		case "tcp_ack":
-			fillFlagCol(views, col, netpkt.FlagACK)
-		case "tcp_fin":
-			fillFlagCol(views, col, netpkt.FlagFIN)
-		case "tcp_rst":
-			fillFlagCol(views, col, netpkt.FlagRST)
-		case "tcp_psh":
-			fillFlagCol(views, col, netpkt.FlagPSH)
-		case "tcp_urg":
-			fillFlagCol(views, col, netpkt.FlagURG)
-		case "tcp_window":
-			for i := range views {
-				if t, ok := views[i].TCP(); ok {
-					col[i] = float64(t.Window)
-				}
-			}
-		case "udp_len":
-			for i := range views {
-				if u, ok := views[i].UDP(); ok {
-					col[i] = float64(u.Length)
-				}
-			}
-		case "icmp_type":
-			for i := range views {
-				if ic, ok := views[i].ICMP(); ok {
-					col[i] = float64(ic.Type)
-				}
-			}
-		case "icmp_code":
-			for i := range views {
-				if ic, ok := views[i].ICMP(); ok {
-					col[i] = float64(ic.Code)
-				}
-			}
-		case "is_arp":
-			for i := range views {
-				_, ok := views[i].ARP()
-				col[i] = b2f(ok)
-			}
-		case "is_tcp":
-			for i := range views {
-				_, ok := views[i].TCP()
-				col[i] = b2f(ok)
-			}
-		case "is_udp":
-			for i := range views {
-				_, ok := views[i].UDP()
-				col[i] = b2f(ok)
-			}
-		case "is_icmp":
-			for i := range views {
-				_, ok := views[i].ICMP()
-				col[i] = b2f(ok)
-			}
-		case "dns_qr":
-			for i := range views {
-				if d, ok := views[i].DNS(); ok && d.QR {
-					col[i] = 1
-				}
-			}
-		case "dns_qd":
-			for i := range views {
-				if d, ok := views[i].DNS(); ok {
-					col[i] = float64(d.QDCount)
-				}
-			}
-		case "is_http":
-			for i := range views {
-				_, ok := views[i].HTTP()
-				col[i] = b2f(ok)
-			}
-		case "http_is_req":
-			for i := range views {
-				if h, ok := views[i].HTTP(); ok && h.IsRequest {
-					col[i] = 1
-				}
-			}
-		case "http_status":
-			for i := range views {
-				if h, ok := views[i].HTTP(); ok {
-					col[i] = float64(h.Status)
-				}
-			}
-		case "http_path_len":
-			for i := range views {
-				if h, ok := views[i].HTTP(); ok {
-					col[i] = float64(len(h.Path))
-				}
-			}
-		case "http_body_len":
-			for i := range views {
-				if h, ok := views[i].HTTP(); ok && h.ContentLength > 0 {
-					col[i] = float64(h.ContentLength)
-				}
-			}
-		case "is_mqtt":
-			for i := range views {
-				_, ok := views[i].MQTT()
-				col[i] = b2f(ok)
-			}
-		case "mqtt_type":
-			for i := range views {
-				if m, ok := views[i].MQTT(); ok {
-					col[i] = float64(m.Type)
-				}
-			}
-		case "mqtt_qos":
-			for i := range views {
-				if m, ok := views[i].MQTT(); ok {
-					col[i] = float64(m.QoS)
-				}
-			}
-		case "mqtt_topic_len":
-			for i := range views {
-				if m, ok := views[i].MQTT(); ok {
-					col[i] = float64(len(m.Topic))
-				}
-			}
-		}
-	}
-	for f, col := range strs {
-		switch f {
-		case "src_ip":
-			for i := range views {
-				if a := views[i].SrcIP(); a.IsValid() {
-					col[i] = a.String()
-				} else if d, ok := views[i].Dot11(); ok {
-					col[i] = d.Addr2.String() // MAC stands in on 802.11
-				}
-			}
-		case "dst_ip":
-			for i := range views {
-				if a := views[i].DstIP(); a.IsValid() {
-					col[i] = a.String()
-				} else if d, ok := views[i].Dot11(); ok {
-					col[i] = d.Addr1.String()
-				}
-			}
-		case "src_mac":
-			for i := range views {
-				if e, ok := views[i].Eth(); ok {
-					col[i] = e.Src.String()
-				} else if d, ok := views[i].Dot11(); ok {
-					col[i] = d.Addr2.String()
-				}
-			}
-		case "dst_mac":
-			for i := range views {
-				if e, ok := views[i].Eth(); ok {
-					col[i] = e.Dst.String()
-				} else if d, ok := views[i].Dot11(); ok {
-					col[i] = d.Addr1.String()
-				}
-			}
+			col := a.floats(n)
+			fillNumericField(pk.Views, f, col, car)
+			fr.AddF(f, col)
 		}
 	}
 	if n > 0 {
-		car.prevTs, car.seen = pktTime(views[n-1].Ts), true
+		car.prevTs, car.seen = pktTime(pk.Views[n-1].Ts), true
 	}
-	return car
+	ctx.setCarry(car)
+	return fr, nil
+}
+
+// fillNumericField fills one numeric field's column from the packet
+// views, decoding only the layers the field needs: metadata fields
+// (ts/iat/len) trigger nothing, header fields run the one-pass L2-L4
+// decode on first touch, app fields force the app parse only on
+// port-gated packets. car is the fold state as of the chunk's first
+// packet (iat reads it).
+func fillNumericField(views []netpkt.PacketView, f string, col []float64, car feCarry) {
+	switch f {
+	case "ts":
+		for i := range views {
+			col[i] = pktTime(views[i].Ts)
+		}
+	case "iat":
+		prev, seen := car.prevTs, car.seen
+		for i := range views {
+			t := pktTime(views[i].Ts)
+			if seen {
+				col[i] = t - prev
+			}
+			prev, seen = t, true
+		}
+	case "len":
+		for i := range views {
+			col[i] = float64(views[i].WireLen())
+		}
+	case "payload_len":
+		for i := range views {
+			col[i] = float64(views[i].PayloadLen())
+		}
+	case "ttl":
+		for i := range views {
+			if ip, ok := views[i].IPv4(); ok {
+				col[i] = float64(ip.TTL)
+			}
+		}
+	case "ip_id":
+		for i := range views {
+			if ip, ok := views[i].IPv4(); ok {
+				col[i] = float64(ip.ID)
+			}
+		}
+	case "ip_tos":
+		for i := range views {
+			if ip, ok := views[i].IPv4(); ok {
+				col[i] = float64(ip.TOS)
+			}
+		}
+	case "proto":
+		for i := range views {
+			col[i] = float64(views[i].Protocol())
+		}
+	case "src_port":
+		for i := range views {
+			col[i] = float64(views[i].SrcPort())
+		}
+	case "dst_port":
+		for i := range views {
+			col[i] = float64(views[i].DstPort())
+		}
+	case "tcp_flags":
+		for i := range views {
+			if t, ok := views[i].TCP(); ok {
+				col[i] = float64(t.Flags)
+			}
+		}
+	case "tcp_syn":
+		fillFlagCol(views, col, netpkt.FlagSYN)
+	case "tcp_ack":
+		fillFlagCol(views, col, netpkt.FlagACK)
+	case "tcp_fin":
+		fillFlagCol(views, col, netpkt.FlagFIN)
+	case "tcp_rst":
+		fillFlagCol(views, col, netpkt.FlagRST)
+	case "tcp_psh":
+		fillFlagCol(views, col, netpkt.FlagPSH)
+	case "tcp_urg":
+		fillFlagCol(views, col, netpkt.FlagURG)
+	case "tcp_window":
+		for i := range views {
+			if t, ok := views[i].TCP(); ok {
+				col[i] = float64(t.Window)
+			}
+		}
+	case "udp_len":
+		for i := range views {
+			if u, ok := views[i].UDP(); ok {
+				col[i] = float64(u.Length)
+			}
+		}
+	case "icmp_type":
+		for i := range views {
+			if ic, ok := views[i].ICMP(); ok {
+				col[i] = float64(ic.Type)
+			}
+		}
+	case "icmp_code":
+		for i := range views {
+			if ic, ok := views[i].ICMP(); ok {
+				col[i] = float64(ic.Code)
+			}
+		}
+	case "is_arp":
+		for i := range views {
+			_, ok := views[i].ARP()
+			col[i] = b2f(ok)
+		}
+	case "is_tcp":
+		for i := range views {
+			_, ok := views[i].TCP()
+			col[i] = b2f(ok)
+		}
+	case "is_udp":
+		for i := range views {
+			_, ok := views[i].UDP()
+			col[i] = b2f(ok)
+		}
+	case "is_icmp":
+		for i := range views {
+			_, ok := views[i].ICMP()
+			col[i] = b2f(ok)
+		}
+	case "dns_qr":
+		for i := range views {
+			if d, ok := views[i].DNS(); ok && d.QR {
+				col[i] = 1
+			}
+		}
+	case "dns_qd":
+		for i := range views {
+			if d, ok := views[i].DNS(); ok {
+				col[i] = float64(d.QDCount)
+			}
+		}
+	case "is_http":
+		for i := range views {
+			_, ok := views[i].HTTP()
+			col[i] = b2f(ok)
+		}
+	case "http_is_req":
+		for i := range views {
+			if h, ok := views[i].HTTP(); ok && h.IsRequest {
+				col[i] = 1
+			}
+		}
+	case "http_status":
+		for i := range views {
+			if h, ok := views[i].HTTP(); ok {
+				col[i] = float64(h.Status)
+			}
+		}
+	case "http_path_len":
+		for i := range views {
+			if h, ok := views[i].HTTP(); ok {
+				col[i] = float64(len(h.Path))
+			}
+		}
+	case "http_body_len":
+		for i := range views {
+			if h, ok := views[i].HTTP(); ok && h.ContentLength > 0 {
+				col[i] = float64(h.ContentLength)
+			}
+		}
+	case "is_mqtt":
+		for i := range views {
+			_, ok := views[i].MQTT()
+			col[i] = b2f(ok)
+		}
+	case "mqtt_type":
+		for i := range views {
+			if m, ok := views[i].MQTT(); ok {
+				col[i] = float64(m.Type)
+			}
+		}
+	case "mqtt_qos":
+		for i := range views {
+			if m, ok := views[i].MQTT(); ok {
+				col[i] = float64(m.QoS)
+			}
+		}
+	case "mqtt_topic_len":
+		for i := range views {
+			if m, ok := views[i].MQTT(); ok {
+				col[i] = float64(len(m.Topic))
+			}
+		}
+	}
+}
+
+// fillStringField fills one address field's column from the packet views.
+func fillStringField(views []netpkt.PacketView, f string, col []string) {
+	switch f {
+	case "src_ip":
+		for i := range views {
+			if a := views[i].SrcIP(); a.IsValid() {
+				col[i] = a.String()
+			} else if d, ok := views[i].Dot11(); ok {
+				col[i] = d.Addr2.String() // MAC stands in on 802.11
+			}
+		}
+	case "dst_ip":
+		for i := range views {
+			if a := views[i].DstIP(); a.IsValid() {
+				col[i] = a.String()
+			} else if d, ok := views[i].Dot11(); ok {
+				col[i] = d.Addr1.String()
+			}
+		}
+	case "src_mac":
+		for i := range views {
+			if e, ok := views[i].Eth(); ok {
+				col[i] = e.Src.String()
+			} else if d, ok := views[i].Dot11(); ok {
+				col[i] = d.Addr2.String()
+			}
+		}
+	case "dst_mac":
+		for i := range views {
+			if e, ok := views[i].Eth(); ok {
+				col[i] = e.Dst.String()
+			} else if d, ok := views[i].Dot11(); ok {
+				col[i] = d.Addr1.String()
+			}
+		}
+	}
 }
 
 // fillFlagCol writes one TCP-flag indicator column from views.
@@ -382,19 +378,30 @@ func b2f(b bool) float64 {
 }
 
 // newPacketFrame builds an empty frame of n packet rows with unit
-// metadata and labels copied from the dataset. base offsets UnitIdx so
+// metadata, its unit index drawn from a, and the dataset's labels
+// aliased, not copied: no op writes a frame's labels in place, and no
+// source reuses a chunk's (dataset.Chunk). base offsets UnitIdx so
 // chunked runs attribute rows to global packet indices (0 on batch runs).
 // n is passed explicitly because streamed chunks leave ds.Packets empty.
-func newPacketFrame(n int, ds *dataset.Labeled, base int) *Frame {
+func newPacketFrame(n int, ds *dataset.Labeled, base int, a *chunkArena) *Frame {
 	fr := NewFrame(n)
 	fr.Unit = UnitPacket
-	fr.UnitIdx = make([]int, n)
+	fr.UnitIdx = a.ints(n)
 	for i := range fr.UnitIdx {
 		fr.UnitIdx[i] = base + i
 	}
-	fr.Labels = append([]int(nil), ds.Labels...)
-	fr.Attacks = append([]string(nil), ds.Attacks...)
+	fr.Labels = shareRows(ds.Labels)
+	fr.Attacks = shareRows(ds.Attacks)
 	return fr
+}
+
+// shareRows is s capped at its length, nil when empty: what copying s
+// into a fresh slice would give, without the copy.
+func shareRows[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
 
 func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
@@ -416,17 +423,17 @@ func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
 	default:
 		return nil, fmt.Errorf("nprint: unknown variant %q", variant)
 	}
-	ds := pk.DS
 	n := pk.Len()
-	fr := newPacketFrame(n, ds, ctx.streamBase())
+	a := ctx.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
 	w := cfg.Width()
-	cols := make([][]float64, w)
+	cols := a.rows(w)
 	for j := range cols {
-		cols[j] = make([]float64, n)
+		cols[j] = a.floats(n)
 	}
 	// One scratch row reused across packets: FillRow renders into it, the
 	// scatter loop transposes into the column slices.
-	row := make([]float64, w)
+	row := a.floats(w)
 	for i := range pk.Views {
 		cfg.FillRow(row, features.ShapeOf(&pk.Views[i]))
 		for j, b := range row {
@@ -675,11 +682,12 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 		ctx.setCarry(car)
 	}
 	n := pk.Len()
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase())
+	a := ctx.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
 	// One block backs every column; each is capped so an append to one
 	// cannot run into the next.
-	block := make([]float64, len(car.names)*n)
-	cols := make([][]float64, len(car.names))
+	block := a.floats(len(car.names) * n)
+	cols := a.rows(len(car.names))
 	for j := range cols {
 		cols[j] = block[j*n : (j+1)*n : (j+1)*n]
 	}
@@ -769,9 +777,9 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := pk.DS
 	n := pk.Len()
-	fr := newPacketFrame(n, ds, ctx.streamBase())
+	a := ctx.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
 	lam := p.f64("lambda", 0.5)
 	prev, _ := ctx.carry()
 	car, ok := prev.(*dot11Carry)
@@ -783,10 +791,10 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 		ctx.setCarry(car)
 	}
 	fill := &dot11Fill{
-		subtype: make([]float64, n), mgmt: make([]float64, n),
-		retry: make([]float64, n), duration: make([]float64, n),
-		rate: make([]float64, n), deauthRate: make([]float64, n),
-		plen:  make([]float64, n),
+		subtype: a.floats(n), mgmt: a.floats(n),
+		retry: a.floats(n), duration: a.floats(n),
+		rate: a.floats(n), deauthRate: a.floats(n),
+		plen:  a.floats(n),
 		perTx: car.perTx, lam: lam,
 	}
 	evicted := 0

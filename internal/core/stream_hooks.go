@@ -26,16 +26,18 @@ type ChunkUpdate struct {
 	// PacketSummary).
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
-	// produced for this chunk, in op order, and they are the callback's to
-	// keep: the pass retains no reference, and RunStream does not return
-	// these rows again (see StreamHooks). Empty on training passes, on
-	// chunks with no scored rows, and on pipelines whose scoring is
-	// deferred to the flush pass (flow granularities, barrier suffixes) —
-	// those verdicts are the tail RunStream returns.
+	// produced for this chunk, in op order. Like Views they are valid only
+	// during the callback: on a recycling pass (see StreamHooks) their unit
+	// indices live in memory a later chunk reuses, so copy the rows that
+	// must outlive it. RunStream does not return these rows
+	// again (see StreamHooks). Empty on training passes, on chunks with no
+	// scored rows, and on pipelines whose scoring is deferred to the flush
+	// pass (flow granularities, barrier suffixes) — those verdicts are the
+	// tail RunStream returns, which is the caller's to keep.
 	Results []*EvalResult
 	// Drift holds the drift_detect events raised during this chunk, in
-	// detection order. The slice is pooled with the chunk job: copy it to
-	// retain events past the callback.
+	// detection order, valid only during the callback: copy it to retain
+	// events past it.
 	Drift []DriftEvent
 	// Features / Labels are the train op's per-chunk input feature matrix
 	// and labels, set only when StreamHooks.WantFeatures is true and the
@@ -58,13 +60,21 @@ type ChunkUpdate struct {
 // stream exactly like a failing op. Hooks hold at every stream depth,
 // bit-identically.
 //
-// Rows belong to whoever was handed them. A pass with AfterChunk set
-// keeps no verdict row it has given to the callback, so what it retains
-// is what is open, not what has passed; RunStream then returns only the
-// rows no callback saw, the flush tail of the deferred ops (nil when the
-// plan streams fully). The rows of every ChunkUpdate.Results in stream
-// order, followed by the returned tail, are the unhooked pass's result
-// bit for bit, at every depth.
+// A pass with AfterChunk set keeps no verdict row it has given to the
+// callback, so what it retains is what is open, not what has passed;
+// RunStream then returns only the rows no callback saw, the flush tail of
+// the deferred ops (nil when the plan streams fully). The rows of every
+// ChunkUpdate.Results in stream order, copied inside the callback,
+// followed by the returned tail, are the unhooked pass's result bit for
+// bit, at every depth.
+//
+// Such a pass also recycles its chunk scratch when nothing it produces
+// can outlive the callback: it is not Online and its plan accumulates no
+// streamed value for the flush (StreamPlan.Accum is empty). Frame
+// columns, the scored feature matrix and verdict unit indices then come
+// from a per-chunk arena that the next chunk reuses once the callback
+// has returned, which is why every slice a ChunkUpdate carries is valid
+// only during the callback.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,9 +28,10 @@ var hookShapes = []StreamConfig{
 // testStreamHooked runs TestStream with an AfterChunk hook and states the
 // hook contract's left-hand side: joined is the rows of every
 // ChunkUpdate in stream order followed by the tail the pass returned,
-// which must equal the unhooked result bit for bit. each (optional) sees
-// every update after its rows were taken; cfg.Hooks may preset the other
-// hook fields.
+// which must equal the unhooked result bit for bit. The rows are cloned
+// inside the callback, the only place they are valid. each (optional)
+// sees every update after its rows were taken; cfg.Hooks may preset the
+// other hook fields.
 func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) (joined, tail *EvalResult) {
 	t.Helper()
 	hooks := StreamHooks{}
@@ -38,7 +40,9 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	}
 	var parts []*EvalResult
 	hooks.AfterChunk = func(up ChunkUpdate) error {
-		parts = append(parts, up.Results...)
+		for _, res := range up.Results {
+			parts = append(parts, cloneResult(res))
+		}
 		if each != nil {
 			return each(up)
 		}
@@ -53,6 +57,19 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 		parts = append(parts, tail)
 	}
 	return mergeResults(parts), tail
+}
+
+// cloneResult deep-copies a verdict batch, nil-ness of every column
+// included.
+func cloneResult(r *EvalResult) *EvalResult {
+	return &EvalResult{
+		Unit:    r.Unit,
+		Pred:    slices.Clone(r.Pred),
+		Truth:   slices.Clone(r.Truth),
+		Attacks: slices.Clone(r.Attacks),
+		Scores:  slices.Clone(r.Scores),
+		UnitIdx: slices.Clone(r.UnitIdx),
+	}
 }
 
 // TestAfterChunkHook verifies the per-chunk lifecycle hook at every

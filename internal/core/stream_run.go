@@ -51,6 +51,12 @@ type streamExec struct {
 	// flow sinks; fed in stream order by feedSinks.
 	stats   *pktStats
 	nChunks int
+
+	// arenas is the free list of chunk scratch on a recycling pass, nil
+	// otherwise. A pass recycles when nothing it produces outlives the
+	// chunk's hook: it is hooked, not Online (a partial fit may keep
+	// rows), and its plan accumulates no streamed value for the flush.
+	arenas *arenaPool
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
@@ -102,6 +108,9 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 	if len(r.sinks) > 0 {
 		r.stats = &pktStats{}
 	}
+	if cfg.Hooks.active() && !cfg.Online && len(pl.Accum) == 0 {
+		r.arenas = &arenaPool{}
+	}
 	return r, nil
 }
 
@@ -127,11 +136,14 @@ type chunkJob struct {
 	// without iat) still save it; writing into a discardable job-local
 	// carry keeps them race-free on the ops goroutine.
 	wsc streamCtx
+	// scratch is where the job's ops get their buffers (see arenaPool).
+	scratch jobScratch
 }
 
-// newJob builds the job for one chunk. Nothing is reused across chunks:
-// a job is a handful of small objects, and op outputs of packet kind may
-// retain cds beyond the job's lifetime.
+// newJob builds the job for one chunk. The job itself is not reused: it
+// is a handful of small objects, and op outputs of packet kind may
+// retain cds beyond the job's lifetime. On a recycling pass its ops'
+// buffers are, but no arena is taken here: only at the first request.
 func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	j := &chunkJob{
 		nc: nc,
@@ -150,6 +162,7 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	j.wsc.carry = map[string]any{}
 	j.wsc.base = nc.Base
 	j.wsc.online = r.sc.online
+	j.scratch.pool = r.arenas
 	return j
 }
 
@@ -207,8 +220,10 @@ func (r *streamExec) prepare(nc dataset.NumberedChunk, stage *obs.Span) (job *ch
 // sinkChunk is the ordered sink's per-chunk body, run in stream order on
 // the caller's goroutine at every depth: flow sinks, the Ordered ops over
 // the shared cross-chunk carry, absorption into the run, then release of
-// the chunk to its source, which also happens when the sink panics. It
-// returns the job's error, on which the stream must abort.
+// the chunk to its source, which also happens when the sink panics. Once
+// the job is absorbed and its hook has returned, nothing references the
+// chunk's scratch, so its arena goes back to the free list. It returns
+// the job's error, on which the stream must abort.
 func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(dataset.NumberedChunk)) error {
 	defer release(job.nc)
 	if job.err == nil {
@@ -220,7 +235,10 @@ func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(data
 		r.runOps(job, r.pl.Ordered, r.sc, cs)
 		cs.End()
 	}
-	return r.absorb(job)
+	err := r.absorb(job)
+	r.sc.lastResult = nil
+	job.scratch.release()
+	return err
 }
 
 // chunkSpan opens the span of one chunk's work under a stage span (nil
@@ -250,7 +268,7 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 			continue
 		}
 		job.op = i
-		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift}
+		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift, scratch: &job.scratch}
 		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, nil)
 		if err != nil {
 			job.err = err

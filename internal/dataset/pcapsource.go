@@ -36,6 +36,10 @@ type PcapSource struct {
 	emitted bool
 	done    bool
 	err     error
+	// labels and attacks are all zero, grown on demand and never written:
+	// every chunk carries sub-slices of the same two.
+	labels  []int
+	attacks []string
 }
 
 // NewPcapSource opens a capture for chunked streaming. rs must be
@@ -155,11 +159,14 @@ func (p *PcapSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 			return Chunk{}, false
 		}
 	}
+	if n > len(p.labels) {
+		p.labels, p.attacks = make([]int, n), make([]string, n)
+	}
 	c := Chunk{
 		Base:    p.base,
 		Views:   views,
-		Labels:  make([]int, n),
-		Attacks: make([]string, n),
+		Labels:  p.labels[:n:n],
+		Attacks: p.attacks[:n:n],
 	}
 	if p.refs && n > 0 {
 		if mp := p.r.Mapping(); mp != nil {

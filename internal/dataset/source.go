@@ -20,8 +20,11 @@ type Chunk struct {
 	// materialized dataset — so copy anything (a PacketSummary, a
 	// Materialize'd packet over copied bytes) that must outlive that.
 	Views []netpkt.PacketView
-	// Labels and Attacks align with Views; nil when the source carries no
-	// ground truth (live captures).
+	// Labels and Attacks align with Views; nil or all zero when the source
+	// has no ground truth (live captures, which may share one read-only
+	// zero pair across chunks). A source never writes a chunk's label
+	// slices once handed out, recycled or not: frames and verdict rows
+	// alias them instead of copying.
 	Labels  []int
 	Attacks []string
 	// Ref, when non-nil, is a reference the chunk holds on the resource

@@ -3,6 +3,7 @@ package mlkit
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PartialFitter is a Classifier that can also absorb labelled rows
@@ -345,7 +346,8 @@ func (r *ReservoirRetrainer) retrainEvery() int {
 
 // PartialFit absorbs the batch into the reservoir (uniform over all rows
 // seen, Algorithm R) and retrains when RetrainEvery rows have
-// accumulated since the last fit.
+// accumulated since the last fit. Each kept row is copied into storage
+// the reservoir owns, so the caller may reuse X afterwards.
 func (r *ReservoirRetrainer) PartialFit(X [][]float64, y []int) error {
 	if _, err := checkXY(X, y); err != nil {
 		return err
@@ -361,10 +363,12 @@ func (r *ReservoirRetrainer) PartialFit(X [][]float64, y []int) error {
 		}
 		r.seen++
 		if len(r.resX) < capN {
-			r.resX = append(r.resX, row)
+			r.resX = append(r.resX, slices.Clone(row))
 			r.resY = append(r.resY, label)
 		} else if j := r.rng.Intn(r.seen); j < capN {
-			r.resX[j] = row
+			// A fresh copy, not an overwrite: the row being replaced may be
+			// held by a model fit on an earlier Snapshot.
+			r.resX[j] = slices.Clone(row)
 			r.resY[j] = label
 		}
 		r.sinceFit++

@@ -223,6 +223,47 @@ func TestReservoirRetrainer(t *testing.T) {
 	}
 }
 
+// TestReservoirRetrainerOwnsRows: the reservoir keeps copies, so a caller
+// that reuses its batch buffer (a streaming pass recycling its chunk
+// matrix) changes neither the reservoir nor the model refit from it.
+func TestReservoirRetrainerOwnsRows(t *testing.T) {
+	X, y := sepData(600, 17)
+	build := func() *ReservoirRetrainer {
+		return &ReservoirRetrainer{Model: &KNN{K: 3, Seed: 1}, Cap: 128, RetrainEvery: 96, Seed: 4}
+	}
+	kept, reused := build(), build()
+	scratch := make([][]float64, 64)
+	for i := range scratch {
+		scratch[i] = make([]float64, len(X[0]))
+	}
+	for lo := 0; lo < len(X); lo += len(scratch) {
+		hi := min(lo+len(scratch), len(X))
+		if err := kept.PartialFit(X[lo:hi], y[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		batch := scratch[:hi-lo]
+		for i := range batch {
+			copy(batch[i], X[lo+i])
+		}
+		if err := reused.PartialFit(batch, y[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range batch {
+			for j := range row {
+				row[j] = math.NaN()
+			}
+		}
+	}
+	wantX, wantY := kept.Snapshot()
+	gotX, gotY := reused.Snapshot()
+	if !reflect.DeepEqual(wantX, gotX) || !reflect.DeepEqual(wantY, gotY) {
+		t.Fatal("overwriting the caller's rows after PartialFit changed the reservoir")
+	}
+	if !reused.Fitted() || !reflect.DeepEqual(kept.Predict(X), reused.Predict(X)) {
+		t.Fatal("a model refit from a reused buffer diverges from one fit on untouched rows")
+	}
+}
+
 func TestAsPartialFitter(t *testing.T) {
 	if !CanPartialFit(&LogisticRegression{}) || !CanPartialFit(&LinearSVM{}) || !CanPartialFit(&MLPClassifier{}) {
 		t.Fatal("SGD family must partial-fit natively")
