@@ -14,9 +14,10 @@ test:
 # "current" label via cmd/benchjson (best of -count runs per benchmark,
 # which filters noisy-neighbour interference on shared machines).
 # Re-run on a baseline checkout with BENCH_LABEL=baseline to fill in the
-# before/after speedup table. BenchmarkForestScore (RF-50 × 27 features,
-# one fused call per 512-row chunk; ns/row and allocs/op) is the tree
-# scoring layer's number in that set.
+# before/after speedup table. BenchmarkForestScore (one fused call per
+# 512-row chunk; ns/row and allocs/op) is the tree scoring layer's number
+# in that set: a05 is the forest pkt_rf_file scores, light_tree the
+# light pipelines' single tree, large an 11× forest that overflows L1.
 # It then runs the batch-vs-streaming engine benchmarks (see
 # internal/core/stream_bench_test.go), whose peak-B custom metric — the
 # live-heap high-water mark of a test-mode run — lands in BENCH_PR4.json.

@@ -189,9 +189,71 @@ func BenchmarkLinearPredict(b *testing.B) {
 	}
 }
 
-// benchForest fits the forest shape the representative packet pipeline
-// scores with (A05: RF-50 over 27 fields) and returns it with one
-// 512-row chunk, the daemon's default chunk size.
+// benchLabeledBlobs draws n rows from benchBlobs' cluster mixture and
+// labels a row 1 when its cluster is every fourth one, flipping each
+// label with probability noise. Pure clusters give trees a few splits
+// deep, and each flipped row costs a short isolating path: the shape of
+// forests fitted on repetitive packet traffic.
+func benchLabeledBlobs(n, d, nc int, noise float64, rng *RNG, centers []float64) ([][]float64, []int) {
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		c := rng.Intn(nc)
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = centers[c*d+j] + rng.NormFloat64()*0.05
+		}
+		X[i] = row
+		if c%4 == 0 {
+			y[i] = 1
+		}
+		if rng.Float64() < noise {
+			y[i] = 1 - y[i]
+		}
+	}
+	return X, y
+}
+
+// benchScoredForest fits a forest with the shape of the one A05 scores on
+// pkt_rf_file (RF-50 over 27 fields, 2 252 nodes, a 36 KB node array,
+// about 4 steps a tree): RF-50 over 2 048 rows of 8 clusters with 0.5 %
+// label noise gives 2 250 nodes, depth at most 13 and 5.4 steps a tree.
+// It returns the forest with a 512-row chunk from the same clusters.
+func benchScoredForest(tb testing.TB) (*RandomForest, [][]float64) {
+	tb.Helper()
+	const d, nc = 27, 8
+	centers, rng := benchMatrix(1, nc*d, 21)[0], NewRNG(31)
+	X, y := benchLabeledBlobs(2048, d, nc, 0.005, rng, centers)
+	f := &RandomForest{NTrees: 50, Seed: 1}
+	if err := f.Fit(X, y); err != nil {
+		tb.Fatal(err)
+	}
+	Q, _ := benchLabeledBlobs(512, d, nc, 0, rng, centers)
+	return f, Q
+}
+
+// benchLightTree fits a single tree with the shape of the light
+// pipelines' (103 nodes over 9 header fields): 1 024 rows of 12 clusters
+// with 2 % label noise give 99 nodes, depth 12. It returns the tree with
+// a 512-row chunk from the same clusters.
+func benchLightTree(tb testing.TB) (*DecisionTree, [][]float64) {
+	tb.Helper()
+	const d, nc = 9, 12
+	centers, rng := benchMatrix(1, nc*d, 22)[0], NewRNG(32)
+	X, y := benchLabeledBlobs(1024, d, nc, 0.02, rng, centers)
+	tr := &DecisionTree{Seed: 1}
+	if err := tr.Fit(X, y); err != nil {
+		tb.Fatal(err)
+	}
+	Q, _ := benchLabeledBlobs(512, d, nc, 0, rng, centers)
+	return tr, Q
+}
+
+// benchForest fits a forest 11× the size of the one A05 scores (RF-50
+// over 27 uniform fields with a product-rule label: 25 748 nodes, 412 KB
+// of them) and returns it with one 512-row chunk, the daemon's default
+// chunk size. Its nodes overflow L1 many times over, so it guards the
+// kernel on forests larger than the pipelines fit.
 func benchForest(tb testing.TB) (*RandomForest, [][]float64) {
 	tb.Helper()
 	X := benchMatrix(4096, 27, 13)
@@ -208,14 +270,33 @@ func benchForest(tb testing.TB) (*RandomForest, [][]float64) {
 	return f, benchMatrix(512, 27, 14)
 }
 
+// forestFixture is a fitted tree-family model and a 512-row chunk to
+// score with it.
+type forestFixture struct {
+	name string
+	m    FusedClassifier
+	X    [][]float64
+}
+
+// forestFixtures returns the A05-shaped forest, the light pipelines'
+// single tree and the large forest.
+func forestFixtures(tb testing.TB) []forestFixture {
+	a05, a05X := benchScoredForest(tb)
+	light, lightX := benchLightTree(tb)
+	large, largeX := benchForest(tb)
+	return []forestFixture{{"a05", a05, a05X}, {"light_tree", light, lightX}, {"large", large, largeX}}
+}
+
 // BenchmarkForestScore is the tree-scoring layer's own number: one fused
-// predict+score call per 512-row chunk.
+// predict+score call per 512-row chunk on each of forestFixtures.
 func BenchmarkForestScore(b *testing.B) {
-	f, X := benchForest(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictProba(X)
+	for _, c := range forestFixtures(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.m.PredictProba(c.X)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.X)), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(X)), "ns/row")
 }

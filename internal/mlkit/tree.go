@@ -1,6 +1,6 @@
 package mlkit
 
-import "sort"
+import "slices"
 
 // DecisionTree is a CART classifier using Gini impurity with axis-aligned
 // numeric splits. The zero value trains with sensible defaults.
@@ -154,7 +154,15 @@ func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int, d int) (feat
 		for k, i := range idx {
 			vals[k] = sv{X[i][f], y[i]}
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		slices.SortFunc(vals, func(a, b sv) int {
+			if a.v < b.v {
+				return -1
+			}
+			if b.v < a.v {
+				return 1
+			}
+			return 0
+		})
 		for j := range leftCounts {
 			leftCounts[j] = 0
 		}
@@ -221,40 +229,56 @@ func (t *DecisionTree) Proba(X [][]float64) []float64 {
 	return proba
 }
 
-// predictProba is the one scoring kernel of the tree family. It sums leaf
-// distributions into one len(X)×classes accumulator tree by tree, in tree
-// order, then scales by 1/len(roots): a row's class sums see the same
-// float additions in the same order whatever the node layout, so results
-// do not depend on it (x+0 and x*1 are exact, which covers padded classes
-// and the single tree). pred is the first arg-max class, proba the
-// class-1 mean; with no trees both are all zeros.
+// blockNodes is the node budget of one tree block: 2 048 nodes are
+// 32 KiB, which stay in L1 while every row of a chunk walks the block.
+// Without blocks, a forest larger than L1 is re-read for every row.
+const blockNodes = 2048
+
+// start returns tree t's first node. Trees occupy consecutive node
+// ranges, so tree t spans [start(t), start(t+1)), and start(len(roots))
+// is len(nodes).
+func (f *flatTrees) start(t int) int {
+	if t == len(f.roots) {
+		return len(f.nodes)
+	}
+	return int(f.roots[t])
+}
+
+// predictProba is the one scoring kernel of the tree family. It cuts the
+// trees into consecutive blocks of at most blockNodes nodes (a larger
+// tree is a block of its own); for each block, each row walks every tree
+// of the block in tree order and adds its leaf distribution into the
+// row's slot of a len(X)×classes accumulator; then every row is scaled
+// by 1/len(roots). A row's class sums therefore see the same float
+// additions in the same order however the trees are cut or laid out
+// (x+0 and x*1 are exact, which covers padded classes and the single
+// tree). pred is the first arg-max class, proba the class-1 mean; with
+// no trees both are all zeros.
 func (f *flatTrees) predictProba(X [][]float64) ([]int, []float64) {
 	pred := make([]int, len(X))
 	proba := make([]float64, len(X))
 	if len(f.roots) == 0 {
 		return pred, proba
 	}
-	nodes, k := f.nodes, f.classes
+	nodes, leaves, roots, k := f.nodes, f.leaves, f.roots, f.classes
 	acc := make([]float64, len(X)*k)
-	for _, root := range f.roots {
+	for lo := 0; lo < len(roots); {
+		hi := lo + 1
+		for hi < len(roots) && f.start(hi+1)-f.start(lo) <= blockNodes {
+			hi++
+		}
 		for i, row := range X {
-			id := root
-			n := &nodes[id]
-			for n.feature >= 0 {
-				if row[n.feature] <= n.threshold {
-					id++
-				} else {
-					id = n.right
+			a := acc[i*k:][:k]
+			for t := lo; t < hi; t++ {
+				leaf := leaves[leafOf(nodes, roots[t], row):][:k]
+				for j := range leaf {
+					a[j] += leaf[j]
 				}
-				n = &nodes[id]
-			}
-			leaf := f.leaves[n.right:][:k]
-			for j := range leaf {
-				acc[i*k+j] += leaf[j]
 			}
 		}
+		lo = hi
 	}
-	inv := 1 / float64(len(f.roots))
+	inv := 1 / float64(len(roots))
 	for i := range pred {
 		a := acc[i*k:][:k]
 		for j := range a {
@@ -264,6 +288,21 @@ func (f *flatTrees) predictProba(X [][]float64) ([]int, []float64) {
 		proba[i] = a[1]
 	}
 	return pred, proba
+}
+
+// leafOf follows row from node id down to a leaf and returns the offset of
+// the leaf's class distribution.
+func leafOf(nodes []flatNode, id int32, row []float64) int32 {
+	n := &nodes[id]
+	for n.feature >= 0 {
+		if row[n.feature] <= n.threshold {
+			id++
+		} else {
+			id = n.right
+		}
+		n = &nodes[id]
+	}
+	return n.right
 }
 
 // Depth reports the maximum depth of the fitted tree (root = 0).

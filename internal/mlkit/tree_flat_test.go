@@ -197,6 +197,66 @@ func TestFlatKernelBitIdenticalToReferenceWalk(t *testing.T) {
 		assertForestMatchesReference(t, "forest", f, X)
 	})
 
+	// Several block budgets of small trees around one tree larger than a
+	// budget, which must form a block of its own between the cuts. Depth-6
+	// trees have impure leaves, so a row's sums depend on their order.
+	t.Run("many_blocks", func(t *testing.T) {
+		X, y := threeClass(3600, 0, 29)
+		small := &RandomForest{NTrees: 120, MaxDepth: 6, Seed: 9}
+		if err := small.Fit(X[:1200], y[:1200]); err != nil {
+			t.Fatal(err)
+		}
+		noisy := make([]int, len(y))
+		rng := NewRNG(31)
+		for i := range noisy {
+			noisy[i] = rng.Intn(3)
+		}
+		big := &DecisionTree{Seed: 9}
+		if err := big.Fit(X, noisy); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(big.flat.nodes); n <= blockNodes {
+			t.Fatalf("big tree has %d nodes, want more than the %d-node block budget", n, blockNodes)
+		}
+		f := &RandomForest{classes: 3}
+		f.trees = append(f.trees, small.trees[:50]...)
+		f.trees = append(f.trees, big)
+		f.trees = append(f.trees, small.trees[50:]...)
+		var err error
+		if f.flat, err = flattenTrees(f.trees); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(f.flat.nodes); n < 4*blockNodes {
+			t.Fatalf("forest has %d nodes, want several %d-node block budgets", n, blockNodes)
+		}
+		assertForestMatchesReference(t, "forest", f, X)
+		assertTreeMatchesReference(t, "big tree", big, X)
+	})
+
+	t.Run("nan_inf_signed_zero_rows", func(t *testing.T) {
+		X, y := threeClass(400, 0, 37)
+		f := &RandomForest{NTrees: 9, Seed: 11}
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		tr := &DecisionTree{Seed: 11}
+		if err := tr.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+		var rows [][]float64
+		for i, row := range X[:100] {
+			r := append([]float64(nil), row...)
+			r[i%len(r)] = special[i%len(special)]
+			rows = append(rows, r)
+		}
+		for _, v := range special {
+			rows = append(rows, []float64{v, v, v, v})
+		}
+		assertForestMatchesReference(t, "forest", f, rows)
+		assertTreeMatchesReference(t, "tree", tr, rows)
+	})
+
 	t.Run("unfitted", func(t *testing.T) {
 		X, _ := blobs(9, 3, 1.0, 19)
 		assertForestMatchesReference(t, "forest", &RandomForest{}, X)
@@ -265,11 +325,12 @@ func TestLoadRenumbersNonPreorderTree(t *testing.T) {
 }
 
 // TestForestScoreAllocations pins the kernel's allocation count: the
-// pred, proba and accumulator slices, whatever the tree count.
+// pred, proba and accumulator slices, whatever the tree and block count.
 func TestForestScoreAllocations(t *testing.T) {
-	f, X := benchForest(t)
-	if n := testing.AllocsPerRun(10, func() { f.PredictProba(X) }); n > 3 {
-		t.Errorf("RF-50 over a 512-row chunk allocates %.0f times per call, want at most 3", n)
+	for _, c := range forestFixtures(t) {
+		if n := testing.AllocsPerRun(10, func() { c.m.PredictProba(c.X) }); n > 3 {
+			t.Errorf("%s over a 512-row chunk allocates %.0f times per call, want at most 3", c.name, n)
+		}
 	}
 }
 
