@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -58,10 +57,9 @@ var (
 	workers     = flag.Int("workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
 	noCache     = flag.Bool("nocache", false, "disable the shared intermediate-result cache")
 	cacheEnt    = flag.Int("cache-entries", 0, "bound the shared cache to N entries with LRU eviction (0 = unbounded)")
-	stream      = flag.Bool("stream", false, "execute pipelines with the chunked streaming engine instead of batch runs")
-	chunkRows   = flag.Int("chunk-rows", 0, "packets per streamed chunk with -stream (0 = whole trace in one chunk)")
-	chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per streamed chunk with -stream (0 = no byte bound; combines with -chunk-rows, first bound wins)")
-	pipeDepth   = flag.Int("pipeline-depth", 0, "chunks queued at each stage hand-off with -stream (>0 runs source and ops goroutines ahead of the sink; 0 = one goroutine)")
+	chunkRows   = flag.Int("chunk-rows", 0, "packets per chunk of every pass (0 = whole trace in one chunk, the only chunking the shared cache serves)")
+	chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per chunk of every pass (0 = no byte bound; combines with -chunk-rows, first bound wins)")
+	pipeDepth   = flag.Int("pipeline-depth", 0, "chunks queued at each stage hand-off (>0 runs source and ops goroutines ahead of the sink; 0 = one goroutine)")
 	profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
 	profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
 	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
@@ -76,10 +74,6 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := checkStreamFlags(flag.Visit, *stream); err != nil {
-		fmt.Fprintln(os.Stderr, "lumenbench:", err)
-		os.Exit(1)
-	}
 
 	if *preqOut != "" {
 		// -scale defaults differ between modes: the figure suite trims to
@@ -115,7 +109,6 @@ func main() {
 		NoCache:       *noCache,
 		CacheEntries:  *cacheEnt,
 		Profile:       *profile,
-		Stream:        *stream,
 		ChunkRows:     *chunkRows,
 		ChunkBytes:    *chunkBytes,
 		PipelineDepth: *pipeDepth,
@@ -136,25 +129,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lumenbench:", err)
 		os.Exit(1)
 	}
-}
-
-// streamOnlyFlags only shape the chunked streaming engine.
-var streamOnlyFlags = []string{"chunk-rows", "chunk-bytes", "pipeline-depth"}
-
-// checkStreamFlags rejects a stream-shaping flag set without -stream,
-// where it would otherwise be dropped silently: batch runs never read
-// it. visit is flag.Visit (or a test FlagSet's).
-func checkStreamFlags(visit func(func(*flag.Flag)), stream bool) error {
-	if stream {
-		return nil
-	}
-	var err error
-	visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(streamOnlyFlags, f.Name) {
-			err = fmt.Errorf("-%s only applies with -stream", f.Name)
-		}
-	})
-	return err
 }
 
 // validFigs lists every -fig value run accepts.

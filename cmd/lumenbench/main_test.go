@@ -219,41 +219,6 @@ func TestRunWritesTraceAndMetrics(t *testing.T) {
 	}
 }
 
-// TestStreamFlagsNeedStream: a stream-shaping flag without -stream used
-// to be dropped silently (batch runs never read it); it is an error that
-// names the flag.
-func TestStreamFlagsNeedStream(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		bad  string // flag the error must name; "" = accepted
-	}{
-		{[]string{}, ""},
-		{[]string{"-workers", "2"}, ""},
-		{[]string{"-stream"}, ""},
-		{[]string{"-stream", "-chunk-rows", "64", "-chunk-bytes", "4096", "-pipeline-depth", "2"}, ""},
-		{[]string{"-chunk-rows", "64"}, "-chunk-rows"},
-		{[]string{"-chunk-bytes", "4096"}, "-chunk-bytes"},
-		{[]string{"-pipeline-depth", "2"}, "-pipeline-depth"},
-		{[]string{"-stream=false", "-workers", "2", "-pipeline-depth", "2"}, "-pipeline-depth"},
-	} {
-		fs := flag.NewFlagSet("lumenbench", flag.ContinueOnError)
-		stream := fs.Bool("stream", false, "")
-		for _, name := range append([]string{"workers"}, streamOnlyFlags...) {
-			fs.Int(name, 0, "")
-		}
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		err := checkStreamFlags(fs.Visit, *stream)
-		switch {
-		case tc.bad == "" && err != nil:
-			t.Errorf("%v: rejected: %v", tc.args, err)
-		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad+" ")):
-			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.bad)
-		}
-	}
-}
-
 // TestREADMEFlagTable pins README.md's "lumenbench flags" table to the
 // flag set: paste what the failure prints between the markers.
 func TestREADMEFlagTable(t *testing.T) {

@@ -422,11 +422,40 @@ func TestOpProfilesAggregate(t *testing.T) {
 	}
 }
 
+// TestSharedCacheServesFlowOps: the suite's whole-trace passes share flow
+// assembly and flow features across engines through the cache, keyed by
+// lineage, and compute every key once.
+func TestSharedCacheServesFlowOps(t *testing.T) {
+	s, err := New(Config{
+		Scale: 0.05, Seed: 7, Workers: 1,
+		AlgIDs:     []string{"A07", "A08", "A09", "A13", "A14", "A15"},
+		DatasetIDs: []string{"F1", "F4", "F6", "F9"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunAll()
+	cached := map[string]int{}
+	for _, p := range s.OpProfiles() {
+		cached[p.Func] = p.Cached
+	}
+	for _, fn := range []string{"flow_assemble", "flow_features"} {
+		if cached[fn] == 0 {
+			t.Errorf("%s was never served from the cache (profiles: %v)", fn, cached)
+		}
+	}
+	st := s.CacheStats()
+	if st.Misses != st.Entries+st.Evictions {
+		t.Errorf("cache computed %d keys but holds %d (+%d evicted): a key was computed twice", st.Misses, st.Entries, st.Evictions)
+	}
+	t.Logf("cache: %+v, cached ops: %v", st, cached)
+}
+
 func TestStreamedSuiteMatchesBatch(t *testing.T) {
 	batch := fastSuite(t, []string{"A13", "A14"}, []string{"F1"})
 	batch.RunSameDataset()
 	streamed, err := New(Config{
-		Scale: 0.3, Seed: 1, Stream: true, ChunkRows: 64,
+		Scale: 0.3, Seed: 1, ChunkRows: 64,
 		AlgIDs:     []string{"A13", "A14"},
 		DatasetIDs: []string{"F1"},
 	})
@@ -446,14 +475,14 @@ func TestStreamedSuiteMatchesBatch(t *testing.T) {
 		}
 	}
 	m := streamed.Store.Meta.Manifest
-	if m == nil || !m.Stream || m.ChunkRows != 64 {
+	if m == nil || m.ChunkRows != 64 {
 		t.Errorf("manifest does not record streaming config: %+v", m)
 	}
 
 	// The staged pipeline must land on the same results and record its
 	// shape (plus the chunk byte bound) in the manifest.
 	piped, err := New(Config{
-		Scale: 0.3, Seed: 1, Stream: true, ChunkRows: 64,
+		Scale: 0.3, Seed: 1, ChunkRows: 64,
 		ChunkBytes: 1 << 20, PipelineDepth: 2,
 		AlgIDs:     []string{"A13", "A14"},
 		DatasetIDs: []string{"F1"},

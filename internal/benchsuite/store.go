@@ -65,11 +65,10 @@ type Manifest struct {
 	Cache        bool     `json:"cache"`
 	CacheEntries int      `json:"cache_entries,omitempty"`
 	Profile      bool     `json:"profile,omitempty"`
-	Stream       bool     `json:"stream,omitempty"`
 	ChunkRows    int      `json:"chunk_rows,omitempty"`
 	ChunkBytes   int      `json:"chunk_bytes,omitempty"`
-	// PipelineDepth records the stream depth of streamed runs (0 when
-	// every chunk ran on the caller's goroutine).
+	// PipelineDepth records the stream depth of every run (0 when every
+	// chunk ran on the caller's goroutine).
 	PipelineDepth int    `json:"pipeline_depth,omitempty"`
 	GoVersion     string `json:"go_version"`
 	MaxProcs      int    `json:"max_procs"`

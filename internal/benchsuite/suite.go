@@ -44,22 +44,18 @@ type Config struct {
 	// (core.Engine.Profiling) and per-op profile aggregation across runs.
 	// Wall-clock per-op timing is collected regardless.
 	Profile bool
-	// Stream executes every run through the chunked streaming engine
-	// (core.Engine.TrainStream/TestStream) instead of batch runs. Results
-	// are bit-identical to batch; peak memory on the inference side scales
-	// with the chunk size instead of the trace size. Streamed runs bypass
-	// the shared intermediate-result cache.
-	Stream bool
-	// ChunkRows bounds the packets per streamed chunk when Stream is set
-	// (0 = whole trace in one chunk).
+	// ChunkRows bounds the packets per chunk of every run's passes
+	// (core.Engine.TrainStream/TestStream; 0 = whole trace in one chunk).
+	// Results are bit-identical at every chunk size; peak memory on the
+	// inference side scales with the chunk size instead of the trace
+	// size. Only whole-trace passes share intermediates through the cache.
 	ChunkRows int
-	// ChunkBytes bounds the wire bytes per streamed chunk when Stream is
-	// set (0 = no byte bound); whichever of ChunkRows/ChunkBytes trips
-	// first closes the chunk.
+	// ChunkBytes bounds the wire bytes per chunk (0 = no byte bound);
+	// whichever of ChunkRows/ChunkBytes trips first closes the chunk.
 	ChunkBytes int
-	// PipelineDepth, when > 0 with Stream, runs each engine's streaming
-	// pass as a staged bounded-channel pipeline with this many decoded
-	// chunks in flight (see core.StreamConfig).
+	// PipelineDepth, when > 0, runs each pass as a staged bounded-channel
+	// pipeline with this many decoded chunks in flight (see
+	// core.StreamConfig).
 	PipelineDepth int
 	// Tracer, when non-nil, records a span tree for the whole suite: a
 	// root "suite" span, one batch span per RunSameDataset/RunCrossDataset
@@ -187,7 +183,6 @@ func (s *Suite) manifest() *Manifest {
 		Cache:         !s.cfg.NoCache,
 		CacheEntries:  s.cfg.CacheEntries,
 		Profile:       s.cfg.Profile,
-		Stream:        s.cfg.Stream,
 		ChunkRows:     s.cfg.ChunkRows,
 		ChunkBytes:    s.cfg.ChunkBytes,
 		PipelineDepth: s.cfg.PipelineDepth,
@@ -314,12 +309,7 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 	if span != nil {
 		eng.Span = span.Child("train")
 	}
-	var err error
-	if s.cfg.Stream {
-		err = eng.TrainStream(trainDS, streamCfg)
-	} else {
-		err = eng.Train(trainDS)
-	}
+	err := eng.TrainStream(trainDS, streamCfg)
 	eng.Span.End()
 	s.recordProfile(eng.Profile)
 	if err != nil {
@@ -329,12 +319,7 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 	if span != nil {
 		eng.Span = span.Child("test")
 	}
-	var res *core.EvalResult
-	if s.cfg.Stream {
-		res, err = eng.TestStream(testDS, streamCfg)
-	} else {
-		res, err = eng.Test(testDS)
-	}
+	res, err := eng.TestStream(testDS, streamCfg)
 	eng.Span.End()
 	s.recordProfile(eng.Profile)
 	if err != nil {

@@ -4,9 +4,9 @@ import "sync"
 
 // chunkArena is the scratch of one chunk on a recycling pass: the frame
 // columns, feature matrix and unit indices its ops ask for through
-// opCtx.arena, carved from slabs that a later chunk reuses once this one
-// has been handed out. Its methods are nil-safe: a nil arena (batch runs,
-// flush passes, passes that do not recycle) serves every request with
+// opCtx.scratch, carved from slabs that a later chunk reuses once this one
+// has been handed out. Its methods are nil-safe: a nil arena (ops called
+// directly, flush passes, passes that do not recycle) serves every request with
 // make, so an op has one code path whichever it gets. Buffers come back
 // zeroed and capacity-capped, exactly as make would return them.
 type chunkArena struct {

@@ -4,8 +4,11 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
+	"lumen/internal/dataset"
 	"lumen/internal/obs"
 )
 
@@ -18,10 +21,12 @@ import (
 //
 // Only stateless, mode-independent ops participate (field extraction,
 // flow assembly, feature computation, grouping, aggregation...); anything
-// fitted on training data (scalers, filters, models) never does. Cache
-// keys combine the op name, its canonical parameter encoding, and the
-// identity of its input values, so two pipelines reusing the same
-// upstream results hit the same entries.
+// fitted on training data (scalers, filters, models) never does. Values
+// are keyed by lineage (see lineageKeys), and only a pass that reads a
+// whole dataset as one chunk consults the cache:
+// Engine.TrainStream/TestStream with no chunk bounds, no hooks and Online
+// off, which Train and Test are. Such a pass looks up every op with a
+// key, streamed over its one chunk, flow sink or flush op alike.
 //
 // The cache is safe for concurrent use by many engines. Concurrent
 // misses on the same key are deduplicated singleflight-style: one caller
@@ -82,10 +87,13 @@ func (c *Cache) syncGauges() {
 	c.om.bytes.Set(float64(c.bytes))
 }
 
-// cacheEntry is one LRU node.
+// cacheEntry is one LRU node. root is the dataset the key's lineage
+// starts from, held so its address cannot be reused while the key names
+// it.
 type cacheEntry struct {
 	key   string
 	val   Value
+	root  *dataset.Labeled
 	bytes int64
 }
 
@@ -155,7 +163,8 @@ func (c *Cache) Len() int {
 // computation publishes; otherwise this caller computes and publishes.
 // computed reports whether THIS caller ran compute (for profiling
 // attribution). Errors are propagated to all waiters and never cached.
-func (c *Cache) getOrCompute(key string, compute func() (Value, error)) (v Value, err error, computed bool) {
+// A stored entry holds root, the dataset key's lineage starts from.
+func (c *Cache) getOrCompute(key string, root *dataset.Labeled, compute func() (Value, error)) (v Value, err error, computed bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
@@ -183,7 +192,7 @@ func (c *Cache) getOrCompute(key string, compute func() (Value, error)) (v Value
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if finished && f.err == nil {
-			c.insert(key, f.val)
+			c.insert(key, f.val, root)
 		} else if !finished {
 			// compute panicked; unblock waiters with an error instead of
 			// leaving them parked forever, then let the panic propagate.
@@ -198,14 +207,14 @@ func (c *Cache) getOrCompute(key string, compute func() (Value, error)) (v Value
 }
 
 // insert adds a computed value and applies the LRU bound. Caller holds mu.
-func (c *Cache) insert(key string, v Value) {
+func (c *Cache) insert(key string, v Value, root *dataset.Labeled) {
 	if el, ok := c.entries[key]; ok {
 		old := el.Value.(*cacheEntry)
 		c.bytes -= old.bytes
 		c.lru.Remove(el)
 		delete(c.entries, key)
 	}
-	e := &cacheEntry{key: key, val: v, bytes: valueBytes(v)}
+	e := &cacheEntry{key: key, val: v, root: root, bytes: valueBytes(v)}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes += e.bytes
 	c.evict()
@@ -274,38 +283,32 @@ func valueBytes(v Value) int64 {
 	}
 }
 
-// cacheKey builds the identity of one op invocation, or ok=false when
-// any input has no stable identity.
-func cacheKey(op OpSpec, in []Value) (string, bool) {
-	params, err := json.Marshal(op.Params)
-	if err != nil {
-		return "", false
-	}
-	key := op.Func + "|" + string(params)
-	for _, v := range in {
-		id, ok := valueID(v)
-		if !ok {
-			return "", false
+// lineageKeys names every value a pass over root can share through the
+// cache by its lineage: the op that made it, the op's canonical params,
+// and its inputs' keys, down to the root's identity for the pass's packet
+// input. Only outputs of cacheable ops whose every input has a key get
+// one; a value downstream of anything fitted, or of a model, has none. The
+// root's key is its address, valid only while root is alive: every entry
+// holds its root (see getOrCompute), so no other dataset can take that
+// address while an entry derived from it is cached. Keys are the same
+// whichever engine computes them, so two pipelines reusing the same
+// upstream prefix hit the same entries, and a downstream key survives the
+// eviction of the upstream entries it names.
+func lineageKeys(p *Pipeline, defs []*opDef, root *dataset.Labeled) map[string]string {
+	keys := map[string]string{InputName: fmt.Sprintf("ds:%p", root)}
+	for i, op := range p.Ops {
+		if !defs[i].traits.cacheable {
+			continue
 		}
-		key += "|" + id
+		in := make([]string, len(op.Input))
+		for j, name := range op.Input {
+			in[j] = keys[name]
+		}
+		// func{params}(in1,in2) is prefix-free, since a JSON object ends
+		// where its braces balance: no two lineages share a key.
+		if ps, err := json.Marshal(op.Params); err == nil && !slices.Contains(in, "") {
+			keys[op.Output] = op.Func + string(ps) + "(" + strings.Join(in, ",") + ")"
+		}
 	}
-	return key, true
-}
-
-// valueID returns a stable identity for a pipeline value: the address of
-// its backing object. Model specs and trained models are excluded — ops
-// consuming them are never cacheable anyway.
-func valueID(v Value) (string, bool) {
-	switch x := v.(type) {
-	case Packets:
-		return fmt.Sprintf("pk:%p", x.DS), true
-	case *Frame:
-		return fmt.Sprintf("fr:%p", x), true
-	case *Grouped:
-		return fmt.Sprintf("gr:%p", x), true
-	case *Flows:
-		return fmt.Sprintf("fl:%p", x), true
-	default:
-		return "", false
-	}
+	return keys
 }

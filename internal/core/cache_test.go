@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lumen/internal/dataset"
 	"lumen/internal/mlkit"
 )
 
@@ -78,26 +79,78 @@ func TestCacheHitsAcrossEngines(t *testing.T) {
 }
 
 func TestCacheKeySensitivity(t *testing.T) {
+	keysOf := func(gran string, ds *dataset.Labeled) map[string]string {
+		t.Helper()
+		e := NewEngine(flowFeaturePipeline(gran, nil))
+		defs, err := e.check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lineageKeys(e.P, defs, ds)
+	}
 	ds := smallDS(t, "F1")
-	in := []Value{Packets{DS: ds}}
-	opA := OpSpec{Func: "flow_assemble", Params: map[string]any{"granularity": "connection"}}
-	opB := OpSpec{Func: "flow_assemble", Params: map[string]any{"granularity": "uniflow"}}
-	ka, ok := cacheKey(opA, in)
-	if !ok {
-		t.Fatal("no key for packets input")
+	ka, kb := keysOf("connection", ds), keysOf("uniflow", ds)
+	if ka["flows"] == "" || ka["X"] == "" {
+		t.Fatalf("no key for flow_assemble or flow_features: %v", ka)
 	}
-	kb, _ := cacheKey(opB, in)
-	if ka == kb {
-		t.Error("different params must produce different keys")
+	if ka["flows"] == kb["flows"] || ka["X"] == kb["X"] {
+		t.Error("different params must produce different keys, downstream too")
 	}
-	ds2 := smallDS(t, "F4")
-	kc, _ := cacheKey(opA, []Value{Packets{DS: ds2}})
-	if ka == kc {
+	kc := keysOf("connection", smallDS(t, "F4"))
+	if ka["flows"] == kc["flows"] || ka["X"] == kc["X"] {
 		t.Error("different datasets must produce different keys")
 	}
-	// Model inputs have no identity -> not cacheable.
-	if _, ok := cacheKey(OpSpec{Func: "train"}, []Value{ModelSpec{Type: "x"}}); ok {
-		t.Error("model inputs must not be cacheable")
+	if again := keysOf("connection", ds); again["X"] != ka["X"] {
+		t.Errorf("one lineage, two keys: %q vs %q", again["X"], ka["X"])
+	}
+	// Models and what is fitted from them have no lineage: never cached.
+	if _, ok := ka["m"]; ok {
+		t.Error("a model spec must not be cacheable")
+	}
+	if _, ok := ka["fit"]; ok {
+		t.Error("a trained model must not be cacheable")
+	}
+}
+
+// TestCacheKeysSurviveUpstreamEviction: a downstream key names its
+// upstream by lineage, not by the address of the value an engine
+// computed, so evicting the upstream entry leaves the downstream one
+// reachable: the next engine recomputes the flows and still hits the
+// cached features.
+func TestCacheKeysSurviveUpstreamEviction(t *testing.T) {
+	ds := smallDS(t, "F1")
+	p := flowFeaturePipeline("connection", nil)
+	cache := NewCache()
+	e1 := NewEngine(p)
+	e1.SetCache(cache)
+	if err := e1.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	// The flows went in first, so a bound of one evicts them alone.
+	cache.SetLimit(1)
+	cache.SetLimit(0)
+	if st := cache.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("evictions=%d entries=%d, want the upstream entry gone and the downstream one kept", st.Evictions, st.Entries)
+	}
+	e2 := NewEngine(p)
+	e2.SetCache(cache)
+	if err := e2.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range e2.Profile {
+		switch st.Func {
+		case "flow_assemble":
+			if st.Cached {
+				t.Error("the evicted flows were served from the cache")
+			}
+		case "flow_features":
+			if !st.Cached {
+				t.Error("the features missed after their upstream entry was evicted")
+			}
+		}
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 3 {
+		t.Errorf("hits=%d misses=%d, want 1 and 3", st.Hits, st.Misses)
 	}
 }
 
@@ -130,7 +183,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v, err, _ := c.getOrCompute("k", func() (Value, error) {
+			v, err, _ := c.getOrCompute("k", nil, func() (Value, error) {
 				atomic.AddInt32(&calls, 1)
 				time.Sleep(20 * time.Millisecond) // widen the race window
 				return NewFrame(3), nil
@@ -166,7 +219,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 func TestCacheSingleflightError(t *testing.T) {
 	c := NewCache()
 	wantErr := fmt.Errorf("boom")
-	_, err, computed := c.getOrCompute("k", func() (Value, error) { return nil, wantErr })
+	_, err, computed := c.getOrCompute("k", nil, func() (Value, error) { return nil, wantErr })
 	if err != wantErr || !computed {
 		t.Fatalf("got err=%v computed=%v", err, computed)
 	}
@@ -174,7 +227,7 @@ func TestCacheSingleflightError(t *testing.T) {
 		t.Fatal("error result was cached")
 	}
 	// The key must be computable again after a failure.
-	v, err, computed := c.getOrCompute("k", func() (Value, error) { return NewFrame(1), nil })
+	v, err, computed := c.getOrCompute("k", nil, func() (Value, error) { return NewFrame(1), nil })
 	if err != nil || !computed || v == nil {
 		t.Fatalf("retry after error: v=%v err=%v computed=%v", v, err, computed)
 	}
@@ -186,7 +239,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache()
 	c.SetLimit(2)
 	mk := func(key string) Value {
-		v, err, _ := c.getOrCompute(key, func() (Value, error) {
+		v, err, _ := c.getOrCompute(key, nil, func() (Value, error) {
 			f := NewFrame(4)
 			f.AddF("x", []float64{1, 2, 3, 4})
 			return f, nil

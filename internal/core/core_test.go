@@ -113,7 +113,7 @@ func TestOpRegistryComplete(t *testing.T) {
 	for _, f := range packetFields {
 		pf := packetFieldIndex[f]
 		pk := newPackets(ds)
-		if _, err := opFieldExtract(nil, []Value{pk}, params{"fields": []any{f}}); err != nil {
+		if _, err := opFieldExtract(chunkCtx(), []Value{pk}, params{"fields": []any{f}}); err != nil {
 			t.Fatalf("field %s: %v", f, err)
 		}
 		var hdrs, apps bool
@@ -129,7 +129,7 @@ func TestOpRegistryComplete(t *testing.T) {
 
 func TestFieldExtractValues(t *testing.T) {
 	ds := smallDS(t, "F1")
-	fr, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{
+	fr, err := opFieldExtract(chunkCtx(), []Value{newPackets(ds)}, params{
 		"fields": []any{"ts", "len", "src_ip", "dst_port", "tcp_syn"},
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestFieldExtractValues(t *testing.T) {
 
 func TestFieldExtractUnknownField(t *testing.T) {
 	ds := smallDS(t, "F1")
-	_, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{"fields": []any{"bogus"}})
+	_, err := opFieldExtract(chunkCtx(), []Value{newPackets(ds)}, params{"fields": []any{"bogus"}})
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want unknown-field error, got %v", err)
 	}
@@ -261,11 +261,11 @@ func TestNormalizeStatefulAcrossModes(t *testing.T) {
 	test := NewFrame(2)
 	test.AddF("v", []float64{5, 20})
 
-	ctx := &opCtx{mode: ModeTrain, outName: "n", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "n", state: map[string]any{}}
 	if _, err := opNormalize(ctx, []Value{train}, params{"kind": "minmax"}); err != nil {
 		t.Fatal(err)
 	}
-	ctx2 := &opCtx{mode: ModeTest, outName: "n", state: ctx.state}
+	ctx2 := &opCtx{stream: oneChunk(), mode: ModeTest, outName: "n", state: ctx.state}
 	out, err := opNormalize(ctx2, []Value{test}, params{"kind": "minmax"})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestNormalizeStatefulAcrossModes(t *testing.T) {
 func TestNormalizeTestBeforeTrainErrors(t *testing.T) {
 	f := NewFrame(1)
 	f.AddF("v", []float64{1})
-	ctx := &opCtx{mode: ModeTest, outName: "n", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTest, outName: "n", state: map[string]any{}}
 	if _, err := opNormalize(ctx, []Value{f}, params{}); err == nil {
 		t.Fatal("want not-fitted error")
 	}
@@ -458,21 +458,44 @@ func TestTestBeforeTrainFails(t *testing.T) {
 func TestDeadValueElimination(t *testing.T) {
 	p, _ := ParsePipeline([]byte(fig4Template))
 	eng := NewEngine(p)
-	last := eng.lastUses()
-	// "Packets" is last read by the group_by op (index 1): after op 1 it
-	// must be freed.
-	if last["Packets"] != 1 {
-		t.Errorf("lastUse(Packets) = %d, want 1", last["Packets"])
+	freedAt := func(mode Mode) map[string]int {
+		t.Helper()
+		r, err := newStreamExec(eng, dataset.NewSliceSource(smallDS(t, "P0")), mode, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := map[string]int{}
+		for i, names := range r.free {
+			for _, name := range names {
+				if _, dup := at[name]; dup {
+					t.Errorf("%q freed twice", name)
+				}
+				at[name] = i
+			}
+		}
+		return at
 	}
-	// The train op (index 6) reads clf1 and X.
-	if last["X"] != 6 || last["clf1"] != 6 {
-		t.Errorf("lastUse(X)=%d lastUse(clf1)=%d, want 6/6", last["X"], last["clf1"])
+	for _, mode := range []Mode{ModeTrain, ModeTest} {
+		at := freedAt(mode)
+		// "Packets" is last read by the group_by op (index 1): after op 1 it
+		// must be freed, although field_extract made it in the chunk and
+		// group_by reads it at flush.
+		if i, ok := at["Packets"]; !ok || i != 1 {
+			t.Errorf("mode %d: Packets freed after op %d (%v), want 1", mode, i, ok)
+		}
+		// The train op (index 6) reads clf1 and X.
+		if at["X"] != 6 || at["clf1"] != 6 {
+			t.Errorf("mode %d: X freed after op %d, clf1 after op %d, want 6/6", mode, at["X"], at["clf1"])
+		}
+		if _, ok := at[InputName]; ok {
+			t.Errorf("mode %d: the chunk's packets were freed", mode)
+		}
 	}
 }
 
 func TestKitsuneFeaturesShape(t *testing.T) {
 	ds := smallDS(t, "P1")
-	out, err := opKitsuneFeatures(nil, []Value{newPackets(ds)}, params{})
+	out, err := opKitsuneFeatures(chunkCtx(), []Value{newPackets(ds)}, params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +510,7 @@ func TestKitsuneFeaturesShape(t *testing.T) {
 
 func TestKitsuneFeaturesWorkOn80211(t *testing.T) {
 	ds := smallDS(t, "P2")
-	out, err := opKitsuneFeatures(nil, []Value{newPackets(ds)}, params{})
+	out, err := opKitsuneFeatures(chunkCtx(), []Value{newPackets(ds)}, params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +531,7 @@ func TestKitsuneFeaturesWorkOn80211(t *testing.T) {
 func TestNPrintOpVariants(t *testing.T) {
 	ds := smallDS(t, "P0")
 	for _, v := range []string{"all", "tcp_udp_ipv4", "tcp_udp_ipv4_payload", "tcp_icmp_ipv4"} {
-		out, err := opNPrint(nil, []Value{newPackets(ds)}, params{"variant": v})
+		out, err := opNPrint(chunkCtx(), []Value{newPackets(ds)}, params{"variant": v})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -516,7 +539,7 @@ func TestNPrintOpVariants(t *testing.T) {
 			t.Fatalf("%s: row mismatch", v)
 		}
 	}
-	if _, err := opNPrint(nil, []Value{newPackets(ds)}, params{"variant": "bogus"}); err == nil {
+	if _, err := opNPrint(chunkCtx(), []Value{newPackets(ds)}, params{"variant": "bogus"}); err == nil {
 		t.Fatal("want error for unknown variant")
 	}
 }
@@ -539,12 +562,12 @@ func TestSampleDeterministicAndSorted(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	f.AddF("v", vals)
-	ctx := &opCtx{seed: 5, state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), seed: 5, state: map[string]any{}}
 	a, err := opSample(ctx, []Value{f}, params{"n": 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := opSample(&opCtx{seed: 5, state: map[string]any{}}, []Value{f}, params{"n": 10.0})
+	b, _ := opSample(&opCtx{stream: oneChunk(), seed: 5, state: map[string]any{}}, []Value{f}, params{"n": 10.0})
 	af, bf := a.(*Frame), b.(*Frame)
 	if af.N != 10 || bf.N != 10 {
 		t.Fatalf("sample sizes %d/%d", af.N, bf.N)
@@ -574,7 +597,7 @@ func TestDropConstAndDropCorrelated(t *testing.T) {
 	f.AddF("b", b)
 	f.AddF("c", c)
 
-	ctx := &opCtx{mode: ModeTrain, outName: "d", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "d", state: map[string]any{}}
 	out, err := opDropConst(ctx, []Value{f}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +605,7 @@ func TestDropConstAndDropCorrelated(t *testing.T) {
 	if names := out.(*Frame).Names(); len(names) != 2 {
 		t.Fatalf("drop_const kept %v, want [a b]", names)
 	}
-	ctx2 := &opCtx{mode: ModeTrain, outName: "e", state: map[string]any{}}
+	ctx2 := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "e", state: map[string]any{}}
 	out2, err := opDropCorrelated(ctx2, []Value{out.(*Frame)}, params{})
 	if err != nil {
 		t.Fatal(err)

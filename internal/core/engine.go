@@ -95,27 +95,18 @@ type opCtx struct {
 	span *obs.Span
 	// metrics is the engine's registry (nil when metrics are off).
 	metrics *obs.Metrics
-	// stream is set on chunked (RunStream) executions: it carries the
-	// chunk's global base index and per-op fold state across chunks.
-	// Nil on batch runs, so every accessor below is nil-safe.
+	// stream carries the chunk's global base index and per-op fold state
+	// across the chunks of a pass; the flush pass runs over it too.
 	stream *streamCtx
 	// drift collects DriftEvents raised by drift_detect ops during this
-	// chunk (nil on batch runs and outside the streamed op loop).
+	// chunk or flush pass.
 	drift *[]DriftEvent
-	// scratch is the chunk job's buffer source (nil on batch and flush
-	// runs); ops reach it through arena.
+	// scratch is the chunk job's buffer source (nil on flush passes):
+	// scratch.arena() is where an op gets the chunk-lifetime buffers of its
+	// output (frame columns, feature matrices, unit indices), the chunk's
+	// arena on a recycling pass and nil, which serves with make, otherwise.
+	// Only what is dead once the chunk's hook returns may come from it.
 	scratch *jobScratch
-}
-
-// arena is where an op gets the chunk-lifetime buffers of its output
-// (frame columns, feature matrices, unit indices): the chunk's arena on a
-// recycling pass, nil otherwise, and a nil arena serves with make. Only
-// what is dead once the chunk's hook returns may come from it.
-func (c *opCtx) arena() *chunkArena {
-	if c == nil {
-		return nil
-	}
-	return c.scratch.arena()
 }
 
 func (c *opCtx) setState(v any) { c.state[c.outName] = v }
@@ -125,7 +116,7 @@ func (c *opCtx) getState() any  { return c.state[c.outName] }
 // the current chunk's base index into the full stream, and fold state
 // (keyed by op output name) that sequential packet ops — iat deltas,
 // Kitsune/802.11 damped statistics — carry from one chunk to the next so
-// chunked execution stays bit-identical to batch.
+// every chunking of a trace yields the same rows.
 type streamCtx struct {
 	base  int
 	carry map[string]any
@@ -151,37 +142,15 @@ type DriftEvent struct {
 	Mean   float64
 }
 
-// streamBase returns the global index of the current chunk's first
-// packet (0 on batch runs, so batch op behaviour is unchanged).
-func (c *opCtx) streamBase() int {
-	if c == nil || c.stream == nil {
-		return 0
-	}
-	return c.stream.base
-}
-
-// carry returns this op's cross-chunk fold state, if streaming.
+// carry returns this op's cross-chunk fold state, if an earlier chunk
+// saved one.
 func (c *opCtx) carry() (any, bool) {
-	if c == nil || c.stream == nil {
-		return nil, false
-	}
 	v, ok := c.stream.carry[c.outName]
 	return v, ok
 }
 
-// setCarry saves this op's cross-chunk fold state; a no-op on batch runs.
-func (c *opCtx) setCarry(v any) {
-	if c == nil || c.stream == nil {
-		return
-	}
-	c.stream.carry[c.outName] = v
-}
-
-// online reports whether this execution is an online (in-stream learning)
-// RunStream pass; always false on batch runs.
-func (c *opCtx) online() bool {
-	return c != nil && c.stream != nil && c.stream.online
-}
+// setCarry saves this op's cross-chunk fold state.
+func (c *opCtx) setCarry(v any) { c.stream.carry[c.outName] = v }
 
 // Engine compiles and executes one pipeline. Train must run before Test;
 // the fitted state of stateful operations (scalers, filters, models) is
@@ -300,57 +269,15 @@ func checkInputs(def *opDef, op OpSpec, kinds map[string]Kind, i int) error {
 	return nil
 }
 
-// lastUses computes, for every value name, the index of the last op that
-// reads it — the engine's dead-value elimination ("removing variables/
-// data that are not used in future operations to conserve memory").
-func (e *Engine) lastUses() map[string]int {
-	last := map[string]int{}
-	for i, op := range e.P.Ops {
-		for _, in := range op.Input {
-			last[in] = i
-		}
-	}
-	return last
-}
-
-// run executes the pipeline over ds in the given mode.
-func (e *Engine) run(ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
-	defs, err := e.check()
-	if err != nil {
-		return nil, err
-	}
-	env := map[string]Value{InputName: newPackets(ds)}
-	last := e.lastUses()
-	e.Profile = e.Profile[:0]
-	var result *EvalResult
-	for i, op := range e.P.Ops {
-		out, st, res, err := e.invoke(i, defs[i], env, opCtx{mode: mode}, e.Span, e.cache)
-		if err != nil {
-			return nil, err
-		}
-		env[op.Output] = out
-		e.Profile = append(e.Profile, st)
-		if res != nil {
-			result = res
-		}
-		// Free values no later op reads.
-		for name, lu := range last {
-			if lu == i {
-				delete(env, name)
-			}
-		}
-	}
-	return result, nil
-}
-
-// invoke is the one place an op runs, on batch, chunked and flush passes
-// alike: it resolves op i's inputs from env, opens the op's span under
-// parent, runs it, records its stats, closes the span and the metrics,
-// and wraps a failure with the op's position. ctx arrives holding what
-// the pass fixes (mode, stream context, drift slot). A non-nil cache
-// serves cacheable ops: a hit returns at once, a miss racing another
-// engine's computation waits for its result (singleflight).
-func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, parent *obs.Span, cache *Cache) (Value, OpStats, *EvalResult, error) {
+// invoke is the one place an op runs, on chunk and flush passes alike: it
+// resolves op i's inputs from env, opens the op's span under parent, runs
+// it, records its stats, closes the span and the metrics, and wraps a
+// failure with the op's position. ctx arrives holding what the pass fixes
+// (mode, stream context, drift slot). A non-empty key is the output's
+// lineage key (see lineageKeys), and the engine's cache serves it: a hit
+// returns at once, a miss racing another engine's computation waits for
+// its result (singleflight). root is what the key's root names.
+func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, parent *obs.Span, key string, root *dataset.Labeled) (Value, OpStats, *EvalResult, error) {
 	op := e.P.Ops[i]
 	st := OpStats{Func: op.Func, Output: op.Output}
 	in := make([]Value, len(op.Input))
@@ -369,20 +296,15 @@ func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, pare
 		ctx.span = parent.Child("op:" + op.Func)
 		ctx.span.Set("output", op.Output)
 	}
-	var key string
-	useCache := false
-	if cache != nil && def.traits.cacheable {
-		key, useCache = cacheKey(op, in)
-	}
 	var out Value
 	var err error
 	start := time.Now()
-	if useCache {
+	if key != "" {
 		// allocs is declared in this branch so that the closure capturing
-		// it costs the uncached (streaming) path nothing.
+		// it costs the uncached path nothing.
 		var allocs uint64
 		var computed bool
-		out, err, computed = cache.getOrCompute(key, func() (v Value, err error) {
+		out, err, computed = e.cache.getOrCompute(key, root, func() (v Value, err error) {
 			v, allocs, err = e.runOp(def, &ctx, op, in)
 			return v, err
 		})
@@ -492,29 +414,16 @@ func outRows(v Value) int {
 	return 0
 }
 
-// Train fits the pipeline's stateful ops and model on a labelled dataset.
+// Train fits the pipeline's stateful ops and model on a labelled dataset:
+// a whole-trace TrainStream, one chunk through the one executor.
 func (e *Engine) Train(ds *dataset.Labeled) error {
-	if _, err := e.run(ds, ModeTrain); err != nil {
-		return err
-	}
-	e.trained = true
-	return nil
+	return e.TrainStream(ds, StreamConfig{})
 }
 
 // Test runs the fitted pipeline on a dataset and returns per-unit
-// predictions with ground truth.
+// predictions with ground truth: a whole-trace TestStream.
 func (e *Engine) Test(ds *dataset.Labeled) (*EvalResult, error) {
-	if !e.trained {
-		return nil, fmt.Errorf("core: Test before Train on pipeline %q", e.P.Name)
-	}
-	res, err := e.run(ds, ModeTest)
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("core: pipeline %q produced no predictions", e.P.Name)
-	}
-	return res, nil
+	return e.TestStream(ds, StreamConfig{})
 }
 
 // Reset clears fitted state so the engine can be retrained.

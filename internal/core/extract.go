@@ -29,7 +29,7 @@ func ExtractFlowFeatures(ds *dataset.Labeled, gran dataset.Granularity, feats []
 	} else if gran == dataset.Packet {
 		return nil, fmt.Errorf("core: ExtractFlowFeatures needs a flow granularity")
 	}
-	fl, err := opFlowAssemble(nil, []Value{Packets{DS: ds}}, params{"granularity": granStr})
+	fl, err := opFlowAssemble(nil, []Value{newPackets(ds)}, params{"granularity": granStr})
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,8 @@ func ExtractFlowFeatures(ds *dataset.Labeled, gran dataset.Granularity, feats []
 // ExtractPacketFields extracts the named per-packet fields (numeric
 // fields only make it into X; string fields are skipped).
 func ExtractPacketFields(ds *dataset.Labeled, fields []string) (*FeatureSet, error) {
-	fv, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{"fields": fields})
+	ctx := &opCtx{stream: &streamCtx{carry: map[string]any{}}}
+	fv, err := opFieldExtract(ctx, []Value{newPackets(ds)}, params{"fields": fields})
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ const (
 
 // opTraits is everything the engine knows about an op beyond its type
 // signature, declared once where the op is registered: the stream
-// planner, the decode hint, the batch cache gate, -list-ops and the
+// planner, the decode hint, the cache gate, -list-ops and the
 // generated docs all read it from here.
 type opTraits struct {
 	class streamClass
@@ -57,7 +57,7 @@ type opTraits struct {
 	// decode is how deep the op looks into the packets it reads; every
 	// reader of KindPackets declares one.
 	decode func(params) netpkt.DecodeHint
-	// cacheable marks a stateless, mode-independent op whose batch
+	// cacheable marks a stateless, mode-independent op whose whole-trace
 	// results a shared Cache may serve.
 	cacheable bool
 	// check validates the op's params when the pipeline is type-checked

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("drift_detect", "monitor the trained model's per-chunk score stream with a Page-Hinkley test and raise drift events on distribution shift (streaming test runs; a pass-through otherwise)",
+	register("drift_detect", "monitor the trained model's per-chunk score stream with a Page-Hinkley test and raise drift events on distribution shift (test runs; a pass-through in train mode)",
 		opSig{in: []Kind{KindTrained}, out: KindTrained},
 		opTraits{class: classRowLocal, ordered: always}, opDriftDetect)
 }
@@ -17,9 +17,9 @@ func init() {
 // across chunks. Detections append DriftEvents to the running chunk job,
 // which surface through StreamHooks.ChunkUpdate.Drift and
 // Engine.LastStream.DriftEvents — the trigger a resident daemon uses to
-// schedule a background retrain. On batch runs and in train mode the op
-// passes the trained value through unchanged, so pipelines carrying a
-// drift_detect stage remain valid everywhere.
+// schedule a background retrain. A whole-trace Test is one chunk and
+// raises the same events as any chunking of the trace. In train mode the
+// op passes the trained value through unchanged.
 //
 // Params: delta (deviation tolerance, default 0.005), lambda (detection
 // threshold, default 50), min_samples (warm-up, default 30), two_sided
@@ -29,7 +29,7 @@ func opDriftDetect(ctx *opCtx, in []Value, p params) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("drift_detect: input must be a trained model, got %v", in[0].Kind())
 	}
-	if ctx.stream == nil || ctx.mode != ModeTest {
+	if ctx.mode != ModeTest {
 		return tr, nil
 	}
 	res := ctx.stream.lastResult
@@ -55,11 +55,11 @@ func opDriftDetect(ctx *opCtx, in []Value, p params) (Value, error) {
 		if useScores {
 			x = res.Scores[i]
 		}
-		if ph.Add(x) && ctx.drift != nil {
+		if ph.Add(x) {
 			stat, mean := ph.LastDetection()
 			*ctx.drift = append(*ctx.drift, DriftEvent{
 				Output: ctx.outName,
-				Base:   ctx.streamBase(),
+				Base:   ctx.stream.base,
 				Row:    i,
 				Stat:   stat,
 				Mean:   mean,

@@ -36,9 +36,8 @@ func checkFlowFeatureParams(p params) error {
 	return err
 }
 
-// flowParams decodes flow_assemble's parameters; shared between the
-// batch op, the streaming flow sink and the op's type-check so all three
-// split flows identically and refuse the same templates.
+// flowParams decodes flow_assemble's parameters; shared between the flow
+// sink and the op's type-check so both refuse the same templates.
 func flowParams(p params) (flow.Options, dataset.Granularity, error) {
 	opts := flow.Options{}
 	to := p.f64("idle_timeout", 0) * float64(time.Second)
@@ -56,22 +55,21 @@ func flowParams(p params) (flow.Options, dataset.Granularity, error) {
 	}
 }
 
+// opFlowAssemble is the flow sink run over one chunk that holds the
+// whole trace: a pass the shared cache serves runs it so, and so does
+// ExtractFlowFeatures. Every other pass feeds its sinks chunk by chunk.
 func opFlowAssemble(_ *opCtx, in []Value, p params) (Value, error) {
 	pk, err := asPackets(in[0])
 	if err != nil {
 		return nil, err
 	}
-	opts, gran, err := flowParams(p)
+	s, err := newFlowSink(0, p, nil, "")
 	if err != nil {
 		return nil, err
 	}
-	out := &Flows{DS: pk.DS, Granularity: gran}
-	if gran == dataset.UniflowG {
-		out.Unis = flow.Uniflows(pk.DS.Packets, opts)
-	} else {
-		out.Conns = flow.Connections(pk.DS.Packets, opts)
-	}
-	return out, nil
+	stats := &pktStats{}
+	feedFlows(stats, []*flowSinkState{s}, 0, pk.Views, pk.DS.Labels, pk.DS.Attacks)
+	return s.finish(stats), nil
 }
 
 // The per-flow feature catalogue: a feature's constant is its index in a
@@ -249,9 +247,8 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 
 // computeFlowVector writes every catalogue feature of flow i, whose
 // member packets are idx, into sc.vec (all zero for a flow without
-// packets). Per-packet fields are read through Flows.summary so the same
-// code serves a batch run's decoded packets and a streaming run's
-// retained stats. With warm scratch it allocates nothing.
+// packets). Per-packet fields are read from the stats the pass
+// retained. With warm scratch it allocates nothing.
 func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int) {
 	out := &sc.vec
 	*out = flowVec{}
@@ -264,10 +261,10 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int)
 	var flags [6]float64
 	var flagChanges int
 	var prevFlags uint8
-	first := fl.summary(idx[0])
+	first := fl.stats.at(idx[0])
 	last := first
 	for k, pi := range idx {
-		s := fl.summary(pi)
+		s := fl.stats.at(pi)
 		last = s
 		t := float64(s.ts) / 1e9
 		l := float64(s.wire)

@@ -207,6 +207,8 @@ func streamedFlowFrame(t testing.TB, p *Pipeline, ds *dataset.Labeled, chunk int
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Keep every flush value for inspection: no dead-value elimination.
+	r.free = make([][]string, len(p.Ops))
 	if _, err := r.run(src, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +235,10 @@ func TestFlowFeaturesMatchMapOracle(t *testing.T) {
 		ds := spec.Generate(1)
 		for _, gran := range []string{"uniflow", "connection"} {
 			p := flowFeaturePipeline(gran, nil)
-			flv, err := opFlowAssemble(nil, []Value{newPackets(ds)}, p.Ops[0].Params)
+			fl, err := refFlowAssemble(ds, p.Ops[0].Params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl := flv.(*Flows)
 			bv, err := opFlowFeatures(nil, []Value{fl}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +292,7 @@ func TestFlowParamsRejected(t *testing.T) {
 		if err := NewEngine(p).Check(); err == nil || !strings.Contains(err.Error(), "flow_features: ") {
 			t.Errorf("%s: type-check returned %v, want a flow_features error", name, err)
 		}
-		if _, err := opFlowFeatures(nil, []Value{&Flows{DS: &dataset.Labeled{}}}, bad); err == nil {
+		if _, err := opFlowFeatures(nil, []Value{&Flows{}}, bad); err == nil {
 			t.Errorf("%s: the op accepted %v", name, bad)
 		}
 	}

@@ -541,7 +541,7 @@ func opNormalize(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	var st *scalerState
 	switch {
-	case ctx.mode == ModeTrain && ctx.online():
+	case ctx.mode == ModeTrain && ctx.stream.online:
 		// Streaming fit: fold the chunk into the scaler's online moments
 		// (Welford / running min-max), then scale it with the statistics
 		// as of this chunk (update-then-transform).

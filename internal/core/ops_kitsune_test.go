@@ -246,7 +246,7 @@ func TestKitsuneLambdasRejected(t *testing.T) {
 		if err := NewEngine(p).Check(); err == nil || !strings.Contains(err.Error(), "kitsune_features: lambdas") {
 			t.Errorf("%s: type-check returned %v, want a kitsune_features lambdas error", name, err)
 		}
-		if _, err := opKitsuneFeatures(nil, []Value{Packets{DS: &dataset.Labeled{}}}, params{"lambdas": bad}); err == nil {
+		if _, err := opKitsuneFeatures(chunkCtx(), []Value{Packets{DS: &dataset.Labeled{}}}, params{"lambdas": bad}); err == nil {
 			t.Errorf("%s: the op accepted lambdas %v", name, bad)
 		}
 	}

@@ -224,7 +224,7 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 		if fr.Labels == nil {
 			return nil, fmt.Errorf("train: frame has no labels")
 		}
-		if ctx.online() {
+		if ctx.stream.online {
 			return opTrainOnline(ctx, spec, X, fr)
 		}
 		clf, err := buildClassifier(spec, ctx.seed)
@@ -249,7 +249,7 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 	}
 	// Scoring keeps nothing of X, and the verdict metadata aliases the
 	// frame's: on a recycling pass both live until the chunk's hook returns.
-	X := fr.matrix(ctx.arena())
+	X := fr.matrix(ctx.scratch.arena())
 	res := &EvalResult{
 		Unit:    fr.Unit,
 		Truth:   shareRows(fr.Labels),
@@ -260,12 +260,10 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 		res.Pred, res.Scores = mlkit.PredictProba(st.Clf, X)
 	}
 	ctx.result = res
-	if ctx.stream != nil {
-		ctx.stream.lastResult = res
-	}
+	ctx.stream.lastResult = res
 	// Prequential (test-then-train): the chunk was scored by the model as
 	// fitted before it arrived; now absorb it as labelled training data.
-	if ctx.online() && len(X) > 0 && fr.Labels != nil {
+	if ctx.stream.online && len(X) > 0 && fr.Labels != nil {
 		if pf, ok := st.Clf.(mlkit.PartialFitter); ok {
 			if err := pf.PartialFit(X, fr.Labels); err != nil {
 				return nil, fmt.Errorf("train: prequential partial fit: %w", err)

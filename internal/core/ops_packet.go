@@ -109,8 +109,8 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 		}
 	}
 	n := pk.Len()
-	a := ctx.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
+	a := ctx.scratch.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
 	var car feCarry
 	if v, ok := ctx.carry(); ok {
 		car, _ = v.(feCarry)
@@ -381,7 +381,7 @@ func b2f(b bool) float64 {
 // metadata, its unit index drawn from a, and the dataset's labels
 // aliased, not copied: no op writes a frame's labels in place, and no
 // source reuses a chunk's (dataset.Chunk). base offsets UnitIdx so
-// chunked runs attribute rows to global packet indices (0 on batch runs).
+// chunked runs attribute rows to global packet indices (0 on the first chunk).
 // n is passed explicitly because streamed chunks leave ds.Packets empty.
 func newPacketFrame(n int, ds *dataset.Labeled, base int, a *chunkArena) *Frame {
 	fr := NewFrame(n)
@@ -424,8 +424,8 @@ func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
 		return nil, fmt.Errorf("nprint: unknown variant %q", variant)
 	}
 	n := pk.Len()
-	a := ctx.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
+	a := ctx.scratch.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
 	w := cfg.Width()
 	cols := a.rows(w)
 	for j := range cols {
@@ -551,8 +551,8 @@ const streamSweepEvery = 1 << 14
 // kitsuneCarry is the op's fold state: one map per grouping, whose value
 // holds the stream's statistics at every decay rate contiguously, so a
 // packet costs three probes and allocates only for a stream it is the
-// first packet of. Damped statistics are strictly sequential: chunked
-// execution resumes from the state batch execution would have at that
+// first packet of. Damped statistics are strictly sequential: a chunk
+// resumes from the state one whole-trace chunk would have at that
 // packet, and sweeps are clocked by packets folded, never by chunks.
 type kitsuneCarry struct {
 	lambdas []float64
@@ -682,8 +682,8 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 		ctx.setCarry(car)
 	}
 	n := pk.Len()
-	a := ctx.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
+	a := ctx.scratch.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
 	// One block backs every column; each is capped so an append to one
 	// cannot run into the next.
 	block := a.floats(len(car.names) * n)
@@ -721,7 +721,7 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 type dot11Tx struct{ all, deauth features.IncStat }
 
 // dot11Carry keeps the per-transmitter rate trackers alive across chunks
-// so streamed execution matches batch execution, and bounds them the way
+// so every chunking matches the whole-trace pass, and bounds them the way
 // kitsuneCarry bounds its streams: every streamSweepEvery frames folded
 // (never per chunk, so the columns do not depend on chunk size) the
 // transmitters idle past the horizon go.
@@ -778,8 +778,8 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 		return nil, err
 	}
 	n := pk.Len()
-	a := ctx.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.streamBase(), a)
+	a := ctx.scratch.arena()
+	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
 	lam := p.f64("lambda", 0.5)
 	prev, _ := ctx.carry()
 	car, ok := prev.(*dot11Carry)

@@ -6,7 +6,7 @@ import (
 
 func TestDot11FeaturesOp(t *testing.T) {
 	ds := smallDS(t, "P2")
-	out, err := opDot11Features(nil, []Value{newPackets(ds)}, params{})
+	out, err := opDot11Features(chunkCtx(), []Value{newPackets(ds)}, params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDot11FeaturesOp(t *testing.T) {
 
 func TestKitsuneFeaturesCustomLambdas(t *testing.T) {
 	ds := smallDS(t, "P1")
-	out, err := opKitsuneFeatures(nil, []Value{newPackets(ds)}, params{
+	out, err := opKitsuneFeatures(chunkCtx(), []Value{newPackets(ds)}, params{
 		"lambdas": []any{0.5, 0.05},
 	})
 	if err != nil {
@@ -58,7 +58,7 @@ func TestKitsuneFeaturesCustomLambdas(t *testing.T) {
 
 func TestNewAppLayerFields(t *testing.T) {
 	ds := smallDS(t, "F1") // has benign MQTT + HTTP and an HTTP flood
-	out, err := opFieldExtract(nil, []Value{newPackets(ds)}, params{
+	out, err := opFieldExtract(chunkCtx(), []Value{newPackets(ds)}, params{
 		"fields": []any{"is_http", "http_is_req", "http_path_len", "is_mqtt", "mqtt_type", "mqtt_topic_len"},
 	})
 	if err != nil {

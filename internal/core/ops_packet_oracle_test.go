@@ -393,7 +393,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	for i, f := range packetFields {
 		fields[i] = f
 	}
-	fe, err := opFieldExtract(nil, input(), params{"fields": fields})
+	fe, err := opFieldExtract(chunkCtx(), input(), params{"fields": fields})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 		"all": features.NPrintAll, "tcp_udp_ipv4": features.NPrintTCPUDPIPv4,
 		"tcp_udp_ipv4_payload": features.NPrintWithPayload, "tcp_icmp_ipv4": features.NPrintTCPICMPIPv4,
 	} {
-		np, err := opNPrint(nil, input(), params{"variant": variant})
+		np, err := opNPrint(chunkCtx(), input(), params{"variant": variant})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 		for i, l := range lambdas {
 			list[i] = l
 		}
-		kf, err := opKitsuneFeatures(nil, input(), params{"lambdas": list})
+		kf, err := opKitsuneFeatures(chunkCtx(), input(), params{"lambdas": list})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	}
 
 	const lam = 0.5
-	d11, err := opDot11Features(nil, input(), params{"lambda": lam})
+	d11, err := opDot11Features(chunkCtx(), input(), params{"lambda": lam})
 	if err != nil {
 		t.Fatal(err)
 	}

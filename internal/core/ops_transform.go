@@ -180,7 +180,7 @@ func opClip(ctx *opCtx, in []Value, p params) (Value, error) {
 		return nil, err
 	}
 	var st *clipState
-	if ctx.mode == ModeTrain && ctx.online() {
+	if ctx.mode == ModeTrain && ctx.stream.online {
 		// Streaming fit: absorb the chunk into the P² estimators, clamp
 		// with the bounds as of this chunk.
 		q := p.f64("quantile", 0.99)

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-func trainCtx() *opCtx { return &opCtx{mode: ModeTrain, outName: "o", state: map[string]any{}} }
+func trainCtx() *opCtx {
+	return &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "o", state: map[string]any{}}
+}
 
 func testCtxFrom(tc *opCtx) *opCtx {
-	return &opCtx{mode: ModeTest, outName: tc.outName, state: tc.state}
+	return &opCtx{stream: oneChunk(), mode: ModeTest, outName: tc.outName, state: tc.state}
 }
 
 func TestOneHotVocabularyFixedAtTrain(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 
 // StreamConfig bounds the chunks a RunStream pass pulls from its source
 // and sets its depth. Zero chunk bounds mean unbounded: with both zero
-// the whole trace arrives as one chunk and streaming degenerates to batch
-// execution. Every depth runs the same loop (see streamExec.run) and
+// the whole trace arrives as one chunk, which is how Engine.Train and
+// Test run. Every depth runs the same loop (see streamExec.run) and
 // produces bit-identical results, and the depth asked for is the depth
 // that runs: RunStream never rewrites the config.
 type StreamConfig struct {
@@ -171,7 +171,7 @@ func firstMissing(set map[string]bool, names []string) string {
 
 // flowSinkState is one flow_assemble op being fed incrementally: the
 // assembler plus every flow completed so far (evicted mid-stream once
-// idle, exactly as the batch path would have split them).
+// idle, exactly as whole-trace assembly would have split them).
 type flowSinkState struct {
 	op   int // index of the flow_assemble op
 	gran dataset.Granularity
@@ -185,6 +185,67 @@ type flowSinkState struct {
 	open     *obs.Gauge
 	evicted  *obs.Counter
 	reported int
+	// flows is the sink's output when the shared cache served or computed
+	// it whole (see streamExec.feedSinks); nil while it is being fed.
+	flows *Flows
+}
+
+// newFlowSink builds the sink of flow_assemble op i from its params; m
+// (nil-safe) receives its open and evicted series under output's name.
+func newFlowSink(i int, p params, m *obs.Metrics, output string) (*flowSinkState, error) {
+	opts, gran, err := flowParams(p)
+	if err != nil {
+		return nil, err
+	}
+	s := &flowSinkState{
+		op: i, gran: gran,
+		open: m.Gauge("lumen_flow_open",
+			"Flows a streaming run's flow_assemble sink holds open, as of its most recent chunk.", "output", output),
+		evicted: m.Counter("lumen_flow_evicted_total",
+			"Flows a streaming run's flow_assemble sink closed mid-stream, idle past the timeout.", "output", output),
+	}
+	if gran == dataset.UniflowG {
+		s.uni = flow.NewUniflowAssembler(opts)
+	} else {
+		s.conn = flow.NewConnAssembler(opts)
+	}
+	return s, nil
+}
+
+// feedFlows retains one stat per packet of a chunk whose first packet is
+// global index base, in stream order (labels and attacks align with
+// views), and pushes the packets' summaries through every sink.
+func feedFlows(stats *pktStats, sinks []*flowSinkState, base int, views []netpkt.PacketView, labels []int, attacks []string) {
+	for i := range views {
+		sum := views[i].Summary()
+		st := statOf(&sum)
+		if i < len(labels) && labels[i] != 0 {
+			name := ""
+			if i < len(attacks) {
+				name = attacks[i]
+			}
+			st.attack = stats.attackID(name)
+		}
+		stats.add(st)
+		for _, s := range sinks {
+			s.add(base+i, &sum)
+		}
+	}
+}
+
+// finish assembles the sink's Flows value: the flows evicted mid-stream
+// plus the assembler's remainder, in canonical (first-packet time, tuple)
+// order; stats is what the pass retained of its packets.
+func (s *flowSinkState) finish(stats *pktStats) *Flows {
+	out := &Flows{Granularity: s.gran, stats: stats}
+	if s.uni != nil {
+		out.Unis = append(s.unis, s.uni.Flush()...)
+		flow.SortUniflows(out.Unis)
+	} else {
+		out.Conns = append(s.cons, s.conn.Flush()...)
+		flow.SortConnections(out.Conns)
+	}
+	return out
 }
 
 // add feeds packet gi's summary to the sink's assembler, keeping the
@@ -211,11 +272,13 @@ func (s *flowSinkState) report() {
 }
 
 // RunStream executes the pipeline over a chunked packet source in
-// bounded memory. Ops that are row-local in the given mode run once per
-// chunk; barrier ops (global aggregation, fitting) are deferred to a
-// flush pass over the accumulated intermediate frames, where they run
-// with exact batch semantics — the result is bit-identical to run() on
-// the materialized dataset, at every chunk size.
+// bounded memory; it is the engine's one executor, and Train and Test are
+// its whole-trace passes. Ops that are row-local in the given mode run
+// once per chunk; barrier ops (global aggregation, fitting) are deferred
+// to a flush pass over the accumulated intermediate frames, where they see
+// the whole trace — the result is bit-identical at every chunk size. Each
+// value is dropped from the chunk's and the flush pass's environment once
+// its last reader there has run (dead-value elimination).
 //
 // One loop (streamExec.run) feeds one ordered sink (sinkChunk) in stream
 // order, at whatever cfg.PipelineDepth was asked for: on the caller's
@@ -243,21 +306,30 @@ func (s *flowSinkState) report() {
 // and predictions the model returns (40–80 B a packet on a nine-field
 // tree pipeline, against ~320 B without the arena).
 //
-// The result: an unhooked pass returns every row, bit-identical to
-// batch. A hooked pass returns only the rows no callback was handed,
-// the flush tail of the deferred ops, nil when the plan streams fully
-// (see StreamHooks for the contract).
+// The result: an unhooked pass returns every row. A hooked pass returns
+// only the rows no callback was handed, the flush tail of the deferred
+// ops, nil when the plan streams fully (see StreamHooks for the contract).
 //
-// RunStream bypasses the shared Cache: chunk results are keyed by
-// stream position and fold state, which the content-addressed cache
-// cannot express.
+// RunStream bypasses the shared Cache: a source has no identity to key
+// its values by. TrainStream and TestStream give theirs one (see Cache).
 func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*EvalResult, error) {
+	return e.runStream(src, mode, cfg, nil)
+}
+
+// runStream is RunStream with the dataset src reads, nil when it has
+// none. A pass over a dataset that arrives as one chunk, unhooked and not
+// Online, is what the shared cache can serve: its values are keyed by
+// lineage from the dataset's identity.
+func (e *Engine) runStream(src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*EvalResult, error) {
 	if cfg.Workers > 1 {
 		return nil, fmt.Errorf("core: StreamConfig.Workers = %d: the ops stage is one goroutine, so only 0 or 1 is accepted", cfg.Workers)
 	}
 	r, err := newStreamExec(e, src, mode, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
+		r.keys, r.root = lineageKeys(e.P, r.pl.defs, root), root
 	}
 	// Sources that can decode while cutting chunks get the plan's depth
 	// before the first chunk is pulled; layers no op needs never parse.
@@ -268,14 +340,14 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 }
 
 // TrainStream fits the pipeline by streaming the dataset in bounded
-// chunks; equivalent to Train (identical fitted state) at any chunk size.
+// chunks; the fitted state is identical at any chunk size.
 func (e *Engine) TrainStream(ds *dataset.Labeled, cfg StreamConfig) error {
-	_, err := e.RunStream(dataset.NewSliceSource(ds), ModeTrain, cfg)
+	_, err := e.runStream(dataset.NewSliceSource(ds), ModeTrain, cfg, ds)
 	return err
 }
 
 // TestStream runs the fitted pipeline over the dataset chunk-by-chunk and
-// returns predictions identical to Test. On fully streamable pipelines
+// returns predictions identical at any chunk size. On fully streamable pipelines
 // the model scores each chunk as it arrives, so peak memory tracks the
 // chunk size, not the trace size. With cfg.Hooks.AfterChunk set it
 // returns what RunStream does, the tail no callback saw, which is nil
@@ -284,7 +356,7 @@ func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult,
 	if !e.trained {
 		return nil, fmt.Errorf("core: Test before Train on pipeline %q", e.P.Name)
 	}
-	res, err := e.RunStream(dataset.NewSliceSource(ds), ModeTest, cfg)
+	res, err := e.runStream(dataset.NewSliceSource(ds), ModeTest, cfg, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -295,9 +367,9 @@ func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult,
 }
 
 // mergeResults stitches per-chunk evaluation results back into one, in
-// chunk order. A single part is returned untouched so whole-trace
-// streaming matches batch exactly (including nil-ness of empty fields);
-// empty chunks contribute empty slices and vanish in the append.
+// chunk order. A single part is returned untouched, so a whole-trace pass
+// returns the op's own result (including nil-ness of empty fields); empty
+// chunks contribute empty slices and vanish in the append.
 func mergeResults(parts []*EvalResult) *EvalResult {
 	switch len(parts) {
 	case 0:
@@ -342,8 +414,8 @@ func withCap[T any](n int) []T {
 	return make([]T, 0, n)
 }
 
-// concatFrames concatenates per-chunk frames into one batch-shaped frame.
-// A single part is returned as-is (it already has batch shape). Metadata
+// concatFrames concatenates per-chunk frames into one whole-trace frame.
+// A single part is returned as-is (it already spans the trace). Metadata
 // slices are present in the result if any part carries them; parts that
 // lack them are zero-filled to keep rows aligned. Column schema must
 // match across parts — streamed ops are deterministic per chunk, so a

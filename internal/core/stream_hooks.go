@@ -84,7 +84,7 @@ type StreamHooks struct {
 	// pass's own assembly, so nobody assembles the stream a second time.
 	// It runs on the goroutine that owns stream order. Today it is called
 	// once per pass, at flush, with every connection of the pass merged
-	// and in batch order (flow.SortConnections), before the deferred ops
+	// and in canonical order (flow.SortConnections), before the deferred ops
 	// read them; a pass that fails never calls it. The connections are
 	// shared with those ops: read, do not modify. Never called when the
 	// plan has no connection sink. A non-nil error aborts the pass.

@@ -172,13 +172,9 @@ func driftedDS(t *testing.T) *dataset.Labeled {
 	return out
 }
 
-// TestDriftDetectRaisesEvents: a model that tracks the labels sees its
-// prediction stream shift when the attack phase begins; the drift op must
-// fire, surface events through the hook (with the chunk's features when
-// requested), and count them in LastStream.
-func TestDriftDetectRaisesEvents(t *testing.T) {
-	ds := driftedDS(t)
-	p := &Pipeline{
+// driftPipeline scores a decision tree's predictions with a drift monitor.
+func driftPipeline() *Pipeline {
+	return &Pipeline{
 		Name:        "stream-drift",
 		Granularity: "packet",
 		Ops: []OpSpec{
@@ -190,7 +186,15 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 				Params: map[string]any{"lambda": 5.0, "min_samples": 10}},
 		},
 	}
-	eng := NewEngine(p)
+}
+
+// TestDriftDetectRaisesEvents: a model that tracks the labels sees its
+// prediction stream shift when the attack phase begins; the drift op must
+// fire, surface events through the hook (with the chunk's features when
+// requested), and count them in LastStream.
+func TestDriftDetectRaisesEvents(t *testing.T) {
+	ds := driftedDS(t)
+	eng := NewEngine(driftPipeline())
 	eng.Seed = 7
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
@@ -230,6 +234,49 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 	}
 	if global := ev.Base + ev.Row; global < nBenign/2 {
 		t.Errorf("drift fired at row %d, before the shift region (benign prefix %d)", global, nBenign)
+	}
+}
+
+// TestDriftEventsWholeTraceMatchChunked: drift_detect is a fold over the
+// score stream in row order, so a whole-trace Test, which is one chunk,
+// raises the events chunk sizes 64 and 1024 raise, at the same global
+// rows with the same statistics.
+func TestDriftEventsWholeTraceMatchChunked(t *testing.T) {
+	ds := driftedDS(t)
+	eng := NewEngine(driftPipeline())
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Test(ds); err != nil {
+		t.Fatal(err)
+	}
+	whole := eng.LastStream.DriftEvents
+	if whole == 0 {
+		t.Fatal("a whole-trace Test raised no drift events on a label-shifted trace")
+	}
+	// An event compares across chunkings by its global row.
+	type row struct {
+		at         int
+		stat, mean float64
+	}
+	var want []row
+	for _, chunk := range []int{0, 64, 1024} {
+		var got []row
+		testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: chunk}, func(up ChunkUpdate) error {
+			for _, ev := range up.Drift {
+				got = append(got, row{ev.Base + ev.Row, ev.Stat, ev.Mean})
+			}
+			return nil
+		})
+		if eng.LastStream.DriftEvents != whole || len(got) != whole {
+			t.Fatalf("chunk %d: LastStream.DriftEvents %d, hook saw %d, whole-trace Test %d", chunk, eng.LastStream.DriftEvents, len(got), whole)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("chunk %d: drift events %v, whole trace %v", chunk, got, want)
+		}
 	}
 }
 

@@ -63,8 +63,8 @@ type StreamStats struct {
 //	sink (caller's goroutine)  sinkChunk: flow sinks, Ordered ops,
 //	                           absorb, hooks
 //
-// Chunks never leave stream order, so every depth is bit-identical to
-// batch, and a staged pass holds at most 2d + 3 chunks in flight. One
+// Chunks never leave stream order, so every depth is bit-identical to the
+// whole-trace pass, and a staged pass holds at most 2d + 3 chunks in flight. One
 // deferred unwind covers every exit of the loop — an op or hook error, a
 // source error, a panic on the sink — so no stage goroutine outlives the
 // pass and every chunk is released exactly once.

@@ -504,7 +504,7 @@ func TestStreamPipelinedEmptyDataset(t *testing.T) {
 	ds := &dataset.Labeled{Name: "empty", Granularity: dataset.Packet}
 	p := fieldPipeline()
 	be := NewEngine(p)
-	_, berr := be.run(ds, ModeTrain)
+	_, berr := refRun(be, ds, ModeTrain)
 	se := NewEngine(p)
 	serr := se.TrainStream(ds, StreamConfig{ChunkRows: 64, PipelineDepth: 2})
 	if (berr == nil) != (serr == nil) {

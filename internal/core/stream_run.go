@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lumen/internal/dataset"
-	"lumen/internal/flow"
 	"lumen/internal/mlkit"
 	"lumen/internal/netpkt"
 	"lumen/internal/obs"
@@ -57,6 +56,16 @@ type streamExec struct {
 	// chunk's hook: it is hooked, not Online (a partial fit may keep
 	// rows), and its plan accumulates no streamed value for the flush.
 	arenas *arenaPool
+
+	// keys are the lineage keys (see lineageKeys) of the values the shared
+	// cache serves this pass, nil when it bypasses the cache; root is the
+	// dataset they derive from. A pass with keys reads its dataset as one
+	// chunk, so each keyed op's output there is its whole-trace value.
+	keys map[string]string
+	root *dataset.Labeled
+	// free[i] names the values op i's environment drops once op i has run
+	// (see deadAfter).
+	free [][]string
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
@@ -80,21 +89,9 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		if !r.pl.FlowSink[i] {
 			continue
 		}
-		opts, gran, err := flowParams(params(op.Params))
+		s, err := newFlowSink(i, params(op.Params), e.Metrics, op.Output)
 		if err != nil {
 			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
-		}
-		s := &flowSinkState{
-			op: i, gran: gran,
-			open: e.Metrics.Gauge("lumen_flow_open",
-				"Flows a streaming run's flow_assemble sink holds open, as of its most recent chunk.", "output", op.Output),
-			evicted: e.Metrics.Counter("lumen_flow_evicted_total",
-				"Flows a streaming run's flow_assemble sink closed mid-stream, idle past the timeout.", "output", op.Output),
-		}
-		if gran == dataset.UniflowG {
-			s.uni = flow.NewUniflowAssembler(opts)
-		} else {
-			s.conn = flow.NewConnAssembler(opts)
 		}
 		r.sinks = append(r.sinks, s)
 	}
@@ -111,7 +108,41 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 	if cfg.Hooks.active() && !cfg.Online && len(pl.Accum) == 0 {
 		r.arenas = &arenaPool{}
 	}
+	keep := ""
+	if cfg.Hooks != nil && cfg.Hooks.WantFeatures {
+		keep = r.trainFrame
+	}
+	r.free = deadAfter(e.P, pl, keep)
 	return r, nil
+}
+
+// deadAfter is the pass's dead-value elimination, the paper's "removing
+// variables that are not used in future operations": free[i] lists the
+// values nothing reads once op i has run in its environment. A chunk runs
+// its Worker ops and then its Ordered ops, each in op order, and the flush
+// pass its deferred ops after every chunk, so a value dies after its last
+// reader in that order. A streamed value a deferred op reads (pl.Accum)
+// thus dies only in the flush environment, after absorb has copied it
+// there. The chunk's packets and keep (the frame a hook asks for) stay
+// for the whole chunk.
+func deadAfter(p *Pipeline, pl *StreamPlan, keep string) [][]string {
+	// stage(i) is 0 for a Worker op, 1 for an Ordered one, 2 if deferred.
+	stage := func(i int) int { return slices.Index([]bool{pl.Worker[i], pl.Ordered[i], true}, true) }
+	last := map[string]int{}
+	for i, op := range p.Ops {
+		for _, in := range op.Input {
+			if j, ok := last[in]; !ok || stage(i) >= stage(j) {
+				last[in] = i
+			}
+		}
+	}
+	free := make([][]string, len(p.Ops))
+	for in, i := range last {
+		if in != InputName && in != keep {
+			free[i] = append(free[i], in)
+		}
+	}
+	return free
 }
 
 // chunkJob is the unit of work flowing through a stream run: one chunk,
@@ -168,27 +199,27 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 
 // feedSinks retains what a plan with flow sinks keeps of one chunk — one
 // stat per packet (see stats) — and pushes the packets' summaries through
-// every incremental flow assembler.
-func (r *streamExec) feedSinks(job *chunkJob) {
+// every incremental flow assembler. On a pass the shared cache serves,
+// the chunk is the whole trace, and each sink is its op run once over
+// it through the cache instead. A failure is the job's error.
+func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 	if len(r.sinks) == 0 {
 		return
 	}
-	nc := &job.nc
-	for i := range nc.Views {
-		sum := nc.Views[i].Summary()
-		st := statOf(&sum)
-		if i < len(nc.Labels) && nc.Labels[i] != 0 {
-			name := ""
-			if i < len(nc.Attacks) {
-				name = nc.Attacks[i]
-			}
-			st.attack = r.stats.attackID(name)
-		}
-		r.stats.add(st)
+	if r.keys != nil {
 		for _, s := range r.sinks {
-			s.add(nc.Base+i, &sum)
+			ctx := opCtx{mode: r.mode, stream: r.sc}
+			out, st, _, err := r.e.invoke(s.op, r.pl.defs[s.op], job.env, ctx, cs, r.keys[r.e.P.Ops[s.op].Output], r.root)
+			if err != nil {
+				job.err = err
+				return
+			}
+			s.flows, job.stats[s.op] = out.(*Flows), st
 		}
+		return
 	}
+	nc := &job.nc
+	feedFlows(r.stats, r.sinks, nc.Base, nc.Views, nc.Labels, nc.Attacks)
 	for _, s := range r.sinks {
 		s.report()
 	}
@@ -231,7 +262,7 @@ func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(data
 		if stage != nil && (len(r.sinks) > 0 || slices.Contains(r.pl.Ordered, true)) {
 			cs = chunkSpan(stage, &job.nc)
 		}
-		r.feedSinks(job)
+		r.feedSinks(job, cs)
 		r.runOps(job, r.pl.Ordered, r.sc, cs)
 		cs.End()
 	}
@@ -254,10 +285,11 @@ func chunkSpan(stage *obs.Span, nc *dataset.NumberedChunk) *obs.Span {
 }
 
 // runOps executes the picked ops over the job's environment, recording
-// per-op stats and any evaluation results on the job. A failing op stores
-// its wrapped error in job.err and stops the job. sc supplies the chunk
-// base and cross-chunk carry: the shared ordered context in the sink, the
-// job's own in prepare.
+// per-op stats and any evaluation results on the job and dropping each
+// value after its last reader. A failing op stores its wrapped error in
+// job.err and stops the job. sc supplies the chunk base and cross-chunk
+// carry: the shared ordered context in the sink, the job's own in
+// prepare.
 func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan *obs.Span) {
 	if job.err != nil {
 		return
@@ -269,7 +301,7 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 		}
 		job.op = i
 		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift, scratch: &job.scratch}
-		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, nil)
+		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, r.keys[op.Output], r.root)
 		if err != nil {
 			job.err = err
 			return
@@ -278,6 +310,9 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 		job.env[op.Output] = out
 		if res != nil {
 			job.results = append(job.results, res)
+		}
+		for _, name := range r.free[i] {
+			delete(job.env, name)
 		}
 	}
 }
@@ -294,6 +329,7 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		r.prof[i].Wall += job.stats[i].Wall
 		r.prof[i].Allocs += job.stats[i].Allocs
 		r.prof[i].OutRows += job.stats[i].OutRows
+		r.prof[i].Cached = r.prof[i].Cached || job.stats[i].Cached
 	}
 	if !r.hooks.active() {
 		r.results = append(r.results, job.results...)
@@ -347,9 +383,9 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 	}
 }
 
-// finish runs the deferred (barrier) suffix with batch semantics over
-// the accumulated state and assembles the result the pass returns: every
-// row on an unhooked pass, the flush pass's rows on a hooked one.
+// finish runs the deferred (barrier) suffix over the accumulated state of
+// the whole trace and assembles the result the pass returns: every row on
+// an unhooked pass, the flush pass's rows on a hooked one.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	if e.Metrics != nil {
@@ -357,16 +393,30 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			"Live-heap high-water mark observed at chunk boundaries of the most recent streaming run.").Set(float64(r.hwm))
 	}
 
-	// Flush: run deferred ops in op order with batch semantics, each
-	// accumulation concatenated when its first reader runs.
-	fenv := r.fenv
+	// Flush: run deferred ops in op order over the whole trace, each
+	// accumulation concatenated when its first reader runs. Its rows are
+	// numbered from 0, and an op deferred on an Online pass fits whole.
+	fenv, online := r.fenv, r.sc.online
+	r.sc.base, r.sc.online = 0, false
+	var drift []DriftEvent
 	for i, op := range e.P.Ops {
 		if r.pl.Streamed[i] {
 			continue
 		}
 		start := time.Now()
 		if k := slices.IndexFunc(r.sinks, func(s *flowSinkState) bool { return s.op == i }); k >= 0 {
-			fl := r.finishFlows(r.sinks[k])
+			fl := r.sinks[k].flows
+			if fl == nil {
+				// Closing the sink is its op's run on this pass: it gets the
+				// op's span and metrics.
+				var sp *obs.Span
+				if e.Span != nil {
+					sp = e.Span.Child("op:" + op.Func)
+					sp.Set("output", op.Output)
+				}
+				fl = r.sinks[k].finish(r.stats)
+				e.finishOp(sp, &OpStats{Func: op.Func, Output: op.Output, Wall: time.Since(start)}, nil)
+			}
 			fenv[op.Output] = fl
 			r.prof[i].Wall += time.Since(start)
 			if i == r.pl.ConnSink && r.hooks != nil && r.hooks.ConnsClosed != nil {
@@ -377,30 +427,36 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			continue
 		}
 		for _, name := range op.Input {
-			if parts, ok := r.accum[name]; ok && fenv[name] == nil {
+			if parts, ok := r.accum[name]; ok {
 				fr, err := concatFrames(parts)
 				if err != nil {
 					return nil, fmt.Errorf("core: op %d (%s): %w", i, op.Func, err)
 				}
 				fenv[name] = fr
+				delete(r.accum, name)
 			}
 		}
-		out, st, res, err := e.invoke(i, r.pl.defs[i], fenv, opCtx{mode: r.mode}, e.Span, nil)
+		ctx := opCtx{mode: r.mode, stream: r.sc, drift: &drift}
+		out, st, res, err := e.invoke(i, r.pl.defs[i], fenv, ctx, e.Span, r.keys[op.Output], r.root)
 		if err != nil {
 			return nil, err
 		}
 		fenv[op.Output] = out
 		// The op's profile includes concatenating its inputs.
-		r.prof[i].Wall, r.prof[i].Allocs, r.prof[i].OutRows = time.Since(start), st.Allocs, st.OutRows
+		r.prof[i].Wall, r.prof[i].Allocs, r.prof[i].OutRows, r.prof[i].Cached = time.Since(start), st.Allocs, st.OutRows, st.Cached
 		if res != nil {
 			r.results = append(r.results, res)
+		}
+		for _, name := range r.free[i] {
+			delete(fenv, name)
 		}
 	}
 	e.Profile = append(e.Profile[:0], r.prof...)
 	e.LastStream.Chunks = r.nChunks
 	e.LastStream.HWMBytes = r.hwm
+	e.LastStream.DriftEvents += len(drift)
 	if r.mode == ModeTrain {
-		if r.sc.online {
+		if online {
 			// Reservoir-wrapped batch models have only been accumulating
 			// rows; make sure every trained state ends the pass fitted.
 			for _, v := range e.state {
@@ -418,19 +474,4 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		e.trained = true
 	}
 	return mergeResults(r.results), nil
-}
-
-// finishFlows assembles the final Flows value of a flow-sink op at flush:
-// the flows evicted mid-stream plus the assembler's remainder, in the
-// canonical (first-packet time, tuple) order batch assembly produces.
-func (r *streamExec) finishFlows(s *flowSinkState) *Flows {
-	out := &Flows{Granularity: s.gran, stats: r.stats}
-	if s.uni != nil {
-		out.Unis = append(s.unis, s.uni.Flush()...)
-		flow.SortUniflows(out.Unis)
-	} else {
-		out.Conns = append(s.cons, s.conn.Flush()...)
-		flow.SortConnections(out.Conns)
-	}
-	return out
 }

@@ -130,15 +130,16 @@ func scorePipeline() *Pipeline {
 	}
 }
 
-// batchRun trains and tests p over ds with the batch engine.
+// batchRun trains and tests p over ds with the reference batch executor
+// (refRun).
 func batchRun(t *testing.T, p *Pipeline, ds *dataset.Labeled) *EvalResult {
 	t.Helper()
 	eng := NewEngine(p)
 	eng.Seed = 7
-	if err := eng.Train(ds); err != nil {
+	if _, err := refRun(eng, ds, ModeTrain); err != nil {
 		t.Fatalf("batch train: %v", err)
 	}
-	res, err := eng.Test(ds)
+	res, err := refRun(eng, ds, ModeTest)
 	if err != nil {
 		t.Fatalf("batch test: %v", err)
 	}
@@ -367,7 +368,7 @@ func TestStreamEmptyDataset(t *testing.T) {
 	ds := &dataset.Labeled{Name: "empty", Granularity: dataset.Packet}
 	p := fieldPipeline()
 	be := NewEngine(p)
-	_, berr := be.run(ds, ModeTrain)
+	_, berr := refRun(be, ds, ModeTrain)
 	se := NewEngine(p)
 	serr := se.TrainStream(ds, StreamConfig{ChunkRows: 64})
 	if (berr == nil) != (serr == nil) {

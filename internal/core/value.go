@@ -56,17 +56,15 @@ type Value interface{ Kind() Kind }
 
 // Packets is the pipeline's packet input: Views are the packets every
 // packet op reads (lazy zero-copy netpkt.PacketViews over the raw frame
-// bytes), DS supplies labels, attacks and stream metadata. On streaming
-// runs both describe one chunk and DS.Packets is empty; on batch runs DS
-// is the whole materialized dataset, which flow assembly's batch driver
-// reads directly.
+// bytes), DS supplies labels, attacks and stream metadata. On a pass both
+// describe one chunk and DS.Packets is empty.
 type Packets struct {
 	DS    *dataset.Labeled
 	Views []netpkt.PacketView
 }
 
-// newPackets wraps a materialized dataset for a batch run, building the
-// views over its packets' wire bytes once for every op that reads them.
+// newPackets wraps a materialized dataset as one chunk for an op called
+// directly, building the views over its packets' wire bytes.
 func newPackets(ds *dataset.Labeled) Packets {
 	return Packets{DS: ds, Views: ds.AppendViews(nil, 0, len(ds.Packets), netpkt.DecodeHint{})}
 }
@@ -78,12 +76,9 @@ func (Packets) Kind() Kind { return KindPackets }
 func (p Packets) Len() int { return len(p.Views) }
 
 // Flows is the output of flow assembly: either uniflows or connections,
-// plus what flow features read of the member packets. A batch run keeps
-// the source dataset (DS) for that; a streaming run, where the packet set
-// is never materialized, retains one pktStat per packet (stats) instead
-// and leaves DS nil.
+// plus what flow features read of the member packets, one pktStat per
+// packet (stats), since the packet set is never materialized.
 type Flows struct {
-	DS          *dataset.Labeled
 	Granularity dataset.Granularity
 	Unis        []*flow.Uniflow    // set when Granularity == UniflowG
 	Conns       []*flow.Connection // set when Granularity == ConnectionG
@@ -141,37 +136,15 @@ func (s *pktStats) attackID(name string) uint32 {
 	return uint32(len(s.attacks))
 }
 
-// summary returns the stat of member packet pi from whichever
-// representation the value carries.
-func (f *Flows) summary(pi int) pktStat {
-	if f.stats != nil {
-		return f.stats.at(pi)
-	}
-	s := f.DS.Packets[pi].Summary()
-	return statOf(&s)
-}
-
 // label derives the ground truth of a flow whose member packets are idx:
 // malicious if any member is (datasets label whole flows, so members
 // agree by construction), with the attack name taken from the first
 // malicious packet. Unlabeled sources (pcap captures, live feeds) yield
 // benign.
 func (f *Flows) label(idx []int) (int, string) {
-	if f.stats != nil {
-		for _, pi := range idx {
-			if a := f.stats.at(pi).attack; a != 0 {
-				return 1, f.stats.attacks[a-1]
-			}
-		}
-		return 0, ""
-	}
-	ds := f.DS
 	for _, pi := range idx {
-		if pi < len(ds.Labels) && ds.Labels[pi] != 0 {
-			if pi < len(ds.Attacks) {
-				return 1, ds.Attacks[pi]
-			}
-			return 1, ""
+		if a := f.stats.at(pi).attack; a != 0 {
+			return 1, f.stats.attacks[a-1]
 		}
 	}
 	return 0, ""
