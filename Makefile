@@ -148,7 +148,7 @@ config-check:
 #   FuzzDaemonConfig     error, or a config whose every pipeline plans as `lumend -check` does (daemon/config_test.go)
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
 #   FuzzParsePipeline    error, or a template that plans in both modes, Online off and on (algorithms/plan_test.go)
-#   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/oracle_test.go)
+#   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/flow_oracle_test.go)
 #   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
 FUZZTIME ?= 5s
 fuzz-smoke:

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,14 +121,15 @@ func TestLoadLabeledPcapBadRows(t *testing.T) {
 	}
 }
 
-// TestREADMEFlagTable pins README.md's "lumen flags" table to the flag
-// set: paste what the failure prints between the markers.
+// TestREADMEFlagTable pins README.md's "lumen flags" table to the
+// FlagSet flags declares: paste what the failure prints between the
+// markers.
 func TestREADMEFlagTable(t *testing.T) {
 	doc, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := report.FlagTable("lumen", flag.CommandLine)
+	want := report.FlagTable("lumen", flags(new(options)))
 	if !bytes.Contains(doc, []byte(want)) {
 		t.Errorf("README.md's lumen flag table is stale; it should read:\n%s", want)
 	}

@@ -27,64 +27,73 @@ import (
 	"lumen/internal/report"
 )
 
-// The command line (README.md "lumen flags" is pinned to it by
-// TestREADMEFlagTable).
-var (
-	listOps     = flag.Bool("list-ops", false, "print the op table (signature, stream class per mode, traits, doc) and exit")
-	listAlgs    = flag.Bool("list-algs", false, "list ported algorithms and exit")
-	algID       = flag.String("alg", "", "built-in algorithm ID (A00-A15, AM01-AM03)")
-	pipelineF   = flag.String("pipeline", "", "pipeline template JSON file")
-	trainID     = flag.String("train", "", "training dataset ID (F0-F9, P0-P4)")
-	testID      = flag.String("test", "", "test dataset ID (defaults to -train with a split)")
-	trainPcap   = flag.String("train-pcap", "", "training pcap file (with -train-labels)")
-	trainLabels = flag.String("train-labels", "", "training label CSV (index,label,attack)")
-	testPcap    = flag.String("test-pcap", "", "test pcap file (with -test-labels)")
-	testLabels  = flag.String("test-labels", "", "test label CSV")
-	scale       = flag.Float64("scale", 1.0, "dataset scale for registry datasets")
-	seed        = flag.Int64("seed", 7, "random seed")
-	profile     = flag.Bool("profile", false, "print per-operation time/alloc profile")
-	saveModel   = flag.String("save-model", "", "write the fitted model as JSON (tree-family and naive Bayes)")
-	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev); also prints per-model loss sparklines")
-	metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file after the run")
-)
+// options is the whole command line.
+type options struct {
+	listOps, listAlgs, profile                   bool
+	alg, pipeline, train, test                   string
+	trainPcap, trainLabels, testPcap, testLabels string
+	saveModel, traceOut, metricsOut              string
+	scale                                        float64
+	seed                                         int64
+}
+
+// flags declares the whole command line (README.md "lumen flags" is
+// pinned to it by TestREADMEFlagTable).
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("lumen", flag.ExitOnError)
+	fs.BoolVar(&o.listOps, "list-ops", false, "print the op table (signature, stream class per mode, traits, doc) and exit")
+	fs.BoolVar(&o.listAlgs, "list-algs", false, "list ported algorithms and exit")
+	fs.StringVar(&o.alg, "alg", "", "built-in algorithm ID (A00-A15, AM01-AM03)")
+	fs.StringVar(&o.pipeline, "pipeline", "", "pipeline template JSON file")
+	fs.StringVar(&o.train, "train", "", "training dataset ID (F0-F9, P0-P4)")
+	fs.StringVar(&o.test, "test", "", "test dataset ID (defaults to -train with a split)")
+	fs.StringVar(&o.trainPcap, "train-pcap", "", "training pcap file (with -train-labels)")
+	fs.StringVar(&o.trainLabels, "train-labels", "", "training label CSV (index,label,attack)")
+	fs.StringVar(&o.testPcap, "test-pcap", "", "test pcap file (with -test-labels)")
+	fs.StringVar(&o.testLabels, "test-labels", "", "test label CSV")
+	fs.Float64Var(&o.scale, "scale", 1.0, "dataset scale for registry datasets")
+	fs.Int64Var(&o.seed, "seed", 7, "random seed")
+	fs.BoolVar(&o.profile, "profile", false, "print per-operation time/alloc profile")
+	fs.StringVar(&o.saveModel, "save-model", "", "write the fitted model as JSON (tree-family and naive Bayes)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev); also prints per-model loss sparklines")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write Prometheus text-format metrics to this file after the run")
+	return fs
+}
 
 func main() {
-	flag.Parse()
-
-	if *listOps {
-		if err := core.WriteOpTable(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lumen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *listAlgs {
-		t := &report.Table{Header: []string{"ID", "Granularity", "Ref", "Description"}}
-		for _, a := range append(algorithms.All(), algorithms.Modified()...) {
-			t.Add(a.ID, a.Granularity().String(), a.Ref, a.Desc)
-		}
-		fmt.Print(t)
-		return
-	}
-
-	if err := run(*algID, *pipelineF, *trainID, *testID, *trainPcap, *trainLabels, *testPcap, *testLabels, *scale, *seed, *profile, *saveModel, *traceOut, *metricsOut); err != nil {
+	var o options
+	flags(&o).Parse(os.Args[1:])
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "lumen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(algID, pipelineF, trainID, testID, trainPcap, trainLabels, testPcap, testLabels string, scale float64, seed int64, profile bool, saveModel, traceOut, metricsOut string) error {
+// run lists what -list-ops or -list-algs asks for, or trains and tests
+// the chosen pipeline and prints its scores.
+func run(o options) error {
+	if o.listOps {
+		return core.WriteOpTable(os.Stdout)
+	}
+	if o.listAlgs {
+		t := &report.Table{Header: []string{"ID", "Granularity", "Ref", "Description"}}
+		for _, a := range append(algorithms.All(), algorithms.Modified()...) {
+			t.Add(a.ID, a.Granularity().String(), a.Ref, a.Desc)
+		}
+		fmt.Print(t)
+		return nil
+	}
 	var p *core.Pipeline
 	switch {
-	case algID != "":
-		alg, ok := algorithms.Get(algID)
+	case o.alg != "":
+		alg, ok := algorithms.Get(o.alg)
 		if !ok {
-			return fmt.Errorf("unknown algorithm %q (try -list-algs)", algID)
+			return fmt.Errorf("unknown algorithm %q (try -list-algs)", o.alg)
 		}
 		p = alg.Pipeline
-	case pipelineF != "":
+	case o.pipeline != "":
 		var err error
-		p, err = core.LoadPipeline(pipelineF)
+		p, err = core.LoadPipeline(o.pipeline)
 		if err != nil {
 			return err
 		}
@@ -92,31 +101,27 @@ func run(algID, pipelineF, trainID, testID, trainPcap, trainLabels, testPcap, te
 		return fmt.Errorf("need -alg or -pipeline (or -list-ops / -list-algs)")
 	}
 
-	trainDS, testDS, err := resolveData(trainID, testID, trainPcap, trainLabels, testPcap, testLabels, scale)
+	trainDS, testDS, err := resolveData(o)
 	if err != nil {
 		return err
 	}
 
 	eng := core.NewEngine(p)
-	eng.Seed = seed
+	eng.Seed = o.seed
 	// Allocation sampling is opt-in; wall timing is always recorded.
-	eng.Profiling = profile
+	eng.Profiling = o.profile
 	var tracer *obs.Tracer
-	var root *obs.Span
-	if traceOut != "" {
+	if o.traceOut != "" {
 		tracer = obs.NewTracer()
-		root = tracer.Start("run:"+p.Name, 0)
-		eng.Span = root
+		eng.Span = tracer.Start("run:"+p.Name, 0)
 	}
-	if metricsOut != "" {
+	if o.metricsOut != "" {
 		eng.Metrics = obs.NewMetrics()
 	}
 	fmt.Printf("pipeline %q (%s granularity)\n", p.Name, p.Granularity)
-	if g, err := p.Granular(); err == nil {
-		if !dataset.CanFaithfullyRun(g, trainDS.Granularity) || !dataset.CanFaithfullyRun(g, testDS.Granularity) {
-			fmt.Println("warning: the dataset's label granularity is finer than the pipeline's classification granularity;")
-			fmt.Println("         this run is not faithful in the paper's sense unless labels are constant per flow (§2.1)")
-		}
+	if g, err := p.Granular(); err == nil && (!dataset.CanFaithfullyRun(g, trainDS.Granularity) || !dataset.CanFaithfullyRun(g, testDS.Granularity)) {
+		fmt.Println("warning: the dataset's label granularity is finer than the pipeline's classification granularity;")
+		fmt.Println("         this run is not faithful in the paper's sense unless labels are constant per flow (§2.1)")
 	}
 	fmt.Printf("training on %s (%d packets)...\n", trainDS.Name, len(trainDS.Packets))
 	if err := eng.Train(trainDS); err != nil {
@@ -135,17 +140,17 @@ func run(algID, pipelineF, trainID, testID, trainPcap, trainLabels, testPcap, te
 	if res.Scores != nil {
 		fmt.Printf("auc:       %.1f%%\n", mlkit.AUC(res.Truth, res.Scores)*100)
 	}
-	if saveModel != "" {
+	if o.saveModel != "" {
 		clf, ok := eng.TrainedModel()
 		if !ok {
 			return fmt.Errorf("no fitted model to save")
 		}
-		if err := mlkit.SaveModel(saveModel, clf); err != nil {
+		if err := mlkit.SaveModel(o.saveModel, clf); err != nil {
 			return fmt.Errorf("saving model: %w", err)
 		}
-		fmt.Println("saved model to", saveModel)
+		fmt.Println("saved model to", o.saveModel)
 	}
-	if profile {
+	if o.profile {
 		fmt.Println("\nper-operation profile (test run):")
 		t := &report.Table{Header: []string{"op", "output", "wall", "allocs", "rows"}}
 		for _, st := range eng.Profile {
@@ -154,18 +159,18 @@ func run(algID, pipelineF, trainID, testID, trainPcap, trainLabels, testPcap, te
 		fmt.Print(t)
 	}
 	if tracer != nil {
-		root.End()
+		eng.Span.End()
 		printLossCurves(tracer)
-		if err := tracer.WriteChromeTraceFile(traceOut); err != nil {
+		if err := tracer.WriteChromeTraceFile(o.traceOut); err != nil {
 			return err
 		}
-		fmt.Println("wrote Chrome trace to", traceOut, "(open at ui.perfetto.dev)")
+		fmt.Println("wrote Chrome trace to", o.traceOut, "(open at ui.perfetto.dev)")
 	}
-	if metricsOut != "" {
-		if err := eng.Metrics.WritePrometheusFile(metricsOut); err != nil {
+	if o.metricsOut != "" {
+		if err := eng.Metrics.WritePrometheusFile(o.metricsOut); err != nil {
 			return err
 		}
-		fmt.Println("wrote Prometheus metrics to", metricsOut)
+		fmt.Println("wrote Prometheus metrics to", o.metricsOut)
 	}
 	return nil
 }
@@ -203,40 +208,34 @@ func printLossCurves(tracer *obs.Tracer) {
 // resolveData loads train/test datasets from the registry or from pcap
 // files with label CSVs. When only -train is given, the dataset is split
 // into interleaved train/test halves.
-func resolveData(trainID, testID, trainPcap, trainLabels, testPcap, testLabels string, scale float64) (*dataset.Labeled, *dataset.Labeled, error) {
-	if trainPcap != "" {
-		tr, err := LoadLabeledPcap(trainPcap, trainLabels)
-		if err != nil {
+func resolveData(o options) (tr, te *dataset.Labeled, err error) {
+	if o.trainPcap != "" {
+		if tr, err = LoadLabeledPcap(o.trainPcap, o.trainLabels); err != nil {
 			return nil, nil, fmt.Errorf("train pcap: %w", err)
 		}
-		if testPcap == "" {
-			a, b := benchsuite.InterleaveSplit(tr)
-			return a, b, nil
+		if o.testPcap == "" {
+			tr, te = benchsuite.InterleaveSplit(tr)
+			return tr, te, nil
 		}
-		te, err := LoadLabeledPcap(testPcap, testLabels)
-		if err != nil {
+		if te, err = LoadLabeledPcap(o.testPcap, o.testLabels); err != nil {
 			return nil, nil, fmt.Errorf("test pcap: %w", err)
 		}
 		return tr, te, nil
 	}
-	if trainID == "" {
+	if o.train == "" {
 		return nil, nil, fmt.Errorf("need -train (dataset ID) or -train-pcap")
 	}
-	spec, ok := dataset.Get(trainID)
+	spec, ok := dataset.Get(o.train)
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown dataset %q", trainID)
+		return nil, nil, fmt.Errorf("unknown dataset %q", o.train)
 	}
-	full := spec.Generate(scale)
-	if testID == "" || testID == trainID {
-		a, b := benchsuite.InterleaveSplit(full)
-		return a, b, nil
+	tr, te = benchsuite.InterleaveSplit(spec.Generate(o.scale))
+	if o.test != "" && o.test != o.train {
+		teSpec, ok := dataset.Get(o.test)
+		if !ok {
+			return nil, nil, fmt.Errorf("unknown dataset %q", o.test)
+		}
+		_, te = benchsuite.InterleaveSplit(teSpec.Generate(o.scale))
 	}
-	teSpec, ok := dataset.Get(testID)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown dataset %q", testID)
-	}
-	teFull := teSpec.Generate(scale)
-	_, te := benchsuite.InterleaveSplit(teFull)
-	tr, _ := benchsuite.InterleaveSplit(full)
 	return tr, te, nil
 }

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -32,104 +33,69 @@ import (
 	"lumen/internal/report"
 )
 
-// options bundles the output-shaping flags that run consumes alongside
-// the suite Config.
+// options is the whole command line: the suite's Config, the flags that
+// shape what run prints and writes, and the prequential benchmark's
+// settings.
 type options struct {
+	benchsuite.Config
 	fig         string // which figure/table to produce
 	out         string // directory for results.json + CSVs
-	profile     bool   // print the aggregated per-op profile
 	profileOut  string // write the per-op profile JSON here
 	traceOut    string // write a Chrome trace_event JSON here
 	traceJSONL  string // write flat per-span JSONL records here
 	metricsOut  string // write Prometheus text metrics here at exit
 	metricsAddr string // serve Prometheus metrics on this address
+	preqOut     string // run the prequential benchmark, write its report here
+	preq        benchsuite.PrequentialConfig
 }
 
-// The command line (README.md "lumenbench flags" is pinned to it by
-// TestREADMEFlagTable).
-var (
-	scale       = flag.Float64("scale", 0.6, "dataset scale factor (1.0 = full synthetic size)")
-	seed        = flag.Int64("seed", 7, "random seed")
-	fig         = flag.String("fig", "all", "which output: "+strings.Join(validFigs, ", "))
-	algs        = flag.String("algs", "", "comma-separated algorithm IDs (default: all 16)")
-	datasets    = flag.String("datasets", "", "comma-separated dataset IDs (default: all 15)")
-	out         = flag.String("out", "", "directory to write results.json and CSV figures")
-	workers     = flag.Int("workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
-	noCache     = flag.Bool("nocache", false, "disable the shared intermediate-result cache")
-	cacheEnt    = flag.Int("cache-entries", 0, "bound the shared cache to N entries with LRU eviction (0 = unbounded)")
-	chunkRows   = flag.Int("chunk-rows", 0, "packets per chunk of every pass (0 = whole trace in one chunk, the only chunking the shared cache serves)")
-	chunkBytes  = flag.Int("chunk-bytes", 0, "wire bytes per chunk of every pass (0 = no byte bound; combines with -chunk-rows, first bound wins)")
-	pipeDepth   = flag.Int("pipeline-depth", 0, "chunks queued at each stage hand-off (>0 runs source and ops goroutines ahead of the sink; 0 = one goroutine)")
-	profile     = flag.Bool("profile", false, "sample per-op allocations and print the aggregated per-op profile")
-	profileOut  = flag.String("profile-out", "", "write the aggregated per-op profile as JSON to this file")
-	traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
-	traceJSONL  = flag.String("trace-jsonl", "", "write the trace as flat per-span JSONL records to this file")
-	metricsOut  = flag.String("metrics-out", "", "write Prometheus text-format metrics to this file when the run finishes")
-	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics at http://ADDR/metrics while the suite runs (e.g. localhost:9090)")
-	preqOut     = flag.String("prequential", "", "run the drifting-traffic prequential benchmark (static vs online vs drift-triggered retrain) and write the report JSON to this file instead of the figure suite")
-	preqPhases  = flag.String("preq-phases", "", "comma-separated phase dataset IDs for -prequential (default P1,P4)")
-	preqModel   = flag.String("preq-model", "", "model_type for -prequential; must partial-fit natively (default mlp)")
-	preqWindow  = flag.Int("preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
-)
+// flags declares the whole command line (README.md "lumenbench flags" is
+// pinned to it by TestREADMEFlagTable); each flag binds into the field it
+// sets.
+func flags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("lumenbench", flag.ExitOnError)
+	fs.Float64Var(&o.Scale, "scale", 0, "dataset scale factor (1.0 = full synthetic size; 0 = 0.6 for the figure suite, 1.0 for -prequential)")
+	fs.Int64Var(&o.Seed, "seed", 7, "random seed")
+	fs.StringVar(&o.fig, "fig", "all", "which output: "+strings.Join(validFigs, ", "))
+	fs.Var((*idList)(&o.AlgIDs), "algs", "comma-separated algorithm `IDs` (default: all 16)")
+	fs.Var((*idList)(&o.DatasetIDs), "datasets", "comma-separated dataset `IDs` (default: all 15)")
+	fs.StringVar(&o.out, "out", "", "directory to write results.json and CSV figures")
+	fs.IntVar(&o.Workers, "workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.NoCache, "nocache", false, "disable the shared intermediate-result cache")
+	fs.BoolVar(&o.Profile, "profile", false, "sample per-op allocations and print the aggregated per-op profile")
+	fs.StringVar(&o.profileOut, "profile-out", "", "write the aggregated per-op profile as JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
+	fs.StringVar(&o.traceJSONL, "trace-jsonl", "", "write the trace as flat per-span JSONL records to this file")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write Prometheus text-format metrics to this file when the run finishes")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus metrics at http://ADDR/metrics while the suite runs (e.g. localhost:9090)")
+	fs.StringVar(&o.preqOut, "prequential", "", "run the drifting-traffic prequential benchmark (static vs online vs drift-triggered retrain) and write the report JSON to this file instead of the figure suite")
+	fs.Func("preq-phases", "comma-separated phase dataset `IDs` for -prequential (default P1,P4)", func(s string) error {
+		ids := splitIDs(s)
+		if len(ids) != 2 {
+			return fmt.Errorf("want exactly two dataset IDs")
+		}
+		o.preq.PhaseA, o.preq.PhaseB = ids[0], ids[1]
+		return nil
+	})
+	fs.StringVar(&o.preq.Model, "preq-model", "", "model_type for -prequential; must partial-fit natively (default mlp)")
+	fs.IntVar(&o.preq.WindowRows, "preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
+	return fs
+}
 
 func main() {
-	flag.Parse()
-
-	if *preqOut != "" {
-		// -scale defaults differ between modes: the figure suite trims to
-		// 0.6, the drift scenario needs the full synthetic size unless the
-		// user explicitly asked otherwise.
-		pc := benchsuite.PrequentialConfig{
-			Seed:       *seed,
-			Model:      *preqModel,
-			WindowRows: *preqWindow,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				pc.Scale = *scale
-			}
-		})
-		if ids := splitIDs(*preqPhases); len(ids) == 2 {
-			pc.PhaseA, pc.PhaseB = ids[0], ids[1]
-		} else if len(ids) != 0 {
-			fmt.Fprintln(os.Stderr, "lumenbench: -preq-phases wants exactly two dataset IDs")
-			os.Exit(1)
-		}
-		if err := runPrequential(pc, *preqOut); err != nil {
-			fmt.Fprintln(os.Stderr, "lumenbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	cfg := benchsuite.Config{
-		Scale:         *scale,
-		Seed:          *seed,
-		Workers:       *workers,
-		NoCache:       *noCache,
-		CacheEntries:  *cacheEnt,
-		Profile:       *profile,
-		ChunkRows:     *chunkRows,
-		ChunkBytes:    *chunkBytes,
-		PipelineDepth: *pipeDepth,
-		AlgIDs:        splitIDs(*algs),
-		DatasetIDs:    splitIDs(*datasets),
-	}
-	opts := options{
-		fig:         *fig,
-		out:         *out,
-		profile:     *profile,
-		profileOut:  *profileOut,
-		traceOut:    *traceOut,
-		traceJSONL:  *traceJSONL,
-		metricsOut:  *metricsOut,
-		metricsAddr: *metricsAddr,
-	}
-	if err := run(cfg, opts); err != nil {
+	var o options
+	flags(&o).Parse(os.Args[1:])
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "lumenbench:", err)
 		os.Exit(1)
 	}
 }
+
+// idList binds a comma-separated scope flag to an ID slice.
+type idList []string
+
+func (l *idList) String() string     { return strings.Join(*l, ",") }
+func (l *idList) Set(s string) error { *l = splitIDs(s); return nil }
 
 // validFigs lists every -fig value run accepts.
 var validFigs = []string{"all", "table1", "1a", "1b", "1c", "5", "6", "7", "8", "9", "10", "validate", "obs2", "features"}
@@ -147,46 +113,36 @@ func splitIDs(s string) []string {
 	return out
 }
 
-func run(cfg benchsuite.Config, opts options) error {
-	fig, out := opts.fig, opts.out
-	known := false
-	for _, id := range validFigs {
-		if fig == id {
-			known = true
-			break
-		}
+// run produces what o asks for: the prequential report when -prequential
+// names a file, else the figures -fig selects.
+func run(o options) error {
+	if o.preqOut != "" {
+		return runPrequential(o)
 	}
-	if !known {
+	fig, out := o.fig, o.out
+	if !slices.Contains(validFigs, fig) {
 		return fmt.Errorf("unknown -fig %q (valid: %s)", fig, strings.Join(validFigs, ", "))
 	}
 	want := func(ids ...string) bool {
-		if fig == "all" {
-			return true
-		}
-		for _, id := range ids {
-			if fig == id {
-				return true
-			}
-		}
-		return false
+		return fig == "all" || slices.Contains(ids, fig)
 	}
 
-	if opts.traceOut != "" || opts.traceJSONL != "" {
-		cfg.Tracer = obs.NewTracer()
+	if o.traceOut != "" || o.traceJSONL != "" {
+		o.Tracer = obs.NewTracer()
 	}
-	if opts.metricsOut != "" || opts.metricsAddr != "" {
-		cfg.Metrics = obs.NewMetrics()
+	if o.metricsOut != "" || o.metricsAddr != "" {
+		o.Metrics = obs.NewMetrics()
 	}
-	if opts.metricsAddr != "" {
+	if o.metricsAddr != "" {
 		// Listen eagerly so a bad address fails the run instead of dying
 		// silently in the serving goroutine.
-		ln, err := net.Listen("tcp", opts.metricsAddr)
+		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			return fmt.Errorf("-metrics-addr: %w", err)
 		}
 		defer ln.Close()
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", cfg.Metrics.Handler())
+		mux.Handle("/metrics", o.Metrics.Handler())
 		go func() { _ = http.Serve(ln, mux) }()
 		fmt.Printf("serving metrics at http://%s/metrics\n", ln.Addr())
 	}
@@ -208,7 +164,7 @@ func run(cfg benchsuite.Config, opts options) error {
 		return nil
 	}
 
-	s, err := benchsuite.New(cfg)
+	s, err := benchsuite.New(o.Config)
 	if err != nil {
 		return err
 	}
@@ -224,15 +180,15 @@ func run(cfg benchsuite.Config, opts options) error {
 
 	if needRuns {
 		fmt.Printf("running suite: %d algorithms x %d datasets (scale %.2f)\n",
-			len(s.Algorithms()), len(s.DatasetIDs()), cfg.Scale)
+			len(s.Algorithms()), len(s.DatasetIDs()), s.Store.Meta.Manifest.Scale)
 		s.RunAll()
 		m := s.Store.Meta
 		fmt.Printf("completed %d runs in %v (%d workers, %.0f%% utilization)\n",
 			len(s.Store.Results), m.Wall.Round(time.Millisecond), m.Workers, m.Utilization*100)
-		if !cfg.NoCache {
+		if !o.NoCache {
 			cs := s.CacheStats()
-			fmt.Printf("shared cache: %d hits, %d computations, %d dedup-waits, %d evictions, %d entries (~%s)\n",
-				cs.Hits, cs.Misses, cs.DedupWaits, cs.Evictions, cs.Entries, report.HumanBytes(cs.Bytes))
+			fmt.Printf("shared cache: %d hits, %d computations, %d dedup-waits, %d entries (~%s)\n",
+				cs.Hits, cs.Misses, cs.DedupWaits, cs.Entries, report.HumanBytes(cs.Bytes))
 		}
 		fmt.Println()
 
@@ -317,7 +273,7 @@ func run(cfg benchsuite.Config, opts options) error {
 	}
 
 	if profs := s.OpProfiles(); len(profs) > 0 {
-		if opts.profile {
+		if o.Profile {
 			fmt.Println("== per-operation profile (aggregated across runs) ==")
 			t := &report.Table{Header: []string{"op", "runs", "cached", "total wall", "allocs"}}
 			for _, p := range profs {
@@ -327,38 +283,38 @@ func run(cfg benchsuite.Config, opts options) error {
 			fmt.Print(t)
 			fmt.Println()
 		}
-		if opts.profileOut != "" {
+		if o.profileOut != "" {
 			data, err := json.MarshalIndent(profs, "", " ")
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(opts.profileOut, data, 0o644); err != nil {
+			if err := os.WriteFile(o.profileOut, data, 0o644); err != nil {
 				return err
 			}
-			fmt.Println("wrote per-op profile to", opts.profileOut)
+			fmt.Println("wrote per-op profile to", o.profileOut)
 		}
 	}
 
 	// Close the suite's root span, then export whatever observability
 	// sinks were requested.
 	s.Finish()
-	if opts.traceOut != "" {
-		if err := cfg.Tracer.WriteChromeTraceFile(opts.traceOut); err != nil {
+	if o.traceOut != "" {
+		if err := o.Tracer.WriteChromeTraceFile(o.traceOut); err != nil {
 			return err
 		}
-		fmt.Println("wrote Chrome trace to", opts.traceOut, "(open at ui.perfetto.dev)")
+		fmt.Println("wrote Chrome trace to", o.traceOut, "(open at ui.perfetto.dev)")
 	}
-	if opts.traceJSONL != "" {
-		if err := cfg.Tracer.WriteJSONLFile(opts.traceJSONL); err != nil {
+	if o.traceJSONL != "" {
+		if err := o.Tracer.WriteJSONLFile(o.traceJSONL); err != nil {
 			return err
 		}
-		fmt.Println("wrote span JSONL to", opts.traceJSONL)
+		fmt.Println("wrote span JSONL to", o.traceJSONL)
 	}
-	if opts.metricsOut != "" {
-		if err := cfg.Metrics.WritePrometheusFile(opts.metricsOut); err != nil {
+	if o.metricsOut != "" {
+		if err := o.Metrics.WritePrometheusFile(o.metricsOut); err != nil {
 			return err
 		}
-		fmt.Println("wrote Prometheus metrics to", opts.metricsOut)
+		fmt.Println("wrote Prometheus metrics to", o.metricsOut)
 	}
 
 	if out != "" {
@@ -387,8 +343,10 @@ type namedCSV struct {
 
 // runPrequential executes the drifting-traffic prequential benchmark,
 // prints the per-arm summary, and writes the full report (curves
-// included) as JSON.
-func runPrequential(pc benchsuite.PrequentialConfig, out string) error {
+// included) as JSON to o.preqOut. -scale and -seed apply to it too.
+func runPrequential(o options) error {
+	pc := o.preq
+	pc.Scale, pc.Seed = o.Scale, o.Seed
 	rep, err := benchsuite.RunPrequential(pc)
 	if err != nil {
 		return err
@@ -414,9 +372,9 @@ func runPrequential(pc benchsuite.PrequentialConfig, out string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(o.preqOut, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Println("wrote prequential report to", out)
+	fmt.Println("wrote prequential report to", o.preqOut)
 	return nil
 }

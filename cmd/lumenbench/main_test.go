@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,10 +13,10 @@ import (
 )
 
 func TestRunStaticFigures(t *testing.T) {
-	if err := run(benchsuite.Config{Scale: 0.2, Seed: 1}, options{fig: "table1"}); err != nil {
+	if err := run(options{Config: benchsuite.Config{Scale: 0.2, Seed: 1}, fig: "table1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(benchsuite.Config{Scale: 0.2, Seed: 1}, options{fig: "1a"}); err != nil {
+	if err := run(options{Config: benchsuite.Config{Scale: 0.2, Seed: 1}, fig: "1a"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -32,7 +31,7 @@ func TestRunScopedFigure(t *testing.T) {
 		AlgIDs:     []string{"A14", "A15"},
 		DatasetIDs: []string{"F1", "F4"},
 	}
-	if err := run(cfg, options{fig: "8", out: t.TempDir()}); err != nil {
+	if err := run(options{Config: cfg, fig: "8", out: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,13 +46,13 @@ func TestRunValidateScoped(t *testing.T) {
 		AlgIDs:     []string{"A07", "A10", "A14"},
 		DatasetIDs: []string{"F0", "F1", "F2", "F4"},
 	}
-	if err := run(cfg, options{fig: "validate"}); err != nil {
+	if err := run(options{Config: cfg, fig: "validate"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadScope(t *testing.T) {
-	if err := run(benchsuite.Config{AlgIDs: []string{"A99"}}, options{fig: "8"}); err == nil {
+	if err := run(options{Config: benchsuite.Config{AlgIDs: []string{"A99"}}, fig: "8"}); err == nil {
 		t.Fatal("unknown algorithm scope should fail")
 	}
 }
@@ -75,7 +74,7 @@ func TestSplitIDsTrimsTokens(t *testing.T) {
 }
 
 func TestRunRejectsUnknownFig(t *testing.T) {
-	err := run(benchsuite.Config{Scale: 0.2, Seed: 1}, options{fig: "42"})
+	err := run(options{Config: benchsuite.Config{Scale: 0.2, Seed: 1}, fig: "42"})
 	if err == nil {
 		t.Fatal("unknown -fig value should fail, not silently print nothing")
 	}
@@ -95,7 +94,7 @@ func TestRunAcceptsFig1bAnd1c(t *testing.T) {
 		DatasetIDs: []string{"F1", "F4"},
 	}
 	for _, fig := range []string{"1b", "1c"} {
-		if err := run(cfg, options{fig: fig}); err != nil {
+		if err := run(options{Config: cfg, fig: fig}); err != nil {
 			t.Fatalf("-fig %s: %v", fig, err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestRunWritesProfile(t *testing.T) {
 		DatasetIDs: []string{"F1"},
 	}
 	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := run(cfg, options{fig: "8", profile: true, profileOut: path}); err != nil {
+	if err := run(options{Config: cfg, fig: "8", profileOut: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -153,12 +152,13 @@ func TestRunWritesTraceAndMetrics(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := options{
+		Config:     cfg,
 		fig:        "8",
 		traceOut:   filepath.Join(dir, "trace.json"),
 		traceJSONL: filepath.Join(dir, "trace.jsonl"),
 		metricsOut: filepath.Join(dir, "metrics.prom"),
 	}
-	if err := run(cfg, opts); err != nil {
+	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,13 +220,14 @@ func TestRunWritesTraceAndMetrics(t *testing.T) {
 }
 
 // TestREADMEFlagTable pins README.md's "lumenbench flags" table to the
-// flag set: paste what the failure prints between the markers.
+// FlagSet flags declares: paste what the failure prints between the
+// markers.
 func TestREADMEFlagTable(t *testing.T) {
 	doc, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := report.FlagTable("lumenbench", flag.CommandLine)
+	want := report.FlagTable("lumenbench", flags(new(options)))
 	if !bytes.Contains(doc, []byte(want)) {
 		t.Errorf("README.md's lumenbench flag table is stale; it should read:\n%s", want)
 	}

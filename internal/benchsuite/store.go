@@ -57,21 +57,15 @@ type Meta struct {
 // algorithm and dataset IDs, the effective suite configuration, and the
 // Go runtime it executed under.
 type Manifest struct {
-	Scale        float64  `json:"scale"`
-	Seed         int64    `json:"seed"`
-	Algorithms   []string `json:"algorithms"`
-	Datasets     []string `json:"datasets"`
-	Workers      int      `json:"workers"`
-	Cache        bool     `json:"cache"`
-	CacheEntries int      `json:"cache_entries,omitempty"`
-	Profile      bool     `json:"profile,omitempty"`
-	ChunkRows    int      `json:"chunk_rows,omitempty"`
-	ChunkBytes   int      `json:"chunk_bytes,omitempty"`
-	// PipelineDepth records the stream depth of every run (0 when every
-	// chunk ran on the caller's goroutine).
-	PipelineDepth int    `json:"pipeline_depth,omitempty"`
-	GoVersion     string `json:"go_version"`
-	MaxProcs      int    `json:"max_procs"`
+	Scale      float64  `json:"scale"`
+	Seed       int64    `json:"seed"`
+	Algorithms []string `json:"algorithms"`
+	Datasets   []string `json:"datasets"`
+	Workers    int      `json:"workers"`
+	Cache      bool     `json:"cache"`
+	Profile    bool     `json:"profile,omitempty"`
+	GoVersion  string   `json:"go_version"`
+	MaxProcs   int      `json:"max_procs"`
 }
 
 // Store accumulates results and answers the queries the figures need.

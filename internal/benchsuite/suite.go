@@ -37,26 +37,10 @@ type Config struct {
 	// ablation benchmarks; the paper's evaluation pipeline shares
 	// intermediates across algorithms).
 	NoCache bool
-	// CacheEntries bounds the shared cache's entry count with LRU
-	// eviction; 0 means unbounded.
-	CacheEntries int
 	// Profile enables per-op allocation sampling on every engine
 	// (core.Engine.Profiling) and per-op profile aggregation across runs.
 	// Wall-clock per-op timing is collected regardless.
 	Profile bool
-	// ChunkRows bounds the packets per chunk of every run's passes
-	// (core.Engine.TrainStream/TestStream; 0 = whole trace in one chunk).
-	// Results are bit-identical at every chunk size; peak memory on the
-	// inference side scales with the chunk size instead of the trace
-	// size. Only whole-trace passes share intermediates through the cache.
-	ChunkRows int
-	// ChunkBytes bounds the wire bytes per chunk (0 = no byte bound);
-	// whichever of ChunkRows/ChunkBytes trips first closes the chunk.
-	ChunkBytes int
-	// PipelineDepth, when > 0, runs each pass as a staged bounded-channel
-	// pipeline with this many decoded chunks in flight (see
-	// core.StreamConfig).
-	PipelineDepth int
 	// Tracer, when non-nil, records a span tree for the whole suite: a
 	// root "suite" span, one batch span per RunSameDataset/RunCrossDataset
 	// call, one run span per (alg, train, test) on the executing worker's
@@ -122,7 +106,6 @@ func New(cfg Config) (*Suite, error) {
 	s := &Suite{cfg: cfg, splits: map[string]*split{}, Store: &Store{}, prof: map[string]*OpProfile{}}
 	if !cfg.NoCache {
 		s.cache = core.NewCache()
-		s.cache.SetLimit(cfg.CacheEntries)
 		s.cache.SetMetrics(cfg.Metrics)
 	}
 	dsIDs := make([]string, 0, len(dataset.Registry()))
@@ -177,17 +160,13 @@ func New(cfg Config) (*Suite, error) {
 // so saved results are self-describing ("which flags produced this?").
 func (s *Suite) manifest() *Manifest {
 	m := &Manifest{
-		Scale:         s.cfg.scale(),
-		Seed:          s.cfg.Seed,
-		Workers:       s.cfg.Workers,
-		Cache:         !s.cfg.NoCache,
-		CacheEntries:  s.cfg.CacheEntries,
-		Profile:       s.cfg.Profile,
-		ChunkRows:     s.cfg.ChunkRows,
-		ChunkBytes:    s.cfg.ChunkBytes,
-		PipelineDepth: s.cfg.PipelineDepth,
-		GoVersion:     runtime.Version(),
-		MaxProcs:      runtime.GOMAXPROCS(0),
+		Scale:     s.cfg.scale(),
+		Seed:      s.cfg.Seed,
+		Workers:   s.cfg.Workers,
+		Cache:     !s.cfg.NoCache,
+		Profile:   s.cfg.Profile,
+		GoVersion: runtime.Version(),
+		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	if m.Workers == 0 {
 		m.Workers = runtime.GOMAXPROCS(0)
@@ -274,8 +253,8 @@ func CanRun(alg algorithms.Algorithm, train, test *split) bool {
 	return true
 }
 
-// runOne trains alg on train packets and evaluates on test packets.
-// span, when non-nil, is this run's span: train and test get child spans
+// runOne trains alg on train packets and evaluates on test packets, one
+// whole-trace pass each, which the shared cache serves. span, when non-nil, is this run's span: train and test get child spans
 // beneath it, and engine op spans nest below those.
 func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS, testDS *dataset.Labeled, span *obs.Span) (rr RunResult) {
 	rr = RunResult{Alg: alg.ID, TrainDS: trainID, TestDS: testID, Faithful: true}
@@ -301,15 +280,10 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 		eng.SetCache(s.cache)
 	}
 	eng.Seed = s.cfg.Seed + int64(hash(alg.ID+trainID+testID))
-	streamCfg := core.StreamConfig{
-		ChunkRows:     s.cfg.ChunkRows,
-		ChunkBytes:    s.cfg.ChunkBytes,
-		PipelineDepth: s.cfg.PipelineDepth,
-	}
 	if span != nil {
 		eng.Span = span.Child("train")
 	}
-	err := eng.TrainStream(trainDS, streamCfg)
+	err := eng.Train(trainDS)
 	eng.Span.End()
 	s.recordProfile(eng.Profile)
 	if err != nil {
@@ -319,7 +293,7 @@ func (s *Suite) runOne(alg algorithms.Algorithm, trainID, testID string, trainDS
 	if span != nil {
 		eng.Span = span.Child("test")
 	}
-	res, err := eng.TestStream(testDS, streamCfg)
+	res, err := eng.Test(testDS)
 	eng.Span.End()
 	s.recordProfile(eng.Profile)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -34,18 +33,17 @@ import (
 // DedupWaits in Stats). Cached values are shared by reference across
 // engines and MUST be treated as immutable by every op.
 //
-// SetLimit bounds the entry count; when exceeded, the least recently
-// used entries are evicted. Byte sizes are estimated per value so long
-// suite runs can observe cache growth via Stats().Bytes.
+// Entries are never dropped: a suite keeps one cache for one run, over
+// datasets it holds for the whole run anyway. Byte sizes are estimated
+// per value so long suite runs can observe cache growth via
+// Stats().Bytes.
 type Cache struct {
 	mu       sync.Mutex
-	maxEnt   int // 0 = unbounded
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
+	entries  map[string]*cacheEntry
 	inflight map[string]*flight
 	bytes    int64
 
-	hits, misses, dedupWaits, evictions int
+	hits, misses, dedupWaits int
 
 	// om mirrors the counters above into an obs.Metrics registry when one
 	// is attached (see SetMetrics). All instruments are nil-safe, so the
@@ -55,12 +53,12 @@ type Cache struct {
 
 // cacheMetrics holds the pre-resolved instruments for cache activity.
 type cacheMetrics struct {
-	hits, misses, dedupWaits, evictions *obs.Counter
-	entries, bytes                      *obs.Gauge
+	hits, misses, dedupWaits *obs.Counter
+	entries, bytes           *obs.Gauge
 }
 
 // SetMetrics mirrors cache activity into m: lumen_cache_{hits,misses,
-// dedup_waits,evictions}_total counters plus lumen_cache_entries and
+// dedup_waits}_total counters plus lumen_cache_entries and
 // lumen_cache_bytes gauges. A nil m detaches nothing and is a no-op;
 // counters registered by an earlier call keep their accumulated values.
 func (c *Cache) SetMetrics(m *obs.Metrics) {
@@ -73,7 +71,6 @@ func (c *Cache) SetMetrics(m *obs.Metrics) {
 		hits:       m.Counter("lumen_cache_hits_total", "Cache lookups served from a stored entry."),
 		misses:     m.Counter("lumen_cache_misses_total", "Cache lookups that started a computation."),
 		dedupWaits: m.Counter("lumen_cache_dedup_waits_total", "Cache lookups that blocked on another engine's in-flight computation."),
-		evictions:  m.Counter("lumen_cache_evictions_total", "Entries dropped by the LRU bound."),
 		entries:    m.Gauge("lumen_cache_entries", "Entries currently stored in the shared cache."),
 		bytes:      m.Gauge("lumen_cache_bytes", "Estimated resident bytes of stored cache values."),
 	}
@@ -87,11 +84,10 @@ func (c *Cache) syncGauges() {
 	c.om.bytes.Set(float64(c.bytes))
 }
 
-// cacheEntry is one LRU node. root is the dataset the key's lineage
+// cacheEntry is one stored value. root is the dataset the key's lineage
 // starts from, held so its address cannot be reused while the key names
 // it.
 type cacheEntry struct {
-	key   string
 	val   Value
 	root  *dataset.Labeled
 	bytes int64
@@ -106,34 +102,23 @@ type flight struct {
 
 // CacheStats is a snapshot of cache activity. Misses counts
 // computations actually started — under singleflight it equals the
-// number of distinct keys computed, while DedupWaits counts lookups
-// that blocked on another engine's in-flight computation instead of
-// recomputing.
+// number of distinct keys computed, and Entries when no computation
+// failed — while DedupWaits counts lookups that blocked on another
+// engine's in-flight computation instead of recomputing.
 type CacheStats struct {
 	Hits       int   `json:"hits"`
 	Misses     int   `json:"misses"`
 	DedupWaits int   `json:"dedup_waits"`
-	Evictions  int   `json:"evictions"`
 	Entries    int   `json:"entries"`
 	Bytes      int64 `json:"bytes"`
 }
 
-// NewCache returns an empty shared cache with no entry bound.
+// NewCache returns an empty shared cache.
 func NewCache() *Cache {
 	return &Cache{
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		entries:  make(map[string]*cacheEntry),
 		inflight: make(map[string]*flight),
 	}
-}
-
-// SetLimit bounds the cache to at most n entries (0 = unbounded),
-// evicting least-recently-used entries immediately if over the bound.
-func (c *Cache) SetLimit(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxEnt = n
-	c.evict()
 }
 
 // Stats returns a snapshot of cache activity.
@@ -144,7 +129,6 @@ func (c *Cache) Stats() CacheStats {
 		Hits:       c.hits,
 		Misses:     c.misses,
 		DedupWaits: c.dedupWaits,
-		Evictions:  c.evictions,
 		Entries:    len(c.entries),
 		Bytes:      c.bytes,
 	}
@@ -166,13 +150,11 @@ func (c *Cache) Len() int {
 // A stored entry holds root, the dataset key's lineage starts from.
 func (c *Cache) getOrCompute(key string, root *dataset.Labeled, compute func() (Value, error)) (v Value, err error, computed bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.om.hits.Inc()
-		c.lru.MoveToFront(el)
-		v = el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		return v, nil, false
+		return e.val, nil, false
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.dedupWaits++
@@ -206,41 +188,20 @@ func (c *Cache) getOrCompute(key string, root *dataset.Labeled, compute func() (
 	return f.val, f.err, true
 }
 
-// insert adds a computed value and applies the LRU bound. Caller holds mu.
+// insert stores a computed value. Singleflight makes it the key's only
+// insert. Caller holds mu.
 func (c *Cache) insert(key string, v Value, root *dataset.Labeled) {
-	if el, ok := c.entries[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.bytes -= old.bytes
-		c.lru.Remove(el)
-		delete(c.entries, key)
-	}
-	e := &cacheEntry{key: key, val: v, root: root, bytes: valueBytes(v)}
-	c.entries[key] = c.lru.PushFront(e)
+	e := &cacheEntry{val: v, root: root, bytes: valueBytes(v)}
+	c.entries[key] = e
 	c.bytes += e.bytes
-	c.evict()
-	c.syncGauges()
-}
-
-// evict drops least-recently-used entries until within bound. Caller
-// holds mu.
-func (c *Cache) evict() {
-	for c.maxEnt > 0 && c.lru.Len() > c.maxEnt {
-		el := c.lru.Back()
-		e := el.Value.(*cacheEntry)
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-		c.om.evictions.Inc()
-	}
 	c.syncGauges()
 }
 
 // valueBytes estimates the resident size of a cached value. Estimates
 // ignore struct headers beyond a small per-element constant and may
 // double-count backing arrays shared between values (e.g. a Grouped and
-// the Frame it wraps); they exist for observability and eviction
-// accounting, not exact memory attribution.
+// the Frame it wraps); they exist for observability, not exact memory
+// attribution.
 func valueBytes(v Value) int64 {
 	const hdr = 16 // string header / per-element bookkeeping
 	switch x := v.(type) {
@@ -292,8 +253,7 @@ func valueBytes(v Value) int64 {
 // holds its root (see getOrCompute), so no other dataset can take that
 // address while an entry derived from it is cached. Keys are the same
 // whichever engine computes them, so two pipelines reusing the same
-// upstream prefix hit the same entries, and a downstream key survives the
-// eviction of the upstream entries it names.
+// upstream prefix hit the same entries.
 func lineageKeys(p *Pipeline, defs []*opDef, root *dataset.Labeled) map[string]string {
 	keys := map[string]string{InputName: fmt.Sprintf("ds:%p", root)}
 	for i, op := range p.Ops {

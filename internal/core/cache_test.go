@@ -112,48 +112,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheKeysSurviveUpstreamEviction: a downstream key names its
-// upstream by lineage, not by the address of the value an engine
-// computed, so evicting the upstream entry leaves the downstream one
-// reachable: the next engine recomputes the flows and still hits the
-// cached features.
-func TestCacheKeysSurviveUpstreamEviction(t *testing.T) {
-	ds := smallDS(t, "F1")
-	p := flowFeaturePipeline("connection", nil)
-	cache := NewCache()
-	e1 := NewEngine(p)
-	e1.SetCache(cache)
-	if err := e1.Train(ds); err != nil {
-		t.Fatal(err)
-	}
-	// The flows went in first, so a bound of one evicts them alone.
-	cache.SetLimit(1)
-	cache.SetLimit(0)
-	if st := cache.Stats(); st.Evictions != 1 || st.Entries != 1 {
-		t.Fatalf("evictions=%d entries=%d, want the upstream entry gone and the downstream one kept", st.Evictions, st.Entries)
-	}
-	e2 := NewEngine(p)
-	e2.SetCache(cache)
-	if err := e2.Train(ds); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range e2.Profile {
-		switch st.Func {
-		case "flow_assemble":
-			if st.Cached {
-				t.Error("the evicted flows were served from the cache")
-			}
-		case "flow_features":
-			if !st.Cached {
-				t.Error("the features missed after their upstream entry was evicted")
-			}
-		}
-	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 3 {
-		t.Errorf("hits=%d misses=%d, want 1 and 3", st.Hits, st.Misses)
-	}
-}
-
 func TestCacheDisabledByDefault(t *testing.T) {
 	ds := smallDS(t, "F1")
 	p, _ := ParsePipeline([]byte(fig4Template))
@@ -233,52 +191,14 @@ func TestCacheSingleflightError(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction proves the entry bound evicts least-recently-used
-// values and accounts for them in Stats.
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache()
-	c.SetLimit(2)
-	mk := func(key string) Value {
-		v, err, _ := c.getOrCompute(key, nil, func() (Value, error) {
-			f := NewFrame(4)
-			f.AddF("x", []float64{1, 2, 3, 4})
-			return f, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	mk("a")
-	mk("b")
-	mk("a") // touch a so b is now LRU
-	mk("c") // evicts b
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("entries=%d evictions=%d, want 2 and 1", st.Entries, st.Evictions)
-	}
-	if st.Bytes != 2*4*8 {
-		t.Errorf("bytes=%d, want %d (two 4-row single-column frames)", st.Bytes, 2*4*8)
-	}
-	missesBefore := st.Misses
-	mk("b") // must recompute: it was evicted
-	if got := c.Stats().Misses; got != missesBefore+1 {
-		t.Errorf("misses after re-request of evicted key = %d, want %d", got, missesBefore+1)
-	}
-	mk("a")
-	if got := c.Stats().Entries; got != 2 {
-		t.Errorf("entries=%d after reinsert, want 2", got)
-	}
-}
-
 // snapshotFrames deep-copies the numeric data of every cached Frame so a
 // later comparison can detect in-place mutation by downstream ops.
 func snapshotFrames(c *Cache) map[string][][]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := map[string][][]float64{}
-	for key, el := range c.entries {
-		fr, ok := el.Value.(*cacheEntry).val.(*Frame)
+	for key, e := range c.entries {
+		fr, ok := e.val.(*Frame)
 		if !ok {
 			continue
 		}

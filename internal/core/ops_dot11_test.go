@@ -12,7 +12,7 @@ import (
 
 // dot11Frame is one 802.11 frame sent at second sec by transmitter
 // 02:00:<tx as 4 bytes>.
-func dot11Frame(t testing.TB, subtype netpkt.Dot11Subtype, tx, sec int) oracleFrame {
+func dot11Frame(t testing.TB, subtype netpkt.Dot11Subtype, tx, sec int) refFrame {
 	t.Helper()
 	d := &netpkt.Dot11{Subtype: subtype, Addr1: netpkt.MAC{2, 9, 9, 9, 9, 9}, Addr2: netpkt.MAC{2, 0}}
 	binary.BigEndian.PutUint32(d.Addr2[2:], uint32(tx))
@@ -20,14 +20,14 @@ func dot11Frame(t testing.TB, subtype netpkt.Dot11Subtype, tx, sec int) oracleFr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return oracleFrame{link: netpkt.LinkDot11, ts: time.Unix(int64(sec), 0), raw: raw}
+	return refFrame{link: netpkt.LinkDot11, ts: time.Unix(int64(sec), 0), raw: raw}
 }
 
 // dot11Churn is a stream of n frames one second apart, each from a
 // transmitter never seen before. The first is a deauthentication, the
 // rest carry data.
-func dot11Churn(t testing.TB, n int) []oracleFrame {
-	out := make([]oracleFrame, n)
+func dot11Churn(t testing.TB, n int) []refFrame {
+	out := make([]refFrame, n)
 	out[0] = dot11Frame(t, netpkt.Dot11Deauth, 0, 0)
 	for i := 1; i < n; i++ {
 		out[i] = dot11Frame(t, netpkt.Dot11Data, i, i)
@@ -37,7 +37,7 @@ func dot11Churn(t testing.TB, n int) []oracleFrame {
 
 // dot11Reference is dot11_features as it was before it swept: every
 // transmitter's trackers kept for the whole trace.
-func dot11Reference(frames []oracleFrame, lam float64) [][]float64 {
+func dot11Reference(frames []refFrame, lam float64) [][]float64 {
 	n := len(frames)
 	f := &dot11Fill{
 		subtype: make([]float64, n), mgmt: make([]float64, n), retry: make([]float64, n),

@@ -17,13 +17,13 @@ import (
 // kitsuneRun folds frames through kitsune_features the way a streaming
 // pass does — chunk rows at a time (0: one batch call) over one carried
 // state — and returns the concatenated columns.
-func kitsuneRun(t testing.TB, frames []oracleFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
+func kitsuneRun(t testing.TB, frames []refFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
 	t.Helper()
 	return chunkedRun(t, opKitsuneFeatures, frames, chunk, p, m)
 }
 
 // chunkedRun is kitsuneRun for any carry-state packet op.
-func chunkedRun(t testing.TB, op func(*opCtx, []Value, params) (Value, error), frames []oracleFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
+func chunkedRun(t testing.TB, op func(*opCtx, []Value, params) (Value, error), frames []refFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
 	t.Helper()
 	ctx := &opCtx{outName: "feats", metrics: m, stream: &streamCtx{carry: map[string]any{}}}
 	if chunk <= 0 {
@@ -80,7 +80,7 @@ func TestKitsuneFeaturesMatchStringKeyedOracle(t *testing.T) {
 			for i, v := range viewsOf(frames) {
 				pkts[i] = v.Materialize()
 			}
-			want := oracleKitsuneColumns(pkts, lambdas)
+			want := refKitsuneColumns(pkts, lambdas)
 			for _, chunk := range []int{0, 1, 64, 512} {
 				m := obs.NewMetrics()
 				sameBits(t, spec.ID, kitsuneRun(t, frames, chunk, params{}, m), want)
@@ -109,13 +109,13 @@ func udpFrame(t testing.TB, src netip.Addr) []byte {
 
 // churnFrames is a stream of n packets one second apart, each from a
 // source address never seen before: frame i comes from 11.0.0.0 + i.
-func churnFrames(t testing.TB, first, n int) []oracleFrame {
+func churnFrames(t testing.TB, first, n int) []refFrame {
 	tmpl := udpFrame(t, netip.AddrFrom4([4]byte{11, 0, 0, 0}))
-	out := make([]oracleFrame, n)
+	out := make([]refFrame, n)
 	for i := range out {
 		raw := append([]byte(nil), tmpl...)
 		binary.BigEndian.PutUint32(raw[26:30], 11<<24+uint32(first+i))
-		out[i] = oracleFrame{link: netpkt.LinkEthernet, ts: time.Unix(int64(first+i), 0), raw: raw}
+		out[i] = refFrame{link: netpkt.LinkEthernet, ts: time.Unix(int64(first+i), 0), raw: raw}
 	}
 	return out
 }
@@ -160,7 +160,7 @@ func TestKitsuneEvictionBoundsState(t *testing.T) {
 	for i, v := range viewsOf(frames) {
 		pkts[i] = v.Materialize()
 	}
-	ref := oracleKitsuneColumns(pkts, []float64{1})
+	ref := refKitsuneColumns(pkts, []float64{1})
 	if j := ref[jitmean][n-1]; j != n-1 {
 		t.Errorf("the never-evicting reference's jitter mean = %v, want the %d s the channel idled", j, n-1)
 	}
@@ -274,12 +274,12 @@ func FuzzKitsuneKeyEquivalence(f *testing.F) {
 			}
 			return netpkt.LinkEthernet
 		}
-		views := viewsOf([]oracleFrame{{link: link(dot11A), raw: rawA}, {link: link(dot11B), raw: rawB}})
+		views := viewsOf([]refFrame{{link: link(dot11A), raw: rawA}, {link: link(dot11B), raw: rawB}})
 		var keys [2][3]kitsuneKey
 		var strs [2][3]string
 		for i := range views {
 			keys[i][0], keys[i][1], keys[i][2] = kitsuneKeys(&views[i])
-			strs[i][0], strs[i][1], strs[i][2] = oracleKitsuneKeys(views[i].Materialize())
+			strs[i][0], strs[i][1], strs[i][2] = refKitsuneKeys(views[i].Materialize())
 		}
 		for g, grouping := range []string{"source", "channel", "socket"} {
 			if (keys[0][g] == keys[1][g]) != (strs[0][g] == strs[1][g]) {

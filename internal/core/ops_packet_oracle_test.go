@@ -20,8 +20,8 @@ import (
 // a protocol corpus (every layer the decoder knows, at every truncation)
 // and on real traffic from every registered dataset.
 
-// oracleFrame is one raw record the ops and the oracle both decode.
-type oracleFrame struct {
+// refFrame is one raw record the ops and the oracle both decode.
+type refFrame struct {
 	link netpkt.LinkType
 	ts   time.Time
 	raw  []byte
@@ -30,7 +30,7 @@ type oracleFrame struct {
 // protocolCorpus covers both link types, both IP versions, all L4
 // protocols, every app protocol, TCP options, fragments and non-IP
 // frames — each at every truncation, one millisecond apart.
-func protocolCorpus(t testing.TB) []oracleFrame {
+func protocolCorpus(t testing.TB) []refFrame {
 	t.Helper()
 	ip4 := func(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
 	eth := func() *netpkt.Ethernet {
@@ -67,7 +67,7 @@ func protocolCorpus(t testing.TB) []oracleFrame {
 			Addr3: netpkt.MAC{9, 9, 9, 9, 9, 9}, Seq: 77, Retry: true, Duration: 314}, Payload: []byte{0x07, 0x00}},
 		{Dot11: &netpkt.Dot11{Subtype: netpkt.Dot11Data, Addr2: netpkt.MAC{6, 5, 4, 3, 2, 1}}},
 	}
-	var out []oracleFrame
+	var out []refFrame
 	ts := time.Unix(1700000000, 0).UTC()
 	for _, p := range pkts {
 		raw, err := p.Serialize()
@@ -76,26 +76,26 @@ func protocolCorpus(t testing.TB) []oracleFrame {
 		}
 		for cut := 0; cut <= len(raw); cut++ {
 			ts = ts.Add(time.Millisecond)
-			out = append(out, oracleFrame{link: p.Link, ts: ts, raw: raw[:cut]})
+			out = append(out, refFrame{link: p.Link, ts: ts, raw: raw[:cut]})
 		}
 	}
 	return out
 }
 
 // datasetFrames returns the first n records of a generated dataset.
-func datasetFrames(ds *dataset.Labeled, n int) []oracleFrame {
+func datasetFrames(ds *dataset.Labeled, n int) []refFrame {
 	if n > len(ds.Packets) {
 		n = len(ds.Packets)
 	}
-	out := make([]oracleFrame, n)
+	out := make([]refFrame, n)
 	for i, p := range ds.Packets[:n] {
-		out[i] = oracleFrame{link: ds.Link, ts: p.Ts, raw: p.Data}
+		out[i] = refFrame{link: ds.Link, ts: p.Ts, raw: p.Data}
 	}
 	return out
 }
 
 // viewsOf builds fresh, undecoded views over the frames.
-func viewsOf(frames []oracleFrame) []netpkt.PacketView {
+func viewsOf(frames []refFrame) []netpkt.PacketView {
 	views := make([]netpkt.PacketView, len(frames))
 	for i, f := range frames {
 		views[i].Reset(f.raw, f.link, f.ts)
@@ -105,9 +105,9 @@ func viewsOf(frames []oracleFrame) []netpkt.PacketView {
 
 func flag(p *netpkt.Packet, f uint8) float64 { return b2f(p.TCP != nil && p.TCP.Flags&f == f) }
 
-// oracleNumeric reads numeric field f off the materialized packet; prev
+// refNumeric reads numeric field f off the materialized packet; prev
 // is the preceding packet of the value (nil for the first), for iat.
-func oracleNumeric(t *testing.T, f string, p, prev *netpkt.Packet) float64 {
+func refNumeric(t *testing.T, f string, p, prev *netpkt.Packet) float64 {
 	switch f {
 	case "ts":
 		return pktTime(p.Ts)
@@ -201,10 +201,10 @@ func oracleNumeric(t *testing.T, f string, p, prev *netpkt.Packet) float64 {
 	return 0
 }
 
-// oracleString reads string field f off the materialized packet: IP
+// refString reads string field f off the materialized packet: IP
 // endpoints (ARP's when there is no IP header), MACs standing in on
 // 802.11.
-func oracleString(t *testing.T, f string, p *netpkt.Packet) string {
+func refString(t *testing.T, f string, p *netpkt.Packet) string {
 	ipOr := func(a netip.Addr, mac func(*netpkt.Dot11) netpkt.MAC) string {
 		switch {
 		case a.IsValid():
@@ -239,8 +239,8 @@ func oracleString(t *testing.T, f string, p *netpkt.Packet) string {
 	return ""
 }
 
-// oracleShape is the nprint input read off the materialized packet.
-func oracleShape(p *netpkt.Packet) features.Shape {
+// refShape is the nprint input read off the materialized packet.
+func refShape(p *netpkt.Packet) features.Shape {
 	return features.Shape{
 		Raw: p.Data, Link: p.Link,
 		HasIPv4: p.IPv4 != nil, HasTCP: p.TCP != nil, HasUDP: p.UDP != nil, HasICMP: p.ICMP != nil,
@@ -248,9 +248,9 @@ func oracleShape(p *netpkt.Packet) features.Shape {
 	}
 }
 
-// oracleKitsuneKeys are Kitsune's source / channel / socket grouping
+// refKitsuneKeys are Kitsune's source / channel / socket grouping
 // keys: IP endpoints, else 802.11 MACs, else Ethernet MACs.
-func oracleKitsuneKeys(p *netpkt.Packet) (src, channel, socket string) {
+func refKitsuneKeys(p *netpkt.Packet) (src, channel, socket string) {
 	pair := func(a, b fmt.Stringer) (string, string, string) {
 		ch := a.String() + ">" + b.String()
 		return a.String(), ch, ch
@@ -270,36 +270,36 @@ func oracleKitsuneKeys(p *netpkt.Packet) (src, channel, socket string) {
 	return "?", "?", "?"
 }
 
-// oracleKitsuneStreams and oracleKitsuneFold are kitsune_features as it
+// refKitsuneStreams and refKitsuneFold are kitsune_features as it
 // was before its keys became structs: one string-keyed map per decay
 // rate holding heap statistics under "", "c|" and "s|" prefixes, plus a
 // last-seen map per rate. Kept as the reference the op's columns must
 // match bit for bit.
-type oracleKitsuneStreams struct {
+type refKitsuneStreams struct {
 	src, jitter *features.IncStat
 	two         *features.IncStat2D
 }
 
-type oracleKitsuneFold struct {
-	perLambda []map[string]*oracleKitsuneStreams
+type refKitsuneFold struct {
+	perLambda []map[string]*refKitsuneStreams
 	lastSeen  []map[string]float64
 }
 
-func newOracleKitsuneFold(lambdas []float64) *oracleKitsuneFold {
-	o := &oracleKitsuneFold{}
+func newRefKitsuneFold(lambdas []float64) *refKitsuneFold {
+	o := &refKitsuneFold{}
 	for range lambdas {
-		o.perLambda = append(o.perLambda, map[string]*oracleKitsuneStreams{})
+		o.perLambda = append(o.perLambda, map[string]*refKitsuneStreams{})
 		o.lastSeen = append(o.lastSeen, map[string]float64{})
 	}
 	return o
 }
 
-func (o *oracleKitsuneFold) fold(lambdas []float64, cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey string) {
+func (o *refKitsuneFold) fold(lambdas []float64, cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey string) {
 	for li, lam := range lambdas {
-		get := func(key string) *oracleKitsuneStreams {
+		get := func(key string) *refKitsuneStreams {
 			st := o.perLambda[li][key]
 			if st == nil {
-				st = &oracleKitsuneStreams{src: features.NewIncStat(lam), jitter: features.NewIncStat(lam), two: features.NewIncStat2D(lam)}
+				st = &refKitsuneStreams{src: features.NewIncStat(lam), jitter: features.NewIncStat(lam), two: features.NewIncStat2D(lam)}
 				o.perLambda[li][key] = st
 			}
 			return st
@@ -333,16 +333,16 @@ func (o *oracleKitsuneFold) fold(lambdas []float64, cols [][]float64, i int, t, 
 	}
 }
 
-// oracleKitsuneColumns folds the materialized packets through the string-
+// refKitsuneColumns folds the materialized packets through the string-
 // keyed reference.
-func oracleKitsuneColumns(pkts []*netpkt.Packet, lambdas []float64) [][]float64 {
+func refKitsuneColumns(pkts []*netpkt.Packet, lambdas []float64) [][]float64 {
 	cols := make([][]float64, 13*len(lambdas))
 	for j := range cols {
 		cols[j] = make([]float64, len(pkts))
 	}
-	o := newOracleKitsuneFold(lambdas)
+	o := newRefKitsuneFold(lambdas)
 	for i, p := range pkts {
-		src, ch, sock := oracleKitsuneKeys(p)
+		src, ch, sock := refKitsuneKeys(p)
 		o.fold(lambdas, cols, i, pktTime(p.Ts), float64(len(p.Data)), float64(len(p.Payload)), src, ch, sock)
 	}
 	return cols
@@ -372,7 +372,7 @@ func (kp *keyPairing) add(t testing.TB, grouping string, i int, k kitsuneKey, s 
 }
 
 // checkPacketOps holds every packet op to the oracle over one frame set.
-func checkPacketOps(t *testing.T, frames []oracleFrame) {
+func checkPacketOps(t *testing.T, frames []refFrame) {
 	t.Helper()
 	ref := viewsOf(frames)
 	pkts := make([]*netpkt.Packet, len(ref))
@@ -405,10 +405,10 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 				if i > 0 {
 					prev = pkts[i-1]
 				}
-				if want := oracleNumeric(t, f, p, prev); c.F[i] != want {
+				if want := refNumeric(t, f, p, prev); c.F[i] != want {
 					t.Fatalf("field_extract %s, packet %d: view %v, materialized %v", f, i, c.F[i], want)
 				}
-			} else if want := oracleString(t, f, p); c.S[i] != want {
+			} else if want := refString(t, f, p); c.S[i] != want {
 				t.Fatalf("field_extract %s, packet %d: view %q, materialized %q", f, i, c.S[i], want)
 			}
 		}
@@ -425,7 +425,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 		rows := np.(*Frame).Matrix()
 		want := make([]float64, cfg.Width())
 		for i, p := range pkts {
-			cfg.FillRow(want, oracleShape(p))
+			cfg.FillRow(want, refShape(p))
 			if !reflect.DeepEqual(rows[i], want) {
 				t.Fatalf("nprint %s, packet %d: view row differs from the materialized packet's", variant, i)
 			}
@@ -436,7 +436,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 	srcs, chans, socks := newKeyPairing(), newKeyPairing(), newKeyPairing()
 	for i, p := range pkts {
 		gs, gc, gk := kitsuneKeys(&keyViews[i])
-		ws, wc, wk := oracleKitsuneKeys(p)
+		ws, wc, wk := refKitsuneKeys(p)
 		srcs.add(t, "source", i, gs, ws)
 		chans.add(t, "channel", i, gc, wc)
 		socks.add(t, "socket", i, gk, wk)
@@ -450,7 +450,7 @@ func checkPacketOps(t *testing.T, frames []oracleFrame) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, want := range oracleKitsuneColumns(pkts, lambdas) {
+		for j, want := range refKitsuneColumns(pkts, lambdas) {
 			got := kf.(*Frame).Cols[j]
 			for i := range want {
 				if math.Float64bits(got.F[i]) != math.Float64bits(want[i]) {

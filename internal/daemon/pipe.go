@@ -269,7 +269,7 @@ type Pipe struct {
 	// scoring goroutine; retrainBusy is the single-flight latch shared
 	// with the background fit goroutine.
 	retrain      RetrainConfig
-	res          *retrainRes
+	res          *mlkit.Reservoir
 	lastRetrain  int64
 	retrainArmed bool
 	retrainBusy  atomic.Bool
@@ -331,7 +331,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	p.stream.Hooks = &core.StreamHooks{AfterChunk: p.afterChunk}
 	if cfg.Retrain.Enabled {
 		p.stream.Hooks.WantFeatures = true
-		p.res = newRetrainRes(cfg.Retrain.cap(), cfg.Retrain.Seed)
+		p.res = mlkit.NewReservoir(cfg.Retrain.cap(), cfg.Retrain.Seed)
 	}
 	if cfg.Alerts != nil {
 		p.alertw = cfg.Alerts

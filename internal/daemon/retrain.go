@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lumen/internal/core"
-	"lumen/internal/mlkit"
 )
 
 // RetrainConfig enables drift-triggered background retraining on a
@@ -61,61 +60,6 @@ func (c RetrainConfig) cooldown() int64 {
 	return int64(c.CooldownChunks)
 }
 
-// retrainRes is the pipeline's labelled-row reservoir (Algorithm R,
-// uniform over all rows seen). Rows are copied on admission: hook
-// feature matrices are only valid during the callback. Only the scoring
-// goroutine touches it; background retrains work on snapshots.
-type retrainRes struct {
-	cap  int
-	rng  *mlkit.RNG
-	X    [][]float64
-	y    []int
-	seen int
-}
-
-func newRetrainRes(cap int, seed int64) *retrainRes {
-	return &retrainRes{cap: cap, rng: mlkit.NewRNG(seed)}
-}
-
-// add absorbs one chunk's rows. labels may be nil (unlabeled feeds);
-// those rows train as benign, matching the online-train convention.
-func (r *retrainRes) add(X [][]float64, labels []int) {
-	for i, row := range X {
-		label := 0
-		if i < len(labels) && labels[i] != 0 {
-			label = 1
-		}
-		r.seen++
-		if len(r.X) < r.cap {
-			r.X = append(r.X, append([]float64(nil), row...))
-			r.y = append(r.y, label)
-		} else if j := r.rng.Intn(r.seen); j < r.cap {
-			r.X[j] = append(r.X[j][:0], row...)
-			r.y[j] = label
-		}
-	}
-}
-
-// reset empties the reservoir, restarting Algorithm R from zero rows
-// seen; FreshData retrains use it so the refit sees only post-drift
-// traffic.
-func (r *retrainRes) reset() {
-	r.X = r.X[:0]
-	r.y = r.y[:0]
-	r.seen = 0
-}
-
-// snapshot copies the reservoir for out-of-band fitting. Rows are
-// deep-copied so a concurrent retrain never observes in-place
-// replacement by later add calls.
-func (r *retrainRes) snapshot() ([][]float64, []int) {
-	X := make([][]float64, len(r.X))
-	for i, row := range r.X {
-		X[i] = append([]float64(nil), row...)
-	}
-	return X, append([]int(nil), r.y...)
-}
-
 // observeDrift is the per-chunk retrain hook, run on the scoring
 // goroutine from afterChunk: fill the reservoir, count drift events, arm
 // a retrain when one fired and the gates (cooldown, single-flight)
@@ -130,18 +74,18 @@ func (p *Pipe) observeDrift(up core.ChunkUpdate) {
 		return
 	}
 	if len(up.Features) > 0 {
-		p.res.add(up.Features, up.Labels)
+		p.res.Add(up.Features, up.Labels)
 	}
 	if len(up.Drift) > 0 && !p.retrainArmed && !p.retrainBusy.Load() {
 		c := p.chunks.Load()
 		if p.lastRetrain == 0 || c-p.lastRetrain >= p.retrain.cooldown() {
 			p.retrainArmed = true
 			if p.retrain.FreshData {
-				p.res.reset()
+				p.res.Reset()
 			}
 		}
 	}
-	if !p.retrainArmed || len(p.res.X) < p.retrain.minRows() {
+	if !p.retrainArmed || p.res.Len() < p.retrain.minRows() {
 		return
 	}
 	if !p.retrainBusy.CompareAndSwap(false, true) {
@@ -149,7 +93,7 @@ func (p *Pipe) observeDrift(up core.ChunkUpdate) {
 	}
 	p.retrainArmed = false
 	p.lastRetrain = p.chunks.Load()
-	X, y := p.res.snapshot()
+	X, y := p.res.Snapshot()
 	go p.backgroundRetrain(X, y)
 }
 

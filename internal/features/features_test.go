@@ -1,8 +1,11 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +134,42 @@ func TestCounterEntropy(t *testing.T) {
 	}
 	if ne := c.NormalizedEntropy(); math.Abs(ne-1) > 1e-9 {
 		t.Errorf("normalized entropy = %v, want 1", ne)
+	}
+}
+
+// TestCounterEntropyIsOrderFree: entropy is a sum of floating-point
+// terms, so it must not depend on map iteration order: repeated calls on
+// one counter, and counters filled in different key orders, give the
+// same bits.
+func TestCounterEntropyIsOrderFree(t *testing.T) {
+	var keys []string
+	for k := 0; k < 40; k++ {
+		for n := 0; n <= k%7; n++ {
+			keys = append(keys, fmt.Sprintf("k%02d", k))
+		}
+	}
+	fill := func(order []string) *Counter {
+		c := NewCounter()
+		for _, k := range order {
+			c.Add(k)
+		}
+		return c
+	}
+	c := fill(keys)
+	want := math.Float64bits(c.Entropy())
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(c.Entropy()); got != want {
+			t.Fatalf("call %d: entropy bits %x, first call %x", i, got, want)
+		}
+	}
+	rev := slices.Clone(keys)
+	slices.Reverse(rev)
+	shuf := slices.Clone(keys)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
+	for name, order := range map[string][]string{"reversed": rev, "shuffled": shuf} {
+		if got := math.Float64bits(fill(order).Entropy()); got != want {
+			t.Errorf("%s fill: entropy bits %x, want %x", name, got, want)
+		}
 	}
 }
 

@@ -306,6 +306,59 @@ func (s *MinMaxScaler) PartialFit(X [][]float64) error {
 
 // --- reservoir wrapper for batch-only models ------------------------------
 
+// Reservoir is a uniform sample of labelled rows (Algorithm R): after n
+// rows, each has had the same chance cap/n to be kept, and the seed fixes
+// which. Labels fold to 0/1. A kept row is a fresh copy, and a replaced
+// slot gets a fresh copy too, never an overwrite, so a Snapshot stays
+// valid while later Adds run (a background fit may hold one).
+type Reservoir struct {
+	cap    int
+	rng    *RNG
+	rows   [][]float64
+	labels []int
+	seen   int
+}
+
+// NewReservoir returns an empty reservoir of at most cap rows.
+func NewReservoir(cap int, seed int64) *Reservoir {
+	return &Reservoir{cap: cap, rng: NewRNG(seed)}
+}
+
+// Add absorbs a batch of rows. y may be shorter than X or nil (unlabeled
+// feeds): rows without a label count as benign. The caller may reuse X
+// afterwards.
+func (r *Reservoir) Add(X [][]float64, y []int) {
+	for i, row := range X {
+		label := 0
+		if i < len(y) && y[i] != 0 {
+			label = 1
+		}
+		r.seen++
+		if len(r.rows) < r.cap {
+			r.rows = append(r.rows, slices.Clone(row))
+			r.labels = append(r.labels, label)
+		} else if j := r.rng.Intn(r.seen); j < r.cap {
+			r.rows[j] = slices.Clone(row)
+			r.labels[j] = label
+		}
+	}
+}
+
+// Reset empties the reservoir and restarts the count of rows seen; the
+// random stream carries on.
+func (r *Reservoir) Reset() {
+	r.rows, r.labels, r.seen = nil, nil, 0
+}
+
+// Snapshot returns the kept rows and labels: fresh outer slices over rows
+// no later Add modifies.
+func (r *Reservoir) Snapshot() ([][]float64, []int) {
+	return slices.Clone(r.rows), slices.Clone(r.labels)
+}
+
+// Len reports how many rows the reservoir holds.
+func (r *Reservoir) Len() int { return len(r.rows) }
+
 // ReservoirRetrainer adapts a batch-only Classifier (KNN, GMM, forest,
 // any Thresholded over a batch detector) to the PartialFitter contract:
 // PartialFit maintains a uniform Algorithm-R reservoir of labelled rows
@@ -322,10 +375,7 @@ type ReservoirRetrainer struct {
 	// Seed drives reservoir sampling.
 	Seed int64
 
-	rng      *RNG
-	resX     [][]float64
-	resY     []int
-	seen     int
+	res      *Reservoir
 	sinceFit int
 	fitted   bool
 }
@@ -344,46 +394,28 @@ func (r *ReservoirRetrainer) retrainEvery() int {
 	return r.RetrainEvery
 }
 
-// PartialFit absorbs the batch into the reservoir (uniform over all rows
-// seen, Algorithm R) and retrains when RetrainEvery rows have
-// accumulated since the last fit. Each kept row is copied into storage
-// the reservoir owns, so the caller may reuse X afterwards.
+// PartialFit absorbs the batch into the reservoir and retrains when
+// RetrainEvery rows have accumulated since the last fit. The caller may
+// reuse X afterwards.
 func (r *ReservoirRetrainer) PartialFit(X [][]float64, y []int) error {
 	if _, err := checkXY(X, y); err != nil {
 		return err
 	}
-	if r.rng == nil {
-		r.rng = NewRNG(r.Seed)
+	if r.res == nil {
+		r.res = NewReservoir(r.cap(), r.Seed)
 	}
-	capN := r.cap()
-	for i, row := range X {
-		label := 0
-		if y != nil && y[i] != 0 {
-			label = 1
-		}
-		r.seen++
-		if len(r.resX) < capN {
-			r.resX = append(r.resX, slices.Clone(row))
-			r.resY = append(r.resY, label)
-		} else if j := r.rng.Intn(r.seen); j < capN {
-			// A fresh copy, not an overwrite: the row being replaced may be
-			// held by a model fit on an earlier Snapshot.
-			r.resX[j] = slices.Clone(row)
-			r.resY[j] = label
-		}
-		r.sinceFit++
-	}
+	r.res.Add(X, y)
+	r.sinceFit += len(X)
 	if every := r.retrainEvery(); every > 0 && r.sinceFit >= every {
 		return r.Retrain()
 	}
 	return nil
 }
 
-// Retrain refits the wrapped model on a snapshot of the reservoir. The
-// outer slices are copied so later reservoir replacement cannot mutate
-// training data a fitted model retains by reference.
+// Retrain refits the wrapped model on a snapshot of the reservoir, which
+// later PartialFits never mutate.
 func (r *ReservoirRetrainer) Retrain() error {
-	if len(r.resX) == 0 {
+	if r.Rows() == 0 {
 		return ErrNoData
 	}
 	X, y := r.Snapshot()
@@ -405,15 +437,22 @@ func (r *ReservoirRetrainer) FinishFit() error {
 	return nil
 }
 
-// Snapshot returns a copy of the current reservoir (rows shared, outer
-// slices fresh) for out-of-band retraining (the daemon's background
-// retrain path).
+// Snapshot returns a copy of the current reservoir (see
+// Reservoir.Snapshot) for out-of-band retraining.
 func (r *ReservoirRetrainer) Snapshot() ([][]float64, []int) {
-	return append([][]float64(nil), r.resX...), append([]int(nil), r.resY...)
+	if r.res == nil {
+		return nil, nil
+	}
+	return r.res.Snapshot()
 }
 
 // Rows reports how many labelled rows the reservoir currently holds.
-func (r *ReservoirRetrainer) Rows() int { return len(r.resX) }
+func (r *ReservoirRetrainer) Rows() int {
+	if r.res == nil {
+		return 0
+	}
+	return r.res.Len()
+}
 
 // Fitted reports whether the wrapped model has been trained at least once.
 func (r *ReservoirRetrainer) Fitted() bool { return r.fitted }
