@@ -76,9 +76,9 @@ func pump(path string, hint netpkt.DecodeHint) (*dataset.Pump, *dataset.PcapSour
 
 // runConnlog streams the capture through an incremental connection
 // assembler — holding per-connection state but never the packet list —
-// and prints the result as conn.log TSV. Connections carry only indices
-// and counters, so chunk buffers are recycled as soon as each chunk has
-// been fed to the assembler.
+// and prints the result as conn.log TSV. Connections carry only counters,
+// so chunk buffers are recycled as soon as each chunk has been fed to the
+// assembler.
 func runConnlog(path string) error {
 	p, _, closef, err := pump(path, netpkt.DecodeHint{Headers: true})
 	if err != nil {
@@ -90,7 +90,7 @@ func runConnlog(path string) error {
 	for nc := range p.C {
 		for j := range nc.Views {
 			sum := nc.Views[j].Summary()
-			conns = append(conns, asm.Feed(nc.Base+j, &sum)...)
+			conns = append(conns, asm.Feed(&sum)...)
 		}
 		p.Done(nc)
 	}

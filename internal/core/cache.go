@@ -6,8 +6,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"lumen/internal/dataset"
+	"lumen/internal/flow"
 	"lumen/internal/obs"
 )
 
@@ -233,15 +235,25 @@ func valueBytes(v Value) int64 {
 	case *Flows:
 		var b int64
 		for _, u := range x.Unis {
-			b += 96 + 8*int64(len(u.PacketIdx))
+			b += int64(unsafe.Sizeof(*u)) + spilledStatBytes(u.Stats)
 		}
 		for _, cn := range x.Conns {
-			b += 160 + 8*int64(len(cn.OrigIdx)+len(cn.RespIdx))
+			b += int64(unsafe.Sizeof(*cn)) + spilledStatBytes(cn.Stats)
 		}
 		return b
 	default:
 		return 0
 	}
+}
+
+// spilledStatBytes is what a flow's member stats cost beyond the flow
+// itself: nothing while they fit its inline array, their slice's backing
+// array once they have outgrown it.
+func spilledStatBytes(st []flow.PacketStat) int64 {
+	if cap(st) <= flow.InlineStats {
+		return 0
+	}
+	return int64(cap(st)) * int64(unsafe.Sizeof(flow.PacketStat{}))
 }
 
 // lineageKeys names every value a pass over root can share through the

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
+	"lumen/internal/netpkt"
 )
 
 // refRun is the batch executor the engine ran Train and Test on before
@@ -60,33 +63,81 @@ func refRun(e *Engine, ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 }
 
 // refFlowAssemble is flow_assemble as the batch executor ran it: the batch
-// assemblers over the dataset's packets, and the member-packet stats
-// flow_features reads taken straight from them.
+// assemblers over the dataset's packets, each flow's member stats and
+// label taken from the members the membership oracle (refMembers) finds.
 func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 	opts, gran, err := flowParams(p)
 	if err != nil {
 		return nil, err
 	}
-	stats := &pktStats{}
-	for i := range ds.Packets {
-		sum := ds.Packets[i].Summary()
-		st := statOf(&sum)
-		if i < len(ds.Labels) && ds.Labels[i] != 0 {
-			name := ""
-			if i < len(ds.Attacks) {
-				name = ds.Attacks[i]
-			}
-			st.attack = stats.attackID(name)
-		}
-		stats.add(st)
-	}
-	out := &Flows{Granularity: gran, stats: stats}
+	out := &Flows{Granularity: gran}
 	if gran == dataset.UniflowG {
 		out.Unis = flow.Uniflows(ds.Packets, opts)
 	} else {
 		out.Conns = flow.Connections(ds.Packets, opts)
 	}
+	for i, members := range refMembers(ds, out) {
+		var label uint32
+		for _, pi := range members {
+			sum := ds.Packets[pi].Summary()
+			if gran == dataset.UniflowG {
+				out.Unis[i].AddStat(flow.StatOf(&sum))
+			} else {
+				out.Conns[i].AddStat(flow.StatOf(&sum))
+			}
+			if label == 0 && pi < len(ds.Labels) && ds.Labels[pi] != 0 {
+				name := ""
+				if pi < len(ds.Attacks) {
+					name = ds.Attacks[pi]
+				}
+				out.attacks = append(out.attacks, name)
+				label = uint32(len(out.attacks))
+			}
+		}
+		if gran == dataset.UniflowG {
+			out.Unis[i].Label = label
+		} else {
+			out.Conns[i].Label = label
+		}
+	}
 	return out, nil
+}
+
+// refMembers is the membership oracle: flow i's members are the packets
+// with its key (a uniflow's tuple, a connection's canonical one) whose
+// timestamp falls in its [First, Last], in capture order. Idle splits of
+// one key never overlap, so no assembler is needed to find them.
+func refMembers(ds *dataset.Labeled, fl *Flows) [][]int {
+	key := func(t netpkt.FiveTuple) netpkt.FiveTuple {
+		if fl.Granularity == dataset.UniflowG {
+			return t
+		}
+		return t.Canonical()
+	}
+	byKey := map[netpkt.FiveTuple][]int{}
+	for i, p := range ds.Packets {
+		if s := p.Summary(); s.HasTuple {
+			byKey[key(s.Tuple)] = append(byKey[key(s.Tuple)], i)
+		}
+	}
+	out := make([][]int, fl.Len())
+	for i := range out {
+		var tuple netpkt.FiveTuple
+		var first, last time.Time
+		if fl.Granularity == dataset.UniflowG {
+			u := fl.Unis[i]
+			tuple, first, last = u.Tuple, u.First, u.Last
+		} else {
+			c := fl.Conns[i]
+			tuple, first, last = c.Tuple, c.First, c.Last
+		}
+		// A key's packets are in capture order, which is time order.
+		idx := byKey[key(tuple)]
+		lo := sort.Search(len(idx), func(k int) bool { return !ds.Packets[idx[k]].Ts.Before(first) })
+		hi := sort.Search(len(idx), func(k int) bool { return ds.Packets[idx[k]].Ts.After(last) })
+		out[i] = idx[lo:hi]
+	}
+	return out
 }
 
 // oneChunk is the stream context of an op called directly in a test: the

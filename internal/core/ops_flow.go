@@ -67,9 +67,8 @@ func opFlowAssemble(_ *opCtx, in []Value, p params) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := &pktStats{}
-	feedFlows(stats, []*flowSinkState{s}, 0, pk.Views, pk.DS.Labels, pk.DS.Attacks)
-	return s.finish(stats), nil
+	feedFlows([]*flowSinkState{s}, pk.Views, pk.DS.Labels, pk.DS.Attacks)
+	return s.finish(), nil
 }
 
 // The per-flow feature catalogue: a feature's constant is its index in a
@@ -147,17 +146,6 @@ type flowVec [numFlowFeatures]float64
 type flowScratch struct {
 	vec        flowVec
 	lens, iats []float64
-	idx        []int // a connection's merged member indices
-}
-
-// members returns flow i's packet indices in time order: a uniflow's own
-// list, a connection's two directions merged into the scratch.
-func (sc *flowScratch) members(fl *Flows, i int) []int {
-	if fl.Granularity == dataset.UniflowG {
-		return fl.PacketIdx(i)
-	}
-	sc.idx = fl.Conns[i].AppendPackets(sc.idx[:0])
-	return sc.idx
 }
 
 // flowFeatureParams decodes flow_features' parameters: the catalogue
@@ -187,7 +175,11 @@ func flowFeatureParams(p params) (sel []int, firstN int, err error) {
 	return sel, firstN, nil
 }
 
-func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
+// opFlowFeatures computes one row per flow. Rows are independent, so a
+// flush pass may run it over consecutive blocks of a sink's flows: row i
+// of a block whose first flow is the pass's flow base gets unit index
+// base + i.
+func opFlowFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	fl, ok := in[0].(*Flows)
 	if !ok {
 		return nil, fmt.Errorf("flow_features: expected flows, got %v", in[0].Kind())
@@ -197,15 +189,21 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 		return nil, err
 	}
 
-	n := fl.Len()
+	n, base := fl.Len(), 0
+	var a *chunkArena
+	if ctx != nil {
+		base, a = ctx.stream.base, ctx.scratch.arena()
+	}
 	fr := NewFrame(n)
 	fr.Unit = UnitFlow
 	fr.UnitIdx = make([]int, n)
 	fr.Labels = make([]int, n)
 	fr.Attacks = make([]string, n)
-	cols := make([][]float64, len(sel))
+	// Only the columns may come from an arena: verdicts alias the unit
+	// indices, labels and attacks.
+	cols := a.rows(len(sel))
 	for k := range cols {
-		cols[k] = make([]float64, n)
+		cols[k] = a.floats(n)
 	}
 	// Per-flow vectors are independent: compute them on a worker pool
 	// (the map-reduce parallelism the paper gets from Ray).
@@ -228,10 +226,9 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 			defer wg.Done()
 			var sc flowScratch
 			for i := lo; i < hi; i++ {
-				fr.UnitIdx[i] = i
-				idx := sc.members(fl, i)
-				fr.Labels[i], fr.Attacks[i] = fl.label(idx)
-				computeFlowVector(&sc, fl, i, idx, firstN)
+				fr.UnitIdx[i] = base + i
+				fr.Labels[i], fr.Attacks[i] = fl.label(i)
+				computeFlowVector(&sc, fl, i, firstN)
 				for k, fi := range sel {
 					cols[k][i] = sc.vec[fi]
 				}
@@ -245,37 +242,35 @@ func opFlowFeatures(_ *opCtx, in []Value, p params) (Value, error) {
 	return fr, nil
 }
 
-// computeFlowVector writes every catalogue feature of flow i, whose
-// member packets are idx, into sc.vec (all zero for a flow without
-// packets). Per-packet fields are read from the stats the pass
-// retained. With warm scratch it allocates nothing.
-func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int) {
+// computeFlowVector writes every catalogue feature of flow i into sc.vec
+// (all zero for a flow without packets). Per-packet fields are read from
+// the member stats the flow kept; payload from its integer sums, which
+// equal the float sum of its members' payloads exactly (integers below
+// 2^53). With warm scratch it allocates nothing.
+func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 	out := &sc.vec
 	*out = flowVec{}
-	if len(idx) == 0 {
+	stats := fl.stats(i)
+	if len(stats) == 0 {
 		return
 	}
 	lens, iats := sc.lens[:0], sc.iats[:0]
 	var prevT float64
-	var payload float64
 	var flags [6]float64
 	var flagChanges int
 	var prevFlags uint8
-	first := fl.stats.at(idx[0])
-	last := first
-	for k, pi := range idx {
-		s := fl.stats.at(pi)
-		last = s
-		t := float64(s.ts) / 1e9
-		l := float64(s.wire)
+	first, last := stats[0], stats[len(stats)-1]
+	for k := range stats {
+		s := &stats[k]
+		t := float64(s.UnixNano) / 1e9
+		l := float64(s.Wire)
 		lens = append(lens, l)
 		if k > 0 {
 			iats = append(iats, t-prevT)
 		}
 		prevT = t
-		payload += float64(s.payload)
-		if s.hasTCP {
-			fs := s.flags
+		if s.HasTCP {
+			fs := s.Flags
 			for b := 0; b < 6; b++ {
 				if fs&(1<<uint(b)) != 0 {
 					flags[b]++
@@ -288,15 +283,15 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int)
 		}
 	}
 	sc.lens, sc.iats = lens, iats
-	dur := float64(last.ts-first.ts) / float64(time.Second)
+	dur := float64(last.UnixNano-first.UnixNano) / float64(time.Second)
+	n := len(stats)
 	out[fDuration] = dur
-	out[fPktCount] = float64(len(idx))
+	out[fPktCount] = float64(n)
 	var bytes float64
 	for _, l := range lens {
 		bytes += l
 	}
 	out[fByteCount] = bytes
-	out[fPayloadBytes] = payload
 	out[fMeanLen] = mlkit.Mean(lens)
 	out[fStdLen] = math.Sqrt(mlkit.Variance(lens))
 	mn, mx := lens[0], lens[0]
@@ -313,7 +308,7 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int)
 	out[fMeanIAT] = mlkit.Mean(iats)
 	out[fStdIAT] = math.Sqrt(mlkit.Variance(iats))
 	if dur > 0 {
-		out[fPPS] = float64(len(idx)) / dur
+		out[fPPS] = float64(n) / dur
 		out[fBPS] = bytes / dur
 	}
 	out[fSynCount] = flags[1]
@@ -322,20 +317,23 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, idx []int, firstN int)
 	out[fRstCount] = flags[2]
 	out[fPshCount] = flags[3]
 	out[fUrgCount] = flags[5]
-	if len(idx) > 1 {
-		out[fFlagChangeRate] = float64(flagChanges) / float64(len(idx)-1)
+	if n > 1 {
+		out[fFlagChangeRate] = float64(flagChanges) / float64(n-1)
 	}
 
 	var tuple netpkt.FiveTuple
 	if fl.Granularity == dataset.UniflowG {
-		tuple = fl.Unis[i].Tuple
+		u := fl.Unis[i]
+		tuple = u.Tuple
+		out[fPayloadBytes] = float64(u.Payload)
 	} else {
 		c := fl.Conns[i]
 		tuple = c.Tuple
+		out[fPayloadBytes] = float64(c.OrigPayload + c.RespPayload)
 		out[fOrigBytes] = float64(c.OrigBytes)
 		out[fRespBytes] = float64(c.RespBytes)
-		out[fOrigPkts] = float64(len(c.OrigIdx))
-		out[fRespPkts] = float64(len(c.RespIdx))
+		out[fOrigPkts] = float64(c.OrigPkts)
+		out[fRespPkts] = float64(c.RespPkts)
 		if c.RespBytes > 0 {
 			out[fByteRatio] = float64(c.OrigBytes) / float64(c.RespBytes)
 		} else {

@@ -101,8 +101,14 @@ func refFlowVector(fl *Flows, sums func(pi int) netpkt.PacketSummary, i int, idx
 		tuple = c.Tuple
 		out["orig_bytes"] = float64(c.OrigBytes)
 		out["resp_bytes"] = float64(c.RespBytes)
-		out["orig_pkts"] = float64(len(c.OrigIdx))
-		out["resp_pkts"] = float64(len(c.RespIdx))
+		var orig int
+		for _, pi := range idx {
+			if sums(pi).Tuple == c.Tuple {
+				orig++
+			}
+		}
+		out["orig_pkts"] = float64(orig)
+		out["resp_pkts"] = float64(len(idx) - orig)
 		if c.RespBytes > 0 {
 			out["byte_ratio"] = float64(c.OrigBytes) / float64(c.RespBytes)
 		} else {
@@ -165,20 +171,42 @@ func refFlowVector(fl *Flows, sums func(pi int) netpkt.PacketSummary, i int, idx
 }
 
 // refFlowColumns is the whole catalogue over fl, one column per feature,
-// from the reference vector fed the dataset's materialized packets.
+// from the reference vector fed the dataset's materialized packets that
+// the membership oracle finds in each flow.
 func refFlowColumns(fl *Flows, ds *dataset.Labeled, firstN int) [][]float64 {
 	cols := make([][]float64, len(flowFeatureNames))
 	for j := range cols {
 		cols[j] = make([]float64, fl.Len())
 	}
 	sums := func(pi int) netpkt.PacketSummary { return ds.Packets[pi].Summary() }
-	for i := 0; i < fl.Len(); i++ {
-		fv := refFlowVector(fl, sums, i, fl.PacketIdx(i), firstN)
+	for i, members := range refMembers(ds, fl) {
+		fv := refFlowVector(fl, sums, i, members, firstN)
 		for j, name := range flowFeatureNames {
 			cols[j][i] = fv[name]
 		}
 	}
 	return cols
+}
+
+// keptStats counts the member stats fl's flows hold.
+func keptStats(fl *Flows) int {
+	n := 0
+	for i := 0; i < fl.Len(); i++ {
+		n += len(fl.stats(i))
+	}
+	return n
+}
+
+// tuplePackets counts the packets of ds that have a five-tuple: every one
+// belongs to exactly one flow.
+func tuplePackets(ds *dataset.Labeled) int {
+	n := 0
+	for _, p := range ds.Packets {
+		if p.Summary().HasTuple {
+			n++
+		}
+	}
+	return n
 }
 
 func flowFeaturePipeline(gran string, featParams map[string]any) *Pipeline {
@@ -252,8 +280,8 @@ func TestFlowFeaturesMatchMapOracle(t *testing.T) {
 			for _, chunk := range []int{1, 64, 512} {
 				what := spec.ID + " " + gran + " streamed"
 				sfl, fr := streamedFlowFrame(t, p, ds, chunk, nil)
-				if sfl.stats == nil || sfl.stats.n != len(ds.Packets) {
-					t.Fatalf("%s: the stream retained no per-packet stats", what)
+				if kept := keptStats(sfl); kept != tuplePackets(ds) {
+					t.Fatalf("%s: the flows kept %d member stats, the trace has %d packets with a tuple", what, kept, tuplePackets(ds))
 				}
 				sameBits(t, what, frameCols(fr), want)
 				for i := range batch.Labels {
@@ -333,7 +361,7 @@ func TestFlowSinkMetrics(t *testing.T) {
 }
 
 // TestComputeFlowVectorAllocs: with warm scratch a flow's vector costs no
-// allocation, connections' merged member lists included.
+// allocation.
 func TestComputeFlowVectorAllocs(t *testing.T) {
 	f1, _ := dataset.Get("F1")
 	ds := f1.Generate(0.5)
@@ -342,7 +370,7 @@ func TestComputeFlowVectorAllocs(t *testing.T) {
 		var sc flowScratch
 		all := func() {
 			for i := 0; i < fl.Len(); i++ {
-				computeFlowVector(&sc, fl, i, sc.members(fl, i), 100)
+				computeFlowVector(&sc, fl, i, 100)
 			}
 		}
 		all()
@@ -353,8 +381,8 @@ func TestComputeFlowVectorAllocs(t *testing.T) {
 }
 
 // BenchmarkFlowFeatures prices the flush-time feature pass per flow over
-// the stats a stream retained: member merge, labels, the 45-feature
-// vector, column writes.
+// the member stats a stream's flows kept: labels, the 45-feature vector,
+// column writes.
 func BenchmarkFlowFeatures(b *testing.B) {
 	f1, _ := dataset.Get("F1")
 	fl, _ := streamedFlowFrame(b, flowFeaturePipeline("connection", nil), f1.Generate(10), 512, nil)

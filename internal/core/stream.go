@@ -171,7 +171,9 @@ func firstMissing(set map[string]bool, names []string) string {
 
 // flowSinkState is one flow_assemble op being fed incrementally: the
 // assembler plus every flow completed so far (evicted mid-stream once
-// idle, exactly as whole-trace assembly would have split them).
+// idle, exactly as whole-trace assembly would have split them). Each
+// flow keeps its own members' stats and its label, so the sink retains
+// nothing per packet beyond what its flows hold.
 type flowSinkState struct {
 	op   int // index of the flow_assemble op
 	gran dataset.Granularity
@@ -179,6 +181,9 @@ type flowSinkState struct {
 	conn *flow.ConnAssembler
 	unis []*flow.Uniflow
 	cons []*flow.Connection
+	// attacks interns the attack names the sink's flows are labelled
+	// with (see Flows.attacks).
+	attacks []string
 	// open and evicted are the sink's lumen_flow_open and
 	// lumen_flow_evicted_total series (nil with metrics off); reported
 	// is how many evicted flows the counter has been told of.
@@ -212,32 +217,27 @@ func newFlowSink(i int, p params, m *obs.Metrics, output string) (*flowSinkState
 	return s, nil
 }
 
-// feedFlows retains one stat per packet of a chunk whose first packet is
-// global index base, in stream order (labels and attacks align with
-// views), and pushes the packets' summaries through every sink.
-func feedFlows(stats *pktStats, sinks []*flowSinkState, base int, views []netpkt.PacketView, labels []int, attacks []string) {
+// feedFlows pushes a chunk's packets through every sink in stream order
+// (labels and attacks align with views).
+func feedFlows(sinks []*flowSinkState, views []netpkt.PacketView, labels []int, attacks []string) {
 	for i := range views {
 		sum := views[i].Summary()
-		st := statOf(&sum)
-		if i < len(labels) && labels[i] != 0 {
-			name := ""
-			if i < len(attacks) {
-				name = attacks[i]
-			}
-			st.attack = stats.attackID(name)
+		malicious := i < len(labels) && labels[i] != 0
+		attack := ""
+		if malicious && i < len(attacks) {
+			attack = attacks[i]
 		}
-		stats.add(st)
 		for _, s := range sinks {
-			s.add(base+i, &sum)
+			s.add(&sum, malicious, attack)
 		}
 	}
 }
 
 // finish assembles the sink's Flows value: the flows evicted mid-stream
 // plus the assembler's remainder, in canonical (first-packet time, tuple)
-// order; stats is what the pass retained of its packets.
-func (s *flowSinkState) finish(stats *pktStats) *Flows {
-	out := &Flows{Granularity: s.gran, stats: stats}
+// order.
+func (s *flowSinkState) finish() *Flows {
+	out := &Flows{Granularity: s.gran, attacks: s.attacks}
 	if s.uni != nil {
 		out.Unis = append(s.unis, s.uni.Flush()...)
 		flow.SortUniflows(out.Unis)
@@ -248,14 +248,44 @@ func (s *flowSinkState) finish(stats *pktStats) *Flows {
 	return out
 }
 
-// add feeds packet gi's summary to the sink's assembler, keeping the
-// flows it evicts.
-func (s *flowSinkState) add(gi int, sum *netpkt.PacketSummary) {
+// add feeds one packet's summary to the sink's assembler, keeping the
+// flows it evicts, and attaches the packet's stat to the flow it joined
+// (the assembler's newest). The first malicious member labels the flow
+// with its attack name.
+func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack string) {
+	var label *uint32
 	if s.uni != nil {
-		s.unis = append(s.unis, s.uni.Feed(gi, sum)...)
+		s.unis = append(s.unis, s.uni.Feed(sum)...)
+		if !sum.HasTuple {
+			return
+		}
+		u := s.uni.Newest()
+		u.AddStat(flow.StatOf(sum))
+		label = &u.Label
 	} else {
-		s.cons = append(s.cons, s.conn.Feed(gi, sum)...)
+		s.cons = append(s.cons, s.conn.Feed(sum)...)
+		if !sum.HasTuple {
+			return
+		}
+		c := s.conn.Newest()
+		c.AddStat(flow.StatOf(sum))
+		label = &c.Label
 	}
+	if malicious && *label == 0 {
+		*label = s.attackID(attack)
+	}
+}
+
+// attackID interns a malicious packet's attack name (possibly empty) as
+// a flow label. Traces name a handful of attacks, in runs.
+func (s *flowSinkState) attackID(name string) uint32 {
+	for k := len(s.attacks) - 1; k >= 0; k-- {
+		if s.attacks[k] == name {
+			return uint32(k + 1)
+		}
+	}
+	s.attacks = append(s.attacks, name)
+	return uint32(len(s.attacks))
 }
 
 // report publishes the sink's open-flow count and the flows it has
@@ -289,11 +319,13 @@ func (s *flowSinkState) report() {
 // behind, and drains its source when the source has a Drain method.
 //
 // Memory: peak state is the in-flight chunks (one at depth 0, O(depth)
-// staged) plus whatever the plan must
-// retain — accumulated feature frames for deferred ops, and, when the
-// plan assembles flows, one 24-byte pktStat plus label per packet (all
-// flow features read of it at flush) and every flow assembled so far.
-// Packets themselves never outlive their chunk: every finished chunk is
+// staged) plus whatever the plan must retain — accumulated feature
+// frames for deferred ops, and, when the plan assembles flows, every flow
+// assembled so far, each holding its label and a 16-byte stat per member
+// packet (all flow features read of it). A flush the shared cache does
+// not serve featurizes and scores the closed flows in blocks of at most
+// 4096 (see flushBlocks), so it adds one block's frame and matrix, not
+// the trace's. Packets themselves never outlive their chunk: every finished chunk is
 // recycled to its source and its backing reference released. Verdict
 // rows outlive theirs only on an unhooked pass, which keeps every
 // chunk's EvalResult (about 48 B a row) to merge into the result it

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -42,13 +43,6 @@ type streamExec struct {
 	fenv    map[string]Value
 	results []*EvalResult
 	hwm     uint64
-
-	// stats is what plans with flow sinks retain of the packet stream for
-	// the flush-time feature pass, as value copies that outlive every
-	// chunk: one pktStat per packet, label included, so flow features can
-	// read member-packet fields without a decoded packet set. Nil without
-	// flow sinks; fed in stream order by feedSinks.
-	stats   *pktStats
 	nChunks int
 
 	// arenas is the free list of chunk scratch on a recycling pass, nil
@@ -101,9 +95,6 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		if op.Func == "train" && len(op.Input) == 2 {
 			r.trainFrame = op.Input[1]
 		}
-	}
-	if len(r.sinks) > 0 {
-		r.stats = &pktStats{}
 	}
 	if cfg.Hooks.active() && !cfg.Online && len(pl.Accum) == 0 {
 		r.arenas = &arenaPool{}
@@ -197,11 +188,11 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	return j
 }
 
-// feedSinks retains what a plan with flow sinks keeps of one chunk — one
-// stat per packet (see stats) — and pushes the packets' summaries through
-// every incremental flow assembler. On a pass the shared cache serves,
-// the chunk is the whole trace, and each sink is its op run once over
-// it through the cache instead. A failure is the job's error.
+// feedSinks pushes one chunk's packets through every incremental flow
+// assembler, whose flows keep their members' stats. On a pass the shared
+// cache serves, the chunk is the whole trace, and each sink is its op
+// run once over it through the cache instead. A failure is the job's
+// error.
 func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 	if len(r.sinks) == 0 {
 		return
@@ -219,7 +210,7 @@ func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 		return
 	}
 	nc := &job.nc
-	feedFlows(r.stats, r.sinks, nc.Base, nc.Views, nc.Labels, nc.Attacks)
+	feedFlows(r.sinks, nc.Views, nc.Labels, nc.Attacks)
 	for _, s := range r.sinks {
 		s.report()
 	}
@@ -348,9 +339,7 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		}
 	}
 	r.nChunks++
-	if live := heapLiveBytes(); live > r.hwm {
-		r.hwm = live
-	}
+	r.sampleHeap()
 	if r.e.Metrics != nil {
 		r.e.Metrics.Counter("lumen_chunks_total",
 			"Chunks pulled from packet sources by streaming runs.").Inc()
@@ -383,24 +372,41 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 	}
 }
 
+// sampleHeap raises the pass's live-heap high-water mark to the current
+// reading.
+func (r *streamExec) sampleHeap() {
+	if live := heapLiveBytes(); live > r.hwm {
+		r.hwm = live
+	}
+}
+
 // finish runs the deferred (barrier) suffix over the accumulated state of
 // the whole trace and assembles the result the pass returns: every row on
 // an unhooked pass, the flush pass's rows on a hooked one.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
-	if e.Metrics != nil {
-		e.Metrics.Gauge("lumen_stream_hwm_bytes",
-			"Live-heap high-water mark observed at chunk boundaries of the most recent streaming run.").Set(float64(r.hwm))
-	}
-
 	// Flush: run deferred ops in op order over the whole trace, each
-	// accumulation concatenated when its first reader runs. Its rows are
-	// numbered from 0, and an op deferred on an Online pass fits whole.
+	// accumulation concatenated when its first reader runs, except the
+	// blocked ops, which run together over blocks of closed flows when the
+	// first of them comes up. Its rows are numbered from 0, and an op
+	// deferred on an Online pass fits whole.
 	fenv, online := r.fenv, r.sc.online
 	r.sc.base, r.sc.online = 0, false
 	var drift []DriftEvent
+	blocked := r.flushBlocks()
 	for i, op := range e.P.Ops {
 		if r.pl.Streamed[i] {
+			continue
+		}
+		if blocked != nil && blocked[i] {
+			if i == slices.Index(blocked, true) {
+				if err := r.runBlocks(blocked, fenv, &drift); err != nil {
+					return nil, err
+				}
+			}
+			for _, name := range r.free[i] {
+				delete(fenv, name)
+			}
 			continue
 		}
 		start := time.Now()
@@ -414,7 +420,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 					sp = e.Span.Child("op:" + op.Func)
 					sp.Set("output", op.Output)
 				}
-				fl = r.sinks[k].finish(r.stats)
+				fl = r.sinks[k].finish()
 				e.finishOp(sp, &OpStats{Func: op.Func, Output: op.Output, Wall: time.Since(start)}, nil)
 			}
 			fenv[op.Output] = fl
@@ -451,6 +457,10 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			delete(fenv, name)
 		}
 	}
+	if e.Metrics != nil {
+		e.Metrics.Gauge("lumen_stream_hwm_bytes",
+			"Live-heap high-water mark observed at chunk boundaries and after each flush block of the most recent streaming run.").Set(float64(r.hwm))
+	}
 	e.Profile = append(e.Profile[:0], r.prof...)
 	e.LastStream.Chunks = r.nChunks
 	e.LastStream.HWMBytes = r.hwm
@@ -474,4 +484,117 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		e.trained = true
 	}
 	return mergeResults(r.results), nil
+}
+
+// flushBlock is how many closed flows a blocked flush featurizes and
+// scores at a time (see flushBlocks).
+const flushBlock = 4096
+
+// flushBlocks picks the deferred ops a flush runs over consecutive blocks
+// of the first flow sink's closed flows instead of over the whole trace:
+// flow_features reading the sink (one row per flow) and the ops after it
+// that are row-local in the pass's mode (they stream, per their class),
+// as long as every input is the sink's flows, a blocked op's output or a
+// non-frame value a streamed op made, and nothing that runs whole reads
+// what they make. It returns nil when the flush runs whole: a pass the
+// shared cache serves, no flow sink, or a train-mode flow pass, whose fit
+// reads every row at once.
+func (r *streamExec) flushBlocks() []bool {
+	if r.keys != nil || len(r.sinks) == 0 {
+		return nil
+	}
+	ops, sink := r.e.P.Ops, r.sinks[0].op
+	prod := make(map[string]int, len(ops))
+	for i, op := range ops {
+		prod[op.Output] = i
+	}
+	deferred := func(i int) bool { return !r.pl.Streamed[i] && !r.pl.FlowSink[i] }
+	blocked := make([]bool, len(ops))
+	fits := func(i int) bool {
+		fromBlock := false
+		for _, in := range ops[i].Input {
+			j, ok := prod[in]
+			switch {
+			case ok && (j == sink || blocked[j]):
+				fromBlock = true
+			case !ok || !r.pl.Streamed[j] || r.pl.defs[j].sig.out == KindFrame:
+				return false
+			}
+		}
+		return fromBlock
+	}
+	readWhole := func(i int) bool {
+		for k, op := range ops {
+			if deferred(k) && !blocked[k] && slices.Contains(op.Input, ops[i].Output) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, op := range ops {
+		rowLocal := r.pl.defs[i].traits.streams(r.mode, false) || slices.Contains(op.Input, ops[sink].Output)
+		blocked[i] = deferred(i) && rowLocal && fits(i)
+	}
+	// Dropping an op read whole strands its blocked readers: repeat until
+	// nothing changes.
+	for changed := true; changed; {
+		changed = false
+		for i := range ops {
+			if blocked[i] && (!fits(i) || readWhole(i)) {
+				blocked[i], changed = false, true
+			}
+		}
+	}
+	if !slices.Contains(blocked, true) {
+		return nil
+	}
+	return blocked
+}
+
+// runBlocks runs the blocked ops over consecutive blocks of at most
+// flushBlock of the first sink's flows, in flow order, each block in an
+// environment of its own over fenv's whole values, which it leaves as it
+// found them: rows come out in order, unit indices offset by the block's
+// base, and each block's frame columns and scored matrix come from one
+// arena the next block reuses. The live heap is sampled after every
+// block.
+func (r *streamExec) runBlocks(blocked []bool, fenv map[string]Value, drift *[]DriftEvent) error {
+	e := r.e
+	name := e.P.Ops[r.sinks[0].op].Output
+	fl := fenv[name].(*Flows)
+	scratch := jobScratch{pool: &arenaPool{}}
+	for lo := 0; ; lo += flushBlock {
+		hi := min(lo+flushBlock, fl.Len())
+		env := maps.Clone(fenv)
+		env[name] = fl.block(lo, hi)
+		r.sc.base = lo
+		for i, op := range e.P.Ops {
+			if !blocked[i] {
+				continue
+			}
+			ctx := opCtx{mode: r.mode, stream: r.sc, drift: drift, scratch: &scratch}
+			out, st, res, err := e.invoke(i, r.pl.defs[i], env, ctx, e.Span, "", nil)
+			if err != nil {
+				return err
+			}
+			env[op.Output] = out
+			r.prof[i].Wall += st.Wall
+			r.prof[i].Allocs += st.Allocs
+			r.prof[i].OutRows += st.OutRows
+			if res != nil {
+				r.results = append(r.results, res)
+			}
+			for _, dead := range r.free[i] {
+				delete(env, dead)
+			}
+		}
+		r.sc.lastResult = nil
+		scratch.release()
+		r.sampleHeap()
+		if hi == fl.Len() {
+			break
+		}
+	}
+	r.sc.base = 0
+	return nil
 }

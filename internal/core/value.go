@@ -76,78 +76,17 @@ func (Packets) Kind() Kind { return KindPackets }
 func (p Packets) Len() int { return len(p.Views) }
 
 // Flows is the output of flow assembly: either uniflows or connections,
-// plus what flow features read of the member packets, one pktStat per
-// packet (stats), since the packet set is never materialized.
+// each carrying what flow features read of its member packets (its
+// flow.PacketStat list, since the packet set is never materialized) and
+// its label.
 type Flows struct {
 	Granularity dataset.Granularity
 	Unis        []*flow.Uniflow    // set when Granularity == UniflowG
 	Conns       []*flow.Connection // set when Granularity == ConnectionG
-	stats       *pktStats
-}
-
-// pktStat is everything flow_features reads of one member packet. It is
-// 24 bytes and holds no pointer, so what a flow pipeline retains per
-// packet until its barrier runs is never scanned by the collector.
-type pktStat struct {
-	ts            int64 // UnixNano
-	wire, payload int32
-	// attack is 0 for a benign packet; for a malicious one, 1 + the
-	// index of its attack name in the owning pktStats.
-	attack uint32
-	flags  uint8 // TCP flag bits, when hasTCP
-	hasTCP bool
-}
-
-// statOf projects a packet summary to its stat (benign).
-func statOf(s *netpkt.PacketSummary) pktStat {
-	return pktStat{ts: s.Ts.UnixNano(), wire: int32(s.Wire), payload: int32(s.PayloadLen), flags: s.TCPFlags, hasTCP: s.HasTCP}
-}
-
-// pktStats is an append-only sequence of stats stored in fixed-size
-// blocks: growing it never copies or re-zeroes what is already held, as
-// doubling one slice would. Attack names are interned in attacks.
-type pktStats struct {
-	blocks  []*[statBlock]pktStat
-	n       int
+	// attacks interns the attack names of the flows' labels: a flow's
+	// Label is 0 when it is benign and 1 + the index of the attack name
+	// of its first malicious packet otherwise.
 	attacks []string
-}
-
-const statBlock = 4096
-
-func (s *pktStats) add(st pktStat) {
-	if s.n == len(s.blocks)*statBlock {
-		s.blocks = append(s.blocks, new([statBlock]pktStat))
-	}
-	s.blocks[s.n/statBlock][s.n%statBlock] = st
-	s.n++
-}
-
-func (s *pktStats) at(i int) pktStat { return s.blocks[i/statBlock][i%statBlock] }
-
-// attackID interns a malicious packet's attack name (possibly empty) as
-// a pktStat.attack value. Traces name a handful of attacks, in runs.
-func (s *pktStats) attackID(name string) uint32 {
-	for k := len(s.attacks) - 1; k >= 0; k-- {
-		if s.attacks[k] == name {
-			return uint32(k + 1)
-		}
-	}
-	s.attacks = append(s.attacks, name)
-	return uint32(len(s.attacks))
-}
-
-// label derives the ground truth of a flow whose member packets are idx:
-// malicious if any member is (datasets label whole flows, so members
-// agree by construction), with the attack name taken from the first
-// malicious packet. Unlabeled sources (pcap captures, live feeds) yield
-// benign.
-func (f *Flows) label(idx []int) (int, string) {
-	for _, pi := range idx {
-		if a := f.stats.at(pi).attack; a != 0 {
-			return 1, f.stats.attacks[a-1]
-		}
-	}
-	return 0, ""
 }
 
 // Kind implements Value.
@@ -161,12 +100,41 @@ func (f *Flows) Len() int {
 	return len(f.Conns)
 }
 
-// PacketIdx returns the packet indices of flow i.
-func (f *Flows) PacketIdx(i int) []int {
+// stats returns the member-packet stats of flow i, in arrival order.
+func (f *Flows) stats(i int) []flow.PacketStat {
 	if f.Granularity == dataset.UniflowG {
-		return f.Unis[i].PacketIdx
+		return f.Unis[i].Stats
 	}
-	return f.Conns[i].Packets()
+	return f.Conns[i].Stats
+}
+
+// label returns the ground truth of flow i: malicious if any member is
+// (datasets label whole flows, so members agree by construction), with
+// the attack name of the first malicious member. Unlabeled sources (pcap
+// captures, live feeds) yield benign.
+func (f *Flows) label(i int) (int, string) {
+	var lab uint32
+	if f.Granularity == dataset.UniflowG {
+		lab = f.Unis[i].Label
+	} else {
+		lab = f.Conns[i].Label
+	}
+	if lab == 0 {
+		return 0, ""
+	}
+	return 1, f.attacks[lab-1]
+}
+
+// block returns flows [lo, hi) as a Flows value of their own, sharing
+// the flows and the attack names.
+func (f *Flows) block(lo, hi int) *Flows {
+	out := &Flows{Granularity: f.Granularity, attacks: f.attacks}
+	if f.Granularity == dataset.UniflowG {
+		out.Unis = f.Unis[lo:hi]
+	} else {
+		out.Conns = f.Conns[lo:hi]
+	}
+	return out
 }
 
 // ModelSpec is an unfitted model configuration produced by the "model"

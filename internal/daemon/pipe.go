@@ -242,12 +242,10 @@ type Pipe struct {
 	// connection sink when it has one, through the ConnsClosed hook, and
 	// then conn stays nil. Otherwise conn is the daemon's own assembler,
 	// fed in afterChunk on the scoring goroutine: connDone holds the
-	// connections it has evicted in the current pass and pktIdx is the
-	// index its next packet gets, which keeps counting across passes.
+	// connections it has evicted in the current pass.
 	connw    io.Writer
 	conn     *flow.ConnAssembler
 	connDone []*flow.Connection
-	pktIdx   int
 
 	ctrl chan ctrlMsg
 	done chan struct{}
@@ -567,9 +565,8 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		// released.
 		for i := range up.Views {
 			sum := up.Views[i].Summary()
-			p.connDone = append(p.connDone, p.conn.Feed(p.pktIdx+i, &sum)...)
+			p.connDone = append(p.connDone, p.conn.Feed(&sum)...)
 		}
-		p.pktIdx += npkts
 	}
 	if up.Seq == 0 {
 		// The engine settled the pass's shape before pulling this chunk, and

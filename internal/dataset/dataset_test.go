@@ -103,16 +103,31 @@ func TestConnectionLabelsAreConsistentPerConnection(t *testing.T) {
 	for _, id := range ConnectionIDs() {
 		spec, _ := Get(id)
 		ds := spec.Generate(0.25)
+		// A connection's members are the packets with its canonical tuple
+		// whose timestamp falls in its [First, Last]: idle splits of one
+		// tuple never overlap.
+		byKey := map[netpkt.FiveTuple][]int{}
+		for i, p := range ds.Packets {
+			if s := p.Summary(); s.HasTuple {
+				byKey[s.Tuple.Canonical()] = append(byKey[s.Tuple.Canonical()], i)
+			}
+		}
 		conns := flow.Connections(ds.Packets, flow.Options{})
 		for _, c := range conns {
-			first := -1
-			for _, pi := range c.Packets() {
+			first, n := -1, 0
+			for _, pi := range byKey[c.Tuple.Canonical()] {
+				if ts := ds.Packets[pi].Ts; ts.Before(c.First) || ts.After(c.Last) {
+					continue
+				}
+				n++
 				if first == -1 {
 					first = ds.Labels[pi]
 				} else if ds.Labels[pi] != first {
 					t.Fatalf("%s: connection %v mixes labels", id, c.Tuple)
-					break
 				}
+			}
+			if n != c.OrigPkts+c.RespPkts {
+				t.Fatalf("%s: connection %v has %d members, counts %d", id, c.Tuple, n, c.OrigPkts+c.RespPkts)
 			}
 		}
 	}

@@ -16,8 +16,7 @@ import (
 // packet (if any) arrives after a gap already exceeding the idle timeout,
 // so batch assembly would have split there too. Driving the assembler
 // over a whole capture therefore yields exactly the flows of Uniflows,
-// and a chunked caller that offsets packet indices gets bit-identical
-// output.
+// however the caller cuts the stream into chunks.
 //
 // The active flows are threaded on an intrusive list in order of their
 // last packet (every packet moves its flow to the back), so the idle
@@ -42,19 +41,28 @@ func NewUniflowAssembler(opts Options) *UniflowAssembler {
 func (a *UniflowAssembler) Open() int { return len(a.active) }
 
 // Add is Feed over an eagerly decoded packet.
-func (a *UniflowAssembler) Add(i int, p *netpkt.Packet) []*Uniflow {
+func (a *UniflowAssembler) Add(p *netpkt.Packet) []*Uniflow {
 	s := p.Summary()
-	return a.Feed(i, &s)
+	return a.Feed(&s)
 }
 
-// Feed ingests packet i (its index in the caller's stream, recorded in
-// PacketIdx) from its summary — the form lazy packet views and any other
-// representation feed the assembler in; s is only read during the call.
-// It returns any flows evicted because they have been idle past the
-// timeout, ordered by first-packet time then tuple. Packets without a
-// five-tuple advance the idle sweep but join no flow. Packets must
-// arrive in non-decreasing time order.
-func (a *UniflowAssembler) Feed(i int, s *netpkt.PacketSummary) []*Uniflow {
+// Newest returns the flow the most recent packet with a five-tuple
+// joined (nil when no flow is open): the back of the idle list. A caller
+// that keeps member stats attaches the packet's right after Feed.
+func (a *UniflowAssembler) Newest() *Uniflow {
+	if a.root.prev == &a.root {
+		return nil
+	}
+	return a.root.prev
+}
+
+// Feed ingests one packet from its summary — the form lazy packet views
+// and any other representation feed the assembler in; s is only read
+// during the call. It returns any flows evicted because they have been
+// idle past the timeout, ordered by first-packet time then tuple. Packets
+// without a five-tuple advance the idle sweep but join no flow. Packets
+// must arrive in non-decreasing time order.
+func (a *UniflowAssembler) Feed(s *netpkt.PacketSummary) []*Uniflow {
 	var out []*Uniflow
 	if !a.started {
 		a.started = true
@@ -74,7 +82,6 @@ func (a *UniflowAssembler) Feed(i int, s *netpkt.PacketSummary) []*Uniflow {
 	}
 	if f == nil {
 		f = &Uniflow{Tuple: s.Tuple, First: s.Ts}
-		f.PacketIdx = f.idx0[:0]
 		a.active[s.Tuple] = f
 	}
 	if a.root.prev != f {
@@ -84,7 +91,7 @@ func (a *UniflowAssembler) Feed(i int, s *netpkt.PacketSummary) []*Uniflow {
 		back := a.root.prev
 		back.next, f.prev, f.next, a.root.prev = f, back, &a.root, f
 	}
-	f.PacketIdx = append(f.PacketIdx, i)
+	f.Pkts++
 	f.Last = s.Ts
 	f.Bytes += s.Wire
 	f.Payload += s.PayloadLen
@@ -146,22 +153,32 @@ func NewConnAssembler(opts Options) *ConnAssembler {
 func (a *ConnAssembler) Open() int { return len(a.active) }
 
 // Add is Feed over an eagerly decoded packet.
-func (a *ConnAssembler) Add(i int, p *netpkt.Packet) []*Connection {
+func (a *ConnAssembler) Add(p *netpkt.Packet) []*Connection {
 	s := p.Summary()
-	return a.Feed(i, &s)
+	return a.Feed(&s)
 }
 
 // AddSummary is Feed over a summary passed by value: the form the
-// benchmark harness's isolated assembler layer calls.
+// benchmark harness's isolated assembler layer calls. i is the packet's
+// index in the harness's stream, which connections do not record.
 func (a *ConnAssembler) AddSummary(i int, s netpkt.PacketSummary) []*Connection {
-	return a.Feed(i, &s)
+	return a.Feed(&s)
 }
 
-// Feed ingests packet i from its summary (see UniflowAssembler.Feed) and
-// returns any connections evicted because they have been idle past the
-// timeout, finalized (conn state assigned) and ordered by first-packet
-// time then tuple.
-func (a *ConnAssembler) Feed(i int, s *netpkt.PacketSummary) []*Connection {
+// Newest returns the connection the most recent packet with a five-tuple
+// joined (nil when none is open); see UniflowAssembler.Newest.
+func (a *ConnAssembler) Newest() *Connection {
+	if a.root.prev == &a.root {
+		return nil
+	}
+	return a.root.prev
+}
+
+// Feed ingests one packet from its summary (see UniflowAssembler.Feed)
+// and returns any connections evicted because they have been idle past
+// the timeout, finalized (conn state assigned) and ordered by
+// first-packet time then tuple.
+func (a *ConnAssembler) Feed(s *netpkt.PacketSummary) []*Connection {
 	var out []*Connection
 	if !a.started {
 		a.started = true
@@ -192,7 +209,7 @@ func (a *ConnAssembler) Feed(i int, s *netpkt.PacketSummary) []*Connection {
 		back := a.root.prev
 		back.next, c.prev, c.next, a.root.prev = c, back, &a.root, c
 	}
-	c.add(i, s)
+	c.add(s)
 	return out
 }
 
@@ -233,20 +250,14 @@ func (a *ConnAssembler) Flush() []*Connection {
 
 // add folds one packet summary into the connection; direction is derived
 // by comparing the packet's oriented five-tuple to the originator's.
-func (c *Connection) add(i int, s *netpkt.PacketSummary) {
+func (c *Connection) add(s *netpkt.PacketSummary) {
 	fromOrig := s.Tuple == c.Tuple
 	if fromOrig {
-		if c.OrigIdx == nil {
-			c.OrigIdx = c.idx0[:0:connInlineIdx]
-		}
-		c.OrigIdx = append(c.OrigIdx, i)
+		c.OrigPkts++
 		c.OrigBytes += s.Wire
 		c.OrigPayload += s.PayloadLen
 	} else {
-		if c.RespIdx == nil {
-			c.RespIdx = c.idx0[connInlineIdx:connInlineIdx]
-		}
-		c.RespIdx = append(c.RespIdx, i)
+		c.RespPkts++
 		c.RespBytes += s.Wire
 		c.RespPayload += s.PayloadLen
 	}

@@ -11,8 +11,8 @@ import (
 // returns the combined output in canonical order.
 func driveUni(pkts []*netpkt.Packet, opts Options) (mid, all []*Uniflow) {
 	a := NewUniflowAssembler(opts)
-	for i, p := range pkts {
-		mid = append(mid, a.Add(i, p)...)
+	for _, p := range pkts {
+		mid = append(mid, a.Add(p)...)
 	}
 	all = append(append([]*Uniflow{}, mid...), a.Flush()...)
 	SortUniflows(all)
@@ -21,8 +21,8 @@ func driveUni(pkts []*netpkt.Packet, opts Options) (mid, all []*Uniflow) {
 
 func driveConn(pkts []*netpkt.Packet, opts Options) (mid, all []*Connection) {
 	a := NewConnAssembler(opts)
-	for i, p := range pkts {
-		mid = append(mid, a.Add(i, p)...)
+	for _, p := range pkts {
+		mid = append(mid, a.Add(p)...)
 	}
 	all = append(append([]*Connection{}, mid...), a.Flush()...)
 	SortConnections(all)
@@ -88,13 +88,13 @@ func TestAssemblerEvictsMidStream(t *testing.T) {
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 9000, 123, 200))
 	a := NewConnAssembler(Options{})
 	var mid []*Connection
-	for i, p := range pkts {
-		mid = append(mid, a.Add(i, p)...)
+	for _, p := range pkts {
+		mid = append(mid, a.Add(p)...)
 	}
 	if len(mid) != 1 {
 		t.Fatalf("got %d mid-stream evictions, want 1", len(mid))
 	}
-	if got := len(mid[0].Packets()); got != 8 {
+	if got := mid[0].OrigPkts + mid[0].RespPkts; got != 8 {
 		t.Errorf("evicted connection has %d packets, want 8", got)
 	}
 	rest := a.Flush()
@@ -113,10 +113,8 @@ func TestAssemblerSweepThrottle(t *testing.T) {
 	// Packets 1s apart never advance past the 64s default idle window, so
 	// nothing is ever evicted mid-stream even across many flows.
 	var mid []*Uniflow
-	i := 0
 	for s := 0.0; s < 60; s++ {
-		mid = append(mid, a.Add(i, udpPkt(t, hostA, hostB, uint16(6000+i), 53, s))...)
-		i++
+		mid = append(mid, a.Add(udpPkt(t, hostA, hostB, uint16(6000+s), 53, s))...)
 	}
 	if len(mid) != 0 {
 		t.Fatalf("sweep evicted %d flows inside the idle window", len(mid))
@@ -128,21 +126,30 @@ func TestAssemblerSweepThrottle(t *testing.T) {
 
 // TestAssemblerChunkedFeedEqualsWhole: splitting the same stream at every
 // possible boundary cannot change the output (chunking only affects who
-// calls Add, not what it sees).
+// calls Add, not what it sees): counts, and the member stats a caller
+// attaches through Newest, equal batch assembly's connections with their
+// members found by the membership oracle.
 func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 	var pkts []*netpkt.Packet
 	pkts = append(pkts, handshake(t, 0)...)
 	pkts = append(pkts, handshake(t, 100)...)
 	pkts = append(pkts, udpPkt(t, hostB, hostA, 53, 5353, 100.5))
 	want := Connections(pkts, Options{})
+	refAttachStats(pkts, want)
+	add := func(a *ConnAssembler, p *netpkt.Packet) []*Connection {
+		s := p.Summary()
+		out := a.Feed(&s)
+		a.Newest().AddStat(StatOf(&s))
+		return out
+	}
 	for cut := 1; cut < len(pkts); cut++ {
 		a := NewConnAssembler(Options{})
 		var out []*Connection
-		for i, p := range pkts[:cut] {
-			out = append(out, a.Add(i, p)...)
+		for _, p := range pkts[:cut] {
+			out = append(out, add(a, p)...)
 		}
-		for j, p := range pkts[cut:] {
-			out = append(out, a.Add(cut+j, p)...)
+		for _, p := range pkts[cut:] {
+			out = append(out, add(a, p)...)
 		}
 		out = append(out, a.Flush()...)
 		SortConnections(out)
@@ -152,16 +159,30 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 	}
 }
 
+// refAttachStats is the membership oracle: a connection's members are the
+// packets with its canonical tuple whose timestamp falls in [First, Last]
+// (idle splits never overlap), attached in capture order.
+func refAttachStats(pkts []*netpkt.Packet, conns []*Connection) {
+	for _, c := range conns {
+		for _, p := range pkts {
+			s := p.Summary()
+			if s.HasTuple && s.Tuple.Canonical() == c.Tuple.Canonical() && !s.Ts.Before(c.First) && !s.Ts.After(c.Last) {
+				c.AddStat(StatOf(&s))
+			}
+		}
+	}
+}
+
 // TestAssemblerFlushResets: an assembler is reusable after Flush.
 func TestAssemblerFlushResets(t *testing.T) {
 	a := NewUniflowAssembler(Options{})
 	pkts := handshake(t, 0)
-	for i, p := range pkts {
-		a.Add(i, p)
+	for _, p := range pkts {
+		a.Add(p)
 	}
 	first := a.Flush()
-	for i, p := range pkts {
-		a.Add(i, p)
+	for _, p := range pkts {
+		a.Add(p)
 	}
 	second := a.Flush()
 	if !reflect.DeepEqual(first, second) {

@@ -57,8 +57,8 @@ func appendConnLogLine(b []byte, i int, c *Connection) []byte {
 	b = strconv.AppendInt(append(b, '\t'), int64(c.OrigBytes), 10)
 	b = strconv.AppendInt(append(b, '\t'), int64(c.RespBytes), 10)
 	b = append(append(b, '\t'), c.State...)
-	b = strconv.AppendInt(append(b, '\t'), int64(len(c.OrigIdx)), 10)
-	b = strconv.AppendInt(append(b, '\t'), int64(len(c.RespIdx)), 10)
+	b = strconv.AppendInt(append(b, '\t'), int64(c.OrigPkts), 10)
+	b = strconv.AppendInt(append(b, '\t'), int64(c.RespPkts), 10)
 	return append(b, '\n')
 }
 

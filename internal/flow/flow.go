@@ -14,22 +14,64 @@ import (
 // Uniflow is a set of same-direction packets sharing a five-tuple, within
 // one timeout-delimited episode.
 type Uniflow struct {
-	Tuple netpkt.FiveTuple
-	// PacketIdx indexes into the packet slice given to Assemble, in time
-	// order. Keeping indices (not copies) lets label propagation work in
-	// both directions.
-	PacketIdx []int
-	First     time.Time
-	Last      time.Time
-	Bytes     int
-	Payload   int // application payload bytes
+	Tuple   netpkt.FiveTuple
+	First   time.Time
+	Last    time.Time
+	Pkts    int // member packets
+	Bytes   int
+	Payload int // application payload bytes
+	// Stats are the member packets' stats in arrival order, when the
+	// caller attaches them (AddStat); assembly alone only counts.
+	Stats []PacketStat
+	// Label is the caller's annotation of the flow, 0 unless it sets one.
+	Label uint32
 
 	// prev and next thread the flow on its assembler's idle list while it
-	// is open (nil once emitted); idx0 is PacketIdx's first backing
-	// array, so a short flow is one allocation.
+	// is open (nil once emitted); stat0 is Stats' first backing array, so
+	// a short flow is one allocation.
 	prev, next *Uniflow
-	idx0       [4]int
+	stat0      [InlineStats]PacketStat
 }
+
+// PacketStat is what flow features read of one member packet. It is 16
+// bytes and holds no pointer, so the stats a flow keeps are never scanned
+// by the collector.
+type PacketStat struct {
+	UnixNano int64
+	Wire     int32
+	Flags    uint8 // TCP flag bits, when HasTCP
+	HasTCP   bool
+}
+
+// StatOf projects a packet summary to its stat.
+func StatOf(s *netpkt.PacketSummary) PacketStat {
+	return PacketStat{UnixNano: s.Ts.UnixNano(), Wire: int32(s.Wire), Flags: s.TCPFlags, HasTCP: s.HasTCP}
+}
+
+// InlineStats is how many member stats a flow holds in its own
+// allocation; a longer flow's stats move to a slice of their own.
+const InlineStats = 4
+
+// spillStats is the capacity a flow's stats get when they outgrow the
+// inline array: room for the common eight-packet session and most of
+// what is longer in one allocation, where doubling from the inline four
+// would take one per octave.
+const spillStats = 4 * InlineStats
+
+// appendStat appends s to a flow's stats, starting them in the flow's
+// inline array and moving them to one of spillStats when it is full.
+func appendStat(stats []PacketStat, inline *[InlineStats]PacketStat, s PacketStat) []PacketStat {
+	switch {
+	case stats == nil:
+		stats = inline[:0]
+	case cap(stats) == InlineStats && len(stats) == InlineStats:
+		stats = append(make([]PacketStat, 0, spillStats), stats...)
+	}
+	return append(stats, s)
+}
+
+// AddStat appends the stat of the flow's newest member packet.
+func (u *Uniflow) AddStat(s PacketStat) { u.Stats = appendStat(u.Stats, &u.stat0, s) }
 
 // Duration returns Last-First.
 func (u *Uniflow) Duration() time.Duration { return u.Last.Sub(u.First) }
@@ -54,54 +96,38 @@ const (
 type Connection struct {
 	// Tuple is oriented originator → responder.
 	Tuple netpkt.FiveTuple
-	// OrigIdx and RespIdx index packets of each direction, in time order.
-	OrigIdx []int
-	RespIdx []int
-	First   time.Time
-	Last    time.Time
+	First time.Time
+	Last  time.Time
+	// OrigPkts and RespPkts count packets per direction.
+	OrigPkts, RespPkts int
 	// OrigBytes and RespBytes are wire bytes per direction.
 	OrigBytes, RespBytes int
 	// OrigPayload and RespPayload are application bytes per direction.
 	OrigPayload, RespPayload int
 	State                    ConnState
+	// Stats are the member packets' stats of both directions in arrival
+	// order, when the caller attaches them (AddStat); assembly alone only
+	// counts.
+	Stats []PacketStat
+	// Label is the caller's annotation of the connection, 0 unless it sets
+	// one.
+	Label uint32
 
 	sawSYN, sawSYNACK, sawOrigFIN, sawRespFIN bool
 	sawOrigRST, sawRespRST                    bool
 
 	// prev and next thread the connection on its assembler's idle list
-	// while it is open (nil once emitted); idx0 is the first backing
-	// array of OrigIdx (front half) and RespIdx (back half), so a short
-	// connection is one allocation.
+	// while it is open (nil once emitted); stat0 is Stats' first backing
+	// array, so a short connection is one allocation.
 	prev, next *Connection
-	idx0       [2 * connInlineIdx]int
+	stat0      [InlineStats]PacketStat
 }
-
-// connInlineIdx is how many packet indices per direction a connection
-// holds before its index lists move to their own allocations.
-const connInlineIdx = 4
 
 // Duration returns Last-First.
 func (c *Connection) Duration() time.Duration { return c.Last.Sub(c.First) }
 
-// Packets returns all packet indices of the connection in time order.
-func (c *Connection) Packets() []int {
-	return c.AppendPackets(make([]int, 0, len(c.OrigIdx)+len(c.RespIdx)))
-}
-
-// AppendPackets appends all packet indices of the connection, in time
-// order, to dst: a linear merge of the two per-direction lists, each of
-// which is already ascending.
-func (c *Connection) AppendPackets(dst []int) []int {
-	o, r := c.OrigIdx, c.RespIdx
-	for len(o) > 0 && len(r) > 0 {
-		if o[0] < r[0] {
-			dst, o = append(dst, o[0]), o[1:]
-		} else {
-			dst, r = append(dst, r[0]), r[1:]
-		}
-	}
-	return append(append(dst, o...), r...)
-}
+// AddStat appends the stat of the connection's newest member packet.
+func (c *Connection) AddStat(s PacketStat) { c.Stats = appendStat(c.Stats, &c.stat0, s) }
 
 // Options configures assembly.
 type Options struct {
@@ -125,8 +151,8 @@ func (o Options) idle() time.Duration {
 func Uniflows(pkts []*netpkt.Packet, opts Options) []*Uniflow {
 	a := NewUniflowAssembler(opts)
 	var done []*Uniflow
-	for i, p := range pkts {
-		done = append(done, a.Add(i, p)...)
+	for _, p := range pkts {
+		done = append(done, a.Add(p)...)
 	}
 	done = append(done, a.Flush()...)
 	SortUniflows(done)
@@ -138,8 +164,8 @@ func Uniflows(pkts []*netpkt.Packet, opts Options) []*Uniflow {
 func Connections(pkts []*netpkt.Packet, opts Options) []*Connection {
 	a := NewConnAssembler(opts)
 	var done []*Connection
-	for i, p := range pkts {
-		done = append(done, a.Add(i, p)...)
+	for _, p := range pkts {
+		done = append(done, a.Add(p)...)
 	}
 	done = append(done, a.Flush()...)
 	SortConnections(done)

@@ -32,7 +32,7 @@ func refConnLogLine(i int, c *Connection) string {
 		c.Duration().Seconds(),
 		c.OrigBytes, c.RespBytes,
 		c.State,
-		len(c.OrigIdx), len(c.RespIdx),
+		c.OrigPkts, c.RespPkts,
 	)
 }
 
@@ -76,7 +76,7 @@ type refUniAssembler struct {
 	started   bool
 }
 
-func (a *refUniAssembler) feed(i int, s netpkt.PacketSummary) []*Uniflow {
+func (a *refUniAssembler) feed(s netpkt.PacketSummary) []*Uniflow {
 	var out []*Uniflow
 	if !a.started {
 		a.started = true
@@ -103,7 +103,8 @@ func (a *refUniAssembler) feed(i int, s netpkt.PacketSummary) []*Uniflow {
 		f = &Uniflow{Tuple: s.Tuple, First: s.Ts}
 		a.active[s.Tuple] = f
 	}
-	f.PacketIdx = append(f.PacketIdx, i)
+	f.Pkts++
+	f.Stats = append(f.Stats, StatOf(&s))
 	f.Last = s.Ts
 	f.Bytes += s.Wire
 	f.Payload += s.PayloadLen
@@ -128,7 +129,7 @@ type refConnAssembler struct {
 	started   bool
 }
 
-func (a *refConnAssembler) feed(i int, s netpkt.PacketSummary) []*Connection {
+func (a *refConnAssembler) feed(s netpkt.PacketSummary) []*Connection {
 	var out []*Connection
 	if !a.started {
 		a.started = true
@@ -158,7 +159,8 @@ func (a *refConnAssembler) feed(i int, s netpkt.PacketSummary) []*Connection {
 		c = &Connection{Tuple: s.Tuple, First: s.Ts}
 		a.active[key] = c
 	}
-	c.add(i, &s)
+	c.add(&s)
+	c.Stats = append(c.Stats, StatOf(&s))
 	return out
 }
 
@@ -172,9 +174,10 @@ func (a *refConnAssembler) flush() []*Connection {
 	return out
 }
 
-// sameUniflows and sameConnections compare what a flow exports: members
-// and order. (The references do not seed index lists from the inline
-// array, so the unexported fields differ by design.)
+// sameUniflows and sameConnections compare what a flow exports: counts,
+// member stats in arrival order, and order. (The references do not seed
+// stats from the inline array, so the unexported fields differ by
+// design.)
 func sameUniflows(t *testing.T, at string, got, want []*Uniflow) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -183,8 +186,8 @@ func sameUniflows(t *testing.T, at string, got, want []*Uniflow) {
 	for k := range want {
 		g, w := got[k], want[k]
 		if g.Tuple != w.Tuple || !g.First.Equal(w.First) || !g.Last.Equal(w.Last) ||
-			g.Bytes != w.Bytes || g.Payload != w.Payload || !reflect.DeepEqual(g.PacketIdx, w.PacketIdx) {
-			t.Fatalf("%s: flow %d is %v %v, reference %v %v", at, k, g.Tuple, g.PacketIdx, w.Tuple, w.PacketIdx)
+			g.Pkts != w.Pkts || g.Bytes != w.Bytes || g.Payload != w.Payload || !reflect.DeepEqual(g.Stats, w.Stats) {
+			t.Fatalf("%s: flow %d is %v %v, reference %v %v", at, k, g.Tuple, g.Stats, w.Tuple, w.Stats)
 		}
 		if g.prev != nil || g.next != nil {
 			t.Fatalf("%s: emitted flow %d is still on the idle list", at, k)
@@ -202,18 +205,12 @@ func sameConnections(t *testing.T, at string, got, want []*Connection) {
 		if g.Tuple != w.Tuple || !g.First.Equal(w.First) || !g.Last.Equal(w.Last) || g.State != w.State ||
 			g.OrigBytes != w.OrigBytes || g.RespBytes != w.RespBytes ||
 			g.OrigPayload != w.OrigPayload || g.RespPayload != w.RespPayload ||
-			!reflect.DeepEqual(g.OrigIdx, w.OrigIdx) || !reflect.DeepEqual(g.RespIdx, w.RespIdx) {
-			t.Fatalf("%s: connection %d is %v %v/%v %s, reference %v %v/%v %s", at, k,
-				g.Tuple, g.OrigIdx, g.RespIdx, g.State, w.Tuple, w.OrigIdx, w.RespIdx, w.State)
+			g.OrigPkts != w.OrigPkts || g.RespPkts != w.RespPkts || !reflect.DeepEqual(g.Stats, w.Stats) {
+			t.Fatalf("%s: connection %d is %v %d/%d %s, reference %v %d/%d %s", at, k,
+				g.Tuple, g.OrigPkts, g.RespPkts, g.State, w.Tuple, w.OrigPkts, w.RespPkts, w.State)
 		}
 		if g.prev != nil || g.next != nil {
 			t.Fatalf("%s: emitted connection %d is still on the idle list", at, k)
-		}
-		// The merged member list is what sort.Ints made of the two.
-		ref := append(append([]int{}, w.OrigIdx...), w.RespIdx...)
-		sort.Ints(ref)
-		if pk := g.Packets(); !reflect.DeepEqual(pk, ref) {
-			t.Fatalf("%s: connection %d merges to %v, want %v", at, k, pk, ref)
 		}
 	}
 }
@@ -265,10 +262,17 @@ func TestSweepMatchesTableScan(t *testing.T) {
 		evicted := 0
 		for i := range stream {
 			at := fmt.Sprintf("seed %d packet %d", seed, i)
-			got := ua.Feed(i, &stream[i])
-			sameUniflows(t, at, got, ur.feed(i, stream[i]))
+			s := &stream[i]
+			got := ua.Feed(s)
+			gotc := ca.Feed(s)
+			if s.HasTuple {
+				// Attach the stat as a stats-keeping caller does.
+				ua.Newest().AddStat(StatOf(s))
+				ca.Newest().AddStat(StatOf(s))
+			}
+			sameUniflows(t, at, got, ur.feed(*s))
 			evicted += len(got)
-			sameConnections(t, at, ca.Feed(i, &stream[i]), cr.feed(i, stream[i]))
+			sameConnections(t, at, gotc, cr.feed(*s))
 			if ua.Open() != len(ur.active) || ca.Open() != len(cr.active) {
 				t.Fatalf("%s: %d/%d open, reference %d/%d", at, ua.Open(), ca.Open(), len(ur.active), len(cr.active))
 			}
@@ -292,7 +296,7 @@ func TestSortMatchesReference(t *testing.T) {
 	a := NewConnAssembler(Options{IdleTimeout: time.Second})
 	var conns []*Connection
 	for i := range stream {
-		conns = append(conns, a.Feed(i, &stream[i])...)
+		conns = append(conns, a.Feed(&stream[i])...)
 	}
 	conns = append(conns, a.Flush()...)
 	rng.Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
@@ -385,8 +389,8 @@ func FuzzConnLogLine(f *testing.F) {
 			Tuple:     netpkt.FiveTuple{SrcIP: addr(src), DstIP: addr(dst), SrcPort: sport, DstPort: dport, Proto: proto},
 			First:     time.Unix(0, first),
 			OrigBytes: ob, RespBytes: rb,
-			State:   ConnState(state),
-			OrigIdx: make([]int, len(src)), RespIdx: make([]int, len(dst)),
+			State:    ConnState(state),
+			OrigPkts: len(src), RespPkts: len(dst),
 		}
 		c.Last = c.First.Add(time.Duration(dur))
 		if got, want := string(appendConnLogLine(nil, int(idx), c)), refConnLogLine(int(idx), c); got != want {
@@ -439,7 +443,7 @@ func BenchmarkConnAssembler(b *testing.B) {
 		a := NewConnAssembler(Options{})
 		conns = 0
 		for i := range sums {
-			conns += len(a.Feed(i, &sums[i]))
+			conns += len(a.Feed(&sums[i]))
 		}
 		conns += len(a.Flush())
 	}
@@ -454,7 +458,7 @@ func BenchmarkWriteConnLog(b *testing.B) {
 	a := NewConnAssembler(Options{})
 	var conns []*Connection
 	for i := range sums {
-		conns = append(conns, a.Feed(i, &sums[i])...)
+		conns = append(conns, a.Feed(&sums[i])...)
 	}
 	conns = append(conns, a.Flush()...)
 	b.ResetTimer()

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lumen/internal/netpkt"
 )
@@ -75,8 +76,8 @@ func TestUniflowsDirectionality(t *testing.T) {
 	if fwd == nil || rev == nil {
 		t.Fatal("missing a direction")
 	}
-	if len(fwd.PacketIdx) != 5 || len(rev.PacketIdx) != 3 {
-		t.Errorf("packet counts fwd=%d rev=%d, want 5/3", len(fwd.PacketIdx), len(rev.PacketIdx))
+	if fwd.Pkts != 5 || rev.Pkts != 3 {
+		t.Errorf("packet counts fwd=%d rev=%d, want 5/3", fwd.Pkts, rev.Pkts)
 	}
 	if fwd.Payload != 5 { // "GET /"
 		t.Errorf("fwd payload = %d, want 5", fwd.Payload)
@@ -93,8 +94,8 @@ func TestUniflowIdleTimeoutSplits(t *testing.T) {
 	if len(flows) != 2 {
 		t.Fatalf("got %d flows, want 2 after idle split", len(flows))
 	}
-	if len(flows[0].PacketIdx) != 2 || len(flows[1].PacketIdx) != 1 {
-		t.Errorf("split sizes %d/%d, want 2/1", len(flows[0].PacketIdx), len(flows[1].PacketIdx))
+	if flows[0].Pkts != 2 || flows[1].Pkts != 1 {
+		t.Errorf("split sizes %d/%d, want 2/1", flows[0].Pkts, flows[1].Pkts)
 	}
 }
 
@@ -119,8 +120,8 @@ func TestConnectionMergesDirections(t *testing.T) {
 	if c.Tuple.SrcPort != 1234 || c.Tuple.DstPort != 80 {
 		t.Errorf("originator should be A:1234 (first packet), got %v", c.Tuple)
 	}
-	if len(c.OrigIdx) != 5 || len(c.RespIdx) != 3 {
-		t.Errorf("direction counts %d/%d, want 5/3", len(c.OrigIdx), len(c.RespIdx))
+	if c.OrigPkts != 5 || c.RespPkts != 3 {
+		t.Errorf("direction counts %d/%d, want 5/3", c.OrigPkts, c.RespPkts)
 	}
 	if c.State != StateSF {
 		t.Errorf("state = %v, want SF (clean close)", c.State)
@@ -128,8 +129,8 @@ func TestConnectionMergesDirections(t *testing.T) {
 	if c.OrigPayload != 5 || c.RespPayload != 6 {
 		t.Errorf("payloads %d/%d, want 5/6", c.OrigPayload, c.RespPayload)
 	}
-	if got := c.Packets(); len(got) != 8 {
-		t.Errorf("Packets() returned %d, want 8", len(got))
+	if c.Stats != nil {
+		t.Errorf("plain assembly attached %d stats, want none", len(c.Stats))
 	}
 }
 
@@ -242,5 +243,15 @@ func TestUniflowDeterministicOrder(t *testing.T) {
 		if a[i].Tuple != b[i].Tuple {
 			t.Fatal("nondeterministic flow order")
 		}
+	}
+}
+
+// TestConnectionSizeHolds: a connection is no larger than it was when it
+// kept four packet indices per direction inline (288 B on 64-bit
+// platforms), so an assembler that attaches no stats (the daemon's
+// conn-log, pcapinfo) retains no more per connection than it did.
+func TestConnectionSizeHolds(t *testing.T) {
+	if n := unsafe.Sizeof(Connection{}); n > 288 {
+		t.Errorf("a Connection is %d B, above 288", n)
 	}
 }
