@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"lumen/internal/core"
+	"lumen/internal/dataset"
+	"lumen/internal/flow"
 )
 
 // builtins returns every built-in algorithm: A00–A15 and AM01–AM03.
@@ -16,8 +18,9 @@ func builtins() []Algorithm { return append(All(), Modified()...) }
 
 // TestGoldenStreamPlans pins the streaming plan of every built-in
 // pipeline in both modes with Online off and on: per op whether it
-// streams, is a flow sink, runs on the worker or the ordered stage, plus
-// the accumulated values and the decode hint. The golden was recorded
+// streams, is a flow sink (with the member stats it keeps a flow),
+// runs on the worker or the ordered stage, plus the accumulated values
+// and the decode hint. The golden was recorded
 // before the op traits replaced core's name-keyed tables; a diff means a
 // pipeline now executes differently. On a mismatch the test writes what
 // it computed to the system temp directory: copy it over the golden only
@@ -43,8 +46,16 @@ func TestGoldenStreamPlans(t *testing.T) {
 				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v\n",
 					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum)
 				for i, op := range a.Pipeline.Ops {
-					fmt.Fprintf(&got, "  %2d %-20s -> %-14s streamed=%-5v flowSink=%-5v worker=%-5v ordered=%v\n",
+					fmt.Fprintf(&got, "  %2d %-20s -> %-14s streamed=%-5v flowSink=%-5v worker=%-5v ordered=%v",
 						i, op.Func, op.Output, pl.Streamed[i], pl.FlowSink[i], pl.Worker[i], pl.Ordered[i])
+					switch {
+					case !pl.FlowSink[i]:
+					case pl.StatCap[i] == core.AllStats:
+						fmt.Fprint(&got, " stats=all")
+					default:
+						fmt.Fprintf(&got, " stats=%d", pl.StatCap[i])
+					}
+					fmt.Fprintln(&got)
 				}
 			}
 		}
@@ -60,6 +71,46 @@ func TestGoldenStreamPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Fatalf("stream plans differ from %s; computed plans written to %s", golden, actual)
+	}
+}
+
+// TestFlowSinkKeepsDemandedStats: a pass's flow sink keeps the member
+// stats its readers read (StreamPlan.StatCap), no more: none on A14's
+// connections, whose features are all counters; at most the first
+// hundred on A12's, which reads first_n_* features; every member's on
+// A13's, which reads the whole catalogue. The trace holds connections
+// longer than a hundred packets, so A12's cap binds.
+func TestFlowSinkKeepsDemandedStats(t *testing.T) {
+	spec, _ := dataset.Get("F2")
+	ds := spec.Generate(5)
+	for _, tc := range []struct {
+		id  string
+		cap int
+	}{{"A14", 0}, {"A12", 100}, {"A13", core.AllStats}} {
+		a, _ := Get(tc.id)
+		var conns []*flow.Connection
+		cfg := core.StreamConfig{ChunkRows: 512, Hooks: &core.StreamHooks{ConnsClosed: func(cs []*flow.Connection) error {
+			conns = cs
+			return nil
+		}}}
+		eng := core.NewEngine(a.Pipeline)
+		eng.Seed = 1
+		if _, err := eng.RunStream(dataset.NewSliceSource(ds), core.ModeTrain, cfg); err != nil {
+			t.Fatal(err)
+		}
+		long := 0
+		for _, c := range conns {
+			pkts := c.OrigPkts + c.RespPkts
+			if pkts > 100 {
+				long++
+			}
+			if want := min(pkts, tc.cap); len(c.Stats) != want {
+				t.Fatalf("%s: a connection of %d packets keeps %d stats, want %d", tc.id, pkts, len(c.Stats), want)
+			}
+		}
+		if len(conns) == 0 || long == 0 {
+			t.Fatalf("%s: fixture: %d connections, %d of them over 100 packets", tc.id, len(conns), long)
+		}
 	}
 }
 

@@ -435,6 +435,40 @@ func TestSharedCacheServesFlowOps(t *testing.T) {
 	t.Logf("cache: %+v, cached ops: %v", st, cached)
 }
 
+// TestSharedCacheKeepsEveryStat: flows the shared cache serves keep every
+// member stat, whatever the pipeline that first computed them reads. A14,
+// whose own sink would keep none, runs first over a dataset; A13, which
+// reads every stat, and A12, which reads the first hundred, then take its
+// flows from the cache, and all three give the result of an engine
+// without a cache bit for bit.
+func TestSharedCacheKeepsEveryStat(t *testing.T) {
+	spec, _ := dataset.Get("F2")
+	train, test := InterleaveSplit(spec.Generate(2))
+	cache := core.NewCache()
+	for _, id := range []string{"A14", "A13", "A12"} {
+		alg, _ := algorithms.Get(id)
+		var res [2]*core.EvalResult
+		for k, c := range []*core.Cache{nil, cache} {
+			eng := core.NewEngine(alg.Pipeline)
+			eng.Seed = 1
+			eng.SetCache(c)
+			if err := eng.Train(train); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if res[k], err = eng.Test(test); err != nil {
+				t.Fatal(err)
+			}
+			if c != nil && id != "A14" && !eng.Profile[0].Cached {
+				t.Errorf("%s: flow_assemble was not served from the cache", id)
+			}
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: the result through the shared cache differs from the uncached one", id)
+		}
+	}
+}
+
 // TestRegisteredPipelinesStreamMatchWholeTrace: two registered flow
 // algorithms, trained and tested in 64-packet chunks at depth 0 and 2,
 // give the EvalResult of whole-trace Train/Test. core's equivalence

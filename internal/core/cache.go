@@ -235,10 +235,10 @@ func valueBytes(v Value) int64 {
 	case *Flows:
 		var b int64
 		for _, u := range x.Unis {
-			b += int64(unsafe.Sizeof(*u)) + spilledStatBytes(u.Stats)
+			b += int64(unsafe.Sizeof(*u)) + statBytes(u.Stats)
 		}
 		for _, cn := range x.Conns {
-			b += int64(unsafe.Sizeof(*cn)) + spilledStatBytes(cn.Stats)
+			b += int64(unsafe.Sizeof(*cn)) + statBytes(cn.Stats)
 		}
 		return b
 	default:
@@ -246,14 +246,15 @@ func valueBytes(v Value) int64 {
 	}
 }
 
-// spilledStatBytes is what a flow's member stats cost beyond the flow
-// itself: nothing while they fit its inline array, their slice's backing
-// array once they have outgrown it.
-func spilledStatBytes(st []flow.PacketStat) int64 {
-	if cap(st) <= flow.InlineStats {
-		return 0
+// statBytes is what a flow's member stats cost beyond the flow itself,
+// wherever they live: the first array a slab carved for them, which the
+// slab keeps once they outgrow it, plus the slice they moved to then.
+func statBytes(st []flow.PacketStat) int64 {
+	n := int64(cap(st))
+	if n > flow.InlineStats {
+		n += flow.InlineStats
 	}
-	return int64(cap(st)) * int64(unsafe.Sizeof(flow.PacketStat{}))
+	return n * int64(unsafe.Sizeof(flow.PacketStat{}))
 }
 
 // lineageKeys names every value a pass over root can share through the

@@ -324,32 +324,34 @@ func TestEngineSingleflightAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestFlowsValueBytes: the cache prices a flow at its struct's size, its
-// inline stats included, plus the slice its stats moved to once they
-// outgrew the inline array, 16 B a stat of capacity.
+// TestFlowsValueBytes: the cache prices a flow at its struct's size plus
+// its stats wherever they live, 16 B a stat of capacity: the first array
+// a slab carved for them and, once they outgrew it, the slice they moved
+// to as well.
 func TestFlowsValueBytes(t *testing.T) {
 	if n := unsafe.Sizeof(flow.PacketStat{}); n != 16 {
 		t.Fatalf("a PacketStat is %d B, want 16", n)
 	}
-	short, long := &flow.Connection{}, &flow.Connection{}
+	var slab flow.StatSlab
+	bare, short, long := &flow.Connection{}, &flow.Connection{}, &flow.Connection{}
 	su, lu := &flow.Uniflow{}, &flow.Uniflow{}
 	for k := 0; k < flow.InlineStats; k++ {
-		short.AddStat(flow.PacketStat{})
-		su.AddStat(flow.PacketStat{})
+		short.AddStat(flow.PacketStat{}, &slab)
+		su.AddStat(flow.PacketStat{}, &slab)
 	}
 	for k := 0; k < 3*flow.InlineStats; k++ {
-		long.AddStat(flow.PacketStat{})
-		lu.AddStat(flow.PacketStat{})
+		long.AddStat(flow.PacketStat{}, &slab)
+		lu.AddStat(flow.PacketStat{}, &slab)
 	}
 	if cap(long.Stats) <= flow.InlineStats || cap(short.Stats) != flow.InlineStats {
 		t.Fatalf("fixture: stats capacities %d and %d", cap(short.Stats), cap(long.Stats))
 	}
-	conns := &Flows{Granularity: dataset.ConnectionG, Conns: []*flow.Connection{short, long}}
-	if got, want := valueBytes(conns), int64(2*unsafe.Sizeof(flow.Connection{})+16*uintptr(cap(long.Stats))); got != want {
+	conns := &Flows{Granularity: dataset.ConnectionG, Conns: []*flow.Connection{bare, short, long}}
+	if got, want := valueBytes(conns), int64(3*unsafe.Sizeof(flow.Connection{})+16*uintptr(2*flow.InlineStats+cap(long.Stats))); got != want {
 		t.Errorf("connections priced at %d B, want %d", got, want)
 	}
 	unis := &Flows{Granularity: dataset.UniflowG, Unis: []*flow.Uniflow{su, lu}}
-	if got, want := valueBytes(unis), int64(2*unsafe.Sizeof(flow.Uniflow{})+16*uintptr(cap(lu.Stats))); got != want {
+	if got, want := valueBytes(unis), int64(2*unsafe.Sizeof(flow.Uniflow{})+16*uintptr(2*flow.InlineStats+cap(lu.Stats))); got != want {
 		t.Errorf("uniflows priced at %d B, want %d", got, want)
 	}
 }

@@ -76,14 +76,15 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 	} else {
 		out.Conns = flow.Connections(ds.Packets, opts)
 	}
+	var slab flow.StatSlab
 	for i, members := range refMembers(ds, out) {
 		var label uint32
 		for _, pi := range members {
 			sum := ds.Packets[pi].Summary()
 			if gran == dataset.UniflowG {
-				out.Unis[i].AddStat(flow.StatOf(&sum))
+				out.Unis[i].AddStat(flow.StatOf(&sum), &slab)
 			} else {
-				out.Conns[i].AddStat(flow.StatOf(&sum))
+				out.Conns[i].AddStat(flow.StatOf(&sum), &slab)
 			}
 			if label == 0 && pi < len(ds.Labels) && ds.Labels[pi] != 0 {
 				name := ""

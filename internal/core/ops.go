@@ -57,6 +57,10 @@ type opTraits struct {
 	// decode is how deep the op looks into the packets it reads; every
 	// reader of KindPackets declares one.
 	decode func(params) netpkt.DecodeHint
+	// stats is how many member stats of each flow the op reads, given
+	// its params; a reader of KindFlows without it reads every stat (see
+	// StreamPlan.StatCap).
+	stats func(params) int
 	// cacheable marks a stateless, mode-independent op whose whole-trace
 	// results a shared Cache may serve.
 	cacheable bool

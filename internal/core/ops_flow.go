@@ -20,8 +20,12 @@ func init() {
 		opTraits{class: classFlowSink, decode: headers, cacheable: true, check: checkFlowParams}, opFlowAssemble)
 	register("flow_features", "compute per-flow features (sizes, inter-arrivals, flags, states, services, first-N stats)",
 		opSig{in: []Kind{KindFlows}, out: KindFrame},
-		opTraits{class: classBarrier, cacheable: true, check: checkFlowFeatureParams}, opFlowFeatures)
+		opTraits{class: classBarrier, cacheable: true, check: checkFlowFeatureParams, stats: flowFeatureStats}, opFlowFeatures)
 }
+
+// AllStats is the StreamPlan.StatCap of a sink some reader of which
+// takes every member stat of a flow.
+const AllStats = math.MaxInt
 
 // checkFlowParams and checkFlowFeatureParams are the two ops' type-checks:
 // a template with unusable flow params is refused when it is parsed, not
@@ -57,13 +61,15 @@ func flowParams(p params) (flow.Options, dataset.Granularity, error) {
 
 // opFlowAssemble is the flow sink run over one chunk that holds the
 // whole trace: a pass the shared cache serves runs it so, and so does
-// ExtractFlowFeatures. Every other pass feeds its sinks chunk by chunk.
+// ExtractFlowFeatures. Its flows keep every member stat, since any
+// pipeline the cache serves them to may read them all. Every other pass
+// feeds its sinks chunk by chunk.
 func opFlowAssemble(_ *opCtx, in []Value, p params) (Value, error) {
 	pk, err := asPackets(in[0])
 	if err != nil {
 		return nil, err
 	}
-	s, err := newFlowSink(0, p, nil, "")
+	s, err := newFlowSink(0, p, AllStats, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -175,6 +181,40 @@ func flowFeatureParams(p params) (sel []int, firstN int, err error) {
 	return sel, firstN, nil
 }
 
+// counterFeature marks the catalogue features computeFlowVector takes
+// from a flow's counters, tuple and state alone, never from its stats.
+var counterFeature = func() (c [numFlowFeatures]bool) {
+	for _, fi := range []int{fDuration, fPktCount, fByteCount, fPayloadBytes, fPPS, fBPS,
+		fSrcPort, fDstPort, fProto, fDstPortWellknown, fOrigBytes, fRespBytes, fOrigPkts, fRespPkts, fByteRatio} {
+		c[fi] = true
+	}
+	for fi := fStateS0; fi <= fSvcOther; fi++ {
+		c[fi] = true
+	}
+	return c
+}()
+
+// flowFeatureStats is flow_features' stats trait: 0 when every selected
+// feature is a counter feature, first_n when the rest are first_n_*
+// features, AllStats otherwise.
+func flowFeatureStats(p params) int {
+	sel, firstN, err := flowFeatureParams(p)
+	if err != nil {
+		return AllStats
+	}
+	n := 0
+	for _, fi := range sel {
+		switch {
+		case counterFeature[fi]:
+		case fi >= fFirstNMeanLen:
+			n = firstN
+		default:
+			return AllStats
+		}
+	}
+	return n
+}
+
 // opFlowFeatures computes one row per flow. Rows are independent, so a
 // flush pass may run it over consecutive blocks of a sink's flows: row i
 // of a block whose first flow is the pass's flow base gets unit index
@@ -242,93 +282,27 @@ func opFlowFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	return fr, nil
 }
 
-// computeFlowVector writes every catalogue feature of flow i into sc.vec
-// (all zero for a flow without packets). Per-packet fields are read from
-// the member stats the flow kept; payload from its integer sums, which
-// equal the float sum of its members' payloads exactly (integers below
-// 2^53). With warm scratch it allocates nothing.
+// computeFlowVector writes every catalogue feature of flow i into sc.vec.
+// Counter features come from the flow's counters, which equal what its
+// members' stats would sum to exactly (integers below 2^53; First and
+// Last are the first and last member's timestamps), so they hold
+// whatever stats the flow kept. The rest are read from the member stats,
+// of which a first_n_* feature needs the first firstN and any other
+// every one. With warm scratch it allocates nothing.
 func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 	out := &sc.vec
 	*out = flowVec{}
-	stats := fl.stats(i)
-	if len(stats) == 0 {
-		return
-	}
-	lens, iats := sc.lens[:0], sc.iats[:0]
-	var prevT float64
-	var flags [6]float64
-	var flagChanges int
-	var prevFlags uint8
-	first, last := stats[0], stats[len(stats)-1]
-	for k := range stats {
-		s := &stats[k]
-		t := float64(s.UnixNano) / 1e9
-		l := float64(s.Wire)
-		lens = append(lens, l)
-		if k > 0 {
-			iats = append(iats, t-prevT)
-		}
-		prevT = t
-		if s.HasTCP {
-			fs := s.Flags
-			for b := 0; b < 6; b++ {
-				if fs&(1<<uint(b)) != 0 {
-					flags[b]++
-				}
-			}
-			if k > 0 && fs != prevFlags {
-				flagChanges++
-			}
-			prevFlags = fs
-		}
-	}
-	sc.lens, sc.iats = lens, iats
-	dur := float64(last.UnixNano-first.UnixNano) / float64(time.Second)
-	n := len(stats)
-	out[fDuration] = dur
-	out[fPktCount] = float64(n)
-	var bytes float64
-	for _, l := range lens {
-		bytes += l
-	}
-	out[fByteCount] = bytes
-	out[fMeanLen] = mlkit.Mean(lens)
-	out[fStdLen] = math.Sqrt(mlkit.Variance(lens))
-	mn, mx := lens[0], lens[0]
-	for _, l := range lens {
-		if l < mn {
-			mn = l
-		}
-		if l > mx {
-			mx = l
-		}
-	}
-	out[fMinLen] = mn
-	out[fMaxLen] = mx
-	out[fMeanIAT] = mlkit.Mean(iats)
-	out[fStdIAT] = math.Sqrt(mlkit.Variance(iats))
-	if dur > 0 {
-		out[fPPS] = float64(n) / dur
-		out[fBPS] = bytes / dur
-	}
-	out[fSynCount] = flags[1]
-	out[fAckCount] = flags[4]
-	out[fFinCount] = flags[0]
-	out[fRstCount] = flags[2]
-	out[fPshCount] = flags[3]
-	out[fUrgCount] = flags[5]
-	if n > 1 {
-		out[fFlagChangeRate] = float64(flagChanges) / float64(n-1)
-	}
-
 	var tuple netpkt.FiveTuple
+	var first, last time.Time
+	var pkts, bytes int
 	if fl.Granularity == dataset.UniflowG {
 		u := fl.Unis[i]
-		tuple = u.Tuple
+		tuple, first, last, pkts, bytes = u.Tuple, u.First, u.Last, u.Pkts, u.Bytes
 		out[fPayloadBytes] = float64(u.Payload)
 	} else {
 		c := fl.Conns[i]
-		tuple = c.Tuple
+		tuple, first, last = c.Tuple, c.First, c.Last
+		pkts, bytes = c.OrigPkts+c.RespPkts, c.OrigBytes+c.RespBytes
 		out[fPayloadBytes] = float64(c.OrigPayload + c.RespPayload)
 		out[fOrigBytes] = float64(c.OrigBytes)
 		out[fRespBytes] = float64(c.RespBytes)
@@ -351,6 +325,14 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 		default:
 			out[fStateOTH] = 1
 		}
+	}
+	dur := float64(last.UnixNano()-first.UnixNano()) / float64(time.Second)
+	out[fDuration] = dur
+	out[fPktCount] = float64(pkts)
+	out[fByteCount] = float64(bytes)
+	if dur > 0 {
+		out[fPPS] = float64(pkts) / dur
+		out[fBPS] = float64(bytes) / dur
 	}
 	out[fSrcPort] = float64(tuple.SrcPort)
 	out[fDstPort] = float64(tuple.DstPort)
@@ -375,6 +357,62 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 		out[fSvcNTP] = 1
 	default:
 		out[fSvcOther] = 1
+	}
+
+	stats := fl.stats(i)
+	if len(stats) == 0 {
+		return
+	}
+	lens, iats := sc.lens[:0], sc.iats[:0]
+	var prevT float64
+	var flags [6]float64
+	var flagChanges int
+	var prevFlags uint8
+	for k := range stats {
+		s := &stats[k]
+		t := float64(s.UnixNano) / 1e9
+		lens = append(lens, float64(s.Wire))
+		if k > 0 {
+			iats = append(iats, t-prevT)
+		}
+		prevT = t
+		if s.HasTCP {
+			fs := s.Flags
+			for b := 0; b < 6; b++ {
+				if fs&(1<<uint(b)) != 0 {
+					flags[b]++
+				}
+			}
+			if k > 0 && fs != prevFlags {
+				flagChanges++
+			}
+			prevFlags = fs
+		}
+	}
+	sc.lens, sc.iats = lens, iats
+	out[fMeanLen] = mlkit.Mean(lens)
+	out[fStdLen] = math.Sqrt(mlkit.Variance(lens))
+	mn, mx := lens[0], lens[0]
+	for _, l := range lens {
+		if l < mn {
+			mn = l
+		}
+		if l > mx {
+			mx = l
+		}
+	}
+	out[fMinLen] = mn
+	out[fMaxLen] = mx
+	out[fMeanIAT] = mlkit.Mean(iats)
+	out[fStdIAT] = math.Sqrt(mlkit.Variance(iats))
+	out[fSynCount] = flags[1]
+	out[fAckCount] = flags[4]
+	out[fFinCount] = flags[0]
+	out[fRstCount] = flags[2]
+	out[fPshCount] = flags[3]
+	out[fUrgCount] = flags[5]
+	if n := len(stats); n > 1 {
+		out[fFlagChangeRate] = float64(flagChanges) / float64(n-1)
 	}
 
 	// First-N-packet statistics (the OCSVM A07 feature design: lengths

@@ -55,6 +55,11 @@ type StreamPlan struct {
 	// FlowSink[i]: op i is fed packet-by-packet during the chunk loop; its
 	// Flows output materializes at flush.
 	FlowSink []bool
+	// StatCap[i] is how many member stats flow sink i attaches to each
+	// flow: the most that any reader of its output reads (the op's stats
+	// trait), so 0 when every reader takes only the flow's counters and
+	// AllStats when some reader takes every stat. 0 for other ops.
+	StatCap []int
 	// ConnSink is the index of the first flow sink that assembles
 	// connections, -1 when the plan assembles none: the sink whose
 	// connections a hooked pass hands to StreamHooks.ConnsClosed.
@@ -105,6 +110,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 	pl := &StreamPlan{
 		Streamed: make([]bool, len(e.P.Ops)),
 		FlowSink: make([]bool, len(e.P.Ops)),
+		StatCap:  make([]int, len(e.P.Ops)),
 		Worker:   make([]bool, len(e.P.Ops)),
 		Ordered:  make([]bool, len(e.P.Ops)),
 		Accum:    map[string]bool{},
@@ -116,8 +122,18 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 	// itself); anything downstream of an ordered op is ordered too.
 	streamedVal := map[string]bool{InputName: true}
 	workerVal := map[string]bool{InputName: true}
+	sinkOf := map[string]int{}
 	for i, op := range e.P.Ops {
 		t := defs[i].traits
+		for _, in := range op.Input {
+			if j, ok := sinkOf[in]; ok {
+				n := AllStats
+				if t.stats != nil {
+					n = t.stats(params(op.Params))
+				}
+				pl.StatCap[j] = max(pl.StatCap[j], n)
+			}
+		}
 		if t.decode != nil && slices.Contains(op.Input, InputName) {
 			pl.Decode = pl.Decode.Union(t.decode(params(op.Params)))
 		}
@@ -130,6 +146,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 			reason = "input `" + behind + "` is produced behind a barrier"
 		case t.class == classFlowSink:
 			pl.FlowSink[i] = true
+			sinkOf[op.Output] = i
 			// check() has already accepted the params.
 			if _, gran, _ := flowParams(params(op.Params)); pl.ConnSink < 0 && gran == dataset.ConnectionG {
 				pl.ConnSink = i
@@ -172,8 +189,8 @@ func firstMissing(set map[string]bool, names []string) string {
 // flowSinkState is one flow_assemble op being fed incrementally: the
 // assembler plus every flow completed so far (evicted mid-stream once
 // idle, exactly as whole-trace assembly would have split them). Each
-// flow keeps its own members' stats and its label, so the sink retains
-// nothing per packet beyond what its flows hold.
+// flow keeps its label and the stats of its first statCap members, so
+// the sink retains nothing per packet beyond what its readers read.
 type flowSinkState struct {
 	op   int // index of the flow_assemble op
 	gran dataset.Granularity
@@ -181,6 +198,10 @@ type flowSinkState struct {
 	conn *flow.ConnAssembler
 	unis []*flow.Uniflow
 	cons []*flow.Connection
+	// statCap is how many member stats each flow keeps (StreamPlan.
+	// StatCap); slab holds the first array of each flow's stats.
+	statCap int
+	slab    flow.StatSlab
 	// attacks interns the attack names the sink's flows are labelled
 	// with (see Flows.attacks).
 	attacks []string
@@ -195,15 +216,16 @@ type flowSinkState struct {
 	flows *Flows
 }
 
-// newFlowSink builds the sink of flow_assemble op i from its params; m
-// (nil-safe) receives its open and evicted series under output's name.
-func newFlowSink(i int, p params, m *obs.Metrics, output string) (*flowSinkState, error) {
+// newFlowSink builds the sink of flow_assemble op i from its params,
+// keeping statCap member stats a flow; m (nil-safe) receives its open and
+// evicted series under output's name.
+func newFlowSink(i int, p params, statCap int, m *obs.Metrics, output string) (*flowSinkState, error) {
 	opts, gran, err := flowParams(p)
 	if err != nil {
 		return nil, err
 	}
 	s := &flowSinkState{
-		op: i, gran: gran,
+		op: i, gran: gran, statCap: statCap,
 		open: m.Gauge("lumen_flow_open",
 			"Flows a streaming run's flow_assemble sink holds open, as of its most recent chunk.", "output", output),
 		evicted: m.Counter("lumen_flow_evicted_total",
@@ -250,8 +272,8 @@ func (s *flowSinkState) finish() *Flows {
 
 // add feeds one packet's summary to the sink's assembler, keeping the
 // flows it evicts, and attaches the packet's stat to the flow it joined
-// (the assembler's newest). The first malicious member labels the flow
-// with its attack name.
+// (the assembler's newest) while that flow holds fewer than statCap. The
+// first malicious member labels the flow with its attack name.
 func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack string) {
 	var label *uint32
 	if s.uni != nil {
@@ -260,7 +282,9 @@ func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack st
 			return
 		}
 		u := s.uni.Newest()
-		u.AddStat(flow.StatOf(sum))
+		if len(u.Stats) < s.statCap {
+			u.AddStat(flow.StatOf(sum), &s.slab)
+		}
 		label = &u.Label
 	} else {
 		s.cons = append(s.cons, s.conn.Feed(sum)...)
@@ -268,7 +292,9 @@ func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack st
 			return
 		}
 		c := s.conn.Newest()
-		c.AddStat(flow.StatOf(sum))
+		if len(c.Stats) < s.statCap {
+			c.AddStat(flow.StatOf(sum), &s.slab)
+		}
 		label = &c.Label
 	}
 	if malicious && *label == 0 {
@@ -321,26 +347,30 @@ func (s *flowSinkState) report() {
 // Memory: peak state is the in-flight chunks (one at depth 0, O(depth)
 // staged) plus whatever the plan must retain — accumulated feature
 // frames for deferred ops, and, when the plan assembles flows, every flow
-// assembled so far, each holding its label and a 16-byte stat per member
-// packet (all flow features read of it). A flush the shared cache does
-// not serve featurizes and scores the closed flows in blocks of at most
-// 4096 (see flushBlocks), so it adds one block's frame and matrix, not
-// the trace's. Packets themselves never outlive their chunk: every finished chunk is
-// recycled to its source and its backing reference released. Verdict
-// rows outlive theirs only on an unhooked pass, which keeps every
-// chunk's EvalResult (about 48 B a row) to merge into the result it
-// returns. A pass with StreamHooks.AfterChunk set hands each chunk's
-// rows to the callback and keeps none, so a fully streamed hooked test
-// pass holds O(chunk) however long it runs. When it is also not Online
+// assembled so far, each holding its counters, its label and a 16-byte
+// stat for each of its first StreamPlan.StatCap member packets: none
+// when the plan's flow features are all counters (A14), the first first_n
+// when the rest are first_n_* features, every one otherwise. A flush the
+// shared cache does not serve featurizes and scores the closed flows in
+// blocks of at most 512 (see flushBlocks), so it adds one block's frame
+// and matrix, not the trace's. Packets themselves never outlive their
+// chunk: every finished chunk is recycled to its source and its backing
+// reference released. Verdict rows outlive theirs only on an unhooked
+// pass, which keeps every chunk's and block's EvalResult (about 48 B a
+// row) to merge into the result it returns. A pass with
+// StreamHooks.AfterChunk set hands each chunk's rows and each flush
+// block's to the callback and keeps none, so a fully streamed hooked test
+// pass holds O(chunk) however long it runs, and a hooked flow pass its
+// flows and one block. When it is also not Online
 // and accumulates nothing for the flush, it draws frame columns, the
 // scored matrix and unit indices from an arena it reuses chunk after
 // chunk, and what it still allocates per packet is mostly the scores
 // and predictions the model returns (40–80 B a packet on a nine-field
 // tree pipeline, against ~320 B without the arena).
 //
-// The result: an unhooked pass returns every row. A hooked pass returns
-// only the rows no callback was handed, the flush tail of the deferred
-// ops, nil when the plan streams fully (see StreamHooks for the contract).
+// The result: an unhooked pass returns every row; a hooked pass returns
+// nil, having handed every row to the callback (see StreamHooks for the
+// contract).
 //
 // RunStream bypasses the shared Cache: a source has no identity to key
 // its values by. TrainStream and TestStream give theirs one (see Cache).
@@ -382,8 +412,7 @@ func (e *Engine) TrainStream(ds *dataset.Labeled, cfg StreamConfig) error {
 // returns predictions identical at any chunk size. On fully streamable pipelines
 // the model scores each chunk as it arrives, so peak memory tracks the
 // chunk size, not the trace size. With cfg.Hooks.AfterChunk set it
-// returns what RunStream does, the tail no callback saw, which is nil
-// when every row streamed.
+// returns nil, as RunStream does: the callback was handed every row.
 func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult, error) {
 	if !e.trained {
 		return nil, fmt.Errorf("core: Test before Train on pipeline %q", e.P.Name)

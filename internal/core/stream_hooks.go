@@ -12,12 +12,20 @@ import (
 // scoring produced for it. It is handed to StreamHooks.AfterChunk so a
 // resident consumer (the detection daemon) can emit alerts and drive
 // model lifecycle operations chunk-by-chunk instead of waiting for the
-// pass to finish.
+// pass to finish. The flush pass hands its rows the same way, in flush
+// updates (Flush set).
 type ChunkUpdate struct {
-	// Seq is the chunk's sequence number within the pass (0-based).
+	// Seq is the chunk's sequence number within the pass (0-based); -1 on
+	// a flush update.
 	Seq int
-	// Base is the global index of the chunk's first packet.
+	// Base is the global index of the chunk's first packet; 0 on a flush
+	// update.
 	Base int
+	// Flush marks an update of the flush pass: Results are the rows of
+	// one block of closed flows the flush scored (see flushBlocks), or
+	// every row the deferred ops that run whole made, and nothing else is
+	// set. Flush updates follow every chunk's, in row order.
+	Flush bool
 	// Views are the chunk's packets. They are valid only for the duration
 	// of the callback: afterwards the chunk is recycled and released, and
 	// the view bytes may alias a pooled buffer that is reused or a memory
@@ -26,14 +34,15 @@ type ChunkUpdate struct {
 	// PacketSummary).
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
-	// produced for this chunk, in op order. Like Views they are valid only
-	// during the callback: on a recycling pass (see StreamHooks) their unit
-	// indices live in memory a later chunk reuses, so copy the rows that
-	// must outlive it. RunStream does not return these rows
-	// again (see StreamHooks). Empty on training passes, on chunks with no
-	// scored rows, and on pipelines whose scoring is deferred to the flush
-	// pass (flow granularities, barrier suffixes) — those verdicts are the
-	// tail RunStream returns, which is the caller's to keep.
+	// produced for this chunk, in op order, or on a flush update the
+	// rows of one flush block. Like Views they are valid only during the
+	// callback: on a recycling pass (see StreamHooks) their unit indices
+	// live in memory a later chunk reuses, so copy the rows that must
+	// outlive it. RunStream does not return these rows (see StreamHooks).
+	// Empty on training passes and on chunks with no scored rows; on
+	// pipelines whose scoring is deferred to the flush pass (flow
+	// granularities, barrier suffixes) the verdicts arrive in the flush
+	// updates instead.
 	Results []*EvalResult
 	// Drift holds the drift_detect events raised during this chunk, in
 	// detection order, valid only during the callback: copy it to retain
@@ -61,12 +70,16 @@ type ChunkUpdate struct {
 // bit-identically.
 //
 // A pass with AfterChunk set keeps no verdict row it has given to the
-// callback, so what it retains is what is open, not what has passed;
-// RunStream then returns only the rows no callback saw, the flush tail of
-// the deferred ops (nil when the plan streams fully). The rows of every
-// ChunkUpdate.Results in stream order, copied inside the callback,
-// followed by the returned tail, are the unhooked pass's result bit for
-// bit, at every depth.
+// callback, so what it retains is what is open, not what has passed. The
+// flush pass's rows go to the callback too, in flush updates after every
+// chunk's: one per block of closed flows the flush scores, whose unit
+// indices continue where the previous block's stopped, and one with the
+// rows of deferred ops that run whole. RunStream then returns nil. The
+// rows of every update's Results, chunks' and then flush's, copied
+// inside the callback, are the unhooked pass's result bit for bit, at
+// every depth. A flush update's callback runs between flush blocks: a
+// model it swaps in scores the blocks after it, so a consumer that
+// attributes the flush to one model leaves model state alone there.
 //
 // Such a pass also recycles its chunk scratch when nothing it produces
 // can outlive the callback: it is not Online and its plan accumulates no
@@ -100,6 +113,21 @@ type StreamHooks struct {
 // its streamed rows out instead of keeping them.
 func (h *StreamHooks) active() bool {
 	return h != nil && h.AfterChunk != nil
+}
+
+// handFlush hands the flush rows gathered in r.results to the AfterChunk
+// hook as one flush update and drops them; a no-op on an unhooked pass,
+// which keeps them for its result, and when there are none.
+func (r *streamExec) handFlush() error {
+	if !r.hooks.active() || len(r.results) == 0 {
+		return nil
+	}
+	up := ChunkUpdate{Seq: -1, Flush: true, Results: r.results}
+	r.results = nil
+	if err := r.hooks.AfterChunk(up); err != nil {
+		return fmt.Errorf("core: after-chunk hook (flush): %w", err)
+	}
+	return nil
 }
 
 // afterChunk invokes the AfterChunk hook for one absorbed job.

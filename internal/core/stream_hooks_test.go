@@ -26,22 +26,36 @@ var hookShapes = []StreamConfig{
 }
 
 // testStreamHooked runs TestStream with an AfterChunk hook and states the
-// hook contract's left-hand side: joined is the rows of every
-// ChunkUpdate in stream order followed by the tail the pass returned,
-// which must equal the unhooked result bit for bit. The rows are cloned
+// hook contract: the rows of every update, the chunks' in stream order
+// and then the flush updates', joined, must equal the unhooked result bit
+// for bit, and the pass returns nil. Flush updates come after every
+// chunk's, carry nothing but rows, and their unit indices run on without
+// a gap from one row, and one block, to the next. The rows are cloned
 // inside the callback, the only place they are valid. each (optional)
 // sees every update after its rows were taken; cfg.Hooks may preset the
 // other hook fields.
-func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) (joined, tail *EvalResult) {
+func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) *EvalResult {
 	t.Helper()
 	hooks := StreamHooks{}
 	if cfg.Hooks != nil {
 		hooks = *cfg.Hooks
 	}
 	var parts []*EvalResult
+	var flushIdx []int
+	flushing := false
 	hooks.AfterChunk = func(up ChunkUpdate) error {
+		switch {
+		case up.Flush && (up.Seq != -1 || up.Base != 0 || up.Views != nil || up.Drift != nil || up.Features != nil):
+			t.Errorf("flush update carries more than rows: seq %d, base %d, %d views", up.Seq, up.Base, len(up.Views))
+		case !up.Flush && flushing:
+			t.Errorf("chunk %d handed after a flush update", up.Seq)
+		}
+		flushing = flushing || up.Flush
 		for _, res := range up.Results {
 			parts = append(parts, cloneResult(res))
+			if up.Flush {
+				flushIdx = append(flushIdx, res.UnitIdx...)
+			}
 		}
 		if each != nil {
 			return each(up)
@@ -54,9 +68,14 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 		t.Fatalf("hooked pass (depth %d): %v", cfg.PipelineDepth, err)
 	}
 	if tail != nil {
-		parts = append(parts, tail)
+		t.Errorf("hooked pass (depth %d) returned %d rows besides those it handed out", cfg.PipelineDepth, len(tail.Pred))
 	}
-	return mergeResults(parts), tail
+	for k := range flushIdx {
+		if flushIdx[k] != flushIdx[0]+k {
+			t.Fatalf("flush row %d has unit index %d after %d: the flush updates skip or reorder rows", k, flushIdx[k], flushIdx[k-1])
+		}
+	}
+	return mergeResults(parts)
 }
 
 // cloneResult deep-copies a verdict batch, nil-ness of every column
@@ -73,9 +92,9 @@ func cloneResult(r *EvalResult) *EvalResult {
 }
 
 // TestAfterChunkHook verifies the per-chunk lifecycle hook at every
-// depth: one call per chunk in stream order, and per-chunk
-// verdict rows that, with the returned tail (nil here: the plan streams
-// fully), concatenate to exactly the unhooked result.
+// depth: one call per chunk in stream order (no flush update: the plan
+// streams fully), and per-chunk verdict rows that concatenate to exactly
+// the unhooked result.
 func TestAfterChunkHook(t *testing.T) {
 	spec, _ := dataset.Get("F1")
 	ds := spec.Generate(0.05)
@@ -91,14 +110,11 @@ func TestAfterChunkHook(t *testing.T) {
 	}
 	for si, shape := range hookShapes {
 		var seqs []int
-		got, tail := testStreamHooked(t, eng, ds, shape, func(up ChunkUpdate) error {
+		got := testStreamHooked(t, eng, ds, shape, func(up ChunkUpdate) error {
 			seqs = append(seqs, up.Seq)
 			return nil
 		})
 		requireEqualResults(t, want, got, fmt.Sprintf("hooked shape %d", si))
-		if tail != nil {
-			t.Errorf("shape %d: a fully streamed hooked pass returned %d rows the hook had already been handed", si, len(tail.Pred))
-		}
 		if len(seqs) == 0 {
 			t.Fatalf("shape %d: hook never ran", si)
 		}
@@ -325,7 +341,7 @@ func TestAfterChunkHookModelSwap(t *testing.T) {
 	}
 	const swapAt = 3
 	rows, boundary := 0, 0 // boundary: verdict rows scored before the swap took effect
-	joined, _ := testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4}, func(up ChunkUpdate) error {
+	joined := testStreamHooked(t, eng, ds, StreamConfig{ChunkRows: 64, PipelineDepth: 4}, func(up ChunkUpdate) error {
 		for _, res := range up.Results {
 			rows += len(res.Pred)
 		}

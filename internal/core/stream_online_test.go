@@ -202,7 +202,7 @@ func TestDriftDetectRaisesEvents(t *testing.T) {
 	var events []DriftEvent
 	sawFeatures := false
 	cfg := StreamConfig{ChunkRows: 64, Hooks: &StreamHooks{WantFeatures: true}}
-	res, _ := testStreamHooked(t, eng, ds, cfg, func(up ChunkUpdate) error {
+	res := testStreamHooked(t, eng, ds, cfg, func(up ChunkUpdate) error {
 		events = append(events, up.Drift...)
 		if len(up.Features) > 0 && len(up.Features) == len(up.Labels) {
 			sawFeatures = true

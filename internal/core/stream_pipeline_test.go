@@ -686,9 +686,9 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 			}
 			var got *EvalResult
 			if v == "hooked" {
-				// Every verdict of a flow pipeline is deferred, so the
-				// hook rows are empty and the tail is the whole result.
-				got, _ = testStreamHooked(t, eng, ds, cfg, nil)
+				// Every verdict of a flow pipeline is deferred, so every
+				// row arrives in a flush update.
+				got = testStreamHooked(t, eng, ds, cfg, nil)
 			} else {
 				var err error
 				if got, err = eng.TestStream(ds, cfg); err != nil {

@@ -37,8 +37,8 @@ type streamExec struct {
 	// accum holds the per-chunk frames deferred ops read; fenv is the
 	// flush pass's environment, which absorb seeds with the latest of
 	// every other streamed value they read. results are the rows the pass
-	// returns: every chunk's on an unhooked pass, only the flush pass's
-	// on a hooked one (the AfterChunk callback was handed the rest).
+	// returns on an unhooked pass; on a hooked one they hold only flush
+	// rows not yet handed to the AfterChunk callback (see handFlush).
 	accum   map[string][]*Frame
 	fenv    map[string]Value
 	results []*EvalResult
@@ -83,7 +83,7 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		if !r.pl.FlowSink[i] {
 			continue
 		}
-		s, err := newFlowSink(i, params(op.Params), e.Metrics, op.Output)
+		s, err := newFlowSink(i, params(op.Params), pl.StatCap[i], e.Metrics, op.Output)
 		if err != nil {
 			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
 		}
@@ -382,7 +382,8 @@ func (r *streamExec) sampleHeap() {
 
 // finish runs the deferred (barrier) suffix over the accumulated state of
 // the whole trace and assembles the result the pass returns: every row on
-// an unhooked pass, the flush pass's rows on a hooked one.
+// an unhooked pass, nil on a hooked one, whose callback is handed the
+// flush rows too.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	// Flush: run deferred ops in op order over the whole trace, each
@@ -457,6 +458,9 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			delete(fenv, name)
 		}
 	}
+	if err := r.handFlush(); err != nil {
+		return nil, err
+	}
 	if e.Metrics != nil {
 		e.Metrics.Gauge("lumen_stream_hwm_bytes",
 			"Live-heap high-water mark observed at chunk boundaries and after each flush block of the most recent streaming run.").Set(float64(r.hwm))
@@ -487,8 +491,9 @@ func (r *streamExec) finish() (*EvalResult, error) {
 }
 
 // flushBlock is how many closed flows a blocked flush featurizes and
-// scores at a time (see flushBlocks).
-const flushBlock = 4096
+// scores at a time (see flushBlocks): the row bound of a typical chunk,
+// so a block's arena is about one chunk's.
+const flushBlock = 512
 
 // flushBlocks picks the deferred ops a flush runs over consecutive blocks
 // of the first flow sink's closed flows instead of over the whole trace:
@@ -496,9 +501,11 @@ const flushBlock = 4096
 // that are row-local in the pass's mode (they stream, per their class),
 // as long as every input is the sink's flows, a blocked op's output or a
 // non-frame value a streamed op made, and nothing that runs whole reads
-// what they make. It returns nil when the flush runs whole: a pass the
-// shared cache serves, no flow sink, or a train-mode flow pass, whose fit
-// reads every row at once.
+// what they make. Each block's rows are final when it ends, so a hooked
+// pass hands them to its callback there and keeps none (see runBlocks).
+// It returns nil when the flush runs whole: a pass the shared cache
+// serves, no flow sink, or a train-mode flow pass, whose fit reads every
+// row at once.
 func (r *streamExec) flushBlocks() []bool {
 	if r.keys != nil || len(r.sinks) == 0 {
 		return nil
@@ -556,13 +563,17 @@ func (r *streamExec) flushBlocks() []bool {
 // environment of its own over fenv's whole values, which it leaves as it
 // found them: rows come out in order, unit indices offset by the block's
 // base, and each block's frame columns and scored matrix come from one
-// arena the next block reuses. The live heap is sampled after every
-// block.
+// arena the next block reuses. A hooked pass hands each block's rows to
+// the callback as a flush update, after any flush rows made before the
+// blocks. The live heap is sampled after every block.
 func (r *streamExec) runBlocks(blocked []bool, fenv map[string]Value, drift *[]DriftEvent) error {
 	e := r.e
 	name := e.P.Ops[r.sinks[0].op].Output
 	fl := fenv[name].(*Flows)
 	scratch := jobScratch{pool: &arenaPool{}}
+	if err := r.handFlush(); err != nil {
+		return err
+	}
 	for lo := 0; ; lo += flushBlock {
 		hi := min(lo+flushBlock, fl.Len())
 		env := maps.Clone(fenv)
@@ -589,7 +600,11 @@ func (r *streamExec) runBlocks(blocked []bool, fenv map[string]Value, drift *[]D
 			}
 		}
 		r.sc.lastResult = nil
+		err := r.handFlush()
 		scratch.release()
+		if err != nil {
+			return err
+		}
 		r.sampleHeap()
 		if hi == fl.Len() {
 			break

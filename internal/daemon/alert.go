@@ -17,7 +17,7 @@ import (
 type Alert struct {
 	// TS is the wall-clock emission time of the line's batch (RFC 3339,
 	// UTC, ns precision): one clock read per chunk's verdicts, or per
-	// flush tail, so the lines of a batch share it.
+	// flush block, so the lines of a batch share it.
 	TS string `json:"ts"`
 	// Pipeline is the emitting pipeline's registry name.
 	Pipeline string `json:"pipeline"`
@@ -49,7 +49,7 @@ type Alert struct {
 }
 
 // alertFlushBytes bounds the pipe's alert buffer: encoded lines past it
-// are written out mid-range, so a flush tail of any length reuses the
+// are written out mid-range, so a batch of any length reuses the
 // same few pages instead of growing one slice to hold it.
 const alertFlushBytes = 64 << 10
 

@@ -149,6 +149,51 @@ func TestConnLogFromFlowSink(t *testing.T) {
 	}
 }
 
+// TestFlushLinesArriveBlockByBlock: a flow pipeline's verdicts reach the
+// alert sink one flush block at a time, 512 connections each and the
+// last partial, each block's lines sharing one ts; every line keeps
+// phase "flush" and seq -1, and the lines run in the order of the whole
+// trace's result, at every shape.
+func TestFlushLinesArriveBlockByBlock(t *testing.T) {
+	const block = 512
+	spec, _ := dataset.Get("F3")
+	ds := spec.Generate(2)
+	want, err := trained(t, zeekPipeline(t, 0), ds).TestStream(ds, core.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want.Pred); n <= 2*block || n%block == 0 {
+		t.Fatalf("fixture: %d connections, want more than two blocks of %d and a partial last one", n, block)
+	}
+	for si, shape := range connShapes {
+		var alerts bytes.Buffer
+		shape.ChunkRows = 512
+		p, err := New(Config{}).Start(PipeConfig{
+			Name: "zeek", Engine: trained(t, zeekPipeline(t, 0), ds), Source: dataset.NewSliceSource(ds),
+			Stream: shape, Alerts: &alerts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-p.Done()
+		if err := p.Drain(); err != nil {
+			t.Fatalf("shape %d: %v", si, err)
+		}
+		got := parseAlerts(t, alerts.Bytes())
+		if len(got) != len(want.Pred) {
+			t.Fatalf("shape %d: %d alert lines, the whole-trace result has %d rows", si, len(got), len(want.Pred))
+		}
+		for i, a := range got {
+			if a.Phase != "flush" || a.Seq != -1 || a.Index != want.UnitIdx[i] || a.Pred != want.Pred[i] {
+				t.Fatalf("shape %d: alert %d = %+v, want flush seq -1 index %d pred %d", si, i, a, want.UnitIdx[i], want.Pred[i])
+			}
+			if (i%block == 0) == (i > 0 && a.TS == got[i-1].TS) {
+				t.Fatalf("shape %d: alert %d has ts %s after %s: a block's lines must share one ts, and no other line", si, i, a.TS, got[i-1].TS)
+			}
+		}
+	}
+}
+
 // TestReloadClosesConnections: a reload ends the pass, and a pass
 // boundary closes every open connection on both conn-log paths. The
 // source restarts at its first timestamp, so without that the replayed

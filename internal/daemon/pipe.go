@@ -442,16 +442,8 @@ func (p *Pipe) pass() (err error) {
 		p.span = p.tracer.Start("pipeline:"+p.name, p.tid)
 	}
 	p.eng.Span = p.span
-	// The pass is hooked, so what comes back is the tail no chunk
-	// callback was handed: the flush-time verdicts of deferred ops (flow
-	// granularities, barrier suffixes), nil when the plan streams fully.
-	tail, err := p.eng.RunStream(p.src, core.ModeTest, p.stream)
-	if err == nil && tail != nil {
-		err = p.writeRows(tail, -1, p.handle.Generation(), "flush")
-	}
-	if err == nil {
-		err = p.flushAlerts()
-	}
+	// Hooked: every verdict, the flush's too, goes through afterChunk.
+	_, err = p.eng.RunStream(p.src, core.ModeTest, p.stream)
 	return err
 }
 
@@ -547,15 +539,21 @@ func (p *Pipe) recordErr(err error) {
 // plan assembles no connections itself), bump counters, apply queued
 // control messages, and advance any in-progress swap. Because control
 // messages are applied after this chunk's verdicts were written, every
-// chunk is attributable to exactly one model generation.
+// chunk is attributable to exactly one model generation. A flush update
+// (deferred verdicts, a block at a time) only emits its alerts, and no
+// control message is applied between blocks: one generation scores it.
 func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	gen := p.handle.Generation()
+	phase := "stream"
+	if up.Flush {
+		phase = "flush"
+	}
 	for _, res := range up.Results {
-		if err := p.writeRows(res, up.Seq, gen, "stream"); err != nil {
+		if err := p.writeRows(res, up.Seq, gen, phase); err != nil {
 			return err
 		}
 	}
-	if err := p.flushAlerts(); err != nil {
+	if err := p.flushAlerts(); err != nil || up.Flush {
 		return err
 	}
 	npkts := len(up.Views)

@@ -136,10 +136,11 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 	pkts = append(pkts, udpPkt(t, hostB, hostA, 53, 5353, 100.5))
 	want := Connections(pkts, Options{})
 	refAttachStats(pkts, want)
+	var slab StatSlab
 	add := func(a *ConnAssembler, p *netpkt.Packet) []*Connection {
 		s := p.Summary()
 		out := a.Feed(&s)
-		a.Newest().AddStat(StatOf(&s))
+		a.Newest().AddStat(StatOf(&s), &slab)
 		return out
 	}
 	for cut := 1; cut < len(pkts); cut++ {
@@ -163,11 +164,12 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 // packets with its canonical tuple whose timestamp falls in [First, Last]
 // (idle splits never overlap), attached in capture order.
 func refAttachStats(pkts []*netpkt.Packet, conns []*Connection) {
+	var slab StatSlab
 	for _, c := range conns {
 		for _, p := range pkts {
 			s := p.Summary()
 			if s.HasTuple && s.Tuple.Canonical() == c.Tuple.Canonical() && !s.Ts.Before(c.First) && !s.Ts.After(c.Last) {
-				c.AddStat(StatOf(&s))
+				c.AddStat(StatOf(&s), &slab)
 			}
 		}
 	}

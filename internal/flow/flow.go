@@ -20,17 +20,15 @@ type Uniflow struct {
 	Pkts    int // member packets
 	Bytes   int
 	Payload int // application payload bytes
-	// Stats are the member packets' stats in arrival order, when the
-	// caller attaches them (AddStat); assembly alone only counts.
+	// Stats are the member packets' stats in arrival order, as many as
+	// the caller attaches (AddStat); assembly alone only counts.
 	Stats []PacketStat
 	// Label is the caller's annotation of the flow, 0 unless it sets one.
 	Label uint32
 
 	// prev and next thread the flow on its assembler's idle list while it
-	// is open (nil once emitted); stat0 is Stats' first backing array, so
-	// a short flow is one allocation.
+	// is open (nil once emitted).
 	prev, next *Uniflow
-	stat0      [InlineStats]PacketStat
 }
 
 // PacketStat is what flow features read of one member packet. It is 16
@@ -48,30 +46,45 @@ func StatOf(s *netpkt.PacketSummary) PacketStat {
 	return PacketStat{UnixNano: s.Ts.UnixNano(), Wire: int32(s.Wire), Flags: s.TCPFlags, HasTCP: s.HasTCP}
 }
 
-// InlineStats is how many member stats a flow holds in its own
-// allocation; a longer flow's stats move to a slice of their own.
+// InlineStats is how many member stats a flow's first stat array holds;
+// a longer flow's stats move to a slice of their own.
 const InlineStats = 4
 
 // spillStats is the capacity a flow's stats get when they outgrow the
-// inline array: room for the common eight-packet session and most of
-// what is longer in one allocation, where doubling from the inline four
-// would take one per octave.
+// first array: room for the common eight-packet session and most of
+// what is longer in one allocation, where doubling from four would take
+// one per octave.
 const spillStats = 4 * InlineStats
 
-// appendStat appends s to a flow's stats, starting them in the flow's
-// inline array and moving them to one of spillStats when it is full.
-func appendStat(stats []PacketStat, inline *[InlineStats]PacketStat, s PacketStat) []PacketStat {
+// slabStats is how many stats a StatSlab block holds: the first arrays
+// of 64 flows.
+const slabStats = 64 * InlineStats
+
+// StatSlab carves the first stat arrays of many flows, InlineStats
+// stats each, from shared blocks, so starting a flow's stats costs a
+// fraction of an allocation. A block lives as long as any flow it
+// started, which suits a caller that keeps its flows until it drops them
+// all. The zero value is ready to use.
+type StatSlab struct{ free []PacketStat }
+
+// appendStat appends s to a flow's stats, starting them in an array
+// carved from sl and moving them to one of spillStats when it is full.
+func appendStat(stats []PacketStat, sl *StatSlab, s PacketStat) []PacketStat {
 	switch {
 	case stats == nil:
-		stats = inline[:0]
+		if len(sl.free) == 0 {
+			sl.free = make([]PacketStat, slabStats)
+		}
+		stats, sl.free = sl.free[:0:InlineStats], sl.free[InlineStats:]
 	case cap(stats) == InlineStats && len(stats) == InlineStats:
 		stats = append(make([]PacketStat, 0, spillStats), stats...)
 	}
 	return append(stats, s)
 }
 
-// AddStat appends the stat of the flow's newest member packet.
-func (u *Uniflow) AddStat(s PacketStat) { u.Stats = appendStat(u.Stats, &u.stat0, s) }
+// AddStat appends the stat of the flow's newest member packet, carving
+// the flow's first stat array from sl.
+func (u *Uniflow) AddStat(s PacketStat, sl *StatSlab) { u.Stats = appendStat(u.Stats, sl, s) }
 
 // Duration returns Last-First.
 func (u *Uniflow) Duration() time.Duration { return u.Last.Sub(u.First) }
@@ -106,7 +119,7 @@ type Connection struct {
 	OrigPayload, RespPayload int
 	State                    ConnState
 	// Stats are the member packets' stats of both directions in arrival
-	// order, when the caller attaches them (AddStat); assembly alone only
+	// order, as many as the caller attaches (AddStat); assembly alone only
 	// counts.
 	Stats []PacketStat
 	// Label is the caller's annotation of the connection, 0 unless it sets
@@ -117,17 +130,16 @@ type Connection struct {
 	sawOrigRST, sawRespRST                    bool
 
 	// prev and next thread the connection on its assembler's idle list
-	// while it is open (nil once emitted); stat0 is Stats' first backing
-	// array, so a short connection is one allocation.
+	// while it is open (nil once emitted).
 	prev, next *Connection
-	stat0      [InlineStats]PacketStat
 }
 
 // Duration returns Last-First.
 func (c *Connection) Duration() time.Duration { return c.Last.Sub(c.First) }
 
-// AddStat appends the stat of the connection's newest member packet.
-func (c *Connection) AddStat(s PacketStat) { c.Stats = appendStat(c.Stats, &c.stat0, s) }
+// AddStat appends the stat of the connection's newest member packet; see
+// Uniflow.AddStat.
+func (c *Connection) AddStat(s PacketStat, sl *StatSlab) { c.Stats = appendStat(c.Stats, sl, s) }
 
 // Options configures assembly.
 type Options struct {

@@ -259,6 +259,7 @@ func TestSweepMatchesTableScan(t *testing.T) {
 
 		ua, ur := NewUniflowAssembler(opts), &refUniAssembler{idle: idle, active: map[netpkt.FiveTuple]*Uniflow{}}
 		ca, cr := NewConnAssembler(opts), &refConnAssembler{idle: idle, active: map[netpkt.FiveTuple]*Connection{}}
+		var slab StatSlab
 		evicted := 0
 		for i := range stream {
 			at := fmt.Sprintf("seed %d packet %d", seed, i)
@@ -267,8 +268,8 @@ func TestSweepMatchesTableScan(t *testing.T) {
 			gotc := ca.Feed(s)
 			if s.HasTuple {
 				// Attach the stat as a stats-keeping caller does.
-				ua.Newest().AddStat(StatOf(s))
-				ca.Newest().AddStat(StatOf(s))
+				ua.Newest().AddStat(StatOf(s), &slab)
+				ca.Newest().AddStat(StatOf(s), &slab)
 			}
 			sameUniflows(t, at, got, ur.feed(*s))
 			evicted += len(got)

@@ -246,12 +246,17 @@ func TestUniflowDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestConnectionSizeHolds: a connection is no larger than it was when it
-// kept four packet indices per direction inline (288 B on 64-bit
-// platforms), so an assembler that attaches no stats (the daemon's
-// conn-log, pcapinfo) retains no more per connection than it did.
+// TestConnectionSizeHolds: a flow holds its counters and a slice header
+// for the stats a caller attaches, and no stat array of its own (224 B a
+// connection and 176 B a uniflow on 64-bit platforms, both size classes
+// of the allocator), so an assembler that attaches no stats (a sink whose
+// readers take only counters, the daemon's conn-log, pcapinfo) retains
+// counters alone.
 func TestConnectionSizeHolds(t *testing.T) {
-	if n := unsafe.Sizeof(Connection{}); n > 288 {
-		t.Errorf("a Connection is %d B, above 288", n)
+	if n := unsafe.Sizeof(Connection{}); n > 224 {
+		t.Errorf("a Connection is %d B, above 224", n)
+	}
+	if n := unsafe.Sizeof(Uniflow{}); n > 176 {
+		t.Errorf("a Uniflow is %d B, above 176", n)
 	}
 }
