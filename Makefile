@@ -149,6 +149,7 @@ config-check:
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
 #   FuzzParsePipeline    error, or a template that plans in both modes, Online off and on (algorithms/plan_test.go)
 #   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/flow_oracle_test.go)
+#   FuzzReleaseOrder     flows released at random cuts, then ReleaseAll's, == the whole-table reference in canonical order, all closed (flow/release_test.go)
 #   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -161,6 +162,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPcapReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pcap/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=$(FUZZTIME) -run='^$$' ./internal/algorithms/
 	$(GO) test -fuzz=FuzzConnLogLine -fuzztime=$(FUZZTIME) -run='^$$' ./internal/flow/
+	$(GO) test -fuzz=FuzzReleaseOrder -fuzztime=$(FUZZTIME) -run='^$$' ./internal/flow/
 	$(GO) test -fuzz=FuzzKitsuneKeyEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core/
 
 # loc prints the non-test Go line count of every package under

@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 
@@ -68,6 +69,8 @@ func check(cfg *daemon.FileConfig, w io.Writer) error {
 			when := "every op streams"
 			if b := plan.Barrier; b != nil {
 				when = fmt.Sprintf("verdicts wait for drain behind op %d %s: %s", b.Index, b.Func, b.Reason)
+			} else if k := slices.Index(plan.Close, true); k >= 0 {
+				when = fmt.Sprintf("verdicts come as flows close, from op %d %s on", k, engs[i].P.Ops[k].Func)
 			}
 			fmt.Fprintf(w, "lumend: pipeline %q ok: %s units, decode %s; %s\n",
 				cfg.Pipelines[i].Name, engs[i].P.Granularity, plan.Decode, when)

@@ -198,8 +198,8 @@ func TestREADMEFlagTable(t *testing.T) {
 	}
 }
 
-// TestCheckPrintsPlans: -check names each pipeline's plan and the reason
-// a flow pipeline answers only at drain, and starts nothing.
+// TestCheckPrintsPlans: -check names each pipeline's plan and where a
+// flow pipeline's verdicts come from, and starts nothing.
 func TestCheckPrintsPlans(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(options{config: "../../examples/multi-tenant/lumend.json", check: true}, &out, nil); err != nil {
@@ -208,7 +208,7 @@ func TestCheckPrintsPlans(t *testing.T) {
 	for _, want := range []string{
 		`pipeline "packets" ok: packet units, decode headers; every op streams`,
 		`pipeline "A14-zeek" ok: connection units`,
-		"behind op 1 flow_features: whole-trace op",
+		"verdicts come as flows close, from op 1 flow_features on",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-check output lacks %q:\n%s", want, out.String())

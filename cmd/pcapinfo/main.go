@@ -75,9 +75,11 @@ func pump(path string, hint netpkt.DecodeHint) (*dataset.Pump, *dataset.PcapSour
 }
 
 // runConnlog streams the capture through an incremental connection
-// assembler — holding per-connection state but never the packet list —
-// and prints the result as conn.log TSV. Connections carry only counters,
-// so chunk buffers are recycled as soon as each chunk has been fed to the
+// assembler — holding the connections open or waiting for release, never
+// the packet list — and prints each connection as a conn.log TSV row
+// once no earlier one can follow it, so the log comes out in batch order
+// while the capture is read. Connections carry only counters, so chunk
+// buffers are recycled as soon as each chunk has been fed to the
 // assembler.
 func runConnlog(path string) error {
 	p, _, closef, err := pump(path, netpkt.DecodeHint{Headers: true})
@@ -86,20 +88,23 @@ func runConnlog(path string) error {
 	}
 	defer closef()
 	asm := flow.NewConnAssembler(flow.Options{})
-	var conns []*flow.Connection
+	log := flow.NewConnLogWriter(os.Stdout)
+	var done []*flow.Connection
 	for nc := range p.C {
 		for j := range nc.Views {
 			sum := nc.Views[j].Summary()
-			conns = append(conns, asm.Feed(&sum)...)
+			asm.Feed(&sum)
 		}
 		p.Done(nc)
+		done = asm.Release(done[:0])
+		if err := log.Log(done); err != nil {
+			return err
+		}
 	}
 	if err := p.Err(); err != nil {
 		return err
 	}
-	conns = append(conns, asm.Flush()...)
-	flow.SortConnections(conns)
-	return flow.WriteConnLog(os.Stdout, conns)
+	return log.Log(asm.ReleaseAll(done[:0]))
 }
 
 // run makes a single pipelined pass over the capture, accumulating only

@@ -19,8 +19,8 @@ func builtins() []Algorithm { return append(All(), Modified()...) }
 // TestGoldenStreamPlans pins the streaming plan of every built-in
 // pipeline in both modes with Online off and on: per op whether it
 // streams, is a flow sink (with the member stats it keeps a flow),
-// runs on the worker or the ordered stage, plus the accumulated values
-// and the decode hint. The golden was recorded
+// runs on the worker or the ordered stage, or runs as flows close, plus
+// the accumulated values, the decode hint and the drain barrier. The golden was recorded
 // before the op traits replaced core's name-keyed tables; a diff means a
 // pipeline now executes differently. On a mismatch the test writes what
 // it computed to the system temp directory: copy it over the golden only
@@ -43,12 +43,18 @@ func TestGoldenStreamPlans(t *testing.T) {
 					accum = append(accum, name)
 				}
 				sort.Strings(accum)
-				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v\n",
-					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum)
+				barrier := "none"
+				if b := pl.Barrier; b != nil {
+					barrier = fmt.Sprintf("%d(%s)", b.Index, b.Reason)
+				}
+				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v barrier=%s\n",
+					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum, barrier)
 				for i, op := range a.Pipeline.Ops {
 					fmt.Fprintf(&got, "  %2d %-20s -> %-14s streamed=%-5v flowSink=%-5v worker=%-5v ordered=%v",
 						i, op.Func, op.Output, pl.Streamed[i], pl.FlowSink[i], pl.Worker[i], pl.Ordered[i])
 					switch {
+					case pl.Close[i]:
+						fmt.Fprint(&got, " close")
 					case !pl.FlowSink[i]:
 					case pl.StatCap[i] == core.AllStats:
 						fmt.Fprint(&got, " stats=all")

@@ -15,9 +15,11 @@ import (
 
 // TestBlockedFlushMatchesRefRun: a test-mode flow pass over more than two
 // blocks of closed flows, the last one partial, featurizes, normalizes and
-// scores them block by block, and its rows, unit indices and conn-log
-// equal the batch executor's, unhooked and hooked, at depth 0 and staged.
-// A hooked pass hands each block's rows in a flush update of its own.
+// scores them block by block as they close, and its rows, unit indices
+// and conn-log equal the batch executor's, unhooked and hooked, at depth
+// 0 and staged. A hooked pass hands each block's rows in a flush update
+// of its own, the first of them before the source's last chunk, and each
+// block's connections to ConnsClosed before its rows.
 func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	spec, _ := dataset.Get("F3")
 	ds := spec.Generate(10)
@@ -37,15 +39,14 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
 	}
+	pl, err := eng.StreamPlan(ModeTest, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pl.Close, []bool{false, true, true, false, true}) || pl.CloseSink != 0 || pl.Barrier != nil {
+		t.Fatalf("ops %v run at close over sink %d, barrier %+v; want flow_features, normalize and train over sink 0, no barrier", pl.Close, pl.CloseSink, pl.Barrier)
+	}
 	for _, cfg := range []StreamConfig{{ChunkRows: 512}, {ChunkRows: 512, PipelineDepth: 2}} {
-		r, err := newStreamExec(eng, dataset.NewSliceSource(ds), ModeTest, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blocked := r.flushBlocks(); !slices.Equal(blocked, []bool{false, true, true, false, true}) {
-			t.Fatalf("flush blocks ops %v; want flow_features, normalize and train", blocked)
-		}
-
 		tr := obs.NewTracer()
 		eng.Span = tr.Start("run", 0)
 		res, err := eng.TestStream(ds, cfg)
@@ -67,15 +68,26 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 
 		var log bytes.Buffer
 		var sizes []int
-		cfg.Hooks = &StreamHooks{ConnsClosed: func(cs []*flow.Connection) error { return flow.WriteConnLog(&log, cs) }}
+		lw := flow.NewConnLogWriter(&log)
+		logged, scored, early := 0, 0, 0
+		cfg.Hooks = &StreamHooks{ConnsClosed: func(cs []*flow.Connection) error {
+			logged += len(cs)
+			return lw.Log(cs)
+		}}
 		joined := testStreamHooked(t, eng, ds, cfg, func(up ChunkUpdate) error {
-			if up.Flush {
+			switch {
+			case up.Flush:
 				if len(up.Results) != 1 {
 					t.Fatalf("flush update with %d results, want one block's", len(up.Results))
 				}
 				sizes = append(sizes, len(up.Results[0].Pred))
-			} else if len(up.Results) > 0 {
+				if scored += sizes[len(sizes)-1]; logged != scored {
+					t.Fatalf("flush update %d came with %d connections logged, want %d", len(sizes), logged, scored)
+				}
+			case len(up.Results) > 0:
 				t.Fatalf("chunk %d handed rows of a deferred op", up.Seq)
+			case up.Base+len(up.Views) == len(ds.Packets):
+				early = len(sizes)
 			}
 			return nil
 		})
@@ -83,61 +95,91 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 		if n := len(sizes); n != spans || sizes[0] != flushBlock || sizes[n-1] != len(conns)-(n-1)*flushBlock {
 			t.Errorf("flush updates of %v rows, want one a block of %d over %d flows", sizes, flushBlock, len(conns))
 		}
+		if early == 0 {
+			t.Errorf("no flush update came before the last chunk")
+		}
 		if !bytes.Equal(log.Bytes(), want.Bytes()) {
 			t.Errorf("conn-log of the blocked pass differs from batch assembly's")
 		}
 	}
 }
 
-// TestFlushBlocksRunWhole: a train-mode fit reads every row at once, and
-// a pass the shared cache serves reads the trace as one chunk, so neither
-// blocks its flush.
+// TestFlushBlocksRunWhole: a train-mode fit reads every row at once, so
+// no op of a train-mode plan runs at close, and a pass the shared cache
+// serves reads the trace as one chunk, so it runs them once, whole, at
+// drain.
 func TestFlushBlocksRunWhole(t *testing.T) {
-	spec, _ := dataset.Get("F1")
-	ds := spec.Generate(0.2)
+	spec, _ := dataset.Get("F3")
+	ds := spec.Generate(3)
 	eng := NewEngine(flowPipeline("decision_tree", nil))
-	r, err := newStreamExec(eng, dataset.NewSliceSource(ds), ModeTrain, StreamConfig{})
+	eng.Seed = 7
+	pl, err := eng.StreamPlan(ModeTrain, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocked := r.flushBlocks(); blocked != nil {
-		t.Errorf("train mode blocks %v", blocked)
+	if slices.Contains(pl.Close, true) || pl.CloseSink != -1 {
+		t.Errorf("train mode runs %v at close over sink %d", pl.Close, pl.CloseSink)
 	}
-	r, err = newStreamExec(eng, dataset.NewSliceSource(ds), ModeTest, StreamConfig{})
+	if pl.Barrier == nil || pl.Barrier.Func != "flow_features" {
+		t.Errorf("train-mode barrier %+v, want flow_features", pl.Barrier)
+	}
+	eng.SetCache(NewCache())
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	eng.Span = tr.Start("run", 0)
+	res, err := eng.Test(ds)
+	eng.Span.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.keys = map[string]string{}
-	if blocked := r.flushBlocks(); blocked != nil {
-		t.Errorf("a cache-served pass blocks %v", blocked)
+	spans := 0
+	for _, s := range tr.Spans() {
+		if s.Name == "op:flow_features" {
+			spans++
+		}
+	}
+	if n := len(res.Pred); n <= flushBlock || spans != 1 {
+		t.Errorf("a cache-served pass over %d flows ran flow_features %d times, want once", n, spans)
 	}
 }
 
-// TestFlowPassRetentionPerFlow: what a flow pass holds grows with the
-// flows it has assembled, not with the packets it has seen. From its
-// first chunk to its last, the live heap of a pass over an F1 trace grows
-// by the flows themselves (struct and stats) plus 64 B a flow and
-// a fixed 256 KiB for the sink's slice, the assembler's map and the like.
-// A table of 24 B per packet kept beside the flows (about 94 B a flow on
-// F1) fails it.
+// TestFlowPassRetentionPerFlow: what a hooked flow pass holds is bounded
+// by the flows it holds at once, not by the flows it has seen. From its
+// first chunk to its last, the live heap of a pass over an F4 trace grows
+// by at most the peak count of open and waiting flows, each at the mean
+// flow's size (struct and stats) plus 64 B, one block's frame columns
+// and scored matrix, and a fixed 384 KiB for the assembler's map and
+// queue, the sink's slice, partly used flow blocks and the like. The
+// peak is read from the sink's lumen_flow_open and lumen_flow_held
+// gauges. The trace's flows are short and none lasts the whole trace, so
+// the peak stays a small share of the flows, and a pass that kept every
+// closed flow until drain fails the bound.
 func TestFlowPassRetentionPerFlow(t *testing.T) {
-	spec, _ := dataset.Get("F1")
-	ds := spec.Generate(20)
+	spec, _ := dataset.Get("F4")
+	ds := spec.Generate(40)
 	eng := NewEngine(flowPipeline("decision_tree", map[string]any{"max_depth": 4}))
 	eng.Seed = 7
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
 	}
+	met := obs.NewMetrics()
+	eng.Metrics = met
 	// Two collections: pooled buffers survive the first in the victim cache.
 	liveNow := func() float64 {
 		runtime.GC()
 		runtime.GC()
 		return float64(heapLiveBytes())
 	}
-	var first, last, held, flows float64
+	var first, last, peak, bytes, flows float64
 	hooks := &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+		if up.Flush {
+			return nil
+		}
+		held := met.Gauge("lumen_flow_open", "", "output", "flows").Value() + met.Gauge("lumen_flow_held", "", "output", "flows").Value()
+		peak = max(peak, held)
 		switch {
-		case up.Flush:
 		case up.Seq == 0:
 			first = liveNow()
 		case up.Base+len(up.Views) == len(ds.Packets):
@@ -146,22 +188,23 @@ func TestFlowPassRetentionPerFlow(t *testing.T) {
 		return nil
 	}, ConnsClosed: func(cs []*flow.Connection) error {
 		for _, c := range cs {
-			held += float64(unsafe.Sizeof(*c)) + float64(statBytes(c.Stats))
+			bytes += float64(unsafe.Sizeof(*c)) + float64(statBytes(c.Stats))
 		}
-		flows = float64(len(cs))
+		flows += float64(len(cs))
 		return nil
 	}}
 	if _, err := eng.TestStream(ds, StreamConfig{ChunkRows: 512, Hooks: hooks}); err != nil {
 		t.Fatal(err)
 	}
-	if first == 0 || last == 0 || flows < 10_000 {
-		t.Fatalf("fixture: live %.0f then %.0f B over %.0f flows", first, last, flows)
+	if first == 0 || last == 0 || flows < 10_000 || 4*(peak+flushBlock) > flows {
+		t.Fatalf("fixture: live %.0f then %.0f B over %.0f flows, at most %.0f held at once", first, last, flows, peak)
 	}
-	grew, limit := last-first, held+64*flows+256<<10
-	t.Logf("%.1f packets a flow; the pass grew %.0f B a flow, the flows hold %.0f, limit %.0f",
-		float64(len(ds.Packets))/flows, grew/flows, held/flows, limit/flows)
+	block := float64(flushBlock * numFlowFeatures * 2 * 8)
+	grew, limit := last-first, peak*(bytes/flows+64)+block+384<<10
+	t.Logf("%.0f flows, at most %.0f open or waiting; the pass grew %.0f B, limit %.0f",
+		flows, peak, grew, limit)
 	if grew > limit {
-		t.Errorf("the pass grew %.0f B over %.0f flows, above %.0f", grew, flows, limit)
+		t.Errorf("the pass grew %.0f B over %.0f flows, at most %.0f of them held at once: above %.0f", grew, flows, peak, limit)
 	}
 }
 

@@ -216,9 +216,9 @@ func flowFeatureStats(p params) int {
 }
 
 // opFlowFeatures computes one row per flow. Rows are independent, so a
-// flush pass may run it over consecutive blocks of a sink's flows: row i
-// of a block whose first flow is the pass's flow base gets unit index
-// base + i.
+// pass may run it over consecutive blocks of a sink's flows as they
+// close: row i of a block whose first flow is the pass's flow base gets
+// unit index base + i.
 func opFlowFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	fl, ok := in[0].(*Flows)
 	if !ok {

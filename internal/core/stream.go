@@ -78,14 +78,29 @@ type StreamPlan struct {
 	// the decode traits of every reader of the raw chunk. An optimization
 	// only: accessors still decode on demand.
 	Decode netpkt.DecodeHint
-	// Barrier names the first op that runs only at flush; nil when the
-	// whole plan streams.
+	// Close[i]: op i runs as flows close. It is deferred, yet row-local
+	// over the flows of sink CloseSink, so a pass runs it over each
+	// block of up to 512 flows the sink releases, in canonical order,
+	// while the stream runs, and only the last block waits for drain.
+	// These are flow_features over the sink and the ops after it that are
+	// row-local in the mode, when every input is the sink's flows, a
+	// Close op's output or a non-frame streamed value, nothing that waits
+	// for drain reads their output, and every verdict comes from them: a
+	// test-mode flow pipeline's featurize, normalize and score, never a
+	// train-mode fit, which reads every row at once. A pass the shared
+	// cache serves runs them at drain over the whole trace.
+	Close []bool
+	// CloseSink is the flow sink the Close ops read, -1 when none runs at
+	// close.
+	CloseSink int
+	// Barrier names the first op that runs only at drain; nil when every
+	// op streams or runs as flows close.
 	Barrier *PlanBarrier
 	// defs[i] is op i's registered definition, resolved once for the pass.
 	defs []*opDef
 }
 
-// PlanBarrier is the first op of a plan that runs only at flush, and why:
+// PlanBarrier is the first op of a plan that runs only at drain, and why:
 // nothing behind it, verdicts included, appears before the source drains.
 type PlanBarrier struct {
 	Index  int    `json:"index"`
@@ -117,6 +132,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		ConnSink: -1,
 		defs:     defs,
 	}
+	reasons := make([]string, len(e.P.Ops))
 	// A streamed op runs in the ops stage only if it is order-free and
 	// everything it reads is produced in that stage (or is the chunk
 	// itself); anything downstream of an ordered op is ordered too.
@@ -163,9 +179,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		default:
 			reason = "fits global state in train mode"
 		}
-		if pl.Barrier == nil {
-			pl.Barrier = &PlanBarrier{Index: i, Func: op.Func, Output: op.Output, Reason: reason}
-		}
+		reasons[i] = reason
 		// Deferred ops pull their streamed inputs from the accumulator.
 		for _, in := range op.Input {
 			if in != InputName && streamedVal[in] {
@@ -173,7 +187,78 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 			}
 		}
 	}
+	pl.Close, pl.CloseSink = closeOps(e.P, pl, mode)
+	for i, reason := range reasons {
+		if reason != "" && !pl.Close[i] {
+			op := e.P.Ops[i]
+			pl.Barrier = &PlanBarrier{Index: i, Func: op.Func, Output: op.Output, Reason: reason}
+			break
+		}
+	}
 	return pl, nil
+}
+
+// closeOps picks the plan's Close ops and the sink they read (see
+// StreamPlan.Close): none, and sink -1, unless the first flow sink has
+// row-local deferred readers that make every verdict.
+func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
+	ops := p.Ops
+	closes := make([]bool, len(ops))
+	sink := slices.Index(pl.FlowSink, true)
+	if sink < 0 {
+		return closes, -1
+	}
+	prod := make(map[string]int, len(ops))
+	for i, op := range ops {
+		prod[op.Output] = i
+	}
+	deferred := func(i int) bool { return !pl.Streamed[i] && !pl.FlowSink[i] }
+	fits := func(i int) bool {
+		fromBlock := false
+		for _, in := range ops[i].Input {
+			j, ok := prod[in]
+			switch {
+			case ok && (j == sink || closes[j]):
+				fromBlock = true
+			case !ok || !pl.Streamed[j] || pl.defs[j].sig.out == KindFrame:
+				return false
+			}
+		}
+		return fromBlock
+	}
+	readWhole := func(i int) bool {
+		for k, op := range ops {
+			if deferred(k) && !closes[k] && slices.Contains(op.Input, ops[i].Output) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, op := range ops {
+		rowLocal := pl.defs[i].traits.streams(mode, false) || slices.Contains(op.Input, ops[sink].Output)
+		closes[i] = deferred(i) && rowLocal && fits(i)
+	}
+	// Dropping an op read whole strands its readers: repeat until
+	// nothing changes.
+	for changed := true; changed; {
+		changed = false
+		for i := range ops {
+			if closes[i] && (!fits(i) || readWhole(i)) {
+				closes[i], changed = false, true
+			}
+		}
+	}
+	// Verdicts come from one place, so the rows of a pass are in the same
+	// order at every chunk size.
+	for i := range ops {
+		if !closes[i] && pl.defs[i].sig.out == KindTrained {
+			return make([]bool, len(ops)), -1
+		}
+	}
+	if !slices.Contains(closes, true) {
+		return closes, -1
+	}
+	return closes, sink
 }
 
 // firstMissing returns the first name not in set, "" when all are.
@@ -187,10 +272,12 @@ func firstMissing(set map[string]bool, names []string) string {
 }
 
 // flowSinkState is one flow_assemble op being fed incrementally: the
-// assembler plus every flow completed so far (evicted mid-stream once
-// idle, exactly as whole-trace assembly would have split them). Each
-// flow keeps its label and the stats of its first statCap members, so
-// the sink retains nothing per packet beyond what its readers read.
+// assembler, which holds the flows open or waiting for release, plus the
+// flows it has released, in canonical order, that the pass has not yet
+// handed on. A sink the plan's Close ops read hands them on a block at a
+// time (streamExec.scoreClosed); any other keeps every one for the flush.
+// Each flow keeps its label and the stats of its first statCap members,
+// so the sink retains nothing per packet beyond what its readers read.
 type flowSinkState struct {
 	op   int // index of the flow_assemble op
 	gran dataset.Granularity
@@ -198,6 +285,9 @@ type flowSinkState struct {
 	conn *flow.ConnAssembler
 	unis []*flow.Uniflow
 	cons []*flow.Connection
+	// done counts the flows handed on in blocks: the unit index of the
+	// first flow in unis or cons.
+	done int
 	// statCap is how many member stats each flow keeps (StreamPlan.
 	// StatCap); slab holds the first array of each flow's stats.
 	statCap int
@@ -205,20 +295,21 @@ type flowSinkState struct {
 	// attacks interns the attack names the sink's flows are labelled
 	// with (see Flows.attacks).
 	attacks []string
-	// open and evicted are the sink's lumen_flow_open and
-	// lumen_flow_evicted_total series (nil with metrics off); reported
-	// is how many evicted flows the counter has been told of.
-	open     *obs.Gauge
-	evicted  *obs.Counter
-	reported int
+	// open, held and evicted are the sink's lumen_flow_open,
+	// lumen_flow_held and lumen_flow_evicted_total series (nil with
+	// metrics off); reported is how many closed flows the counter has
+	// been told of.
+	open, held *obs.Gauge
+	evicted    *obs.Counter
+	reported   int
 	// flows is the sink's output when the shared cache served or computed
 	// it whole (see streamExec.feedSinks); nil while it is being fed.
 	flows *Flows
 }
 
 // newFlowSink builds the sink of flow_assemble op i from its params,
-// keeping statCap member stats a flow; m (nil-safe) receives its open and
-// evicted series under output's name.
+// keeping statCap member stats a flow; m (nil-safe) receives its
+// series under output's name.
 func newFlowSink(i int, p params, statCap int, m *obs.Metrics, output string) (*flowSinkState, error) {
 	opts, gran, err := flowParams(p)
 	if err != nil {
@@ -228,6 +319,8 @@ func newFlowSink(i int, p params, statCap int, m *obs.Metrics, output string) (*
 		op: i, gran: gran, statCap: statCap,
 		open: m.Gauge("lumen_flow_open",
 			"Flows a streaming run's flow_assemble sink holds open, as of its most recent chunk.", "output", output),
+		held: m.Gauge("lumen_flow_held",
+			"Closed flows a streaming run's flow_assemble sink holds until no open flow started before them, as of its most recent chunk.", "output", output),
 		evicted: m.Counter("lumen_flow_evicted_total",
 			"Flows a streaming run's flow_assemble sink closed mid-stream, idle past the timeout.", "output", output),
 	}
@@ -240,7 +333,8 @@ func newFlowSink(i int, p params, statCap int, m *obs.Metrics, output string) (*
 }
 
 // feedFlows pushes a chunk's packets through every sink in stream order
-// (labels and attacks align with views).
+// (labels and attacks align with views), then takes what each sink's
+// assembler can release.
 func feedFlows(sinks []*flowSinkState, views []netpkt.PacketView, labels []int, attacks []string) {
 	for i := range views {
 		sum := views[i].Summary()
@@ -253,31 +347,61 @@ func feedFlows(sinks []*flowSinkState, views []netpkt.PacketView, labels []int, 
 			s.add(&sum, malicious, attack)
 		}
 	}
+	for _, s := range sinks {
+		if s.uni != nil {
+			s.unis = s.uni.Release(s.unis)
+		} else {
+			s.cons = s.conn.Release(s.cons)
+		}
+	}
 }
 
-// finish assembles the sink's Flows value: the flows evicted mid-stream
-// plus the assembler's remainder, in canonical (first-packet time, tuple)
-// order.
+// finish closes every flow still open (end of stream) and returns the
+// flows the sink has not handed on, in canonical order: on a sink that
+// keeps its flows for the flush, every flow of the pass.
 func (s *flowSinkState) finish() *Flows {
-	out := &Flows{Granularity: s.gran, attacks: s.attacks}
 	if s.uni != nil {
-		out.Unis = append(s.unis, s.uni.Flush()...)
-		flow.SortUniflows(out.Unis)
+		s.unis = s.uni.ReleaseAll(s.unis)
 	} else {
-		out.Conns = append(s.cons, s.conn.Flush()...)
-		flow.SortConnections(out.Conns)
+		s.cons = s.conn.ReleaseAll(s.cons)
+	}
+	return &Flows{Granularity: s.gran, Unis: s.unis, Conns: s.cons, attacks: s.attacks}
+}
+
+// pending returns how many released flows the sink has not handed on.
+func (s *flowSinkState) pending() int { return len(s.unis) + len(s.cons) }
+
+// handOn returns the first n pending flows as a Flows value of their own
+// and forgets them.
+func (s *flowSinkState) handOn(n int) *Flows {
+	out := &Flows{Granularity: s.gran, attacks: s.attacks}
+	s.done += n
+	if s.uni != nil {
+		out.Unis = slices.Clone(s.unis[:n])
+		s.unis = dropFront(s.unis, n)
+	} else {
+		out.Conns = slices.Clone(s.cons[:n])
+		s.cons = dropFront(s.cons, n)
 	}
 	return out
 }
 
-// add feeds one packet's summary to the sink's assembler, keeping the
-// flows it evicts, and attaches the packet's stat to the flow it joined
-// (the assembler's newest) while that flow holds fewer than statCap. The
-// first malicious member labels the flow with its attack name.
+// dropFront removes the first n elements of xs in place, clearing the
+// vacated tail so the backing array keeps nothing alive.
+func dropFront[T any](xs []T, n int) []T {
+	k := copy(xs, xs[n:])
+	clear(xs[k:])
+	return xs[:k]
+}
+
+// add feeds one packet's summary to the sink's assembler and attaches
+// the packet's stat to the flow it joined (the assembler's newest) while
+// that flow holds fewer than statCap. The first malicious member labels
+// the flow with its attack name.
 func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack string) {
 	var label *uint32
 	if s.uni != nil {
-		s.unis = append(s.unis, s.uni.Feed(sum)...)
+		s.uni.Feed(sum)
 		if !sum.HasTuple {
 			return
 		}
@@ -287,7 +411,7 @@ func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack st
 		}
 		label = &u.Label
 	} else {
-		s.cons = append(s.cons, s.conn.Feed(sum)...)
+		s.conn.Feed(sum)
 		if !sum.HasTuple {
 			return
 		}
@@ -314,17 +438,20 @@ func (s *flowSinkState) attackID(name string) uint32 {
 	return uint32(len(s.attacks))
 }
 
-// report publishes the sink's open-flow count and the flows it has
-// evicted since the previous report.
+// report publishes the sink's open and held flow counts and the flows
+// it has closed since the previous report.
 func (s *flowSinkState) report() {
+	open, held := 0, 0
 	if s.uni != nil {
-		s.open.Set(float64(s.uni.Open()))
+		open, held = s.uni.Open(), s.uni.Held()
 	} else {
-		s.open.Set(float64(s.conn.Open()))
+		open, held = s.conn.Open(), s.conn.Held()
 	}
-	done := len(s.unis) + len(s.cons)
-	s.evicted.Add(uint64(done - s.reported))
-	s.reported = done
+	s.open.Set(float64(open))
+	s.held.Set(float64(held))
+	closed := s.done + s.pending() + held
+	s.evicted.Add(uint64(closed - s.reported))
+	s.reported = closed
 }
 
 // RunStream executes the pipeline over a chunked packet source in
@@ -346,27 +473,32 @@ func (s *flowSinkState) report() {
 //
 // Memory: peak state is the in-flight chunks (one at depth 0, O(depth)
 // staged) plus whatever the plan must retain — accumulated feature
-// frames for deferred ops, and, when the plan assembles flows, every flow
-// assembled so far, each holding its counters, its label and a 16-byte
-// stat for each of its first StreamPlan.StatCap member packets: none
-// when the plan's flow features are all counters (A14), the first first_n
-// when the rest are first_n_* features, every one otherwise. A flush the
-// shared cache does not serve featurizes and scores the closed flows in
-// blocks of at most 512 (see flushBlocks), so it adds one block's frame
-// and matrix, not the trace's. Packets themselves never outlive their
-// chunk: every finished chunk is recycled to its source and its backing
-// reference released. Verdict rows outlive theirs only on an unhooked
-// pass, which keeps every chunk's and block's EvalResult (about 48 B a
-// row) to merge into the result it returns. A pass with
-// StreamHooks.AfterChunk set hands each chunk's rows and each flush
-// block's to the callback and keeps none, so a fully streamed hooked test
-// pass holds O(chunk) however long it runs, and a hooked flow pass its
-// flows and one block. When it is also not Online
-// and accumulates nothing for the flush, it draws frame columns, the
-// scored matrix and unit indices from an arena it reuses chunk after
-// chunk, and what it still allocates per packet is mostly the scores
-// and predictions the model returns (40–80 B a packet on a nine-field
-// tree pipeline, against ~320 B without the arena).
+// frames for deferred ops, and, when the plan assembles flows, its flows,
+// each holding its counters, its label and a 16-byte stat for each of
+// its first StreamPlan.StatCap member packets: none when the plan's flow
+// features are all counters (A14), the first first_n when the rest are
+// first_n_* features, every one otherwise. Each assembler holds the flows
+// open and the closed ones waiting for release, which waits for every
+// flow that started earlier to close (the lumen_flow_open and
+// lumen_flow_held gauges). A plan whose Close ops read the sink scores
+// the released flows in blocks of at most 512 as the stream runs (see
+// StreamPlan.Close) and drops each block, adding one block's frame and
+// matrix; a pass the cache serves, or a plan that waits for drain, keeps
+// every flow of the pass for the flush. Packets themselves never outlive
+// their chunk: every finished chunk is recycled to its source and its
+// backing reference released. Verdict rows outlive theirs only on an
+// unhooked pass, which keeps every chunk's and block's EvalResult (about
+// 48 B a row) to merge into the result it returns. A pass with
+// StreamHooks.AfterChunk set hands each chunk's rows and each block's to
+// the callback and keeps none, so a fully streamed hooked test pass
+// holds O(chunk) however long it runs, and a hooked flow pass that scores
+// at close the flows open or waiting and one block, not every flow it
+// has seen. When it is also not Online and accumulates nothing for the
+// flush, it draws frame columns, the scored matrix and unit indices from
+// an arena it reuses chunk after chunk, and what it still allocates per
+// packet is mostly the scores and predictions the model returns (40–80 B
+// a packet on a nine-field tree pipeline, against ~320 B without the
+// arena).
 //
 // The result: an unhooked pass returns every row; a hooked pass returns
 // nil, having handed every row to the callback (see StreamHooks for the
@@ -392,6 +524,7 @@ func (e *Engine) runStream(src dataset.Source, mode Mode, cfg StreamConfig, root
 	}
 	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
 		r.keys, r.root = lineageKeys(e.P, r.pl.defs, root), root
+		r.closeSink = nil
 	}
 	// Sources that can decode while cutting chunks get the plan's depth
 	// before the first chunk is pulled; layers no op needs never parse.

@@ -12,8 +12,9 @@ import (
 // scoring produced for it. It is handed to StreamHooks.AfterChunk so a
 // resident consumer (the detection daemon) can emit alerts and drive
 // model lifecycle operations chunk-by-chunk instead of waiting for the
-// pass to finish. The flush pass hands its rows the same way, in flush
-// updates (Flush set).
+// pass to finish. Rows that are not a chunk's, those of blocks of closed
+// flows and of the flush pass, are handed the same way, in flush updates
+// (Flush set).
 type ChunkUpdate struct {
 	// Seq is the chunk's sequence number within the pass (0-based); -1 on
 	// a flush update.
@@ -21,10 +22,12 @@ type ChunkUpdate struct {
 	// Base is the global index of the chunk's first packet; 0 on a flush
 	// update.
 	Base int
-	// Flush marks an update of the flush pass: Results are the rows of
-	// one block of closed flows the flush scored (see flushBlocks), or
-	// every row the deferred ops that run whole made, and nothing else is
-	// set. Flush updates follow every chunk's, in row order.
+	// Flush marks an update that is not a chunk's: Results are the rows
+	// of one block of closed flows the plan's Close ops scored (see
+	// StreamPlan.Close), or every row the deferred ops that run whole at
+	// drain made, and nothing else is set. A block's update follows the
+	// chunk whose packets completed the block, or comes at drain; flush
+	// updates come in row order.
 	Flush bool
 	// Views are the chunk's packets. They are valid only for the duration
 	// of the callback: afterwards the chunk is recycled and released, and
@@ -35,14 +38,13 @@ type ChunkUpdate struct {
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
 	// produced for this chunk, in op order, or on a flush update the
-	// rows of one flush block. Like Views they are valid only during the
+	// rows of one block of closed flows. Like Views they are valid only during the
 	// callback: on a recycling pass (see StreamHooks) their unit indices
 	// live in memory a later chunk reuses, so copy the rows that must
 	// outlive it. RunStream does not return these rows (see StreamHooks).
 	// Empty on training passes and on chunks with no scored rows; on
-	// pipelines whose scoring is deferred to the flush pass (flow
-	// granularities, barrier suffixes) the verdicts arrive in the flush
-	// updates instead.
+	// pipelines that score flows as they close, or behind a barrier, the
+	// verdicts arrive in flush updates instead.
 	Results []*EvalResult
 	// Drift holds the drift_detect events raised during this chunk, in
 	// detection order, valid only during the callback: copy it to retain
@@ -71,15 +73,15 @@ type ChunkUpdate struct {
 //
 // A pass with AfterChunk set keeps no verdict row it has given to the
 // callback, so what it retains is what is open, not what has passed. The
-// flush pass's rows go to the callback too, in flush updates after every
-// chunk's: one per block of closed flows the flush scores, whose unit
-// indices continue where the previous block's stopped, and one with the
-// rows of deferred ops that run whole. RunStream then returns nil. The
-// rows of every update's Results, chunks' and then flush's, copied
-// inside the callback, are the unhooked pass's result bit for bit, at
-// every depth. A flush update's callback runs between flush blocks: a
-// model it swaps in scores the blocks after it, so a consumer that
-// attributes the flush to one model leaves model state alone there.
+// rows that are not a chunk's go to the callback too, in flush updates:
+// one per block of closed flows the plan's Close ops score, as soon as
+// the block fills, between chunks, and at drain the last, partial one;
+// their unit indices continue where the previous block's stopped. The
+// rows of deferred ops that run whole at drain come in one update after
+// every chunk's. RunStream then returns nil. The rows of every update's
+// Results, in the order they were handed, copied inside the callback,
+// are the unhooked pass's result bit for bit, at every depth. A model
+// the callback swaps in scores the chunks and blocks after it.
 //
 // Such a pass also recycles its chunk scratch when nothing it produces
 // can outlive the callback: it is not Online and its plan accumulates no
@@ -95,12 +97,16 @@ type StreamHooks struct {
 	// ConnsClosed receives the connections the plan's connection sink
 	// (StreamPlan.ConnSink) has closed, for a consumer that logs them: the
 	// pass's own assembly, so nobody assembles the stream a second time.
-	// It runs on the goroutine that owns stream order. Today it is called
-	// once per pass, at flush, with every connection of the pass merged
-	// and in canonical order (flow.SortConnections), before the deferred ops
-	// read them; a pass that fails never calls it. The connections are
-	// shared with those ops: read, do not modify. Never called when the
-	// plan has no connection sink. A non-nil error aborts the pass.
+	// It runs on the goroutine that owns stream order. The calls of one
+	// pass hand on every connection of the pass once, in canonical order
+	// (flow.SortConnections). When the plan's Close ops read the sink,
+	// each block's connections come before the block is scored, while
+	// the stream runs; a pass that closes no connection calls it once, at
+	// drain, with none. Otherwise it is called once, at drain, with every
+	// connection, before the deferred ops read them. A pass that fails
+	// stops calling it. The connections are shared with the ops: read, do
+	// not modify. Never called when the plan has no connection sink. A
+	// non-nil error aborts the pass.
 	ConnsClosed func([]*flow.Connection) error
 	// WantFeatures requests the train op's per-chunk input features (and
 	// labels when the frame carries them) on every ChunkUpdate, so a

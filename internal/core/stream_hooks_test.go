@@ -26,14 +26,14 @@ var hookShapes = []StreamConfig{
 }
 
 // testStreamHooked runs TestStream with an AfterChunk hook and states the
-// hook contract: the rows of every update, the chunks' in stream order
-// and then the flush updates', joined, must equal the unhooked result bit
-// for bit, and the pass returns nil. Flush updates come after every
-// chunk's, carry nothing but rows, and their unit indices run on without
-// a gap from one row, and one block, to the next. The rows are cloned
-// inside the callback, the only place they are valid. each (optional)
-// sees every update after its rows were taken; cfg.Hooks may preset the
-// other hook fields.
+// hook contract: the rows of every update, in the order they were
+// handed, joined, must equal the unhooked result bit for bit, and the
+// pass returns nil. Chunks come in stream order; flush updates may come
+// between them, as blocks of closed flows are scored, carry nothing but
+// rows, and their unit indices run on without a gap from one row, and
+// one block, to the next. The rows are cloned inside the callback, the
+// only place they are valid. each (optional) sees every update after
+// its rows were taken; cfg.Hooks may preset the other hook fields.
 func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) *EvalResult {
 	t.Helper()
 	hooks := StreamHooks{}
@@ -42,15 +42,16 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	}
 	var parts []*EvalResult
 	var flushIdx []int
-	flushing := false
+	seq := 0
 	hooks.AfterChunk = func(up ChunkUpdate) error {
 		switch {
 		case up.Flush && (up.Seq != -1 || up.Base != 0 || up.Views != nil || up.Drift != nil || up.Features != nil):
 			t.Errorf("flush update carries more than rows: seq %d, base %d, %d views", up.Seq, up.Base, len(up.Views))
-		case !up.Flush && flushing:
-			t.Errorf("chunk %d handed after a flush update", up.Seq)
+		case !up.Flush && up.Seq != seq:
+			t.Errorf("chunk %d handed where chunk %d was due", up.Seq, seq)
+		case !up.Flush:
+			seq++
 		}
-		flushing = flushing || up.Flush
 		for _, res := range up.Results {
 			parts = append(parts, cloneResult(res))
 			if up.Flush {
@@ -265,6 +266,19 @@ func TestConnsClosedHook(t *testing.T) {
 		if _, err := eng.TestStream(ds, shape); !errors.Is(err, boom) {
 			t.Fatalf("shape %d: want the hook's error, got %v", si, err)
 		}
+	}
+	// A pass that closes no connection hands on none, once, so a log
+	// still gets its header.
+	empty := *ds
+	empty.Packets, empty.Labels, empty.Attacks = nil, nil, nil
+	var calls, conns int
+	cfg := StreamConfig{Hooks: &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil },
+		ConnsClosed: func(cs []*flow.Connection) error {
+			calls, conns = calls+1, conns+len(cs)
+			return nil
+		}}}
+	if _, err := eng.TestStream(&empty, cfg); err != nil || calls != 1 || conns != 0 {
+		t.Fatalf("an empty pass made %d hand-offs of %d connections (%v), want one of none", calls, conns, err)
 	}
 
 	uni := flowPipeline("decision_tree", map[string]any{"max_depth": 6})

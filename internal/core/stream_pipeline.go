@@ -38,8 +38,8 @@ type StreamStats struct {
 	OpsStallNS    int64
 	SinkStallNS   int64
 	// HWMBytes is the live-heap high-water mark sampled at chunk
-	// boundaries and after each flush block (the lumen_stream_hwm_bytes
-	// gauge).
+	// boundaries and after each block of closed flows (the
+	// lumen_stream_hwm_bytes gauge).
 	HWMBytes uint64
 	// LazyViews is vestigial and always true: every source emits lazy
 	// PacketView chunks and the packet ops fill frame columns straight

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lumen/internal/dataset"
+	"lumen/internal/flow"
 	"lumen/internal/mlkit"
 	"lumen/internal/netpkt"
 	"lumen/internal/obs"
@@ -60,6 +61,18 @@ type streamExec struct {
 	// free[i] names the values op i's environment drops once op i has run
 	// (see deadAfter).
 	free [][]string
+
+	// closeSink is the sink whose released flows the plan's Close ops
+	// score a block at a time while the stream runs (see scoreClosed);
+	// nil when the plan has none or the shared cache serves the pass,
+	// which runs them at drain. The blocks run over bsc, with Online off,
+	// and draw frame columns and the scored matrix from one arena
+	// (blocks) that each block hands on to the next. connsLogged records
+	// that the pass has called ConnsClosed.
+	closeSink   *flowSinkState
+	bsc         streamCtx
+	blocks      jobScratch
+	connsLogged bool
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
@@ -88,6 +101,11 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
 		}
 		r.sinks = append(r.sinks, s)
+		if i == pl.CloseSink {
+			r.closeSink = s
+			r.bsc.carry = map[string]any{}
+			r.blocks.pool = &arenaPool{}
+		}
 	}
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
@@ -189,10 +207,10 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 }
 
 // feedSinks pushes one chunk's packets through every incremental flow
-// assembler, whose flows keep their members' stats. On a pass the shared
-// cache serves, the chunk is the whole trace, and each sink is its op
-// run once over it through the cache instead. A failure is the job's
-// error.
+// assembler, whose flows keep their members' stats, and takes the flows
+// each can release. On a pass the shared cache serves, the chunk is the
+// whole trace, and each sink is its op run once over it through the
+// cache instead. A failure is the job's error.
 func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 	if len(r.sinks) == 0 {
 		return
@@ -241,11 +259,14 @@ func (r *streamExec) prepare(nc dataset.NumberedChunk, stage *obs.Span) (job *ch
 
 // sinkChunk is the ordered sink's per-chunk body, run in stream order on
 // the caller's goroutine at every depth: flow sinks, the Ordered ops over
-// the shared cross-chunk carry, absorption into the run, then release of
-// the chunk to its source, which also happens when the sink panics. Once
-// the job is absorbed and its hook has returned, nothing references the
-// chunk's scratch, so its arena goes back to the free list. It returns
-// the job's error, on which the stream must abort.
+// the shared cross-chunk carry, absorption into the run, the blocks of
+// closed flows the chunk completed, then release of the chunk to its
+// source, which also happens when the sink panics. Once the job is
+// absorbed and its hook has returned, nothing references the chunk's
+// scratch, so its arena goes back to the free list. The blocks come
+// after absorption because they read the streamed values it keeps, such
+// as the model spec. It returns the job's error, on which the stream
+// must abort.
 func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(dataset.NumberedChunk)) error {
 	defer release(job.nc)
 	if job.err == nil {
@@ -260,6 +281,9 @@ func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(data
 	err := r.absorb(job)
 	r.sc.lastResult = nil
 	job.scratch.release()
+	if err == nil && r.closeSink != nil {
+		err = r.scoreClosed(false)
+	}
 	return err
 }
 
@@ -380,31 +404,25 @@ func (r *streamExec) sampleHeap() {
 	}
 }
 
-// finish runs the deferred (barrier) suffix over the accumulated state of
-// the whole trace and assembles the result the pass returns: every row on
-// an unhooked pass, nil on a hooked one, whose callback is handed the
-// flush rows too.
+// finish runs the deferred suffix over the accumulated state of the
+// whole trace and assembles the result the pass returns: every row on an
+// unhooked pass, nil on a hooked one, whose callback is handed the flush
+// rows too.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	// Flush: run deferred ops in op order over the whole trace, each
-	// accumulation concatenated when its first reader runs, except the
-	// blocked ops, which run together over blocks of closed flows when the
-	// first of them comes up. Its rows are numbered from 0, and an op
-	// deferred on an Online pass fits whole.
+	// accumulation concatenated when its first reader runs. Closing the
+	// close sink scores its last blocks, and the Close ops have run by
+	// then. Rows are numbered from 0, and an op deferred on an Online
+	// pass fits whole.
 	fenv, online := r.fenv, r.sc.online
 	r.sc.base, r.sc.online = 0, false
 	var drift []DriftEvent
-	blocked := r.flushBlocks()
 	for i, op := range e.P.Ops {
 		if r.pl.Streamed[i] {
 			continue
 		}
-		if blocked != nil && blocked[i] {
-			if i == slices.Index(blocked, true) {
-				if err := r.runBlocks(blocked, fenv, &drift); err != nil {
-					return nil, err
-				}
-			}
+		if r.closeSink != nil && r.pl.Close[i] {
 			for _, name := range r.free[i] {
 				delete(fenv, name)
 			}
@@ -412,7 +430,8 @@ func (r *streamExec) finish() (*EvalResult, error) {
 		}
 		start := time.Now()
 		if k := slices.IndexFunc(r.sinks, func(s *flowSinkState) bool { return s.op == i }); k >= 0 {
-			fl := r.sinks[k].flows
+			s := r.sinks[k]
+			fl := s.flows
 			if fl == nil {
 				// Closing the sink is its op's run on this pass: it gets the
 				// op's span and metrics.
@@ -421,15 +440,19 @@ func (r *streamExec) finish() (*EvalResult, error) {
 					sp = e.Span.Child("op:" + op.Func)
 					sp.Set("output", op.Output)
 				}
-				fl = r.sinks[k].finish()
+				fl = s.finish()
 				e.finishOp(sp, &OpStats{Func: op.Func, Output: op.Output, Wall: time.Since(start)}, nil)
 			}
-			fenv[op.Output] = fl
 			r.prof[i].Wall += time.Since(start)
-			if i == r.pl.ConnSink && r.hooks != nil && r.hooks.ConnsClosed != nil {
-				if err := r.hooks.ConnsClosed(fl.Conns); err != nil {
-					return nil, fmt.Errorf("core: conns-closed hook: %w", err)
+			if s == r.closeSink {
+				if err := r.scoreClosed(true); err != nil {
+					return nil, err
 				}
+				continue
+			}
+			fenv[op.Output] = fl
+			if err := r.connsClosed(s, fl.Conns); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -463,7 +486,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	}
 	if e.Metrics != nil {
 		e.Metrics.Gauge("lumen_stream_hwm_bytes",
-			"Live-heap high-water mark observed at chunk boundaries and after each flush block of the most recent streaming run.").Set(float64(r.hwm))
+			"Live-heap high-water mark observed at chunk boundaries and after each block of closed flows of the most recent streaming run.").Set(float64(r.hwm))
 	}
 	e.Profile = append(e.Profile[:0], r.prof...)
 	e.LastStream.Chunks = r.nChunks
@@ -490,126 +513,83 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	return mergeResults(r.results), nil
 }
 
-// flushBlock is how many closed flows a blocked flush featurizes and
-// scores at a time (see flushBlocks): the row bound of a typical chunk,
-// so a block's arena is about one chunk's.
-const flushBlock = 512
-
-// flushBlocks picks the deferred ops a flush runs over consecutive blocks
-// of the first flow sink's closed flows instead of over the whole trace:
-// flow_features reading the sink (one row per flow) and the ops after it
-// that are row-local in the pass's mode (they stream, per their class),
-// as long as every input is the sink's flows, a blocked op's output or a
-// non-frame value a streamed op made, and nothing that runs whole reads
-// what they make. Each block's rows are final when it ends, so a hooked
-// pass hands them to its callback there and keeps none (see runBlocks).
-// It returns nil when the flush runs whole: a pass the shared cache
-// serves, no flow sink, or a train-mode flow pass, whose fit reads every
-// row at once.
-func (r *streamExec) flushBlocks() []bool {
-	if r.keys != nil || len(r.sinks) == 0 {
+// connsClosed hands conns, connections sink s has closed, to the
+// ConnsClosed hook when s is the plan's connection sink.
+func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Connection) error {
+	if s.op != r.pl.ConnSink || r.hooks == nil || r.hooks.ConnsClosed == nil {
 		return nil
 	}
-	ops, sink := r.e.P.Ops, r.sinks[0].op
-	prod := make(map[string]int, len(ops))
-	for i, op := range ops {
-		prod[op.Output] = i
+	r.connsLogged = true
+	if err := r.hooks.ConnsClosed(conns); err != nil {
+		return fmt.Errorf("core: conns-closed hook: %w", err)
 	}
-	deferred := func(i int) bool { return !r.pl.Streamed[i] && !r.pl.FlowSink[i] }
-	blocked := make([]bool, len(ops))
-	fits := func(i int) bool {
-		fromBlock := false
-		for _, in := range ops[i].Input {
-			j, ok := prod[in]
-			switch {
-			case ok && (j == sink || blocked[j]):
-				fromBlock = true
-			case !ok || !r.pl.Streamed[j] || r.pl.defs[j].sig.out == KindFrame:
-				return false
-			}
-		}
-		return fromBlock
-	}
-	readWhole := func(i int) bool {
-		for k, op := range ops {
-			if deferred(k) && !blocked[k] && slices.Contains(op.Input, ops[i].Output) {
-				return true
-			}
-		}
-		return false
-	}
-	for i, op := range ops {
-		rowLocal := r.pl.defs[i].traits.streams(r.mode, false) || slices.Contains(op.Input, ops[sink].Output)
-		blocked[i] = deferred(i) && rowLocal && fits(i)
-	}
-	// Dropping an op read whole strands its blocked readers: repeat until
-	// nothing changes.
-	for changed := true; changed; {
-		changed = false
-		for i := range ops {
-			if blocked[i] && (!fits(i) || readWhole(i)) {
-				blocked[i], changed = false, true
-			}
-		}
-	}
-	if !slices.Contains(blocked, true) {
-		return nil
-	}
-	return blocked
+	return nil
 }
 
-// runBlocks runs the blocked ops over consecutive blocks of at most
-// flushBlock of the first sink's flows, in flow order, each block in an
-// environment of its own over fenv's whole values, which it leaves as it
-// found them: rows come out in order, unit indices offset by the block's
-// base, and each block's frame columns and scored matrix come from one
-// arena the next block reuses. A hooked pass hands each block's rows to
-// the callback as a flush update, after any flush rows made before the
-// blocks. The live heap is sampled after every block.
-func (r *streamExec) runBlocks(blocked []bool, fenv map[string]Value, drift *[]DriftEvent) error {
-	e := r.e
-	name := e.P.Ops[r.sinks[0].op].Output
-	fl := fenv[name].(*Flows)
-	scratch := jobScratch{pool: &arenaPool{}}
-	if err := r.handFlush(); err != nil {
+// flushBlock is how many closed flows a block of the Close ops
+// featurizes and scores at a time (see scoreClosed): the row bound of a
+// typical chunk, so a block's arena is about one chunk's.
+const flushBlock = 512
+
+// scoreClosed hands the close sink's released flows to the plan's Close
+// ops a block of flushBlock at a time, in canonical order: every full
+// block, and at drain (last, once the sink has released every flow) the
+// partial one too, or a ConnsClosed call with none when the pass closed
+// no connection. A flow's unit index is the number of flows handed on
+// before it, so rows and unit indices are the whole-trace flush's at
+// every chunk size.
+func (r *streamExec) scoreClosed(last bool) error {
+	s := r.closeSink
+	for n := s.pending(); n >= flushBlock || last && n > 0; n = s.pending() {
+		base := s.done
+		if err := r.runBlock(s.handOn(min(n, flushBlock)), base); err != nil {
+			return err
+		}
+	}
+	if last && !r.connsLogged {
+		return r.connsClosed(s, nil)
+	}
+	return nil
+}
+
+// runBlock hands one block's connections to ConnsClosed, then runs the
+// Close ops over the block, whose first flow has unit index base, in an
+// environment of its own over the pass's streamed values. A hooked pass
+// hands the block's rows to the callback as a flush update. The live
+// heap is sampled after every block.
+func (r *streamExec) runBlock(fl *Flows, base int) error {
+	e, s := r.e, r.closeSink
+	if err := r.connsClosed(s, fl.Conns); err != nil {
 		return err
 	}
-	for lo := 0; ; lo += flushBlock {
-		hi := min(lo+flushBlock, fl.Len())
-		env := maps.Clone(fenv)
-		env[name] = fl.block(lo, hi)
-		r.sc.base = lo
-		for i, op := range e.P.Ops {
-			if !blocked[i] {
-				continue
-			}
-			ctx := opCtx{mode: r.mode, stream: r.sc, drift: drift, scratch: &scratch}
-			out, st, res, err := e.invoke(i, r.pl.defs[i], env, ctx, e.Span, "", nil)
-			if err != nil {
-				return err
-			}
-			env[op.Output] = out
-			r.prof[i].Wall += st.Wall
-			r.prof[i].Allocs += st.Allocs
-			r.prof[i].OutRows += st.OutRows
-			if res != nil {
-				r.results = append(r.results, res)
-			}
-			for _, dead := range r.free[i] {
-				delete(env, dead)
-			}
+	env := maps.Clone(r.fenv)
+	env[e.P.Ops[s.op].Output] = fl
+	r.bsc.base = base
+	var drift []DriftEvent
+	for i, op := range e.P.Ops {
+		if !r.pl.Close[i] {
+			continue
 		}
-		r.sc.lastResult = nil
-		err := r.handFlush()
-		scratch.release()
+		ctx := opCtx{mode: r.mode, stream: &r.bsc, drift: &drift, scratch: &r.blocks}
+		out, st, res, err := e.invoke(i, r.pl.defs[i], env, ctx, e.Span, "", nil)
 		if err != nil {
 			return err
 		}
-		r.sampleHeap()
-		if hi == fl.Len() {
-			break
+		env[op.Output] = out
+		r.prof[i].Wall += st.Wall
+		r.prof[i].Allocs += st.Allocs
+		r.prof[i].OutRows += st.OutRows
+		if res != nil {
+			r.results = append(r.results, res)
+		}
+		for _, dead := range r.free[i] {
+			delete(env, dead)
 		}
 	}
-	r.sc.base = 0
-	return nil
+	r.bsc.lastResult = nil
+	e.LastStream.DriftEvents += len(drift)
+	err := r.handFlush()
+	r.blocks.release()
+	r.sampleHeap()
+	return err
 }

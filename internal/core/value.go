@@ -125,18 +125,6 @@ func (f *Flows) label(i int) (int, string) {
 	return 1, f.attacks[lab-1]
 }
 
-// block returns flows [lo, hi) as a Flows value of their own, sharing
-// the flows and the attack names.
-func (f *Flows) block(lo, hi int) *Flows {
-	out := &Flows{Granularity: f.Granularity, attacks: f.attacks}
-	if f.Granularity == dataset.UniflowG {
-		out.Unis = f.Unis[lo:hi]
-	} else {
-		out.Conns = f.Conns[lo:hi]
-	}
-	return out
-}
-
 // ModelSpec is an unfitted model configuration produced by the "model"
 // operation.
 type ModelSpec struct {

@@ -17,16 +17,17 @@ import (
 type Alert struct {
 	// TS is the wall-clock emission time of the line's batch (RFC 3339,
 	// UTC, ns precision): one clock read per chunk's verdicts, or per
-	// flush block, so the lines of a batch share it.
+	// block of closed flows, so the lines of a batch share it.
 	TS string `json:"ts"`
 	// Pipeline is the emitting pipeline's registry name.
 	Pipeline string `json:"pipeline"`
 	// Seq is the stream chunk sequence number the unit was scored in,
-	// or -1 for verdicts that materialize at drain (Phase "flush").
+	// or -1 for verdicts that are not a chunk's (Phase "flush").
 	Seq int `json:"seq"`
-	// Phase is "stream" for verdicts emitted while chunks flow, "flush"
-	// for deferred verdicts written at drain (flow-granularity
-	// pipelines, barrier suffixes).
+	// Phase is "stream" for a chunk's verdicts, "flush" for the others:
+	// a flow-granularity pipeline's, written a block of closed flows at
+	// a time as the stream runs, and a barrier suffix's, written at
+	// drain.
 	Phase string `json:"phase"`
 	// Unit names the scored row unit: "packet", "flow", or "group".
 	Unit string `json:"unit"`

@@ -46,7 +46,7 @@ type PipelineSpec struct {
 	Alerts string `json:"alerts"`
 	// AnomaliesOnly writes alert lines only for units predicted anomalous; counters still count every verdict.
 	AnomaliesOnly bool `json:"anomalies_only"`
-	// ConnLog is a file that receives a Zeek-style conn-log TSV, one section per pass, at drain; default none.
+	// ConnLog is a file that receives a Zeek-style conn-log TSV, one section per pass, written as connections close; default none.
 	ConnLog string `json:"connlog"`
 	// Swap is the shadow gate a candidate declared here must pass before it is promoted, automatically either way: its own model, and whatever retrain fits.
 	Swap SwapSpec `json:"swap"`

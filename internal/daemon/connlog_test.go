@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,6 +191,79 @@ func TestFlushLinesArriveBlockByBlock(t *testing.T) {
 			if (i%block == 0) == (i > 0 && a.TS == got[i-1].TS) {
 				t.Fatalf("shape %d: alert %d has ts %s after %s: a block's lines must share one ts, and no other line", si, i, a.TS, got[i-1].TS)
 			}
+		}
+	}
+}
+
+// lockedBuffer is a sink the test reads while the pipeline writes it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *lockedBuffer) Bytes() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return bytes.Clone(w.b.Bytes())
+}
+
+// TestFlushLinesArriveWhileStreaming: a flow pipeline writes its first
+// blocks' flush lines and conn-log rows while the source still holds its
+// last chunk, at every shape; once the source ends, the alert lines are
+// the whole trace's result and the conn-log the batch log of
+// flow.Connections. The trace spans minutes, so most of its connections
+// close long before it ends; the model is fitted on a shorter one.
+func TestFlushLinesArriveWhileStreaming(t *testing.T) {
+	spec, _ := dataset.Get("F3")
+	ds, train := spec.Generate(10), spec.Generate(2)
+	const rows = 512
+	chunks := (len(ds.Packets) + rows - 1) / rows
+	want, err := trained(t, zeekPipeline(t, 0), train).TestStream(ds, core.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLog := batchConnLog(t, ds, flow.Options{})
+	for si, shape := range connShapes {
+		var alerts, connlog lockedBuffer
+		gate := newGate(dataset.NewSliceSource(ds))
+		shape.ChunkRows = rows
+		p, err := New(Config{}).Start(PipeConfig{
+			Name: "zeek", Engine: trained(t, zeekPipeline(t, 0), train), Source: gate,
+			Stream: shape, Alerts: &alerts, ConnLog: &connlog,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate.allow(chunks - 1)
+		waitFor(t, 5*time.Second, "a flush line", func() bool { return bytes.Contains(alerts.Bytes(), []byte(`"phase":"flush"`)) })
+		if n := p.Status().Packets; n >= int64(len(ds.Packets)) {
+			t.Fatalf("shape %d: the first flush line came after all %d packets", si, n)
+		}
+		if lines := bytes.Count(connlog.Bytes(), []byte("\n")); lines < 2 {
+			t.Fatalf("shape %d: %d conn-log lines before the last chunk, want the header and rows", si, lines)
+		}
+		gate.allow(2)
+		<-p.Done()
+		if err := p.Drain(); err != nil {
+			t.Fatalf("shape %d: %v", si, err)
+		}
+		got := parseAlerts(t, alerts.Bytes())
+		if len(got) != len(want.Pred) {
+			t.Fatalf("shape %d: %d alert lines, the whole-trace result has %d rows", si, len(got), len(want.Pred))
+		}
+		for i, a := range got {
+			if a.Index != want.UnitIdx[i] || a.Pred != want.Pred[i] {
+				t.Fatalf("shape %d: alert %d = %+v, want index %d pred %d", si, i, a, want.UnitIdx[i], want.Pred[i])
+			}
+		}
+		if !bytes.Equal(connlog.Bytes(), wantLog) {
+			t.Fatalf("shape %d: conn-log differs from the batch log", si)
 		}
 	}
 }

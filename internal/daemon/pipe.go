@@ -92,14 +92,17 @@ type PipeConfig struct {
 	// every scored unit.
 	AnomaliesOnly bool
 	// ConnLog receives a Zeek-style TSV connection log, one section
-	// (header and rows) per pass, written when the pass ends: at drain,
-	// unless a reload ended a pass earlier. A pipeline that assembles
+	// (header and rows) per pass. Rows are written while the pass runs,
+	// as connections close and no earlier one can follow them; the
+	// connections still open close when the pass ends: at drain, unless
+	// a reload ended a pass earlier. A pipeline that assembles
 	// connections itself (its plan has a connection-granularity
 	// flow_assemble sink) logs exactly those, the connections it scored,
-	// under that op's idle_timeout; any other pipeline gets an assembler
-	// of the daemon's own with the default options. Either way a section
-	// is bit-identical to flow.WriteConnLog over flow.Connections of the
-	// packets the pass ingested. No connection spans two passes.
+	// under that op's idle_timeout, a block before the block's verdicts;
+	// any other pipeline gets an assembler of the daemon's own with the
+	// default options. Either way a section is bit-identical to
+	// flow.WriteConnLog over flow.Connections of the packets the pass
+	// ingested. No connection spans two passes.
 	ConnLog io.Writer
 	// Retrain enables drift-triggered background retraining with hot swap
 	// (see RetrainConfig).
@@ -170,9 +173,9 @@ type PipeStatus struct {
 	// shape, present once the pass has absorbed its first chunk.
 	Stream *StreamShape `json:"stream,omitempty"`
 	// Barrier names the first op of the pass's plan that runs only at
-	// flush, and why (see core.PlanBarrier): everything behind it,
-	// verdicts included, waits for drain. Omitted when the whole plan
-	// streams.
+	// drain, and why (see core.PlanBarrier): everything behind it,
+	// verdicts included, waits for drain. Omitted when every op streams
+	// or runs as flows close.
 	Barrier *core.PlanBarrier `json:"barrier,omitempty"`
 	// ConnLog says which assembler writes the conn-log: "flow_sink", the
 	// plan's own connection sink, or "assembler", one the daemon runs
@@ -224,8 +227,8 @@ type Pipe struct {
 	handle *mlkit.SwapHandle
 	src    dataset.Source
 	stream core.StreamConfig
-	// barrier is the plan's first flush-time op (nil: all ops stream);
-	// the plan is fixed by the pipeline and the stream config.
+	// barrier is the plan's first drain-time op (nil: none); the plan
+	// is fixed by the pipeline and the stream config.
 	barrier *core.PlanBarrier
 
 	// The alert sink (nil disables it): alertBuf holds encoded whole lines
@@ -241,11 +244,13 @@ type Pipe struct {
 	// The conn-log (connw nil disables it) is written from the plan's
 	// connection sink when it has one, through the ConnsClosed hook, and
 	// then conn stays nil. Otherwise conn is the daemon's own assembler,
-	// fed in afterChunk on the scoring goroutine: connDone holds the
-	// connections it has evicted in the current pass.
+	// fed in afterChunk on the scoring goroutine, and connDone is the
+	// batch it last released. connLog writes the current pass's section,
+	// nil until the pass first logs.
 	connw    io.Writer
 	conn     *flow.ConnAssembler
 	connDone []*flow.Connection
+	connLog  *flow.ConnLogWriter
 
 	ctrl chan ctrlMsg
 	done chan struct{}
@@ -425,7 +430,7 @@ func (p *Pipe) pass() (err error) {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("daemon: pipeline %q panicked in %s: %v", p.name, panicSite(), r)
 		}
-		if cerr := p.closeOwnConns(); err == nil {
+		if cerr := p.closeConnLog(); err == nil {
 			err = cerr
 		}
 		p.eng.Span = nil
@@ -475,29 +480,33 @@ func (p *Pipe) setStateLocked(s State) {
 	p.mState.Set(float64(s))
 }
 
-// closeOwnConns ends the pass on the daemon's own conn-log assembler (a
-// no-op for a pipeline that logs from its flow sink): every connection
-// still open is closed here, so the next pass's packets, which start
-// over at the source's first timestamp, join none of this pass's, and
-// the pass's section is written. It mirrors flow.Connections exactly
-// (accumulated evictions plus the final flush, then one sort), which is
-// what makes a section bit-identical to the batch driver over the same
-// packets.
-func (p *Pipe) closeOwnConns() error {
-	if p.conn == nil {
-		return nil
+// closeConnLog ends the pass's conn-log section. On the daemon's own
+// assembler every connection still open is closed and logged here, so
+// the next pass's packets, which start over at the source's first
+// timestamp, join none of this pass's; the assembler releases as
+// flow.Connections does, which makes a section bit-identical to the
+// batch assembler's over the same packets. The next pass starts a
+// section of its own.
+func (p *Pipe) closeConnLog() error {
+	var err error
+	if p.conn != nil {
+		p.connDone = p.conn.ReleaseAll(p.connDone[:0])
+		err = p.writeConnLog(p.connDone)
+		clear(p.connDone)
 	}
-	conns := append(p.connDone, p.conn.Flush()...)
-	p.connDone = nil
-	flow.SortConnections(conns)
-	return p.writeConnLog(conns)
+	p.connLog = nil
+	return err
 }
 
-// writeConnLog writes one pass's conn-log section: conns is every
-// connection of the pass, in batch order. It is the pass's ConnsClosed
-// hook when the plan has a connection sink.
+// writeConnLog appends conns, the next connections of the pass in batch
+// order, to the pass's conn-log section, whose header the pass's first
+// call writes. It is the pass's ConnsClosed hook when the plan has a
+// connection sink.
 func (p *Pipe) writeConnLog(conns []*flow.Connection) error {
-	if err := flow.WriteConnLog(p.connw, conns); err != nil {
+	if p.connLog == nil {
+		p.connLog = flow.NewConnLogWriter(p.connw)
+	}
+	if err := p.connLog.Log(conns); err != nil {
 		return fmt.Errorf("daemon: conn-log %q: %w", p.name, err)
 	}
 	return nil
@@ -536,12 +545,13 @@ func (p *Pipe) recordErr(err error) {
 // the pipeline. It runs once per chunk, in stream order, on the scoring
 // goroutine, with the chunk's verdicts final. In order: emit alerts,
 // fold packets into the daemon's own conn-log assembler (only when the
-// plan assembles no connections itself), bump counters, apply queued
-// control messages, and advance any in-progress swap. Because control
-// messages are applied after this chunk's verdicts were written, every
-// chunk is attributable to exactly one model generation. A flush update
-// (deferred verdicts, a block at a time) only emits its alerts, and no
-// control message is applied between blocks: one generation scores it.
+// plan assembles no connections itself) and log what it releases, bump
+// counters, apply queued control messages, and advance any in-progress
+// swap. Because control messages are applied after this chunk's
+// verdicts were written, every chunk is attributable to exactly one
+// model generation. A flush update (a block of flows scored as they
+// closed, between chunks or at drain) only emits its alerts, under the
+// generation that scored the block.
 func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	gen := p.handle.Generation()
 	phase := "stream"
@@ -563,7 +573,13 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		// released.
 		for i := range up.Views {
 			sum := up.Views[i].Summary()
-			p.connDone = append(p.connDone, p.conn.Feed(&sum)...)
+			p.conn.Feed(&sum)
+		}
+		p.connDone = p.conn.Release(p.connDone[:0])
+		err := p.writeConnLog(p.connDone)
+		clear(p.connDone)
+		if err != nil {
+			return err
 		}
 	}
 	if up.Seq == 0 {

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bufio"
 	"io"
 	"math"
 	mathbits "math/bits"
@@ -22,18 +21,60 @@ const connLogHeader = "#fields\tts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.res
 // proto, duration, orig_bytes, resp_bytes, conn_state, orig_pkts,
 // resp_pkts.
 func WriteConnLog(w io.Writer, conns []*Connection) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(connLogHeader); err != nil {
-		return err
+	return NewConnLogWriter(w).Log(conns)
+}
+
+// connLogBuf is the size of a ConnLogWriter's buffer, and connLogFlush
+// the fill at which it is handed on: room for one more line of any
+// address family past it.
+const (
+	connLogBuf   = 16 << 10
+	connLogFlush = connLogBuf - 512
+)
+
+// ConnLogWriter writes one conn.log section a batch of connections at a
+// time, as a Zeek process logs each connection when it closes: the
+// header once, then every batch's rows with uids numbered on from the
+// batches before. The section equals WriteConnLog over the batches
+// joined, byte for byte.
+type ConnLogWriter struct {
+	w      io.Writer
+	buf    []byte
+	rows   int // rows written: the next row's uid
+	header bool
+}
+
+// NewConnLogWriter returns a writer of a new section on w.
+func NewConnLogWriter(w io.Writer) *ConnLogWriter {
+	return &ConnLogWriter{w: w, buf: make([]byte, 0, connLogBuf)}
+}
+
+// Log writes conns, in order, as the section's next rows, after the
+// header on the first call, which may pass none. Each call hands
+// everything it rendered to the underlying writer before it returns.
+func (cw *ConnLogWriter) Log(conns []*Connection) error {
+	if !cw.header {
+		cw.buf, cw.header = append(cw.buf, connLogHeader...), true
 	}
-	line := make([]byte, 0, 256)
-	for i, c := range conns {
-		line = appendConnLogLine(line[:0], i, c)
-		if _, err := bw.Write(line); err != nil {
-			return err
+	for _, c := range conns {
+		cw.buf = appendConnLogLine(cw.buf, cw.rows, c)
+		cw.rows++
+		if len(cw.buf) >= connLogFlush {
+			if err := cw.flush(); err != nil {
+				return err
+			}
 		}
 	}
-	return bw.Flush()
+	return cw.flush()
+}
+
+func (cw *ConnLogWriter) flush() error {
+	if len(cw.buf) == 0 {
+		return nil
+	}
+	_, err := cw.w.Write(cw.buf)
+	cw.buf = cw.buf[:0]
+	return err
 }
 
 // appendConnLogLine appends connection c's row, the i-th of its log:

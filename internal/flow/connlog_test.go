@@ -2,10 +2,12 @@ package flow
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"lumen/internal/dataset"
 	"lumen/internal/netpkt"
 )
 
@@ -29,6 +31,35 @@ func TestWriteConnLog(t *testing.T) {
 		if !strings.Contains(row, want) {
 			t.Errorf("row missing %q: %s", want, row)
 		}
+	}
+}
+
+// TestConnLogWriterBatches: a section written a batch at a time, the
+// first batch empty, equals WriteConnLog over the batches joined, and a
+// section of no connection is its header.
+func TestConnLogWriterBatches(t *testing.T) {
+	f1, _ := dataset.Get("F1")
+	conns := Connections(f1.Generate(0.5).Packets, Options{})
+	var want bytes.Buffer
+	if err := WriteConnLog(&want, conns); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var got bytes.Buffer
+	w := NewConnLogWriter(&got)
+	for lo := 0; lo < len(conns); {
+		hi := min(lo+rng.Intn(300), len(conns))
+		if err := w.Log(conns[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		lo = hi
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("a section logged in batches differs from WriteConnLog over %d connections", len(conns))
+	}
+	got.Reset()
+	if err := NewConnLogWriter(&got).Log(nil); err != nil || got.String() != connLogHeader {
+		t.Errorf("an empty section is %q (%v), want the header", got.String(), err)
 	}
 }
 

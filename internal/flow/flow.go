@@ -162,26 +162,20 @@ func (o Options) idle() time.Duration {
 // UniflowAssembler, so batch and incremental assembly cannot diverge.
 func Uniflows(pkts []*netpkt.Packet, opts Options) []*Uniflow {
 	a := NewUniflowAssembler(opts)
-	var done []*Uniflow
 	for _, p := range pkts {
-		done = append(done, a.Add(p)...)
+		a.Add(p)
 	}
-	done = append(done, a.Flush()...)
-	SortUniflows(done)
-	return done
+	return a.ReleaseAll(nil)
 }
 
 // Connections groups packets into bidirectional connections with
 // Zeek-style state tracking. It is the batch driver of ConnAssembler.
 func Connections(pkts []*netpkt.Packet, opts Options) []*Connection {
 	a := NewConnAssembler(opts)
-	var done []*Connection
 	for _, p := range pkts {
-		done = append(done, a.Add(p)...)
+		a.Add(p)
 	}
-	done = append(done, a.Flush()...)
-	SortConnections(done)
-	return done
+	return a.ReleaseAll(nil)
 }
 
 // finalize assigns the Zeek-style connection state.

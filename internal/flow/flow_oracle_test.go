@@ -249,8 +249,9 @@ func randomStream(rng *rand.Rand, n int, idle time.Duration) []netpkt.PacketSumm
 }
 
 // TestSweepMatchesTableScan: on time-ordered streams the list-ordered
-// sweep evicts, packet by packet, exactly the batches (members and order)
-// the whole-table scan does, and flushes the same remainder.
+// sweep evicts, packet by packet, exactly the batches the whole-table
+// scan does (Feed returns them unordered, so both are compared in
+// canonical order), and flushes the same remainder.
 func TestSweepMatchesTableScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		idle := []time.Duration{64 * time.Second, 3 * time.Second}[seed%2]
@@ -264,8 +265,10 @@ func TestSweepMatchesTableScan(t *testing.T) {
 		for i := range stream {
 			at := fmt.Sprintf("seed %d packet %d", seed, i)
 			s := &stream[i]
-			got := ua.Feed(s)
-			gotc := ca.Feed(s)
+			got := append([]*Uniflow(nil), ua.Feed(s)...)
+			gotc := append([]*Connection(nil), ca.Feed(s)...)
+			SortUniflows(got)
+			SortConnections(gotc)
 			if s.HasTuple {
 				// Attach the stat as a stats-keeping caller does.
 				ua.Newest().AddStat(StatOf(s), &slab)
