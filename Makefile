@@ -139,7 +139,8 @@ config-check:
 # fuzz-smoke gives each fuzz target a short budget on top of its seed
 # corpus. Go runs one -fuzz pattern per invocation, so each target gets
 # its own line; what each one holds:
-#   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == eager Decode (netpkt/view_fuzz_test.go)
+#   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == eager Decode: Materialize, and DNS()/HTTP()/MQTT() value for value,
+#                        at every decode hint (netpkt/view_fuzz_test.go)
 #   FuzzUnmarshalModel   error, or a model that scores without panicking (mlkit/persist_fuzz_test.go);
 #                        minimization capped: shrinking a multi-kilobyte envelope would eat the budget
 #   FuzzFeedFrame        the in-place slab framer: error, or exactly the bytes a length prefix in [8, MaxFrameBytes] announced, clean end

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"testing"
 
@@ -189,9 +192,12 @@ func TestStreamHooksReceiveViews(t *testing.T) {
 }
 
 // TestStreamLazyViewsAllocs pins the allocation budget of the columnar
-// view path: a steady-state test pass over a pooled pcap source must
-// stay within 2 allocations per packet (materializing layer structs
-// alone would cost 5+).
+// view path: a steady-state test pass over a pooled pcap source, read
+// through a buffered reader and memory-mapped, with header fields only
+// and with A05's 27 fields (DNS, HTTP and MQTT among them, which decode
+// in place), stays within about twice what it measures on this
+// 324-packet trace: ~1.3 a packet buffered (capped at 2), 0.19 and 0.29
+// mapped, nearly all of it per-pass and per-chunk objects.
 func TestStreamLazyViewsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; allocation thresholds do not hold")
@@ -199,40 +205,76 @@ func TestStreamLazyViewsAllocs(t *testing.T) {
 	spec, _ := dataset.Get("P0")
 	ds := spec.Generate(0.1)
 	raw := captureBytes(t, ds)
-	p := &Pipeline{
-		Name:        "stream-allocs",
-		Granularity: "packet",
-		Ops: []OpSpec{
-			{Func: "field_extract", Input: []string{InputName}, Output: "X",
-				Params: map[string]any{"fields": []any{"len", "ttl", "dst_port"}}},
-			{Func: "model", Output: "m", Params: map[string]any{"model_type": "decision_tree", "max_depth": 6}},
-			{Func: "train", Input: []string{"m", "X"}, Output: "fit"},
-		},
-	}
-	eng := NewEngine(p)
-	eng.Seed = 7
-	if err := eng.Train(ds); err != nil {
+	path := filepath.Join(t.TempDir(), "p0.pcap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
-	if err != nil {
-		t.Fatal(err)
+	headers := []any{"len", "ttl", "dst_port"}
+	a05 := []any{
+		"len", "payload_len", "ttl", "ip_id", "ip_tos", "proto",
+		"src_port", "dst_port", "tcp_flags", "tcp_window",
+		"udp_len", "icmp_type", "icmp_code", "is_arp", "is_tcp",
+		"is_udp", "is_icmp", "dns_qr", "dns_qd", "iat",
+		"is_http", "http_is_req", "http_path_len", "http_body_len",
+		"is_mqtt", "mqtt_type", "mqtt_topic_len",
 	}
-	cfg := StreamConfig{ChunkRows: 512}
-	pass := func() {
-		if _, err := eng.RunStream(src, ModeTest, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Reset(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pass() // warm the pools
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	perRun := testing.AllocsPerRun(3, pass)
-	perPkt := perRun / float64(len(ds.Packets))
-	t.Logf("%.0f allocs/run over %d packets = %.2f allocs/packet", perRun, len(ds.Packets), perPkt)
-	if perPkt > 2 {
-		t.Errorf("lazy columnar path allocates %.2f/packet, budget is 2", perPkt)
+	for _, tc := range []struct {
+		name   string
+		mapped bool
+		fields []any
+		budget float64
+	}{
+		{"buffered/headers", false, headers, 2},
+		{"buffered/a05", false, a05, 2},
+		{"mapped/headers", true, headers, 0.4},
+		{"mapped/a05", true, a05, 0.6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rs io.ReadSeeker = bytes.NewReader(raw)
+			if tc.mapped {
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				rs = f
+			}
+			p := &Pipeline{
+				Name:        "stream-allocs",
+				Granularity: "packet",
+				Ops: []OpSpec{
+					{Func: "field_extract", Input: []string{InputName}, Output: "X",
+						Params: map[string]any{"fields": tc.fields}},
+					{Func: "model", Output: "m", Params: map[string]any{"model_type": "decision_tree", "max_depth": 6}},
+					{Func: "train", Input: []string{"m", "X"}, Output: "fit"},
+				},
+			}
+			eng := NewEngine(p)
+			eng.Seed = 7
+			if err := eng.Train(ds); err != nil {
+				t.Fatal(err)
+			}
+			src, err := dataset.NewPcapSource(path, rs, dataset.Packet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := StreamConfig{ChunkRows: 512}
+			pass := func() {
+				if _, err := eng.RunStream(src, ModeTest, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := src.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // warm the pools
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			perRun := testing.AllocsPerRun(3, pass)
+			perPkt := perRun / float64(len(ds.Packets))
+			t.Logf("%.0f allocs/run over %d packets = %.3f allocs/packet", perRun, len(ds.Packets), perPkt)
+			if perPkt > tc.budget {
+				t.Errorf("lazy columnar path allocates %.3f/packet, budget is %g", perPkt, tc.budget)
+			}
+		})
 	}
 }

@@ -252,7 +252,7 @@ func TestBenignTelemetryDecodesAsMQTT(t *testing.T) {
 	for i, p := range ds.Packets {
 		if ds.Attacks[i] == "" && p.MQTT != nil && p.MQTT.Type == netpkt.MQTTPublish {
 			mqtt++
-			if p.MQTT.Topic == "" {
+			if len(p.MQTT.Topic) == 0 {
 				t.Error("benign PUBLISH without a topic")
 			}
 		}
@@ -269,7 +269,7 @@ func TestBenignFirmwareChecksDecodeAsHTTP(t *testing.T) {
 	for i, p := range ds.Packets {
 		if ds.Attacks[i] == "" && p.HTTP != nil && p.HTTP.IsRequest {
 			reqs++
-			if p.HTTP.Method != "GET" {
+			if string(p.HTTP.Method) != "GET" {
 				t.Errorf("benign firmware check method = %q", p.HTTP.Method)
 			}
 		}

@@ -1,24 +1,33 @@
 package netpkt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
+
+// parseHTTP, parseMQTT and parseDNS run the in-place decoders into a
+// fresh value.
+func parseHTTP(b []byte) (h HTTP, ok bool) { return h, decodeHTTP(b, &h, true) }
+func parseMQTT(b []byte) (m MQTT, ok bool) { return m, decodeMQTT(b, &m) }
+func parseDNS(b []byte) (d DNS, ok bool)   { return d, decodeDNS(b, &d) }
 
 func TestHTTPRequestDecode(t *testing.T) {
 	b := EncodeHTTPRequest("GET", "/fw/check?v=2", "fw.example.com", 0)
-	h, ok := decodeHTTP(b)
+	h, ok := parseHTTP(b)
 	if !ok {
 		t.Fatal("decode failed")
 	}
-	if !h.IsRequest || h.Method != "GET" || h.Path != "/fw/check?v=2" {
+	if !h.IsRequest || string(h.Method) != "GET" || string(h.Path) != "/fw/check?v=2" {
 		t.Fatalf("request mismatch: %+v", h)
 	}
-	if h.Host != "fw.example.com" {
+	if string(h.Host) != "fw.example.com" {
 		t.Errorf("host = %q", h.Host)
 	}
-	if h.UserAgent != "iot-device/1.0" {
+	if string(h.UserAgent) != "iot-device/1.0" {
 		t.Errorf("user-agent = %q", h.UserAgent)
 	}
 	if h.ContentLength != -1 {
@@ -28,15 +37,15 @@ func TestHTTPRequestDecode(t *testing.T) {
 
 func TestHTTPPostWithBody(t *testing.T) {
 	b := EncodeHTTPRequest("POST", "/data", "h", 42)
-	h, ok := decodeHTTP(b)
-	if !ok || h.Method != "POST" || h.ContentLength != 42 {
+	h, ok := parseHTTP(b)
+	if !ok || string(h.Method) != "POST" || h.ContentLength != 42 {
 		t.Fatalf("post mismatch: %+v ok=%v", h, ok)
 	}
 }
 
 func TestHTTPResponseDecode(t *testing.T) {
 	b := EncodeHTTPResponse(404, 10)
-	h, ok := decodeHTTP(b)
+	h, ok := parseHTTP(b)
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -55,16 +64,34 @@ func TestHTTPRejectsNonHTTP(t *testing.T) {
 		{0x30, 0x0c, 0x00, 0x01, 0xff},
 	}
 	for i, c := range cases {
-		if h, ok := decodeHTTP(c); ok {
+		if h, ok := parseHTTP(c); ok {
 			t.Errorf("case %d decoded as HTTP: %+v", i, h)
+		}
+	}
+}
+
+// TestHeaderKeyFoldIsASCII holds keyIs to bytes.ToLower: no non-ASCII
+// rune lowercases to a letter of the header keys decodeHTTP matches.
+func TestHeaderKeyFoldIsASCII(t *testing.T) {
+	for r := rune(utf8.RuneSelf); r <= unicode.MaxRune; r++ {
+		if l := unicode.ToLower(r); l < utf8.RuneSelf && strings.ContainsRune("host user-agent content-length", l) {
+			t.Errorf("%U lowercases to %q", r, l)
+		}
+	}
+	for _, k := range []string{"HOST", "Host", "hoſt", "Ho\u212at", "USER-agent", "user\ragent", "Content-Length"} {
+		want := strings.ToLower(k)
+		for _, key := range []string{"host", "user-agent", "content-length"} {
+			if got := keyIs([]byte(k), key); got != (want == key) {
+				t.Errorf("keyIs(%q, %q) = %v, ToLower gives %q", k, key, got, want)
+			}
 		}
 	}
 }
 
 func TestHTTPDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		decodeHTTP(b)
-		decodeMQTT(b)
+		parseHTTP(b)
+		parseMQTT(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -74,11 +101,11 @@ func TestHTTPDecodeNeverPanics(t *testing.T) {
 
 func TestMQTTPublishRoundTrip(t *testing.T) {
 	b := EncodeMQTTPublish("home/sensor0/temp", 12)
-	m, ok := decodeMQTT(b)
+	m, ok := parseMQTT(b)
 	if !ok {
 		t.Fatal("decode failed")
 	}
-	if m.Type != MQTTPublish || m.Topic != "home/sensor0/temp" {
+	if m.Type != MQTTPublish || string(m.Topic) != "home/sensor0/temp" {
 		t.Fatalf("publish mismatch: %+v", m)
 	}
 	if m.Remaining != 2+17+12 {
@@ -91,27 +118,27 @@ func TestMQTTPublishRoundTrip(t *testing.T) {
 
 func TestMQTTConnectDecode(t *testing.T) {
 	b := EncodeMQTTConnect("plug-3")
-	m, ok := decodeMQTT(b)
+	m, ok := parseMQTT(b)
 	if !ok || m.Type != MQTTConnect {
 		t.Fatalf("connect mismatch: %+v ok=%v", m, ok)
 	}
 }
 
 func TestMQTTRejectsGarbage(t *testing.T) {
-	if _, ok := decodeMQTT([]byte{0x00, 0x00}); ok { // type 0 invalid
+	if _, ok := parseMQTT([]byte{0x00, 0x00}); ok { // type 0 invalid
 		t.Error("type 0 should be rejected")
 	}
-	if _, ok := decodeMQTT([]byte{0xf0}); ok { // too short
+	if _, ok := parseMQTT([]byte{0xf0}); ok { // too short
 		t.Error("1-byte input should be rejected")
 	}
-	if _, ok := decodeMQTT([]byte{0x36, 0x02}); ok { // QoS 3 invalid
+	if _, ok := parseMQTT([]byte{0x36, 0x02}); ok { // QoS 3 invalid
 		t.Error("QoS 3 should be rejected")
 	}
 }
 
 func TestMQTTLongRemainingLength(t *testing.T) {
 	b := EncodeMQTTPublish("t", 300) // remaining > 127 -> two length bytes
-	m, ok := decodeMQTT(b)
+	m, ok := parseMQTT(b)
 	if !ok || m.Remaining != 2+1+300 {
 		t.Fatalf("long remaining mismatch: %+v ok=%v", m, ok)
 	}
@@ -129,7 +156,7 @@ func TestAppLayerDecodedThroughPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Decode(raw, LinkEthernet, time.Time{})
-	if q.HTTP == nil || q.HTTP.Method != "GET" {
+	if q.HTTP == nil || string(q.HTTP.Method) != "GET" {
 		t.Fatalf("HTTP layer not decoded through packet: %+v", q.HTTP)
 	}
 
@@ -144,7 +171,7 @@ func TestAppLayerDecodedThroughPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2 := Decode(raw2, LinkEthernet, time.Time{})
-	if q2.MQTT == nil || q2.MQTT.Topic != "a/b" {
+	if q2.MQTT == nil || string(q2.MQTT.Topic) != "a/b" {
 		t.Fatalf("MQTT layer not decoded through packet: %+v", q2.MQTT)
 	}
 }

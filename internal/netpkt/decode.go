@@ -229,15 +229,15 @@ func (p *Packet) DecodeAppLayer() { p.decodeApp() }
 func (p *Packet) decodeApp() {
 	switch {
 	case p.UDP != nil && (p.UDP.SrcPort == 53 || p.UDP.DstPort == 53):
-		if d, ok := decodeDNS(p.Payload); ok {
+		if d := new(DNS); decodeDNS(p.Payload, d) {
 			p.DNS = d
 		}
 	case p.TCP != nil && portIs(p.TCP, 80, 8080):
-		if h, ok := decodeHTTP(p.Payload); ok {
+		if h := new(HTTP); decodeHTTP(p.Payload, h, true) {
 			p.HTTP = h
 		}
 	case p.TCP != nil && portIs(p.TCP, 1883, 8883):
-		if m, ok := decodeMQTT(p.Payload); ok {
+		if m := new(MQTT); decodeMQTT(p.Payload, m) {
 			p.MQTT = m
 		}
 	}

@@ -2,9 +2,9 @@ package netpkt
 
 import "encoding/binary"
 
-// DNS is a minimally-decoded DNS message: header plus question names,
-// which is what the IoT feature pipelines (e.g. the Ensemble algorithm's
-// DNS features) consume.
+// DNS is a minimally-decoded DNS message: the header, which is what the
+// IoT feature pipelines (e.g. the Ensemble algorithm's DNS features)
+// consume, plus the question section, kept as a subslice of the payload.
 type DNS struct {
 	ID      uint16
 	QR      bool // response?
@@ -12,63 +12,53 @@ type DNS struct {
 	RCode   uint8
 	QDCount uint16
 	ANCount uint16
-	Names   []string
+
+	questions []byte
 }
 
-// decodeDNS parses a DNS message; ok is false on malformed input.
-func decodeDNS(b []byte) (*DNS, bool) {
+// decodeDNS parses a DNS message into d; ok is false on malformed input.
+func decodeDNS(b []byte, d *DNS) bool {
 	if len(b) < 12 {
-		return nil, false
+		return false
 	}
-	d := &DNS{
-		ID:      binary.BigEndian.Uint16(b[0:2]),
-		QR:      b[2]&0x80 != 0,
-		Opcode:  (b[2] >> 3) & 0x0f,
-		RCode:   b[3] & 0x0f,
-		QDCount: binary.BigEndian.Uint16(b[4:6]),
-		ANCount: binary.BigEndian.Uint16(b[6:8]),
+	*d = DNS{
+		ID:        binary.BigEndian.Uint16(b[0:2]),
+		QR:        b[2]&0x80 != 0,
+		Opcode:    (b[2] >> 3) & 0x0f,
+		RCode:     b[3] & 0x0f,
+		QDCount:   binary.BigEndian.Uint16(b[4:6]),
+		ANCount:   binary.BigEndian.Uint16(b[6:8]),
+		questions: b[12:],
 	}
-	off := 12
-	for q := 0; q < int(d.QDCount) && q < 16; q++ {
-		name, next, ok := decodeName(b, off)
-		if !ok {
-			return d, true // header still useful
-		}
-		d.Names = append(d.Names, name)
-		off = next + 4 // skip qtype+qclass
-		if off > len(b) {
-			break
-		}
-	}
-	return d, true
+	return true
 }
 
-// decodeName reads an uncompressed DNS name starting at off.
-func decodeName(b []byte, off int) (name string, next int, ok bool) {
-	var out []byte
-	for {
+// Names builds the dotted question names on each call: at most 16, up
+// to the first name that is truncated or compressed (our encoder never
+// compresses).
+func (d *DNS) Names() []string {
+	var names []string
+	b, off := d.questions, 0
+	for q := 0; q < int(d.QDCount) && q < 16 && off <= len(b); q++ {
+		var name []byte
+		for off < len(b) && b[off] != 0 {
+			l := int(b[off])
+			if l >= 0xc0 || off+1+l > len(b) {
+				return names
+			}
+			if len(name) > 0 {
+				name = append(name, '.')
+			}
+			name = append(name, b[off+1:off+1+l]...)
+			off += 1 + l
+		}
 		if off >= len(b) {
-			return "", 0, false
+			return names // no terminating zero label
 		}
-		l := int(b[off])
-		if l == 0 {
-			off++
-			break
-		}
-		if l >= 0xc0 { // compression pointers not produced by our encoder
-			return "", 0, false
-		}
-		off++
-		if off+l > len(b) {
-			return "", 0, false
-		}
-		if len(out) > 0 {
-			out = append(out, '.')
-		}
-		out = append(out, b[off:off+l]...)
-		off += l
+		names = append(names, string(name))
+		off += 5 // the zero label, qtype and qclass
 	}
-	return string(out), off, true
+	return names
 }
 
 // EncodeDNSQuery builds a simple one-question DNS query payload (A record,

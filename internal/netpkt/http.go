@@ -8,104 +8,98 @@ import (
 // HTTP is a minimally-decoded HTTP message: the request line or status
 // line plus a few headers the IoT feature pipelines look at. IoT IDS
 // features built on HTTP (e.g. the Ensemble algorithm's HTTP group, the
-// web-attack detectors) consume exactly these fields.
+// web-attack detectors) consume exactly these fields. The text fields
+// are subslices of the payload, as Packet.Payload is of Data.
 type HTTP struct {
 	IsRequest bool
-	Method    string // requests
-	Path      string // requests
+	Method    []byte // requests
+	Path      []byte // requests
 	Status    int    // responses
-	Host      string
-	UserAgent string
+	Host      []byte
+	UserAgent []byte
 	// ContentLength is -1 when absent.
 	ContentLength int
 }
 
-var httpMethods = [][]byte{
-	[]byte("GET"), []byte("POST"), []byte("PUT"), []byte("DELETE"),
-	[]byte("HEAD"), []byte("OPTIONS"), []byte("PATCH"),
-}
-
-// decodeHTTP parses the start of a TCP payload as an HTTP message; ok is
-// false when it does not look like HTTP.
-func decodeHTTP(b []byte) (*HTTP, bool) {
+// decodeHTTP parses the start of a TCP payload as an HTTP message into
+// h; ok is false when it does not look like HTTP, which the start line
+// alone decides. Without headers it leaves Host, UserAgent and
+// ContentLength unset.
+func decodeHTTP(b []byte, h *HTTP, headers bool) bool {
 	if len(b) < 5 {
-		return nil, false
+		return false
 	}
-	lineEnd := bytes.IndexByte(b, '\n')
-	if lineEnd < 0 {
-		lineEnd = len(b)
+	line, block, _ := bytes.Cut(b, []byte("\n"))
+	line = bytes.TrimRight(line, "\r")
+	*h = HTTP{ContentLength: -1}
+	first, rest, ok := bytes.Cut(line, []byte(" "))
+	if !ok {
+		return false
 	}
-	line := bytes.TrimRight(b[:lineEnd], "\r")
-	h := &HTTP{ContentLength: -1}
-	switch {
-	case bytes.HasPrefix(line, []byte("HTTP/")):
+	second, third, ok := bytes.Cut(rest, []byte(" "))
+	if bytes.HasPrefix(line, []byte("HTTP/")) {
 		// Status line: HTTP/1.1 200 OK
-		parts := bytes.SplitN(line, []byte(" "), 3)
-		if len(parts) < 2 {
-			return nil, false
-		}
-		code, err := strconv.Atoi(string(parts[1]))
+		code, err := strconv.Atoi(string(second))
 		if err != nil || code < 100 || code > 599 {
-			return nil, false
+			return false
 		}
 		h.Status = code
-	default:
+	} else {
 		// Request line: METHOD /path HTTP/1.1
-		parts := bytes.SplitN(line, []byte(" "), 3)
-		if len(parts) != 3 || !bytes.HasPrefix(parts[2], []byte("HTTP/")) {
-			return nil, false
+		if !ok || !bytes.HasPrefix(third, []byte("HTTP/")) {
+			return false
 		}
-		okMethod := false
-		for _, m := range httpMethods {
-			if bytes.Equal(parts[0], m) {
-				okMethod = true
-				break
-			}
+		switch string(first) {
+		case "GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH":
+		default:
+			return false
 		}
-		if !okMethod {
-			return nil, false
-		}
-		h.IsRequest = true
-		h.Method = string(parts[0])
-		h.Path = string(parts[1])
+		h.IsRequest, h.Method, h.Path = true, first, second
 	}
 	// Scan a few headers.
-	rest := b
-	if lineEnd < len(b) {
-		rest = b[lineEnd+1:]
-	} else {
-		rest = nil
-	}
-	for len(rest) > 0 {
-		eol := bytes.IndexByte(rest, '\n')
+	for headers && len(block) > 0 {
 		var hl []byte
-		if eol < 0 {
-			hl, rest = rest, nil
-		} else {
-			hl, rest = rest[:eol], rest[eol+1:]
-		}
+		hl, block, _ = bytes.Cut(block, []byte("\n"))
 		hl = bytes.TrimRight(hl, "\r")
 		if len(hl) == 0 {
 			break // end of headers
 		}
-		colon := bytes.IndexByte(hl, ':')
-		if colon < 0 {
+		key, val, ok := bytes.Cut(hl, []byte(":"))
+		if !ok {
 			continue
 		}
-		key := string(bytes.ToLower(bytes.TrimSpace(hl[:colon])))
-		val := string(bytes.TrimSpace(hl[colon+1:]))
-		switch key {
-		case "host":
+		key, val = bytes.TrimSpace(key), bytes.TrimSpace(val)
+		switch {
+		case keyIs(key, "host"):
 			h.Host = val
-		case "user-agent":
+		case keyIs(key, "user-agent"):
 			h.UserAgent = val
-		case "content-length":
-			if n, err := strconv.Atoi(val); err == nil {
+		case keyIs(key, "content-length"):
+			if n, err := strconv.Atoi(string(val)); err == nil {
 				h.ContentLength = n
 			}
 		}
 	}
-	return h, true
+	return true
+}
+
+// keyIs reports whether a header key equals the lower-case key under
+// ASCII case folding. For the keys decodeHTTP asks about this is exactly
+// bytes.ToLower(b) == key: the only other runes Unicode lowercases to
+// ASCII are U+0130 (to 'i') and U+212A (to 'k'), and no key has either.
+func keyIs(b []byte, key string) bool {
+	if len(b) != len(key) {
+		return false
+	}
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != key[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // EncodeHTTPRequest builds a simple HTTP/1.1 request payload for the

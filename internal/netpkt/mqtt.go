@@ -43,34 +43,35 @@ func (t MQTTType) String() string {
 }
 
 // MQTT is a minimally-decoded MQTT fixed header plus the topic of
-// PUBLISH packets — what IoT telemetry feature pipelines key on.
+// PUBLISH packets — what IoT telemetry feature pipelines key on. Topic
+// is a subslice of the payload.
 type MQTT struct {
 	Type      MQTTType
 	QoS       uint8
 	Retain    bool
 	Remaining int
-	Topic     string // PUBLISH only
+	Topic     []byte // PUBLISH only
 }
 
-// decodeMQTT parses an MQTT control packet from a TCP payload; ok is
-// false when the bytes do not look like MQTT.
-func decodeMQTT(b []byte) (*MQTT, bool) {
+// decodeMQTT parses an MQTT control packet from a TCP payload into m;
+// ok is false when the bytes do not look like MQTT.
+func decodeMQTT(b []byte, m *MQTT) bool {
 	if len(b) < 2 {
-		return nil, false
+		return false
 	}
-	m := &MQTT{
+	*m = MQTT{
 		Type:   MQTTType(b[0] >> 4),
 		QoS:    (b[0] >> 1) & 0x03,
 		Retain: b[0]&0x01 != 0,
 	}
 	if m.Type < MQTTConnect || m.Type > MQTTDisconnect || m.QoS == 3 {
-		return nil, false
+		return false
 	}
 	// Variable-length remaining length (up to 4 bytes).
 	rem, mult, i := 0, 1, 1
 	for {
 		if i >= len(b) || i > 4 {
-			return nil, false
+			return false
 		}
 		digit := int(b[i])
 		rem += (digit & 0x7f) * mult
@@ -84,10 +85,10 @@ func decodeMQTT(b []byte) (*MQTT, bool) {
 	if m.Type == MQTTPublish && i+2 <= len(b) {
 		tl := int(b[i])<<8 | int(b[i+1])
 		if i+2+tl <= len(b) && tl > 0 && tl < 256 {
-			m.Topic = string(b[i+2 : i+2+tl])
+			m.Topic = b[i+2 : i+2+tl]
 		}
 	}
-	return m, true
+	return true
 }
 
 // EncodeMQTTPublish builds a PUBLISH packet payload for the simulator.

@@ -83,14 +83,14 @@ func TestUDPDNSRoundTrip(t *testing.T) {
 	if q.DNS.ID != 7 || q.DNS.QR || q.DNS.QDCount != 1 {
 		t.Fatalf("dns header mismatch: %+v", q.DNS)
 	}
-	if len(q.DNS.Names) != 1 || q.DNS.Names[0] != "camera.iot.example.com" {
-		t.Fatalf("dns names mismatch: %v", q.DNS.Names)
+	if names := q.DNS.Names(); len(names) != 1 || names[0] != "camera.iot.example.com" {
+		t.Fatalf("dns names mismatch: %v", names)
 	}
 }
 
 func TestDNSResponseFlag(t *testing.T) {
 	b := EncodeDNSQuery(9, "a.b", true)
-	d, ok := decodeDNS(b)
+	d, ok := parseDNS(b)
 	if !ok || !d.QR || d.ANCount != 1 {
 		t.Fatalf("response decode mismatch: %+v ok=%v", d, ok)
 	}

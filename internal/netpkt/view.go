@@ -4,10 +4,12 @@ package netpkt
 // on the raw record bytes (typically a subslice of an mmap'ed capture)
 // and decodes layers on first touch: L2–L4 headers in one inline pass
 // into value fields (no per-layer pointer allocations), DNS/HTTP/MQTT
-// only when an accessor actually asks. Every accessor mirrors the eager
-// Decode semantics bit for bit — Materialize() must equal
-// Decode(Data, Link, Ts) for any input, and the differential fuzz
-// targets in view_fuzz_test.go hold it to that.
+// only when an accessor actually asks, in place over the payload (the
+// app pass keeps a presence bit each, and HTTP's header fields). Every
+// accessor mirrors the eager Decode semantics bit for bit —
+// Materialize() must equal Decode(Data, Link, Ts) for any input, each
+// app accessor Decode's layer, and the differential fuzz targets in
+// view_fuzz_test.go hold it to that.
 
 import (
 	"encoding/binary"
@@ -28,6 +30,9 @@ const (
 	vUDP
 	vICMP
 	vDot11
+	vDNS
+	vHTTP
+	vMQTT
 )
 
 // AppMask selects application-layer protocols in a DecodeHint.
@@ -106,9 +111,10 @@ type PacketView struct {
 	icmp  ICMP
 	dot11 Dot11
 
-	dns  *DNS
-	http *HTTP
-	mqtt *MQTT
+	// httpHost, httpUA and httpLen are the HTTP header fields, kept by
+	// the app pass so that HTTP() rescans only the start line.
+	httpHost, httpUA paySpan
+	httpLen          int
 }
 
 // Reset re-points the view at a new record, clearing all decoded state.
@@ -195,22 +201,75 @@ func (v *PacketView) Dot11() (*Dot11, bool) {
 	return &v.dot11, v.flags&vDot11 != 0
 }
 
-// DNS returns the DNS message, forcing the app-layer pass.
-func (v *PacketView) DNS() (*DNS, bool) {
-	v.ensureApp()
-	return v.dns, v.dns != nil
+// DNS returns the DNS message, forcing the app-layer pass, which only
+// records whether there is one: each call decodes it in place again.
+// It aliases Data, like Payload. Once the pass has run, a packet
+// without the layer costs one inlined flag test.
+func (v *PacketView) DNS() (DNS, bool) {
+	if v.flags&(vApp|vDNS) == vApp {
+		return DNS{}, false
+	}
+	return v.dns()
 }
 
-// HTTP returns the HTTP message, forcing the app-layer pass.
-func (v *PacketView) HTTP() (*HTTP, bool) {
-	v.ensureApp()
-	return v.http, v.http != nil
+// HTTP returns the HTTP message (see DNS). The app pass keeps its
+// header fields, so a call rescans only the start line.
+func (v *PacketView) HTTP() (HTTP, bool) {
+	if v.flags&(vApp|vHTTP) == vApp {
+		return HTTP{}, false
+	}
+	return v.http()
 }
 
-// MQTT returns the MQTT message, forcing the app-layer pass.
-func (v *PacketView) MQTT() (*MQTT, bool) {
+// MQTT returns the MQTT message (see DNS).
+func (v *PacketView) MQTT() (MQTT, bool) {
+	if v.flags&(vApp|vMQTT) == vApp {
+		return MQTT{}, false
+	}
+	return v.mqtt()
+}
+
+// dns, http and mqtt are the accessors' out-of-line halves: the app
+// pass if it has not run, then the decode.
+func (v *PacketView) dns() (d DNS, ok bool) {
 	v.ensureApp()
-	return v.mqtt, v.mqtt != nil
+	ok = v.flags&vDNS != 0 && decodeDNS(v.Payload(), &d)
+	return d, ok
+}
+
+func (v *PacketView) http() (h HTTP, ok bool) {
+	v.ensureApp()
+	if v.flags&vHTTP == 0 {
+		return h, false
+	}
+	pay := v.Payload()
+	decodeHTTP(pay, &h, false)
+	h.Host, h.UserAgent, h.ContentLength = v.httpHost.in(pay), v.httpUA.in(pay), v.httpLen
+	return h, true
+}
+
+func (v *PacketView) mqtt() (m MQTT, ok bool) {
+	v.ensureApp()
+	ok = v.flags&vMQTT != 0 && decodeMQTT(v.Payload(), &m)
+	return m, ok
+}
+
+// paySpan is a subslice of the payload (the offset of s within pay,
+// which it must be a subslice of) and its length, -1 for a nil slice.
+type paySpan struct{ off, n int32 }
+
+func spanOf(pay, s []byte) paySpan {
+	if s == nil {
+		return paySpan{0, -1}
+	}
+	return paySpan{int32(cap(pay) - cap(s)), int32(len(s))}
+}
+
+func (s paySpan) in(pay []byte) []byte {
+	if s.n < 0 {
+		return nil
+	}
+	return pay[s.off : s.off+s.n]
 }
 
 // Payload returns the application payload region of Data. Like
@@ -328,11 +387,11 @@ func (v *PacketView) Summary() PacketSummary {
 
 // Materialize eagerly decodes everything and returns the equivalent
 // Packet — exactly what Decode(Data, Link, Ts) would have produced.
-// Layer structs are copied, so the Packet does not alias view state
-// (its Data and Payload still alias the raw bytes, like Decode's).
+// Layer structs are copied and the app layers decoded afresh, so the
+// Packet does not alias view state (its Data, Payload and app-layer
+// text still alias the raw bytes, like Decode's).
 func (v *PacketView) Materialize() *Packet {
 	v.ensureHeaders()
-	v.ensureApp()
 	p := &Packet{Ts: v.Ts, Link: v.Link, Data: v.Data, TruncatedLayer: v.trunc}
 	if v.flags&vEth != 0 {
 		e := v.eth
@@ -368,8 +427,8 @@ func (v *PacketView) Materialize() *Packet {
 	}
 	if v.flags&vPay != 0 {
 		p.Payload = v.Data[v.payOff:v.payEnd]
+		p.decodeApp()
 	}
-	p.DNS, p.HTTP, p.MQTT = v.dns, v.http, v.mqtt
 	return p
 }
 
@@ -614,16 +673,18 @@ func (v *PacketView) ensureApp() {
 	pay := v.Data[v.payOff:v.payEnd]
 	switch v.appGate() {
 	case AppDNS:
-		if d, ok := decodeDNS(pay); ok {
-			v.dns = d
+		if decodeDNS(pay, new(DNS)) {
+			v.flags |= vDNS
 		}
 	case AppHTTP:
-		if h, ok := decodeHTTP(pay); ok {
-			v.http = h
+		var h HTTP
+		if decodeHTTP(pay, &h, true) {
+			v.flags |= vHTTP
+			v.httpHost, v.httpUA, v.httpLen = spanOf(pay, h.Host), spanOf(pay, h.UserAgent), h.ContentLength
 		}
 	case AppMQTT:
-		if m, ok := decodeMQTT(pay); ok {
-			v.mqtt = m
+		if decodeMQTT(pay, new(MQTT)) {
+			v.flags |= vMQTT
 		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 )
 
 // fuzzViewAgainstDecode is the shared differential property: for any
-// input bytes, the lazy view must never panic and must materialize to
-// exactly the packet the eager decoder builds, at every predecode depth.
+// input bytes, the lazy view must never panic, must materialize to
+// exactly the packet the eager decoder builds, and its own app-layer
+// accessors must return Decode's DNS, HTTP and MQTT layers value for
+// value, at every predecode depth.
 func fuzzViewAgainstDecode(t *testing.T, data []byte, link LinkType) {
 	ts := time.Unix(1700000000, 0)
 	want := Decode(data, link, ts)
@@ -25,6 +27,15 @@ func fuzzViewAgainstDecode(t *testing.T, data []byte, link LinkType) {
 		got := v.Materialize()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("hint %+v: view and eager decode disagree:\nview:  %+v\neager: %+v", hint, got, want)
+		}
+		if d, ok := v.DNS(); ok != (want.DNS != nil) || ok && !reflect.DeepEqual(d, *want.DNS) {
+			t.Fatalf("hint %+v: DNS() = %+v, %v; eager %+v", hint, d, ok, want.DNS)
+		}
+		if h, ok := v.HTTP(); ok != (want.HTTP != nil) || ok && !reflect.DeepEqual(h, *want.HTTP) {
+			t.Fatalf("hint %+v: HTTP() = %+v, %v; eager %+v", hint, h, ok, want.HTTP)
+		}
+		if m, ok := v.MQTT(); ok != (want.MQTT != nil) || ok && !reflect.DeepEqual(m, *want.MQTT) {
+			t.Fatalf("hint %+v: MQTT() = %+v, %v; eager %+v", hint, m, ok, want.MQTT)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package netpkt
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // viewCorpus builds a diverse set of raw frames covering every layer the
@@ -24,6 +27,35 @@ func viewCorpus(t testing.TB) []struct {
 	}
 	v6src := netip.MustParseAddr("fd00::1")
 	v6dst := netip.MustParseAddr("fd00::2")
+	tcpApp := func(port uint16, payload []byte) []byte {
+		return ser(&Packet{
+			Eth:     testEth(),
+			IPv4:    &IPv4{TTL: 64, Protocol: ProtoTCP, Src: ip4(10, 0, 0, 5), Dst: ip4(10, 0, 0, 6)},
+			TCP:     &TCP{SrcPort: port, DstPort: 43000, Flags: FlagACK | FlagPSH},
+			Payload: payload,
+		})
+	}
+	// dns builds a query header announcing qd questions, then names.
+	dns := func(qd uint16, names ...string) []byte {
+		b := make([]byte, 12)
+		binary.BigEndian.PutUint16(b[4:6], qd)
+		for _, n := range names {
+			b = append(appendName(b, n), 0, 1, 0, 1)
+		}
+		return ser(&Packet{
+			Eth:     testEth(),
+			IPv4:    &IPv4{TTL: 64, Protocol: ProtoUDP, Src: ip4(192, 168, 1, 10), Dst: ip4(8, 8, 8, 8)},
+			UDP:     &UDP{SrcPort: 5353, DstPort: 53},
+			Payload: b,
+		})
+	}
+	var qnames []string
+	for i := 0; i < 17; i++ {
+		qnames = append(qnames, fmt.Sprintf("q%d.iot.example", i))
+	}
+	// compressed: a second question that points back at the first name.
+	compressed := append(EncodeDNSQuery(3, "a.example", false), 0xc0, 12, 0, 1, 0, 1)
+	compressed[5] = 2
 	return []struct {
 		name string
 		link LinkType
@@ -89,6 +121,25 @@ func viewCorpus(t testing.TB) []struct {
 			Payload: []byte{0x07, 0x00},
 		})},
 		{"dot11-data", LinkDot11, ser(&Packet{Dot11: &Dot11{Subtype: Dot11Data}})},
+		{"http-response", LinkEthernet, tcpApp(80, EncodeHTTPResponse(404, 10))},
+		{"http-post", LinkEthernet, tcpApp(8080, EncodeHTTPRequest("POST", "/data", "hub.local", 12))},
+		// Keys differ in case; "hoſt" (U+017F) and "Keep" (Kelvin
+		// sign) fold to host/keep under EqualFold but not under ToLower.
+		{"http-folded-keys", LinkEthernet, tcpApp(80, []byte("GET /a HTTP/1.1\r\nHOST: up.example\r\n"+
+			"Content-LENGTH: 7\r\nhoſt: spoof\r\n\u212aeep-Alive: 1\r\nuser-AGENT:  x/1 \r\n\r\nbody..."))},
+		{"dns-0q", LinkEthernet, dns(0)},
+		{"dns-2q", LinkEthernet, dns(2, "a.iot.example", "b.iot.example")},
+		{"dns-17q", LinkEthernet, dns(17, qnames...)},
+		{"dns-compressed", LinkEthernet, ser(&Packet{
+			Eth:     testEth(),
+			IPv4:    &IPv4{TTL: 64, Protocol: ProtoUDP, Src: ip4(192, 168, 1, 10), Dst: ip4(8, 8, 8, 8)},
+			UDP:     &UDP{SrcPort: 53, DstPort: 5353},
+			Payload: compressed,
+		})},
+		// A 4-byte remaining length (the maximum, 268435455) and QoS 3,
+		// which is not MQTT.
+		{"mqtt-remaining-4", LinkEthernet, tcpApp(1883, []byte{0x30, 0xff, 0xff, 0xff, 0x7f, 0, 3, 'a', '/', 'b'})},
+		{"mqtt-qos3", LinkEthernet, tcpApp(8883, []byte{0x36, 2, 0, 0})},
 	}
 }
 
@@ -127,6 +178,93 @@ func TestViewMaterializeMatchesDecode(t *testing.T) {
 	}
 }
 
+// TestViewAppAccessorsMatchDecode runs the differential fuzz property
+// over every truncation of every corpus frame.
+func TestViewAppAccessorsMatchDecode(t *testing.T) {
+	for _, c := range viewCorpus(t) {
+		for cut := 0; cut <= len(c.raw); cut++ {
+			fuzzViewAgainstDecode(t, c.raw[:cut], c.link)
+		}
+	}
+}
+
+// TestViewAppCorpusFrames pins what the app-layer corpus frames decode
+// to, so the differential tests compare meaningful layers.
+func TestViewAppCorpusFrames(t *testing.T) {
+	frames := map[string][]byte{}
+	for _, c := range viewCorpus(t) {
+		frames[c.name] = c.raw
+	}
+	view := func(name string) *PacketView {
+		var v PacketView
+		v.Reset(frames[name], LinkEthernet, time.Unix(1, 0))
+		return &v
+	}
+	if h, ok := view("http-folded-keys").HTTP(); !ok || string(h.Host) != "up.example" ||
+		string(h.UserAgent) != "x/1" || h.ContentLength != 7 || string(h.Path) != "/a" {
+		t.Errorf("http-folded-keys: %+v ok=%v", h, ok)
+	}
+	if h, ok := view("http-response").HTTP(); !ok || h.IsRequest || h.Status != 404 || h.ContentLength != 10 {
+		t.Errorf("http-response: %+v ok=%v", h, ok)
+	}
+	for name, want := range map[string]int{"dns-0q": 0, "dns-2q": 2, "dns-17q": 16, "dns-compressed": 1} {
+		if d, ok := view(name).DNS(); !ok || len(d.Names()) != want {
+			t.Errorf("%s: names %q ok=%v, want %d names", name, d.Names(), ok, want)
+		}
+	}
+	if m, ok := view("mqtt-remaining-4").MQTT(); !ok || m.Remaining != 268435455 || string(m.Topic) != "a/b" {
+		t.Errorf("mqtt-remaining-4: %+v ok=%v", m, ok)
+	}
+	if _, ok := view("mqtt-qos3").MQTT(); ok {
+		t.Error("mqtt-qos3 decoded as MQTT")
+	}
+}
+
+// TestViewAppDecodeAllocs: predecoding every app layer and reading every
+// app accessor allocates nothing.
+func TestViewAppDecodeAllocs(t *testing.T) {
+	var apps []struct {
+		name string
+		link LinkType
+		raw  []byte
+	}
+	for _, c := range viewCorpus(t) {
+		if p := Decode(c.raw, c.link, time.Time{}); p.DNS != nil || p.HTTP != nil || p.MQTT != nil {
+			apps = append(apps, c)
+		}
+	}
+	if len(apps) < 9 {
+		t.Fatalf("corpus has %d app frames, want every DNS/HTTP/MQTT frame", len(apps))
+	}
+	hint := DecodeHint{Headers: true, Apps: AppDNS | AppHTTP | AppMQTT}
+	var v PacketView
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range apps {
+			v.Reset(c.raw, c.link, time.Time{})
+			v.Predecode(hint)
+			d, _ := v.DNS()
+			h, _ := v.HTTP()
+			m, _ := v.MQTT()
+			n += int(d.QDCount) + len(h.Path) + len(h.Host) + len(m.Topic)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("app decode allocates %.1f times per pass over %d frames, want 0", allocs, len(apps))
+	}
+}
+
+// TestPacketViewSize pins the view's size. Views are pooled one per
+// chunk row, so every byte costs the header-only passes too: the app
+// layers are a presence bit each and HTTP's three header fields, in the
+// 24 bytes three layer pointers took, not their full structs (+176 B).
+// Lower the budget when the view shrinks.
+func TestPacketViewSize(t *testing.T) {
+	if got := unsafe.Sizeof(PacketView{}); got > 392 {
+		t.Fatalf("PacketView is %d bytes, budget 392", got)
+	}
+}
+
 // TestViewLazyAccessors: layers decode on first touch, and only to the
 // depth the accessor needs.
 func TestViewLazyAccessors(t *testing.T) {
@@ -150,7 +288,7 @@ func TestViewLazyAccessors(t *testing.T) {
 		t.Fatal("UDP accessor must not decode app layers")
 	}
 	d, ok := v.DNS()
-	if !ok || d.ID != 7 || len(d.Names) != 1 || d.Names[0] != "camera.iot.example.com" {
+	if !ok || d.ID != 7 || len(d.Names()) != 1 || d.Names()[0] != "camera.iot.example.com" {
 		t.Fatalf("DNS accessor: %+v ok=%v", d, ok)
 	}
 	if !v.AppDecoded() {
