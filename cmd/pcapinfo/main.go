@@ -89,7 +89,7 @@ func runConnlog(path string) error {
 	defer closef()
 	asm := flow.NewConnAssembler(flow.Options{})
 	log := flow.NewConnLogWriter(os.Stdout)
-	var done []*flow.Connection
+	var done []*flow.Flow
 	for nc := range p.C {
 		for j := range nc.Views {
 			sum := nc.Views[j].Summary()

@@ -94,8 +94,8 @@ func TestFlowSinkKeepsDemandedStats(t *testing.T) {
 		cap int
 	}{{"A14", 0}, {"A12", 100}, {"A13", core.AllStats}} {
 		a, _ := Get(tc.id)
-		var conns []*flow.Connection
-		cfg := core.StreamConfig{ChunkRows: 512, Hooks: &core.StreamHooks{ConnsClosed: func(cs []*flow.Connection) error {
+		var conns []*flow.Flow
+		cfg := core.StreamConfig{ChunkRows: 512, Hooks: &core.StreamHooks{ConnsClosed: func(cs []*flow.Flow) error {
 			conns = cs
 			return nil
 		}}}

@@ -234,11 +234,8 @@ func valueBytes(v Value) int64 {
 		return b
 	case *Flows:
 		var b int64
-		for _, u := range x.Unis {
-			b += int64(unsafe.Sizeof(*u)) + statBytes(u.Stats)
-		}
-		for _, cn := range x.Conns {
-			b += int64(unsafe.Sizeof(*cn)) + statBytes(cn.Stats)
+		for _, f := range x.Flows {
+			b += int64(unsafe.Sizeof(*f)) + statBytes(f.Stats)
 		}
 		return b
 	default:

@@ -333,25 +333,21 @@ func TestFlowsValueBytes(t *testing.T) {
 		t.Fatalf("a PacketStat is %d B, want 16", n)
 	}
 	var slab flow.StatSlab
-	bare, short, long := &flow.Connection{}, &flow.Connection{}, &flow.Connection{}
-	su, lu := &flow.Uniflow{}, &flow.Uniflow{}
+	bare, short, long := &flow.Flow{}, &flow.Flow{}, &flow.Flow{}
 	for k := 0; k < flow.InlineStats; k++ {
 		short.AddStat(flow.PacketStat{}, &slab)
-		su.AddStat(flow.PacketStat{}, &slab)
 	}
 	for k := 0; k < 3*flow.InlineStats; k++ {
 		long.AddStat(flow.PacketStat{}, &slab)
-		lu.AddStat(flow.PacketStat{}, &slab)
 	}
 	if cap(long.Stats) <= flow.InlineStats || cap(short.Stats) != flow.InlineStats {
 		t.Fatalf("fixture: stats capacities %d and %d", cap(short.Stats), cap(long.Stats))
 	}
-	conns := &Flows{Granularity: dataset.ConnectionG, Conns: []*flow.Connection{bare, short, long}}
-	if got, want := valueBytes(conns), int64(3*unsafe.Sizeof(flow.Connection{})+16*uintptr(2*flow.InlineStats+cap(long.Stats))); got != want {
-		t.Errorf("connections priced at %d B, want %d", got, want)
-	}
-	unis := &Flows{Granularity: dataset.UniflowG, Unis: []*flow.Uniflow{su, lu}}
-	if got, want := valueBytes(unis), int64(2*unsafe.Sizeof(flow.Uniflow{})+16*uintptr(2*flow.InlineStats+cap(lu.Stats))); got != want {
-		t.Errorf("uniflows priced at %d B, want %d", got, want)
+	want := int64(3*unsafe.Sizeof(flow.Flow{}) + 16*uintptr(2*flow.InlineStats+cap(long.Stats)))
+	for _, gran := range []dataset.Granularity{dataset.UniflowG, dataset.ConnectionG} {
+		fl := &Flows{Granularity: gran, Flows: []*flow.Flow{bare, short, long}}
+		if got := valueBytes(fl); got != want {
+			t.Errorf("%s flows priced at %d B, want %d", gran, got, want)
+		}
 	}
 }

@@ -41,13 +41,8 @@ type Pipeline struct {
 
 // Granular parses the declared classification granularity.
 func (p *Pipeline) Granular() (dataset.Granularity, error) {
-	switch p.Granularity {
-	case "packet":
-		return dataset.Packet, nil
-	case "uniflow":
-		return dataset.UniflowG, nil
-	case "connection":
-		return dataset.ConnectionG, nil
+	if g, ok := dataset.ParseGranularity(p.Granularity); ok {
+		return g, nil
 	}
 	return 0, fmt.Errorf("core: pipeline %q has unknown granularity %q", p.Name, p.Granularity)
 }

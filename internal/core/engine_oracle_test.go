@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
@@ -72,20 +71,16 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 	}
 	out := &Flows{Granularity: gran}
 	if gran == dataset.UniflowG {
-		out.Unis = flow.Uniflows(ds.Packets, opts)
+		out.Flows = flow.Uniflows(ds.Packets, opts)
 	} else {
-		out.Conns = flow.Connections(ds.Packets, opts)
+		out.Flows = flow.Connections(ds.Packets, opts)
 	}
 	var slab flow.StatSlab
 	for i, members := range refMembers(ds, out) {
 		var label uint32
 		for _, pi := range members {
 			sum := ds.Packets[pi].Summary()
-			if gran == dataset.UniflowG {
-				out.Unis[i].AddStat(flow.StatOf(&sum), &slab)
-			} else {
-				out.Conns[i].AddStat(flow.StatOf(&sum), &slab)
-			}
+			out.Flows[i].AddStat(flow.StatOf(&sum), &slab)
 			if label == 0 && pi < len(ds.Labels) && ds.Labels[pi] != 0 {
 				name := ""
 				if pi < len(ds.Attacks) {
@@ -95,11 +90,7 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 				label = uint32(len(out.attacks))
 			}
 		}
-		if gran == dataset.UniflowG {
-			out.Unis[i].Label = label
-		} else {
-			out.Conns[i].Label = label
-		}
+		out.Flows[i].Label = label
 	}
 	return out, nil
 }
@@ -123,15 +114,8 @@ func refMembers(ds *dataset.Labeled, fl *Flows) [][]int {
 	}
 	out := make([][]int, fl.Len())
 	for i := range out {
-		var tuple netpkt.FiveTuple
-		var first, last time.Time
-		if fl.Granularity == dataset.UniflowG {
-			u := fl.Unis[i]
-			tuple, first, last = u.Tuple, u.First, u.Last
-		} else {
-			c := fl.Conns[i]
-			tuple, first, last = c.Tuple, c.First, c.Last
-		}
+		f := fl.Flows[i]
+		tuple, first, last := f.Tuple, f.First, f.Last
 		// A key's packets are in capture order, which is time order.
 		idx := byKey[key(tuple)]
 		lo := sort.Search(len(idx), func(k int) bool { return !ds.Packets[idx[k]].Ts.Before(first) })

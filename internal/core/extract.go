@@ -23,13 +23,10 @@ type FeatureSet struct {
 // ExtractFlowFeatures assembles flows at the given granularity and
 // computes the named per-flow features (nil = full catalogue).
 func ExtractFlowFeatures(ds *dataset.Labeled, gran dataset.Granularity, feats []string) (*FeatureSet, error) {
-	granStr := "connection"
-	if gran == dataset.UniflowG {
-		granStr = "uniflow"
-	} else if gran == dataset.Packet {
+	if gran == dataset.Packet {
 		return nil, fmt.Errorf("core: ExtractFlowFeatures needs a flow granularity")
 	}
-	fl, err := opFlowAssemble(nil, []Value{newPackets(ds)}, params{"granularity": granStr})
+	fl, err := opFlowAssemble(nil, []Value{newPackets(ds)}, params{"granularity": gran.String()})
 	if err != nil {
 		return nil, err
 	}

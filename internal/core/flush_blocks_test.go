@@ -70,7 +70,7 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 		var sizes []int
 		lw := flow.NewConnLogWriter(&log)
 		logged, scored, early := 0, 0, 0
-		cfg.Hooks = &StreamHooks{ConnsClosed: func(cs []*flow.Connection) error {
+		cfg.Hooks = &StreamHooks{ConnsClosed: func(cs []*flow.Flow) error {
 			logged += len(cs)
 			return lw.Log(cs)
 		}}
@@ -186,7 +186,7 @@ func TestFlowPassRetentionPerFlow(t *testing.T) {
 			last = liveNow()
 		}
 		return nil
-	}, ConnsClosed: func(cs []*flow.Connection) error {
+	}, ConnsClosed: func(cs []*flow.Flow) error {
 		for _, c := range cs {
 			bytes += float64(unsafe.Sizeof(*c)) + float64(statBytes(c.Stats))
 		}

@@ -11,7 +11,6 @@ import (
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
 	"lumen/internal/mlkit"
-	"lumen/internal/netpkt"
 )
 
 func init() {
@@ -45,18 +44,18 @@ func checkFlowFeatureParams(p params) error {
 func flowParams(p params) (flow.Options, dataset.Granularity, error) {
 	opts := flow.Options{}
 	to := p.f64("idle_timeout", 0) * float64(time.Second)
-	if !(to >= 0 && to < math.MaxInt64) {
+	// A positive timeout under a nanosecond would truncate to 0, which
+	// reads as the default.
+	if !(to == 0 || to >= 1 && to < math.MaxInt64) {
 		return opts, 0, fmt.Errorf("flow_assemble: idle_timeout is %v, want a number of seconds >= 0 (0: the 64 s default)", p["idle_timeout"])
 	}
 	opts.IdleTimeout = time.Duration(to)
-	switch g := p.str("granularity", "connection"); g {
-	case "uniflow":
-		return opts, dataset.UniflowG, nil
-	case "connection":
-		return opts, dataset.ConnectionG, nil
-	default:
+	g := p.str("granularity", "connection")
+	gran, ok := dataset.ParseGranularity(g)
+	if !ok || gran == dataset.Packet {
 		return opts, 0, fmt.Errorf("flow_assemble: unknown granularity %q", g)
 	}
+	return opts, gran, nil
 }
 
 // opFlowAssemble is the flow sink run over one chunk that holds the
@@ -292,28 +291,21 @@ func opFlowFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 	out := &sc.vec
 	*out = flowVec{}
-	var tuple netpkt.FiveTuple
-	var first, last time.Time
-	var pkts, bytes int
-	if fl.Granularity == dataset.UniflowG {
-		u := fl.Unis[i]
-		tuple, first, last, pkts, bytes = u.Tuple, u.First, u.Last, u.Pkts, u.Bytes
-		out[fPayloadBytes] = float64(u.Payload)
-	} else {
-		c := fl.Conns[i]
-		tuple, first, last = c.Tuple, c.First, c.Last
-		pkts, bytes = c.OrigPkts+c.RespPkts, c.OrigBytes+c.RespBytes
-		out[fPayloadBytes] = float64(c.OrigPayload + c.RespPayload)
-		out[fOrigBytes] = float64(c.OrigBytes)
-		out[fRespBytes] = float64(c.RespBytes)
-		out[fOrigPkts] = float64(c.OrigPkts)
-		out[fRespPkts] = float64(c.RespPkts)
-		if c.RespBytes > 0 {
-			out[fByteRatio] = float64(c.OrigBytes) / float64(c.RespBytes)
+	f := fl.Flows[i]
+	tuple := f.Tuple
+	pkts, bytes := f.OrigPkts+f.RespPkts, f.OrigBytes+f.RespBytes
+	out[fPayloadBytes] = float64(f.OrigPayload + f.RespPayload)
+	if fl.Granularity == dataset.ConnectionG {
+		out[fOrigBytes] = float64(f.OrigBytes)
+		out[fRespBytes] = float64(f.RespBytes)
+		out[fOrigPkts] = float64(f.OrigPkts)
+		out[fRespPkts] = float64(f.RespPkts)
+		if f.RespBytes > 0 {
+			out[fByteRatio] = float64(f.OrigBytes) / float64(f.RespBytes)
 		} else {
-			out[fByteRatio] = float64(c.OrigBytes)
+			out[fByteRatio] = float64(f.OrigBytes)
 		}
-		switch c.State {
+		switch f.State {
 		case flow.StateS0:
 			out[fStateS0] = 1
 		case flow.StateSF:
@@ -326,7 +318,7 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 			out[fStateOTH] = 1
 		}
 	}
-	dur := float64(last.UnixNano()-first.UnixNano()) / float64(time.Second)
+	dur := float64(f.Last.UnixNano()-f.First.UnixNano()) / float64(time.Second)
 	out[fDuration] = dur
 	out[fPktCount] = float64(pkts)
 	out[fByteCount] = float64(bytes)
@@ -359,7 +351,7 @@ func computeFlowVector(sc *flowScratch, fl *Flows, i int, firstN int) {
 		out[fSvcOther] = 1
 	}
 
-	stats := fl.stats(i)
+	stats := f.Stats
 	if len(stats) == 0 {
 		return
 	}

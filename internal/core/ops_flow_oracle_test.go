@@ -93,12 +93,9 @@ func refFlowVector(fl *Flows, sums func(pi int) netpkt.PacketSummary, i int, idx
 		out["flag_change_rate"] = float64(flagChanges) / float64(len(idx)-1)
 	}
 
-	var tuple netpkt.FiveTuple
-	if fl.Granularity == dataset.UniflowG {
-		tuple = fl.Unis[i].Tuple
-	} else {
-		c := fl.Conns[i]
-		tuple = c.Tuple
+	c := fl.Flows[i]
+	tuple := c.Tuple
+	if fl.Granularity == dataset.ConnectionG {
 		out["orig_bytes"] = float64(c.OrigBytes)
 		out["resp_bytes"] = float64(c.RespBytes)
 		var orig int
@@ -192,7 +189,7 @@ func refFlowColumns(fl *Flows, ds *dataset.Labeled, firstN int) [][]float64 {
 func keptStats(fl *Flows) int {
 	n := 0
 	for i := 0; i < fl.Len(); i++ {
-		n += len(fl.stats(i))
+		n += len(fl.Flows[i].Stats)
 	}
 	return n
 }
@@ -324,7 +321,7 @@ func TestFlowParamsRejected(t *testing.T) {
 			t.Errorf("%s: the op accepted %v", name, bad)
 		}
 	}
-	for name, bad := range map[string]any{"negative": -5.0, "NaN": math.NaN(), "past a Duration": 1e300} {
+	for name, bad := range map[string]any{"negative": -5.0, "NaN": math.NaN(), "past a Duration": 1e300, "below a nanosecond": 1e-10} {
 		p := flowFeaturePipeline("connection", nil)
 		p.Ops[0].Params["idle_timeout"] = bad
 		if err := NewEngine(p).Check(); err == nil || !strings.Contains(err.Error(), "flow_assemble: idle_timeout") {

@@ -279,14 +279,12 @@ func firstMissing(set map[string]bool, names []string) string {
 // Each flow keeps its label and the stats of its first statCap members,
 // so the sink retains nothing per packet beyond what its readers read.
 type flowSinkState struct {
-	op   int // index of the flow_assemble op
-	gran dataset.Granularity
-	uni  *flow.UniflowAssembler
-	conn *flow.ConnAssembler
-	unis []*flow.Uniflow
-	cons []*flow.Connection
+	op       int // index of the flow_assemble op
+	gran     dataset.Granularity
+	asm      *flow.Assembler
+	released []*flow.Flow
 	// done counts the flows handed on in blocks: the unit index of the
-	// first flow in unis or cons.
+	// first flow in released.
 	done int
 	// statCap is how many member stats each flow keeps (StreamPlan.
 	// StatCap); slab holds the first array of each flow's stats.
@@ -325,9 +323,9 @@ func newFlowSink(i int, p params, statCap int, m *obs.Metrics, output string) (*
 			"Flows a streaming run's flow_assemble sink closed mid-stream, idle past the timeout.", "output", output),
 	}
 	if gran == dataset.UniflowG {
-		s.uni = flow.NewUniflowAssembler(opts)
+		s.asm = flow.NewUniflowAssembler(opts)
 	} else {
-		s.conn = flow.NewConnAssembler(opts)
+		s.asm = flow.NewConnAssembler(opts)
 	}
 	return s, nil
 }
@@ -348,11 +346,7 @@ func feedFlows(sinks []*flowSinkState, views []netpkt.PacketView, labels []int, 
 		}
 	}
 	for _, s := range sinks {
-		if s.uni != nil {
-			s.unis = s.uni.Release(s.unis)
-		} else {
-			s.cons = s.conn.Release(s.cons)
-		}
+		s.released = s.asm.Release(s.released)
 	}
 }
 
@@ -360,38 +354,24 @@ func feedFlows(sinks []*flowSinkState, views []netpkt.PacketView, labels []int, 
 // flows the sink has not handed on, in canonical order: on a sink that
 // keeps its flows for the flush, every flow of the pass.
 func (s *flowSinkState) finish() *Flows {
-	if s.uni != nil {
-		s.unis = s.uni.ReleaseAll(s.unis)
-	} else {
-		s.cons = s.conn.ReleaseAll(s.cons)
-	}
-	return &Flows{Granularity: s.gran, Unis: s.unis, Conns: s.cons, attacks: s.attacks}
+	s.released = s.asm.ReleaseAll(s.released)
+	return &Flows{Granularity: s.gran, Flows: s.released, attacks: s.attacks}
 }
 
 // pending returns how many released flows the sink has not handed on.
-func (s *flowSinkState) pending() int { return len(s.unis) + len(s.cons) }
+func (s *flowSinkState) pending() int { return len(s.released) }
 
 // handOn returns the first n pending flows as a Flows value of their own
 // and forgets them.
 func (s *flowSinkState) handOn(n int) *Flows {
-	out := &Flows{Granularity: s.gran, attacks: s.attacks}
+	out := &Flows{Granularity: s.gran, Flows: slices.Clone(s.released[:n]), attacks: s.attacks}
 	s.done += n
-	if s.uni != nil {
-		out.Unis = slices.Clone(s.unis[:n])
-		s.unis = dropFront(s.unis, n)
-	} else {
-		out.Conns = slices.Clone(s.cons[:n])
-		s.cons = dropFront(s.cons, n)
-	}
+	// Shift the rest down in place, clearing the vacated tail so the
+	// backing array keeps nothing alive.
+	k := copy(s.released, s.released[n:])
+	clear(s.released[k:])
+	s.released = s.released[:k]
 	return out
-}
-
-// dropFront removes the first n elements of xs in place, clearing the
-// vacated tail so the backing array keeps nothing alive.
-func dropFront[T any](xs []T, n int) []T {
-	k := copy(xs, xs[n:])
-	clear(xs[k:])
-	return xs[:k]
 }
 
 // add feeds one packet's summary to the sink's assembler and attaches
@@ -399,30 +379,16 @@ func dropFront[T any](xs []T, n int) []T {
 // that flow holds fewer than statCap. The first malicious member labels
 // the flow with its attack name.
 func (s *flowSinkState) add(sum *netpkt.PacketSummary, malicious bool, attack string) {
-	var label *uint32
-	if s.uni != nil {
-		s.uni.Feed(sum)
-		if !sum.HasTuple {
-			return
-		}
-		u := s.uni.Newest()
-		if len(u.Stats) < s.statCap {
-			u.AddStat(flow.StatOf(sum), &s.slab)
-		}
-		label = &u.Label
-	} else {
-		s.conn.Feed(sum)
-		if !sum.HasTuple {
-			return
-		}
-		c := s.conn.Newest()
-		if len(c.Stats) < s.statCap {
-			c.AddStat(flow.StatOf(sum), &s.slab)
-		}
-		label = &c.Label
+	s.asm.Feed(sum)
+	if !sum.HasTuple {
+		return
 	}
-	if malicious && *label == 0 {
-		*label = s.attackID(attack)
+	f := s.asm.Newest()
+	if len(f.Stats) < s.statCap {
+		f.AddStat(flow.StatOf(sum), &s.slab)
+	}
+	if malicious && f.Label == 0 {
+		f.Label = s.attackID(attack)
 	}
 }
 
@@ -441,12 +407,7 @@ func (s *flowSinkState) attackID(name string) uint32 {
 // report publishes the sink's open and held flow counts and the flows
 // it has closed since the previous report.
 func (s *flowSinkState) report() {
-	open, held := 0, 0
-	if s.uni != nil {
-		open, held = s.uni.Open(), s.uni.Held()
-	} else {
-		open, held = s.conn.Open(), s.conn.Held()
-	}
+	open, held := s.asm.Open(), s.asm.Held()
 	s.open.Set(float64(open))
 	s.held.Set(float64(held))
 	closed := s.done + s.pending() + held

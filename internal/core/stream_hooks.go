@@ -99,7 +99,7 @@ type StreamHooks struct {
 	// pass's own assembly, so nobody assembles the stream a second time.
 	// It runs on the goroutine that owns stream order. The calls of one
 	// pass hand on every connection of the pass once, in canonical order
-	// (flow.SortConnections). When the plan's Close ops read the sink,
+	// (flow.Sort). When the plan's Close ops read the sink,
 	// each block's connections come before the block is scored, while
 	// the stream runs; a pass that closes no connection calls it once, at
 	// drain, with none. Otherwise it is called once, at drain, with every
@@ -107,7 +107,7 @@ type StreamHooks struct {
 	// stops calling it. The connections are shared with the ops: read, do
 	// not modify. Never called when the plan has no connection sink. A
 	// non-nil error aborts the pass.
-	ConnsClosed func([]*flow.Connection) error
+	ConnsClosed func([]*flow.Flow) error
 	// WantFeatures requests the train op's per-chunk input features (and
 	// labels when the frame carries them) on every ChunkUpdate, so a
 	// consumer can maintain a retraining reservoir without re-deriving

@@ -227,7 +227,7 @@ func TestHookedPassMemoryIsFlat(t *testing.T) {
 func TestConnsClosedHook(t *testing.T) {
 	spec, _ := dataset.Get("F1")
 	ds := spec.Generate(0.05)
-	connLog := func(conns []*flow.Connection) string {
+	connLog := func(conns []*flow.Flow) string {
 		var b bytes.Buffer
 		if err := flow.WriteConnLog(&b, conns); err != nil {
 			t.Fatal(err)
@@ -252,7 +252,7 @@ func TestConnsClosedHook(t *testing.T) {
 	for si, shape := range hookShapes {
 		var got []string
 		shape.ChunkRows = 16
-		shape.Hooks = &StreamHooks{ConnsClosed: func(conns []*flow.Connection) error {
+		shape.Hooks = &StreamHooks{ConnsClosed: func(conns []*flow.Flow) error {
 			got = append(got, connLog(conns))
 			return nil
 		}}
@@ -262,7 +262,7 @@ func TestConnsClosedHook(t *testing.T) {
 		if len(got) != 1 || got[0] != want {
 			t.Fatalf("shape %d: %d hand-offs, the first equal to the batch log: %v", si, len(got), len(got) > 0 && got[0] == want)
 		}
-		shape.Hooks = &StreamHooks{ConnsClosed: func([]*flow.Connection) error { return boom }}
+		shape.Hooks = &StreamHooks{ConnsClosed: func([]*flow.Flow) error { return boom }}
 		if _, err := eng.TestStream(ds, shape); !errors.Is(err, boom) {
 			t.Fatalf("shape %d: want the hook's error, got %v", si, err)
 		}
@@ -273,7 +273,7 @@ func TestConnsClosedHook(t *testing.T) {
 	empty.Packets, empty.Labels, empty.Attacks = nil, nil, nil
 	var calls, conns int
 	cfg := StreamConfig{Hooks: &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil },
-		ConnsClosed: func(cs []*flow.Connection) error {
+		ConnsClosed: func(cs []*flow.Flow) error {
 			calls, conns = calls+1, conns+len(cs)
 			return nil
 		}}}
@@ -292,7 +292,7 @@ func TestConnsClosedHook(t *testing.T) {
 		if pl, err := eng.StreamPlan(ModeTest, false); err != nil || pl.ConnSink != -1 {
 			t.Fatalf("%s: plan's connection sink = %d (%v), want none", p.Name, pl.ConnSink, err)
 		}
-		hooks := &StreamHooks{ConnsClosed: func([]*flow.Connection) error {
+		hooks := &StreamHooks{ConnsClosed: func([]*flow.Flow) error {
 			t.Errorf("%s assembles no connections, yet ConnsClosed ran", p.Name)
 			return nil
 		}}

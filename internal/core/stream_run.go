@@ -451,7 +451,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 				continue
 			}
 			fenv[op.Output] = fl
-			if err := r.connsClosed(s, fl.Conns); err != nil {
+			if err := r.connsClosed(s, fl.Flows); err != nil {
 				return nil, err
 			}
 			continue
@@ -515,7 +515,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 
 // connsClosed hands conns, connections sink s has closed, to the
 // ConnsClosed hook when s is the plan's connection sink.
-func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Connection) error {
+func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Flow) error {
 	if s.op != r.pl.ConnSink || r.hooks == nil || r.hooks.ConnsClosed == nil {
 		return nil
 	}
@@ -559,7 +559,7 @@ func (r *streamExec) scoreClosed(last bool) error {
 // heap is sampled after every block.
 func (r *streamExec) runBlock(fl *Flows, base int) error {
 	e, s := r.e, r.closeSink
-	if err := r.connsClosed(s, fl.Conns); err != nil {
+	if err := r.connsClosed(s, fl.Flows); err != nil {
 		return err
 	}
 	env := maps.Clone(r.fenv)

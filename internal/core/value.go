@@ -75,14 +75,13 @@ func (Packets) Kind() Kind { return KindPackets }
 // Len returns the packet count.
 func (p Packets) Len() int { return len(p.Views) }
 
-// Flows is the output of flow assembly: either uniflows or connections,
-// each carrying what flow features read of its member packets (its
-// flow.PacketStat list, since the packet set is never materialized) and
-// its label.
+// Flows is the output of flow assembly: uniflows or connections, as
+// Granularity says, each carrying what flow features read of its member
+// packets (its flow.PacketStat list, since the packet set is never
+// materialized) and its label.
 type Flows struct {
 	Granularity dataset.Granularity
-	Unis        []*flow.Uniflow    // set when Granularity == UniflowG
-	Conns       []*flow.Connection // set when Granularity == ConnectionG
+	Flows       []*flow.Flow
 	// attacks interns the attack names of the flows' labels: a flow's
 	// Label is 0 when it is benign and 1 + the index of the attack name
 	// of its first malicious packet otherwise.
@@ -93,32 +92,14 @@ type Flows struct {
 func (Flows) Kind() Kind { return KindFlows }
 
 // Len returns the number of flows.
-func (f *Flows) Len() int {
-	if f.Granularity == dataset.UniflowG {
-		return len(f.Unis)
-	}
-	return len(f.Conns)
-}
-
-// stats returns the member-packet stats of flow i, in arrival order.
-func (f *Flows) stats(i int) []flow.PacketStat {
-	if f.Granularity == dataset.UniflowG {
-		return f.Unis[i].Stats
-	}
-	return f.Conns[i].Stats
-}
+func (f *Flows) Len() int { return len(f.Flows) }
 
 // label returns the ground truth of flow i: malicious if any member is
 // (datasets label whole flows, so members agree by construction), with
 // the attack name of the first malicious member. Unlabeled sources (pcap
 // captures, live feeds) yield benign.
 func (f *Flows) label(i int) (int, string) {
-	var lab uint32
-	if f.Granularity == dataset.UniflowG {
-		lab = f.Unis[i].Label
-	} else {
-		lab = f.Conns[i].Label
-	}
+	lab := f.Flows[i].Label
 	if lab == 0 {
 		return 0, ""
 	}

@@ -248,8 +248,8 @@ type Pipe struct {
 	// batch it last released. connLog writes the current pass's section,
 	// nil until the pass first logs.
 	connw    io.Writer
-	conn     *flow.ConnAssembler
-	connDone []*flow.Connection
+	conn     *flow.Assembler
+	connDone []*flow.Flow
 	connLog  *flow.ConnLogWriter
 
 	ctrl chan ctrlMsg
@@ -502,7 +502,7 @@ func (p *Pipe) closeConnLog() error {
 // order, to the pass's conn-log section, whose header the pass's first
 // call writes. It is the pass's ConnsClosed hook when the plan has a
 // connection sink.
-func (p *Pipe) writeConnLog(conns []*flow.Connection) error {
+func (p *Pipe) writeConnLog(conns []*flow.Flow) error {
 	if p.connLog == nil {
 		p.connLog = flow.NewConnLogWriter(p.connw)
 	}

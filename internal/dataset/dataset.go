@@ -50,6 +50,17 @@ func (g Granularity) String() string {
 	}
 }
 
+// ParseGranularity returns the granularity String names, and false for
+// any other name.
+func ParseGranularity(s string) (Granularity, bool) {
+	for g := Packet; g <= ConnectionG; g++ {
+		if g.String() == s {
+			return g, true
+		}
+	}
+	return 0, false
+}
+
 // CanFaithfullyRun reports whether an algorithm classifying at alg
 // granularity can be trained/tested on labels at ds granularity without
 // modifying the ground truth.

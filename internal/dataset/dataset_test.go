@@ -173,6 +173,21 @@ func TestGranularityOrdering(t *testing.T) {
 	}
 }
 
+// TestParseGranularity: every granularity parses back from its name,
+// and no other string parses.
+func TestParseGranularity(t *testing.T) {
+	for g := Packet; g <= ConnectionG; g++ {
+		if got, ok := ParseGranularity(g.String()); !ok || got != g {
+			t.Errorf("ParseGranularity(%q) = %v, %v", g.String(), got, ok)
+		}
+	}
+	for _, s := range []string{"", "Connection", "flow", Granularity(3).String()} {
+		if g, ok := ParseGranularity(s); ok {
+			t.Errorf("ParseGranularity(%q) = %v, want refusal", s, g)
+		}
+	}
+}
+
 func TestMergeKeepsAlignmentAndOrder(t *testing.T) {
 	a, _ := Get("F0")
 	b, _ := Get("F1")

@@ -7,46 +7,61 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// driveUni feeds packets through an assembler in arbitrary chunking and
-// returns the combined output in canonical order.
-func driveUni(pkts []*netpkt.Packet, opts Options) (mid, all []*Uniflow) {
-	a := NewUniflowAssembler(opts)
+// drive feeds packets through an assembler one at a time and returns
+// the flows evicted mid-stream and the combined output in canonical
+// order.
+func drive(a *Assembler, pkts []*netpkt.Packet) (mid, all []*Flow) {
 	for _, p := range pkts {
 		mid = append(mid, a.Add(p)...)
 	}
-	all = append(append([]*Uniflow{}, mid...), a.Flush()...)
-	SortUniflows(all)
+	all = append(append([]*Flow{}, mid...), a.Flush()...)
+	Sort(all)
 	return mid, all
 }
 
-func driveConn(pkts []*netpkt.Packet, opts Options) (mid, all []*Connection) {
-	a := NewConnAssembler(opts)
-	for _, p := range pkts {
-		mid = append(mid, a.Add(p)...)
+// matchesBatch checks that incrementally driven assembly equals the
+// batch entry point exactly, and that the flows evicted mid-stream
+// arrive closed: states lists the conn states they must show, and no
+// others.
+func matchesBatch(t *testing.T, batch func([]*netpkt.Packet, Options) []*Flow, newAsm func(Options) *Assembler, pkts []*netpkt.Packet, states []ConnState) {
+	t.Helper()
+	want := batch(pkts, Options{})
+	mid, all := drive(newAsm(Options{}), pkts)
+	if !reflect.DeepEqual(want, all) {
+		t.Fatalf("incremental assembly diverges from batch: batch %d flows, incremental %d", len(want), len(all))
 	}
-	all = append(append([]*Connection{}, mid...), a.Flush()...)
-	SortConnections(all)
-	return mid, all
+	if len(mid) == 0 {
+		t.Fatal("no flow was evicted mid-stream despite a gap past the idle timeout")
+	}
+	seen := map[ConnState]bool{}
+	for _, f := range mid {
+		seen[f.State] = true
+	}
+	for _, st := range states {
+		if !seen[st] {
+			t.Errorf("no evicted flow finalized to %q", st)
+		}
+	}
+	if len(seen) != len(states) {
+		t.Errorf("evicted flows show states %v, want %v", seen, states)
+	}
 }
 
 // TestAssemblerMatchesBatchUniflows: incrementally driven assembly must
-// equal the batch entry point exactly, including with idle splits.
+// equal the batch entry point exactly, including with idle splits; a
+// uniflow evicted mid-stream carries no conn state.
 func TestAssemblerMatchesBatchUniflows(t *testing.T) {
 	var pkts []*netpkt.Packet
 	pkts = append(pkts, handshake(t, 0)...)
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 5000, 53, 1))
 	pkts = append(pkts, handshake(t, 200)...) // same tuple, past idle: split
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 5000, 53, 201))
-	opts := Options{}
-	batch := Uniflows(pkts, opts)
-	_, all := driveUni(pkts, opts)
-	if !reflect.DeepEqual(batch, all) {
-		t.Fatalf("incremental assembly diverges from batch:\nbatch %d flows, incremental %d flows", len(batch), len(all))
-	}
+	matchesBatch(t, Uniflows, NewUniflowAssembler, pkts, []ConnState{""})
 }
 
 // TestAssemblerMatchesBatchConnections is the bidirectional counterpart,
-// checking conn-state finalization survives mid-stream eviction.
+// checking conn-state finalization survives mid-stream eviction: the
+// full handshake with FIN close is SF, the RST-rejected one REJ.
 func TestAssemblerMatchesBatchConnections(t *testing.T) {
 	var pkts []*netpkt.Packet
 	pkts = append(pkts, handshake(t, 0)...)
@@ -56,27 +71,7 @@ func TestAssemblerMatchesBatchConnections(t *testing.T) {
 	pkts = append(pkts, tcpPkt(t, hostB, hostA, 80, 4321, netpkt.FlagRST, 2.01, ""))
 	pkts = append(pkts, handshake(t, 300)...)
 	pkts = append(pkts, tcpPkt(t, hostA, hostB, 4321, 80, netpkt.FlagSYN, 301, ""))
-	opts := Options{}
-	batch := Connections(pkts, opts)
-	mid, all := driveConn(pkts, opts)
-	if !reflect.DeepEqual(batch, all) {
-		t.Fatalf("incremental assembly diverges from batch: batch %d conns, incremental %d", len(batch), len(all))
-	}
-	if len(mid) == 0 {
-		t.Fatal("no connection was evicted mid-stream despite a gap past the idle timeout")
-	}
-	// Mid-stream evictions must arrive finalized: the full handshake with
-	// FIN close is StateSF, the RST-rejected one StateREJ.
-	states := map[ConnState]bool{}
-	for _, c := range mid {
-		states[c.State] = true
-	}
-	if !states[StateSF] {
-		t.Error("evicted handshake connection not finalized to SF")
-	}
-	if !states[StateREJ] {
-		t.Error("evicted RST connection not finalized to REJ")
-	}
+	matchesBatch(t, Connections, NewConnAssembler, pkts, []ConnState{StateSF, StateREJ})
 }
 
 // TestAssemblerEvictsMidStream: an idle flow must be emitted by Add (not
@@ -87,7 +82,7 @@ func TestAssemblerEvictsMidStream(t *testing.T) {
 	// Unrelated traffic 200s later triggers the sweep.
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 9000, 123, 200))
 	a := NewConnAssembler(Options{})
-	var mid []*Connection
+	var mid []*Flow
 	for _, p := range pkts {
 		mid = append(mid, a.Add(p)...)
 	}
@@ -112,7 +107,7 @@ func TestAssemblerSweepThrottle(t *testing.T) {
 	a := NewUniflowAssembler(Options{})
 	// Packets 1s apart never advance past the 64s default idle window, so
 	// nothing is ever evicted mid-stream even across many flows.
-	var mid []*Uniflow
+	var mid []*Flow
 	for s := 0.0; s < 60; s++ {
 		mid = append(mid, a.Add(udpPkt(t, hostA, hostB, uint16(6000+s), 53, s))...)
 	}
@@ -137,7 +132,7 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 	want := Connections(pkts, Options{})
 	refAttachStats(pkts, want)
 	var slab StatSlab
-	add := func(a *ConnAssembler, p *netpkt.Packet) []*Connection {
+	add := func(a *Assembler, p *netpkt.Packet) []*Flow {
 		s := p.Summary()
 		out := a.Feed(&s)
 		a.Newest().AddStat(StatOf(&s), &slab)
@@ -145,7 +140,7 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 	}
 	for cut := 1; cut < len(pkts); cut++ {
 		a := NewConnAssembler(Options{})
-		var out []*Connection
+		var out []*Flow
 		for _, p := range pkts[:cut] {
 			out = append(out, add(a, p)...)
 		}
@@ -153,7 +148,7 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 			out = append(out, add(a, p)...)
 		}
 		out = append(out, a.Flush()...)
-		SortConnections(out)
+		Sort(out)
 		if !reflect.DeepEqual(want, out) {
 			t.Fatalf("cut at %d diverges from batch", cut)
 		}
@@ -163,7 +158,7 @@ func TestAssemblerChunkedFeedEqualsWhole(t *testing.T) {
 // refAttachStats is the membership oracle: a connection's members are the
 // packets with its canonical tuple whose timestamp falls in [First, Last]
 // (idle splits never overlap), attached in capture order.
-func refAttachStats(pkts []*netpkt.Packet, conns []*Connection) {
+func refAttachStats(pkts []*netpkt.Packet, conns []*Flow) {
 	var slab StatSlab
 	for _, c := range conns {
 		for _, p := range pkts {

@@ -19,8 +19,8 @@ const connLogHeader = "#fields\tts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.res
 // split large packet capture into corresponding flows"). Columns follow
 // Zeek's defaults: ts, uid, id.orig_h, id.orig_p, id.resp_h, id.resp_p,
 // proto, duration, orig_bytes, resp_bytes, conn_state, orig_pkts,
-// resp_pkts.
-func WriteConnLog(w io.Writer, conns []*Connection) error {
+// resp_pkts. bench/harness calls it for its reference conn-log.
+func WriteConnLog(w io.Writer, conns []*Flow) error {
 	return NewConnLogWriter(w).Log(conns)
 }
 
@@ -52,7 +52,7 @@ func NewConnLogWriter(w io.Writer) *ConnLogWriter {
 // Log writes conns, in order, as the section's next rows, after the
 // header on the first call, which may pass none. Each call hands
 // everything it rendered to the underlying writer before it returns.
-func (cw *ConnLogWriter) Log(conns []*Connection) error {
+func (cw *ConnLogWriter) Log(conns []*Flow) error {
 	if !cw.header {
 		cw.buf, cw.header = append(cw.buf, connLogHeader...), true
 	}
@@ -80,7 +80,7 @@ func (cw *ConnLogWriter) flush() error {
 // appendConnLogLine appends connection c's row, the i-th of its log:
 // byte for byte what
 // "%.6f\tC%08d\t%s\t%d\t%s\t%d\t%s\t%.6f\t%d\t%d\t%s\t%d\t%d\n" prints.
-func appendConnLogLine(b []byte, i int, c *Connection) []byte {
+func appendConnLogLine(b []byte, i int, c *Flow) []byte {
 	b = appendFixed6(b, float64(c.First.UnixNano())/1e9)
 	b = append(b, "\tC"...)
 	var num [20]byte
@@ -176,7 +176,7 @@ func appendProto(b []byte, p uint8) []byte {
 // ("matched our Zeek-flows with the labeled Zeek-flows provided in the
 // dataset based on flow timestamps"). It returns, for every connection
 // of a, the index of its match in b or -1.
-func MatchByTime(a, b []*Connection, tolerance time.Duration) []int {
+func MatchByTime(a, b []*Flow, tolerance time.Duration) []int {
 	out := make([]int, len(a))
 	for i := range out {
 		out[i] = -1

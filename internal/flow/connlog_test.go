@@ -72,11 +72,11 @@ func TestProtoString(t *testing.T) {
 }
 
 func TestMatchByTime(t *testing.T) {
-	mk := func(sec float64) *Connection {
-		return &Connection{First: time.Unix(0, int64(sec*1e9))}
+	mk := func(sec float64) *Flow {
+		return &Flow{First: time.Unix(0, int64(sec*1e9))}
 	}
-	a := []*Connection{mk(1.0), mk(5.0), mk(100)}
-	b := []*Connection{mk(0.9), mk(5.2), mk(50)}
+	a := []*Flow{mk(1.0), mk(5.0), mk(100)}
+	b := []*Flow{mk(0.9), mk(5.2), mk(50)}
 	got := MatchByTime(a, b, 500*time.Millisecond)
 	if got[0] != 0 {
 		t.Errorf("a[0] matched %d, want 0", got[0])

@@ -1,8 +1,10 @@
-// Package flow assembles packet streams into unidirectional flows and
-// bidirectional connections — the role Zeek's flow extraction plays in the
-// original Lumen (the paper splits every pcap into Zeek flows before
-// labelling). Flows are keyed by five-tuple, split on idle timeouts, and
-// connections carry Zeek-style state summaries (S0/SF/REJ/RSTO/OTH).
+// Package flow assembles packet streams into flows — the role Zeek's
+// flow extraction plays in the original Lumen (the paper splits every
+// pcap into Zeek flows before labelling). One Flow type serves both
+// granularities: keyed by the directed five-tuple it is a unidirectional
+// flow, by the canonical one a bidirectional connection, which carries a
+// Zeek-style state summary (S0/SF/REJ/RSTO/OTH). Flows split on idle
+// timeouts.
 package flow
 
 import (
@@ -10,26 +12,6 @@ import (
 
 	"lumen/internal/netpkt"
 )
-
-// Uniflow is a set of same-direction packets sharing a five-tuple, within
-// one timeout-delimited episode.
-type Uniflow struct {
-	Tuple   netpkt.FiveTuple
-	First   time.Time
-	Last    time.Time
-	Pkts    int // member packets
-	Bytes   int
-	Payload int // application payload bytes
-	// Stats are the member packets' stats in arrival order, as many as
-	// the caller attaches (AddStat); assembly alone only counts.
-	Stats []PacketStat
-	// Label is the caller's annotation of the flow, 0 unless it sets one.
-	Label uint32
-
-	// prev and next thread the flow on its assembler's idle list while it
-	// is open (nil once emitted).
-	prev, next *Uniflow
-}
 
 // PacketStat is what flow features read of one member packet. It is 16
 // bytes and holds no pointer, so the stats a flow keeps are never scanned
@@ -82,13 +64,6 @@ func appendStat(stats []PacketStat, sl *StatSlab, s PacketStat) []PacketStat {
 	return append(stats, s)
 }
 
-// AddStat appends the stat of the flow's newest member packet, carving
-// the flow's first stat array from sl.
-func (u *Uniflow) AddStat(s PacketStat, sl *StatSlab) { u.Stats = appendStat(u.Stats, sl, s) }
-
-// Duration returns Last-First.
-func (u *Uniflow) Duration() time.Duration { return u.Last.Sub(u.First) }
-
 // ConnState summarizes a TCP connection lifecycle, following Zeek's
 // conn_state vocabulary.
 type ConnState string
@@ -104,9 +79,14 @@ const (
 	StateOTH  ConnState = "OTH"  // midstream or non-TCP
 )
 
-// Connection is a bidirectional flow: the originator direction is the one
-// whose packet appeared first.
-type Connection struct {
+// Flow is one timeout-delimited episode of packets sharing an
+// assembler's key, with Zeek conn.log's orig/resp split. Under the
+// bidirectional key (NewConnAssembler) it is a connection: the
+// originator direction is the one whose packet appeared first, and
+// State is assigned when it closes. Under the directed key
+// (NewUniflowAssembler) it is a uniflow: every packet counts on the orig
+// side, the resp counters stay 0 and State stays "".
+type Flow struct {
 	// Tuple is oriented originator → responder.
 	Tuple netpkt.FiveTuple
 	First time.Time
@@ -122,24 +102,26 @@ type Connection struct {
 	// order, as many as the caller attaches (AddStat); assembly alone only
 	// counts.
 	Stats []PacketStat
-	// Label is the caller's annotation of the connection, 0 unless it sets
-	// one.
+	// Label is the caller's annotation of the flow, 0 unless it sets one.
 	Label uint32
 
 	sawSYN, sawSYNACK, sawOrigFIN, sawRespFIN bool
 	sawOrigRST, sawRespRST                    bool
 
-	// prev and next thread the connection on its assembler's idle list
-	// while it is open (nil once emitted).
-	prev, next *Connection
+	// prev and next thread the flow on its assembler's idle list while it
+	// is open (nil once it has closed).
+	prev, next *Flow
 }
 
-// Duration returns Last-First.
-func (c *Connection) Duration() time.Duration { return c.Last.Sub(c.First) }
+// Connection is Flow under its old name, kept for bench/harness.
+type Connection = Flow
 
-// AddStat appends the stat of the connection's newest member packet; see
-// Uniflow.AddStat.
-func (c *Connection) AddStat(s PacketStat, sl *StatSlab) { c.Stats = appendStat(c.Stats, sl, s) }
+// Duration returns Last-First.
+func (f *Flow) Duration() time.Duration { return f.Last.Sub(f.First) }
+
+// AddStat appends the stat of the flow's newest member packet, carving
+// the flow's first stat array from sl.
+func (f *Flow) AddStat(s PacketStat, sl *StatSlab) { f.Stats = appendStat(f.Stats, sl, s) }
 
 // Options configures assembly.
 type Options struct {
@@ -158,20 +140,21 @@ func (o Options) idle() time.Duration {
 
 // Uniflows groups packets into unidirectional flows. Packets without a
 // five-tuple (ARP, 802.11 management) are skipped. Input packets must be
-// in non-decreasing time order (captures are). It is the batch driver of
-// UniflowAssembler, so batch and incremental assembly cannot diverge.
-func Uniflows(pkts []*netpkt.Packet, opts Options) []*Uniflow {
-	a := NewUniflowAssembler(opts)
-	for _, p := range pkts {
-		a.Add(p)
-	}
-	return a.ReleaseAll(nil)
+// in non-decreasing time order (captures are). It and Connections are
+// the batch drivers of the Assembler, so batch and incremental assembly
+// cannot diverge.
+func Uniflows(pkts []*netpkt.Packet, opts Options) []*Flow {
+	return assemble(NewUniflowAssembler(opts), pkts)
 }
 
 // Connections groups packets into bidirectional connections with
-// Zeek-style state tracking. It is the batch driver of ConnAssembler.
-func Connections(pkts []*netpkt.Packet, opts Options) []*Connection {
-	a := NewConnAssembler(opts)
+// Zeek-style state tracking. bench/harness calls it for its reference
+// conn-log.
+func Connections(pkts []*netpkt.Packet, opts Options) []*Flow {
+	return assemble(NewConnAssembler(opts), pkts)
+}
+
+func assemble(a *Assembler, pkts []*netpkt.Packet) []*Flow {
 	for _, p := range pkts {
 		a.Add(p)
 	}
@@ -179,23 +162,23 @@ func Connections(pkts []*netpkt.Packet, opts Options) []*Connection {
 }
 
 // finalize assigns the Zeek-style connection state.
-func (c *Connection) finalize() {
+func (f *Flow) finalize() {
 	switch {
-	case c.Tuple.Proto != netpkt.ProtoTCP:
-		c.State = StateOTH
-	case c.sawSYN && c.sawRespRST && !c.sawSYNACK:
-		c.State = StateREJ
-	case c.sawSYN && !c.sawSYNACK:
-		c.State = StateS0
-	case c.sawSYN && c.sawSYNACK && c.sawOrigFIN && c.sawRespFIN:
-		c.State = StateSF
-	case c.sawSYN && c.sawSYNACK && c.sawOrigRST:
-		c.State = StateRSTO
-	case c.sawSYN && c.sawSYNACK && c.sawRespRST:
-		c.State = StateRSTR
-	case c.sawSYN && c.sawSYNACK:
-		c.State = StateS1
+	case f.Tuple.Proto != netpkt.ProtoTCP:
+		f.State = StateOTH
+	case f.sawSYN && f.sawRespRST && !f.sawSYNACK:
+		f.State = StateREJ
+	case f.sawSYN && !f.sawSYNACK:
+		f.State = StateS0
+	case f.sawSYN && f.sawSYNACK && f.sawOrigFIN && f.sawRespFIN:
+		f.State = StateSF
+	case f.sawSYN && f.sawSYNACK && f.sawOrigRST:
+		f.State = StateRSTO
+	case f.sawSYN && f.sawSYNACK && f.sawRespRST:
+		f.State = StateRSTR
+	case f.sawSYN && f.sawSYNACK:
+		f.State = StateS1
 	default:
-		c.State = StateOTH
+		f.State = StateOTH
 	}
 }

@@ -22,7 +22,7 @@ import (
 // tests can hold the replacements to them bit for bit.
 
 // refConnLogLine is the fmt conn-log row.
-func refConnLogLine(i int, c *Connection) string {
+func refConnLogLine(i int, c *Flow) string {
 	return fmt.Sprintf("%.6f\tC%08d\t%s\t%d\t%s\t%d\t%s\t%.6f\t%d\t%d\t%s\t%d\t%d\n",
 		float64(c.First.UnixNano())/1e9,
 		i,
@@ -49,7 +49,7 @@ func refProtoString(p uint8) string {
 	}
 }
 
-func refSortUniflows(us []*Uniflow) {
+func refSortUniflows(us []*Flow) {
 	sort.Slice(us, func(a, b int) bool {
 		if !us[a].First.Equal(us[b].First) {
 			return us[a].First.Before(us[b].First)
@@ -58,7 +58,7 @@ func refSortUniflows(us []*Uniflow) {
 	})
 }
 
-func refSortConnections(cs []*Connection) {
+func refSortConnections(cs []*Flow) {
 	sort.Slice(cs, func(a, b int) bool {
 		if !cs[a].First.Equal(cs[b].First) {
 			return cs[a].First.Before(cs[b].First)
@@ -67,17 +67,24 @@ func refSortConnections(cs []*Connection) {
 	})
 }
 
+// refAssembler is what the tests drive of a reference assembler.
+type refAssembler interface {
+	feed(s netpkt.PacketSummary) []*Flow
+	flush() []*Flow
+	open() int
+}
+
 // refUniAssembler is the uniflow assembler whose sweep scans the whole
 // table.
 type refUniAssembler struct {
 	idle      time.Duration
-	active    map[netpkt.FiveTuple]*Uniflow
+	active    map[netpkt.FiveTuple]*Flow
 	lastSweep time.Time
 	started   bool
 }
 
-func (a *refUniAssembler) feed(s netpkt.PacketSummary) []*Uniflow {
-	var out []*Uniflow
+func (a *refUniAssembler) feed(s netpkt.PacketSummary) []*Flow {
+	var out []*Flow
 	if !a.started {
 		a.started = true
 		a.lastSweep = s.Ts
@@ -100,19 +107,19 @@ func (a *refUniAssembler) feed(s netpkt.PacketSummary) []*Uniflow {
 		f = nil
 	}
 	if f == nil {
-		f = &Uniflow{Tuple: s.Tuple, First: s.Ts}
+		f = &Flow{Tuple: s.Tuple, First: s.Ts}
 		a.active[s.Tuple] = f
 	}
-	f.Pkts++
+	f.OrigPkts++
 	f.Stats = append(f.Stats, StatOf(&s))
 	f.Last = s.Ts
-	f.Bytes += s.Wire
-	f.Payload += s.PayloadLen
+	f.OrigBytes += s.Wire
+	f.OrigPayload += s.PayloadLen
 	return out
 }
 
-func (a *refUniAssembler) flush() []*Uniflow {
-	var out []*Uniflow
+func (a *refUniAssembler) flush() []*Flow {
+	var out []*Flow
 	for _, f := range a.active {
 		out = append(out, f)
 	}
@@ -120,17 +127,19 @@ func (a *refUniAssembler) flush() []*Uniflow {
 	return out
 }
 
+func (a *refUniAssembler) open() int { return len(a.active) }
+
 // refConnAssembler is the connection assembler whose sweep scans the
 // whole table.
 type refConnAssembler struct {
 	idle      time.Duration
-	active    map[netpkt.FiveTuple]*Connection
+	active    map[netpkt.FiveTuple]*Flow
 	lastSweep time.Time
 	started   bool
 }
 
-func (a *refConnAssembler) feed(s netpkt.PacketSummary) []*Connection {
-	var out []*Connection
+func (a *refConnAssembler) feed(s netpkt.PacketSummary) []*Flow {
+	var out []*Flow
 	if !a.started {
 		a.started = true
 		a.lastSweep = s.Ts
@@ -156,7 +165,7 @@ func (a *refConnAssembler) feed(s netpkt.PacketSummary) []*Connection {
 		c = nil
 	}
 	if c == nil {
-		c = &Connection{Tuple: s.Tuple, First: s.Ts}
+		c = &Flow{Tuple: s.Tuple, First: s.Ts}
 		a.active[key] = c
 	}
 	c.add(&s)
@@ -164,8 +173,8 @@ func (a *refConnAssembler) feed(s netpkt.PacketSummary) []*Connection {
 	return out
 }
 
-func (a *refConnAssembler) flush() []*Connection {
-	var out []*Connection
+func (a *refConnAssembler) flush() []*Flow {
+	var out []*Flow
 	for _, c := range a.active {
 		c.finalize()
 		out = append(out, c)
@@ -174,31 +183,34 @@ func (a *refConnAssembler) flush() []*Connection {
 	return out
 }
 
-// sameUniflows and sameConnections compare what a flow exports: counts,
-// member stats in arrival order, and order. (The references do not seed
-// stats from the inline array, so the unexported fields differ by
-// design.)
-func sameUniflows(t *testing.T, at string, got, want []*Uniflow) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d flows, reference has %d", at, len(got), len(want))
-	}
-	for k := range want {
-		g, w := got[k], want[k]
-		if g.Tuple != w.Tuple || !g.First.Equal(w.First) || !g.Last.Equal(w.Last) ||
-			g.Pkts != w.Pkts || g.Bytes != w.Bytes || g.Payload != w.Payload || !reflect.DeepEqual(g.Stats, w.Stats) {
-			t.Fatalf("%s: flow %d is %v %v, reference %v %v", at, k, g.Tuple, g.Stats, w.Tuple, w.Stats)
-		}
-		if g.prev != nil || g.next != nil {
-			t.Fatalf("%s: emitted flow %d is still on the idle list", at, k)
-		}
+func (a *refConnAssembler) open() int { return len(a.active) }
+
+// keyed is one assembler key with its reference, for tests that drive
+// both over one stream.
+type keyed struct {
+	name string
+	a    *Assembler
+	ref  refAssembler
+	uni  bool
+}
+
+// bothKeys returns a fresh uniflow and connection assembler, each with
+// its reference.
+func bothKeys(opts Options) []keyed {
+	return []keyed{
+		{"uniflow", NewUniflowAssembler(opts), &refUniAssembler{idle: opts.idle(), active: map[netpkt.FiveTuple]*Flow{}}, true},
+		{"connection", NewConnAssembler(opts), &refConnAssembler{idle: opts.idle(), active: map[netpkt.FiveTuple]*Flow{}}, false},
 	}
 }
 
-func sameConnections(t *testing.T, at string, got, want []*Connection) {
+// sameFlows compares what a flow exports: counts, conn state, member
+// stats in arrival order, and order. (The references do not seed stats
+// from the inline array, so the unexported fields differ by design.) A
+// uniflow (uni) must also have no responder side and no state.
+func sameFlows(t *testing.T, at string, got, want []*Flow, uni bool) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d connections, reference has %d", at, len(got), len(want))
+		t.Fatalf("%s: %d flows, reference has %d", at, len(got), len(want))
 	}
 	for k := range want {
 		g, w := got[k], want[k]
@@ -206,11 +218,14 @@ func sameConnections(t *testing.T, at string, got, want []*Connection) {
 			g.OrigBytes != w.OrigBytes || g.RespBytes != w.RespBytes ||
 			g.OrigPayload != w.OrigPayload || g.RespPayload != w.RespPayload ||
 			g.OrigPkts != w.OrigPkts || g.RespPkts != w.RespPkts || !reflect.DeepEqual(g.Stats, w.Stats) {
-			t.Fatalf("%s: connection %d is %v %d/%d %s, reference %v %d/%d %s", at, k,
+			t.Fatalf("%s: flow %d is %v %d/%d %s, reference %v %d/%d %s", at, k,
 				g.Tuple, g.OrigPkts, g.RespPkts, g.State, w.Tuple, w.OrigPkts, w.RespPkts, w.State)
 		}
+		if uni && (g.RespPkts != 0 || g.RespBytes != 0 || g.RespPayload != 0 || g.State != "") {
+			t.Fatalf("%s: uniflow %d has a responder side or a state: %d/%d/%d %q", at, k, g.RespPkts, g.RespBytes, g.RespPayload, g.State)
+		}
 		if g.prev != nil || g.next != nil {
-			t.Fatalf("%s: emitted connection %d is still on the idle list", at, k)
+			t.Fatalf("%s: emitted flow %d is still on the idle list", at, k)
 		}
 	}
 }
@@ -258,36 +273,34 @@ func TestSweepMatchesTableScan(t *testing.T) {
 		stream := randomStream(rand.New(rand.NewSource(seed)), 1500, idle)
 		opts := Options{IdleTimeout: idle}
 
-		ua, ur := NewUniflowAssembler(opts), &refUniAssembler{idle: idle, active: map[netpkt.FiveTuple]*Uniflow{}}
-		ca, cr := NewConnAssembler(opts), &refConnAssembler{idle: idle, active: map[netpkt.FiveTuple]*Connection{}}
+		keys := bothKeys(opts)
 		var slab StatSlab
-		evicted := 0
+		evicted := make([]int, len(keys))
 		for i := range stream {
-			at := fmt.Sprintf("seed %d packet %d", seed, i)
 			s := &stream[i]
-			got := append([]*Uniflow(nil), ua.Feed(s)...)
-			gotc := append([]*Connection(nil), ca.Feed(s)...)
-			SortUniflows(got)
-			SortConnections(gotc)
-			if s.HasTuple {
-				// Attach the stat as a stats-keeping caller does.
-				ua.Newest().AddStat(StatOf(s), &slab)
-				ca.Newest().AddStat(StatOf(s), &slab)
-			}
-			sameUniflows(t, at, got, ur.feed(*s))
-			evicted += len(got)
-			sameConnections(t, at, gotc, cr.feed(*s))
-			if ua.Open() != len(ur.active) || ca.Open() != len(cr.active) {
-				t.Fatalf("%s: %d/%d open, reference %d/%d", at, ua.Open(), ca.Open(), len(ur.active), len(cr.active))
+			for j, k := range keys {
+				at := fmt.Sprintf("seed %d packet %d %s", seed, i, k.name)
+				got := append([]*Flow(nil), k.a.Feed(s)...)
+				Sort(got)
+				if s.HasTuple {
+					// Attach the stat as a stats-keeping caller does.
+					k.a.Newest().AddStat(StatOf(s), &slab)
+				}
+				sameFlows(t, at, got, k.ref.feed(*s), k.uni)
+				evicted[j] += len(got)
+				if k.a.Open() != k.ref.open() {
+					t.Fatalf("%s: %d open, reference %d", at, k.a.Open(), k.ref.open())
+				}
 			}
 		}
-		if evicted == 0 {
-			t.Fatalf("seed %d: nothing was evicted mid-stream", seed)
-		}
-		sameUniflows(t, "flush", ua.Flush(), ur.flush())
-		sameConnections(t, "flush", ca.Flush(), cr.flush())
-		if ua.Open() != 0 || ca.Open() != 0 {
-			t.Fatalf("seed %d: flows open after Flush", seed)
+		for j, k := range keys {
+			if evicted[j] == 0 {
+				t.Fatalf("seed %d: no %s was evicted mid-stream", seed, k.name)
+			}
+			sameFlows(t, "flush "+k.name, k.a.Flush(), k.ref.flush(), k.uni)
+			if k.a.Open() != 0 {
+				t.Fatalf("seed %d: %ss open after Flush", seed, k.name)
+			}
 		}
 	}
 }
@@ -298,15 +311,15 @@ func TestSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	stream := randomStream(rng, 3000, time.Second)
 	a := NewConnAssembler(Options{IdleTimeout: time.Second})
-	var conns []*Connection
+	var conns []*Flow
 	for i := range stream {
 		conns = append(conns, a.Feed(&stream[i])...)
 	}
 	conns = append(conns, a.Flush()...)
 	rng.Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
-	want := append([]*Connection{}, conns...)
+	want := append([]*Flow{}, conns...)
 	refSortConnections(want)
-	SortConnections(conns)
+	Sort(conns)
 	ties := 0
 	for k := range want {
 		if conns[k] != want[k] {
@@ -389,7 +402,7 @@ func FuzzConnLogLine(f *testing.F) {
 			}
 			return a
 		}
-		c := &Connection{
+		c := &Flow{
 			Tuple:     netpkt.FiveTuple{SrcIP: addr(src), DstIP: addr(dst), SrcPort: sport, DstPort: dport, Proto: proto},
 			First:     time.Unix(0, first),
 			OrigBytes: ob, RespBytes: rb,
@@ -411,7 +424,7 @@ func TestWriteConnLogAllocs(t *testing.T) {
 	if len(conns) < 100 {
 		t.Fatalf("only %d connections", len(conns))
 	}
-	per := func(cs []*Connection) float64 {
+	per := func(cs []*Flow) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if err := WriteConnLog(io.Discard, cs); err != nil {
 				t.Fatal(err)
@@ -438,21 +451,28 @@ func benchSummaries(b *testing.B) []netpkt.PacketSummary {
 	return sums
 }
 
-// BenchmarkConnAssembler prices connection assembly per packet: feed,
+// BenchmarkAssembler prices assembly per packet under each key: feed,
 // mid-stream eviction, flush.
-func BenchmarkConnAssembler(b *testing.B) {
-	sums := benchSummaries(b)
-	var conns int
-	for n := 0; n < b.N; n++ {
-		a := NewConnAssembler(Options{})
-		conns = 0
-		for i := range sums {
-			conns += len(a.Feed(&sums[i]))
-		}
-		conns += len(a.Flush())
+func BenchmarkAssembler(b *testing.B) {
+	for _, key := range []struct {
+		name string
+		new  func(Options) *Assembler
+	}{{"uniflow", NewUniflowAssembler}, {"connection", NewConnAssembler}} {
+		b.Run(key.name, func(b *testing.B) {
+			sums := benchSummaries(b)
+			var flows int
+			for n := 0; n < b.N; n++ {
+				a := key.new(Options{})
+				flows = 0
+				for i := range sums {
+					flows += len(a.Feed(&sums[i]))
+				}
+				flows += len(a.Flush())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sums)), "ns/pkt")
+			b.ReportMetric(float64(flows), "flows")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sums)), "ns/pkt")
-	b.ReportMetric(float64(conns), "conns")
 }
 
 // BenchmarkWriteConnLog prices the conn-log per connection, the global
@@ -460,14 +480,14 @@ func BenchmarkConnAssembler(b *testing.B) {
 func BenchmarkWriteConnLog(b *testing.B) {
 	sums := benchSummaries(b)
 	a := NewConnAssembler(Options{})
-	var conns []*Connection
+	var conns []*Flow
 	for i := range sums {
 		conns = append(conns, a.Feed(&sums[i])...)
 	}
 	conns = append(conns, a.Flush()...)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		SortConnections(conns)
+		Sort(conns)
 		if err := WriteConnLog(io.Discard, conns); err != nil {
 			b.Fatal(err)
 		}

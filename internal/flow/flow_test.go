@@ -65,7 +65,7 @@ func TestUniflowsDirectionality(t *testing.T) {
 	if len(flows) != 2 {
 		t.Fatalf("got %d uniflows, want 2 (one per direction)", len(flows))
 	}
-	var fwd, rev *Uniflow
+	var fwd, rev *Flow
 	for _, f := range flows {
 		if f.Tuple.SrcPort == 1234 {
 			fwd = f
@@ -76,11 +76,11 @@ func TestUniflowsDirectionality(t *testing.T) {
 	if fwd == nil || rev == nil {
 		t.Fatal("missing a direction")
 	}
-	if fwd.Pkts != 5 || rev.Pkts != 3 {
-		t.Errorf("packet counts fwd=%d rev=%d, want 5/3", fwd.Pkts, rev.Pkts)
+	if fwd.OrigPkts != 5 || rev.OrigPkts != 3 {
+		t.Errorf("packet counts fwd=%d rev=%d, want 5/3", fwd.OrigPkts, rev.OrigPkts)
 	}
-	if fwd.Payload != 5 { // "GET /"
-		t.Errorf("fwd payload = %d, want 5", fwd.Payload)
+	if fwd.OrigPayload != 5 { // "GET /"
+		t.Errorf("fwd payload = %d, want 5", fwd.OrigPayload)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestUniflowIdleTimeoutSplits(t *testing.T) {
 	if len(flows) != 2 {
 		t.Fatalf("got %d flows, want 2 after idle split", len(flows))
 	}
-	if flows[0].Pkts != 2 || flows[1].Pkts != 1 {
-		t.Errorf("split sizes %d/%d, want 2/1", flows[0].Pkts, flows[1].Pkts)
+	if flows[0].OrigPkts != 2 || flows[1].OrigPkts != 1 {
+		t.Errorf("split sizes %d/%d, want 2/1", flows[0].OrigPkts, flows[1].OrigPkts)
 	}
 }
 
@@ -246,17 +246,13 @@ func TestUniflowDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestConnectionSizeHolds: a flow holds its counters and a slice header
-// for the stats a caller attaches, and no stat array of its own (224 B a
-// connection and 176 B a uniflow on 64-bit platforms, both size classes
-// of the allocator), so an assembler that attaches no stats (a sink whose
-// readers take only counters, the daemon's conn-log, pcapinfo) retains
-// counters alone.
-func TestConnectionSizeHolds(t *testing.T) {
-	if n := unsafe.Sizeof(Connection{}); n > 224 {
-		t.Errorf("a Connection is %d B, above 224", n)
-	}
-	if n := unsafe.Sizeof(Uniflow{}); n > 176 {
-		t.Errorf("a Uniflow is %d B, above 176", n)
+// TestFlowSizeHolds: a flow holds its counters and a slice header for
+// the stats a caller attaches, and no stat array of its own (224 B on
+// 64-bit platforms, a size class of the allocator), so an assembler that
+// attaches no stats (a sink whose readers take only counters, the
+// daemon's conn-log, pcapinfo) retains counters alone.
+func TestFlowSizeHolds(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n > 224 {
+		t.Errorf("a Flow is %d B, above 224", n)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"lumen/internal/netpkt"
 )
 
 // FuzzReleaseOrder: over a random time-ordered stream with repeated
@@ -28,59 +26,54 @@ func FuzzReleaseOrder(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		idle := []time.Duration{64 * time.Second, 3 * time.Second}[rng.Intn(2)]
 		stream := randomStream(rng, int(n%4000), idle)
-		opts := Options{IdleTimeout: idle}
-		ua, ur := NewUniflowAssembler(opts), &refUniAssembler{idle: idle, active: map[netpkt.FiveTuple]*Uniflow{}}
-		ca, cr := NewConnAssembler(opts), &refConnAssembler{idle: idle, active: map[netpkt.FiveTuple]*Connection{}}
+		keys := bothKeys(Options{IdleTimeout: idle})
 		var slab StatSlab
-		var unis, wantUnis []*Uniflow
-		var conns, wantConns []*Connection
-		closed := func(at int) {
-			for _, u := range unis[at:] {
-				if !u.closed() {
-					t.Fatalf("released flow %v is open", u.Tuple)
-				}
-			}
-		}
-		closedConns := func(at int) {
-			for _, c := range conns[at:] {
-				if !c.closed() || c.State == "" {
-					t.Fatalf("released connection %v is open or not finalized", c.Tuple)
+		released := make([][]*Flow, len(keys))
+		want := make([][]*Flow, len(keys))
+		// closed checks the flows released from at on: each has left its
+		// idle list and, under the bidirectional key, been finalized.
+		closed := func(j, at int) {
+			for _, f := range released[j][at:] {
+				if f.prev != nil || !keys[j].uni && f.State == "" {
+					t.Fatalf("released %s %v is open or not finalized", keys[j].name, f.Tuple)
 				}
 			}
 		}
 		for i := range stream {
 			s := &stream[i]
-			ua.Feed(s)
-			ca.Feed(s)
-			if s.HasTuple {
-				ua.Newest().AddStat(StatOf(s), &slab)
-				ca.Newest().AddStat(StatOf(s), &slab)
+			for j, k := range keys {
+				k.a.Feed(s)
+				if s.HasTuple {
+					k.a.Newest().AddStat(StatOf(s), &slab)
+				}
+				want[j] = append(want[j], k.ref.feed(*s)...)
 			}
-			wantUnis = append(wantUnis, ur.feed(*s)...)
-			wantConns = append(wantConns, cr.feed(*s)...)
 			if rng.Intn(int(every)+1) == 0 {
-				k, kc := len(unis), len(conns)
-				unis, conns = ua.Release(unis), ca.Release(conns)
-				closed(k)
-				closedConns(kc)
-				if len(unis)+ua.Held() != len(wantUnis) || len(conns)+ca.Held() != len(wantConns) {
-					t.Fatalf("packet %d: %d+%d uniflows and %d+%d connections released and held, the reference closed %d and %d",
-						i, len(unis), ua.Held(), len(conns), ca.Held(), len(wantUnis), len(wantConns))
+				for j, k := range keys {
+					at := len(released[j])
+					released[j] = k.a.Release(released[j])
+					closed(j, at)
+					if len(released[j])+k.a.Held() != len(want[j]) {
+						t.Fatalf("packet %d: %d+%d %ss released and held, the reference closed %d",
+							i, len(released[j]), k.a.Held(), k.name, len(want[j]))
+					}
 				}
 			}
 		}
-		k, kc := len(unis), len(conns)
-		unis, conns = ua.ReleaseAll(unis), ca.ReleaseAll(conns)
-		closed(k)
-		closedConns(kc)
-		wantUnis = append(wantUnis, ur.flush()...)
-		wantConns = append(wantConns, cr.flush()...)
-		refSortUniflows(wantUnis)
-		refSortConnections(wantConns)
-		sameUniflows(t, "released", unis, wantUnis)
-		sameConnections(t, "released", conns, wantConns)
-		if ua.Open()+ua.Held() != 0 || ca.Open()+ca.Held() != 0 {
-			t.Fatal("flows left after ReleaseAll")
+		for j, k := range keys {
+			at := len(released[j])
+			released[j] = k.a.ReleaseAll(released[j])
+			closed(j, at)
+			want[j] = append(want[j], k.ref.flush()...)
+			if k.uni {
+				refSortUniflows(want[j])
+			} else {
+				refSortConnections(want[j])
+			}
+			sameFlows(t, "released "+k.name, released[j], want[j], k.uni)
+			if k.a.Open()+k.a.Held() != 0 {
+				t.Fatalf("%ss left after ReleaseAll", k.name)
+			}
 		}
 	})
 }
