@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet docs-lint fuzz-smoke faults check daemon-smoke drift-smoke config-check loc pairs
+.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke config-check loc pairs
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,11 @@ bench-paper:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the tree is not gofmt-clean, and names
+# the files.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "fmt: not gofmt-clean:"; echo "$$out"; exit 1; }
 
 # race runs the concurrency-sensitive packages (engine/cache singleflight,
 # streaming engine: the core suite sweeps every dataset × chunk size ×
@@ -139,8 +144,8 @@ config-check:
 # fuzz-smoke gives each fuzz target a short budget on top of its seed
 # corpus. Go runs one -fuzz pattern per invocation, so each target gets
 # its own line; what each one holds:
-#   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == eager Decode: Materialize, and DNS()/HTTP()/MQTT() value for value,
-#                        at every decode hint (netpkt/view_fuzz_test.go)
+#   FuzzViewEthernet, FuzzViewDot11  lazy PacketView == the eager reference walk refDecode: Materialize (= Decode), and
+#                        DNS()/HTTP()/MQTT() value for value, at every decode hint (netpkt/view_fuzz_test.go)
 #   FuzzUnmarshalModel   error, or a model that scores without panicking (mlkit/persist_fuzz_test.go);
 #                        minimization capped: shrinking a multi-kilobyte envelope would eat the budget
 #   FuzzFeedFrame        the in-place slab framer: error, or exactly the bytes a length prefix in [8, MaxFrameBytes] announced, clean end
@@ -211,9 +216,9 @@ pairs:
 faults:
 	$(GO) test -race -run 'Panic|Unwind|FailsAlone' ./internal/core/ ./internal/daemon/ ./internal/dataset/
 
-# check is the CI gate: static analysis, race-clean concurrency paths,
+# check is the CI gate: static analysis, gofmt, race-clean concurrency paths,
 # the documentation lint, the example daemon files, a short fuzz pass
 # over every byte-facing parser (listed at fuzz-smoke), and the fault
 # injection tests.
-check: vet race docs-lint config-check fuzz-smoke faults
+check: vet fmt race docs-lint config-check fuzz-smoke faults
 	$(GO) build ./...

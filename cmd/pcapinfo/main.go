@@ -182,9 +182,9 @@ func run(path string) error {
 	return nil
 }
 
-// protoNameView classifies a lazy view exactly as protoName classifies
-// the eagerly decoded packet (the DNS check forces the app parse only on
-// port-53 packets, which the pump's hint already predecodes).
+// protoNameView names a packet's innermost recognized protocol (the DNS
+// check forces the app parse only on port-53 packets, which the pump's
+// hint already predecodes).
 func protoNameView(v *netpkt.PacketView) string {
 	if d, ok := v.Dot11(); ok {
 		if d.Subtype.IsManagement() {
@@ -208,28 +208,6 @@ func protoNameView(v *netpkt.PacketView) string {
 		return "arp"
 	}
 	return "other"
-}
-
-func protoName(p *netpkt.Packet) string {
-	switch {
-	case p.Dot11 != nil:
-		if p.Dot11.Subtype.IsManagement() {
-			return "802.11m"
-		}
-		return "802.11d"
-	case p.DNS != nil:
-		return "dns"
-	case p.TCP != nil:
-		return "tcp"
-	case p.UDP != nil:
-		return "udp"
-	case p.ICMP != nil:
-		return "icmp"
-	case p.ARP != nil:
-		return "arp"
-	default:
-		return "other"
-	}
 }
 
 type kv struct {

@@ -142,23 +142,38 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
+// TestProtoNameClassification classifies views of serialized packets,
+// one per protocol name.
 func TestProtoNameClassification(t *testing.T) {
+	eth := &netpkt.Ethernet{}
+	ip := func(proto uint8) *netpkt.IPv4 {
+		return &netpkt.IPv4{TTL: 64, Protocol: proto,
+			Src: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Dst: netip.AddrFrom4([4]byte{10, 0, 0, 2})}
+	}
 	cases := []struct {
 		p    *netpkt.Packet
 		want string
 	}{
-		{&netpkt.Packet{TCP: &netpkt.TCP{}}, "tcp"},
-		{&netpkt.Packet{UDP: &netpkt.UDP{}}, "udp"},
-		{&netpkt.Packet{ICMP: &netpkt.ICMP{}}, "icmp"},
-		{&netpkt.Packet{ARP: &netpkt.ARP{}}, "arp"},
-		{&netpkt.Packet{DNS: &netpkt.DNS{}, UDP: &netpkt.UDP{}}, "dns"},
+		{&netpkt.Packet{Eth: eth, IPv4: ip(netpkt.ProtoTCP), TCP: &netpkt.TCP{SrcPort: 1000, DstPort: 22}}, "tcp"},
+		{&netpkt.Packet{Eth: eth, IPv4: ip(netpkt.ProtoUDP), UDP: &netpkt.UDP{SrcPort: 1000, DstPort: 123}}, "udp"},
+		{&netpkt.Packet{Eth: eth, IPv4: ip(netpkt.ProtoICMP), ICMP: &netpkt.ICMP{Type: 8}}, "icmp"},
+		{&netpkt.Packet{Eth: eth, ARP: &netpkt.ARP{Op: 1,
+			SenderIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), TargetIP: netip.AddrFrom4([4]byte{10, 0, 0, 2})}}, "arp"},
+		{&netpkt.Packet{Eth: eth, IPv4: ip(netpkt.ProtoUDP), UDP: &netpkt.UDP{SrcPort: 1000, DstPort: 53},
+			Payload: netpkt.EncodeDNSQuery(7, "camera.iot.example", false)}, "dns"},
 		{&netpkt.Packet{Dot11: &netpkt.Dot11{Subtype: netpkt.Dot11Beacon}}, "802.11m"},
 		{&netpkt.Packet{Dot11: &netpkt.Dot11{Subtype: netpkt.Dot11Data}}, "802.11d"},
-		{&netpkt.Packet{}, "other"},
+		{&netpkt.Packet{Eth: eth, IPv4: ip(47), Payload: []byte{0, 0, 8, 0}}, "other"},
 	}
 	for _, c := range cases {
-		if got := protoName(c.p); got != c.want {
-			t.Errorf("protoName = %q, want %q", got, c.want)
+		raw, err := c.p.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v netpkt.PacketView
+		v.Reset(raw, c.p.Link, time.Time{})
+		if got := protoNameView(&v); got != c.want {
+			t.Errorf("protoNameView = %q, want %q", got, c.want)
 		}
 	}
 }

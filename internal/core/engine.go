@@ -442,23 +442,29 @@ func (e *Engine) TrainedModel() (mlkit.Classifier, bool) {
 	return nil, false
 }
 
-// NewTrainableModel builds a fresh, unfitted classifier from the
-// pipeline's model spec (the same construction Train performs). A
-// resident daemon uses it to fit a replacement model on reservoir data in
-// the background before hot-swapping it in via ReplaceModel/SwapHandle.
+// NewTrainableModel builds a fresh, unfitted classifier from the model
+// op the pipeline's train op reads (the same construction Train
+// performs). A resident daemon uses it to fit a replacement model on
+// reservoir data in the background before hot-swapping it in via
+// ReplaceModel/SwapHandle.
 func (e *Engine) NewTrainableModel() (mlkit.Classifier, error) {
+	model := ""
 	for _, op := range e.P.Ops {
-		if op.Func != "model" {
+		if op.Func == "train" && len(op.Input) > 0 {
+			model = op.Input[0]
+		}
+	}
+	for _, op := range e.P.Ops {
+		if op.Func != "model" || op.Output != model {
 			continue
 		}
-		p := params(op.Params)
-		mt := p.str("model_type", p.str("type", ""))
-		if mt == "" {
-			return nil, fmt.Errorf("core: pipeline %q model op has no model_type", e.P.Name)
+		spec, err := opModel(nil, nil, params(op.Params))
+		if err != nil {
+			return nil, fmt.Errorf("core: pipeline %q: %w", e.P.Name, err)
 		}
-		return buildClassifier(ModelSpec{Type: mt, Params: map[string]any(p)}, e.Seed)
+		return buildClassifier(spec.(ModelSpec), e.Seed)
 	}
-	return nil, fmt.Errorf("core: pipeline %q has no model op", e.P.Name)
+	return nil, fmt.Errorf("core: pipeline %q has no model op feeding its train op", e.P.Name)
 }
 
 // ReplaceModel swaps the fitted classifier behind the pipeline's train op

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"lumen/internal/mlkit"
 	"lumen/internal/mlkit/linalg"
 )
 
@@ -306,9 +305,4 @@ func groupRows(f *Frame, keyCols []string) (*Grouped, error) {
 // round-trip representation, including fmt's "+Inf"/"-Inf"/"NaN" forms.
 func appendG(buf []byte, v float64) []byte {
 	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
-// sortedCopy returns a sorted copy of xs (shared sort helper in mlkit).
-func sortedCopy(xs []float64) []float64 {
-	return mlkit.SortedCopy(xs, nil)
 }

@@ -518,12 +518,12 @@ func opDropConst(ctx *opCtx, in []Value, _ params) (Value, error) {
 
 // scalerState holds a fitted scaler with the column layout it saw.
 type scalerState struct {
-	scaler mlkit.Scaler
+	scaler mlkit.Transformer
 	cols   []string
 }
 
 // newScaler builds the scaler selected by the op's "kind" param.
-func newScaler(p params) (mlkit.Scaler, error) {
+func newScaler(p params) (mlkit.Transformer, error) {
 	switch kind := p.str("kind", "zscore"); kind {
 	case "zscore":
 		return &mlkit.StandardScaler{}, nil

@@ -224,3 +224,17 @@ func TestShadowedChunkScoresEachModelOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewTrainableModelBuildsTheTrainedOne: the daemon's retrain fits
+// the model the train op reads, not the first model op in the template.
+func TestNewTrainableModelBuildsTheTrainedOne(t *testing.T) {
+	p := fieldPipeline()
+	p.Ops = append([]OpSpec{{Func: "model", Output: "unused", Params: map[string]any{"model_type": "gaussian_nb"}}}, p.Ops...)
+	clf, err := NewEngine(p).NewTrainableModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := clf.(*mlkit.DecisionTree); !ok {
+		t.Fatalf("NewTrainableModel built %T, want the train op's *mlkit.DecisionTree", clf)
+	}
+}

@@ -39,8 +39,8 @@ func benchCapture(b *testing.B) (raw []byte, frames [][]byte, link netpkt.LinkTy
 	return buf.Bytes(), frames, ds.Link, wire
 }
 
-// BenchmarkDecodeEager is the baseline: the full-stack eager decoder,
-// one Packet plus layer structs per frame.
+// BenchmarkDecodeEager is the baseline: Decode, the header pass plus
+// one materialized Packet and its layer structs per frame.
 func BenchmarkDecodeEager(b *testing.B) {
 	_, frames, link, wire := benchCapture(b)
 	ts := time.Unix(0, 0)

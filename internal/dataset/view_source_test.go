@@ -26,10 +26,11 @@ func TestGeneratedPacketsAreTheirWireBytes(t *testing.T) {
 }
 
 // TestViewsMatchReadAllAcrossRegistry replays the first chunk of every
-// registered dataset through PcapSource: its materialized views must be
-// identical to the packets pcap.Reader.ReadAll eagerly decodes from the
-// same bytes, on each dataset's real traffic mix (every link type,
-// protocol blend and attack shape the generators produce).
+// registered dataset through PcapSource: its predecoded, materialized
+// views must be identical to the packets pcap.Reader.ReadAll decodes
+// record by record from the same bytes, on each dataset's real traffic
+// mix (every link type, protocol blend and attack shape the generators
+// produce).
 func TestViewsMatchReadAllAcrossRegistry(t *testing.T) {
 	const rows = 200
 	for _, spec := range Registry() {

@@ -10,7 +10,6 @@ import (
 // Thin wrappers keep call sites short inside hot loops.
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func log(x float64) float64  { return math.Log(x) }
-func exp(x float64) float64  { return math.Exp(x) }
 
 // Dot returns the inner product of two equal-length vectors, delegating
 // to the multi-accumulator linalg kernel.

@@ -1,7 +1,8 @@
 package mlkit
 
 // Transformer is any fitted feature transformation (scalers, Nyström maps,
-// correlation filters all satisfy it).
+// correlation filters all satisfy it): Fit learns parameters from
+// training data, Transform applies them (never mutating its input).
 type Transformer interface {
 	Fit(X [][]float64) error
 	Transform(X [][]float64) [][]float64

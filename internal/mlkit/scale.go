@@ -2,13 +2,6 @@ package mlkit
 
 import "math"
 
-// Scaler transforms feature matrices; Fit learns parameters from training
-// data, Transform applies them (never mutating its input).
-type Scaler interface {
-	Fit(X [][]float64) error
-	Transform(X [][]float64) [][]float64
-}
-
 // StandardScaler centers each feature to zero mean and unit variance.
 // Zero-variance features are centered only.
 type StandardScaler struct {

@@ -54,31 +54,3 @@ func (d *Dot11) encode(payload []byte) []byte {
 	copy(b[24:], payload)
 	return b
 }
-
-// decodeDot11 parses an 802.11 header from raw bytes.
-func (p *Packet) decodeDot11(b []byte) {
-	if len(b) < 24 {
-		p.TruncatedLayer = "dot11"
-		return
-	}
-	fc := binary.LittleEndian.Uint16(b[0:2])
-	ftype := uint8(fc>>2) & 0x03
-	fsub := uint8(fc>>4) & 0x0f
-	d := &Dot11{
-		Duration: binary.LittleEndian.Uint16(b[2:4]),
-		Seq:      binary.LittleEndian.Uint16(b[22:24]) >> 4,
-		Retry:    fc&(1<<11) != 0,
-	}
-	if ftype == 2 {
-		d.Subtype = Dot11Data
-	} else {
-		d.Subtype = Dot11Subtype(fsub)
-	}
-	copy(d.Addr1[:], b[4:10])
-	copy(d.Addr2[:], b[10:16])
-	copy(d.Addr3[:], b[16:22])
-	p.Dot11 = d
-	if len(b) > 24 {
-		p.Payload = b[24:]
-	}
-}

@@ -1,15 +1,15 @@
 package netpkt
 
-// view.go is the zero-copy lazy decode path. A PacketView sits directly
-// on the raw record bytes (typically a subslice of an mmap'ed capture)
-// and decodes layers on first touch: L2–L4 headers in one inline pass
-// into value fields (no per-layer pointer allocations), DNS/HTTP/MQTT
-// only when an accessor actually asks, in place over the payload (the
-// app pass keeps a presence bit each, and HTTP's header fields). Every
-// accessor mirrors the eager Decode semantics bit for bit —
-// Materialize() must equal Decode(Data, Link, Ts) for any input, each
-// app accessor Decode's layer, and the differential fuzz targets in
-// view_fuzz_test.go hold it to that.
+// view.go is the one packet parser. A PacketView sits directly on the
+// raw record bytes (typically a subslice of an mmap'ed capture) and
+// decodes layers on first touch: L2–L4 headers in one inline pass into
+// value fields (no per-layer pointer allocations), DNS/HTTP/MQTT only
+// when an accessor actually asks, in place over the payload (the app
+// pass keeps a presence bit each, and HTTP's header fields). Decode is
+// this header pass materialized. The independent reference is the eager
+// layer walk refDecode (decode_oracle_test.go): Materialize() must equal
+// it for any input, each app accessor its layer, and the differential
+// fuzz targets in view_fuzz_test.go hold it to that.
 
 import (
 	"encoding/binary"
@@ -385,11 +385,11 @@ func (v *PacketView) Summary() PacketSummary {
 	return s
 }
 
-// Materialize eagerly decodes everything and returns the equivalent
-// Packet — exactly what Decode(Data, Link, Ts) would have produced.
-// Layer structs are copied and the app layers decoded afresh, so the
-// Packet does not alias view state (its Data, Payload and app-layer
-// text still alias the raw bytes, like Decode's).
+// Materialize decodes everything and returns the equivalent heap
+// Packet; Decode(Data, Link, Ts) is exactly this. Layer structs are
+// copied and the app layers decoded afresh, so the Packet does not
+// alias view state (its Data, Payload and app-layer text still alias
+// the raw bytes).
 func (v *PacketView) Materialize() *Packet {
 	v.ensureHeaders()
 	p := &Packet{Ts: v.Ts, Link: v.Link, Data: v.Data, TruncatedLayer: v.trunc}
@@ -432,9 +432,10 @@ func (v *PacketView) Materialize() *Packet {
 	return p
 }
 
-// ensureHeaders runs the single-pass L2–L4 decode once. It mirrors
-// Decode's layer walk exactly (same truncation points, same payload
-// slicing) but writes into inline value fields.
+// ensureHeaders runs the single-pass L2–L4 decode once, into inline
+// value fields: on a truncated layer it records the layer's name and
+// keeps the outer layers, and the payload is what the innermost decoded
+// layer carries.
 func (v *PacketView) ensureHeaders() {
 	if v.flags&vHdrs != 0 {
 		return
@@ -643,7 +644,7 @@ func (v *PacketView) hdrICMP(b []byte, off, end int) {
 	}
 }
 
-// appGate maps the decoded transport ports onto the app layer Decode
+// appGate maps the decoded transport ports onto the app layer decodeApp
 // would try, as an AppMask (0 when none applies). Headers must already
 // be decoded.
 func (v *PacketView) appGate() AppMask {
@@ -658,7 +659,7 @@ func (v *PacketView) appGate() AppMask {
 	return 0
 }
 
-// ensureApp runs the app-layer decode once. Decode only attempts it with
+// ensureApp runs the app-layer decode once. It only attempts it with
 // a non-empty payload; an empty/absent payload fails every app parser's
 // minimum-length check, so gating is equivalent either way.
 func (v *PacketView) ensureApp() {
@@ -709,7 +710,7 @@ type PacketSummary struct {
 	HasTCP   bool
 }
 
-// Summary extracts the flow-assembly fields of an eagerly decoded packet.
+// Summary extracts the flow-assembly fields of a materialized packet.
 func (p *Packet) Summary() PacketSummary {
 	s := PacketSummary{Ts: p.Ts, Wire: p.WireLen(), PayloadLen: len(p.Payload)}
 	if p.TCP != nil {

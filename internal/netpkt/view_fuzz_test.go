@@ -8,12 +8,12 @@ import (
 
 // fuzzViewAgainstDecode is the shared differential property: for any
 // input bytes, the lazy view must never panic, must materialize to
-// exactly the packet the eager decoder builds, and its own app-layer
-// accessors must return Decode's DNS, HTTP and MQTT layers value for
-// value, at every predecode depth.
+// exactly the packet the reference layer walk refDecode builds, and its
+// own app-layer accessors must return refDecode's DNS, HTTP and MQTT
+// layers value for value, at every predecode depth.
 func fuzzViewAgainstDecode(t *testing.T, data []byte, link LinkType) {
 	ts := time.Unix(1700000000, 0)
-	want := Decode(data, link, ts)
+	want := refDecode(data, link, ts)
 	for _, hint := range allHints() {
 		var v PacketView
 		v.Reset(data, link, ts)

@@ -155,16 +155,16 @@ func allHints() []DecodeHint {
 	}
 }
 
-// TestViewMaterializeMatchesDecode is the fast path's core contract: for
-// any frame, at any predecode depth, materializing a view produces the
-// exact packet the eager decoder builds — including every truncation of
-// every corpus frame.
+// TestViewMaterializeMatchesDecode is the parser's core contract: for
+// any frame, at any predecode depth, materializing a view (which is what
+// Decode does) produces the exact packet the eager reference walk
+// refDecode builds — including every truncation of every corpus frame.
 func TestViewMaterializeMatchesDecode(t *testing.T) {
 	ts := time.Unix(1700000000, 123456000).UTC()
 	for _, c := range viewCorpus(t) {
 		for cut := 0; cut <= len(c.raw); cut++ {
 			data := c.raw[:cut]
-			want := Decode(data, c.link, ts)
+			want := refDecode(data, c.link, ts)
 			for _, hint := range allHints() {
 				var v PacketView
 				v.Reset(data, c.link, ts)
@@ -229,7 +229,7 @@ func TestViewAppDecodeAllocs(t *testing.T) {
 		raw  []byte
 	}
 	for _, c := range viewCorpus(t) {
-		if p := Decode(c.raw, c.link, time.Time{}); p.DNS != nil || p.HTTP != nil || p.MQTT != nil {
+		if p := refDecode(c.raw, c.link, time.Time{}); p.DNS != nil || p.HTTP != nil || p.MQTT != nil {
 			apps = append(apps, c)
 		}
 	}
@@ -316,20 +316,20 @@ func TestViewResetClearsState(t *testing.T) {
 	if !ok || a.Op != 1 {
 		t.Fatalf("ARP after Reset: %+v ok=%v", a, ok)
 	}
-	if got := v.Materialize(); !reflect.DeepEqual(got, Decode(corp[6].raw, corp[6].link, time.Unix(2, 0))) {
-		t.Fatal("materialize after reuse differs from eager decode")
+	if got := v.Materialize(); !reflect.DeepEqual(got, refDecode(corp[6].raw, corp[6].link, time.Unix(2, 0))) {
+		t.Fatal("materialize after reuse differs from refDecode")
 	}
 }
 
 // TestViewSummaryMatchesPacket: the flow assembler consumes summaries, so
-// a view summary must match the summary of the eagerly decoded packet.
+// a view summary must match the summary of the reference-decoded packet.
 func TestViewSummaryMatchesPacket(t *testing.T) {
 	ts := time.Unix(1700000000, 0)
 	for _, c := range viewCorpus(t) {
 		var v PacketView
 		v.Reset(c.raw, c.link, ts)
 		got := v.Summary()
-		want := Decode(c.raw, c.link, ts).Summary()
+		want := refDecode(c.raw, c.link, ts).Summary()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: summary mismatch:\nview:  %+v\neager: %+v", c.name, got, want)
 		}
@@ -343,7 +343,7 @@ func TestViewTupleAndEndpoints(t *testing.T) {
 	for _, c := range viewCorpus(t) {
 		var v PacketView
 		v.Reset(c.raw, c.link, ts)
-		p := Decode(c.raw, c.link, ts)
+		p := refDecode(c.raw, c.link, ts)
 		wantT, wantOK := p.Tuple()
 		gotT, gotOK := v.Tuple()
 		if gotOK != wantOK || gotT != wantT {
