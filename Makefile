@@ -118,7 +118,11 @@ daemon-smoke:
 # retraining enabled. The two-sided Page-Hinkley monitor fires on the
 # score collapse, the daemon refits on fresh post-drift rows in the
 # background, and the candidate must pass the shadow gate into an
-# auto-promoted generation before drain.
+# auto-promoted generation before drain. Beside it a connection-level
+# pipeline, which scores flows as they close, replays F1 then F4: every
+# pipeline in the file must count drift events
+# (lumen_drift_events_total above 0), so a detector that runs over
+# blocks of closed flows reaches the daemon too.
 drift-smoke:
 	@tmp=$$(mktemp -d) && $(GO) build -o $$tmp/lumend ./cmd/lumend && \
 	(cd $$tmp && ./lumend -config $(CURDIR)/examples/drift-retrain/lumend.json -listen "" \
@@ -130,7 +134,13 @@ drift-smoke:
 		|| { echo "drift-smoke: retrained model was not promoted"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
 	grep -q 'lumen_retrain_total' $$tmp/metrics.prom \
 		|| { echo "drift-smoke: no retrain counted"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
-	echo "drift-smoke: OK ($$(grep -c . $$tmp/alerts.jsonl) alerts, $$(grep 'lumen_drift_events_total{' $$tmp/metrics.prom | head -1))"; \
+	for p in $$(sed -n 's/^lumend: pipeline "\(.*\)" stopped: .*/\1/p' $$tmp/out.txt); do \
+		grep -Eq "^lumen_drift_events_total\{pipeline=\"$$p\"\} [1-9]" $$tmp/metrics.prom \
+			|| { echo "drift-smoke: pipeline $$p counted no drift event"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
+	done; \
+	test $$(grep -c ' stopped: ' $$tmp/out.txt) = $$(grep -c '"template"' $(CURDIR)/examples/drift-retrain/lumend.json) \
+		|| { echo "drift-smoke: not every pipeline stopped cleanly"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
+	echo "drift-smoke: OK ($$(grep -c . $$tmp/alerts.jsonl) alerts, $$(grep 'lumen_drift_events_total{' $$tmp/metrics.prom | tr '\n' ' '))"; \
 	rm -rf $$tmp
 
 # config-check type-checks every example daemon file without starting
@@ -217,8 +227,9 @@ faults:
 	$(GO) test -race -run 'Panic|Unwind|FailsAlone' ./internal/core/ ./internal/daemon/ ./internal/dataset/
 
 # check is the CI gate: static analysis, gofmt, race-clean concurrency paths,
-# the documentation lint, the example daemon files, a short fuzz pass
+# the documentation lint, the example daemon files, the drift-retrain
+# loop end to end (drift-smoke), a short fuzz pass
 # over every byte-facing parser (listed at fuzz-smoke), and the fault
 # injection tests.
-check: vet fmt race docs-lint config-check fuzz-smoke faults
+check: vet fmt race docs-lint config-check drift-smoke fuzz-smoke faults
 	$(GO) build ./...

@@ -69,7 +69,7 @@ func check(cfg *daemon.FileConfig, w io.Writer) error {
 			when := "every op streams"
 			if b := plan.Barrier; b != nil {
 				when = fmt.Sprintf("verdicts wait for drain behind op %d %s: %s", b.Index, b.Func, b.Reason)
-			} else if k := slices.Index(plan.Close, true); k >= 0 {
+			} else if k := slices.Index(plan.Stage, core.StageClose); k >= 0 {
 				when = fmt.Sprintf("verdicts come as flows close, from op %d %s on", k, engs[i].P.Ops[k].Func)
 			}
 			fmt.Fprintf(w, "lumend: pipeline %q ok: %s units, decode %s; %s\n",

@@ -17,10 +17,10 @@ import (
 func builtins() []Algorithm { return append(All(), Modified()...) }
 
 // TestGoldenStreamPlans pins the streaming plan of every built-in
-// pipeline in both modes with Online off and on: per op whether it
-// streams, is a flow sink (with the member stats it keeps a flow),
-// runs on the worker or the ordered stage, or runs as flows close, plus
-// the accumulated values, the decode hint and the drain barrier. The golden was recorded
+// pipeline in both modes with Online off and on: per op its stage
+// (worker, ordered, sink with the member stats it keeps a flow, close
+// or drain), plus the accumulated values, the decode hint and the drain
+// barrier. The golden was recorded
 // before the op traits replaced core's name-keyed tables; a diff means a
 // pipeline now executes differently. On a mismatch the test writes what
 // it computed to the system temp directory: copy it over the golden only
@@ -50,12 +50,9 @@ func TestGoldenStreamPlans(t *testing.T) {
 				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v barrier=%s\n",
 					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum, barrier)
 				for i, op := range a.Pipeline.Ops {
-					fmt.Fprintf(&got, "  %2d %-20s -> %-14s streamed=%-5v flowSink=%-5v worker=%-5v ordered=%v",
-						i, op.Func, op.Output, pl.Streamed[i], pl.FlowSink[i], pl.Worker[i], pl.Ordered[i])
+					fmt.Fprintf(&got, "  %2d %-20s -> %-14s stage=%s", i, op.Func, op.Output, pl.Stage[i])
 					switch {
-					case pl.Close[i]:
-						fmt.Fprint(&got, " close")
-					case !pl.FlowSink[i]:
+					case pl.Stage[i] != core.StageSink:
 					case pl.StatCap[i] == core.AllStats:
 						fmt.Fprint(&got, " stats=all")
 					default:

@@ -144,7 +144,7 @@ func TestRecyclingPassUsesOneArena(t *testing.T) {
 	for _, depth := range []int{0, 2, 4} {
 		var arenas []int
 		hookedLightPasses(t, depth, 10, func(eng *Engine, src dataset.Source, cfg StreamConfig) {
-			r, err := newStreamExec(eng, src, ModeTest, cfg)
+			r, err := newStreamExec(eng, src, ModeTest, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestOnlyHookedPassesRecycle(t *testing.T) {
 			if !tc.hooked {
 				hooked.Hooks = nil
 			}
-			r, err := newStreamExec(NewEngine(tc.p), dataset.NewSliceSource(ds), ModeTest, hooked)
+			r, err := newStreamExec(NewEngine(tc.p), dataset.NewSliceSource(ds), ModeTest, hooked, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

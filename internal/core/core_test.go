@@ -460,7 +460,7 @@ func TestDeadValueElimination(t *testing.T) {
 	eng := NewEngine(p)
 	freedAt := func(mode Mode) map[string]int {
 		t.Helper()
-		r, err := newStreamExec(eng, dataset.NewSliceSource(smallDS(t, "P0")), mode, StreamConfig{})
+		r, err := newStreamExec(eng, dataset.NewSliceSource(smallDS(t, "P0")), mode, StreamConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

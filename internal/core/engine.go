@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime/metrics"
+	"slices"
 	"time"
 
 	"lumen/internal/dataset"
@@ -168,6 +169,9 @@ type Engine struct {
 
 	state map[string]any
 	cache *Cache
+	// trainOp is the index of the pipeline's train op and modelOp that of
+	// the model op it reads, as check resolved them.
+	trainOp, modelOp int
 	// Profile holds per-op stats of the most recent run.
 	Profile []OpStats
 	// LastStream describes the most recent RunStream execution (chunk
@@ -203,7 +207,7 @@ func (e *Engine) check() ([]*opDef, error) {
 	}
 	defs := make([]*opDef, len(e.P.Ops))
 	kinds := map[string]Kind{InputName: KindPackets}
-	trainSeen := false
+	train := -1
 	for i, op := range e.P.Ops {
 		def, ok := opRegistry[op.Func]
 		if !ok {
@@ -226,14 +230,21 @@ func (e *Engine) check() ([]*opDef, error) {
 		}
 		kinds[op.Output] = def.sig.out
 		if op.Func == "train" {
-			if trainSeen {
+			if train >= 0 {
 				return nil, fmt.Errorf("core: op %d: multiple train ops are not supported", i)
 			}
-			trainSeen = true
+			train = i
 		}
 	}
-	if !trainSeen {
+	if train < 0 {
 		return nil, fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
+	}
+	// Only a model op makes the train op's model input. The indices are
+	// written only when they change, so the check a new pass runs never
+	// races a background retrain reading them (NewTrainableModel).
+	model := slices.IndexFunc(e.P.Ops, func(op OpSpec) bool { return op.Output == e.P.Ops[train].Input[0] })
+	if train != e.trainOp || model != e.modelOp {
+		e.trainOp, e.modelOp = train, model
 	}
 	return defs, nil
 }
@@ -431,15 +442,19 @@ func (e *Engine) Reset() {
 // op (ok=false before Train). Combined with mlkit.SaveModel this gives
 // the "save_path" output of the paper's Fig. 4 template.
 func (e *Engine) TrainedModel() (mlkit.Classifier, bool) {
-	for _, op := range e.P.Ops {
-		if op.Func != "train" {
-			continue
-		}
-		if tr, ok := e.state[op.Output].(*Trained); ok {
-			return tr.Clf, true
-		}
+	if tr := e.fitted(); tr != nil {
+		return tr.Clf, true
 	}
 	return nil, false
+}
+
+// fitted returns the train op's fitted state, nil before Train.
+func (e *Engine) fitted() *Trained {
+	if !e.trained {
+		return nil
+	}
+	tr, _ := e.state[e.P.Ops[e.trainOp].Output].(*Trained)
+	return tr
 }
 
 // NewTrainableModel builds a fresh, unfitted classifier from the model
@@ -448,23 +463,14 @@ func (e *Engine) TrainedModel() (mlkit.Classifier, bool) {
 // reservoir data in the background before hot-swapping it in via
 // ReplaceModel/SwapHandle.
 func (e *Engine) NewTrainableModel() (mlkit.Classifier, error) {
-	model := ""
-	for _, op := range e.P.Ops {
-		if op.Func == "train" && len(op.Input) > 0 {
-			model = op.Input[0]
-		}
+	if _, err := e.check(); err != nil {
+		return nil, err
 	}
-	for _, op := range e.P.Ops {
-		if op.Func != "model" || op.Output != model {
-			continue
-		}
-		spec, err := opModel(nil, nil, params(op.Params))
-		if err != nil {
-			return nil, fmt.Errorf("core: pipeline %q: %w", e.P.Name, err)
-		}
-		return buildClassifier(spec.(ModelSpec), e.Seed)
+	spec, err := opModel(nil, nil, params(e.P.Ops[e.modelOp].Params))
+	if err != nil {
+		return nil, fmt.Errorf("core: pipeline %q: %w", e.P.Name, err)
 	}
-	return nil, fmt.Errorf("core: pipeline %q has no model op feeding its train op", e.P.Name)
+	return buildClassifier(spec.(ModelSpec), e.Seed)
 }
 
 // ReplaceModel swaps the fitted classifier behind the pipeline's train op
@@ -475,18 +481,12 @@ func (e *Engine) NewTrainableModel() (mlkit.Classifier, error) {
 // trained — ReplaceModel changes which classifier scores, not whether
 // the pipeline is fitted.
 func (e *Engine) ReplaceModel(clf mlkit.Classifier) error {
-	for _, op := range e.P.Ops {
-		if op.Func != "train" {
-			continue
-		}
-		tr, ok := e.state[op.Output].(*Trained)
-		if !ok {
-			return fmt.Errorf("core: ReplaceModel on untrained pipeline %q", e.P.Name)
-		}
-		tr.Clf = clf
-		return nil
+	tr := e.fitted()
+	if tr == nil {
+		return fmt.Errorf("core: ReplaceModel on untrained pipeline %q", e.P.Name)
 	}
-	return fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
+	tr.Clf = clf
+	return nil
 }
 
 // InstallModel installs an externally fitted classifier (e.g. loaded via
@@ -500,13 +500,7 @@ func (e *Engine) InstallModel(clf mlkit.Classifier) error {
 	if err := e.Check(); err != nil {
 		return err
 	}
-	for _, op := range e.P.Ops {
-		if op.Func != "train" {
-			continue
-		}
-		e.state[op.Output] = &Trained{Spec: ModelSpec{Type: "installed"}, Clf: clf}
-		e.trained = true
-		return nil
-	}
-	return fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
+	e.state[e.P.Ops[e.trainOp].Output] = &Trained{Spec: ModelSpec{Type: "installed"}, Clf: clf}
+	e.trained = true
+	return nil
 }

@@ -43,8 +43,8 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(pl.Close, []bool{false, true, true, false, true}) || pl.CloseSink != 0 || pl.Barrier != nil {
-		t.Fatalf("ops %v run at close over sink %d, barrier %+v; want flow_features, normalize and train over sink 0, no barrier", pl.Close, pl.CloseSink, pl.Barrier)
+	if want := []Stage{StageSink, StageClose, StageClose, StageWorker, StageClose}; !slices.Equal(pl.Stage, want) || pl.CloseSink != 0 || pl.Barrier != nil {
+		t.Fatalf("stages %v over close sink %d, barrier %+v; want %v: flow_features, normalize and train at close over sink 0, no barrier", pl.Stage, pl.CloseSink, pl.Barrier, want)
 	}
 	for _, cfg := range []StreamConfig{{ChunkRows: 512}, {ChunkRows: 512, PipelineDepth: 2}} {
 		tr := obs.NewTracer()
@@ -104,6 +104,51 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	}
 }
 
+// TestFlowDriftReachesTheHook: on a flow plan that scores as flows
+// close, drift_detect runs over each block of closed flows, and each
+// block's flush update carries the events it raised, with Seq -1, and
+// the rows the train op read: every event the pass counts reaches the
+// hook (testStreamHooked), at depth 0 and staged, and the features come
+// one row per scored flow.
+func TestFlowDriftReachesTheHook(t *testing.T) {
+	spec, _ := dataset.Get("F3")
+	ds := spec.Generate(3)
+	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
+	p.Ops = append(p.Ops, OpSpec{Func: "drift_detect", Input: []string{"fit"}, Output: "drift",
+		Params: map[string]any{"lambda": 5.0, "min_samples": 10, "two_sided": true}})
+	eng := NewEngine(p)
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 2} {
+		events, rows, features := 0, 0, 0
+		cfg := StreamConfig{ChunkRows: 512, PipelineDepth: depth, Hooks: &StreamHooks{WantFeatures: true}}
+		testStreamHooked(t, eng, ds, cfg, func(up ChunkUpdate) error {
+			for _, ev := range up.Drift {
+				if ev.Seq != -1 || ev.Output != "drift" {
+					t.Fatalf("drift event %+v of a block, want Seq -1 from op drift", ev)
+				}
+			}
+			events += len(up.Drift)
+			for _, res := range up.Results {
+				rows += len(res.Pred)
+			}
+			if len(up.Features) != len(up.Labels) {
+				t.Fatalf("update with %d feature rows and %d labels", len(up.Features), len(up.Labels))
+			}
+			features += len(up.Features)
+			return nil
+		})
+		if events == 0 || events != eng.LastStream.DriftEvents {
+			t.Errorf("depth %d: the hook saw %d drift events, the pass counted %d; want the same, above 0", depth, events, eng.LastStream.DriftEvents)
+		}
+		if features != rows || rows == 0 {
+			t.Errorf("depth %d: %d feature rows for %d scored flows", depth, features, rows)
+		}
+	}
+}
+
 // TestFlushBlocksRunWhole: a train-mode fit reads every row at once, so
 // no op of a train-mode plan runs at close, and a pass the shared cache
 // serves reads the trace as one chunk, so it runs them once, whole, at
@@ -117,8 +162,8 @@ func TestFlushBlocksRunWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Contains(pl.Close, true) || pl.CloseSink != -1 {
-		t.Errorf("train mode runs %v at close over sink %d", pl.Close, pl.CloseSink)
+	if slices.Contains(pl.Stage, StageClose) || pl.CloseSink != -1 {
+		t.Errorf("train mode runs stages %v, close sink %d", pl.Stage, pl.CloseSink)
 	}
 	if pl.Barrier == nil || pl.Barrier.Func != "flow_features" {
 		t.Errorf("train-mode barrier %+v, want flow_features", pl.Barrier)

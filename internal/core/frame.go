@@ -153,11 +153,17 @@ func (f *Frame) rowMajor(a *chunkArena) (data []float64, k int) {
 	return data, k
 }
 
+// sameRows gives f the row metadata of src, whose rows f's are: src's
+// unit kind, unit indices, labels and attacks, shared.
+func (f *Frame) sameRows(src *Frame) {
+	f.Unit, f.UnitIdx, f.Labels, f.Attacks = src.Unit, src.UnitIdx, src.Labels, src.Attacks
+}
+
 // Select returns a new frame with only the named columns (sharing column
 // data), preserving unit and label metadata.
 func (f *Frame) Select(names []string) (*Frame, error) {
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for _, n := range names {
 		c := f.Col(n)
 		if c == nil {
@@ -197,7 +203,7 @@ func (f *Frame) TakeRows(idx []int) *Frame {
 		}
 		if identity {
 			out := NewFrame(f.N)
-			out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+			out.sameRows(f)
 			for _, c := range f.Cols {
 				if c.IsNumeric() {
 					out.AddF(c.Name, c.F)

@@ -228,7 +228,7 @@ func streamedFlowFrame(t testing.TB, p *Pipeline, ds *dataset.Labeled, chunk int
 	e.Metrics = m
 	src := dataset.NewSliceSource(ds)
 	cfg := StreamConfig{ChunkRows: chunk}
-	r, err := newStreamExec(e, src, ModeTrain, cfg)
+	r, err := newStreamExec(e, src, ModeTrain, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

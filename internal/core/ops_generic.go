@@ -331,7 +331,7 @@ func opBroadcastAggregates(_ *opCtx, in []Value, p params) (Value, error) {
 	tsCol := g.F.Col("ts")
 	f := g.F
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	// Carry existing numeric columns forward, then append group context.
 	for _, c := range f.Cols {
 		if c.IsNumeric() {
@@ -452,7 +452,7 @@ func opConcatCols(_ *opCtx, in []Value, _ params) (Value, error) {
 		return nil, err
 	}
 	out := NewFrame(first.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = first.Unit, first.UnitIdx, first.Labels, first.Attacks
+	out.sameRows(first)
 	seen := map[string]bool{}
 	for fi, v := range in {
 		f, err := asFrame(v)
@@ -602,7 +602,7 @@ func opNormalize(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	scaled := st.scaler.Transform(sel.Matrix())
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for j, name := range st.cols {
 		col := make([]float64, f.N)
 		for i := range col {

@@ -75,7 +75,7 @@ func opOneHot(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for _, col := range f.Cols {
 		if col.Name == colName {
 			continue // replaced by indicators
@@ -147,7 +147,7 @@ func opDerive(_ *opCtx, in []Value, p params) (Value, error) {
 		}
 	}
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for _, col := range f.Cols {
 		if col.IsNumeric() {
 			out.AddF(col.Name, col.F)
@@ -234,7 +234,7 @@ func opClip(ctx *opCtx, in []Value, p params) (Value, error) {
 		}
 	}
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for j, name := range st.cols {
 		c := f.Col(name)
 		if c == nil {
@@ -265,7 +265,7 @@ func opLogScale(_ *opCtx, in []Value, _ params) (Value, error) {
 		return nil, err
 	}
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for _, c := range f.Cols {
 		if !c.IsNumeric() {
 			out.AddS(c.Name, c.S)
@@ -364,7 +364,7 @@ func opPCATransform(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	proj := st.p.Transform(sel.Matrix())
 	out := NewFrame(f.N)
-	out.Unit, out.UnitIdx, out.Labels, out.Attacks = f.Unit, f.UnitIdx, f.Labels, f.Attacks
+	out.sameRows(f)
 	for c := 0; c < st.p.Components(); c++ {
 		vals := make([]float64, f.N)
 		for i := range vals {

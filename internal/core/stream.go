@@ -46,15 +46,51 @@ type StreamConfig struct {
 	Online bool `json:"-"`
 }
 
-// StreamPlan is the static split of a pipeline into its streamed prefix
-// and deferred (barrier) suffix, derived from the op table before any
-// packet is read. The per-op slices are indexed like Pipeline.Ops.
+// Stage is where a RunStream pass runs one op of its plan.
+type Stage uint8
+
+const (
+	// StageWorker ops stream: order-free and fed only by other worker
+	// values, they run in a chunk's ops stage, ahead of the sink, over a
+	// job-local carry.
+	StageWorker Stage = iota
+	// StageOrdered ops stream too, but the sink runs them in stream order
+	// over the pass's shared carry.
+	StageOrdered
+	// StageSink ops are flow sinks: fed packet by packet in the chunk
+	// loop, their flows leave as they close.
+	StageSink
+	// StageClose ops run as flows close. They are deferred, yet row-local
+	// over the flows of sink StreamPlan.CloseSink, so a pass runs them
+	// over each block of up to 512 flows the sink releases, in canonical
+	// order, while the stream runs, and only the last block waits for
+	// drain. These are flow_features over the sink and the ops after it
+	// that are row-local in the mode, when every input is the sink's
+	// flows, a close op's output or a non-frame streamed value, nothing
+	// that waits for drain reads their output, and every verdict comes
+	// from them: a test-mode flow pipeline's featurize, normalize and
+	// score, never a train-mode fit, which reads every row at once. A
+	// pass the shared cache serves runs them at drain over the whole
+	// trace.
+	StageClose
+	// StageDrain ops run once, at drain, over the whole trace.
+	StageDrain
+)
+
+var stageNames = [...]string{"worker", "ordered", "sink", "close", "drain"}
+
+// String returns the stage's name.
+func (s Stage) String() string { return stageNames[s] }
+
+// streamed reports whether the stage runs once per chunk.
+func (s Stage) streamed() bool { return s <= StageOrdered }
+
+// StreamPlan is the static split of a pipeline into the stages of a
+// RunStream pass, derived from the op table before any packet is read.
+// The per-op slices are indexed like Pipeline.Ops.
 type StreamPlan struct {
-	// Streamed[i]: op i runs once per chunk.
-	Streamed []bool
-	// FlowSink[i]: op i is fed packet-by-packet during the chunk loop; its
-	// Flows output materializes at flush.
-	FlowSink []bool
+	// Stage[i] is where op i runs.
+	Stage []Stage
 	// StatCap[i] is how many member stats flow sink i attaches to each
 	// flow: the most that any reader of its output reads (the op's stats
 	// trait), so 0 when every reader takes only the flow's counters and
@@ -64,34 +100,17 @@ type StreamPlan struct {
 	// connections, -1 when the plan assembles none: the sink whose
 	// connections a hooked pass hands to StreamHooks.ConnsClosed.
 	ConnSink int
-	// Worker[i]: op i is streamed, order-free and fed only by other
-	// order-free streamed values, so it runs in a chunk's ops stage,
-	// ahead of the sink, over a job-local carry. Ordered[i] marks the
-	// remaining streamed ops, which the sink stage runs in stream order.
-	Worker  []bool
-	Ordered []bool
-	// Accum holds the names of streamed frame outputs that some deferred
-	// op reads: their per-chunk frames are retained and concatenated at
-	// flush. Streamed values consumed only by streamed ops are never kept.
+	// Accum holds the names of streamed values that some deferred op
+	// reads: their per-chunk frames are retained and concatenated at
+	// drain, any other value kept as of the latest chunk. Streamed values
+	// consumed only by streamed ops are never kept.
 	Accum map[string]bool
 	// Decode is how deep the pass looks into its packets: the union of
 	// the decode traits of every reader of the raw chunk. An optimization
 	// only: accessors still decode on demand.
 	Decode netpkt.DecodeHint
-	// Close[i]: op i runs as flows close. It is deferred, yet row-local
-	// over the flows of sink CloseSink, so a pass runs it over each
-	// block of up to 512 flows the sink releases, in canonical order,
-	// while the stream runs, and only the last block waits for drain.
-	// These are flow_features over the sink and the ops after it that are
-	// row-local in the mode, when every input is the sink's flows, a
-	// Close op's output or a non-frame streamed value, nothing that waits
-	// for drain reads their output, and every verdict comes from them: a
-	// test-mode flow pipeline's featurize, normalize and score, never a
-	// train-mode fit, which reads every row at once. A pass the shared
-	// cache serves runs them at drain over the whole trace.
-	Close []bool
-	// CloseSink is the flow sink the Close ops read, -1 when none runs at
-	// close.
+	// CloseSink is the flow sink the StageClose ops read, -1 when none
+	// runs at close.
 	CloseSink int
 	// Barrier names the first op that runs only at drain; nil when every
 	// op streams or runs as flows close.
@@ -123,11 +142,8 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		return nil, err
 	}
 	pl := &StreamPlan{
-		Streamed: make([]bool, len(e.P.Ops)),
-		FlowSink: make([]bool, len(e.P.Ops)),
+		Stage:    make([]Stage, len(e.P.Ops)),
 		StatCap:  make([]int, len(e.P.Ops)),
-		Worker:   make([]bool, len(e.P.Ops)),
-		Ordered:  make([]bool, len(e.P.Ops)),
 		Accum:    map[string]bool{},
 		ConnSink: -1,
 		defs:     defs,
@@ -161,7 +177,7 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 		case behind != "":
 			reason = "input `" + behind + "` is produced behind a barrier"
 		case t.class == classFlowSink:
-			pl.FlowSink[i] = true
+			pl.Stage[i] = StageSink
 			sinkOf[op.Output] = i
 			// check() has already accepted the params.
 			if _, gran, _ := flowParams(params(op.Params)); pl.ConnSink < 0 && gran == dataset.ConnectionG {
@@ -169,17 +185,18 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 			}
 			continue
 		case t.streams(mode, online):
-			pl.Streamed[i] = true
 			streamedVal[op.Output] = true
 			ordered := t.class == classFitted && mode == ModeTrain || t.ordered != nil && t.ordered(params(op.Params))
-			pl.Worker[i] = !ordered && firstMissing(workerVal, op.Input) == ""
-			pl.Ordered[i] = !pl.Worker[i]
-			workerVal[op.Output] = pl.Worker[i]
+			worker := !ordered && firstMissing(workerVal, op.Input) == ""
+			if !worker {
+				pl.Stage[i] = StageOrdered
+			}
+			workerVal[op.Output] = worker
 			continue
 		default:
 			reason = "fits global state in train mode"
 		}
-		reasons[i] = reason
+		pl.Stage[i], reasons[i] = StageDrain, reason
 		// Deferred ops pull their streamed inputs from the accumulator.
 		for _, in := range op.Input {
 			if in != InputName && streamedVal[in] {
@@ -187,9 +204,9 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 			}
 		}
 	}
-	pl.Close, pl.CloseSink = closeOps(e.P, pl, mode)
+	pl.CloseSink = closeOps(e.P, pl, mode)
 	for i, reason := range reasons {
-		if reason != "" && !pl.Close[i] {
+		if pl.Stage[i] == StageDrain {
 			op := e.P.Ops[i]
 			pl.Barrier = &PlanBarrier{Index: i, Func: op.Func, Output: op.Output, Reason: reason}
 			break
@@ -198,21 +215,20 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 	return pl, nil
 }
 
-// closeOps picks the plan's Close ops and the sink they read (see
-// StreamPlan.Close): none, and sink -1, unless the first flow sink has
-// row-local deferred readers that make every verdict.
-func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
+// closeOps moves the plan's StageClose ops out of StageDrain and
+// returns the sink they read: none, and sink -1, unless the first flow
+// sink has row-local deferred readers that make every verdict.
+func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) int {
 	ops := p.Ops
-	closes := make([]bool, len(ops))
-	sink := slices.Index(pl.FlowSink, true)
+	sink := slices.Index(pl.Stage, StageSink)
 	if sink < 0 {
-		return closes, -1
+		return -1
 	}
 	prod := make(map[string]int, len(ops))
 	for i, op := range ops {
 		prod[op.Output] = i
 	}
-	deferred := func(i int) bool { return !pl.Streamed[i] && !pl.FlowSink[i] }
+	closes := make([]bool, len(ops))
 	fits := func(i int) bool {
 		fromBlock := false
 		for _, in := range ops[i].Input {
@@ -220,7 +236,7 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
 			switch {
 			case ok && (j == sink || closes[j]):
 				fromBlock = true
-			case !ok || !pl.Streamed[j] || pl.defs[j].sig.out == KindFrame:
+			case !ok || !pl.Stage[j].streamed() || pl.defs[j].sig.out == KindFrame:
 				return false
 			}
 		}
@@ -228,7 +244,7 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
 	}
 	readWhole := func(i int) bool {
 		for k, op := range ops {
-			if deferred(k) && !closes[k] && slices.Contains(op.Input, ops[i].Output) {
+			if pl.Stage[k] == StageDrain && !closes[k] && slices.Contains(op.Input, ops[i].Output) {
 				return true
 			}
 		}
@@ -236,7 +252,7 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
 	}
 	for i, op := range ops {
 		rowLocal := pl.defs[i].traits.streams(mode, false) || slices.Contains(op.Input, ops[sink].Output)
-		closes[i] = deferred(i) && rowLocal && fits(i)
+		closes[i] = pl.Stage[i] == StageDrain && rowLocal && fits(i)
 	}
 	// Dropping an op read whole strands its readers: repeat until
 	// nothing changes.
@@ -252,13 +268,18 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) ([]bool, int) {
 	// order at every chunk size.
 	for i := range ops {
 		if !closes[i] && pl.defs[i].sig.out == KindTrained {
-			return make([]bool, len(ops)), -1
+			return -1
 		}
 	}
 	if !slices.Contains(closes, true) {
-		return closes, -1
+		return -1
 	}
-	return closes, sink
+	for i := range closes {
+		if closes[i] {
+			pl.Stage[i] = StageClose
+		}
+	}
+	return sink
 }
 
 // firstMissing returns the first name not in set, "" when all are.
@@ -274,8 +295,9 @@ func firstMissing(set map[string]bool, names []string) string {
 // flowSinkState is one flow_assemble op being fed incrementally: the
 // assembler, which holds the flows open or waiting for release, plus the
 // flows it has released, in canonical order, that the pass has not yet
-// handed on. A sink the plan's Close ops read hands them on a block at a
-// time (streamExec.scoreClosed); any other keeps every one for the flush.
+// handed on. A sink the plan's StageClose ops read hands them on a block
+// at a time (streamExec.scoreClosed); any other keeps every one for the
+// drain pass.
 // Each flow keeps its label and the stats of its first statCap members,
 // so the sink retains nothing per packet beyond what its readers read.
 type flowSinkState struct {
@@ -417,12 +439,16 @@ func (s *flowSinkState) report() {
 
 // RunStream executes the pipeline over a chunked packet source in
 // bounded memory; it is the engine's one executor, and Train and Test are
-// its whole-trace passes. Ops that are row-local in the given mode run
-// once per chunk; barrier ops (global aggregation, fitting) are deferred
-// to a flush pass over the accumulated intermediate frames, where they see
-// the whole trace — the result is bit-identical at every chunk size. Each
-// value is dropped from the chunk's and the flush pass's environment once
-// its last reader there has run (dead-value elimination).
+// its whole-trace passes. Its StreamPlan gives every op one Stage: ops
+// that are row-local in the given mode run once per chunk, a flow
+// pipeline's scoring once per block of closed flows, and barrier ops
+// (global aggregation, fitting) once, in a drain pass over the
+// accumulated intermediate frames, where they see the whole trace — the
+// result is bit-identical at every chunk size. A chunk, a block and the
+// drain pass are each a job that one op loop runs a stage over and one
+// fold absorbs into the pass. Each value is dropped from a job's
+// environment once its last reader there has run (dead-value
+// elimination).
 //
 // One loop (streamExec.run) feeds one ordered sink (sinkChunk) in stream
 // order, at whatever cfg.PipelineDepth was asked for: on the caller's
@@ -441,11 +467,11 @@ func (s *flowSinkState) report() {
 // first_n_* features, every one otherwise. Each assembler holds the flows
 // open and the closed ones waiting for release, which waits for every
 // flow that started earlier to close (the lumen_flow_open and
-// lumen_flow_held gauges). A plan whose Close ops read the sink scores
-// the released flows in blocks of at most 512 as the stream runs (see
-// StreamPlan.Close) and drops each block, adding one block's frame and
-// matrix; a pass the cache serves, or a plan that waits for drain, keeps
-// every flow of the pass for the flush. Packets themselves never outlive
+// lumen_flow_held gauges). A plan whose StageClose ops read the sink
+// scores the released flows in blocks of at most 512 as the stream runs
+// and drops each block, adding one block's frame and matrix; a pass the
+// cache serves, or a plan that waits for drain, keeps every flow of the
+// pass for the drain pass. Packets themselves never outlive
 // their chunk: every finished chunk is recycled to its source and its
 // backing reference released. Verdict rows outlive theirs only on an
 // unhooked pass, which keeps every chunk's and block's EvalResult (about
@@ -472,20 +498,14 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 }
 
 // runStream is RunStream with the dataset src reads, nil when it has
-// none. A pass over a dataset that arrives as one chunk, unhooked and not
-// Online, is what the shared cache can serve: its values are keyed by
-// lineage from the dataset's identity.
+// none (see newStreamExec).
 func (e *Engine) runStream(src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*EvalResult, error) {
 	if cfg.Workers > 1 {
 		return nil, fmt.Errorf("core: StreamConfig.Workers = %d: the ops stage is one goroutine, so only 0 or 1 is accepted", cfg.Workers)
 	}
-	r, err := newStreamExec(e, src, mode, cfg)
+	r, err := newStreamExec(e, src, mode, cfg, root)
 	if err != nil {
 		return nil, err
-	}
-	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
-		r.keys, r.root = lineageKeys(e.P, r.pl.defs, root), root
-		r.closeSink = nil
 	}
 	// Sources that can decode while cutting chunks get the plan's depth
 	// before the first chunk is pulled; layers no op needs never parse.

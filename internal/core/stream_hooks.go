@@ -12,9 +12,9 @@ import (
 // scoring produced for it. It is handed to StreamHooks.AfterChunk so a
 // resident consumer (the detection daemon) can emit alerts and drive
 // model lifecycle operations chunk-by-chunk instead of waiting for the
-// pass to finish. Rows that are not a chunk's, those of blocks of closed
-// flows and of the flush pass, are handed the same way, in flush updates
-// (Flush set).
+// pass to finish. What the jobs that are not a chunk's produce, each
+// block of closed flows and the drain pass, is handed the same way, in
+// flush updates (Flush set).
 type ChunkUpdate struct {
 	// Seq is the chunk's sequence number within the pass (0-based); -1 on
 	// a flush update.
@@ -22,12 +22,13 @@ type ChunkUpdate struct {
 	// Base is the global index of the chunk's first packet; 0 on a flush
 	// update.
 	Base int
-	// Flush marks an update that is not a chunk's: Results are the rows
-	// of one block of closed flows the plan's Close ops scored (see
-	// StreamPlan.Close), or every row the deferred ops that run whole at
-	// drain made, and nothing else is set. A block's update follows the
-	// chunk whose packets completed the block, or comes at drain; flush
-	// updates come in row order.
+	// Flush marks an update that is not a chunk's: its Results, Drift,
+	// Features and Labels are those of one block of closed flows the
+	// plan's StageClose ops ran over, or of the drain pass, which runs
+	// the StageDrain ops whole; Seq is -1, Base 0 and Views nil. A
+	// block's update follows the chunk whose packets completed the block,
+	// or comes at drain; flush updates come in row order. The drain pass
+	// hands one only when it has rows, events or features.
 	Flush bool
 	// Views are the chunk's packets. They are valid only for the duration
 	// of the callback: afterwards the chunk is recycled and released, and
@@ -38,22 +39,25 @@ type ChunkUpdate struct {
 	Views []netpkt.PacketView
 	// Results are the evaluation results streamed test-mode scoring
 	// produced for this chunk, in op order, or on a flush update the
-	// rows of one block of closed flows. Like Views they are valid only during the
-	// callback: on a recycling pass (see StreamHooks) their unit indices
+	// rows of its block or of the drain pass. Like Views they are valid
+	// only during the callback: on a recycling pass (see StreamHooks) their unit indices
 	// live in memory a later chunk reuses, so copy the rows that must
 	// outlive it. RunStream does not return these rows (see StreamHooks).
 	// Empty on training passes and on chunks with no scored rows; on
 	// pipelines that score flows as they close, or behind a barrier, the
 	// verdicts arrive in flush updates instead.
 	Results []*EvalResult
-	// Drift holds the drift_detect events raised during this chunk, in
-	// detection order, valid only during the callback: copy it to retain
-	// events past it.
+	// Drift holds the drift_detect events raised during this chunk, block
+	// or drain pass, in detection order, each stamped with the update's
+	// Seq, valid only during the callback: copy it to retain events past
+	// it. Every event LastStream.DriftEvents counts comes in one update.
 	Drift []DriftEvent
-	// Features / Labels are the train op's per-chunk input feature matrix
-	// and labels, set only when StreamHooks.WantFeatures is true and the
-	// feature frame streams (nil otherwise). Valid only during the
-	// callback: copy rows to retain them (e.g. into a retrain reservoir).
+	// Features / Labels are the train op's input feature matrix and
+	// labels, set only when StreamHooks.WantFeatures is true and the train
+	// op ran in this update's job (nil otherwise): a chunk's rows when it
+	// streams, a block's when it runs as flows close, the whole trace's
+	// when it runs at drain. Valid only during the callback: copy rows to
+	// retain them (e.g. into a retrain reservoir).
 	Features [][]float64
 	Labels   []int
 }
@@ -72,13 +76,13 @@ type ChunkUpdate struct {
 // bit-identically.
 //
 // A pass with AfterChunk set keeps no verdict row it has given to the
-// callback, so what it retains is what is open, not what has passed. The
-// rows that are not a chunk's go to the callback too, in flush updates:
-// one per block of closed flows the plan's Close ops score, as soon as
-// the block fills, between chunks, and at drain the last, partial one;
-// their unit indices continue where the previous block's stopped. The
-// rows of deferred ops that run whole at drain come in one update after
-// every chunk's. RunStream then returns nil. The rows of every update's
+// callback, so what it retains is what is open, not what has passed.
+// What is not a chunk's goes to the callback too, in flush updates, the
+// same way: one per block of closed flows the plan's StageClose ops
+// score, as soon as the block fills, between chunks, and at drain the
+// last, partial one, their unit indices continuing where the previous
+// block's stopped; then one for the drain pass, after every chunk's.
+// RunStream then returns nil. The rows of every update's
 // Results, in the order they were handed, copied inside the callback,
 // are the unhooked pass's result bit for bit, at every depth. A model
 // the callback swaps in scores the chunks and blocks after it.
@@ -99,8 +103,8 @@ type StreamHooks struct {
 	// pass's own assembly, so nobody assembles the stream a second time.
 	// It runs on the goroutine that owns stream order. The calls of one
 	// pass hand on every connection of the pass once, in canonical order
-	// (flow.Sort). When the plan's Close ops read the sink,
-	// each block's connections come before the block is scored, while
+	// (flow.Sort). When the plan's StageClose ops read the sink, each
+	// block's connections come before the block is scored, while
 	// the stream runs; a pass that closes no connection calls it once, at
 	// drain, with none. Otherwise it is called once, at drain, with every
 	// connection, before the deferred ops read them. A pass that fails
@@ -108,10 +112,10 @@ type StreamHooks struct {
 	// not modify. Never called when the plan has no connection sink. A
 	// non-nil error aborts the pass.
 	ConnsClosed func([]*flow.Flow) error
-	// WantFeatures requests the train op's per-chunk input features (and
-	// labels when the frame carries them) on every ChunkUpdate, so a
-	// consumer can maintain a retraining reservoir without re-deriving
-	// the feature pipeline.
+	// WantFeatures requests the train op's input features (and labels
+	// when the frame carries them) on the update of every job the train
+	// op runs in, so a consumer can maintain a retraining reservoir
+	// without re-deriving the feature pipeline.
 	WantFeatures bool
 }
 
@@ -121,40 +125,32 @@ func (h *StreamHooks) active() bool {
 	return h != nil && h.AfterChunk != nil
 }
 
-// handFlush hands the flush rows gathered in r.results to the AfterChunk
-// hook as one flush update and drops them; a no-op on an unhooked pass,
-// which keeps them for its result, and when there are none.
-func (r *streamExec) handFlush() error {
-	if !r.hooks.active() || len(r.results) == 0 {
-		return nil
-	}
-	up := ChunkUpdate{Seq: -1, Flush: true, Results: r.results}
-	r.results = nil
-	if err := r.hooks.AfterChunk(up); err != nil {
-		return fmt.Errorf("core: after-chunk hook (flush): %w", err)
-	}
-	return nil
-}
-
-// afterChunk invokes the AfterChunk hook for one absorbed job.
+// afterChunk hands one absorbed job to the AfterChunk hook: a chunk's
+// update always, a block's or the drain pass's as a flush update when it
+// has rows, drift events or features. The train frame's rows go with the
+// job that ran the train op.
 func (r *streamExec) afterChunk(job *chunkJob) error {
-	if !r.hooks.active() {
-		return nil
-	}
 	up := ChunkUpdate{
 		Seq:     job.nc.Seq,
 		Base:    job.nc.Base,
+		Flush:   job.flush(),
 		Views:   job.nc.Views,
 		Results: job.results,
 		Drift:   job.drift,
 	}
-	if r.hooks.WantFeatures && r.trainFrame != "" {
+	if r.hooks.WantFeatures && job.ran(r.e.trainOp) {
 		if fr, ok := job.env[r.trainFrame].(*Frame); ok {
 			up.Features = fr.Matrix()
 			up.Labels = fr.Labels
 		}
 	}
+	if up.Flush && len(up.Results) == 0 && len(up.Drift) == 0 && len(up.Features) == 0 {
+		return nil
+	}
 	if err := r.hooks.AfterChunk(up); err != nil {
+		if up.Flush {
+			return fmt.Errorf("core: after-chunk hook (flush): %w", err)
+		}
 		return fmt.Errorf("core: after-chunk hook (chunk %d): %w", job.nc.Seq, err)
 	}
 	return nil

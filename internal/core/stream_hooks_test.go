@@ -29,11 +29,13 @@ var hookShapes = []StreamConfig{
 // hook contract: the rows of every update, in the order they were
 // handed, joined, must equal the unhooked result bit for bit, and the
 // pass returns nil. Chunks come in stream order; flush updates may come
-// between them, as blocks of closed flows are scored, carry nothing but
-// rows, and their unit indices run on without a gap from one row, and
-// one block, to the next. The rows are cloned inside the callback, the
-// only place they are valid. each (optional) sees every update after
-// its rows were taken; cfg.Hooks may preset the other hook fields.
+// between them, as blocks of closed flows are scored, carry no chunk
+// (Seq -1, Base 0, no views), and their unit indices run on without a
+// gap from one row, and one block, to the next. The drift events of
+// every update, flush updates included, are every event the pass
+// counted. The rows are cloned inside the callback, the only place they
+// are valid. each (optional) sees every update after its rows were
+// taken; cfg.Hooks may preset the other hook fields.
 func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg StreamConfig, each func(ChunkUpdate) error) *EvalResult {
 	t.Helper()
 	hooks := StreamHooks{}
@@ -42,11 +44,12 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	}
 	var parts []*EvalResult
 	var flushIdx []int
-	seq := 0
+	seq, drift := 0, 0
 	hooks.AfterChunk = func(up ChunkUpdate) error {
+		drift += len(up.Drift)
 		switch {
-		case up.Flush && (up.Seq != -1 || up.Base != 0 || up.Views != nil || up.Drift != nil || up.Features != nil):
-			t.Errorf("flush update carries more than rows: seq %d, base %d, %d views", up.Seq, up.Base, len(up.Views))
+		case up.Flush && (up.Seq != -1 || up.Base != 0 || up.Views != nil):
+			t.Errorf("flush update carries a chunk: seq %d, base %d, %d views", up.Seq, up.Base, len(up.Views))
 		case !up.Flush && up.Seq != seq:
 			t.Errorf("chunk %d handed where chunk %d was due", up.Seq, seq)
 		case !up.Flush:
@@ -70,6 +73,9 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	}
 	if tail != nil {
 		t.Errorf("hooked pass (depth %d) returned %d rows besides those it handed out", cfg.PipelineDepth, len(tail.Pred))
+	}
+	if drift != eng.LastStream.DriftEvents {
+		t.Errorf("hooked pass (depth %d) handed out %d drift events and counted %d", cfg.PipelineDepth, drift, eng.LastStream.DriftEvents)
 	}
 	for k := range flushIdx {
 		if flushIdx[k] != flushIdx[0]+k {

@@ -133,10 +133,10 @@ func TestOnlineScalersStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, op := range p.Ops {
-		if !on.Streamed[i] {
+		if !on.Stage[i].streamed() {
 			t.Errorf("online train: op %s not streamed", op.Func)
 		}
-		if fn := op.Func; (fn == "normalize" || fn == "clip" || fn == "train") && off.Streamed[i] {
+		if fn := op.Func; (fn == "normalize" || fn == "clip" || fn == "train") && off.Stage[i].streamed() {
 			t.Errorf("offline train: op %s unexpectedly streamed", fn)
 		}
 	}

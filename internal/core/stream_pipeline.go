@@ -37,8 +37,8 @@ type StreamStats struct {
 	SourceStallNS int64
 	OpsStallNS    int64
 	SinkStallNS   int64
-	// HWMBytes is the live-heap high-water mark sampled at chunk
-	// boundaries and after each block of closed flows (the
+	// HWMBytes is the live-heap high-water mark sampled as each chunk,
+	// block of closed flows and the drain pass is absorbed (the
 	// lumen_stream_hwm_bytes gauge).
 	HWMBytes uint64
 	// LazyViews is vestigial and always true: every source emits lazy
@@ -53,16 +53,16 @@ type StreamStats struct {
 
 // run feeds the ordered sink. Every chunk takes the same three steps in
 // stream order: the source cuts it, prepare builds its job and runs the
-// plan's Worker ops, and sinkChunk runs the Ordered ops. At depth 0 the
+// plan's worker ops, and sinkChunk runs the ordered ops. At depth 0 the
 // three run in turn on the caller's goroutine. At depth d > 0 the first
 // two run ahead of the sink:
 //
 //	source (Pump goroutine)    src.Next
 //	   │  chan NumberedChunk, cap = d
-//	ops (one goroutine)        prepare: newJob, Worker ops
+//	ops (one goroutine)        prepare: newJob, worker ops
 //	   │  chan *chunkJob, cap = d
-//	sink (caller's goroutine)  sinkChunk: flow sinks, Ordered ops,
-//	                           absorb, hooks
+//	sink (caller's goroutine)  sinkChunk: flow sinks, ordered ops,
+//	                           absorb, hooks, blocks of closed flows
 //
 // Chunks never leave stream order, so every depth is bit-identical to the
 // whole-trace pass, and a staged pass holds at most 2d + 3 chunks in flight. One

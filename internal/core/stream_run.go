@@ -13,16 +13,23 @@ import (
 	"lumen/internal/obs"
 )
 
-// streamExec is the state of one RunStream execution. The per-chunk work
-// lives in chunkJob so that a staged pass can prepare a chunk on the ops
-// goroutine while the sink absorbs an earlier one; everything on
-// streamExec itself is only ever touched by the one goroutine that owns
-// stream order (the caller's: it runs the sink at every depth).
+// streamExec is the state of one RunStream execution. Every piece of
+// work it runs is a chunkJob: a chunk, a block of closed flows, or the
+// drain pass. runOps runs one stage of the plan over a job and absorb
+// folds the finished job into the run, the same way for all three. A
+// staged pass prepares a chunk on the ops goroutine while the sink
+// absorbs an earlier one; everything on streamExec itself is only ever
+// touched by the one goroutine that owns stream order (the caller's: it
+// runs the sink at every depth).
 type streamExec struct {
 	e    *Engine
 	mode Mode
 	pl   *StreamPlan
-	meta dataset.SourceMeta
+	// stage[i] is where this pass runs op i: the plan's stage, except
+	// that a pass the shared cache serves runs its StageClose ops at
+	// drain, over the whole trace.
+	stage []Stage
+	meta  dataset.SourceMeta
 	// sc carries cross-chunk fold state for the ordered ops; only the
 	// goroutine that owns stream order touches it.
 	sc    *streamCtx
@@ -30,16 +37,15 @@ type streamExec struct {
 	// hooks are the pass's per-chunk callbacks (nil when unhooked); absorb
 	// invokes them on the goroutine that owns stream order.
 	hooks *StreamHooks
-	// trainFrame is the name of the train op's feature-frame input,
-	// resolved once so hooks with WantFeatures can find it per chunk.
+	// trainFrame is the name of the train op's feature-frame input, so
+	// hooks with WantFeatures can find it in every job.
 	trainFrame string
 	prof       []OpStats
 
-	// accum holds the per-chunk frames deferred ops read; fenv is the
-	// flush pass's environment, which absorb seeds with the latest of
-	// every other streamed value they read. results are the rows the pass
-	// returns on an unhooked pass; on a hooked one they hold only flush
-	// rows not yet handed to the AfterChunk callback (see handFlush).
+	// accum holds the per-chunk frames deferred ops read; fenv holds the
+	// latest of every other streamed value they read. Both seed the
+	// environments of the blocks and of the drain pass. results are the
+	// rows an unhooked pass returns.
 	accum   map[string][]*Frame
 	fenv    map[string]Value
 	results []*EvalResult
@@ -62,22 +68,24 @@ type streamExec struct {
 	// (see deadAfter).
 	free [][]string
 
-	// closeSink is the sink whose released flows the plan's Close ops
+	// closeSink is the sink whose released flows the StageClose ops
 	// score a block at a time while the stream runs (see scoreClosed);
 	// nil when the plan has none or the shared cache serves the pass,
-	// which runs them at drain. The blocks run over bsc, with Online off,
-	// and draw frame columns and the scored matrix from one arena
-	// (blocks) that each block hands on to the next. connsLogged records
-	// that the pass has called ConnsClosed.
+	// which runs them at drain. Every block is the one job block, run
+	// over bsc with Online off, whose arena each block hands on to the
+	// next. connsLogged records that the pass has called ConnsClosed.
 	closeSink   *flowSinkState
 	bsc         streamCtx
-	blocks      jobScratch
+	block       *chunkJob
 	connsLogged bool
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
-// profile and accumulators of one RunStream pass.
-func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (*streamExec, error) {
+// profile and accumulators of one RunStream pass. A pass over a root
+// dataset that arrives as one chunk, unhooked and not Online, is what
+// the shared cache can serve: its values are keyed by lineage from the
+// dataset's identity.
+func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*streamExec, error) {
 	pl, err := e.StreamPlan(mode, cfg.Online)
 	if err != nil {
 		return nil, err
@@ -86,14 +94,23 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 		e:     e,
 		mode:  mode,
 		pl:    pl,
+		stage: slices.Clone(pl.Stage),
 		meta:  src.Meta(),
 		sc:    &streamCtx{carry: map[string]any{}, online: cfg.Online},
 		hooks: cfg.Hooks,
 		accum: map[string][]*Frame{},
 		fenv:  map[string]Value{},
 	}
+	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
+		r.keys, r.root = lineageKeys(e.P, pl.defs, root), root
+		for i, s := range r.stage {
+			if s == StageClose {
+				r.stage[i] = StageDrain
+			}
+		}
+	}
 	for i, op := range e.P.Ops {
-		if !r.pl.FlowSink[i] {
+		if r.stage[i] != StageSink {
 			continue
 		}
 		s, err := newFlowSink(i, params(op.Params), pl.StatCap[i], e.Metrics, op.Output)
@@ -101,19 +118,17 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 			return nil, fmt.Errorf("core: op %d (%s -> %s): %w", i, op.Func, op.Output, err)
 		}
 		r.sinks = append(r.sinks, s)
-		if i == pl.CloseSink {
+		if i == pl.CloseSink && r.keys == nil {
 			r.closeSink = s
 			r.bsc.carry = map[string]any{}
-			r.blocks.pool = &arenaPool{}
+			r.block = r.flushJob(map[string]Value{}, &arenaPool{})
 		}
 	}
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
 		r.prof[i] = OpStats{Func: op.Func, Output: op.Output}
-		if op.Func == "train" && len(op.Input) == 2 {
-			r.trainFrame = op.Input[1]
-		}
 	}
+	r.trainFrame = e.P.Ops[e.trainOp].Input[1]
 	if cfg.Hooks.active() && !cfg.Online && len(pl.Accum) == 0 {
 		r.arenas = &arenaPool{}
 	}
@@ -121,26 +136,26 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig) (
 	if cfg.Hooks != nil && cfg.Hooks.WantFeatures {
 		keep = r.trainFrame
 	}
-	r.free = deadAfter(e.P, pl, keep)
+	r.free = deadAfter(e.P, r.stage, keep)
 	return r, nil
 }
 
 // deadAfter is the pass's dead-value elimination, the paper's "removing
 // variables that are not used in future operations": free[i] lists the
 // values nothing reads once op i has run in its environment. A chunk runs
-// its Worker ops and then its Ordered ops, each in op order, and the flush
-// pass its deferred ops after every chunk, so a value dies after its last
-// reader in that order. A streamed value a deferred op reads (pl.Accum)
-// thus dies only in the flush environment, after absorb has copied it
-// there. The chunk's packets and keep (the frame a hook asks for) stay
-// for the whole chunk.
-func deadAfter(p *Pipeline, pl *StreamPlan, keep string) [][]string {
-	// stage(i) is 0 for a Worker op, 1 for an Ordered one, 2 if deferred.
-	stage := func(i int) int { return slices.Index([]bool{pl.Worker[i], pl.Ordered[i], true}, true) }
+// its worker ops and then its ordered ops, each in op order, and a block
+// or the drain pass its deferred ops after every chunk, so a value dies
+// after its last reader in that order. A streamed value a deferred op
+// reads (StreamPlan.Accum) thus dies only in a deferred environment,
+// after absorb has copied it there. The chunk's packets and keep (the
+// frame a hook asks for) stay for the whole job.
+func deadAfter(p *Pipeline, stage []Stage, keep string) [][]string {
+	// Sinks, close and drain ops all read only what the chunk has done.
+	rank := func(i int) Stage { return min(stage[i], StageSink) }
 	last := map[string]int{}
 	for i, op := range p.Ops {
 		for _, in := range op.Input {
-			if j, ok := last[in]; !ok || stage(i) >= stage(j) {
+			if j, ok := last[in]; !ok || rank(i) >= rank(j) {
 				last[in] = i
 			}
 		}
@@ -154,24 +169,27 @@ func deadAfter(p *Pipeline, pl *StreamPlan, keep string) [][]string {
 	return free
 }
 
-// chunkJob is the unit of work flowing through a stream run: one chunk,
-// its per-chunk dataset view and value environment, and everything its
-// ops produced.
+// chunkJob is the unit of work of a stream run: one chunk, with its
+// per-chunk dataset view, one block of closed flows, or the drain pass.
+// It holds the job's value environment and everything its ops produced.
+// A block's or the drain pass's job has no chunk: its Seq is -1 (see
+// flushJob).
 type chunkJob struct {
 	nc  dataset.NumberedChunk
 	cds *dataset.Labeled
 	env map[string]Value
-	// stats is indexed by op; only executed ops write their entry.
+	// stats is indexed by op; only executed ops write their entry (see
+	// ran).
 	stats   []OpStats
 	results []*EvalResult
-	// drift collects the chunk's drift_detect events (Seq is stamped at
+	// drift collects the job's drift_detect events (Seq is stamped at
 	// absorb time, once the chunk's order in the stream is settled).
 	drift []DriftEvent
 	err   error
 	// op is the index of the op runOps is running, which names the op
 	// when it panics in prepare.
 	op int
-	// wsc is the job-local stream context the Worker ops run over. They
+	// wsc is the job-local stream context the worker ops run over. They
 	// never depend on cross-chunk fold state, but some (field_extract
 	// without iat) still save it; writing into a discardable job-local
 	// carry keeps them race-free on the ops goroutine.
@@ -179,6 +197,12 @@ type chunkJob struct {
 	// scratch is where the job's ops get their buffers (see arenaPool).
 	scratch jobScratch
 }
+
+// flush reports whether the job is a block's or the drain pass's.
+func (j *chunkJob) flush() bool { return j.nc.Seq < 0 }
+
+// ran reports whether op i ran in the job.
+func (j *chunkJob) ran(i int) bool { return j.stats[i].Func != "" }
 
 // newJob builds the job for one chunk. The job itself is not reused: it
 // is a handful of small objects, and op outputs of packet kind may
@@ -206,24 +230,27 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	return j
 }
 
+// flushJob builds the job of a block of closed flows or of the drain
+// pass over env, its ops drawing buffers from pool (nil: make).
+func (r *streamExec) flushJob(env map[string]Value, pool *arenaPool) *chunkJob {
+	j := &chunkJob{nc: dataset.NumberedChunk{Seq: -1}, env: env, stats: make([]OpStats, len(r.e.P.Ops))}
+	j.scratch.pool = pool
+	return j
+}
+
 // feedSinks pushes one chunk's packets through every incremental flow
 // assembler, whose flows keep their members' stats, and takes the flows
 // each can release. On a pass the shared cache serves, the chunk is the
-// whole trace, and each sink is its op run once over it through the
+// whole trace, and the sinks are their ops, run over it through the
 // cache instead. A failure is the job's error.
 func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 	if len(r.sinks) == 0 {
 		return
 	}
 	if r.keys != nil {
+		r.runOps(job, StageSink, r.sc, cs)
 		for _, s := range r.sinks {
-			ctx := opCtx{mode: r.mode, stream: r.sc}
-			out, st, _, err := r.e.invoke(s.op, r.pl.defs[s.op], job.env, ctx, cs, r.keys[r.e.P.Ops[s.op].Output], r.root)
-			if err != nil {
-				job.err = err
-				return
-			}
-			s.flows, job.stats[s.op] = out.(*Flows), st
+			s.flows, _ = job.env[r.e.P.Ops[s.op].Output].(*Flows)
 		}
 		return
 	}
@@ -236,14 +263,14 @@ func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 
 // prepare is a chunk's ops stage, on the caller's goroutine at depth 0
 // and on the ops goroutine staged: it builds the job and runs the plan's
-// Worker ops over the job-local carry. A panic in one of those ops
+// worker ops over the job-local carry. A panic in one of those ops
 // becomes the job's error, worded like the op's own errors, so it fails
 // the pass the same way at every depth and never escapes a goroutine
 // nobody could recover it on.
 func (r *streamExec) prepare(nc dataset.NumberedChunk, stage *obs.Span) (job *chunkJob) {
 	job = r.newJob(nc)
 	var cs *obs.Span
-	if stage != nil && slices.Contains(r.pl.Worker, true) {
+	if stage != nil && slices.Contains(r.stage, StageWorker) {
 		cs = chunkSpan(stage, &nc)
 	}
 	defer cs.End()
@@ -253,34 +280,31 @@ func (r *streamExec) prepare(nc dataset.NumberedChunk, stage *obs.Span) (job *ch
 			job.err = fmt.Errorf("core: op %d (%s -> %s): panic: %v", job.op, op.Func, op.Output, v)
 		}
 	}()
-	r.runOps(job, r.pl.Worker, &job.wsc, cs)
+	r.runOps(job, StageWorker, &job.wsc, cs)
 	return job
 }
 
 // sinkChunk is the ordered sink's per-chunk body, run in stream order on
-// the caller's goroutine at every depth: flow sinks, the Ordered ops over
+// the caller's goroutine at every depth: flow sinks, the ordered ops over
 // the shared cross-chunk carry, absorption into the run, the blocks of
 // closed flows the chunk completed, then release of the chunk to its
-// source, which also happens when the sink panics. Once the job is
-// absorbed and its hook has returned, nothing references the chunk's
-// scratch, so its arena goes back to the free list. The blocks come
-// after absorption because they read the streamed values it keeps, such
-// as the model spec. It returns the job's error, on which the stream
-// must abort.
+// source, which also happens when the sink panics. The blocks come after
+// absorption because they read the streamed values it keeps, such as
+// the model spec. It returns the job's error, on which the stream must
+// abort.
 func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(dataset.NumberedChunk)) error {
 	defer release(job.nc)
 	if job.err == nil {
 		var cs *obs.Span
-		if stage != nil && (len(r.sinks) > 0 || slices.Contains(r.pl.Ordered, true)) {
+		if stage != nil && (len(r.sinks) > 0 || slices.Contains(r.stage, StageOrdered)) {
 			cs = chunkSpan(stage, &job.nc)
 		}
 		r.feedSinks(job, cs)
-		r.runOps(job, r.pl.Ordered, r.sc, cs)
+		r.sc.base = job.nc.Base
+		r.runOps(job, StageOrdered, r.sc, cs)
 		cs.End()
 	}
 	err := r.absorb(job)
-	r.sc.lastResult = nil
-	job.scratch.release()
 	if err == nil && r.closeSink != nil {
 		err = r.scoreClosed(false)
 	}
@@ -299,24 +323,26 @@ func chunkSpan(stage *obs.Span, nc *dataset.NumberedChunk) *obs.Span {
 	return cs
 }
 
-// runOps executes the picked ops over the job's environment, recording
-// per-op stats and any evaluation results on the job and dropping each
-// value after its last reader. A failing op stores its wrapped error in
-// job.err and stops the job. sc supplies the chunk base and cross-chunk
-// carry: the shared ordered context in the sink, the job's own in
-// prepare.
-func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan *obs.Span) {
+// runOps executes the ops the pass runs at stage over the job's
+// environment, in op order: the one place a pass invokes an op. It
+// records per-op stats, evaluation results and drift events on the job
+// and drops each value after its last reader. A failing op stores its
+// wrapped error in job.err and stops the job. sc supplies the base and
+// cross-chunk carry: the job's own for worker ops, the shared ordered
+// context for ordered and drain ops, the blocks' for close ops; the
+// train op's result it carries to drift_detect ends with the stage.
+// parent is the span the ops' spans hang off.
+func (r *streamExec) runOps(job *chunkJob, stage Stage, sc *streamCtx, parent *obs.Span) {
 	if job.err != nil {
 		return
 	}
-	sc.base = job.nc.Base
 	for i, op := range r.e.P.Ops {
-		if !pick[i] {
+		if r.stage[i] != stage {
 			continue
 		}
 		job.op = i
 		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift, scratch: &job.scratch}
-		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, chunkSpan, r.keys[op.Output], r.root)
+		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, parent, r.keys[op.Output], r.root)
 		if err != nil {
 			job.err = err
 			return
@@ -330,13 +356,19 @@ func (r *streamExec) runOps(job *chunkJob, pick []bool, sc *streamCtx, chunkSpan
 			delete(job.env, name)
 		}
 	}
+	sc.lastResult = nil
 }
 
-// absorb folds one finished job into the run, in stream order: profile
-// stats, accumulated frames for deferred ops, and the chunk's evaluation
-// results, which go to the AfterChunk callback when there is one and are
-// kept for the returned result otherwise. It returns the job's error.
+// absorb folds one finished job into the run, in stream order, the same
+// way for a chunk, a block and the drain pass: it adds the job's stats to
+// the profile, stamps its drift events with its Seq and counts them,
+// hands its rows to the AfterChunk callback when there is one and keeps
+// them for the returned result otherwise, raises the pass's live-heap
+// high-water mark, and hands its scratch back. A chunk also leaves the
+// streamed values deferred ops read. It returns the job's error or the
+// hook's.
 func (r *streamExec) absorb(job *chunkJob) error {
+	defer job.scratch.release()
 	if job.err != nil {
 		return job.err
 	}
@@ -346,32 +378,39 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		r.prof[i].OutRows += job.stats[i].OutRows
 		r.prof[i].Cached = r.prof[i].Cached || job.stats[i].Cached
 	}
-	if !r.hooks.active() {
-		r.results = append(r.results, job.results...)
-	}
 	for i := range job.drift {
 		job.drift[i].Seq = job.nc.Seq
 	}
 	r.e.LastStream.DriftEvents += len(job.drift)
-	for name := range r.pl.Accum {
-		switch v := job.env[name].(type) {
-		case *Frame:
-			r.accum[name] = append(r.accum[name], v)
-		case nil:
-		default:
-			r.fenv[name] = v
+	if !job.flush() {
+		// What a chunk leaves the deferred ops: its frame of every
+		// accumulated value, the latest of every other.
+		for name := range r.pl.Accum {
+			switch v := job.env[name].(type) {
+			case *Frame:
+				r.accum[name] = append(r.accum[name], v)
+			case nil:
+			default:
+				r.fenv[name] = v
+			}
 		}
+		r.nChunks++
+		if r.e.Metrics != nil {
+			r.e.Metrics.Counter("lumen_chunks_total",
+				"Chunks pulled from packet sources by streaming runs.").Inc()
+		}
+		r.countDecode(job.nc.Views)
 	}
-	r.nChunks++
-	r.sampleHeap()
-	if r.e.Metrics != nil {
-		r.e.Metrics.Counter("lumen_chunks_total",
-			"Chunks pulled from packet sources by streaming runs.").Inc()
+	if live := heapLiveBytes(); live > r.hwm {
+		r.hwm = live
 	}
-	r.countDecode(job.nc.Views)
-	// The hook runs last, once the chunk is fully folded into the run, so
+	if !r.hooks.active() {
+		r.results = append(r.results, job.results...)
+		return nil
+	}
+	// The hook runs last, once the job is fully folded into the run, so
 	// callbacks observe a consistent pass state. Its error aborts the
-	// stream exactly like an op failure in this chunk would have.
+	// stream exactly like an op failure in this job would have.
 	return r.afterChunk(job)
 }
 
@@ -396,102 +435,65 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 	}
 }
 
-// sampleHeap raises the pass's live-heap high-water mark to the current
-// reading.
-func (r *streamExec) sampleHeap() {
-	if live := heapLiveBytes(); live > r.hwm {
-		r.hwm = live
-	}
-}
-
-// finish runs the deferred suffix over the accumulated state of the
-// whole trace and assembles the result the pass returns: every row on an
-// unhooked pass, nil on a hooked one, whose callback is handed the flush
-// rows too.
+// finish runs the drain pass, a job over the accumulated state of the
+// whole trace: every accumulated frame concatenated, the streamed values
+// kept, and each sink's flows, the close sink scoring its last blocks
+// first. It then assembles the result the pass returns: every row on an
+// unhooked pass, nil on a hooked one, whose callback was handed them.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
-	// Flush: run deferred ops in op order over the whole trace, each
-	// accumulation concatenated when its first reader runs. Closing the
-	// close sink scores its last blocks, and the Close ops have run by
-	// then. Rows are numbered from 0, and an op deferred on an Online
-	// pass fits whole.
-	fenv, online := r.fenv, r.sc.online
-	r.sc.base, r.sc.online = 0, false
-	var drift []DriftEvent
-	for i, op := range e.P.Ops {
-		if r.pl.Streamed[i] {
-			continue
+	env := r.fenv
+	for name, parts := range r.accum {
+		fr, err := concatFrames(parts)
+		if err != nil {
+			return nil, fmt.Errorf("core: accumulated %q: %w", name, err)
 		}
-		if r.closeSink != nil && r.pl.Close[i] {
-			for _, name := range r.free[i] {
-				delete(fenv, name)
+		env[name] = fr
+		delete(r.accum, name)
+	}
+	job := r.flushJob(env, nil)
+	for _, s := range r.sinks {
+		op := e.P.Ops[s.op]
+		fl := s.flows
+		if fl == nil {
+			// Closing the sink is its op's run on this pass: it gets the
+			// op's span, metrics and profile.
+			var sp *obs.Span
+			if e.Span != nil {
+				sp = e.Span.Child("op:" + op.Func)
+				sp.Set("output", op.Output)
 			}
-			continue
+			start := time.Now()
+			fl = s.finish()
+			job.stats[s.op] = OpStats{Func: op.Func, Output: op.Output, Wall: time.Since(start)}
+			e.finishOp(sp, &job.stats[s.op], nil)
 		}
-		start := time.Now()
-		if k := slices.IndexFunc(r.sinks, func(s *flowSinkState) bool { return s.op == i }); k >= 0 {
-			s := r.sinks[k]
-			fl := s.flows
-			if fl == nil {
-				// Closing the sink is its op's run on this pass: it gets the
-				// op's span and metrics.
-				var sp *obs.Span
-				if e.Span != nil {
-					sp = e.Span.Child("op:" + op.Func)
-					sp.Set("output", op.Output)
-				}
-				fl = s.finish()
-				e.finishOp(sp, &OpStats{Func: op.Func, Output: op.Output, Wall: time.Since(start)}, nil)
-			}
-			r.prof[i].Wall += time.Since(start)
-			if s == r.closeSink {
-				if err := r.scoreClosed(true); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			fenv[op.Output] = fl
-			if err := r.connsClosed(s, fl.Flows); err != nil {
+		if s == r.closeSink {
+			if err := r.scoreClosed(true); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		for _, name := range op.Input {
-			if parts, ok := r.accum[name]; ok {
-				fr, err := concatFrames(parts)
-				if err != nil {
-					return nil, fmt.Errorf("core: op %d (%s): %w", i, op.Func, err)
-				}
-				fenv[name] = fr
-				delete(r.accum, name)
-			}
-		}
-		ctx := opCtx{mode: r.mode, stream: r.sc, drift: &drift}
-		out, st, res, err := e.invoke(i, r.pl.defs[i], fenv, ctx, e.Span, r.keys[op.Output], r.root)
-		if err != nil {
+		env[op.Output] = fl
+		if err := r.connsClosed(s, fl.Flows); err != nil {
 			return nil, err
 		}
-		fenv[op.Output] = out
-		// The op's profile includes concatenating its inputs.
-		r.prof[i].Wall, r.prof[i].Allocs, r.prof[i].OutRows, r.prof[i].Cached = time.Since(start), st.Allocs, st.OutRows, st.Cached
-		if res != nil {
-			r.results = append(r.results, res)
-		}
-		for _, name := range r.free[i] {
-			delete(fenv, name)
-		}
 	}
-	if err := r.handFlush(); err != nil {
+	// Rows are numbered from 0, and an op deferred on an Online pass fits
+	// whole.
+	online := r.sc.online
+	r.sc.base, r.sc.online = 0, false
+	r.runOps(job, StageDrain, r.sc, e.Span)
+	if err := r.absorb(job); err != nil {
 		return nil, err
 	}
 	if e.Metrics != nil {
 		e.Metrics.Gauge("lumen_stream_hwm_bytes",
-			"Live-heap high-water mark observed at chunk boundaries and after each block of closed flows of the most recent streaming run.").Set(float64(r.hwm))
+			"Live-heap high-water mark observed as each chunk, block of closed flows and the drain pass of the most recent streaming run is absorbed.").Set(float64(r.hwm))
 	}
 	e.Profile = append(e.Profile[:0], r.prof...)
 	e.LastStream.Chunks = r.nChunks
 	e.LastStream.HWMBytes = r.hwm
-	e.LastStream.DriftEvents += len(drift)
 	if r.mode == ModeTrain {
 		if online {
 			// Reservoir-wrapped batch models have only been accumulating
@@ -526,13 +528,13 @@ func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Flow) error {
 	return nil
 }
 
-// flushBlock is how many closed flows a block of the Close ops
+// flushBlock is how many closed flows a block of the StageClose ops
 // featurizes and scores at a time (see scoreClosed): the row bound of a
 // typical chunk, so a block's arena is about one chunk's.
 const flushBlock = 512
 
-// scoreClosed hands the close sink's released flows to the plan's Close
-// ops a block of flushBlock at a time, in canonical order: every full
+// scoreClosed hands the close sink's released flows to the plan's
+// StageClose ops a block of flushBlock at a time, in canonical order: every full
 // block, and at drain (last, once the sink has released every flow) the
 // partial one too, or a ConnsClosed call with none when the pass closed
 // no connection. A flow's unit index is the number of flows handed on
@@ -553,43 +555,23 @@ func (r *streamExec) scoreClosed(last bool) error {
 }
 
 // runBlock hands one block's connections to ConnsClosed, then runs the
-// Close ops over the block, whose first flow has unit index base, in an
-// environment of its own over the pass's streamed values. A hooked pass
-// hands the block's rows to the callback as a flush update. The live
-// heap is sampled after every block.
+// StageClose ops over the block, whose first flow has unit index base:
+// the block job's environment is the pass's streamed values plus the
+// block's flows.
 func (r *streamExec) runBlock(fl *Flows, base int) error {
-	e, s := r.e, r.closeSink
-	if err := r.connsClosed(s, fl.Flows); err != nil {
+	if err := r.connsClosed(r.closeSink, fl.Flows); err != nil {
 		return err
 	}
-	env := maps.Clone(r.fenv)
-	env[e.P.Ops[s.op].Output] = fl
+	job := r.block
+	maps.Copy(job.env, r.fenv)
+	job.env[r.e.P.Ops[r.closeSink.op].Output] = fl
 	r.bsc.base = base
-	var drift []DriftEvent
-	for i, op := range e.P.Ops {
-		if !r.pl.Close[i] {
-			continue
-		}
-		ctx := opCtx{mode: r.mode, stream: &r.bsc, drift: &drift, scratch: &r.blocks}
-		out, st, res, err := e.invoke(i, r.pl.defs[i], env, ctx, e.Span, "", nil)
-		if err != nil {
-			return err
-		}
-		env[op.Output] = out
-		r.prof[i].Wall += st.Wall
-		r.prof[i].Allocs += st.Allocs
-		r.prof[i].OutRows += st.OutRows
-		if res != nil {
-			r.results = append(r.results, res)
-		}
-		for _, dead := range r.free[i] {
-			delete(env, dead)
-		}
-	}
-	r.bsc.lastResult = nil
-	e.LastStream.DriftEvents += len(drift)
-	err := r.handFlush()
-	r.blocks.release()
-	r.sampleHeap()
+	r.runOps(job, StageClose, &r.bsc, r.e.Span)
+	err := r.absorb(job)
+	// The block's values and rows die with it, not with the next block.
+	clear(job.env)
+	clear(job.results)
+	job.results, job.drift = job.results[:0], job.drift[:0]
+	clear(job.stats)
 	return err
 }

@@ -550,8 +550,9 @@ func (p *Pipe) recordErr(err error) {
 // swap. Because control messages are applied after this chunk's
 // verdicts were written, every chunk is attributable to exactly one
 // model generation. A flush update (a block of flows scored as they
-// closed, between chunks or at drain) only emits its alerts, under the
-// generation that scored the block.
+// closed, between chunks, or the drain pass) only emits its alerts,
+// under the generation that scored them, and feeds its drift events and
+// features to the retrain hook.
 func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 	gen := p.handle.Generation()
 	phase := "stream"
@@ -563,8 +564,12 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 			return err
 		}
 	}
-	if err := p.flushAlerts(); err != nil || up.Flush {
+	if err := p.flushAlerts(); err != nil {
 		return err
+	}
+	if up.Flush {
+		p.observeDrift(up)
+		return nil
 	}
 	npkts := len(up.Views)
 	if p.conn != nil {

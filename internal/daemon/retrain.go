@@ -60,8 +60,8 @@ func (c RetrainConfig) cooldown() int64 {
 	return int64(c.CooldownChunks)
 }
 
-// observeDrift is the per-chunk retrain hook, run on the scoring
-// goroutine from afterChunk: fill the reservoir, count drift events, arm
+// observeDrift is the retrain hook of every chunk and flush update, run
+// on the scoring goroutine from afterChunk: fill the reservoir, count drift events, arm
 // a retrain when one fired and the gates (cooldown, single-flight)
 // allow it, and launch the armed retrain once the reservoir holds
 // MinRows — immediately for all-history reservoirs, after fresh rows

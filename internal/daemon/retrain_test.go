@@ -139,3 +139,40 @@ func TestDriftTriggeredRetrain(t *testing.T) {
 		t.Fatalf("final alert generation = %d, want >= 2", last)
 	}
 }
+
+// TestFlowDriftFeedsRetrain: a connection-level pipeline scores its
+// flows as they close, so its drift events and train rows come in flush
+// updates; the daemon counts those events and fills its retrain
+// reservoir from them.
+func TestFlowDriftFeedsRetrain(t *testing.T) {
+	ds := driftedTestDS(t)
+	pl := zeekPipeline(t, 0)
+	pl.Ops = append(pl.Ops, core.OpSpec{
+		Func: "drift_detect", Input: []string{"fit"}, Output: "drift",
+		Params: map[string]any{"lambda": 5.0, "min_samples": 10, "two_sided": true},
+	})
+	eng := trained(t, pl, ds)
+	met := obs.NewMetrics()
+	p, err := New(Config{Metrics: met}).Start(PipeConfig{
+		Name:    "zeek-drift",
+		Engine:  eng,
+		Source:  dataset.NewSliceSource(ds),
+		Stream:  core.StreamConfig{ChunkRows: chunkRowsFor(len(ds.Packets), 12)},
+		Retrain: RetrainConfig{Enabled: true, MinRows: 1 << 20, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-p.Done()
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := met.Counter("lumen_drift_events_total",
+		"Drift-detector events observed, per pipeline.",
+		"pipeline", "zeek-drift").Value(); n == 0 || n != uint64(eng.LastStream.DriftEvents) {
+		t.Errorf("lumen_drift_events_total = %d, the pass raised %d; want the same, above 0", n, eng.LastStream.DriftEvents)
+	}
+	if v := p.Status().Verdicts; p.res.Len() == 0 || int64(p.res.Len()) != v {
+		t.Errorf("retrain reservoir holds %d rows after %d scored flows", p.res.Len(), v)
+	}
+}
