@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke config-check loc pairs
+.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs
 
 build:
 	$(GO) build ./...
@@ -77,8 +77,8 @@ fmt:
 # while the staged pipeline holds earlier chunks, panic isolation
 # between two pipelines, the HTTP control surface, and the lumend binary
 # end to end) under the race detector. The online-learning paths ride along: the core suite's
-# prequential equivalence tests sweep test-then-train streams across
-# chunk sizes and depths, the daemon suite exercises the
+# prequential equivalence tests sweep test-then-train passes over a
+# batch-fitted model across chunk sizes and depths, the daemon suite exercises the
 # drift-triggered background retrain racing live scoring, and the
 # benchsuite suite runs the three-arm drifting prequential benchmark.
 race:
@@ -143,6 +143,25 @@ drift-smoke:
 	echo "drift-smoke: OK ($$(grep -c . $$tmp/alerts.jsonl) alerts, $$(grep 'lumen_drift_events_total{' $$tmp/metrics.prom | tr '\n' ' '))"; \
 	rm -rf $$tmp
 
+# prequential-smoke runs the three-arm drifting benchmark (lumenbench
+# -prequential at scale 0.3) for a model that partial-fits natively
+# (mlp), a batch-only one (random_forest) and a thresholded batch
+# detector (gmm), whose online arm must score without learning rather
+# than fail. Each report must hold the static, online and retrain arms,
+# in that order, and every arm must score every stream row.
+prequential-smoke:
+	@tmp=$$(mktemp -d) && $(GO) build -o $$tmp/lumenbench ./cmd/lumenbench && \
+	for m in mlp random_forest gmm; do \
+		$$tmp/lumenbench -prequential $$tmp/$$m.json -preq-model $$m -scale 0.3 >$$tmp/out.txt 2>&1 \
+			|| { echo "prequential-smoke: $$m failed"; cat $$tmp/out.txt; rm -rf $$tmp; exit 1; }; \
+		rows=$$(sed -n 's/^ *"stream_rows": \([0-9]*\),$$/\1/p' $$tmp/$$m.json); \
+		arms=$$(grep -o '"name": "[a-z]*"' $$tmp/$$m.json | cut -d'"' -f4 | tr '\n' ' '); \
+		verdicts=$$(grep -o '"verdicts": [0-9]*' $$tmp/$$m.json | cut -d' ' -f2 | tr '\n' ' '); \
+		test -n "$$rows" && test "$$arms" = "static online retrain " && test "$$verdicts" = "$$rows $$rows $$rows " \
+			|| { echo "prequential-smoke: $$m: arms '$$arms', verdicts '$$verdicts', stream rows '$$rows'"; rm -rf $$tmp; exit 1; }; \
+		echo "prequential-smoke: $$m OK ($$rows rows scored in each arm)"; \
+	done; rm -rf $$tmp
+
 # config-check type-checks every example daemon file without starting
 # anything: `lumend -check` prints each pipeline's stream plan.
 config-check:
@@ -163,7 +182,7 @@ config-check:
 #   FuzzAlertLine        the append encoder == json.Marshal of the same Alert (daemon/alert_test.go)
 #   FuzzDaemonConfig     error, or a config whose every pipeline plans as `lumend -check` does (daemon/config_test.go)
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
-#   FuzzParsePipeline    error, or a template that plans in both modes, Online off and on (algorithms/plan_test.go)
+#   FuzzParsePipeline    error, or a template that plans in both modes (algorithms/plan_test.go)
 #   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/flow_oracle_test.go)
 #   FuzzReleaseOrder     flows released at random cuts, then ReleaseAll's, == the whole-table reference in canonical order, all closed (flow/release_test.go)
 #   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
@@ -228,8 +247,10 @@ faults:
 
 # check is the CI gate: static analysis, gofmt, race-clean concurrency paths,
 # the documentation lint, the example daemon files, the drift-retrain
-# loop end to end (drift-smoke), a short fuzz pass
+# loop end to end (drift-smoke), the prequential benchmark's three arms
+# for a native, a batch and a thresholded batch model
+# (prequential-smoke), a short fuzz pass
 # over every byte-facing parser (listed at fuzz-smoke), and the fault
 # injection tests.
-check: vet fmt race docs-lint config-check drift-smoke fuzz-smoke faults
+check: vet fmt race docs-lint config-check drift-smoke prequential-smoke fuzz-smoke faults
 	$(GO) build ./...

@@ -77,7 +77,7 @@ func flags(o *options) *flag.FlagSet {
 		o.preq.PhaseA, o.preq.PhaseB = ids[0], ids[1]
 		return nil
 	})
-	fs.StringVar(&o.preq.Model, "preq-model", "", "model_type for -prequential; must partial-fit natively (default mlp)")
+	fs.StringVar(&o.preq.Model, "preq-model", "", "model_type for -prequential (default mlp); one that cannot partial-fit only scores in the online arm")
 	fs.IntVar(&o.preq.WindowRows, "preq-window", 0, "F1 window and chunk size in rows for -prequential (default 64)")
 	return fs
 }

@@ -65,7 +65,7 @@ func check(cfg *daemon.FileConfig, w io.Writer) error {
 	engs, err := cfg.Engines()
 	for i := 0; i < len(engs) && err == nil; i++ {
 		var plan *core.StreamPlan
-		if plan, err = engs[i].StreamPlan(core.ModeTest, false); err == nil {
+		if plan, err = engs[i].StreamPlan(core.ModeTest); err == nil {
 			when := "every op streams"
 			if b := plan.Barrier; b != nil {
 				when = fmt.Sprintf("verdicts wait for drain behind op %d %s: %s", b.Index, b.Func, b.Reason)

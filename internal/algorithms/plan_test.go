@@ -17,7 +17,7 @@ import (
 func builtins() []Algorithm { return append(All(), Modified()...) }
 
 // TestGoldenStreamPlans pins the streaming plan of every built-in
-// pipeline in both modes with Online off and on: per op its stage
+// pipeline in both modes: per op its stage
 // (worker, ordered, sink with the member stats it keeps a flow, close
 // or drain), plus the accumulated values, the decode hint and the drain
 // barrier. The golden was recorded
@@ -33,33 +33,31 @@ func TestGoldenStreamPlans(t *testing.T) {
 			if mode == core.ModeTest {
 				modeName = "test"
 			}
-			for _, online := range []bool{false, true} {
-				pl, err := core.NewEngine(a.Pipeline).StreamPlan(mode, online)
-				if err != nil {
-					t.Fatalf("%s: %v", a.ID, err)
+			pl, err := core.NewEngine(a.Pipeline).StreamPlan(mode)
+			if err != nil {
+				t.Fatalf("%s: %v", a.ID, err)
+			}
+			accum := make([]string, 0, len(pl.Accum))
+			for name := range pl.Accum {
+				accum = append(accum, name)
+			}
+			sort.Strings(accum)
+			barrier := "none"
+			if b := pl.Barrier; b != nil {
+				barrier = fmt.Sprintf("%d(%s)", b.Index, b.Reason)
+			}
+			fmt.Fprintf(&got, "%s %s decode={Headers:%v Apps:%d} accum=%v barrier=%s\n",
+				a.ID, modeName, pl.Decode.Headers, pl.Decode.Apps, accum, barrier)
+			for i, op := range a.Pipeline.Ops {
+				fmt.Fprintf(&got, "  %2d %-20s -> %-14s stage=%s", i, op.Func, op.Output, pl.Stage[i])
+				switch {
+				case pl.Stage[i] != core.StageSink:
+				case pl.StatCap[i] == core.AllStats:
+					fmt.Fprint(&got, " stats=all")
+				default:
+					fmt.Fprintf(&got, " stats=%d", pl.StatCap[i])
 				}
-				accum := make([]string, 0, len(pl.Accum))
-				for name := range pl.Accum {
-					accum = append(accum, name)
-				}
-				sort.Strings(accum)
-				barrier := "none"
-				if b := pl.Barrier; b != nil {
-					barrier = fmt.Sprintf("%d(%s)", b.Index, b.Reason)
-				}
-				fmt.Fprintf(&got, "%s %s online=%v decode={Headers:%v Apps:%d} accum=%v barrier=%s\n",
-					a.ID, modeName, online, pl.Decode.Headers, pl.Decode.Apps, accum, barrier)
-				for i, op := range a.Pipeline.Ops {
-					fmt.Fprintf(&got, "  %2d %-20s -> %-14s stage=%s", i, op.Func, op.Output, pl.Stage[i])
-					switch {
-					case pl.Stage[i] != core.StageSink:
-					case pl.StatCap[i] == core.AllStats:
-						fmt.Fprint(&got, " stats=all")
-					default:
-						fmt.Fprintf(&got, " stats=%d", pl.StatCap[i])
-					}
-					fmt.Fprintln(&got)
-				}
+				fmt.Fprintln(&got)
 			}
 		}
 	}
@@ -119,7 +117,7 @@ func TestFlowSinkKeepsDemandedStats(t *testing.T) {
 
 // FuzzParsePipeline feeds arbitrary bytes to the template parser: it
 // must return an error or a pipeline that plans (stream split and decode
-// hint) without panicking in both modes with Online off and on, which
+// hint) without panicking in both modes, which
 // walks hostile params through every op's ordered and decode traits.
 // Fuzzed pipelines are never executed: model params such as a tree
 // count are unbounded. The seeds are the built-in templates, A06 under
@@ -166,10 +164,8 @@ func FuzzParsePipeline(f *testing.F) {
 			return
 		}
 		for _, mode := range []core.Mode{core.ModeTrain, core.ModeTest} {
-			for _, online := range []bool{false, true} {
-				if _, err := core.NewEngine(p).StreamPlan(mode, online); err != nil {
-					t.Fatalf("parsed pipeline fails to plan: %v", err)
-				}
+			if _, err := core.NewEngine(p).StreamPlan(mode); err != nil {
+				t.Fatalf("parsed pipeline fails to plan: %v", err)
 			}
 		}
 	})

@@ -28,8 +28,8 @@ type PrequentialConfig struct {
 	Scale float64
 	// Seed drives model seeds and reservoir sampling.
 	Seed int64
-	// Model is the pipeline's model_type; it must partial-fit natively
-	// for the online arm to adapt. 0 means mlp.
+	// Model is the pipeline's model_type, "" meaning mlp; the online arm
+	// only scores with one that cannot partial-fit.
 	Model string
 	// WindowRows is the F1 window and streaming chunk size; 0 means 64.
 	WindowRows int

@@ -89,10 +89,7 @@ func TestOpRegistryComplete(t *testing.T) {
 		if reads := slices.Contains(def.sig.in, KindPackets); reads != (tr.decode != nil) {
 			t.Errorf("op %s: reads packets = %v but declares a decode trait = %v", name, reads, tr.decode != nil)
 		}
-		if tr.online && tr.class != classFitted {
-			t.Errorf("op %s folds online but is not a fitted op", name)
-		}
-		if tr.cacheable && (tr.class == classFitted || tr.online) {
+		if tr.cacheable && tr.class == classFitted {
 			t.Errorf("op %s is cacheable but carries fitted state", name)
 		}
 	}

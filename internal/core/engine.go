@@ -116,8 +116,8 @@ func (c *opCtx) getState() any  { return c.state[c.outName] }
 type streamCtx struct {
 	base  int
 	carry map[string]any
-	// online mirrors StreamConfig.Online for the ops: train partial-fits
-	// in ModeTrain and evaluates prequentially in ModeTest.
+	// online mirrors StreamConfig.Online for the ops: the train op
+	// evaluates prequentially.
 	online bool
 	// lastResult carries the train op's per-chunk EvalResult to a
 	// downstream drift_detect op within the same chunk; the sink clears it

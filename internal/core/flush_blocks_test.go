@@ -39,7 +39,7 @@ func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eng.StreamPlan(ModeTest, false)
+	pl, err := eng.StreamPlan(ModeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFlushBlocksRunWhole(t *testing.T) {
 	ds := spec.Generate(3)
 	eng := NewEngine(flowPipeline("decision_tree", nil))
 	eng.Seed = 7
-	pl, err := eng.StreamPlan(ModeTrain, false)
+	pl, err := eng.StreamPlan(ModeTrain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,9 @@ const (
 // generated docs all read it from here.
 type opTraits struct {
 	class streamClass
-	// online marks a classFitted op that also streams in ModeTrain when
-	// StreamConfig.Online is set, folding partial-fit carry state.
-	online bool
 	// ordered reports whether the op, given its params, carries fold
 	// state across chunks and so must see them in stream order (nil:
-	// never). An op streaming through its online fold is ordered too.
+	// never).
 	ordered func(params) bool
 	// decode is how deep the op looks into the packets it reads; every
 	// reader of KindPackets declares one.
@@ -77,8 +74,8 @@ func always(params) bool { return true }
 func headers(params) netpkt.DecodeHint { return netpkt.DecodeHint{Headers: true} }
 
 // streams reports whether the op can run per chunk in the given mode.
-func (t opTraits) streams(mode Mode, online bool) bool {
-	return t.class == classRowLocal || t.class == classFitted && (mode == ModeTest || online && t.online)
+func (t opTraits) streams(mode Mode) bool {
+	return t.class == classRowLocal || t.class == classFitted && mode == ModeTest
 }
 
 type opDef struct {
@@ -117,11 +114,10 @@ func Ops() []string {
 }
 
 // WriteOpTable prints what the registrations declare, one op per line:
-// signature, how it runs on a streaming pass in each mode ("online":
-// barrier unless StreamConfig.Online), ordered and decode traits ("by
-// params" when they depend on the op's params), cacheable, doc; then
-// field_extract's fields by decode depth. `lumen -list-ops` prints it
-// and DESIGN.md embeds it.
+// signature, how it runs on a streaming pass in each mode, ordered and
+// decode traits ("by params" when they depend on the op's params),
+// cacheable, doc; then field_extract's fields by decode depth.
+// `lumen -list-ops` prints it and DESIGN.md embeds it.
 func WriteOpTable(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "OP\tSIGNATURE\tTRAIN\tTEST\tORDERED\tDECODE\tCACHEABLE\tDOC")
@@ -160,10 +156,8 @@ func (t opTraits) runs(mode Mode) string {
 	switch {
 	case t.class == classFlowSink:
 		return "sink"
-	case t.streams(mode, false):
+	case t.streams(mode):
 		return "stream"
-	case t.streams(mode, true):
-		return "online"
 	}
 	return "barrier"
 }

@@ -37,7 +37,7 @@ func init() {
 		opTraits{class: classFitted}, opDropConst)
 	register("normalize", "scale numeric columns (zscore or minmax); fitted on training data, reused at test time",
 		opSig{in: []Kind{KindFrame}, out: KindFrame},
-		opTraits{class: classFitted, online: true}, opNormalize)
+		opTraits{class: classFitted}, opNormalize)
 	register("drop_correlated", "drop numeric columns highly correlated with an earlier one; fitted on training data",
 		opSig{in: []Kind{KindFrame}, out: KindFrame},
 		opTraits{class: classFitted}, opDropCorrelated)
@@ -540,39 +540,7 @@ func opNormalize(ctx *opCtx, in []Value, p params) (Value, error) {
 		return nil, err
 	}
 	var st *scalerState
-	switch {
-	case ctx.mode == ModeTrain && ctx.stream.online:
-		// Streaming fit: fold the chunk into the scaler's online moments
-		// (Welford / running min-max), then scale it with the statistics
-		// as of this chunk (update-then-transform).
-		if c, ok := ctx.carry(); ok {
-			st = c.(*scalerState)
-		} else {
-			sc, err := newScaler(p)
-			if err != nil {
-				return nil, err
-			}
-			st = &scalerState{scaler: sc, cols: numericNames(f)}
-			ctx.setCarry(st)
-		}
-		ctx.setState(st)
-		if len(st.cols) == 0 {
-			return f, nil
-		}
-		sel, err := f.Select(st.cols)
-		if err != nil {
-			return nil, err
-		}
-		if f.N > 0 {
-			ot, ok := st.scaler.(mlkit.OnlineTransformer)
-			if !ok {
-				return nil, fmt.Errorf("normalize: scaler %T cannot partial-fit", st.scaler)
-			}
-			if err := ot.PartialFit(sel.Matrix()); err != nil {
-				return nil, err
-			}
-		}
-	case ctx.mode == ModeTrain:
+	if ctx.mode == ModeTrain {
 		sc, err := newScaler(p)
 		if err != nil {
 			return nil, err
@@ -589,7 +557,7 @@ func opNormalize(ctx *opCtx, in []Value, p params) (Value, error) {
 			return nil, err
 		}
 		ctx.setState(st)
-	default:
+	} else {
 		var ok bool
 		st, ok = ctx.getState().(*scalerState)
 		if !ok {

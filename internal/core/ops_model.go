@@ -12,7 +12,7 @@ func init() {
 		opTraits{class: classRowLocal}, opModel)
 	register("train", "fit the model on the frame's features and labels (training runs); predict with the fitted model (test runs)",
 		opSig{in: []Kind{KindModel, KindFrame}, out: KindTrained},
-		opTraits{class: classFitted, online: true, ordered: always}, opTrain)
+		opTraits{class: classFitted, ordered: always}, opTrain)
 }
 
 func opModel(_ *opCtx, _ []Value, p params) (Value, error) {
@@ -224,9 +224,6 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 		if fr.Labels == nil {
 			return nil, fmt.Errorf("train: frame has no labels")
 		}
-		if ctx.stream.online {
-			return opTrainOnline(ctx, spec, X, fr)
-		}
 		clf, err := buildClassifier(spec, ctx.seed)
 		if err != nil {
 			return nil, err
@@ -262,48 +259,16 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 	ctx.result = res
 	ctx.stream.lastResult = res
 	// Prequential (test-then-train): the chunk was scored by the model as
-	// fitted before it arrived; now absorb it as labelled training data.
-	if ctx.stream.online && len(X) > 0 && fr.Labels != nil {
-		if pf, ok := st.Clf.(mlkit.PartialFitter); ok {
-			if err := pf.PartialFit(X, fr.Labels); err != nil {
-				return nil, fmt.Errorf("train: prequential partial fit: %w", err)
-			}
-			countPartialFitRows(ctx, len(X))
+	// fitted before it arrived; now absorb it as labelled training data,
+	// if the model can. Any other model only scores.
+	if ctx.stream.online && len(X) > 0 && fr.Labels != nil && mlkit.CanPartialFit(st.Clf) {
+		if err := st.Clf.(mlkit.PartialFitter).PartialFit(X, fr.Labels); err != nil {
+			return nil, fmt.Errorf("train: prequential partial fit: %w", err)
+		}
+		if ctx.metrics != nil {
+			ctx.metrics.Counter("lumen_partial_fit_rows_total",
+				"Rows absorbed by online partial-fit model updates.").Add(uint64(len(X)))
 		}
 	}
 	return *st, nil
-}
-
-// opTrainOnline is the ModeTrain body of an online streaming pass: the
-// first chunk builds the model (wrapping batch-only families in a
-// reservoir retrainer), every chunk partial-fits it in stream order.
-func opTrainOnline(ctx *opCtx, spec ModelSpec, X [][]float64, fr *Frame) (Value, error) {
-	var pf mlkit.PartialFitter
-	if c, ok := ctx.carry(); ok {
-		pf = c.(mlkit.PartialFitter)
-	} else {
-		clf, err := buildClassifier(spec, ctx.seed)
-		if err != nil {
-			return nil, err
-		}
-		pf = mlkit.AsPartialFitter(clf, ctx.seed)
-		ctx.setCarry(pf)
-		ctx.setState(&Trained{Spec: spec, Clf: pf})
-	}
-	if len(X) > 0 {
-		if err := pf.PartialFit(X, fr.Labels); err != nil {
-			return nil, fmt.Errorf("train: partial fit: %w", err)
-		}
-		countPartialFitRows(ctx, len(X))
-	}
-	st := ctx.getState().(*Trained)
-	return *st, nil
-}
-
-// countPartialFitRows bumps the online-learning row counter.
-func countPartialFitRows(ctx *opCtx, n int) {
-	if ctx.metrics != nil {
-		ctx.metrics.Counter("lumen_partial_fit_rows_total",
-			"Rows absorbed by online partial-fit model updates.").Add(uint64(n))
-	}
 }

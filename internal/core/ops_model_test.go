@@ -83,14 +83,6 @@ func TestPredictProbaEqualsPredictThenProba(t *testing.T) {
 			check(t, mlkit.NewSwapHandle(c))
 		})
 	}
-	t.Run("reservoir_retrainer", func(t *testing.T) {
-		r := &mlkit.ReservoirRetrainer{Model: &mlkit.GaussianNB{}, Seed: 5}
-		check(t, r) // before the first retrain
-		if err := r.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		check(t, r)
-	})
 	t.Run("scoreless_behind_swap_handle", func(t *testing.T) {
 		check(t, mlkit.NewSwapHandle(invertClassifier{&mlkit.DecisionTree{}}))
 		check(t, invertClassifier{&mlkit.DecisionTree{}})

@@ -17,7 +17,7 @@ func init() {
 		opTraits{class: classRowLocal, cacheable: true}, opDerive)
 	register("clip", "winsorize numeric columns to a quantile range fitted on training data",
 		opSig{in: []Kind{KindFrame}, out: KindFrame},
-		opTraits{class: classFitted, online: true}, opClip)
+		opTraits{class: classFitted}, opClip)
 	register("log_scale", "replace numeric columns with log1p(|x|)*sign(x), compressing heavy-tailed features",
 		opSig{in: []Kind{KindFrame}, out: KindFrame},
 		opTraits{class: classRowLocal, cacheable: true}, opLogScale)
@@ -166,54 +166,13 @@ type clipState struct {
 	hi   []float64
 }
 
-// clipCarry streams the winsorization bounds across chunks: one P²
-// quantile estimator per column and tail.
-type clipCarry struct {
-	cols []string
-	lo   []*mlkit.P2Quantile
-	hi   []*mlkit.P2Quantile
-}
-
 func opClip(ctx *opCtx, in []Value, p params) (Value, error) {
 	f, err := asFrame(in[0])
 	if err != nil {
 		return nil, err
 	}
 	var st *clipState
-	if ctx.mode == ModeTrain && ctx.stream.online {
-		// Streaming fit: absorb the chunk into the P² estimators, clamp
-		// with the bounds as of this chunk.
-		q := p.f64("quantile", 0.99)
-		var cc *clipCarry
-		if c, ok := ctx.carry(); ok {
-			cc = c.(*clipCarry)
-		} else {
-			cc = &clipCarry{cols: numericNames(f)}
-			for range cc.cols {
-				cc.lo = append(cc.lo, mlkit.NewP2Quantile(1-q))
-				cc.hi = append(cc.hi, mlkit.NewP2Quantile(q))
-			}
-			ctx.setCarry(cc)
-		}
-		st = &clipState{
-			cols: cc.cols,
-			lo:   make([]float64, len(cc.cols)),
-			hi:   make([]float64, len(cc.cols)),
-		}
-		for j, name := range cc.cols {
-			c := f.Col(name)
-			if c == nil {
-				return nil, fmt.Errorf("clip: column %q missing mid-stream", name)
-			}
-			for _, v := range c.F {
-				cc.lo[j].Add(v)
-				cc.hi[j].Add(v)
-			}
-			st.lo[j] = cc.lo[j].Value()
-			st.hi[j] = cc.hi[j].Value()
-		}
-		ctx.setState(st)
-	} else if ctx.mode == ModeTrain {
+	if ctx.mode == ModeTrain {
 		q := p.f64("quantile", 0.99)
 		st = &clipState{cols: numericNames(f)}
 		// One sort per column serves both quantiles; the scratch buffer

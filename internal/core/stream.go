@@ -34,15 +34,12 @@ type StreamConfig struct {
 	Workers int `json:"-"`
 	// Hooks are optional per-chunk lifecycle callbacks (see StreamHooks).
 	Hooks *StreamHooks `json:"-"`
-	// Online enables in-stream learning. In ModeTrain the fitted ops
-	// registered as online (the train op and the scalers: TRAIN column
-	// "online" in `lumen -list-ops`) stream chunk-by-chunk through
-	// partial-fit carry state instead of deferring to the flush barrier,
-	// so fitting runs in bounded memory over one pass. In
-	// ModeTest the train op evaluates prequentially (test-then-train):
-	// each chunk is scored by the model as fitted before the chunk
-	// arrived, then absorbed as labelled training data when the model
-	// supports mlkit.PartialFitter.
+	// Online makes a test pass prequential (test-then-train): the train
+	// op scores each chunk with the model as fitted before the chunk
+	// arrived, then partial-fits it as labelled training data when the
+	// model can (mlkit.CanPartialFit); any other model only scores. A
+	// train pass always fits whole, at drain, and RunStream refuses
+	// Online on one.
 	Online bool `json:"-"`
 }
 
@@ -136,7 +133,7 @@ type PlanBarrier struct {
 // registered traits: an op streams iff its class allows it in this mode
 // and every input is itself streamed (a value produced behind a barrier
 // only exists at flush).
-func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
+func (e *Engine) StreamPlan(mode Mode) (*StreamPlan, error) {
 	defs, err := e.check()
 	if err != nil {
 		return nil, err
@@ -184,9 +181,9 @@ func (e *Engine) StreamPlan(mode Mode, online bool) (*StreamPlan, error) {
 				pl.ConnSink = i
 			}
 			continue
-		case t.streams(mode, online):
+		case t.streams(mode):
 			streamedVal[op.Output] = true
-			ordered := t.class == classFitted && mode == ModeTrain || t.ordered != nil && t.ordered(params(op.Params))
+			ordered := t.ordered != nil && t.ordered(params(op.Params))
 			worker := !ordered && firstMissing(workerVal, op.Input) == ""
 			if !worker {
 				pl.Stage[i] = StageOrdered
@@ -251,7 +248,7 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) int {
 		return false
 	}
 	for i, op := range ops {
-		rowLocal := pl.defs[i].traits.streams(mode, false) || slices.Contains(op.Input, ops[sink].Output)
+		rowLocal := pl.defs[i].traits.streams(mode) || slices.Contains(op.Input, ops[sink].Output)
 		closes[i] = pl.Stage[i] == StageDrain && rowLocal && fits(i)
 	}
 	// Dropping an op read whole strands its readers: repeat until
@@ -454,7 +451,8 @@ func (s *flowSinkState) report() {
 // order, at whatever cfg.PipelineDepth was asked for: on the caller's
 // goroutine at depth 0, behind a source goroutine and an ops goroutine
 // over bounded channels at depth > 0. Hooked and Online passes run at
-// every depth. cfg.Workers above 1 is refused. A pass that fails, panics
+// every depth. cfg.Workers above 1 is refused, and so is cfg.Online on a
+// train pass, which always fits whole. A pass that fails, panics
 // included, releases every chunk it was handed, leaves no goroutine
 // behind, and drains its source when the source has a Drain method.
 //
@@ -502,6 +500,9 @@ func (e *Engine) RunStream(src dataset.Source, mode Mode, cfg StreamConfig) (*Ev
 func (e *Engine) runStream(src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*EvalResult, error) {
 	if cfg.Workers > 1 {
 		return nil, fmt.Errorf("core: StreamConfig.Workers = %d: the ops stage is one goroutine, so only 0 or 1 is accepted", cfg.Workers)
+	}
+	if cfg.Online && mode == ModeTrain {
+		return nil, fmt.Errorf("core: StreamConfig.Online is set on a train pass: a train pass fits whole, and Online only makes a test pass prequential")
 	}
 	r, err := newStreamExec(e, src, mode, cfg, root)
 	if err != nil {

@@ -251,7 +251,7 @@ func TestConnsClosedHook(t *testing.T) {
 	if err := eng.Train(ds); err != nil {
 		t.Fatal(err)
 	}
-	if pl, err := eng.StreamPlan(ModeTest, false); err != nil || pl.ConnSink != 0 {
+	if pl, err := eng.StreamPlan(ModeTest); err != nil || pl.ConnSink != 0 {
 		t.Fatalf("plan's connection sink = %d (%v), want op 0", pl.ConnSink, err)
 	}
 	boom := errors.New("log full")
@@ -295,7 +295,7 @@ func TestConnsClosedHook(t *testing.T) {
 		if err := eng.Train(ds); err != nil {
 			t.Fatal(err)
 		}
-		if pl, err := eng.StreamPlan(ModeTest, false); err != nil || pl.ConnSink != -1 {
+		if pl, err := eng.StreamPlan(ModeTest); err != nil || pl.ConnSink != -1 {
 			t.Fatalf("%s: plan's connection sink = %d (%v), want none", p.Name, pl.ConnSink, err)
 		}
 		hooks := &StreamHooks{ConnsClosed: func([]*flow.Flow) error {

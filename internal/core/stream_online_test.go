@@ -9,9 +9,8 @@ import (
 	"lumen/internal/obs"
 )
 
-// onlinePipeline is the canonical online-learning template: streaming
-// scalers feed an SGD-family model, with a drift monitor on the score
-// stream.
+// onlinePipeline is the canonical prequential template: fitted scalers
+// feed an SGD-family model, with a drift monitor on the score stream.
 func onlinePipeline(model string) *Pipeline {
 	return &Pipeline{
 		Name:        "stream-online-" + model,
@@ -29,8 +28,7 @@ func onlinePipeline(model string) *Pipeline {
 	}
 }
 
-// noScalerPipeline keeps the feature path stateless so online training is
-// a pure function of global row order.
+// noScalerPipeline feeds the raw features straight to the model.
 func noScalerPipeline(model string) *Pipeline {
 	return &Pipeline{
 		Name:        "stream-online-raw-" + model,
@@ -53,39 +51,42 @@ func onlineDS(t *testing.T) *dataset.Labeled {
 	return spec.Generate(0.05)
 }
 
-// TestOnlineTrainChunkInvariantNoScaler: without streaming scalers in the
-// path, an online training pass is a pure fold over the global row order,
-// so every chunk size must produce the identical fitted model. linear_svm
-// and mlp partial-fit natively; decision_tree goes through the reservoir
-// wrapper, whose Algorithm-R sample is also a function of row order only.
-func TestOnlineTrainChunkInvariantNoScaler(t *testing.T) {
+// TestPrequentialBatchDetectorOnlyScores: a thresholded batch detector
+// cannot partial-fit, so an Online test pass scores every chunk with the
+// model as trained and folds nothing into it: its result is the plain
+// pass's bit for bit, and it counts no partial-fit row.
+func TestPrequentialBatchDetectorOnlyScores(t *testing.T) {
 	ds := onlineDS(t)
-	for _, model := range []string{"linear_svm", "mlp", "decision_tree"} {
+	for _, model := range []string{"gmm", "ocsvm"} {
 		var want *EvalResult
-		for _, rows := range streamChunkSizes {
+		for _, online := range []bool{false, true} {
 			eng := NewEngine(noScalerPipeline(model))
 			eng.Seed = 7
-			if err := eng.TrainStream(ds, StreamConfig{ChunkRows: rows, Online: true}); err != nil {
-				t.Fatalf("%s chunk %d: online train: %v", model, rows, err)
+			if err := eng.Train(ds); err != nil {
+				t.Fatalf("%s: train: %v", model, err)
 			}
-			got, err := eng.Test(ds)
+			met := obs.NewMetrics()
+			eng.Metrics = met
+			got, err := eng.TestStream(ds, StreamConfig{ChunkRows: 64, Online: online})
 			if err != nil {
-				t.Fatalf("%s chunk %d: test: %v", model, rows, err)
+				t.Fatalf("%s online=%v: %v", model, online, err)
+			}
+			if n := met.Counter("lumen_partial_fit_rows_total", "Rows absorbed by online partial-fit model updates.").Value(); n != 0 {
+				t.Errorf("%s online=%v: %d partial-fit rows counted", model, online, n)
 			}
 			if want == nil {
 				want = got
 				continue
 			}
-			if !reflect.DeepEqual(want.Pred, got.Pred) {
-				t.Errorf("%s: chunk size %d trains a different model", model, rows)
-			}
+			requireEqualResults(t, want, got, model+" online")
 		}
 	}
 }
 
-// TestOnlinePrequentialShapeEquivalence: at a fixed chunk size, an online
-// pass (streaming scalers, partial-fit train, prequential test, drift
-// monitor) must produce identical results at every depth.
+// TestOnlinePrequentialShapeEquivalence: at a fixed chunk size, a
+// prequential test pass (fitted scalers, partial-fit train, drift
+// monitor) after a batch fit must produce identical results at every
+// depth.
 func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 	ds := onlineDS(t)
 	p := onlinePipeline("linear_svm")
@@ -97,7 +98,7 @@ func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 			shape.Online = true
 			eng := NewEngine(p)
 			eng.Seed = 7
-			if err := eng.TrainStream(ds, shape); err != nil {
+			if err := eng.Train(ds); err != nil {
 				t.Fatalf("chunk %d shape %+v: train: %v", rows, shape, err)
 			}
 			got, err := eng.TestStream(ds, shape)
@@ -117,34 +118,33 @@ func TestOnlinePrequentialShapeEquivalence(t *testing.T) {
 	}
 }
 
-// TestOnlineScalersStream pins that an online training pass streams the
-// scalers and the train op (no barrier, no retained packets): the whole
-// pipeline must be classified streamed in ModeTrain when online.
+// TestOnlineScalersStream pins where the scalers and the train op run: a
+// train pass fits them whole, at drain, and a test pass, prequential
+// included, streams the whole pipeline (no barrier, no retained frames).
 func TestOnlineScalersStream(t *testing.T) {
 	p := onlinePipeline("linear_svm")
 	eng := NewEngine(p)
-	eng.Seed = 7
-	off, err := eng.StreamPlan(ModeTrain, false)
+	train, err := eng.StreamPlan(ModeTrain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := eng.StreamPlan(ModeTrain, true)
+	test, err := eng.StreamPlan(ModeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, op := range p.Ops {
-		if !on.Stage[i].streamed() {
-			t.Errorf("online train: op %s not streamed", op.Func)
+		if !test.Stage[i].streamed() {
+			t.Errorf("test: op %s not streamed", op.Func)
 		}
-		if fn := op.Func; (fn == "normalize" || fn == "clip" || fn == "train") && off.Stage[i].streamed() {
-			t.Errorf("offline train: op %s unexpectedly streamed", fn)
+		if fn := op.Func; (fn == "normalize" || fn == "clip" || fn == "train") && train.Stage[i] != StageDrain {
+			t.Errorf("train: op %s runs at stage %s, want drain", fn, train.Stage[i])
 		}
 	}
-	if len(on.Accum) != 0 || on.Barrier != nil {
-		t.Errorf("online train plan retains state: accum=%v barrier=%+v", on.Accum, on.Barrier)
+	if len(test.Accum) != 0 || test.Barrier != nil {
+		t.Errorf("test plan retains state: accum=%v barrier=%+v", test.Accum, test.Barrier)
 	}
-	if off.Barrier == nil || off.Barrier.Reason != "fits global state in train mode" {
-		t.Errorf("offline train plan barrier = %+v, want a fitted op", off.Barrier)
+	if train.Barrier == nil || train.Barrier.Reason != "fits global state in train mode" {
+		t.Errorf("train plan barrier = %+v, want a fitted op", train.Barrier)
 	}
 }
 

@@ -653,11 +653,12 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 }
 
 // TestStreamShapeIsWhatWasAsked: RunStream never rewrites its config. A
-// plain, a hooked and an online pass each run at exactly the depth that
-// was requested, and flows whose packets straddle many chunk boundaries
-// assemble as in batch at every depth (the EvalResult of
-// a connection-granularity pipeline is a function of the assembled conn
-// log, so bit-equality pins the log itself).
+// plain, a hooked and an online (prequential) test pass each run at
+// exactly the depth that was requested, and flows whose packets straddle
+// many chunk boundaries assemble as in batch at every depth (the
+// EvalResult of a connection-granularity pipeline is a function of the
+// assembled conn log, so bit-equality pins the log itself; the tree
+// cannot partial-fit, so the online pass only scores).
 func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 	ids := dataset.ConnectionIDs()
 	if len(ids) == 0 {
@@ -681,7 +682,9 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 			label := fmt.Sprintf("%s, depth %d", v, shape.PipelineDepth)
 			eng := NewEngine(p)
 			eng.Seed = 7
-			if err := eng.TrainStream(ds, cfg); err != nil {
+			train := cfg
+			train.Online = false
+			if err := eng.TrainStream(ds, train); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			var got *EvalResult
@@ -699,9 +702,7 @@ func TestStreamShapeIsWhatWasAsked(t *testing.T) {
 			if ls.Pipelined != (shape.PipelineDepth > 0) || ls.Depth != shape.PipelineDepth {
 				t.Errorf("%s: ran pipelined=%v depth=%d", label, ls.Pipelined, ls.Depth)
 			}
-			if !cfg.Online {
-				requireEqualResults(t, want, got, label)
-			}
+			requireEqualResults(t, want, got, label)
 		}
 	}
 }
@@ -722,6 +723,36 @@ func TestStreamRefusesWorkers(t *testing.T) {
 			t.Errorf("Workers %d: error %v, want one naming StreamConfig.Workers", w, err)
 		case w > 1 && src.emitted.Load() != 0:
 			t.Errorf("Workers %d: refused after cutting %d chunks", w, src.emitted.Load())
+		}
+	}
+}
+
+// TestStreamRefusesOnlineTrain: a train pass fits whole, so Online on
+// one fails before any chunk is cut, naming the field, at every depth and
+// through TrainStream too; Online on a test pass is prequential.
+func TestStreamRefusesOnlineTrain(t *testing.T) {
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.05)
+	for _, shape := range streamExecShapes {
+		cfg := shape
+		cfg.ChunkRows, cfg.Online = 64, true
+		src := &trackedSource{inner: dataset.NewSliceSource(ds)}
+		_, err := NewEngine(fieldPipeline()).RunStream(src, ModeTrain, cfg)
+		if err == nil || !strings.Contains(err.Error(), "StreamConfig.Online") {
+			t.Errorf("depth %d: error %v, want one naming StreamConfig.Online", shape.PipelineDepth, err)
+		}
+		if n := src.emitted.Load(); n != 0 {
+			t.Errorf("depth %d: refused after cutting %d chunks", shape.PipelineDepth, n)
+		}
+		eng := NewEngine(fieldPipeline())
+		if err := eng.TrainStream(ds, cfg); err == nil || !strings.Contains(err.Error(), "StreamConfig.Online") {
+			t.Errorf("depth %d: TrainStream error %v, want one naming StreamConfig.Online", shape.PipelineDepth, err)
+		}
+		if err := eng.TrainStream(ds, shape); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.TestStream(ds, cfg); err != nil {
+			t.Errorf("depth %d: online test pass: %v", shape.PipelineDepth, err)
 		}
 	}
 }

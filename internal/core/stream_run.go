@@ -8,7 +8,6 @@ import (
 
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
-	"lumen/internal/mlkit"
 	"lumen/internal/netpkt"
 	"lumen/internal/obs"
 )
@@ -86,7 +85,7 @@ type streamExec struct {
 // the shared cache can serve: its values are keyed by lineage from the
 // dataset's identity.
 func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*streamExec, error) {
-	pl, err := e.StreamPlan(mode, cfg.Online)
+	pl, err := e.StreamPlan(mode)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +224,6 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 	j.env[InputName] = Packets{DS: j.cds, Views: nc.Views}
 	j.wsc.carry = map[string]any{}
 	j.wsc.base = nc.Base
-	j.wsc.online = r.sc.online
 	j.scratch.pool = r.arenas
 	return j
 }
@@ -479,9 +477,8 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			return nil, err
 		}
 	}
-	// Rows are numbered from 0, and an op deferred on an Online pass fits
-	// whole.
-	online := r.sc.online
+	// Rows are numbered from 0, and a train op deferred on an Online pass
+	// only scores, as it does over a block.
 	r.sc.base, r.sc.online = 0, false
 	r.runOps(job, StageDrain, r.sc, e.Span)
 	if err := r.absorb(job); err != nil {
@@ -495,21 +492,6 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	e.LastStream.Chunks = r.nChunks
 	e.LastStream.HWMBytes = r.hwm
 	if r.mode == ModeTrain {
-		if online {
-			// Reservoir-wrapped batch models have only been accumulating
-			// rows; make sure every trained state ends the pass fitted.
-			for _, v := range e.state {
-				tr, ok := v.(*Trained)
-				if !ok {
-					continue
-				}
-				if ff, ok := tr.Clf.(mlkit.FinishFitter); ok {
-					if err := ff.FinishFit(); err != nil {
-						return nil, fmt.Errorf("core: finish fit: %w", err)
-					}
-				}
-			}
-		}
 		e.trained = true
 	}
 	return mergeResults(r.results), nil

@@ -189,7 +189,7 @@ func FuzzDaemonConfig(f *testing.F) {
 			if cfg.Pipelines[i].Name == "" {
 				t.Fatalf("pipelines[%d] planned without a name", i)
 			}
-			if _, err := eng.StreamPlan(core.ModeTest, false); err != nil {
+			if _, err := eng.StreamPlan(core.ModeTest); err != nil {
 				t.Fatalf("pipelines[%d] type-checked at load but does not plan: %v", i, err)
 			}
 		}

@@ -304,7 +304,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	if !ok {
 		return nil, fmt.Errorf("daemon: pipeline %q has no trained model; train or install one first", cfg.Name)
 	}
-	plan, err := cfg.Engine.StreamPlan(core.ModeTest, cfg.Stream.Online)
+	plan, err := cfg.Engine.StreamPlan(core.ModeTest)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: pipeline %q: %w", cfg.Name, err)
 	}

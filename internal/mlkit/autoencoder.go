@@ -58,7 +58,7 @@ func (a *Autoencoder) Fit(X [][]float64) error {
 }
 
 // Score returns per-row reconstruction RMSE, streaming X through the
-// network in minibatch GEMM passes.
+// network in blocks of rows, one GEMM per layer.
 func (a *Autoencoder) Score(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	a.net.VisitOutputs(X, func(i int, rec []float64) {
@@ -90,20 +90,4 @@ func (a *Autoencoder) TrainOne(row []float64) float64 {
 	a.ensureNet(len(row))
 	sq := a.net.TrainStep(row, row)
 	return math.Sqrt(sq / float64(len(row)))
-}
-
-// TrainBatchRows performs one minibatch training step on X[idx] (a
-// single forward/backward GEMM pass and weight update) and fills rmse —
-// len(idx) long — with each row's pre-update reconstruction RMSE.
-// KitNET's ensemble trains through this instead of per-row TrainOne.
-func (a *Autoencoder) TrainBatchRows(X [][]float64, idx []int, rmse []float64) {
-	if len(idx) == 0 {
-		return
-	}
-	a.ensureNet(len(X[idx[0]]))
-	a.net.TrainBatchRows(X, X, idx, rmse)
-	inv := 1 / float64(a.net.Sizes[0])
-	for i := range rmse[:len(idx)] {
-		rmse[i] = math.Sqrt(rmse[i] * inv)
-	}
 }

@@ -95,48 +95,6 @@ func TestEquivalenceMLP(t *testing.T) {
 	})
 }
 
-// TestEquivalenceMLPMinibatch covers the opt-in multi-row backward GEMM
-// path (Batch>1), which the per-sample default no longer exercises.
-func TestEquivalenceMLPMinibatch(t *testing.T) {
-	X, y := eqData(300, 6, 12)
-	runAtWorkers(t, func() interface{} {
-		d := len(X[0])
-		m := &MLP{Sizes: []int{d, 8, 1}, Act: ActReLU, Epochs: 5, Seed: 7, Batch: 32}
-		T := make([][]float64, len(y))
-		for i, label := range y {
-			T[i] = []float64{float64(label)}
-		}
-		if err := m.FitTargets(X, T); err != nil {
-			t.Fatal(err)
-		}
-		return m.Predict01(X)
-	}, func(ref, got interface{}, w int) {
-		eqFloats(t, "mlp minibatch proba", ref.([]float64), got.([]float64), w)
-	})
-}
-
-// TestEquivalenceAutoencoderBatchRows covers Autoencoder.TrainBatchRows,
-// the streaming minibatch entry point, across worker counts.
-func TestEquivalenceAutoencoderBatchRows(t *testing.T) {
-	X, _ := eqData(256, 6, 13)
-	idx := make([]int, 32)
-	runAtWorkers(t, func() interface{} {
-		ae := &Autoencoder{Hidden: []int{4}, Seed: 7}
-		rmse := make([]float64, 32)
-		all := make([]float64, 0, len(X))
-		for start := 0; start+32 <= len(X); start += 32 {
-			for i := range idx {
-				idx[i] = start + i
-			}
-			ae.TrainBatchRows(X, idx, rmse)
-			all = append(all, rmse...)
-		}
-		return append(all, ae.Score(X)...)
-	}, func(ref, got interface{}, w int) {
-		eqFloats(t, "ae batch rmse+score", ref.([]float64), got.([]float64), w)
-	})
-}
-
 func TestEquivalenceAutoencoder(t *testing.T) {
 	X, _ := eqData(300, 6, 2)
 	runAtWorkers(t, func() interface{} {
@@ -270,15 +228,6 @@ func TestEquivalenceNystrom(t *testing.T) {
 
 func TestEquivalenceLinearModels(t *testing.T) {
 	X, y := eqData(300, 6, 11)
-	lr := &LogisticRegression{Epochs: 3}
-	if err := lr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	runAtWorkers(t, func() interface{} { return lr.Proba(X) },
-		func(ref, got interface{}, w int) {
-			eqFloats(t, "logistic proba", ref.([]float64), got.([]float64), w)
-		})
-
 	svm := &LinearSVM{Epochs: 3}
 	if err := svm.Fit(X, y); err != nil {
 		t.Fatal(err)

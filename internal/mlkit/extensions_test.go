@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func TestLogisticRegressionSeparable(t *testing.T) {
-	X, y := blobs(400, 4, 3, 101)
-	sc := &StandardScaler{}
-	if err := sc.Fit(X); err != nil {
-		t.Fatal(err)
-	}
-	acc := fitPredictAccuracy(t, &LogisticRegression{Seed: 1}, sc.Transform(X), y)
-	if acc < 0.95 {
-		t.Errorf("accuracy = %.3f, want >= 0.95", acc)
-	}
-}
-
-func TestLogisticRegressionProbaMonotone(t *testing.T) {
-	// 1-D data: probability must increase along the positive direction.
-	X := [][]float64{{-2}, {-1}, {0}, {1}, {2}}
-	y := []int{0, 0, 0, 1, 1}
-	lr := &LogisticRegression{Seed: 1, Epochs: 200}
-	if err := lr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	p := lr.Proba(X)
-	for i := 1; i < len(p); i++ {
-		if p[i] < p[i-1] {
-			t.Fatalf("proba not monotone: %v", p)
-		}
-	}
-}
-
 func TestPCARecoversSubspace(t *testing.T) {
 	// Data on a 1-D line in 3-D space plus tiny noise.
 	rng := NewRNG(103)

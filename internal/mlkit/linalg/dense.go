@@ -65,13 +65,6 @@ func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Zero clears the matrix in place.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}

@@ -52,43 +52,6 @@ func TestMatMulTMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulMatchesNaive(t *testing.T) {
-	a := randDense(33, 21, 3)
-	b := randDense(21, 45, 4)
-	c := NewDense(33, 45)
-	MatMul(a, b, c)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
-			}
-			if math.Abs(c.At(i, j)-s) > 1e-12 {
-				t.Fatalf("C[%d,%d] = %v, want %v", i, j, c.At(i, j), s)
-			}
-		}
-	}
-}
-
-func TestAtMulAddMatchesNaive(t *testing.T) {
-	a := randDense(29, 7, 5)
-	b := randDense(29, 11, 6)
-	c := NewDense(7, 11)
-	AtMulAdd(a, b, c)
-	AtMulAdd(a, b, c) // accumulate twice
-	for o := 0; o < 7; o++ {
-		for j := 0; j < 11; j++ {
-			var s float64
-			for k := 0; k < 29; k++ {
-				s += a.At(k, o) * b.At(k, j)
-			}
-			if math.Abs(c.At(o, j)-2*s) > 1e-12 {
-				t.Fatalf("C[%d,%d] = %v, want %v", o, j, c.At(o, j), 2*s)
-			}
-		}
-	}
-}
-
 func TestDotAndAxpyTails(t *testing.T) {
 	for n := 0; n < 9; n++ {
 		a := make([]float64, n)

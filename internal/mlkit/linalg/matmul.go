@@ -81,53 +81,6 @@ func MatMulT(a, b, c *Dense) {
 	})
 }
 
-// MatMul computes C = A·B where A is n×d and B is d×m, writing into the
-// pre-shaped n×m C. It runs in saxpy form (C[i,:] += A[i,k]·B[k,:]) so
-// B is read row-sequentially; rows of C are split across workers and
-// each accumulates in fixed k order — deterministic for any worker
-// count.
-func MatMul(a, b, c *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MatMul shape mismatch: %dx%d · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	ParallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Row(i)
-			for j := range ci {
-				ci[j] = 0
-			}
-			ai := a.Row(i)
-			for k, av := range ai {
-				if av != 0 {
-					Axpy(av, b.Row(k), ci)
-				}
-			}
-		}
-	})
-}
-
-// AtMulAdd accumulates C += Aᵀ·B where A is n×p and B is n×q, with C
-// pre-shaped p×q. It is the gradient kernel (weight gradient = deltasᵀ ·
-// activations) and runs serially in sample order: parallelizing it would
-// need per-shard partial matrices, and the surrounding training loops
-// parallelize over the batch dimension elsewhere.
-func AtMulAdd(a, b, c *Dense) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: AtMulAdd shape mismatch: (%dx%d)ᵀ · %dx%d -> %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	for k := 0; k < a.Rows; k++ {
-		ak := a.Row(k)
-		bk := b.Row(k)
-		for o, av := range ak {
-			if av != 0 {
-				Axpy(av, bk, c.Row(o))
-			}
-		}
-	}
-}
-
 // AddBiasRows adds the bias vector to every row of C.
 func AddBiasRows(c *Dense, bias []float64) {
 	if len(bias) != c.Cols {

@@ -65,7 +65,7 @@ func PredictProba(c Classifier, X [][]float64) (pred []int, proba []float64) {
 }
 
 // predictProbaHard is PredictProba for the delegating wrappers (Pipeline,
-// GridSearch, AutoML, ReservoirRetrainer), which always report scores:
+// GridSearch, AutoML), which always report scores:
 // when the wrapped model has none, its hard 0/1 labels stand in.
 func predictProbaHard(c Classifier, X [][]float64) ([]int, []float64) {
 	pred, proba := PredictProba(c, X)

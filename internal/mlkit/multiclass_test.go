@@ -180,7 +180,7 @@ func TestLinearSVMProbaRange(t *testing.T) {
 func TestFitRejectsBadShapes(t *testing.T) {
 	models := []Classifier{
 		&DecisionTree{}, &RandomForest{NTrees: 2}, &GaussianNB{}, &KNN{},
-		&LinearSVM{}, &LogisticRegression{},
+		&LinearSVM{},
 	}
 	for _, m := range models {
 		if err := m.Fit(nil, nil); err == nil {

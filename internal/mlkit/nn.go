@@ -94,12 +94,12 @@ func sigmoidVec(xs []float64) {
 	}
 }
 
-// MLP is a fully-connected feed-forward network trained by minibatch SGD
-// with momentum on mean-squared error. Weights live in flat row-major
-// linalg.Dense matrices (one allocation per layer) and the forward and
-// backward passes over a minibatch are per-layer GEMM kernels rather
-// than per-sample vector loops, so training cost is dominated by
-// cache-blocked matrix products instead of pointer chasing. It is the
+// MLP is a fully-connected feed-forward network trained one sample at a
+// time by SGD with momentum on mean-squared error. Weights live in flat
+// row-major linalg.Dense matrices (one allocation per layer). Inference
+// over many rows runs one cache-blocked GEMM per layer (VisitOutputs);
+// a training step is one Dot per unit forward, one Axpy per delta back
+// and a single fused pass over the weights (trainOne). It is the
 // building block for the autoencoders used by Kitsune (A06), the Nokia
 // network-centric detector (A11) and the early-detection model (A12),
 // and serves as the "DNN" member of the Ensemble algorithm (A15-style
@@ -116,13 +116,6 @@ type MLP struct {
 	Momentum float64
 	// Epochs over the data; 0 means 30.
 	Epochs int
-	// Batch is the minibatch size for FitTargets; 0 means 1 — classic
-	// per-sample SGD, the seed-faithful default (the detectors that
-	// threshold on training-score distributions need its n-updates-per-
-	// epoch convergence). Set >1 to opt into minibatch GEMM training:
-	// gradients are averaged over the batch, so the step size is
-	// independent of batch size.
-	Batch int
 	// Seed drives weight init and sample order.
 	Seed int64
 
@@ -131,13 +124,11 @@ type MLP struct {
 	velW    []*linalg.Dense
 	velB    [][]float64
 
-	// Reused minibatch scratch: layer activations, deltas, gradients.
-	acts   []*linalg.Dense // [layer+1], n×Sizes[l]
-	deltas []*linalg.Dense // [layer], n×Sizes[l+1]
-	gradW  []*linalg.Dense
-	gradB  [][]float64
-	tgt    *linalg.Dense
-	rowSq  []float64
+	// Reused scratch: layer activations (n×Sizes[l]; one row while
+	// training), and one sample's deltas and target.
+	acts   []*linalg.Dense // [layer+1]
+	deltas [][]float64     // [layer][Sizes[l+1]]
+	tgt    []float64
 
 	obs FitObserver
 }
@@ -169,13 +160,6 @@ func (m *MLP) epochs() int {
 	return m.Epochs
 }
 
-func (m *MLP) batch() int {
-	if m.Batch == 0 {
-		return 1
-	}
-	return m.Batch
-}
-
 // Init allocates and randomizes weights (Xavier-style). Fit calls it
 // automatically when needed. The draw order matches the historical
 // nested-slice layout, so a given seed still produces the same initial
@@ -188,9 +172,7 @@ func (m *MLP) Init() {
 	m.velW = make([]*linalg.Dense, nl)
 	m.velB = make([][]float64, nl)
 	m.acts = make([]*linalg.Dense, nl+1)
-	m.deltas = make([]*linalg.Dense, nl)
-	m.gradW = make([]*linalg.Dense, nl)
-	m.gradB = make([][]float64, nl)
+	m.deltas = make([][]float64, nl)
 	m.acts[0] = &linalg.Dense{}
 	for l := 0; l < nl; l++ {
 		in, out := m.Sizes[l], m.Sizes[l+1]
@@ -203,11 +185,9 @@ func (m *MLP) Init() {
 		m.biases[l] = make([]float64, out)
 		m.velB[l] = make([]float64, out)
 		m.acts[l+1] = &linalg.Dense{}
-		m.deltas[l] = &linalg.Dense{}
-		m.gradW[l] = linalg.NewDense(out, in)
-		m.gradB[l] = make([]float64, out)
+		m.deltas[l] = make([]float64, out)
 	}
-	m.tgt = &linalg.Dense{}
+	m.tgt = make([]float64, m.Sizes[nl])
 }
 
 // paramCount is the number of weights and biases of an initialized
@@ -240,31 +220,16 @@ func (m *MLP) forwardBatch(n int) {
 	}
 }
 
-// loadBatch copies the selected rows of X into m.acts[0] (and T into
-// m.tgt when given), reusing the scratch backing arrays.
-func (m *MLP) loadBatch(X, T [][]float64, idx []int) {
-	n := len(idx)
-	a0 := m.acts[0].Reshape(n, m.Sizes[0])
-	for i, r := range idx {
-		copy(a0.Row(i), X[r])
-	}
-	if T != nil {
-		tg := m.tgt.Reshape(n, m.Sizes[len(m.Sizes)-1])
-		for i, r := range idx {
-			copy(tg.Row(i), T[r])
-		}
-	}
-}
-
-// trainOne is the n==1 fast path of trainBatch, operating on the row
-// already loaded into m.acts[0] and m.tgt. Per-sample SGD is the hot
-// loop of every online detector (KitNET trains packet by packet), so it
-// bypasses the batch kernels: the forward pass is one Dot per output
-// unit, the backward pass one Axpy per delta, and the momentum update is
-// fused with the gradient outer product into a single pass over the
-// weights — no gradient matrix is materialized. The gradient grouping
-// (g = delta·activation, then -lr·g) matches trainBatch exactly.
-func (m *MLP) trainOne(rowSq []float64) float64 {
+// trainOne backpropagates one (x, t) pair, applies one momentum update
+// and returns the pair's squared error before it. Per-sample SGD is the
+// hot loop of every online detector (KitNET trains packet by packet):
+// the forward pass is one Dot per output unit, the backward pass one
+// Axpy per delta, and the momentum update is fused with the gradient
+// outer product into a single pass over the weights — no gradient
+// matrix is materialized.
+func (m *MLP) trainOne(x, t []float64) float64 {
+	copy(m.acts[0].Reshape(1, m.Sizes[0]).Row(0), x)
+	copy(m.tgt, t)
 	nl := len(m.weights)
 	for l := 0; l < nl; l++ {
 		z := m.acts[l+1].Reshape(1, m.Sizes[l+1]).Row(0)
@@ -283,26 +248,22 @@ func (m *MLP) trainOne(rowSq []float64) float64 {
 
 	// Output delta (sigmoid + MSE).
 	y := m.acts[nl].Row(0)
-	tr := m.tgt.Row(0)
-	d := m.deltas[nl-1].Reshape(1, m.Sizes[nl]).Row(0)
+	d := m.deltas[nl-1]
 	var sqErr float64
 	for o, yo := range y {
-		e := yo - tr[o]
+		e := yo - m.tgt[o]
 		sqErr += e * e
 		d[o] = e * yo * (1 - yo)
-	}
-	if rowSq != nil {
-		rowSq[0] = sqErr
 	}
 
 	// Hidden deltas: delta_l = (delta_{l+1} · W_{l+1}) ⊙ act'(a_{l+1}).
 	for l := nl - 2; l >= 0; l-- {
-		dl := m.deltas[l].Reshape(1, m.Sizes[l+1]).Row(0)
+		dl := m.deltas[l]
 		for i := range dl {
 			dl[i] = 0
 		}
 		w := m.weights[l+1]
-		for o, dv := range m.deltas[l+1].Row(0) {
+		for o, dv := range m.deltas[l+1] {
 			if dv != 0 {
 				linalg.Axpy(dv, w.Row(o), dl)
 			}
@@ -316,7 +277,7 @@ func (m *MLP) trainOne(rowSq []float64) float64 {
 		al := m.acts[l].Row(0)
 		w, vw := m.weights[l], m.velW[l]
 		b, vb := m.biases[l], m.velB[l]
-		for o, dv := range m.deltas[l].Row(0) {
+		for o, dv := range m.deltas[l] {
 			wr, vr := w.Row(o), vw.Row(o)
 			for i, av := range al {
 				g := dv * av
@@ -324,95 +285,6 @@ func (m *MLP) trainOne(rowSq []float64) float64 {
 				wr[i] += vr[i]
 			}
 			vb[o] = mom*vb[o] - lr*dv
-			b[o] += vb[o]
-		}
-	}
-	return sqErr
-}
-
-// trainBatch backpropagates the loaded minibatch of n rows against
-// m.tgt and applies one momentum update with the gradients averaged
-// over the batch. It returns the batch's summed pre-update squared error and,
-// when rowSq is non-nil, fills per-row squared errors into it.
-//
-// Determinism: per-row work (output deltas, hidden deltas) fans out over
-// ParallelRows with disjoint row writes; every reduction (error sums,
-// bias gradients, weight gradients) runs serially in fixed row order, so
-// results are bit-identical for any worker count.
-func (m *MLP) trainBatch(n int, rowSq []float64) float64 {
-	if n == 1 {
-		return m.trainOne(rowSq)
-	}
-	m.forwardBatch(n)
-	nl := len(m.weights)
-	out := m.Sizes[nl]
-
-	// Output layer (sigmoid + MSE).
-	y := m.acts[nl]
-	d := m.deltas[nl-1].Reshape(n, out)
-	if cap(m.rowSq) < n {
-		m.rowSq = make([]float64, n)
-	}
-	rs := m.rowSq[:n]
-	linalg.ParallelRows(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yr, tr, dr := y.Row(i), m.tgt.Row(i), d.Row(i)
-			var sq float64
-			for o, yo := range yr {
-				e := yo - tr[o]
-				sq += e * e
-				dr[o] = e * yo * (1 - yo)
-			}
-			rs[i] = sq
-		}
-	})
-	var sqErr float64
-	for i := 0; i < n; i++ {
-		sqErr += rs[i]
-	}
-	if rowSq != nil {
-		copy(rowSq, rs)
-	}
-
-	// Hidden layers: delta_l = (delta_{l+1} · W_{l+1}) ⊙ act'(a_{l+1}).
-	for l := nl - 2; l >= 0; l-- {
-		dl := m.deltas[l].Reshape(n, m.Sizes[l+1])
-		linalg.MatMul(m.deltas[l+1], m.weights[l+1], dl)
-		al := m.acts[l+1]
-		linalg.ParallelRows(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				m.Act.scaleByDeriv(al.Row(i), dl.Row(i))
-			}
-		})
-	}
-
-	// Gradients averaged over the batch, then one momentum update. The
-	// 1/n scaling keeps the step size independent of batch size (and
-	// makes n=1 coincide with classic per-sample SGD).
-	lr, mom := m.lr()/float64(n), m.momentum()
-	for l := 0; l < nl; l++ {
-		gw := m.gradW[l]
-		gw.Zero()
-		linalg.AtMulAdd(m.deltas[l], m.acts[l], gw)
-		gb := m.gradB[l]
-		for o := range gb {
-			gb[o] = 0
-		}
-		dl := m.deltas[l]
-		for i := 0; i < n; i++ {
-			dr := dl.Row(i)
-			for o, dv := range dr {
-				gb[o] += dv
-			}
-		}
-		w, vw := m.weights[l], m.velW[l]
-		for i, g := range gw.Data {
-			vw.Data[i] = mom*vw.Data[i] - lr*g
-			w.Data[i] += vw.Data[i]
-		}
-		b, vb := m.biases[l], m.velB[l]
-		for o, g := range gb {
-			vb[o] = mom*vb[o] - lr*g
 			b[o] += vb[o]
 		}
 	}
@@ -437,33 +309,17 @@ func (m *MLP) Forward(x []float64) [][]float64 {
 }
 
 // TrainStep backpropagates one (x, target) pair and returns its squared
-// error before the update. It is the batch-of-one case of trainBatch —
-// the online form Kitsune uses, packet by packet.
+// error before the update — the online form Kitsune uses, packet by
+// packet.
 func (m *MLP) TrainStep(x, target []float64) float64 {
 	if m.weights == nil {
 		m.Init()
 	}
-	a0 := m.acts[0].Reshape(1, m.Sizes[0])
-	copy(a0.Row(0), x)
-	tg := m.tgt.Reshape(1, m.Sizes[len(m.Sizes)-1])
-	copy(tg.Row(0), target)
-	return m.trainBatch(1, nil)
+	return m.trainOne(x, target)
 }
 
-// TrainBatchRows backpropagates the rows X[idx] against T[idx] as one
-// minibatch (one forward/backward GEMM pass, one weight update) and
-// fills rowSq — when non-nil, len(idx) long — with per-row pre-update
-// squared errors. It returns the batch's summed squared error.
-func (m *MLP) TrainBatchRows(X, T [][]float64, idx []int, rowSq []float64) float64 {
-	if m.weights == nil {
-		m.Init()
-	}
-	m.loadBatch(X, T, idx)
-	return m.trainBatch(len(idx), rowSq)
-}
-
-// FitTargets trains on explicit (X, T) pairs for Epochs passes of
-// shuffled minibatches.
+// FitTargets trains on explicit (X, T) pairs for Epochs passes, each
+// one step per pair in a fresh shuffled order.
 func (m *MLP) FitTargets(X, T [][]float64) error {
 	if len(X) == 0 {
 		return ErrNoData
@@ -472,18 +328,11 @@ func (m *MLP) FitTargets(X, T [][]float64) error {
 		m.Init()
 	}
 	rng := NewRNG(m.Seed + 1)
-	batch := m.batch()
 	n := len(X)
 	for e := 0; e < m.epochs(); e++ {
-		perm := rng.Perm(n)
 		var sqErr float64
-		for start := 0; start < n; start += batch {
-			end := start + batch
-			if end > n {
-				end = n
-			}
-			m.loadBatch(X, T, perm[start:end])
-			sqErr += m.trainBatch(end-start, nil)
+		for _, r := range rng.Perm(n) {
+			sqErr += m.trainOne(X[r], T[r])
 		}
 		if m.obs != nil {
 			m.obs.FitEpoch("mlp", e, sqErr/float64(n))
@@ -492,10 +341,10 @@ func (m *MLP) FitTargets(X, T [][]float64) error {
 	return nil
 }
 
-// VisitOutputs streams X through the network in minibatches and calls
+// VisitOutputs streams X through the network in blocks of rows and calls
 // visit with each row index and its final-layer outputs. The output
 // slice is scratch, only valid inside the call. Batch predict/score
-// paths build on this so inference is GEMM-shaped too.
+// paths build on this so inference is GEMM-shaped.
 func (m *MLP) VisitOutputs(X [][]float64, visit func(i int, out []float64)) {
 	if m.weights == nil || len(X) == 0 {
 		return

@@ -1,13 +1,13 @@
 package mlkit
 
 // FitObserver receives per-epoch progress from iterative trainers: the
-// model family name ("mlp", "autoencoder", "kitnet", "gmm", "logistic",
+// model family name ("mlp", "autoencoder", "kitnet", "gmm",
 // "linear_svm", "ocsvm"), the zero-based epoch (or EM iteration) index,
 // and that epoch's training loss. The loss semantics are per-family —
-// mean squared reconstruction error for the neural models, mean log-loss
-// for logistic regression, mean hinge objective for the SVMs, negative
-// mean log-likelihood for the GMM — but within one fit the sequence is
-// comparable across epochs, which is what a loss curve needs.
+// mean squared reconstruction error for the neural models, mean hinge
+// objective for the SVMs, negative mean log-likelihood for the GMM — but
+// within one fit the sequence is comparable across epochs, which is what
+// a loss curve needs.
 //
 // Observers are called synchronously from Fit, at most once per epoch;
 // an observer that blocks slows training down. Models never call a nil

@@ -116,7 +116,6 @@ func TestSGDObservers(t *testing.T) {
 		clf  Classifier
 		want int
 	}{
-		{"logistic", &LogisticRegression{Epochs: 7, Seed: 1}, 7},
 		{"linear_svm", &LinearSVM{Epochs: 6, Seed: 1}, 6},
 	} {
 		rec := &recordingObserver{}
@@ -164,14 +163,14 @@ func TestWrappersForwardObserver(t *testing.T) {
 	// VotingEnsemble forwards to observable members and skips the rest.
 	rec = &recordingObserver{}
 	ens := &VotingEnsemble{Members: []Classifier{
-		&LogisticRegression{Epochs: 2, Seed: 1},
+		&LinearSVM{Epochs: 2, Seed: 1},
 		&DecisionTree{Seed: 1}, // not iterative: must be skipped, not crash
 	}}
 	ens.SetFitObserver(rec)
 	if err := ens.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.byModel()["logistic"]; len(got) != 2 {
+	if got := rec.byModel()["linear_svm"]; len(got) != 2 {
 		t.Fatalf("observer not forwarded through VotingEnsemble: %v", rec.byModel())
 	}
 }
@@ -180,7 +179,7 @@ func TestWrappersForwardObserver(t *testing.T) {
 // the guard that keeps the training hot loops free of callback work.
 func TestNoObserverNoOverheadPath(t *testing.T) {
 	X, y := xorData(20, 3)
-	if err := (&LogisticRegression{Epochs: 2, Seed: 1}).Fit(X, y); err != nil {
+	if err := (&LinearSVM{Epochs: 2, Seed: 1}).Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
 	if err := (&MLPClassifier{Hidden: []int{4}, Epochs: 2, Seed: 1}).Fit(X, y); err != nil {

@@ -7,12 +7,12 @@ import (
 )
 
 // PartialFitter is a Classifier that can also absorb labelled rows
-// incrementally, in stream order, without revisiting earlier data. The
-// SGD family (logistic regression, linear SVM, MLP) implements it
-// natively; Thresholded detectors implement it when their wrapped
-// detector is an OnlineDetector; everything else goes through
-// ReservoirRetrainer. Incremental updates are order-dependent: callers
-// must feed rows in stream order for reproducible models.
+// incrementally, in stream order, without revisiting earlier data: a
+// prequential pass's test-then-train step. The SGD family (linear SVM,
+// MLP) implements it natively; Thresholded has the method for every
+// detector, but can use it only when CanPartialFit says so.
+// Incremental updates are order-dependent: callers must feed rows in
+// stream order for reproducible models.
 type PartialFitter interface {
 	Classifier
 	// PartialFit updates the model with one batch of rows. A nil y is
@@ -21,7 +21,7 @@ type PartialFitter interface {
 }
 
 // OnlineTransformer is a Transformer whose parameters can be updated
-// incrementally (streaming scalers).
+// incrementally (MinMaxScaler).
 type OnlineTransformer interface {
 	Transformer
 	PartialFit(X [][]float64) error
@@ -35,50 +35,7 @@ type OnlineDetector interface {
 	PartialFit(X [][]float64) error
 }
 
-// FinishFitter is an optional hook a PartialFitter may implement to run
-// once after the final partial-fit batch (e.g. ReservoirRetrainer's
-// closing retrain). The streaming engine calls it at end of a train run.
-type FinishFitter interface {
-	FinishFit() error
-}
-
 // --- SGD family -----------------------------------------------------------
-
-// PartialFit performs one in-order SGD pass over the batch with a
-// constant learning rate (no epoch decay — the stream is the epoch).
-// The weight vector initializes lazily from the first batch's dimension.
-func (l *LogisticRegression) PartialFit(X [][]float64, y []int) error {
-	d, err := checkXY(X, y)
-	if err != nil {
-		return err
-	}
-	if l.w == nil {
-		l.w = make([]float64, d)
-	} else if len(l.w) != d {
-		return fmt.Errorf("%w: partial_fit got %d features, model has %d", ErrDimMismatch, d, len(l.w))
-	}
-	lr := l.LR
-	if lr == 0 {
-		lr = 0.1
-	}
-	lambda := l.Lambda
-	if lambda == 0 {
-		lambda = 1e-4
-	}
-	for i, row := range X {
-		p := sigmoid(Dot(l.w, row) + l.b)
-		t := 0.0
-		if y != nil && y[i] != 0 {
-			t = 1
-		}
-		g := p - t
-		for j, v := range row {
-			l.w[j] -= lr * (g*v + lambda*l.w[j])
-		}
-		l.b -= lr * g
-	}
-	return nil
-}
 
 // PartialFit continues the Pegasos sub-gradient walk over the batch in
 // stream order, persisting the global step count so the 1/(λt) step
@@ -248,36 +205,7 @@ func (t *Thresholded) PartialFit(X [][]float64, y []int) error {
 	return nil
 }
 
-// --- streaming scalers ----------------------------------------------------
-
-// PartialFit folds the batch into Welford running moments; Mean/Std stay
-// valid after every call, so transform-after-update matches a batch Fit
-// over everything seen so far (up to floating-point association).
-func (s *StandardScaler) PartialFit(X [][]float64) error {
-	d, err := checkXY(X, nil)
-	if err != nil {
-		return err
-	}
-	if s.Mean == nil {
-		s.Mean = make([]float64, d)
-		s.Std = make([]float64, d)
-		s.m2 = make([]float64, d)
-	} else if len(s.Mean) != d {
-		return fmt.Errorf("%w: partial_fit got %d features, scaler has %d", ErrDimMismatch, d, len(s.Mean))
-	}
-	for _, row := range X {
-		s.count++
-		for j, v := range row {
-			delta := v - s.Mean[j]
-			s.Mean[j] += delta / s.count
-			s.m2[j] += delta * (v - s.Mean[j])
-		}
-	}
-	for j := range s.Std {
-		s.Std[j] = math.Sqrt(s.m2[j] / s.count)
-	}
-	return nil
-}
+// --- scalers --------------------------------------------------------------
 
 // PartialFit widens the per-feature range to cover the batch.
 func (s *MinMaxScaler) PartialFit(X [][]float64) error {
@@ -304,7 +232,7 @@ func (s *MinMaxScaler) PartialFit(X [][]float64) error {
 	return nil
 }
 
-// --- reservoir wrapper for batch-only models ------------------------------
+// --- reservoir ------------------------------------------------------------
 
 // Reservoir is a uniform sample of labelled rows (Algorithm R): after n
 // rows, each has had the same chance cap/n to be kept, and the seed fixes
@@ -359,140 +287,6 @@ func (r *Reservoir) Snapshot() ([][]float64, []int) {
 // Len reports how many rows the reservoir holds.
 func (r *Reservoir) Len() int { return len(r.rows) }
 
-// ReservoirRetrainer adapts a batch-only Classifier (KNN, GMM, forest,
-// any Thresholded over a batch detector) to the PartialFitter contract:
-// PartialFit maintains a uniform Algorithm-R reservoir of labelled rows
-// and periodically refits the wrapped model on a copy of it. Until the
-// first retrain, Predict returns all-benign.
-type ReservoirRetrainer struct {
-	// Model is the wrapped batch classifier, refit on each Retrain.
-	Model Classifier
-	// Cap bounds the reservoir; 0 means 4096.
-	Cap int
-	// RetrainEvery refits after this many absorbed rows; 0 means 2048,
-	// negative disables automatic retrains (call Retrain explicitly).
-	RetrainEvery int
-	// Seed drives reservoir sampling.
-	Seed int64
-
-	res      *Reservoir
-	sinceFit int
-	fitted   bool
-}
-
-func (r *ReservoirRetrainer) cap() int {
-	if r.Cap == 0 {
-		return 4096
-	}
-	return r.Cap
-}
-
-func (r *ReservoirRetrainer) retrainEvery() int {
-	if r.RetrainEvery == 0 {
-		return 2048
-	}
-	return r.RetrainEvery
-}
-
-// PartialFit absorbs the batch into the reservoir and retrains when
-// RetrainEvery rows have accumulated since the last fit. The caller may
-// reuse X afterwards.
-func (r *ReservoirRetrainer) PartialFit(X [][]float64, y []int) error {
-	if _, err := checkXY(X, y); err != nil {
-		return err
-	}
-	if r.res == nil {
-		r.res = NewReservoir(r.cap(), r.Seed)
-	}
-	r.res.Add(X, y)
-	r.sinceFit += len(X)
-	if every := r.retrainEvery(); every > 0 && r.sinceFit >= every {
-		return r.Retrain()
-	}
-	return nil
-}
-
-// Retrain refits the wrapped model on a snapshot of the reservoir, which
-// later PartialFits never mutate.
-func (r *ReservoirRetrainer) Retrain() error {
-	if r.Rows() == 0 {
-		return ErrNoData
-	}
-	X, y := r.Snapshot()
-	if err := r.Model.Fit(X, y); err != nil {
-		return err
-	}
-	r.fitted = true
-	r.sinceFit = 0
-	return nil
-}
-
-// FinishFit runs a closing retrain if rows arrived since the last one
-// (or none ever ran), so an end-of-stream model reflects the full
-// reservoir.
-func (r *ReservoirRetrainer) FinishFit() error {
-	if !r.fitted || r.sinceFit > 0 {
-		return r.Retrain()
-	}
-	return nil
-}
-
-// Snapshot returns a copy of the current reservoir (see
-// Reservoir.Snapshot) for out-of-band retraining.
-func (r *ReservoirRetrainer) Snapshot() ([][]float64, []int) {
-	if r.res == nil {
-		return nil, nil
-	}
-	return r.res.Snapshot()
-}
-
-// Rows reports how many labelled rows the reservoir currently holds.
-func (r *ReservoirRetrainer) Rows() int {
-	if r.res == nil {
-		return 0
-	}
-	return r.res.Len()
-}
-
-// Fitted reports whether the wrapped model has been trained at least once.
-func (r *ReservoirRetrainer) Fitted() bool { return r.fitted }
-
-// Fit seeds the reservoir from the batch and retrains immediately,
-// making the wrapper a drop-in Classifier.
-func (r *ReservoirRetrainer) Fit(X [][]float64, y []int) error {
-	if err := r.PartialFit(X, y); err != nil {
-		return err
-	}
-	if r.sinceFit > 0 {
-		return r.Retrain()
-	}
-	return nil
-}
-
-// PredictProba delegates to the wrapped model (hard labels stand in for
-// scores when it has none); all-benign with zero scores before the first
-// retrain.
-func (r *ReservoirRetrainer) PredictProba(X [][]float64) ([]int, []float64) {
-	if !r.fitted {
-		return make([]int, len(X)), make([]float64, len(X))
-	}
-	return predictProbaHard(r.Model, X)
-}
-
-// Predict delegates to the wrapped model, or returns all-benign before
-// the first retrain.
-func (r *ReservoirRetrainer) Predict(X [][]float64) []int {
-	pred, _ := r.PredictProba(X)
-	return pred
-}
-
-// Proba delegates when the wrapped model reports probabilities, falling
-// back to 0/1 from Predict; all-zero before the first retrain.
-func (r *ReservoirRetrainer) Proba(X [][]float64) []float64 {
-	_, proba := r.PredictProba(X)
-	return proba
-}
-
 // --- capability probes ----------------------------------------------------
 
 // detectorOnline reports whether a detector (recursing through pipeline
@@ -510,26 +304,15 @@ func detectorOnline(d Detector) bool {
 	return ok
 }
 
-// CanPartialFit reports whether a classifier supports true incremental
-// training (as opposed to reservoir replay). Thresholded wrappers are
-// online exactly when their detector stack is.
+// CanPartialFit reports whether a classifier supports incremental
+// training. Thresholded wrappers are online exactly when their detector
+// stack is.
 func CanPartialFit(c Classifier) bool {
 	switch m := c.(type) {
 	case *Thresholded:
 		return detectorOnline(m.Detector)
-	case *ReservoirRetrainer:
-		return true
 	case PartialFitter:
 		return true
 	}
 	return false
-}
-
-// AsPartialFitter returns c itself when it can partial-fit, otherwise a
-// ReservoirRetrainer wrapping it (seeded for reproducible sampling).
-func AsPartialFitter(c Classifier, seed int64) PartialFitter {
-	if CanPartialFit(c) {
-		return c.(PartialFitter)
-	}
-	return &ReservoirRetrainer{Model: c, Seed: seed}
 }

@@ -44,9 +44,8 @@ func chunked(t *testing.T, pf PartialFitter, X [][]float64, y []int, size int) {
 func TestPartialFitChunkInvariant(t *testing.T) {
 	X, y := sepData(400, 3)
 	build := map[string]func() PartialFitter{
-		"logistic": func() PartialFitter { return &LogisticRegression{Seed: 1} },
-		"svm":      func() PartialFitter { return &LinearSVM{Seed: 1} },
-		"mlp":      func() PartialFitter { return &MLPClassifier{Seed: 1} },
+		"svm": func() PartialFitter { return &LinearSVM{Seed: 1} },
+		"mlp": func() PartialFitter { return &MLPClassifier{Seed: 1} },
 	}
 	for name, mk := range build {
 		whole := mk()
@@ -68,38 +67,6 @@ func TestPartialFitChunkInvariant(t *testing.T) {
 		}
 		if float64(acc)/float64(len(y)) < 0.9 {
 			t.Errorf("%s: accuracy %d/%d on separable data", name, acc, len(y))
-		}
-	}
-}
-
-func TestStandardScalerPartialFitMatchesFit(t *testing.T) {
-	X, _ := sepData(300, 9)
-	batch := &StandardScaler{}
-	if err := batch.Fit(X); err != nil {
-		t.Fatal(err)
-	}
-	stream := &StandardScaler{}
-	for lo := 0; lo < len(X); lo += 50 {
-		if err := stream.PartialFit(X[lo : lo+50]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for j := range batch.Mean {
-		if math.Abs(batch.Mean[j]-stream.Mean[j]) > 1e-9 || math.Abs(batch.Std[j]-stream.Std[j]) > 1e-9 {
-			t.Fatalf("col %d: batch (%v,%v) vs welford (%v,%v)", j, batch.Mean[j], batch.Std[j], stream.Mean[j], stream.Std[j])
-		}
-	}
-	// Fit-then-PartialFit continues the same statistics.
-	cont := &StandardScaler{}
-	if err := cont.Fit(X[:100]); err != nil {
-		t.Fatal(err)
-	}
-	if err := cont.PartialFit(X[100:]); err != nil {
-		t.Fatal(err)
-	}
-	for j := range batch.Mean {
-		if math.Abs(batch.Mean[j]-cont.Mean[j]) > 1e-9 || math.Abs(batch.Std[j]-cont.Std[j]) > 1e-9 {
-			t.Fatalf("col %d: fit+partial diverges from batch fit", j)
 		}
 	}
 }
@@ -187,97 +154,77 @@ func TestKitNETPartialFit(t *testing.T) {
 	}
 }
 
-func TestReservoirRetrainer(t *testing.T) {
+// TestReservoirOwnsRows: the reservoir keeps copies, so a caller that
+// reuses its batch buffer (a streaming pass recycling its chunk matrix)
+// changes neither the reservoir nor a model refit from a snapshot of it,
+// as the daemon's drift-triggered retrain does.
+func TestReservoirOwnsRows(t *testing.T) {
 	X, y := sepData(600, 17)
-	rr := &ReservoirRetrainer{Model: &GaussianNB{}, Cap: 256, RetrainEvery: -1, Seed: 4}
-	if got := rr.Predict(X[:3]); !reflect.DeepEqual(got, []int{0, 0, 0}) {
-		t.Fatal("unfitted wrapper must predict benign")
-	}
-	chunked(t, rr, X, y, 100)
-	if rr.Fitted() {
-		t.Fatal("auto-retrain disabled, should still be unfitted")
-	}
-	if rr.Rows() != 256 {
-		t.Fatalf("reservoir holds %d rows, want cap 256", rr.Rows())
-	}
-	if err := rr.FinishFit(); err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Fitted() {
-		t.Fatal("FinishFit should have retrained")
-	}
-	acc := 0
-	for i, p := range rr.Predict(X) {
-		if p == y[i] {
-			acc++
-		}
-	}
-	if float64(acc)/float64(len(y)) < 0.9 {
-		t.Errorf("reservoir-trained NB accuracy %d/%d", acc, len(y))
-	}
-	// Auto-retrain path fires inside PartialFit.
-	auto := &ReservoirRetrainer{Model: &GaussianNB{}, RetrainEvery: 128, Seed: 4}
-	chunked(t, auto, X[:256], y[:256], 64)
-	if !auto.Fitted() {
-		t.Fatal("RetrainEvery=128 should have retrained within 256 rows")
-	}
-}
-
-// TestReservoirRetrainerOwnsRows: the reservoir keeps copies, so a caller
-// that reuses its batch buffer (a streaming pass recycling its chunk
-// matrix) changes neither the reservoir nor the model refit from it.
-func TestReservoirRetrainerOwnsRows(t *testing.T) {
-	X, y := sepData(600, 17)
-	build := func() *ReservoirRetrainer {
-		return &ReservoirRetrainer{Model: &KNN{K: 3, Seed: 1}, Cap: 128, RetrainEvery: 96, Seed: 4}
-	}
-	kept, reused := build(), build()
+	kept, reused := NewReservoir(128, 4), NewReservoir(128, 4)
 	scratch := make([][]float64, 64)
 	for i := range scratch {
 		scratch[i] = make([]float64, len(X[0]))
 	}
 	for lo := 0; lo < len(X); lo += len(scratch) {
 		hi := min(lo+len(scratch), len(X))
-		if err := kept.PartialFit(X[lo:hi], y[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
+		kept.Add(X[lo:hi], y[lo:hi])
 		batch := scratch[:hi-lo]
 		for i := range batch {
 			copy(batch[i], X[lo+i])
 		}
-		if err := reused.PartialFit(batch, y[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
+		reused.Add(batch, y[lo:hi])
 		for _, row := range batch {
 			for j := range row {
 				row[j] = math.NaN()
 			}
 		}
 	}
+	if kept.Len() != 128 {
+		t.Fatalf("reservoir holds %d rows, want cap 128", kept.Len())
+	}
 	wantX, wantY := kept.Snapshot()
 	gotX, gotY := reused.Snapshot()
 	if !reflect.DeepEqual(wantX, gotX) || !reflect.DeepEqual(wantY, gotY) {
-		t.Fatal("overwriting the caller's rows after PartialFit changed the reservoir")
+		t.Fatal("overwriting the caller's rows after Add changed the reservoir")
 	}
-	if !reused.Fitted() || !reflect.DeepEqual(kept.Predict(X), reused.Predict(X)) {
+	a, b := &KNN{K: 3, Seed: 1}, &KNN{K: 3, Seed: 1}
+	if err := a.Fit(wantX, wantY); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fit(gotX, gotY); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Predict(X), b.Predict(X)) {
 		t.Fatal("a model refit from a reused buffer diverges from one fit on untouched rows")
 	}
 }
 
-func TestAsPartialFitter(t *testing.T) {
-	if !CanPartialFit(&LogisticRegression{}) || !CanPartialFit(&LinearSVM{}) || !CanPartialFit(&MLPClassifier{}) {
+// TestCanPartialFit: the SGD family partial-fits natively; a Thresholded
+// does exactly when every step and the detector of its stack can, so a
+// prequential pass only scores with the batch detectors.
+func TestCanPartialFit(t *testing.T) {
+	if !CanPartialFit(&LinearSVM{}) || !CanPartialFit(&MLPClassifier{}) {
 		t.Fatal("SGD family must partial-fit natively")
 	}
-	batchThr := &Thresholded{Detector: &GMM{K: 2}}
-	if CanPartialFit(batchThr) {
-		t.Fatal("GMM-backed Thresholded is batch-only")
+	for _, d := range []Detector{
+		&GMM{K: 2},
+		&DetectorPipeline{Steps: []Transformer{&StandardScaler{}}, Detector: &GMM{K: 2}},
+		&DetectorPipeline{Steps: []Transformer{&StandardScaler{}}, Detector: &OneClassSVM{}},
+		&DetectorPipeline{Steps: []Transformer{&StandardScaler{}}, Detector: &Autoencoder{}},
+	} {
+		if CanPartialFit(&Thresholded{Detector: d}) {
+			t.Errorf("Thresholded over %T is batch-only", d)
+		}
 	}
-	pf := AsPartialFitter(batchThr, 1)
-	if _, ok := pf.(*ReservoirRetrainer); !ok {
-		t.Fatalf("batch model should be reservoir-wrapped, got %T", pf)
+	for _, d := range []Detector{
+		&KitNET{},
+		&DetectorPipeline{Steps: []Transformer{&MinMaxScaler{}}, Detector: &Autoencoder{}},
+	} {
+		if !CanPartialFit(&Thresholded{Detector: d}) {
+			t.Errorf("Thresholded over %T must partial-fit", d)
+		}
 	}
-	online := &Thresholded{Detector: &KitNET{}}
-	if got := AsPartialFitter(online, 1); got != PartialFitter(online) {
-		t.Fatal("online Thresholded should pass through unwrapped")
+	if CanPartialFit(&RandomForest{}) {
+		t.Fatal("a forest is batch-only")
 	}
 }

@@ -7,11 +7,6 @@ import "math"
 type StandardScaler struct {
 	Mean []float64
 	Std  []float64
-
-	// count/m2 are the Welford running moments behind PartialFit; Fit
-	// seeds them so batch-then-streaming continues the same statistics.
-	count float64
-	m2    []float64
 }
 
 // Fit computes per-feature mean and standard deviation.
@@ -37,10 +32,7 @@ func (s *StandardScaler) Fit(X [][]float64) error {
 			s.Std[j] += dv * dv
 		}
 	}
-	s.count = n
-	s.m2 = make([]float64, d)
 	for j := range s.Std {
-		s.m2[j] = s.Std[j]
 		s.Std[j] = math.Sqrt(s.Std[j] / n)
 	}
 	return nil

@@ -7,8 +7,7 @@ import "sort"
 // min, max, target quantile and its two flanking mid-quantiles, adjusted
 // by parabolic interpolation as observations arrive. For fewer than five
 // observations the estimate is exact (computed from the buffered values).
-// It backs the streaming form of the `clip` op and Thresholded's online
-// threshold calibration.
+// It backs Thresholded's online threshold calibration.
 type P2Quantile struct {
 	p   float64
 	q   [5]float64 // marker heights
