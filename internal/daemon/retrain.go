@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"time"
 
 	"lumen/internal/core"
 )
@@ -117,7 +118,12 @@ func (p *Pipe) fitAndSwap(X [][]float64, y []int) error {
 	if err != nil {
 		return fmt.Errorf("daemon: retrain %q: %w", p.name, err)
 	}
-	if err := clf.Fit(X, y); err != nil {
+	start := time.Now()
+	err = clf.Fit(X, y)
+	p.metrics.Histogram("lumen_retrain_fit_seconds",
+		"Wall time of each drift-triggered background retrain's fit.",
+		nil, "pipeline", p.name).Observe(time.Since(start).Seconds())
+	if err != nil {
 		return fmt.Errorf("daemon: retrain %q: fit on %d rows: %w", p.name, len(X), err)
 	}
 	return p.Swap(clf, p.retrain.Swap)

@@ -123,6 +123,18 @@ func TestDriftTriggeredRetrain(t *testing.T) {
 		"pipeline", "retrain", "outcome", "ok").Value(); n == 0 {
 		t.Fatal("lumen_retrain_total{outcome=ok} did not count")
 	}
+	// Every retrain times its fit once. A retrain still in flight has
+	// timed its fit before it counts its outcome, so wait it out.
+	waitFor(t, 5*time.Second, "in-flight retrain", func() bool { return !p.retrainBusy.Load() })
+	retrains := uint64(0)
+	for _, outcome := range []string{"ok", "error"} {
+		retrains += met.Counter("lumen_retrain_total",
+			"Drift-triggered background retrains, by outcome.",
+			"pipeline", "retrain", "outcome", outcome).Value()
+	}
+	if n := met.Histogram("lumen_retrain_fit_seconds", "", nil, "pipeline", "retrain").Count(); n != retrains {
+		t.Fatalf("lumen_retrain_fit_seconds observed %d fits, want one per retrain (%d)", n, retrains)
+	}
 	if st.Verdicts != int64(len(ds.Packets)) {
 		t.Fatalf("verdicts = %d, want %d (dropped chunks)", st.Verdicts, len(ds.Packets))
 	}

@@ -34,7 +34,8 @@ func (f *RandomForest) nTrees() int {
 	return f.NTrees
 }
 
-// Fit trains the forest; trees are grown concurrently across CPUs.
+// Fit trains the forest; trees are grown concurrently across CPUs, all
+// from one presort of X.
 func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	d, err := checkXY(X, y)
 	if err != nil {
@@ -42,33 +43,27 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	}
 	maxFeat := f.MaxFeatures
 	if maxFeat == 0 {
-		maxFeat = int(math.Round(math.Sqrt(float64(d))))
-		if maxFeat < 1 {
-			maxFeat = 1
-		}
+		maxFeat = max(int(math.Round(math.Sqrt(float64(d)))), 1)
 	}
 	n := len(X)
 	f.trees = make([]*DecisionTree, f.nTrees())
+	p := presort(X, d)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(f.trees) {
-		workers = len(f.trees)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(f.trees))
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	errCh := make(chan error, len(f.trees))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			g := newGrower(p, y)
 			for ti := range jobs {
+				// The bootstrap: n draws with replacement, kept as each
+				// row's multiplicity.
 				rng := NewRNG(f.Seed + int64(ti)*7919)
-				bx := make([][]float64, n)
-				by := make([]int, n)
+				clear(g.w)
 				for i := 0; i < n; i++ {
-					j := rng.Intn(n)
-					bx[i] = X[j]
-					by[i] = y[j]
+					g.w[rng.Intn(n)]++
 				}
 				tree := &DecisionTree{
 					MaxDepth:       f.MaxDepth,
@@ -76,10 +71,7 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 					MaxFeatures:    maxFeat,
 					Seed:           f.Seed + int64(ti)*104729,
 				}
-				if err := tree.Fit(bx, by); err != nil {
-					errCh <- err
-					return
-				}
+				g.fit(tree)
 				f.trees[ti] = tree
 			}
 		}()
@@ -89,11 +81,6 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	}
 	close(jobs)
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
 	f.classes = classCount(y)
 	f.flat, err = flattenTrees(f.trees)
 	return err

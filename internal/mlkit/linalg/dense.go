@@ -6,9 +6,8 @@
 // Determinism rules: every parallel helper produces bit-identical
 // results for any worker count. Disjoint-row writes are deterministic by
 // construction (each row is computed by exactly one goroutine running
-// the same serial code); reductions must go through fixed-shard partials
-// combined in shard order (see SumBlocks) rather than accumulating in
-// goroutine-completion order.
+// the same serial code); a reduction must combine fixed-shard partials
+// in shard order rather than accumulate in goroutine-completion order.
 package linalg
 
 import "fmt"

@@ -98,32 +98,6 @@ func TestMatMulTDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSumBlocksDeterministicAcrossWorkers(t *testing.T) {
-	g := lcg(9)
-	xs := make([]float64, 10_000)
-	for i := range xs {
-		xs[i] = g.next() - 0.5
-	}
-	sum := func(lo, hi int) float64 {
-		var s float64
-		for _, v := range xs[lo:hi] {
-			s += v
-		}
-		return s
-	}
-	var ref float64
-	for i, w := range []int{1, 2, 8} {
-		prev := SetWorkers(w)
-		s := SumBlocks(len(xs), sum)
-		SetWorkers(prev)
-		if i == 0 {
-			ref = s
-		} else if s != ref {
-			t.Fatalf("workers=%d: sum = %b, want %b", w, s, ref)
-		}
-	}
-}
-
 func TestParallelRowsCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 1000} {
 		for _, w := range []int{1, 3, 8} {

@@ -40,8 +40,9 @@ const parallelThreshold = 64
 // the result is bit-identical for any worker count, because every row is
 // produced by the same serial code regardless of how ranges are drawn.
 //
-// Reductions must NOT accumulate across fn calls in completion order —
-// use SumBlocks (fixed shards, fixed combine order) instead.
+// Reductions must NOT accumulate across fn calls in completion order:
+// a parallel reduction writes one partial per fixed shard and sums the
+// partials serially in shard order.
 func ParallelRows(n int, fn func(lo, hi int)) {
 	w := Workers()
 	if w > n {
@@ -67,41 +68,4 @@ func ParallelRows(n int, fn func(lo, hi int)) {
 	}
 	fn(0, chunk)
 	wg.Wait()
-}
-
-// sumBlockSize is the fixed shard width for parallel reductions. It is a
-// constant — never derived from the worker count — so the partials and
-// their combine order are identical no matter how the shards were
-// scheduled.
-const sumBlockSize = 1024
-
-// SumBlocks reduces fn over [0, n) deterministically: the range is cut
-// into fixed-size shards, fn produces one partial per shard (shards may
-// run on any worker), and the partials are summed serially in shard
-// order. The result is bit-identical to a serial run for any worker
-// count.
-func SumBlocks(n int, fn func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	nb := (n + sumBlockSize - 1) / sumBlockSize
-	if nb == 1 {
-		return fn(0, n)
-	}
-	partials := make([]float64, nb)
-	ParallelRows(nb, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo := b * sumBlockSize
-			hi := lo + sumBlockSize
-			if hi > n {
-				hi = n
-			}
-			partials[b] = fn(lo, hi)
-		}
-	})
-	var s float64
-	for _, p := range partials {
-		s += p
-	}
-	return s
 }

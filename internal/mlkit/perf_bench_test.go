@@ -219,34 +219,26 @@ func benchLabeledBlobs(n, d, nc int, noise float64, rng *RNG, centers []float64)
 // about 4 steps a tree): RF-50 over 2 048 rows of 8 clusters with 0.5 %
 // label noise gives 2 250 nodes, depth at most 13 and 5.4 steps a tree.
 // It returns the forest with a 512-row chunk from the same clusters.
-func benchScoredForest(tb testing.TB) (*RandomForest, [][]float64) {
+func benchScoredForest(tb testing.TB) forestFixture {
 	tb.Helper()
 	const d, nc = 27, 8
 	centers, rng := benchMatrix(1, nc*d, 21)[0], NewRNG(31)
 	X, y := benchLabeledBlobs(2048, d, nc, 0.005, rng, centers)
-	f := &RandomForest{NTrees: 50, Seed: 1}
-	if err := f.Fit(X, y); err != nil {
-		tb.Fatal(err)
-	}
 	Q, _ := benchLabeledBlobs(512, d, nc, 0, rng, centers)
-	return f, Q
+	return fitFixture(tb, "a05", &RandomForest{NTrees: 50, Seed: 1}, X, y, Q)
 }
 
 // benchLightTree fits a single tree with the shape of the light
 // pipelines' (103 nodes over 9 header fields): 1 024 rows of 12 clusters
 // with 2 % label noise give 99 nodes, depth 12. It returns the tree with
 // a 512-row chunk from the same clusters.
-func benchLightTree(tb testing.TB) (*DecisionTree, [][]float64) {
+func benchLightTree(tb testing.TB) forestFixture {
 	tb.Helper()
 	const d, nc = 9, 12
 	centers, rng := benchMatrix(1, nc*d, 22)[0], NewRNG(32)
 	X, y := benchLabeledBlobs(1024, d, nc, 0.02, rng, centers)
-	tr := &DecisionTree{Seed: 1}
-	if err := tr.Fit(X, y); err != nil {
-		tb.Fatal(err)
-	}
 	Q, _ := benchLabeledBlobs(512, d, nc, 0, rng, centers)
-	return tr, Q
+	return fitFixture(tb, "light_tree", &DecisionTree{Seed: 1}, X, y, Q)
 }
 
 // benchForest fits a forest 11× the size of the one A05 scores (RF-50
@@ -254,7 +246,7 @@ func benchLightTree(tb testing.TB) (*DecisionTree, [][]float64) {
 // of them) and returns it with one 512-row chunk, the daemon's default
 // chunk size. Its nodes overflow L1 many times over, so it guards the
 // kernel on forests larger than the pipelines fit.
-func benchForest(tb testing.TB) (*RandomForest, [][]float64) {
+func benchForest(tb testing.TB) forestFixture {
 	tb.Helper()
 	X := benchMatrix(4096, 27, 13)
 	y := make([]int, len(X))
@@ -263,28 +255,47 @@ func benchForest(tb testing.TB) (*RandomForest, [][]float64) {
 			y[i] = 1
 		}
 	}
-	f := &RandomForest{NTrees: 50, Seed: 1}
-	if err := f.Fit(X, y); err != nil {
-		tb.Fatal(err)
-	}
-	return f, benchMatrix(512, 27, 14)
+	return fitFixture(tb, "large", &RandomForest{NTrees: 50, Seed: 1}, X, y, benchMatrix(512, 27, 14))
 }
 
-// forestFixture is a fitted tree-family model and a 512-row chunk to
-// score with it.
+// forestFixture is a fitted tree-family model, the set it was fitted on
+// and a 512-row chunk to score with it.
 type forestFixture struct {
-	name string
-	m    FusedClassifier
-	X    [][]float64
+	name   string
+	m      FusedClassifier
+	X      [][]float64
+	trainX [][]float64
+	trainY []int
+}
+
+// fitFixture fits m on X, y and returns it as the fixture name scoring Q.
+func fitFixture(tb testing.TB, name string, m FusedClassifier, X [][]float64, y []int, Q [][]float64) forestFixture {
+	tb.Helper()
+	if err := m.Fit(X, y); err != nil {
+		tb.Fatal(err)
+	}
+	return forestFixture{name: name, m: m, X: Q, trainX: X, trainY: y}
 }
 
 // forestFixtures returns the A05-shaped forest, the light pipelines'
 // single tree and the large forest.
 func forestFixtures(tb testing.TB) []forestFixture {
-	a05, a05X := benchScoredForest(tb)
-	light, lightX := benchLightTree(tb)
-	large, largeX := benchForest(tb)
-	return []forestFixture{{"a05", a05, a05X}, {"light_tree", light, lightX}, {"large", large, largeX}}
+	return []forestFixture{benchScoredForest(tb), benchLightTree(tb), benchForest(tb)}
+}
+
+// BenchmarkForestFit is the tree-fitting layer's own number: one Fit of
+// each of forestFixtures' models on its training set.
+func BenchmarkForestFit(b *testing.B) {
+	for _, c := range forestFixtures(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.m.Fit(c.trainX, c.trainY); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkForestScore is the tree-scoring layer's own number: one fused

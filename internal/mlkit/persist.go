@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 )
 
 // Model persistence: the paper's template (Fig. 4) ends with a train op
@@ -28,10 +29,32 @@ type treeDTO struct {
 
 type nodeDTO struct {
 	Feature   int       `json:"f"`
-	Threshold float64   `json:"t"`
+	Threshold threshold `json:"t"`
 	Left      int32     `json:"l"`
 	Right     int32     `json:"r"`
 	Proba     []float64 `json:"p,omitempty"`
+}
+
+// threshold is a split threshold in a model file. A fit puts one at
+// -Inf when a column's lowest value is -Inf (and at +Inf when a midpoint
+// overflows), which a JSON number cannot hold, so infinities are written
+// as the strings "+Inf" and "-Inf". Finite thresholds are plain numbers.
+type threshold float64
+
+func (t threshold) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(t), 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(float64(t), 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(t))
+}
+
+func (t *threshold) UnmarshalJSON(b []byte) error {
+	if s := string(b); s == `"+Inf"` || s == `"-Inf"` {
+		f, err := strconv.ParseFloat(s[1:5], 64)
+		*t = threshold(f)
+		return err
+	}
+	return json.Unmarshal(b, (*float64)(t))
 }
 
 func (t *DecisionTree) dto() treeDTO {
@@ -41,7 +64,7 @@ func (t *DecisionTree) dto() treeDTO {
 		if n.feature < 0 {
 			out.Nodes[i] = nodeDTO{Feature: -1, Proba: ft.leaves[n.right:][:ft.classes]}
 		} else {
-			out.Nodes[i] = nodeDTO{Feature: int(n.feature), Threshold: n.threshold, Left: int32(i) + 1, Right: n.right}
+			out.Nodes[i] = nodeDTO{Feature: int(n.feature), Threshold: threshold(n.threshold), Left: int32(i) + 1, Right: n.right}
 		}
 	}
 	return out
@@ -98,7 +121,7 @@ func (t *DecisionTree) fromDTO(d treeDTO) error {
 				return fmt.Errorf("node %d has feature %d", src, n.Feature)
 			}
 			stack = append(stack, pending{src: n.Right, parent: int32(len(ft.nodes))})
-			ft.nodes = append(ft.nodes, flatNode{threshold: n.Threshold, feature: int32(n.Feature)})
+			ft.nodes = append(ft.nodes, flatNode{threshold: float64(n.Threshold), feature: int32(n.Feature)})
 			src = n.Left
 		}
 	}

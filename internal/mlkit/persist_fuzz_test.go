@@ -74,6 +74,17 @@ func FuzzUnmarshalModel(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"t":0.5,"l":0,"r":0}]}}`))
+	// A tree split at -Inf and +Inf: thresholds written as strings.
+	tx, ty := infSplitSet()
+	inf := &DecisionTree{}
+	if err := inf.Fit(tx, ty); err != nil {
+		f.Fatal(err)
+	}
+	data, err := MarshalModel(inf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 
 	rng := NewRNG(31)
 	fixed := make([][]float64, 8)

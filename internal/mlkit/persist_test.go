@@ -1,7 +1,9 @@
 package mlkit
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,6 +56,46 @@ func TestPersistRandomForest(t *testing.T) {
 		if pa[i] != pb[i] {
 			t.Fatalf("proba %d differs: %v vs %v", i, pa[i], pb[i])
 		}
+	}
+}
+
+// infSplitSet is a training set whose tree splits feature 0 at -Inf
+// (its lowest value) and then feature 1 at +Inf (the midpoint of 1 and
+// +Inf, with the NaN rows going right).
+func infSplitSet() ([][]float64, []int) {
+	inf, nan := math.Inf(1), math.NaN()
+	X := [][]float64{{-inf, 0}, {-inf, 0}, {0, 1}, {0, inf}, {0, nan}, {0, nan}}
+	return X, []int{1, 1, 0, 0, 1, 1}
+}
+
+// TestPersistInfiniteThresholds: a tree family split at ±Inf saves (the
+// infinities as strings), loads and scores bit for bit as fitted.
+func TestPersistInfiniteThresholds(t *testing.T) {
+	X, y := infSplitSet()
+	tr := &DecisionTree{}
+	if err := tr.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.flat.nodes; len(n) != 5 || !math.IsInf(n[0].threshold, -1) || !math.IsInf(n[2].threshold, 1) {
+		t.Fatalf("nodes = %+v, want a -Inf root split and a +Inf split below it", n)
+	}
+	data, err := MarshalModel(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"t": "-Inf"`)) || !bytes.Contains(data, []byte(`"t": "+Inf"`)) {
+		t.Fatalf("saved tree does not write both infinite thresholds as strings:\n%s", data)
+	}
+	rows := append(X, []float64{5, 2}, []float64{math.Inf(-1), math.NaN()})
+	f := &RandomForest{NTrees: 7, MaxFeatures: 2, Seed: 1}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []FusedClassifier{tr, f} {
+		loaded := roundTrip(t, c).(FusedClassifier)
+		wantPred, wantProba := c.PredictProba(rows)
+		pred, proba := loaded.PredictProba(rows)
+		assertBitIdentical(t, fmt.Sprintf("loaded %T", c), pred, wantPred, proba, wantProba)
 	}
 }
 

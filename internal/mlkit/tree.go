@@ -1,6 +1,12 @@
 package mlkit
 
-import "slices"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"lumen/internal/mlkit/linalg"
+)
 
 // DecisionTree is a CART classifier using Gini impurity with axis-aligned
 // numeric splits. The zero value trains with sensible defaults.
@@ -47,13 +53,11 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	t.flat = flatTrees{classes: classCount(y), roots: []int32{0}}
-	t.rng = NewRNG(t.Seed)
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	g := newGrower(presort(X, d), y)
+	for i := range g.w {
+		g.w[i] = 1
 	}
-	t.grow(X, y, idx, 0, d)
+	g.fit(t)
 	return nil
 }
 
@@ -71,114 +75,237 @@ func (t *DecisionTree) minLeaf() int {
 	return t.MinSamplesLeaf
 }
 
-// grow recursively builds the subtree over rows idx and returns its node
-// id. A node is appended before its subtrees and the left subtree is grown
-// first, which is the preorder flatNode relies on.
-func (t *DecisionTree) grow(X [][]float64, y []int, idx []int, depth, d int) int32 {
-	counts := make([]float64, t.flat.classes)
-	for _, i := range idx {
-		counts[y[i]]++
+// presorted is a training set laid out by feature once per fit: each
+// feature's values by row, and its rows in ascending value order, NaN
+// after +Inf (-0 and +0 tie).
+type presorted struct {
+	val    [][]float64
+	sorted [][]int32
+}
+
+func presort(X [][]float64, d int) presorted {
+	n := len(X)
+	vals, rows := make([]float64, d*n), make([]int32, d*n)
+	p := presorted{val: make([][]float64, d), sorted: make([][]int32, d)}
+	linalg.ParallelRows(d, func(flo, fhi int) {
+		for f := flo; f < fhi; f++ {
+			val, col := vals[f*n:(f+1)*n:(f+1)*n], rows[f*n:(f+1)*n:(f+1)*n]
+			for i, row := range X {
+				val[i], col[i] = row[f], int32(i)
+			}
+			slices.SortFunc(col, func(a, b int32) int {
+				if an, bn := math.IsNaN(val[a]), math.IsNaN(val[b]); an || bn {
+					return cmp.Compare(b2i(an), b2i(bn))
+				}
+				return cmp.Compare(val[a], val[b])
+			})
+			p.val[f], p.sorted[f] = val, col
+		}
+	})
+	return p
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+// grower grows trees from one presorted training set, on row weights (a
+// forest tree's are its bootstrap multiplicities): a tree sees the rows
+// weighed above zero. A node's rows are one segment [lo, hi) of each
+// column laid out for it. A column is laid out on demand: taken from the
+// presort and stably partitioned by each split down the path, so it
+// stays sorted, only when a node draws it. A forest worker keeps one
+// grower for all its trees.
+type grower struct {
+	presorted
+	y           []int
+	w           []float64 // each row's weight in the current tree
+	in          []int     // 1 for a row weighed above zero
+	cols        [][]int32 // per feature, the weighed rows laid out down to depth at[f] of the path
+	at          []int     // -1 until the tree takes the feature from the presort
+	path        []split   // the splits on the path to the current node, by depth
+	tmp         []int32   // partition scratch
+	left, right []float64 // split-scan class counts
+}
+
+// split is an internal node on the grower's path: rows [lo, hi) of the
+// columns laid out for it, split at val[feat] <= thr.
+type split struct {
+	feat   int
+	thr    float64
+	lo, hi int
+}
+
+func newGrower(p presorted, y []int) *grower {
+	n, d := len(y), len(p.sorted)
+	return &grower{presorted: p, y: y, w: make([]float64, n), in: make([]int, n),
+		cols: make([][]int32, d), at: make([]int, d), tmp: make([]int32, n)}
+}
+
+// fit grows t over the rows g.w weighs above zero. Class counts and
+// sample sizes are sums of integer weights, exact in float64, so every
+// gain, threshold and leaf equals that of a per-node sort of the sample
+// with each row repeated weight times.
+func (g *grower) fit(t *DecisionTree) {
+	counts := make([]float64, classCount(g.y))
+	classes, m, n := 2, 0, 0.0
+	for i, wi := range g.w {
+		g.in[i] = b2i(wi > 0)
+		if wi > 0 {
+			classes = max(classes, g.y[i]+1)
+		}
+		counts[g.y[i]] += wi
+		m += g.in[i]
+		n += wi
+	}
+	for f := range g.at {
+		g.at[f] = -1
+	}
+	g.left, g.right = make([]float64, classes), make([]float64, classes)
+	t.flat = flatTrees{classes: classes, roots: []int32{0}}
+	t.rng = NewRNG(t.Seed)
+	g.grow(t, 0, m, n, counts[:classes], 0)
+}
+
+// grow builds the subtree over segment [lo, hi) at depth depth, of
+// weight n and class counts counts (which become the right child's), and
+// returns its node id. Each node is appended before its subtrees, left
+// first: the preorder flatNode relies on.
+func (g *grower) grow(t *DecisionTree, lo, hi int, n float64, counts []float64, depth int) int32 {
 	id := int32(len(t.flat.nodes))
 	t.flat.nodes = append(t.flat.nodes, flatNode{feature: -1})
-
-	pure := false
-	for _, c := range counts {
-		if c == float64(len(idx)) {
-			pure = true
-			break
-		}
-	}
-	if pure || depth >= t.maxDepth() || len(idx) < 2*t.minLeaf() {
-		t.makeLeaf(id, counts, len(idx))
+	if slices.Contains(counts, n) || depth >= t.maxDepth() || n < float64(2*t.minLeaf()) {
+		t.makeLeaf(id, counts, n)
 		return id
 	}
-
-	feat, thr, ok := t.bestSplit(X, y, idx, d)
+	feat, thr, ok := g.bestSplit(t, lo, hi, n, counts, depth)
 	if !ok {
-		t.makeLeaf(id, counts, len(idx))
+		t.makeLeaf(id, counts, n)
 		return id
 	}
-
-	var left, right []int
-	for _, i := range idx {
-		if X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	left := make([]float64, len(counts))
+	nl, mid := 0.0, lo
+	for _, r := range g.cols[feat][lo:hi] {
+		if g.val[feat][r] <= thr {
+			left[g.y[r]] += g.w[r]
+			nl += g.w[r]
+			mid++
 		}
 	}
-	if len(left) < t.minLeaf() || len(right) < t.minLeaf() {
-		t.makeLeaf(id, counts, len(idx))
+	nr := n - nl
+	if nl < float64(t.minLeaf()) || nr < float64(t.minLeaf()) {
+		t.makeLeaf(id, counts, n)
 		return id
 	}
-	t.grow(X, y, left, depth+1, d)
-	r := t.grow(X, y, right, depth+1, d)
+	for j := range counts {
+		counts[j] -= left[j]
+	}
+	g.path = append(g.path[:depth], split{feat, thr, lo, hi})
+	g.grow(t, lo, mid, nl, left, depth+1)
+	// A column this split partitioned is laid out for the right child too.
+	for f, a := range g.at {
+		g.at[f] = min(a, depth+1)
+	}
+	r := g.grow(t, mid, hi, nr, counts, depth+1)
 	t.flat.nodes[id] = flatNode{threshold: thr, feature: int32(feat), right: r}
 	return id
 }
 
+// column returns feature f's segment [lo, hi) at depth depth, laying f
+// out that far first, or nil when f is constant there (and so below).
+func (g *grower) column(f, lo, hi, depth int) []int32 {
+	val := g.val[f]
+	if g.at[f] < 0 {
+		// Branch-free: the bootstrap decides each row at random.
+		src := g.sorted[f]
+		c, j := slices.Grow(g.cols[f][:0], len(src))[:len(src)], 0
+		for _, r := range src {
+			c[j] = r
+			j += g.in[r]
+		}
+		g.cols[f], g.at[f] = c[:j], 0
+	}
+	col := g.cols[f]
+	for ; g.at[f] < depth; g.at[f]++ {
+		s := &g.path[g.at[f]]
+		if seg := col[s.lo:s.hi]; val[seg[0]] != val[seg[len(seg)-1]] {
+			g.partition(seg, g.val[s.feat], s.thr)
+		} else {
+			return nil
+		}
+	}
+	if seg := col[lo:hi]; val[seg[0]] != val[seg[len(seg)-1]] {
+		return seg
+	}
+	return nil
+}
+
+// partition stably moves the rows of seg with val[row] <= thr ahead of
+// the rest. It is branch-free: each row is written to both sides and
+// only its own side's cursor advances.
+func (g *grower) partition(seg []int32, val []float64, thr float64) {
+	right := g.tmp[:len(seg)]
+	i, j := 0, 0
+	for _, r := range seg {
+		l := b2i(val[r] <= thr)
+		seg[i], right[j] = r, r
+		i, j = i+l, j+1-l
+	}
+	copy(seg[i:], right[:j])
+}
+
 // makeLeaf appends the class distribution counts/n and points node id at it.
-func (t *DecisionTree) makeLeaf(id int32, counts []float64, n int) {
+func (t *DecisionTree) makeLeaf(id int32, counts []float64, n float64) {
 	t.flat.nodes[id].right = int32(len(t.flat.leaves))
 	for _, c := range counts {
 		p := 0.0
 		if n > 0 {
-			p = c / float64(n)
+			p = c / n
 		}
 		t.flat.leaves = append(t.flat.leaves, p)
 	}
 }
 
-// bestSplit scans candidate features for the Gini-optimal threshold.
-func (t *DecisionTree) bestSplit(X [][]float64, y []int, idx []int, d int) (feat int, thr float64, ok bool) {
-	feats := t.candidateFeatures(d)
+// bestSplit scans the candidate features' segments for the Gini-optimal
+// threshold. A gain is taken only between distinct values, so tied rows'
+// order never matters; ties in gain go to the first feature drawn, then
+// the lowest threshold. A boundary into NaN is never a candidate: NaN
+// sorts last and goes right at every split.
+func (g *grower) bestSplit(t *DecisionTree, lo, hi int, n float64, counts []float64, depth int) (feat int, thr float64, ok bool) {
+	feats := t.candidateFeatures(len(g.cols))
 	bestGain := 0.0
-	n := float64(len(idx))
-
-	parentCounts := make([]float64, t.flat.classes)
-	for _, i := range idx {
-		parentCounts[y[i]]++
-	}
-	parentGini := giniFromCounts(parentCounts, n)
-
-	type sv struct {
-		v float64
-		y int
-	}
-	vals := make([]sv, len(idx))
-	leftCounts := make([]float64, t.flat.classes)
-	rightCounts := make([]float64, t.flat.classes)
-
+	parentGini := giniFromCounts(counts, n)
+	left, right := g.left, g.right
 	for _, f := range feats {
-		for k, i := range idx {
-			vals[k] = sv{X[i][f], y[i]}
+		col := g.column(f, lo, hi, depth)
+		if col == nil {
+			continue
 		}
-		slices.SortFunc(vals, func(a, b sv) int {
-			if a.v < b.v {
-				return -1
-			}
-			if b.v < a.v {
-				return 1
-			}
-			return 0
-		})
-		for j := range leftCounts {
-			leftCounts[j] = 0
-		}
-		copy(rightCounts, parentCounts)
-		for k := 0; k < len(vals)-1; k++ {
-			leftCounts[vals[k].y]++
-			rightCounts[vals[k].y]--
-			if vals[k].v == vals[k+1].v {
+		clear(left)
+		copy(right, counts)
+		nl := 0.0
+		val := g.val[f]
+		for k, r := range col[:len(col)-1] {
+			c, w := g.y[r], g.w[r]
+			left[c] += w
+			right[c] -= w
+			nl += w
+			v, next := val[r], val[col[k+1]]
+			if v == next {
 				continue
 			}
-			nl, nr := float64(k+1), n-float64(k+1)
-			g := parentGini - (nl/n)*giniFromCounts(leftCounts, nl) - (nr/n)*giniFromCounts(rightCounts, nr)
-			if g > bestGain+1e-12 {
-				bestGain = g
+			if math.IsNaN(next) {
+				break
+			}
+			nr := n - nl
+			gain := parentGini - (nl/n)*giniFromCounts(left, nl) - (nr/n)*giniFromCounts(right, nr)
+			if gain > bestGain+1e-12 {
+				bestGain = gain
 				feat = f
-				thr = (vals[k].v + vals[k+1].v) / 2
+				thr = (v + next) / 2
 				ok = true
 			}
 		}

@@ -24,7 +24,7 @@ func refLeaf(d treeDTO, row []float64) []float64 {
 		if n.Feature < 0 {
 			return n.Proba
 		}
-		if row[n.Feature] <= n.Threshold {
+		if row[n.Feature] <= float64(n.Threshold) {
 			id = n.Left
 		} else {
 			id = n.Right
