@@ -240,8 +240,10 @@ pairs:
 # faults runs the fault-injection tests under the race detector: a panic
 # on each stream stage (the pump's source goroutine, the ops stage at
 # every depth, the sink), the unwind that releases every chunk and stops
-# every stage goroutine on any failure, and a daemon tenant that panics
-# mid-pass failing alone while its neighbour keeps serving.
+# every stage goroutine on any failure, a capture truncated under its
+# mapping faulting into that unwind instead of a SIGBUS, and a daemon
+# tenant that panics or reads a truncated capture mid-pass failing alone
+# while its neighbour keeps serving.
 faults:
 	$(GO) test -race -run 'Panic|Unwind|FailsAlone' ./internal/core/ ./internal/daemon/ ./internal/dataset/
 

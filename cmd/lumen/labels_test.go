@@ -30,7 +30,7 @@ func writeFixture(t *testing.T) (pcapPath, labelPath string, ds *dataset.Labeled
 		t.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

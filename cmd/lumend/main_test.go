@@ -383,7 +383,7 @@ func (s *syncBuf) String() string {
 }
 
 // writePcapInto atomically drops pkts as a pcap file into a watched dir.
-func writePcapInto(t *testing.T, dir, name string, link netpkt.LinkType, pkts []*netpkt.Packet) {
+func writePcapInto(t *testing.T, dir, name string, link netpkt.LinkType, pkts []*dataset.Record) {
 	t.Helper()
 	tmp := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(tmp)
@@ -395,7 +395,7 @@ func writePcapInto(t *testing.T, dir, name string, link netpkt.LinkType, pkts []
 		t.Fatal(err)
 	}
 	for _, p := range pkts {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

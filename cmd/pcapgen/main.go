@@ -61,7 +61,7 @@ func run(dsID string, scale float64, out, labels string) error {
 		return err
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			return err
 		}
 	}

@@ -36,7 +36,11 @@ func TestRunOnGeneratedCapture(t *testing.T) {
 			},
 			UDP: &netpkt.UDP{SrcPort: 1000, DstPort: 53},
 		}
-		if err := w.WritePacket(p); err != nil {
+		data, err := p.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRaw(p.Ts, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +89,11 @@ func TestConnlogMatchesBatchAssembly(t *testing.T) {
 		mk(501, 1234, 80, netpkt.FlagACK),
 	}
 	for _, p := range pkts {
-		if err := w.WritePacket(p); err != nil {
+		data, err := p.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRaw(p.Ts, data); err != nil {
 			t.Fatal(err)
 		}
 	}

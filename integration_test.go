@@ -41,7 +41,7 @@ func TestEndToEndPcapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,30 +53,15 @@ func TestEndToEndPcapRoundTrip(t *testing.T) {
 	}
 
 	// Read back and reattach labels positionally.
-	rf, err := os.Open(path)
+	loaded, err := dataset.LoadPcap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rf.Close()
-	r, err := pcap.NewReader(rf)
-	if err != nil {
-		t.Fatal(err)
+	if len(loaded.Packets) != len(ds.Packets) {
+		t.Fatalf("round trip lost packets: %d vs %d", len(loaded.Packets), len(ds.Packets))
 	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkts) != len(ds.Packets) {
-		t.Fatalf("round trip lost packets: %d vs %d", len(pkts), len(ds.Packets))
-	}
-	loaded := &dataset.Labeled{
-		Name:        "f1-from-pcap",
-		Granularity: ds.Granularity,
-		Link:        r.LinkType(),
-		Packets:     pkts,
-		Labels:      ds.Labels,
-		Attacks:     ds.Attacks,
-	}
+	loaded.Name, loaded.Granularity = "f1-from-pcap", ds.Granularity
+	loaded.Labels, loaded.Attacks = ds.Labels, ds.Attacks
 
 	alg, _ := algorithms.Get("A14")
 	score := func(d *dataset.Labeled) (float64, float64) {

@@ -70,16 +70,17 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 		return nil, err
 	}
 	out := &Flows{Granularity: gran}
+	pkts := decodedPackets(ds)
 	if gran == dataset.UniflowG {
-		out.Flows = flow.Uniflows(ds.Packets, opts)
+		out.Flows = flow.Uniflows(pkts, opts)
 	} else {
-		out.Flows = flow.Connections(ds.Packets, opts)
+		out.Flows = flow.Connections(pkts, opts)
 	}
 	var slab flow.StatSlab
 	for i, members := range refMembers(ds, out) {
 		var label uint32
 		for _, pi := range members {
-			sum := ds.Packets[pi].Summary()
+			sum := pkts[pi].Summary()
 			out.Flows[i].AddStat(flow.StatOf(&sum), &slab)
 			if label == 0 && pi < len(ds.Labels) && ds.Labels[pi] != 0 {
 				name := ""
@@ -95,6 +96,22 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 	return out, nil
 }
 
+// decodedPackets parses every packet of a dataset from its wire bytes.
+func decodedPackets(ds *dataset.Labeled) []*netpkt.Packet {
+	out := make([]*netpkt.Packet, len(ds.Packets))
+	for i, p := range ds.Packets {
+		out[i] = netpkt.Decode(p.Data, ds.Link, p.Ts)
+	}
+	return out
+}
+
+// summaryOf is packet i's flow-assembly summary, read through a view.
+func summaryOf(ds *dataset.Labeled, i int) netpkt.PacketSummary {
+	var v netpkt.PacketView
+	v.Reset(ds.Packets[i].Data, ds.Link, ds.Packets[i].Ts)
+	return v.Summary()
+}
+
 // refMembers is the membership oracle: flow i's members are the packets
 // with its key (a uniflow's tuple, a connection's canonical one) whose
 // timestamp falls in its [First, Last], in capture order. Idle splits of
@@ -107,8 +124,8 @@ func refMembers(ds *dataset.Labeled, fl *Flows) [][]int {
 		return t.Canonical()
 	}
 	byKey := map[netpkt.FiveTuple][]int{}
-	for i, p := range ds.Packets {
-		if s := p.Summary(); s.HasTuple {
+	for i := range ds.Packets {
+		if s := summaryOf(ds, i); s.HasTuple {
 			byKey[key(s.Tuple)] = append(byKey[key(s.Tuple)], i)
 		}
 	}

@@ -23,7 +23,7 @@ import (
 func TestBlockedFlushMatchesRefRun(t *testing.T) {
 	spec, _ := dataset.Get("F3")
 	ds := spec.Generate(10)
-	conns := flow.Connections(ds.Packets, flow.Options{})
+	conns := flow.Connections(decodedPackets(ds), flow.Options{})
 	if n := len(conns); n <= 2*flushBlock || n%flushBlock == 0 {
 		t.Fatalf("fixture: %d connections, want more than two blocks of %d and a partial last one", n, flushBlock)
 	}

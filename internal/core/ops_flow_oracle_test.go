@@ -175,7 +175,7 @@ func refFlowColumns(fl *Flows, ds *dataset.Labeled, firstN int) [][]float64 {
 	for j := range cols {
 		cols[j] = make([]float64, fl.Len())
 	}
-	sums := func(pi int) netpkt.PacketSummary { return ds.Packets[pi].Summary() }
+	sums := func(pi int) netpkt.PacketSummary { return summaryOf(ds, pi) }
 	for i, members := range refMembers(ds, fl) {
 		fv := refFlowVector(fl, sums, i, members, firstN)
 		for j, name := range flowFeatureNames {
@@ -198,8 +198,8 @@ func keptStats(fl *Flows) int {
 // belongs to exactly one flow.
 func tuplePackets(ds *dataset.Labeled) int {
 	n := 0
-	for _, p := range ds.Packets {
-		if p.Summary().HasTuple {
+	for i := range ds.Packets {
+		if summaryOf(ds, i).HasTuple {
 			n++
 		}
 	}

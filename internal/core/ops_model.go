@@ -28,137 +28,127 @@ func opModel(_ *opCtx, _ []Value, p params) (Value, error) {
 
 // ModelTypes lists the supported model_type values.
 func ModelTypes() []string {
-	return []string{
-		"random_forest", "decision_tree", "gaussian_nb", "knn", "linear_svm",
-		"mlp", "ensemble_rf_svm_dt_knn", "ensemble_nb_dt_rf_dnn", "automl",
-		"kitnet", "autoencoder", "ocsvm", "nystrom_ocsvm", "nystrom_gmm", "gmm",
+	out := make([]string, len(models))
+	for i, m := range models {
+		out[i] = m.typ
 	}
+	return out
 }
 
-// buildClassifier instantiates the classifier (or thresholded detector)
-// described by spec. Unsupervised detectors are wrapped in
-// mlkit.Thresholded, which fits on the benign subset of the training data
-// and calibrates its score threshold from a training-score quantile.
-//
-// A "tune" parameter object — {"param": [values...]} — wraps the model in
-// a grid search over those hyperparameters (the §6 automatic tuning
-// extension); supported for random_forest, decision_tree and knn.
-func buildClassifier(spec ModelSpec, seed int64) (mlkit.Classifier, error) {
-	p := params(spec.Params)
-	if p == nil {
-		p = params{}
-	}
-	if tune, ok := p["tune"].(map[string]any); ok {
-		return buildTuned(spec.Type, tune, seed)
-	}
-	q := p.f64("quantile", 0.98)
-	switch spec.Type {
-	case "random_forest":
-		return &mlkit.RandomForest{
-			NTrees:   p.i("n_trees", 50),
-			MaxDepth: p.i("max_depth", 0),
-			Seed:     seed,
-		}, nil
-	case "decision_tree":
-		return &mlkit.DecisionTree{MaxDepth: p.i("max_depth", 0), Seed: seed}, nil
-	case "gaussian_nb":
-		return &mlkit.GaussianNB{}, nil
-	case "knn":
-		return &mlkit.KNN{K: p.i("k", 5), Seed: seed}, nil
-	case "linear_svm":
-		return &mlkit.LinearSVM{Epochs: p.i("epochs", 10), Seed: seed}, nil
-	case "mlp":
-		return &mlkit.MLPClassifier{
-			Hidden: []int{p.i("hidden", 16)},
-			Epochs: p.i("epochs", 20),
-			Seed:   seed,
-		}, nil
-	case "ensemble_rf_svm_dt_knn": // ML-DDoS (A00)
+// modelBuilder constructs one model_type from its params. Unsupervised
+// detectors come wrapped in mlkit.Thresholded, which fits on the benign
+// subset of the training data and calibrates its score threshold from a
+// training-score quantile.
+type modelBuilder struct {
+	typ   string
+	build func(p params, seed int64) mlkit.Classifier
+	// tunable types accept a "tune" grid.
+	tunable bool
+}
+
+// thresholded wraps a detector with the quantile its params ask for.
+func thresholded(p params, d mlkit.Detector) mlkit.Classifier {
+	return &mlkit.Thresholded{Detector: d, Quantile: p.f64("quantile", 0.98)}
+}
+
+// models is every model_type, in the order ModelTypes lists them.
+var models = []modelBuilder{
+	{"random_forest", func(p params, seed int64) mlkit.Classifier {
+		return &mlkit.RandomForest{NTrees: p.i("n_trees", 50), MaxDepth: p.i("max_depth", 0), Seed: seed}
+	}, true},
+	{"decision_tree", func(p params, seed int64) mlkit.Classifier {
+		return &mlkit.DecisionTree{MaxDepth: p.i("max_depth", 0), MinSamplesLeaf: p.i("min_samples_leaf", 0), Seed: seed}
+	}, true},
+	{"gaussian_nb", func(params, int64) mlkit.Classifier { return &mlkit.GaussianNB{} }, false},
+	{"knn", func(p params, seed int64) mlkit.Classifier {
+		return &mlkit.KNN{K: p.i("k", 5), Seed: seed}
+	}, true},
+	{"linear_svm", func(p params, seed int64) mlkit.Classifier {
+		return &mlkit.LinearSVM{Epochs: p.i("epochs", 10), Seed: seed}
+	}, false},
+	{"mlp", func(p params, seed int64) mlkit.Classifier {
+		return &mlkit.MLPClassifier{Hidden: []int{p.i("hidden", 16)}, Epochs: p.i("epochs", 20), Seed: seed}
+	}, false},
+	{"ensemble_rf_svm_dt_knn", func(p params, seed int64) mlkit.Classifier { // ML-DDoS (A00)
 		return &mlkit.VotingEnsemble{Members: []mlkit.Classifier{
 			&mlkit.RandomForest{NTrees: p.i("n_trees", 30), Seed: seed},
 			&mlkit.LinearSVM{Seed: seed},
 			&mlkit.DecisionTree{Seed: seed},
 			&mlkit.KNN{K: p.i("k", 5), Seed: seed},
-		}}, nil
-	case "ensemble_nb_dt_rf_dnn": // Ensemble (Moustafa et al.)
+		}}
+	}, false},
+	{"ensemble_nb_dt_rf_dnn", func(p params, seed int64) mlkit.Classifier { // Ensemble (Moustafa et al.)
 		return &mlkit.VotingEnsemble{Members: []mlkit.Classifier{
 			&mlkit.GaussianNB{},
 			&mlkit.DecisionTree{Seed: seed},
 			&mlkit.RandomForest{NTrees: p.i("n_trees", 30), Seed: seed},
 			&mlkit.MLPClassifier{Hidden: []int{16}, Epochs: p.i("epochs", 20), Seed: seed},
-		}}, nil
-	case "automl":
-		return &mlkit.AutoML{Seed: seed}, nil
-	case "kitnet":
-		return &mlkit.Thresholded{
-			Detector: &mlkit.KitNET{
-				MaxAESize: p.i("max_ae", 10),
-				Epochs:    p.i("epochs", 3),
-				Seed:      seed,
-			},
-			Quantile: q,
-		}, nil
-	case "autoencoder":
+		}}
+	}, false},
+	{"automl", func(_ params, seed int64) mlkit.Classifier { return &mlkit.AutoML{Seed: seed} }, false},
+	{"kitnet", func(p params, seed int64) mlkit.Classifier {
+		return thresholded(p, &mlkit.KitNET{MaxAESize: p.i("max_ae", 10), Epochs: p.i("epochs", 3), Seed: seed})
+	}, false},
+	{"autoencoder", func(p params, seed int64) mlkit.Classifier {
 		var hidden []int
 		if h := p.i("hidden", 0); h > 0 {
 			hidden = []int{h}
 		}
-		return &mlkit.Thresholded{
-			Detector: &mlkit.DetectorPipeline{
-				Steps: []mlkit.Transformer{&mlkit.MinMaxScaler{}},
-				Detector: &mlkit.Autoencoder{
-					Hidden: hidden,
-					Epochs: p.i("epochs", 20),
-					Seed:   seed,
-				},
-			},
-			Quantile: q,
-		}, nil
-	case "ocsvm":
-		return &mlkit.Thresholded{
-			Detector: &mlkit.DetectorPipeline{
-				Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}},
-				Detector: &mlkit.OneClassSVM{Nu: p.f64("nu", 0.1), Seed: seed},
-			},
-			Quantile: q,
-		}, nil
-	case "nystrom_ocsvm":
-		return &mlkit.Thresholded{
-			Detector: &mlkit.DetectorPipeline{
-				Steps: []mlkit.Transformer{
-					&mlkit.StandardScaler{},
-					&mlkit.NystromMap{M: p.i("m", 48), Seed: seed},
-				},
-				Detector: &mlkit.OneClassSVM{Nu: p.f64("nu", 0.1), Seed: seed},
-			},
-			Quantile: q,
-		}, nil
-	case "nystrom_gmm":
-		return &mlkit.Thresholded{
-			Detector: &mlkit.DetectorPipeline{
-				Steps: []mlkit.Transformer{
-					&mlkit.StandardScaler{},
-					&mlkit.NystromMap{M: p.i("m", 48), Seed: seed},
-				},
-				Detector: &mlkit.GMM{K: p.i("k", 4), Seed: seed},
-			},
-			Quantile: q,
-		}, nil
-	case "gmm":
-		return &mlkit.Thresholded{
-			Detector: &mlkit.DetectorPipeline{
-				Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}},
-				Detector: &mlkit.GMM{K: p.i("k", 4), Seed: seed},
-			},
-			Quantile: q,
-		}, nil
-	}
-	return nil, fmt.Errorf("model: unknown model_type %q (supported: %v)", spec.Type, ModelTypes())
+		return thresholded(p, &mlkit.DetectorPipeline{
+			Steps:    []mlkit.Transformer{&mlkit.MinMaxScaler{}},
+			Detector: &mlkit.Autoencoder{Hidden: hidden, Epochs: p.i("epochs", 20), Seed: seed},
+		})
+	}, false},
+	{"ocsvm", func(p params, seed int64) mlkit.Classifier {
+		return thresholded(p, &mlkit.DetectorPipeline{
+			Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}},
+			Detector: &mlkit.OneClassSVM{Nu: p.f64("nu", 0.1), Seed: seed},
+		})
+	}, false},
+	{"nystrom_ocsvm", func(p params, seed int64) mlkit.Classifier {
+		return thresholded(p, &mlkit.DetectorPipeline{
+			Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}, &mlkit.NystromMap{M: p.i("m", 48), Seed: seed}},
+			Detector: &mlkit.OneClassSVM{Nu: p.f64("nu", 0.1), Seed: seed},
+		})
+	}, false},
+	{"nystrom_gmm", func(p params, seed int64) mlkit.Classifier {
+		return thresholded(p, &mlkit.DetectorPipeline{
+			Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}, &mlkit.NystromMap{M: p.i("m", 48), Seed: seed}},
+			Detector: &mlkit.GMM{K: p.i("k", 4), Seed: seed},
+		})
+	}, false},
+	{"gmm", func(p params, seed int64) mlkit.Classifier {
+		return thresholded(p, &mlkit.DetectorPipeline{
+			Steps:    []mlkit.Transformer{&mlkit.StandardScaler{}},
+			Detector: &mlkit.GMM{K: p.i("k", 4), Seed: seed},
+		})
+	}, false},
 }
 
-// buildTuned wraps a tree-family model in a grid search over the given
-// hyperparameter lists.
-func buildTuned(modelType string, tune map[string]any, seed int64) (mlkit.Classifier, error) {
+// buildClassifier instantiates the classifier (or thresholded detector)
+// described by spec.
+//
+// A "tune" parameter object — {"param": [values...]} — wraps the model in
+// a grid search over those hyperparameters (the §6 automatic tuning
+// extension); supported for random_forest, decision_tree and knn. Each
+// candidate is the template's params with one grid point laid over them,
+// built like an untuned model.
+func buildClassifier(spec ModelSpec, seed int64) (mlkit.Classifier, error) {
+	p := params(spec.Params)
+	var b *modelBuilder
+	for i := range models {
+		if models[i].typ == spec.Type {
+			b = &models[i]
+			break
+		}
+	}
+	tune, tuned := p["tune"].(map[string]any)
+	if !tuned {
+		if b == nil {
+			return nil, fmt.Errorf("model: unknown model_type %q (supported: %v)", spec.Type, ModelTypes())
+		}
+		return b.build(p, seed), nil
+	}
 	grid := map[string][]float64{}
 	for k, v := range tune {
 		raw, ok := v.([]any)
@@ -173,39 +163,19 @@ func buildTuned(modelType string, tune map[string]any, seed int64) (mlkit.Classi
 			grid[k] = append(grid[k], f)
 		}
 	}
-	var build func(a map[string]float64) mlkit.Classifier
-	switch modelType {
-	case "random_forest":
-		build = func(a map[string]float64) mlkit.Classifier {
-			return &mlkit.RandomForest{
-				NTrees:   intOr(a, "n_trees", 50),
-				MaxDepth: intOr(a, "max_depth", 0),
-				Seed:     seed,
-			}
-		}
-	case "decision_tree":
-		build = func(a map[string]float64) mlkit.Classifier {
-			return &mlkit.DecisionTree{
-				MaxDepth:       intOr(a, "max_depth", 0),
-				MinSamplesLeaf: intOr(a, "min_samples_leaf", 0),
-				Seed:           seed,
-			}
-		}
-	case "knn":
-		build = func(a map[string]float64) mlkit.Classifier {
-			return &mlkit.KNN{K: intOr(a, "k", 5), Seed: seed}
-		}
-	default:
-		return nil, fmt.Errorf("model: tune is not supported for model_type %q", modelType)
+	if b == nil || !b.tunable {
+		return nil, fmt.Errorf("model: tune is not supported for model_type %q", spec.Type)
 	}
-	return &mlkit.GridSearch{New: build, Grid: grid, Seed: seed}, nil
-}
-
-func intOr(a map[string]float64, key string, def int) int {
-	if v, ok := a[key]; ok {
-		return int(v)
-	}
-	return def
+	return &mlkit.GridSearch{New: func(point map[string]float64) mlkit.Classifier {
+		q := make(params, len(p)+len(point))
+		for k, v := range p {
+			q[k] = v
+		}
+		for k, v := range point {
+			q[k] = v
+		}
+		return b.build(q, seed)
+	}, Grid: grid, Seed: seed}, nil
 }
 
 func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"lumen/internal/dataset"
@@ -228,5 +229,44 @@ func TestNewTrainableModelBuildsTheTrainedOne(t *testing.T) {
 	}
 	if _, ok := clf.(*mlkit.DecisionTree); !ok {
 		t.Fatalf("NewTrainableModel built %T, want the train op's *mlkit.DecisionTree", clf)
+	}
+}
+
+// TestModelParamsReachEveryCandidate: tuned and untuned models are built
+// by one constructor per model_type. Every grid candidate of
+// my-detector's tuned forest keeps the template's fixed n_trees, and an
+// untuned decision_tree reads min_samples_leaf as its tuned candidates
+// do.
+func TestModelParamsReachEveryCandidate(t *testing.T) {
+	p, err := LoadPipeline(filepath.Join("..", "..", "examples", "custom-algorithm", "my-detector.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec ModelSpec
+	for _, op := range p.Ops {
+		if op.Func == "model" {
+			spec = ModelSpec{Type: params(op.Params).str("model_type", ""), Params: op.Params}
+		}
+	}
+	c, err := buildClassifier(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, ok := c.(*mlkit.GridSearch)
+	if !ok || len(gs.Grid["max_depth"]) == 0 {
+		t.Fatalf("my-detector's model built %T with grid %v, want a grid search over max_depth", c, gs.Grid)
+	}
+	for _, d := range gs.Grid["max_depth"] {
+		rf, ok := gs.New(map[string]float64{"max_depth": d}).(*mlkit.RandomForest)
+		if !ok || rf.NTrees != 40 || rf.MaxDepth != int(d) || rf.Seed != 7 {
+			t.Fatalf("candidate max_depth %v = %+v, want a 40-tree forest of that depth", d, rf)
+		}
+	}
+	c, err = buildClassifier(ModelSpec{Type: "decision_tree", Params: map[string]any{"max_depth": 3.0, "min_samples_leaf": 5.0}}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dt, ok := c.(*mlkit.DecisionTree); !ok || dt.MaxDepth != 3 || dt.MinSamplesLeaf != 5 {
+		t.Fatalf("untuned decision_tree = %+v, want max_depth 3, min_samples_leaf 5", c)
 	}
 }

@@ -22,7 +22,7 @@ func captureBytes(t testing.TB, ds *dataset.Labeled) []byte {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -242,8 +242,9 @@ func TestConnsClosedHook(t *testing.T) {
 	}
 	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
 	p.Ops[0].Params["idle_timeout"] = 0.05
-	want := connLog(flow.Connections(ds.Packets, flow.Options{IdleTimeout: 50 * time.Millisecond}))
-	if want == connLog(flow.Connections(ds.Packets, flow.Options{})) {
+	pkts := decodedPackets(ds)
+	want := connLog(flow.Connections(pkts, flow.Options{IdleTimeout: 50 * time.Millisecond}))
+	if want == connLog(flow.Connections(pkts, flow.Options{})) {
 		t.Fatal("fixture: a 50 ms idle timeout splits no connection of this trace")
 	}
 	eng := NewEngine(p)

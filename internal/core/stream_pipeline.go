@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"lumen/internal/dataset"
@@ -70,6 +71,10 @@ type StreamStats struct {
 // source error, a panic on the sink — so no stage goroutine outlives the
 // pass and every chunk is released exactly once.
 func (r *streamExec) run(src dataset.Source, cfg StreamConfig) (*EvalResult, error) {
+	// Reading a capture truncated under its mapping faults. On every
+	// stage goroutine, the caller's for the length of the pass, that is a
+	// panic the unwind handles, not a SIGBUS that kills the process.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	e, depth := r.e, max(cfg.PipelineDepth, 0)
 	e.LastStream = StreamStats{Pipelined: depth > 0, Depth: depth, Workers: 1, Shards: min(depth, 1), LazyViews: true}
 
@@ -118,6 +123,7 @@ func (r *streamExec) run(src dataset.Source, cfg StreamConfig) (*EvalResult, err
 		var opsStallNS, sinkStallNS int64
 		go func() {
 			defer close(jobs)
+			debug.SetPanicOnFault(true) // as on the caller's goroutine, see above
 			for {
 				t0 := time.Now()
 				nc, ok := <-pump.C

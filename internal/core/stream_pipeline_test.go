@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -43,7 +45,7 @@ func maxChunkWire(ds *dataset.Labeled, chunk int) int {
 		}
 		w := 0
 		for _, p := range ds.Packets[i:end] {
-			w += p.WireLen()
+			w += len(p.Data)
 		}
 		if w > maxW {
 			maxW = w
@@ -237,7 +239,10 @@ func (s *slowEOFSource) Reset() error { return s.inner.Reset() }
 // contract: each delivered chunk is recycled once and its reference
 // released once, however the run ended.
 type trackedSource struct {
-	inner                       *dataset.SliceSource
+	inner interface {
+		dataset.Source
+		dataset.Recycler
+	}
 	emitted, recycled, released atomic.Int64
 }
 
@@ -424,6 +429,102 @@ func TestStreamPanicUnwinds(t *testing.T) {
 	}
 }
 
+// TestTruncatedCaptureUnwinds: a mapped capture truncated mid-pass (a
+// copytruncate of a watched file) faults on whichever stage next reads
+// its bytes. The fault unwinds the pass like any panic instead of
+// killing the process with SIGBUS. At depth 0 every stage is the
+// caller's goroutine, so it reaches the caller as a runtime error.
+// Staged, the stage that reads past the cut first depends on
+// scheduling: the source (a packet-source error), the ops goroutine (an
+// op error) or the sink (a panic to the caller); each carries the
+// runtime error. Two pipelines vary where the bytes are read: with iat
+// field_extract is an ordered op, without it a worker one. Every chunk
+// is released, no stage goroutine is left, and the mapping goes with the
+// source. The capture is longer than the 2d+3 chunks a staged pass
+// holds, so a stage must read past the cut.
+func TestTruncatedCaptureUnwinds(t *testing.T) {
+	spec, ok := dataset.Get("P0")
+	if !ok {
+		t.Fatal("no dataset P0")
+	}
+	ds := spec.Generate(0.05)
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, ds.Link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ds.Packets {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	workerFields := fieldPipeline()
+	workerFields.Ops[0].Params = map[string]any{"fields": []any{"ts", "len", "ttl", "dst_port", "tcp_syn"}}
+	base, mappings := runtime.NumGoroutine(), pcap.OpenMappings()
+	const fault = "runtime error: invalid memory address"
+	for _, p := range []*Pipeline{fieldPipeline(), workerFields} {
+		for _, depth := range []int{0, 2} {
+			label := fmt.Sprintf("%v, depth %d", p.Ops[0].Params["fields"], depth)
+			cfg := StreamConfig{ChunkRows: 16, PipelineDepth: depth}
+			if n := len(ds.Packets); n <= (2*depth+3)*cfg.ChunkRows {
+				t.Fatalf("%s: %d packets fit in the chunks a pass holds", label, n)
+			}
+			path := filepath.Join(t.TempDir(), "capture.pcap")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := dataset.NewPcapSource("capture", f, dataset.Packet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped.DecodeMode() != "mmap+lazy" {
+				t.Skip("captures are not mapped on this platform")
+			}
+			src := &trackedSource{inner: mapped}
+			cfg.Hooks = &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+				if up.Seq == 0 {
+					return os.Truncate(path, 0)
+				}
+				return nil
+			}}
+			var v any
+			func() {
+				defer func() { v = recover() }()
+				eng := NewEngine(p)
+				eng.Seed = 7
+				_, err = eng.RunStream(src, ModeTrain, cfg)
+			}()
+			switch re, isRuntime := v.(runtime.Error); {
+			case v != nil && (!isRuntime || !strings.Contains(re.Error(), fault)):
+				t.Fatalf("%s: panicked with %v, want the fault", label, v)
+			case v == nil && depth == 0:
+				t.Fatalf("%s: failed with %v; want the fault to reach the caller as a panic", label, err)
+			case v == nil && (err == nil || !strings.Contains(err.Error(), fault)):
+				t.Fatalf("%s: failed with %v, want the fault", label, err)
+			}
+			emitted, recycled, released := src.emitted.Load(), src.recycled.Load(), src.released.Load()
+			if emitted == 0 || recycled != emitted || released != emitted {
+				t.Fatalf("%s: %d chunks handed out, %d recycled, %d released", label, emitted, recycled, released)
+			}
+			waitGoroutines(t, base, label)
+			if err := mapped.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if got := pcap.OpenMappings(); got != mappings {
+				t.Fatalf("%s: %d live mappings after Close, want the baseline %d", label, got, mappings)
+			}
+		}
+	}
+}
+
 // TestStreamStallExcludesShutdown pins the stall accounting fix: the
 // final blocked receive on each stage channel only observes the close,
 // so a source that is slow to *detect* EOF (but fast to deliver chunks)
@@ -553,7 +654,7 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"lumen/internal/core"
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
+	"lumen/internal/netpkt"
 	"lumen/internal/obs"
 )
 
@@ -59,10 +60,20 @@ func prefix(ds *dataset.Labeled, n int) *dataset.Labeled {
 func batchConnLog(t *testing.T, ds *dataset.Labeled, opts flow.Options) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := flow.WriteConnLog(&b, flow.Connections(ds.Packets, opts)); err != nil {
+	if err := flow.WriteConnLog(&b, flow.Connections(decodedPackets(ds.Link, ds.Packets), opts)); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// decodedPackets parses records of the given link type from their wire
+// bytes.
+func decodedPackets(link netpkt.LinkType, recs []*dataset.Record) []*netpkt.Packet {
+	out := make([]*netpkt.Packet, len(recs))
+	for i, p := range recs {
+		out[i] = netpkt.Decode(p.Data, link, p.Ts)
+	}
+	return out
 }
 
 // TestConnLogFromFlowSink: a pipeline whose plan assembles connections

@@ -193,7 +193,7 @@ func TestRunToCompletionConnLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantLog bytes.Buffer
-	if err := flow.WriteConnLog(&wantLog, flow.Connections(ds.Packets, flow.Options{})); err != nil {
+	if err := flow.WriteConnLog(&wantLog, flow.Connections(decodedPackets(ds.Link, ds.Packets), flow.Options{})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,7 +386,7 @@ func TestDrainMidStreamConnLog(t *testing.T) {
 		t.Fatalf("ingested %d of %d packets; drain should truncate mid-stream", n, len(ds.Packets))
 	}
 	var wantLog bytes.Buffer
-	if err := flow.WriteConnLog(&wantLog, flow.Connections(ds.Packets[:n], flow.Options{})); err != nil {
+	if err := flow.WriteConnLog(&wantLog, flow.Connections(decodedPackets(ds.Link, ds.Packets[:n]), flow.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(connlog.Bytes(), wantLog.Bytes()) {

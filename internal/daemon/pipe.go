@@ -412,6 +412,11 @@ func (p *Pipe) run() {
 		p.mu.Unlock()
 		break
 	}
+	// Nothing reads the source any more: a watch whose pass failed
+	// mid-capture lets the file go.
+	if w, ok := p.src.(*DirSource); ok {
+		w.Close()
+	}
 	p.finalize()
 }
 

@@ -20,9 +20,9 @@ import (
 // for pacing tests that need a controlled capture timeline.
 func tinyTrace(n int, gap time.Duration) *dataset.Labeled {
 	base := time.Unix(1700000000, 0).UTC()
-	pkts := make([]*netpkt.Packet, n)
+	pkts := make([]*dataset.Record, n)
 	for i := range pkts {
-		pkts[i] = &netpkt.Packet{Ts: base.Add(time.Duration(i) * gap)}
+		pkts[i] = &dataset.Record{Ts: base.Add(time.Duration(i) * gap)}
 	}
 	return &dataset.Labeled{
 		Name:        "tiny",
@@ -158,12 +158,7 @@ func TestFeedSource(t *testing.T) {
 	go func() {
 		defer close(sent)
 		for _, p := range ds.Packets[:n] {
-			data, err := p.Serialize()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := WriteFrame(c, p.Ts, data); err != nil {
+			if err := WriteFrame(c, p.Ts, p.Data); err != nil {
 				t.Error(err)
 				return
 			}
@@ -188,10 +183,10 @@ func TestFeedSource(t *testing.T) {
 			pkts = append(pkts, ck.Views[i].Materialize())
 		}
 	}
-	<-sent // Serialize rewrote the packets' Data; read them only afterwards
-	for i, p := range pkts {
-		if !reflect.DeepEqual(p, ds.Packets[i]) {
-			t.Fatalf("packet %d arrived as %+v, want %+v", i, p, ds.Packets[i])
+	<-sent
+	for i, p := range decodedPackets(ds.Link, ds.Packets[:n]) {
+		if !reflect.DeepEqual(pkts[i], p) {
+			t.Fatalf("packet %d arrived as %+v, want %+v", i, pkts[i], p)
 		}
 	}
 	src.Drain()
@@ -298,7 +293,7 @@ func TestFeedSourceBadFrame(t *testing.T) {
 }
 
 // writePcap writes pkts as a pcap file.
-func writePcap(t testing.TB, path string, link netpkt.LinkType, pkts []*netpkt.Packet) {
+func writePcap(t testing.TB, path string, link netpkt.LinkType, pkts []*dataset.Record) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -310,7 +305,7 @@ func writePcap(t testing.TB, path string, link netpkt.LinkType, pkts []*netpkt.P
 		t.Fatal(err)
 	}
 	for _, p := range pkts {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,7 +350,7 @@ func TestDirSource(t *testing.T) {
 	pull(80)
 	// Between two listings an idle poll walks nothing: no directory read,
 	// no allocation, however many captures were consumed.
-	src.closeCurrent()
+	src.Close()
 	if n := testing.AllocsPerRun(10, func() { src.scan() }); !raceEnabled && n != 0 {
 		t.Fatalf("an idle scan between listings allocates %v objects", n)
 	}

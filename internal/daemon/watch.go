@@ -123,7 +123,7 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	for {
 		select {
 		case <-s.stop:
-			s.closeCurrent()
+			s.Close()
 			return s.endStream()
 		default:
 		}
@@ -137,7 +137,7 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 				return ck, true
 			}
 			err := s.cur.Err()
-			s.closeCurrent()
+			s.Close()
 			if err != nil {
 				s.setErr(err)
 				return s.endStream()
@@ -236,10 +236,11 @@ func (s *DirSource) open(path string) error {
 	return nil
 }
 
-// closeCurrent drops the current file's reader (releasing its owner
-// reference on the mapping — in-flight chunks keep their own) and its
-// descriptor.
-func (s *DirSource) closeCurrent() {
+// Close drops the current file's reader (releasing its owner reference
+// on the mapping — in-flight chunks keep their own) and its descriptor.
+// Next calls it as each file ends; a pipeline calls it when it ends,
+// which matters when its pass failed mid-file.
+func (s *DirSource) Close() error {
 	if s.cur != nil {
 		s.cur.Close()
 	}
@@ -247,6 +248,7 @@ func (s *DirSource) closeCurrent() {
 		s.curf.Close()
 	}
 	s.cur, s.curf = nil, nil
+	return nil
 }
 
 // Recycle implements dataset.Recycler against the watch's shared pool,

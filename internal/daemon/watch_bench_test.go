@@ -22,7 +22,7 @@ func BenchmarkDirSourceMmap(b *testing.B) {
 	ds := spec.Generate(0.5)
 	// Replicate the trace so per-iteration decode work dominates the
 	// fixed watch costs (scan round trip, stabilization sleep, opens).
-	var pkts []*netpkt.Packet
+	var pkts []*dataset.Record
 	for len(pkts) < 8*len(ds.Packets) {
 		pkts = append(pkts, ds.Packets...)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,5 +112,84 @@ func TestWatchIngestEquivalence(t *testing.T) {
 	}
 	if st.Verdicts != int64(len(got)) || st.Packets != total {
 		t.Fatalf("status counters %+v disagree with %d alerts / %d packets", st, len(got), total)
+	}
+}
+
+// TestTruncatedCaptureFailsAlone: a capture truncated under a live
+// watch's mapping (a copytruncate) fails that pipeline alone. The watch
+// stalls in its alert writer after its first chunk, with chunks cut
+// behind it, and the test truncates the capture. Reading past the cut
+// faults; the pipeline ends failed with the fault in its error instead
+// of the process dying of SIGBUS. The neighbour keeps scoring and drains
+// cleanly, and once both have ended the mapping gauge is back at its
+// baseline: the failed watch let go of its file.
+func TestTruncatedCaptureFailsAlone(t *testing.T) {
+	ds := testDS(t)
+	const rows, depth = 16, 2
+	if n := len(ds.Packets); n <= (2*depth+3)*rows {
+		t.Fatalf("%d packets fit in the chunks a pass holds", n)
+	}
+	mappings := pcap.OpenMappings()
+	dir := t.TempDir()
+	capture := filepath.Join(dir, "trace-000.pcap")
+	writePcap(t, capture, ds.Link, ds.Packets)
+	d := New(Config{Metrics: obs.NewMetrics()})
+	alerts := &stallWriter{release: make(chan struct{}), stalled: make(chan struct{})}
+	watch, err := d.Start(PipeConfig{
+		Name:   "truncated",
+		Engine: trainedEngine(t, ds),
+		Source: NewDirSource("truncated", dir, "*.pcap", dataset.Packet, ds.Link, 5*time.Millisecond),
+		Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: depth},
+		Alerts: alerts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newGate(dataset.NewSliceSource(ds))
+	neighbour, err := d.Start(PipeConfig{
+		Name:   "neighbour",
+		Engine: trainedEngine(t, ds),
+		Source: gate,
+		Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: depth},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-alerts.stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the watch never wrote its first alerts")
+	}
+	if st := watch.Status(); st.DecodeMode != "mmap+lazy" {
+		close(alerts.release)
+		t.Skipf("decode mode %q: captures are not mapped on this platform", st.DecodeMode)
+	}
+	if err := os.Truncate(capture, 0); err != nil {
+		t.Fatal(err)
+	}
+	close(alerts.release)
+	select {
+	case <-watch.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the truncated watch never stopped")
+	}
+	st := watch.Status()
+	if st.State != "failed" || !strings.Contains(st.Error, "runtime error: invalid memory address") {
+		t.Fatalf("truncated watch ended %s with error %q, want failed with the fault", st.State, st.Error)
+	}
+
+	gate.allow(3)
+	waitFor(t, 5*time.Second, "the neighbour to keep scoring", func() bool {
+		return neighbour.Status().Chunks >= 3
+	})
+	if err := neighbour.Drain(); err != nil {
+		t.Fatalf("neighbour drain: %v", err)
+	}
+	if st := neighbour.Status(); st.State != "stopped" {
+		t.Fatalf("neighbour ended %s (%s), want stopped", st.State, st.Error)
+	}
+	gauge := d.Metrics().Gauge("lumen_mmap_open_mappings", "").Value()
+	if got := pcap.OpenMappings(); got != mappings || gauge != float64(mappings) {
+		t.Fatalf("live mappings = %d (gauge %v) after both pipelines ended, want the baseline %d", got, gauge, mappings)
 	}
 }

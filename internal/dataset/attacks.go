@@ -219,7 +219,7 @@ func (s *sim) webAttack(attacker, victim device, start float64, n int) {
 
 // dot11 emits an 802.11 frame.
 func (s *sim) dot11(sub netpkt.Dot11Subtype, src, dst, bssid netpkt.MAC, t float64, payload []byte, label int, attack string) {
-	s.link = netpkt.LinkDot11
+	s.out.Link = netpkt.LinkDot11
 	s.add(&netpkt.Packet{
 		Ts: ts(t),
 		Dot11: &netpkt.Dot11{

@@ -6,14 +6,29 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// attackPackets returns the packets of a dataset carrying the given
-// attack label.
+// attackPackets returns the decoded packets of a dataset carrying the
+// given attack label.
 func attackPackets(ds *Labeled, attack string) []*netpkt.Packet {
 	var out []*netpkt.Packet
 	for i, a := range ds.Attacks {
 		if a == attack {
-			out = append(out, ds.Packets[i])
+			out = append(out, decode(ds, i))
 		}
+	}
+	return out
+}
+
+// decode parses packet i of the dataset from its wire bytes.
+func decode(ds *Labeled, i int) *netpkt.Packet {
+	p := ds.Packets[i]
+	return netpkt.Decode(p.Data, ds.Link, p.Ts)
+}
+
+// decodeAll parses every packet of the dataset.
+func decodeAll(ds *Labeled) []*netpkt.Packet {
+	out := make([]*netpkt.Packet, len(ds.Packets))
+	for i := range out {
+		out[i] = decode(ds, i)
 	}
 	return out
 }
@@ -233,7 +248,7 @@ func TestEvilTwinUsesRogueBSSID(t *testing.T) {
 	ds := spec.Generate(0.3)
 	atk := attackPackets(ds, AttackEvilTwin)
 	benignBSSIDs := map[netpkt.MAC]bool{}
-	for i, p := range ds.Packets {
+	for i, p := range decodeAll(ds) {
 		if ds.Attacks[i] == "" && p.Dot11 != nil {
 			benignBSSIDs[p.Dot11.Addr3] = true
 		}
@@ -249,7 +264,7 @@ func TestBenignTelemetryDecodesAsMQTT(t *testing.T) {
 	spec, _ := Get("F0")
 	ds := spec.Generate(0.3)
 	mqtt := 0
-	for i, p := range ds.Packets {
+	for i, p := range decodeAll(ds) {
 		if ds.Attacks[i] == "" && p.MQTT != nil && p.MQTT.Type == netpkt.MQTTPublish {
 			mqtt++
 			if len(p.MQTT.Topic) == 0 {
@@ -266,7 +281,7 @@ func TestBenignFirmwareChecksDecodeAsHTTP(t *testing.T) {
 	spec, _ := Get("F0")
 	ds := spec.Generate(0.5)
 	reqs := 0
-	for i, p := range ds.Packets {
+	for i, p := range decodeAll(ds) {
 		if ds.Attacks[i] == "" && p.HTTP != nil && p.HTTP.IsRequest {
 			reqs++
 			if string(p.HTTP.Method) != "GET" {

@@ -18,6 +18,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"lumen/internal/netpkt"
 )
@@ -85,7 +86,15 @@ const (
 	AttackEvilTwin    = "wifi-eviltwin"
 )
 
-// Labeled is a generated dataset: a time-ordered packet trace with
+// Record is one captured packet, as a pcap record holds it: its
+// timestamp and wire bytes, in the dataset's link type. Readers parse
+// the bytes through a netpkt.PacketView.
+type Record struct {
+	Ts   time.Time
+	Data []byte
+}
+
+// Labeled is a labelled capture: a time-ordered packet trace with
 // per-packet ground truth. For connection-granularity datasets every
 // packet of a connection carries the same label, matching how the real
 // corpora are labelled per flow.
@@ -93,7 +102,7 @@ type Labeled struct {
 	Name        string
 	Granularity Granularity
 	Link        netpkt.LinkType
-	Packets     []*netpkt.Packet
+	Packets     []*Record
 	Labels      []int    // 0 benign, 1 malicious, aligned with Packets
 	Attacks     []string // attack name per packet, "" for benign
 	// Devices maps a local endpoint (IP or MAC string) to its device
@@ -141,12 +150,14 @@ func DeviceClassTask(l *Labeled) (classes []string, y []int) {
 	classes = []string{"external"}
 	index := map[string]int{"external": 0}
 	y = make([]int, len(l.Packets))
+	var v netpkt.PacketView
 	for i, p := range l.Packets {
+		v.Reset(p.Data, l.Link, p.Ts)
 		var key string
-		if a := p.SrcIP(); a.IsValid() {
+		if a := v.SrcIP(); a.IsValid() {
 			key = a.String()
-		} else if p.Dot11 != nil {
-			key = p.Dot11.Addr2.String()
+		} else if d, ok := v.Dot11(); ok {
+			key = d.Addr2.String()
 		}
 		kind, ok := l.Devices[key]
 		if !ok {
@@ -245,8 +256,10 @@ func sampleFlowIndices(p *Labeled, frac float64) []int {
 	order := []int{} // group ids in first-appearance order
 	groups := map[netpkt.FiveTuple]int{}
 	members := [][]int{}
+	var v netpkt.PacketView
 	for i, pkt := range p.Packets {
-		ft, ok := pkt.Tuple()
+		v.Reset(pkt.Data, p.Link, pkt.Ts)
+		ft, ok := v.Tuple()
 		if !ok {
 			order = append(order, len(members))
 			members = append(members, []int{i})
@@ -283,7 +296,7 @@ func (l *Labeled) sortByTime() {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return l.Packets[idx[a]].Ts.Before(l.Packets[idx[b]].Ts)
 	})
-	pk := make([]*netpkt.Packet, len(idx))
+	pk := make([]*Record, len(idx))
 	lb := make([]int, len(idx))
 	at := make([]string, len(idx))
 	for to, from := range idx {

@@ -107,12 +107,13 @@ func TestConnectionLabelsAreConsistentPerConnection(t *testing.T) {
 		// whose timestamp falls in its [First, Last]: idle splits of one
 		// tuple never overlap.
 		byKey := map[netpkt.FiveTuple][]int{}
-		for i, p := range ds.Packets {
+		pkts := decodeAll(ds)
+		for i, p := range pkts {
 			if s := p.Summary(); s.HasTuple {
 				byKey[s.Tuple.Canonical()] = append(byKey[s.Tuple.Canonical()], i)
 			}
 		}
-		conns := flow.Connections(ds.Packets, flow.Options{})
+		conns := flow.Connections(pkts, flow.Options{})
 		for _, c := range conns {
 			first, n := -1, 0
 			for _, pi := range byKey[c.Tuple.Canonical()] {
@@ -139,7 +140,8 @@ func TestAWID3HasNoIPLayer(t *testing.T) {
 	if ds.Link != netpkt.LinkDot11 {
 		t.Fatalf("P2 link = %v, want 802.11", ds.Link)
 	}
-	for i, p := range ds.Packets {
+	pkts := decodeAll(ds)
+	for i, p := range pkts {
 		if p.IPv4 != nil || p.TCP != nil {
 			t.Fatalf("packet %d has an IP layer in the 802.11 dataset", i)
 		}
@@ -149,7 +151,7 @@ func TestAWID3HasNoIPLayer(t *testing.T) {
 	}
 	// No five-tuples -> no connections: connection-level algorithms
 	// cannot faithfully run here (paper Obs. 4).
-	if conns := flow.Connections(ds.Packets, flow.Options{}); len(conns) != 0 {
+	if conns := flow.Connections(pkts, flow.Options{}); len(conns) != 0 {
 		t.Errorf("802.11 dataset produced %d connections, want 0", len(conns))
 	}
 }

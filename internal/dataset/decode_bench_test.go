@@ -27,7 +27,7 @@ func benchCapture(b *testing.B) (raw []byte, frames [][]byte, link netpkt.LinkTy
 		b.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			b.Fatal(err)
 		}
 		frames = append(frames, p.Data)

@@ -214,16 +214,23 @@ func LoadPcap(path string) (*Labeled, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return nil, err
+	var recs []*Record
+	for {
+		ts, data, _, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, &Record{Ts: ts, Data: data})
 	}
 	return &Labeled{
 		Name:        path,
 		Granularity: Packet,
 		Link:        r.LinkType(),
-		Packets:     pkts,
-		Labels:      make([]int, len(pkts)),
-		Attacks:     make([]string, len(pkts)),
+		Packets:     recs,
+		Labels:      make([]int, len(recs)),
+		Attacks:     make([]string, len(recs)),
 	}, nil
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
@@ -82,9 +83,10 @@ func StartPump(src Source, cfg PumpConfig) *Pump {
 	p.rec, _ = src.(Recycler)
 	go func() {
 		defer close(ch)
-		// A panicking source ends the stream with an error instead of
-		// taking down the process: nobody could recover it on this
-		// goroutine.
+		// A source that panics, or faults on a capture truncated under its
+		// mapping, ends the stream with an error instead of taking down
+		// the process: nobody could recover it on this goroutine.
+		debug.SetPanicOnFault(true)
 		defer func() {
 			if v := recover(); v != nil {
 				p.panicked = fmt.Errorf("source panicked: %v", v)

@@ -10,31 +10,22 @@ import (
 	"lumen/internal/netpkt"
 )
 
-// sim accumulates labelled packets for one dataset run. All randomness
+// sim captures labelled packets for one dataset run. All randomness
 // flows through one seeded source, so generation is deterministic.
 type sim struct {
-	rng  *rand.Rand
-	recs []rec
-	link netpkt.LinkType
+	rng *rand.Rand
+	// out is the capture in generation order; its Devices map records
+	// local endpoint -> kind for the device-classification task.
+	out Labeled
 	// ephemeral port allocator per host
 	nextPort map[netip.Addr]uint16
-	// devices records local endpoint -> kind for the device-
-	// classification task.
-	devices map[string]string
-}
-
-type rec struct {
-	p      *netpkt.Packet
-	label  int
-	attack string
 }
 
 func newSim(seed int64) *sim {
 	return &sim{
 		rng:      rand.New(rand.NewSource(seed)),
-		link:     netpkt.LinkEthernet,
+		out:      Labeled{Link: netpkt.LinkEthernet, Devices: map[string]string{}},
 		nextPort: make(map[netip.Addr]uint16),
-		devices:  make(map[string]string),
 	}
 }
 
@@ -69,7 +60,7 @@ func (s *sim) buildNetwork(subnet [3]byte, kinds []string, nDevices int) *networ
 		}
 	}
 	nw.gateway = mk(1, "gateway", "hub")
-	s.devices[nw.gateway.IP.String()] = nw.gateway.Kind
+	s.out.Devices[nw.gateway.IP.String()] = nw.gateway.Kind
 	nw.dns = netip.AddrFrom4([4]byte{8, 8, 8, 8})
 	for i := 0; i < 3; i++ {
 		nw.cloud = append(nw.cloud, netip.AddrFrom4([4]byte{52, 10, subnet[2], byte(10 + i)}))
@@ -77,7 +68,7 @@ func (s *sim) buildNetwork(subnet [3]byte, kinds []string, nDevices int) *networ
 	for i := 0; i < nDevices; i++ {
 		kind := kinds[i%len(kinds)]
 		d := mk(byte(10+i), fmt.Sprintf("%s-%d", kind, i), kind)
-		s.devices[d.IP.String()] = kind
+		s.out.Devices[d.IP.String()] = kind
 		nw.devices = append(nw.devices, d)
 	}
 	return nw
@@ -96,12 +87,24 @@ func (s *sim) ephemeralPort(ip netip.Addr) uint16 {
 	return p
 }
 
+// onAdd, when set (by tests), sees each builder packet beside the record
+// its serialization became.
+var onAdd func(p *netpkt.Packet, r *Record)
+
+// add serializes the builder packet into a capture record; the packet
+// itself is not kept.
 func (s *sim) add(p *netpkt.Packet, label int, attack string) {
-	if _, err := p.Serialize(); err != nil {
+	data, err := p.Serialize()
+	if err != nil {
 		panic(fmt.Sprintf("dataset: serialize: %v", err)) // generator bug, not input error
 	}
-	p.DecodeAppLayer() // expose DNS/HTTP/MQTT views, as a capture read-back would
-	s.recs = append(s.recs, rec{p, label, attack})
+	r := &Record{Ts: p.Ts, Data: data}
+	if onAdd != nil {
+		onAdd(p, r)
+	}
+	s.out.Packets = append(s.out.Packets, r)
+	s.out.Labels = append(s.out.Labels, label)
+	s.out.Attacks = append(s.out.Attacks, attack)
 }
 
 func ts(sec float64) time.Time { return time.Unix(0, int64(sec*1e9)).UTC() }
@@ -254,19 +257,12 @@ func (s *sim) benignDevice(nw *network, d device, dur float64) {
 	}
 }
 
-// finish sorts records by time and packages the dataset.
+// finish names the capture and sorts it by time.
 func (s *sim) finish(name string, g Granularity) *Labeled {
-	l := &Labeled{Name: name, Granularity: g, Link: s.link, Devices: s.devices}
-	l.Packets = make([]*netpkt.Packet, len(s.recs))
-	l.Labels = make([]int, len(s.recs))
-	l.Attacks = make([]string, len(s.recs))
-	for i, r := range s.recs {
-		l.Packets[i] = r.p
-		l.Labels[i] = r.label
-		l.Attacks[i] = r.attack
-	}
+	l := s.out
+	l.Name, l.Granularity = name, g
 	l.sortByTime()
-	return l
+	return &l
 }
 
 // scaleDur converts the base duration by the scale factor, keeping at

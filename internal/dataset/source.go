@@ -103,10 +103,8 @@ type ViewSource interface {
 }
 
 // AppendViews appends views over packets [lo, hi) of the dataset to dst,
-// each predecoded to hint's depth. A view reads the packet's wire bytes
-// (Data) — the engine's only packet representation — so every packet of
-// a Labeled must carry them; generated datasets and capture read-backs
-// do, and decoding those bytes reproduces the packet exactly.
+// each predecoded to hint's depth. A view reads the record's wire bytes
+// in place.
 func (l *Labeled) AppendViews(dst []netpkt.PacketView, lo, hi int, hint netpkt.DecodeHint) []netpkt.PacketView {
 	for _, p := range l.Packets[lo:hi] {
 		dst = append(dst, netpkt.PacketView{})
@@ -170,7 +168,7 @@ func (s *SliceSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 		bytes := 0
 		e := s.pos
 		for e < end {
-			bytes += s.ds.Packets[e].WireLen()
+			bytes += len(s.ds.Packets[e].Data)
 			e++
 			if bytes >= maxBytes {
 				break

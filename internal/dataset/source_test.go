@@ -53,7 +53,7 @@ func TestSliceSourceChunksCoverDataset(t *testing.T) {
 		}
 		for j := range ck.Views {
 			v, p := &ck.Views[j], ds.Packets[ck.Base+j]
-			if &v.Data[0] != &p.Data[0] || !reflect.DeepEqual(v.Materialize(), p) {
+			if &v.Data[0] != &p.Data[0] || !reflect.DeepEqual(v.Materialize(), netpkt.Decode(p.Data, ds.Link, p.Ts)) {
 				t.Fatalf("packet %d+%d is not a zero-copy view of the dataset's", ck.Base, j)
 			}
 			if ck.Labels[j] != ds.Labels[ck.Base+j] || ck.Attacks[j] != ds.Attacks[ck.Base+j] {
@@ -120,7 +120,7 @@ func TestPcapSourceMatchesReadAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range ds.Packets {
-		if err := w.WritePacket(p); err != nil {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,25 +3,78 @@ package dataset
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lumen/internal/netpkt"
 	"lumen/internal/pcap"
 )
 
-// TestGeneratedPacketsAreTheirWireBytes pins the property the engine's
-// single packet representation rests on: a view over a generated
-// packet's wire bytes (how SliceSource and batch runs read datasets) sees
-// exactly the packet the generator built — Decode(p.Data, link, p.Ts)
-// deep-equals p for every packet of every registered dataset.
+// TestGeneratedPacketsAreTheirWireBytes pins the property a generated
+// dataset rests on: it is the capture of the packets the simulator
+// built. Each record is the serialization of one builder packet, and
+// decoding it at the dataset's link type gives back exactly that packet,
+// for every packet of every registered dataset. Builder packets carry
+// no application layer; a decode derives DNS/HTTP/MQTT from the ports
+// and payload, which the comparison covers.
 func TestGeneratedPacketsAreTheirWireBytes(t *testing.T) {
+	type built struct {
+		p *netpkt.Packet
+		r *Record
+	}
+	var seen []built
+	onAdd = func(p *netpkt.Packet, r *Record) { seen = append(seen, built{p, r}) }
+	defer func() { onAdd = nil }()
 	for _, spec := range Registry() {
+		seen = seen[:0]
 		ds := spec.Generate(1)
-		for i, p := range ds.Packets {
-			if got := netpkt.Decode(p.Data, ds.Link, p.Ts); !reflect.DeepEqual(got, p) {
-				t.Fatalf("%s packet %d: decode of its wire bytes differs:\ndecoded:   %+v\ngenerated: %+v", spec.ID, i, got, p)
+		if len(seen) != len(ds.Packets) {
+			t.Fatalf("%s: %d packets built, %d records kept", spec.ID, len(seen), len(ds.Packets))
+		}
+		kept := make(map[*Record]bool, len(ds.Packets))
+		for _, r := range ds.Packets {
+			kept[r] = true
+		}
+		for i, b := range seen {
+			if !kept[b.r] {
+				t.Fatalf("%s: built packet %d's record is not in the dataset", spec.ID, i)
+			}
+			got := netpkt.Decode(b.r.Data, ds.Link, b.r.Ts)
+			got.DNS, got.HTTP, got.MQTT = nil, nil, nil
+			if !reflect.DeepEqual(got, b.p) {
+				t.Fatalf("%s packet %d: decode of its wire bytes differs:\ndecoded:   %+v\ngenerated: %+v", spec.ID, i, got, b.p)
 			}
 		}
+	}
+}
+
+// TestGeneratedDatasetHeapPerPacket bounds what a generated dataset
+// holds: the live heap of all 15 registry datasets at scale 0.25, after
+// a collection, is under twice their wire bytes a packet. A dataset
+// keeps each packet's timestamp and bytes, not a decoded packet.
+func TestGeneratedDatasetHeapPerPacket(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var sets []*Labeled
+	for _, spec := range Registry() {
+		sets = append(sets, spec.Generate(0.25))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	pkts, wire := 0, 0
+	for _, ds := range sets {
+		for _, p := range ds.Packets {
+			pkts++
+			wire += len(p.Data)
+		}
+	}
+	runtime.KeepAlive(sets)
+	perPkt := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(pkts)
+	meanWire := float64(wire) / float64(pkts)
+	t.Logf("%d packets, %.0f wire bytes and %.0f heap bytes a packet (%.2fx)", pkts, meanWire, perPkt, perPkt/meanWire)
+	if perPkt >= 2*meanWire {
+		t.Fatalf("datasets hold %.0f B of heap a packet, want < 2x the %.0f B mean wire length", perPkt, meanWire)
 	}
 }
 
@@ -50,7 +103,7 @@ func TestViewsMatchReadAllAcrossRegistry(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range ds.Packets[:n] {
-				if err := w.WritePacket(p); err != nil {
+				if err := w.WriteRaw(p.Ts, p.Data); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -39,7 +39,7 @@ func TestWriteConnLog(t *testing.T) {
 // section of no connection is its header.
 func TestConnLogWriterBatches(t *testing.T) {
 	f1, _ := dataset.Get("F1")
-	conns := Connections(f1.Generate(0.5).Packets, Options{})
+	conns := Connections(decoded(f1.Generate(0.5)), Options{})
 	var want bytes.Buffer
 	if err := WriteConnLog(&want, conns); err != nil {
 		t.Fatal(err)

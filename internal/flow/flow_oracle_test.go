@@ -17,6 +17,15 @@ import (
 	"lumen/internal/netpkt"
 )
 
+// decoded parses every packet of a dataset from its wire bytes.
+func decoded(ds *dataset.Labeled) []*netpkt.Packet {
+	out := make([]*netpkt.Packet, len(ds.Packets))
+	for i, p := range ds.Packets {
+		out[i] = netpkt.Decode(p.Data, ds.Link, p.Ts)
+	}
+	return out
+}
+
 // The references below are the code the list-ordered sweep, the
 // slices.SortFunc ordering and the append encoder replaced, kept so the
 // tests can hold the replacements to them bit for bit.
@@ -341,7 +350,7 @@ func TestConnLogMatchesFmt(t *testing.T) {
 		if spec.Granularity == dataset.Packet {
 			continue
 		}
-		conns := Connections(spec.Generate(0.05).Packets, Options{})
+		conns := Connections(decoded(spec.Generate(0.05)), Options{})
 		var got, want bytes.Buffer
 		if err := WriteConnLog(&got, conns); err != nil {
 			t.Fatal(err)
@@ -420,7 +429,7 @@ func FuzzConnLogLine(f *testing.F) {
 // buffer, however many connections it renders.
 func TestWriteConnLogAllocs(t *testing.T) {
 	f1, _ := dataset.Get("F1")
-	conns := Connections(f1.Generate(0.5).Packets, Options{})
+	conns := Connections(decoded(f1.Generate(0.5)), Options{})
 	if len(conns) < 100 {
 		t.Fatalf("only %d connections", len(conns))
 	}
@@ -441,7 +450,7 @@ func TestWriteConnLogAllocs(t *testing.T) {
 // assembler.
 func benchSummaries(b *testing.B) []netpkt.PacketSummary {
 	f1, _ := dataset.Get("F1")
-	pkts := f1.Generate(10).Packets
+	pkts := decoded(f1.Generate(10))
 	sums := make([]netpkt.PacketSummary, len(pkts))
 	for i, p := range pkts {
 		sums[i] = p.Summary()

@@ -49,13 +49,8 @@ func (t *TCP) parseOptions(b []byte) {
 	}
 }
 
-// DecodeAppLayer (re)derives the application layers (DNS/HTTP/MQTT) from
-// the packet's transport ports and payload. Materialize calls it;
-// synthesized packets (built layer-by-layer rather than parsed) call it
-// after serialization.
-func (p *Packet) DecodeAppLayer() { p.decodeApp() }
-
-// decodeApp attempts application-layer decoding keyed on well-known ports.
+// decodeApp attempts application-layer decoding keyed on well-known ports;
+// Materialize calls it.
 func (p *Packet) decodeApp() {
 	switch {
 	case p.UDP != nil && (p.UDP.SrcPort == 53 || p.UDP.DstPort == 53):

@@ -443,17 +443,5 @@ func (w *Writer) WriteRaw(ts time.Time, data []byte) error {
 	return err
 }
 
-// WritePacket serializes the packet if needed and appends it.
-func (w *Writer) WritePacket(p *netpkt.Packet) error {
-	data := p.Data
-	if len(data) == 0 {
-		var err error
-		if data, err = p.Serialize(); err != nil {
-			return err
-		}
-	}
-	return w.WriteRaw(p.Ts, data)
-}
-
 // Flush drains the internal buffer to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }

@@ -26,6 +26,15 @@ func samplePacket(ts time.Time, sport uint16) *netpkt.Packet {
 	}
 }
 
+// writePacket serializes a builder packet and appends it as a record.
+func writePacket(w *Writer, p *netpkt.Packet) error {
+	data, err := p.Serialize()
+	if err != nil {
+		return err
+	}
+	return w.WriteRaw(p.Ts, data)
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, netpkt.LinkEthernet)
@@ -34,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	base := time.Unix(1700000000, 123456000).UTC()
 	for i := 0; i < 10; i++ {
-		if err := w.WritePacket(samplePacket(base.Add(time.Duration(i)*time.Millisecond), uint16(1000+i))); err != nil {
+		if err := writePacket(w, samplePacket(base.Add(time.Duration(i)*time.Millisecond), uint16(1000+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +152,7 @@ func TestWriterDot11Link(t *testing.T) {
 		Ts:    time.Unix(5, 0),
 		Dot11: &netpkt.Dot11{Subtype: netpkt.Dot11Beacon, Addr2: netpkt.MAC{1, 1, 1, 1, 1, 1}},
 	}
-	if err := w.WritePacket(p); err != nil {
+	if err := writePacket(w, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -174,7 +183,7 @@ func sampleCapture(t *testing.T, n int) []byte {
 	}
 	base := time.Unix(1700000000, 0).UTC()
 	for i := 0; i < n; i++ {
-		if err := w.WritePacket(samplePacket(base.Add(time.Duration(i)*time.Millisecond), uint16(1000+i))); err != nil {
+		if err := writePacket(w, samplePacket(base.Add(time.Duration(i)*time.Millisecond), uint16(1000+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
