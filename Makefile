@@ -89,7 +89,13 @@ race:
 # every exported symbol of internal/obs and internal/core, DESIGN.md's
 # op table equal to what `lumen -list-ops` prints, and OPERATIONS.md's
 # lumend key table equal to what the config structs' tags and comments
-# render.
+# render. It also runs the test-only declaration gate
+# (TestDocLintNoTestOnlyDecls in testonly_test.go): every package-level
+# declaration and method under internal/ has a caller in some non-test
+# file of the module (cmd/, bench/ and examples/ count), satisfies an
+# interface, or is on its short allow-list with a reason; the gate's
+# own fixture (testdata/testonly) shows it flags a test-only helper and
+# nothing else.
 docs-lint:
 	$(GO) test -run TestDocLint .
 

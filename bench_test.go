@@ -8,6 +8,7 @@ package lumen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var meanAM float64
 	for i := 0; i < b.N; i++ {
-		s := newSuite(b, []string{"A08", "A09", "A13", "A14"}, dataset.ConnectionIDs())
+		s := newSuite(b, []string{"A08", "A09", "A13", "A14"}, datasetIDs(dataset.ConnectionG))
 		s.RunSameDataset()
 		res, err := s.Fig6(0.10)
 		if err != nil {
@@ -153,19 +154,19 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	var f5RowMax, f5ColMean float64
 	for i := 0; i < b.N; i++ {
-		s := newSuite(b, nil, dataset.ConnectionIDs())
+		s := newSuite(b, nil, datasetIDs(dataset.ConnectionG))
 		s.RunAll()
 		hp, _ := s.Fig10()
 		f5RowMax, f5ColMean = 0, 0
 		n := 0
-		for _, tr := range dataset.ConnectionIDs() {
+		for _, tr := range datasetIDs(dataset.ConnectionG) {
 			if tr == "F5" {
 				continue
 			}
-			if v := hp.Get("F5", tr); !math.IsNaN(v) && v > f5RowMax {
+			if v := cell(hp, "F5", tr); !math.IsNaN(v) && v > f5RowMax {
 				f5RowMax = v // best precision any training set achieves ON F5
 			}
-			if v := hp.Get(tr, "F5"); !math.IsNaN(v) {
+			if v := cell(hp, tr, "F5"); !math.IsNaN(v) {
 				f5ColMean += v // how a model trained on F5 does elsewhere
 				n++
 			}
@@ -176,6 +177,27 @@ func BenchmarkFig10(b *testing.B) {
 	}
 	b.ReportMetric(f5RowMax*100, "best-precision-on-F5-%")
 	b.ReportMetric(f5ColMean*100, "train-on-F5-mean-%")
+}
+
+// cell reads a heatmap value by row and column name (NaN when absent).
+func cell(h *report.Heatmap, row, col string) float64 {
+	ri, ci := slices.Index(h.RowNames, row), slices.Index(h.ColNames, col)
+	if ri < 0 || ci < 0 {
+		return math.NaN()
+	}
+	return h.Cells[ri][ci]
+}
+
+// datasetIDs returns the IDs of the registered datasets of one
+// granularity, in registry order.
+func datasetIDs(g dataset.Granularity) []string {
+	var ids []string
+	for _, spec := range dataset.Registry() {
+		if spec.Granularity == g {
+			ids = append(ids, spec.ID)
+		}
+	}
+	return ids
 }
 
 // BenchmarkObs2 reports how many algorithms drop below 20% precision on
@@ -196,7 +218,7 @@ func BenchmarkObs2(b *testing.B) {
 func BenchmarkObs5(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		s := newSuite(b, []string{"A08", "A09", "A13", "A14"}, dataset.ConnectionIDs())
+		s := newSuite(b, []string{"A08", "A09", "A13", "A14"}, datasetIDs(dataset.ConnectionG))
 		s.RunSameDataset()
 		res, err := s.Fig6(0.10)
 		if err != nil {
@@ -395,7 +417,7 @@ func BenchmarkAblationDampedStats(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			st := features.NewIncStat(0.1)
+			st := &features.IncStat{Lambda: 0.1}
 			for j, v := range vals {
 				st.Insert(v, float64(j)*0.01)
 				sink = st.Std()

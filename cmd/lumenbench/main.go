@@ -63,7 +63,7 @@ func flags(o *options) *flag.FlagSet {
 	fs.IntVar(&o.Workers, "workers", 0, "worker-pool size for suite runs (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.NoCache, "nocache", false, "disable the shared intermediate-result cache")
 	fs.BoolVar(&o.Profile, "profile", false, "sample per-op allocations and print the aggregated per-op profile")
-	fs.StringVar(&o.profileOut, "profile-out", "", "write the aggregated per-op profile as JSON to this file")
+	fs.StringVar(&o.profileOut, "profile-out", "", "sample per-op allocations and write the aggregated per-op profile as JSON to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON of the run to this file (open at ui.perfetto.dev)")
 	fs.StringVar(&o.traceJSONL, "trace-jsonl", "", "write the trace as flat per-span JSONL records to this file")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write Prometheus text-format metrics to this file when the run finishes")
@@ -133,6 +133,10 @@ func run(o options) error {
 	if o.metricsOut != "" || o.metricsAddr != "" {
 		o.Metrics = obs.NewMetrics()
 	}
+	// -profile prints the per-op table; -profile-out writes it. Either
+	// needs allocation sampling on.
+	printProfile := o.Profile
+	o.Profile = o.Profile || o.profileOut != ""
 	if o.metricsAddr != "" {
 		// Listen eagerly so a bad address fails the run instead of dying
 		// silently in the serving goroutine.
@@ -273,7 +277,7 @@ func run(o options) error {
 	}
 
 	if profs := s.OpProfiles(); len(profs) > 0 {
-		if o.Profile {
+		if printProfile {
 			fmt.Println("== per-operation profile (aggregated across runs) ==")
 			t := &report.Table{Header: []string{"op", "runs", "cached", "total wall", "allocs"}}
 			for _, p := range profs {

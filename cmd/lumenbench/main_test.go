@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,43 +101,49 @@ func TestRunAcceptsFig1bAnd1c(t *testing.T) {
 	}
 }
 
+// TestRunWritesProfile: -profile-out writes the per-op profile with
+// allocations sampled, whether or not -profile also prints the table.
 func TestRunWritesProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	cfg := benchsuite.Config{
-		Scale:      0.2,
-		Seed:       1,
-		Profile:    true,
-		AlgIDs:     []string{"A14"},
-		DatasetIDs: []string{"F1"},
-	}
-	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := run(options{Config: cfg, fig: "8", profileOut: path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var profs []benchsuite.OpProfile
-	if err := json.Unmarshal(data, &profs); err != nil {
-		t.Fatal(err)
-	}
-	if len(profs) == 0 {
-		t.Fatal("profile JSON is empty")
-	}
-	var sawAllocs bool
-	for _, p := range profs {
-		if p.Count <= 0 {
-			t.Errorf("op %s has count %d", p.Func, p.Count)
-		}
-		if p.Allocs > 0 {
-			sawAllocs = true
-		}
-	}
-	if !sawAllocs {
-		t.Error("profiling on but no op recorded allocations")
+	for _, printTable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("profile=%v", printTable), func(t *testing.T) {
+			cfg := benchsuite.Config{
+				Scale:      0.2,
+				Seed:       1,
+				Profile:    printTable,
+				AlgIDs:     []string{"A14"},
+				DatasetIDs: []string{"F1"},
+			}
+			path := filepath.Join(t.TempDir(), "profile.json")
+			if err := run(options{Config: cfg, fig: "8", profileOut: path}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var profs []benchsuite.OpProfile
+			if err := json.Unmarshal(data, &profs); err != nil {
+				t.Fatal(err)
+			}
+			if len(profs) == 0 {
+				t.Fatal("profile JSON is empty")
+			}
+			var sawAllocs bool
+			for _, p := range profs {
+				if p.Count <= 0 {
+					t.Errorf("op %s has count %d", p.Func, p.Count)
+				}
+				if p.Allocs > 0 {
+					sawAllocs = true
+				}
+			}
+			if !sawAllocs {
+				t.Error("-profile-out wrote a profile in which no op recorded allocations")
+			}
+		})
 	}
 }
 

@@ -109,12 +109,12 @@ func TestFaithfulnessMatrix(t *testing.T) {
 		got := seen[alg.ID]
 		switch alg.Granularity() {
 		case dataset.ConnectionG, dataset.UniflowG:
-			for _, p := range dataset.PacketIDs() {
+			for _, p := range datasetIDs(dataset.Packet) {
 				if got[p] {
 					t.Errorf("%s (flow-level) ran on packet-labelled %s", alg.ID, p)
 				}
 			}
-			for _, f := range dataset.ConnectionIDs() {
+			for _, f := range datasetIDs(dataset.ConnectionG) {
 				if !got[f] {
 					t.Errorf("%s should run on %s", alg.ID, f)
 				}

@@ -149,7 +149,7 @@ func TestStoreManifest(t *testing.T) {
 	if err := s.Store.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := loadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package benchsuite
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"time"
 )
 
@@ -98,20 +97,6 @@ func (s *Store) ByAlg() map[string][]RunResult {
 	return out
 }
 
-// Algs returns the algorithm IDs present, sorted.
-func (s *Store) Algs() []string {
-	set := map[string]bool{}
-	for _, r := range s.Results {
-		set[r.Alg] = true
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BestPerPair returns, for every (train, test) pair, the maximum
 // precision and recall any algorithm achieved (the Fig. 7 reference
 // lines).
@@ -141,17 +126,4 @@ func (s *Store) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a store written by Save.
-func Load(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Store
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }

@@ -213,14 +213,6 @@ func (s *Suite) Algorithms() []algorithms.Algorithm { return s.algs }
 // DatasetIDs returns the datasets in scope, in registry order.
 func (s *Suite) DatasetIDs() []string { return append([]string(nil), s.order...) }
 
-// Dataset returns a generated dataset by ID (the full, unsplit trace).
-func (s *Suite) Dataset(id string) *dataset.Labeled {
-	if sp, ok := s.splits[id]; ok {
-		return sp.full
-	}
-	return nil
-}
-
 // InterleaveSplit splits a dataset into train/test halves by alternating
 // packets, preserving time order and attack coverage on both sides.
 func InterleaveSplit(ds *dataset.Labeled) (train, test *dataset.Labeled) {

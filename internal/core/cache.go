@@ -136,13 +136,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Len reports the number of cached values.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // getOrCompute returns the value for key, running compute at most once
 // across all concurrent callers: a cached value is returned immediately;
 // a lookup that races an in-flight computation blocks until that

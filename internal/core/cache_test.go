@@ -183,7 +183,7 @@ func TestCacheSingleflightError(t *testing.T) {
 	if err != wantErr || !computed {
 		t.Fatalf("got err=%v computed=%v", err, computed)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("error result was cached")
 	}
 	// The key must be computable again after a failure.

@@ -432,12 +432,6 @@ func (e *Engine) Test(ds *dataset.Labeled) (*EvalResult, error) {
 	return e.TestStream(ds, StreamConfig{})
 }
 
-// Reset clears fitted state so the engine can be retrained.
-func (e *Engine) Reset() {
-	e.state = make(map[string]any)
-	e.trained = false
-}
-
 // TrainedModel returns the fitted classifier behind the pipeline's train
 // op (ok=false before Train). Combined with mlkit.SaveModel this gives
 // the "save_path" output of the paper's Fig. 4 template.

@@ -70,12 +70,15 @@ func refFlowAssemble(ds *dataset.Labeled, p params) (*Flows, error) {
 		return nil, err
 	}
 	out := &Flows{Granularity: gran}
-	pkts := decodedPackets(ds)
+	asm := flow.NewConnAssembler(opts)
 	if gran == dataset.UniflowG {
-		out.Flows = flow.Uniflows(pkts, opts)
-	} else {
-		out.Flows = flow.Connections(pkts, opts)
+		asm = flow.NewUniflowAssembler(opts)
 	}
+	pkts := decodedPackets(ds)
+	for _, p := range pkts {
+		asm.Add(p)
+	}
+	out.Flows = asm.ReleaseAll(nil)
 	var slab flow.StatSlab
 	for i, members := range refMembers(ds, out) {
 		var label uint32

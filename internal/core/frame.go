@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-
-	"lumen/internal/mlkit/linalg"
 )
 
 // UnitKind declares what one frame row represents, so predictions can be
@@ -107,17 +105,9 @@ func (f *Frame) Names() []string {
 	return out
 }
 
-// FlatMatrix renders the numeric columns as one flat row-major matrix —
-// a single backing allocation regardless of row count, in the form the
-// linalg kernels consume directly. Categorical columns are skipped.
-func (f *Frame) FlatMatrix() *linalg.Dense {
-	data, k := f.rowMajor(nil)
-	return &linalg.Dense{Rows: f.N, Cols: k, Data: data}
-}
-
 // Matrix renders the numeric columns as row-major feature vectors, the
 // form mlkit models consume: the returned rows share one flat backing
-// array, FlatMatrix's layout.
+// array, rowMajor's layout.
 func (f *Frame) Matrix() [][]float64 { return f.matrix(nil) }
 
 // matrix is Matrix with the backing array and row headers drawn from a.

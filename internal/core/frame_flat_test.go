@@ -6,30 +6,30 @@ import (
 	"testing"
 )
 
-// TestFlatMatrixMatchesMatrix pins FlatMatrix against the row shape
-// Matrix exposes: same values, one backing allocation, and Matrix rows
-// must be views into FlatMatrix-style flat storage (mutating a row must
-// not touch the frame's columns).
+// TestFlatMatrixMatchesMatrix pins the flat row-major matrix rowMajor
+// renders against the row shape Matrix exposes: same values, one backing
+// allocation, and Matrix rows must be views into that flat storage
+// (mutating a row must not touch the frame's columns).
 func TestFlatMatrixMatchesMatrix(t *testing.T) {
 	f := NewFrame(4)
 	f.AddF("a", []float64{1, 2, 3, 4})
 	f.AddS("tag", []string{"x", "y", "x", "y"}) // skipped by both paths
 	f.AddF("b", []float64{10, 20, 30, 40})
 
-	m := f.FlatMatrix()
-	if m.Rows != 4 || m.Cols != 2 {
-		t.Fatalf("FlatMatrix dims = %dx%d, want 4x2", m.Rows, m.Cols)
+	data, k := f.rowMajor(nil)
+	if len(data) != 8 || k != 2 {
+		t.Fatalf("flat matrix = %d values of width %d, want 8 of width 2", len(data), k)
 	}
 	X := f.Matrix()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 2; j++ {
-			if X[i][j] != m.At(i, j) {
-				t.Fatalf("Matrix[%d][%d] = %g, FlatMatrix = %g", i, j, X[i][j], m.At(i, j))
+			if X[i][j] != data[i*k+j] {
+				t.Fatalf("Matrix[%d][%d] = %g, flat = %g", i, j, X[i][j], data[i*k+j])
 			}
 		}
 	}
-	if m.At(2, 1) != 30 {
-		t.Fatalf("FlatMatrix(2,1) = %g, want 30", m.At(2, 1))
+	if data[2*k+1] != 30 {
+		t.Fatalf("flat(2,1) = %g, want 30", data[2*k+1])
 	}
 	// Matrix rows view the flat copy, not the frame's columns.
 	X[0][0] = -1
@@ -42,9 +42,8 @@ func TestFlatMatrixMatchesMatrix(t *testing.T) {
 func TestFlatMatrixNoNumeric(t *testing.T) {
 	f := NewFrame(3)
 	f.AddS("s", []string{"a", "b", "c"})
-	m := f.FlatMatrix()
-	if m.Rows != 3 || m.Cols != 0 {
-		t.Fatalf("dims = %dx%d, want 3x0", m.Rows, m.Cols)
+	if data, k := f.rowMajor(nil); len(data) != 0 || k != 0 {
+		t.Fatalf("flat matrix = %d values of width %d, want none", len(data), k)
 	}
 	X := f.Matrix()
 	if len(X) != 3 || len(X[0]) != 0 {

@@ -83,8 +83,12 @@ func TestEngineEmitsSpansAndMetrics(t *testing.T) {
 	if got := met.Counter("lumen_fit_epochs_total", "", "model", "linear_svm").Value(); got != 4 {
 		t.Errorf("lumen_fit_epochs_total{model=linear_svm} = %d, want 4", got)
 	}
-	if n := met.Histogram("lumen_op_wall_seconds", "", nil, "op", "flow_features").Count(); n != 2 {
-		t.Errorf("lumen_op_wall_seconds{op=flow_features} count = %d, want 2", n)
+	var exp strings.Builder
+	if err := met.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := `lumen_op_wall_seconds_count{op="flow_features"} 2` + "\n"; !strings.Contains(exp.String(), want) {
+		t.Errorf("exposition lacks %q", want)
 	}
 }
 

@@ -299,7 +299,7 @@ func (o *refKitsuneFold) fold(lambdas []float64, cols [][]float64, i int, t, siz
 		get := func(key string) *refKitsuneStreams {
 			st := o.perLambda[li][key]
 			if st == nil {
-				st = &refKitsuneStreams{src: features.NewIncStat(lam), jitter: features.NewIncStat(lam), two: features.NewIncStat2D(lam)}
+				st = &refKitsuneStreams{src: &features.IncStat{Lambda: lam}, jitter: &features.IncStat{Lambda: lam}, two: features.NewIncStat2D(lam)}
 				o.perLambda[li][key] = st
 			}
 			return st

@@ -702,7 +702,7 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 	// GC stays off during measurement so sync.Pool contents are not
 	// trimmed mid-comparison.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := func(cfg StreamConfig, hide bool) (uint64, *EvalResult, *dataset.PcapSource) {
+	run := func(cfg StreamConfig, hide bool) (uint64, *EvalResult) {
 		ps, err := dataset.NewPcapSource("mem.pcap", bytes.NewReader(raw), dataset.Packet)
 		if err != nil {
 			t.Fatal(err)
@@ -722,26 +722,21 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return heapAllocBytes() - before, res, ps
+		return heapAllocBytes() - before, res
 	}
 
 	seqCfg := StreamConfig{ChunkRows: chunk}
 	pipeCfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 2}
 
-	pooledB, pooledRes, ps := run(seqCfg, false)
-	freshB, freshRes, _ := run(seqCfg, true)
-	pipeB, pipeRes, _ := run(pipeCfg, false)
+	pooledB, pooledRes := run(seqCfg, false)
+	freshB, freshRes := run(seqCfg, true)
+	pipeB, pipeRes := run(pipeCfg, false)
 
 	requireEqualResults(t, pooledRes, freshRes, "pooled vs fresh")
 	requireEqualResults(t, pooledRes, pipeRes, "pooled vs pipelined")
 
-	gets, reuses := ps.PoolStats()
-	if gets == 0 {
-		t.Fatal("pool never used")
-	}
-	if reuses < gets/2 {
-		t.Errorf("pool reuse too low: %d of %d buffer requests served from pool", reuses, gets)
-	}
+	// The pool's own request and reuse counts are pcap's to test
+	// (TestViewsRecordPoolRoundTrip); here reuse shows as the heap it saves.
 	if pooledB >= freshB {
 		t.Errorf("recycling did not reduce allocations: pooled %d B >= fresh %d B", pooledB, freshB)
 	}
@@ -761,13 +756,9 @@ func TestStreamPooledChunkAllocs(t *testing.T) {
 // assembled conn log, so bit-equality pins the log itself; the tree
 // cannot partial-fit, so the online pass only scores).
 func TestStreamShapeIsWhatWasAsked(t *testing.T) {
-	ids := dataset.ConnectionIDs()
-	if len(ids) == 0 {
-		t.Fatal("no connection datasets registered")
-	}
-	spec, ok := dataset.Get(ids[0])
-	if !ok {
-		t.Fatalf("no dataset %s", ids[0])
+	spec, ok := dataset.Get("F0")
+	if !ok || spec.Granularity != dataset.ConnectionG {
+		t.Fatal("F0 is not a registered connection dataset")
 	}
 	ds := spec.Generate(0.05)
 	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})

@@ -195,20 +195,15 @@ func requireEqualResults(t *testing.T, batch, stream *EvalResult, label string) 
 // every registered dataset, chunk sizes {64, 1024, whole-trace}, streamed
 // EvalResult bit-identical to batch.
 func TestStreamEquivalenceAllDatasets(t *testing.T) {
-	ids := append(dataset.ConnectionIDs(), dataset.PacketIDs()...)
-	for _, id := range ids {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			spec, ok := dataset.Get(id)
-			if !ok {
-				t.Fatalf("no dataset %s", id)
-			}
+	for _, spec := range dataset.Registry() {
+		spec := spec
+		t.Run(spec.ID, func(t *testing.T) {
 			ds := spec.Generate(0.05)
 			var p *Pipeline
 			switch {
 			case spec.Granularity == dataset.ConnectionG:
 				p = flowPipeline("decision_tree", map[string]any{"max_depth": 6})
-			case id == "P2":
+			case spec.ID == "P2":
 				p = dot11Pipeline()
 			default:
 				p = fieldPipeline()
@@ -216,7 +211,7 @@ func TestStreamEquivalenceAllDatasets(t *testing.T) {
 			want := batchRun(t, p, ds)
 			for _, chunk := range streamChunkSizes {
 				got := streamRun(t, p, ds, chunk)
-				requireEqualResults(t, want, got, fmt.Sprintf("%s chunk=%d", id, chunk))
+				requireEqualResults(t, want, got, fmt.Sprintf("%s chunk=%d", spec.ID, chunk))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -132,8 +133,12 @@ func TestDriftTriggeredRetrain(t *testing.T) {
 			"Drift-triggered background retrains, by outcome.",
 			"pipeline", "retrain", "outcome", outcome).Value()
 	}
-	if n := met.Histogram("lumen_retrain_fit_seconds", "", nil, "pipeline", "retrain").Count(); n != retrains {
-		t.Fatalf("lumen_retrain_fit_seconds observed %d fits, want one per retrain (%d)", n, retrains)
+	var exp bytes.Buffer
+	if err := met.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("lumen_retrain_fit_seconds_count{pipeline=\"retrain\"} %d\n", retrains); !bytes.Contains(exp.Bytes(), []byte(want)) {
+		t.Fatalf("exposition lacks %q: want one timed fit per retrain", want)
 	}
 	if st.Verdicts != int64(len(ds.Packets)) {
 		t.Fatalf("verdicts = %d, want %d (dropped chunks)", st.Verdicts, len(ds.Packets))

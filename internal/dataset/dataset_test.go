@@ -100,8 +100,10 @@ func TestConnectionLabelsAreConsistentPerConnection(t *testing.T) {
 	// Connection-granularity ground truth requires every packet of a
 	// connection to carry the same label — the property that makes
 	// faithful connection-level training possible (paper §2.1).
-	for _, id := range ConnectionIDs() {
-		spec, _ := Get(id)
+	for _, spec := range Registry() {
+		if spec.Granularity != ConnectionG {
+			continue
+		}
 		ds := spec.Generate(0.25)
 		// A connection's members are the packets with its canonical tuple
 		// whose timestamp falls in its [First, Last]: idle splits of one
@@ -124,11 +126,11 @@ func TestConnectionLabelsAreConsistentPerConnection(t *testing.T) {
 				if first == -1 {
 					first = ds.Labels[pi]
 				} else if ds.Labels[pi] != first {
-					t.Fatalf("%s: connection %v mixes labels", id, c.Tuple)
+					t.Fatalf("%s: connection %v mixes labels", spec.ID, c.Tuple)
 				}
 			}
 			if n != c.OrigPkts+c.RespPkts {
-				t.Fatalf("%s: connection %v has %d members, counts %d", id, c.Tuple, n, c.OrigPkts+c.RespPkts)
+				t.Fatalf("%s: connection %v has %d members, counts %d", spec.ID, c.Tuple, n, c.OrigPkts+c.RespPkts)
 			}
 		}
 	}

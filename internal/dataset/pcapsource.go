@@ -27,6 +27,10 @@ type PcapSource struct {
 	gran Granularity
 	base int
 	pool *pcap.BufferPool
+	// zeroCopy records whether the reader was built over a mapping. It is
+	// read from here, not from the reader, because Close leaves the reader
+	// looking buffered while the chunks it cut still alias the mapping.
+	zeroCopy bool
 	// hint is the decode depth applied as views are cut (ConfigureViews).
 	hint netpkt.DecodeHint
 	// refs: every emitted zero-copy chunk retains a reference on the file
@@ -72,7 +76,7 @@ func NewPcapSourcePooled(name string, rs io.ReadSeeker, gran Granularity, pool *
 		}
 	}
 	r.SetBufferPool(pool)
-	return &PcapSource{name: name, rs: rs, r: r, gran: gran, pool: pool}, nil
+	return &PcapSource{name: name, rs: rs, r: r, gran: gran, pool: pool, zeroCopy: r.ZeroCopy()}, nil
 }
 
 // EnableChunkRefs makes every non-empty chunk of an mmap-backed source
@@ -99,7 +103,7 @@ func (p *PcapSource) ConfigureViews(_ bool, hint netpkt.DecodeHint) bool {
 // DecodeMode describes how the source reads and decodes, for operator
 // surfaces: "mmap+lazy" or "buffered+lazy".
 func (p *PcapSource) DecodeMode() string {
-	if p.r.ZeroCopy() {
+	if p.zeroCopy {
 		return "mmap+lazy"
 	}
 	return "buffered+lazy"
@@ -114,7 +118,7 @@ func (p *PcapSource) DecodeMode() string {
 // mapping ref is zero-copy by construction, even when the reader has
 // been closed since it was cut (rotated captures).
 func (p *PcapSource) Recycle(ck Chunk) {
-	if ck.Ref == nil && !p.r.ZeroCopy() {
+	if ck.Ref == nil && !p.zeroCopy {
 		p.pool.PutOwnedViews(ck.Views)
 		return
 	}
@@ -127,9 +131,6 @@ func (p *PcapSource) Recycle(ck Chunk) {
 // and in-flight chunks keep the mapping alive until their own release.
 // It does not close the stream handed to NewPcapSource.
 func (p *PcapSource) Close() error { return p.r.Close() }
-
-// PoolStats reports the decode buffer pool's request/reuse counters.
-func (p *PcapSource) PoolStats() (gets, reuses uint64) { return p.pool.Stats() }
 
 // Meta implements Source.
 func (p *PcapSource) Meta() SourceMeta {

@@ -274,11 +274,3 @@ func registry() []Spec {
 		},
 	}
 }
-
-// ConnectionIDs returns the IDs of connection-granularity datasets.
-func ConnectionIDs() []string {
-	return []string{"F0", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9"}
-}
-
-// PacketIDs returns the IDs of packet-granularity datasets.
-func PacketIDs() []string { return []string{"P0", "P1", "P2", "P3", "P4"} }

@@ -177,6 +177,64 @@ func TestPcapSourceMatchesReadAll(t *testing.T) {
 	}
 }
 
+// TestPcapSourceModeSurvivesClose: a mapped source stays a mapped source
+// after Close. DecodeMode keeps saying so, and Recycle of a chunk cut
+// before Close (no mapping ref) hands none of its record bytes, which
+// alias the released mapping, to the pool a later reader draws from.
+func TestPcapSourceModeSurvivesClose(t *testing.T) {
+	ds := genF1(t)
+	path := filepath.Join(t.TempDir(), "f1.pcap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcap.NewWriter(f, ds.Link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ds.Packets {
+		if err := w.WriteRaw(p.Ts, p.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool := pcap.NewBufferPool()
+	src, err := NewPcapSourcePooled("f1.pcap", f, ConnectionG, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.DecodeMode() != "mmap+lazy" {
+		t.Skip("regular files are not mapped on this platform")
+	}
+	ck, ok := src.Next(16, 0)
+	if !ok || ck.Len() == 0 || ck.Ref != nil {
+		t.Fatalf("first chunk: ok=%v len=%d ref=%v", ok, ck.Len(), ck.Ref != nil)
+	}
+	// Addresses only: once Close unmaps, the bytes must not be read.
+	mapped := map[*byte]bool{}
+	for i := range ck.Views {
+		mapped[&ck.Views[i].Data[0]] = true
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := src.DecodeMode(); m != "mmap+lazy" {
+		t.Errorf("DecodeMode = %q after Close, want mmap+lazy", m)
+	}
+	src.Recycle(ck)
+	for i := 0; i < len(mapped); i++ {
+		if b := pool.GetData(1); mapped[&b[0]] {
+			t.Fatal("Recycle after Close pooled a record buffer that aliases the released mapping")
+		}
+	}
+}
+
 func TestPcapSourceEmptyCapture(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf, netpkt.LinkEthernet)

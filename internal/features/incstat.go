@@ -21,9 +21,6 @@ type IncStat struct {
 	seen   bool
 }
 
-// NewIncStat returns a damped statistic with the given decay rate.
-func NewIncStat(lambda float64) *IncStat { return &IncStat{Lambda: lambda} }
-
 // Insert adds value v observed at time ts (seconds).
 func (s *IncStat) Insert(v, ts float64) {
 	s.add(v, decayFactor(s.Lambda, s.elapse(ts)))
@@ -135,30 +132,9 @@ func (s *IncStat2D) Cov() float64 {
 	return s.sr / s.w
 }
 
-// Corr returns the damped correlation coefficient in [-1,1].
-func (s *IncStat2D) Corr() float64 {
-	sd := s.A.Std() * s.B.Std()
-	if sd == 0 {
-		return 0
-	}
-	c := s.Cov() / sd
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return c
-}
-
 // Magnitude returns sqrt(meanA² + meanB²), Kitsune's joint-magnitude
 // feature.
 func (s *IncStat2D) Magnitude() float64 {
 	ma, mb := s.A.Mean(), s.B.Mean()
 	return math.Sqrt(ma*ma + mb*mb)
-}
-
-// Radius returns sqrt(varA² + varB²), Kitsune's joint-radius feature.
-func (s *IncStat2D) Radius() float64 {
-	va, vb := s.A.Var(), s.B.Var()
-	return math.Sqrt(va*va + vb*vb)
 }

@@ -71,7 +71,7 @@ func (s *refIncStat2D) insert(va, vb, ts float64) {
 func TestIncStatMatchesReference(t *testing.T) {
 	for _, lambda := range []float64{0, 0.01, 1, 5} {
 		rng := rand.New(rand.NewSource(int64(lambda*100) + 1))
-		one, refOne := NewIncStat(lambda), &refIncStat{lambda: lambda}
+		one, refOne := &IncStat{Lambda: lambda}, &refIncStat{lambda: lambda}
 		two := NewIncStat2D(lambda)
 		refTwo := &refIncStat2D{a: &refIncStat{lambda: lambda}, b: &refIncStat{lambda: lambda}}
 		ts := 1.7e9

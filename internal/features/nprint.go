@@ -68,17 +68,9 @@ func ShapeOf(v *netpkt.PacketView) Shape {
 	}
 }
 
-// Vector renders one packet to its nprint bit vector: 1/0 for present
-// header bits, -1 for bits of absent sections.
-func (c NPrintConfig) Vector(v *netpkt.PacketView) []float64 {
-	out := make([]float64, c.Width())
-	c.FillRow(out, ShapeOf(v))
-	return out
-}
-
 // FillRow renders one packet's nprint bits into dst, which must have
-// length Width(). Callers that reuse dst across packets avoid the
-// per-packet vector allocation of Vector; the bit layout is identical.
+// length Width(): 1/0 for present header bits, -1 for bits of absent
+// sections.
 func (c NPrintConfig) FillRow(dst []float64, s Shape) {
 	raw := s.Raw
 	// Locate header byte ranges inside the raw frame.

@@ -19,6 +19,12 @@ func drive(a *Assembler, pkts []*netpkt.Packet) (mid, all []*Flow) {
 	return mid, all
 }
 
+// uniflows is the batch uniflow driver: the assembler fed a whole
+// packet slice, as Connections is for connections.
+func uniflows(pkts []*netpkt.Packet, opts Options) []*Flow {
+	return assemble(NewUniflowAssembler(opts), pkts)
+}
+
 // matchesBatch checks that incrementally driven assembly equals the
 // batch entry point exactly, and that the flows evicted mid-stream
 // arrive closed: states lists the conn states they must show, and no
@@ -56,7 +62,7 @@ func TestAssemblerMatchesBatchUniflows(t *testing.T) {
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 5000, 53, 1))
 	pkts = append(pkts, handshake(t, 200)...) // same tuple, past idle: split
 	pkts = append(pkts, udpPkt(t, hostA, hostB, 5000, 53, 201))
-	matchesBatch(t, Uniflows, NewUniflowAssembler, pkts, []ConnState{""})
+	matchesBatch(t, uniflows, NewUniflowAssembler, pkts, []ConnState{""})
 }
 
 // TestAssemblerMatchesBatchConnections is the bidirectional counterpart,

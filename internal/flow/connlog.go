@@ -6,7 +6,6 @@ import (
 	mathbits "math/bits"
 	"net/netip"
 	"strconv"
-	"time"
 
 	"lumen/internal/netpkt"
 )
@@ -169,43 +168,4 @@ func appendProto(b []byte, p uint8) []byte {
 	default:
 		return strconv.AppendUint(append(b, "proto-"...), uint64(p), 10)
 	}
-}
-
-// MatchByTime pairs each connection in a with the connection in b whose
-// start time is closest within tolerance — the CTU preprocessing step
-// ("matched our Zeek-flows with the labeled Zeek-flows provided in the
-// dataset based on flow timestamps"). It returns, for every connection
-// of a, the index of its match in b or -1.
-func MatchByTime(a, b []*Flow, tolerance time.Duration) []int {
-	out := make([]int, len(a))
-	for i := range out {
-		out[i] = -1
-	}
-	// b is time-sorted (Connections returns sorted flows): binary scan.
-	for i, ca := range a {
-		lo, hi := 0, len(b)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if b[mid].First.Before(ca.First) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		best, bestD := -1, tolerance
-		for _, j := range []int{lo - 1, lo} {
-			if j < 0 || j >= len(b) {
-				continue
-			}
-			d := b[j].First.Sub(ca.First)
-			if d < 0 {
-				d = -d
-			}
-			if d <= bestD {
-				best, bestD = j, d
-			}
-		}
-		out[i] = best
-	}
-	return out
 }

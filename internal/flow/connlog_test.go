@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"lumen/internal/dataset"
 	"lumen/internal/netpkt"
@@ -68,23 +67,5 @@ func TestProtoString(t *testing.T) {
 		if got := string(appendProto(nil, p)); got != want {
 			t.Errorf("proto %d renders %q, want %q", p, got, want)
 		}
-	}
-}
-
-func TestMatchByTime(t *testing.T) {
-	mk := func(sec float64) *Flow {
-		return &Flow{First: time.Unix(0, int64(sec*1e9))}
-	}
-	a := []*Flow{mk(1.0), mk(5.0), mk(100)}
-	b := []*Flow{mk(0.9), mk(5.2), mk(50)}
-	got := MatchByTime(a, b, 500*time.Millisecond)
-	if got[0] != 0 {
-		t.Errorf("a[0] matched %d, want 0", got[0])
-	}
-	if got[1] != 1 {
-		t.Errorf("a[1] matched %d, want 1", got[1])
-	}
-	if got[2] != -1 {
-		t.Errorf("a[2] matched %d, want -1 (outside tolerance)", got[2])
 	}
 }

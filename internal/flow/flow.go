@@ -138,18 +138,12 @@ func (o Options) idle() time.Duration {
 	return o.IdleTimeout
 }
 
-// Uniflows groups packets into unidirectional flows. Packets without a
-// five-tuple (ARP, 802.11 management) are skipped. Input packets must be
-// in non-decreasing time order (captures are). It and Connections are
-// the batch drivers of the Assembler, so batch and incremental assembly
-// cannot diverge.
-func Uniflows(pkts []*netpkt.Packet, opts Options) []*Flow {
-	return assemble(NewUniflowAssembler(opts), pkts)
-}
-
 // Connections groups packets into bidirectional connections with
-// Zeek-style state tracking. bench/harness calls it for its reference
-// conn-log.
+// Zeek-style state tracking. Packets without a five-tuple (ARP, 802.11
+// management) are skipped. Input packets must be in non-decreasing time
+// order (captures are). It is a batch driver of the Assembler, so batch
+// and incremental assembly cannot diverge. bench/harness calls it for its
+// reference conn-log.
 func Connections(pkts []*netpkt.Packet, opts Options) []*Flow {
 	return assemble(NewConnAssembler(opts), pkts)
 }

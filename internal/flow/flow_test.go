@@ -61,7 +61,7 @@ func handshake(t *testing.T, start float64) []*netpkt.Packet {
 
 func TestUniflowsDirectionality(t *testing.T) {
 	pkts := handshake(t, 0)
-	flows := Uniflows(pkts, Options{})
+	flows := uniflows(pkts, Options{})
 	if len(flows) != 2 {
 		t.Fatalf("got %d uniflows, want 2 (one per direction)", len(flows))
 	}
@@ -90,7 +90,7 @@ func TestUniflowIdleTimeoutSplits(t *testing.T) {
 		udpPkt(t, hostA, hostB, 500, 53, 1),
 		udpPkt(t, hostA, hostB, 500, 53, 200), // beyond 64s idle
 	}
-	flows := Uniflows(pkts, Options{})
+	flows := uniflows(pkts, Options{})
 	if len(flows) != 2 {
 		t.Fatalf("got %d flows, want 2 after idle split", len(flows))
 	}
@@ -104,7 +104,7 @@ func TestUniflowCustomTimeout(t *testing.T) {
 		udpPkt(t, hostA, hostB, 500, 53, 0),
 		udpPkt(t, hostA, hostB, 500, 53, 2),
 	}
-	flows := Uniflows(pkts, Options{IdleTimeout: time.Second})
+	flows := uniflows(pkts, Options{IdleTimeout: time.Second})
 	if len(flows) != 2 {
 		t.Fatalf("got %d flows, want 2 with 1s timeout", len(flows))
 	}
@@ -234,8 +234,8 @@ func sortByTime(pkts []*netpkt.Packet) {
 
 func TestUniflowDeterministicOrder(t *testing.T) {
 	pkts := handshake(t, 0)
-	a := Uniflows(pkts, Options{})
-	b := Uniflows(pkts, Options{})
+	a := uniflows(pkts, Options{})
+	b := uniflows(pkts, Options{})
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic flow count")
 	}

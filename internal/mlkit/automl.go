@@ -95,6 +95,3 @@ func (a *AutoML) Proba(X [][]float64) []float64 {
 	_, proba := a.PredictProba(X)
 	return proba
 }
-
-// BestName reports the label of the winning candidate after Fit.
-func (a *AutoML) BestName() string { return a.bestName }

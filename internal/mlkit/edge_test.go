@@ -32,8 +32,8 @@ func TestKitNETSingleFeature(t *testing.T) {
 	if err := k.Fit(X); err != nil {
 		t.Fatalf("single-feature fit: %v", err)
 	}
-	if len(k.Clusters()) != 1 {
-		t.Errorf("clusters = %v, want one singleton", k.Clusters())
+	if len(k.clusters) != 1 {
+		t.Errorf("clusters = %v, want one singleton", k.clusters)
 	}
 }
 
@@ -79,19 +79,20 @@ func TestAutoMLCustomCandidates(t *testing.T) {
 	if err := a.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.BestName() != "only-nb" {
-		t.Errorf("best = %q, want only-nb", a.BestName())
+	if a.bestName != "only-nb" {
+		t.Errorf("best = %q, want only-nb", a.bestName)
 	}
 }
 
 func TestMLPForwardShapes(t *testing.T) {
 	m := &MLP{Sizes: []int{3, 5, 2}, Seed: 1}
 	m.Init()
-	acts := m.Forward([]float64{1, 2, 3})
-	if len(acts) != 3 || len(acts[0]) != 3 || len(acts[1]) != 5 || len(acts[2]) != 2 {
-		t.Fatalf("activation shapes wrong: %d layers", len(acts))
+	copy(m.acts[0].Reshape(1, 3).Row(0), []float64{1, 2, 3})
+	m.forwardBatch(1)
+	if len(m.acts) != 3 || len(m.acts[1].Row(0)) != 5 || len(m.acts[2].Row(0)) != 2 {
+		t.Fatalf("activation shapes wrong: %d layers", len(m.acts))
 	}
-	for _, v := range acts[2] {
+	for _, v := range m.acts[2].Row(0) {
 		if v < 0 || v > 1 {
 			t.Fatalf("sigmoid output out of range: %v", v)
 		}
@@ -108,24 +109,6 @@ func TestMLPLearnsAND(t *testing.T) {
 	p := m.Predict01(X)
 	if p[3] < 0.7 || p[0] > 0.3 {
 		t.Errorf("AND not learned: %v", p)
-	}
-}
-
-func TestActivationDerivatives(t *testing.T) {
-	// deriv is expressed in terms of the activation output.
-	if d := ActReLU.deriv(2); d != 1 {
-		t.Errorf("relu'(pos) = %v", d)
-	}
-	if d := ActReLU.deriv(0); d != 0 {
-		t.Errorf("relu'(0) = %v", d)
-	}
-	y := ActSigmoid.apply(0.3)
-	if d := ActSigmoid.deriv(y); math.Abs(d-y*(1-y)) > 1e-12 {
-		t.Errorf("sigmoid' = %v", d)
-	}
-	yt := ActTanh.apply(0.3)
-	if d := ActTanh.deriv(yt); math.Abs(d-(1-yt*yt)) > 1e-12 {
-		t.Errorf("tanh' = %v", d)
 	}
 }
 

@@ -61,14 +61,14 @@ func TestGridSearchFindsDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Depth 1 cannot express XOR; the search must pick depth 8.
-	if got := gs.BestParams()["depth"]; got != 8 {
+	if got := gs.bestParams["depth"]; got != 8 {
 		t.Errorf("best depth = %v, want 8", got)
 	}
 	if acc := Accuracy(y, gs.Predict(X)); acc < 0.9 {
 		t.Errorf("refit accuracy = %.3f, want >= 0.9", acc)
 	}
-	if gs.BestScore() <= 0 {
-		t.Errorf("best score = %v, want > 0", gs.BestScore())
+	if gs.bestScore <= 0 {
+		t.Errorf("best score = %v, want > 0", gs.bestScore)
 	}
 }
 

@@ -113,9 +113,3 @@ func (g *GridSearch) Proba(X [][]float64) []float64 {
 	_, proba := g.PredictProba(X)
 	return proba
 }
-
-// BestParams returns the winning assignment after Fit.
-func (g *GridSearch) BestParams() map[string]float64 { return g.bestParams }
-
-// BestScore returns the winning validation score after Fit.
-func (g *GridSearch) BestScore() float64 { return g.bestScore }

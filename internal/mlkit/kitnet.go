@@ -358,6 +358,3 @@ func clusterFeatures(X [][]float64, maxSize int) [][]int {
 	sort.Slice(clusters, func(a, b int) bool { return clusters[a][0] < clusters[b][0] })
 	return clusters
 }
-
-// Clusters exposes the learned feature map (for tests and introspection).
-func (k *KitNET) Clusters() [][]int { return k.clusters }

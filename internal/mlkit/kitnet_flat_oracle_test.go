@@ -193,8 +193,8 @@ func TestKitNETMatchesReference(t *testing.T) {
 				if err := ref.Fit(tc.train); err != nil {
 					t.Fatal(err)
 				}
-				if tc.name == "single cluster" && len(got.Clusters()) != 1 {
-					t.Fatalf("%d clusters, want 1", len(got.Clusters()))
+				if tc.name == "single cluster" && len(got.clusters) != 1 {
+					t.Fatalf("%d clusters, want 1", len(got.clusters))
 				}
 				for name, X := range map[string][][]float64{"train": tc.train, "probe": tc.probe, "empty": {}} {
 					sameScoreBits(t, "Fit, "+name, got.Score(X), ref.Score(X))

@@ -61,14 +61,6 @@ func (m *Dense) RowViews() [][]float64 {
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
 // Reshape reuses m's backing array for an r×c matrix, growing it when
 // needed. Contents are unspecified after a growing reshape; callers that
 // need zeros should call Zero.

@@ -120,17 +120,3 @@ func AUC(yTrue []int, scores []float64) float64 {
 	u := rankSumPos - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg))
 }
-
-// BalancedAccuracy returns the mean of recall on each class; robust to class
-// imbalance (nPrint papers report "balanced" scores).
-func BalancedAccuracy(yTrue, yPred []int) float64 {
-	c := NewConfusion(yTrue, yPred)
-	var tpr, tnr float64
-	if c.TP+c.FN > 0 {
-		tpr = float64(c.TP) / float64(c.TP+c.FN)
-	}
-	if c.TN+c.FP > 0 {
-		tnr = float64(c.TN) / float64(c.TN+c.FP)
-	}
-	return (tpr + tnr) / 2
-}

@@ -78,18 +78,6 @@ func TestAUCPropertyInRange(t *testing.T) {
 	}
 }
 
-func TestBalancedAccuracy(t *testing.T) {
-	// Degenerate predictor that always says 0 on imbalanced data.
-	yTrue := []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 1}
-	yPred := make([]int, 10)
-	if acc := Accuracy(yTrue, yPred); acc != 0.9 {
-		t.Fatalf("plain accuracy = %v, want 0.9", acc)
-	}
-	if b := BalancedAccuracy(yTrue, yPred); b != 0.5 {
-		t.Errorf("balanced accuracy = %v, want 0.5", b)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

@@ -72,7 +72,7 @@ func TestDecisionTreeDepthLimit(t *testing.T) {
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 3 {
+	if d := treeDepth(tr); d > 3 {
 		t.Errorf("Depth = %d, want <= 3", d)
 	}
 }
@@ -322,7 +322,7 @@ func TestKitNETClustersRespectCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, c := range k.Clusters() {
+	for _, c := range k.clusters {
 		if len(c) > 5 {
 			t.Errorf("cluster size %d exceeds cap 5", len(c))
 		}
@@ -363,15 +363,15 @@ func TestAutoMLPicksWinner(t *testing.T) {
 	if err := a.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.BestName() == "" {
-		t.Error("BestName empty after Fit")
+	if a.bestName == "" {
+		t.Error("no winning candidate named after Fit")
 	}
 	acc := Accuracy(y, a.Predict(X))
 	if acc < 0.9 {
 		t.Errorf("train accuracy = %.3f, want >= 0.9 on XOR", acc)
 	}
 	// NB is axis-Gaussian and cannot model XOR; the winner must not be it.
-	if a.BestName() == "gnb" {
+	if a.bestName == "gnb" {
 		t.Errorf("automl picked gnb on XOR data")
 	}
 }

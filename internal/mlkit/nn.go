@@ -16,35 +16,6 @@ const (
 	ActTanh
 )
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ActReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case ActTanh:
-		return math.Tanh(x)
-	default:
-		return 1 / (1 + math.Exp(-x))
-	}
-}
-
-func (a Activation) deriv(y float64) float64 {
-	// Derivative expressed through the activation output y.
-	switch a {
-	case ActReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case ActTanh:
-		return 1 - y*y
-	default:
-		return y * (1 - y)
-	}
-}
-
 // applyVec applies the activation in place over a flat slice, hoisting
 // the switch out of the element loop.
 func (a Activation) applyVec(xs []float64) {
@@ -289,23 +260,6 @@ func (m *MLP) trainOne(x, t []float64) float64 {
 		}
 	}
 	return sqErr
-}
-
-// Forward runs one input through the network, returning all layer
-// activations (activations[0] is the input itself).
-func (m *MLP) Forward(x []float64) [][]float64 {
-	if m.weights == nil {
-		m.Init()
-	}
-	a0 := m.acts[0].Reshape(1, m.Sizes[0])
-	copy(a0.Row(0), x)
-	m.forwardBatch(1)
-	acts := make([][]float64, len(m.Sizes))
-	acts[0] = x
-	for l := 1; l < len(m.Sizes); l++ {
-		acts[l] = append([]float64(nil), m.acts[l].Row(0)...)
-	}
-	return acts
 }
 
 // TrainStep backpropagates one (x, target) pair and returns its squared

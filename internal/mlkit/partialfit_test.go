@@ -145,7 +145,7 @@ func TestKitNETPartialFit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(k.Clusters()) == 0 {
+	if len(k.clusters) == 0 {
 		t.Fatal("first batch should learn the feature map")
 	}
 	scores := k.Score(mk(10))

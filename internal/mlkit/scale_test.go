@@ -115,14 +115,24 @@ func TestCorrelationFilterDropsDuplicates(t *testing.T) {
 	}
 }
 
+// TestTrainTestSplitSizesAndDisjoint checks the train/test split every
+// validation split goes through (StratifiedSplit): the sides take the
+// asked fraction and share no row.
 func TestTrainTestSplitSizesAndDisjoint(t *testing.T) {
 	X, y := blobs(100, 2, 1, 3)
-	Xtr, ytr, Xte, yte := TrainTestSplit(X, y, 0.3, 7)
+	Xtr, ytr, Xte, yte := StratifiedSplit(X, y, 0.3, 7)
 	if len(Xte) != 30 || len(Xtr) != 70 {
 		t.Fatalf("sizes %d/%d, want 70/30", len(Xtr), len(Xte))
 	}
 	if len(ytr) != 70 || len(yte) != 30 {
 		t.Fatalf("label sizes mismatch")
+	}
+	seen := map[*float64]bool{}
+	for _, row := range append(append([][]float64{}, Xtr...), Xte...) {
+		if seen[&row[0]] {
+			t.Fatal("a row landed on both sides, or twice on one")
+		}
+		seen[&row[0]] = true
 	}
 }
 
@@ -150,10 +160,12 @@ func TestStratifiedSplitPreservesRatio(t *testing.T) {
 
 func TestSplitDeterminism(t *testing.T) {
 	X, y := blobs(50, 2, 1, 5)
-	_, y1, _, _ := TrainTestSplit(X, y, 0.4, 42)
-	_, y2, _, _ := TrainTestSplit(X, y, 0.4, 42)
-	for i := range y1 {
-		if y1[i] != y2[i] {
+	// Labels come out grouped by class whatever the shuffle, so compare
+	// which rows went where.
+	X1, _, _, _ := StratifiedSplit(X, y, 0.4, 42)
+	X2, _, _, _ := StratifiedSplit(X, y, 0.4, 42)
+	for i := range X1 {
+		if &X1[i][0] != &X2[i][0] {
 			t.Fatal("same seed produced different splits")
 		}
 	}

@@ -1,29 +1,5 @@
 package mlkit
 
-// TrainTestSplit shuffles rows deterministically (by seed) and splits them,
-// with testFrac of rows going to the test side.
-func TrainTestSplit(X [][]float64, y []int, testFrac float64, seed int64) (Xtr [][]float64, ytr []int, Xte [][]float64, yte []int) {
-	n := len(X)
-	perm := NewRNG(seed).Perm(n)
-	nTest := int(float64(n) * testFrac)
-	if nTest < 0 {
-		nTest = 0
-	}
-	if nTest > n {
-		nTest = n
-	}
-	for i, idx := range perm {
-		if i < nTest {
-			Xte = append(Xte, X[idx])
-			yte = append(yte, y[idx])
-		} else {
-			Xtr = append(Xtr, X[idx])
-			ytr = append(ytr, y[idx])
-		}
-	}
-	return Xtr, ytr, Xte, yte
-}
-
 // StratifiedSplit splits while preserving the class ratio in both halves.
 func StratifiedSplit(X [][]float64, y []int, testFrac float64, seed int64) (Xtr [][]float64, ytr []int, Xte [][]float64, yte []int) {
 	byClass := map[int][]int{}

@@ -20,12 +20,6 @@ type P2Quantile struct {
 // NewP2Quantile returns an estimator for quantile p in (0,1).
 func NewP2Quantile(p float64) *P2Quantile { return &P2Quantile{p: p} }
 
-// Quantile reports the target quantile the estimator tracks.
-func (e *P2Quantile) Quantile() float64 { return e.p }
-
-// Count reports the number of observations absorbed so far.
-func (e *P2Quantile) Count() int { return e.cnt }
-
 // Add absorbs one observation.
 func (e *P2Quantile) Add(x float64) {
 	if e.cnt < 5 {
@@ -202,16 +196,6 @@ func (ph *PageHinkley) Add(x float64) bool {
 func (ph *PageHinkley) LastDetection() (stat, mean float64) {
 	return ph.lastStat, ph.lastMean
 }
-
-// Stat returns the current test statistic (cum - min), the value
-// compared against Lambda.
-func (ph *PageHinkley) Stat() float64 { return ph.cum - ph.minCum }
-
-// Mean returns the running mean of all observations since the last reset.
-func (ph *PageHinkley) Mean() float64 { return ph.mean }
-
-// Count returns observations absorbed since the last reset.
-func (ph *PageHinkley) Count() int { return ph.n }
 
 // Reset clears all accumulated state (called automatically on detection).
 func (ph *PageHinkley) Reset() {

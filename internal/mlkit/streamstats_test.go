@@ -20,8 +20,8 @@ func TestP2QuantileTracksExact(t *testing.T) {
 		if math.Abs(got-exact) > 0.25 {
 			t.Errorf("q=%v: P2 estimate %v vs exact %v", q, got, exact)
 		}
-		if est.Count() != 5000 {
-			t.Errorf("count = %d, want 5000", est.Count())
+		if est.cnt != 5000 {
+			t.Errorf("count = %d, want 5000", est.cnt)
 		}
 	}
 }
@@ -58,7 +58,7 @@ func TestPageHinkleyDetectsShift(t *testing.T) {
 		t.Fatal("no detection after mean shift 0.05 -> 1")
 	}
 	// Reset-on-detect re-arms the detector.
-	if ph.Count() != 0 {
-		t.Errorf("count after detection = %d, want 0", ph.Count())
+	if ph.n != 0 {
+		t.Errorf("count after detection = %d, want 0", ph.n)
 	}
 }

@@ -171,13 +171,6 @@ func (h *SwapHandle) Stats() SwapStats {
 	return h.stats
 }
 
-// Active returns the classifier currently serving verdicts.
-func (h *SwapHandle) Active() Classifier {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.active
-}
-
 // StartShadow attaches a fitted candidate for shadow scoring. It fails
 // when a swap is already in progress — finish it with Promote or
 // Rollback first.

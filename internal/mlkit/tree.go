@@ -431,23 +431,3 @@ func leafOf(nodes []flatNode, id int32, row []float64) int32 {
 	}
 	return n.right
 }
-
-// Depth reports the maximum depth of the fitted tree (root = 0).
-func (t *DecisionTree) Depth() int {
-	if len(t.flat.nodes) == 0 {
-		return 0
-	}
-	var walk func(id int32) int
-	walk = func(id int32) int {
-		n := &t.flat.nodes[id]
-		if n.feature < 0 {
-			return 0
-		}
-		l, r := walk(id+1), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(0)
-}

@@ -319,7 +319,7 @@ func TestLoadRenumbersNonPreorderTree(t *testing.T) {
 	pred, proba := PredictProba(c, X)
 	wantPred, wantProba := []int{0, 0, 1, 0}, []float64{0, 0.3, 0.9, 0}
 	assertBitIdentical(t, "renumbered tree", pred, wantPred, proba, wantProba)
-	if d := c.(*DecisionTree).Depth(); d != 2 {
+	if d := treeDepth(c.(*DecisionTree)); d != 2 {
 		t.Errorf("depth = %d, want 2", d)
 	}
 }
@@ -362,4 +362,24 @@ func TestForestSharedAcrossGoroutines(t *testing.T) {
 	for k := 0; k < readers; k++ {
 		assertBitIdentical(t, fmt.Sprintf("reader %d", k), preds[k], wantPred, probas[k], wantProba)
 	}
+}
+
+// treeDepth reports the maximum depth of a fitted tree (root = 0).
+func treeDepth(t *DecisionTree) int {
+	if len(t.flat.nodes) == 0 {
+		return 0
+	}
+	var walk func(id int32) int
+	walk = func(id int32) int {
+		n := &t.flat.nodes[id]
+		if n.feature < 0 {
+			return 0
+		}
+		l, r := walk(id+1), walk(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return walk(0)
 }

@@ -117,7 +117,7 @@ func TestMQTTPublishRoundTrip(t *testing.T) {
 }
 
 func TestMQTTConnectDecode(t *testing.T) {
-	b := EncodeMQTTConnect("plug-3")
+	b := mqttConnect("plug-3")
 	m, ok := parseMQTT(b)
 	if !ok || m.Type != MQTTConnect {
 		t.Fatalf("connect mismatch: %+v ok=%v", m, ok)
@@ -188,4 +188,15 @@ func TestNonAppPortsNotDecoded(t *testing.T) {
 	if q.HTTP != nil {
 		t.Error("HTTP must only be decoded on HTTP ports")
 	}
+}
+
+// mqttConnect builds a minimal CONNECT packet payload.
+func mqttConnect(clientID string) []byte {
+	// Variable header: protocol name "MQTT", level 4, flags, keepalive.
+	var vh []byte
+	vh = append(vh, 0, 4, 'M', 'Q', 'T', 'T', 4, 2, 0, 60)
+	vh = append(vh, byte(len(clientID)>>8), byte(len(clientID)))
+	vh = append(vh, clientID...)
+	b := []byte{byte(MQTTConnect) << 4, byte(len(vh))}
+	return append(b, vh...)
 }

@@ -76,17 +76,3 @@ func portIs(t *TCP, ports ...uint16) bool {
 	}
 	return false
 }
-
-// VerifyIPv4Checksum recomputes the IPv4 header checksum over the raw
-// bytes and reports whether it is consistent. It requires raw Data.
-func (p *Packet) VerifyIPv4Checksum() bool {
-	if p.IPv4 == nil || len(p.Data) < 34 || p.Link != LinkEthernet {
-		return false
-	}
-	hdr := p.Data[14:]
-	ihl := int(hdr[0]&0x0f) * 4
-	if len(hdr) < ihl {
-		return false
-	}
-	return internetChecksum(hdr[:ihl], 0) == 0
-}

@@ -33,34 +33,6 @@ func decodeDNS(b []byte, d *DNS) bool {
 	return true
 }
 
-// Names builds the dotted question names on each call: at most 16, up
-// to the first name that is truncated or compressed (our encoder never
-// compresses).
-func (d *DNS) Names() []string {
-	var names []string
-	b, off := d.questions, 0
-	for q := 0; q < int(d.QDCount) && q < 16 && off <= len(b); q++ {
-		var name []byte
-		for off < len(b) && b[off] != 0 {
-			l := int(b[off])
-			if l >= 0xc0 || off+1+l > len(b) {
-				return names
-			}
-			if len(name) > 0 {
-				name = append(name, '.')
-			}
-			name = append(name, b[off+1:off+1+l]...)
-			off += 1 + l
-		}
-		if off >= len(b) {
-			return names // no terminating zero label
-		}
-		names = append(names, string(name))
-		off += 5 // the zero label, qtype and qclass
-	}
-	return names
-}
-
 // EncodeDNSQuery builds a simple one-question DNS query payload (A record,
 // IN class) for the traffic simulator.
 func EncodeDNSQuery(id uint16, name string, response bool) []byte {

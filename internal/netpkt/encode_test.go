@@ -36,7 +36,7 @@ func TestTCPOptionsRoundTrip(t *testing.T) {
 	if string(q.Payload) != "x" {
 		t.Errorf("payload = %q after options", q.Payload)
 	}
-	if !q.VerifyIPv4Checksum() {
+	if !ipv4ChecksumOK(q) {
 		t.Error("ipv4 checksum broke with options")
 	}
 }

@@ -115,14 +115,3 @@ func EncodeMQTTPublish(topic string, payloadLen int) []byte {
 	}
 	return b
 }
-
-// EncodeMQTTConnect builds a minimal CONNECT packet payload.
-func EncodeMQTTConnect(clientID string) []byte {
-	// Variable header: protocol name "MQTT", level 4, flags, keepalive.
-	var vh []byte
-	vh = append(vh, 0, 4, 'M', 'Q', 'T', 'T', 4, 2, 0, 60)
-	vh = append(vh, byte(len(clientID)>>8), byte(len(clientID)))
-	vh = append(vh, clientID...)
-	b := []byte{byte(MQTTConnect) << 4, byte(len(vh))}
-	return append(b, vh...)
-}

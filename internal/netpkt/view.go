@@ -144,13 +144,6 @@ func (v *PacketView) AppDecoded() bool { return v.flags&vApp != 0 }
 // WireLen returns the on-wire record length. It never triggers decoding.
 func (v *PacketView) WireLen() int { return len(v.Data) }
 
-// TruncatedLayer names the first layer that failed to decode (empty when
-// the header pass was clean), mirroring Packet.TruncatedLayer.
-func (v *PacketView) TruncatedLayer() string {
-	v.ensureHeaders()
-	return v.trunc
-}
-
 // Eth returns the Ethernet header, decoding on first touch; ok is false
 // when the layer is absent. The pointer aliases view-internal state and
 // is valid only as long as the view (and must not be mutated).
@@ -169,12 +162,6 @@ func (v *PacketView) ARP() (*ARP, bool) {
 func (v *PacketView) IPv4() (*IPv4, bool) {
 	v.ensureHeaders()
 	return &v.ip4, v.flags&vIP4 != 0
-}
-
-// IPv6 returns the IPv6 header (see Eth for pointer lifetime).
-func (v *PacketView) IPv6() (*IPv6, bool) {
-	v.ensureHeaders()
-	return &v.ip6, v.flags&vIP6 != 0
 }
 
 // TCP returns the TCP header (see Eth for pointer lifetime).

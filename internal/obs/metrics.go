@@ -34,9 +34,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{fams: map[string]*family{}}
 }
 
-// Enabled reports whether the registry records metrics (false for nil).
-func (m *Metrics) Enabled() bool { return m != nil }
-
 // Counter returns the monotonically-increasing counter for (name,
 // labels), creating it on first use. By Prometheus convention the name
 // should end in "_total". Registering a name that already exists as a
@@ -184,20 +181,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adds d to the current value.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -246,24 +229,4 @@ func (h *Histogram) snapshot() (bounds []float64, cum []uint64, sum float64, tot
 		cum[i] = acc
 	}
 	return h.bounds, cum, h.sum, h.total
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }

@@ -24,9 +24,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := m.Gauge("lumen_workers", "Worker pool size.")
 	g.Set(8)
-	g.Add(-3)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %v, want 5", g.Value())
+	if g.Value() != 8 {
+		t.Fatalf("gauge = %v, want 8", g.Value())
 	}
 }
 
@@ -185,9 +184,6 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestNilMetricsIsNilSafe(t *testing.T) {
 	var m *Metrics
-	if m.Enabled() {
-		t.Fatal("nil metrics reports enabled")
-	}
 	m.Counter("c_total", "").Inc()
 	m.Gauge("g", "").Set(1)
 	m.Histogram("h", "", nil).Observe(1)
@@ -216,7 +212,7 @@ func TestConcurrentMetrics(t *testing.T) {
 	if a+b != 1600 {
 		t.Fatalf("counters lost updates: %d + %d != 1600", a, b)
 	}
-	if m.Histogram("h_seconds", "", nil).Count() != 1600 {
+	if _, _, _, n := m.Histogram("h_seconds", "", nil).snapshot(); n != 1600 {
 		t.Fatal("histogram lost observations")
 	}
 }

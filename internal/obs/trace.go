@@ -22,9 +22,6 @@ func NewTracer() *Tracer {
 	return &Tracer{base: time.Now()}
 }
 
-// Enabled reports whether the tracer records spans (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Start opens a root span on track tid. Track 0 is the main track;
 // per-worker spans conventionally use tid = worker index + 1 so that
 // Perfetto renders one lane per worker.

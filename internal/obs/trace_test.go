@@ -204,9 +204,6 @@ func TestJSONLExport(t *testing.T) {
 
 func TestDisabledTracerIsNilSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	s := tr.Start("x", 0)
 	if s != nil {
 		t.Fatal("nil tracer returned a span")

@@ -25,7 +25,7 @@ type fuzzRecord struct {
 // header. The error is nil for a clean end of stream.
 func drainRecords(t *testing.T, r *Reader, size int) ([]fuzzRecord, error) {
 	t.Helper()
-	limit := min(r.SnapLen(), maxSnapLen)
+	limit := min(r.snapLen, maxSnapLen)
 	if limit == 0 {
 		limit = DefaultSnapLen
 	}
@@ -104,8 +104,8 @@ func FuzzPcapReader(f *testing.F) {
 			return
 		}
 		defer mr.Close()
-		if mr.LinkType() != br.LinkType() || mr.SnapLen() != br.SnapLen() {
-			t.Fatalf("header: mmap link %d snaplen %d, buffered %d / %d", mr.LinkType(), mr.SnapLen(), br.LinkType(), br.SnapLen())
+		if mr.LinkType() != br.LinkType() || mr.snapLen != br.snapLen {
+			t.Fatalf("header: mmap link %d snaplen %d, buffered %d / %d", mr.LinkType(), mr.snapLen, br.LinkType(), br.snapLen)
 		}
 		mrecs, mend := drainRecords(t, mr, len(raw))
 		if len(mrecs) != len(brecs) || (mend == nil) != (bend == nil) {

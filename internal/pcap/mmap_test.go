@@ -325,7 +325,7 @@ func TestViewsRecordPoolRoundTrip(t *testing.T) {
 		}
 		pool.PutOwnedViews(views)
 	}
-	gets, reuses := pool.Stats()
+	gets, reuses := pool.gets.Load(), pool.reuses.Load()
 	if gets == 0 || reuses == 0 {
 		t.Fatalf("pool unused: gets=%d reuses=%d", gets, reuses)
 	}

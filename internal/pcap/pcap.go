@@ -93,12 +93,6 @@ func (p *BufferPool) PutOwnedViews(s []netpkt.PacketView) {
 	p.PutViews(s)
 }
 
-// Stats reports how many data buffers were requested and how many of
-// those requests were served from the pool.
-func (p *BufferPool) Stats() (gets, reuses uint64) {
-	return p.gets.Load(), p.reuses.Load()
-}
-
 // openMappings counts the live file mappings of the process: created by
 // OpenMmap, gone once the last reference (owner Reader plus any retained
 // chunk refs) is released. Exported through OpenMappings for leak gauges.
@@ -272,9 +266,6 @@ func (r *Reader) Close() error {
 
 // LinkType reports the capture's link type.
 func (r *Reader) LinkType() netpkt.LinkType { return r.link }
-
-// SnapLen reports the capture's snapshot length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
 // Next returns the next raw record. It returns io.EOF cleanly at end of
 // stream. In buffered mode the data slice is freshly allocated unless a

@@ -111,16 +111,6 @@ func (h *Heatmap) Set(row, col string, v float64) {
 	}
 }
 
-// Get reads a value by row/col name (NaN when absent).
-func (h *Heatmap) Get(row, col string) float64 {
-	ri := indexOf(h.RowNames, row)
-	ci := indexOf(h.ColNames, col)
-	if ri < 0 || ci < 0 {
-		return math.NaN()
-	}
-	return h.Cells[ri][ci]
-}
-
 func indexOf(xs []string, x string) int {
 	for i, v := range xs {
 		if v == x {

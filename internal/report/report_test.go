@@ -37,19 +37,21 @@ func TestTableCSVQuoting(t *testing.T) {
 
 func TestHeatmapSetGetAndNaN(t *testing.T) {
 	h := NewHeatmap("t", []string{"r1", "r2"}, []string{"c1", "c2"})
-	if !math.IsNaN(h.Get("r1", "c1")) {
+	if !math.IsNaN(h.Cells[0][0]) {
 		t.Error("fresh cell should be NaN")
 	}
 	h.Set("r1", "c2", 0.5)
-	if got := h.Get("r1", "c2"); got != 0.5 {
-		t.Errorf("Get = %v, want 0.5", got)
+	if got := h.Cells[0][1]; got != 0.5 {
+		t.Errorf("cell r1/c2 = %v, want 0.5", got)
 	}
 	h.Set("nope", "c1", 1) // ignored
-	if !math.IsNaN(h.Get("r2", "c1")) {
-		t.Error("unknown row Set must not write anywhere")
-	}
-	if math.IsNaN(h.Get("zz", "c1")) != true {
-		t.Error("unknown name Get should be NaN")
+	h.Set("r2", "zz", 1)   // ignored
+	for i, row := range h.Cells {
+		for j, v := range row {
+			if (i != 0 || j != 1) && !math.IsNaN(v) {
+				t.Errorf("cell %d/%d = %v: a Set with an unknown name must not write anywhere", i, j, v)
+			}
+		}
 	}
 }
 
