@@ -93,9 +93,11 @@ race:
 # (TestDocLintNoTestOnlyDecls in testonly_test.go): every package-level
 # declaration and method under internal/ has a caller in some non-test
 # file of the module (cmd/, bench/ and examples/ count), satisfies an
-# interface, or is on its short allow-list with a reason; the gate's
-# own fixture (testdata/testonly) shows it flags a test-only helper and
-# nothing else.
+# interface, or is on its short allow-list with a reason, and every
+# unexported struct field there is read by such a file (writes, literal
+# keys and atomic Add/Store do not count); the gate's own fixture
+# (testdata/testonly) shows it flags a test-only helper and a
+# written-only field and nothing else.
 docs-lint:
 	$(GO) test -run TestDocLint .
 

@@ -73,7 +73,7 @@ func (s *Suite) Validate() ([]ValidationRow, error) {
 }
 
 type scored struct {
-	precision, recall, auc float64
+	precision, auc float64
 }
 
 func (s *Suite) trainTestOnce(algID string, train, test *dataset.Labeled) (scored, error) {
@@ -96,7 +96,6 @@ func (s *Suite) trainTest(algID string, train, test *dataset.Labeled) (scored, e
 	}
 	out := scored{
 		precision: mlkit.Precision(res.Truth, res.Pred),
-		recall:    mlkit.Recall(res.Truth, res.Pred),
 		auc:       0.5,
 	}
 	if res.Scores != nil {

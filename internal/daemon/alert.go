@@ -62,7 +62,7 @@ const alertFlushBytes = 64 << 10
 // FuzzAlertLine hold it to the oracle.
 
 // appendAlertPrefix appends the part of an alert line that is constant
-// over one writeRange batch. name is the pipeline name already encoded
+// over one writeRows batch. name is the pipeline name already encoded
 // as a JSON string.
 func appendAlertPrefix(dst []byte, ts time.Time, name []byte, seq int, phase, unit string) []byte {
 	dst = append(dst, `{"ts":"`...)
@@ -79,10 +79,10 @@ func appendAlertPrefix(dst []byte, ts time.Time, name []byte, seq int, phase, un
 }
 
 // appendAlertRow appends prefix and row i of res as one newline-
-// terminated alert line. A NaN or ±Inf score has no JSON encoding: the
-// line is written without the score key, as when the model exposes
-// none, and nonFinite reports it.
-func appendAlertRow(dst, prefix []byte, res *core.EvalResult, i, pred, gen int) (out []byte, nonFinite bool) {
+// terminated alert line, its score's text through st. A NaN or ±Inf
+// score has no JSON encoding: the line is written without the score
+// key, as when the model exposes none, and nonFinite reports it.
+func appendAlertRow(dst, prefix []byte, st *scoreTable, res *core.EvalResult, i, pred, gen int) (out []byte, nonFinite bool) {
 	index, truth := -1, 0
 	if i < len(res.UnitIdx) {
 		index = res.UnitIdx[i]
@@ -99,7 +99,7 @@ func appendAlertRow(dst, prefix []byte, res *core.EvalResult, i, pred, gen int) 
 			nonFinite = true
 		} else {
 			dst = append(dst, `,"score":`...)
-			dst = appendJSONFloat(dst, s)
+			dst = st.append(dst, s)
 		}
 	}
 	dst = append(dst, `,"truth":`...)
@@ -112,6 +112,36 @@ func appendAlertRow(dst, prefix []byte, res *core.EvalResult, i, pred, gen int) 
 	dst = strconv.AppendInt(dst, int64(gen), 10)
 	return append(dst, "}\n"...), nonFinite
 }
+
+// scoreTable remembers the text appendJSONFloat wrote for recent scores:
+// one direct-mapped slot per hash of the score's bits. A model gives few
+// distinct scores (a 99-node tree at most 50), and the shortest-digits
+// search costs more than the rest of the line. Text longer than a slot
+// is formatted every time.
+type scoreTable [256]struct {
+	bits uint64
+	n    uint8 // 0: empty; any float's text is at least one byte
+	text [23]byte
+}
+
+// append appends f as appendJSONFloat does.
+func (t *scoreTable) append(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	s := &t[scoreSlot(bits)]
+	if s.n != 0 && s.bits == bits {
+		return append(dst, s.text[:s.n]...)
+	}
+	start := len(dst)
+	dst = appendJSONFloat(dst, f)
+	if n := len(dst) - start; n <= len(s.text) {
+		s.bits, s.n = bits, uint8(copy(s.text[:], dst[start:]))
+	}
+	return dst
+}
+
+// scoreSlot maps a score's bits to its slot (Fibonacci hashing: the top
+// byte of the product mixes every mantissa bit in).
+func scoreSlot(bits uint64) uint8 { return uint8((bits * 0x9e3779b97f4a7c15) >> 56) }
 
 // appendJSONFloat appends a finite f in encoding/json's float64 format:
 // ES6 number-to-string — shortest round-trip digits, exponent form only

@@ -155,6 +155,54 @@ func TestAlertLineMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestAlertScoreTableMatchesEncodingJSON sends chunks through one pipe,
+// so that rows find their score's text in the pipe's score table from
+// the chunks before: repeats, two scores that share a slot taking it in
+// turn, both zeros, every edge score and scores whose text is too long
+// for a slot, each chunk's lines equal to the oracle's.
+func TestAlertScoreTableMatchesEncodingJSON(t *testing.T) {
+	const a = 0.25
+	b := math.Nextafter(a, 1)
+	for scoreSlot(math.Float64bits(b)) != scoreSlot(math.Float64bits(a)) {
+		b = math.Nextafter(b, 1)
+	}
+	long := []float64{-math.MaxFloat64, -2.2250738585072014e-308, -1.2345678901234567e-100}
+	for _, s := range long {
+		if n := len(appendJSONFloat(nil, s)); n <= len(scoreTable{}[0].text) {
+			t.Fatalf("%v formats to %d bytes, which a slot holds: the long scores must not fit", s, n)
+		}
+	}
+	scores := []float64{a, b, a, a, b, b, a, 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)}
+	scores = append(append(append(scores, long...), long...), edgeScores...)
+	scores = append(scores, edgeScores...)
+	n := len(scores)
+	res := core.EvalResult{Unit: core.UnitPacket, Pred: make([]int, n), Truth: make([]int, n), Scores: make([]float64, n), UnitIdx: make([]int, n)}
+	var sink bytes.Buffer
+	p := alertPipe("scores", &sink, false)
+	for chunk := 0; chunk < 4; chunk++ {
+		for i := range scores {
+			res.Scores[i] = scores[(i+chunk*7)%n]
+			res.Pred[i] = (i + chunk) % 2
+			res.UnitIdx[i] = chunk*n + i
+		}
+		sink.Reset()
+		if err := p.writeRows(&res, chunk, 1, "stream"); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.flushAlerts(); err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleLines(t, sink.Bytes(), "scores", &res, n, chunk, 1, "stream", false); !bytes.Equal(sink.Bytes(), want) {
+			t.Fatalf("chunk %d: encoder and encoding/json differ\n%s", chunk, firstDiff(sink.Bytes(), want))
+		}
+	}
+	for _, s := range long {
+		if slot := p.scores[scoreSlot(math.Float64bits(s))]; slot.n != 0 && slot.bits == math.Float64bits(s) {
+			t.Errorf("%v was stored in a slot too short for its text", s)
+		}
+	}
+}
+
 // firstDiff renders the first line two JSONL streams disagree on.
 func firstDiff(got, want []byte) string {
 	g, w := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
@@ -167,7 +215,9 @@ func firstDiff(got, want []byte) string {
 }
 
 // FuzzAlertLine holds single lines to the same oracle over arbitrary
-// names, attacks, score bit patterns and integers.
+// names, attacks, score bit patterns and integers. Each row goes through
+// its pipe twice, so the second line takes its score's text from the
+// pipe's score table.
 func FuzzAlertLine(f *testing.F) {
 	f.Add("pipe", "ddos", math.Float64bits(0.25), 7, 1, 1, 3, 2, uint8(0b1111))
 	f.Add(`a"b\c<d>&`, "x\x00 \xff", math.Float64bits(1e-7), -1, 0, 0, -1, 1, uint8(0b0111))
@@ -192,14 +242,17 @@ func FuzzAlertLine(f *testing.F) {
 		}
 		var sink bytes.Buffer
 		p := alertPipe(name, &sink, false)
-		if err := p.writeRows(&res, seq, gen, phase); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.flushAlerts(); err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleLines(t, sink.Bytes(), name, &res, 1, seq, gen, phase, false); !bytes.Equal(sink.Bytes(), want) {
-			t.Fatalf("encoder and encoding/json differ\n got: %swant: %s", sink.Bytes(), want)
+		for pass := 0; pass < 2; pass++ {
+			sink.Reset()
+			if err := p.writeRows(&res, seq, gen, phase); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.flushAlerts(); err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleLines(t, sink.Bytes(), name, &res, 1, seq, gen, phase, false); !bytes.Equal(sink.Bytes(), want) {
+				t.Fatalf("pass %d: encoder and encoding/json differ\n got: %swant: %s", pass, sink.Bytes(), want)
+			}
 		}
 	})
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"lumen/internal/obs"
 )
@@ -38,7 +37,6 @@ type Config struct {
 type Daemon struct {
 	metrics *obs.Metrics
 	tracer  *obs.Tracer
-	started time.Time
 
 	mu    sync.Mutex
 	pipes map[string]*Pipe
@@ -50,7 +48,6 @@ func New(cfg Config) *Daemon {
 	return &Daemon{
 		metrics: cfg.Metrics,
 		tracer:  cfg.Tracer,
-		started: time.Now(),
 		pipes:   map[string]*Pipe{},
 	}
 }

@@ -175,22 +175,18 @@ func (s *feedSlab) release() {
 
 // slabPool recycles the fixed-size slabs of one feed.
 type slabPool struct {
-	size         int
-	free         sync.Pool // *feedSlab, len(buf) == size
-	gets, reuses atomic.Uint64
+	size int
+	free sync.Pool // *feedSlab, len(buf) == size
 }
 
 // get returns a slab of at least n bytes holding one reference: a pooled
 // or fresh one of the pool's size when that is enough, else one of
 // exactly n bytes that is dropped, not pooled, when released.
 func (p *slabPool) get(n int) *feedSlab {
-	p.gets.Add(1)
 	var s *feedSlab
 	if n > p.size {
 		s = &feedSlab{buf: make([]byte, n)}
-	} else if s, _ = p.free.Get().(*feedSlab); s != nil {
-		p.reuses.Add(1)
-	} else {
+	} else if s, _ = p.free.Get().(*feedSlab); s == nil {
 		s = &feedSlab{buf: make([]byte, p.size), pool: p}
 	}
 	s.refs.Store(1)
@@ -470,10 +466,9 @@ func (r *feedRef) cut(b *feedBatch, link netpkt.LinkType, rows, bytes int) int {
 	for ; b.n > 0 && rows > 0 && took < bytes; rows-- {
 		end := off + 4 + int(binary.BigEndian.Uint32(buf[off:]))
 		ts := time.Unix(0, int64(binary.BigEndian.Uint64(buf[off+4:]))).UTC()
-		r.views = append(r.views, netpkt.PacketView{})
 		// The capacity stops at the frame: an append to Data reallocates
 		// instead of overwriting the next frame's prefix.
-		r.views[len(r.views)-1].Reset(buf[off+12:end:end], link, ts)
+		r.views = netpkt.AppendView(r.views, buf[off+12:end:end], link, ts)
 		took += end - off - 12
 		off = end
 		b.n--

@@ -154,12 +154,14 @@ func TestFeedIngestAllocs(t *testing.T) {
 	per := len(ds.Packets)
 	n := reps * per
 	src := pushFeed(t, ds, bytes.Repeat(encodeFrames(t, ds), reps), n, 0)
+	tally := slabTally{seen: map[*feedSlab]bool{}}
 	drain := func(upTo int) {
 		for src.seen < upTo {
 			ck, ok := src.Next(64, 0)
 			if !ok {
 				t.Fatalf("stream ended after %d of %d packets", src.seen, n)
 			}
+			tally.add(ck)
 			ck.ReleaseRef()
 		}
 	}
@@ -173,13 +175,40 @@ func TestFeedIngestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	perPkt := float64(after.Mallocs-before.Mallocs) / float64(n-warm)
-	gets, reuses := src.slabs.gets.Load(), src.slabs.reuses.Load()
-	t.Logf("feed ingest: %.4f allocations/packet, %d slabs requested, %d reused", perPkt, gets, reuses)
+	t.Logf("feed ingest: %.4f allocations/packet, %d slabs filled, %d reused", perPkt, tally.fills, tally.reuses)
 	if perPkt > 0.05 {
 		t.Errorf("warm feed ingest makes %.4f allocations/packet, want at most 0.05", perPkt)
 	}
-	if gets < 4 || reuses < gets/2 {
-		t.Errorf("slab reuse: %d of %d slabs came from the pool, want most of several", reuses, gets)
+	if tally.fills < 4 || tally.reuses < tally.fills/2 {
+		t.Errorf("slab reuse: %d of %d slabs came from the pool, want most of several", tally.reuses, tally.fills)
+	}
+}
+
+// slabTally counts, over the chunks cut from one producer's frames, the
+// slabs its reader filled and the fills that reused a slab already seen.
+// The reader takes its next slab before it lets the last one go, so two
+// fills in a row are never the same slab.
+type slabTally struct {
+	last          *feedSlab
+	seen          map[*feedSlab]bool
+	fills, reuses int
+}
+
+func (s *slabTally) add(ck dataset.Chunk) {
+	ref, ok := ck.Ref.(*feedRef)
+	if !ok {
+		return
+	}
+	for _, sl := range ref.slabs {
+		if sl == s.last {
+			continue
+		}
+		s.last = sl
+		s.fills++
+		if s.seen[sl] {
+			s.reuses++
+		}
+		s.seen[sl] = true
 	}
 }
 
@@ -450,6 +479,7 @@ func TestFeedHeldChunksKeepTheirBytes(t *testing.T) {
 		from uint32
 	}
 	var kept []held
+	tally := slabTally{seen: map[*feedSlab]bool{}}
 	check := func(ck dataset.Chunk, from uint32) {
 		t.Helper()
 		for i := range ck.Views {
@@ -464,6 +494,7 @@ func TestFeedHeldChunksKeepTheirBytes(t *testing.T) {
 			t.Fatalf("stream ended after %d of %d frames", seen, n)
 		}
 		check(ck, uint32(seen))
+		tally.add(ck)
 		if chunk%5 == 0 && len(kept) < 4 { // ≈ 64 KB a chunk: each kept one lies in another slab
 			kept = append(kept, held{ck, uint32(seen)})
 		} else {
@@ -473,8 +504,8 @@ func TestFeedHeldChunksKeepTheirBytes(t *testing.T) {
 	}
 	src.Drain()
 	src.readers.Wait()
-	if gets := src.slabs.gets.Load(); gets < 8 {
-		t.Fatalf("only %d slabs were requested: nothing cycled while the chunks were held", gets)
+	if tally.fills < 8 {
+		t.Fatalf("only %d slabs were filled: nothing cycled while the chunks were held", tally.fills)
 	}
 	var slabs []*feedSlab
 	for _, h := range kept {

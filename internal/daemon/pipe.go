@@ -218,7 +218,6 @@ type ctrlMsg struct {
 // next chunk boundary.
 type Pipe struct {
 	name    string
-	d       *Daemon
 	metrics *obs.Metrics
 	tracer  *obs.Tracer
 	tid     int
@@ -233,13 +232,14 @@ type Pipe struct {
 
 	// The alert sink (nil disables it): alertBuf holds encoded whole lines
 	// not yet handed to alertw; alertPrefix is the current batch's constant
-	// line prefix and nameJSON the pipeline name as a JSON string. All
-	// three are reused across batches, so steady-state encoding allocates
-	// nothing.
+	// line prefix, nameJSON the pipeline name as a JSON string and scores
+	// the text of recent scores. All are reused across batches, so
+	// steady-state encoding allocates nothing.
 	alertw        io.Writer
 	nameJSON      []byte
 	alertPrefix   []byte
 	alertBuf      []byte
+	scores        scoreTable
 	anomaliesOnly bool
 	// The conn-log (connw nil disables it) is written from the plan's
 	// connection sink when it has one, through the ConnsClosed hook, and
@@ -317,7 +317,6 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	}
 	p := &Pipe{
 		name:          cfg.Name,
-		d:             d,
 		metrics:       d.metrics,
 		tracer:        d.tracer,
 		eng:           cfg.Engine,
@@ -636,7 +635,7 @@ func (p *Pipe) writeRows(res *core.EvalResult, seq, gen int, phase string) error
 			continue
 		}
 		var bad bool
-		p.alertBuf, bad = appendAlertRow(p.alertBuf, p.alertPrefix, res, i, pred, gen)
+		p.alertBuf, bad = appendAlertRow(p.alertBuf, p.alertPrefix, &p.scores, res, i, pred, gen)
 		if bad {
 			nonFinite++
 		}

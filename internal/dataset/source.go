@@ -107,10 +107,8 @@ type ViewSource interface {
 // in place.
 func (l *Labeled) AppendViews(dst []netpkt.PacketView, lo, hi int, hint netpkt.DecodeHint) []netpkt.PacketView {
 	for _, p := range l.Packets[lo:hi] {
-		dst = append(dst, netpkt.PacketView{})
-		v := &dst[len(dst)-1]
-		v.Reset(p.Data, l.Link, p.Ts)
-		v.Predecode(hint)
+		dst = netpkt.AppendView(dst, p.Data, l.Link, p.Ts)
+		dst[len(dst)-1].Predecode(hint)
 	}
 	return dst
 }

@@ -16,7 +16,6 @@ type Autoencoder struct {
 	Seed   int64
 
 	net *MLP
-	d   int
 	obs FitObserver
 }
 
@@ -49,7 +48,6 @@ func (a *Autoencoder) Fit(X [][]float64) error {
 	if err != nil {
 		return err
 	}
-	a.d = d
 	a.net = &MLP{Sizes: a.sizes(d), Act: ActSigmoid, Epochs: a.Epochs, LR: a.LR, Seed: a.Seed}
 	if a.obs != nil {
 		a.net.obs = named{o: a.obs, name: "autoencoder"}
@@ -79,7 +77,6 @@ func (a *Autoencoder) ensureNet(d int) {
 	if a.net != nil {
 		return
 	}
-	a.d = d
 	a.net = &MLP{Sizes: a.sizes(d), Act: ActSigmoid, Epochs: a.Epochs, LR: a.LR, Seed: a.Seed}
 	a.net.Init()
 }

@@ -15,13 +15,12 @@ type AutoML struct {
 	// Seed drives the split.
 	Seed int64
 
-	best     Classifier
-	bestName string
-	bestF1   float64
+	best   Classifier
+	bestF1 float64
 }
 
-// NamedClassifier pairs a constructor with a label so the winner can be
-// reported.
+// NamedClassifier pairs a constructor with a label that names the
+// candidate in a search space.
 type NamedClassifier struct {
 	Name string
 	New  func() Classifier
@@ -68,7 +67,6 @@ func (a *AutoML) Fit(X [][]float64, y []int) error {
 		f1 := F1Score(yval, m.Predict(Xval))
 		if f1 > a.bestF1 {
 			a.bestF1 = f1
-			a.bestName = cand.Name
 			a.best = m
 		}
 	}

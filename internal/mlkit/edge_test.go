@@ -79,8 +79,8 @@ func TestAutoMLCustomCandidates(t *testing.T) {
 	if err := a.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.bestName != "only-nb" {
-		t.Errorf("best = %q, want only-nb", a.bestName)
+	if _, ok := a.best.(*GaussianNB); !ok {
+		t.Errorf("best = %T, want the only-nb candidate's *GaussianNB", a.best)
 	}
 }
 

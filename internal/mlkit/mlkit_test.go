@@ -363,15 +363,15 @@ func TestAutoMLPicksWinner(t *testing.T) {
 	if err := a.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.bestName == "" {
-		t.Error("no winning candidate named after Fit")
+	if a.best == nil {
+		t.Error("no winning candidate after Fit")
 	}
 	acc := Accuracy(y, a.Predict(X))
 	if acc < 0.9 {
 		t.Errorf("train accuracy = %.3f, want >= 0.9 on XOR", acc)
 	}
 	// NB is axis-Gaussian and cannot model XOR; the winner must not be it.
-	if a.bestName == "gnb" {
+	if _, ok := a.best.(*GaussianNB); ok {
 		t.Errorf("automl picked gnb on XOR data")
 	}
 }

@@ -4,7 +4,7 @@ import "encoding/binary"
 
 // DNS is a minimally-decoded DNS message: the header, which is what the
 // IoT feature pipelines (e.g. the Ensemble algorithm's DNS features)
-// consume, plus the question section, kept as a subslice of the payload.
+// consume.
 type DNS struct {
 	ID      uint16
 	QR      bool // response?
@@ -12,8 +12,6 @@ type DNS struct {
 	RCode   uint8
 	QDCount uint16
 	ANCount uint16
-
-	questions []byte
 }
 
 // decodeDNS parses a DNS message into d; ok is false on malformed input.
@@ -22,13 +20,12 @@ func decodeDNS(b []byte, d *DNS) bool {
 		return false
 	}
 	*d = DNS{
-		ID:        binary.BigEndian.Uint16(b[0:2]),
-		QR:        b[2]&0x80 != 0,
-		Opcode:    (b[2] >> 3) & 0x0f,
-		RCode:     b[3] & 0x0f,
-		QDCount:   binary.BigEndian.Uint16(b[4:6]),
-		ANCount:   binary.BigEndian.Uint16(b[6:8]),
-		questions: b[12:],
+		ID:      binary.BigEndian.Uint16(b[0:2]),
+		QR:      b[2]&0x80 != 0,
+		Opcode:  (b[2] >> 3) & 0x0f,
+		RCode:   b[3] & 0x0f,
+		QDCount: binary.BigEndian.Uint16(b[4:6]),
+		ANCount: binary.BigEndian.Uint16(b[6:8]),
 	}
 	return true
 }

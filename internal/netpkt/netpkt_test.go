@@ -83,7 +83,7 @@ func TestUDPDNSRoundTrip(t *testing.T) {
 	if q.DNS.ID != 7 || q.DNS.QR || q.DNS.QDCount != 1 {
 		t.Fatalf("dns header mismatch: %+v", q.DNS)
 	}
-	if names := dnsNames(*q.DNS); len(names) != 1 || names[0] != "camera.iot.example.com" {
+	if names := dnsNames(*q.DNS, q.Payload); len(names) != 1 || names[0] != "camera.iot.example.com" {
 		t.Fatalf("dns names mismatch: %v", names)
 	}
 }
@@ -315,12 +315,12 @@ func ipv4ChecksumOK(p *Packet) bool {
 	return internetChecksum(hdr[:ihl], 0) == 0
 }
 
-// dnsNames builds a DNS message's dotted question names: at most 16, up
-// to the first name that is truncated or compressed (the simulator's
-// encoder never compresses).
-func dnsNames(d DNS) []string {
+// dnsNames builds the dotted question names of msg, the DNS message d
+// was decoded from: at most 16, up to the first name that is truncated
+// or compressed (the simulator's encoder never compresses).
+func dnsNames(d DNS, msg []byte) []string {
 	var names []string
-	b, off := d.questions, 0
+	b, off := msg[12:], 0
 	for q := 0; q < int(d.QDCount) && q < 16 && off <= len(b); q++ {
 		var name []byte
 		for off < len(b) && b[off] != 0 {

@@ -14,6 +14,7 @@ package netpkt
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -118,8 +119,21 @@ type PacketView struct {
 }
 
 // Reset re-points the view at a new record, clearing all decoded state.
+// It clears the view in place and then sets the three record fields: a
+// composite literal would build the whole view in a temporary and copy
+// it over.
 func (v *PacketView) Reset(data []byte, link LinkType, ts time.Time) {
-	*v = PacketView{Ts: ts, Link: link, Data: data}
+	*v = PacketView{}
+	v.Ts, v.Link, v.Data = ts, link, data
+}
+
+// AppendView adds a view reset onto data to s and returns the longer
+// slice. Within s's capacity the new slot is written only by that
+// Reset; append(s, PacketView{}) would zero it first.
+func AppendView(s []PacketView, data []byte, link LinkType, ts time.Time) []PacketView {
+	s = slices.Grow(s, 1)[:len(s)+1]
+	s[len(s)-1].Reset(data, link, ts)
+	return s
 }
 
 // Predecode performs the decoding a DecodeHint asks for. Producers call

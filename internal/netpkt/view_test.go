@@ -208,8 +208,9 @@ func TestViewAppCorpusFrames(t *testing.T) {
 		t.Errorf("http-response: %+v ok=%v", h, ok)
 	}
 	for name, want := range map[string]int{"dns-0q": 0, "dns-2q": 2, "dns-17q": 16, "dns-compressed": 1} {
-		if d, ok := view(name).DNS(); !ok || len(dnsNames(d)) != want {
-			t.Errorf("%s: names %q ok=%v, want %d names", name, dnsNames(d), ok, want)
+		v := view(name)
+		if d, ok := v.DNS(); !ok || len(dnsNames(d, v.Payload())) != want {
+			t.Errorf("%s: names %q ok=%v, want %d names", name, dnsNames(d, v.Payload()), ok, want)
 		}
 	}
 	if m, ok := view("mqtt-remaining-4").MQTT(); !ok || m.Remaining != 268435455 || string(m.Topic) != "a/b" {
@@ -288,7 +289,7 @@ func TestViewLazyAccessors(t *testing.T) {
 		t.Fatal("UDP accessor must not decode app layers")
 	}
 	d, ok := v.DNS()
-	if !ok || d.ID != 7 || len(dnsNames(d)) != 1 || dnsNames(d)[0] != "camera.iot.example.com" {
+	if !ok || d.ID != 7 || len(dnsNames(d, v.Payload())) != 1 || dnsNames(d, v.Payload())[0] != "camera.iot.example.com" {
 		t.Fatalf("DNS accessor: %+v ok=%v", d, ok)
 	}
 	if !v.AppDecoded() {

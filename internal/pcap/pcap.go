@@ -30,9 +30,6 @@ import (
 type BufferPool struct {
 	data  sync.Pool // *[]byte, capacity varies
 	views sync.Pool // *[]netpkt.PacketView
-
-	gets   atomic.Uint64
-	reuses atomic.Uint64
 }
 
 // NewBufferPool returns an empty pool.
@@ -41,10 +38,8 @@ func NewBufferPool() *BufferPool { return &BufferPool{} }
 // GetData returns a length-n buffer, reusing a pooled one when it is
 // large enough. The contents are unspecified.
 func (p *BufferPool) GetData(n int) []byte {
-	p.gets.Add(1)
 	if b, ok := p.data.Get().(*[]byte); ok && b != nil {
 		if cap(*b) >= n {
-			p.reuses.Add(1)
 			return (*b)[:n]
 		}
 		// Too small for this record; a capture's larger packets would
@@ -387,10 +382,8 @@ func (r *Reader) ReadViews(maxRows, maxBytes int, hint netpkt.DecodeHint) ([]net
 			// chunk at once instead of doubling its way there.
 			out = make([]netpkt.PacketView, 0, min(maxRows, 1024))
 		}
-		out = append(out, netpkt.PacketView{})
-		v := &out[len(out)-1]
-		v.Reset(data, r.link, ts)
-		v.Predecode(hint)
+		out = netpkt.AppendView(out, data, r.link, ts)
+		out[len(out)-1].Predecode(hint)
 		bytes += len(data)
 		if maxBytes > 0 && bytes >= maxBytes {
 			break
@@ -401,8 +394,7 @@ func (r *Reader) ReadViews(maxRows, maxBytes int, hint netpkt.DecodeHint) ([]net
 
 // Writer encodes packets to a pcap stream.
 type Writer struct {
-	w     *bufio.Writer
-	nanos bool
+	w *bufio.Writer
 }
 
 // NewWriter writes a little-endian global header for the given link type.

@@ -12,5 +12,7 @@ func main() {
 	n, _ := io.CopyN(io.Discard, widget.Zeros{}, 8)
 	var s widget.Stack[int]
 	s.Push(int(n))
-	fmt.Println(s.Len(), widget.KindSome)
+	var tl widget.Tally
+	tl.Add(s.Len())
+	fmt.Println(s.Len(), widget.KindSome, tl.Count(1))
 }

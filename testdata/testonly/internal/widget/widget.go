@@ -1,6 +1,8 @@
 // Package widget is the fixture for the test-only declaration gate: the
-// gate must flag Helper and nothing else.
+// gate must flag Helper and Tally.calls and nothing else.
 package widget
+
+import "sync/atomic"
 
 // Helper is exported, but only widget_test.go calls it: its call to
 // itself does not count.
@@ -37,3 +39,24 @@ const (
 	KindNone Kind = iota
 	KindSome
 )
+
+// Tally counts the values it is shown.
+type Tally struct {
+	calls  atomic.Uint64 // counted, and read only by widget_test.go
+	counts map[span]int
+}
+
+// span is compared whole, as a map key: that reads both its fields.
+type span struct{ lo, hi int }
+
+// Add counts v.
+func (t *Tally) Add(v int) {
+	t.calls.Add(1)
+	if t.counts == nil {
+		t.counts = map[span]int{}
+	}
+	t.counts[span{lo: v, hi: v + 1}]++
+}
+
+// Count reports how often v was added.
+func (t *Tally) Count(v int) int { return t.counts[span{lo: v, hi: v + 1}] }

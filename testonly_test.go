@@ -24,14 +24,16 @@ var testOnlyAllow = map[string]string{
 	"internal/mlkit/linalg.SetWorkers":         "the worker-count seam of the linalg and mlkit equivalence tests, which pin every kernel's bits across worker counts",
 	"internal/pcap.mmapSupported":              "a per-platform constant (mmap.go or mmap_stub.go by build tag) that lets the pcap tests skip mapped reads where there are none",
 	"internal/netpkt.(*PacketView).AppDecoded": "core's op-registry test checks from outside netpkt that filling a field decodes no app layer its declared need leaves out",
+	"internal/core.cacheEntry.root":            "never read on purpose: it keeps the dataset alive so that its address, part of the entry's key, cannot be reused",
 }
 
 // TestDocLintNoTestOnlyDecls holds production code to what production
 // calls: every package-level declaration and method under internal/
 // must be used by some non-test file of the module (cmd/, bench/ and
-// examples/ count as callers), or be named in testOnlyAllow. A helper
-// only tests need lives in a _test.go file, as a ref* oracle where it is
-// one. `make docs-lint` runs it.
+// examples/ count as callers), and every unexported struct field there
+// read by one, or be named in testOnlyAllow. A helper only tests need
+// lives in a _test.go file, as a ref* oracle where it is one; state only
+// tests read goes. `make docs-lint` runs it.
 func TestDocLintNoTestOnlyDecls(t *testing.T) {
 	found, err := testOnlyDecls(".", "lumen")
 	if err != nil {
@@ -43,7 +45,11 @@ func TestDocLintNoTestOnlyDecls(t *testing.T) {
 			allowed[d.key] = true
 			continue
 		}
-		t.Errorf("%s: %s has no caller outside tests: move it into the tests that use it, or delete it", d.pos, d.key)
+		if d.field {
+			t.Errorf("%s: %s is read by no file but tests: delete it, and let the tests see what it showed some other way", d.pos, d.key)
+		} else {
+			t.Errorf("%s: %s has no caller outside tests: move it into the tests that use it, or delete it", d.pos, d.key)
+		}
 	}
 	for key := range testOnlyAllow {
 		if !allowed[key] {
@@ -54,8 +60,9 @@ func TestDocLintNoTestOnlyDecls(t *testing.T) {
 
 // TestDocLintNoTestOnlyDeclsFixture runs the checker on a small module
 // under testdata/testonly: it must flag the helper that only a _test.go
-// file calls, and neither a method that satisfies io.Reader nor a method
-// of a generic type.
+// file calls and the counter field that only a _test.go file reads, and
+// neither a method that satisfies io.Reader, a method of a generic type
+// nor the fields of a map key.
 func TestDocLintNoTestOnlyDeclsFixture(t *testing.T) {
 	found, err := testOnlyDecls("testdata/testonly", "fixture")
 	if err != nil {
@@ -65,27 +72,30 @@ func TestDocLintNoTestOnlyDeclsFixture(t *testing.T) {
 	for _, d := range found {
 		keys = append(keys, d.key)
 	}
-	if want := []string{"internal/widget.Helper"}; fmt.Sprint(keys) != fmt.Sprint(want) {
+	if want := []string{"internal/widget.Helper", "internal/widget.Tally.calls"}; fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Errorf("flagged %v, want %v", keys, want)
 	}
 }
 
-// testOnlyDecl is one declaration no non-test file uses: key is the
-// package directory and the name ("internal/mlkit.(*Tree).Depth"), pos
-// its file and line.
+// testOnlyDecl is one declaration no non-test file uses, or a field
+// none reads: key is the package directory and the name
+// ("internal/mlkit.(*Tree).Depth", "internal/pcap.Writer.w"), pos its
+// file and line.
 type testOnlyDecl struct {
 	key, pos string
+	field    bool
 }
 
 // testOnlyDecls type-checks the non-test files of every package of the
 // module rooted at root (module path modPath, standard-library imports
 // only) and returns, sorted by key, each package-level declaration and
 // method under root/internal that nothing outside its own declaration
-// uses. A use counts from any package of the module. Also counted as
-// used: a method that an interface of the module or of an imported
-// standard-library package names on a type that implements it, a method
-// of a generic type reached through an instance, and every const of an
-// iota block of which one const is used.
+// uses, and each unexported field there that nothing reads (see
+// collectFields). A use counts from any package of the module. Also
+// counted as used: a method that an interface of the module or of an
+// imported standard-library package names on a type that implements it,
+// a method of a generic type reached through an instance, and every
+// const of an iota block of which one const is used.
 func testOnlyDecls(root, modPath string) ([]testOnlyDecl, error) {
 	dirs, err := goPackageDirs(root)
 	if err != nil {
@@ -98,6 +108,7 @@ func testOnlyDecls(root, modPath string) ([]testOnlyDecl, error) {
 		pkgs:   map[string]*checkedPkg{},
 		uses:   map[types.Object][]token.Pos{},
 		extent: map[types.Object][2]token.Pos{},
+		read:   map[types.Object]bool{},
 	}
 	for _, dir := range dirs {
 		if _, err := w.check(dir); err != nil {
@@ -120,14 +131,26 @@ func testOnlyDecls(root, modPath string) ([]testOnlyDecl, error) {
 						key = rel + "." + recvName(recv.Type()) + "." + fn.Name()
 					}
 				}
-				p := fset.Position(obj.Pos())
-				rp, _ := filepath.Rel(root, p.Filename)
-				out = append(out, testOnlyDecl{key: key, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rp), p.Line)})
+				out = append(out, w.decl(key, obj))
+			}
+		}
+		for _, f := range cp.fields {
+			if !w.read[f] {
+				d := w.decl(rel+"."+cp.owner[f]+"."+f.Name(), f)
+				d.field = true
+				out = append(out, d)
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, nil
+}
+
+// decl renders obj's position relative to the walked module's root.
+func (w *declWalk) decl(key string, obj types.Object) testOnlyDecl {
+	p := w.fset.Position(obj.Pos())
+	rp, _ := filepath.Rel(w.root, p.Filename)
+	return testOnlyDecl{key: key, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rp), p.Line)}
 }
 
 // goPackageDirs returns, relative to root, every directory below it that
@@ -175,6 +198,8 @@ type declWalk struct {
 	extent map[types.Object][2]token.Pos
 	// ifaces holds the interface types the module's code mentions.
 	ifaces []types.Type
+	// read holds the struct fields some non-test file reads.
+	read map[types.Object]bool
 }
 
 // checkedPkg is one type-checked package and its syntax.
@@ -184,6 +209,11 @@ type checkedPkg struct {
 	// iota holds, per const that sits in a block using iota, the
 	// block's consts.
 	iota map[types.Object][]types.Object
+	// fields holds the package's unexported, named struct fields, and
+	// owner the type each one's struct is declared as ("struct" when
+	// the struct is anonymous).
+	fields []*types.Var
+	owner  map[*types.Var]string
 }
 
 // check type-checks the package in dir (relative to root), after the
@@ -200,7 +230,7 @@ func (w *declWalk) check(dir string) (*checkedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &checkedPkg{iota: map[types.Object][]types.Object{}}
+	cp := &checkedPkg{iota: map[types.Object][]types.Object{}, owner: map[*types.Var]string{}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(w.fset, filepath.Join(w.root, dir, name), nil, 0)
 		if err != nil {
@@ -231,15 +261,27 @@ func (w *declWalk) check(dir string) (*checkedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
+	writes := cp.collectFields(info)
 	for id, obj := range info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			obj = fn.Origin()
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			if o.IsField() && !writes[id] {
+				w.read[o.Origin()] = true
+			}
 		}
 		w.uses[obj] = append(w.uses[obj], id.Pos())
 	}
-	for _, tv := range info.Types {
-		if _, ok := tv.Type.Underlying().(*types.Interface); ok {
+	for e, tv := range info.Types {
+		switch u := tv.Type.Underlying().(type) {
+		case *types.Interface:
 			w.ifaces = append(w.ifaces, tv.Type)
+		case *types.Map:
+			w.readWhole(u.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			w.readWhole(info.TypeOf(b.X))
 		}
 	}
 	for _, f := range cp.files {
@@ -272,6 +314,82 @@ func (w *declWalk) check(dir string) (*checkedPkg, error) {
 	}
 	w.pkgs[dir] = cp
 	return cp, nil
+}
+
+// collectFields records the package's unexported, named struct fields
+// and returns the field names that its files only write: the left side
+// of an assignment or an increment, the key of a composite literal, and
+// the receiver of a sync/atomic Add or Store whose result is dropped.
+// Any other use of a field reads it.
+func (cp *checkedPkg) collectFields(info *types.Info) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	written := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range cp.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, fd := range st.Fields.List {
+						for _, id := range fd.Names {
+							if v, ok := info.Defs[id].(*types.Var); ok {
+								cp.owner[v] = n.Name.Name
+							}
+						}
+					}
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					if v, ok := info.Defs[id].(*types.Var); ok && v.IsField() && !v.Exported() && v.Name() != "_" {
+						cp.fields = append(cp.fields, v)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written(lhs)
+				}
+			case *ast.IncDecStmt:
+				written(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true
+				}
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						fn, _ := info.Uses[sel.Sel].(*types.Func)
+						if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && (fn.Name() == "Add" || fn.Name() == "Store") {
+							written(sel.X)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, v := range cp.fields {
+		if _, ok := cp.owner[v]; !ok {
+			cp.owner[v] = "struct"
+		}
+	}
+	return writes
+}
+
+// readWhole marks every field of t read when t is a struct (or an array
+// of one): a map key or an == operand compares each of its fields.
+func (w *declWalk) readWhole(t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		w.readWhole(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			w.read[u.Field(i).Origin()] = true
+			w.readWhole(u.Field(i).Type())
+		}
+	}
 }
 
 // usesIota reports whether a const block mentions iota.
