@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs
+.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs micro-pairs
 
 build:
 	$(GO) build ./...
@@ -244,6 +244,34 @@ pairs:
 		done; \
 	done && \
 	$(GO) run ./cmd/benchjson -pairs -spec BENCHMARK.json -base $$tmp/base.jsonl -change $$tmp/change.jsonl
+
+# micro-pairs is pairs for one package's micro-benchmarks, for a change
+# below the end-to-end noise (a kernel's code generation):
+#   make micro-pairs PKG=./internal/mlkit B='BenchmarkForestScore' N=10 BASE=HEAD~1 [BT=200ms] [ARGS='-test.cpu 1'] [RUN='taskset -c 1']
+# It builds the package's test binary at BASE (from `git archive`, as
+# pairs does) and from the working tree, runs each from its package
+# directory N times (under the RUN prefix, e.g. a CPU pin), alternating
+# which goes first, and hands both outputs
+# to `benchjson -micro`, which prints per sub-benchmark both ns/op
+# medians and quartile ranges, the runs each side won and a verdict.
+PKG ?= ./internal/mlkit
+B ?= .
+BT ?= 200ms
+micro-pairs:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir $$tmp/src && \
+	git archive $(BASE) | tar -x -C $$tmp/src && \
+	(cd $$tmp/src && $(GO) test -c -o $$tmp/base.test $(PKG)) && \
+	$(GO) test -c -o $$tmp/change.test $(PKG) && \
+	echo "micro-pairs: $(PKG) -bench '$(B)', base $$(git rev-parse --short $(BASE)) against the working tree" && \
+	for i in $$(seq 1 $(N)); do \
+		order="base change"; [ $$((i % 2)) = 0 ] && order="change base"; \
+		for side in $$order; do \
+			dir=$(PKG); [ $$side = base ] && dir=$$tmp/src/$(PKG); \
+			(cd $$dir && $(RUN) $$tmp/$$side.test -test.run '^$$' -test.bench '$(B)' -test.benchtime $(BT) $(ARGS)) >> $$tmp/$$side.txt \
+				|| { echo "micro-pairs: $$side failed in pair $$i"; tail -5 $$tmp/$$side.txt; exit 1; }; \
+		done; \
+	done && \
+	$(GO) run ./cmd/benchjson -micro -base $$tmp/base.txt -change $$tmp/change.txt
 
 # faults runs the fault-injection tests under the race detector: a panic
 # on each stream stage (the pump's source goroutine, the ops stage at

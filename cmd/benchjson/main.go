@@ -15,6 +15,12 @@
 // line per run, run as alternating pairs, and -spec names BENCHMARK.json;
 // it prints, per end-to-end metric, both medians and quartile ranges, the
 // pairs the change won, the metric's bound and a verdict.
+//
+// With -micro it judges a kernel-level comparison (`make micro-pairs`):
+// -base and -change name files holding the `go test -bench` output of N
+// alternating runs of two test binaries; it prints, per benchmark, both
+// ns/op medians and quartile ranges, the runs each side won and a
+// verdict.
 package main
 
 import (
@@ -52,6 +58,45 @@ type File struct {
 	Speedups map[string]float64 `json:"speedups,omitempty"`
 }
 
+// parseBench parses one benchmark result line; ok is false for a line
+// that names a benchmark but carries no ns/op result.
+func parseBench(line string) (b Bench, ok bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || fields[3] != "ns/op" {
+		return b, false
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return b, false
+	}
+	ns, err := strconv.ParseFloat(fields[2], 64)
+	if err != nil {
+		return b, false
+	}
+	// Any further `<value> <unit>` pairs (B/op, allocs/op,
+	// b.ReportMetric extras) become Metrics entries.
+	var metrics map[string]float64
+	for i := 4; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			break
+		}
+		if metrics == nil {
+			metrics = map[string]float64{}
+		}
+		metrics[fields[i+1]] = v
+	}
+	// Strip the -N GOMAXPROCS suffix so labels are stable
+	// across machines (BenchmarkMLPFit-8 -> BenchmarkMLPFit).
+	name := fields[0]
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	return Bench{Name: name, Iterations: iters, NsPerOp: ns, Metrics: metrics}, true
+}
+
 func parse(r *bufio.Scanner) (*Run, error) {
 	run := &Run{}
 	for r.Scan() {
@@ -73,56 +118,25 @@ func parse(r *bufio.Scanner) (*Run, error) {
 				run.Pkg += "," + p
 			}
 		case strings.HasPrefix(line, "Benchmark"):
-			fields := strings.Fields(line)
-			if len(fields) < 4 || fields[3] != "ns/op" {
+			b, ok := parseBench(line)
+			if !ok {
 				continue
-			}
-			iters, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				continue
-			}
-			ns, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				continue
-			}
-			// Any further `<value> <unit>` pairs (B/op, allocs/op,
-			// b.ReportMetric extras) become Metrics entries.
-			var metrics map[string]float64
-			for i := 4; i+1 < len(fields); i += 2 {
-				v, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					break
-				}
-				if metrics == nil {
-					metrics = map[string]float64{}
-				}
-				metrics[fields[i+1]] = v
-			}
-			// Strip the -N GOMAXPROCS suffix so labels are stable
-			// across machines (BenchmarkMLPFit-8 -> BenchmarkMLPFit).
-			name := fields[0]
-			if i := strings.LastIndex(name, "-"); i > 0 {
-				if _, err := strconv.Atoi(name[i+1:]); err == nil {
-					name = name[:i]
-				}
 			}
 			// With -count=N the same benchmark appears N times; keep the
 			// fastest run (best-of-N is the standard noise filter on
 			// shared machines).
 			merged := false
 			for i := range run.Benchmarks {
-				if run.Benchmarks[i].Name == name {
-					if ns < run.Benchmarks[i].NsPerOp {
-						run.Benchmarks[i].NsPerOp = ns
-						run.Benchmarks[i].Iterations = iters
-						run.Benchmarks[i].Metrics = metrics
+				if run.Benchmarks[i].Name == b.Name {
+					if b.NsPerOp < run.Benchmarks[i].NsPerOp {
+						run.Benchmarks[i] = b
 					}
 					merged = true
 					break
 				}
 			}
 			if !merged {
-				run.Benchmarks = append(run.Benchmarks, Bench{Name: name, Iterations: iters, NsPerOp: ns, Metrics: metrics})
+				run.Benchmarks = append(run.Benchmarks, b)
 			}
 		}
 	}
@@ -140,11 +154,16 @@ func main() {
 	out := flag.String("out", "BENCH_PR3.json", "output JSON file; existing runs with other labels are kept")
 	pairs := flag.Bool("pairs", false, "compare two files of lumenperf result lines run as alternating pairs, instead of merging `go test -bench` output")
 	spec := flag.String("spec", "BENCHMARK.json", "with -pairs: the benchmark declaration naming the end-to-end metrics and their bounds")
-	base := flag.String("base", "", "with -pairs: one result line per run of the base revision")
-	change := flag.String("change", "", "with -pairs: one result line per run of the change, in the same order")
+	micro := flag.Bool("micro", false, "compare two files of `go test -bench` output from test binaries run as alternating pairs")
+	base := flag.String("base", "", "with -pairs: one result line per run of the base revision; with -micro: the base binary's output")
+	change := flag.String("change", "", "with -pairs: one result line per run of the change, in the same order; with -micro: the change binary's output")
 	flag.Parse()
-	if *pairs {
-		if err := runPairs(*spec, *base, *change); err != nil {
+	if *pairs || *micro {
+		run := runMicro
+		if *pairs {
+			run = func(b, c string) error { return runPairs(*spec, b, c) }
+		}
+		if err := run(*base, *change); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

@@ -128,3 +128,45 @@ func TestPairsReport(t *testing.T) {
 		t.Error("a line that is no result should be an error")
 	}
 }
+
+// TestMicroReport: the i-th result of a benchmark on one side is paired
+// with its i-th on the other, across interleaved sub-benchmarks, and the
+// verdict needs both nine tenths of the pairs and a gap wider than the
+// base's quartiles.
+func TestMicroReport(t *testing.T) {
+	var base, change strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&base, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\n", 200+i, 100+i)
+		fmt.Fprintf(&change, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\n", 150+i, 109-i)
+	}
+	b, names, err := readBenchRuns(strings.NewReader("goos: linux\n" + base.String() + "PASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := readBenchRuns(strings.NewReader(change.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := microReport(&out, b, c, names); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("report has %d lines, want a header and two benchmarks:\n%s", len(lines), out.String())
+	}
+	for i, want := range [][]string{
+		{"BenchmarkK/fast", "204.5 [202.25, 206.75]", "154.5", "0.756", "0/10", "10/10", "faster"},
+		{"BenchmarkK/even", "104.5", "104.5", "1.000", "5/10", "5/10", "level"},
+	} {
+		for _, field := range want {
+			if !strings.Contains(lines[1+i], field) {
+				t.Errorf("row %q lacks %q", lines[1+i], field)
+			}
+		}
+	}
+	delete(c, "BenchmarkK/even")
+	if err := microReport(&out, b, c, names); err == nil {
+		t.Error("a benchmark missing on one side should be an error")
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"text/tabwriter"
 )
 
@@ -76,9 +75,7 @@ func summarize(runs []resultLine, metric string) (side, []float64, error) {
 		}
 		vals[i] = m.Value
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	return side{quantile(sorted, 0.25), quantile(sorted, 0.5), quantile(sorted, 0.75)}, vals, nil
+	return quartiles(vals), vals, nil
 }
 
 // failedShare is the share of attempted operations a side's runs failed;

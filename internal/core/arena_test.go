@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"lumen/internal/dataset"
 )
@@ -99,10 +100,12 @@ func hookedLightPasses(t *testing.T, depth, passes int, each func(*Engine, datas
 }
 
 // TestHookedPassRecyclesScratch: a warm hooked pass draws its frame
-// columns, feature matrix and unit index from a recycled arena, so what
-// it allocates per packet is the verdicts the model returns and a few
-// per-chunk objects, not the chunk's scratch (~320 B a packet when every
-// chunk allocated its own). The collector stays off from the first warm
+// columns, feature matrix and unit index from a recycled arena, and the
+// model writes its labels and scores there too, so what it allocates
+// per 512-row chunk is a few small objects and the source's views, not
+// the chunk's scratch (~320 B a packet when every chunk allocated its
+// own) nor a verdict slice per row (57 B a packet when the model
+// returned fresh ones). The collector stays off from the first warm
 // pass, so no cycle empties the source's view pool, and ReadMemStats
 // settles the processors' allocation counts without one.
 func TestHookedPassRecyclesScratch(t *testing.T) {
@@ -110,7 +113,7 @@ func TestHookedPassRecyclesScratch(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector; allocation thresholds do not hold")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const bound = 80 // B per packet; 57 measured at both depths
+	const bound = 40 // B per packet; 24 measured at both depths
 	for _, depth := range []int{0, 4} {
 		var m0, m1 runtime.MemStats
 		pass := 0
@@ -239,4 +242,74 @@ func trainedTestStream(t *testing.T, p *Pipeline, ds *dataset.Labeled, cfg Strea
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestRecycledVerdictsLiveUntilTheHookReturns: on a recycling pass the
+// model writes each chunk's labels and scores into the chunk's arena,
+// which a later chunk reuses once the hook has returned. At depth 4 the
+// source and ops stages run ahead of the sink (the forest and the tree
+// score on the ops goroutine: no field reads iat), so a hook that
+// dawdles before copying each chunk's Pred and Scores would see them
+// overwritten were the arena freed any earlier; copied, they join into
+// refRun's result bit for bit, at chunk sizes 1, 7 and 512, and the
+// verdict buffers do come round again.
+func TestRecycledVerdictsLiveUntilTheHookReturns(t *testing.T) {
+	fields := []any{"len", "payload_len", "ttl", "proto", "src_port", "dst_port", "tcp_flags", "tcp_window"}
+	scored := func(name string, model map[string]any, features OpSpec) *Pipeline {
+		return &Pipeline{Name: name, Granularity: "packet", Ops: []OpSpec{
+			features,
+			{Func: "model", Output: "m", Params: model},
+			{Func: "train", Input: []string{"m", "X"}, Output: "fit"},
+		}}
+	}
+	headers := OpSpec{Func: "field_extract", Input: []string{InputName}, Output: "X", Params: map[string]any{"fields": fields}}
+	cases := []struct {
+		ds string
+		p  *Pipeline
+	}{
+		{"P0", scored("forest", map[string]any{"model_type": "random_forest", "n_trees": 10}, headers)},
+		{"P0", scored("tree", map[string]any{"model_type": "decision_tree", "max_depth": 6}, headers)},
+		{"P1", scored("A06", map[string]any{"model_type": "kitnet", "epochs": 2},
+			OpSpec{Func: "kitsune_features", Input: []string{InputName}, Output: "X"})},
+	}
+	for _, tc := range cases {
+		spec, _ := dataset.Get(tc.ds)
+		ds := spec.Generate(0.05)
+		eng := NewEngine(tc.p)
+		eng.Seed = 7
+		if _, err := refRun(eng, ds, ModeTrain); err != nil {
+			t.Fatal(err)
+		}
+		want, err := refRun(eng, ds, ModeTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Scores == nil {
+			t.Fatalf("%s: the model reports no scores", tc.p.Name)
+		}
+		for _, chunk := range []int{1, 7, 512} {
+			label := fmt.Sprintf("%s, chunk %d", tc.p.Name, chunk)
+			var parts []*EvalResult
+			seen, reused := map[*int]bool{}, 0
+			cfg := StreamConfig{ChunkRows: chunk, PipelineDepth: 4, Hooks: &StreamHooks{AfterChunk: func(up ChunkUpdate) error {
+				time.Sleep(20 * time.Microsecond) // the ops stage runs on meanwhile
+				for _, res := range up.Results {
+					parts = append(parts, cloneResult(res))
+					if p := &res.Pred[0]; seen[p] {
+						reused++
+					} else {
+						seen[p] = true
+					}
+				}
+				return nil
+			}}}
+			if _, err := eng.TestStream(ds, cfg); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireEqualResults(t, want, mergeResults(parts), label)
+			if chunk < len(ds.Packets) && reused == 0 {
+				t.Errorf("%s: no chunk's verdicts reused an earlier chunk's buffer: the pass did not recycle", label)
+			}
+		}
+	}
 }

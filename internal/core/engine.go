@@ -384,12 +384,8 @@ const heapAllocName = "/gc/heap/allocs:bytes"
 // allocations made concurrently by other goroutines, so byte attribution
 // is only exact when one engine runs at a time (see OpStats.Allocs).
 func heapAllocBytes() uint64 {
-	s := [1]metrics.Sample{{Name: heapAllocName}}
-	metrics.Read(s[:])
-	if s[0].Value.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return s[0].Value.Uint64()
+	g := gauge{{Name: heapAllocName}}
+	return g.read()
 }
 
 // heapLiveName is the live-heap gauge sampled at chunk boundaries on
@@ -397,15 +393,21 @@ func heapAllocBytes() uint64 {
 // the stop-the-world cost of runtime.ReadMemStats.
 const heapLiveName = "/memory/classes/heap/objects:bytes"
 
-// heapLiveBytes samples the bytes currently occupied by live (plus
-// not-yet-collected) heap objects, process-wide.
-func heapLiveBytes() uint64 {
-	s := [1]metrics.Sample{{Name: heapLiveName}}
-	metrics.Read(s[:])
-	if s[0].Value.Kind() != metrics.KindUint64 {
+// gauge is one runtime/metrics sample, kept so that reading it again
+// allocates nothing: metrics.Read's argument escapes, so a fresh sample
+// is a heap object. A stream run keeps one on heapLiveName, the bytes
+// currently occupied by live (plus not-yet-collected) heap objects,
+// process-wide, and reads it once a chunk.
+type gauge [1]metrics.Sample
+
+// read samples the gauge's value; 0 when the runtime has no such
+// uint64 metric.
+func (g *gauge) read() uint64 {
+	metrics.Read(g[:])
+	if g[0].Value.Kind() != metrics.KindUint64 {
 		return 0
 	}
-	return s[0].Value.Uint64()
+	return g[0].Value.Uint64()
 }
 
 // outRows reports the row count of a frame or grouped output (0 for

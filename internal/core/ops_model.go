@@ -214,9 +214,11 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("train: model not fitted (test before train)")
 	}
-	// Scoring keeps nothing of X, and the verdict metadata aliases the
-	// frame's: on a recycling pass both live until the chunk's hook returns.
-	X := fr.matrix(ctx.scratch.arena())
+	// Scoring keeps nothing of X, the model writes its verdicts into the
+	// chunk's buffers, and the verdict metadata aliases the frame's: on a
+	// recycling pass all of them live until the chunk's hook returns.
+	a := ctx.scratch.arena()
+	X := fr.matrix(a)
 	res := &EvalResult{
 		Unit:    fr.Unit,
 		Truth:   shareRows(fr.Labels),
@@ -224,7 +226,7 @@ func opTrain(ctx *opCtx, in []Value, _ params) (Value, error) {
 		UnitIdx: shareRows(fr.UnitIdx),
 	}
 	if len(X) > 0 {
-		res.Pred, res.Scores = mlkit.PredictProba(st.Clf, X)
+		res.Pred, res.Scores = mlkit.PredictProba(st.Clf, X, a.ints(len(X)), a.floats(len(X)))
 	}
 	ctx.result = res
 	ctx.stream.lastResult = res

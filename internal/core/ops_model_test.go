@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lumen/internal/dataset"
@@ -29,7 +30,8 @@ func modelTestData(n int) ([][]float64, []int) {
 // every model the train op can build — fused implementations and the
 // two-call fallback alike: mlkit.PredictProba returns exactly what
 // Predict followed by Proba return, and nil scores exactly when the
-// model is not a ProbClassifier.
+// model is not a ProbClassifier, whether it makes fresh slices or
+// overwrites every element of caller buffers holding junk.
 func TestPredictProbaEqualsPredictThenProba(t *testing.T) {
 	X, y := modelTestData(160)
 	specs := map[string]ModelSpec{}
@@ -43,6 +45,25 @@ func TestPredictProbaEqualsPredictThenProba(t *testing.T) {
 		}
 		specs[mt+"+tune"] = ModelSpec{Type: mt, Params: map[string]any{"tune": tune}}
 	}
+	compare := func(t *testing.T, what string, pred []int, proba []float64, wantPred []int, wantProba []float64) {
+		t.Helper()
+		if len(pred) != len(wantPred) {
+			t.Fatalf("%s: PredictProba returned %d labels, Predict %d", what, len(pred), len(wantPred))
+		}
+		for i := range wantPred {
+			if pred[i] != wantPred[i] {
+				t.Fatalf("%s: row %d: PredictProba label %d, Predict %d", what, i, pred[i], wantPred[i])
+			}
+		}
+		if (proba == nil) != (wantProba == nil) || len(proba) != len(wantProba) {
+			t.Fatalf("%s: PredictProba returned %d scores (nil=%v), Proba %d (nil=%v)", what, len(proba), proba == nil, len(wantProba), wantProba == nil)
+		}
+		for i := range wantProba {
+			if math.Float64bits(proba[i]) != math.Float64bits(wantProba[i]) {
+				t.Fatalf("%s: row %d: PredictProba score %v, Proba %v", what, i, proba[i], wantProba[i])
+			}
+		}
+	}
 	check := func(t *testing.T, c mlkit.Classifier) {
 		t.Helper()
 		wantPred := c.Predict(X)
@@ -51,23 +72,14 @@ func TestPredictProbaEqualsPredictThenProba(t *testing.T) {
 		if hasProba {
 			wantProba = pc.Proba(X)
 		}
-		pred, proba := mlkit.PredictProba(c, X)
-		if len(pred) != len(wantPred) {
-			t.Fatalf("PredictProba returned %d labels, Predict %d", len(pred), len(wantPred))
+		pred, proba := mlkit.PredictProba(c, X, nil, nil)
+		compare(t, "fresh", pred, proba, wantPred, wantProba)
+		junkPred, junkProba := make([]int, len(X)+3), make([]float64, len(X)+3)
+		for i := range junkPred {
+			junkPred[i], junkProba[i] = 7, math.NaN()
 		}
-		for i := range wantPred {
-			if pred[i] != wantPred[i] {
-				t.Fatalf("row %d: PredictProba label %d, Predict %d", i, pred[i], wantPred[i])
-			}
-		}
-		if (proba == nil) != (wantProba == nil) || len(proba) != len(wantProba) {
-			t.Fatalf("PredictProba returned %d scores (nil=%v), Proba %d (nil=%v)", len(proba), proba == nil, len(wantProba), wantProba == nil)
-		}
-		for i := range wantProba {
-			if math.Float64bits(proba[i]) != math.Float64bits(wantProba[i]) {
-				t.Fatalf("row %d: PredictProba score %v, Proba %v", i, proba[i], wantProba[i])
-			}
-		}
+		pred, proba = mlkit.PredictProba(c, X, junkPred, junkProba)
+		compare(t, "caller buffers", pred, proba, wantPred, wantProba)
 	}
 	for name, spec := range specs {
 		spec := spec
@@ -117,12 +129,13 @@ func (c *countingClf) Proba(X [][]float64) []float64 {
 // fusedCountingClf adds the fused entry point to countingClf.
 type fusedCountingClf struct{ *countingClf }
 
-func (c fusedCountingClf) PredictProba(X [][]float64) ([]int, []float64) {
+func (c fusedCountingClf) PredictProba(X [][]float64, pred []int, proba []float64) bool {
 	c.fus++
-	pred, proba := mlkit.PredictProba(c.inner, X)
-	c.preds = append(c.preds, pred)
-	c.scores = append(c.scores, proba)
-	return pred, proba
+	pred, proba = mlkit.PredictProba(c.inner, X, pred, proba)
+	// The handle reuses the shadow's buffers chunk after chunk.
+	c.preds = append(c.preds, slices.Clone(pred))
+	c.scores = append(c.scores, slices.Clone(proba))
+	return true
 }
 
 // TestShadowedChunkScoresEachModelOnce drives a shadowed SwapHandle

@@ -479,11 +479,11 @@ func (s *flowSinkState) report() {
 // holds O(chunk) however long it runs, and a hooked flow pass that scores
 // at close the flows open or waiting and one block, not every flow it
 // has seen. When it is also not Online and accumulates nothing for the
-// flush, it draws frame columns, the scored matrix and unit indices from
-// an arena it reuses chunk after chunk, and what it still allocates per
-// packet is mostly the scores and predictions the model returns (40–80 B
-// a packet on a nine-field tree pipeline, against ~320 B without the
-// arena).
+// flush, it draws frame columns, the scored matrix, unit indices and the
+// labels and scores the model writes from an arena it reuses chunk after
+// chunk, and what it still allocates is a few objects a chunk (about
+// 24 B a packet on a nine-field tree pipeline, against ~320 B without
+// the arena).
 //
 // The result: an unhooked pass returns every row; a hooked pass returns
 // nil, having handed every row to the callback (see StreamHooks for the

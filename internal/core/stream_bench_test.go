@@ -52,6 +52,13 @@ func streamBenchSetup(b *testing.B) {
 	}
 }
 
+// heapLiveBytes samples the live heap the way a stream run's high-water
+// mark does.
+func heapLiveBytes() uint64 {
+	g := gauge{{Name: heapLiveName}}
+	return g.read()
+}
+
 // measurePeak runs fn b.N times and reports the live-heap high-water
 // mark above the post-GC baseline as the custom metric peak-B (picked up
 // by cmd/benchjson into BENCH_PR4.json). GC is forced aggressive for the

@@ -90,10 +90,11 @@ type ChunkUpdate struct {
 // Such a pass also recycles its chunk scratch when nothing it produces
 // can outlive the callback: it is not Online and its plan accumulates no
 // streamed value for the flush (StreamPlan.Accum is empty). Frame
-// columns, the scored feature matrix and verdict unit indices then come
-// from a per-chunk arena that the next chunk reuses once the callback
-// has returned, which is why every slice a ChunkUpdate carries is valid
-// only during the callback.
+// columns, the scored feature matrix, the model's labels and scores and
+// verdict unit indices then come from a per-chunk arena that the next
+// chunk reuses once the callback has returned; a block of closed flows
+// has an arena of its own on every pass. That is why every slice a
+// ChunkUpdate carries is valid only during the callback.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.

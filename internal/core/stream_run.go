@@ -49,6 +49,7 @@ type streamExec struct {
 	fenv    map[string]Value
 	results []*EvalResult
 	hwm     uint64
+	live    gauge // on heapLiveName, sampled into hwm once a job
 	nChunks int
 
 	// arenas is the free list of chunk scratch on a recycling pass, nil
@@ -99,6 +100,7 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		hooks: cfg.Hooks,
 		accum: map[string][]*Frame{},
 		fenv:  map[string]Value{},
+		live:  gauge{{Name: heapLiveName}},
 	}
 	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
 		r.keys, r.root = lineageKeys(e.P, pl.defs, root), root
@@ -399,10 +401,17 @@ func (r *streamExec) absorb(job *chunkJob) error {
 		}
 		r.countDecode(job.nc.Views)
 	}
-	if live := heapLiveBytes(); live > r.hwm {
+	if live := r.live.read(); live > r.hwm {
 		r.hwm = live
 	}
 	if !r.hooks.active() {
+		if job.scratch.a != nil {
+			// A block's verdicts live in its arena, which the next
+			// block reuses.
+			for _, res := range job.results {
+				res.Pred, res.Scores = slices.Clone(res.Pred), slices.Clone(res.Scores)
+			}
+		}
 		r.results = append(r.results, job.results...)
 		return nil
 	}

@@ -55,10 +55,10 @@ func (a *Autoencoder) Fit(X [][]float64) error {
 	return a.net.FitTargets(X, X)
 }
 
-// Score returns per-row reconstruction RMSE, streaming X through the
+// Score writes per-row reconstruction RMSE, streaming X through the
 // network in blocks of rows, one GEMM per layer.
-func (a *Autoencoder) Score(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+func (a *Autoencoder) Score(X [][]float64, dst []float64) []float64 {
+	out := outBuf(dst, len(X))
 	a.net.VisitOutputs(X, func(i int, rec []float64) {
 		row := X[i]
 		var s float64

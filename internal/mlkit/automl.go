@@ -78,18 +78,18 @@ func (a *AutoML) Fit(X [][]float64, y []int) error {
 
 // PredictProba delegates to the winning model (hard labels stand in for
 // scores when it has none).
-func (a *AutoML) PredictProba(X [][]float64) ([]int, []float64) {
-	return predictProbaHard(a.best, X)
+func (a *AutoML) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	return predictProbaHard(a.best, X, pred, proba)
 }
 
 // Predict delegates to the winning model.
 func (a *AutoML) Predict(X [][]float64) []int {
-	pred, _ := a.PredictProba(X)
+	pred, _ := PredictProba(a, X, nil, nil)
 	return pred
 }
 
 // Proba delegates when the winner supports it, else returns hard labels.
 func (a *AutoML) Proba(X [][]float64) []float64 {
-	_, proba := a.PredictProba(X)
+	_, proba := PredictProba(a, X, nil, nil)
 	return proba
 }

@@ -15,7 +15,7 @@ func TestKitNETScoresNonNegative(t *testing.T) {
 	if err := k.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range k.Score(X) {
+	for i, s := range k.Score(X, nil) {
 		if s < 0 || math.IsNaN(s) {
 			t.Fatalf("score[%d] = %v", i, s)
 		}
@@ -139,7 +139,7 @@ func TestGMMMoreComponentsThanPoints(t *testing.T) {
 	if err := g.Fit(X); err != nil {
 		t.Fatalf("K > n should clamp: %v", err)
 	}
-	if s := g.Score(X); len(s) != 2 {
+	if s := g.Score(X, nil); len(s) != 2 {
 		t.Fatal("score length wrong")
 	}
 }

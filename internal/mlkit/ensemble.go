@@ -24,20 +24,16 @@ func (v *VotingEnsemble) Fit(X [][]float64, y []int) error {
 
 // PredictProba polls the members once: proba is the mean member score
 // (see Proba) and pred is 1 where it exceeds one half.
-func (v *VotingEnsemble) PredictProba(X [][]float64) ([]int, []float64) {
-	proba := v.Proba(X)
-	pred := make([]int, len(proba))
-	for i, s := range proba {
-		if s > 0.5 {
-			pred[i] = 1
-		}
+func (v *VotingEnsemble) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	for i, s := range v.Proba(X) {
+		pred[i], proba[i] = b2i(s > 0.5), s
 	}
-	return pred, proba
+	return true
 }
 
 // Predict returns the majority (or soft-vote) decision per row.
 func (v *VotingEnsemble) Predict(X [][]float64) []int {
-	pred, _ := v.PredictProba(X)
+	pred, _ := PredictProba(v, X, nil, nil)
 	return pred
 }
 

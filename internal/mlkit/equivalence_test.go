@@ -102,7 +102,7 @@ func TestEquivalenceAutoencoder(t *testing.T) {
 		if err := ae.Fit(X); err != nil {
 			t.Fatal(err)
 		}
-		return ae.Score(X)
+		return ae.Score(X, nil)
 	}, func(ref, got interface{}, w int) {
 		eqFloats(t, "ae score", ref.([]float64), got.([]float64), w)
 	})
@@ -115,7 +115,7 @@ func TestEquivalenceKitNET(t *testing.T) {
 		if err := kn.Fit(X); err != nil {
 			t.Fatal(err)
 		}
-		return kn.Score(X)
+		return kn.Score(X, nil)
 	}, func(ref, got interface{}, w int) {
 		eqFloats(t, "kitnet score", ref.([]float64), got.([]float64), w)
 	})
@@ -194,7 +194,7 @@ func TestEquivalenceGMM(t *testing.T) {
 		if err := g.Fit(X); err != nil {
 			t.Fatal(err)
 		}
-		return g.Score(X)
+		return g.Score(X, nil)
 	}, func(ref, got interface{}, w int) {
 		eqFloats(t, "gmm score", ref.([]float64), got.([]float64), w)
 	})
@@ -241,7 +241,7 @@ func TestEquivalenceLinearModels(t *testing.T) {
 	if err := oc.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	runAtWorkers(t, func() interface{} { return oc.Score(X) },
+	runAtWorkers(t, func() interface{} { return oc.Score(X, nil) },
 		func(ref, got interface{}, w int) {
 			eqFloats(t, "ocsvm score", ref.([]float64), got.([]float64), w)
 		})

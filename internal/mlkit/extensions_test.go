@@ -25,8 +25,8 @@ func TestPCARecoversSubspace(t *testing.T) {
 		t.Fatalf("components = %d, want 1 (95%% variance on a line)", p.Components())
 	}
 	// On-line points score low; off-line points high.
-	on := p.Score([][]float64{{1, 2, -1}})
-	off := p.Score([][]float64{{1, -2, 1}})
+	on := p.Score([][]float64{{1, 2, -1}}, nil)
+	off := p.Score([][]float64{{1, -2, 1}}, nil)
 	if on[0] >= off[0] {
 		t.Errorf("on-subspace score %v should be below off-subspace %v", on[0], off[0])
 	}
@@ -164,8 +164,8 @@ func TestPCADetectorInPipeline(t *testing.T) {
 	if err := dp.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	normal := dp.Score(X[:5])
-	anom := dp.Score([][]float64{{1, 0, 0}})
+	normal := dp.Score(X[:5], nil)
+	anom := dp.Score([][]float64{{1, 0, 0}}, nil)
 	for _, s := range normal {
 		if s >= anom[0] {
 			t.Errorf("normal score %v not below anomaly %v", s, anom[0])

@@ -128,29 +128,29 @@ func flattenTrees(trees []*DecisionTree) (flatTrees, error) {
 	return out, nil
 }
 
-// PredictProba scores every row against every tree once and returns the
+// PredictProba scores every row against every tree once and writes the
 // class with the highest mean leaf probability plus the positive-class
 // (label 1) mean.
-func (f *RandomForest) PredictProba(X [][]float64) ([]int, []float64) {
-	pred, proba := f.flat.predictProba(X)
+func (f *RandomForest) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	f.flat.predictProba(X, pred, proba)
 	if f.classes == 0 {
 		// Never fitted: there is no class to name, so — as ArgMax of an
 		// empty distribution — every row predicts -1.
-		for i := range pred {
+		for i := range X {
 			pred[i] = -1
 		}
 	}
-	return pred, proba
+	return true
 }
 
 // Predict returns the class with the highest mean leaf probability.
 func (f *RandomForest) Predict(X [][]float64) []int {
-	pred, _ := f.PredictProba(X)
+	pred, _ := PredictProba(f, X, nil, nil)
 	return pred
 }
 
 // Proba returns the positive-class mean probability per row.
 func (f *RandomForest) Proba(X [][]float64) []float64 {
-	_, proba := f.PredictProba(X)
+	_, proba := PredictProba(f, X, nil, nil)
 	return proba
 }

@@ -236,11 +236,11 @@ func (g *GMM) LogLikelihood(X [][]float64) []float64 {
 	return out
 }
 
-// Score returns negative log-likelihood (higher = more anomalous).
-func (g *GMM) Score(X [][]float64) []float64 {
-	ll := g.LogLikelihood(X)
-	for i := range ll {
-		ll[i] = -ll[i]
+// Score writes the negative log-likelihood (higher = more anomalous).
+func (g *GMM) Score(X [][]float64, dst []float64) []float64 {
+	dst = outBuf(dst, len(X))
+	for i, v := range g.LogLikelihood(X) {
+		dst[i] = -v
 	}
-	return ll
+	return dst
 }

@@ -98,18 +98,18 @@ func expandGrid(grid map[string][]float64) []map[string]float64 {
 
 // PredictProba delegates to the winning model (hard labels stand in for
 // scores when it has none).
-func (g *GridSearch) PredictProba(X [][]float64) ([]int, []float64) {
-	return predictProbaHard(g.best, X)
+func (g *GridSearch) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	return predictProbaHard(g.best, X, pred, proba)
 }
 
 // Predict delegates to the winning model.
 func (g *GridSearch) Predict(X [][]float64) []int {
-	pred, _ := g.PredictProba(X)
+	pred, _ := PredictProba(g, X, nil, nil)
 	return pred
 }
 
 // Proba delegates when supported.
 func (g *GridSearch) Proba(X [][]float64) []float64 {
-	_, proba := g.PredictProba(X)
+	_, proba := PredictProba(g, X, nil, nil)
 	return proba
 }

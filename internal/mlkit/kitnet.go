@@ -217,14 +217,14 @@ func (k *KitNET) maxAE() int {
 	return k.MaxAESize
 }
 
-// Score returns the output autoencoder's RMSE per row (higher = more
+// Score writes the output autoencoder's RMSE per row (higher = more
 // anomalous). One row-parallel pass: each row range borrows a scratch and
 // walks its rows a block at a time — per member, scale and gather the
 // block's features, run the member, clamp its RMSEs into the block's
 // tails — then scores the tails with the output autoencoder. Nothing is
 // shared between rows, so scores are bit-identical for any worker count.
-func (k *KitNET) Score(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+func (k *KitNET) Score(X [][]float64, dst []float64) []float64 {
+	out := outBuf(dst, len(X))
 	f := k.flat
 	linalg.ParallelRows(len(X), func(lo, hi int) {
 		s := f.scratch.Get().(*kitnetScratch)

@@ -29,11 +29,11 @@ func refKitNETScore(k *KitNET, X [][]float64) []float64 {
 			}
 			sub[i] = dst
 		}
-		for i, s := range k.ensemble[c].Score(sub) {
+		for i, s := range k.ensemble[c].Score(sub, nil) {
 			tails[i][c] = clamp01(s)
 		}
 	}
-	return k.output.Score(tails)
+	return k.output.Score(tails, nil)
 }
 
 // refKitNET is the old KitNET's training: ensemble construction spelled
@@ -197,8 +197,8 @@ func TestKitNETMatchesReference(t *testing.T) {
 					t.Fatalf("%d clusters, want 1", len(got.clusters))
 				}
 				for name, X := range map[string][][]float64{"train": tc.train, "probe": tc.probe, "empty": {}} {
-					sameScoreBits(t, "Fit, "+name, got.Score(X), ref.Score(X))
-					sameScoreBits(t, "Fit, same model, "+name, got.Score(X), refKitNETScore(&got, X))
+					sameScoreBits(t, "Fit, "+name, got.Score(X, nil), ref.Score(X))
+					sameScoreBits(t, "Fit, same model, "+name, got.Score(X, nil), refKitNETScore(&got, X))
 				}
 
 				got, ref = tc.model, refKitNET{KitNET: tc.model}
@@ -210,7 +210,7 @@ func TestKitNETMatchesReference(t *testing.T) {
 					if err := ref.PartialFit(batch); err != nil {
 						t.Fatal(err)
 					}
-					sameScoreBits(t, "PartialFit", got.Score(tc.train), ref.Score(tc.train))
+					sameScoreBits(t, "PartialFit", got.Score(tc.train, nil), ref.Score(tc.train))
 				}
 			}
 		})
@@ -256,8 +256,9 @@ func benchKitNET(tb testing.TB) (*KitNET, [][]float64) {
 }
 
 // TestKitNETScoreAllocations pins the kernel's allocation count on a warm
-// 512×39 chunk: the score slice and the row-range closure when serial,
-// plus the fan-out's WaitGroup and one closure per goroutine when not.
+// 512×39 chunk scored into a caller's slice: the row-range closure when
+// serial, plus the fan-out's WaitGroup and one closure per goroutine when
+// not.
 func TestKitNETScoreAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")
@@ -266,10 +267,10 @@ func TestKitNETScoreAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		max     float64
-	}{{1, 2}, {2, 4}} {
+	}{{1, 1}, {2, 3}} {
 		prev := linalg.SetWorkers(tc.workers)
-		k.Score(X) // the scratch pool is warm from here on
-		n := testing.AllocsPerRun(20, func() { k.Score(X) })
+		out := k.Score(X, nil) // the scratch pool is warm from here on
+		n := testing.AllocsPerRun(20, func() { k.Score(X, out) })
 		linalg.SetWorkers(prev)
 		if n > tc.max {
 			t.Errorf("Score over 512×39 at %d workers allocates %.0f times per call, want at most %.0f", tc.workers, n, tc.max)

@@ -54,7 +54,7 @@ func TestKitNETMatchesReferenceOnRegistry(t *testing.T) {
 			want := mlkit.RefKitNETScore(kit, rec.X)
 			for _, w := range []int{1, 2, 4} {
 				prev := linalg.SetWorkers(w)
-				got := kit.Score(rec.X)
+				got := kit.Score(rec.X, nil)
 				linalg.SetWorkers(prev)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -322,29 +322,28 @@ func (k *KNN) votes(X [][]float64) *linalg.Dense {
 	return out
 }
 
-// PredictProba scans the neighbours once and returns the majority class
+// PredictProba scans the neighbours once and writes the majority class
 // and the neighbour fraction of class 1 per row.
-func (k *KNN) PredictProba(X [][]float64) ([]int, []float64) {
+func (k *KNN) PredictProba(X [][]float64, pred []int, proba []float64) bool {
 	v := k.votes(X)
-	pred := make([]int, len(X))
-	proba := make([]float64, len(X))
-	for i := range pred {
+	for i := range X {
 		pred[i] = ArgMax(v.Row(i))
+		proba[i] = 0
 		if v.Cols > 1 {
 			proba[i] = v.At(i, 1)
 		}
 	}
-	return pred, proba
+	return true
 }
 
 // Predict returns the majority class among neighbours per row.
 func (k *KNN) Predict(X [][]float64) []int {
-	pred, _ := k.PredictProba(X)
+	pred, _ := PredictProba(k, X, nil, nil)
 	return pred
 }
 
 // Proba returns the neighbour fraction of class 1 per row.
 func (k *KNN) Proba(X [][]float64) []float64 {
-	_, proba := k.PredictProba(X)
+	_, proba := PredictProba(k, X, nil, nil)
 	return proba
 }

@@ -45,45 +45,66 @@ type ProbClassifier interface {
 // the package-level PredictProba rather than asserting this interface.
 type FusedClassifier interface {
 	Classifier
-	// PredictProba returns Predict(X) and Proba(X) from a single pass.
-	PredictProba(X [][]float64) (pred []int, proba []float64)
+	// PredictProba writes Predict(X) into pred and Proba(X) into proba,
+	// each of length len(X), from a single pass, overwriting every
+	// element. It reports whether the model has scores: when it has
+	// none, proba holds nothing meaningful.
+	PredictProba(X [][]float64, pred []int, proba []float64) bool
 }
 
-// PredictProba scores X once when c is a FusedClassifier and otherwise
-// falls back to Predict followed by Proba. proba is nil when the model
-// exposes no scores (it is not a ProbClassifier, or it is a SwapHandle
-// around one that is not).
-func PredictProba(c Classifier, X [][]float64) (pred []int, proba []float64) {
+// PredictProba scores X once into pred and proba, which hold at least
+// len(X) elements or are nil for fresh slices, when c is a
+// FusedClassifier, and otherwise falls back to Predict followed by Proba
+// copied into them. It returns both cut to len(X); proba is nil when the
+// model exposes no scores (it is not a ProbClassifier, or it is a
+// SwapHandle around one that is not).
+func PredictProba(c Classifier, X [][]float64, pred []int, proba []float64) ([]int, []float64) {
+	pred, proba = outBuf(pred, len(X)), outBuf(proba, len(X))
 	if fc, ok := c.(FusedClassifier); ok {
-		return fc.PredictProba(X)
+		if !fc.PredictProba(X, pred, proba) {
+			proba = nil
+		}
+		return pred, proba
 	}
-	pred = c.Predict(X)
-	if pc, ok := c.(ProbClassifier); ok {
-		proba = pc.Proba(X)
+	copy(pred, c.Predict(X))
+	pc, ok := c.(ProbClassifier)
+	if !ok {
+		return pred, nil
 	}
+	copy(proba, pc.Proba(X))
 	return pred, proba
+}
+
+// outBuf is a scoring call's output: dst cut to n, or a new slice when
+// dst is nil.
+func outBuf[T any](dst []T, n int) []T {
+	if dst == nil {
+		return make([]T, n)
+	}
+	return dst[:n]
 }
 
 // predictProbaHard is PredictProba for the delegating wrappers (Pipeline,
 // GridSearch, AutoML), which always report scores:
 // when the wrapped model has none, its hard 0/1 labels stand in.
-func predictProbaHard(c Classifier, X [][]float64) ([]int, []float64) {
-	pred, proba := PredictProba(c, X)
-	if proba == nil {
-		proba = make([]float64, len(pred))
-		for i, v := range pred {
+func predictProbaHard(c Classifier, X [][]float64, pred []int, proba []float64) bool {
+	if _, s := PredictProba(c, X, pred, proba); s == nil {
+		for i, v := range pred[:len(X)] {
 			proba[i] = float64(v)
 		}
 	}
-	return pred, proba
+	return true
 }
 
 // Detector is an unsupervised anomaly detector. Fit learns a model of
-// "normal" data; Score returns a value per row where higher means more
+// "normal" data; Score writes a value per row where higher means more
 // anomalous.
 type Detector interface {
 	Fit(X [][]float64) error
-	Score(X [][]float64) []float64
+	// Score writes one score per row of X into dst, which holds at least
+	// len(X) elements or is nil for a fresh slice, and returns it cut to
+	// len(X).
+	Score(X [][]float64, dst []float64) []float64
 }
 
 // Thresholded wraps a Detector and a score threshold into a Classifier:
@@ -118,45 +139,42 @@ func (t *Thresholded) Fit(X [][]float64, y []int) error {
 		return err
 	}
 	if t.Quantile > 0 {
-		scores := t.Detector.Score(benign)
+		scores := t.Detector.Score(benign, nil)
 		t.Threshold = Quantile(scores, t.Quantile)
 		t.q2 = nil // a fresh batch fit restarts any streaming calibration
 	}
 	return nil
 }
 
-// PredictProba scores X with the detector once. Rows whose anomaly score
-// exceeds the threshold predict 1; proba maps the score monotonically
-// into [0,1] via score/(score+threshold), which preserves AUC ordering.
-func (t *Thresholded) PredictProba(X [][]float64) ([]int, []float64) {
-	scores := t.Detector.Score(X)
-	pred := make([]int, len(scores))
-	proba := make([]float64, len(scores))
-	for i, s := range scores {
-		if s > t.Threshold {
-			pred[i] = 1
-		}
+// PredictProba scores X with the detector once, straight into proba.
+// Rows whose anomaly score exceeds the threshold predict 1; proba maps
+// the score monotonically into [0,1] via score/(score+threshold), which
+// preserves AUC ordering.
+func (t *Thresholded) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	proba = t.Detector.Score(X, proba)
+	for i, s := range proba {
+		pred[i] = b2i(s > t.Threshold)
 		if s < 0 {
 			s = 0
 		}
-		d := s + t.Threshold
-		if d <= 0 {
-			continue
+		if d := s + t.Threshold; d > 0 {
+			proba[i] = s / d
+		} else {
+			proba[i] = 0
 		}
-		proba[i] = s / d
 	}
-	return pred, proba
+	return true
 }
 
 // Predict classifies rows whose anomaly score exceeds the threshold as 1.
 func (t *Thresholded) Predict(X [][]float64) []int {
-	pred, _ := t.PredictProba(X)
+	pred, _ := PredictProba(t, X, nil, nil)
 	return pred
 }
 
 // Proba returns the squashed anomaly score per row (see PredictProba).
 func (t *Thresholded) Proba(X [][]float64) []float64 {
-	_, proba := t.PredictProba(X)
+	_, proba := PredictProba(t, X, nil, nil)
 	return proba
 }
 

@@ -204,8 +204,8 @@ func TestOneClassSVMSeparatesOutliers(t *testing.T) {
 	}
 	inlier := [][]float64{{2, 2}, {2.1, 1.9}}
 	outlier := [][]float64{{-8, -8}, {-9, -7}}
-	si := o.Score(inlier)
-	so := o.Score(outlier)
+	si := o.Score(inlier, nil)
+	so := o.Score(outlier, nil)
 	for i := range si {
 		if si[i] >= so[0] || si[i] >= so[1] {
 			t.Errorf("inlier score %v not below outlier scores %v", si[i], so)
@@ -226,8 +226,8 @@ func TestGMMDensity(t *testing.T) {
 	if err := g.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	in := g.Score([][]float64{{1, 1}})[0]
-	out := g.Score([][]float64{{10, -10}})[0]
+	in := g.Score([][]float64{{1, 1}}, nil)[0]
+	out := g.Score([][]float64{{10, -10}}, nil)[0]
 	if in >= out {
 		t.Errorf("in-distribution score %v should be below outlier score %v", in, out)
 	}
@@ -269,9 +269,9 @@ func TestNystromOCSVM(t *testing.T) {
 	if err := p.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	onRing := p.Score([][]float64{{1, 0}, {0, -1}})
-	center := p.Score([][]float64{{0, 0}})
-	far := p.Score([][]float64{{4, 4}})
+	onRing := p.Score([][]float64{{1, 0}, {0, -1}}, nil)
+	center := p.Score([][]float64{{0, 0}}, nil)
+	far := p.Score([][]float64{{4, 4}}, nil)
 	for _, s := range onRing {
 		if s >= far[0] {
 			t.Errorf("ring score %v should be below far-outlier score %v", s, far[0])
@@ -293,8 +293,8 @@ func TestAutoencoderReconstruction(t *testing.T) {
 	if err := ae.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	normal := ae.Score(X[:10])
-	anomaly := ae.Score([][]float64{{1, 0, 1, 1}}) // breaks the structure
+	normal := ae.Score(X[:10], nil)
+	anomaly := ae.Score([][]float64{{1, 0, 1, 1}}, nil) // breaks the structure
 	for _, s := range normal {
 		if s >= anomaly[0] {
 			t.Errorf("normal RMSE %v should be below anomaly RMSE %v", s, anomaly[0])
@@ -344,8 +344,8 @@ func TestKitNETDetectsAnomaly(t *testing.T) {
 	if err := k.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	normal := k.Score(X[:20])
-	anomalous := k.Score([][]float64{{1, 0, 1, 5, -3}})
+	normal := k.Score(X[:20], nil)
+	anomalous := k.Score([][]float64{{1, 0, 1, 5, -3}}, nil)
 	maxNormal := 0.0
 	for _, s := range normal {
 		if s > maxNormal {

@@ -378,32 +378,32 @@ func (c *MLPClassifier) Fit(X [][]float64, y []int) error {
 // PredictProba runs one forward pass: proba is the raw output unit per
 // row and pred thresholds it. A never-fitted classifier predicts
 // all-benign with zero scores.
-func (c *MLPClassifier) PredictProba(X [][]float64) ([]int, []float64) {
-	pred := make([]int, len(X))
+func (c *MLPClassifier) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	pred, proba = pred[:len(X)], proba[:len(X)]
 	if c.net == nil {
-		return pred, make([]float64, len(X))
+		clear(pred)
+		clear(proba)
+		return true
 	}
 	thr := c.Threshold
 	if thr == 0 {
 		thr = 0.5
 	}
-	proba := c.net.Predict01(X)
+	copy(proba, c.net.Predict01(X))
 	for i, v := range proba {
-		if v > thr {
-			pred[i] = 1
-		}
+		pred[i] = b2i(v > thr)
 	}
-	return pred, proba
+	return true
 }
 
 // Predict thresholds the output unit.
 func (c *MLPClassifier) Predict(X [][]float64) []int {
-	pred, _ := c.PredictProba(X)
+	pred, _ := PredictProba(c, X, nil, nil)
 	return pred
 }
 
 // Proba returns the raw output unit per row.
 func (c *MLPClassifier) Proba(X [][]float64) []float64 {
-	_, proba := c.PredictProba(X)
+	_, proba := PredictProba(c, X, nil, nil)
 	return proba
 }

@@ -85,8 +85,8 @@ func (o *OneClassSVM) Fit(X [][]float64) error {
 // region (anomalous), higher is more anomalous. Rows split across the
 // worker pool; each element is written by exactly one goroutine, so
 // results are bit-identical for any worker count.
-func (o *OneClassSVM) Score(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+func (o *OneClassSVM) Score(X [][]float64, dst []float64) []float64 {
+	out := outBuf(dst, len(X))
 	linalg.ParallelRows(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = o.rho - linalg.Dot(o.w, X[i])

@@ -197,7 +197,7 @@ func (t *Thresholded) PartialFit(X [][]float64, y []int) error {
 		if t.q2 == nil {
 			t.q2 = NewP2Quantile(t.Quantile)
 		}
-		for _, s := range t.Detector.Score(benign) {
+		for _, s := range t.Detector.Score(benign, nil) {
 			t.q2.Add(s)
 		}
 		t.Threshold = t.q2.Value()

@@ -148,7 +148,7 @@ func TestKitNETPartialFit(t *testing.T) {
 	if len(k.clusters) == 0 {
 		t.Fatal("first batch should learn the feature map")
 	}
-	scores := k.Score(mk(10))
+	scores := k.Score(mk(10), nil)
 	if len(scores) != 10 {
 		t.Fatalf("got %d scores", len(scores))
 	}

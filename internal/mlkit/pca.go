@@ -120,10 +120,10 @@ func (p *PCA) Transform(X [][]float64) [][]float64 {
 	return out
 }
 
-// Score returns the squared reconstruction residual per row (distance
+// Score writes the squared reconstruction residual per row (distance
 // from the principal subspace); higher means more anomalous.
-func (p *PCA) Score(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+func (p *PCA) Score(X [][]float64, dst []float64) []float64 {
+	out := outBuf(dst, len(X))
 	for i, row := range X {
 		cent := make([]float64, len(row))
 		for j := range row {

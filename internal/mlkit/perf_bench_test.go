@@ -65,7 +65,7 @@ func BenchmarkAutoencoderScore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.Score(X)
+		_ = a.Score(X, nil)
 	}
 }
 
@@ -123,10 +123,11 @@ func BenchmarkKitNETFit(b *testing.B) {
 
 func BenchmarkKitNETScore(b *testing.B) {
 	k, X := benchKitNET(b)
+	out := make([]float64, len(X))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = k.Score(X)
+		k.Score(X, out)
 	}
 }
 
@@ -138,7 +139,7 @@ func BenchmarkGMMScore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Score(X)
+		_ = g.Score(X, nil)
 	}
 }
 
@@ -299,13 +300,15 @@ func BenchmarkForestFit(b *testing.B) {
 }
 
 // BenchmarkForestScore is the tree-scoring layer's own number: one fused
-// predict+score call per 512-row chunk on each of forestFixtures.
+// predict+score call per 512-row chunk on each of forestFixtures, into
+// buffers the caller reuses as the train op's arena does.
 func BenchmarkForestScore(b *testing.B) {
 	for _, c := range forestFixtures(b) {
 		b.Run(c.name, func(b *testing.B) {
+			pred, proba := make([]int, len(c.X)), make([]float64, len(c.X))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.m.PredictProba(c.X)
+				c.m.PredictProba(c.X, pred, proba)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.X)), "ns/row")
 		})

@@ -114,7 +114,7 @@ func FuzzUnmarshalModel(f *testing.F) {
 		for i := range rows {
 			rows[i] = fixed[i][:w]
 		}
-		pred, proba := PredictProba(c, rows)
+		pred, proba := PredictProba(c, rows, nil, nil)
 		if len(pred) != len(rows) || len(proba) != len(rows) {
 			t.Fatalf("scored %d rows into %d labels and %d scores", len(rows), len(pred), len(proba))
 		}
@@ -127,7 +127,7 @@ func FuzzUnmarshalModel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a loaded model's own save does not load: %v", err)
 		}
-		pred2, proba2 := PredictProba(again, rows)
+		pred2, proba2 := PredictProba(again, rows, nil, nil)
 		for i := range pred {
 			if pred[i] != pred2[i] || math.Float64bits(proba[i]) != math.Float64bits(proba2[i]) {
 				t.Fatalf("row %d: (%d, %v) before the round trip, (%d, %v) after", i, pred[i], proba[i], pred2[i], proba2[i])

@@ -93,8 +93,8 @@ func TestPersistInfiniteThresholds(t *testing.T) {
 	}
 	for _, c := range []FusedClassifier{tr, f} {
 		loaded := roundTrip(t, c).(FusedClassifier)
-		wantPred, wantProba := c.PredictProba(rows)
-		pred, proba := loaded.PredictProba(rows)
+		wantPred, wantProba := PredictProba(c, rows, nil, nil)
+		pred, proba := PredictProba(loaded, rows, nil, nil)
 		assertBitIdentical(t, fmt.Sprintf("loaded %T", c), pred, wantPred, proba, wantProba)
 	}
 }

@@ -29,19 +29,19 @@ func (p *Pipeline) Fit(X [][]float64, y []int) error {
 
 // PredictProba applies the fitted transformers once, then scores with the
 // model (hard labels stand in for scores when it has none).
-func (p *Pipeline) PredictProba(X [][]float64) ([]int, []float64) {
-	return predictProbaHard(p.Model, p.transform(X))
+func (p *Pipeline) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	return predictProbaHard(p.Model, p.transform(X), pred, proba)
 }
 
 // Predict applies the fitted transformers then the model.
 func (p *Pipeline) Predict(X [][]float64) []int {
-	pred, _ := p.PredictProba(X)
+	pred, _ := PredictProba(p, X, nil, nil)
 	return pred
 }
 
 // Proba applies the transformers and delegates when supported.
 func (p *Pipeline) Proba(X [][]float64) []float64 {
-	_, proba := p.PredictProba(X)
+	_, proba := PredictProba(p, X, nil, nil)
 	return proba
 }
 
@@ -73,10 +73,10 @@ func (p *DetectorPipeline) Fit(X [][]float64) error {
 }
 
 // Score applies the fitted transformers then scores.
-func (p *DetectorPipeline) Score(X [][]float64) []float64 {
+func (p *DetectorPipeline) Score(X [][]float64, dst []float64) []float64 {
 	cur := X
 	for _, s := range p.Steps {
 		cur = s.Transform(cur)
 	}
-	return p.Detector.Score(cur)
+	return p.Detector.Score(cur, dst)
 }

@@ -81,6 +81,10 @@ type SwapHandle struct {
 	shadow Classifier
 	gen    int
 	stats  SwapStats
+	// shadowPred and shadowProba are the shadow's outputs, reused
+	// chunk after chunk.
+	shadowPred  []int
+	shadowProba []float64
 }
 
 // NewSwapHandle wraps a fitted classifier as generation 1.
@@ -97,43 +101,44 @@ func (h *SwapHandle) Fit(X [][]float64, y []int) error {
 }
 
 // PredictProba scores X with the active model. While a shadow is
-// attached it also scores X with the candidate, once, and folds the
-// divergence into the handle's SwapStats — the returned verdicts and
-// scores always come from the active model alone. proba is nil when the
-// active model exposes no scores.
-func (h *SwapHandle) PredictProba(X [][]float64) (pred []int, proba []float64) {
+// attached it also scores X with the candidate, once, into buffers the
+// handle reuses, and folds the divergence into the handle's SwapStats —
+// the verdicts and scores written always come from the active model
+// alone. It reports false when the active model exposes no scores.
+func (h *SwapHandle) PredictProba(X [][]float64, pred []int, proba []float64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	pred, proba = PredictProba(h.active, X)
+	pred, proba = PredictProba(h.active, X, pred, proba)
 	if h.shadow == nil {
-		return pred, proba
+		return proba != nil
 	}
 	h.stats.Chunks++
 	if len(X) == 0 {
-		return pred, proba
+		return proba != nil
 	}
-	sp, sb := PredictProba(h.shadow, X)
+	if len(X) > len(h.shadowPred) {
+		h.shadowPred, h.shadowProba = make([]int, len(X)), make([]float64, len(X))
+	}
+	sp, sb := PredictProba(h.shadow, X, h.shadowPred, h.shadowProba)
 	h.stats.Rows += len(pred)
 	for i := range pred {
-		if i < len(sp) && pred[i] != sp[i] {
+		if pred[i] != sp[i] {
 			h.stats.Disagree++
 		}
 	}
 	if proba != nil && sb != nil {
+		h.stats.ScoreRows += len(proba)
 		for i := range proba {
-			if i < len(sb) {
-				h.stats.ScoreRows++
-				h.stats.AbsScoreSum += math.Abs(proba[i] - sb[i])
-			}
+			h.stats.AbsScoreSum += math.Abs(proba[i] - sb[i])
 		}
 	}
-	return pred, proba
+	return proba != nil
 }
 
 // Predict is PredictProba without the scores; a shadowed call counts
 // toward SwapStats exactly as a PredictProba call does.
 func (h *SwapHandle) Predict(X [][]float64) []int {
-	pred, _ := h.PredictProba(X)
+	pred, _ := PredictProba(h, X, nil, nil)
 	return pred
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync"
 
 	"lumen/internal/mlkit/linalg"
 )
@@ -337,22 +338,23 @@ func giniFromCounts(counts []float64, n float64) float64 {
 	return g
 }
 
-// PredictProba walks each row to its leaf once and returns both the
+// PredictProba walks each row to its leaf once and writes both the
 // majority class and the positive-class (label 1) leaf fraction. An
 // unfitted tree predicts all-benign with zero scores.
-func (t *DecisionTree) PredictProba(X [][]float64) ([]int, []float64) {
-	return t.flat.predictProba(X)
+func (t *DecisionTree) PredictProba(X [][]float64, pred []int, proba []float64) bool {
+	t.flat.predictProba(X, pred, proba)
+	return true
 }
 
 // Predict returns the majority class at each row's leaf.
 func (t *DecisionTree) Predict(X [][]float64) []int {
-	pred, _ := t.PredictProba(X)
+	pred, _ := PredictProba(t, X, nil, nil)
 	return pred
 }
 
 // Proba returns the positive-class (label 1) leaf fraction per row.
 func (t *DecisionTree) Proba(X [][]float64) []float64 {
-	_, proba := t.PredictProba(X)
+	_, proba := PredictProba(t, X, nil, nil)
 	return proba
 }
 
@@ -381,14 +383,45 @@ func (f *flatTrees) start(t int) int {
 // (x+0 and x*1 are exact, which covers padded classes and the single
 // tree). pred is the first arg-max class, proba the class-1 mean; with
 // no trees both are all zeros.
-func (f *flatTrees) predictProba(X [][]float64) ([]int, []float64) {
-	pred := make([]int, len(X))
-	proba := make([]float64, len(X))
+func (f *flatTrees) predictProba(X [][]float64, pred []int, proba []float64) {
+	pred, proba = pred[:len(X)], proba[:len(X)]
 	if len(f.roots) == 0 {
-		return pred, proba
+		clear(pred)
+		clear(proba)
+		return
 	}
+	k := f.classes
+	buf := accPool.Get().(*[]float64)
+	if cap(*buf) < len(X)*k {
+		*buf = make([]float64, len(X)*k)
+	}
+	acc := (*buf)[:len(X)*k]
+	f.accumulate(X, acc)
+	inv := 1 / float64(len(f.roots))
+	for i := range pred {
+		a := acc[i*k:][:k]
+		for j := range a {
+			a[j] *= inv
+		}
+		pred[i] = ArgMax(a)
+		proba[i] = a[1]
+	}
+	accPool.Put(buf)
+}
+
+// accPool holds the kernel's accumulators. One pool serves every layout
+// (a buffer grows to the largest chunk × classes it has scored), and a
+// forest shared across goroutines scores each call into its own.
+var accPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// accumulate is predictProba's block walk: it sums, into row i's slot
+// of acc, the leaf distributions of row i in every tree. It is a
+// function of its own so that the walk's code does not depend on where
+// the caller's outputs come from: the walk spills heavily, and a change
+// to the signature it sits in moves its register allocation.
+func (f *flatTrees) accumulate(X [][]float64, acc []float64) {
+	clear(acc)
 	nodes, leaves, roots, k := f.nodes, f.leaves, f.roots, f.classes
-	acc := make([]float64, len(X)*k)
 	for lo := 0; lo < len(roots); {
 		hi := lo + 1
 		for hi < len(roots) && f.start(hi+1)-f.start(lo) <= blockNodes {
@@ -405,16 +438,6 @@ func (f *flatTrees) predictProba(X [][]float64) ([]int, []float64) {
 		}
 		lo = hi
 	}
-	inv := 1 / float64(len(roots))
-	for i := range pred {
-		a := acc[i*k:][:k]
-		for j := range a {
-			a[j] *= inv
-		}
-		pred[i] = ArgMax(a)
-		proba[i] = a[1]
-	}
-	return pred, proba
 }
 
 // leafOf follows row from node id down to a leaf and returns the offset of
