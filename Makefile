@@ -224,7 +224,8 @@ loc:
 # change from the working tree), runs N pairs alternating which side goes
 # first, never two at once, and hands the two streams of result lines to
 # `benchjson -pairs`, which prints per end-to-end metric both medians,
-# both quartile ranges, the pairs won and the BENCHMARK.json bound.
+# both quartile ranges, the pairs each side won, the BENCHMARK.json
+# bound and a verdict.
 W ?= flow_conn_file
 N ?= 10
 BASE ?= HEAD
@@ -247,16 +248,16 @@ pairs:
 
 # micro-pairs is pairs for one package's micro-benchmarks, for a change
 # below the end-to-end noise (a kernel's code generation):
-#   make micro-pairs PKG=./internal/mlkit B='BenchmarkForestScore' N=10 BASE=HEAD~1 [BT=200ms] [ARGS='-test.cpu 1'] [RUN='taskset -c 1']
+#   make micro-pairs PKG=./internal/mlkit B='BenchmarkForestScore' N=10 BASE=HEAD~1 [ARGS='-test.cpu 1'] [RUN='taskset -c 1']
 # It builds the package's test binary at BASE (from `git archive`, as
 # pairs does) and from the working tree, runs each from its package
-# directory N times (under the RUN prefix, e.g. a CPU pin), alternating
-# which goes first, and hands both outputs
-# to `benchjson -micro`, which prints per sub-benchmark both ns/op
-# medians and quartile ranges, the runs each side won and a verdict.
+# directory N times at 200 ms a benchmark (ARGS='-test.benchtime 1s'
+# overrides that; RUN is a prefix, e.g. a CPU pin), alternating which
+# goes first, and hands both outputs to `benchjson -micro`, which judges
+# them as pairs does: per sub-benchmark both ns/op medians and quartile
+# ranges, the runs each side won and a verdict.
 PKG ?= ./internal/mlkit
 B ?= .
-BT ?= 200ms
 micro-pairs:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir $$tmp/src && \
 	git archive $(BASE) | tar -x -C $$tmp/src && \
@@ -267,7 +268,7 @@ micro-pairs:
 		order="base change"; [ $$((i % 2)) = 0 ] && order="change base"; \
 		for side in $$order; do \
 			dir=$(PKG); [ $$side = base ] && dir=$$tmp/src/$(PKG); \
-			(cd $$dir && $(RUN) $$tmp/$$side.test -test.run '^$$' -test.bench '$(B)' -test.benchtime $(BT) $(ARGS)) >> $$tmp/$$side.txt \
+			(cd $$dir && $(RUN) $$tmp/$$side.test -test.run '^$$' -test.bench '$(B)' -test.benchtime 200ms $(ARGS)) >> $$tmp/$$side.txt \
 				|| { echo "micro-pairs: $$side failed in pair $$i"; tail -5 $$tmp/$$side.txt; exit 1; }; \
 		done; \
 	done && \

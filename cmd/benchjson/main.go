@@ -14,13 +14,12 @@
 // -base and -change name files holding one bench/cmd/lumenperf result
 // line per run, run as alternating pairs, and -spec names BENCHMARK.json;
 // it prints, per end-to-end metric, both medians and quartile ranges, the
-// pairs the change won, the metric's bound and a verdict.
+// pairs each side won, the metric's bound and a verdict.
 //
 // With -micro it judges a kernel-level comparison (`make micro-pairs`):
 // -base and -change name files holding the `go test -bench` output of N
-// alternating runs of two test binaries; it prints, per benchmark, both
-// ns/op medians and quartile ranges, the runs each side won and a
-// verdict.
+// alternating runs of two test binaries; it judges each benchmark's
+// ns/op as -pairs judges a metric that has no bound.
 package main
 
 import (
@@ -28,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -161,9 +161,9 @@ func main() {
 	if *pairs || *micro {
 		run := runMicro
 		if *pairs {
-			run = func(b, c string) error { return runPairs(*spec, b, c) }
+			run = func(w io.Writer, b, c string) error { return runPairs(w, *spec, b, c) }
 		}
-		if err := run(*base, *change); err != nil {
+		if err := run(os.Stdout, *base, *change); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

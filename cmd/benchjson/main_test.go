@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -130,43 +132,47 @@ func TestPairsReport(t *testing.T) {
 }
 
 // TestMicroReport: the i-th result of a benchmark on one side is paired
-// with its i-th on the other, across interleaved sub-benchmarks, and the
-// verdict needs both nine tenths of the pairs and a gap wider than the
-// base's quartiles.
+// with its i-th on the other, across interleaved sub-benchmarks, and each
+// benchmark is judged by the pairs rule with no bound.
 func TestMicroReport(t *testing.T) {
 	var base, change strings.Builder
+	base.WriteString("goos: linux\n")
 	for i := 0; i < 10; i++ {
-		fmt.Fprintf(&base, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\n", 200+i, 100+i)
-		fmt.Fprintf(&change, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\n", 150+i, 109-i)
+		fmt.Fprintf(&base, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\nBenchmarkK/slow-2 100 %d ns/op 0 B/op\nPASS\n", 200+i, 100+i, 50+i)
+		fmt.Fprintf(&change, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\nBenchmarkK/slow-2 100 %d ns/op 0 B/op\nPASS\n", 150+i, 109-i, 60+i)
 	}
-	b, names, err := readBenchRuns(strings.NewReader("goos: linux\n" + base.String() + "PASS\n"))
-	if err != nil {
+	dir := t.TempDir()
+	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
+	if err := os.WriteFile(bp, []byte(base.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := readBenchRuns(strings.NewReader(change.String()))
-	if err != nil {
+	if err := os.WriteFile(cp, []byte(change.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := microReport(&out, b, c, names); err != nil {
+	if err := runMicro(&out, bp, cp); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("report has %d lines, want a header and two benchmarks:\n%s", len(lines), out.String())
+	if len(lines) != 5 {
+		t.Fatalf("report has %d lines, want a summary, a header and three benchmarks:\n%s", len(lines), out.String())
 	}
 	for i, want := range [][]string{
-		{"BenchmarkK/fast", "204.5 [202.25, 206.75]", "154.5", "0.756", "0/10", "10/10", "faster"},
-		{"BenchmarkK/even", "104.5", "104.5", "1.000", "5/10", "5/10", "level"},
+		{"BenchmarkK/even (ns/op)", "104.5", "104.5", "1.000", "5/10 5/10", "level"},
+		{"BenchmarkK/fast (ns/op)", "204.5 [202.25, 206.75]", "154.5", "0.756", "10/10 0/10", "gain"},
+		{"BenchmarkK/slow (ns/op)", "54.5", "64.5", "1.183", "0/10 10/10", "loss"},
 	} {
+		row := strings.Join(strings.Fields(lines[2+i]), " ")
 		for _, field := range want {
-			if !strings.Contains(lines[1+i], field) {
-				t.Errorf("row %q lacks %q", lines[1+i], field)
+			if !strings.Contains(row, field) {
+				t.Errorf("row %q lacks %q", row, field)
 			}
 		}
 	}
-	delete(c, "BenchmarkK/even")
-	if err := microReport(&out, b, c, names); err == nil {
+	if err := os.WriteFile(cp, []byte(strings.ReplaceAll(change.String(), "BenchmarkK/even", "BenchmarkK/gone")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runMicro(&out, bp, cp); err == nil {
 		t.Error("a benchmark missing on one side should be an error")
 	}
 }

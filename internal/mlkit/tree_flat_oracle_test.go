@@ -326,15 +326,17 @@ func TestLoadRenumbersNonPreorderTree(t *testing.T) {
 
 // TestForestScoreAllocations pins the kernel's allocation count: a warm
 // call into caller buffers allocates nothing, whatever the tree and block
-// count (the accumulator comes from a pool).
+// count (the accumulator comes from a pool). Under the race detector the
+// pool drops Puts at random, so a call may allocate its accumulator anew.
 func TestForestScoreAllocations(t *testing.T) {
+	want := 0.0
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop accumulators at random")
+		want = 1
 	}
 	for _, c := range forestFixtures(t) {
 		pred, proba := make([]int, len(c.X)), make([]float64, len(c.X))
-		if n := testing.AllocsPerRun(10, func() { c.m.PredictProba(c.X, pred, proba) }); n != 0 {
-			t.Errorf("%s over a 512-row chunk allocates %.0f times per warm call into caller buffers, want 0", c.name, n)
+		if n := testing.AllocsPerRun(10, func() { c.m.PredictProba(c.X, pred, proba) }); n > want {
+			t.Errorf("%s over a 512-row chunk allocates %.0f times per warm call into caller buffers, want at most %.0f", c.name, n, want)
 		}
 	}
 }
