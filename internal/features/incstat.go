@@ -50,9 +50,40 @@ func (s *IncStat) elapse(ts float64) (dt float64) {
 // exactly 1 with damping off or no time elapsed.
 func decayFactor(lambda, dt float64) float64 {
 	if lambda > 0 && dt > 0 {
-		return math.Exp2(-lambda * dt)
+		return exp2(-lambda * dt)
 	}
 	return 1
+}
+
+// exp2 is math.Exp2, with the range decays take, −1020 < x ≤ 0, computed
+// inline: the same reduction and polynomial, then 2^k applied by adding k
+// to the exponent bits, which is Ldexp's result while it stays normal (it
+// does here: 2^k ≥ 2^−1020 and the reduced value is at least 2^−½). Any
+// other x, NaN included, goes to math.Exp2.
+func exp2(x float64) float64 {
+	if !(x > -1020 && x <= 0) {
+		return math.Exp2(x)
+	}
+	const (
+		ln2Hi = 6.93147180369123816490e-01
+		ln2Lo = 1.90821492927058770002e-10
+		p1    = 1.66666666666666657415e-01
+		p2    = -2.77777777770155933842e-03
+		p3    = 6.61375632143793436117e-05
+		p4    = -1.65339022054652515390e-06
+		p5    = 4.13813679705723846039e-08
+	)
+	k := 0
+	if x < 0 {
+		k = int(x - 0.5)
+	}
+	t := x - float64(k)
+	hi, lo := t*ln2Hi, -t*ln2Lo
+	r := hi - lo
+	rr := r * r
+	c := r - rr*(p1+rr*(p2+rr*(p3+rr*(p4+rr*p5))))
+	y := 1 - ((lo - (r*c)/(2-c)) - hi)
+	return math.Float64frombits(math.Float64bits(y) + uint64(k)<<52)
 }
 
 // add fades the sufficient statistics by f, then counts v.

@@ -278,13 +278,44 @@ func (m *flatAE) rmse(x []float64, s *kitnetScratch, out []float64, stride int) 
 func sigmoidLayer(src []float64, width int, w, b, dst []float64) {
 	units := len(b)
 	for r := 0; r*width < len(src); r++ {
-		in := src[r*width : (r+1)*width]
-		z := dst[r*units : (r+1)*units]
-		for o := range z {
-			z[o] = linalg.Dot(in, w[o*width:(o+1)*width]) + b[o]
-		}
+		affine(src[r*width:(r+1)*width], w, b, dst[r*units:(r+1)*units])
 	}
 	sigmoidVec(dst)
+}
+
+// affine sets z[o] = in·w[o] + b[o], w holding one len(in)-wide row per
+// unit, two units per pass over in so each input is loaded once for both.
+// Each unit sums exactly as linalg.Dot does (four lanes, the tail into
+// lane 0, then (s0+s1)+(s2+s3)) before its bias, so z equals the per-unit
+// Dot loop bit for bit; an odd last unit is that Dot.
+func affine(in, w, b, z []float64) {
+	n := len(in)
+	o := 0
+	for ; o+1 < len(z); o += 2 {
+		w0, w1 := w[o*n:(o+1)*n], w[(o+1)*n:(o+2)*n]
+		var a0, a1, a2, a3, c0, c1, c2, c3 float64
+		i := 0
+		for ; i+3 < n; i += 4 {
+			x0, x1, x2, x3 := in[i], in[i+1], in[i+2], in[i+3]
+			a0 += x0 * w0[i]
+			a1 += x1 * w0[i+1]
+			a2 += x2 * w0[i+2]
+			a3 += x3 * w0[i+3]
+			c0 += x0 * w1[i]
+			c1 += x1 * w1[i+1]
+			c2 += x2 * w1[i+2]
+			c3 += x3 * w1[i+3]
+		}
+		for ; i < n; i++ {
+			a0 += in[i] * w0[i]
+			c0 += in[i] * w1[i]
+		}
+		z[o] = (a0 + a1) + (a2 + a3) + b[o]
+		z[o+1] = (c0 + c1) + (c2 + c3) + b[o+1]
+	}
+	if o < len(z) {
+		z[o] = linalg.Dot(in, w[o*n:(o+1)*n]) + b[o]
+	}
 }
 
 func clamp01(x float64) float64 {
