@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs micro-pairs
+.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs trace-check micro-pairs
 
 build:
 	$(GO) build ./...
@@ -245,6 +245,30 @@ pairs:
 		done; \
 	done && \
 	$(GO) run ./cmd/benchjson -pairs -spec BENCHMARK.json -base $$tmp/base.jsonl -change $$tmp/change.jsonl
+
+# trace-check makes the traced runs (-trace 1) of the end-to-end
+# benchmark that pairs, which runs -trace 0 only, never makes:
+#   make trace-check [W=feed_closed] [SEED=1]
+# A traced run ends an isolated RunStream by draining a wrapped source at
+# a packet count, runs a feed workload's open-loop segment, and fails
+# when tracing changes the plan or the verdicts. trace-check builds
+# bench/cmd/lumenperf from the working tree into a temp dir outside
+# bench/, as pairs does, runs it once per workload (W=all, its default
+# here, for every workload lumenperf -list names), prints each run's last
+# lines and its exit code, and fails when any run exits non-zero. Not
+# part of check: on two cores, with the build cached, the six runs took
+# 34 s (feed_closed 9.5 s).
+trace-check: W = all
+trace-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir $$tmp/out && \
+	$(GO) build -o $$tmp/perf ./bench/cmd/lumenperf || exit 1; \
+	ws="$(W)"; [ "$$ws" = all ] && ws=$$($$tmp/perf -list | cut -d' ' -f1); \
+	failed=""; for w in $$ws; do \
+		$$tmp/perf -dir $$tmp/out -workload $$w -seed $(SEED) -trace 1 > $$tmp/run.txt 2>&1; code=$$?; \
+		echo "trace-check: $$w exit $$code"; tail -3 $$tmp/run.txt | cut -c1-160; \
+		[ $$code = 0 ] || failed="$$failed $$w"; \
+	done; \
+	[ -z "$$failed" ] || { echo "trace-check: failed:$$failed"; exit 1; }
 
 # micro-pairs is pairs for one package's micro-benchmarks, for a change
 # below the end-to-end noise (a kernel's code generation):

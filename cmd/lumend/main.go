@@ -42,6 +42,11 @@ func main() {
 	}
 }
 
+// traceSpans bounds the spans lumend's tracer keeps, the most recent
+// ones: a daemon runs indefinitely, and every chunk of every pass adds
+// a few. At about 450 B a span that is some 4.5 MB.
+const traceSpans = 10000
+
 // options holds the process-level flags; per-pipeline settings are file keys.
 type options struct {
 	config, listen, traceOut, metricsOut string
@@ -97,7 +102,7 @@ func run(o options, w io.Writer, sigs <-chan os.Signal) error {
 		return check(cfg, w)
 	}
 	out := &syncWriter{w: w}
-	d := daemon.New(daemon.Config{Metrics: obs.NewMetrics(), Tracer: obs.NewTracer()})
+	d := daemon.New(daemon.Config{Metrics: obs.NewMetrics(), Tracer: obs.NewBoundedTracer(traceSpans)})
 	built, release, err := cfg.Build(d.Metrics(), out)
 	if err != nil {
 		return err
@@ -155,7 +160,7 @@ func run(o options, w io.Writer, sigs <-chan os.Signal) error {
 		if err := d.Tracer().WriteChromeTraceFile(o.traceOut); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "lumend: wrote Chrome trace to", o.traceOut)
+		fmt.Fprintf(out, "lumend: wrote Chrome trace to %s (%d older spans dropped)\n", o.traceOut, d.Tracer().Dropped())
 	}
 	if o.metricsOut != "" {
 		if err := d.Metrics().WritePrometheusFile(o.metricsOut); err != nil {

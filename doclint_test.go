@@ -62,7 +62,7 @@ func TestDocLintOpTable(t *testing.T) {
 // designMaxBytes is DESIGN.md's size ceiling, a ratchet: a change that
 // adds to the document pays for it by trimming elsewhere. Lower it when a
 // rewrite shrinks the document; never raise it.
-const designMaxBytes = 70944
+const designMaxBytes = 70784
 
 // TestDocLintDesignSize holds DESIGN.md to designMaxBytes.
 func TestDocLintDesignSize(t *testing.T) {

@@ -164,15 +164,17 @@ func TestRecyclingPassUsesOneArena(t *testing.T) {
 	}
 }
 
-// TestOnlyHookedPassesRecycle: recycling is decided once per pass from
-// what the pass observably retains. A hooked pass of a fully streamed
-// plan recycles, with its scratch taken in the sink (field_extract reads
-// iat, kitsune_features is ordered) or on the ops goroutine (nprint), and
-// its rows, copied in the callback, are the unhooked result bit for bit
-// at depths 0, 2 and 4. An unhooked pass, an Online one and one whose
-// plan accumulates frames for the flush (time_slice) do not recycle, and
-// the rows their hook was handed stay valid after the callback.
-func TestOnlyHookedPassesRecycle(t *testing.T) {
+// TestWhichPassesRecycle: recycling is decided once per pass from what
+// the pass observably retains. A pass of a fully streamed plan recycles,
+// hooked or not (an unhooked pass's own hook copies its rows out), with
+// its scratch taken in the sink (field_extract reads iat,
+// kitsune_features is ordered) or on the ops goroutine (nprint), and a
+// hooked pass's rows, copied in the callback, are the unhooked result bit
+// for bit at depths 0, 2 and 4. An Online pass, one whose plan
+// accumulates frames for the flush (time_slice) and one the shared cache
+// serves do not recycle, and the rows their hook was handed stay valid
+// after the callback.
+func TestWhichPassesRecycle(t *testing.T) {
 	cases := []struct {
 		name, ds       string
 		p              *Pipeline
@@ -183,7 +185,7 @@ func TestOnlyHookedPassesRecycle(t *testing.T) {
 		{"kitsune_features in the sink", "P1", kitsunePipeline(), false, true, true},
 		{"dot11_features in the sink", "P2", dot11Pipeline(), false, true, true},
 		{"nprint in the ops stage", "P0", nprintPipeline(), false, true, true},
-		{"unhooked", "P0", lightPipeline(), false, false, false},
+		{"unhooked", "P0", lightPipeline(), false, false, true},
 		{"online prequential", "P0", onlinePipeline("linear_svm"), true, true, false},
 		{"accumulating (time_slice)", "P0", packetAggPipeline(), false, true, false},
 	}
@@ -224,6 +226,18 @@ func TestOnlyHookedPassesRecycle(t *testing.T) {
 			}
 			requireEqualResults(t, want, mergeResults(handed), label)
 		}
+	}
+	// A whole-trace pass over a dataset, which the shared cache serves.
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.05)
+	eng := NewEngine(lightPipeline())
+	eng.SetCache(NewCache())
+	r, err := newStreamExec(eng, dataset.NewSliceSource(ds), ModeTest, StreamConfig{}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.keys == nil || r.arenas != nil {
+		t.Fatalf("cache-served pass: keyed %v, recycles %v; want keyed and not recycling", r.keys != nil, r.arenas != nil)
 	}
 }
 

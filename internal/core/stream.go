@@ -452,9 +452,12 @@ func (s *flowSinkState) report() {
 // goroutine at depth 0, behind a source goroutine and an ops goroutine
 // over bounded channels at depth > 0. Hooked and Online passes run at
 // every depth. cfg.Workers above 1 is refused, and so is cfg.Online on a
-// train pass, which always fits whole. A pass that fails, panics
-// included, releases every chunk it was handed, leaves no goroutine
-// behind, and drains its source when the source has a Drain method.
+// train pass, which always fits whole. A source that ends cleanly
+// before its first chunk still gets a pass over one empty chunk (Seq 0,
+// Base 0). A pass that fails, panics included, releases every chunk it
+// was handed, leaves no goroutine behind, drains its source when the
+// source has a Drain method, and reports the source's Err beside its
+// own error.
 //
 // Memory: peak state is the in-flight chunks (one at depth 0, O(depth)
 // staged) plus whatever the plan must retain — accumulated feature
@@ -471,23 +474,22 @@ func (s *flowSinkState) report() {
 // cache serves, or a plan that waits for drain, keeps every flow of the
 // pass for the drain pass. Packets themselves never outlive
 // their chunk: every finished chunk is recycled to its source and its
-// backing reference released. Verdict rows outlive theirs only on an
-// unhooked pass, which keeps every chunk's and block's EvalResult (about
-// 48 B a row) to merge into the result it returns. A pass with
-// StreamHooks.AfterChunk set hands each chunk's rows and each block's to
-// the callback and keeps none, so a fully streamed hooked test pass
-// holds O(chunk) however long it runs, and a hooked flow pass that scores
-// at close the flows open or waiting and one block, not every flow it
-// has seen. When it is also not Online and accumulates nothing for the
-// flush, it draws frame columns, the scored matrix, unit indices and the
-// labels and scores the model writes from an arena it reuses chunk after
-// chunk, and what it still allocates is a few objects a chunk (about
-// 24 B a packet on a nine-field tree pipeline, against ~320 B without
-// the arena).
+// backing reference released. Verdict rows leave one way: each chunk's
+// and each block's go to StreamHooks.AfterChunk. The pass keeps none,
+// so a fully streamed hooked test pass holds O(chunk) however long it
+// runs, and a hooked flow pass that scores at close the flows open or
+// waiting and one block, not every flow it has seen. A pass that is not
+// Online, accumulates nothing for the flush and is not served by the
+// shared cache draws frame columns, the scored matrix, unit indices and
+// the labels and scores the model writes from an arena it reuses chunk
+// after chunk, and what it still allocates is a few objects a chunk
+// (about 24 B a packet on a nine-field tree pipeline, against ~320 B
+// without the arena).
 //
-// The result: an unhooked pass returns every row; a hooked pass returns
-// nil, having handed every row to the callback (see StreamHooks for the
-// contract).
+// The result: when cfg.Hooks sets no AfterChunk, the pass's own hook
+// copies every row into the result it returns (about 48 B a row); with
+// one, it returns nil, having handed every row to the callback (see
+// StreamHooks for the contract).
 //
 // RunStream bypasses the shared Cache: a source has no identity to key
 // its values by. TrainStream and TestStream give theirs one (see Cache).
@@ -540,54 +542,6 @@ func (e *Engine) TestStream(ds *dataset.Labeled, cfg StreamConfig) (*EvalResult,
 		return nil, fmt.Errorf("core: pipeline %q produced no predictions", e.P.Name)
 	}
 	return res, nil
-}
-
-// mergeResults stitches per-chunk evaluation results back into one, in
-// chunk order. A single part is returned untouched, so a whole-trace pass
-// returns the op's own result (including nil-ness of empty fields); empty
-// chunks contribute empty slices and vanish in the append.
-func mergeResults(parts []*EvalResult) *EvalResult {
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	}
-	// Size each column once: appending from nil over thousands of chunk
-	// results doubles its way through several times the final size in
-	// garbage. A column empty in every part stays nil.
-	var nPred, nTruth, nAttacks, nScores, nIdx int
-	for _, p := range parts {
-		nPred += len(p.Pred)
-		nTruth += len(p.Truth)
-		nAttacks += len(p.Attacks)
-		nScores += len(p.Scores)
-		nIdx += len(p.UnitIdx)
-	}
-	out := &EvalResult{
-		Unit:    parts[0].Unit,
-		Pred:    withCap[int](nPred),
-		Truth:   withCap[int](nTruth),
-		Attacks: withCap[string](nAttacks),
-		Scores:  withCap[float64](nScores),
-		UnitIdx: withCap[int](nIdx),
-	}
-	for _, p := range parts {
-		out.Pred = append(out.Pred, p.Pred...)
-		out.Truth = append(out.Truth, p.Truth...)
-		out.Attacks = append(out.Attacks, p.Attacks...)
-		out.Scores = append(out.Scores, p.Scores...)
-		out.UnitIdx = append(out.UnitIdx, p.UnitIdx...)
-	}
-	return out
-}
-
-// withCap returns an empty slice with room for n elements, nil for n = 0.
-func withCap[T any](n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, 0, n)
 }
 
 // concatFrames concatenates per-chunk frames into one whole-trace frame.

@@ -42,7 +42,8 @@ type ChunkUpdate struct {
 	// rows of its block or of the drain pass. Like Views they are valid
 	// only during the callback: on a recycling pass (see StreamHooks) their unit indices
 	// live in memory a later chunk reuses, so copy the rows that must
-	// outlive it. RunStream does not return these rows (see StreamHooks).
+	// outlive it. RunStream returns nil beside a caller's hook (see
+	// StreamHooks).
 	// Empty on training passes and on chunks with no scored rows; on
 	// pipelines that score flows as they close, or behind a barrier, the
 	// verdicts arrive in flush updates instead.
@@ -75,26 +76,30 @@ type ChunkUpdate struct {
 // stream exactly like a failing op. Hooks hold at every stream depth,
 // bit-identically.
 //
-// A pass with AfterChunk set keeps no verdict row it has given to the
-// callback, so what it retains is what is open, not what has passed.
-// What is not a chunk's goes to the callback too, in flush updates, the
-// same way: one per block of closed flows the plan's StageClose ops
-// score, as soon as the block fills, between chunks, and at drain the
-// last, partial one, their unit indices continuing where the previous
-// block's stopped; then one for the drain pass, after every chunk's.
-// RunStream then returns nil. The rows of every update's
+// AfterChunk is the one way verdicts leave a pass, which keeps no row
+// it has handed on, so what it retains is what is open, not what has
+// passed. What is not a chunk's goes to the callback too, in flush
+// updates, the same way: one per block of closed flows the plan's
+// StageClose ops score, as soon as the block fills, between chunks, and
+// at drain the last, partial one, their unit indices continuing where
+// the previous block's stopped; then one for the drain pass, after
+// every chunk's. RunStream then returns nil. The rows of every update's
 // Results, in the order they were handed, copied inside the callback,
-// are the unhooked pass's result bit for bit, at every depth. A model
-// the callback swaps in scores the chunks and blocks after it.
+// are the unhooked pass's result bit for bit, at every depth: a pass
+// whose caller sets no AfterChunk installs one of its own that copies
+// them into the result it returns, while ConnsClosed and WantFeatures
+// still apply. A model the callback swaps in scores the chunks and
+// blocks after it.
 //
-// Such a pass also recycles its chunk scratch when nothing it produces
-// can outlive the callback: it is not Online and its plan accumulates no
-// streamed value for the flush (StreamPlan.Accum is empty). Frame
-// columns, the scored feature matrix, the model's labels and scores and
-// verdict unit indices then come from a per-chunk arena that the next
-// chunk reuses once the callback has returned; a block of closed flows
-// has an arena of its own on every pass. That is why every slice a
-// ChunkUpdate carries is valid only during the callback.
+// A pass recycles its chunk scratch when nothing it produces can
+// outlive the callback: it is not Online, its plan accumulates no
+// streamed value for the flush (StreamPlan.Accum is empty), and the
+// shared cache does not serve it. Frame columns, the scored feature
+// matrix, the model's labels and scores and verdict unit indices then
+// come from a per-chunk arena that the next chunk reuses once the
+// callback has returned; a block of closed flows has an arena of its
+// own on every pass. That is why every slice a ChunkUpdate carries is
+// valid only during the callback.
 type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.
@@ -120,8 +125,8 @@ type StreamHooks struct {
 	WantFeatures bool
 }
 
-// active reports whether the per-chunk callback is set: the pass hands
-// its streamed rows out instead of keeping them.
+// active reports whether the caller set the per-chunk callback, beside
+// which RunStream returns nil.
 func (h *StreamHooks) active() bool {
 	return h != nil && h.AfterChunk != nil
 }

@@ -85,6 +85,24 @@ func testStreamHooked(t *testing.T, eng *Engine, ds *dataset.Labeled, cfg Stream
 	return mergeResults(parts)
 }
 
+// mergeResults concatenates verdict batches in order: nil for none, and
+// a column that is empty in every batch stays nil, as in the result of
+// an unhooked pass.
+func mergeResults(parts []*EvalResult) *EvalResult {
+	if len(parts) == 0 {
+		return nil
+	}
+	out := &EvalResult{Unit: parts[0].Unit}
+	for _, p := range parts {
+		out.Pred = append(out.Pred, p.Pred...)
+		out.Truth = append(out.Truth, p.Truth...)
+		out.Attacks = append(out.Attacks, p.Attacks...)
+		out.Scores = append(out.Scores, p.Scores...)
+		out.UnitIdx = append(out.UnitIdx, p.UnitIdx...)
+	}
+	return out
+}
+
 // cloneResult deep-copies a verdict batch, nil-ness of every column
 // included.
 func cloneResult(r *EvalResult) *EvalResult {

@@ -66,7 +66,9 @@ type StreamStats struct {
 //	                           absorb, hooks, blocks of closed flows
 //
 // Chunks never leave stream order, so every depth is bit-identical to the
-// whole-trace pass, and a staged pass holds at most 2d + 3 chunks in flight. One
+// whole-trace pass, and a staged pass holds at most 2d + 3 chunks in flight.
+// A source that ends cleanly before its first chunk gets one empty chunk
+// (Seq 0, Base 0) run after the loop, the same at every depth. One
 // deferred unwind covers every exit of the loop — an op or hook error, a
 // source error, a panic on the sink — so no stage goroutine outlives the
 // pass and every chunk is released exactly once.
@@ -95,20 +97,15 @@ func (r *streamExec) run(src dataset.Source, cfg StreamConfig) (*EvalResult, err
 		// Pump.Done.
 		nc.ReleaseRef()
 	}
-	srcErr := func() error {
-		if es, ok := src.(interface{ Err() error }); ok {
-			return es.Err()
-		}
-		return nil
-	}
-	sinkSpan, stop := e.Span, func() {}
+	srcErr := src.Err
+	opsSpan, sinkSpan, stop := e.Span, e.Span, func() {}
 	if depth > 0 {
 		pump := dataset.StartPump(src, dataset.PumpConfig{MaxRows: cfg.ChunkRows, MaxBytes: cfg.ChunkBytes, Depth: depth})
 		jobs := make(chan *chunkJob, depth)
 		done := make(chan struct{}) // closed by stop: the ops goroutine hands nothing more on
 		// Stage spans render on their own tracks: the caller's + 1 is the
 		// source, + 2 the ops goroutine; the sink stays on the caller's.
-		var srcSpan, opsSpan *obs.Span
+		var srcSpan *obs.Span
 		if sp := e.Span; sp != nil {
 			srcSpan, opsSpan, sinkSpan = sp.ChildOn("stage:source", sp.TID()+1), sp.ChildOn("stage:ops", sp.TID()+2), sp.Child("stage:sink")
 		}
@@ -205,6 +202,16 @@ func (r *streamExec) run(src dataset.Source, cfg StreamConfig) (*EvalResult, err
 		}()
 		for job := next(); job != nil; job = next() {
 			if err := r.sinkChunk(job, sinkSpan, release); err != nil {
+				return err
+			}
+		}
+		if r.nChunks == 0 && srcErr() == nil {
+			// A source may end before its first chunk. The pass still runs
+			// one, empty, so that every streamed value exists for the
+			// drain pass and a hook sees the stream end; it is nobody's to
+			// release.
+			job := r.prepare(dataset.NumberedChunk{}, opsSpan)
+			if err := r.sinkChunk(job, sinkSpan, func(dataset.NumberedChunk) {}); err != nil {
 				return err
 			}
 		}

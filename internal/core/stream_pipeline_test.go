@@ -34,6 +34,8 @@ func (s *slowSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 
 func (s *slowSource) Reset() error { return s.inner.Reset() }
 
+func (s *slowSource) Err() error { return s.inner.Err() }
+
 // maxChunkWire computes the largest wire-byte weight of any row-bounded
 // chunk window, the unit of the pipeline's O(depth × chunk) memory bound.
 func maxChunkWire(ds *dataset.Labeled, chunk int) int {
@@ -234,6 +236,8 @@ func (s *slowEOFSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 
 func (s *slowEOFSource) Reset() error { return s.inner.Reset() }
 
+func (s *slowEOFSource) Err() error { return s.inner.Err() }
+
 // trackedSource gives every chunk it hands out a counted backing
 // reference and counts the recycles, so a run can be held to the release
 // contract: each delivered chunk is recycled once and its reference
@@ -262,6 +266,8 @@ func (s *trackedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 }
 
 func (s *trackedSource) Reset() error { return s.inner.Reset() }
+
+func (s *trackedSource) Err() error { return s.inner.Err() }
 
 func (s *trackedSource) Recycle(ck dataset.Chunk) {
 	s.recycled.Add(1)

@@ -33,9 +33,10 @@ type streamExec struct {
 	// goroutine that owns stream order touches it.
 	sc    *streamCtx
 	sinks []*flowSinkState
-	// hooks are the pass's per-chunk callbacks (nil when unhooked); absorb
-	// invokes them on the goroutine that owns stream order.
-	hooks *StreamHooks
+	// hooks are the pass's per-chunk callbacks, which absorb invokes on
+	// the goroutine that owns stream order: the caller's, with collect as
+	// AfterChunk when the caller set none.
+	hooks StreamHooks
 	// trainFrame is the name of the train op's feature-frame input, so
 	// hooks with WantFeatures can find it in every job.
 	trainFrame string
@@ -43,19 +44,20 @@ type streamExec struct {
 
 	// accum holds the per-chunk frames deferred ops read; fenv holds the
 	// latest of every other streamed value they read. Both seed the
-	// environments of the blocks and of the drain pass. results are the
-	// rows an unhooked pass returns.
+	// environments of the blocks and of the drain pass. out is the result
+	// collect builds, the rows a pass the caller did not hook returns.
 	accum   map[string][]*Frame
 	fenv    map[string]Value
-	results []*EvalResult
+	out     *EvalResult
 	hwm     uint64
 	live    gauge // on heapLiveName, sampled into hwm once a job
 	nChunks int
 
 	// arenas is the free list of chunk scratch on a recycling pass, nil
 	// otherwise. A pass recycles when nothing it produces outlives the
-	// chunk's hook: it is hooked, not Online (a partial fit may keep
-	// rows), and its plan accumulates no streamed value for the flush.
+	// chunk's hook: it is not Online (a partial fit may keep rows), its
+	// plan accumulates no streamed value for the flush, and the shared
+	// cache does not serve it (cached values outlive the pass).
 	arenas *arenaPool
 
 	// keys are the lineage keys (see lineageKeys) of the values the shared
@@ -81,10 +83,10 @@ type streamExec struct {
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
-// profile and accumulators of one RunStream pass. A pass over a root
-// dataset that arrives as one chunk, unhooked and not Online, is what
-// the shared cache can serve: its values are keyed by lineage from the
-// dataset's identity.
+// profile, accumulators and hooks of one RunStream pass. A pass over a
+// root dataset that arrives as one chunk, unhooked by the caller and not
+// Online, is what the shared cache can serve: its values are keyed by
+// lineage from the dataset's identity.
 func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, root *dataset.Labeled) (*streamExec, error) {
 	pl, err := e.StreamPlan(mode)
 	if err != nil {
@@ -97,7 +99,6 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		stage: slices.Clone(pl.Stage),
 		meta:  src.Meta(),
 		sc:    &streamCtx{carry: map[string]any{}, online: cfg.Online},
-		hooks: cfg.Hooks,
 		accum: map[string][]*Frame{},
 		fenv:  map[string]Value{},
 		live:  gauge{{Name: heapLiveName}},
@@ -130,11 +131,17 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		r.prof[i] = OpStats{Func: op.Func, Output: op.Output}
 	}
 	r.trainFrame = e.P.Ops[e.trainOp].Input[1]
-	if cfg.Hooks.active() && !cfg.Online && len(pl.Accum) == 0 {
+	if !cfg.Online && len(pl.Accum) == 0 && r.keys == nil {
 		r.arenas = &arenaPool{}
 	}
+	if cfg.Hooks != nil {
+		r.hooks = *cfg.Hooks
+	}
+	if r.hooks.AfterChunk == nil {
+		r.hooks.AfterChunk = r.collect
+	}
 	keep := ""
-	if cfg.Hooks != nil && cfg.Hooks.WantFeatures {
+	if r.hooks.WantFeatures {
 		keep = r.trainFrame
 	}
 	r.free = deadAfter(e.P, r.stage, keep)
@@ -362,9 +369,8 @@ func (r *streamExec) runOps(job *chunkJob, stage Stage, sc *streamCtx, parent *o
 // absorb folds one finished job into the run, in stream order, the same
 // way for a chunk, a block and the drain pass: it adds the job's stats to
 // the profile, stamps its drift events with its Seq and counts them,
-// hands its rows to the AfterChunk callback when there is one and keeps
-// them for the returned result otherwise, raises the pass's live-heap
-// high-water mark, and hands its scratch back. A chunk also leaves the
+// raises the pass's live-heap high-water mark, hands the job to the
+// AfterChunk hook, and then its scratch back. A chunk also leaves the
 // streamed values deferred ops read. It returns the job's error or the
 // hook's.
 func (r *streamExec) absorb(job *chunkJob) error {
@@ -404,17 +410,6 @@ func (r *streamExec) absorb(job *chunkJob) error {
 	if live := r.live.read(); live > r.hwm {
 		r.hwm = live
 	}
-	if !r.hooks.active() {
-		if job.scratch.a != nil {
-			// A block's verdicts live in its arena, which the next
-			// block reuses.
-			for _, res := range job.results {
-				res.Pred, res.Scores = slices.Clone(res.Pred), slices.Clone(res.Scores)
-			}
-		}
-		r.results = append(r.results, job.results...)
-		return nil
-	}
 	// The hook runs last, once the job is fully folded into the run, so
 	// callbacks observe a consistent pass state. Its error aborts the
 	// stream exactly like an op failure in this job would have.
@@ -445,8 +440,8 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 // finish runs the drain pass, a job over the accumulated state of the
 // whole trace: every accumulated frame concatenated, the streamed values
 // kept, and each sink's flows, the close sink scoring its last blocks
-// first. It then assembles the result the pass returns: every row on an
-// unhooked pass, nil on a hooked one, whose callback was handed them.
+// first. It returns what collect gathered: every row on a pass the
+// caller did not hook, nil on one it did, whose callback was handed them.
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	env := r.fenv
@@ -503,13 +498,32 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	if r.mode == ModeTrain {
 		e.trained = true
 	}
-	return mergeResults(r.results), nil
+	return r.out, nil
+}
+
+// collect is the AfterChunk hook of a pass whose caller set none: it
+// copies every update's rows, in the order they come, into the result
+// the pass returns. A column no update has rows for stays nil, as it is
+// in each result the train op makes.
+func (r *streamExec) collect(up ChunkUpdate) error {
+	for _, res := range up.Results {
+		if r.out == nil {
+			r.out = &EvalResult{Unit: res.Unit}
+		}
+		out := r.out
+		out.Pred = append(out.Pred, res.Pred...)
+		out.Truth = append(out.Truth, res.Truth...)
+		out.Attacks = append(out.Attacks, res.Attacks...)
+		out.Scores = append(out.Scores, res.Scores...)
+		out.UnitIdx = append(out.UnitIdx, res.UnitIdx...)
+	}
+	return nil
 }
 
 // connsClosed hands conns, connections sink s has closed, to the
 // ConnsClosed hook when s is the plan's connection sink.
 func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Flow) error {
-	if s.op != r.pl.ConnSink || r.hooks == nil || r.hooks.ConnsClosed == nil {
+	if s.op != r.pl.ConnSink || r.hooks.ConnsClosed == nil {
 		return nil
 	}
 	r.connsLogged = true

@@ -324,6 +324,8 @@ func (s *emptyTailSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	return dataset.Chunk{}, false
 }
 
+func (s *emptyTailSource) Err() error { return s.inner.Err() }
+
 func (s *emptyTailSource) Reset() error {
 	s.sent = false
 	return s.inner.Reset()

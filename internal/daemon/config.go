@@ -229,6 +229,9 @@ func (c *FileConfig) Build(metrics *obs.Metrics, stdout io.Writer) (cfgs []PipeC
 			if dr, ok := pc.Source.(Drainer); ok {
 				dr.Drain()
 			}
+			if cl, ok := pc.Source.(io.Closer); ok {
+				cl.Close()
+			}
 		}
 		for _, f := range files {
 			f.Close()
@@ -322,13 +325,44 @@ func (s SourceSpec) open() (dataset.Source, error) {
 		return NewFeedSource("feed:"+ln.Addr().String(), ln, link, 0), nil
 	}
 	r := s.Replay
-	load := r.generate
+	var inner dataset.Source
 	if r.Pcap != "" {
-		load = func() (*dataset.Labeled, error) { return dataset.LoadPcap(r.Pcap) }
+		c, err := openCapture(r.Pcap)
+		if err != nil {
+			return nil, err
+		}
+		inner = c
+	} else {
+		ds, err := r.generate()
+		if err != nil {
+			return nil, err
+		}
+		inner = dataset.NewSliceSource(ds)
 	}
-	ds, err := load()
+	return NewReplaySource(inner, r.Speed, ms(r.DelayMs)), nil
+}
+
+// capture is a replayed capture file streamed from its memory mapping
+// (or through a buffered reader where the file cannot be mapped), never
+// loaded: Close unmaps it and closes the file.
+type capture struct {
+	*dataset.PcapSource
+	f *os.File
+}
+
+// openCapture opens the capture at path for replay.
+func openCapture(path string) (*capture, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return NewReplaySource(dataset.NewSliceSource(ds), r.Speed, ms(r.DelayMs)), nil
+	src, err := dataset.NewPcapSource(path, f, dataset.Packet)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &capture{src, f}, nil
 }
+
+// Close implements io.Closer.
+func (c *capture) Close() error { return errors.Join(c.PcapSource.Close(), c.f.Close()) }

@@ -111,7 +111,6 @@ type gateSource struct {
 	mu      sync.Mutex
 	stop    chan struct{}
 	stopped bool
-	emitted bool
 }
 
 func newGate(inner dataset.Source) *gateSource {
@@ -131,32 +130,17 @@ func (g *gateSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	stopCh, stopped := g.stop, g.stopped
 	g.mu.Unlock()
 	if stopped {
-		return g.end()
+		return dataset.Chunk{}, false
 	}
 	select {
 	case <-g.permits:
 	case <-stopCh:
-		return g.end()
+		return dataset.Chunk{}, false
 	}
-	ck, ok := g.inner.Next(maxRows, maxBytes)
-	if !ok {
-		return g.end()
-	}
-	g.mu.Lock()
-	g.emitted = true
-	g.mu.Unlock()
-	return ck, true
+	return g.inner.Next(maxRows, maxBytes)
 }
 
-func (g *gateSource) end() (dataset.Chunk, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.emitted {
-		g.emitted = true
-		return dataset.Chunk{}, true
-	}
-	return dataset.Chunk{}, false
-}
+func (g *gateSource) Err() error { return g.inner.Err() }
 
 func (g *gateSource) Reset() error {
 	g.mu.Lock()
@@ -168,7 +152,6 @@ func (g *gateSource) Reset() error {
 		g.stop = make(chan struct{})
 		g.stopped = false
 	}
-	g.emitted = false
 	return nil
 }
 

@@ -78,9 +78,8 @@ type FeedSource struct {
 	mConnErrs [len(feedConnReasons)]*obs.Counter
 
 	// The rest is Next's alone (a Source has one consumer).
-	cur     feedBatch // the batch being cut, possibly across chunks
-	base    int
-	emitted bool
+	cur  feedBatch // the batch being cut, possibly across chunks
+	base int
 	// labels and attacks are all zero: a live feed has no ground truth,
 	// so every chunk carries sub-slices of the same two.
 	labels  []int
@@ -399,11 +398,7 @@ func (s *FeedSource) Meta() dataset.SourceMeta {
 func (s *FeedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	if s.cur.n == 0 {
 		if s.cur = <-s.batches; s.cur.n == 0 { // closed: every reader is gone
-			if s.emitted {
-				return dataset.Chunk{}, false
-			}
-			s.emitted = true
-			return dataset.Chunk{Base: s.base}, true
+			return dataset.Chunk{}, false
 		}
 	}
 	if maxRows <= 0 {
@@ -441,7 +436,6 @@ func (s *FeedSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 		Ref:     ref,
 	}
 	s.base += n
-	s.emitted = true
 	return ck, true
 }
 
@@ -514,9 +508,9 @@ func (s *FeedSource) Drain() {
 	})
 }
 
-// Err implements the optional error surface: a listener failure. A
-// faulty producer fails only its own connection (see ConnErrors), and
-// producer disconnects are not errors.
+// Err implements dataset.Source: a listener failure. A faulty producer
+// fails only its own connection (see ConnErrors), and producer
+// disconnects are not errors.
 func (s *FeedSource) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

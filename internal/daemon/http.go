@@ -12,7 +12,9 @@ import (
 //
 //	GET  /healthz                     liveness probe ("ok")
 //	GET  /metrics                     Prometheus exposition (text 0.0.4)
-//	GET  /trace                       finished spans as JSONL
+//	GET  /trace                       finished spans as JSONL; the
+//	                                  X-Lumen-Dropped-Spans header counts
+//	                                  those a bounded tracer let go
 //	GET  /trace?format=chrome         same spans as a Chrome trace
 //	GET  /pipelines                   every pipeline's PipeStatus (JSON)
 //	GET  /pipelines/{name}            one pipeline's PipeStatus
@@ -40,6 +42,7 @@ func (d *Daemon) Handler() http.Handler {
 	}
 	if d.tracer != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Lumen-Dropped-Spans", strconv.FormatInt(d.tracer.Dropped(), 10))
 			if r.URL.Query().Get("format") == "chrome" {
 				w.Header().Set("Content-Type", "application/json")
 				d.tracer.WriteChromeTrace(w)

@@ -412,9 +412,9 @@ func (p *Pipe) run() {
 		break
 	}
 	// Nothing reads the source any more: a watch whose pass failed
-	// mid-capture lets the file go.
-	if w, ok := p.src.(*DirSource); ok {
-		w.Close()
+	// mid-capture lets the file go, and a replayed capture is unmapped.
+	if c, ok := p.src.(io.Closer); ok {
+		c.Close()
 	}
 	p.finalize()
 }

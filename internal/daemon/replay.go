@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"io"
 	"sync"
 	"time"
 
@@ -21,7 +22,6 @@ type ReplaySource struct {
 	delay   time.Duration
 	stop    chan struct{}
 	stopped bool
-	emitted bool
 	started bool
 	wall0   time.Time
 	pkt0    time.Time
@@ -68,14 +68,13 @@ func (s *ReplaySource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	stopCh, stopped := s.stop, s.stopped
 	s.mu.Unlock()
 	if stopped {
-		return s.endStream()
+		return dataset.Chunk{}, false
 	}
 	ck, ok := s.inner.Next(maxRows, maxBytes)
 	if !ok {
-		return s.endStream()
+		return ck, false
 	}
 	s.mu.Lock()
-	s.emitted = true
 	wait := s.delay
 	if s.speed > 0 && ck.Len() > 0 {
 		first := ck.Views[0].Ts
@@ -97,19 +96,6 @@ func (s *ReplaySource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 	return ck, true
 }
 
-// endStream honors the at-least-one-chunk contract: the first end-of-
-// stream observation on a pass that emitted nothing yields one empty
-// chunk.
-func (s *ReplaySource) endStream() (dataset.Chunk, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.emitted {
-		s.emitted = true
-		return dataset.Chunk{}, true
-	}
-	return dataset.Chunk{}, false
-}
-
 // Reset implements dataset.Source: it rewinds the inner source and
 // re-arms pacing and drain, so the next pass replays from the top.
 func (s *ReplaySource) Reset() error {
@@ -120,7 +106,6 @@ func (s *ReplaySource) Reset() error {
 	}
 	s.stop = make(chan struct{})
 	s.stopped = false
-	s.emitted = false
 	s.started = false
 	return nil
 }
@@ -137,6 +122,16 @@ func (s *ReplaySource) Drain() {
 	}
 }
 
+// Close implements io.Closer: it closes the inner source when that holds
+// a file (a replayed capture). The pipeline calls it once its last pass
+// has ended.
+func (s *ReplaySource) Close() error {
+	if c, ok := s.inner.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // Recycle forwards chunk recycling to the inner source when it pools
 // chunk buffers (dataset.PcapSource, dataset.SliceSource).
 func (s *ReplaySource) Recycle(ck dataset.Chunk) {
@@ -145,11 +140,5 @@ func (s *ReplaySource) Recycle(ck dataset.Chunk) {
 	}
 }
 
-// Err surfaces the inner source's decode error when it reports one
-// (dataset.PcapSource).
-func (s *ReplaySource) Err() error {
-	if es, ok := s.inner.(interface{ Err() error }); ok {
-		return es.Err()
-	}
-	return nil
-}
+// Err implements dataset.Source: the inner source's error.
+func (s *ReplaySource) Err() error { return s.inner.Err() }

@@ -117,17 +117,13 @@ func TestReplaySourceDrainInterruptsPacing(t *testing.T) {
 	}
 }
 
-// TestReplaySourceEmptyContract: a drained-before-first-chunk replay
-// still emits the one empty chunk the Source contract requires.
+// TestReplaySourceEmptyContract: a replay drained before its first chunk
+// ends with no chunk; the engine runs the empty one.
 func TestReplaySourceEmptyContract(t *testing.T) {
 	src := NewReplaySource(dataset.NewSliceSource(tinyTrace(5, time.Second)), 0, 0)
 	drainOf(t, src).Drain()
-	ck, ok := src.Next(0, 0)
-	if !ok || ck.Len() != 0 {
-		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, ck.Len())
-	}
-	if _, ok := src.Next(0, 0); ok {
-		t.Fatal("stream must end after the empty chunk")
+	if ck, ok := src.Next(0, 0); ok {
+		t.Fatalf("want no chunk, got one of %d packets", ck.Len())
 	}
 }
 
@@ -206,18 +202,14 @@ func TestFeedSource(t *testing.T) {
 	}
 }
 
-// TestFeedSourceEmptyContract: draining an idle feed still yields the
-// contract's one empty chunk.
+// TestFeedSourceEmptyContract: an idle feed drained ends with no chunk;
+// the engine runs the empty one.
 func TestFeedSourceEmptyContract(t *testing.T) {
 	src, c := feedPair(t)
 	c.Close()
 	src.Drain()
-	ck, ok := src.Next(0, 0)
-	if !ok || ck.Len() != 0 {
-		t.Fatalf("want one empty chunk, got ok=%v len=%d", ok, ck.Len())
-	}
-	if _, ok := src.Next(0, 0); ok {
-		t.Fatal("stream must end after the empty chunk")
+	if ck, ok := src.Next(0, 0); ok {
+		t.Fatalf("want no chunk, got one of %d packets", ck.Len())
 	}
 }
 

@@ -49,7 +49,6 @@ type DirSource struct {
 	cur     *dataset.PcapSource
 	curf    *os.File
 	base    int
-	emitted bool
 	hint    netpkt.DecodeHint
 	listed  time.Time   // when scan last listed the directory
 	tick    *time.Timer // the idle wait, re-armed per poll
@@ -124,29 +123,27 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 		select {
 		case <-s.stop:
 			s.Close()
-			return s.endStream()
+			return dataset.Chunk{}, false
 		default:
 		}
 		if s.cur != nil {
 			ck, ok := s.cur.Next(maxRows, maxBytes)
 			if ok {
-				n := ck.Len()
 				ck.Base = s.base
-				s.base += n
-				s.emitted = true
+				s.base += ck.Len()
 				return ck, true
 			}
 			err := s.cur.Err()
 			s.Close()
 			if err != nil {
 				s.setErr(err)
-				return s.endStream()
+				return dataset.Chunk{}, false
 			}
 		}
 		if path := s.scan(); path != "" {
 			if err := s.open(path); err != nil {
 				s.setErr(err)
-				return s.endStream()
+				return dataset.Chunk{}, false
 			}
 			continue
 		}
@@ -159,7 +156,7 @@ func (s *DirSource) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
 		case <-s.tick.C:
 		case <-s.stop:
 			s.tick.Stop()
-			return s.endStream()
+			return dataset.Chunk{}, false
 		}
 	}
 }
@@ -264,15 +261,6 @@ func (s *DirSource) Recycle(ck dataset.Chunk) {
 	s.pool.PutViews(ck.Views)
 }
 
-// endStream honors the at-least-one-chunk contract on first end.
-func (s *DirSource) endStream() (dataset.Chunk, bool) {
-	if !s.emitted {
-		s.emitted = true
-		return dataset.Chunk{Base: s.base}, true
-	}
-	return dataset.Chunk{}, false
-}
-
 // Reset implements dataset.Source; watches cannot rewind.
 func (s *DirSource) Reset() error {
 	return fmt.Errorf("daemon: watch %q: directory watches cannot be reset", s.name)
@@ -284,7 +272,8 @@ func (s *DirSource) Drain() {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
-// Err returns the first file or decode error the watch hit.
+// Err implements dataset.Source: the first file or decode error the
+// watch hit.
 func (s *DirSource) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -36,10 +36,8 @@ type PcapSource struct {
 	// refs: every emitted zero-copy chunk retains a reference on the file
 	// mapping (EnableChunkRefs), so chunks stay valid past Close.
 	refs bool
-	// emitted tracks the at-least-one-chunk contract for empty captures.
-	emitted bool
-	done    bool
-	err     error
+	done bool
+	err  error
 	// labels and attacks are all zero, grown on demand and never written:
 	// every chunk carries sub-slices of the same two.
 	labels  []int
@@ -145,17 +143,11 @@ func (p *PcapSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	}
 	views, err := p.r.ReadViews(maxRows, maxBytes, p.hint)
 	n := len(views)
-	if errors.Is(err, io.EOF) {
-		p.done = true
-		if p.emitted {
-			return Chunk{}, false
-		}
-		p.emitted = true
-		return Chunk{}, true
-	}
 	if err != nil {
 		p.done = true
-		p.err = err
+		if !errors.Is(err, io.EOF) {
+			p.err = err
+		}
 		if n == 0 {
 			return Chunk{}, false
 		}
@@ -176,11 +168,10 @@ func (p *PcapSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 		}
 	}
 	p.base += n
-	p.emitted = true
 	return c, true
 }
 
-// Err reports the read error that ended the stream, if any.
+// Err implements Source: the read error that ended the stream, if any.
 func (p *PcapSource) Err() error { return p.err }
 
 // Reset implements Source: it rewinds to the capture start — in place
@@ -199,7 +190,7 @@ func (p *PcapSource) Reset() error {
 		r.SetBufferPool(p.pool)
 		p.r = r
 	}
-	p.base, p.emitted, p.done, p.err = 0, false, false, nil
+	p.base, p.done, p.err = 0, false, nil
 	return nil
 }
 

@@ -153,16 +153,12 @@ func (p *Pump) Stop() {
 }
 
 // Err reports the error that ended the stream: a panic in the source's
-// Next, or the source's own error if it exposes one (PcapSource does).
-// Valid once C has closed.
+// Next, or the source's own Err. Valid once C has closed.
 func (p *Pump) Err() error {
 	if p.panicked != nil {
 		return p.panicked
 	}
-	if es, ok := p.src.(interface{ Err() error }); ok {
-		return es.Err()
-	}
-	return nil
+	return p.src.Err()
 }
 
 // Stats snapshots the pump's counters; safe to call concurrently.

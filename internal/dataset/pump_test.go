@@ -18,6 +18,7 @@ type refSource struct {
 
 func (s *refSource) Meta() SourceMeta { return SourceMeta{Name: "refs"} }
 func (s *refSource) Reset() error     { return nil }
+func (s *refSource) Err() error       { return nil }
 func (s *refSource) Next(int, int) (Chunk, bool) {
 	s.emitted.Add(1)
 	return Chunk{Ref: s.ref}, true
@@ -71,5 +72,19 @@ func TestPumpSourcePanicEndsStream(t *testing.T) {
 	}
 	if err := p.Err(); err == nil || err.Error() != "source panicked: reader exploded" {
 		t.Fatalf("Err() = %v, want the recovered panic", err)
+	}
+}
+
+// TestPumpEmptySourceSendsNoChunk: a source that ends before its first
+// chunk closes C with nothing on it; the engine, not the pump, runs the
+// empty chunk of an empty stream.
+func TestPumpEmptySourceSendsNoChunk(t *testing.T) {
+	p := StartPump(NewSliceSource(&Labeled{Name: "empty"}), PumpConfig{MaxRows: 64, Depth: 2})
+	for nc := range p.C {
+		t.Errorf("pump delivered chunk %d of %d packets", nc.Seq, nc.Len())
+		p.Done(nc)
+	}
+	if n := p.Stats().Chunks; n != 0 || p.Err() != nil {
+		t.Fatalf("pump counted %d chunks, err %v; want none and nil", n, p.Err())
 	}
 }

@@ -74,19 +74,22 @@ type SourceMeta struct {
 
 // Source is a chunked packet stream — the bounded-memory counterpart of
 // handing a whole *Labeled to the engine. Implementations must emit
-// packets in non-decreasing time order and yield at least one chunk per
-// pass even when the stream holds no packets (a single empty chunk), so
-// consumers always observe a correctly-typed end of stream.
+// packets in non-decreasing time order. A stream that holds no packets
+// may end with no chunk at all: the engine's RunStream still runs one,
+// empty, so its pass ends the same way as any other.
 type Source interface {
 	// Meta describes the stream (name, granularity, link type).
 	Meta() SourceMeta
 	// Next returns the next chunk, bounded by maxRows packets and
 	// maxBytes wire bytes (each bound ignored when <= 0; a chunk always
-	// contains at least one packet unless the stream is empty). The
-	// second result is false once the stream is exhausted.
+	// contains at least one packet). The second result is false once
+	// the stream is exhausted.
 	Next(maxRows, maxBytes int) (Chunk, bool)
 	// Reset rewinds the source so it can be streamed again.
 	Reset() error
+	// Err reports the error that ended the stream, nil when it ended
+	// cleanly. Valid once Next has returned false.
+	Err() error
 }
 
 // ViewSource is implemented by sources that can predecode their views on
@@ -119,11 +122,10 @@ func (l *Labeled) AppendViews(dst []netpkt.PacketView, lo, hi int, hint netpkt.D
 // genuinely streaming sources. Streaming stays O(chunk): view slices
 // come from a buffer pool and return to it through Recycle.
 type SliceSource struct {
-	ds      *Labeled
-	pool    *pcap.BufferPool
-	hint    netpkt.DecodeHint
-	pos     int
-	emitted bool
+	ds   *Labeled
+	pool *pcap.BufferPool
+	hint netpkt.DecodeHint
+	pos  int
 }
 
 // NewSliceSource wraps a materialized dataset.
@@ -152,11 +154,7 @@ func (s *SliceSource) Recycle(ck Chunk) { s.pool.PutViews(ck.Views) }
 func (s *SliceSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 	n := len(s.ds.Packets)
 	if s.pos >= n {
-		if s.emitted {
-			return Chunk{}, false
-		}
-		s.emitted = true
-		return Chunk{Base: s.pos}, true
+		return Chunk{}, false
 	}
 	end := n
 	if maxRows > 0 && s.pos+maxRows < end {
@@ -185,12 +183,14 @@ func (s *SliceSource) Next(maxRows, maxBytes int) (Chunk, bool) {
 		c.Attacks = s.ds.Attacks[s.pos:end]
 	}
 	s.pos = end
-	s.emitted = true
 	return c, true
 }
 
 // Reset implements Source.
 func (s *SliceSource) Reset() error {
-	s.pos, s.emitted = 0, false
+	s.pos = 0
 	return nil
 }
+
+// Err implements Source: a dataset in memory cannot fail to stream.
+func (s *SliceSource) Err() error { return nil }

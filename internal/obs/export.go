@@ -25,16 +25,19 @@ type chromeEvent struct {
 // chromeTrace is the JSON-object flavour of the trace_event format, the
 // one Perfetto and chrome://tracing open directly.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent  `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
+	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteChromeTrace exports every finished span in the Chrome trace_event
-// JSON format. Open the file in Perfetto (https://ui.perfetto.dev) or
-// chrome://tracing: spans sharing a track (tid) nest by their time
-// ranges, and span attributes appear under "args".
+// WriteChromeTrace exports every finished span the tracer holds in the
+// Chrome trace_event JSON format. Open the file in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing: spans sharing a track
+// (tid) nest by their time ranges, and span attributes appear under
+// "args". A bounded tracer that has dropped spans says how many under
+// "otherData" as "dropped_spans".
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
+	spans, dropped := t.Spans(), t.Dropped()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].StartNS < spans[j].StartNS })
 
 	events := make([]chromeEvent, 0, len(spans)+4)
@@ -76,8 +79,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Args: map[string]any{"name": name},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: append(meta, events...), DisplayTimeUnit: "ms"})
+	ct := chromeTrace{TraceEvents: append(meta, events...), DisplayTimeUnit: "ms"}
+	if dropped > 0 {
+		ct.OtherData = map[string]any{"dropped_spans": dropped}
+	}
+	return json.NewEncoder(w).Encode(ct)
 }
 
 // WriteJSONL exports every finished span as one JSON object per line

@@ -11,15 +11,30 @@ import (
 type Tracer struct {
 	base   time.Time
 	nextID atomic.Int64
+	// keep bounds how many spans the tracer holds, 0 for no bound.
+	keep int
 
 	mu    sync.Mutex
 	spans []SpanRecord
+	// Once a bounded tracer holds keep spans, spans is a ring: oldest is
+	// the index of its oldest span, which the next one replaces, and
+	// dropped counts the spans replaced so far.
+	oldest  int
+	dropped int64
 }
 
 // NewTracer returns an enabled tracer whose time origin is "now": span
-// timestamps are recorded relative to this instant.
+// timestamps are recorded relative to this instant. It keeps every span,
+// for a run that ends.
 func NewTracer() *Tracer {
 	return &Tracer{base: time.Now()}
+}
+
+// NewBoundedTracer returns an enabled tracer that keeps only the keep
+// most recent spans (keep >= 1), for a process that runs indefinitely:
+// each span past the bound replaces the oldest, and Dropped counts them.
+func NewBoundedTracer(keep int) *Tracer {
+	return &Tracer{base: time.Now(), keep: max(keep, 1)}
 }
 
 // Start opens a root span on track tid. Track 0 is the main track;
@@ -32,20 +47,39 @@ func (t *Tracer) Start(name string, tid int) *Span {
 	return &Span{t: t, id: t.nextID.Add(1), tid: tid, name: name, start: time.Now()}
 }
 
-// Spans returns a snapshot of the spans finished so far, in End order.
+// Spans returns a snapshot of the spans finished so far that the tracer
+// still holds, in End order.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
+	return append(append([]SpanRecord(nil), t.spans[t.oldest:]...), t.spans[:t.oldest]...)
 }
 
-// record appends a finished span.
+// Dropped reports how many finished spans a bounded tracer has let go
+// to stay within its bound: 0 on a tracer that keeps every span.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
+}
+
+// record adds a finished span, in place of the oldest when a bounded
+// tracer is full.
 func (t *Tracer) record(r SpanRecord) {
 	t.mu.Lock()
-	t.spans = append(t.spans, r)
+	if t.keep > 0 && len(t.spans) == t.keep {
+		t.spans[t.oldest] = r
+		t.oldest = (t.oldest + 1) % t.keep
+		t.dropped++
+	} else {
+		t.spans = append(t.spans, r)
+	}
 	t.mu.Unlock()
 }
 

@@ -251,3 +251,40 @@ func TestSpanNamePropagatesToExport(t *testing.T) {
 		t.Fatal("span name missing from chrome export")
 	}
 }
+
+// TestBoundedTracerKeepsTheMostRecent: past its bound a tracer replaces
+// its oldest span with each new one, so Spans holds the latest keep in
+// End order, Dropped counts the rest, and the Chrome export says how
+// many went; an unbounded tracer drops nothing and says nothing.
+func TestBoundedTracerKeepsTheMostRecent(t *testing.T) {
+	tr := NewBoundedTracer(3)
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		tr.Start(name, 0).End()
+	}
+	var got []string
+	for _, s := range tr.Spans() {
+		got = append(got, s.Name)
+	}
+	if strings.Join(got, "") != "cde" || tr.Dropped() != 2 {
+		t.Fatalf("bounded tracer holds %v and dropped %d, want [c d e] and 2", got, tr.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var ct struct {
+		OtherData map[string]float64 `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil || ct.OtherData["dropped_spans"] != 2 {
+		t.Fatalf("chrome trace otherData = %v (%v), want dropped_spans 2", ct.OtherData, err)
+	}
+	whole := NewTracer()
+	whole.Start("a", 0).End()
+	buf.Reset()
+	if err := whole.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if whole.Dropped() != 0 || strings.Contains(buf.String(), "otherData") {
+		t.Fatalf("unbounded tracer dropped %d spans or reported drops: %s", whole.Dropped(), buf.String())
+	}
+}
