@@ -192,7 +192,8 @@ config-check:
 #   FuzzPcapReader       buffered and mmap readers fail closed and agree record for record (pcap/fuzz_test.go)
 #   FuzzParsePipeline    error, or a template that plans in both modes (algorithms/plan_test.go)
 #   FuzzConnLogLine      the conn-log append encoder == the fmt row it replaced (flow/flow_oracle_test.go)
-#   FuzzReleaseOrder     flows released at random cuts, then ReleaseAll's, == the whole-table reference in canonical order, all closed (flow/release_test.go)
+#   FuzzReleaseOrder     flows released at random cuts, then ReleaseAll's, == the whole-table reference in canonical order, all closed; each cut
+#                        kept by value then recycled, so a reused flow keeping any earlier state parts from the reference (flow/release_test.go)
 #   FuzzKitsuneKeyEquivalence  struct keys equal exactly when the string keys they replaced are (core/ops_kitsune_test.go)
 FUZZTIME ?= 5s
 fuzz-smoke:

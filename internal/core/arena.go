@@ -2,16 +2,18 @@ package core
 
 import "sync"
 
-// chunkArena is the scratch of one chunk on a recycling pass: the frame
-// columns, feature matrix and unit indices its ops ask for through
-// opCtx.scratch, carved from slabs that a later chunk reuses once this one
-// has been handed out. Its methods are nil-safe: a nil arena (ops called
-// directly, flush passes, passes that do not recycle) serves every request with
-// make, so an op has one code path whichever it gets. Buffers come back
+// chunkArena is the scratch of one chunk on a recycling pass, or of a
+// block of closed flows: the frame columns, feature matrix, unit indices
+// and labels its ops ask for through opCtx.scratch, carved from slabs
+// that a later chunk reuses once this one has been handed out. Its
+// methods are nil-safe: a nil arena (ops called directly, the drain
+// pass, passes that do not recycle) serves every request with make, so
+// an op has one code path whichever it gets. Buffers come back
 // zeroed and capacity-capped, exactly as make would return them.
 type chunkArena struct {
 	f   slab[float64]
 	i   slab[int]
+	s   slab[string]
 	hdr slab[[]float64]
 }
 
@@ -31,6 +33,14 @@ func (a *chunkArena) ints(n int) []int {
 	return a.i.take(n)
 }
 
+// strs returns a zeroed []string of length n.
+func (a *chunkArena) strs(n int) []string {
+	if a == nil {
+		return make([]string, n)
+	}
+	return a.s.take(n)
+}
+
 // rows returns n nil slice headers: a matrix's row views or a frame's
 // column list.
 func (a *chunkArena) rows(n int) [][]float64 {
@@ -44,6 +54,7 @@ func (a *chunkArena) rows(n int) [][]float64 {
 func (a *chunkArena) reset() {
 	a.f.reset()
 	a.i.reset()
+	a.s.reset()
 	a.hdr.reset()
 }
 

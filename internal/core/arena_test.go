@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"lumen/internal/dataset"
+	"lumen/internal/flow"
+	"lumen/internal/netpkt"
 )
 
 // TestChunkArenaReuse: a reset arena hands its memory out again, zeroed
@@ -325,5 +328,67 @@ func TestRecycledVerdictsLiveUntilTheHookReturns(t *testing.T) {
 				t.Errorf("%s: no chunk's verdicts reused an earlier chunk's buffer: the pass did not recycle", label)
 			}
 		}
+	}
+}
+
+// TestRecycledFlowsLiveUntilTheHookReturns: a pass that scores closed
+// flows in blocks hands each block's flows back to its assembler once
+// the block's hook has returned, so ConnsClosed's connections are valid
+// only during the call. At depth 0 and 2, a conn-log rendered inside
+// each call joins into the batch log byte for byte and the rows into the
+// batch executor's, while a pointer handed in one call comes back in a
+// later one as another connection: the sink did reuse it.
+func TestRecycledFlowsLiveUntilTheHookReturns(t *testing.T) {
+	spec, _ := dataset.Get("F1")
+	ds := spec.Generate(1.5)
+	p := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
+	p.Ops[0].Params["idle_timeout"] = 0.05
+	conns := flow.Connections(decodedPackets(ds), flow.Options{IdleTimeout: 50 * time.Millisecond})
+	if len(conns) <= 2*flushBlock {
+		t.Fatalf("fixture: %d connections, want more than two blocks of %d", len(conns), flushBlock)
+	}
+	var want bytes.Buffer
+	if err := flow.WriteConnLog(&want, conns); err != nil {
+		t.Fatal(err)
+	}
+	ref := batchRun(t, p, ds)
+	eng := NewEngine(p)
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 2} {
+		var log bytes.Buffer
+		lw := flow.NewConnLogWriter(&log)
+		handed := map[*flow.Flow]netpkt.FiveTuple{}
+		reused := 0
+		cfg := StreamConfig{ChunkRows: 512, PipelineDepth: depth, Hooks: &StreamHooks{ConnsClosed: func(cs []*flow.Flow) error {
+			for _, c := range cs {
+				if _, ok := handed[c]; ok {
+					reused++
+				}
+				handed[c] = c.Tuple
+			}
+			return lw.Log(cs)
+		}}}
+		got := testStreamHooked(t, eng, ds, cfg, func(ChunkUpdate) error { return nil })
+		label := fmt.Sprintf("depth %d", depth)
+		requireEqualResults(t, ref, got, label)
+		if log.String() != want.String() {
+			t.Fatalf("%s: the conn-log rendered inside each call differs from the batch log", label)
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no connection reused a flow an earlier block handed on: the sink did not recycle", label)
+		}
+		moved := 0
+		for c, tuple := range handed {
+			if c.Tuple != tuple {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("%s: every flow kept past its call still holds its tuple", label)
+		}
+		t.Logf("%s: %d connections in %d flows, %d handed again, %d moved", label, len(conns), len(handed), reused, moved)
 	}
 }

@@ -235,45 +235,42 @@ func opFlowFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	fr := NewFrame(n)
 	fr.Unit = UnitFlow
-	fr.UnitIdx = make([]int, n)
-	fr.Labels = make([]int, n)
-	fr.Attacks = make([]string, n)
-	// Only the columns may come from an arena: verdicts alias the unit
-	// indices, labels and attacks.
+	// On a block the job's arena serves the unit indices, labels and
+	// attacks as well as the columns: the verdicts alias them, and like
+	// every update's rows they die when the block's hook returns.
+	fr.UnitIdx, fr.Labels, fr.Attacks = a.ints(n), a.ints(n), a.strs(n)
 	cols := a.rows(len(sel))
 	for k := range cols {
 		cols[k] = a.floats(n)
 	}
+	rows := func(lo, hi int) {
+		var sc flowScratch
+		for i := lo; i < hi; i++ {
+			fr.UnitIdx[i] = base + i
+			fr.Labels[i], fr.Attacks[i] = fl.label(i)
+			computeFlowVector(&sc, fl, i, firstN)
+			for k, fi := range sel {
+				cols[k][i] = sc.vec[fi]
+			}
+		}
+	}
 	// Per-flow vectors are independent: compute them on a worker pool
-	// (the map-reduce parallelism the paper gets from Ray).
+	// (the map-reduce parallelism the paper gets from Ray), the caller
+	// taking the first range itself.
 	workers := runtime.GOMAXPROCS(0)
 	if n < 256 || workers < 2 {
 		workers = 1
 	}
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var sc flowScratch
-			for i := lo; i < hi; i++ {
-				fr.UnitIdx[i] = base + i
-				fr.Labels[i], fr.Attacks[i] = fl.label(i)
-				computeFlowVector(&sc, fl, i, firstN)
-				for k, fi := range sel {
-					cols[k][i] = sc.vec[fi]
-				}
-			}
-		}(lo, hi)
+			rows(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
+	rows(0, chunk)
 	wg.Wait()
 	for k, fi := range sel {
 		fr.AddF(flowFeatureNames[fi], cols[k])

@@ -305,6 +305,9 @@ type flowSinkState struct {
 	// done counts the flows handed on in blocks: the unit index of the
 	// first flow in released.
 	done int
+	// block holds the flows of the block being scored (handOn), until
+	// they go back to asm (streamExec.runBlock).
+	block []*flow.Flow
 	// statCap is how many member stats each flow keeps (StreamPlan.
 	// StatCap); slab holds the first array of each flow's stats.
 	statCap int
@@ -380,10 +383,11 @@ func (s *flowSinkState) finish() *Flows {
 // pending returns how many released flows the sink has not handed on.
 func (s *flowSinkState) pending() int { return len(s.released) }
 
-// handOn returns the first n pending flows as a Flows value of their own
-// and forgets them.
+// handOn returns the first n pending flows as a Flows value over the
+// sink's block buffer and forgets them.
 func (s *flowSinkState) handOn(n int) *Flows {
-	out := &Flows{Granularity: s.gran, Flows: slices.Clone(s.released[:n]), attacks: s.attacks}
+	s.block = append(s.block[:0], s.released[:n]...)
+	out := &Flows{Granularity: s.gran, Flows: s.block, attacks: s.attacks}
 	s.done += n
 	// Shift the rest down in place, clearing the vacated tail so the
 	// backing array keeps nothing alive.

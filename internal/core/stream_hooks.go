@@ -111,12 +111,15 @@ type StreamHooks struct {
 	// pass hand on every connection of the pass once, in canonical order
 	// (flow.Sort). When the plan's StageClose ops read the sink, each
 	// block's connections come before the block is scored, while
-	// the stream runs; a pass that closes no connection calls it once, at
-	// drain, with none. Otherwise it is called once, at drain, with every
-	// connection, before the deferred ops read them. A pass that fails
-	// stops calling it. The connections are shared with the ops: read, do
-	// not modify. Never called when the plan has no connection sink. A
-	// non-nil error aborts the pass.
+	// the stream runs, and are valid only during the call: once the
+	// block's update has been handed on, the sink reuses them for later
+	// connections, so copy what must outlive the call (a conn-log renders
+	// its lines inside it). A pass that closes no connection calls it
+	// once, at drain, with none. Otherwise it is called once, at drain,
+	// with every connection, before the deferred ops read them. A pass
+	// that fails stops calling it. The connections are shared with the
+	// ops: read, do not modify. Never called when the plan has no
+	// connection sink. A non-nil error aborts the pass.
 	ConnsClosed func([]*flow.Flow) error
 	// WantFeatures requests the train op's input features (and labels
 	// when the frame carries them) on the update of every job the train

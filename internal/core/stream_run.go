@@ -562,7 +562,8 @@ func (r *streamExec) scoreClosed(last bool) error {
 // runBlock hands one block's connections to ConnsClosed, then runs the
 // StageClose ops over the block, whose first flow has unit index base:
 // the block job's environment is the pass's streamed values plus the
-// block's flows.
+// block's flows. Once absorb has handed the block to the hook, nothing
+// reads its flows: the sink's next flows reuse them.
 func (r *streamExec) runBlock(fl *Flows, base int) error {
 	if err := r.connsClosed(r.closeSink, fl.Flows); err != nil {
 		return err
@@ -578,5 +579,7 @@ func (r *streamExec) runBlock(fl *Flows, base int) error {
 	clear(job.results)
 	job.results, job.drift = job.results[:0], job.drift[:0]
 	clear(job.stats)
+	r.closeSink.asm.Recycle(fl.Flows)
+	clear(fl.Flows)
 	return err
 }

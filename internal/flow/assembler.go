@@ -34,7 +34,9 @@ import (
 //
 // Flows are allocated a 16 KiB block at a time, so a flow costs a
 // fraction of an allocation; flows leave in about the order they were
-// made, so a block outlives its last flow's release by little.
+// made, so a block outlives its last flow's release by little. A caller
+// done with released flows may hand them back (Recycle): new flows
+// reuse them before the assembler carves another block.
 type Assembler struct {
 	idle time.Duration
 	// bidir keys flows by the canonical tuple and finalizes them as they
@@ -43,6 +45,7 @@ type Assembler struct {
 	active    map[netpkt.FiveTuple]*Flow
 	root      Flow // list sentinel: root.next is the stalest flow
 	free      []Flow
+	reuse     []*Flow // recycled flows, zeroed, taken before free
 	lastSweep time.Time
 	started   bool
 	// now is the newest packet's timestamp; queue holds every flow not
@@ -156,9 +159,14 @@ func (a *Assembler) Feed(s *netpkt.PacketSummary) []*Flow {
 	return a.evicted
 }
 
-// take returns the next unused flow of the current block, allocating a
-// new block when it is spent.
+// take returns a recycled flow, else the next unused flow of the current
+// block, allocating a new block when it is spent.
 func (a *Assembler) take() *Flow {
+	if n := len(a.reuse); n > 0 {
+		f := a.reuse[n-1]
+		a.reuse = a.reuse[:n-1]
+		return f
+	}
 	if len(a.free) == 0 {
 		a.free = make([]Flow, flowBlockBytes/unsafe.Sizeof(Flow{}))
 	}
@@ -197,6 +205,16 @@ func (a *Assembler) Release(dst []*Flow) []*Flow {
 	dst = a.queue.release(dst, a.now)
 	Sort(dst[n:])
 	return dst
+}
+
+// Recycle hands back flows the assembler released, which the caller no
+// longer reads: each is zeroed, its stats dropped, and new flows reuse
+// them. A copy of a flow taken before stays valid; the flow does not.
+func (a *Assembler) Recycle(fs []*Flow) {
+	for _, f := range fs {
+		*f = Flow{}
+		a.reuse = append(a.reuse, f)
+	}
 }
 
 // ReleaseAll closes every open flow (end of stream), appends every flow

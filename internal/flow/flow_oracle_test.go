@@ -461,7 +461,11 @@ func benchSummaries(b *testing.B) []netpkt.PacketSummary {
 }
 
 // BenchmarkAssembler prices assembly per packet under each key: feed,
-// mid-stream eviction, flush.
+// mid-stream eviction, flush. Its release sub-benchmarks drive a
+// connection assembler as a pass that scores closed flows does: Release
+// every chunkCut packets and ReleaseAll at the end, with each batch
+// handed back (Recycle) or dropped. A 1 s idle timeout closes most of
+// the trace's connections mid-stream, as a long capture's do.
 func BenchmarkAssembler(b *testing.B) {
 	for _, key := range []struct {
 		name string
@@ -482,13 +486,45 @@ func BenchmarkAssembler(b *testing.B) {
 			b.ReportMetric(float64(flows), "flows")
 		})
 	}
+	const chunkCut = 512
+	for _, recycle := range []bool{false, true} {
+		name := "connection_release"
+		if recycle {
+			name = "connection_recycle"
+		}
+		b.Run(name, func(b *testing.B) {
+			sums := benchSummaries(b)
+			var cut []*Flow
+			var flows int
+			for n := 0; n < b.N; n++ {
+				a := NewConnAssembler(Options{IdleTimeout: time.Second})
+				flows = 0
+				for i := range sums {
+					a.Feed(&sums[i])
+					if (i+1)%chunkCut != 0 && i+1 < len(sums) {
+						continue
+					}
+					if cut = a.Release(cut[:0]); i+1 == len(sums) {
+						cut = a.ReleaseAll(cut)
+					}
+					flows += len(cut)
+					if recycle {
+						a.Recycle(cut)
+					}
+					clear(cut)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sums)), "ns/pkt")
+			b.ReportMetric(float64(flows), "flows")
+		})
+	}
 }
 
 // BenchmarkWriteConnLog prices the conn-log per connection, the global
 // sort included (the daemon sorts once before it writes).
 func BenchmarkWriteConnLog(b *testing.B) {
 	sums := benchSummaries(b)
-	a := NewConnAssembler(Options{})
+	a := NewConnAssembler(Options{IdleTimeout: time.Second})
 	var conns []*Flow
 	for i := range sums {
 		conns = append(conns, a.Feed(&sums[i])...)

@@ -11,7 +11,10 @@ import (
 // then ReleaseAll's, are for both granularities exactly the whole-table
 // reference's flows in canonical order, every flow leaves closed (a
 // connection finalized), and the flows released plus those held are
-// the flows the reference has closed.
+// the flows the reference has closed. Each cut's flows are kept by
+// value and then recycled, as a pass that scores closed flows does, so
+// a reused flow that keeps anything of its earlier life (flags, state,
+// stats, label, list links) parts from the reference.
 func FuzzReleaseOrder(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed, uint16(1500), uint8(3))
@@ -30,29 +33,39 @@ func FuzzReleaseOrder(f *testing.F) {
 		var slab StatSlab
 		released := make([][]*Flow, len(keys))
 		want := make([][]*Flow, len(keys))
-		// closed checks the flows released from at on: each has left its
-		// idle list and, under the bidirectional key, been finalized.
-		closed := func(j, at int) {
-			for _, f := range released[j][at:] {
+		var cut []*Flow
+		// take checks the flows one cut released: each has left its idle
+		// list and, under the bidirectional key, been finalized, and its
+		// label counts its packets. It keeps copies of them and recycles
+		// them.
+		take := func(j int, cut []*Flow) {
+			for _, f := range cut {
 				if f.prev != nil || !keys[j].uni && f.State == "" {
 					t.Fatalf("released %s %v is open or not finalized", keys[j].name, f.Tuple)
 				}
+				if f.Label != uint32(f.OrigPkts+f.RespPkts) {
+					t.Fatalf("released %s %v is labelled %d over %d packets", keys[j].name, f.Tuple, f.Label, f.OrigPkts+f.RespPkts)
+				}
+				c := *f
+				released[j] = append(released[j], &c)
 			}
+			keys[j].a.Recycle(cut)
 		}
 		for i := range stream {
 			s := &stream[i]
 			for j, k := range keys {
 				k.a.Feed(s)
 				if s.HasTuple {
-					k.a.Newest().AddStat(StatOf(s), &slab)
+					f := k.a.Newest()
+					f.AddStat(StatOf(s), &slab)
+					f.Label++ // the caller's annotation: the packets it saw join
 				}
 				want[j] = append(want[j], k.ref.feed(*s)...)
 			}
 			if rng.Intn(int(every)+1) == 0 {
 				for j, k := range keys {
-					at := len(released[j])
-					released[j] = k.a.Release(released[j])
-					closed(j, at)
+					cut = k.a.Release(cut[:0])
+					take(j, cut)
 					if len(released[j])+k.a.Held() != len(want[j]) {
 						t.Fatalf("packet %d: %d+%d %ss released and held, the reference closed %d",
 							i, len(released[j]), k.a.Held(), k.name, len(want[j]))
@@ -61,9 +74,8 @@ func FuzzReleaseOrder(f *testing.F) {
 			}
 		}
 		for j, k := range keys {
-			at := len(released[j])
-			released[j] = k.a.ReleaseAll(released[j])
-			closed(j, at)
+			cut = k.a.ReleaseAll(cut[:0])
+			take(j, cut)
 			want[j] = append(want[j], k.ref.flush()...)
 			if k.uni {
 				refSortUniflows(want[j])
