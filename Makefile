@@ -279,8 +279,11 @@ trace-check:
 # directory N times at 200 ms a benchmark (ARGS='-test.benchtime 1s'
 # overrides that; RUN is a prefix, e.g. a CPU pin), alternating which
 # goes first, and hands both outputs to `benchjson -micro`, which judges
-# them as pairs does: per sub-benchmark both ns/op medians and quartile
-# ranges, the runs each side won and a verdict.
+# them as pairs does: per sub-benchmark and per unit — ns/op, and B/op
+# and allocs/op where both sides report them — both medians and quartile
+# ranges, the runs each side won and a verdict. A result only one side
+# has (a benchmark the base predates) is listed as "only in base" or
+# "only in change".
 PKG ?= ./internal/mlkit
 B ?= .
 micro-pairs:

@@ -19,7 +19,9 @@
 // With -micro it judges a kernel-level comparison (`make micro-pairs`):
 // -base and -change name files holding the `go test -bench` output of N
 // alternating runs of two test binaries; it judges each benchmark's
-// ns/op as -pairs judges a metric that has no bound.
+// ns/op, and its B/op and allocs/op where both sides report them, as
+// -pairs judges a metric that has no bound, and lists a result only one
+// side has as "only in base" or "only in change".
 package main
 
 import (

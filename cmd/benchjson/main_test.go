@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,56 @@ func TestPairsReport(t *testing.T) {
 	}
 }
 
+// writeSides writes a base and a change output into a fresh directory
+// and returns their paths.
+func writeSides(t *testing.T, base, change string) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
+	if err := os.WriteFile(bp, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, []byte(change), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return bp, cp
+}
+
+// microRows runs the -micro report over the two outputs and returns its
+// rows below the summary and header, each with its fields single-spaced.
+func microRows(t *testing.T, base, change string) []string {
+	t.Helper()
+	bp, cp := writeSides(t, base, change)
+	var out strings.Builder
+	if err := runMicro(&out, bp, cp); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("report has no header:\n%s", out.String())
+	}
+	rows := lines[2:]
+	for i, row := range rows {
+		rows[i] = strings.Join(strings.Fields(row), " ")
+	}
+	return rows
+}
+
+// wantRows checks that row i holds every field of want[i].
+func wantRows(t *testing.T, rows []string, want [][]string) {
+	t.Helper()
+	if len(rows) != len(want) {
+		t.Fatalf("report has %d rows, want %d:\n%s", len(rows), len(want), strings.Join(rows, "\n"))
+	}
+	for i, fields := range want {
+		for _, field := range fields {
+			if !strings.Contains(rows[i], field) {
+				t.Errorf("row %q lacks %q", rows[i], field)
+			}
+		}
+	}
+}
+
 // TestMicroReport: the i-th result of a benchmark on one side is paired
 // with its i-th on the other, across interleaved sub-benchmarks, and each
 // benchmark is judged by the pairs rule with no bound.
@@ -141,38 +192,58 @@ func TestMicroReport(t *testing.T) {
 		fmt.Fprintf(&base, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\nBenchmarkK/slow-2 100 %d ns/op 0 B/op\nPASS\n", 200+i, 100+i, 50+i)
 		fmt.Fprintf(&change, "BenchmarkK/fast-2 100 %d ns/op\nBenchmarkK/even-2 100 %d ns/op\nBenchmarkK/slow-2 100 %d ns/op 0 B/op\nPASS\n", 150+i, 109-i, 60+i)
 	}
-	dir := t.TempDir()
-	bp, cp := filepath.Join(dir, "base.txt"), filepath.Join(dir, "change.txt")
-	if err := os.WriteFile(bp, []byte(base.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cp, []byte(change.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := runMicro(&out, bp, cp); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("report has %d lines, want a summary, a header and three benchmarks:\n%s", len(lines), out.String())
-	}
-	for i, want := range [][]string{
+	wantRows(t, microRows(t, base.String(), change.String()), [][]string{
 		{"BenchmarkK/even (ns/op)", "104.5", "104.5", "1.000", "5/10 5/10", "level"},
 		{"BenchmarkK/fast (ns/op)", "204.5 [202.25, 206.75]", "154.5", "0.756", "10/10 0/10", "gain"},
 		{"BenchmarkK/slow (ns/op)", "54.5", "64.5", "1.183", "0/10 10/10", "loss"},
-	} {
-		row := strings.Join(strings.Fields(lines[2+i]), " ")
-		for _, field := range want {
-			if !strings.Contains(row, field) {
-				t.Errorf("row %q lacks %q", row, field)
-			}
-		}
+		{"BenchmarkK/slow (B/op)", "0 [0, 0] 0 [0, 0]", "0/10 0/10", "level"},
+	})
+}
+
+// TestMicroReportJudgesAllocations: B/op and allocs/op are judged as
+// ns/op is, better lower, wherever both sides report them; a unit only
+// one side reports is listed as only in that side.
+func TestMicroReportJudgesAllocations(t *testing.T) {
+	var base, change strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&base, "BenchmarkK/cold-2 10 %d ns/op %d B/op %d allocs/op\nBenchmarkK/warm-2 10 %d ns/op\n", 1000+i, 9000+i, 300, 100+i)
+		fmt.Fprintf(&change, "BenchmarkK/cold-2 10 %d ns/op %d B/op %d allocs/op\nBenchmarkK/warm-2 10 %d ns/op %d B/op %d allocs/op\n", 1000+i, 6000+i, 100, 100+i, 50, 9)
 	}
-	if err := os.WriteFile(cp, []byte(strings.ReplaceAll(change.String(), "BenchmarkK/even", "BenchmarkK/gone")), 0o644); err != nil {
-		t.Fatal(err)
+	wantRows(t, microRows(t, base.String(), change.String()), [][]string{
+		{"BenchmarkK/cold (ns/op)", "1.000", "level"},
+		{"BenchmarkK/cold (B/op)", "9004.5 [9002.2, 9006.8]", "6004.5", "10/10 0/10", "gain"},
+		{"BenchmarkK/cold (allocs/op)", "300 [300, 300] 100 [100, 100]", "0.333", "10/10 0/10", "gain"},
+		{"BenchmarkK/warm (ns/op)", "level"},
+		{"BenchmarkK/warm (B/op)", "- 50 [50, 50]", "only in change"},
+		{"BenchmarkK/warm (allocs/op)", "- 9 [9, 9]", "only in change"},
+	})
+}
+
+// TestMicroReportListsOneSidedBenchmarks: a benchmark only one side ran
+// is listed with that side's median as only in base or only in change,
+// and a base that ran none of the benchmarks reads as such, not as an
+// error.
+func TestMicroReportListsOneSidedBenchmarks(t *testing.T) {
+	var base, change strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&base, "BenchmarkK/kept-2 100 %d ns/op\nBenchmarkK/gone-2 100 %d ns/op\nPASS\n", 100+i, 50+i)
+		fmt.Fprintf(&change, "BenchmarkK/kept-2 100 %d ns/op\nBenchmarkK/new-2 100 %d ns/op 8 B/op 1 allocs/op\nPASS\n", 100+i, 70+i)
 	}
-	if err := runMicro(&out, bp, cp); err == nil {
-		t.Error("a benchmark missing on one side should be an error")
+	wantRows(t, microRows(t, base.String(), change.String()), [][]string{
+		{"BenchmarkK/gone (ns/op)", "51.5 [50.75, 52.25] -", "only in base"},
+		{"BenchmarkK/kept (ns/op)", "0/4 0/4", "level"},
+		{"BenchmarkK/new (ns/op)", "- 71.5 [70.75, 72.25]", "only in change"},
+		{"BenchmarkK/new (B/op)", "- 8 [8, 8]", "only in change"},
+		{"BenchmarkK/new (allocs/op)", "- 1 [1, 1]", "only in change"},
+	})
+	wantRows(t, microRows(t, "PASS\n", change.String()), [][]string{
+		{"BenchmarkK/kept (ns/op)", "- 101.5", "only in change"},
+		{"BenchmarkK/new (ns/op)", "only in change"},
+		{"BenchmarkK/new (B/op)", "only in change"},
+		{"BenchmarkK/new (allocs/op)", "only in change"},
+	})
+	bp, cp := writeSides(t, "PASS\n", "PASS\n")
+	if err := runMicro(io.Discard, bp, cp); err == nil {
+		t.Error("two outputs with no benchmark results should be an error")
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -17,12 +19,21 @@ type benchSpec struct {
 	EndToEnd []metricSpec `json:"end_to_end"`
 }
 
-// metricSpec is one end-to-end metric; a Bound of 0 declares none.
+// metricSpec is one end-to-end metric; a Bound of 0 declares none. Key
+// is where a run's Metrics hold it when that is not Name.
 type metricSpec struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
 	Bound  float64 `json:"bound"`
+	Key    string  `json:"-"`
+}
+
+func (m metricSpec) key() string {
+	if m.Key != "" {
+		return m.Key
+	}
+	return m.Name
 }
 
 // resultLine is the last line bench/cmd/lumenperf prints for one run.
@@ -72,6 +83,18 @@ func quantile(sorted []float64, q float64) float64 {
 // side summarizes one metric over one side's runs.
 type side struct{ q1, median, q3 float64 }
 
+func (s side) String() string { return fmt.Sprintf("%.5g [%.5g, %.5g]", s.median, s.q1, s.q3) }
+
+// reports is whether any of runs reports metric.
+func reports(runs []resultLine, metric string) bool {
+	for _, r := range runs {
+		if _, ok := r.Metrics[metric]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 func summarize(runs []resultLine, metric string) (side, []float64, error) {
 	vals := make([]float64, len(runs))
 	for i, r := range runs {
@@ -113,7 +136,9 @@ func failedShare(runs []resultLine) float64 {
 // pairs and the medians differ by more than the distance between the
 // base's quartiles, "past bound" when the change's median is worse than
 // the base's by more than the bound, "loss" when the base wins by the
-// gain rule, "level" otherwise.
+// gain rule, "level" otherwise. A metric that only one side's runs report
+// is listed with that side's median as "only in base" or "only in
+// change".
 func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 	if len(base) == 0 || len(base) != len(change) {
 		return fmt.Errorf("%d base runs and %d change runs: want the same number, at least one", len(base), len(change))
@@ -122,11 +147,26 @@ func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tbetter\tbase median [q1, q3]\tchange median [q1, q3]\tchange/base\twins\tlosses\tbound\tverdict")
 	for _, m := range spec.EndToEnd {
-		b, bv, err := summarize(base, m.Name)
+		inBase, inChange := reports(base, m.key()), reports(change, m.key())
+		if inBase != inChange {
+			only, runs, at := "base", base, 0
+			if inChange {
+				only, runs, at = "change", change, 1
+			}
+			s, _, err := summarize(runs, m.key())
+			if err != nil {
+				return fmt.Errorf("%s: %w", only, err)
+			}
+			medians := [2]string{"-", "-"}
+			medians[at] = s.String()
+			fmt.Fprintf(tw, "%s (%s)\t%s\t%s\t%s\t-\t-\t-\t%g\tonly in %s\n", m.Name, m.Unit, m.Better, medians[0], medians[1], m.Bound, only)
+			continue
+		}
+		b, bv, err := summarize(base, m.key())
 		if err != nil {
 			return fmt.Errorf("base: %w", err)
 		}
-		c, cv, err := summarize(change, m.Name)
+		c, cv, err := summarize(change, m.key())
 		if err != nil {
 			return fmt.Errorf("change: %w", err)
 		}
@@ -157,8 +197,8 @@ func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 		if b.median != 0 {
 			ratio = c.median / b.median
 		}
-		fmt.Fprintf(tw, "%s (%s)\t%s\t%.5g [%.5g, %.5g]\t%.5g [%.5g, %.5g]\t%.3f\t%d/%d\t%d/%d\t%g\t%s\n",
-			m.Name, m.Unit, m.Better, b.median, b.q1, b.q3, c.median, c.q1, c.q3, ratio, wins, len(bv), losses, len(bv), m.Bound, verdict)
+		fmt.Fprintf(tw, "%s (%s)\t%s\t%s\t%s\t%.3f\t%d/%d\t%d/%d\t%g\t%s\n",
+			m.Name, m.Unit, m.Better, b, c, ratio, wins, len(bv), losses, len(bv), m.Bound, verdict)
 	}
 	return tw.Flush()
 }
@@ -201,10 +241,14 @@ func readSides(basePath, changePath string, read func(io.Reader) ([]resultLine, 
 	return sides, nil
 }
 
+// microUnits are the results of a benchmark line that -micro judges,
+// each better lower: ns/op always, B/op and allocs/op when reported.
+var microUnits = []string{"ns/op", "B/op", "allocs/op"}
+
 // readBenchRuns reads the `go test -bench` output of N runs of one test
-// binary as one resultLine per run: the i-th ns/op result of a
-// benchmark belongs to run i, whose Metrics key it by the benchmark's
-// name.
+// binary as one resultLine per run: the i-th result of a benchmark
+// belongs to run i, whose Metrics key each of its microUnits by the
+// benchmark's name and the unit.
 func readBenchRuns(r io.Reader) ([]resultLine, error) {
 	var runs []resultLine
 	seen := map[string]int{}
@@ -219,27 +263,57 @@ func readBenchRuns(r io.Reader) ([]resultLine, error) {
 		if i == len(runs) {
 			runs = append(runs, resultLine{Correct: true, Metrics: map[string]metricValue{}})
 		}
-		runs[i].Metrics[b.Name] = metricValue{b.NsPerOp}
+		runs[i].Metrics[microKey(b.Name, "ns/op")] = metricValue{b.NsPerOp}
+		for _, unit := range microUnits[1:] {
+			if v, ok := b.Metrics[unit]; ok {
+				runs[i].Metrics[microKey(b.Name, unit)] = metricValue{v}
+			}
+		}
 	}
 	return runs, sc.Err()
 }
 
+func microKey(name, unit string) string { return name + " " + unit }
+
 // runMicro is the -micro mode: two test binaries' outputs, run as
-// alternating pairs, judged by pairsReport with each benchmark of the
-// base's first run, by name, as a metric whose ns/op is better lower
-// and that has no bound.
+// alternating pairs, judged by pairsReport with each benchmark that
+// either side ran, by name, as one metric per unit it reported (see
+// microUnits) that is better lower and has no bound. A side that ran
+// none of them, such as a base that predates the benchmarks, counts as
+// as many runs reporting nothing as the other side has.
 func runMicro(w io.Writer, basePath, changePath string) error {
 	sides, err := readSides(basePath, changePath, readBenchRuns)
 	if err != nil {
 		return err
 	}
-	if len(sides[0]) == 0 {
-		return fmt.Errorf("%s: no benchmark results", basePath)
+	if len(sides[0]) == 0 && len(sides[1]) == 0 {
+		return fmt.Errorf("%s, %s: no benchmark results", basePath, changePath)
+	}
+	for i := range sides {
+		if len(sides[i]) == 0 {
+			sides[i] = make([]resultLine, len(sides[1-i]))
+		}
 	}
 	var spec benchSpec
-	for name := range sides[0][0].Metrics {
-		spec.EndToEnd = append(spec.EndToEnd, metricSpec{Name: name, Unit: "ns/op", Better: "lower"})
+	listed := map[string]bool{}
+	for _, runs := range sides {
+		for _, r := range runs {
+			for key := range r.Metrics {
+				if listed[key] {
+					continue
+				}
+				listed[key] = true
+				i := strings.LastIndexByte(key, ' ')
+				spec.EndToEnd = append(spec.EndToEnd, metricSpec{Name: key[:i], Unit: key[i+1:], Better: "lower", Key: key})
+			}
+		}
 	}
-	sort.Slice(spec.EndToEnd, func(i, j int) bool { return spec.EndToEnd[i].Name < spec.EndToEnd[j].Name })
+	sort.Slice(spec.EndToEnd, func(i, j int) bool {
+		a, b := spec.EndToEnd[i], spec.EndToEnd[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return slices.Index(microUnits, a.Unit) < slices.Index(microUnits, b.Unit)
+	})
 	return pairsReport(w, spec, sides[0], sides[1])
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -225,9 +226,167 @@ func TestKitsuneFeaturesSteadyStateAllocations(t *testing.T) {
 	if small != large {
 		t.Errorf("a warm chunk allocates %v times for 64 rows and %v for 512: something allocates per packet", small, large)
 	}
-	if large > 16 {
-		t.Errorf("a warm 512-row chunk allocates %v times, want at most 16 (the frame, its name index and metadata, one column block)", large)
+	if large > 9 {
+		t.Errorf("a warm 512-row chunk allocates %v times, want at most 9 (the frame, its sized name index and metadata, one column block)", large)
 	}
+}
+
+// socketChurnFrames is n packets one second apart between the same two
+// hosts, each from a source port never seen before: every one opens a
+// new socket, and only the first a new source and channel.
+func socketChurnFrames(t testing.TB, n int) []refFrame {
+	tmpl := udpFrame(t, netip.AddrFrom4([4]byte{11, 0, 0, 0}))
+	out := make([]refFrame, n)
+	for i := range out {
+		raw := append([]byte(nil), tmpl...)
+		binary.BigEndian.PutUint16(raw[34:36], uint16(1024+i)) // UDP source port
+		out[i] = refFrame{link: netpkt.LinkEthernet, ts: time.Unix(int64(i), 0), raw: raw}
+	}
+	return out
+}
+
+// TestKitsuneNewStreamsAllocateByBlock: 4 096 packets that each open a
+// new socket cost the op at most one object per 32 of them — the slab's
+// 64-stream blocks, the socket map's growth and the frame — where a
+// stream with its own records cost at least one each.
+func TestKitsuneNewStreamsAllocateByBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const n = 4096
+	views := viewsOf(socketChurnFrames(t, n))
+	for i := range views {
+		views[i].Predecode(netpkt.DecodeHint{Headers: true})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	// A chunk of no packets builds the carry: what is measured is the
+	// streams, not the column names.
+	if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}}}, params{}); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: views}}, params{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	car := ctx.stream.carry["feats"].(*kitsuneCarry)
+	if len(car.socks) != n {
+		t.Fatalf("%d sockets, want %d", len(car.socks), n)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/32 {
+		t.Errorf("%d packets opening new sockets allocated %d objects, want at most %d", n, allocs, n/32)
+	}
+}
+
+// TestKitsuneSweptStreamsReuseSlots: over 6 sweep periods of ever-new
+// sources, the ids a sweep frees are taken again, so the slots each
+// grouping ever carves stay within its peak of live streams plus one
+// block — not one slot per stream ever seen.
+func TestKitsuneSweptStreamsReuseSlots(t *testing.T) {
+	const n = 6 * streamSweepEvery
+	frames := churnFrames(t, 0, n)
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	p := params{"lambdas": []any{1.0}}
+	var peak [3]int
+	// One packet a call: a packet adds at most one stream per grouping
+	// before the sweep it may trigger, so the live count after the
+	// previous call plus one bounds every grouping's peak.
+	for i := range frames {
+		if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: viewsOf(frames[i : i+1])}}, p); err != nil {
+			t.Fatal(err)
+		}
+		car := ctx.stream.carry["feats"].(*kitsuneCarry)
+		for g, live := range []int{len(car.srcs), len(car.chans), len(car.socks)} {
+			peak[g] = max(peak[g], live+1)
+		}
+	}
+	car := ctx.stream.carry["feats"].(*kitsuneCarry)
+	for g, carved := range []int32{car.srcStat.carved, car.chanStat.carved, car.sockStat.carved} {
+		if int(carved) > peak[g]+slabBlock {
+			t.Errorf("grouping %d carved %d slots for a peak of %d live streams, want at most %d", g, carved, peak[g], peak[g]+slabBlock)
+		}
+		if peak[g] >= n/2 {
+			t.Errorf("grouping %d peaked at %d live streams: the sweep kept too much for the test to show reuse", g, peak[g])
+		}
+	}
+}
+
+// TestKitsuneReusedSlotStartsAfresh: a stream swept away leaves its slots
+// to the next new stream, whose first packet reads exactly as on a fresh
+// carry. The swept stream is heavy enough — 12 000 packets at one
+// instant, idle 65 s at λ = 1 — that its history, faded by 2^-65, still
+// shows in a weight of 1 if the slot kept it.
+func TestKitsuneReusedSlotStartsAfresh(t *testing.T) {
+	at := func(src byte, sec int64) refFrame {
+		return refFrame{link: netpkt.LinkEthernet, ts: time.Unix(sec, 0), raw: udpFrame(t, netip.AddrFrom4([4]byte{11, 0, 0, src}))}
+	}
+	const heavy = 12000
+	var frames []refFrame
+	for i := 0; i < streamSweepEvery; i++ {
+		if i < heavy {
+			frames = append(frames, at(1, 0))
+		} else {
+			frames = append(frames, at(2, 65)) // the sweep at the last one drops only source 1
+		}
+	}
+	frames = append(frames, at(3, 65))
+	p := params{"lambdas": []any{1.0}}
+	m := obs.NewMetrics()
+	got := kitsuneRun(t, frames, 512, p, m)
+	if n := m.Counter("lumen_kitsune_streams_evicted_total", "").Value(); n != 3 {
+		t.Fatalf("the sweep evicted %d streams, want source 1's three", n)
+	}
+	fresh := kitsuneRun(t, frames[len(frames)-1:], 0, p, nil)
+	last := len(frames) - 1
+	for j := range fresh {
+		got[j] = got[j][last:]
+	}
+	sameBits(t, "first packet of a stream in reused slots", got, fresh)
+}
+
+// BenchmarkKitsuneFeatures prices the fold over P1's first 4 096 packets
+// in 512-row chunks: cold, a fresh carry each time, so every stream is
+// new; warm, one chunk again once all its streams exist.
+func BenchmarkKitsuneFeatures(b *testing.B) {
+	spec, _ := dataset.Get("P1")
+	frames := datasetFrames(spec.Generate(2), 4096)
+	if len(frames) < 4096 {
+		b.Fatalf("P1 has only %d packets", len(frames))
+	}
+	views := viewsOf(frames)
+	for i := range views {
+		views[i].Predecode(netpkt.DecodeHint{Headers: true})
+	}
+	chunk := func(lo int) []Value {
+		return []Value{Packets{DS: &dataset.Labeled{}, Views: views[lo:min(lo+512, len(views))]}}
+	}
+	newCtx := func() *opCtx { return &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}} }
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			ctx := newCtx()
+			for lo := 0; lo < len(views); lo += 512 {
+				if _, err := opKitsuneFeatures(ctx, chunk(lo), params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		ctx, in := newCtx(), chunk(0)
+		if _, err := opKitsuneFeatures(ctx, in, params{}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if _, err := opKitsuneFeatures(ctx, in, params{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestKitsuneLambdasRejected: unusable decay rates fail the type-check and
@@ -267,6 +426,9 @@ func FuzzKitsuneKeyEquivalence(f *testing.F) {
 		a, b := corpus[i], corpus[(i*7+3)%len(corpus)]
 		f.Add(a.raw, b.raw, a.link == netpkt.LinkDot11, b.link == netpkt.LinkDot11)
 	}
+	for _, pair := range keyEdgePairs(f) {
+		f.Add(pair[0].raw, pair[1].raw, pair[0].link == netpkt.LinkDot11, pair[1].link == netpkt.LinkDot11)
+	}
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, dot11A, dot11B bool) {
 		link := func(dot11 bool) netpkt.LinkType {
 			if dot11 {
@@ -287,4 +449,42 @@ func FuzzKitsuneKeyEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// keyEdgePairs are the frame pairs whose keys sit on the edges of the
+// key spaces: an IPv4 packet and an IPv6 one from the IPv4-mapped form
+// of its address (different sources), an ARP frame and an IPv4 packet
+// from one address (one source; the ARP frame has no tuple, so its
+// socket is its channel), Ethernet and 802.11 frames from one MAC (one
+// source and channel), and an ICMP packet, whose tuple has no ports,
+// beside a TCP packet between the same hosts (one channel, different
+// sockets).
+func keyEdgePairs(t testing.TB) [][2]refFrame {
+	t.Helper()
+	host := netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	peer := netip.AddrFrom4([4]byte{10, 0, 0, 2})
+	from, to := netpkt.MAC{2, 0, 0, 0, 0, 1}, netpkt.MAC{2, 0, 0, 0, 0, 2}
+	eth := &netpkt.Ethernet{Dst: to, Src: from}
+	ipv4 := func(proto uint8) *netpkt.IPv4 {
+		return &netpkt.IPv4{TTL: 64, Protocol: proto, Src: host, Dst: peer}
+	}
+	frame := func(p *netpkt.Packet) refFrame {
+		raw, err := p.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refFrame{link: p.Link, raw: raw}
+	}
+	udp4 := frame(&netpkt.Packet{Eth: eth, IPv4: ipv4(netpkt.ProtoUDP), UDP: &netpkt.UDP{SrcPort: 4000, DstPort: 5000}})
+	// An Ethernet frame of a local experimental EtherType: MACs only.
+	bare := refFrame{link: netpkt.LinkEthernet, raw: append(append([]byte(nil), udp4.raw[:12]...), 0x88, 0xb5, 'l', 'o', 'c', 'a', 'l')}
+	return [][2]refFrame{
+		{udp4, frame(&netpkt.Packet{Eth: eth,
+			IPv6: &netpkt.IPv6{NextHeader: netpkt.ProtoUDP, HopLimit: 64, Src: netip.AddrFrom16(host.As16()), Dst: netip.AddrFrom16(peer.As16())},
+			UDP:  &netpkt.UDP{SrcPort: 4000, DstPort: 5000}})},
+		{frame(&netpkt.Packet{Eth: eth, ARP: &netpkt.ARP{Op: 1, SenderHW: from, SenderIP: host, TargetIP: peer}}), udp4},
+		{bare, frame(&netpkt.Packet{Dot11: &netpkt.Dot11{Subtype: netpkt.Dot11Data, Addr1: to, Addr2: from}})},
+		{frame(&netpkt.Packet{Eth: eth, IPv4: ipv4(netpkt.ProtoICMP), ICMP: &netpkt.ICMP{Type: 8}}),
+			frame(&netpkt.Packet{Eth: eth, IPv4: ipv4(netpkt.ProtoTCP), TCP: &netpkt.TCP{SrcPort: 41000, DstPort: 80, Flags: netpkt.FlagSYN}})},
+	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"net/netip"
 	"slices"
+	"strconv"
 	"time"
 
 	"lumen/internal/dataset"
@@ -110,7 +112,7 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	n := pk.Len()
 	a := ctx.scratch.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
+	fr := newPacketFrame(n, len(fields), pk.DS, ctx.stream.base, a)
 	var car feCarry
 	if v, ok := ctx.carry(); ok {
 		car, _ = v.(feCarry)
@@ -383,8 +385,10 @@ func b2f(b bool) float64 {
 // source reuses a chunk's (dataset.Chunk). base offsets UnitIdx so
 // chunked runs attribute rows to global packet indices (0 on the first chunk).
 // n is passed explicitly because streamed chunks leave ds.Packets empty.
-func newPacketFrame(n int, ds *dataset.Labeled, base int, a *chunkArena) *Frame {
-	fr := NewFrame(n)
+// The name index and column list are sized for the cols columns the op
+// adds, so neither grows column by column.
+func newPacketFrame(n, cols int, ds *dataset.Labeled, base int, a *chunkArena) *Frame {
+	fr := &Frame{N: n, byName: make(map[string]int, cols), Cols: make([]Column, 0, cols)}
 	fr.Unit = UnitPacket
 	fr.UnitIdx = a.ints(n)
 	for i := range fr.UnitIdx {
@@ -425,8 +429,8 @@ func opNPrint(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	n := pk.Len()
 	a := ctx.scratch.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
 	w := cfg.Width()
+	fr := newPacketFrame(n, w, pk.DS, ctx.stream.base, a)
 	cols := a.rows(w)
 	for j := range cols {
 		cols[j] = a.floats(n)
@@ -499,23 +503,46 @@ const (
 )
 
 // kitsuneKey identifies one stream of a grouping by the packet's address
-// bytes. A source key fills the source address only, a channel key both
-// addresses, a socket key the whole tuple when the packet has one and
-// the channel key otherwise.
+// bytes, and holds no pointer, so a map of them is never scanned. A
+// source key fills a only, a channel key a and b, a socket key the whole
+// tuple when the packet has one and the channel key otherwise. An IP
+// address is its 16-byte form with its family (4 or 6; 0 for none) in
+// fa or fb, which keeps an IPv4 address apart from its IPv4-mapped IPv6
+// form as netip does; addresses decoded from wire bytes carry no zone. A
+// MAC fills the first 6 bytes.
 type kitsuneKey struct {
-	tuple    netpkt.FiveTuple
-	src, dst netpkt.MAC
-	kind     keyKind
+	a, b         [16]byte
+	sport, dport uint16
+	proto        uint8
+	fa, fb       uint8
+	kind         keyKind
+}
+
+// ipFamily is an address's family as a kitsuneKey records it.
+func ipFamily(a netip.Addr) uint8 {
+	switch {
+	case a.Is4():
+		return 4
+	case a.Is6():
+		return 6
+	}
+	return 0
 }
 
 // kitsuneKeys derives the grouping keys, falling back to MACs on 802.11
-// (Kitsune is the one algorithm the paper can run on AWID3).
+// (Kitsune is the one algorithm the paper can run on AWID3). Each
+// address is converted once: the source key is the channel key's first
+// half, and a socket key the channel key plus the tuple's ports and
+// protocol, since a view's tuple is between its SrcIP and DstIP.
 func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket kitsuneKey) {
 	if a := v.SrcIP(); a.IsValid() {
-		src = kitsuneKey{kind: keyIP, tuple: netpkt.FiveTuple{SrcIP: a}}
-		channel = kitsuneKey{kind: keyIP, tuple: netpkt.FiveTuple{SrcIP: a, DstIP: v.DstIP()}}
+		d := v.DstIP()
+		channel = kitsuneKey{kind: keyIP, a: a.As16(), fa: ipFamily(a), b: d.As16(), fb: ipFamily(d)}
+		src = kitsuneKey{kind: keyIP, a: channel.a, fa: channel.fa}
 		if ft, ok := v.Tuple(); ok {
-			return src, channel, kitsuneKey{kind: keyTuple, tuple: ft}
+			socket = channel
+			socket.kind, socket.sport, socket.dport, socket.proto = keyTuple, ft.SrcPort, ft.DstPort, ft.Proto
+			return src, channel, socket
 		}
 		return src, channel, channel
 	}
@@ -527,8 +554,10 @@ func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket kitsuneKey) {
 	} else {
 		return src, channel, socket
 	}
-	src = kitsuneKey{kind: keyMAC, src: from}
-	channel = kitsuneKey{kind: keyMAC, src: from, dst: to}
+	src = kitsuneKey{kind: keyMAC}
+	copy(src.a[:], from[:])
+	channel = src
+	copy(channel.b[:], to[:])
 	return src, channel, channel
 }
 
@@ -536,24 +565,57 @@ func kitsuneKeys(v *netpkt.PacketView) (src, channel, socket kitsuneKey) {
 // inter-arrival times of the channels its packets travel on.
 type srcStat struct{ size, jitter features.IncStat }
 
-// chanEntry is one channel: when it last carried a packet (what jitter
-// is measured from) and its size × payload statistic at every decay
-// rate, whose A side doubles as the channel's size statistic.
-type chanEntry struct {
-	last float64
-	two  []features.IncStat2D
+// slabBlock is how many streams one block of a streamSlab holds.
+const slabBlock = 64
+
+// streamSlab holds one grouping's statistics: len(fresh) records a
+// stream, in blocks of slabBlock streams that never move, so a stream's
+// id addresses its records for as long as it lives. Ids freed by a sweep
+// are handed out again before a new one is carved.
+type streamSlab[T any] struct {
+	fresh  []T // a new stream's records, one per decay rate
+	blocks [][]T
+	carved int32 // ids ever handed out, live or freed
+	free   []int32
+}
+
+// at is stream id's records.
+func (s *streamSlab[T]) at(id int32) []T {
+	per := len(s.fresh)
+	o := int(id%slabBlock) * per
+	return s.blocks[id/slabBlock][o : o+per : o+per]
+}
+
+// take hands out a stream id, a freed one first, with its records set to
+// a new stream's.
+func (s *streamSlab[T]) take() int32 {
+	var id int32
+	if n := len(s.free); n > 0 {
+		id = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if int(s.carved) == len(s.blocks)*slabBlock {
+			s.blocks = append(s.blocks, make([]T, slabBlock*len(s.fresh)))
+		}
+		id = s.carved
+		s.carved++
+	}
+	copy(s.at(id), s.fresh)
+	return id
 }
 
 // streamSweepEvery is how many folded packets pass between two sweeps
 // for faded streams, in kitsune_features and dot11_features alike.
 const streamSweepEvery = 1 << 14
 
-// kitsuneCarry is the op's fold state: one map per grouping, whose value
-// holds the stream's statistics at every decay rate contiguously, so a
-// packet costs three probes and allocates only for a stream it is the
-// first packet of. Damped statistics are strictly sequential: a chunk
-// resumes from the state one whole-trace chunk would have at that
-// packet, and sweeps are clocked by packets folded, never by chunks.
+// kitsuneCarry is the op's fold state: per grouping, a map from key to
+// stream id and a slab holding each stream's statistics at every decay
+// rate contiguously, so a packet costs three probes and allocates only
+// when a slab or map outgrows its room; each map starts with room for one
+// block of streams. Damped statistics are strictly
+// sequential: a chunk resumes from the state one whole-trace chunk would
+// have at that packet, and sweeps are clocked by packets folded, never by
+// chunks.
 type kitsuneCarry struct {
 	lambdas []float64
 	names   []string // column names, kitsuneStats per decay rate
@@ -561,58 +623,66 @@ type kitsuneCarry struct {
 	// below 2^-64 at every decay rate; +Inf when one of them is 0.
 	horizon float64
 	folded  int
-	srcs    map[kitsuneKey][]srcStat
-	chans   map[kitsuneKey]*chanEntry
-	socks   map[kitsuneKey][]features.IncStat
+	srcs    map[kitsuneKey]int32
+	chans   map[kitsuneKey]int32
+	socks   map[kitsuneKey]int32
+	srcStat streamSlab[srcStat]
+	// chanStat's A side doubles as the channel's size statistic.
+	chanStat streamSlab[features.IncStat2D]
+	sockStat streamSlab[features.IncStat]
+	// chanLast is, by channel id, when the channel last carried a packet:
+	// what jitter is measured from.
+	chanLast []float64
 }
 
 func newKitsuneCarry(lambdas []float64) *kitsuneCarry {
 	car := &kitsuneCarry{
 		lambdas: lambdas,
 		horizon: 64 / slices.Min(lambdas),
-		srcs:    map[kitsuneKey][]srcStat{},
-		chans:   map[kitsuneKey]*chanEntry{},
-		socks:   map[kitsuneKey][]features.IncStat{},
+		srcs:    make(map[kitsuneKey]int32, slabBlock),
+		chans:   make(map[kitsuneKey]int32, slabBlock),
+		socks:   make(map[kitsuneKey]int32, slabBlock),
+		names:   make([]string, 0, len(lambdas)*len(kitsuneStats)),
 	}
-	for _, lam := range lambdas {
+	car.srcStat.fresh = make([]srcStat, len(lambdas))
+	car.chanStat.fresh = make([]features.IncStat2D, len(lambdas))
+	car.sockStat.fresh = make([]features.IncStat, len(lambdas))
+	for li, lam := range lambdas {
+		car.srcStat.fresh[li] = srcStat{size: features.IncStat{Lambda: lam}, jitter: features.IncStat{Lambda: lam}}
+		car.chanStat.fresh[li] = *features.NewIncStat2D(lam)
+		car.sockStat.fresh[li].Lambda = lam
+		prefix := "k_" + strconv.FormatFloat(lam, 'g', -1, 64) + "_" // fmt's %g
 		for _, nm := range kitsuneStats {
-			car.names = append(car.names, fmt.Sprintf("k_%g_%s", lam, nm))
+			car.names = append(car.names, prefix+nm)
 		}
 	}
 	return car
 }
 
+// streamID is key's stream id in ids, taken from slab when the key is
+// new; known says whether it was already there.
+func streamID[T any](ids map[kitsuneKey]int32, slab *streamSlab[T], key kitsuneKey) (id int32, known bool) {
+	if id, known = ids[key]; !known {
+		id = slab.take()
+		ids[key] = id
+	}
+	return id, known
+}
+
 // fold ingests one packet — reduced to its timestamp, wire size, payload
 // length and grouping keys — and writes row i of every column.
 func (car *kitsuneCarry) fold(cols [][]float64, i int, t, size, payLen float64, srcKey, chanKey, sockKey kitsuneKey) {
-	src, ok := car.srcs[srcKey]
-	if !ok {
-		src = make([]srcStat, len(car.lambdas))
-		for li, lam := range car.lambdas {
-			src[li] = srcStat{size: features.IncStat{Lambda: lam}, jitter: features.IncStat{Lambda: lam}}
-		}
-		car.srcs[srcKey] = src
+	srcID, _ := streamID(car.srcs, &car.srcStat, srcKey)
+	sockID, _ := streamID(car.socks, &car.sockStat, sockKey)
+	chID, known := streamID(car.chans, &car.chanStat, chanKey)
+	if int(chID) == len(car.chanLast) { // ids are carved in order
+		car.chanLast = append(car.chanLast, 0)
 	}
-	sock, ok := car.socks[sockKey]
-	if !ok {
-		sock = make([]features.IncStat, len(car.lambdas))
-		for li, lam := range car.lambdas {
-			sock[li].Lambda = lam
-		}
-		car.socks[sockKey] = sock
-	}
-	ch, known := car.chans[chanKey]
-	if !known {
-		ch = &chanEntry{two: make([]features.IncStat2D, len(car.lambdas))}
-		for li, lam := range car.lambdas {
-			ch.two[li] = *features.NewIncStat2D(lam)
-		}
-		car.chans[chanKey] = ch
-	}
-	gap := t - ch.last
-	ch.last = t
+	src, ch, sock := car.srcStat.at(srcID), car.chanStat.at(chID), car.sockStat.at(sockID)
+	gap := t - car.chanLast[chID]
+	car.chanLast[chID] = t
 	for li := range car.lambdas {
-		s, c, k := &src[li], &ch.two[li], &sock[li]
+		s, c, k := &src[li], &ch[li], &sock[li]
 		// Jitter: inter-arrival within the channel.
 		if known {
 			s.jitter.Insert(gap, t)
@@ -639,29 +709,28 @@ func (car *kitsuneCarry) fold(cols [][]float64, i int, t, size, payLen float64, 
 	car.folded++
 }
 
-// sweep drops every stream idle at time now for longer than the horizon:
-// its next packet would meet history faded below 2^-64, so it starts
-// afresh instead. It returns how many streams went.
-func (car *kitsuneCarry) sweep(now float64) (evicted int) {
-	for k, st := range car.srcs {
-		if now-st[0].size.LastTs() > car.horizon {
-			delete(car.srcs, k)
-			evicted++
-		}
-	}
-	for k, ch := range car.chans {
-		if now-ch.two[0].A.LastTs() > car.horizon {
-			delete(car.chans, k)
-			evicted++
-		}
-	}
-	for k, st := range car.socks {
-		if now-st[0].LastTs() > car.horizon {
-			delete(car.socks, k)
+// sweepStreams drops every stream of ids whose records say, by lastTs,
+// it has been idle at time now for longer than horizon, and frees its id
+// in slab. It returns how many streams went.
+func sweepStreams[T any](ids map[kitsuneKey]int32, slab *streamSlab[T], now, horizon float64, lastTs func(*T) float64) (evicted int) {
+	for k, id := range ids {
+		if now-lastTs(&slab.at(id)[0]) > horizon {
+			delete(ids, k)
+			slab.free = append(slab.free, id)
 			evicted++
 		}
 	}
 	return evicted
+}
+
+// sweep drops every stream idle at time now for longer than the horizon:
+// its next packet would meet history faded below 2^-64, so it starts
+// afresh instead, in a slot re-initialised by take. It returns how many
+// streams went.
+func (car *kitsuneCarry) sweep(now float64) (evicted int) {
+	return sweepStreams(car.srcs, &car.srcStat, now, car.horizon, func(s *srcStat) float64 { return s.size.LastTs() }) +
+		sweepStreams(car.chans, &car.chanStat, now, car.horizon, func(c *features.IncStat2D) float64 { return c.A.LastTs() }) +
+		sweepStreams(car.socks, &car.sockStat, now, car.horizon, (*features.IncStat).LastTs)
 }
 
 // kitsune groupings: per-source stream, per-channel (src->dst) stream and
@@ -683,7 +752,7 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	n := pk.Len()
 	a := ctx.scratch.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
+	fr := newPacketFrame(n, len(car.names), pk.DS, ctx.stream.base, a)
 	// One block backs every column; each is capped so an append to one
 	// cannot run into the next.
 	block := a.floats(len(car.names) * n)
@@ -701,7 +770,6 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 			evicted += car.sweep(t)
 		}
 	}
-	fr.Cols = make([]Column, 0, len(cols))
 	for j, name := range car.names {
 		fr.AddF(name, cols[j])
 	}
@@ -779,7 +847,7 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 	}
 	n := pk.Len()
 	a := ctx.scratch.arena()
-	fr := newPacketFrame(n, pk.DS, ctx.stream.base, a)
+	fr := newPacketFrame(n, 7, pk.DS, ctx.stream.base, a) // the columns added below
 	lam := p.f64("lambda", 0.5)
 	prev, _ := ctx.carry()
 	car, ok := prev.(*dot11Carry)
