@@ -14,14 +14,16 @@
 // -base and -change name files holding one bench/cmd/lumenperf result
 // line per run, run as alternating pairs, and -spec names BENCHMARK.json;
 // it prints, per end-to-end metric, both medians and quartile ranges, the
-// pairs each side won, the metric's bound and a verdict.
+// pairs each side won, the metric's bound and a verdict ("too few
+// pairs" below ten pairs).
 //
 // With -micro it judges a kernel-level comparison (`make micro-pairs`):
 // -base and -change name files holding the `go test -bench` output of N
 // alternating runs of two test binaries; it judges each benchmark's
 // ns/op, and its B/op and allocs/op where both sides report them, as
 // -pairs judges a metric that has no bound, and lists a result only one
-// side has as "only in base" or "only in change".
+// side has as "only in base" or "only in change"; it gives verdicts
+// from ten pairs up, as -pairs does.
 package main
 
 import (

@@ -75,7 +75,8 @@ func pairLine(pps, heap float64, failed int) string {
 // TestPairsReport: on canned result lines the report pairs run i with
 // run i, counts ties for neither side, and applies the gain rule (nine
 // tenths of the pairs and more than the base's quartile distance) and
-// the bound.
+// the bound at ten pairs; at five, the same runs' first halves, it
+// gives no verdict.
 func TestPairsReport(t *testing.T) {
 	var spec benchSpec
 	if err := json.Unmarshal([]byte(`{"end_to_end":[
@@ -120,6 +121,25 @@ func TestPairsReport(t *testing.T) {
 		for _, field := range want {
 			if !strings.Contains(lines[2+i], field) {
 				t.Errorf("row %q lacks %q", lines[2+i], field)
+			}
+		}
+	}
+
+	out.Reset()
+	if err := pairsReport(&out, spec, b[:5], c[:5]); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "5 pairs;") {
+		t.Fatalf("report over five pairs:\n%s", out.String())
+	}
+	for i, want := range [][]string{
+		{"pps", "5/5", "too few pairs"},
+		{"peak_heap_mb", "0/5", "too few pairs"},
+	} {
+		for _, field := range want {
+			if !strings.Contains(lines[2+i], field) {
+				t.Errorf("five pairs: row %q lacks %q", lines[2+i], field)
 			}
 		}
 	}
@@ -231,7 +251,7 @@ func TestMicroReportListsOneSidedBenchmarks(t *testing.T) {
 	}
 	wantRows(t, microRows(t, base.String(), change.String()), [][]string{
 		{"BenchmarkK/gone (ns/op)", "51.5 [50.75, 52.25] -", "only in base"},
-		{"BenchmarkK/kept (ns/op)", "0/4 0/4", "level"},
+		{"BenchmarkK/kept (ns/op)", "0/4 0/4", "too few pairs"},
 		{"BenchmarkK/new (ns/op)", "- 71.5 [70.75, 72.25]", "only in change"},
 		{"BenchmarkK/new (B/op)", "- 8 [8, 8]", "only in change"},
 		{"BenchmarkK/new (allocs/op)", "- 1 [1, 1]", "only in change"},

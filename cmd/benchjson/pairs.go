@@ -136,9 +136,11 @@ func failedShare(runs []resultLine) float64 {
 // pairs and the medians differ by more than the distance between the
 // base's quartiles, "past bound" when the change's median is worse than
 // the base's by more than the bound, "loss" when the base wins by the
-// gain rule, "level" otherwise. A metric that only one side's runs report
-// is listed with that side's median as "only in base" or "only in
-// change".
+// gain rule, "level" otherwise. Below minPairs pairs every verdict reads
+// "too few pairs": five wins of five and a median past a quartile span
+// estimated from five runs happen by chance. A metric that only one
+// side's runs report is listed with that side's median as "only in base"
+// or "only in change".
 func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 	if len(base) == 0 || len(base) != len(change) {
 		return fmt.Errorf("%d base runs and %d change runs: want the same number, at least one", len(base), len(change))
@@ -186,6 +188,8 @@ func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 		gain := sign * (c.median - b.median)
 		verdict := "level"
 		switch {
+		case len(bv) < minPairs:
+			verdict = "too few pairs"
 		case 10*wins >= 9*len(bv) && gain > b.q3-b.q1:
 			verdict = "gain"
 		case m.Bound > 0 && b.median != 0 && -gain/b.median > m.Bound:
@@ -202,6 +206,10 @@ func pairsReport(w io.Writer, spec benchSpec, base, change []resultLine) error {
 	}
 	return tw.Flush()
 }
+
+// minPairs is the fewest pairs pairsReport gives a verdict on: the
+// benchmark's gain rule is stated over ten.
+const minPairs = 10
 
 // runPairs is the -pairs mode: the spec and the two result-line files
 // come from disk, the report goes to w.

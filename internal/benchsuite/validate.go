@@ -35,7 +35,7 @@ func (s *Suite) Validate() ([]ValidationRow, error) {
 
 	// A10 on F1.
 	if sp, ok := s.splits["F1"]; ok {
-		p, err := s.trainTestOnce("A10", sp.train, sp.test)
+		p, err := s.trainTest("A10", sp.train, sp.test)
 		if err != nil {
 			return nil, err
 		}
@@ -74,10 +74,6 @@ func (s *Suite) Validate() ([]ValidationRow, error) {
 
 type scored struct {
 	precision, auc float64
-}
-
-func (s *Suite) trainTestOnce(algID string, train, test *dataset.Labeled) (scored, error) {
-	return s.trainTest(algID, train, test)
 }
 
 func (s *Suite) trainTest(algID string, train, test *dataset.Labeled) (scored, error) {

@@ -44,9 +44,8 @@ func (c *Column) IsNumeric() bool { return c.F != nil }
 // makes aggregate computation a cache-friendly scan — one of the design
 // choices the ablation benches measure.
 type Frame struct {
-	N      int
-	Cols   []Column
-	byName map[string]int
+	N    int
+	Cols []Column
 
 	// Unit declares the row unit; UnitIdx maps each row to its source
 	// index (packet index or flow index). Both optional for derived
@@ -65,7 +64,7 @@ func (*Frame) Kind() Kind { return KindFrame }
 
 // NewFrame returns an empty frame of n rows.
 func NewFrame(n int) *Frame {
-	return &Frame{N: n, byName: make(map[string]int)}
+	return &Frame{N: n}
 }
 
 // AddF appends a numeric column. It panics on length mismatch — columns
@@ -74,7 +73,6 @@ func (f *Frame) AddF(name string, vals []float64) {
 	if len(vals) != f.N {
 		panic(fmt.Sprintf("core: column %q has %d values, frame has %d rows", name, len(vals), f.N))
 	}
-	f.byName[name] = len(f.Cols)
 	f.Cols = append(f.Cols, Column{Name: name, F: vals})
 }
 
@@ -83,17 +81,19 @@ func (f *Frame) AddS(name string, vals []string) {
 	if len(vals) != f.N {
 		panic(fmt.Sprintf("core: column %q has %d values, frame has %d rows", name, len(vals), f.N))
 	}
-	f.byName[name] = len(f.Cols)
 	f.Cols = append(f.Cols, Column{Name: name, S: vals})
 }
 
-// Col returns the named column, or nil when absent.
+// Col returns the named column, or nil when absent: the last one added
+// under the name. Ops look columns up once a chunk, not once a row, so
+// a scan costs less than the index every frame would otherwise build.
 func (f *Frame) Col(name string) *Column {
-	i, ok := f.byName[name]
-	if !ok {
-		return nil
+	for i := len(f.Cols) - 1; i >= 0; i-- {
+		if f.Cols[i].Name == name {
+			return &f.Cols[i]
+		}
 	}
-	return &f.Cols[i]
+	return nil
 }
 
 // Names returns column names in order.

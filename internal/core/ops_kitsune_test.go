@@ -226,8 +226,8 @@ func TestKitsuneFeaturesSteadyStateAllocations(t *testing.T) {
 	if small != large {
 		t.Errorf("a warm chunk allocates %v times for 64 rows and %v for 512: something allocates per packet", small, large)
 	}
-	if large > 9 {
-		t.Errorf("a warm 512-row chunk allocates %v times, want at most 9 (the frame, its sized name index and metadata, one column block)", large)
+	if large > 5 {
+		t.Errorf("a warm 512-row chunk allocates %v times, want at most 5 (the frame, its column list and metadata, one column block)", large)
 	}
 }
 

@@ -130,10 +130,14 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 			fr.AddF(f, col)
 		}
 	}
-	if n > 0 {
-		car.prevTs, car.seen = pktTime(pk.Views[n-1].Ts), true
+	// Only iat folds across chunks: only then is the op ordered (see
+	// fieldsOrdered), with a carry to save into (a worker job has none).
+	if slices.Contains(fields, "iat") {
+		if n > 0 {
+			car.prevTs, car.seen = pktTime(pk.Views[n-1].Ts), true
+		}
+		ctx.setCarry(car)
 	}
-	ctx.setCarry(car)
 	return fr, nil
 }
 
@@ -385,10 +389,10 @@ func b2f(b bool) float64 {
 // source reuses a chunk's (dataset.Chunk). base offsets UnitIdx so
 // chunked runs attribute rows to global packet indices (0 on the first chunk).
 // n is passed explicitly because streamed chunks leave ds.Packets empty.
-// The name index and column list are sized for the cols columns the op
-// adds, so neither grows column by column.
+// The column list is sized for the cols columns the op adds, so it
+// does not grow column by column.
 func newPacketFrame(n, cols int, ds *dataset.Labeled, base int, a *chunkArena) *Frame {
-	fr := &Frame{N: n, byName: make(map[string]int, cols), Cols: make([]Column, 0, cols)}
+	fr := &Frame{N: n, Cols: make([]Column, 0, cols)}
 	fr.Unit = UnitPacket
 	fr.UnitIdx = a.ints(n)
 	for i := range fr.UnitIdx {

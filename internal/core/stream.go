@@ -48,8 +48,8 @@ type Stage uint8
 
 const (
 	// StageWorker ops stream: order-free and fed only by other worker
-	// values, they run in a chunk's ops stage, ahead of the sink, over a
-	// job-local carry.
+	// values, they run in a chunk's ops stage, ahead of the sink, with no
+	// carry.
 	StageWorker Stage = iota
 	// StageOrdered ops stream too, but the sink runs them in stream order
 	// over the pass's shared carry.
@@ -293,12 +293,15 @@ func firstMissing(set map[string]bool, names []string) string {
 // assembler, which holds the flows open or waiting for release, plus the
 // flows it has released, in canonical order, that the pass has not yet
 // handed on. A sink the plan's StageClose ops read hands them on a block
-// at a time (streamExec.scoreClosed); any other keeps every one for the
-// drain pass.
+// at a time (streamExec.scoreClosed), a pass's log-only connection sink
+// after every chunk (streamExec.logConns); any other keeps every one for
+// the drain pass.
 // Each flow keeps its label and the stats of its first statCap members,
 // so the sink retains nothing per packet beyond what its readers read.
 type flowSinkState struct {
-	op       int // index of the flow_assemble op
+	// op is the index of the flow_assemble op, -1 on a pass's log-only
+	// connection sink (streamExec.logSink).
+	op       int
 	gran     dataset.Granularity
 	asm      *flow.Assembler
 	released []*flow.Flow
@@ -472,8 +475,11 @@ func (s *flowSinkState) report() {
 // first_n_* features, every one otherwise. Each assembler holds the flows
 // open and the closed ones waiting for release, which waits for every
 // flow that started earlier to close (the lumen_flow_open and
-// lumen_flow_held gauges). A plan whose StageClose ops read the sink
-// scores the released flows in blocks of at most 512 as the stream runs
+// lumen_flow_held gauges); the log-only connection sink that a
+// ConnsClosed hook adds to a plan with none (see StreamHooks) holds the
+// same, without the gauges, and hands its closed connections on after
+// every chunk. A plan whose StageClose ops read the sink scores the
+// released flows in blocks of at most 512 as the stream runs
 // and drops each block, adding one block's frame and matrix; a pass the
 // cache serves, or a plan that waits for drain, keeps every flow of the
 // pass for the drain pass. Packets themselves never outlive

@@ -104,22 +104,25 @@ type StreamHooks struct {
 	// AfterChunk is called after each chunk is absorbed; see the type
 	// comment for the execution contract. Nil disables the hook.
 	AfterChunk func(ChunkUpdate) error
-	// ConnsClosed receives the connections the plan's connection sink
-	// (StreamPlan.ConnSink) has closed, for a consumer that logs them: the
-	// pass's own assembly, so nobody assembles the stream a second time.
-	// It runs on the goroutine that owns stream order. The calls of one
-	// pass hand on every connection of the pass once, in canonical order
-	// (flow.Sort). When the plan's StageClose ops read the sink, each
-	// block's connections come before the block is scored, while
-	// the stream runs, and are valid only during the call: once the
-	// block's update has been handed on, the sink reuses them for later
-	// connections, so copy what must outlive the call (a conn-log renders
-	// its lines inside it). A pass that closes no connection calls it
-	// once, at drain, with none. Otherwise it is called once, at drain,
-	// with every connection, before the deferred ops read them. A pass
-	// that fails stops calling it. The connections are shared with the
-	// ops: read, do not modify. Never called when the plan has no
-	// connection sink. A non-nil error aborts the pass.
+	// ConnsClosed receives the connections a pass closes, for a consumer
+	// that logs them. They are those of the plan's connection sink
+	// (StreamPlan.ConnSink), under its op's options, so nobody assembles
+	// the stream a second time; a plan that has none gets a log-only
+	// connection sink under the default flow.Options, which no op reads,
+	// whose connections go after each chunk's update. It runs on the
+	// goroutine that owns stream order. The calls of one pass hand on
+	// every connection of the pass once, in canonical order (flow.Sort).
+	// When the plan's StageClose ops read the sink, each block's
+	// connections come before the block is scored. A log-only sink's and
+	// a block's connections come while the stream runs and are valid only
+	// during the call: the sink then reuses them for later connections,
+	// so copy what must outlive the call (a conn-log renders its lines
+	// inside it). A pass that closes no connection calls it once, at
+	// drain, with none. A plan connection sink that no op reads as flows
+	// close hands every connection on once, at drain, before the deferred
+	// ops read them. A pass that fails stops calling it. The connections
+	// are shared with the ops: read, do not modify. A non-nil error
+	// aborts the pass.
 	ConnsClosed func([]*flow.Flow) error
 	// WantFeatures requests the train op's input features (and labels
 	// when the frame carries them) on the update of every job the train

@@ -16,6 +16,7 @@ import (
 	"lumen/internal/dataset"
 	"lumen/internal/flow"
 	"lumen/internal/mlkit"
+	"lumen/internal/netpkt"
 )
 
 // hookShapes are the depths the hook contract covers.
@@ -246,8 +247,9 @@ func TestHookedPassMemoryIsFlat(t *testing.T) {
 // TestConnsClosedHook: a pass whose plan has a connection sink hands the
 // sink's own connections to ConnsClosed, once, as batch assembly under
 // the op's options yields them (their log is the judge), at every shape;
-// a plan that assembles no connections never calls it, and its error
-// aborts the pass.
+// a plan that assembles no connections hands on those of a log-only sink
+// under the default options the same way, and the hook's error aborts
+// the pass.
 func TestConnsClosedHook(t *testing.T) {
 	spec, _ := dataset.Get("F1")
 	ds := spec.Generate(0.05)
@@ -306,8 +308,12 @@ func TestConnsClosedHook(t *testing.T) {
 		t.Fatalf("an empty pass made %d hand-offs of %d connections (%v), want one of none", calls, conns, err)
 	}
 
+	// A packet plan and a uniflow plan assemble no connections: the pass
+	// adds a log-only sink, whose hand-offs join into the batch log under
+	// the default options at every shape and chunk size.
 	uni := flowPipeline("decision_tree", map[string]any{"max_depth": 6})
 	uni.Granularity, uni.Ops[0].Params["granularity"] = "uniflow", "uniflow"
+	wantDefault := connLog(flow.Connections(pkts, flow.Options{}))
 	for _, p := range []*Pipeline{uni, fieldPipeline()} {
 		eng := NewEngine(p)
 		eng.Seed = 7
@@ -317,13 +323,82 @@ func TestConnsClosedHook(t *testing.T) {
 		if pl, err := eng.StreamPlan(ModeTest); err != nil || pl.ConnSink != -1 {
 			t.Fatalf("%s: plan's connection sink = %d (%v), want none", p.Name, pl.ConnSink, err)
 		}
-		hooks := &StreamHooks{ConnsClosed: func([]*flow.Flow) error {
-			t.Errorf("%s assembles no connections, yet ConnsClosed ran", p.Name)
-			return nil
-		}}
-		if _, err := eng.TestStream(ds, StreamConfig{ChunkRows: 64, Hooks: hooks}); err != nil {
-			t.Fatal(err)
+		for si, shape := range hookShapes {
+			for _, rows := range []int{1, 16} {
+				var got bytes.Buffer
+				lw := flow.NewConnLogWriter(&got)
+				calls := 0
+				shape.ChunkRows = rows
+				shape.Hooks = &StreamHooks{ConnsClosed: func(conns []*flow.Flow) error {
+					calls++
+					return lw.Log(conns)
+				}}
+				if _, err := eng.TestStream(ds, shape); err != nil {
+					t.Fatalf("%s, shape %d, chunk %d: %v", p.Name, si, rows, err)
+				}
+				if got.String() != wantDefault {
+					t.Fatalf("%s, shape %d, chunk %d: the log of %d hand-offs differs from the batch log", p.Name, si, rows, calls)
+				}
+			}
+			shape.Hooks = &StreamHooks{ConnsClosed: func([]*flow.Flow) error { return boom }}
+			if _, err := eng.TestStream(ds, shape); !errors.Is(err, boom) {
+				t.Fatalf("%s, shape %d: want the hook's error, got %v", p.Name, si, err)
+			}
 		}
+		calls, conns = 0, 0
+		if _, err := eng.TestStream(&empty, cfg); err != nil || calls != 1 || conns != 0 {
+			t.Fatalf("%s: an empty pass made %d hand-offs of %d connections (%v), want one of none", p.Name, calls, conns, err)
+		}
+	}
+}
+
+// TestLogOnlySinkRecyclesFlows: a packet plan's log-only connection sink
+// hands each chunk's closed connections on and then reuses their flows,
+// so ConnsClosed's connections are valid only during the call. At depth
+// 0 and 2, a conn-log rendered inside each call is the batch log under
+// the default options byte for byte, while a pointer handed in one call
+// comes back in a later one as another connection. The trace spans
+// minutes, so connections close long before it ends.
+func TestLogOnlySinkRecyclesFlows(t *testing.T) {
+	spec, _ := dataset.Get("F5")
+	ds := spec.Generate(2)
+	var want bytes.Buffer
+	if err := flow.WriteConnLog(&want, flow.Connections(decodedPackets(ds), flow.Options{})); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(fieldPipeline())
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 2} {
+		var log bytes.Buffer
+		lw := flow.NewConnLogWriter(&log)
+		handed := map[*flow.Flow]netpkt.FiveTuple{}
+		calls, reused, moved := 0, 0, 0
+		cfg := StreamConfig{ChunkRows: 64, PipelineDepth: depth, Hooks: &StreamHooks{ConnsClosed: func(cs []*flow.Flow) error {
+			calls++
+			for _, c := range cs {
+				if tuple, ok := handed[c]; ok {
+					reused++
+					if tuple != c.Tuple {
+						moved++
+					}
+				}
+				handed[c] = c.Tuple
+			}
+			return lw.Log(cs)
+		}}}
+		if _, err := eng.TestStream(ds, cfg); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if log.String() != want.String() {
+			t.Fatalf("depth %d: the conn-log rendered inside each of %d calls differs from the batch log", depth, calls)
+		}
+		if calls < 2 || reused == 0 || moved == 0 {
+			t.Fatalf("depth %d: %d calls, %d connections in reused flows, %d of them another tuple: the sink did not recycle", depth, calls, reused, moved)
+		}
+		t.Logf("depth %d: %d calls, %d flows, %d handed again, %d moved", depth, calls, len(handed), reused, moved)
 	}
 }
 

@@ -854,3 +854,41 @@ func TestStreamRefusesOnlineTrain(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerOpSavingCarryFailsItsJob: worker ops run with no carry, so
+// the ordered trait is the whole truth about which ops fold state across
+// chunks. field_extract with iat is ordered; forced into the worker
+// stage, its save fails the pass at every depth, worded like an op
+// error, while the same pass as planned runs.
+func TestWorkerOpSavingCarryFailsItsJob(t *testing.T) {
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.05)
+	eng := NewEngine(fieldPipeline())
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range streamExecShapes {
+		shape.ChunkRows = 16
+		for _, forced := range []bool{false, true} {
+			src := dataset.NewSliceSource(ds)
+			r, err := newStreamExec(eng, src, ModeTest, shape, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.stage[0] != StageOrdered {
+				t.Fatalf("field_extract with iat runs at stage %s, want ordered", r.stage[0])
+			}
+			if forced {
+				r.stage[0] = StageWorker
+			}
+			_, err = r.run(src, shape)
+			switch {
+			case !forced && err != nil:
+				t.Fatalf("depth %d: %v", shape.PipelineDepth, err)
+			case forced && (err == nil || !strings.Contains(err.Error(), "core: op 0 (field_extract -> X): panic:")):
+				t.Fatalf("depth %d: a worker field_extract saving carry ended the pass with %v", shape.PipelineDepth, err)
+			}
+		}
+	}
+}

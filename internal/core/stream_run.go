@@ -80,6 +80,10 @@ type streamExec struct {
 	bsc         streamCtx
 	block       *chunkJob
 	connsLogged bool
+	// logSink is the log-only connection sink of a pass that sets
+	// ConnsClosed while its plan has no connection sink, nil otherwise
+	// (see logConns). It is the last of sinks.
+	logSink *flowSinkState
 }
 
 // newStreamExec validates the pipeline and sets up the plan, flow sinks,
@@ -140,6 +144,13 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 	if r.hooks.AfterChunk == nil {
 		r.hooks.AfterChunk = r.collect
 	}
+	if r.hooks.ConnsClosed != nil && pl.ConnSink < 0 {
+		// Connections leave a pass one way: a plan that assembles none
+		// gets a sink of the pass's own, under the default options, that
+		// no op reads and no series reports.
+		r.logSink = &flowSinkState{op: -1, gran: dataset.ConnectionG, asm: flow.NewConnAssembler(flow.Options{})}
+		r.sinks = append(r.sinks, r.logSink)
+	}
 	keep := ""
 	if r.hooks.WantFeatures {
 		keep = r.trainFrame
@@ -197,10 +208,10 @@ type chunkJob struct {
 	// op is the index of the op runOps is running, which names the op
 	// when it panics in prepare.
 	op int
-	// wsc is the job-local stream context the worker ops run over. They
-	// never depend on cross-chunk fold state, but some (field_extract
-	// without iat) still save it; writing into a discardable job-local
-	// carry keeps them race-free on the ops goroutine.
+	// wsc is the job-local stream context the worker ops run over: the
+	// chunk's base, and no carry. An op that folds state across chunks
+	// is ordered (its ordered trait), so a worker op that saves carry
+	// fails its job.
 	wsc streamCtx
 	// scratch is where the job's ops get their buffers (see arenaPool).
 	scratch jobScratch
@@ -231,7 +242,6 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 		stats: make([]OpStats, len(r.e.P.Ops)),
 	}
 	j.env[InputName] = Packets{DS: j.cds, Views: nc.Views}
-	j.wsc.carry = map[string]any{}
 	j.wsc.base = nc.Base
 	j.scratch.pool = r.arenas
 	return j
@@ -270,7 +280,7 @@ func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 
 // prepare is a chunk's ops stage, on the caller's goroutine at depth 0
 // and on the ops goroutine staged: it builds the job and runs the plan's
-// worker ops over the job-local carry. A panic in one of those ops
+// worker ops over the job's stream context. A panic in one of those ops
 // becomes the job's error, worded like the op's own errors, so it fails
 // the pass the same way at every depth and never escapes a goroutine
 // nobody could recover it on.
@@ -315,6 +325,9 @@ func (r *streamExec) sinkChunk(job *chunkJob, stage *obs.Span, release func(data
 	if err == nil && r.closeSink != nil {
 		err = r.scoreClosed(false)
 	}
+	if err == nil && r.logSink != nil {
+		err = r.logConns(false)
+	}
 	return err
 }
 
@@ -335,9 +348,10 @@ func chunkSpan(stage *obs.Span, nc *dataset.NumberedChunk) *obs.Span {
 // records per-op stats, evaluation results and drift events on the job
 // and drops each value after its last reader. A failing op stores its
 // wrapped error in job.err and stops the job. sc supplies the base and
-// cross-chunk carry: the job's own for worker ops, the shared ordered
-// context for ordered and drain ops, the blocks' for close ops; the
-// train op's result it carries to drift_detect ends with the stage.
+// cross-chunk carry: the job's own, which has none, for worker ops, the
+// shared ordered context for ordered and drain ops, the blocks' for
+// close ops; the train op's result it carries to drift_detect ends with
+// the stage.
 // parent is the span the ops' spans hang off.
 func (r *streamExec) runOps(job *chunkJob, stage Stage, sc *streamCtx, parent *obs.Span) {
 	if job.err != nil {
@@ -455,6 +469,12 @@ func (r *streamExec) finish() (*EvalResult, error) {
 	}
 	job := r.flushJob(env, nil)
 	for _, s := range r.sinks {
+		if s == r.logSink {
+			if err := r.logConns(true); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		op := e.P.Ops[s.op]
 		fl := s.flows
 		if fl == nil {
@@ -521,7 +541,8 @@ func (r *streamExec) collect(up ChunkUpdate) error {
 }
 
 // connsClosed hands conns, connections sink s has closed, to the
-// ConnsClosed hook when s is the plan's connection sink.
+// ConnsClosed hook when s is the plan's connection sink or the pass's
+// log-only one, whose op -1 is the ConnSink of a plan that has none.
 func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Flow) error {
 	if s.op != r.pl.ConnSink || r.hooks.ConnsClosed == nil {
 		return nil
@@ -531,6 +552,25 @@ func (r *streamExec) connsClosed(s *flowSinkState, conns []*flow.Flow) error {
 		return fmt.Errorf("core: conns-closed hook: %w", err)
 	}
 	return nil
+}
+
+// logConns hands the connections the log-only sink has released to
+// ConnsClosed and then recycles them: after each chunk those the chunk
+// released, if any, and at drain (last) every one still open, or none,
+// once, when the pass closed no connection.
+func (r *streamExec) logConns(last bool) error {
+	s := r.logSink
+	if last {
+		s.released = s.asm.ReleaseAll(s.released)
+	}
+	if len(s.released) == 0 && (!last || r.connsLogged) {
+		return nil
+	}
+	err := r.connsClosed(s, s.released)
+	s.asm.Recycle(s.released)
+	clear(s.released)
+	s.released = s.released[:0]
+	return err
 }
 
 // flushBlock is how many closed flows a block of the StageClose ops

@@ -2,8 +2,9 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func decodedPackets(link netpkt.LinkType, recs []*dataset.Record) []*netpkt.Pack
 }
 
 // TestConnLogFromFlowSink: a pipeline whose plan assembles connections
-// logs them from that sink, with no assembler of the daemon's own. At
+// logs them from that sink. At
 // every shape, run to completion and drained mid-stream, under the
 // default idle timeout and one short enough to split connections (which
 // the log must follow: it describes the connections the detector
@@ -108,9 +109,6 @@ func TestConnLogFromFlowSink(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p.conn != nil {
-					t.Fatalf("%s: the daemon runs an assembler of its own beside the plan's connection sink", label)
-				}
 				if drained {
 					gate.allow(3)
 					waitFor(t, 5*time.Second, "3 chunks", func() bool { return p.Status().Chunks >= 3 })
@@ -126,8 +124,8 @@ func TestConnLogFromFlowSink(t *testing.T) {
 				if drained != (n < len(ds.Packets)) || n == 0 {
 					t.Fatalf("%s: ingested %d of %d packets", label, n, len(ds.Packets))
 				}
-				if st.ConnLog != "flow_sink" || st.State != "stopped" {
-					t.Fatalf("%s: status conn_log %q, state %s", label, st.ConnLog, st.State)
+				if st.State != "stopped" {
+					t.Fatalf("%s: state %s", label, st.State)
 				}
 				pre := prefix(ds, n)
 				if !bytes.Equal(connlog.Bytes(), batchConnLog(t, pre, opts)) {
@@ -280,7 +278,8 @@ func TestFlushLinesArriveWhileStreaming(t *testing.T) {
 }
 
 // TestReloadClosesConnections: a reload ends the pass, and a pass
-// boundary closes every open connection on both conn-log paths. The
+// boundary closes every open connection, for a packet pipeline (the
+// engine's log-only sink) and a flow pipeline (its own sink) alike. The
 // source restarts at its first timestamp, so without that the replayed
 // packets would join the first pass's still-open connections and the log
 // would show one pass with doubled counters. Each pass writes its own
@@ -293,8 +292,8 @@ func TestReloadClosesConnections(t *testing.T) {
 		path string
 		eng  *core.Engine
 	}{
-		{"assembler", trainedEngine(t, ds)},
-		{"flow_sink", trained(t, zeekPipeline(t, 0), ds)},
+		{"log-only sink", trainedEngine(t, ds)},
+		{"flow sink", trained(t, zeekPipeline(t, 0), ds)},
 	} {
 		gate := newGate(dataset.NewSliceSource(ds))
 		var connlog bytes.Buffer
@@ -319,7 +318,7 @@ func TestReloadClosesConnections(t *testing.T) {
 		}
 		st := p.Status()
 		second := int(st.Packets) - first
-		if st.ConnLog != tc.path || st.Passes != 2 || first == 0 || second <= first || second >= len(ds.Packets) {
+		if st.Passes != 2 || first == 0 || second <= first || second >= len(ds.Packets) {
 			t.Fatalf("%s: status %+v after passes of %d and %d packets", tc.path, st, first, second)
 		}
 		want := append(batchConnLog(t, prefix(ds, first), flow.Options{}), batchConnLog(t, prefix(ds, second), flow.Options{})...)
@@ -329,25 +328,53 @@ func TestReloadClosesConnections(t *testing.T) {
 	}
 }
 
-// TestStatusOmitsConnLogWithoutOne: conn_log is absent from /pipelines
-// for a pipeline that writes no conn-log.
-func TestStatusOmitsConnLogWithoutOne(t *testing.T) {
-	ds := testDS(t)
-	p, err := New(Config{}).Start(PipeConfig{
-		Name: "nolog", Engine: trainedEngine(t, ds),
-		Source: NewReplaySource(dataset.NewSliceSource(ds), 0, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
+// failAfter is a source that fails once it has handed out n chunks.
+type failAfter struct {
+	dataset.Source
+	n   int
+	err error
+}
+
+func (s *failAfter) Next(maxRows, maxBytes int) (dataset.Chunk, bool) {
+	if s.n == 0 {
+		s.err = errors.New("capture truncated")
+		return dataset.Chunk{}, false
 	}
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	js, err := json.Marshal(p.Status())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(js, []byte("conn_log")) {
-		t.Fatalf("status of a pipeline without a conn-log names one: %s", js)
+	s.n--
+	return s.Source.Next(maxRows, maxBytes)
+}
+
+func (s *failAfter) Err() error { return s.err }
+
+// TestFailedPassEndsConnLogAtLastHandOff: a packet pipeline whose pass
+// fails ends its conn-log section at the last connections the pass
+// handed on, as a flow pipeline does: the log is the batch log of the
+// packets it ingested cut after some row, never a connection that was
+// still open. The trace spans minutes, so connections close before the
+// source fails.
+func TestFailedPassEndsConnLogAtLastHandOff(t *testing.T) {
+	spec, _ := dataset.Get("F5")
+	ds := spec.Generate(2)
+	const rows, chunks = 64, 40
+	for _, depth := range []int{0, 2} {
+		var connlog bytes.Buffer
+		p, err := New(Config{}).Start(PipeConfig{
+			Name: "failing", Engine: trainedEngine(t, ds),
+			Source: &failAfter{Source: dataset.NewSliceSource(ds), n: chunks},
+			Stream: core.StreamConfig{ChunkRows: rows, PipelineDepth: depth}, ConnLog: &connlog,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-p.Done()
+		st := p.Status()
+		if st.State != "failed" || !strings.Contains(st.Error, "capture truncated") || st.Packets != rows*chunks {
+			t.Fatalf("depth %d: status %+v, want failed on the source's error after %d packets", depth, st, rows*chunks)
+		}
+		got := connlog.Bytes()
+		full := batchConnLog(t, prefix(ds, rows*chunks), flow.Options{})
+		if bytes.Count(got, []byte("\n")) < 2 || len(got) >= len(full) || !bytes.HasPrefix(full, got) {
+			t.Fatalf("depth %d: conn-log of %d lines is not the batch log of the ingested packets (%d lines) cut after a row", depth, bytes.Count(got, []byte("\n")), bytes.Count(full, []byte("\n")))
+		}
 	}
 }

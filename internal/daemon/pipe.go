@@ -92,17 +92,19 @@ type PipeConfig struct {
 	// every scored unit.
 	AnomaliesOnly bool
 	// ConnLog receives a Zeek-style TSV connection log, one section
-	// (header and rows) per pass. Rows are written while the pass runs,
+	// (header and rows) per pass, written from the pass's
+	// core.StreamHooks.ConnsClosed. Rows are written while the pass runs,
 	// as connections close and no earlier one can follow them; the
 	// connections still open close when the pass ends: at drain, unless
 	// a reload ended a pass earlier. A pipeline that assembles
 	// connections itself (its plan has a connection-granularity
 	// flow_assemble sink) logs exactly those, the connections it scored,
 	// under that op's idle_timeout, a block before the block's verdicts;
-	// any other pipeline gets an assembler of the daemon's own with the
-	// default options. Either way a section is bit-identical to
-	// flow.WriteConnLog over flow.Connections of the packets the pass
-	// ingested. No connection spans two passes.
+	// any other pipeline logs the engine's log-only connection sink,
+	// under the default options. A pass that ends cleanly writes a
+	// section bit-identical to flow.WriteConnLog over flow.Connections of
+	// the packets it ingested; one that fails ends its section at the
+	// last connections it handed on. No connection spans two passes.
 	ConnLog io.Writer
 	// Retrain enables drift-triggered background retraining with hot swap
 	// (see RetrainConfig).
@@ -177,11 +179,6 @@ type PipeStatus struct {
 	// verdicts included, waits for drain. Omitted when every op streams
 	// or runs as flows close.
 	Barrier *core.PlanBarrier `json:"barrier,omitempty"`
-	// ConnLog says which assembler writes the conn-log: "flow_sink", the
-	// plan's own connection sink, or "assembler", one the daemon runs
-	// beside a plan that assembles no connections. Omitted without a
-	// conn-log.
-	ConnLog string `json:"conn_log,omitempty"`
 	// ModelGeneration is the active model's generation (1 = initial).
 	ModelGeneration int `json:"model_generation"`
 	// Shadowing reports an in-progress hot swap, with its live divergence.
@@ -241,16 +238,11 @@ type Pipe struct {
 	alertBuf      []byte
 	scores        scoreTable
 	anomaliesOnly bool
-	// The conn-log (connw nil disables it) is written from the plan's
-	// connection sink when it has one, through the ConnsClosed hook, and
-	// then conn stays nil. Otherwise conn is the daemon's own assembler,
-	// fed in afterChunk on the scoring goroutine, and connDone is the
-	// batch it last released. connLog writes the current pass's section,
-	// nil until the pass first logs.
-	connw    io.Writer
-	conn     *flow.Assembler
-	connDone []*flow.Flow
-	connLog  *flow.ConnLogWriter
+	// The conn-log (connw nil disables it) is written through the pass's
+	// ConnsClosed hook; connLog writes the current pass's section, nil
+	// until the pass first logs.
+	connw   io.Writer
+	connLog *flow.ConnLogWriter
 
 	ctrl chan ctrlMsg
 	done chan struct{}
@@ -345,11 +337,7 @@ func (d *Daemon) newPipe(cfg PipeConfig) (*Pipe, error) {
 	}
 	if cfg.ConnLog != nil {
 		p.connw = cfg.ConnLog
-		if plan.ConnSink >= 0 {
-			p.stream.Hooks.ConnsClosed = p.writeConnLog
-		} else {
-			p.conn = flow.NewConnAssembler(flow.Options{})
-		}
+		p.stream.Hooks.ConnsClosed = p.writeConnLog
 	}
 	lbl := []string{"pipeline", p.name}
 	m := d.metrics
@@ -423,20 +411,19 @@ func (p *Pipe) run() {
 // goroutine — in an ordered op, in model scoring (a swapped-in model that
 // loads cleanly can still index past the pipeline's feature row), in the
 // chunk hook — comes back as the pass's error, so one tenant's fault
-// fails that pipeline (state failed, alert sink flushed, the daemon's
-// own conn-log assembler still logged) instead of killing every pipeline
-// in the process. The engine has already unwound by then: its stage
-// goroutines are gone and every chunk is released. A panic on a staged
-// pass's source or ops goroutine never reaches here; the engine turns it
-// into the pass's error.
+// fails that pipeline (state failed, alert sink flushed, the conn-log
+// ending at the last connections the pass handed on) instead of killing
+// every pipeline in the process. The engine has already unwound by then:
+// its stage goroutines are gone and every chunk is released. A panic on
+// a staged pass's source or ops goroutine never reaches here; the engine
+// turns it into the pass's error.
 func (p *Pipe) pass() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("daemon: pipeline %q panicked in %s: %v", p.name, panicSite(), r)
 		}
-		if cerr := p.closeConnLog(); err == nil {
-			err = cerr
-		}
+		// The next pass starts a conn-log section of its own.
+		p.connLog = nil
 		p.eng.Span = nil
 		if p.span != nil {
 			p.span.Set("chunks", p.eng.LastStream.Chunks)
@@ -484,28 +471,9 @@ func (p *Pipe) setStateLocked(s State) {
 	p.mState.Set(float64(s))
 }
 
-// closeConnLog ends the pass's conn-log section. On the daemon's own
-// assembler every connection still open is closed and logged here, so
-// the next pass's packets, which start over at the source's first
-// timestamp, join none of this pass's; the assembler releases as
-// flow.Connections does, which makes a section bit-identical to the
-// batch assembler's over the same packets. The next pass starts a
-// section of its own.
-func (p *Pipe) closeConnLog() error {
-	var err error
-	if p.conn != nil {
-		p.connDone = p.conn.ReleaseAll(p.connDone[:0])
-		err = p.writeConnLog(p.connDone)
-		clear(p.connDone)
-	}
-	p.connLog = nil
-	return err
-}
-
 // writeConnLog appends conns, the next connections of the pass in batch
 // order, to the pass's conn-log section, whose header the pass's first
-// call writes. It is the pass's ConnsClosed hook when the plan has a
-// connection sink.
+// call writes. It is the pass's ConnsClosed hook.
 func (p *Pipe) writeConnLog(conns []*flow.Flow) error {
 	if p.connLog == nil {
 		p.connLog = flow.NewConnLogWriter(p.connw)
@@ -548,10 +516,8 @@ func (p *Pipe) recordErr(err error) {
 // afterChunk is the core.StreamHooks.AfterChunk callback — the heart of
 // the pipeline. It runs once per chunk, in stream order, on the scoring
 // goroutine, with the chunk's verdicts final. In order: emit alerts,
-// fold packets into the daemon's own conn-log assembler (only when the
-// plan assembles no connections itself) and log what it releases, bump
-// counters, apply queued control messages, and advance any in-progress
-// swap. Because control messages are applied after this chunk's
+// bump counters, apply queued control messages, and advance any
+// in-progress swap. Because control messages are applied after this chunk's
 // verdicts were written, every chunk is attributable to exactly one
 // model generation. A flush update (a block of flows scored as they
 // closed, between chunks, or the drain pass) only emits its alerts,
@@ -576,21 +542,6 @@ func (p *Pipe) afterChunk(up core.ChunkUpdate) error {
 		return nil
 	}
 	npkts := len(up.Views)
-	if p.conn != nil {
-		// Feed value-copied summaries — the view bytes may alias a mapping
-		// that unmaps, or a pooled buffer that is reused, once the chunk is
-		// released.
-		for i := range up.Views {
-			sum := up.Views[i].Summary()
-			p.conn.Feed(&sum)
-		}
-		p.connDone = p.conn.Release(p.connDone[:0])
-		err := p.writeConnLog(p.connDone)
-		clear(p.connDone)
-		if err != nil {
-			return err
-		}
-	}
 	if up.Seq == 0 {
 		// The engine settled the pass's shape before pulling this chunk, and
 		// hooked passes absorb on this goroutine, so LastStream is ours to
@@ -885,12 +836,6 @@ func (p *Pipe) Status() PipeStatus {
 		LastSwap: p.lastSwap,
 		Stream:   p.shape,
 		Barrier:  p.barrier,
-	}
-	switch {
-	case p.conn != nil:
-		st.ConnLog = "assembler"
-	case p.connw != nil:
-		st.ConnLog = "flow_sink"
 	}
 	if p.runErr != nil {
 		st.Error = p.runErr.Error()

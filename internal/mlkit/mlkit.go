@@ -84,8 +84,8 @@ func outBuf[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// predictProbaHard is PredictProba for the delegating wrappers (Pipeline,
-// GridSearch, AutoML), which always report scores:
+// predictProbaHard is PredictProba for the delegating wrappers
+// (GridSearch, AutoML), which always report scores:
 // when the wrapped model has none, its hard 0/1 labels stand in.
 func predictProbaHard(c Classifier, X [][]float64, pred []int, proba []float64) bool {
 	if _, s := PredictProba(c, X, pred, proba); s == nil {

@@ -17,7 +17,7 @@ type FitObserver interface {
 }
 
 // ObservableFitter is implemented by every iterative model — and by the
-// wrappers that contain one (Thresholded, DetectorPipeline, Pipeline,
+// wrappers that contain one (Thresholded, DetectorPipeline,
 // VotingEnsemble) — to accept a FitObserver before Fit runs. Wrappers
 // forward the observer to their inner models, so attaching one to the
 // outermost classifier is enough.
@@ -50,9 +50,6 @@ func (t *Thresholded) SetFitObserver(o FitObserver) { forwardObserver(t.Detector
 
 // SetFitObserver forwards the observer to the inner detector.
 func (p *DetectorPipeline) SetFitObserver(o FitObserver) { forwardObserver(p.Detector, o) }
-
-// SetFitObserver forwards the observer to the inner model.
-func (p *Pipeline) SetFitObserver(o FitObserver) { forwardObserver(p.Model, o) }
 
 // SetFitObserver forwards the observer to every member.
 func (v *VotingEnsemble) SetFitObserver(o FitObserver) {

@@ -1,5 +1,5 @@
 // Package widget is the fixture for the test-only declaration gate: the
-// gate must flag Helper and Tally.calls and nothing else.
+// gate must flag Helper, Ones and Tally.calls and nothing else.
 package widget
 
 import "sync/atomic"
@@ -19,6 +19,19 @@ type Zeros struct{}
 // Read implements io.Reader; no file names the method.
 func (Zeros) Read(p []byte) (int, error) {
 	clear(p)
+	return len(p), nil
+}
+
+// Ones reads as an endless run of one bytes, but nothing makes one: only
+// its own method names the type, and that does not count. Its Read
+// implements io.Reader, so the method is not flagged.
+type Ones struct{}
+
+// Read fills p with ones.
+func (o Ones) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 1
+	}
 	return len(p), nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -60,9 +61,10 @@ func TestDocLintNoTestOnlyDecls(t *testing.T) {
 
 // TestDocLintNoTestOnlyDeclsFixture runs the checker on a small module
 // under testdata/testonly: it must flag the helper that only a _test.go
-// file calls and the counter field that only a _test.go file reads, and
-// neither a method that satisfies io.Reader, a method of a generic type
-// nor the fields of a map key.
+// file calls, the counter field that only a _test.go file reads and the
+// type that only its own method names, and neither a method that
+// satisfies io.Reader, a method of a generic type nor the fields of a
+// map key.
 func TestDocLintNoTestOnlyDeclsFixture(t *testing.T) {
 	found, err := testOnlyDecls("testdata/testonly", "fixture")
 	if err != nil {
@@ -72,7 +74,7 @@ func TestDocLintNoTestOnlyDeclsFixture(t *testing.T) {
 	for _, d := range found {
 		keys = append(keys, d.key)
 	}
-	if want := []string{"internal/widget.Helper", "internal/widget.Tally.calls"}; fmt.Sprint(keys) != fmt.Sprint(want) {
+	if want := []string{"internal/widget.Helper", "internal/widget.Ones", "internal/widget.Tally.calls"}; fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Errorf("flagged %v, want %v", keys, want)
 	}
 }
@@ -90,7 +92,7 @@ type testOnlyDecl struct {
 // module rooted at root (module path modPath, standard-library imports
 // only) and returns, sorted by key, each package-level declaration and
 // method under root/internal that nothing outside its own declaration
-// uses, and each unexported field there that nothing reads (see
+// (a type's methods included) uses, and each unexported field there that nothing reads (see
 // collectFields). A use counts from any package of the module. Also
 // counted as used: a method that an interface of the module or of an
 // imported standard-library package names on a type that implements it,
@@ -107,7 +109,7 @@ func testOnlyDecls(root, modPath string) ([]testOnlyDecl, error) {
 		std:    importer.ForCompiler(fset, "gc", nil),
 		pkgs:   map[string]*checkedPkg{},
 		uses:   map[types.Object][]token.Pos{},
-		extent: map[types.Object][2]token.Pos{},
+		extent: map[types.Object][][2]token.Pos{},
 		read:   map[types.Object]bool{},
 	}
 	for _, dir := range dirs {
@@ -193,9 +195,10 @@ type declWalk struct {
 	std           types.Importer
 	pkgs          map[string]*checkedPkg // by directory relative to root
 	uses          map[types.Object][]token.Pos
-	// extent spans each declaration, so that a recursive call or a
-	// self-referencing type is not its own caller.
-	extent map[types.Object][2]token.Pos
+	// extent spans each declaration, and a type's methods too, so that
+	// a recursive call, a self-referencing type or a method's receiver
+	// is not its own caller.
+	extent map[types.Object][][2]token.Pos
 	// ifaces holds the interface types the module's code mentions.
 	ifaces []types.Type
 	// read holds the struct fields some non-test file reads.
@@ -287,13 +290,20 @@ func (w *declWalk) check(dir string) (*checkedPkg, error) {
 	for _, f := range cp.files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				w.extent[info.Defs[fd.Name]] = [2]token.Pos{fd.Pos(), fd.End()}
+				span := [2]token.Pos{fd.Pos(), fd.End()}
+				fn := info.Defs[fd.Name].(*types.Func)
+				w.extent[fn] = append(w.extent[fn], span)
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					tn := recvType(recv.Type())
+					w.extent[tn] = append(w.extent[tn], span)
+				}
 				continue
 			}
 			gd := decl.(*ast.GenDecl)
 			for _, spec := range gd.Specs {
 				if ts, ok := spec.(*ast.TypeSpec); ok {
-					w.extent[info.Defs[ts.Name]] = [2]token.Pos{ts.Pos(), ts.End()}
+					tn := info.Defs[ts.Name]
+					w.extent[tn] = append(w.extent[tn], [2]token.Pos{ts.Pos(), ts.End()})
 				}
 			}
 			if gd.Tok != token.CONST || !usesIota(gd) {
@@ -449,9 +459,8 @@ func (w *declWalk) usedObjects() map[types.Object]bool {
 	}
 	used := map[types.Object]bool{}
 	for obj, positions := range w.uses {
-		ext, ok := w.extent[obj]
 		for _, p := range positions {
-			if !ok || p < ext[0] || p >= ext[1] {
+			if !slices.ContainsFunc(w.extent[obj], func(ext [2]token.Pos) bool { return p >= ext[0] && p < ext[1] }) {
 				used[obj] = true
 				break
 			}
@@ -520,6 +529,15 @@ func (w *declWalk) interfaces() []*types.Interface {
 		visit(cp.pkg)
 	}
 	return out
+}
+
+// recvType returns the type a method's receiver names, through a
+// pointer and from a generic type's instance to its declaration.
+func recvType(t types.Type) types.Object {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Origin().Obj()
 }
 
 // recvName renders a method's receiver type as "T" or "(*T)".
