@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs trace-check micro-pairs
+.PHONY: build test bench bench-paper race vet fmt docs-lint fuzz-smoke faults check daemon-smoke drift-smoke prequential-smoke config-check loc pairs trace-check micro-pairs flake
 
 build:
 	$(GO) build ./...
@@ -321,3 +321,18 @@ faults:
 # injection tests.
 check: vet fmt race docs-lint config-check drift-smoke prequential-smoke fuzz-smoke faults
 	$(GO) build ./...
+
+# flake counts how often one test fails when each run is a process of
+# its own (no runtime cache or pool warmed by the tests before it):
+#   make flake T=TestSeedDeterminesInputs P=./bench/harness N=40
+# It builds P's test binary once into a temp dir, runs it N times from
+# P's directory with -test.run '^T$', and prints how many runs failed.
+P ?= .
+flake:
+	@test -n "$(T)" || { echo "flake: set T to a test name"; exit 1; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -c -o $$tmp/flake.test $(P) && \
+	fails=0 && for i in $$(seq 1 $(N)); do \
+		(cd $(P) && $$tmp/flake.test -test.run '^$(T)$$' -test.count 1 > $$tmp/run.txt 2>&1) || fails=$$((fails + 1)); \
+	done; \
+	echo "flake: $(T) in $(P): $$fails of $(N) runs failed"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,12 +20,13 @@ func builtins() []Algorithm { return append(All(), Modified()...) }
 // TestGoldenStreamPlans pins the streaming plan of every built-in
 // pipeline in both modes: per op its stage
 // (worker, ordered, sink with the member stats it keeps a flow, close
-// or drain), plus the accumulated values, the decode hint and the drain
-// barrier. The golden was recorded
-// before the op traits replaced core's name-keyed tables; a diff means a
-// pipeline now executes differently. On a mismatch the test writes what
-// it computed to the system temp directory: copy it over the golden only
-// when the plan change is intended.
+// or drain), plus the accumulated values (the outputs of the ops whose
+// StreamPlan.Accum entry is set, by name), the decode hint and the drain
+// barrier. The golden was recorded before the op traits replaced core's
+// name-keyed tables, and it held when the planner moved from names to
+// slots; a diff means a pipeline now executes differently. On a mismatch
+// the test writes what it computed to the system temp directory: copy it
+// over the golden only when the plan change is intended.
 func TestGoldenStreamPlans(t *testing.T) {
 	var got bytes.Buffer
 	for _, a := range builtins() {
@@ -37,9 +39,11 @@ func TestGoldenStreamPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", a.ID, err)
 			}
-			accum := make([]string, 0, len(pl.Accum))
-			for name := range pl.Accum {
-				accum = append(accum, name)
+			var accum []string
+			for i, acc := range pl.Accum {
+				if acc {
+					accum = append(accum, a.Pipeline.Ops[i].Output)
+				}
 			}
 			sort.Strings(accum)
 			barrier := "none"
@@ -120,16 +124,21 @@ func TestFlowSinkKeepsDemandedStats(t *testing.T) {
 // hint) without panicking in both modes, which
 // walks hostile params through every op's ordered and decode traits.
 // Fuzzed pipelines are never executed: model params such as a tree
-// count are unbounded. The seeds are the built-in templates, A06 under
-// decay-rate lists the type-check accepts and refuses, and a connection
-// pipeline under flow params it refuses.
+// count are unbounded. The seeds are the built-in templates, the first
+// followed by garbage and by itself, A06 under decay-rate lists the
+// type-check accepts and refuses, and a connection pipeline under flow
+// params it refuses.
 func FuzzParsePipeline(f *testing.F) {
-	for _, a := range builtins() {
+	for i, a := range builtins() {
 		data, err := core.MarshalPipeline(a.Pipeline)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		if i == 0 {
+			f.Add(append(slices.Clone(data), "garbage"...))
+			f.Add(append(slices.Clone(data), data...))
+		}
 	}
 	a06, _ := Get("A06")
 	for _, lambdas := range []string{`[0.5, 0]`, `[]`, `[0.1, -1]`, `[0.1, "fast"]`, `0.1`} {

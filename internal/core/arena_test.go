@@ -392,3 +392,47 @@ func TestRecycledFlowsLiveUntilTheHookReturns(t *testing.T) {
 		t.Logf("%s: %d connections in %d flows, %d handed again, %d moved", label, len(conns), len(handed), reused, moved)
 	}
 }
+
+// TestPassObjectsPerChunk pins what the engine allocates per chunk on a
+// warm, hooked test pass of the light pipeline over P0: the slope of
+// testing.AllocsPerRun between two chunk sizes over the same trace, so
+// that setup and per-packet source objects cancel and what is left is
+// objects a chunk (the job, its environment and op stats, the ops' frame
+// headers and results). The bound is what depth 0 measures; staged
+// depths are logged, not asserted, since goroutine hand-offs add runtime
+// sudogs there.
+func TestPassObjectsPerChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; allocation counts do not hold")
+	}
+	const bound = 15 // objects a chunk at depth 0; 21 while a job kept its values in a map and each op's context on the heap
+	spec, _ := dataset.Get("P0")
+	ds := spec.Generate(0.1)
+	eng := NewEngine(lightPipeline())
+	eng.Seed = 7
+	if err := eng.Train(ds); err != nil {
+		t.Fatal(err)
+	}
+	ss := dataset.NewSliceSource(ds)
+	perPass := func(rows, depth int) (allocs float64, chunks int) {
+		cfg := StreamConfig{ChunkRows: rows, PipelineDepth: depth, Hooks: &StreamHooks{AfterChunk: func(ChunkUpdate) error { return nil }}}
+		pass := func() {
+			ss.Reset()
+			if _, err := eng.RunStream(ss, ModeTest, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass() // warm: the arena and the source's pools
+		allocs = testing.AllocsPerRun(20, pass)
+		return allocs, eng.LastStream.Chunks
+	}
+	for _, depth := range []int{0, 2} {
+		small, nSmall := perPass(8, depth)
+		large, nLarge := perPass(512, depth)
+		slope := (small - large) / float64(nSmall-nLarge)
+		t.Logf("depth %d: %.0f objects over %d chunks, %.0f over %d: %.2f objects a chunk", depth, small, nSmall, large, nLarge, slope)
+		if depth == 0 && slope > bound {
+			t.Errorf("a warm hooked pass allocates %.2f objects a chunk, bound %d", slope, bound)
+		}
+	}
+}

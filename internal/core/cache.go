@@ -169,7 +169,11 @@ func (c *Cache) getOrCompute(key string, root *dataset.Labeled, compute func() (
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if finished && f.err == nil {
-			c.insert(key, f.val, root)
+			// Singleflight makes this the key's only insert.
+			e := &cacheEntry{val: f.val, root: root, bytes: valueBytes(f.val)}
+			c.entries[key] = e
+			c.bytes += e.bytes
+			c.syncGauges()
 		} else if !finished {
 			// compute panicked; unblock waiters with an error instead of
 			// leaving them parked forever, then let the panic propagate.
@@ -181,15 +185,6 @@ func (c *Cache) getOrCompute(key string, root *dataset.Labeled, compute func() (
 	f.val, f.err = compute()
 	finished = true
 	return f.val, f.err, true
-}
-
-// insert stores a computed value. Singleflight makes it the key's only
-// insert. Caller holds mu.
-func (c *Cache) insert(key string, v Value, root *dataset.Labeled) {
-	e := &cacheEntry{val: v, root: root, bytes: valueBytes(v)}
-	c.entries[key] = e
-	c.bytes += e.bytes
-	c.syncGauges()
 }
 
 // valueBytes estimates the resident size of a cached value. Estimates
@@ -247,30 +242,32 @@ func statBytes(st []flow.PacketStat) int64 {
 	return n * int64(unsafe.Sizeof(flow.PacketStat{}))
 }
 
-// lineageKeys names every value a pass over root can share through the
-// cache by its lineage: the op that made it, the op's canonical params,
-// and its inputs' keys, down to the root's identity for the pass's packet
-// input. Only outputs of cacheable ops whose every input has a key get
-// one; a value downstream of anything fitted, or of a model, has none. The
+// lineageKeys names, by slot, every value a pass over root can share
+// through the cache by its lineage: the op that made it, the op's
+// canonical params, and its inputs' keys, down to the root's identity for
+// the pass's packet input. Only outputs of cacheable ops whose every input
+// has a key get one; a value downstream of anything fitted, or of a
+// model, has the empty key, which the cache never serves. The
 // root's key is its address, valid only while root is alive: every entry
 // holds its root (see getOrCompute), so no other dataset can take that
 // address while an entry derived from it is cached. Keys are the same
 // whichever engine computes them, so two pipelines reusing the same
 // upstream prefix hit the same entries.
-func lineageKeys(p *Pipeline, defs []*opDef, root *dataset.Labeled) map[string]string {
-	keys := map[string]string{InputName: fmt.Sprintf("ds:%p", root)}
+func lineageKeys(p *Pipeline, pl *StreamPlan, root *dataset.Labeled) []string {
+	keys := make([]string, len(p.Ops)+1)
+	keys[packetSlot(p.Ops)] = fmt.Sprintf("ds:%p", root)
 	for i, op := range p.Ops {
-		if !defs[i].traits.cacheable {
+		if !pl.defs[i].traits.cacheable {
 			continue
 		}
-		in := make([]string, len(op.Input))
-		for j, name := range op.Input {
-			in[j] = keys[name]
+		in := make([]string, len(pl.in[i]))
+		for j, s := range pl.in[i] {
+			in[j] = keys[s]
 		}
 		// func{params}(in1,in2) is prefix-free, since a JSON object ends
 		// where its braces balance: no two lineages share a key.
 		if ps, err := json.Marshal(op.Params); err == nil && !slices.Contains(in, "") {
-			keys[op.Output] = op.Func + string(ps) + "(" + strings.Join(in, ",") + ")"
+			keys[i] = op.Func + string(ps) + "(" + strings.Join(in, ",") + ")"
 		}
 	}
 	return keys

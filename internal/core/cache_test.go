@@ -81,14 +81,22 @@ func TestCacheHitsAcrossEngines(t *testing.T) {
 }
 
 func TestCacheKeySensitivity(t *testing.T) {
+	// flowFeaturePipeline's ops are flows, X, m and fit: keysOf names
+	// their slots.
 	keysOf := func(gran string, ds *dataset.Labeled) map[string]string {
 		t.Helper()
 		e := NewEngine(flowFeaturePipeline(gran, nil))
-		defs, err := e.check()
+		pl, err := e.StreamPlan(ModeTrain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lineageKeys(e.P, defs, ds)
+		named := map[string]string{}
+		for i, key := range lineageKeys(e.P, pl, ds)[:len(e.P.Ops)] {
+			if key != "" {
+				named[e.P.Ops[i].Output] = key
+			}
+		}
+		return named
 	}
 	ds := smallDS(t, "F1")
 	ka, kb := keysOf("connection", ds), keysOf("uniflow", ds)

@@ -258,7 +258,7 @@ func TestNormalizeStatefulAcrossModes(t *testing.T) {
 	test := NewFrame(2)
 	test.AddF("v", []float64{5, 20})
 
-	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "n", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "n", state: make([]any, 1)}
 	if _, err := opNormalize(ctx, []Value{train}, params{"kind": "minmax"}); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestNormalizeStatefulAcrossModes(t *testing.T) {
 func TestNormalizeTestBeforeTrainErrors(t *testing.T) {
 	f := NewFrame(1)
 	f.AddF("v", []float64{1})
-	ctx := &opCtx{stream: oneChunk(), mode: ModeTest, outName: "n", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTest, outName: "n", state: make([]any, 1)}
 	if _, err := opNormalize(ctx, []Value{f}, params{}); err == nil {
 		t.Fatal("want not-fitted error")
 	}
@@ -444,6 +444,25 @@ func TestParsePipelineRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParsePipelineRefusesTrailingData: a template is one document.
+// Bytes after it, another template included, fail the parse instead of
+// being ignored; trailing whitespace is still fine.
+func TestParsePipelineRefusesTrailingData(t *testing.T) {
+	if _, err := ParsePipeline([]byte(fig4Template + " \n\t")); err != nil {
+		t.Fatalf("a template with trailing whitespace: %v", err)
+	}
+	for _, tc := range []struct{ name, tail string }{
+		{"garbage", "garbage"},
+		{"a second template", fig4Template},
+		{"an empty object", "{}"},
+		{"a stray brace", "}"},
+	} {
+		if _, err := ParsePipeline([]byte(fig4Template + tc.tail)); err == nil || !strings.Contains(err.Error(), "parsing pipeline template") {
+			t.Errorf("%s after the template: err = %v, want a parse error", tc.name, err)
+		}
+	}
+}
+
 func TestTestBeforeTrainFails(t *testing.T) {
 	p, _ := ParsePipeline([]byte(fig4Template))
 	eng := NewEngine(p)
@@ -462,8 +481,12 @@ func TestDeadValueElimination(t *testing.T) {
 			t.Fatal(err)
 		}
 		at := map[string]int{}
-		for i, names := range r.free {
-			for _, name := range names {
+		for i, slots := range r.free {
+			for _, s := range slots {
+				name := InputName
+				if s < len(p.Ops) {
+					name = p.Ops[s].Output
+				}
 				if _, dup := at[name]; dup {
 					t.Errorf("%q freed twice", name)
 				}
@@ -487,6 +510,102 @@ func TestDeadValueElimination(t *testing.T) {
 		if _, ok := at[InputName]; ok {
 			t.Errorf("mode %d: the chunk's packets were freed", mode)
 		}
+	}
+	// At run time, in both modes: fig4's chunks and drain job; worker
+	// fields (field_extract without iat) hooked for the train frame; and a
+	// flow pipeline that scores blocks of closed flows in test mode.
+	workers := fieldPipeline()
+	workers.Ops[0].Params = map[string]any{"fields": []any{"ts", "len", "ttl", "dst_port", "tcp_syn"}}
+	for _, tc := range []struct {
+		p      *Pipeline
+		ds     string
+		hooked bool
+	}{
+		{p, "P0", false},
+		{workers, "P0", true},
+		{flowPipeline("decision_tree", nil), "F1", false},
+	} {
+		e := NewEngine(tc.p)
+		e.Seed = 1
+		ds := smallDS(t, tc.ds)
+		for _, mode := range []Mode{ModeTrain, ModeTest} {
+			deadValuesCleared(t, e, ds, mode, tc.hooked)
+		}
+	}
+}
+
+// deadValuesCleared runs one pass of e over ds in 64-row chunks at depth
+// 0, driving a chunk's stages itself, and checks after each stage of a
+// chunk, after each block of closed flows and after the drain job that
+// every value whose readers in that job have all run is gone from the
+// job's environment. The packets are exempt, and so, on a hooked pass
+// (WantFeatures), is the train op's frame, and, in a chunk, any value
+// a deferred op reads, which absorb accumulates. Values are found by
+// name here, independently of the engine's slots.
+func deadValuesCleared(t *testing.T, e *Engine, ds *dataset.Labeled, mode Mode, hooked bool) {
+	t.Helper()
+	ops := e.P.Ops
+	producer := map[string]int{}
+	for i, op := range ops {
+		producer[op.Output] = i
+	}
+	var r *streamExec
+	keep, blocks := "", 0
+	check := func(what string, env []Value, ran, later func(int) bool, chunk bool) {
+		t.Helper()
+		for i, op := range ops {
+			if !ran(i) {
+				continue
+			}
+			for _, name := range op.Input {
+				j, ok := producer[name]
+				if !ok || name == keep || chunk && r.pl.Accum[j] {
+					continue
+				}
+				pending := slices.ContainsFunc(ops, func(k OpSpec) bool {
+					return slices.Contains(k.Input, name) && later(producer[k.Output])
+				})
+				if !pending && env[j] != nil {
+					t.Errorf("%s %s (mode %d): %q outlives its last reader, op %d", e.P.Name, what, mode, name, i)
+				}
+			}
+		}
+	}
+	none := func(int) bool { return false }
+	cfg := StreamConfig{ChunkRows: 64, Hooks: &StreamHooks{WantFeatures: hooked, AfterChunk: func(up ChunkUpdate) error {
+		if up.Flush && slices.ContainsFunc(ops, func(op OpSpec) bool { return r.block != nil && r.block.ran(producer[op.Output]) }) {
+			blocks++
+			check("block", r.block.env, r.block.ran, none, false)
+		}
+		return nil
+	}}}
+	src := dataset.NewSliceSource(ds)
+	var err error
+	if r, err = newStreamExec(e, src, mode, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hooked {
+		keep = ops[e.trainOp].Input[1]
+	}
+	for {
+		ck, ok := src.Next(cfg.ChunkRows, 0)
+		if !ok {
+			break
+		}
+		job := r.prepare(dataset.NumberedChunk{Seq: r.nChunks, Chunk: ck}, nil)
+		check("chunk worker stage", job.env, job.ran, func(k int) bool { return r.stage[k] == StageOrdered }, true)
+		if err := r.sinkChunk(job, nil, func(dataset.NumberedChunk) {}); err != nil {
+			t.Fatal(err)
+		}
+		check("chunk ordered stage", job.env, job.ran, none, true)
+	}
+	if _, err := r.finish(); err != nil {
+		t.Fatal(err)
+	}
+	// The drain job's environment is fenv, and it ran the drain ops.
+	check("drain job", r.fenv, func(i int) bool { return r.stage[i] == StageDrain }, none, false)
+	if r.closeSink != nil && blocks == 0 {
+		t.Errorf("%s (mode %d): no block of closed flows was checked", e.P.Name, mode)
 	}
 }
 
@@ -559,12 +678,12 @@ func TestSampleDeterministicAndSorted(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	f.AddF("v", vals)
-	ctx := &opCtx{stream: oneChunk(), seed: 5, state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), seed: 5, state: make([]any, 1)}
 	a, err := opSample(ctx, []Value{f}, params{"n": 10.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := opSample(&opCtx{stream: oneChunk(), seed: 5, state: map[string]any{}}, []Value{f}, params{"n": 10.0})
+	b, _ := opSample(&opCtx{stream: oneChunk(), seed: 5, state: make([]any, 1)}, []Value{f}, params{"n": 10.0})
 	af, bf := a.(*Frame), b.(*Frame)
 	if af.N != 10 || bf.N != 10 {
 		t.Fatalf("sample sizes %d/%d", af.N, bf.N)
@@ -594,7 +713,7 @@ func TestDropConstAndDropCorrelated(t *testing.T) {
 	f.AddF("b", b)
 	f.AddF("c", c)
 
-	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "d", state: map[string]any{}}
+	ctx := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "d", state: make([]any, 1)}
 	out, err := opDropConst(ctx, []Value{f}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -602,7 +721,7 @@ func TestDropConstAndDropCorrelated(t *testing.T) {
 	if names := out.(*Frame).Names(); len(names) != 2 {
 		t.Fatalf("drop_const kept %v, want [a b]", names)
 	}
-	ctx2 := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "e", state: map[string]any{}}
+	ctx2 := &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "e", state: make([]any, 1)}
 	out2, err := opDropCorrelated(ctx2, []Value{out.(*Frame)}, params{})
 	if err != nil {
 		t.Fatal(err)

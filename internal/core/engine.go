@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime/metrics"
-	"slices"
 	"time"
 
 	"lumen/internal/dataset"
@@ -81,9 +80,12 @@ type OpStats struct {
 
 // opCtx is passed to every op invocation.
 type opCtx struct {
-	mode    Mode
+	mode Mode
+	// op is the op's index, which addresses its fitted state and fold
+	// carry; outName is its output's name, which names its drift events.
+	op      int
 	outName string
-	state   map[string]any
+	state   []any
 	seed    int64
 	result  *EvalResult
 	// span is the per-op span when tracing is on (nil otherwise); ops
@@ -105,17 +107,17 @@ type opCtx struct {
 	scratch *jobScratch
 }
 
-func (c *opCtx) setState(v any) { c.state[c.outName] = v }
-func (c *opCtx) getState() any  { return c.state[c.outName] }
+func (c *opCtx) setState(v any) { c.state[c.op] = v }
+func (c *opCtx) getState() any  { return c.state[c.op] }
 
 // streamCtx is the cross-chunk execution state of one RunStream pass:
 // the current chunk's base index into the full stream, and fold state
-// (keyed by op output name) that sequential packet ops — iat deltas,
+// (indexed by op) that sequential packet ops — iat deltas,
 // Kitsune/802.11 damped statistics — carry from one chunk to the next so
 // every chunking of a trace yields the same rows.
 type streamCtx struct {
 	base  int
-	carry map[string]any
+	carry []any
 	// online mirrors StreamConfig.Online for the ops: the train op
 	// evaluates prequentially.
 	online bool
@@ -138,19 +140,21 @@ type DriftEvent struct {
 	Mean   float64
 }
 
-// carry returns this op's cross-chunk fold state, if an earlier chunk
-// saved one.
-func (c *opCtx) carry() (any, bool) {
-	v, ok := c.stream.carry[c.outName]
-	return v, ok
+// carry returns this op's cross-chunk fold state, nil until a chunk
+// saves one. A worker op's stream context has no carry to read.
+func (c *opCtx) carry() any {
+	if c.op < len(c.stream.carry) {
+		return c.stream.carry[c.op]
+	}
+	return nil
 }
 
 // setCarry saves this op's cross-chunk fold state.
-func (c *opCtx) setCarry(v any) { c.stream.carry[c.outName] = v }
+func (c *opCtx) setCarry(v any) { c.stream.carry[c.op] = v }
 
 // Engine compiles and executes one pipeline. Train must run before Test;
 // the fitted state of stateful operations (scalers, filters, models) is
-// keyed by their output names.
+// indexed by op.
 type Engine struct {
 	P    *Pipeline
 	Seed int64
@@ -167,7 +171,7 @@ type Engine struct {
 	// lumen_op_cache_served_total) plus fit metrics from train ops.
 	Metrics *obs.Metrics
 
-	state map[string]any
+	state []any
 	cache *Cache
 	// trainOp is the index of the pipeline's train op and modelOp that of
 	// the model op it reads, as check resolved them.
@@ -182,7 +186,7 @@ type Engine struct {
 
 // NewEngine wraps a pipeline. Call Check (or let Train do it) before use.
 func NewEngine(p *Pipeline) *Engine {
-	return &Engine{P: p, state: make(map[string]any)}
+	return &Engine{P: p}
 }
 
 // SetCache attaches a shared cache for stateless op results (see Cache).
@@ -192,77 +196,91 @@ func (e *Engine) SetCache(c *Cache) { e.cache = c }
 // kind-correct connections, single final train op — the "execution engine
 // verifies the file's syntax (e.g. type checks)" step of the paper.
 func (e *Engine) Check() error {
-	_, err := e.check()
+	_, _, err := e.check()
 	return err
 }
 
-// check is Check returning each op's registered definition, which a
-// pass resolves here once instead of per op invocation.
-func (e *Engine) check() ([]*opDef, error) {
-	if len(e.P.Ops) == 0 {
-		return nil, fmt.Errorf("core: pipeline %q has no ops", e.P.Name)
+// check is Check returning what a pass resolves once: each op's
+// registered definition and the slots its inputs read. It is the one
+// reader of value names: op i's output is slot i and the pass's packets
+// are packetSlot, so a pass addresses values, state and carry by index.
+func (e *Engine) check() ([]*opDef, [][]int, error) {
+	ops := e.P.Ops
+	if len(ops) == 0 {
+		return nil, nil, fmt.Errorf("core: pipeline %q has no ops", e.P.Name)
 	}
 	if _, err := e.P.Granular(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defs := make([]*opDef, len(e.P.Ops))
-	kinds := map[string]Kind{InputName: KindPackets}
+	defs := make([]*opDef, len(ops))
+	in := make([][]int, len(ops))
+	slot := map[string]int{InputName: packetSlot(ops)}
 	train := -1
-	for i, op := range e.P.Ops {
+	for i, op := range ops {
 		def, ok := opRegistry[op.Func]
 		if !ok {
-			return nil, fmt.Errorf("core: op %d: unknown func %q (available: %v)", i, op.Func, Ops())
+			return nil, nil, fmt.Errorf("core: op %d: unknown func %q (available: %v)", i, op.Func, Ops())
 		}
 		defs[i] = def
-		if err := checkInputs(def, op, kinds, i); err != nil {
-			return nil, err
+		if err := checkInputs(defs, in, op, slot, i); err != nil {
+			return nil, nil, err
 		}
 		if def.traits.check != nil {
 			if err := def.traits.check(params(op.Params)); err != nil {
-				return nil, fmt.Errorf("core: op %d: %w", i, err)
+				return nil, nil, fmt.Errorf("core: op %d: %w", i, err)
 			}
 		}
 		if op.Output == "" {
-			return nil, fmt.Errorf("core: op %d (%s): missing output name", i, op.Func)
+			return nil, nil, fmt.Errorf("core: op %d (%s): missing output name", i, op.Func)
 		}
-		if _, dup := kinds[op.Output]; dup {
-			return nil, fmt.Errorf("core: op %d (%s): output %q already defined", i, op.Func, op.Output)
+		if _, dup := slot[op.Output]; dup {
+			return nil, nil, fmt.Errorf("core: op %d (%s): output %q already defined", i, op.Func, op.Output)
 		}
-		kinds[op.Output] = def.sig.out
+		slot[op.Output] = i
 		if op.Func == "train" {
 			if train >= 0 {
-				return nil, fmt.Errorf("core: op %d: multiple train ops are not supported", i)
+				return nil, nil, fmt.Errorf("core: op %d: multiple train ops are not supported", i)
 			}
 			train = i
 		}
 	}
 	if train < 0 {
-		return nil, fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
+		return nil, nil, fmt.Errorf("core: pipeline %q has no train op", e.P.Name)
 	}
-	// Only a model op makes the train op's model input. The indices are
-	// written only when they change, so the check a new pass runs never
-	// races a background retrain reading them (NewTrainableModel).
-	model := slices.IndexFunc(e.P.Ops, func(op OpSpec) bool { return op.Output == e.P.Ops[train].Input[0] })
-	if train != e.trainOp || model != e.modelOp {
-		e.trainOp, e.modelOp = train, model
+	// Only a model op makes the train op's model input. The fields are
+	// written only for a new pipeline, which has no fitted state yet, so
+	// the check a new pass runs never races a background retrain reading
+	// them (NewTrainableModel).
+	if model := in[train][0]; train != e.trainOp || model != e.modelOp || len(e.state) != len(ops) {
+		e.trainOp, e.modelOp, e.state = train, model, make([]any, len(ops))
 	}
-	return defs, nil
+	return defs, in, nil
 }
 
-func checkInputs(def *opDef, op OpSpec, kinds map[string]Kind, i int) error {
-	want := def.sig.in
+// packetSlot is the slot of a pass's packets: the one after every op's.
+func packetSlot(ops []OpSpec) int { return len(ops) }
+
+// checkInputs type-checks op i's inputs against the outputs of the ops
+// before it and resolves them into in[i].
+func checkInputs(defs []*opDef, in [][]int, op OpSpec, slot map[string]int, i int) error {
+	want := defs[i].sig.in
 	switch {
-	case def.sig.variadicIn:
+	case defs[i].sig.variadicIn:
 		if len(op.Input) < len(want) {
 			return fmt.Errorf("core: op %d (%s): needs at least %d inputs, got %d", i, op.Func, len(want), len(op.Input))
 		}
 	case len(op.Input) != len(want):
 		return fmt.Errorf("core: op %d (%s): needs %d inputs, got %d", i, op.Func, len(want), len(op.Input))
 	}
+	in[i] = make([]int, len(op.Input))
 	for j, name := range op.Input {
-		k, ok := kinds[name]
+		s, ok := slot[name]
 		if !ok {
 			return fmt.Errorf("core: op %d (%s): input %q is not defined by any earlier op", i, op.Func, name)
+		}
+		k := KindPackets
+		if s < len(defs) {
+			k = defs[s].sig.out
 		}
 		exp := want[len(want)-1]
 		if j < len(want) {
@@ -271,30 +289,23 @@ func checkInputs(def *opDef, op OpSpec, kinds map[string]Kind, i int) error {
 		if k != exp {
 			return fmt.Errorf("core: op %d (%s): input %q is %v, want %v", i, op.Func, name, k, exp)
 		}
+		in[i][j] = s
 	}
 	return nil
 }
 
-// invoke is the one place an op runs, on chunk and flush passes alike: it
-// resolves op i's inputs from env, opens the op's span under parent, runs
-// it, records its stats, closes the span and the metrics, and wraps a
-// failure with the op's position. ctx arrives holding what the pass fixes
-// (mode, stream context, drift slot). A non-empty key is the output's
-// lineage key (see lineageKeys), and the engine's cache serves it: a hit
-// returns at once, a miss racing another engine's computation waits for
-// its result (singleflight). root is what the key's root names.
-func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, parent *obs.Span, key string, root *dataset.Labeled) (Value, OpStats, *EvalResult, error) {
+// invoke is the one place an op runs, on chunk and flush passes alike:
+// it opens op i's span under parent, runs it over its inputs in, records
+// its stats, closes the span and the metrics, and wraps a failure with
+// the op's position. ctx arrives holding what the pass fixes (mode,
+// stream context, drift slot). The engine's cache serves an output with
+// a lineage key (keys[i], see lineageKeys; keys is nil off the cache): a
+// hit returns at once, a miss racing another engine's computation waits
+// for its result (singleflight). root is what the keys' root names.
+func (e *Engine) invoke(i int, def *opDef, in []Value, ctx *opCtx, parent *obs.Span, keys []string, root *dataset.Labeled) (Value, OpStats, *EvalResult, error) {
 	op := e.P.Ops[i]
 	st := OpStats{Func: op.Func, Output: op.Output}
-	in := make([]Value, len(op.Input))
-	for j, name := range op.Input {
-		v, ok := env[name]
-		if !ok {
-			return nil, st, nil, fmt.Errorf("core: op %d (%s): value %q was freed or never set", i, op.Func, name)
-		}
-		in[j] = v
-	}
-	ctx.outName, ctx.state, ctx.seed, ctx.metrics = op.Output, e.state, e.Seed, e.Metrics
+	ctx.op, ctx.outName, ctx.state, ctx.seed, ctx.metrics = i, op.Output, e.state, e.Seed, e.Metrics
 	// The explicit nil guard (not just nil-safe methods) keeps the
 	// disabled path allocation-free: the name concatenation below
 	// would allocate even if Child were a no-op.
@@ -305,18 +316,18 @@ func (e *Engine) invoke(i int, def *opDef, env map[string]Value, ctx opCtx, pare
 	var out Value
 	var err error
 	start := time.Now()
-	if key != "" {
+	if i < len(keys) && keys[i] != "" {
 		// allocs is declared in this branch so that the closure capturing
 		// it costs the uncached path nothing.
 		var allocs uint64
 		var computed bool
-		out, err, computed = e.cache.getOrCompute(key, root, func() (v Value, err error) {
-			v, allocs, err = e.runOp(def, &ctx, op, in)
+		out, err, computed = e.cache.getOrCompute(keys[i], root, func() (v Value, err error) {
+			v, allocs, err = e.runOp(def, ctx, op, in)
 			return v, err
 		})
 		st.Allocs, st.Cached = allocs, !computed
 	} else {
-		out, st.Allocs, err = e.runOp(def, &ctx, op, in)
+		out, st.Allocs, err = e.runOp(def, ctx, op, in)
 	}
 	// For cache hits and dedup-waits Wall is lookup/wait time, not
 	// compute time — what this engine actually spent.
@@ -449,7 +460,7 @@ func (e *Engine) fitted() *Trained {
 	if !e.trained {
 		return nil
 	}
-	tr, _ := e.state[e.P.Ops[e.trainOp].Output].(*Trained)
+	tr, _ := e.state[e.trainOp].(*Trained)
 	return tr
 }
 
@@ -459,7 +470,7 @@ func (e *Engine) fitted() *Trained {
 // reservoir data in the background before hot-swapping it in via
 // ReplaceModel/SwapHandle.
 func (e *Engine) NewTrainableModel() (mlkit.Classifier, error) {
-	if _, err := e.check(); err != nil {
+	if _, _, err := e.check(); err != nil {
 		return nil, err
 	}
 	spec, err := opModel(nil, nil, params(e.P.Ops[e.modelOp].Params))
@@ -496,7 +507,7 @@ func (e *Engine) InstallModel(clf mlkit.Classifier) error {
 	if err := e.Check(); err != nil {
 		return err
 	}
-	e.state[e.P.Ops[e.trainOp].Output] = &Trained{Spec: ModelSpec{Type: "installed"}, Clf: clf}
+	e.state[e.trainOp] = &Trained{Spec: ModelSpec{Type: "installed"}, Clf: clf}
 	e.trained = true
 	return nil
 }

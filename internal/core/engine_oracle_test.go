@@ -15,7 +15,7 @@ import (
 // each value freed after its last reader. Kept as the reference every
 // chunking and depth of a pass must match bit for bit.
 func refRun(e *Engine, ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
-	defs, err := e.check()
+	defs, _, err := e.check()
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +29,7 @@ func refRun(e *Engine, ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 			last[in] = i
 		}
 	}
-	sc := &streamCtx{carry: map[string]any{}}
+	sc := &streamCtx{carry: make([]any, len(e.P.Ops))}
 	var result *EvalResult
 	for i, op := range e.P.Ops {
 		var out Value
@@ -38,7 +38,15 @@ func refRun(e *Engine, ds *dataset.Labeled, mode Mode) (*EvalResult, error) {
 		} else {
 			var drift []DriftEvent
 			var res *EvalResult
-			out, _, res, err = e.invoke(i, defs[i], env, opCtx{mode: mode, stream: sc, drift: &drift}, e.Span, "", nil)
+			in := make([]Value, len(op.Input))
+			for j, name := range op.Input {
+				v, ok := env[name]
+				if !ok {
+					return nil, fmt.Errorf("core: op %d (%s): value %q was freed or never set", i, op.Func, name)
+				}
+				in[j] = v
+			}
+			out, _, res, err = e.invoke(i, defs[i], in, &opCtx{mode: mode, stream: sc, drift: &drift}, e.Span, nil, nil)
 			if res != nil {
 				result = res
 			}
@@ -147,7 +155,7 @@ func refMembers(ds *dataset.Labeled, fl *Flows) [][]int {
 
 // oneChunk is the stream context of an op called directly in a test: the
 // first chunk of an offline pass.
-func oneChunk() *streamCtx { return &streamCtx{carry: map[string]any{}} }
+func oneChunk() *streamCtx { return &streamCtx{carry: make([]any, 1)} }
 
 // chunkCtx is the context of a packet op called directly in a test.
 func chunkCtx() *opCtx { return &opCtx{stream: oneChunk()} }

@@ -44,7 +44,7 @@ func ExtractFlowFeatures(ds *dataset.Labeled, gran dataset.Granularity, feats []
 // ExtractPacketFields extracts the named per-packet fields (numeric
 // fields only make it into X; string fields are skipped).
 func ExtractPacketFields(ds *dataset.Labeled, fields []string) (*FeatureSet, error) {
-	ctx := &opCtx{stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{stream: &streamCtx{carry: make([]any, 1)}}
 	fv, err := opFieldExtract(ctx, []Value{newPackets(ds)}, params{"fields": fields})
 	if err != nil {
 		return nil, err

@@ -37,10 +37,8 @@ func opDriftDetect(ctx *opCtx, in []Value, p params) (Value, error) {
 	if res == nil {
 		return tr, nil
 	}
-	var ph *mlkit.PageHinkley
-	if c, ok := ctx.carry(); ok {
-		ph = c.(*mlkit.PageHinkley)
-	} else {
+	ph, ok := ctx.carry().(*mlkit.PageHinkley)
+	if !ok {
 		ph = &mlkit.PageHinkley{
 			Delta:      p.f64("delta", 0),
 			Lambda:     p.f64("lambda", 0),

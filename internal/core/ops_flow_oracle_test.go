@@ -233,11 +233,12 @@ func streamedFlowFrame(t testing.TB, p *Pipeline, ds *dataset.Labeled, chunk int
 		t.Fatal(err)
 	}
 	// Keep every flush value for inspection: no dead-value elimination.
-	r.free = make([][]string, len(p.Ops))
+	r.free = make([][]int, len(p.Ops))
 	if _, err := r.run(src, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return r.fenv["flows"].(*Flows), r.fenv["X"].(*Frame)
+	// flowFeaturePipeline's flows and X are ops 0 and 1.
+	return r.fenv[0].(*Flows), r.fenv[1].(*Frame)
 }
 
 func frameCols(fr *Frame) [][]float64 {

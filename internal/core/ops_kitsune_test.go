@@ -26,7 +26,7 @@ func kitsuneRun(t testing.TB, frames []refFrame, chunk int, p params, m *obs.Met
 // chunkedRun is kitsuneRun for any carry-state packet op.
 func chunkedRun(t testing.TB, op func(*opCtx, []Value, params) (Value, error), frames []refFrame, chunk int, p params, m *obs.Metrics) [][]float64 {
 	t.Helper()
-	ctx := &opCtx{outName: "feats", metrics: m, stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{outName: "feats", metrics: m, stream: &streamCtx{carry: make([]any, 1)}}
 	if chunk <= 0 {
 		chunk = len(frames)
 	}
@@ -175,7 +175,7 @@ func TestKitsuneEvictionBoundsState(t *testing.T) {
 // periods of ever-new sources and after 6 differ by far less than the
 // ~45 MB that 4 periods of never-evicted streams would take.
 func TestKitsuneLiveHeapFlat(t *testing.T) {
-	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: make([]any, 1)}}
 	p := params{"lambdas": []any{1.0}}
 	heapAfter := func(from, periods int) uint64 {
 		for lo := from * streamSweepEvery; lo < (from+periods)*streamSweepEvery; lo += 512 {
@@ -208,7 +208,7 @@ func TestKitsuneFeaturesSteadyStateAllocations(t *testing.T) {
 	if len(frames) < 512 {
 		t.Fatalf("P1 has only %d packets", len(frames))
 	}
-	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: make([]any, 1)}}
 	allocs := func(rows int) float64 {
 		views := viewsOf(frames[:rows])
 		for i := range views {
@@ -259,7 +259,7 @@ func TestKitsuneNewStreamsAllocateByBlock(t *testing.T) {
 		views[i].Predecode(netpkt.DecodeHint{Headers: true})
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: make([]any, 1)}}
 	// A chunk of no packets builds the carry: what is measured is the
 	// streams, not the column names.
 	if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}}}, params{}); err != nil {
@@ -271,7 +271,7 @@ func TestKitsuneNewStreamsAllocateByBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
-	car := ctx.stream.carry["feats"].(*kitsuneCarry)
+	car := ctx.stream.carry[0].(*kitsuneCarry)
 	if len(car.socks) != n {
 		t.Fatalf("%d sockets, want %d", len(car.socks), n)
 	}
@@ -287,7 +287,7 @@ func TestKitsuneNewStreamsAllocateByBlock(t *testing.T) {
 func TestKitsuneSweptStreamsReuseSlots(t *testing.T) {
 	const n = 6 * streamSweepEvery
 	frames := churnFrames(t, 0, n)
-	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}}
+	ctx := &opCtx{outName: "feats", stream: &streamCtx{carry: make([]any, 1)}}
 	p := params{"lambdas": []any{1.0}}
 	var peak [3]int
 	// One packet a call: a packet adds at most one stream per grouping
@@ -297,12 +297,12 @@ func TestKitsuneSweptStreamsReuseSlots(t *testing.T) {
 		if _, err := opKitsuneFeatures(ctx, []Value{Packets{DS: &dataset.Labeled{}, Views: viewsOf(frames[i : i+1])}}, p); err != nil {
 			t.Fatal(err)
 		}
-		car := ctx.stream.carry["feats"].(*kitsuneCarry)
+		car := ctx.stream.carry[0].(*kitsuneCarry)
 		for g, live := range []int{len(car.srcs), len(car.chans), len(car.socks)} {
 			peak[g] = max(peak[g], live+1)
 		}
 	}
-	car := ctx.stream.carry["feats"].(*kitsuneCarry)
+	car := ctx.stream.carry[0].(*kitsuneCarry)
 	for g, carved := range []int32{car.srcStat.carved, car.chanStat.carved, car.sockStat.carved} {
 		if int(carved) > peak[g]+slabBlock {
 			t.Errorf("grouping %d carved %d slots for a peak of %d live streams, want at most %d", g, carved, peak[g], peak[g]+slabBlock)
@@ -362,7 +362,7 @@ func BenchmarkKitsuneFeatures(b *testing.B) {
 	chunk := func(lo int) []Value {
 		return []Value{Packets{DS: &dataset.Labeled{}, Views: views[lo:min(lo+512, len(views))]}}
 	}
-	newCtx := func() *opCtx { return &opCtx{outName: "feats", stream: &streamCtx{carry: map[string]any{}}} }
+	newCtx := func() *opCtx { return &opCtx{outName: "feats", stream: &streamCtx{carry: make([]any, 1)}} }
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {

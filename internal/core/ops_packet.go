@@ -113,10 +113,7 @@ func opFieldExtract(ctx *opCtx, in []Value, p params) (Value, error) {
 	n := pk.Len()
 	a := ctx.scratch.arena()
 	fr := newPacketFrame(n, len(fields), pk.DS, ctx.stream.base, a)
-	var car feCarry
-	if v, ok := ctx.carry(); ok {
-		car, _ = v.(feCarry)
-	}
+	car, _ := ctx.carry().(feCarry)
 	// One column pass per field, in the requested order, with the field
 	// switch hoisted out of the inner loop.
 	for _, f := range fields {
@@ -744,8 +741,7 @@ func opKitsuneFeatures(ctx *opCtx, in []Value, p params) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	prev, _ := ctx.carry()
-	car, ok := prev.(*kitsuneCarry)
+	car, ok := ctx.carry().(*kitsuneCarry)
 	if !ok {
 		lambdas, err := kitsuneLambdas(p)
 		if err != nil {
@@ -853,8 +849,7 @@ func opDot11Features(ctx *opCtx, in []Value, p params) (Value, error) {
 	a := ctx.scratch.arena()
 	fr := newPacketFrame(n, 7, pk.DS, ctx.stream.base, a) // the columns added below
 	lam := p.f64("lambda", 0.5)
-	prev, _ := ctx.carry()
-	car, ok := prev.(*dot11Carry)
+	car, ok := ctx.carry().(*dot11Carry)
 	if !ok {
 		car = &dot11Carry{perTx: map[netpkt.MAC]*dot11Tx{}, horizon: math.Inf(1)}
 		if lam > 0 {

@@ -6,7 +6,7 @@ import (
 )
 
 func trainCtx() *opCtx {
-	return &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "o", state: map[string]any{}}
+	return &opCtx{stream: oneChunk(), mode: ModeTrain, outName: "o", state: make([]any, 1)}
 }
 
 func testCtxFrom(tc *opCtx) *opCtx {

@@ -97,11 +97,11 @@ type StreamPlan struct {
 	// connections, -1 when the plan assembles none: the sink whose
 	// connections a hooked pass hands to StreamHooks.ConnsClosed.
 	ConnSink int
-	// Accum holds the names of streamed values that some deferred op
-	// reads: their per-chunk frames are retained and concatenated at
-	// drain, any other value kept as of the latest chunk. Streamed values
-	// consumed only by streamed ops are never kept.
-	Accum map[string]bool
+	// Accum[i] is whether some deferred op reads streamed op i's output:
+	// its per-chunk frames are retained and concatenated at drain, any
+	// other value kept as of the latest chunk. Streamed values consumed
+	// only by streamed ops are never kept.
+	Accum []bool
 	// Decode is how deep the pass looks into its packets: the union of
 	// the decode traits of every reader of the raw chunk. An optimization
 	// only: accessors still decode on demand.
@@ -112,8 +112,10 @@ type StreamPlan struct {
 	// Barrier names the first op that runs only at drain; nil when every
 	// op streams or runs as flows close.
 	Barrier *PlanBarrier
-	// defs[i] is op i's registered definition, resolved once for the pass.
+	// defs[i] is op i's registered definition and in[i] the slots of its
+	// inputs, resolved once for the pass (see Engine.check).
 	defs []*opDef
+	in   [][]int
 }
 
 // PlanBarrier is the first op of a plan that runs only at drain, and why:
@@ -134,28 +136,31 @@ type PlanBarrier struct {
 // and every input is itself streamed (a value produced behind a barrier
 // only exists at flush).
 func (e *Engine) StreamPlan(mode Mode) (*StreamPlan, error) {
-	defs, err := e.check()
+	defs, in, err := e.check()
 	if err != nil {
 		return nil, err
 	}
+	ops := e.P.Ops
 	pl := &StreamPlan{
-		Stage:    make([]Stage, len(e.P.Ops)),
-		StatCap:  make([]int, len(e.P.Ops)),
-		Accum:    map[string]bool{},
+		Stage:    make([]Stage, len(ops)),
+		StatCap:  make([]int, len(ops)),
+		Accum:    make([]bool, len(ops)),
 		ConnSink: -1,
 		defs:     defs,
+		in:       in,
 	}
-	reasons := make([]string, len(e.P.Ops))
+	reasons := make([]string, len(ops))
 	// A streamed op runs in the ops stage only if it is order-free and
 	// everything it reads is produced in that stage (or is the chunk
 	// itself); anything downstream of an ordered op is ordered too.
-	streamedVal := map[string]bool{InputName: true}
-	workerVal := map[string]bool{InputName: true}
-	sinkOf := map[string]int{}
-	for i, op := range e.P.Ops {
+	pkts := packetSlot(ops)
+	streamedVal := make([]bool, pkts+1)
+	workerVal := make([]bool, pkts+1)
+	streamedVal[pkts], workerVal[pkts] = true, true
+	for i, op := range ops {
 		t := defs[i].traits
-		for _, in := range op.Input {
-			if j, ok := sinkOf[in]; ok {
+		for _, j := range in[i] {
+			if j != pkts && pl.Stage[j] == StageSink {
 				n := AllStats
 				if t.stats != nil {
 					n = t.stats(params(op.Params))
@@ -163,49 +168,47 @@ func (e *Engine) StreamPlan(mode Mode) (*StreamPlan, error) {
 				pl.StatCap[j] = max(pl.StatCap[j], n)
 			}
 		}
-		if t.decode != nil && slices.Contains(op.Input, InputName) {
+		if t.decode != nil && slices.Contains(in[i], pkts) {
 			pl.Decode = pl.Decode.Union(t.decode(params(op.Params)))
 		}
-		behind := firstMissing(streamedVal, op.Input)
+		behind := slices.IndexFunc(in[i], func(j int) bool { return !streamedVal[j] })
 		var reason string
 		switch {
 		case t.class == classBarrier:
 			reason = "whole-trace op"
-		case behind != "":
-			reason = "input `" + behind + "` is produced behind a barrier"
+		case behind >= 0:
+			reason = "input `" + op.Input[behind] + "` is produced behind a barrier"
 		case t.class == classFlowSink:
 			pl.Stage[i] = StageSink
-			sinkOf[op.Output] = i
 			// check() has already accepted the params.
 			if _, gran, _ := flowParams(params(op.Params)); pl.ConnSink < 0 && gran == dataset.ConnectionG {
 				pl.ConnSink = i
 			}
 			continue
 		case t.streams(mode):
-			streamedVal[op.Output] = true
+			streamedVal[i] = true
 			ordered := t.ordered != nil && t.ordered(params(op.Params))
-			worker := !ordered && firstMissing(workerVal, op.Input) == ""
+			worker := !ordered && !slices.ContainsFunc(in[i], func(j int) bool { return !workerVal[j] })
 			if !worker {
 				pl.Stage[i] = StageOrdered
 			}
-			workerVal[op.Output] = worker
+			workerVal[i] = worker
 			continue
 		default:
 			reason = "fits global state in train mode"
 		}
 		pl.Stage[i], reasons[i] = StageDrain, reason
 		// Deferred ops pull their streamed inputs from the accumulator.
-		for _, in := range op.Input {
-			if in != InputName && streamedVal[in] {
-				pl.Accum[in] = true
+		for _, j := range in[i] {
+			if j != pkts && streamedVal[j] {
+				pl.Accum[j] = true
 			}
 		}
 	}
-	pl.CloseSink = closeOps(e.P, pl, mode)
+	pl.CloseSink = closeOps(pl, mode)
 	for i, reason := range reasons {
 		if pl.Stage[i] == StageDrain {
-			op := e.P.Ops[i]
-			pl.Barrier = &PlanBarrier{Index: i, Func: op.Func, Output: op.Output, Reason: reason}
+			pl.Barrier = &PlanBarrier{Index: i, Func: ops[i].Func, Output: ops[i].Output, Reason: reason}
 			break
 		}
 	}
@@ -215,47 +218,42 @@ func (e *Engine) StreamPlan(mode Mode) (*StreamPlan, error) {
 // closeOps moves the plan's StageClose ops out of StageDrain and
 // returns the sink they read: none, and sink -1, unless the first flow
 // sink has row-local deferred readers that make every verdict.
-func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) int {
-	ops := p.Ops
+func closeOps(pl *StreamPlan, mode Mode) int {
 	sink := slices.Index(pl.Stage, StageSink)
 	if sink < 0 {
 		return -1
 	}
-	prod := make(map[string]int, len(ops))
-	for i, op := range ops {
-		prod[op.Output] = i
-	}
-	closes := make([]bool, len(ops))
+	n := len(pl.Stage)
+	closes := make([]bool, n)
 	fits := func(i int) bool {
 		fromBlock := false
-		for _, in := range ops[i].Input {
-			j, ok := prod[in]
+		for _, j := range pl.in[i] {
 			switch {
-			case ok && (j == sink || closes[j]):
+			case j < n && (j == sink || closes[j]):
 				fromBlock = true
-			case !ok || !pl.Stage[j].streamed() || pl.defs[j].sig.out == KindFrame:
+			case j == n || !pl.Stage[j].streamed() || pl.defs[j].sig.out == KindFrame:
 				return false
 			}
 		}
 		return fromBlock
 	}
 	readWhole := func(i int) bool {
-		for k, op := range ops {
-			if pl.Stage[k] == StageDrain && !closes[k] && slices.Contains(op.Input, ops[i].Output) {
+		for k := range n {
+			if pl.Stage[k] == StageDrain && !closes[k] && slices.Contains(pl.in[k], i) {
 				return true
 			}
 		}
 		return false
 	}
-	for i, op := range ops {
-		rowLocal := pl.defs[i].traits.streams(mode) || slices.Contains(op.Input, ops[sink].Output)
+	for i := range n {
+		rowLocal := pl.defs[i].traits.streams(mode) || slices.Contains(pl.in[i], sink)
 		closes[i] = pl.Stage[i] == StageDrain && rowLocal && fits(i)
 	}
 	// Dropping an op read whole strands its readers: repeat until
 	// nothing changes.
 	for changed := true; changed; {
 		changed = false
-		for i := range ops {
+		for i := range n {
 			if closes[i] && (!fits(i) || readWhole(i)) {
 				closes[i], changed = false, true
 			}
@@ -263,7 +261,7 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) int {
 	}
 	// Verdicts come from one place, so the rows of a pass are in the same
 	// order at every chunk size.
-	for i := range ops {
+	for i := range n {
 		if !closes[i] && pl.defs[i].sig.out == KindTrained {
 			return -1
 		}
@@ -277,16 +275,6 @@ func closeOps(p *Pipeline, pl *StreamPlan, mode Mode) int {
 		}
 	}
 	return sink
-}
-
-// firstMissing returns the first name not in set, "" when all are.
-func firstMissing(set map[string]bool, names []string) string {
-	for _, n := range names {
-		if !set[n] {
-			return n
-		}
-	}
-	return ""
 }
 
 // flowSinkState is one flow_assemble op being fed incrementally: the
@@ -567,6 +555,9 @@ func concatFrames(parts []*Frame) (*Frame, error) {
 	n := 0
 	hasIdx, hasLabels, hasAttacks := false, false, false
 	for _, p := range parts {
+		if len(p.Cols) != len(parts[0].Cols) {
+			return nil, fmt.Errorf("core: inconsistent chunk schemas: %d vs %d columns", len(p.Cols), len(parts[0].Cols))
+		}
 		n += p.N
 		hasIdx = hasIdx || p.UnitIdx != nil
 		hasLabels = hasLabels || p.Labels != nil
@@ -585,13 +576,13 @@ func concatFrames(parts []*Frame) (*Frame, error) {
 	}
 	for _, p := range parts {
 		if hasIdx {
-			out.UnitIdx = append(out.UnitIdx, padInts(p.UnitIdx, p.N)...)
+			out.UnitIdx = append(out.UnitIdx, pad(p.UnitIdx, p.N)...)
 		}
 		if hasLabels {
-			out.Labels = append(out.Labels, padInts(p.Labels, p.N)...)
+			out.Labels = append(out.Labels, pad(p.Labels, p.N)...)
 		}
 		if hasAttacks {
-			out.Attacks = append(out.Attacks, padStrings(p.Attacks, p.N)...)
+			out.Attacks = append(out.Attacks, pad(p.Attacks, p.N)...)
 		}
 	}
 	first := parts[0]
@@ -619,20 +610,13 @@ func concatFrames(parts []*Frame) (*Frame, error) {
 			out.AddS(c.Name, vals)
 		}
 	}
-	for _, p := range parts {
-		if len(p.Cols) != len(first.Cols) {
-			return nil, fmt.Errorf("core: inconsistent chunk schemas: %d vs %d columns", len(p.Cols), len(first.Cols))
-		}
-	}
 	return out, nil
 }
 
 // sameCol fetches column ci of p, validating it matches the schema of
-// the first chunk (name and numeric/categorical type).
+// the first chunk (name and numeric/categorical type); concatFrames has
+// checked that every part has as many columns.
 func sameCol(p *Frame, ci int, name string, numeric bool) (*Column, error) {
-	if ci >= len(p.Cols) {
-		return nil, fmt.Errorf("core: inconsistent chunk schemas: missing column %q", name)
-	}
 	c := &p.Cols[ci]
 	if c.Name != name || c.IsNumeric() != numeric {
 		return nil, fmt.Errorf("core: inconsistent chunk schemas: column %d is %q, want %q", ci, c.Name, name)
@@ -640,16 +624,10 @@ func sameCol(p *Frame, ci int, name string, numeric bool) (*Column, error) {
 	return c, nil
 }
 
-func padInts(s []int, n int) []int {
+// pad stands n zero values in for a part's missing metadata column.
+func pad[T any](s []T, n int) []T {
 	if s == nil && n > 0 {
-		return make([]int, n)
-	}
-	return s
-}
-
-func padStrings(s []string, n int) []string {
-	if s == nil && n > 0 {
-		return make([]string, n)
+		return make([]T, n)
 	}
 	return s
 }

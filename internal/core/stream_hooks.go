@@ -93,7 +93,7 @@ type ChunkUpdate struct {
 //
 // A pass recycles its chunk scratch when nothing it produces can
 // outlive the callback: it is not Online, its plan accumulates no
-// streamed value for the flush (StreamPlan.Accum is empty), and the
+// streamed value for the flush (StreamPlan.Accum is all false), and the
 // shared cache does not serve it. Frame columns, the scored feature
 // matrix, the model's labels and scores and verdict unit indices then
 // come from a per-chunk arena that the next chunk reuses once the
@@ -151,7 +151,7 @@ func (r *streamExec) afterChunk(job *chunkJob) error {
 		Drift:   job.drift,
 	}
 	if r.hooks.WantFeatures && job.ran(r.e.trainOp) {
-		if fr, ok := job.env[r.trainFrame].(*Frame); ok {
+		if fr, ok := job.env[r.pl.in[r.e.trainOp][1]].(*Frame); ok {
 			up.Features = fr.Matrix()
 			up.Labels = fr.Labels
 		}

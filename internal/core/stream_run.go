@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -37,17 +36,14 @@ type streamExec struct {
 	// the goroutine that owns stream order: the caller's, with collect as
 	// AfterChunk when the caller set none.
 	hooks StreamHooks
-	// trainFrame is the name of the train op's feature-frame input, so
-	// hooks with WantFeatures can find it in every job.
-	trainFrame string
-	prof       []OpStats
+	prof  []OpStats
 
-	// accum holds the per-chunk frames deferred ops read; fenv holds the
-	// latest of every other streamed value they read. Both seed the
-	// environments of the blocks and of the drain pass. out is the result
+	// accum holds by slot the per-chunk frames deferred ops read, fenv the
+	// latest of every other streamed value they read: fenv seeds each
+	// block's environment and is the drain pass's. out is the result
 	// collect builds, the rows a pass the caller did not hook returns.
-	accum   map[string][]*Frame
-	fenv    map[string]Value
+	accum   [][]*Frame
+	fenv    []Value
 	out     *EvalResult
 	hwm     uint64
 	live    gauge // on heapLiveName, sampled into hwm once a job
@@ -60,15 +56,15 @@ type streamExec struct {
 	// cache does not serve it (cached values outlive the pass).
 	arenas *arenaPool
 
-	// keys are the lineage keys (see lineageKeys) of the values the shared
-	// cache serves this pass, nil when it bypasses the cache; root is the
-	// dataset they derive from. A pass with keys reads its dataset as one
-	// chunk, so each keyed op's output there is its whole-trace value.
-	keys map[string]string
+	// keys are the lineage keys by slot (see lineageKeys) of the values
+	// the shared cache serves this pass, nil when it bypasses the cache;
+	// root is the dataset they derive from. A pass with keys reads its
+	// dataset as one chunk, so a keyed value is its whole-trace value.
+	keys []string
 	root *dataset.Labeled
-	// free[i] names the values op i's environment drops once op i has run
+	// free[i] holds the slots op i's environment clears once op i has run
 	// (see deadAfter).
-	free [][]string
+	free [][]int
 
 	// closeSink is the sink whose released flows the StageClose ops
 	// score a block at a time while the stream runs (see scoreClosed);
@@ -102,13 +98,13 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		pl:    pl,
 		stage: slices.Clone(pl.Stage),
 		meta:  src.Meta(),
-		sc:    &streamCtx{carry: map[string]any{}, online: cfg.Online},
-		accum: map[string][]*Frame{},
-		fenv:  map[string]Value{},
+		sc:    &streamCtx{carry: make([]any, len(e.P.Ops)), online: cfg.Online},
+		accum: make([][]*Frame, len(e.P.Ops)),
+		fenv:  make([]Value, len(e.P.Ops)+1),
 		live:  gauge{{Name: heapLiveName}},
 	}
 	if root != nil && e.cache != nil && cfg.ChunkRows == 0 && cfg.ChunkBytes == 0 && cfg.Hooks == nil && !cfg.Online {
-		r.keys, r.root = lineageKeys(e.P, pl.defs, root), root
+		r.keys, r.root = lineageKeys(e.P, pl, root), root
 		for i, s := range r.stage {
 			if s == StageClose {
 				r.stage[i] = StageDrain
@@ -126,16 +122,15 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		r.sinks = append(r.sinks, s)
 		if i == pl.CloseSink && r.keys == nil {
 			r.closeSink = s
-			r.bsc.carry = map[string]any{}
-			r.block = r.flushJob(map[string]Value{}, &arenaPool{})
+			r.bsc.carry = make([]any, len(e.P.Ops))
+			r.block = r.flushJob(make([]Value, len(e.P.Ops)+1), &arenaPool{})
 		}
 	}
 	r.prof = make([]OpStats, len(e.P.Ops))
 	for i, op := range e.P.Ops {
 		r.prof[i] = OpStats{Func: op.Func, Output: op.Output}
 	}
-	r.trainFrame = e.P.Ops[e.trainOp].Input[1]
-	if !cfg.Online && len(pl.Accum) == 0 && r.keys == nil {
+	if !cfg.Online && !slices.Contains(pl.Accum, true) && r.keys == nil {
 		r.arenas = &arenaPool{}
 	}
 	if cfg.Hooks != nil {
@@ -151,38 +146,42 @@ func newStreamExec(e *Engine, src dataset.Source, mode Mode, cfg StreamConfig, r
 		r.logSink = &flowSinkState{op: -1, gran: dataset.ConnectionG, asm: flow.NewConnAssembler(flow.Options{})}
 		r.sinks = append(r.sinks, r.logSink)
 	}
-	keep := ""
+	keep := -1
 	if r.hooks.WantFeatures {
-		keep = r.trainFrame
+		keep = pl.in[e.trainOp][1]
 	}
-	r.free = deadAfter(e.P, r.stage, keep)
+	r.free = deadAfter(pl.in, r.stage, keep)
 	return r, nil
 }
 
 // deadAfter is the pass's dead-value elimination, the paper's "removing
 // variables that are not used in future operations": free[i] lists the
-// values nothing reads once op i has run in its environment. A chunk runs
+// slots nothing reads once op i has run in its environment. A chunk runs
 // its worker ops and then its ordered ops, each in op order, and a block
 // or the drain pass its deferred ops after every chunk, so a value dies
 // after its last reader in that order. A streamed value a deferred op
 // reads (StreamPlan.Accum) thus dies only in a deferred environment,
 // after absorb has copied it there. The chunk's packets and keep (the
-// frame a hook asks for) stay for the whole job.
-func deadAfter(p *Pipeline, stage []Stage, keep string) [][]string {
+// slot of the frame a hook asks for, -1 for none) stay for the whole job.
+func deadAfter(in [][]int, stage []Stage, keep int) [][]int {
 	// Sinks, close and drain ops all read only what the chunk has done.
 	rank := func(i int) Stage { return min(stage[i], StageSink) }
-	last := map[string]int{}
-	for i, op := range p.Ops {
-		for _, in := range op.Input {
-			if j, ok := last[in]; !ok || rank(i) >= rank(j) {
-				last[in] = i
+	// last[s] is slot s's last reader (-1: none); packets are never freed.
+	last := make([]int, len(in))
+	for s := range last {
+		last[s] = -1
+	}
+	for i := range in {
+		for _, s := range in[i] {
+			if s < len(last) && (last[s] < 0 || rank(i) >= rank(last[s])) {
+				last[s] = i
 			}
 		}
 	}
-	free := make([][]string, len(p.Ops))
-	for in, i := range last {
-		if in != InputName && in != keep {
-			free[i] = append(free[i], in)
+	free := make([][]int, len(in))
+	for s, i := range last {
+		if i >= 0 && s != keep {
+			free[i] = append(free[i], s)
 		}
 	}
 	return free
@@ -196,7 +195,11 @@ func deadAfter(p *Pipeline, stage []Stage, keep string) [][]string {
 type chunkJob struct {
 	nc  dataset.NumberedChunk
 	cds *dataset.Labeled
-	env map[string]Value
+	// env holds the job's values by slot (see Engine.check).
+	env []Value
+	// args and ctx are where runOps hands one op its inputs and context.
+	args [4]Value
+	ctx  opCtx
 	// stats is indexed by op; only executed ops write their entry (see
 	// ran).
 	stats   []OpStats
@@ -238,10 +241,10 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 			Labels:      nc.Labels,
 			Attacks:     nc.Attacks,
 		},
-		env:   make(map[string]Value, len(r.e.P.Ops)+1),
+		env:   make([]Value, len(r.e.P.Ops)+1),
 		stats: make([]OpStats, len(r.e.P.Ops)),
 	}
-	j.env[InputName] = Packets{DS: j.cds, Views: nc.Views}
+	j.env[packetSlot(r.e.P.Ops)] = Packets{DS: j.cds, Views: nc.Views}
 	j.wsc.base = nc.Base
 	j.scratch.pool = r.arenas
 	return j
@@ -249,7 +252,7 @@ func (r *streamExec) newJob(nc dataset.NumberedChunk) *chunkJob {
 
 // flushJob builds the job of a block of closed flows or of the drain
 // pass over env, its ops drawing buffers from pool (nil: make).
-func (r *streamExec) flushJob(env map[string]Value, pool *arenaPool) *chunkJob {
+func (r *streamExec) flushJob(env []Value, pool *arenaPool) *chunkJob {
 	j := &chunkJob{nc: dataset.NumberedChunk{Seq: -1}, env: env, stats: make([]OpStats, len(r.e.P.Ops))}
 	j.scratch.pool = pool
 	return j
@@ -267,7 +270,7 @@ func (r *streamExec) feedSinks(job *chunkJob, cs *obs.Span) {
 	if r.keys != nil {
 		r.runOps(job, StageSink, r.sc, cs)
 		for _, s := range r.sinks {
-			s.flows, _ = job.env[r.e.P.Ops[s.op].Output].(*Flows)
+			s.flows, _ = job.env[s.op].(*Flows)
 		}
 		return
 	}
@@ -357,24 +360,29 @@ func (r *streamExec) runOps(job *chunkJob, stage Stage, sc *streamCtx, parent *o
 	if job.err != nil {
 		return
 	}
-	for i, op := range r.e.P.Ops {
+	for i := range r.stage {
 		if r.stage[i] != stage {
 			continue
 		}
 		job.op = i
-		ctx := opCtx{mode: r.mode, stream: sc, drift: &job.drift, scratch: &job.scratch}
-		out, st, res, err := r.e.invoke(i, r.pl.defs[i], job.env, ctx, parent, r.keys[op.Output], r.root)
+		in := job.args[:0]
+		for _, s := range r.pl.in[i] {
+			in = append(in, job.env[s])
+		}
+		job.ctx = opCtx{mode: r.mode, stream: sc, drift: &job.drift, scratch: &job.scratch}
+		out, st, res, err := r.e.invoke(i, r.pl.defs[i], in, &job.ctx, parent, r.keys, r.root)
+		clear(job.args[:])
 		if err != nil {
 			job.err = err
 			return
 		}
 		job.stats[i] = st
-		job.env[op.Output] = out
+		job.env[i] = out
 		if res != nil {
 			job.results = append(job.results, res)
 		}
-		for _, name := range r.free[i] {
-			delete(job.env, name)
+		for _, s := range r.free[i] {
+			job.env[s] = nil
 		}
 	}
 	sc.lastResult = nil
@@ -405,13 +413,16 @@ func (r *streamExec) absorb(job *chunkJob) error {
 	if !job.flush() {
 		// What a chunk leaves the deferred ops: its frame of every
 		// accumulated value, the latest of every other.
-		for name := range r.pl.Accum {
-			switch v := job.env[name].(type) {
+		for s, acc := range r.pl.Accum {
+			if !acc {
+				continue
+			}
+			switch v := job.env[s].(type) {
 			case *Frame:
-				r.accum[name] = append(r.accum[name], v)
+				r.accum[s] = append(r.accum[s], v)
 			case nil:
 			default:
-				r.fenv[name] = v
+				r.fenv[s] = v
 			}
 		}
 		r.nChunks++
@@ -459,13 +470,16 @@ func (r *streamExec) countDecode(views []netpkt.PacketView) {
 func (r *streamExec) finish() (*EvalResult, error) {
 	e := r.e
 	env := r.fenv
-	for name, parts := range r.accum {
+	for s, parts := range r.accum {
+		if parts == nil {
+			continue
+		}
 		fr, err := concatFrames(parts)
 		if err != nil {
-			return nil, fmt.Errorf("core: accumulated %q: %w", name, err)
+			return nil, fmt.Errorf("core: accumulated %q: %w", e.P.Ops[s].Output, err)
 		}
-		env[name] = fr
-		delete(r.accum, name)
+		env[s] = fr
+		r.accum[s] = nil
 	}
 	job := r.flushJob(env, nil)
 	for _, s := range r.sinks {
@@ -496,7 +510,7 @@ func (r *streamExec) finish() (*EvalResult, error) {
 			}
 			continue
 		}
-		env[op.Output] = fl
+		env[s.op] = fl
 		if err := r.connsClosed(s, fl.Flows); err != nil {
 			return nil, err
 		}
@@ -609,8 +623,8 @@ func (r *streamExec) runBlock(fl *Flows, base int) error {
 		return err
 	}
 	job := r.block
-	maps.Copy(job.env, r.fenv)
-	job.env[r.e.P.Ops[r.closeSink.op].Output] = fl
+	copy(job.env, r.fenv)
+	job.env[r.closeSink.op] = fl
 	r.bsc.base = base
 	r.runOps(job, StageClose, &r.bsc, r.e.Span)
 	err := r.absorb(job)

@@ -121,11 +121,18 @@ type SwapSpec struct {
 // ms converts a millisecond key to a duration.
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
-// strict decodes data into v, refusing keys v does not declare.
+// strict decodes data into v, refusing keys v does not declare and
+// anything after the document.
 func strict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the document")
+	}
+	return nil
 }
 
 // ParseConfig strict-decodes a config document (each entry over the

@@ -151,6 +151,30 @@ func TestConfigRejectsStreamWorkers(t *testing.T) {
 	}
 }
 
+// trailingData are the shapes a strict decoder must refuse after one
+// whole document, with what each is.
+var trailingData = []struct{ name, tail string }{
+	{"garbage", "garbage"},
+	{"second document", "{}"},
+	{"stray brace", "}"},
+}
+
+// TestConfigRefusesTrailingData: a config file is one document. Bytes
+// after it, another document included, fail the file instead of being
+// ignored; trailing whitespace is still fine.
+func TestConfigRefusesTrailingData(t *testing.T) {
+	doc := strings.Replace(workersConfig, `,"workers":2`, "", 1)
+	dir := "../../examples/daemon-hot-swap"
+	if _, err := ParseConfig([]byte(doc+" \n\t"), dir); err != nil {
+		t.Fatalf("a document with trailing whitespace: %v", err)
+	}
+	for _, tc := range append(trailingData, struct{ name, tail string }{"the document again", doc}) {
+		if _, err := ParseConfig([]byte(doc+tc.tail), dir); err == nil {
+			t.Errorf("%s after the document: accepted", tc.name)
+		}
+	}
+}
+
 // FuzzDaemonConfig: arbitrary bytes are either refused or yield a config
 // whose every pipeline plans the way `lumend -check` does, without a
 // panic. Nothing is built, so no socket, directory or sink is opened;
@@ -167,6 +191,10 @@ func FuzzDaemonConfig(f *testing.F) {
 	f.Add([]byte(`{"pipelines":[{"template":"pipeline.json","model":"m.json","source":{"link":"dot11","feed":"unix:/tmp/x"},"swap":{"model":"c.json"}}]}`), "daemon-hot-swap")
 	f.Add([]byte(`{"pipelines":[{"template":"pipeline.json","model":"m.json","source":{"watch":{"dir":"spool","poll_ms":1e3}},"retrain":{}}]}`), "drift-retrain")
 	f.Add([]byte(workersConfig), "daemon-hot-swap")
+	for _, tc := range trailingData {
+		f.Add([]byte(workersConfig+tc.tail), "daemon-hot-swap")
+	}
+	f.Add([]byte(workersConfig+workersConfig), "daemon-hot-swap")
 	root, err := filepath.Abs("../../examples")
 	if err != nil {
 		f.Fatal(err)
